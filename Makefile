@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-kernels lint fig9 traces profile faults tune sched-conformance netrun-conformance real-dist serve-smoke ccload examples clean
+.PHONY: all build vet test race bench bench-quick bench-e2e bench-kernels lint fig9 traces profile faults tune sched-conformance netrun-conformance real-dist serve-smoke ccload examples clean
 
 all: build vet test lint
 
@@ -25,6 +25,18 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository's benchmark (BENCHMARK.json, bench/) is a module of its
+# own, so `go test ./...` and `go build ./...` above never see it.
+# bench-quick runs the harness's own tests and a two-jobs-per-workload
+# smoke with the correctness gate on (under a minute); bench-e2e is the
+# full run: five workloads, every end-to-end metric, 15 s each.
+bench-quick:
+	$(GO) -C bench test ./...
+	$(GO) -C bench run . -quick
+
+bench-e2e:
+	$(GO) -C bench run .
 
 # Re-run the dense-kernel sweep and diff it against the committed
 # BENCH_kernels.json baseline: >10% ns/op regressions on matching rows

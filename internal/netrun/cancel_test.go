@@ -2,8 +2,11 @@ package netrun
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"parsec/internal/sched"
 )
 
 // TestCancelPreClosed covers the worst cancellation race: the channel is
@@ -24,18 +27,22 @@ func TestCancelPreClosed(t *testing.T) {
 	}
 }
 
-// TestCancelMidRun cancels a benzene job a few hundred milliseconds in:
-// the run must return ErrCanceled well before the job could finish, and
-// the rank goroutines must unwind cleanly.
+// TestCancelMidRun cancels a benzene job once it is measurably under
+// way — on the fiftieth task popped across the ranks, not after a
+// wall-clock delay the job might beat: the run must return ErrCanceled
+// with thousands of tasks still to go, and the rank goroutines must
+// unwind cleanly.
 func TestCancelMidRun(t *testing.T) {
 	c := make(chan struct{})
-	go func() {
-		time.Sleep(300 * time.Millisecond)
-		close(c)
-	}()
-	_, err := Run(Config{Ranks: 2, Workers: 1, Cancel: c}, JobSpec{Preset: "benzene", Variant: "v5"})
+	var pops atomic.Int64
+	cfg := Config{Ranks: 2, Workers: 1, Cancel: c, SchedObserver: func(ev sched.Event) {
+		if ev.Op == sched.OpPop && pops.Add(1) == 50 {
+			close(c)
+		}
+	}}
+	_, err := Run(cfg, JobSpec{Preset: "benzene", Variant: "v5"})
 	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+		t.Fatalf("err = %v after %d pops, want ErrCanceled", err, pops.Load())
 	}
 }
 

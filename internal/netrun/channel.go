@@ -110,17 +110,18 @@ type commCounters struct {
 
 // pendingMsg is one unacknowledged frame awaiting ack or retransmission.
 type pendingMsg struct {
-	typ      byte
-	id       uint64
-	body     []byte
-	attempts int       // retransmissions performed
+	id uint64
+	// frame is the encoded frame, built once by the message's encode; a
+	// retransmission resends these bytes with only the ack-suppress bit
+	// rewritten.
+	frame    []byte
+	attempts int       // retransmissions charged
 	deadline time.Time // next loss-detection point
-}
-
-// retainedMsg is one activation kept for post-takeover replay.
-type retainedMsg struct {
-	typ  byte
-	body []byte
+	// queued is set from staging until the socket write returns. A queued
+	// frame is never staged again (so the receiver sees it once), and on
+	// a live link it is not timed either: waiting in the outbox is the
+	// sender's backlog, not loss.
+	queued bool
 }
 
 // relChan is one outbound reliable link to a single peer: it owns the
@@ -138,13 +139,16 @@ type relChan struct {
 	dst  int
 	addr string
 
-	mu       sync.Mutex
-	wcond    *sync.Cond // outbox gained frames, conn changed, or stopped
-	conn     net.Conn
-	outbox   [][]byte // encoded frames awaiting the writer goroutine
-	nextID   uint64
-	unacked  map[uint64]*pendingMsg
-	retained []retainedMsg
+	mu      sync.Mutex
+	wcond   *sync.Cond // outbox gained frames, conn changed, or stopped
+	conn    net.Conn
+	outbox  []*pendingMsg // frames awaiting the writer goroutine; nil = sever here
+	nextID  uint64
+	unacked map[uint64]*pendingMsg
+	// retained is the activation log owed to an heir should the peer die:
+	// kept only when recovery can use it (recoverDeadPeers), and sharing
+	// the pending frames' bytes.
+	retained [][]byte
 	frames   int // frames written, for SeverSpec
 	severed  bool
 	stopped  bool
@@ -160,50 +164,62 @@ func (c *relChan) stop() {
 	}
 	c.wcond.Broadcast()
 	c.mu.Unlock()
+	c.tp.drainWake.post()
 }
 
-// send assigns a reliability id, retains activations for takeover
-// replay, and attempts the first transmission. Loss is recovered by the
-// retransmit timer; the call never blocks on the network beyond one
-// write.
-func (c *relChan) send(typ byte, body []byte) {
+// send takes ownership of an encoded frame: it assigns the reliability
+// id, retains activations for takeover replay, and stages the first
+// transmission. Loss is recovered by the retransmit timer; the call
+// never touches the network.
+func (c *relChan) send(frame []byte) {
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
 		return
 	}
 	c.nextID++
-	p := &pendingMsg{typ: typ, id: c.nextID, body: body}
+	p := &pendingMsg{id: c.nextID, frame: sealFrame(frame, c.nextID)}
 	c.unacked[p.id] = p
-	if typ == msgActivate {
-		c.retained = append(c.retained, retainedMsg{typ: typ, body: body})
+	if c.tp.recoverDeadPeers && frame[3]&typeMask == msgActivate {
+		c.retained = append(c.retained, frame)
 	}
-	c.writeLocked(p)
+	c.stageLocked(p)
 	c.mu.Unlock()
 
 	c.tp.counters.msgsSent.Add(1)
-	c.tp.counters.bytesSent.Add(int64(frameHeaderLen + len(body)))
+	c.tp.counters.bytesSent.Add(int64(len(frame)))
 }
 
-// writeLocked stages one transmission attempt of a pending frame,
-// consulting the fault injector: a Drop verdict skips it entirely (the
-// timer retransmits), an AckDrop verdict sets the ack-suppress bit so
-// the receiver provokes the duplicate path, and a Sever verdict due at
-// this frame count is encoded as a nil outbox entry the writer turns
-// into a connection close. Callers hold c.mu; the socket write itself
-// happens on the writer goroutine.
-func (c *relChan) writeLocked(p *pendingMsg) {
-	p.deadline = time.Now().Add(c.tp.retry.Timeout)
+// armLocked sets the frame's next loss-detection point: Timeout from
+// now, plus the backoff its last retransmission earned.
+func (c *relChan) armLocked(p *pendingMsg) {
+	d := c.tp.retry.Timeout
+	if p.attempts > 0 {
+		d += c.tp.retry.backoffFor(p.attempts - 1)
+	}
+	p.deadline = time.Now().Add(d)
+}
+
+// stageLocked queues one transmission attempt of a pending frame that
+// is not already queued, consulting the fault injector: a Drop verdict
+// skips it entirely (the timer retransmits), an AckDrop verdict sets
+// the ack-suppress bit so the receiver provokes the duplicate path, and
+// a Sever verdict due at this frame count is a nil outbox entry the
+// writer turns into a connection close. Callers hold c.mu; the socket
+// write itself happens on the writer goroutine, which re-arms the loss
+// timer when the write returns — the arming here only covers a frame
+// that is dropped, or queued on a link that stays down.
+func (c *relChan) stageLocked(p *pendingMsg) {
+	c.armLocked(p)
 	out := c.tp.inj.transfer(c.tp.local, c.dst)
 	if out.Drop {
 		c.tp.counters.dropsInjected.Add(1)
 		return
 	}
-	suppress := false
 	if out.AckDrop {
-		suppress = true
 		c.tp.counters.ackDropsInj.Add(1)
 	}
+	setAckSuppress(p.frame, out.AckDrop)
 	if sv := c.tp.sever; sv != nil && sv.From == c.tp.local && sv.To == c.dst {
 		c.frames++
 		if !c.severed && c.frames > sv.AfterFrames {
@@ -214,7 +230,8 @@ func (c *relChan) writeLocked(p *pendingMsg) {
 			return
 		}
 	}
-	c.outbox = append(c.outbox, appendFrame(nil, p.typ, p.id, suppress, p.body))
+	p.queued = true
+	c.outbox = append(c.outbox, p)
 	c.wcond.Broadcast()
 	if c.conn == nil {
 		c.ensureDialLocked()
@@ -223,8 +240,9 @@ func (c *relChan) writeLocked(p *pendingMsg) {
 
 // writeLoop is the channel's writer goroutine: it drains the outbox
 // onto whatever connection is current, blocking on the kernel with no
-// locks held. A failed or severed write drops the staged bytes — the
-// frame stays in the unacked window, so loss detection retransmits it.
+// locks held, and starts each frame's loss timer when its write
+// returns. A failed or severed write loses the bytes — the frame stays
+// in the unacked window, so the redial (or the timer) retransmits it.
 func (c *relChan) writeLoop() {
 	defer c.tp.wg.Done()
 	for {
@@ -239,16 +257,22 @@ func (c *relChan) writeLoop() {
 			c.mu.Unlock()
 			return
 		}
-		buf := c.outbox[0]
+		p := c.outbox[0]
+		c.outbox[0] = nil // the backing array must not pin an acked frame
 		c.outbox = c.outbox[1:]
 		conn := c.conn
 		c.mu.Unlock()
 
-		if buf == nil { // sever marker
+		if p == nil { // sever marker
 			c.dropConn(conn, true)
 			continue
 		}
-		if _, err := conn.Write(buf); err != nil {
+		_, err := conn.Write(p.frame)
+		c.mu.Lock()
+		p.queued = false
+		c.armLocked(p)
+		c.mu.Unlock()
+		if err != nil {
 			c.dropConn(conn, false)
 		}
 	}
@@ -304,8 +328,7 @@ func (c *relChan) dialLoop() {
 			}
 			continue
 		}
-		hello := appendFrame(nil, msgHello, 0, false, helloMsg{From: c.tp.local}.encode())
-		if _, err := conn.Write(hello); err != nil {
+		if _, err := conn.Write(sealFrame(helloMsg{From: c.tp.local}.encode(), 0)); err != nil {
 			conn.Close()
 			continue
 		}
@@ -318,12 +341,15 @@ func (c *relChan) dialLoop() {
 		}
 		c.conn = conn
 		c.dialing = false
-		// Frames sent while the link was down sit in the unacked window;
-		// restage them now rather than waiting out the loss-detection
-		// timer. (Any copies still in the outbox arrive twice; the
-		// receiver's dedup absorbs that.)
+		// Frames written to a connection that has since died are owed a
+		// retransmission now rather than when the loss timer notices.
+		// Frames still queued were never written: they go out on this
+		// connection as they are, and restaging them would only send the
+		// receiver duplicates.
 		for _, p := range c.unacked {
-			c.writeLocked(p)
+			if !p.queued {
+				c.stageLocked(p)
+			}
 		}
 		c.wcond.Broadcast()
 		c.mu.Unlock()
@@ -335,12 +361,18 @@ func (c *relChan) dialLoop() {
 }
 
 // readAcks drains acknowledgment frames from one connection until it
-// dies, then hands the channel back to the dialer.
+// dies (or sends anything that is not a well-formed ack), then hands
+// the channel back to the dialer.
 func (c *relChan) readAcks(conn net.Conn) {
 	defer c.tp.wg.Done()
+	fr := newFrameReader(conn)
 	for {
-		f, err := readFrame(conn)
-		if err != nil {
+		f, err := fr.read()
+		if err == nil && f.typ != msgAck {
+			err = errBadType
+		}
+		m, aerr := decodeAck(f.body)
+		if err != nil || aerr != nil {
 			c.mu.Lock()
 			if c.conn == conn {
 				c.conn.Close()
@@ -352,13 +384,15 @@ func (c *relChan) readAcks(conn net.Conn) {
 			c.mu.Unlock()
 			return
 		}
-		if f.typ != msgAck {
-			continue
-		}
 		c.mu.Lock()
-		if _, ok := c.unacked[f.id]; ok {
-			delete(c.unacked, f.id)
-			c.tp.counters.acksReceived.Add(1)
+		for _, id := range m.IDs {
+			if _, ok := c.unacked[id]; ok {
+				delete(c.unacked, id)
+				c.tp.counters.acksReceived.Add(1)
+			}
+		}
+		if len(c.unacked) == 0 {
+			c.tp.drainWake.post()
 		}
 		c.mu.Unlock()
 	}
@@ -367,8 +401,12 @@ func (c *relChan) readAcks(conn net.Conn) {
 // tick is the loss-detection scan: every pending frame past its
 // deadline is charged one retry, waits its capped backoff (folded into
 // the next deadline rather than slept, so one timer serves all links),
-// and is retransmitted. Exhausted retries fail the whole process — the
-// simexec contract — unless the peer is under takeover re-routing.
+// and is retransmitted. The deadline measures the link: it runs from
+// the socket write, and a frame waiting its turn in the outbox of a
+// live connection is not late. With the link down the clock does run
+// for queued frames, so a peer that never comes back still exhausts the
+// retries. Exhausted retries fail the whole process — the simexec
+// contract — unless the peer is under takeover re-routing.
 func (c *relChan) tick(now time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -376,21 +414,23 @@ func (c *relChan) tick(now time.Time) error {
 		return nil
 	}
 	for _, p := range c.unacked {
-		if now.Before(p.deadline) {
+		if (p.queued && c.conn != nil) || now.Before(p.deadline) {
 			continue
 		}
 		if p.attempts >= c.tp.retry.MaxRetries &&
 			!(c.tp.recoverDeadPeers && c.dst != coordRank) {
 			return fmt.Errorf("netrun: rank %d -> %d: message %d (type %d) unacked after %d retries",
-				c.tp.local, c.dst, p.id, p.typ, p.attempts)
+				c.tp.local, c.dst, p.id, p.frame[3]&typeMask, p.attempts)
 		}
-		backoff := c.tp.retry.backoffFor(p.attempts)
-		p.attempts++
 		c.tp.counters.retries.Add(1)
-		c.tp.counters.backoffNs.Add(int64(backoff))
-		c.tp.counters.retransmitBytes.Add(int64(frameHeaderLen + len(p.body)))
-		c.writeLocked(p)
-		p.deadline = p.deadline.Add(backoff) // extend past Timeout by the backoff
+		c.tp.counters.backoffNs.Add(int64(c.tp.retry.backoffFor(p.attempts)))
+		p.attempts++
+		if p.queued { // link down: the attempt is charged, the frame is already in line
+			c.armLocked(p)
+			continue
+		}
+		c.tp.counters.retransmitBytes.Add(int64(len(p.frame)))
+		c.stageLocked(p)
 	}
 	return nil
 }
@@ -407,7 +447,7 @@ func (c *relChan) drained() bool {
 
 // takeRetained stops the channel and surrenders its retained activation
 // log for replay to an heir.
-func (c *relChan) takeRetained() []retainedMsg {
+func (c *relChan) takeRetained() [][]byte {
 	c.mu.Lock()
 	r := c.retained
 	c.retained = nil
@@ -445,29 +485,47 @@ type transport struct {
 	// dedup — the coordinator's liveness signal.
 	onSeen func(from int)
 
+	// drainWake is posted whenever some channel's unacked window may
+	// have just emptied; waitDrained parks on it.
+	drainWake wakeup
+
 	mu       sync.Mutex
 	chans    map[int]*relChan
 	routes   map[int]int // rank -> rank actually serving it (takeover)
-	seen     map[int]map[uint64]bool
-	sessions map[int]*session
+	seen     map[int]*dedup
+	sessions map[int]net.Conn // inbound connection by sender
 	closed   bool
 }
 
-// session is one inbound connection with its ack-write lock.
-type session struct {
-	conn net.Conn
-	mu   sync.Mutex
+// dedup is one sender's receive-side duplicate filter. A channel numbers
+// its frames 1, 2, 3, ... so the ids seen are a contiguous prefix plus,
+// while a lost frame awaits retransmission, a few stragglers above it:
+// the state is the prefix's watermark and that sparse set, O(frames in
+// flight) however long the run.
+type dedup struct {
+	low   uint64          // every id <= low has been seen
+	above map[uint64]bool // ids seen beyond low
 }
 
-func (s *session) writeAck(id uint64) {
-	buf := appendFrame(nil, msgAck, id, false, nil)
-	s.mu.Lock()
-	s.conn.Write(buf)
-	s.mu.Unlock()
+// observe records an id and reports whether it had been seen before.
+func (d *dedup) observe(id uint64) (dup bool) {
+	if id <= d.low || d.above[id] {
+		return true
+	}
+	d.above[id] = true
+	for d.above[d.low+1] {
+		d.low++
+		delete(d.above, d.low)
+	}
+	return false
 }
+
+// ackBatch bounds how many ids one msgAck carries, so a stream that
+// never lets the read buffer run dry still acknowledges steadily.
+const ackBatch = 64
 
 // newTransport opens a listener ("tcp" on 127.0.0.1, "unix" on the
-// given socket path pattern) and starts accepting.
+// given socket path pattern); serve starts accepting on it.
 func newTransport(local int, network, listenAddr string, retry RetryPolicy, inj *injector, sever *SeverSpec) (*transport, error) {
 	ln, err := net.Listen(network, listenAddr)
 	if err != nil {
@@ -484,12 +542,21 @@ func newTransport(local int, network, listenAddr string, retry RetryPolicy, inj 
 		stopCh:   make(chan struct{}),
 		chans:    make(map[int]*relChan),
 		routes:   make(map[int]int),
-		seen:     make(map[int]map[uint64]bool),
-		sessions: make(map[int]*session),
+		seen:     make(map[int]*dedup),
+		sessions: make(map[int]net.Conn),
+
+		drainWake: make(wakeup, 1),
 	}
+	return tp, nil
+}
+
+// serve installs the inbound handlers and starts accepting. Until then
+// peers' connections wait in the listen backlog, so no frame can reach
+// an endpoint whose owner is still being built.
+func (tp *transport) serve(handler func(from int, f frame), onSeen func(from int)) {
+	tp.handler, tp.onSeen = handler, onSeen
 	tp.wg.Add(1)
 	go tp.acceptLoop()
-	return tp, nil
 }
 
 // addr returns the listener's address string.
@@ -508,11 +575,16 @@ func (tp *transport) acceptLoop() {
 }
 
 // serveConn handles one inbound connection: hello, then data frames,
-// each acked (unless suppressed) and deduplicated per sender.
+// deduplicated per sender and handed to the handler, which must be done
+// with a frame's body when it returns (the next read reuses the buffer).
+// Acknowledgments go out once per read burst — when the next frame has
+// to be waited for, or ackBatch ids are owed — as one msgAck listing
+// the ids.
 func (tp *transport) serveConn(conn net.Conn) {
 	defer tp.wg.Done()
 	defer conn.Close()
-	hello, err := readFrame(conn)
+	fr := newFrameReader(conn)
+	hello, err := fr.read()
 	if err != nil || hello.typ != msgHello {
 		return
 	}
@@ -521,26 +593,34 @@ func (tp *transport) serveConn(conn net.Conn) {
 		return
 	}
 	from := hm.From
-	sess := &session{conn: conn}
 	tp.mu.Lock()
 	if tp.closed {
 		tp.mu.Unlock()
 		return
 	}
-	tp.sessions[from] = sess
-	if tp.seen[from] == nil {
-		tp.seen[from] = make(map[uint64]bool)
+	tp.sessions[from] = conn
+	seen := tp.seen[from]
+	if seen == nil {
+		seen = &dedup{above: make(map[uint64]bool)}
+		tp.seen[from] = seen
 	}
 	tp.mu.Unlock()
 	if tp.onSeen != nil {
 		tp.onSeen(from)
 	}
 
+	var acks []uint64
 	for {
-		f, err := readFrame(conn)
+		if len(acks) > 0 && (fr.wouldBlock() || len(acks) >= ackBatch) {
+			// A failed write means the connection is dying; the read
+			// below reports it.
+			conn.Write(sealFrame(ackMsg{IDs: acks}.encode(), 0))
+			acks = acks[:0]
+		}
+		f, err := fr.read()
 		if err != nil {
 			tp.mu.Lock()
-			if tp.sessions[from] == sess {
+			if tp.sessions[from] == conn {
 				delete(tp.sessions, from)
 			}
 			tp.mu.Unlock()
@@ -550,13 +630,10 @@ func (tp *transport) serveConn(conn net.Conn) {
 			tp.onSeen(from)
 		}
 		if !f.suppressAck {
-			sess.writeAck(f.id)
+			acks = append(acks, f.id)
 		}
 		tp.mu.Lock()
-		dup := tp.seen[from][f.id]
-		if !dup {
-			tp.seen[from][f.id] = true
-		}
+		dup := seen.observe(f.id)
 		tp.mu.Unlock()
 		if dup {
 			tp.counters.dupSuppressed.Add(1)
@@ -571,10 +648,6 @@ func (tp *transport) serveConn(conn net.Conn) {
 func (tp *transport) chanTo(rank int) *relChan {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	return tp.chanToLocked(rank)
-}
-
-func (tp *transport) chanToLocked(rank int) *relChan {
 	if r, ok := tp.routes[rank]; ok {
 		rank = r
 	}
@@ -599,15 +672,15 @@ func (tp *transport) connect(rank int, addr string) {
 	tp.mu.Unlock()
 }
 
-// sendTo delivers one message reliably to a rank (through the routing
-// table).
-func (tp *transport) sendTo(rank int, typ byte, body []byte) {
-	tp.chanTo(rank).send(typ, body)
+// sendTo delivers one encoded frame reliably to a rank (through the
+// routing table). The transport owns the frame from here on.
+func (tp *transport) sendTo(rank int, frame []byte) {
+	tp.chanTo(rank).send(frame)
 }
 
 // redirect re-routes a dead rank to its heir and returns the retained
 // activation log owed to the heir. Idempotent per dead rank.
-func (tp *transport) redirect(dead, heir int) []retainedMsg {
+func (tp *transport) redirect(dead, heir int) [][]byte {
 	tp.mu.Lock()
 	if r, ok := tp.routes[dead]; ok && r == heir {
 		tp.mu.Unlock()
@@ -622,20 +695,59 @@ func (tp *transport) redirect(dead, heir int) []retainedMsg {
 	return c.takeRetained()
 }
 
-// drained reports whether every outbound channel has an empty unacked
-// window.
-func (tp *transport) drained() bool {
+// channels returns a snapshot of the outbound channels.
+func (tp *transport) channels() []*relChan {
 	tp.mu.Lock()
+	defer tp.mu.Unlock()
 	chans := make([]*relChan, 0, len(tp.chans))
 	for _, c := range tp.chans {
 		chans = append(chans, c)
 	}
-	tp.mu.Unlock()
-	for _, c := range chans {
+	return chans
+}
+
+// drained reports whether every outbound channel has an empty unacked
+// window.
+func (tp *transport) drained() bool {
+	for _, c := range tp.channels() {
 		if !c.drained() {
 			return false
 		}
 	}
+	return true
+}
+
+// wakeup is a one-token signal (capacity 1): post never blocks, and a
+// waiter that takes the token re-checks the condition it waits on.
+type wakeup chan struct{}
+
+func (w wakeup) post() {
+	select {
+	case w <- struct{}{}:
+	default:
+	}
+}
+
+// waitDrained blocks until the one outbound channel given — or, given
+// nil, every outbound channel — is drained, reporting false if stop
+// fires or limit passes first.
+func (tp *transport) waitDrained(only *relChan, stop <-chan struct{}, limit time.Duration) bool {
+	t := time.NewTimer(limit)
+	defer t.Stop()
+	drained := tp.drained
+	if only != nil {
+		drained = only.drained
+	}
+	for !drained() {
+		select {
+		case <-tp.drainWake:
+		case <-stop:
+			return false
+		case <-t.C:
+			return false
+		}
+	}
+	tp.drainWake.post() // pass the token on: another waiter may be parked on it
 	return true
 }
 
@@ -657,13 +769,7 @@ func (tp *transport) runRetryTimer(fail func(error)) {
 			case <-tp.stopCh:
 				return
 			case now := <-t.C:
-				tp.mu.Lock()
-				chans := make([]*relChan, 0, len(tp.chans))
-				for _, c := range tp.chans {
-					chans = append(chans, c)
-				}
-				tp.mu.Unlock()
-				for _, c := range chans {
+				for _, c := range tp.channels() {
 					if err := c.tick(now); err != nil {
 						fail(err)
 						return
@@ -683,22 +789,18 @@ func (tp *transport) close() {
 		return
 	}
 	tp.closed = true
-	sessions := make([]*session, 0, len(tp.sessions))
+	sessions := make([]net.Conn, 0, len(tp.sessions))
 	for _, s := range tp.sessions {
 		sessions = append(sessions, s)
-	}
-	chans := make([]*relChan, 0, len(tp.chans))
-	for _, c := range tp.chans {
-		chans = append(chans, c)
 	}
 	tp.mu.Unlock()
 
 	close(tp.stopCh)
 	tp.ln.Close()
 	for _, s := range sessions {
-		s.conn.Close()
+		s.Close()
 	}
-	for _, c := range chans {
+	for _, c := range tp.channels() {
 		c.stop()
 	}
 	tp.wg.Wait()

@@ -66,6 +66,10 @@ type coordinator struct {
 	regOnce  sync.Once
 	failCh   chan struct{}
 	failOnce sync.Once
+	// wake is posted whenever a handler changed something wait may be
+	// blocked on: a completion, an accumulation applied, a flush ack, a
+	// rank report.
+	wake wakeup
 
 	start time.Time
 }
@@ -97,14 +101,14 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 		accSeen:   make(map[accKey]bool),
 		allRegCh:  make(chan struct{}),
 		failCh:    make(chan struct{}),
+		wake:      make(wakeup, 1),
 		start:     time.Now(),
 	}
 	for _, name := range spec.arrays {
 		co.store.Create(name)
 		co.served[name] = true
 	}
-	tp.handler = co.handle
-	tp.onSeen = co.noteSeen
+	tp.serve(co.handle, co.noteSeen)
 	tp.runRetryTimer(co.fail)
 	return co, nil
 }
@@ -166,6 +170,7 @@ func (co *coordinator) handle(from int, f frame) {
 			}
 		}
 		co.mu.Unlock()
+		co.wake.post()
 	case msgStatus:
 		m, err := decodeStatus(f.body)
 		if err != nil {
@@ -196,6 +201,7 @@ func (co *coordinator) handle(from int, f frame) {
 		co.mu.Lock()
 		co.accRecvd[from]++ // post-apply: the flush barrier counts on it
 		co.mu.Unlock()
+		co.wake.post()
 	case msgGetReq:
 		m, err := decodeGet(f.body)
 		if err != nil {
@@ -208,19 +214,14 @@ func (co *coordinator) handle(from int, f frame) {
 				tile = t.Clone()
 			}
 		}
-		body, err := (getRespMsg{ReqID: m.ReqID, Tile: tile}).encode()
-		if err != nil {
-			co.fail(err)
-			return
-		}
-		co.tp.sendTo(from, msgGetResp, body)
+		co.tp.sendTo(from, getRespMsg{ReqID: m.ReqID, Tile: tile}.encode())
 	case msgNxtValReq:
 		m, err := decodeNxtVal(f.body)
 		if err != nil {
 			co.fail(err)
 			return
 		}
-		co.tp.sendTo(from, msgNxtValResp, nxtValRespMsg{ReqID: m.ReqID, Val: co.store.NxtVal()}.encode())
+		co.tp.sendTo(from, nxtValRespMsg{ReqID: m.ReqID, Val: co.store.NxtVal()}.encode())
 	case msgStealReq:
 		m, err := decodeSteal(f.body)
 		if err != nil {
@@ -229,14 +230,12 @@ func (co *coordinator) handle(from int, f frame) {
 		}
 		co.brokerSteal(m.Thief)
 	case msgStealNone:
-		m, err := decodeSteal(f.body)
-		if err != nil {
+		if _, err := decodeSteal(f.body); err != nil {
 			co.fail(err)
 			return
 		}
 		// The victim had nothing migratable: its recorded backlog is
 		// stale, so stop nominating it until the next heartbeat.
-		_ = m
 		co.mu.Lock()
 		co.backlog[from] = 0
 		co.mu.Unlock()
@@ -249,6 +248,7 @@ func (co *coordinator) handle(from int, f frame) {
 		co.mu.Lock()
 		co.flushAcks[from] = m.Accs
 		co.mu.Unlock()
+		co.wake.post()
 	case msgDoneInfo:
 		m, err := decodeDoneInfo(f.body)
 		if err != nil {
@@ -263,6 +263,7 @@ func (co *coordinator) handle(from int, f frame) {
 		co.mu.Lock()
 		co.reports[from] = rep
 		co.mu.Unlock()
+		co.wake.post()
 	case msgError:
 		m, err := decodeError(f.body)
 		if err != nil {
@@ -291,7 +292,7 @@ func (co *coordinator) brokerSteal(thief int) {
 	}
 	co.mu.Unlock()
 	if victim >= 0 {
-		co.tp.sendTo(victim, msgStealProbe, stealMsg{Thief: thief}.encode())
+		co.tp.sendTo(victim, stealMsg{Thief: thief}.encode(msgStealProbe))
 	}
 }
 
@@ -345,7 +346,7 @@ func (co *coordinator) checkDeaths() {
 		// coordinator channels retain no activations.
 		co.tp.redirect(t.Dead, t.Heir)
 		for _, r := range live {
-			co.tp.sendTo(r, msgTakeover, t.encode())
+			co.tp.sendTo(r, t.encode())
 		}
 	}
 }
@@ -375,14 +376,19 @@ func (co *coordinator) wait() (*Result, error) {
 		co.lastSeen[r] = now // the clock starts at the go signal
 	}
 	co.mu.Unlock()
-	wbody := welcome.encode()
 	for r := 0; r < co.cfg.Ranks; r++ {
-		co.tp.sendTo(r, msgWelcome, wbody)
+		co.tp.sendTo(r, welcome.encode()) // one frame per channel: each stamps its own id
 	}
 
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for done := false; !done; {
+	// Completion arrives as a wake from the msgDone handler; the ticker
+	// only paces death detection.
+	var deathTick <-chan time.Time
+	if co.cfg.Recover {
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		deathTick = tick.C
+	}
+	for co.nComplete() != co.spec.numInstances {
 		select {
 		case <-co.failCh:
 			co.shutdown()
@@ -391,16 +397,19 @@ func (co *coordinator) wait() (*Result, error) {
 			// Cancellation is honored only after the registration
 			// barrier: every rank is connected, so the shutdown
 			// broadcast reaches all of them and they halt between
-			// tasks (a nil Cancel channel never fires).
-			co.shutdown()
-			co.drainShutdown()
+			// tasks (a nil Cancel channel never fires). Waiting for
+			// their reports keeps the sockets up until the shutdown
+			// frames have been delivered and acted on; returning at
+			// once would close the transport under them and leave
+			// every rank idling to its own deadline.
+			co.awaitReports(co.shutdown())
 			return nil, ErrCanceled
 		case <-deadline:
 			co.shutdown()
 			return nil, fmt.Errorf("netrun: deadline exceeded with %d/%d tasks complete", co.nComplete(), co.spec.numInstances)
-		case <-tick.C:
+		case <-deathTick:
 			co.checkDeaths()
-			done = co.nComplete() == co.spec.numInstances
+		case <-co.wake:
 		}
 	}
 
@@ -413,7 +422,7 @@ func (co *coordinator) wait() (*Result, error) {
 	live := co.liveRanksLocked()
 	co.mu.Unlock()
 	for _, r := range live {
-		co.tp.sendTo(r, msgFlushReq, nil)
+		co.tp.sendTo(r, newFrame(msgFlushReq, 0))
 	}
 	for {
 		co.mu.Lock()
@@ -434,7 +443,7 @@ func (co *coordinator) wait() (*Result, error) {
 		case <-deadline:
 			co.shutdown()
 			return nil, fmt.Errorf("netrun: flush barrier: %d/%d acks", acked, len(live))
-		case <-time.After(2 * time.Millisecond):
+		case <-co.wake:
 		}
 	}
 
@@ -461,41 +470,39 @@ func (co *coordinator) wait() (*Result, error) {
 	return res, nil
 }
 
-// drainShutdown gives the shutdown broadcast time to be delivered and
-// acknowledged before wait returns and its deferred close tears the
-// sockets down. Without it, a cancel landing right after the welcome
-// broadcast closes the connections under the still-unsent shutdown
-// frames, and every rank idles until its own deadline.
-func (co *coordinator) drainShutdown() {
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && !co.tp.drained() {
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func (co *coordinator) shutdown() {
+// shutdown tells every live rank to stop and returns the ranks told.
+func (co *coordinator) shutdown() []int {
 	co.mu.Lock()
 	live := co.liveRanksLocked()
 	co.mu.Unlock()
 	for _, r := range live {
-		co.tp.sendTo(r, msgShutdown, nil)
+		co.tp.sendTo(r, newFrame(msgShutdown, 0))
 	}
+	return live
 }
 
-// collectReports waits briefly for each live rank's final self-report
-// and folds what arrives; a rank that dies during shutdown only costs
-// its counters.
-func (co *coordinator) collectReports(live []int, res *Result) {
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+// awaitReports waits briefly for each live rank's final self-report; a
+// rank that dies during shutdown only costs its counters.
+func (co *coordinator) awaitReports(live []int) {
+	deadline := time.After(5 * time.Second)
+	for waiting := true; waiting; {
 		co.mu.Lock()
 		n := len(co.reports)
 		co.mu.Unlock()
 		if n >= len(live) {
 			break
 		}
-		time.Sleep(5 * time.Millisecond)
+		select {
+		case <-co.wake:
+		case <-deadline:
+			waiting = false
+		}
 	}
+}
+
+// collectReports folds the self-reports that arrived into the result.
+func (co *coordinator) collectReports(live []int, res *Result) {
+	co.awaitReports(live)
 	for r := 0; r < co.cfg.Ranks; r++ {
 		co.mu.Lock()
 		rep, ok := co.reports[r]

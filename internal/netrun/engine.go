@@ -58,6 +58,10 @@ type engine struct {
 	// task from a dead thief — clears the mark first.
 	queued    map[*ptg.Instance]bool
 	lastSteal int64 // Now() of the last steal request
+	// doneSeqs are completed instances not yet reported to the
+	// coordinator: they leave as one msgDone when doneBatch have
+	// gathered, when a worker finds the queue dry, or on the heartbeat.
+	doneSeqs []int
 
 	tasks       int
 	byClass     map[string]int
@@ -68,6 +72,9 @@ type engine struct {
 
 	wg sync.WaitGroup
 }
+
+// doneBatch is the completion count that forces a msgDone out.
+const doneBatch = 64
 
 func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 	e := &engine{
@@ -158,7 +165,7 @@ func (e *engine) fail(err error) {
 	e.failed = err
 	e.mu.Unlock()
 	e.stop()
-	e.tp.sendTo(coordRank, msgError, errorMsg{Text: err.Error()}.encode())
+	e.tp.sendTo(coordRank, errorMsg{Text: err.Error()}.encode())
 }
 
 // err returns the recorded fatal error, if any.
@@ -234,14 +241,19 @@ func (e *engine) workLoop(wid int) {
 		}
 		in := e.popLocked(wid)
 		if in == nil {
-			steal := e.shouldStealLocked()
-			if !steal {
+			done, steal := e.takeDoneLocked(), e.shouldStealLocked()
+			if done == nil && !steal {
 				e.cond.Wait()
 				e.mu.Unlock()
 				continue
 			}
 			e.mu.Unlock()
-			e.tp.sendTo(coordRank, msgStealReq, stealMsg{Thief: e.rank}.encode())
+			if done != nil {
+				e.tp.sendTo(coordRank, done)
+			}
+			if steal {
+				e.tp.sendTo(coordRank, stealMsg{Thief: e.rank}.encode(msgStealReq))
+			}
 			continue
 		}
 		e.mu.Unlock()
@@ -256,9 +268,11 @@ func (e *engine) workLoop(wid int) {
 // execute runs one task body and routes its completions: local
 // successors through the tracker, remote successors as activation
 // messages, and the instance's sequence number to the coordinator's
-// termination bitset. The Done send is ordered after the payload sends
-// on purpose — the coordinator's flush barrier then guarantees every
-// accumulation is server-side before the energy is read.
+// termination bitset, batched (see doneSeqs). The sequence number joins
+// its batch only after the payload sends, so the Done that carries it
+// is ordered after them on purpose — the coordinator's flush barrier
+// then guarantees every accumulation is server-side before the energy
+// is read.
 func (e *engine) execute(wid int, in *ptg.Instance) {
 	ctx := &ptg.Ctx{
 		Args: in.Ref.Args,
@@ -301,7 +315,6 @@ func (e *engine) execute(wid int, in *ptg.Instance) {
 			e.sendActivate(d.To, d.ToFlow, payload)
 		}
 	}
-	e.tp.sendTo(coordRank, msgDone, doneMsg{Seqs: []int{in.Seq}}.encode())
 
 	e.mu.Lock()
 	e.tasks++
@@ -310,7 +323,26 @@ func (e *engine) execute(wid int, in *ptg.Instance) {
 		Thread: wid, Class: in.Ref.Class, Label: in.Ref.String(),
 		StartNs: startNs, EndNs: endNs,
 	})
+	e.doneSeqs = append(e.doneSeqs, in.Seq)
+	var done []byte
+	if len(e.doneSeqs) >= doneBatch {
+		done = e.takeDoneLocked()
+	}
 	e.mu.Unlock()
+	if done != nil {
+		e.tp.sendTo(coordRank, done)
+	}
+}
+
+// takeDoneLocked encodes the gathered completions as one msgDone frame
+// and empties the batch; nil when there is nothing to report.
+func (e *engine) takeDoneLocked() []byte {
+	if len(e.doneSeqs) == 0 {
+		return nil
+	}
+	f := doneMsg{Seqs: e.doneSeqs}.encode()
+	e.doneSeqs = e.doneSeqs[:0]
+	return f
 }
 
 func runBody(body func(*ptg.Ctx), ctx *ptg.Ctx, in *ptg.Instance) (err error) {
@@ -357,19 +389,19 @@ func (e *engine) deliver(to *ptg.Instance, flow int, payload any) {
 // sendActivate ships one dataflow payload to the rank owning the
 // consumer (through the takeover routing table).
 func (e *engine) sendActivate(to *ptg.Instance, flow int, payload any) {
-	body, err := (activateMsg{Class: to.Ref.Class, Args: to.Ref.Args, Flow: flow, Payload: payload}).encode()
+	f, err := (activateMsg{Class: to.Ref.Class, Args: to.Ref.Args, Flow: flow, Payload: payload}).encode()
 	if err != nil {
 		e.fail(fmt.Errorf("netrun: activate %v: %w", to.Ref, err))
 		return
 	}
 	e.tp.counters.transferOps.Add(1)
-	e.tp.counters.transferBytes.Add(int64(len(body)))
-	e.tp.sendTo(to.Node, msgActivate, body)
+	e.tp.counters.transferBytes.Add(int64(len(f) - frameHeaderLen))
+	e.tp.sendTo(to.Node, f)
 }
 
-// heartbeat reports the rank's backlog to the coordinator on every
-// interval and kicks the workers so idle ranks re-evaluate the steal
-// request condition.
+// heartbeat reports the rank's backlog (and any completions still
+// waiting for a batch) to the coordinator on every interval and kicks
+// the workers so idle ranks re-evaluate the steal request condition.
 func (e *engine) heartbeat() {
 	defer e.wg.Done()
 	t := time.NewTicker(e.cfg.Heartbeat)
@@ -380,10 +412,13 @@ func (e *engine) heartbeat() {
 			return
 		case <-t.C:
 			e.mu.Lock()
-			backlog := e.set.Total()
+			backlog, done := e.set.Total(), e.takeDoneLocked()
 			e.cond.Broadcast()
 			e.mu.Unlock()
-			e.tp.sendTo(coordRank, msgStatus, statusMsg{Backlog: backlog}.encode())
+			if done != nil {
+				e.tp.sendTo(coordRank, done)
+			}
+			e.tp.sendTo(coordRank, statusMsg{Backlog: backlog}.encode())
 		}
 	}
 }
@@ -408,7 +443,7 @@ func (e *engine) handleStealProbe(thief int) {
 	e.mu.Lock()
 	if e.stopped || migratable == nil || e.set.Total() <= e.cfg.Workers {
 		e.mu.Unlock()
-		e.tp.sendTo(coordRank, msgStealNone, stealMsg{Thief: thief}.encode())
+		e.tp.sendTo(coordRank, stealMsg{Thief: thief}.encode(msgStealNone))
 		return
 	}
 	in := e.set.PopWhere(func(c *ptg.Instance) bool {
@@ -416,7 +451,7 @@ func (e *engine) handleStealProbe(thief int) {
 	})
 	if in == nil {
 		e.mu.Unlock()
-		e.tp.sendTo(coordRank, msgStealNone, stealMsg{Thief: thief}.encode())
+		e.tp.sendTo(coordRank, stealMsg{Thief: thief}.encode(msgStealNone))
 		return
 	}
 	if err := e.tr.ClaimStart(in); err != nil {
@@ -436,17 +471,18 @@ func (e *engine) handleStealProbe(thief int) {
 			m.Ins = append(m.Ins, migratePayload{Flow: fi, Payload: in.In[fi]})
 		}
 	}
-	body, err := m.encode()
+	f, err := m.encode()
 	if err != nil {
 		e.fail(fmt.Errorf("netrun: migrate %v: %w", in.Ref, err))
 		return
 	}
+	bodyLen := int64(len(f) - frameHeaderLen)
 	e.mu.Lock()
-	e.redispBytes += int64(len(body))
+	e.redispBytes += bodyLen
 	e.mu.Unlock()
 	e.tp.counters.transferOps.Add(1)
-	e.tp.counters.transferBytes.Add(int64(len(body)))
-	e.tp.sendTo(thief, msgMigrate, body)
+	e.tp.counters.transferBytes.Add(bodyLen)
+	e.tp.sendTo(thief, f)
 }
 
 // handleMigrate adopts a task stolen from a loaded rank: deliver the
@@ -514,12 +550,11 @@ func (e *engine) handleTakeover(m takeoverMsg) {
 	}
 	e.mu.Unlock()
 
-	retained := e.tp.redirect(m.Dead, m.Heir)
-	for _, rm := range retained {
+	for _, f := range e.tp.redirect(m.Dead, m.Heir) {
 		if e.rank == m.Heir {
 			// Our own retained traffic for the dead rank is now ours to
 			// apply; there is no loopback channel to send it through.
-			am, err := decodeActivate(rm.body)
+			am, err := decodeActivate(f[frameHeaderLen:])
 			if err != nil {
 				e.fail(err)
 				return
@@ -527,7 +562,10 @@ func (e *engine) handleTakeover(m takeoverMsg) {
 			e.handleActivate(am)
 			continue
 		}
-		e.tp.sendTo(m.Heir, rm.typ, rm.body)
+		// Replay a copy: the dead rank's stopped channel may still be
+		// inside a write of these bytes, and the heir's channel restamps
+		// the header.
+		e.tp.sendTo(m.Heir, append([]byte(nil), f...))
 	}
 
 	for _, in := range reclaim {

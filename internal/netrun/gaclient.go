@@ -103,9 +103,8 @@ func (c *gaClient) GetHashBlock(name string, key tensor.BlockKey) *tensor.Tile4 
 	c.pendMu.Lock()
 	c.pendGet[id] = ch
 	c.pendMu.Unlock()
-	body := getMsg{ReqID: id, Name: name, Key: key}.encode()
 	c.tp.counters.getOps.Add(1)
-	c.tp.sendTo(coordRank, msgGetReq, body)
+	c.tp.sendTo(coordRank, getMsg{ReqID: id, Name: name, Key: key}.encode())
 	select {
 	case t := <-ch:
 		if t != nil {
@@ -121,19 +120,19 @@ func (c *gaClient) GetHashBlock(name string, key tensor.BlockKey) *tensor.Tile4 
 }
 
 // AccOrdered ships one ordered accumulation to the GA server. The tile
-// is copied onto the wire immediately, so the no-mutation-after-call
+// is copied into its frame immediately, so the no-mutation-after-call
 // contract of ga.Store applies only until this returns.
 func (c *gaClient) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, tag, lo, hi int) error {
 	if lo < 0 || hi > src.Len() || lo > hi {
 		return fmt.Errorf("netrun: AccOrdered [%d,%d) of %d elements", lo, hi, src.Len())
 	}
-	body, err := (accOrderedMsg{Name: name, Key: key, Tag: tag, Lo: lo, Hi: hi, Scale: scale, Tile: src}).encode()
+	f, err := (accOrderedMsg{Name: name, Key: key, Tag: tag, Lo: lo, Hi: hi, Scale: scale, Tile: src}).encode()
 	if err != nil {
 		return err
 	}
 	c.tp.counters.accOps.Add(1)
-	c.tp.counters.accBytes.Add(int64(len(body)))
-	c.tp.sendTo(coordRank, msgAccOrdered, body)
+	c.tp.counters.accBytes.Add(int64(len(f) - frameHeaderLen))
+	c.tp.sendTo(coordRank, f)
 	return nil
 }
 
@@ -145,7 +144,7 @@ func (c *gaClient) NxtVal() int64 {
 	c.pendMu.Lock()
 	c.pendNxt[id] = ch
 	c.pendMu.Unlock()
-	c.tp.sendTo(coordRank, msgNxtValReq, nxtValMsg{ReqID: id}.encode())
+	c.tp.sendTo(coordRank, nxtValMsg{ReqID: id}.encode())
 	select {
 	case v := <-ch:
 		return v

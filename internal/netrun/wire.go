@@ -1,31 +1,41 @@
 package netrun
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"parsec/internal/ptg"
 	"parsec/internal/tensor"
 )
 
-// Wire protocol: every frame is
+// Wire protocol (version 2): every frame is
 //
 //	magic(2) version(1) type(1) id(8, LE) bodyLen(4, LE) body
 //
-// The id is the sender-assigned reliability sequence number acknowledged
-// by msgAck frames; control frames that need no ack carry id 0. Frames
-// are self-delimiting, so a stream reader never needs lookahead, and a
-// decoder must reject malformed input (bad magic, unknown version,
+// The id is the sender-assigned reliability sequence number that msgAck
+// bodies list; control frames that need no ack (hello, ack) carry id 0.
+// Frames are self-delimiting, so a stream reader never needs lookahead,
+// and a decoder must reject malformed input (bad magic, unknown version,
 // oversized length, truncated body) with an error, never a panic — the
 // fuzz target in wire_test.go holds it to that.
+//
+// A frame is built exactly once: every message's encode sizes its body
+// up front, newFrame allocates header and body as one buffer, the body
+// is appended in a single pass (tiles by one bulk loop), and sealFrame
+// stamps the id and length when the channel takes it. That buffer is
+// what the socket write reads and what a retransmission resends; only
+// the ack-suppress bit is ever rewritten.
 
 const (
 	wireMagic0  = 'P'
 	wireMagic1  = 'R' // "PaRSEC reproduction"
-	wireVersion = 1
+	wireVersion = 2
 
 	frameHeaderLen = 2 + 1 + 1 + 8 + 4
 	// maxBody caps a frame body: the largest legitimate payload is one
@@ -35,9 +45,10 @@ const (
 	maxBody = 256 << 20
 
 	// ackSuppressBit set in the type byte asks the receiver to process
-	// the frame but drop its acknowledgment: the sender-side fault
-	// injector uses it to emulate a lost ack with a single seeded RNG
-	// stream, forcing a retransmission the receiver must dedup.
+	// the frame but leave its id out of the acknowledgment: the
+	// sender-side fault injector uses it to emulate a lost ack with a
+	// single seeded RNG stream, forcing a retransmission the receiver
+	// must dedup.
 	ackSuppressBit = 0x80
 	typeMask       = 0x7f
 )
@@ -76,7 +87,8 @@ var (
 	errOversized  = errors.New("netrun: frame body exceeds limit")
 )
 
-// frame is one decoded wire frame.
+// frame is one decoded wire frame. A body handed out by a frameReader
+// aliases its receive buffer and is valid only until the next read.
 type frame struct {
 	typ         byte
 	id          uint64
@@ -84,87 +96,103 @@ type frame struct {
 	body        []byte
 }
 
-// appendFrame appends the encoded frame to dst and returns it.
-func appendFrame(dst []byte, typ byte, id uint64, suppressAck bool, body []byte) []byte {
-	t := typ
-	if suppressAck {
-		t |= ackSuppressBit
-	}
-	dst = append(dst, wireMagic0, wireMagic1, wireVersion, t)
-	dst = binary.LittleEndian.AppendUint64(dst, id)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...)
+// newFrame starts a frame of the given type with room for exactly
+// bodyLen body bytes, so the appends that fill it never reallocate.
+func newFrame(typ byte, bodyLen int) []byte {
+	f := make([]byte, frameHeaderLen, frameHeaderLen+bodyLen)
+	f[0], f[1], f[2], f[3] = wireMagic0, wireMagic1, wireVersion, typ
+	return f
 }
 
-// decodeFrame parses one frame from the front of buf, returning the
-// frame and the number of bytes consumed. It returns (zero, 0, nil)
-// when buf holds only a partial frame, and an error for any malformed
-// prefix.
-func decodeFrame(buf []byte) (frame, int, error) {
-	if len(buf) < frameHeaderLen {
-		return frame{}, 0, nil
+// sealFrame stamps the reliability id and the body length into a frame
+// whose body is complete.
+func sealFrame(f []byte, id uint64) []byte {
+	binary.LittleEndian.PutUint64(f[4:], id)
+	binary.LittleEndian.PutUint32(f[12:], uint32(len(f)-frameHeaderLen))
+	return f
+}
+
+// setAckSuppress rewrites the one header bit a retransmission may
+// change.
+func setAckSuppress(f []byte, on bool) {
+	f[3] &= typeMask
+	if on {
+		f[3] |= ackSuppressBit
 	}
-	if buf[0] != wireMagic0 || buf[1] != wireMagic1 {
+}
+
+// decodeHeader validates a frame header and returns the frame (body
+// unset) with its body length.
+func decodeHeader(hdr []byte) (frame, int, error) {
+	if hdr[0] != wireMagic0 || hdr[1] != wireMagic1 {
 		return frame{}, 0, errBadMagic
 	}
-	if buf[2] != wireVersion {
-		return frame{}, 0, fmt.Errorf("%w: %d", errBadVersion, buf[2])
+	if hdr[2] != wireVersion {
+		return frame{}, 0, fmt.Errorf("%w: %d", errBadVersion, hdr[2])
 	}
-	t := buf[3]
+	t := hdr[3]
 	typ := t & typeMask
 	if typ == 0 || typ >= msgMax {
 		return frame{}, 0, fmt.Errorf("%w: %d", errBadType, typ)
 	}
-	id := binary.LittleEndian.Uint64(buf[4:])
-	n := binary.LittleEndian.Uint32(buf[12:])
+	n := binary.LittleEndian.Uint32(hdr[12:])
 	if n > maxBody {
 		return frame{}, 0, fmt.Errorf("%w: %d", errOversized, n)
 	}
-	total := frameHeaderLen + int(n)
-	if len(buf) < total {
-		return frame{}, 0, nil
-	}
 	return frame{
 		typ:         typ,
-		id:          id,
+		id:          binary.LittleEndian.Uint64(hdr[4:]),
 		suppressAck: t&ackSuppressBit != 0,
-		body:        buf[frameHeaderLen:total],
-	}, total, nil
+	}, int(n), nil
 }
 
-// readFrame reads exactly one frame from r.
-func readFrame(r io.Reader) (frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return frame{}, err
-	}
-	f, n, err := decodeFrame(hdr[:])
+// frameReader reads frames off one connection. Headers and small frames
+// come through a bufio.Reader, so a burst of them costs one read
+// syscall; the bufio buffer is deliberately small, so a tile-sized body
+// is read from the socket straight into the body buffer rather than
+// copied through it. The body buffer is reused from frame to frame.
+type frameReader struct {
+	br   *bufio.Reader
+	body []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, 4096)}
+}
+
+// read returns the next frame; its body is valid until the next read.
+func (r *frameReader) read() (frame, error) {
+	hdr, err := r.br.Peek(frameHeaderLen)
 	if err != nil {
 		return frame{}, err
 	}
-	if n == 0 {
-		// Header parsed clean but the body is pending.
-		bodyLen := binary.LittleEndian.Uint32(hdr[12:])
-		body := make([]byte, bodyLen)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return frame{}, err
-		}
-		full := append(hdr[:], body...)
-		f, _, err = decodeFrame(full)
-		if err != nil {
-			return frame{}, err
-		}
+	f, n, err := decodeHeader(hdr)
+	if err != nil {
+		return frame{}, err
+	}
+	r.br.Discard(frameHeaderLen)
+	if cap(r.body) < n {
+		r.body = make([]byte, n)
+	}
+	f.body = r.body[:n]
+	if _, err := io.ReadFull(r.br, f.body); err != nil {
+		return frame{}, err
 	}
 	return f, nil
 }
 
+// wouldBlock reports whether the next read has to wait on the socket
+// for its header: the end of a read burst.
+func (r *frameReader) wouldBlock() bool { return r.br.Buffered() < frameHeaderLen }
+
 // ---- body encoding primitives ----
 //
 // Bodies are concatenations of fixed-width little-endian integers,
-// IEEE float64 bits, and u32-length-prefixed byte strings. Decoders
-// consume via a cursor that records the first error and returns zero
-// values afterwards, so message decoders stay linear and cannot panic
-// on truncated input.
+// IEEE float64 bits, and u32-length-prefixed byte strings. Encoders
+// append into a frame newFrame sized for them. Decoders consume via a
+// cursor that records the first error and returns zero values
+// afterwards, so message decoders stay linear and cannot panic on
+// truncated input.
 
 func appendU32(dst []byte, v uint32) []byte  { return binary.LittleEndian.AppendUint32(dst, v) }
 func appendU64(dst []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(dst, v) }
@@ -175,6 +203,9 @@ func appendString(dst []byte, s string) []byte {
 	dst = appendU32(dst, uint32(len(s)))
 	return append(dst, s...)
 }
+
+// strSize is the encoded size of a string.
+func strSize(s string) int { return 4 + len(s) }
 
 type cursor struct {
 	buf []byte
@@ -211,17 +242,6 @@ func (c *cursor) i64() int64   { return int64(c.u64()) }
 func (c *cursor) int() int     { return int(c.i64()) }
 func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
 
-func (c *cursor) str() string {
-	n := c.u32()
-	if c.err != nil || uint64(n) > uint64(len(c.buf)) {
-		c.fail()
-		return ""
-	}
-	s := string(c.buf[:n])
-	c.buf = c.buf[n:]
-	return s
-}
-
 func (c *cursor) bytes() []byte {
 	n := c.u32()
 	if c.err != nil || uint64(n) > uint64(len(c.buf)) {
@@ -231,6 +251,48 @@ func (c *cursor) bytes() []byte {
 	b := c.buf[:n:n]
 	c.buf = c.buf[n:]
 	return b
+}
+
+func (c *cursor) str() string { return string(c.bytes()) }
+
+// name reads a string that recurs from frame to frame — a task class,
+// an array name — through the intern table, so it costs no allocation.
+func (c *cursor) name() string { return intern(c.bytes()) }
+
+// interned holds the recurring names bodies carry. It is bounded, since
+// the names come off the wire: long ones, and any past the first 256,
+// are simply allocated.
+var interned = struct {
+	sync.RWMutex
+	m map[string]string
+}{m: make(map[string]string)}
+
+func intern(b []byte) string {
+	interned.RLock()
+	s, ok := interned.m[string(b)] // lookup by converted key does not allocate
+	interned.RUnlock()
+	if ok {
+		return s
+	}
+	s = string(b)
+	interned.Lock()
+	if len(s) <= 64 && len(interned.m) < 256 {
+		interned.m[s] = s
+	}
+	interned.Unlock()
+	return s
+}
+
+// count reads a u32 element count and checks that count elements of at
+// least elemSize bytes each can still follow, so a corrupt count never
+// sizes an allocation.
+func (c *cursor) count(elemSize int) int {
+	n := c.u32()
+	if c.err != nil || uint64(n) > uint64(len(c.buf)/elemSize) {
+		c.fail()
+		return 0
+	}
+	return int(n)
 }
 
 func (c *cursor) done() error {
@@ -256,35 +318,51 @@ const (
 	payFloat
 )
 
-func appendPayload(dst []byte, p any) ([]byte, error) {
+// payloadSize returns a payload's encoded size, rejecting every value
+// appendPayload cannot encode.
+func payloadSize(p any) (int, error) {
 	switch v := p.(type) {
 	case nil:
-		return append(dst, payNil), nil
+		return 1, nil
 	case *tensor.Tile4:
 		if v == nil { // a typed nil would otherwise masquerade as a tile
-			return dst, errors.New("netrun: cannot encode nil tile payload")
+			return 0, errors.New("netrun: cannot encode nil tile payload")
 		}
+		return 1 + 8*len(v.Dim) + 4 + 8*len(v.Data), nil
+	case ptg.NewBuffer, int, float64:
+		return 1 + 8, nil
+	default:
+		return 0, fmt.Errorf("netrun: cannot encode payload of type %T", p)
+	}
+}
+
+// appendPayload encodes a payload payloadSize has accepted.
+func appendPayload(dst []byte, p any) []byte {
+	switch v := p.(type) {
+	case nil:
+		dst = append(dst, payNil)
+	case *tensor.Tile4:
 		dst = append(dst, payTile)
 		for _, d := range v.Dim {
 			dst = appendI64(dst, int64(d))
 		}
 		dst = appendU32(dst, uint32(len(v.Data)))
-		for _, x := range v.Data {
-			dst = appendF64(dst, x)
+		// One bulk pass: extend once, then store element by element with
+		// no per-element growth check.
+		n := len(dst)
+		dst = slices.Grow(dst, 8*len(v.Data))[:n+8*len(v.Data)]
+		out := dst[n:]
+		for i, x := range v.Data {
+			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
 		}
-		return dst, nil
 	case ptg.NewBuffer:
-		dst = append(dst, payNewBuffer)
-		return appendI64(dst, v.Bytes), nil
+		dst = appendI64(append(dst, payNewBuffer), v.Bytes)
 	case int:
-		dst = append(dst, payInt)
-		return appendI64(dst, int64(v)), nil
+		dst = appendI64(append(dst, payInt), int64(v))
 	case float64:
-		dst = append(dst, payFloat)
-		return appendF64(dst, v), nil
-	default:
-		return dst, fmt.Errorf("netrun: cannot encode payload of type %T", p)
+		dst = appendF64(append(dst, payFloat), v)
 	}
+	return dst
 }
 
 func decodePayload(c *cursor) any {
@@ -302,15 +380,17 @@ func decodePayload(c *cursor) any {
 		for i := range dim {
 			dim[i] = c.int()
 		}
-		n := c.u32()
-		if c.err != nil || uint64(n) > uint64(len(c.buf)/8) || int(n) != dim[0]*dim[1]*dim[2]*dim[3] {
+		n := c.count(8)
+		if c.err != nil || n != dim[0]*dim[1]*dim[2]*dim[3] {
 			c.fail()
 			return nil
 		}
 		t := &tensor.Tile4{Dim: dim, Data: make([]float64, n)}
+		src := c.buf[:8*n]
 		for i := range t.Data {
-			t.Data[i] = c.f64()
+			t.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
+		c.buf = c.buf[8*n:]
 		return t
 	case payNewBuffer:
 		return ptg.NewBuffer{Bytes: c.i64()}
@@ -325,15 +405,55 @@ func decodePayload(c *cursor) any {
 }
 
 // ---- message bodies ----
+//
+// Every encode returns a complete frame (header plus body) ready for
+// sealFrame; every decoder takes a frame body.
+
+const argsSize = 8 * len(ptg.Args{})
+
+func appendArgs(dst []byte, a ptg.Args) []byte {
+	for _, v := range a {
+		dst = appendI64(dst, int64(v))
+	}
+	return dst
+}
+
+func (c *cursor) args() (a ptg.Args) {
+	for i := range a {
+		a[i] = c.int()
+	}
+	return a
+}
 
 // helloMsg opens every outbound connection, naming the sender.
 type helloMsg struct{ From int }
 
-func (m helloMsg) encode() []byte { return appendI64(nil, int64(m.From)) }
+func (m helloMsg) encode() []byte { return appendI64(newFrame(msgHello, 8), int64(m.From)) }
 
 func decodeHello(b []byte) (helloMsg, error) {
+	c := cursor{buf: b}
+	return helloMsg{From: c.int()}, c.done()
+}
+
+// ackMsg acknowledges one read burst: the ids of every frame in it that
+// did not ask for its ack to be suppressed. Each id is acknowledged on
+// its own terms — a listed id settles that frame and nothing else.
+type ackMsg struct{ IDs []uint64 }
+
+func (m ackMsg) encode() []byte {
+	dst := appendU32(newFrame(msgAck, 4+8*len(m.IDs)), uint32(len(m.IDs)))
+	for _, id := range m.IDs {
+		dst = appendU64(dst, id)
+	}
+	return dst
+}
+
+func decodeAck(b []byte) (ackMsg, error) {
 	c := &cursor{buf: b}
-	m := helloMsg{From: c.int()}
+	m := ackMsg{IDs: make([]uint64, c.count(8))}
+	for i := range m.IDs {
+		m.IDs[i] = c.u64()
+	}
 	return m, c.done()
 }
 
@@ -345,13 +465,13 @@ type registerMsg struct {
 }
 
 func (m registerMsg) encode() []byte {
-	return appendString(appendI64(nil, int64(m.Rank)), m.Addr)
+	dst := newFrame(msgRegister, 8+strSize(m.Addr))
+	return appendString(appendI64(dst, int64(m.Rank)), m.Addr)
 }
 
 func decodeRegister(b []byte) (registerMsg, error) {
-	c := &cursor{buf: b}
-	m := registerMsg{Rank: c.int(), Addr: c.str()}
-	return m, c.done()
+	c := cursor{buf: b}
+	return registerMsg{Rank: c.int(), Addr: c.str()}, c.done()
 }
 
 // welcomeMsg is the coordinator's go signal: the full peer address map.
@@ -361,7 +481,11 @@ type welcomeMsg struct {
 }
 
 func (m welcomeMsg) encode() []byte {
-	dst := appendI64(nil, int64(m.Ranks))
+	size := 8 + 4
+	for _, a := range m.Addrs {
+		size += strSize(a)
+	}
+	dst := appendI64(newFrame(msgWelcome, size), int64(m.Ranks))
 	dst = appendU32(dst, uint32(len(m.Addrs)))
 	for _, a := range m.Addrs {
 		dst = appendString(dst, a)
@@ -372,12 +496,7 @@ func (m welcomeMsg) encode() []byte {
 func decodeWelcome(b []byte) (welcomeMsg, error) {
 	c := &cursor{buf: b}
 	m := welcomeMsg{Ranks: c.int()}
-	n := c.u32()
-	if uint64(n) > uint64(len(c.buf)) {
-		c.fail()
-		return m, c.done()
-	}
-	for i := uint32(0); i < n && c.err == nil; i++ {
+	for n := c.count(4); n > 0 && c.err == nil; n-- {
 		m.Addrs = append(m.Addrs, c.str())
 	}
 	return m, c.done()
@@ -394,21 +513,18 @@ type activateMsg struct {
 }
 
 func (m activateMsg) encode() ([]byte, error) {
-	dst := appendString(nil, m.Class)
-	for _, a := range m.Args {
-		dst = appendI64(dst, int64(a))
+	psize, err := payloadSize(m.Payload)
+	if err != nil {
+		return nil, err
 	}
-	dst = appendI64(dst, int64(m.Flow))
-	return appendPayload(dst, m.Payload)
+	dst := appendString(newFrame(msgActivate, strSize(m.Class)+argsSize+8+psize), m.Class)
+	dst = appendI64(appendArgs(dst, m.Args), int64(m.Flow))
+	return appendPayload(dst, m.Payload), nil
 }
 
 func decodeActivate(b []byte) (activateMsg, error) {
 	c := &cursor{buf: b}
-	m := activateMsg{Class: c.str()}
-	for i := range m.Args {
-		m.Args[i] = c.int()
-	}
-	m.Flow = c.int()
+	m := activateMsg{Class: c.name(), Args: c.args(), Flow: c.int()}
 	m.Payload = decodePayload(c)
 	return m, c.done()
 }
@@ -418,7 +534,7 @@ func decodeActivate(b []byte) (activateMsg, error) {
 type doneMsg struct{ Seqs []int }
 
 func (m doneMsg) encode() []byte {
-	dst := appendU32(nil, uint32(len(m.Seqs)))
+	dst := appendU32(newFrame(msgDone, 4+8*len(m.Seqs)), uint32(len(m.Seqs)))
 	for _, s := range m.Seqs {
 		dst = appendI64(dst, int64(s))
 	}
@@ -427,14 +543,9 @@ func (m doneMsg) encode() []byte {
 
 func decodeDone(b []byte) (doneMsg, error) {
 	c := &cursor{buf: b}
-	n := c.u32()
-	if uint64(n) > uint64(len(c.buf)/8) {
-		c.fail()
-		return doneMsg{}, c.done()
-	}
-	m := doneMsg{Seqs: make([]int, 0, n)}
-	for i := uint32(0); i < n && c.err == nil; i++ {
-		m.Seqs = append(m.Seqs, c.int())
+	m := doneMsg{Seqs: make([]int, c.count(8))}
+	for i := range m.Seqs {
+		m.Seqs[i] = c.int()
 	}
 	return m, c.done()
 }
@@ -443,12 +554,11 @@ func decodeDone(b []byte) (doneMsg, error) {
 // for the coordinator's steal brokering.
 type statusMsg struct{ Backlog int }
 
-func (m statusMsg) encode() []byte { return appendI64(nil, int64(m.Backlog)) }
+func (m statusMsg) encode() []byte { return appendI64(newFrame(msgStatus, 8), int64(m.Backlog)) }
 
 func decodeStatus(b []byte) (statusMsg, error) {
-	c := &cursor{buf: b}
-	m := statusMsg{Backlog: c.int()}
-	return m, c.done()
+	c := cursor{buf: b}
+	return statusMsg{Backlog: c.int()}, c.done()
 }
 
 // flushAckMsg confirms a rank's outbound window is drained; Accs is the
@@ -457,15 +567,11 @@ func decodeStatus(b []byte) (statusMsg, error) {
 // dying connection before it closes the fold.
 type flushAckMsg struct{ Accs int64 }
 
-func (m flushAckMsg) encode() []byte { return appendI64(nil, m.Accs) }
+func (m flushAckMsg) encode() []byte { return appendI64(newFrame(msgFlushAck, 8), m.Accs) }
 
 func decodeFlushAck(b []byte) (flushAckMsg, error) {
-	if len(b) == 0 { // legacy empty ack: no accs to wait for
-		return flushAckMsg{}, nil
-	}
-	c := &cursor{buf: b}
-	m := flushAckMsg{Accs: c.i64()}
-	return m, c.done()
+	c := cursor{buf: b}
+	return flushAckMsg{Accs: c.i64()}, c.done()
 }
 
 // accOrderedMsg ships one ordered accumulation to the GA server.
@@ -478,7 +584,11 @@ type accOrderedMsg struct {
 }
 
 func (m accOrderedMsg) encode() ([]byte, error) {
-	dst := appendString(nil, m.Name)
+	psize, err := payloadSize(m.Tile)
+	if err != nil {
+		return nil, err
+	}
+	dst := appendString(newFrame(msgAccOrdered, strSize(m.Name)+8*len(m.Key)+3*8+8+psize), m.Name)
 	for _, k := range m.Key {
 		dst = appendI64(dst, int64(k))
 	}
@@ -486,12 +596,12 @@ func (m accOrderedMsg) encode() ([]byte, error) {
 	dst = appendI64(dst, int64(m.Lo))
 	dst = appendI64(dst, int64(m.Hi))
 	dst = appendF64(dst, m.Scale)
-	return appendPayload(dst, m.Tile)
+	return appendPayload(dst, m.Tile), nil
 }
 
 func decodeAccOrdered(b []byte) (accOrderedMsg, error) {
 	c := &cursor{buf: b}
-	m := accOrderedMsg{Name: c.str()}
+	m := accOrderedMsg{Name: c.name()}
 	for i := range m.Key {
 		m.Key[i] = c.int()
 	}
@@ -519,7 +629,7 @@ type getMsg struct {
 }
 
 func (m getMsg) encode() []byte {
-	dst := appendU64(nil, m.ReqID)
+	dst := appendU64(newFrame(msgGetReq, 8+strSize(m.Name)+8*len(m.Key)), m.ReqID)
 	dst = appendString(dst, m.Name)
 	for _, k := range m.Key {
 		dst = appendI64(dst, int64(k))
@@ -529,7 +639,7 @@ func (m getMsg) encode() []byte {
 
 func decodeGet(b []byte) (getMsg, error) {
 	c := &cursor{buf: b}
-	m := getMsg{ReqID: c.u64(), Name: c.str()}
+	m := getMsg{ReqID: c.u64(), Name: c.name()}
 	for i := range m.Key {
 		m.Key[i] = c.int()
 	}
@@ -542,12 +652,13 @@ type getRespMsg struct {
 	Tile  *tensor.Tile4
 }
 
-func (m getRespMsg) encode() ([]byte, error) {
-	dst := appendU64(nil, m.ReqID)
-	if m.Tile == nil {
-		return appendPayload(dst, nil)
+func (m getRespMsg) encode() []byte {
+	var p any // an absent block travels as the nil payload, not a typed-nil tile
+	if m.Tile != nil {
+		p = m.Tile
 	}
-	return appendPayload(dst, m.Tile)
+	psize, _ := payloadSize(p) // nil and non-nil tiles always encode
+	return appendPayload(appendU64(newFrame(msgGetResp, 8+psize), m.ReqID), p)
 }
 
 func decodeGetResp(b []byte) (getRespMsg, error) {
@@ -570,12 +681,11 @@ func decodeGetResp(b []byte) (getRespMsg, error) {
 // nxtValMsg requests one NXTVAL ticket; nxtValRespMsg answers it.
 type nxtValMsg struct{ ReqID uint64 }
 
-func (m nxtValMsg) encode() []byte { return appendU64(nil, m.ReqID) }
+func (m nxtValMsg) encode() []byte { return appendU64(newFrame(msgNxtValReq, 8), m.ReqID) }
 
 func decodeNxtVal(b []byte) (nxtValMsg, error) {
-	c := &cursor{buf: b}
-	m := nxtValMsg{ReqID: c.u64()}
-	return m, c.done()
+	c := cursor{buf: b}
+	return nxtValMsg{ReqID: c.u64()}, c.done()
 }
 
 type nxtValRespMsg struct {
@@ -584,13 +694,12 @@ type nxtValRespMsg struct {
 }
 
 func (m nxtValRespMsg) encode() []byte {
-	return appendI64(appendU64(nil, m.ReqID), m.Val)
+	return appendI64(appendU64(newFrame(msgNxtValResp, 16), m.ReqID), m.Val)
 }
 
 func decodeNxtValResp(b []byte) (nxtValRespMsg, error) {
-	c := &cursor{buf: b}
-	m := nxtValRespMsg{ReqID: c.u64(), Val: c.i64()}
-	return m, c.done()
+	c := cursor{buf: b}
+	return nxtValRespMsg{ReqID: c.u64(), Val: c.i64()}, c.done()
 }
 
 // stealMsg serves three message types that all name one thief rank:
@@ -598,12 +707,11 @@ func decodeNxtValResp(b []byte) (nxtValRespMsg, error) {
 // victim), and msgStealNone (victim -> coordinator).
 type stealMsg struct{ Thief int }
 
-func (m stealMsg) encode() []byte { return appendI64(nil, int64(m.Thief)) }
+func (m stealMsg) encode(typ byte) []byte { return appendI64(newFrame(typ, 8), int64(m.Thief)) }
 
 func decodeSteal(b []byte) (stealMsg, error) {
-	c := &cursor{buf: b}
-	m := stealMsg{Thief: c.int()}
-	return m, c.done()
+	c := cursor{buf: b}
+	return stealMsg{Thief: c.int()}, c.done()
 }
 
 // migratePayload is one delivered task-sourced input shipped with a
@@ -623,34 +731,26 @@ type migrateMsg struct {
 }
 
 func (m migrateMsg) encode() ([]byte, error) {
-	dst := appendString(nil, m.Class)
-	for _, a := range m.Args {
-		dst = appendI64(dst, int64(a))
-	}
-	dst = appendU32(dst, uint32(len(m.Ins)))
+	size := strSize(m.Class) + argsSize + 4
 	for _, in := range m.Ins {
-		dst = appendI64(dst, int64(in.Flow))
-		var err error
-		dst, err = appendPayload(dst, in.Payload)
+		psize, err := payloadSize(in.Payload)
 		if err != nil {
 			return nil, err
 		}
+		size += 8 + psize
+	}
+	dst := appendArgs(appendString(newFrame(msgMigrate, size), m.Class), m.Args)
+	dst = appendU32(dst, uint32(len(m.Ins)))
+	for _, in := range m.Ins {
+		dst = appendPayload(appendI64(dst, int64(in.Flow)), in.Payload)
 	}
 	return dst, nil
 }
 
 func decodeMigrate(b []byte) (migrateMsg, error) {
 	c := &cursor{buf: b}
-	m := migrateMsg{Class: c.str()}
-	for i := range m.Args {
-		m.Args[i] = c.int()
-	}
-	n := c.u32()
-	if uint64(n) > uint64(len(c.buf)) {
-		c.fail()
-		return m, c.done()
-	}
-	for i := uint32(0); i < n && c.err == nil; i++ {
+	m := migrateMsg{Class: c.name(), Args: c.args()}
+	for n := c.count(8 + 1); n > 0 && c.err == nil; n-- {
 		mp := migratePayload{Flow: c.int()}
 		mp.Payload = decodePayload(c)
 		m.Ins = append(m.Ins, mp)
@@ -664,13 +764,12 @@ func decodeMigrate(b []byte) (migrateMsg, error) {
 type takeoverMsg struct{ Dead, Heir int }
 
 func (m takeoverMsg) encode() []byte {
-	return appendI64(appendI64(nil, int64(m.Dead)), int64(m.Heir))
+	return appendI64(appendI64(newFrame(msgTakeover, 16), int64(m.Dead)), int64(m.Heir))
 }
 
 func decodeTakeover(b []byte) (takeoverMsg, error) {
-	c := &cursor{buf: b}
-	m := takeoverMsg{Dead: c.int(), Heir: c.int()}
-	return m, c.done()
+	c := cursor{buf: b}
+	return takeoverMsg{Dead: c.int(), Heir: c.int()}, c.done()
 }
 
 // doneInfoMsg is a worker's final report: counters and trace events,
@@ -679,23 +778,21 @@ func decodeTakeover(b []byte) (takeoverMsg, error) {
 type doneInfoMsg struct{ JSON []byte }
 
 func (m doneInfoMsg) encode() []byte {
-	dst := appendU32(nil, uint32(len(m.JSON)))
+	dst := appendU32(newFrame(msgDoneInfo, 4+len(m.JSON)), uint32(len(m.JSON)))
 	return append(dst, m.JSON...)
 }
 
 func decodeDoneInfo(b []byte) (doneInfoMsg, error) {
-	c := &cursor{buf: b}
-	m := doneInfoMsg{JSON: c.bytes()}
-	return m, c.done()
+	c := cursor{buf: b}
+	return doneInfoMsg{JSON: c.bytes()}, c.done()
 }
 
 // errorMsg reports a fatal worker-side failure to the coordinator.
 type errorMsg struct{ Text string }
 
-func (m errorMsg) encode() []byte { return appendString(nil, m.Text) }
+func (m errorMsg) encode() []byte { return appendString(newFrame(msgError, strSize(m.Text)), m.Text) }
 
 func decodeError(b []byte) (errorMsg, error) {
-	c := &cursor{buf: b}
-	m := errorMsg{Text: c.str()}
-	return m, c.done()
+	c := cursor{buf: b}
+	return errorMsg{Text: c.str()}, c.done()
 }

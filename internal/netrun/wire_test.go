@@ -23,15 +23,46 @@ func tile(seed float64) *tensor.Tile4 {
 	return t
 }
 
-// TestFrameRoundTrip drives appendFrame through decodeFrame and
-// readFrame for every valid type, with and without the ack-suppress
+// decodeFrame parses one frame from the front of buf, returning the
+// frame and the number of bytes consumed. It returns (zero, 0, nil)
+// when buf holds only a partial frame, and an error for any malformed
+// prefix.
+func decodeFrame(buf []byte) (frame, int, error) {
+	if len(buf) < frameHeaderLen {
+		return frame{}, 0, nil
+	}
+	f, n, err := decodeHeader(buf)
+	if err != nil {
+		return frame{}, 0, err
+	}
+	total := frameHeaderLen + n
+	if len(buf) < total {
+		return frame{}, 0, nil
+	}
+	f.body = buf[frameHeaderLen:total]
+	return f, total, nil
+}
+
+// rawFrame builds a sealed frame around an arbitrary body, the way
+// every message's encode does around its own.
+func rawFrame(typ byte, id uint64, suppress bool, body []byte) []byte {
+	f := sealFrame(append(newFrame(typ, len(body)), body...), id)
+	setAckSuppress(f, suppress)
+	return f
+}
+
+// readFrame reads exactly one frame from r through a fresh frameReader.
+func readFrame(r io.Reader) (frame, error) { return newFrameReader(r).read() }
+
+// TestFrameRoundTrip drives newFrame/sealFrame through decodeFrame and
+// a frameReader for every valid type, with and without the ack-suppress
 // bit, including zero-length bodies and back-to-back frames.
 func TestFrameRoundTrip(t *testing.T) {
-	bodies := [][]byte{nil, {0xde}, bytes.Repeat([]byte{7}, 300)}
+	bodies := [][]byte{nil, {0xde}, bytes.Repeat([]byte{7}, 300), bytes.Repeat([]byte{9}, 10000)}
 	for typ := msgHello; typ < msgMax; typ++ {
 		for i, body := range bodies {
 			for _, suppress := range []bool{false, true} {
-				buf := appendFrame(nil, typ, uint64(typ)<<8|uint64(i), suppress, body)
+				buf := rawFrame(typ, uint64(typ)<<8|uint64(i), suppress, body)
 				f, n, err := decodeFrame(buf)
 				if err != nil {
 					t.Fatalf("type %d: decode: %v", typ, err)
@@ -55,10 +86,11 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Two frames back to back: decodeFrame must consume exactly one.
-	buf := appendFrame(nil, msgStatus, 1, false, []byte{1, 2, 3})
+	// Two frames back to back: decodeFrame must consume exactly one, and
+	// one frameReader must hand out both, reusing its body buffer.
+	buf := rawFrame(msgStatus, 1, false, []byte{1, 2, 3})
 	first := len(buf)
-	buf = appendFrame(buf, msgDone, 2, false, nil)
+	buf = append(buf, rawFrame(msgDone, 2, false, nil)...)
 	f, n, err := decodeFrame(buf)
 	if err != nil || n != first || f.typ != msgStatus {
 		t.Fatalf("first frame of pair: typ %d n %d err %v", f.typ, n, err)
@@ -67,11 +99,27 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil || f.typ != msgDone {
 		t.Fatalf("second frame of pair: typ %d err %v", f.typ, err)
 	}
+	fr := newFrameReader(bytes.NewReader(buf))
+	if !fr.wouldBlock() {
+		t.Fatal("fresh reader claims a buffered header")
+	}
+	if f, err := fr.read(); err != nil || f.typ != msgStatus || !bytes.Equal(f.body, []byte{1, 2, 3}) {
+		t.Fatalf("reader, first of pair: %+v, %v", f, err)
+	}
+	if fr.wouldBlock() {
+		t.Fatal("second frame is buffered but reader reports the burst over")
+	}
+	if f, err := fr.read(); err != nil || f.typ != msgDone || f.id != 2 || len(f.body) != 0 {
+		t.Fatalf("reader, second of pair: %+v, %v", f, err)
+	}
+	if _, err := fr.read(); err != io.EOF {
+		t.Fatalf("reader past the end: %v, want EOF", err)
+	}
 }
 
 // TestFrameRejectsMalformed checks every header-level rejection path.
 func TestFrameRejectsMalformed(t *testing.T) {
-	good := appendFrame(nil, msgHello, 9, false, []byte{1, 2})
+	good := rawFrame(msgHello, 9, false, []byte{1, 2})
 
 	// Partial input at every prefix length: pending, never an error.
 	for i := 0; i < len(good); i++ {
@@ -93,6 +141,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	}{
 		{"bad magic", corrupt(func(b []byte) { b[0] = 'X' }), errBadMagic},
 		{"bad version", corrupt(func(b []byte) { b[2] = 99 }), errBadVersion},
+		{"v1 peer", corrupt(func(b []byte) { b[2] = 1 }), errBadVersion},
 		{"type zero", corrupt(func(b []byte) { b[3] = 0 }), errBadType},
 		{"type past max", corrupt(func(b []byte) { b[3] = msgMax }), errBadType},
 		{"type zero suppressed", corrupt(func(b []byte) { b[3] = ackSuppressBit }), errBadType},
@@ -127,9 +176,13 @@ func TestPayloadRoundTrip(t *testing.T) {
 		math.Inf(-1),
 	}
 	for _, v := range vals {
-		buf, err := appendPayload(nil, v)
+		size, err := payloadSize(v)
 		if err != nil {
-			t.Fatalf("%T: encode: %v", v, err)
+			t.Fatalf("%T: size: %v", v, err)
+		}
+		buf := appendPayload(nil, v)
+		if len(buf) != size {
+			t.Fatalf("%T: payloadSize %d, encoded %d bytes", v, size, len(buf))
 		}
 		c := &cursor{buf: buf}
 		got := decodePayload(c)
@@ -140,12 +193,15 @@ func TestPayloadRoundTrip(t *testing.T) {
 			t.Errorf("%T: round-trip changed value: %#v -> %#v", v, v, got)
 		}
 	}
-	if _, err := appendPayload(nil, struct{}{}); err == nil {
-		t.Error("appendPayload accepted an unknown type")
+	if _, err := payloadSize(struct{}{}); err == nil {
+		t.Error("payloadSize accepted an unknown type")
+	}
+	if _, err := payloadSize((*tensor.Tile4)(nil)); err == nil {
+		t.Error("payloadSize accepted a typed-nil tile")
 	}
 	// A tile whose element count disagrees with its dims must be
 	// rejected, not allocated.
-	bad, _ := appendPayload(nil, tile(1))
+	bad := appendPayload(nil, tile(1))
 	binary.LittleEndian.PutUint32(bad[1+32:], 5) // count 5, dims say 6
 	c := &cursor{buf: bad}
 	if p := decodePayload(c); p != nil || c.err == nil {
@@ -153,9 +209,19 @@ func TestPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// roundTrip runs one encode/decode pair and compares the result.
-func roundTrip[M any](t *testing.T, name string, in M, enc []byte, dec func([]byte) (M, error)) {
+// roundTrip checks one encoded frame — exactly sized, of the right type,
+// parseable once sealed — then runs its body through the decoder and
+// compares the result.
+func roundTrip[M any](t *testing.T, name string, in M, typ byte, f []byte, dec func([]byte) (M, error)) {
 	t.Helper()
+	if len(f) != cap(f) {
+		t.Errorf("%s: encode sized its frame for %d bytes and wrote %d", name, cap(f), len(f))
+	}
+	fr, n, err := decodeFrame(sealFrame(f, 5))
+	if err != nil || n != len(f) || fr.typ != typ || fr.id != 5 {
+		t.Fatalf("%s: sealed frame: typ %d id %d consumed %d/%d, %v", name, fr.typ, fr.id, n, len(f), err)
+	}
+	enc := fr.body
 	out, err := dec(enc)
 	if err != nil {
 		t.Fatalf("%s: decode: %v", name, err)
@@ -164,9 +230,7 @@ func roundTrip[M any](t *testing.T, name string, in M, enc []byte, dec func([]by
 		t.Errorf("%s: round-trip changed message:\n in  %#v\n out %#v", name, in, out)
 	}
 	// Every strict prefix must be rejected (truncation can never decode
-	// into a message silently). Messages with nil-able tails (getResp's
-	// nil tile, flushAck's legacy empty body) opt out via their own
-	// tests.
+	// into a message silently).
 	for i := 0; i < len(enc); i++ {
 		if _, err := dec(enc[:i]); err == nil {
 			t.Fatalf("%s: truncation to %d/%d bytes decoded cleanly", name, i, len(enc))
@@ -184,15 +248,15 @@ func roundTrip[M any](t *testing.T, name string, in M, enc []byte, dec func([]by
 func TestMessageRoundTrips(t *testing.T) {
 	t.Run("hello", func(t *testing.T) {
 		m := helloMsg{From: -1} // the coordinator's rank is negative
-		roundTrip(t, "hello", m, m.encode(), decodeHello)
+		roundTrip(t, "hello", m, msgHello, m.encode(), decodeHello)
 	})
 	t.Run("register", func(t *testing.T) {
 		m := registerMsg{Rank: 3, Addr: "127.0.0.1:40321"}
-		roundTrip(t, "register", m, m.encode(), decodeRegister)
+		roundTrip(t, "register", m, msgRegister, m.encode(), decodeRegister)
 	})
 	t.Run("welcome", func(t *testing.T) {
 		m := welcomeMsg{Ranks: 3, Addrs: []string{"a:1", "", "long-unix-socket-path.sock"}}
-		roundTrip(t, "welcome", m, m.encode(), decodeWelcome)
+		roundTrip(t, "welcome", m, msgWelcome, m.encode(), decodeWelcome)
 	})
 	t.Run("activate", func(t *testing.T) {
 		for _, payload := range []any{nil, tile(2.25), ptg.NewBuffer{Bytes: 64}, 7, 2.5} {
@@ -201,35 +265,46 @@ func TestMessageRoundTrips(t *testing.T) {
 			if err != nil {
 				t.Fatalf("activate(%T): encode: %v", payload, err)
 			}
-			roundTrip(t, "activate", m, enc, decodeActivate)
+			roundTrip(t, "activate", m, msgActivate, enc, decodeActivate)
 		}
 	})
 	t.Run("done", func(t *testing.T) {
-		m := doneMsg{Seqs: []int{0, 5, 1 << 40, 3}}
-		roundTrip(t, "done", m, m.encode(), decodeDone)
+		// The engine batches completions: one seq, a few, a full batch.
+		full := make([]int, doneBatch)
+		for i := range full {
+			full[i] = 3 * i
+		}
+		for _, seqs := range [][]int{{7}, {0, 5, 1 << 40, 3}, full} {
+			m := doneMsg{Seqs: seqs}
+			roundTrip(t, "done", m, msgDone, m.encode(), decodeDone)
+		}
 		// Empty batch decodes to an empty (non-nil) slice.
-		out, err := decodeDone(doneMsg{}.encode())
+		out, err := decodeDone(doneMsg{}.encode()[frameHeaderLen:])
 		if err != nil || len(out.Seqs) != 0 {
 			t.Fatalf("empty done: %+v, %v", out, err)
 		}
 	})
+	t.Run("ack", func(t *testing.T) {
+		burst := make([]uint64, ackBatch)
+		for i := range burst {
+			burst[i] = uint64(i)<<32 | 9
+		}
+		for _, ids := range [][]uint64{{1}, {4, 2, 1 << 63}, burst} {
+			m := ackMsg{IDs: ids}
+			roundTrip(t, "ack", m, msgAck, m.encode(), decodeAck)
+		}
+		out, err := decodeAck(ackMsg{}.encode()[frameHeaderLen:])
+		if err != nil || len(out.IDs) != 0 {
+			t.Fatalf("empty ack: %+v, %v", out, err)
+		}
+	})
 	t.Run("status", func(t *testing.T) {
 		m := statusMsg{Backlog: 12345}
-		roundTrip(t, "status", m, m.encode(), decodeStatus)
+		roundTrip(t, "status", m, msgStatus, m.encode(), decodeStatus)
 	})
 	t.Run("flushAck", func(t *testing.T) {
 		m := flushAckMsg{Accs: 987654321}
-		out, err := decodeFlushAck(m.encode())
-		if err != nil || out != m {
-			t.Fatalf("flushAck: %+v, %v", out, err)
-		}
-		// The legacy empty body means "no accs to wait for".
-		if out, err := decodeFlushAck(nil); err != nil || out.Accs != 0 {
-			t.Fatalf("legacy flushAck: %+v, %v", out, err)
-		}
-		if _, err := decodeFlushAck([]byte{1, 2}); err == nil {
-			t.Error("short flushAck body decoded cleanly")
-		}
+		roundTrip(t, "flushAck", m, msgFlushAck, m.encode(), decodeFlushAck)
 	})
 	t.Run("accOrdered", func(t *testing.T) {
 		m := accOrderedMsg{
@@ -240,7 +315,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		roundTrip(t, "accOrdered", m, enc, decodeAccOrdered)
+		roundTrip(t, "accOrdered", m, msgAccOrdered, enc, decodeAccOrdered)
 		// An accumulation without data is always a bug; the encoder must
 		// refuse the typed-nil tile rather than ship a bogus payload.
 		if _, err := (accOrderedMsg{Name: "C"}).encode(); err == nil {
@@ -260,43 +335,33 @@ func TestMessageRoundTrips(t *testing.T) {
 	})
 	t.Run("get", func(t *testing.T) {
 		m := getMsg{ReqID: 77, Name: "T2", Key: tensor.BlockKey{0, 1, 0, 4}}
-		roundTrip(t, "get", m, m.encode(), decodeGet)
+		roundTrip(t, "get", m, msgGetReq, m.encode(), decodeGet)
 	})
 	t.Run("getResp", func(t *testing.T) {
 		m := getRespMsg{ReqID: 78, Tile: tile(4.125)}
-		enc, err := m.encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		roundTrip(t, "getResp", m, enc, decodeGetResp)
+		roundTrip(t, "getResp", m, msgGetResp, m.encode(), decodeGetResp)
 		// The nil tile (block absent) is a legitimate answer.
 		none := getRespMsg{ReqID: 79}
-		enc, err = none.encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := decodeGetResp(enc)
-		if err != nil || out.Tile != nil || out.ReqID != 79 {
-			t.Fatalf("nil-tile getResp: %+v, %v", out, err)
-		}
+		roundTrip(t, "getResp/absent", none, msgGetResp, none.encode(), decodeGetResp)
 		// A non-tile payload is a protocol violation.
-		buf := appendU64(nil, 80)
-		buf, _ = appendPayload(buf, int(3))
+		buf := appendPayload(appendU64(nil, 80), int(3))
 		if _, err := decodeGetResp(buf); err == nil {
 			t.Error("getResp with int payload decoded cleanly")
 		}
 	})
 	t.Run("nxtVal", func(t *testing.T) {
 		m := nxtValMsg{ReqID: 81}
-		roundTrip(t, "nxtVal", m, m.encode(), decodeNxtVal)
+		roundTrip(t, "nxtVal", m, msgNxtValReq, m.encode(), decodeNxtVal)
 	})
 	t.Run("nxtValResp", func(t *testing.T) {
 		m := nxtValRespMsg{ReqID: 82, Val: -1}
-		roundTrip(t, "nxtValResp", m, m.encode(), decodeNxtValResp)
+		roundTrip(t, "nxtValResp", m, msgNxtValResp, m.encode(), decodeNxtValResp)
 	})
 	t.Run("steal", func(t *testing.T) {
 		m := stealMsg{Thief: 2}
-		roundTrip(t, "steal", m, m.encode(), decodeSteal)
+		for _, typ := range []byte{msgStealReq, msgStealProbe, msgStealNone} {
+			roundTrip(t, "steal", m, typ, m.encode(typ), decodeSteal)
+		}
 	})
 	t.Run("migrate", func(t *testing.T) {
 		m := migrateMsg{
@@ -311,29 +376,29 @@ func TestMessageRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		roundTrip(t, "migrate", m, enc, decodeMigrate)
+		roundTrip(t, "migrate", m, msgMigrate, enc, decodeMigrate)
 		// No shipped inputs is legal (all flows data- or new-sourced).
 		bare := migrateMsg{Class: "SORT", Args: ptg.A1(1)}
 		enc, err = bare.encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := decodeMigrate(enc)
+		out, err := decodeMigrate(enc[frameHeaderLen:])
 		if err != nil || len(out.Ins) != 0 || out.Class != "SORT" {
 			t.Fatalf("bare migrate: %+v, %v", out, err)
 		}
 	})
 	t.Run("takeover", func(t *testing.T) {
 		m := takeoverMsg{Dead: 2, Heir: 0}
-		roundTrip(t, "takeover", m, m.encode(), decodeTakeover)
+		roundTrip(t, "takeover", m, msgTakeover, m.encode(), decodeTakeover)
 	})
 	t.Run("doneInfo", func(t *testing.T) {
 		m := doneInfoMsg{JSON: []byte(`{"rank":1}`)}
-		roundTrip(t, "doneInfo", m, m.encode(), decodeDoneInfo)
+		roundTrip(t, "doneInfo", m, msgDoneInfo, m.encode(), decodeDoneInfo)
 	})
 	t.Run("error", func(t *testing.T) {
 		m := errorMsg{Text: "netrun: rank 1: deadline exceeded"}
-		roundTrip(t, "error", m, m.encode(), decodeError)
+		roundTrip(t, "error", m, msgError, m.encode(), decodeError)
 	})
 }
 
@@ -344,6 +409,9 @@ func TestDecodersRejectHugeCounts(t *testing.T) {
 	huge := appendU32(nil, math.MaxUint32)
 	if _, err := decodeDone(huge); err == nil {
 		t.Error("done: huge count decoded cleanly")
+	}
+	if _, err := decodeAck(huge); err == nil {
+		t.Error("ack: huge count decoded cleanly")
 	}
 	if _, err := decodeWelcome(append(appendI64(nil, 2), huge...)); err == nil {
 		t.Error("welcome: huge count decoded cleanly")
@@ -378,13 +446,17 @@ func TestDecodersRejectHugeCounts(t *testing.T) {
 // input it returns a frame, pending, or an error — it never panics,
 // and whatever it consumes must re-encode to the same bytes.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(appendFrame(nil, msgHello, 1, false, helloMsg{From: 0}.encode()))
-	f.Add(appendFrame(nil, msgAck, 7, true, nil))
+	f.Add(sealFrame(helloMsg{From: 0}.encode(), 1))
+	f.Add(sealFrame(ackMsg{IDs: []uint64{7, 9, 8}}.encode(), 0))
+	f.Add(rawFrame(msgAck, 0, false, appendU32(nil, math.MaxUint32))) // count far past the body
 	act, _ := activateMsg{Class: "STEP", Args: ptg.A2(1, 2), Flow: 0, Payload: tile(1)}.encode()
-	f.Add(appendFrame(nil, msgActivate, 3, false, act))
-	f.Add(appendFrame(nil, msgDone, 4, false, doneMsg{Seqs: []int{1, 2}}.encode()))
+	f.Add(sealFrame(act, 3))
+	f.Add(sealFrame(doneMsg{Seqs: []int{1, 2, 1 << 40}}.encode(), 4))
+	mig, _ := migrateMsg{Class: "DFILL", Args: ptg.A2(5, 6), Ins: []migratePayload{{Flow: 1, Payload: tile(2)}, {Flow: 2}}}.encode()
+	f.Add(rawFrame(msgMigrate, 6, true, mig[frameHeaderLen:]))
+	f.Add(sealFrame(getRespMsg{ReqID: 5}.encode(), 8))
 	f.Add([]byte{'P', 'R', wireVersion, msgMax, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{'P', 'R', 2, msgHello})
+	f.Add([]byte{'P', 'R', 1, msgHello}) // a v1 peer
 	f.Add([]byte("not a frame at all, definitely longer than a header"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := decodeFrame(data)
@@ -402,7 +474,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if fr.typ == 0 || fr.typ >= msgMax {
 				t.Fatalf("decoded invalid type %d", fr.typ)
 			}
-			re := appendFrame(nil, fr.typ, fr.id, fr.suppressAck, fr.body)
+			re := rawFrame(fr.typ, fr.id, fr.suppressAck, fr.body)
 			if !bytes.Equal(re, data[:n]) {
 				t.Fatal("re-encode disagrees with consumed bytes")
 			}
@@ -427,6 +499,8 @@ func decodeBody(fr frame) {
 	switch fr.typ {
 	case msgHello:
 		_, _ = decodeHello(fr.body)
+	case msgAck:
+		_, _ = decodeAck(fr.body)
 	case msgRegister:
 		_, _ = decodeRegister(fr.body)
 	case msgWelcome:
@@ -453,11 +527,63 @@ func decodeBody(fr frame) {
 		_, _ = decodeMigrate(fr.body)
 	case msgTakeover:
 		_, _ = decodeTakeover(fr.body)
-	case msgFlushReq, msgFlushAck:
+	case msgFlushAck:
 		_, _ = decodeFlushAck(fr.body)
 	case msgDoneInfo:
 		_, _ = decodeDoneInfo(fr.body)
 	case msgError:
 		_, _ = decodeError(fr.body)
+	}
+}
+
+// bigTile is the benchmark workload's dominant payload: a 12^4 tile.
+func bigTile() *tensor.Tile4 {
+	t := tensor.NewTile4(12, 12, 12, 12)
+	for i := range t.Data {
+		t.Data[i] = 0.5 + float64(i)*0.001953125
+	}
+	return t
+}
+
+// TestTileCodecAllocs pins the single-pass codec: an activation carrying
+// a tile is encoded into exactly one buffer (header, body and floats),
+// and decoded with at most the tile and its data.
+func TestTileCodecAllocs(t *testing.T) {
+	m := activateMsg{Class: "GEMM", Args: ptg.A3(1, 2, 3), Flow: 1, Payload: bigTile()}
+	var f []byte
+	if n := testing.AllocsPerRun(20, func() { f, _ = m.encode() }); n != 1 {
+		t.Errorf("encoding a tile activation took %v allocations, want 1", n)
+	}
+	body := sealFrame(f, 1)[frameHeaderLen:]
+	var out activateMsg
+	if n := testing.AllocsPerRun(20, func() { out, _ = decodeActivate(body) }); n > 2 {
+		t.Errorf("decoding a tile activation took %v allocations, want at most 2", n)
+	}
+	if !reflect.DeepEqual(out, m) {
+		t.Error("tile activation changed in the round trip")
+	}
+}
+
+// BenchmarkWireTile is the codec's own number: one 12^4-tile activation
+// encoded into its frame and decoded back out of it, in MB/s of frame
+// bytes and allocations per round trip.
+func BenchmarkWireTile(b *testing.B) {
+	m := activateMsg{Class: "GEMM", Args: ptg.A3(1, 2, 3), Flow: 1, Payload: bigTile()}
+	f, err := m.encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(f)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, _ := m.encode()
+		fr, _, err := decodeFrame(sealFrame(f, uint64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := decodeActivate(fr.body); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

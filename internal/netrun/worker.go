@@ -66,10 +66,10 @@ func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, b
 		return err
 	}
 	w.eng = newEngine(cfg, rank, tp, tr)
-	tp.handler = w.handle
+	tp.serve(w.handle, nil)
 	tp.connect(coordRank, coordAddr)
 	tp.runRetryTimer(w.eng.fail)
-	tp.sendTo(coordRank, msgRegister, registerMsg{Rank: rank, Addr: tp.addr()}.encode())
+	tp.sendTo(coordRank, registerMsg{Rank: rank, Addr: tp.addr()}.encode())
 
 	var welcome welcomeMsg
 	select {
@@ -98,20 +98,19 @@ func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, b
 
 	rep, err := encodeReport(w.eng.report())
 	if err == nil {
-		tp.sendTo(coordRank, msgDoneInfo, rep)
+		tp.sendTo(coordRank, rep)
 	}
-	// Give the report (and any last acks owed to us) a moment to land;
-	// the coordinator tolerates missing reports, so this is best-effort.
-	for end := time.Now().Add(2 * time.Second); time.Now().Before(end) && !tp.drained(); {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Give the report a moment to land; the coordinator tolerates missing
+	// reports, so this is best-effort. Peers are not waited for: after a
+	// cancel they may have gone with our last frames unacknowledged.
+	tp.waitDrained(tp.chanTo(coordRank), nil, 2*time.Second)
 	tp.close()
 	return w.eng.err()
 }
 
 // handle dispatches one deduplicated inbound frame on a rank. Frames
 // from one sender arrive in order; everything here is quick except the
-// flush probe, which polls on its own goroutine.
+// flush probe, which waits on its own goroutine.
 func (w *worker) handle(from int, f frame) {
 	switch f.typ {
 	case msgWelcome:
@@ -157,15 +156,10 @@ func (w *worker) handle(from int, f frame) {
 		// acknowledged, and tell the coordinator how many distinct accs
 		// we sent so it can match them against its post-apply count.
 		go func() {
-			for !w.tp.drained() {
-				select {
-				case <-w.shutCh:
-					return
-				case <-time.After(2 * time.Millisecond):
-				}
+			if w.tp.waitDrained(nil, w.shutCh, w.cfg.Deadline) {
+				accs := w.tp.counters.accOps.Load()
+				w.tp.sendTo(coordRank, flushAckMsg{Accs: accs}.encode())
 			}
-			accs := w.tp.counters.accOps.Load()
-			w.tp.sendTo(coordRank, msgFlushAck, flushAckMsg{Accs: accs}.encode())
 		}()
 	case msgGetResp:
 		m, err := decodeGetResp(f.body)
