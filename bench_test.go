@@ -13,8 +13,8 @@
 //     real arithmetic.
 //   - BenchmarkAblation*: sweeps of the design choices DESIGN.md calls
 //     out (segment height, NXTVAL round-trip, network bandwidth).
-//   - BenchmarkKernel*/BenchmarkInspector/BenchmarkTracker: the
-//     substrate microbenchmarks.
+//   - BenchmarkKernel*/BenchmarkInspector/BenchmarkTracker*/
+//     BenchmarkHeapPopDeep: the substrate microbenchmarks.
 package parsec
 
 import (
@@ -553,6 +553,57 @@ func BenchmarkSchedChains(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkTrackerBuild measures ptg.NewTracker on the benchmark's
+// dispatch-bound shape (12/24 orbitals tiled at 4, 28,304 instances):
+// "unbound" inspects the graph into a private skeleton first, as the
+// simulator, a socket-runtime rank or any hand-built graph does; "bound"
+// is what every run of a compiled plan pays — two slabs and a copy.
+func BenchmarkTrackerBuild(b *testing.B) {
+	spec, _ := ccsd.VariantByName("v5")
+	plan := ccsd.Compile(molecule.Custom("dispatch", 12, 24, 4, 2, 1), spec, ccsd.Options{Nodes: 1})
+	for _, c := range []struct {
+		name string
+		g    *ptg.Graph
+	}{
+		{"unbound", ccsd.BuildGraph(plan.Workload, spec, plan.Opts)},
+		{"bound", plan.NewGraph(nil)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var tr *ptg.Tracker
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tr, err = ptg.NewTracker(c.g); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(tr.NumInstances()), "instances")
+		})
+	}
+}
+
+// BenchmarkHeapPopDeep drains a 16k-entry ready heap whose priorities
+// follow the paper's per-chain expression — the depth the shared queue
+// reaches on the dispatch-bound workload, where every pop sifts ~14
+// levels under the shard lock.
+func BenchmarkHeapPopDeep(b *testing.B) {
+	const depth = 16384
+	var full sched.Heap[*ptg.Instance]
+	for seq := 0; seq < depth; seq++ {
+		full.PushTask(&ptg.Instance{Priority: int64(seq * 7919 % 1382), Seq: seq})
+	}
+	h := make(sched.Heap[*ptg.Instance], depth)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h = h[:depth]
+		copy(h, full)
+		for len(h) > 0 {
+			h.PopTask()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/depth, "ns/pop")
 }
 
 // BenchmarkT1Kernel runs the T1-shaped kernel (the generalization beyond

@@ -2,6 +2,7 @@ package ccsd
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -542,5 +543,70 @@ func TestInBytesSplitsTransfers(t *testing.T) {
 	}
 	if !checked {
 		t.Fatal("no WRITE deliveries observed")
+	}
+}
+
+// TestConcurrentExecutesShareOneSkeleton runs 8 Executes of a fresh plan
+// at once: the first to bind resolves the skeleton under the plan's
+// sync.Once and all eight drive trackers copied from it. Every energy
+// must be the same bits and within 1e-12 of the serial reference (run
+// with -race, this is also the check that the shared skeleton is only
+// read).
+func TestConcurrentExecutesShareOneSkeleton(t *testing.T) {
+	spec, err := VariantByName("v5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := Compile(molecule.Water631G(), spec, Options{Nodes: 1})
+	const jobs = 8
+	energies := make([]float64, jobs)
+	errs := make([]error, jobs)
+	var wg sync.WaitGroup
+	for j := 0; j < jobs; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			res, err := plan.Execute(ExecConfig{Workers: 2})
+			energies[j], errs[j] = res.Energy, err
+		}(j)
+	}
+	wg.Wait()
+	ref := ReferenceEnergy(plan.Workload)
+	for j := range energies {
+		if errs[j] != nil {
+			t.Fatalf("job %d: %v", j, errs[j])
+		}
+		if math.Float64bits(energies[j]) != math.Float64bits(energies[0]) {
+			t.Errorf("job %d: energy %.17g differs from job 0's %.17g", j, energies[j], energies[0])
+		}
+	}
+	if d := relDiff(energies[0], ref); d > 1e-12 {
+		t.Errorf("energy %.15g vs reference %.15g (rel %g)", energies[0], ref, d)
+	}
+}
+
+// TestSkeletonSizeBudget pins what a cached plan keeps resident for its
+// task graph: at most 64 bytes per instance, edges included, on the
+// water preset and on the benchmark's dispatch-bound shape (12/24
+// orbitals tiled at 4). The service caches up to 32 plans; at 220 bytes
+// per instance its resident set grew by half.
+func TestSkeletonSizeBudget(t *testing.T) {
+	spec, err := VariantByName("v5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []*molecule.System{
+		molecule.Water631G(),
+		molecule.Custom("dispatch", 12, 24, 4, 2, 1),
+	} {
+		sk, err := ptg.NewSkeleton(Compile(sys, spec, Options{Nodes: 1}).NewGraph(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := float64(sk.Bytes()) / float64(sk.NumInstances())
+		t.Logf("%s: %d instances, %d bytes, %.1f B/instance", sys.Name, sk.NumInstances(), sk.Bytes(), per)
+		if per > 64 {
+			t.Errorf("%s: skeleton is %.1f bytes per instance, budget 64", sys.Name, per)
+		}
 	}
 }

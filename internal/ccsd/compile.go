@@ -1,6 +1,7 @@
 package ccsd
 
 import (
+	"sync"
 	"time"
 
 	"parsec/internal/ga"
@@ -18,7 +19,9 @@ import (
 // shapes for one (system, variant, graph-shape) triple. Everything in it
 // is a pure function of those inputs — no Global Arrays store, no
 // scheduler state — so a plan compiled once can back any number of
-// executions, which is what the service's content-keyed cache holds.
+// executions, which is what the service's content-keyed cache holds. The
+// one lazily added piece, the task-graph skeleton, is a pure function of
+// the same inputs and is built under a sync.Once on first use.
 type CompiledPlan struct {
 	// Sys is the inspected molecular system.
 	Sys *molecule.System
@@ -42,6 +45,13 @@ type CompiledPlan struct {
 	PlanTime    time.Duration
 
 	ps []*chainPlan
+
+	// skel is the resolved structure of the plan's task graph, built from
+	// the first graph NewGraph binds and shared read-only by every
+	// execution after it; nil if that build failed, in which case each
+	// run's tracker reports the error itself.
+	skelOnce sync.Once
+	skel     *ptg.Skeleton
 }
 
 // Compile runs the inspection phase and chain planning for the T2_7
@@ -67,13 +77,22 @@ func Compile(sys *molecule.System, spec VariantSpec, opts Options) *CompiledPlan
 }
 
 // NewGraph binds the compiled plan to a store and returns a fresh task
-// graph for one execution. The expensive inspection and planning work is
-// reused verbatim; only the (cheap) graph skeleton is rebuilt, because
-// task bodies close over the per-job store.
+// graph for one execution. The class definitions are rebuilt — a handful
+// of closures, because task bodies close over the per-job store — but
+// the graph is not re-inspected: its instances and edges were resolved
+// into a ptg.Skeleton the first time the plan was bound, and every graph
+// returned here carries that skeleton, so the tracker of each run is a
+// copy rather than an enumeration. The store changes bodies only, never
+// structure, which is what makes one skeleton valid for all bindings.
 func (p *CompiledPlan) NewGraph(store ga.API) *ptg.Graph {
 	opts := p.Opts
 	opts.Store = store
-	return buildGraphFrom(p.Workload, p.Spec.Name, p.Shape, opts, p.ps)
+	g := buildGraphFrom(p.Workload, p.Spec.Name, p.Shape, opts, p.ps)
+	p.skelOnce.Do(func() { p.skel, _ = ptg.NewSkeleton(g) })
+	if p.skel != nil {
+		g.Bind(p.skel)
+	}
+	return g
 }
 
 // NumChains returns the number of GEMM chains in the plan's workload.

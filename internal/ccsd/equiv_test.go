@@ -7,6 +7,7 @@ import (
 
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
+	"parsec/internal/ptg/ptgtest"
 	"parsec/internal/tce"
 	"parsec/internal/xform"
 )
@@ -34,6 +35,50 @@ type variantSig struct {
 // node counts, plus segment-height and write-span overrides) must
 // rebuild to a bit-identical canonical signature from its recipe.
 func TestRecipesReproduceHandWrittenGraphs(t *testing.T) {
+	forEachGolden(t, func(t *testing.T, gs variantSig, w *tce.Workload, spec VariantSpec, opts Options) {
+		sig, err := ptg.Signature(BuildGraph(w, spec, opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sig.Tasks != gs.Tasks || sig.Edges != gs.Edges {
+			t.Fatalf("tasks/edges %d/%d, want %d/%d", sig.Tasks, sig.Edges, gs.Tasks, gs.Edges)
+		}
+		if sig.SHA256 != gs.SHA256 {
+			t.Errorf("signature %s != golden %s (graph structure drifted from the hand-written builder)",
+				sig.SHA256[:16], gs.SHA256[:16])
+		}
+	})
+}
+
+// TestSkeletonBoundGraphsExecuteIdentically: for every golden
+// configuration, a graph carrying a skeleton resolved from an earlier
+// binding — through CompiledPlan.NewGraph where the kernel is the one
+// Compile handles, through NewSkeleton/Bind otherwise — yields the same
+// instances and, driven serially, the same deliveries as an unbound
+// build whose tracker inspects the graph itself.
+func TestSkeletonBoundGraphsExecuteIdentically(t *testing.T) {
+	forEachGolden(t, func(t *testing.T, gs variantSig, w *tce.Workload, spec VariantSpec, opts Options) {
+		var bound *ptg.Graph
+		if gs.Kernel == "t2_7" {
+			plan := Compile(w.Kernel.Sys, spec, opts)
+			plan.NewGraph(nil) // the first binding resolves the skeleton
+			bound = plan.NewGraph(nil)
+		} else {
+			sk, err := ptg.NewSkeleton(BuildGraph(w, spec, opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound = BuildGraph(w, spec, opts)
+			bound.Bind(sk)
+		}
+		ptgtest.SameExecution(t, bound, BuildGraph(w, spec, opts))
+	})
+}
+
+// forEachGolden runs f as a subtest for every row of
+// testdata/variant_sigs.json with the row's inspected workload, variant
+// and graph options.
+func forEachGolden(t *testing.T, f func(t *testing.T, gs variantSig, w *tce.Workload, spec VariantSpec, opts Options)) {
 	buf, err := os.ReadFile("testdata/variant_sigs.json")
 	if err != nil {
 		t.Fatal(err)
@@ -68,18 +113,7 @@ func TestRecipesReproduceHandWrittenGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := BuildGraph(w, spec, Options{Nodes: gs.Nodes, SegmentHeight: gs.Seg, WriteSpan: gs.Span})
-			sig, err := ptg.Signature(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sig.Tasks != gs.Tasks || sig.Edges != gs.Edges {
-				t.Fatalf("tasks/edges %d/%d, want %d/%d", sig.Tasks, sig.Edges, gs.Tasks, gs.Edges)
-			}
-			if sig.SHA256 != gs.SHA256 {
-				t.Errorf("signature %s != golden %s (graph structure drifted from the hand-written builder)",
-					sig.SHA256[:16], gs.SHA256[:16])
-			}
+			f(t, gs, w, spec, Options{Nodes: gs.Nodes, SegmentHeight: gs.Seg, WriteSpan: gs.Span})
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"parsec/internal/ptg"
+	"parsec/internal/ptg/ptgtest"
 	"parsec/internal/runtime"
 )
 
@@ -205,6 +206,28 @@ func TestCompileFig1AndRun(t *testing.T) {
 			t.Errorf("chain %d: %v, want %v", l1, results[l1], want)
 		}
 	}
+}
+
+// TestSkeletonBindsAcrossCompilations: two compilations of the same JDF
+// source against the same environment are the same graph by
+// construction, so a skeleton resolved from one drives the other exactly
+// as that graph's own inspection would.
+func TestSkeletonBindsAcrossCompilations(t *testing.T) {
+	chainLen := func(l1 int) int { return 2 + l1%3 }
+	compile := func() *ptg.Graph {
+		g, err := Compile("fig1", fig1Source, fig1Env(5, chainLen, make([]float64, 5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	sk, err := ptg.NewSkeleton(compile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := compile()
+	bound.Bind(sk)
+	ptgtest.SameExecution(t, bound, compile())
 }
 
 func TestCompiledPrioritiesMatchPaper(t *testing.T) {

@@ -13,9 +13,10 @@ var dotColors = []string{
 
 // ExportDOT writes the fully instantiated task graph in Graphviz DOT
 // format: one node per task instance, one edge per dataflow dependency,
-// labeled with the flow names. The PTG itself never materializes this
-// DAG during execution (§II-B) — the export exists for inspection and
-// debugging of small problems.
+// labeled with the flow names. It walks the symbolic definition itself
+// rather than a Skeleton, because it also draws what the skeleton omits
+// (terminal data); the export exists for inspection and debugging of
+// small problems.
 func ExportDOT(g *Graph, w io.Writer) error {
 	if err := g.Validate(); err != nil {
 		return err

@@ -1,9 +1,17 @@
 // Package ptg implements the Parameterized Task Graph abstraction at the
 // heart of PaRSEC (§II-B): task classes parameterized by integer indices,
-// with symbolic, guarded dataflow edges between them. A PTG is a compact
-// representation of the execution DAG — the DAG itself is never
-// materialized as such; instead, completing a task evaluates its output
-// dependencies to discover which successors receive data.
+// with symbolic, guarded dataflow edges between them. The definition is
+// the compact, symbolic form; execution does not walk it. Like the
+// paper's inspection phase (§III), the graph is inspected once — every
+// domain, guard, affinity, priority and consumer closure evaluated, every
+// edge resolved to an instance index — into a Skeleton of about 42 bytes
+// per instance, and from then on completing a task is a walk over a slice
+// of pre-resolved edges and an integer decrement per successor. A plan
+// that runs many times (ccsd.CompiledPlan) builds the skeleton once and
+// binds it to each execution's graph; concurrent runs share it read-only.
+// Everything structural that can be wrong with a graph — a dangling edge,
+// a duplicate instance, args outside int32 — is therefore reported by
+// NewTracker, before the first task body runs.
 //
 // A task class corresponds to one block of the .jdf-like notation in the
 // paper's Fig 1:
@@ -128,6 +136,11 @@ type Cost struct {
 }
 
 // Ctx is the execution context handed to a task body by the real runtime.
+// It is valid only for the duration of the call: the runtime reuses one
+// Ctx and one Out buffer per worker, so a body must not retain ctx,
+// ctx.In or ctx.Out past its return. The payloads are another matter:
+// what a body leaves in Out is copied into the successors' inputs when
+// the task completes and lives on there.
 type Ctx struct {
 	Args Args
 	Node int
@@ -205,6 +218,7 @@ type TaskClass struct {
 	InBytes func(a Args, flow string) int64
 
 	flowIdx map[string]int
+	idx     int // position in the graph's definition order
 }
 
 // AddFlow appends a flow to the class and returns it for chaining.
@@ -268,6 +282,7 @@ type Graph struct {
 	Name    string
 	classes map[string]*TaskClass
 	order   []*TaskClass
+	skel    *Skeleton // bound by Bind; nil means NewTracker builds its own
 }
 
 // NewGraph returns an empty graph.
@@ -280,11 +295,20 @@ func (g *Graph) Class(name string) *TaskClass {
 	if _, dup := g.classes[name]; dup {
 		panic(fmt.Sprintf("ptg: duplicate class %s", name))
 	}
-	tc := &TaskClass{Name: name, flowIdx: make(map[string]int)}
+	tc := &TaskClass{Name: name, flowIdx: make(map[string]int), idx: len(g.order)}
 	g.classes[name] = tc
 	g.order = append(g.order, tc)
 	return tc
 }
+
+// Bind attaches a skeleton built from a structurally identical graph —
+// same classes, flows, domains, guards, affinities and priorities, as two
+// bindings of one compiled plan to different stores are by construction
+// — so NewTracker copies the resolved structure instead of re-inspecting
+// the graph. The skeleton is only read, and may be bound to any number of
+// graphs executing concurrently. NewTracker refuses a skeleton whose
+// class or flow layout differs from the graph's.
+func (g *Graph) Bind(s *Skeleton) { g.skel = s }
 
 // ClassByName returns the named class, or nil.
 func (g *Graph) ClassByName(name string) *TaskClass { return g.classes[name] }

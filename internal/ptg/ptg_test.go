@@ -2,6 +2,7 @@ package ptg
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -344,21 +345,163 @@ func TestInactiveFlow(t *testing.T) {
 	}
 }
 
-func TestCompleteTargetsMissingTask(t *testing.T) {
-	g := NewGraph("dangling")
-	tc := g.Class("X")
-	tc.Domain = func(emit func(Args)) { emit(A1(0)) }
-	tc.AddFlow("D", Write).
-		InNew(nil, func(a Args) int64 { return 8 }).
-		Out(nil, func(a Args) (TaskRef, string) { return TaskRef{"Y", A1(0)}, "D" })
+// TestDanglingEdgeFailsAtBuild: an out-dependency that names a task or a
+// flow that does not exist is a structural error, reported by NewTracker
+// before any task body can run — not by the Complete that first reaches
+// the edge.
+func TestDanglingEdgeFailsAtBuild(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		target     func(Args) (TaskRef, string)
+	}{
+		{"missing class", "nonexistent task Y(0,0,0)", func(Args) (TaskRef, string) { return TaskRef{"Y", A1(0)}, "D" }},
+		{"missing instance", "nonexistent task Z(7,0,0)", func(Args) (TaskRef, string) { return TaskRef{"Z", A1(7)}, "D" }},
+		{"missing flow", "nonexistent flow Z.Q", func(Args) (TaskRef, string) { return TaskRef{"Z", A1(0)}, "Q" }},
+	} {
+		g := NewGraph("dangling")
+		x := g.Class("X")
+		x.Domain = func(emit func(Args)) { emit(A1(0)) }
+		x.AddFlow("D", Write).InNew(nil, func(Args) int64 { return 8 }).Out(nil, c.target)
+		z := g.Class("Z")
+		z.Domain = func(emit func(Args)) { emit(A1(0)) }
+		z.AddFlow("D", Read).In(nil, func(Args) (TaskRef, string) { return TaskRef{"X", A1(0)}, "D" })
+		if _, err := NewTracker(g); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: NewTracker error = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestSkeletonRefusals covers what only the skeleton build rejects: args
+// and nodes outside int32, a class wider than the flow bitmask, and a
+// domain that emits an instance twice (a panic, like a duplicate class).
+func TestSkeletonRefusals(t *testing.T) {
+	one := func(mutate func(tc *TaskClass)) *Graph {
+		g := NewGraph("refused")
+		tc := g.Class("X")
+		tc.Domain = func(emit func(Args)) { emit(A1(0)) }
+		mutate(tc)
+		return g
+	}
+	for name, g := range map[string]*Graph{
+		"wide arg":  one(func(tc *TaskClass) { tc.Domain = func(emit func(Args)) { emit(A1(1 << 40)) } }),
+		"wide node": one(func(tc *TaskClass) { tc.Affinity = func(Args) int { return 1 << 40 } }),
+		"33 flows": one(func(tc *TaskClass) {
+			for i := 0; i <= maxFlows; i++ {
+				tc.AddFlow(fmt.Sprintf("F%d", i), Read)
+			}
+		}),
+	} {
+		if _, err := NewTracker(g); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "emits [2 0 0] twice") {
+			t.Errorf("duplicate emission: recovered %v", r)
+		}
+	}()
+	NewTracker(one(func(tc *TaskClass) {
+		tc.Domain = func(emit func(Args)) { emit(A1(2)); emit(A1(1)); emit(A1(2)) }
+	}))
+}
+
+// TestInstanceLookup: Instance resolves every emitted reference — through
+// the sorted index when a domain emits out of order — and returns nil for
+// an unknown class or args the domain never emitted (the socket runtime's
+// message handlers rely on nil, not a panic).
+func TestInstanceLookup(t *testing.T) {
+	g := chainGraph(3, func(l1 int) int { return 2 + l1 })
+	shuffled := g.Class("SHUFFLED")
+	emitted := []Args{A2(5, 1), A2(0, 9), A3(2, 2, 2), A2(-4, 0), A2(0, 3)}
+	shuffled.Domain = func(emit func(Args)) {
+		for _, a := range emitted {
+			emit(a)
+		}
+	}
 	tr, err := NewTracker(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tr.Instance(TaskRef{"X", A1(0)})
-	tr.Start(x)
-	if _, _, err := tr.Complete(x); err == nil {
-		t.Error("dangling consumer accepted")
+	for i, in := range tr.Instances() {
+		if got := tr.Instance(in.Ref); got != in || in.Seq != i {
+			t.Errorf("Instance(%v) = %v (seq %d at index %d)", in.Ref, got, in.Seq, i)
+		}
+	}
+	for _, a := range emitted {
+		if in := tr.Instance(TaskRef{"SHUFFLED", a}); in == nil || in.Ref.Args != a {
+			t.Errorf("Instance(SHUFFLED%v) = %v", a, in)
+		}
+	}
+	for _, ref := range []TaskRef{
+		{"NOSUCH", A1(0)},
+		{"GEMM", A2(3, 0)},      // chain out of range
+		{"GEMM", A2(0, 2)},      // position out of range
+		{"GEMM", A2(-1, 0)},     // negative
+		{"GEMM", A3(0, 0, 1)},   // stray third arg
+		{"GEMM", A2(1<<40, 0)},  // does not fit int32
+		{"SHUFFLED", A2(0, 4)},  // between two emitted
+		{"SHUFFLED", A2(6, 0)},  // past the last
+		{"SHUFFLED", A2(-5, 0)}, // before the first
+	} {
+		if in := tr.Instance(ref); in != nil {
+			t.Errorf("Instance(%v) = %v, want nil", ref, in)
+		}
+	}
+}
+
+// TestBindMismatchedSkeleton: a skeleton bound to a graph with a
+// different class or flow layout is an error from NewTracker, not a
+// wrong run.
+func TestBindMismatchedSkeleton(t *testing.T) {
+	sk, err := NewSkeleton(chainGraph(2, func(int) int { return 2 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := chainGraph(2, func(int) int { return 2 })
+	same.Bind(sk)
+	if _, err := NewTracker(same); err != nil {
+		t.Fatalf("matching layout refused: %v", err)
+	}
+	extraClass := chainGraph(2, func(int) int { return 2 })
+	extraClass.Class("EXTRA").Domain = func(func(Args)) {}
+	extraFlow := chainGraph(2, func(int) int { return 2 })
+	extraFlow.ClassByName("SORT").AddFlow("S", Write)
+	renamed := NewGraph("renamed")
+	for _, tc := range same.Classes() {
+		c := renamed.Class(strings.ToLower(tc.Name))
+		c.Domain = tc.Domain
+		for _, f := range tc.Flows {
+			c.AddFlow(f.Name, f.Mode)
+		}
+	}
+	for name, g := range map[string]*Graph{"extra class": extraClass, "extra flow": extraFlow, "renamed classes": renamed} {
+		g.Bind(sk)
+		if _, err := NewTracker(g); err == nil || !strings.Contains(err.Error(), "bound skeleton") {
+			t.Errorf("%s: NewTracker error = %v", name, err)
+		}
+	}
+}
+
+// TestBoundTrackerAllocations: with a bound skeleton NewTracker is the
+// tracker, one Instance slab and one payload slab, whatever the graph's
+// size.
+func TestBoundTrackerAllocations(t *testing.T) {
+	allocs := func(chains int) float64 {
+		g := chainGraph(chains, func(int) int { return 4 })
+		sk, err := NewSkeleton(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Bind(sk)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewTracker(g); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(4), allocs(400)
+	if small != large || large > 8 {
+		t.Errorf("NewTracker on a bound graph: %v allocations at 56 instances, %v at 5,600; want equal and <= 8", small, large)
 	}
 }
 

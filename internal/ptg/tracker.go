@@ -2,6 +2,7 @@ package ptg
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -43,12 +44,17 @@ type Instance struct {
 	Seq      int // creation index; deterministic tie-breaker
 	State    InstState
 
-	// In holds the payload per flow index; nil for inactive flows and
-	// for task-sourced flows not yet delivered.
+	// In holds the payload per flow index (a sub-slice of the tracker's
+	// one payload slab): the delivered payload for a task-sourced flow, a
+	// NewBuffer for an InNew flow, and nil otherwise — for inactive flows,
+	// for task-sourced flows not yet delivered, and for flows supplied by
+	// terminal data. The DataRef of an InData flow is not materialized:
+	// bodies and behaviors fetch terminal data themselves (a Global
+	// Arrays access), and no executor reads it from here.
 	In        []any
-	delivered []bool
-	fromTask  []bool
-	pending   int
+	delivered uint32 // bit fi set: task-sourced flow fi has its payload
+	fromTask  uint32 // bit fi set: flow fi is supplied by another task
+	pending   int32
 }
 
 // String renders the instance with its affinity and state.
@@ -85,75 +91,66 @@ type TerminalWrite struct {
 	Data     DataRef
 }
 
-// Tracker materializes a graph's instances and tracks dataflow readiness.
-// It is the engine both executors drive: Complete(task) returns the
-// deliveries its outputs trigger; Deliver(payload) marks an input
-// satisfied and reports newly ready tasks. The state-transition methods
-// (Start, Complete, Deliver, CheckQuiescent) synchronize on the
-// tracker's own mutex, so concurrent executors can call them directly
-// without holding any scheduler lock; Done and Remaining are lock-free.
+// Tracker holds the per-execution state of a graph's instances and
+// tracks dataflow readiness. The graph's structure — instances, their
+// resolved inputs, the edges that fire — comes from a Skeleton, built
+// once per plan (Graph.Bind) or privately by NewTracker; the tracker adds
+// only what changes during a run: lifecycle states, delivered payloads
+// and pending counts. It is the engine every executor drives:
+// Complete(task) returns the deliveries its outputs trigger;
+// Deliver(payload) marks an input satisfied and reports newly ready
+// tasks. The state-transition methods (Complete, Deliver, ClaimStart,
+// CheckQuiescent) synchronize on the tracker's own mutex, so concurrent
+// executors can call them directly without holding any scheduler lock;
+// Done and Remaining are lock-free.
 type Tracker struct {
-	G         *Graph
-	instances map[TaskRef]*Instance
-	order     []*Instance
+	G    *Graph
+	sk   *Skeleton
+	inst []Instance // indexed by Seq
 
-	mu        sync.Mutex // guards instance state transitions + completed
+	mu        sync.Mutex // guards instance state transitions
 	remaining atomic.Int64
-	completed int
 }
 
-// NewTracker validates the graph, enumerates every instance, resolves
-// input alternatives, and computes initial readiness.
+// NewTracker validates the graph and instantiates it for one execution.
+// With a bound skeleton that is two slab allocations and a copy; without
+// one it first builds a private skeleton (see NewSkeleton for the
+// structural errors that reports) and then takes the same path.
 func NewTracker(g *Graph) (*Tracker, error) {
-	if err := g.Validate(); err != nil {
+	sk := g.skel
+	var err error
+	if sk == nil {
+		sk, err = NewSkeleton(g)
+	} else if err = g.Validate(); err == nil {
+		err = sk.matches(g)
+	}
+	if err != nil {
 		return nil, err
 	}
-	t := &Tracker{G: g, instances: make(map[TaskRef]*Instance)}
-	for _, tc := range g.Classes() {
-		tc.Domain(func(a Args) {
-			ref := TaskRef{Class: tc.Name, Args: a}
-			if _, dup := t.instances[ref]; dup {
-				panic(fmt.Sprintf("ptg: domain of %s emits %v twice", tc.Name, a))
-			}
-			inst := &Instance{
-				Ref:       ref,
-				Class:     tc,
-				Seq:       len(t.order),
-				In:        make([]any, len(tc.Flows)),
-				delivered: make([]bool, len(tc.Flows)),
-				fromTask:  make([]bool, len(tc.Flows)),
-			}
-			if tc.Affinity != nil {
-				inst.Node = tc.Affinity(a)
-			}
-			if tc.Priority != nil {
-				inst.Priority = tc.Priority(a)
-			}
-			for fi, f := range tc.Flows {
-				dep, ok := matchIn(f, a)
-				if !ok {
-					continue // inactive flow
-				}
-				switch {
-				case dep.Producer != nil:
-					inst.fromTask[fi] = true
-					inst.pending++
-				case dep.Data != nil:
-					inst.In[fi] = dep.Data(a)
-					inst.delivered[fi] = true
-				case dep.New != nil:
-					inst.In[fi] = NewBuffer{Bytes: dep.New(a)}
-					inst.delivered[fi] = true
-				}
-			}
-			if inst.pending == 0 {
-				inst.State = StateReady
-			}
-			t.instances[ref] = inst
-			t.order = append(t.order, inst)
-		})
+	t := &Tracker{G: g, sk: sk, inst: make([]Instance, len(sk.inst))}
+	slab := make([]any, sk.nslots)
+	for _, nb := range sk.news {
+		slab[nb.slot] = sk.newVals[nb.val]
 	}
-	t.remaining.Store(int64(len(t.order)))
+	for ci, tc := range g.order {
+		sc := &sk.classes[ci]
+		nf := len(tc.Flows)
+		for i := sc.base; i < sc.base+sc.n; i++ {
+			si, in := &sk.inst[i], &t.inst[i]
+			in.Ref = TaskRef{Class: tc.Name, Args: widen(si.args)}
+			in.Class = tc
+			in.Node = int(si.node)
+			in.Priority = si.prio
+			in.Seq = int(i)
+			in.In, slab = slab[:nf:nf], slab[nf:]
+			in.fromTask = si.fromTask
+			in.pending = int32(bits.OnesCount32(si.fromTask))
+			if in.pending == 0 {
+				in.State = StateReady
+			}
+		}
+	}
+	t.remaining.Store(int64(len(t.inst)))
 	return t, nil
 }
 
@@ -168,7 +165,7 @@ func matchIn(f *Flow, a Args) (InDep, bool) {
 }
 
 // NumInstances returns the total number of task instances.
-func (t *Tracker) NumInstances() int { return len(t.order) }
+func (t *Tracker) NumInstances() int { return len(t.inst) }
 
 // Remaining returns the number of instances not yet completed.
 func (t *Tracker) Remaining() int { return int(t.remaining.Load()) }
@@ -176,19 +173,37 @@ func (t *Tracker) Remaining() int { return int(t.remaining.Load()) }
 // Done reports whether every instance has completed.
 func (t *Tracker) Done() bool { return t.remaining.Load() == 0 }
 
-// Instance returns the instance for a reference, or nil.
-func (t *Tracker) Instance(ref TaskRef) *Instance { return t.instances[ref] }
+// Instance returns the instance for a reference, or nil if the class is
+// unknown or its domain did not emit those args.
+func (t *Tracker) Instance(ref TaskRef) *Instance {
+	tc := t.G.classes[ref.Class]
+	if tc == nil {
+		return nil
+	}
+	i := t.sk.lookup(tc.idx, ref.Args)
+	if i < 0 {
+		return nil
+	}
+	return &t.inst[i]
+}
 
-// Instances returns all instances in deterministic creation order.
-// Callers must not mutate the returned slice.
-func (t *Tracker) Instances() []*Instance { return t.order }
+// Instances returns all instances in deterministic creation order, in a
+// slice allocated per call (executors hold instances by pointer; only
+// whole-graph scans such as a takeover need the list).
+func (t *Tracker) Instances() []*Instance {
+	all := make([]*Instance, len(t.inst))
+	for i := range t.inst {
+		all[i] = &t.inst[i]
+	}
+	return all
+}
 
 // InitialReady returns the instances ready before any completions, in
 // deterministic creation order.
 func (t *Tracker) InitialReady() []*Instance {
-	var ready []*Instance
-	for _, in := range t.order {
-		if in.State == StateReady {
+	ready := make([]*Instance, 0, t.sk.nready)
+	for i := range t.inst {
+		if in := &t.inst[i]; in.State == StateReady {
 			ready = append(ready, in)
 		}
 	}
@@ -224,46 +239,41 @@ func (t *Tracker) ClaimStart(in *Instance) error {
 }
 
 // Complete marks a running (or, for executors that skip Start, ready)
-// instance done and evaluates its output dependencies. It returns the
-// deliveries to perform and the terminal writes its flows are bound to.
+// instance done and returns the deliveries to perform — one per resolved
+// out-edge, in flow order then Outs order, sized by the producer's
+// FlowBytes unless the consumer's InBytes overrides it — and the
+// terminal writes its flows are bound to. Only the state transition
+// takes the lock: edges and classes are read-only.
 func (t *Tracker) Complete(in *Instance) ([]Delivery, []TerminalWrite, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if in.State != StateRunning && in.State != StateReady {
+		t.mu.Unlock()
 		return nil, nil, fmt.Errorf("ptg: Complete(%v) in state %v", in.Ref, in.State)
 	}
 	in.State = StateDone
+	t.mu.Unlock()
 	t.remaining.Add(-1)
-	t.completed++
-	var dels []Delivery
-	var writes []TerminalWrite
+
 	a := in.Ref.Args
+	edges := t.sk.edgesOf(in.Seq)
+	dels := make([]Delivery, len(edges))
+	for k, e := range edges {
+		to := &t.inst[e.to]
+		var bytes int64
+		if in.Class.FlowBytes != nil {
+			bytes = in.Class.FlowBytes(a, in.Class.Flows[e.fromFlow].Name)
+		}
+		if to.Class.InBytes != nil {
+			bytes = to.Class.InBytes(to.Ref.Args, to.Class.Flows[e.toFlow].Name)
+		}
+		dels[k] = Delivery{From: in, FromFlow: int(e.fromFlow), To: to, ToFlow: int(e.toFlow), Bytes: bytes}
+	}
+	var writes []TerminalWrite
 	for fi, f := range in.Class.Flows {
 		for _, out := range f.Outs {
-			if out.Guard != nil && !out.Guard(a) {
-				continue
-			}
-			if out.Data != nil {
+			if out.Data != nil && (out.Guard == nil || out.Guard(a)) {
 				writes = append(writes, TerminalWrite{From: in, FromFlow: fi, Data: out.Data(a)})
-				continue
 			}
-			toRef, toFlowName := out.Consumer(a)
-			to := t.instances[toRef]
-			if to == nil {
-				return nil, nil, fmt.Errorf("ptg: %v flow %s targets nonexistent task %v", in.Ref, f.Name, toRef)
-			}
-			toFlow, ok := to.Class.FlowIndex(toFlowName)
-			if !ok {
-				return nil, nil, fmt.Errorf("ptg: %v flow %s targets nonexistent flow %s.%s", in.Ref, f.Name, toRef.Class, toFlowName)
-			}
-			var bytes int64
-			if in.Class.FlowBytes != nil {
-				bytes = in.Class.FlowBytes(a, f.Name)
-			}
-			if to.Class.InBytes != nil {
-				bytes = to.Class.InBytes(toRef.Args, toFlowName)
-			}
-			dels = append(dels, Delivery{From: in, FromFlow: fi, To: to, ToFlow: toFlow, Bytes: bytes})
 		}
 	}
 	return dels, writes, nil
@@ -277,31 +287,6 @@ func (t *Tracker) Deliver(to *Instance, flowIdx int, payload any) (bool, error) 
 	return t.deliverLocked(to, flowIdx, payload)
 }
 
-// DeliverAll performs every delivery of one completion under a single
-// lock acquisition, taking each payload from outs[d.FromFlow] (the
-// completed task's Ctx.Out). It returns the instances that became ready,
-// in delivery order. One lock per completion instead of one per edge
-// matters on wide fan-outs, where a single task releases thousands of
-// successors.
-func (t *Tracker) DeliverAll(dels []Delivery, outs []any) ([]*Instance, error) {
-	if len(dels) == 0 {
-		return nil, nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var ready []*Instance
-	for _, d := range dels {
-		ok, err := t.deliverLocked(d.To, d.ToFlow, outs[d.FromFlow])
-		if err != nil {
-			return ready, err
-		}
-		if ok {
-			ready = append(ready, d.To)
-		}
-	}
-	return ready, nil
-}
-
 func (t *Tracker) deliverLocked(to *Instance, flowIdx int, payload any) (bool, error) {
 	if to.State == StateDone || to.State == StateRunning {
 		return false, fmt.Errorf("ptg: Deliver to %v in state %v", to.Ref, to.State)
@@ -309,15 +294,16 @@ func (t *Tracker) deliverLocked(to *Instance, flowIdx int, payload any) (bool, e
 	if flowIdx < 0 || flowIdx >= len(to.In) {
 		return false, fmt.Errorf("ptg: Deliver to %v flow %d out of range", to.Ref, flowIdx)
 	}
-	if !to.fromTask[flowIdx] {
+	bit := uint32(1) << flowIdx
+	if to.fromTask&bit == 0 {
 		return false, fmt.Errorf("ptg: Deliver to %v flow %s which has no task source",
 			to.Ref, to.Class.Flows[flowIdx].Name)
 	}
-	if to.delivered[flowIdx] {
+	if to.delivered&bit != 0 {
 		return false, fmt.Errorf("ptg: duplicate delivery to %v flow %s",
 			to.Ref, to.Class.Flows[flowIdx].Name)
 	}
-	to.delivered[flowIdx] = true
+	to.delivered |= bit
 	to.In[flowIdx] = payload
 	to.pending--
 	if to.pending == 0 {
@@ -327,49 +313,32 @@ func (t *Tracker) deliverLocked(to *Instance, flowIdx int, payload any) (bool, e
 	return false, nil
 }
 
-// CompleteDeliver is Complete followed by DeliverAll, fused into a
-// single lock acquisition and no intermediate Delivery slice: the hot
-// path of the shared-memory runtime, where every completion would
-// otherwise pay two lock round-trips plus an allocation. Each output
-// dependency's payload is taken from outs (the task's Ctx.Out, indexed
-// by producer flow). Newly ready successors are appended to ready — a
-// caller-owned scratch buffer, so steady state allocates nothing — and
-// the extended slice is returned. Terminal writes are not reported:
-// shared-memory bodies perform their own Global Array updates.
+// CompleteDeliver is Complete followed by a Deliver per edge, fused into
+// a single lock acquisition and no intermediate Delivery slice: the hot
+// path of the shared-memory runtime, where the critical section is a
+// mask test and a decrement per successor. Each edge's payload is taken
+// from outs (the task's Ctx.Out, indexed by producer flow). Newly ready
+// successors are appended to ready — a caller-owned scratch buffer, so
+// steady state allocates nothing — and the extended slice is returned.
+// Terminal writes are not reported: shared-memory bodies perform their
+// own Global Array updates.
 func (t *Tracker) CompleteDeliver(in *Instance, outs []any, ready []*Instance) ([]*Instance, error) {
 	if in.State != StateRunning && in.State != StateReady {
 		return ready, fmt.Errorf("ptg: Complete(%v) in state %v", in.Ref, in.State)
 	}
+	edges := t.sk.edgesOf(in.Seq)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	in.State = StateDone
 	t.remaining.Add(-1)
-	t.completed++
-	a := in.Ref.Args
-	for fi, f := range in.Class.Flows {
-		for _, out := range f.Outs {
-			if out.Guard != nil && !out.Guard(a) {
-				continue
-			}
-			if out.Data != nil {
-				continue
-			}
-			toRef, toFlowName := out.Consumer(a)
-			to := t.instances[toRef]
-			if to == nil {
-				return ready, fmt.Errorf("ptg: %v flow %s targets nonexistent task %v", in.Ref, f.Name, toRef)
-			}
-			toFlow, ok := to.Class.FlowIndex(toFlowName)
-			if !ok {
-				return ready, fmt.Errorf("ptg: %v flow %s targets nonexistent flow %s.%s", in.Ref, f.Name, toRef.Class, toFlowName)
-			}
-			became, err := t.deliverLocked(to, toFlow, outs[fi])
-			if err != nil {
-				return ready, err
-			}
-			if became {
-				ready = append(ready, to)
-			}
+	for _, e := range edges {
+		to := &t.inst[e.to]
+		became, err := t.deliverLocked(to, int(e.toFlow), outs[e.fromFlow])
+		if err != nil {
+			return ready, err
+		}
+		if became {
+			ready = append(ready, to)
 		}
 	}
 	return ready, nil
@@ -384,10 +353,11 @@ func (t *Tracker) CompleteDeliver(in *Instance, outs []any, ready []*Instance) (
 func (t *Tracker) DeliveredFlow(in *Instance, flowIdx int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if flowIdx < 0 || flowIdx >= len(in.delivered) {
+	if flowIdx < 0 || flowIdx >= len(in.In) {
 		return false
 	}
-	return !in.fromTask[flowIdx] || in.delivered[flowIdx]
+	bit := uint32(1) << flowIdx
+	return in.fromTask&bit == 0 || in.delivered&bit != 0
 }
 
 // TaskSourced reports whether an instance's input on the given flow
@@ -396,10 +366,10 @@ func (t *Tracker) DeliveredFlow(in *Instance, flowIdx int) bool {
 // task-sourced delivered inputs: everything else every rank
 // reconstructs from the graph definition.
 func (t *Tracker) TaskSourced(in *Instance, flowIdx int) bool {
-	if flowIdx < 0 || flowIdx >= len(in.fromTask) {
+	if flowIdx < 0 || flowIdx >= len(in.In) {
 		return false
 	}
-	return in.fromTask[flowIdx]
+	return in.fromTask&(1<<flowIdx) != 0
 }
 
 // Reset returns a running instance to the ready state, keeping its
@@ -436,8 +406,8 @@ func (t *Tracker) CheckQuiescent() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, in := range t.order {
-		if in.State != StateDone {
+	for i := range t.inst {
+		if in := &t.inst[i]; in.State != StateDone {
 			return fmt.Errorf("ptg: %d task(s) incomplete; first: %v (pending inputs: %d)",
 				t.remaining.Load(), in.Ref, in.pending)
 		}

@@ -59,3 +59,30 @@ func BenchmarkDispatchFanout(b *testing.B) {
 		}
 	}
 }
+
+// TestDispatchAllocationsPerTask pins what dispatch allocates per task on
+// an empty-body fan-out: the Ctx, the Out buffer and the lending handle
+// are per worker, the tracker's state is two slabs, so a whole run —
+// tracker, queues, workers and heap growth included — stays under one
+// allocation per task.
+func TestDispatchAllocationsPerTask(t *testing.T) {
+	const tasks = 2048
+	g := benchFanout(tasks)
+	sk, err := ptg.NewSkeleton(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Bind(sk)
+	for _, q := range []sched.QueueMode{sched.SharedQueue, sched.PerWorkerSteal} {
+		perRun := testing.AllocsPerRun(5, func() {
+			if _, err := Run(g, Config{Workers: 2, Queues: q}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perTask := perRun / (tasks + 1); perTask > 1 {
+			t.Errorf("%v: %.2f allocations per task (%v per run), want <= 1", q, perTask, perRun)
+		} else {
+			t.Logf("%v: %.3f allocations per task (%v per run)", q, perTask, perRun)
+		}
+	}
+}

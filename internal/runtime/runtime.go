@@ -31,6 +31,7 @@ import (
 
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
+	"parsec/internal/team"
 	"parsec/internal/tensor/pool"
 )
 
@@ -158,6 +159,13 @@ type workerState struct {
 	byClass   map[string]int
 	scratch   []*ptg.Instance   // reusable ready-successor buffer
 	buckets   [][]*ptg.Instance // reusable per-shard batch buckets
+	// ctx and out are the execution context and Ctx.Out buffer of the
+	// task this worker is running, reused from task to task (bodies must
+	// not retain them, see ptg.Ctx); par is the worker's lending handle,
+	// boxed once.
+	ctx ptg.Ctx
+	out []any
+	par team.Parallelism
 	// loc is the worker's scratch shard for pooled kernel buffers:
 	// single-owner Get/Put cycles stay on this unsynchronized free list
 	// instead of the shared size-class pool.
@@ -199,6 +207,7 @@ func Run(g *ptg.Graph, cfg Config) (Report, error) {
 		r.ws[i].rng = sched.NewRNG(i)
 		r.ws[i].byClass = make(map[string]int)
 		r.ws[i].loc = pool.NewLocal()
+		r.ws[i].par = workerTeam{r: r, id: i}
 	}
 
 	initial := tr.InitialReady()
@@ -623,16 +632,13 @@ func (r *runner) work(id int) {
 
 func (r *runner) execute(worker int, in *ptg.Instance) error {
 	ws := &r.ws[worker]
-	ctx := &ptg.Ctx{
-		Args: in.Ref.Args,
-		Node: in.Node,
-		Seq:  in.Seq,
-		In:   in.In,
-		Out:  make([]any, len(in.In)),
-		Pool: ws.loc,
-		Par:  workerTeam{r: r, id: worker},
+	if cap(ws.out) < len(in.In) {
+		ws.out = make([]any, len(in.In))
 	}
-	copy(ctx.Out, in.In)
+	out := ws.out[:len(in.In)]
+	copy(out, in.In)
+	ctx := &ws.ctx
+	*ctx = ptg.Ctx{Args: in.Ref.Args, Node: in.Node, Seq: in.Seq, In: in.In, Out: out, Pool: ws.loc, Par: ws.par}
 	obs := r.cfg.Observer
 	if delay := r.cfg.TaskDelay; delay != nil {
 		if d := delay(worker, in.Ref); d > 0 {
@@ -663,6 +669,7 @@ func (r *runner) execute(worker int, in *ptg.Instance) error {
 	// own lock, not on any scheduler structure. One lock acquisition
 	// covers the completion and every delivery it triggers.
 	ready, err := r.tr.CompleteDeliver(in, ctx.Out, ws.scratch[:0])
+	clear(out) // the successors hold the payloads now; do not pin them here
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,5 @@
 package sched
 
-import "container/heap"
-
 // Task is the minimal view the scheduling core needs of a schedulable
 // unit. ptg.Instance implements it for the PTG executors; dtd's
 // in-memory DAG nodes implement it for the Dynamic Task Discovery
@@ -29,42 +27,90 @@ func Before[T Task](a, b T) bool {
 	return a.SchedSeq() < b.SchedSeq()
 }
 
-// Heap is a priority heap ordered by Before: the heap's root is the
-// task that should run next. It implements container/heap.Interface;
-// callers can use PushTask/PopTask instead of the heap package.
-type Heap[T Task] []T
+// Heap is a binary priority heap ordered by Before: the root is the task
+// that should run next. Each entry carries its task's (priority, seq)
+// key, read once at push, and the sifts are inline rather than through
+// container/heap: a deep shared queue sits under its shard lock for
+// every pop, and comparing through the tasks themselves costs a cache
+// miss per level (a 16k-deep heap of instances spans megabytes) on top
+// of the generic protocol's four interface calls per comparison. Before
+// is a strict total order, so any correct heap pops the same sequence;
+// the conformance suite pins it.
+type Heap[T Task] []heapEntry[T]
 
-// Len returns the number of queued tasks.
-func (h Heap[T]) Len() int { return len(h) }
-
-// Less orders the heap by Before.
-func (h Heap[T]) Less(i, j int) bool { return Before(h[i], h[j]) }
-
-// Swap exchanges two entries.
-func (h Heap[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-// Push appends an entry (container/heap protocol; use PushTask).
-func (h *Heap[T]) Push(x any) { *h = append(*h, x.(T)) }
-
-// Pop removes the last entry (container/heap protocol; use PopTask).
-func (h *Heap[T]) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	var zero T
-	old[n-1] = zero // drop the reference for the garbage collector
-	*h = old[:n-1]
-	return x
+type heapEntry[T Task] struct {
+	prio int64
+	seq  int
+	task T
 }
 
+// before is Before on the entries' keys.
+func (a heapEntry[T]) before(b heapEntry[T]) bool {
+	if a.prio != b.prio {
+		return a.prio > b.prio
+	}
+	return a.seq < b.seq
+}
+
+// At returns the task at heap index i; index 0 is the Before-best.
+func (h Heap[T]) At(i int) T { return h[i].task }
+
 // PushTask adds a task, restoring heap order.
-func (h *Heap[T]) PushTask(t T) { heap.Push(h, t) }
+func (h *Heap[T]) PushTask(t T) {
+	s := append(*h, heapEntry[T]{t.SchedPriority(), t.SchedSeq(), t})
+	*h = s
+	// Sift the new entry toward the root.
+	i := len(s) - 1
+	x := s[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = x
+}
 
 // PopTask removes and returns the Before-best task. The heap must be
 // nonempty.
-func (h *Heap[T]) PopTask() T { return heap.Pop(h).(T) }
+func (h *Heap[T]) PopTask() T { return h.RemoveAt(0) }
 
 // RemoveAt removes and returns the task at heap index i, restoring heap
 // order (for pickers that choose a victim by scanning, like the
 // migratable-task steal).
-func (h *Heap[T]) RemoveAt(i int) T { return heap.Remove(h, i).(T) }
+func (h *Heap[T]) RemoveAt(i int) T {
+	s := *h
+	n := len(s) - 1
+	removed, x := s[i].task, s[n]
+	s[n] = heapEntry[T]{} // drop the reference for the garbage collector
+	s = s[:n]
+	*h = s
+	if i == n {
+		return removed
+	}
+	// The last entry x refills the hole: sift it toward the leaves, or,
+	// if it did not move, toward the root (i need not be the root).
+	sunk := false
+	for child := 2*i + 1; child < n; child = 2*i + 1 {
+		if r := child + 1; r < n && s[r].before(s[child]) {
+			child = r
+		}
+		if !s[child].before(x) {
+			break
+		}
+		s[i] = s[child]
+		i, sunk = child, true
+	}
+	for !sunk && i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = x
+	return removed
+}

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"parsec/internal/ptg"
@@ -54,8 +56,50 @@ func TestHeapPopOrder(t *testing.T) {
 			t.Fatalf("pop %d: seq = %d, want %d", i, in.Seq, seq)
 		}
 	}
-	if h.Len() != 0 {
-		t.Fatalf("heap not drained: %d left", h.Len())
+	if len(h) != 0 {
+		t.Fatalf("heap not drained: %d left", len(h))
+	}
+}
+
+// TestHeapRandomOps drives the inline sifts through random pushes, pops
+// and mid-heap removals against a sorted reference: every pop must be
+// the Before-best of what is queued, whatever RemoveAt took out.
+func TestHeapRandomOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var h Heap[*ptg.Instance]
+	var ref []*ptg.Instance // kept sorted by Before
+	remove := func(in *ptg.Instance) {
+		for i, r := range ref {
+			if r == in {
+				ref = append(ref[:i], ref[i+1:]...)
+				return
+			}
+		}
+		t.Fatalf("removed %v which the reference does not hold", in)
+	}
+	for seq := 0; seq < 4000; seq++ {
+		in := inst(int64(rng.Intn(8)), seq)
+		h.PushTask(in)
+		k := sort.Search(len(ref), func(k int) bool { return Before(in, ref[k]) })
+		ref = append(ref[:k], append([]*ptg.Instance{in}, ref[k:]...)...)
+		switch rng.Intn(4) {
+		case 0:
+			if got := h.PopTask(); got != ref[0] {
+				t.Fatalf("after %d ops: pop p%d/s%d, want p%d/s%d", seq, got.Priority, got.Seq, ref[0].Priority, ref[0].Seq)
+			}
+			ref = ref[1:]
+		case 1:
+			remove(h.RemoveAt(rng.Intn(len(h))))
+		}
+	}
+	for len(ref) > 0 {
+		if got := h.PopTask(); got != ref[0] {
+			t.Fatalf("drain: pop p%d/s%d, want p%d/s%d", got.Priority, got.Seq, ref[0].Priority, ref[0].Seq)
+		}
+		ref = ref[1:]
+	}
+	if len(h) != 0 {
+		t.Fatalf("heap not drained: %d left", len(h))
 	}
 }
 

@@ -74,21 +74,21 @@ func (q *Queue) Peek() *ptg.Instance {
 		return nil
 	}
 	if len(q.heap) > 0 {
-		return q.heap[0]
+		return q.heap.At(0)
 	}
 	return nil
 }
 
-// items exposes the backing slice (heap order or stack order) for
-// whole-queue scans like the migratable-task picker.
-func (q *Queue) items() []*ptg.Instance {
+// at returns the instance at backing-slice index i (heap order or stack
+// order), for whole-queue scans like the migratable-task picker.
+func (q *Queue) at(i int) *ptg.Instance {
 	if q.lifo {
-		return q.stack
+		return q.stack[i]
 	}
-	return q.heap
+	return q.heap.At(i)
 }
 
-// removeAt removes and returns the instance at items() index i.
+// removeAt removes and returns the instance at backing-slice index i.
 func (q *Queue) removeAt(i int) *ptg.Instance {
 	if q.lifo {
 		in := q.stack[i]

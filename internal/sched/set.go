@@ -193,7 +193,8 @@ func (s *Set) PopWhere(ok func(*ptg.Instance) bool) *ptg.Instance {
 func (s *Set) findWhere(ok func(*ptg.Instance) bool) (best *ptg.Instance, bq, bi int) {
 	bq, bi = -1, -1
 	for q := range s.queues {
-		for i, in := range s.queues[q].items() {
+		for i := 0; i < s.queues[q].Len(); i++ {
+			in := s.queues[q].at(i)
 			if !ok(in) {
 				continue
 			}

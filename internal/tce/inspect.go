@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // GemmMeta is one entry of the inspection phase's metadata arrays: the
@@ -48,6 +49,9 @@ func (c *ChainMeta) Flops() int64 {
 type Workload struct {
 	Kernel *Kernel
 	Chains []*ChainMeta
+
+	uniqOnce sync.Once
+	uniq     map[string][]BlockRef // see UniqueBlocks
 }
 
 // Locator maps a block to the node that owns its Global Array storage.
@@ -158,32 +162,36 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// UniqueBlocks returns the distinct input blocks of a tensor referenced by
-// the workload, in deterministic order. Used to size and fill the Global
-// Arrays before execution.
+// UniqueBlocks returns the distinct blocks of a tensor referenced by the
+// workload (inputs by its GEMMs, outputs by its chains), ordered by their
+// printed form. Used to size and fill the Global Arrays before execution
+// and to build the energy weights after it, several times per job, so
+// the lists are derived once per workload; callers must not mutate the
+// returned slice.
 func (w *Workload) UniqueBlocks(tensorName string) []BlockRef {
-	seen := make(map[string]BlockRef)
-	for _, c := range w.Chains {
-		if c.Out.Tensor == tensorName {
-			seen[c.Out.String()] = c.Out
-		}
-		for _, g := range c.Gemms {
-			if g.Op.A.Tensor == tensorName {
-				seen[g.Op.A.String()] = g.Op.A
-			}
-			if g.Op.B.Tensor == tensorName {
-				seen[g.Op.B.String()] = g.Op.B
+	w.uniqOnce.Do(func() {
+		printed := make(map[BlockRef]string)
+		add := func(ref BlockRef) {
+			if _, seen := printed[ref]; !seen {
+				printed[ref] = ref.String()
 			}
 		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]BlockRef, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
-	}
-	return out
+		for _, c := range w.Chains {
+			add(c.Out)
+			for _, g := range c.Gemms {
+				add(g.Op.A)
+				add(g.Op.B)
+			}
+		}
+		refs := make([]BlockRef, 0, len(printed))
+		for ref := range printed {
+			refs = append(refs, ref)
+		}
+		sort.Slice(refs, func(i, j int) bool { return printed[refs[i]] < printed[refs[j]] })
+		w.uniq = make(map[string][]BlockRef)
+		for _, ref := range refs {
+			w.uniq[ref.Tensor] = append(w.uniq[ref.Tensor], ref)
+		}
+	})
+	return w.uniq[tensorName]
 }

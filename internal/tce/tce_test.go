@@ -2,6 +2,7 @@ package tce
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -203,6 +204,24 @@ func TestUniqueBlocksDeterministicAndComplete(t *testing.T) {
 				t.Fatalf("missing A block %v", g.Op.A)
 			}
 		}
+	}
+	// The lists are derived once per workload; a second inspection of the
+	// same system must derive the same ones: no block twice, each list in
+	// ascending printed order, for inputs and outputs alike.
+	w2 := Inspect(T2_7(sys), nil)
+	for _, name := range []string{TensorA, TensorB, TensorC} {
+		got, again := w.UniqueBlocks(name), w2.UniqueBlocks(name)
+		if len(got) == 0 || !slices.Equal(got, again) {
+			t.Fatalf("%s: %d blocks vs %d from a second inspection", name, len(got), len(again))
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i-1].String() >= got[i].String() {
+				t.Fatalf("%s: %v listed before %v", name, got[i-1], got[i])
+			}
+		}
+	}
+	if w.UniqueBlocks("nosuch") != nil {
+		t.Error("blocks listed for a tensor the workload never references")
 	}
 }
 
