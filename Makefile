@@ -81,9 +81,13 @@ sched-conformance:
 # Distributed-runtime conformance: wire-codec round-trips, the in-process
 # socket backends, the multi-process benzene acceptance run, and the
 # kill/sever chaos run, all under the race detector, plus a short fuzz of
-# the frame decoder (internal/netrun).
+# the frame decoder (internal/netrun). A rank's message handlers push
+# into, and take from, an executor whose workers may all be parked; the
+# tests that live on that seam run five more times.
 netrun-conformance:
 	$(GO) test -race -count=1 ./internal/netrun
+	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestInterNodeStealRedispatch|TestCancel|TestProcessChaosKillAndSever' ./internal/netrun
+	$(GO) test -race -count=5 -run 'TestExecutorForeignPushWhileParked' ./internal/runtime
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/netrun
 
 # Multi-process distributed smoke: benzene with real arithmetic across 3

@@ -148,39 +148,7 @@ type ExecConfig struct {
 // correlation energy. Concurrent Executes of the same plan are safe —
 // the plan is read-only after Compile.
 func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
-	w := p.Workload
-	store := ga.NewStore(1)
-	aName, bName := w.InputTensors()
-	a := store.Create(aName)
-	bt := store.Create(bName)
-	store.Create(tce.TensorC)
-	for _, ref := range w.UniqueBlocks(aName) {
-		w.FillBlock(ref, a.GetOrCreate(ref.Key, ref.Dims))
-	}
-	for _, ref := range w.UniqueBlocks(bName) {
-		w.FillBlock(ref, bt.GetOrCreate(ref.Key, ref.Dims))
-	}
-
-	g := p.NewGraph(store)
-	policy := sched.PriorityOrder
-	if !p.Spec.UsePriorities() {
-		policy = sched.LIFOOrder
-	}
-	rcfg := runtime.Config{
-		Workers: cfg.Workers,
-		Policy:  policy,
-		Queues:  cfg.Queue,
-		Cancel:  cfg.Cancel,
-	}
-	if cfg.Trace != nil {
-		rcfg.Observer = runtime.TraceObserver(0, cfg.Trace)
-	}
-	rep, err := runtime.Run(g, rcfg)
-	if err != nil {
-		return RealResult{}, err
-	}
-	return RealResult{
-		Energy: w.Energy(store.Array(tce.TensorC)),
-		Report: rep,
-	}, nil
+	store := filledStore(p.Workload)
+	rcfg := runtime.Config{Workers: cfg.Workers, Queues: cfg.Queue, Cancel: cfg.Cancel}
+	return runKernelGraph(p.Workload, p.Spec, p.NewGraph(store), store, rcfg, cfg.Trace)
 }

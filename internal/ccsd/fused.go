@@ -274,19 +274,8 @@ func BuildEnergyStaged(w *tce.Workload, opts Options, result *float64) *ptg.Grap
 // RunRealFused executes the fused graph with real arithmetic and returns
 // the correlation energy, which must equal the reference functional.
 func RunRealFused(w *tce.Workload, workers int) (float64, error) {
-	store := ga.NewStore(1)
-	aName, bName := w.InputTensors()
-	a := store.Create(aName)
-	bt := store.Create(bName)
-	store.Create(tce.TensorC)
-	for _, ref := range w.UniqueBlocks(aName) {
-		w.FillBlock(ref, a.GetOrCreate(ref.Key, ref.Dims))
-	}
-	for _, ref := range w.UniqueBlocks(bName) {
-		w.FillBlock(ref, bt.GetOrCreate(ref.Key, ref.Dims))
-	}
 	var result float64
-	g := BuildFused(w, Options{Nodes: 1, Store: store}, &result)
+	g := BuildFused(w, Options{Nodes: 1, Store: filledStore(w)}, &result)
 	if _, err := runtime.Run(g, runtime.Config{Workers: workers}); err != nil {
 		return 0, err
 	}

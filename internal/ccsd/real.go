@@ -58,24 +58,35 @@ func runRealTraced(w *tce.Workload, spec VariantSpec, workers, segHeight int, qu
 // runRealDelayed is the full-option form behind every real-execution
 // entry point, adding the fault-injection task-delay hook.
 func runRealDelayed(w *tce.Workload, spec VariantSpec, workers, segHeight int, queue sched.QueueMode, tr *trace.Trace, delay func(int, ptg.TaskRef) time.Duration) (RealResult, error) {
+	store := filledStore(w)
+	g := BuildGraph(w, spec, Options{Nodes: 1, Store: store, SegmentHeight: segHeight})
+	return runKernelGraph(w, spec, g, store, runtime.Config{Workers: workers, Queues: queue, TaskDelay: delay}, tr)
+}
+
+// filledStore returns a fresh single-node store holding the workload's
+// two input tensors, every distinct block filled, and an empty output
+// array: the state one real execution starts from.
+func filledStore(w *tce.Workload) *ga.Store {
 	store := ga.NewStore(1)
 	aName, bName := w.InputTensors()
-	a := store.Create(aName)
-	bt := store.Create(bName)
+	for _, name := range []string{aName, bName} {
+		arr := store.Create(name)
+		for _, ref := range w.UniqueBlocks(name) {
+			w.FillBlock(ref, arr.GetOrCreate(ref.Key, ref.Dims))
+		}
+	}
 	store.Create(tce.TensorC)
-	for _, ref := range w.UniqueBlocks(aName) {
-		w.FillBlock(ref, a.GetOrCreate(ref.Key, ref.Dims))
-	}
-	for _, ref := range w.UniqueBlocks(bName) {
-		w.FillBlock(ref, bt.GetOrCreate(ref.Key, ref.Dims))
-	}
+	return store
+}
 
-	g := BuildGraph(w, spec, Options{Nodes: 1, Store: store, SegmentHeight: segHeight})
-	policy := sched.PriorityOrder
+// runKernelGraph executes a kernel graph bound to store on the goroutine
+// runtime — the variant picks the ready-queue policy, tr (if non-nil)
+// records every task — and reduces the output array to the energy.
+func runKernelGraph(w *tce.Workload, spec VariantSpec, g *ptg.Graph, store *ga.Store, rcfg runtime.Config, tr *trace.Trace) (RealResult, error) {
+	rcfg.Policy = sched.PriorityOrder
 	if !spec.UsePriorities() {
-		policy = sched.LIFOOrder
+		rcfg.Policy = sched.LIFOOrder
 	}
-	rcfg := runtime.Config{Workers: workers, Policy: policy, Queues: queue, TaskDelay: delay}
 	if tr != nil {
 		rcfg.Observer = runtime.TraceObserver(0, tr)
 	}

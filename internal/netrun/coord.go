@@ -391,7 +391,9 @@ func (co *coordinator) wait() (*Result, error) {
 	for co.nComplete() != co.spec.numInstances {
 		select {
 		case <-co.failCh:
-			co.shutdown()
+			// As for cancellation below: the ranks that did not fail
+			// must see the shutdown before the sockets close.
+			co.awaitReports(co.shutdown())
 			return nil, co.err()
 		case <-co.cfg.Cancel:
 			// Cancellation is honored only after the registration
@@ -438,7 +440,7 @@ func (co *coordinator) wait() (*Result, error) {
 		}
 		select {
 		case <-co.failCh:
-			co.shutdown()
+			co.awaitReports(co.shutdown())
 			return nil, co.err()
 		case <-deadline:
 			co.shutdown()

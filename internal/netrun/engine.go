@@ -2,45 +2,41 @@ package netrun
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
-	"sync"
-
 	"parsec/internal/ptg"
-	"parsec/internal/sched"
-	"parsec/internal/team"
-	"parsec/internal/tensor/pool"
+	"parsec/internal/runtime"
 )
 
-// engine is one rank's local executor: the shared scheduling core
-// driving real worker goroutines, with completions routed either into
-// the rank-local tracker or onto the wire. It mirrors the shared-memory
-// runtime's semantics — same pop order, same queue pinning, same
-// randomized victim probe — but trades that runtime's sharded locks for
-// one engine mutex: a rank here owns a slice of the graph, not the
-// whole machine, so contention is not the design constraint and the
-// simplicity pays for itself in the recovery paths.
+// engine is the rank side of one rank's execution. Running ready
+// instances on goroutines — queues, park/unpark, the intra-rank steal,
+// worker lending, Ctx reuse, body failure capture — is runtime.Executor,
+// the same worker loop the shared-memory runtime.Run drives. The engine
+// supplies only what makes it a rank: which instances it schedules
+// (owned, adopted, migratedTo, queued), where a completion's payloads go
+// (the rank-local tracker or the wire), completion reporting to the
+// coordinator's termination bitset, the heartbeat, and the inter-node
+// steal, migrate and takeover handlers.
 type engine struct {
-	cfg   Config
-	rank  int
-	tp    *transport
-	tr    *ptg.Tracker
-	start time.Time
+	cfg  Config
+	rank int
+	tp   *transport
+	tr   *ptg.Tracker
+	ex   *runtime.Executor
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	set  *sched.Set
-	rngs []sched.RNG
-	// locals are the per-worker scratch shards for pooled kernel
-	// buffers (task bodies reach them through Ctx.Pool). Intra-task
-	// parallelism (Ctx.Par) is wired to team.Serial: a rank's workers
-	// are few and remote steals already balance coarse work, so bodies
-	// get an explicit one-worker contract (GemmP degenerates to the
-	// serial kernel bitwise) instead of a nil they must guard against.
-	locals  []*pool.Local
-	stopped bool
-	failed  error
-	stopCh  chan struct{}
+	stopOnce sync.Once
+	stopCh   chan struct{}
+	failOnce sync.Once
+	wg       sync.WaitGroup
+	// traces holds one event list per executor worker, each appended to
+	// only by that worker (the executor's Observer runs on it).
+	traces [][]RankTraceEvent
+
+	// mu guards the rank bookkeeping below; no scheduling happens under
+	// it. It may be held while calling into the executor, never the
+	// reverse.
+	mu sync.Mutex
 	// owned marks the ranks whose instances this engine schedules: its
 	// own, plus any dead rank it inherited.
 	owned []bool
@@ -57,24 +53,23 @@ type engine struct {
 	// say) and is dropped; the one legitimate re-push — re-claiming a
 	// task from a dead thief — clears the mark first.
 	queued    map[*ptg.Instance]bool
-	lastSteal int64 // Now() of the last steal request
+	lastSteal time.Time // of the last steal request
 	// doneSeqs are completed instances not yet reported to the
 	// coordinator: they leave as one msgDone when doneBatch have
-	// gathered, when a worker finds the queue dry, or on the heartbeat.
+	// gathered, when a worker runs dry, or on the heartbeat.
 	doneSeqs []int
 
-	tasks       int
-	byClass     map[string]int
 	adoptedN    int
 	redisp      int
 	redispBytes int64
-	traceEvs    []RankTraceEvent
-
-	wg sync.WaitGroup
 }
 
 // doneBatch is the completion count that forces a msgDone out.
 const doneBatch = 64
+
+// stealInterval is the least time between two steal requests of one
+// rank, however many of its workers run dry.
+const stealInterval = 5 * time.Millisecond
 
 func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 	e := &engine{
@@ -82,247 +77,135 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 		rank:       rank,
 		tp:         tp,
 		tr:         tr,
-		start:      time.Now(),
-		rngs:       make([]sched.RNG, cfg.Workers),
-		locals:     make([]*pool.Local, cfg.Workers),
 		stopCh:     make(chan struct{}),
+		traces:     make([][]RankTraceEvent, cfg.Workers),
 		owned:      make([]bool, cfg.Ranks),
 		adopted:    make(map[*ptg.Instance]bool),
 		migratedTo: make(map[*ptg.Instance]int),
 		takenOver:  make(map[int]bool),
 		queued:     make(map[*ptg.Instance]bool),
-		byClass:    make(map[string]int),
 	}
-	e.cond = sync.NewCond(&e.mu)
 	e.owned[rank] = true
-	for w := range e.rngs {
-		e.rngs[w] = sched.NewRNG(w)
-		e.locals[w] = pool.NewLocal()
+	xcfg := runtime.Config{
+		Workers:       cfg.Workers,
+		Policy:        cfg.Policy,
+		Queues:        cfg.Queues,
+		SchedObserver: cfg.SchedObserver,
+		Observer: func(ev runtime.Event) {
+			e.traces[ev.Worker] = append(e.traces[ev.Worker], RankTraceEvent{
+				Thread: ev.Worker, Class: ev.Task.Class, Label: ev.Task.String(),
+				StartNs: int64(ev.Start), EndNs: int64(ev.End),
+			})
+		},
 	}
-	e.set = sched.NewSet(cfg.Workers, cfg.Policy, cfg.Queues, e, cfg.SchedObserver)
+	if delay := cfg.TaskDelay; delay != nil {
+		xcfg.TaskDelay = func(worker int, ref ptg.TaskRef) time.Duration { return delay(rank, worker, ref) }
+	}
+	// Claims go through the tracker's lock: message handlers (steal
+	// probes, takeover scans) read and claim instance state concurrently
+	// with the workers.
+	e.ex = runtime.NewExecutor(xcfg, runtime.Hooks{Start: tr.ClaimStart, Complete: e.complete, Dry: e.dry})
 	return e
 }
 
-// The engine is the scheduling core's substrate on this rank.
-var _ sched.Substrate = (*engine)(nil)
-
-// Now returns nanoseconds since the engine started (sched.Substrate).
-func (e *engine) Now() int64 { return int64(time.Since(e.start)) }
-
-// Idle is unused: engine workers wait on the condition variable
-// directly, under the same mutex that guards the set (sched.Substrate).
-func (e *engine) Idle(worker int) {}
-
-// Kick wakes the workers (sched.Substrate).
-func (e *engine) Kick(worker int) { e.cond.Broadcast() }
-
 // run pushes this rank's initially ready instances and starts the
-// worker goroutines and the heartbeat.
+// executor and the heartbeat.
 func (e *engine) run() {
-	e.mu.Lock()
 	for _, in := range e.tr.InitialReady() {
 		if in.Node == e.rank {
-			e.pushLocked(in)
+			e.push(in)
 		}
 	}
-	e.mu.Unlock()
-	for w := 0; w < e.cfg.Workers; w++ {
-		e.wg.Add(1)
-		go e.workLoop(w)
-	}
-	e.wg.Add(1)
+	e.wg.Add(2)
+	go func() {
+		defer e.wg.Done()
+		// A body panic or Ctx.Fail, or a completion error, stops the
+		// workers from inside; this is where the rank learns of it.
+		if err := e.ex.Run(); err != nil {
+			e.abort(err)
+		}
+	}()
 	go e.heartbeat()
 }
 
 // stop halts the workers and the heartbeat; it does not wait.
 func (e *engine) stop() {
-	e.mu.Lock()
-	if !e.stopped {
-		e.stopped = true
-		close(e.stopCh)
-		e.cond.Broadcast()
-	}
-	e.mu.Unlock()
+	e.stopOnce.Do(func() { close(e.stopCh) })
+	e.ex.Halt()
 }
 
-// wait joins the worker goroutines after stop and returns their scratch
-// shards to the shared pool.
-func (e *engine) wait() {
-	e.wg.Wait()
-	for _, loc := range e.locals {
-		loc.Drain()
-	}
-}
+// wait joins the executor and the heartbeat after stop.
+func (e *engine) wait() { e.wg.Wait() }
 
 // fail records the first fatal error, halts the rank, and reports the
-// failure to the coordinator.
+// failure to the coordinator. Failures after the rank stopped are
+// dropped.
 func (e *engine) fail(err error) {
-	e.mu.Lock()
-	if e.failed != nil || e.stopped {
-		e.mu.Unlock()
-		return
+	if e.ex.Fail(err) {
+		e.abort(err)
 	}
-	e.failed = err
-	e.mu.Unlock()
-	e.stop()
-	e.tp.sendTo(coordRank, errorMsg{Text: err.Error()}.encode())
+}
+
+// abort stops the rank and tells the coordinator why, once.
+func (e *engine) abort(err error) {
+	e.failOnce.Do(func() {
+		e.stop()
+		e.tp.sendTo(coordRank, errorMsg{Text: err.Error()}.encode())
+	})
 }
 
 // err returns the recorded fatal error, if any.
-func (e *engine) err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.failed
-}
+func (e *engine) err() error { return e.ex.Err() }
 
-// push enqueues a ready instance (at most once, see queued) and wakes
-// the workers.
+// push enqueues a ready instance, at most once (see queued).
 func (e *engine) push(in *ptg.Instance) {
 	e.mu.Lock()
-	e.pushLocked(in)
+	fresh := !e.queued[in]
+	e.queued[in] = true
 	e.mu.Unlock()
-}
-
-func (e *engine) pushLocked(in *ptg.Instance) {
-	if !e.stopped && !e.queued[in] {
-		e.queued[in] = true
-		e.set.Push(in)
-		e.cond.Broadcast()
+	if fresh {
+		e.ex.Push(in)
 	}
 }
 
-// popLocked takes the next task for a worker: own queue first, then —
-// in PerWorkerSteal mode — the core's randomized victim probe. The
-// caller holds e.mu, which substitutes for the runtime's shard locks.
-func (e *engine) popLocked(wid int) *ptg.Instance {
-	if in := e.set.Pop(wid); in != nil {
-		return in
+// complete is the executor's completion hook: it routes a finished
+// task's payloads — local successors through the tracker, remote ones as
+// activation messages — returns the local successors that became ready
+// for the executor to enqueue, and adds the instance's sequence number
+// to the batch bound for the coordinator's termination bitset (see
+// doneSeqs). The sequence number joins its batch only after the payload
+// sends, so the Done that carries it is ordered after them on purpose —
+// the coordinator's flush barrier then guarantees every accumulation is
+// server-side before the energy is read.
+func (e *engine) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
+	dels, _, err := e.tr.Complete(in)
+	if err != nil {
+		return ready, err
 	}
-	if e.cfg.Queues != sched.PerWorkerSteal {
-		return nil
-	}
-	var got *ptg.Instance
-	sched.EachVictim(&e.rngs[wid], wid, e.set.Queues(), func(v int) bool {
-		if in := e.set.PopQueue(v, wid); in != nil {
-			got = in
-			return true
-		}
-		return false
-	})
-	return got
-}
-
-// shouldStealLocked reports whether this rank should ask the
-// coordinator to broker an inter-node steal: stealing enabled, nothing
-// runnable locally, and not already asked within the last few
-// milliseconds (idle workers re-evaluate on every heartbeat kick).
-func (e *engine) shouldStealLocked() bool {
-	if !e.cfg.InterNodeSteal || e.cfg.Ranks < 2 || e.stopped {
-		return false
-	}
-	if e.set.Total() > 0 {
-		return false
-	}
-	now := e.Now()
-	if now-e.lastSteal < int64(5*time.Millisecond) {
-		return false
-	}
-	e.lastSteal = now
-	return true
-}
-
-func (e *engine) workLoop(wid int) {
-	defer e.wg.Done()
-	for {
-		e.mu.Lock()
-		if e.stopped {
-			e.mu.Unlock()
-			return
-		}
-		in := e.popLocked(wid)
-		if in == nil {
-			done, steal := e.takeDoneLocked(), e.shouldStealLocked()
-			if done == nil && !steal {
-				e.cond.Wait()
-				e.mu.Unlock()
-				continue
-			}
-			e.mu.Unlock()
-			if done != nil {
-				e.tp.sendTo(coordRank, done)
-			}
-			if steal {
-				e.tp.sendTo(coordRank, stealMsg{Thief: e.rank}.encode(msgStealReq))
+	for _, d := range dels {
+		if !e.owns(d.To.Node) {
+			if err := e.sendActivate(d.To, d.ToFlow, out[d.FromFlow]); err != nil {
+				return ready, err
 			}
 			continue
 		}
-		e.mu.Unlock()
-		if err := e.tr.ClaimStart(in); err != nil {
-			e.fail(err)
-			return
+		became, err := e.deliver(d.To, d.ToFlow, out[d.FromFlow])
+		if err != nil {
+			return ready, err
 		}
-		e.execute(wid, in)
-	}
-}
-
-// execute runs one task body and routes its completions: local
-// successors through the tracker, remote successors as activation
-// messages, and the instance's sequence number to the coordinator's
-// termination bitset, batched (see doneSeqs). The sequence number joins
-// its batch only after the payload sends, so the Done that carries it
-// is ordered after them on purpose — the coordinator's flush barrier
-// then guarantees every accumulation is server-side before the energy
-// is read.
-func (e *engine) execute(wid int, in *ptg.Instance) {
-	ctx := &ptg.Ctx{
-		Args: in.Ref.Args,
-		Node: in.Node,
-		Seq:  in.Seq,
-		In:   in.In,
-		Out:  make([]any, len(in.In)),
-		Pool: e.locals[wid],
-		Par:  team.Serial,
-	}
-	copy(ctx.Out, in.In)
-	if delay := e.cfg.TaskDelay; delay != nil {
-		if d := delay(e.rank, wid, in.Ref); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	startNs := e.Now()
-	if body := in.Class.Body; body != nil {
-		if err := runBody(body, ctx, in); err != nil {
-			e.fail(err)
-			return
-		}
-		if err := ctx.Err(); err != nil {
-			e.fail(fmt.Errorf("netrun: task %v failed: %w", in.Ref, err))
-			return
-		}
-	}
-	endNs := e.Now()
-
-	dels, _, err := e.tr.Complete(in)
-	if err != nil {
-		e.fail(err)
-		return
-	}
-	for _, d := range dels {
-		payload := ctx.Out[d.FromFlow]
-		if e.owns(d.To.Node) {
-			e.deliver(d.To, d.ToFlow, payload)
-		} else {
-			e.sendActivate(d.To, d.ToFlow, payload)
+		if became {
+			ready = append(ready, d.To)
 		}
 	}
 
 	e.mu.Lock()
-	e.tasks++
-	e.byClass[in.Ref.Class]++
-	e.traceEvs = append(e.traceEvs, RankTraceEvent{
-		Thread: wid, Class: in.Ref.Class, Label: in.Ref.String(),
-		StartNs: startNs, EndNs: endNs,
-	})
+	fresh := ready[:0]
+	for _, to := range ready {
+		if !e.queued[to] {
+			e.queued[to] = true
+			fresh = append(fresh, to)
+		}
+	}
 	e.doneSeqs = append(e.doneSeqs, in.Seq)
 	var done []byte
 	if len(e.doneSeqs) >= doneBatch {
@@ -332,6 +215,7 @@ func (e *engine) execute(wid int, in *ptg.Instance) {
 	if done != nil {
 		e.tp.sendTo(coordRank, done)
 	}
+	return fresh, nil
 }
 
 // takeDoneLocked encodes the gathered completions as one msgDone frame
@@ -345,14 +229,26 @@ func (e *engine) takeDoneLocked() []byte {
 	return f
 }
 
-func runBody(body func(*ptg.Ctx), ctx *ptg.Ctx, in *ptg.Instance) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("netrun: task %v panicked: %v", in.Ref, rec)
-		}
-	}()
-	body(ctx)
-	return nil
+// dry is the executor's came-up-dry hook, also run on every heartbeat
+// (parked workers do not re-evaluate anything): flush the gathered
+// completions, and — with inter-node stealing on, nothing queued here,
+// and no request within stealInterval — ask the coordinator to broker a
+// steal.
+func (e *engine) dry() {
+	e.mu.Lock()
+	done := e.takeDoneLocked()
+	steal := e.cfg.InterNodeSteal && e.cfg.Ranks >= 2 &&
+		time.Since(e.lastSteal) >= stealInterval && e.ex.Backlog() == 0
+	if steal {
+		e.lastSteal = time.Now()
+	}
+	e.mu.Unlock()
+	if done != nil {
+		e.tp.sendTo(coordRank, done)
+	}
+	if steal {
+		e.tp.sendTo(coordRank, stealMsg{Thief: e.rank}.encode(msgStealReq))
+	}
 }
 
 // owns reports whether this engine schedules instances of the given
@@ -363,45 +259,42 @@ func (e *engine) owns(node int) bool {
 	return node >= 0 && node < len(e.owned) && e.owned[node]
 }
 
-// deliver satisfies one input of a locally scheduled instance,
-// tolerating duplicates: an at-least-once wire and post-takeover
-// replays legitimately present the same payload twice, and the
-// DeliveredFlow pre-check (re-checked after a Deliver error, in case
-// two sources raced past the first check) filters them out before the
-// tracker treats them as protocol errors.
-func (e *engine) deliver(to *ptg.Instance, flow int, payload any) {
+// deliver satisfies one input of an instance and reports whether that
+// made it ready to run here. It tolerates duplicates: an at-least-once
+// wire and post-takeover replays legitimately present the same payload
+// twice, and the DeliveredFlow pre-check (re-checked after a Deliver
+// error, in case two sources raced past the first check) filters them
+// out before the tracker treats them as protocol errors.
+func (e *engine) deliver(to *ptg.Instance, flow int, payload any) (bool, error) {
 	if e.tr.DeliveredFlow(to, flow) {
-		return
+		return false, nil
 	}
 	ready, err := e.tr.Deliver(to, flow, payload)
 	if err != nil {
 		if e.tr.DeliveredFlow(to, flow) || e.tr.StateOf(to) != ptg.StateWaiting {
-			return // lost a duplicate race; already satisfied elsewhere
+			return false, nil // lost a duplicate race; already satisfied elsewhere
 		}
-		e.fail(err)
-		return
+		return false, err
 	}
-	if ready && e.owns(to.Node) {
-		e.push(to)
-	}
+	return ready && e.owns(to.Node), nil
 }
 
 // sendActivate ships one dataflow payload to the rank owning the
 // consumer (through the takeover routing table).
-func (e *engine) sendActivate(to *ptg.Instance, flow int, payload any) {
+func (e *engine) sendActivate(to *ptg.Instance, flow int, payload any) error {
 	f, err := (activateMsg{Class: to.Ref.Class, Args: to.Ref.Args, Flow: flow, Payload: payload}).encode()
 	if err != nil {
-		e.fail(fmt.Errorf("netrun: activate %v: %w", to.Ref, err))
-		return
+		return fmt.Errorf("netrun: activate %v: %w", to.Ref, err)
 	}
 	e.tp.counters.transferOps.Add(1)
 	e.tp.counters.transferBytes.Add(int64(len(f) - frameHeaderLen))
 	e.tp.sendTo(to.Node, f)
+	return nil
 }
 
-// heartbeat reports the rank's backlog (and any completions still
-// waiting for a batch) to the coordinator on every interval and kicks
-// the workers so idle ranks re-evaluate the steal request condition.
+// heartbeat reports the rank's backlog to the coordinator on every
+// interval, after giving a dry rank the chance to flush completions and
+// re-ask for a steal.
 func (e *engine) heartbeat() {
 	defer e.wg.Done()
 	t := time.NewTicker(e.cfg.Heartbeat)
@@ -411,14 +304,8 @@ func (e *engine) heartbeat() {
 		case <-e.stopCh:
 			return
 		case <-t.C:
-			e.mu.Lock()
-			backlog, done := e.set.Total(), e.takeDoneLocked()
-			e.cond.Broadcast()
-			e.mu.Unlock()
-			if done != nil {
-				e.tp.sendTo(coordRank, done)
-			}
-			e.tp.sendTo(coordRank, statusMsg{Backlog: backlog}.encode())
+			e.dry()
+			e.tp.sendTo(coordRank, statusMsg{Backlog: e.ex.Backlog()}.encode())
 		}
 	}
 }
@@ -430,7 +317,12 @@ func (e *engine) handleActivate(m activateMsg) {
 		e.fail(fmt.Errorf("netrun: activation for unknown task %s%v", m.Class, m.Args))
 		return
 	}
-	e.deliver(in, m.Flow, m.Payload)
+	ready, err := e.deliver(in, m.Flow, m.Payload)
+	if err != nil {
+		e.fail(err)
+	} else if ready {
+		e.push(in)
+	}
 }
 
 // handleStealProbe serves a coordinator-forwarded steal on the victim
@@ -440,22 +332,20 @@ func (e *engine) handleActivate(m activateMsg) {
 // inputs, and remembered for re-claim should the thief die.
 func (e *engine) handleStealProbe(thief int) {
 	migratable := e.cfg.Migratable
+	var in *ptg.Instance
 	e.mu.Lock()
-	if e.stopped || migratable == nil || e.set.Total() <= e.cfg.Workers {
-		e.mu.Unlock()
-		e.tp.sendTo(coordRank, stealMsg{Thief: thief}.encode(msgStealNone))
-		return
+	if migratable != nil && e.ex.Backlog() > e.cfg.Workers {
+		in = e.ex.TakeWhere(func(c *ptg.Instance) bool {
+			return c.Node == e.rank && !e.adopted[c] && migratable(c.Ref.Class)
+		})
 	}
-	in := e.set.PopWhere(func(c *ptg.Instance) bool {
-		return c.Node == e.rank && !e.adopted[c] && migratable(c.Ref.Class)
-	})
 	if in == nil {
 		e.mu.Unlock()
 		e.tp.sendTo(coordRank, stealMsg{Thief: thief}.encode(msgStealNone))
 		return
 	}
 	if err := e.tr.ClaimStart(in); err != nil {
-		// The set never holds a non-ready instance; a failure here is a
+		// The queues never hold a non-ready instance; a failure here is a
 		// scheduling invariant break, not a race to absorb.
 		e.mu.Unlock()
 		e.fail(err)
@@ -514,16 +404,15 @@ func (e *engine) handleMigrate(m migrateMsg) {
 		return
 	}
 	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		return
-	}
-	if !e.adopted[in] {
+	fresh := !e.adopted[in]
+	if fresh {
 		e.adopted[in] = true
 		e.adoptedN++
-		e.pushLocked(in)
 	}
 	e.mu.Unlock()
+	if fresh {
+		e.push(in)
+	}
 }
 
 // handleTakeover reacts to a rank death on every surviving rank:
@@ -575,8 +464,8 @@ func (e *engine) handleTakeover(m takeoverMsg) {
 		}
 		e.mu.Lock()
 		delete(e.queued, in) // legitimate re-push: the thief died with it
-		e.pushLocked(in)
 		e.mu.Unlock()
+		e.push(in)
 	}
 
 	if e.rank != m.Heir {
@@ -601,18 +490,23 @@ func (e *engine) handleTakeover(m takeoverMsg) {
 	}
 }
 
-// report assembles the rank's final self-report.
+// report assembles the rank's final self-report; the executor must
+// have been joined (wait).
 func (e *engine) report() RankReport {
-	e.mu.Lock()
+	x := e.ex.Report()
+	e.mu.Lock() // message handlers may still be counting re-dispatches
 	defer e.mu.Unlock()
-	return RankReport{
+	rep := RankReport{
 		Rank:            e.rank,
-		Tasks:           e.tasks,
-		ByClass:         e.byClass,
+		Tasks:           x.Tasks,
+		ByClass:         x.ByClass,
 		Adopted:         e.adoptedN,
 		Redispatches:    e.redisp,
 		RedispatchBytes: e.redispBytes,
 		Comm:            e.tp.counters.snapshot(),
-		Trace:           e.traceEvs,
 	}
+	for _, evs := range e.traces {
+		rep.Trace = append(rep.Trace, evs...)
+	}
+	return rep
 }

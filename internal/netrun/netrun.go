@@ -10,12 +10,18 @@
 // but counts dependencies and schedules only the instances whose
 // affinity maps to it, so no rank holds a global tracker. Completing a
 // task sends each remote successor an activation message carrying the
-// payload; local successors are delivered in-memory. Each worker embeds
-// the shared scheduling core (internal/sched) as its local executor —
-// the engine implements sched.Substrate exactly as the shared-memory
-// runtime does — so pop order, queue pinning, and steal-victim choice
-// are byte-identical across the three backends (the conformance suite
-// in internal/sched holds all of them to that).
+// payload; local successors are delivered in-memory. The package has no
+// worker loop of its own: each rank runs its ready instances on a
+// runtime.Executor — the same sharded queues, park/unpark, stealing,
+// worker lending and per-worker Ctx reuse the shared-memory runtime.Run
+// uses — and adds only what makes it a rank, through the executor's
+// hooks: route a completion's payloads to the local tracker or the
+// wire, report completions, ask for steals when dry. That is
+// TaskTorrent's structure too: a shared-memory tasking core with an
+// active-message layer beside it, not a second runtime. Pop order,
+// queue pinning, and steal-victim choice are therefore identical across
+// the three backends by construction (and the conformance suite in
+// internal/sched still checks it).
 //
 // A coordinator process serves the Global Arrays surface (ordered
 // accumulation with the same fold semantics as internal/ga, block

@@ -111,6 +111,38 @@ func TestRunThreeRanksPerWorkerSteal(t *testing.T) {
 	}
 }
 
+// TestRunBenzeneShapedFourWorkersSteal is the widest rank the suite
+// runs: the benchmark's benzene-shaped v5 job on 2 ranks of 4 workers
+// with stealing queues, so the executor's shards, parking, intra-rank
+// steals and lending all run under real wire traffic. The energy must
+// match the serial reference to a relative 1e-12 (|E| is in the
+// hundreds here, and v5 folds contributions in a different order than
+// the serial loop).
+func TestRunBenzeneShapedFourWorkersSteal(t *testing.T) {
+	spec := JobSpec{Variant: "v5", Custom: &CustomSpec{
+		Name: "benzene-shaped", NOccupied: 21, NVirtual: 45, TileTarget: 12, NIrreps: 2, Seed: 1,
+	}}
+	w, err := spec.workload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cfgFor(t, spec, 2, 4)
+	cfg.Queues = sched.PerWorkerSteal
+	res, err := Run(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ccsd.ReferenceEnergy(w)
+	if d := math.Abs(res.Energy - want); !res.HasEnergy || d > energyTol*math.Abs(want) {
+		t.Fatalf("energy %.15f, want %.15f (|diff| %.3e)", res.Energy, want, d)
+	}
+	for _, rep := range res.PerRank {
+		if rep.Tasks == 0 {
+			t.Errorf("rank %d executed nothing", rep.Rank)
+		}
+	}
+}
+
 // TestRunWithDropsAndAckDrops injects seeded payload and ack drops on
 // every rank's outbound links: the retry machinery must recover every
 // loss, duplicate suppression must absorb every retransmit, and the

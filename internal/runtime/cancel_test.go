@@ -96,3 +96,25 @@ func TestRunCancelAfterDone(t *testing.T) {
 		t.Fatalf("tasks = %d, want 4", rep.Tasks)
 	}
 }
+
+// TestRunCancelFromLastObserver closes Cancel from the Observer call of
+// the final task — after the run has decided it is complete, while Run
+// is about to read its error. The watcher goroutine must be joined
+// before that read (run under -race), and the completed run must not be
+// relabeled canceled.
+func TestRunCancelFromLastObserver(t *testing.T) {
+	const n = 16
+	for round := 0; round < 50; round++ {
+		var ran, seen atomic.Int64
+		g := sleeperGraph(n, 0, &ran)
+		cancel := make(chan struct{})
+		rep, err := Run(g, Config{Workers: 2, Cancel: cancel, Observer: func(Event) {
+			if seen.Add(1) == n {
+				close(cancel)
+			}
+		}})
+		if err != nil || rep.Tasks != n {
+			t.Fatalf("round %d: err = %v, tasks = %d; want a clean run of %d", round, err, rep.Tasks, n)
+		}
+	}
+}

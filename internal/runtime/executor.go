@@ -1,0 +1,644 @@
+package runtime
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"parsec/internal/ptg"
+	"parsec/internal/sched"
+	"parsec/internal/team"
+	"parsec/internal/tensor/pool"
+)
+
+// Hooks are the only points where an embedder's semantics enter the
+// Executor. Run supplies the whole-graph tracker and pending-token
+// termination; a netrun rank supplies its slice of a distributed graph
+// and a transport. Everything about running ready instances on
+// goroutines is the executor's and is the same for both.
+type Hooks struct {
+	// Start claims a popped instance before its body runs; an error
+	// fails the run (the scheduler handed out something not ready).
+	Start func(in *ptg.Instance) error
+	// Complete is called on the worker once in's body has returned, with
+	// the body's Ctx.Out. It performs the dataflow the completion
+	// triggers and appends to ready (an empty scratch buffer the worker
+	// reuses) the instances it made ready that this executor should run;
+	// the executor enqueues them. It is also where the embedder decides
+	// the run is over and calls Halt. An error fails the run.
+	Complete func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error)
+	// Dry, if set, is called by a worker whose search for work — own
+	// queue, steal, lending — came up empty, just before it parks.
+	Dry func()
+}
+
+// shard is one mutex-protected ready deque. SharedQueue uses a single
+// shard all workers pop from; the per-worker modes give each worker its
+// own. The queue discipline (Before-ordered heap, or a LIFO stack for
+// SharedQueue+LIFOOrder only) comes from the scheduling core.
+type shard struct {
+	mu       sync.Mutex
+	q        sched.Queue
+	maxDepth int
+	// size is a lock-free emptiness hint for steal victim selection and
+	// park rechecks. It is only written when the shard flips between
+	// empty and nonempty, so steady-state pushes and pops pay no locked
+	// instruction for it; between flips it may understate the depth but
+	// never misreports emptiness.
+	size atomic.Int64
+	_    [40]byte // pad to a cache line against false sharing
+}
+
+// workerState holds one worker's parking slot and private counters.
+// Counters are written only by the owning worker (or, for parked, via
+// atomics) and read after all workers have joined.
+type workerState struct {
+	park      chan struct{} // buffered(1): wake tokens coalesce, never drop
+	parked    atomic.Bool
+	rng       sched.RNG
+	tasks     int64
+	parks     int64
+	probes    int64 // steal attempts
+	steals    int64
+	busy      time.Duration
+	parkedFor time.Duration // time spent blocked in park (coarse busy accounting)
+	byClass   map[string]int
+	scratch   []*ptg.Instance   // reusable ready-successor buffer
+	buckets   [][]*ptg.Instance // reusable per-shard batch buckets
+	// ctx and out are the execution context and Ctx.Out buffer of the
+	// task this worker is running, reused from task to task (bodies must
+	// not retain them, see ptg.Ctx); par is the worker's lending handle,
+	// boxed once.
+	ctx ptg.Ctx
+	out []any
+	par team.Parallelism
+	// loc is the worker's scratch shard for pooled kernel buffers:
+	// single-owner Get/Put cycles stay on this unsynchronized free list
+	// instead of the shared size-class pool.
+	loc *pool.Local
+	// spans counts parallel regions this worker's tasks published;
+	// helped counts span parts this worker ran for other workers' tasks.
+	spans  int64
+	helped int64
+}
+
+// Executor runs ready task instances on worker goroutines: sharded
+// ready queues ordered by the scheduling core, park/unpark, the
+// randomized steal, worker lending, per-worker Ctx and scratch reuse,
+// and body failure capture. It knows nothing about where instances come
+// from or what completing one means — that is the embedder's Hooks —
+// so the same loop serves the whole-graph Run and each rank of the
+// socket runtime (internal/netrun).
+type Executor struct {
+	cfg   Config
+	hooks Hooks
+
+	shards []shard
+	ws     []workerState
+
+	stop  atomic.Bool
+	wakes atomic.Int64
+	// lend tracks intra-task parallel regions with unclaimed parts
+	// (lend.go).
+	lend lendState
+	// nparked counts workers currently parked, letting enqueuers skip the
+	// wake scan entirely when every worker is busy (the common case on a
+	// loaded system). A worker increments it after publishing parked and
+	// before its recheck; whoever flips parked back to false decrements.
+	// Sequentially consistent atomics make this a Dekker pair with the
+	// shard size mirrors: an enqueuer — a worker or a foreign goroutine in
+	// Push — either sees the parker, or the parker's recheck sees the
+	// enqueued work.
+	nparked atomic.Int64
+
+	errMu sync.Mutex
+	err   error
+
+	start time.Time
+}
+
+// NewExecutor returns an idle executor configured by cfg (Workers,
+// Policy, Queues, the observers, TaskDelay, Cancel). Instances may be
+// pushed before Run starts the workers.
+func NewExecutor(cfg Config, hooks Hooks) *Executor {
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	nshards := cfg.Workers
+	if cfg.Queues == sched.SharedQueue {
+		nshards = 1
+	}
+	x := &Executor{
+		cfg:    cfg,
+		hooks:  hooks,
+		shards: make([]shard, nshards),
+		ws:     make([]workerState, cfg.Workers),
+		start:  time.Now(),
+	}
+	for i := range x.shards {
+		x.shards[i].q = sched.NewQueue(cfg.Policy, cfg.Queues)
+	}
+	for i := range x.ws {
+		x.ws[i].park = make(chan struct{}, 1)
+		x.ws[i].rng = sched.NewRNG(i)
+		x.ws[i].byClass = make(map[string]int)
+		x.ws[i].loc = pool.NewLocal()
+		x.ws[i].par = workerTeam{x: x, id: i}
+	}
+	return x
+}
+
+// Run starts the workers and blocks until Halt or a failure stops them,
+// then returns the run's first error: a body panic or Ctx.Fail, a hook
+// error, an external Fail, or ErrCanceled. Bodies already executing
+// when the run stops finish first, and every worker's scratch shard is
+// drained before Run returns.
+func (x *Executor) Run() error {
+	var wg sync.WaitGroup
+	for w := range x.ws {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			x.work(id)
+		}(w)
+	}
+	// The cancel watcher is joined before the error is read: a
+	// cancellation that lands after the workers have stopped is ignored
+	// by Fail rather than relabeling a finished run.
+	var watcher sync.WaitGroup
+	quit := make(chan struct{})
+	if x.cfg.Cancel != nil {
+		watcher.Add(1)
+		go func() {
+			defer watcher.Done()
+			select {
+			case <-x.cfg.Cancel:
+				x.Fail(ErrCanceled)
+			case <-quit:
+			}
+		}()
+	}
+	wg.Wait()
+	close(quit)
+	watcher.Wait()
+	for i := range x.ws {
+		x.ws[i].loc.Drain()
+	}
+	return x.Err()
+}
+
+// Report summarizes the run's scheduling counters; call it after Run
+// has returned.
+func (x *Executor) Report() Report {
+	rep := Report{
+		ByClass: make(map[string]int),
+		Workers: len(x.ws),
+		Elapsed: time.Since(x.start),
+		Sched:   SchedStats{PerWorkerTasks: make([]int64, len(x.ws)), Wakes: x.wakes.Load()},
+	}
+	for i := range x.ws {
+		ws := &x.ws[i]
+		rep.Tasks += int(ws.tasks)
+		rep.BusyTime += ws.busy
+		rep.Sched.PerWorkerTasks[i] = ws.tasks
+		rep.Sched.Parks += ws.parks
+		rep.Sched.StealAttempts += ws.probes
+		rep.Sched.Steals += ws.steals
+		rep.Sched.LendSpans += ws.spans
+		rep.Sched.LendHelped += ws.helped
+		for c, n := range ws.byClass {
+			rep.ByClass[c] += n
+		}
+	}
+	for i := range x.shards {
+		if d := x.shards[i].maxDepth; d > rep.Sched.MaxQueueDepth {
+			rep.Sched.MaxQueueDepth = d
+		}
+	}
+	return rep
+}
+
+// pushLocked appends an instance to a shard; the caller holds s.mu.
+func (x *Executor) pushLocked(si int, in *ptg.Instance) {
+	s := &x.shards[si]
+	depth := s.q.Push(in)
+	if depth > s.maxDepth {
+		s.maxDepth = depth
+	}
+	if depth == 1 {
+		s.size.Store(1) // empty -> nonempty flip
+	}
+	x.observe(sched.OpEnqueue, -1, si, in)
+}
+
+// observe forwards one scheduling decision to the configured observer.
+// Kept out of line from the nil check so the no-observer hot path pays
+// a single branch.
+func (x *Executor) observe(op sched.Op, worker, queue int, in *ptg.Instance) {
+	if obs := x.cfg.SchedObserver; obs != nil {
+		obs(sched.Event{Op: op, Worker: worker, Queue: queue, Inst: in, Total: -1, Ts: int64(time.Since(x.start))})
+	}
+}
+
+// Push enqueues a ready instance on its home shard (the core's static
+// Seq-modulo pinning) and wakes a worker that can run it. Only the
+// shard's own lock is held during the push, and it is safe from any
+// goroutine: a rank's message handlers push activations that arrive
+// while every worker is parked.
+func (x *Executor) Push(in *ptg.Instance) {
+	si := sched.HomeQueue(in, len(x.shards))
+	s := &x.shards[si]
+	s.mu.Lock()
+	x.pushLocked(si, in)
+	s.mu.Unlock()
+	x.wakeFor(si)
+}
+
+// enqueueBatch pushes all successors released by one completion, locking
+// each destination shard once rather than once per task, then wakes
+// enough workers to absorb the batch. ws provides reusable per-shard
+// buckets so the single grouping pass allocates nothing in steady state.
+func (x *Executor) enqueueBatch(ws *workerState, ins []*ptg.Instance) {
+	if len(ins) == 0 {
+		return
+	}
+	if len(ins) == 1 {
+		x.Push(ins[0])
+		return
+	}
+	nsh := len(x.shards)
+	if nsh == 1 {
+		s := &x.shards[0]
+		s.mu.Lock()
+		for _, in := range ins {
+			x.pushLocked(0, in)
+		}
+		s.mu.Unlock()
+	} else {
+		if len(ws.buckets) != nsh {
+			ws.buckets = make([][]*ptg.Instance, nsh)
+		}
+		for _, in := range ins {
+			b := in.Seq % nsh
+			ws.buckets[b] = append(ws.buckets[b], in)
+		}
+		for si, bucket := range ws.buckets {
+			if len(bucket) == 0 {
+				continue
+			}
+			s := &x.shards[si]
+			s.mu.Lock()
+			for _, in := range bucket {
+				x.pushLocked(si, in)
+			}
+			s.mu.Unlock()
+			ws.buckets[si] = bucket[:0]
+		}
+	}
+	x.wakeBatch(len(ins))
+}
+
+// wakeBatch unparks workers after a batch push: in PerWorker mode each
+// nonempty shard's owner (nobody else may run its tasks), otherwise any
+// parked workers, at most one per new task.
+func (x *Executor) wakeBatch(n int) {
+	if x.cfg.Queues == sched.PerWorker {
+		for si := range x.shards {
+			if x.nparked.Load() == 0 {
+				return
+			}
+			if x.shards[si].size.Load() > 0 {
+				x.wake(si)
+			}
+		}
+		return
+	}
+	for w := 0; w < len(x.ws) && n > 0; w++ {
+		if x.nparked.Load() == 0 {
+			return
+		}
+		if x.wake(w) {
+			n--
+		}
+	}
+}
+
+// wakeFor unparks a worker able to run work that just landed on shard
+// si: the owner if it is parked, else (when other workers may take the
+// task) any parked worker.
+func (x *Executor) wakeFor(si int) {
+	if x.nparked.Load() == 0 {
+		return // every worker is already running; nobody to wake
+	}
+	skip := -1 // in shared mode si indexes the lone shard, not a worker
+	if x.cfg.Queues != sched.SharedQueue {
+		if x.wake(si) {
+			return
+		}
+		if x.cfg.Queues == sched.PerWorker {
+			return // only the pinned owner may run it
+		}
+		skip = si
+	}
+	for w := range x.ws {
+		if w != skip && x.wake(w) {
+			return
+		}
+	}
+}
+
+// wake delivers an unpark token to worker w if it is parked. The CAS
+// makes exactly one enqueuer responsible for the token.
+func (x *Executor) wake(w int) bool {
+	ws := &x.ws[w]
+	if ws.parked.CompareAndSwap(true, false) {
+		x.nparked.Add(-1)
+		x.wakes.Add(1)
+		select {
+		case ws.park <- struct{}{}:
+		default:
+		}
+		return true
+	}
+	return false
+}
+
+// Halt stops every worker: parked ones get a token, running ones see the
+// flag when they next look for work. Queued instances stay queued.
+func (x *Executor) Halt() {
+	x.stop.Store(true)
+	for i := range x.ws {
+		select {
+		case x.ws[i].park <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Fail records err as the run's error and halts, reporting whether it
+// did: only the first failure counts, and a failure arriving after the
+// executor was halted is ignored — the run's outcome was already
+// decided.
+func (x *Executor) Fail(err error) bool {
+	x.errMu.Lock()
+	first := x.err == nil && !x.stop.Load()
+	if first {
+		x.err = err
+	}
+	x.errMu.Unlock()
+	if first {
+		x.Halt()
+	}
+	return first
+}
+
+// Err returns the recorded failure, if any.
+func (x *Executor) Err() error {
+	x.errMu.Lock()
+	defer x.errMu.Unlock()
+	return x.err
+}
+
+// popShard pops the best task from one shard, or nil.
+func (x *Executor) popShard(si int) *ptg.Instance {
+	s := &x.shards[si]
+	s.mu.Lock()
+	in, left := s.q.Pop()
+	if in != nil && left == 0 {
+		s.size.Store(0) // nonempty -> empty flip
+	}
+	s.mu.Unlock()
+	return in
+}
+
+// TakeWhere removes and returns the Before-best queued instance
+// satisfying ok, or nil: the pick behind an inter-node steal, which may
+// only move some classes, so queues are scanned whole. It holds every
+// shard lock for the scan (ok must not call back into the executor);
+// workers hold one at a time, so the fixed order cannot deadlock.
+func (x *Executor) TakeWhere(ok func(*ptg.Instance) bool) *ptg.Instance {
+	for i := range x.shards {
+		x.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range x.shards {
+			x.shards[i].mu.Unlock()
+		}
+	}()
+	var best *ptg.Instance
+	bq, bi := -1, -1
+	for si := range x.shards {
+		if in, i := x.shards[si].q.FindWhere(ok); in != nil && (best == nil || sched.Before(in, best)) {
+			best, bq, bi = in, si, i
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	s := &x.shards[bq]
+	s.q.RemoveAt(bi)
+	if s.q.Len() == 0 {
+		s.size.Store(0)
+	}
+	x.observe(sched.OpSteal, -1, bq, best)
+	return best
+}
+
+// Backlog returns the number of queued instances. It locks each shard
+// in turn, so it is for heartbeat-rate callers, not the dispatch path.
+func (x *Executor) Backlog() int {
+	n := 0
+	for i := range x.shards {
+		s := &x.shards[i]
+		s.mu.Lock()
+		n += s.q.Len()
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// steal probes victims in the core's randomized order, locking only one
+// victim shard at a time, and takes that victim's best task (PaRSEC
+// steals ready work rather than rebalancing whole queues, §IV-D).
+func (x *Executor) steal(id int) *ptg.Instance {
+	ws := &x.ws[id]
+	var got *ptg.Instance
+	sched.EachVictim(&ws.rng, id, len(x.shards), func(v int) bool {
+		if x.shards[v].size.Load() == 0 {
+			return false
+		}
+		ws.probes++
+		if in := x.popShard(v); in != nil {
+			ws.steals++
+			got = in
+			x.observe(sched.OpSteal, id, v, in)
+			return true
+		}
+		return false
+	})
+	return got
+}
+
+// tryGet returns the next task for worker id: local pop first, then a
+// randomized steal when the mode allows it.
+func (x *Executor) tryGet(id int) *ptg.Instance {
+	own := id
+	if x.cfg.Queues == sched.SharedQueue {
+		own = 0
+	}
+	if in := x.popShard(own); in != nil {
+		x.observe(sched.OpPop, id, own, in)
+		return in
+	}
+	if x.cfg.Queues == sched.PerWorkerSteal {
+		return x.steal(id)
+	}
+	return nil
+}
+
+// hasWork reports whether worker id could obtain a task right now,
+// using the shards' lock-free size mirrors.
+func (x *Executor) hasWork(id int) bool {
+	if x.cfg.Queues == sched.SharedQueue {
+		return x.shards[0].size.Load() > 0
+	}
+	if x.shards[id].size.Load() > 0 {
+		return true
+	}
+	if x.cfg.Queues == sched.PerWorkerSteal {
+		for i := range x.shards {
+			if x.shards[i].size.Load() > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// park blocks worker id until an enqueuer wakes it or the run stops.
+// Publishing parked before the recheck closes the race with Push:
+// any push that the recheck misses happens after parked was visible, so
+// that enqueuer's wake CAS succeeds and leaves a token in the channel.
+func (x *Executor) park(id int) {
+	ws := &x.ws[id]
+	ws.parks++
+	ws.parked.Store(true)
+	x.nparked.Add(1)
+	if x.stop.Load() || x.hasWork(id) || x.hasHelp() {
+		x.unparkSelf(ws)
+		return
+	}
+	t0 := time.Now()
+	<-ws.park
+	ws.parkedFor += time.Since(t0)
+	x.unparkSelf(ws)
+}
+
+// unparkSelf clears the worker's parked flag if no waker already claimed
+// it; exactly one side of that race decrements nparked.
+func (x *Executor) unparkSelf(ws *workerState) {
+	if ws.parked.CompareAndSwap(true, false) {
+		x.nparked.Add(-1)
+	}
+}
+
+func (x *Executor) work(id int) {
+	ws := &x.ws[id]
+	t0 := time.Now()
+	defer func() {
+		// Without an Observer, busy is coarse: the worker's unparked
+		// time. Per-task timestamping costs two clock reads per task —
+		// measurable against sub-microsecond bodies — so the precise
+		// accounting only runs when someone asked to see it.
+		if x.cfg.Observer == nil {
+			ws.busy = time.Since(t0) - ws.parkedFor
+		}
+	}()
+	for !x.stop.Load() {
+		in := x.tryGet(id)
+		if in == nil {
+			// No ready task anywhere: volunteer for a published span
+			// before sleeping — lending only ever recruits idle workers.
+			if x.tryHelp(id) {
+				continue
+			}
+			if x.hooks.Dry != nil {
+				x.hooks.Dry()
+			}
+			x.park(id)
+			continue
+		}
+		err := x.hooks.Start(in)
+		if err == nil {
+			err = x.execute(id, in)
+		}
+		if err != nil {
+			x.Fail(err)
+			return
+		}
+	}
+}
+
+func (x *Executor) execute(worker int, in *ptg.Instance) error {
+	ws := &x.ws[worker]
+	if cap(ws.out) < len(in.In) {
+		ws.out = make([]any, len(in.In))
+	}
+	out := ws.out[:len(in.In)]
+	copy(out, in.In)
+	ctx := &ws.ctx
+	*ctx = ptg.Ctx{Args: in.Ref.Args, Node: in.Node, Seq: in.Seq, In: in.In, Out: out, Pool: ws.loc, Par: ws.par}
+	obs := x.cfg.Observer
+	if delay := x.cfg.TaskDelay; delay != nil {
+		if d := delay(worker, in.Ref); d > 0 {
+			time.Sleep(d)
+		}
+	}
+	var t0 time.Time
+	if obs != nil {
+		t0 = time.Now()
+	}
+	if body := in.Class.Body; body != nil {
+		if err := safeBody(body, ctx, in); err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("runtime: task %v failed: %w", in.Ref, err)
+		}
+	}
+	var dur time.Duration
+	if obs != nil {
+		dur = time.Since(t0)
+		ws.busy += dur
+	}
+	ws.byClass[in.Ref.Class]++
+	ws.tasks++
+
+	// Completion synchronizes on the embedder's own structures (the
+	// tracker's lock), never on a scheduler one.
+	ready, err := x.hooks.Complete(in, ctx.Out, ws.scratch[:0])
+	clear(out) // the successors hold the payloads now; do not pin them here
+	if err != nil {
+		return err
+	}
+	x.enqueueBatch(ws, ready)
+	ws.scratch = ready[:0]
+
+	if obs != nil {
+		obs(Event{Task: in.Ref, Worker: worker, Start: t0.Sub(x.start), End: t0.Add(dur).Sub(x.start)})
+	}
+	return nil
+}
+
+// safeBody runs one task body, turning a panic into the run's error.
+func safeBody(body func(*ptg.Ctx), ctx *ptg.Ctx, in *ptg.Instance) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("runtime: task %v panicked: %v", in.Ref, rec)
+		}
+	}()
+	body(ctx)
+	return nil
+}

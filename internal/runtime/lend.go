@@ -51,17 +51,17 @@ type lendState struct {
 
 // publish registers a span and wakes up to parts-1 parked workers to
 // volunteer for it.
-func (r *runner) publish(sp *spanJob) {
-	r.lend.mu.Lock()
-	r.lend.spans = append(r.lend.spans, sp)
-	r.lend.n.Add(1)
-	r.lend.mu.Unlock()
+func (x *Executor) publish(sp *spanJob) {
+	x.lend.mu.Lock()
+	x.lend.spans = append(x.lend.spans, sp)
+	x.lend.n.Add(1)
+	x.lend.mu.Unlock()
 	need := int(sp.parts) - 1
-	for w := 0; w < len(r.ws) && need > 0; w++ {
-		if r.nparked.Load() == 0 {
+	for w := 0; w < len(x.ws) && need > 0; w++ {
+		if x.nparked.Load() == 0 {
 			return
 		}
-		if r.wake(w) {
+		if x.wake(w) {
 			need--
 		}
 	}
@@ -69,25 +69,25 @@ func (r *runner) publish(sp *spanJob) {
 
 // retire removes an exhausted span from the active list. Exactly one
 // claimer calls it: the one whose claim returned the final part.
-func (r *runner) retire(sp *spanJob) {
-	r.lend.mu.Lock()
-	for i, s := range r.lend.spans {
+func (x *Executor) retire(sp *spanJob) {
+	x.lend.mu.Lock()
+	for i, s := range x.lend.spans {
 		if s == sp {
-			last := len(r.lend.spans) - 1
-			r.lend.spans[i] = r.lend.spans[last]
-			r.lend.spans[last] = nil
-			r.lend.spans = r.lend.spans[:last]
-			r.lend.n.Add(-1)
+			last := len(x.lend.spans) - 1
+			x.lend.spans[i] = x.lend.spans[last]
+			x.lend.spans[last] = nil
+			x.lend.spans = x.lend.spans[:last]
+			x.lend.n.Add(-1)
 			break
 		}
 	}
-	r.lend.mu.Unlock()
+	x.lend.mu.Unlock()
 }
 
 // runParts claims and executes parts of sp until the claim counter is
 // exhausted, using the given worker's scratch shard. Returns the number
 // of parts executed.
-func (r *runner) runParts(sp *spanJob, ws *workerState) int {
+func (x *Executor) runParts(sp *spanJob, ws *workerState) int {
 	ran := 0
 	for {
 		i := sp.next.Add(1) - 1
@@ -95,7 +95,7 @@ func (r *runner) runParts(sp *spanJob, ws *workerState) int {
 			return ran
 		}
 		if i == sp.parts-1 {
-			r.retire(sp)
+			x.retire(sp)
 		}
 		sp.f(int(i), ws.loc)
 		ran++
@@ -107,28 +107,28 @@ func (r *runner) runParts(sp *spanJob, ws *workerState) int {
 
 // hasHelp reports whether any span has unclaimed parts, for the park
 // recheck and the worker loop's cheap gate.
-func (r *runner) hasHelp() bool { return r.lend.n.Load() > 0 }
+func (x *Executor) hasHelp() bool { return x.lend.n.Load() > 0 }
 
 // tryHelp lets an idle worker volunteer for a published span. Returns
 // true if it executed at least one part.
-func (r *runner) tryHelp(id int) bool {
-	if !r.hasHelp() {
+func (x *Executor) tryHelp(id int) bool {
+	if !x.hasHelp() {
 		return false
 	}
-	r.lend.mu.Lock()
+	x.lend.mu.Lock()
 	var sp *spanJob
-	for _, s := range r.lend.spans {
+	for _, s := range x.lend.spans {
 		if s.next.Load() < s.parts {
 			sp = s
 			break
 		}
 	}
-	r.lend.mu.Unlock()
+	x.lend.mu.Unlock()
 	if sp == nil {
 		return false
 	}
-	ws := &r.ws[id]
-	ran := r.runParts(sp, ws)
+	ws := &x.ws[id]
+	ran := x.runParts(sp, ws)
 	ws.helped += int64(ran)
 	return ran > 0
 }
@@ -136,19 +136,19 @@ func (r *runner) tryHelp(id int) bool {
 // workerTeam is the team.Parallelism handle handed to task bodies: spans
 // split across the run's workers via the lending protocol.
 type workerTeam struct {
-	r  *runner
+	x  *Executor
 	id int // the worker executing the spanning task
 }
 
 // Workers returns the worker count of the run: the natural upper bound
 // for part counts.
-func (t workerTeam) Workers() int { return len(t.r.ws) }
+func (t workerTeam) Workers() int { return len(t.x.ws) }
 
 // Span runs f(0..parts-1) across the spanning worker and any volunteers,
 // returning when every part has finished. parts <= 1 runs inline.
 func (t workerTeam) Span(parts int, f func(part int, scratch *pool.Local)) {
-	r := t.r
-	ws := &r.ws[t.id]
+	x := t.x
+	ws := &x.ws[t.id]
 	if parts <= 1 {
 		f(0, ws.loc)
 		return
@@ -157,9 +157,9 @@ func (t workerTeam) Span(parts int, f func(part int, scratch *pool.Local)) {
 	// parts claim tokens plus the publication token released below: done
 	// cannot close before the caller is finished claiming.
 	sp.live.Store(int32(parts) + 1)
-	r.publish(sp)
+	x.publish(sp)
 	ws.spans++
-	r.runParts(sp, ws)
+	x.runParts(sp, ws)
 	if sp.live.Add(-1) != 0 {
 		// Helpers still hold parts; wait without burning the CPU — they
 		// are running on other workers by definition.

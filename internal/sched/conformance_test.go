@@ -321,7 +321,7 @@ func TestStealVictimGolden(t *testing.T) {
 			if s.Len(v) == 0 {
 				return false
 			}
-			got = s.PopQueue(v, thief)
+			got = s.Pop(v)
 			return got != nil
 		}) {
 			break
@@ -359,7 +359,7 @@ func TestStealVictimGolden(t *testing.T) {
 		if lone.Len(v) == 0 {
 			return false
 		}
-		fromProbe = lone.PopQueue(v, thief)
+		fromProbe = lone.Pop(v)
 		return fromProbe != nil
 	})
 	if fromBest == nil || fromProbe == nil || fromBest.Seq != fromProbe.Seq {

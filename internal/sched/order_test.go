@@ -208,20 +208,18 @@ func TestSetFindPopWhere(t *testing.T) {
 	}
 }
 
-// scriptClock is a Substrate for tests: a settable clock, no blocking.
+// scriptClock is a settable clock for tests.
 type scriptClock struct{ t int64 }
 
 func (c *scriptClock) Now() int64 { return c.t }
-func (c *scriptClock) Idle(int)   {}
-func (c *scriptClock) Kick(int)   {}
 
 // TestSetObserverEvents checks every queue transition emits one event
 // with the op, the acting worker, the queue, the set-wide total, and
-// the substrate timestamp.
+// the clock's timestamp.
 func TestSetObserverEvents(t *testing.T) {
 	clock := &scriptClock{}
 	var got []Event
-	s := NewSet(2, PriorityOrder, PerWorkerSteal, clock, func(e Event) { got = append(got, e) })
+	s := NewSet(2, PriorityOrder, PerWorkerSteal, clock.Now, func(e Event) { got = append(got, e) })
 	clock.t = 10
 	s.Push(inst(1, 0))
 	s.Push(inst(2, 1))

@@ -80,7 +80,7 @@ func (q *Queue) Peek() *ptg.Instance {
 }
 
 // at returns the instance at backing-slice index i (heap order or stack
-// order), for whole-queue scans like the migratable-task picker.
+// order).
 func (q *Queue) at(i int) *ptg.Instance {
 	if q.lifo {
 		return q.stack[i]
@@ -88,8 +88,23 @@ func (q *Queue) at(i int) *ptg.Instance {
 	return q.heap.At(i)
 }
 
-// removeAt removes and returns the instance at backing-slice index i.
-func (q *Queue) removeAt(i int) *ptg.Instance {
+// FindWhere returns the Before-best queued instance satisfying ok and
+// its backing-slice index (for RemoveAt), or (nil, -1). The queue is
+// scanned whole — not just its head — because the inter-node steal may
+// only move migratable classes and the best migratable task can sit
+// below a pinned one.
+func (q *Queue) FindWhere(ok func(*ptg.Instance) bool) (best *ptg.Instance, bi int) {
+	bi = -1
+	for i, n := 0, q.Len(); i < n; i++ {
+		if in := q.at(i); ok(in) && (best == nil || Before(in, best)) {
+			best, bi = in, i
+		}
+	}
+	return best, bi
+}
+
+// RemoveAt removes and returns the instance at backing-slice index i.
+func (q *Queue) RemoveAt(i int) *ptg.Instance {
 	if q.lifo {
 		in := q.stack[i]
 		q.stack = append(q.stack[:i], q.stack[i+1:]...)

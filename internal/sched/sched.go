@@ -1,8 +1,8 @@
 // Package sched is the substrate-agnostic scheduling core shared by
-// every executor in the repo: the real shared-memory runtime
-// (internal/runtime), the distributed discrete-event executor
-// (internal/simexec), and the Dynamic Task Discovery engine
-// (internal/dtd). It holds the single copy of the decisions that make a
+// every executor in the repo: the real worker loop (internal/runtime's
+// Executor, which also runs each internal/netrun rank), the distributed
+// discrete-event executor (internal/simexec), and the Dynamic Task
+// Discovery engine (internal/dtd). It holds the single copy of the decisions that make a
 // schedule: the ready-task ordering policy, the queue structure, the
 // total order ready tasks are popped in, steal-victim selection, and the
 // randomized probe stream work stealing draws from.
@@ -16,13 +16,13 @@
 // (conformance_test.go) proves both executors pop identical orders for
 // every Policy×QueueMode combination.
 //
-// The core is parameterized over a tiny Substrate interface (a clock
-// plus an idle/kick primitive) so the same decision logic runs under
-// real goroutines parking on channels and under simulated processes
-// yielding to a virtual clock. Executors keep their own concurrency
-// machinery — the runtime's sharded locks and park/unpark coordinator,
-// the simulator's sim.Proc wait queues — and borrow only decisions from
-// here.
+// The core holds decisions only, so the same logic runs under real
+// goroutines parking on channels and under simulated processes yielding
+// to a virtual clock. Executors keep their own concurrency machinery —
+// the runtime's sharded locks and park/unpark coordinator, the
+// simulator's sim.Proc wait queues — and borrow decisions from here;
+// the one thing a Set takes from its executor is a clock to timestamp
+// observer events with.
 package sched
 
 // Policy selects how ready tasks are ordered.
@@ -75,23 +75,4 @@ func (q QueueMode) String() string {
 		return "pinned-steal"
 	}
 	return "shared"
-}
-
-// Substrate abstracts what the scheduling core needs from its execution
-// substrate. The real runtime implements it with the wall clock and its
-// park/unpark coordinator; the simulator implements it with the virtual
-// clock and sim.Proc wait queues; conformance tests implement it with a
-// scripted clock to replay decisions deterministically.
-type Substrate interface {
-	// Now returns the current time in the substrate's own ticks
-	// (nanoseconds since run start for the real runtime, virtual
-	// nanoseconds for the simulator). Observer events are timestamped
-	// with it.
-	Now() int64
-	// Idle blocks the calling worker until new work may be available.
-	// Spurious returns are allowed; callers must re-probe their queues.
-	Idle(worker int)
-	// Kick wakes a worker blocked in Idle, best effort: kicking a
-	// running worker is a no-op.
-	Kick(worker int)
 }

@@ -39,8 +39,9 @@ type Event struct {
 	// Total is the number of tasks queued across the whole Set after
 	// the op (-1 when the emitter does not track it).
 	Total int
-	// Ts is the substrate time the decision was made at (0 when the Set
-	// has no substrate).
+	// Ts is the time the decision was made at, in the emitter's own
+	// ticks: nanoseconds since run start for the real executor, virtual
+	// nanoseconds for the simulator (0 when a Set has no clock).
 	Ts int64
 }
 
@@ -58,19 +59,20 @@ type Observer func(Event)
 type Set struct {
 	queues []Queue
 	mode   QueueMode
-	sub    Substrate
+	now    func() int64
 	obs    Observer
 	total  int
 }
 
 // NewSet returns a Set of n queues (n must be 1 for SharedQueue) with
-// the discipline implied by the policy and mode. sub, if non-nil,
-// timestamps observer events; obs, if non-nil, receives every decision.
-func NewSet(n int, pol Policy, mode QueueMode, sub Substrate, obs Observer) *Set {
+// the discipline implied by the policy and mode. now, if non-nil, is
+// the clock observer events are timestamped with (the simulator's
+// virtual nanoseconds); obs, if non-nil, receives every decision.
+func NewSet(n int, pol Policy, mode QueueMode, now func() int64, obs Observer) *Set {
 	if mode == SharedQueue {
 		n = 1
 	}
-	s := &Set{queues: make([]Queue, n), mode: mode, sub: sub, obs: obs}
+	s := &Set{queues: make([]Queue, n), mode: mode, now: now, obs: obs}
 	for i := range s.queues {
 		s.queues[i] = NewQueue(pol, mode)
 	}
@@ -147,29 +149,8 @@ func (s *Set) StealBest(wid int) *ptg.Instance {
 	return in
 }
 
-// PopQueue removes and returns the best task of one specific queue on
-// worker wid's behalf, or nil if that queue is empty. It is the take
-// half of the randomized probe steal (EachVictim picks the victim, a
-// PopQueue on it takes its best task), emitting OpSteal when the queue
-// is not the worker's own and OpPop when it is.
-func (s *Set) PopQueue(q, wid int) *ptg.Instance {
-	in, _ := s.queues[q].Pop()
-	if in == nil {
-		return nil
-	}
-	s.total--
-	op := OpSteal
-	if q == wid {
-		op = OpPop
-	}
-	s.emit(Event{Op: op, Worker: wid, Queue: q, Inst: in, Total: s.total})
-	return in
-}
-
 // FindWhere returns the Before-best queued instance satisfying ok
-// without removing it, or nil. Queues are scanned whole — not just
-// heads — because the inter-node steal may only move migratable classes
-// and the best migratable task can sit below a pinned one.
+// without removing it, or nil (see Queue.FindWhere).
 func (s *Set) FindWhere(ok func(*ptg.Instance) bool) *ptg.Instance {
 	in, _, _ := s.findWhere(ok)
 	return in
@@ -182,7 +163,7 @@ func (s *Set) PopWhere(ok func(*ptg.Instance) bool) *ptg.Instance {
 	if in == nil {
 		return nil
 	}
-	s.queues[q].removeAt(i)
+	s.queues[q].RemoveAt(i)
 	s.total--
 	s.emit(Event{Op: OpSteal, Worker: -1, Queue: q, Inst: in, Total: s.total})
 	return in
@@ -193,27 +174,21 @@ func (s *Set) PopWhere(ok func(*ptg.Instance) bool) *ptg.Instance {
 func (s *Set) findWhere(ok func(*ptg.Instance) bool) (best *ptg.Instance, bq, bi int) {
 	bq, bi = -1, -1
 	for q := range s.queues {
-		for i := 0; i < s.queues[q].Len(); i++ {
-			in := s.queues[q].at(i)
-			if !ok(in) {
-				continue
-			}
-			if best == nil || Before(in, best) {
-				best, bq, bi = in, q, i
-			}
+		if in, i := s.queues[q].FindWhere(ok); in != nil && (best == nil || Before(in, best)) {
+			best, bq, bi = in, q, i
 		}
 	}
 	return best, bq, bi
 }
 
 // emit delivers an event to the observer, if any, stamping it with the
-// substrate clock.
+// set's clock.
 func (s *Set) emit(e Event) {
 	if s.obs == nil {
 		return
 	}
-	if s.sub != nil {
-		e.Ts = s.sub.Now()
+	if s.now != nil {
+		e.Ts = s.now()
 	}
 	s.obs(e)
 }

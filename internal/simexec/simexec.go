@@ -209,7 +209,7 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 			// reports the new depth. The external observer, if any, sees
 			// the same events with queue/worker indices flattened across
 			// nodes.
-			rq: sched.NewSet(nq, cfg.Policy, cfg.Queues, ex, func(e sched.Event) {
+			rq: sched.NewSet(nq, cfg.Policy, cfg.Queues, ex.Now, func(e sched.Event) {
 				ex.sample("ready tasks", n, float64(e.Total))
 				if obs := cfg.SchedObserver; obs != nil {
 					base := n * cfg.CoresPerNode
@@ -288,23 +288,14 @@ type executor struct {
 	err   error
 }
 
-// The executor is the scheduling core's substrate inside the DES: the
-// virtual clock, and the per-node wait queues as the idle primitive.
-var _ sched.Substrate = (*executor)(nil)
-
-// Now returns the current virtual time in nanoseconds (sched.Substrate).
+// Now returns the current virtual time in nanoseconds: the clock the
+// ready sets stamp scheduling events with.
 func (ex *executor) Now() int64 { return int64(ex.m.Eng.Now()) }
 
 // Idle suspends the calling worker's simulated process on its node's
-// wait queue until new work may be available (sched.Substrate).
+// wait queue until new work may be available.
 func (ex *executor) Idle(worker int) {
 	ex.nodes[worker/ex.cfg.CoresPerNode].workersIdle.Wait(ex.procs[worker])
-}
-
-// Kick wakes the workers parked on a worker's node (sched.Substrate;
-// the DES wait queue has no per-process wake, so a kick is node-wide).
-func (ex *executor) Kick(worker int) {
-	ex.nodes[worker/ex.cfg.CoresPerNode].workersIdle.WakeAll()
 }
 
 func (ex *executor) fail(err error) {
