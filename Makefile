@@ -45,11 +45,11 @@ bench-e2e:
 # promote it with `cp bench_kernels_new.json BENCH_kernels.json` after an
 # intentional kernel change.
 bench-kernels:
-	$(GO) run ./cmd/ccsim -kernels -kernelsout bench_kernels_new.json -kernelsbaseline BENCH_kernels.json
+	$(GO) run ./cmd/ccsim kernels -out bench_kernels_new.json -baseline BENCH_kernels.json
 
 # The paper's headline experiment (Fig 9) at full scale.
 fig9:
-	$(GO) run ./cmd/ccsim -csv fig9.csv
+	$(GO) run ./cmd/ccsim fig9 -out fig9.csv
 
 # The trace experiments (Figs 10-13).
 traces:
@@ -59,18 +59,18 @@ traces:
 
 # Observability profiles (histograms, idle bubbles, critical path).
 profile:
-	$(GO) run ./cmd/ccsim -profile -profileout profile.json
+	$(GO) run ./cmd/ccsim profile -out profile.json
 
 # Seeded fault-injection sweep; regenerates docs/faults.json.
 faults:
-	$(GO) run ./cmd/ccsim -faults
+	$(GO) run ./cmd/ccsim faults
 
 # Simulator-guided recipe autotuning at paper scale (beta-carotene,
 # 32 nodes x 7 cores); regenerates docs/tune.json bit-identically for
 # the committed seed. Started from v1, the search must end at or below
 # hand-derived v5's makespan or the target fails.
 tune:
-	$(GO) run ./cmd/ccsim -tune
+	$(GO) run ./cmd/ccsim tune
 
 # Scheduling-core conformance: the real runtime, the simulator, and the
 # socket runtime must take identical scheduling decisions
@@ -91,9 +91,10 @@ netrun-conformance:
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/netrun
 
 # Multi-process distributed smoke: benzene with real arithmetic across 3
-# worker processes; energies must match the single-process runtime.
+# worker processes; energies must match the single-process runtime to a
+# relative 1e-12 (ccsd.EnergyTol).
 real-dist:
-	$(GO) run ./cmd/ccsim -real-dist 3
+	$(GO) run ./cmd/ccsim real-dist -ranks 3
 
 # Service smoke: start ccsimd in-process under the race detector and
 # drive the acceptance scenario over real HTTP — cold benzene job,

@@ -4,7 +4,7 @@
 //   - BenchmarkFig9*: the headline comparison — original CGP code vs the
 //     five PaRSEC variants across a cores/node sweep. Uses the reduced
 //     benzene/8-node configuration so one bench iteration is fast;
-//     `go run ./cmd/ccsim` produces the full beta-carotene/32-node table.
+//     `go run ./cmd/ccsim fig9` produces the full beta-carotene/32-node table.
 //     The "sim-s" metric is the simulated execution time (Fig 9's y-axis).
 //   - BenchmarkFig10/11/12*: the trace experiments; reported metrics are
 //     what the paper reads off the traces (startup ramp, worker time
@@ -51,11 +51,11 @@ func BenchmarkFig9Original(b *testing.B) {
 		b.Run(fmt.Sprintf("cores-%d", cores), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				mk, err := ccsd.RunSimBaseline(sys, benchCluster(), cores, nil)
+				res, err := ccsd.RunSimBaseline(sys, benchCluster(), ccsd.SimRunConfig{CoresPerNode: cores})
 				if err != nil {
 					b.Fatal(err)
 				}
-				last = mk.Seconds()
+				last = res.Makespan.Seconds()
 			}
 			b.ReportMetric(last, "sim-s")
 		})
@@ -140,8 +140,8 @@ func BenchmarkFig11TraceV2(b *testing.B) {
 func BenchmarkFig12TraceOriginal(b *testing.B) {
 	sys := molecule.Benzene631G()
 	traceBench(b, func(tr *trace.Trace) (float64, error) {
-		mk, err := ccsd.RunSimBaseline(sys, benchCluster(), 7, tr)
-		return mk.Seconds(), err
+		res, err := ccsd.RunSimBaseline(sys, benchCluster(), ccsd.SimRunConfig{CoresPerNode: 7, Trace: tr})
+		return res.Makespan.Seconds(), err
 	})
 }
 
@@ -152,9 +152,10 @@ func BenchmarkEnergyVariants(b *testing.B) {
 	ref := ccsd.ReferenceEnergy(w)
 	for _, spec := range ccsd.Variants() {
 		spec := spec
+		plan := ccsd.CompileWorkload(w, spec, ccsd.Options{Nodes: 1})
 		b.Run(spec.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := ccsd.RunReal(w, spec, 4)
+				res, err := plan.Execute(ccsd.ExecConfig{Workers: 4})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -204,11 +205,11 @@ func BenchmarkAblationNxtvalRTT(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchCluster()
 				cfg.AtomicRTT = rtt
-				mk, err := ccsd.RunSimBaseline(sys, cfg, 7, nil)
+				res, err := ccsd.RunSimBaseline(sys, cfg, ccsd.SimRunConfig{CoresPerNode: 7})
 				if err != nil {
 					b.Fatal(err)
 				}
-				last = mk.Seconds()
+				last = res.Makespan.Seconds()
 			}
 			b.ReportMetric(last, "sim-s")
 		})

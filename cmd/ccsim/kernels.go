@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -16,20 +17,21 @@ import (
 	"parsec/internal/tensor"
 )
 
-// The -kernels mode: benchmark the dense-kernel layer (blocked GEMM —
-// serial and team-split — and the SORT_4 permutations) over the tile
-// shapes the real workloads produce, and emit the result as the
+// The kernels subcommand: benchmark the dense-kernel layer (blocked
+// GEMM — serial and team-split — and the SORT_4 permutations) over the
+// tile shapes the real workloads produce, and emit the result as the
 // committed BENCH_kernels.json baseline. Shapes are harvested from the
 // inspection phase of each preset, so the sweep tracks the workloads
-// rather than a hand-picked list. With -kernelsbaseline the fresh sweep
-// is diffed against a committed baseline and >10% ns/op regressions
-// fail the run (the make bench-kernels guard).
+// rather than a hand-picked list. With -baseline the fresh sweep is
+// diffed against a committed baseline and >10% ns/op regressions fail
+// the run (the make bench-kernels guard).
 
 // kernelPresets are the workloads the sweep harvests shapes from.
 var kernelPresets = []string{"water", "benzene", "betacarotene"}
 
 // maxShapesPerKind caps how many distinct shapes per (workload, kernel)
-// are benchmarked, most-frequent first.
+// are benchmarked, most-frequent first. -quick keeps one shape of the
+// first preset.
 const maxShapesPerKind = 4
 
 // gemmParWorkers is the team size the gemm-par rows split across,
@@ -70,8 +72,8 @@ func harvestShapes(preset string) (map[gemmShape]int, map[sortShape]int, error) 
 }
 
 // topShapes returns the keys of counts sorted by descending count (ties
-// by the render string for determinism), truncated to maxShapesPerKind.
-func topShapes[K comparable](counts map[K]int, render func(K) string) []K {
+// by the render string for determinism), truncated to max.
+func topShapes[K comparable](counts map[K]int, max int, render func(K) string) []K {
 	keys := make([]K, 0, len(counts))
 	for k := range counts {
 		keys = append(keys, k)
@@ -82,14 +84,15 @@ func topShapes[K comparable](counts map[K]int, render func(K) string) []K {
 		}
 		return render(keys[i]) < render(keys[j])
 	})
-	if len(keys) > maxShapesPerKind {
-		keys = keys[:maxShapesPerKind]
+	if len(keys) > max {
+		keys = keys[:max]
 	}
 	return keys
 }
 
-func benchGemmShape(s gemmShape) testing.BenchmarkResult {
-	// The production call shape: dgemm('T','N') per Fig 1, beta = 1.
+// benchGemm times the production call shape — dgemm('T','N') per Fig 1,
+// beta = 1 — serially, or split across pool when it is non-nil.
+func benchGemm(s gemmShape, pool *team.Pool) testing.BenchmarkResult {
 	a := tensor.NewMatrix(s.k, s.m)
 	b := tensor.NewMatrix(s.k, s.n)
 	c := tensor.NewMatrix(s.m, s.n)
@@ -101,181 +104,124 @@ func benchGemmShape(s gemmShape) testing.BenchmarkResult {
 	copy(b.Data, tb.Data)
 	return testing.Benchmark(func(bb *testing.B) {
 		for i := 0; i < bb.N; i++ {
-			tensor.Gemm(true, false, 1, a, b, 1, c)
+			if pool != nil {
+				tensor.GemmP(pool, nil, true, false, 1, a, b, 1, c)
+			} else {
+				tensor.Gemm(true, false, 1, a, b, 1, c)
+			}
 		}
 	})
 }
 
-func benchGemmParShape(s gemmShape, pool *team.Pool) testing.BenchmarkResult {
-	a := tensor.NewMatrix(s.k, s.m)
-	b := tensor.NewMatrix(s.k, s.n)
-	c := tensor.NewMatrix(s.m, s.n)
-	ta := tensor.NewTile4(s.k, s.m, 1, 1)
-	ta.FillRandom(1, 1)
-	copy(a.Data, ta.Data)
-	tb := tensor.NewTile4(s.k, s.n, 1, 1)
-	tb.FillRandom(2, 1)
-	copy(b.Data, tb.Data)
-	return testing.Benchmark(func(bb *testing.B) {
-		for i := 0; i < bb.N; i++ {
-			tensor.GemmP(pool, nil, true, false, 1, a, b, 1, c)
-		}
-	})
-}
-
-func benchSortShape(s sortShape) testing.BenchmarkResult {
+// benchSort times one SORT_4 permutation: the plain copy form, or (add)
+// the production accumulate form, where the merged SORT body folds every
+// permutation of a chain result straight into one destination.
+func benchSort(s sortShape, add bool) testing.BenchmarkResult {
 	src := tensor.NewTile4(s.src[0], s.src[1], s.src[2], s.src[3])
 	src.FillRandom(3, 1)
 	d := src.SortedDims(s.perm)
 	dst := tensor.NewTile4(d[0], d[1], d[2], d[3])
 	return testing.Benchmark(func(bb *testing.B) {
 		for i := 0; i < bb.N; i++ {
-			tensor.Sort4(dst, src, s.perm, -1)
+			if add {
+				tensor.Sort4Add(dst, src, s.perm, -1)
+			} else {
+				tensor.Sort4(dst, src, s.perm, -1)
+			}
 		}
 	})
 }
 
-func benchSort4AddShape(s sortShape) testing.BenchmarkResult {
-	// The production accumulate form: the merged SORT body folds every
-	// permutation of a chain result straight into one destination.
-	src := tensor.NewTile4(s.src[0], s.src[1], s.src[2], s.src[3])
-	src.FillRandom(3, 1)
-	d := src.SortedDims(s.perm)
-	dst := tensor.NewTile4(d[0], d[1], d[2], d[3])
-	return testing.Benchmark(func(bb *testing.B) {
-		for i := 0; i < bb.N; i++ {
-			tensor.Sort4Add(dst, src, s.perm, -1)
-		}
-	})
-}
-
-// runKernels executes the sweep and writes the JSON baseline to outPath
-// (stdout table always printed). A non-empty basePath loads a committed
-// baseline and fails the run on >10% ns/op regressions.
-func runKernels(outPath, basePath string, verbose bool) error {
-	report := &metrics.KernelReport{
-		Title:     "dense-kernel sweep over real workload tile shapes",
-		GoVersion: runtime.Version(),
-		Arch:      runtime.GOARCH,
-		CPUs:      runtime.NumCPU(),
-		Tier:      tensor.ActiveKernelTier().String(),
-	}
-	tp := team.NewPool(gemmParWorkers)
-	defer tp.Close()
-	for _, preset := range kernelPresets {
-		gemms, sorts, err := harvestShapes(preset)
-		if err != nil {
+// kernelsCmd executes the sweep, prints the table, writes the JSON
+// baseline to -out, and with -baseline fails on >10% ns/op regressions
+// against a committed one.
+func kernelsCmd(fs *flag.FlagSet) func(io.Writer) error {
+	var o options
+	o.register(fs, defaults{out: "BENCH_kernels.json"}, "quick", "v", "out")
+	basePath := fs.String("baseline", "", "committed baseline to diff the sweep against; >10% ns/op regressions fail the run")
+	return func(out io.Writer) error {
+		if _, err := o.resolve(); err != nil {
 			return err
 		}
-		for _, s := range topShapes(gemms, func(g gemmShape) string {
-			return fmt.Sprintf("%08dx%08dx%08d", g.m, g.n, g.k)
-		}) {
-			if verbose {
-				fmt.Fprintf(os.Stderr, "  gemm %s TN m=%d n=%d k=%d...\n", preset, s.m, s.n, s.k)
+		presets, maxShapes := kernelPresets, maxShapesPerKind
+		if o.quick {
+			presets, maxShapes = presets[:1], 1
+		}
+		report := &metrics.KernelReport{
+			Title:     "dense-kernel sweep over real workload tile shapes",
+			GoVersion: runtime.Version(),
+			Arch:      runtime.GOARCH,
+			CPUs:      runtime.NumCPU(),
+			Tier:      tensor.ActiveKernelTier().String(),
+		}
+		// add appends one measured row; flops is 0 for the SORT kernels.
+		add := func(kernel, shape, preset string, count int, r testing.BenchmarkResult, bytes, flops int64) {
+			if o.verbose {
+				fmt.Fprintf(os.Stderr, "  %s %s %s\n", kernel, preset, shape)
 			}
-			r := benchGemmShape(s)
-			bytes := int64(8 * (s.m*s.k + s.k*s.n + s.m*s.n))
 			ns := float64(r.NsPerOp())
 			report.Results = append(report.Results, metrics.KernelResult{
-				Kernel:     "gemm",
-				Shape:      fmt.Sprintf("TN m=%d n=%d k=%d", s.m, s.n, s.k),
+				Kernel:     kernel,
+				Shape:      shape,
 				Workload:   preset,
-				Count:      gemms[s],
+				Count:      count,
 				Iters:      r.N,
 				NsPerOp:    ns,
 				BytesPerOp: bytes,
 				MBPerSec:   float64(bytes) / ns * 1e3,
-				GFlops:     float64(tensor.GemmFlops(s.m, s.n, s.k)) / ns,
-			})
-			if s.m*s.n*s.k < gemmParMinProduct {
-				continue
-			}
-			if verbose {
-				fmt.Fprintf(os.Stderr, "  gemm-par %s TN m=%d n=%d k=%d...\n", preset, s.m, s.n, s.k)
-			}
-			rp := benchGemmParShape(s, tp)
-			nsp := float64(rp.NsPerOp())
-			report.Results = append(report.Results, metrics.KernelResult{
-				Kernel:     "gemm-par",
-				Shape:      fmt.Sprintf("TN m=%d n=%d k=%d w=%d", s.m, s.n, s.k, gemmParWorkers),
-				Workload:   preset,
-				Count:      gemms[s],
-				Iters:      rp.N,
-				NsPerOp:    nsp,
-				BytesPerOp: bytes,
-				MBPerSec:   float64(bytes) / nsp * 1e3,
-				GFlops:     float64(tensor.GemmFlops(s.m, s.n, s.k)) / nsp,
+				GFlops:     float64(flops) / ns,
 			})
 		}
-		for _, s := range topShapes(sorts, func(ss sortShape) string {
-			return fmt.Sprintf("%v%v", ss.src, ss.perm)
-		}) {
-			if verbose {
-				fmt.Fprintf(os.Stderr, "  sort4 %s %v perm=%v...\n", preset, s.src, s.perm)
+		tp := team.NewPool(gemmParWorkers)
+		defer tp.Close()
+		for _, preset := range presets {
+			gemms, sorts, err := harvestShapes(preset)
+			if err != nil {
+				return err
 			}
-			r := benchSortShape(s)
-			elems := s.src[0] * s.src[1] * s.src[2] * s.src[3]
-			bytes := tensor.Sort4Bytes(elems)
-			ns := float64(r.NsPerOp())
-			shape := fmt.Sprintf("%dx%dx%dx%d perm=%v",
-				s.src[0], s.src[1], s.src[2], s.src[3], s.perm)
-			report.Results = append(report.Results, metrics.KernelResult{
-				Kernel:     "sort4",
-				Shape:      shape,
-				Workload:   preset,
-				Count:      sorts[s],
-				Iters:      r.N,
-				NsPerOp:    ns,
-				BytesPerOp: bytes,
-				MBPerSec:   float64(bytes) / ns * 1e3,
-			})
-			if verbose {
-				fmt.Fprintf(os.Stderr, "  sort4add %s %v perm=%v...\n", preset, s.src, s.perm)
+			for _, s := range topShapes(gemms, maxShapes, func(g gemmShape) string {
+				return fmt.Sprintf("%08dx%08dx%08d", g.m, g.n, g.k)
+			}) {
+				bytes := int64(8 * (s.m*s.k + s.k*s.n + s.m*s.n))
+				flops := tensor.GemmFlops(s.m, s.n, s.k)
+				add("gemm", fmt.Sprintf("TN m=%d n=%d k=%d", s.m, s.n, s.k), preset, gemms[s], benchGemm(s, nil), bytes, flops)
+				if s.m*s.n*s.k >= gemmParMinProduct {
+					add("gemm-par", fmt.Sprintf("TN m=%d n=%d k=%d w=%d", s.m, s.n, s.k, gemmParWorkers),
+						preset, gemms[s], benchGemm(s, tp), bytes, flops)
+				}
 			}
-			ra := benchSort4AddShape(s)
-			nsa := float64(ra.NsPerOp())
-			report.Results = append(report.Results, metrics.KernelResult{
-				Kernel:     "sort4add",
-				Shape:      shape,
-				Workload:   preset,
-				Count:      sorts[s],
-				Iters:      ra.N,
-				NsPerOp:    nsa,
-				BytesPerOp: bytes,
-				MBPerSec:   float64(bytes) / nsa * 1e3,
-			})
+			for _, s := range topShapes(sorts, maxShapes, func(ss sortShape) string {
+				return fmt.Sprintf("%v%v", ss.src, ss.perm)
+			}) {
+				bytes := tensor.Sort4Bytes(s.src[0] * s.src[1] * s.src[2] * s.src[3])
+				shape := fmt.Sprintf("%dx%dx%dx%d perm=%v", s.src[0], s.src[1], s.src[2], s.src[3], s.perm)
+				add("sort4", shape, preset, sorts[s], benchSort(s, false), bytes, 0)
+				add("sort4add", shape, preset, sorts[s], benchSort(s, true), bytes, 0)
+			}
 		}
-	}
-	if err := report.WriteTable(os.Stdout); err != nil {
-		return err
-	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
+		if err := report.WriteTable(out); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := report.WriteJSON(io.Writer(f)); err != nil {
+		if err := writeArtifact(out, o.out, report.WriteJSON); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %s\n", outPath)
-	}
-	if basePath != "" {
-		base, err := readKernelBaseline(basePath)
+		if *basePath == "" {
+			return nil
+		}
+		base, err := readKernelBaseline(*basePath)
 		if err != nil {
 			return err
 		}
 		msgs := report.Compare(base, 0.10)
 		if len(msgs) == 0 {
-			fmt.Printf("no regressions >10%% vs %s\n", basePath)
+			fmt.Fprintf(out, "no regressions >10%% vs %s\n", *basePath)
 			return nil
 		}
 		for _, m := range msgs {
 			fmt.Fprintf(os.Stderr, "regression: %s\n", m)
 		}
-		return fmt.Errorf("%d kernel rows regressed >10%% vs %s", len(msgs), basePath)
+		return fmt.Errorf("%d kernel rows regressed >10%% vs %s", len(msgs), *basePath)
 	}
-	return nil
 }
 
 // readKernelBaseline loads a committed BENCH_kernels.json.

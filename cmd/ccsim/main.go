@@ -1,395 +1,241 @@
-// Command ccsim regenerates the paper's Fig 9 experiment: the execution
-// time of the icsd_t2_7 CCSD subroutine on a simulated 32-node cluster,
-// for the original NWChem code and the five PaRSEC variants of §IV-A,
-// across a sweep of cores per node. It prints the Fig 9 table, a CSV
-// series, and the derived §V claims (speedups, crossover, spread).
+// Command ccsim is the experiment driver of the reproduction. Each
+// experiment is a subcommand with its own flags:
 //
-// Usage:
+//	ccsim fig9      the paper's Fig 9: original + v1..v5 across cores/node (simulated)
+//	ccsim sweep     one machine or graph parameter varied, every series re-run (simulated)
+//	ccsim sched     real runs across ready-queue modes x worker counts, scheduler counters
+//	ccsim kernels   dense-kernel benchmark over real workload tile shapes
+//	ccsim profile   observability profiles: histograms, idle bubbles, comm, critical path
+//	ccsim faults    seeded fault-injection sweep with the recovery and energy criteria
+//	ccsim real-dist real arithmetic across worker OS processes over loopback sockets
+//	ccsim tune      simulator-guided recipe search, checked against hand-derived v5
 //
-//	ccsim [-preset betacarotene] [-nodes 32] [-cores 1,3,7,11,15]
-//	      [-variants original,v1,v2,v3,v4,v5] [-csv out.csv] [-quick]
-//	      [-sched [-schedworkers 1,2,4,8]]
-//
-// -sched switches to the shared-memory scheduler sweep: the variants run
-// with real arithmetic on the goroutine runtime across every ready-queue
-// mode and the -schedworkers counts, printing the scheduler counters
-// (steals, parks, wakes, queue depth, load imbalance) instead of Fig 9.
-//
-// -faults switches to the seeded fault-injection sweep: each series runs
-// fault-free and under stragglers, transfer loss, and GA-service
-// hiccups, printing recovery counters and slowdown attribution, checking
-// the re-dispatch recovery criterion and the perturbed real-runtime
-// energies, and writing docs/faults.json.
-//
-// -real-dist N switches to the distributed smoke run: the variants
-// execute with real arithmetic across N worker OS processes talking to
-// this process's Global Arrays coordinator over loopback sockets
-// (benzene by default), and each energy is checked against the
-// single-process shared-memory runtime to 1e-12.
+// The subcommands share one option set — -preset -nodes -variants -cores
+// -quick -v -out — of which each registers the options it reads;
+// `ccsim <subcommand> -h` lists them with their defaults. -quick shrinks
+// the defaults to a smoke-sized run and never overrides an option given
+// explicitly.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"parsec/internal/ccsd"
 	"parsec/internal/cluster"
-	"parsec/internal/metrics"
 	"parsec/internal/molecule"
 	"parsec/internal/netrun"
-	"parsec/internal/sched"
-	"parsec/internal/sim"
-	"parsec/internal/tce"
 )
 
 func main() {
-	// A process launched by -real-dist runs one worker rank and exits
+	// A process launched by real-dist runs one worker rank and exits
 	// here; everything below is the launcher side.
 	netrun.MaybeWorkerMain()
-
-	preset := flag.String("preset", "betacarotene", "molecule preset: water, benzene, betacarotene")
-	nodes := flag.Int("nodes", 32, "number of nodes (paper: 32)")
-	coresList := flag.String("cores", "1,3,7,11,15", "comma-separated cores/node sweep (paper: 1,3,7,11,15)")
-	variants := flag.String("variants", "original,v1,v2,v3,v4,v5", "comma-separated series to run")
-	csvPath := flag.String("csv", "", "also write the series as CSV to this file")
-	quick := flag.Bool("quick", false, "shrink to benzene/8 nodes for a fast smoke run")
-	verbose := flag.Bool("v", false, "print per-run progress")
-	sweep := flag.String("sweep", "", "run an ablation sweep instead of the Fig 9 table: gaservice, nic, contention, stride, segheight")
-	sweepCores := flag.Int("sweepcores", 7, "cores/node used by -sweep runs")
-	sched := flag.Bool("sched", false, "run the shared-memory scheduler sweep (real execution) and print per-queue-mode scheduler stats")
-	schedWorkers := flag.String("schedworkers", "1,2,4,8", "comma-separated worker counts for -sched")
-	kernels := flag.Bool("kernels", false, "benchmark the dense kernels over real workload tile shapes")
-	kernelsOut := flag.String("kernelsout", "BENCH_kernels.json", "JSON baseline path for -kernels (empty to skip writing)")
-	kernelsBaseline := flag.String("kernelsbaseline", "", "committed baseline to diff the -kernels sweep against; >10% ns/op regressions fail the run")
-	profile := flag.Bool("profile", false, "print observability profiles (duration histograms, idle bubbles, comm volumes, critical path) instead of Fig 9")
-	profileOut := flag.String("profileout", "", "also write the -profile results as JSON to this file")
-	profileCores := flag.Int("profilecores", 7, "cores/node for the simulated -profile runs")
-	profileWorkers := flag.Int("profileworkers", 4, "worker goroutines for the real -profile run")
-	profileReal := flag.String("profilereal", "benzene", "molecule preset for the real-runtime -profile run (kept small: real arithmetic at paper scale needs tens of GB and ~an hour per core)")
-	faults := flag.Bool("faults", false, "run the seeded fault-injection sweep (stragglers, transfer loss, GA hiccups) across original/v2/v4 and check the recovery criterion")
-	faultsOut := flag.String("faultsout", "", "write the -faults results as JSON to this file (default docs/faults.json, or no file under -quick)")
-	faultCores := flag.Int("faultcores", 7, "cores/node for the -faults runs")
-	realDist := flag.Int("real-dist", 0, "run the variants with real arithmetic across N worker OS processes over loopback sockets and check each energy against the single-process runtime")
-	distWorkers := flag.Int("distworkers", 2, "worker goroutines per rank process for -real-dist")
-	tuneRun := flag.Bool("tune", false, "search the recipe space with the simulator from -tunestart and check the best shape against hand-derived v5")
-	tuneOut := flag.String("tuneout", "", "write the -tune result as JSON to this file (default docs/tune.json, or no file under -quick)")
-	tuneBudget := flag.Int("tunebudget", 64, "simulator-evaluation budget for -tune")
-	tuneSeed := flag.Int64("tuneseed", 1833, "seed for the -tune neighbor-order shuffle (fixed seed => bit-identical output)")
-	tuneStart := flag.String("tunestart", "v1", "recipe the -tune climb starts from (name or flat grammar)")
-	tuneCores := flag.Int("tunecores", 7, "cores/node for the -tune runs")
-	flag.Parse()
-
-	// Validate the enumerated flags up front so a typo fails with the
-	// accepted values listed instead of deep inside a run.
-	if err := validatePreset("preset", *preset); err != nil {
-		fatal(err)
-	}
-	if err := validatePreset("profilereal", *profileReal); err != nil {
-		fatal(err)
-	}
-	if err := validateSweep(*sweep); err != nil {
-		fatal(err)
-	}
-	if err := validateVariants(*variants); err != nil {
-		fatal(err)
-	}
-	if _, err := ccsd.VariantByName(*tuneStart); err != nil {
-		fatal(fmt.Errorf("bad -tunestart: %w", err))
-	}
-
-	if *kernels {
-		if err := runKernels(*kernelsOut, *kernelsBaseline, *verbose); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *quick {
-		*preset = "benzene"
-		if *faults || *tuneRun {
-			// benzene at 8 nodes leaves the 7-core workers underfed: a
-			// straggler barely queues anything, so re-dispatch has nothing
-			// to recover and the criteria are meaningless. uracil keeps the
-			// smoke run subsecond with a real backlog; the tuner needs the
-			// same backlog for the variant ordering to show.
-			*preset = "uracil"
-		}
-		*nodes = 8
-	}
-	if (*sched || *profile) && !flagWasSet("preset") && !*quick {
-		// Real arithmetic at beta-carotene scale takes minutes per cell;
-		// the sweeps that execute for real default to the small system.
-		*preset = "water"
-	}
-	if *faults && !flagWasSet("variants") {
-		// The fault sweep contrasts the NXTVAL baseline with the
-		// no-priority and priority PTG executors, as the recovery layer's
-		// Fig 9 companions.
-		*variants = "original,v2,v4"
-	}
-	if *profile && !flagWasSet("variants") {
-		// v2 vs v4 is the paper's Fig 11 comparison: identical graphs, with
-		// and without priorities, so the startup bubble shows up directly in
-		// the idle section. The original baseline adds the Figs 12/13
-		// communication signature (GET/ACC volumes, no dataflow deliveries).
-		*variants = "original,v2,v4"
-	}
-	if *realDist > 0 {
-		if !flagWasSet("preset") {
-			// Real arithmetic at beta-carotene scale is out of reach for a
-			// smoke-sized distributed run; benzene is the acceptance system.
-			*preset = "benzene"
-		}
-		if !flagWasSet("variants") {
-			*variants = "v2,v5"
-		}
-		if err := runRealDist(*preset, splitVariants(*variants), *realDist, *distWorkers, *verbose); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	sys, err := molecule.Preset(*preset)
-	if err != nil {
-		fatal(err)
-	}
-	cores, err := parseInts(*coresList)
-	if err != nil {
-		fatal(err)
-	}
-	names := splitVariants(*variants)
-
-	if *tuneRun {
-		out := *tuneOut
-		if out == "" && !flagWasSet("tuneout") && !*quick {
-			out = "docs/tune.json"
-		}
-		mcfg := cluster.CascadeLike()
-		mcfg.Nodes = *nodes
-		if err := runTune(sys, mcfg, *tuneCores, *tuneStart, *tuneBudget, *tuneSeed, out, *verbose); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *faults {
-		out := *faultsOut
-		if out == "" && !flagWasSet("faultsout") && !*quick {
-			out = "docs/faults.json"
-		}
-		mcfg := cluster.CascadeLike()
-		mcfg.Nodes = *nodes
-		if err := runFaults(sys, mcfg, names, *faultCores, out, *quick, *verbose); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *profile {
-		mcfg := cluster.CascadeLike()
-		mcfg.Nodes = *nodes
-		realSys, err := molecule.Preset(*profileReal)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runProfile(sys, realSys, mcfg, names, *profileCores, *profileWorkers, *profileOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *sched {
-		workerCounts, err := parseInts(*schedWorkers)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runSchedSweep(sys, names, workerCounts); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	mcfg := cluster.CascadeLike()
-	mcfg.Nodes = *nodes
-
-	if *sweep != "" {
-		if err := runSweep(sys, mcfg, *sweep, *sweepCores, names); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	w := tce.Inspect(tce.T2_7(sys), nil)
-	fmt.Printf("system: %v\n", sys)
-	fmt.Printf("workload: %v\n", w.Stats())
-	fmt.Printf("machine: %d nodes, %.0f GFlop/s/core (contention %.2f), NIC %.1f GB/s, GA service %.2f GB/s\n\n",
-		mcfg.Nodes, mcfg.CoreGFlops, mcfg.GemmContention, mcfg.NICBWBytes/1e9, mcfg.GAServiceBW/1e9)
-
-	fig := &metrics.Fig9{
-		Title: fmt.Sprintf("Fig 9: CCSD icsd_t2_7() on %d nodes using %s (simulated seconds)", *nodes, sys.Name),
-		Cores: cores,
-	}
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		s := metrics.Series{Name: name, Times: map[int]float64{}}
-		for _, c := range cores {
-			t0 := time.Now()
-			sec, err := runOne(sys, name, mcfg, c)
-			if err != nil {
-				fatal(fmt.Errorf("%s @%d cores: %w", name, c, err))
-			}
-			s.Times[c] = sec
-			if *verbose {
-				fmt.Printf("  %-9s %2d cores/node: %8.2f s  (wall %v)\n", name, c, sec, time.Since(t0).Round(time.Millisecond))
-			}
-		}
-		fig.Add(s)
-	}
-
-	fmt.Println()
-	if err := fig.WriteTable(os.Stdout); err != nil {
-		fatal(err)
-	}
-	fmt.Println()
-	claims, err := metrics.DeriveClaims(fig, cores[len(cores)-1])
-	if err == nil {
-		fmt.Print(claims)
-	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := fig.WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", *csvPath)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "ccsim:", err)
+		os.Exit(1)
 	}
 }
 
-func runOne(sys *molecule.System, name string, mcfg cluster.Config, cores int) (float64, error) {
-	if name == "original" {
-		mk, err := ccsd.RunSimBaseline(sys, mcfg, cores, nil)
-		return mk.Seconds(), err
-	}
-	spec, err := ccsd.VariantByName(name)
-	if err != nil {
-		return 0, err
-	}
-	res, err := ccsd.RunSim(sys, spec, mcfg, ccsd.SimRunConfig{CoresPerNode: cores})
-	return res.Makespan.Seconds(), err
+// subcommand is one experiment. setup registers its flags on fs and
+// returns the function that runs it with the parsed values; keeping the
+// two apart lets tests parse a documented command line without
+// executing it.
+type subcommand struct {
+	name, summary string
+	setup         func(fs *flag.FlagSet) func(out io.Writer) error
 }
 
-// runSchedSweep executes the requested variants on the shared-memory
-// goroutine runtime with real arithmetic, across every ready-queue mode
-// and worker count, and prints the scheduler counters (steals, parks,
-// wakes, queue depth, load imbalance) — the intra-node §IV-D behavior
-// the distributed simulation abstracts away.
-func runSchedSweep(sys *molecule.System, names []string, workerCounts []int) error {
-	w := tce.Inspect(tce.T2_7(sys), nil)
-	fmt.Printf("system: %v\n", sys)
-	fmt.Printf("workload: %v\n", w.Stats())
-	// The caveat travels with the numbers: this output is committed as a
-	// docs artifact and read without the generating command at hand.
-	fmt.Println(`note: real execution; numbers vary with the host. steals is hits/attempts
-("-": the mode never probes). imbalance is max/mean per-worker tasks — near 1
-with real parallelism, approaching W when one worker monopolizes the run
-(e.g. on a 1-vCPU container). DESIGN.md section 6 documents the scheduler.`)
-	fmt.Println()
+var subcommands = []subcommand{
+	{"fig9", "Fig 9 table, CSV series and the derived §V claims (simulated)", fig9Cmd},
+	{"sweep", "ablation: one parameter varied, every series re-run (simulated)", sweepCmd},
+	{"sched", "real runs across queue modes x worker counts; scheduler counters", schedCmd},
+	{"kernels", "dense-kernel benchmark over real tile shapes; regression diff", kernelsCmd},
+	{"profile", "observability profiles of simulated runs plus one real run", profileCmd},
+	{"faults", "seeded fault-injection sweep; recovery and energy criteria", faultsCmd},
+	{"real-dist", "real arithmetic across worker OS processes over loopback sockets", realDistCmd},
+	{"tune", "simulator-guided recipe search, checked against hand-derived v5", tuneCmd},
+}
 
-	modes := []struct {
-		name string
-		q    sched.QueueMode
-	}{
-		{"shared", sched.SharedQueue},
-		{"pinned", sched.PerWorker},
-		{"pinned-steal", sched.PerWorkerSteal},
+// run parses args as `<subcommand> [flags]` and executes it, printing to
+// out. A missing or unknown subcommand prints the usage and is an error.
+func run(args []string, out io.Writer) error {
+	if len(args) == 0 {
+		usage(out)
+		return errors.New("missing subcommand")
 	}
-	tbl := &metrics.SchedTable{
-		Title: fmt.Sprintf("shared-memory scheduler sweep on %s (real execution, wall seconds)", sys.Name),
+	for _, c := range subcommands {
+		if c.name != args[0] {
+			continue
+		}
+		fs := flag.NewFlagSet("ccsim "+c.name, flag.ContinueOnError)
+		fs.SetOutput(out)
+		exec := c.setup(fs)
+		if err := fs.Parse(args[1:]); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return nil
+			}
+			return err
+		}
+		if fs.NArg() > 0 {
+			return fmt.Errorf("%s: unexpected argument %q", c.name, fs.Arg(0))
+		}
+		return exec(out)
 	}
-	ref := ccsd.ReferenceEnergy(w)
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "original" {
-			continue // the baseline has no PTG to schedule
+	usage(out)
+	if h := args[0]; h == "help" || h == "-h" || h == "-help" || h == "--help" {
+		return nil
+	}
+	return fmt.Errorf("unknown subcommand %q", args[0])
+}
+
+func usage(out io.Writer) {
+	fmt.Fprintln(out, "usage: ccsim <subcommand> [flags]")
+	fmt.Fprintln(out)
+	for _, c := range subcommands {
+		fmt.Fprintf(out, "  %-10s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintln(out, "\n`ccsim <subcommand> -h` lists a subcommand's flags.")
+}
+
+// allSeries is the full Fig 9 series list: the CGP baseline and the
+// five PTG variants.
+const allSeries = "original,v1,v2,v3,v4,v5"
+
+// options is the option set the subcommands share. An empty preset,
+// zero nodes or empty out mean "not given": resolve fills them from the
+// subcommand's defaults, which is what lets -quick change defaults
+// without overriding explicit values.
+type options struct {
+	preset, variants, cores, out string
+	nodes                        int
+	quick, verbose               bool
+	d                            defaults
+
+	// Set by resolve from -variants: every requested series by name, and
+	// the PTG ones among them resolved.
+	series []string
+	ptg    []ptgSeries
+}
+
+// defaults are one subcommand's values for the shared options it reads.
+type defaults struct {
+	preset      string // system of the full-size run
+	quickPreset string // system under -quick
+	variants    string
+	cores       string
+	out         string // artifact path of the full-size run; -quick writes none
+}
+
+// Full-size and -quick machine sizes (paper: 32 nodes).
+const (
+	fullNodes  = 32
+	quickNodes = 8
+)
+
+// register adds the named shared options to fs.
+func (o *options) register(fs *flag.FlagSet, d defaults, names ...string) {
+	o.d = d
+	for _, n := range names {
+		switch n {
+		case "preset":
+			fs.StringVar(&o.preset, n, "", fmt.Sprintf("molecule preset: %s (default %s; %s under -quick)",
+				strings.Join(molecule.PresetNames(), ", "), d.preset, d.quickPreset))
+		case "nodes":
+			fs.IntVar(&o.nodes, n, 0, fmt.Sprintf("number of simulated nodes (default %d; %d under -quick)", fullNodes, quickNodes))
+		case "variants":
+			fs.StringVar(&o.variants, n, d.variants, "comma-separated series: original, v1..v5, or flat recipes (seg=1,tree=3;...)")
+		case "cores":
+			fs.StringVar(&o.cores, n, d.cores, "cores (ranks) per node")
+		case "quick":
+			fs.BoolVar(&o.quick, n, false, "shrink the defaults to a smoke-sized run")
+		case "v":
+			fs.BoolVar(&o.verbose, n, false, "print per-run progress")
+		case "out":
+			help := "write the result to this file"
+			if d.out != "" {
+				help += fmt.Sprintf(" (default %s; none under -quick)", d.out)
+			}
+			fs.StringVar(&o.out, n, "", help)
+		default:
+			panic("ccsim: no shared option " + n)
+		}
+	}
+}
+
+// resolve fills the options not given from the subcommand's defaults,
+// rejects unknown presets and malformed variant lists up front — so a
+// typo fails with the accepted values listed instead of deep inside a
+// run — and returns the preset's system (nil for a subcommand without
+// one).
+func (o *options) resolve() (*molecule.System, error) {
+	if o.preset == "" {
+		o.preset = o.d.preset
+		if o.quick {
+			o.preset = o.d.quickPreset
+		}
+	}
+	if o.nodes == 0 {
+		o.nodes = fullNodes
+		if o.quick {
+			o.nodes = quickNodes
+		}
+	}
+	if o.nodes < 1 {
+		return nil, fmt.Errorf("bad -nodes %d", o.nodes)
+	}
+	if o.out == "" && !o.quick {
+		o.out = o.d.out
+	}
+	o.series = splitSeries(o.variants)
+	for _, name := range o.series {
+		// The CGP baseline is a simulator series with no PTG to
+		// schedule, distribute or perturb: the real-runtime subcommands
+		// range over o.ptg and so leave it out.
+		if name == ccsd.BaselineName {
+			continue
 		}
 		spec, err := ccsd.VariantByName(name)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("bad -variants entry %q in %q: %w", name, o.variants, err)
 		}
-		for _, m := range modes {
-			for _, workers := range workerCounts {
-				res, err := ccsd.RunRealQueued(w, spec, workers, m.q)
-				if err != nil {
-					return fmt.Errorf("%s/%s @%d workers: %w", name, m.name, workers, err)
-				}
-				if d := res.Energy - ref; d > 1e-9 || d < -1e-9 {
-					return fmt.Errorf("%s/%s @%d workers: energy drift %g", name, m.name, workers, d)
-				}
-				rep := res.Report
-				tbl.Add(metrics.SchedRow{
-					Config:         fmt.Sprintf("%s/%s", name, m.name),
-					Workers:        rep.Workers,
-					Tasks:          rep.Tasks,
-					Seconds:        rep.Elapsed.Seconds(),
-					StealAttempts:  rep.Sched.StealAttempts,
-					Steals:         rep.Sched.Steals,
-					Parks:          rep.Sched.Parks,
-					Wakes:          rep.Sched.Wakes,
-					MaxQueueDepth:  rep.Sched.MaxQueueDepth,
-					PerWorkerTasks: rep.Sched.PerWorkerTasks,
-				})
-			}
-		}
+		o.ptg = append(o.ptg, ptgSeries{name, spec})
 	}
-	return tbl.WriteTable(os.Stdout)
+	if o.preset == "" {
+		return nil, nil
+	}
+	sys, err := molecule.Preset(o.preset)
+	if err != nil {
+		return nil, fmt.Errorf("bad -preset: %w", err)
+	}
+	return sys, nil
 }
 
-// sweepNames lists the ablation sweeps runSweep implements.
-var sweepNames = []string{"gaservice", "nic", "contention", "stride", "segheight"}
-
-// validatePreset rejects unknown molecule presets with the accepted
-// names listed, so a typo fails before any workload is built.
-func validatePreset(flagName, name string) error {
-	for _, n := range molecule.PresetNames() {
-		if n == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown -%s %q (accepted: %s)", flagName, name, strings.Join(molecule.PresetNames(), ", "))
+// machine returns the calibrated cluster at the requested size.
+func (o *options) machine() cluster.Config {
+	mcfg := cluster.CascadeLike()
+	mcfg.Nodes = o.nodes
+	return mcfg
 }
 
-// validateSweep rejects unknown ablation names (empty means no sweep).
-func validateSweep(name string) error {
-	if name == "" {
-		return nil
+// oneCore parses -cores for the subcommands that run at a single
+// cores-per-node point.
+func (o *options) oneCore() (int, error) {
+	c, err := strconv.Atoi(strings.TrimSpace(o.cores))
+	if err != nil || c < 1 {
+		return 0, fmt.Errorf("bad -cores %q (want one positive integer)", o.cores)
 	}
-	for _, n := range sweepNames {
-		if n == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown -sweep %q (accepted: %s)", name, strings.Join(sweepNames, ", "))
+	return c, nil
 }
 
-// variantNames lists the named -variants entries: the CGP baseline
-// plus every PTG variant. Flat recipe strings are accepted too — see
-// splitVariants and xform.Grammar.
-func variantNames() []string {
-	names := []string{"original"}
-	for _, v := range ccsd.Variants() {
-		names = append(names, v.Name)
-	}
-	return names
-}
-
-// splitVariants parses a -variants list into series entries. Terms are
+// splitSeries parses a -variants list into series entries. Terms are
 // comma-separated; consecutive key=value terms (the flat recipe
 // grammar) merge into one recipe entry, so
 //
@@ -398,9 +244,12 @@ func variantNames() []string {
 // is three series: original, v5, and the derived recipe. A ";" starts a
 // new entry unconditionally, for lists of adjacent recipes that would
 // otherwise merge ("seg=1;seg=2").
-func splitVariants(csv string) []string {
+func splitSeries(list string) []string {
+	if list == "" {
+		return nil
+	}
 	var out []string
-	for _, group := range strings.Split(csv, ";") {
+	for _, group := range strings.Split(list, ";") {
 		inRecipe := false
 		for _, term := range strings.Split(group, ",") {
 			term = strings.TrimSpace(term)
@@ -415,144 +264,44 @@ func splitVariants(csv string) []string {
 	return out
 }
 
-// validateVariants rejects malformed or unknown -variants lists up
-// front, so a typo fails with the accepted names and the full recipe
-// grammar instead of deep inside a run.
-func validateVariants(csv string) error {
-	for _, name := range splitVariants(csv) {
-		if name == "original" {
-			continue
-		}
-		if _, err := ccsd.VariantByName(name); err != nil {
-			return fmt.Errorf("bad -variants entry %q in %q: %w", name, csv, err)
-		}
-	}
-	return nil
+// ptgSeries is one requested PTG series: its name as typed — what a
+// table row or a job sent to another process carries — and the spec it
+// resolves to.
+type ptgSeries struct {
+	name string
+	spec ccsd.VariantSpec
 }
 
-// flagWasSet reports whether the named flag was given on the command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-func parseInts(s string) ([]int, error) {
+func parseInts(flagName, s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad cores list %q: %w", s, err)
+			return nil, fmt.Errorf("bad -%s list %q: %w", flagName, s, err)
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccsim:", err)
-	os.Exit(1)
-}
-
-// sweepPoint is one configuration of an ablation sweep.
-type sweepPoint struct {
-	label string
-	mcfg  cluster.Config
-	rc    ccsd.SimRunConfig
-}
-
-// runSweep executes the named ablation: one machine/run parameter varied
-// across a fixed range, all requested series re-run at each point.
-func runSweep(sys *molecule.System, base cluster.Config, name string, cores int, names []string) error {
-	var points []sweepPoint
-	mk := func(label string, mutate func(*cluster.Config, *ccsd.SimRunConfig)) {
-		cfg := base
-		rc := ccsd.SimRunConfig{CoresPerNode: cores}
-		mutate(&cfg, &rc)
-		points = append(points, sweepPoint{label: label, mcfg: cfg, rc: rc})
+// writeArtifact renders into memory and then writes path in one call,
+// creating its directory: a render error leaves the previous file
+// untouched, and a write error is reported instead of lost in a
+// deferred Close. An empty path writes nothing.
+func writeArtifact(out io.Writer, path string, render func(io.Writer) error) error {
+	if path == "" {
+		return nil
 	}
-	switch name {
-	case "gaservice":
-		for _, bw := range []float64{0.05e9, 0.1e9, 0.21e9, 0.5e9, 1e9} {
-			bw := bw
-			mk(fmt.Sprintf("%.2fGB/s", bw/1e9), func(c *cluster.Config, _ *ccsd.SimRunConfig) { c.GAServiceBW = bw })
-		}
-	case "nic":
-		for _, bw := range []float64{0.3e9, 0.6e9, 1.2e9, 2.4e9, 5e9} {
-			bw := bw
-			mk(fmt.Sprintf("%.1fGB/s", bw/1e9), func(c *cluster.Config, _ *ccsd.SimRunConfig) { c.NICBWBytes = bw })
-		}
-	case "contention":
-		for _, b := range []float64{0, 0.1, 0.286, 0.5, 1} {
-			b := b
-			mk(fmt.Sprintf("beta=%.3f", b), func(c *cluster.Config, _ *ccsd.SimRunConfig) { c.GemmContention = b })
-		}
-	case "stride":
-		for _, us := range []int{0, 10, 47, 100, 200} {
-			us := us
-			mk(fmt.Sprintf("%dus", us), func(c *cluster.Config, _ *ccsd.SimRunConfig) {
-				c.GAStrideLatency = sim.Time(us) * sim.Microsecond
-			})
-		}
-	case "segheight":
-		for _, h := range []int{1, 2, 4, 8, 1 << 20} {
-			h := h
-			label := fmt.Sprintf("h=%d", h)
-			if h == 1<<20 {
-				label = "h=full"
-			}
-			mk(label, func(_ *cluster.Config, rc *ccsd.SimRunConfig) { rc.SegmentHeight = h })
-		}
-	default:
-		return fmt.Errorf("unknown sweep %q (accepted: %s)", name, strings.Join(sweepNames, ", "))
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		return fmt.Errorf("render %s: %w", path, err)
 	}
-
-	fmt.Printf("ablation sweep %q on %s, %d nodes x %d cores/node (simulated seconds)\n\n", name, sys.Name, base.Nodes, cores)
-	header := fmt.Sprintf("%-12s", "point")
-	for _, n := range names {
-		header += fmt.Sprintf("%12s", strings.TrimSpace(n))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
 	}
-	fmt.Println(header)
-	fmt.Println(strings.Repeat("-", len(header)))
-	for _, pt := range points {
-		row := fmt.Sprintf("%-12s", pt.label)
-		for _, n := range names {
-			n = strings.TrimSpace(n)
-			var sec float64
-			var err error
-			if n == "original" {
-				var t sim.Time
-				t, err = ccsd.RunSimBaseline(sys, pt.mcfg, pt.rc.CoresPerNode, nil)
-				sec = t.Seconds()
-			} else {
-				var spec ccsd.VariantSpec
-				spec, err = ccsd.VariantByName(n)
-				if err == nil {
-					var res simexecResult
-					res, err = runVariant(sys, spec, pt.mcfg, pt.rc)
-					sec = res
-				}
-			}
-			if err != nil {
-				return fmt.Errorf("%s @%s: %w", n, pt.label, err)
-			}
-			row += fmt.Sprintf("%12.2f", sec)
-		}
-		fmt.Println(row)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return err
 	}
+	fmt.Fprintf(out, "\nwrote %s\n", path)
 	return nil
-}
-
-type simexecResult = float64
-
-func runVariant(sys *molecule.System, spec ccsd.VariantSpec, mcfg cluster.Config, rc ccsd.SimRunConfig) (float64, error) {
-	res, err := ccsd.RunSim(sys, spec, mcfg, rc)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan.Seconds(), nil
 }

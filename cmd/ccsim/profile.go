@@ -1,16 +1,15 @@
 package main
 
 import (
+	"flag"
 	"fmt"
-	"os"
-	"strings"
+	"io"
 
 	"parsec/internal/ccsd"
 	"parsec/internal/cluster"
 	"parsec/internal/molecule"
 	"parsec/internal/obsv"
 	"parsec/internal/ptg"
-	"parsec/internal/tce"
 	"parsec/internal/trace"
 )
 
@@ -18,95 +17,103 @@ import (
 // aggregate idle line still covers every worker.
 const maxIdleRows = 8
 
-// runProfile executes the requested variants under tracing — simulated
-// on the cluster, plus one real shared-memory run — and prints a full
-// observability report for each: per-class duration histograms, idle
-// bubbles (the quantitative form of Fig 11), communication volumes, and
-// critical-path attribution. The real run uses realSys — kept small so
-// real arithmetic stays fast even when the sims run at paper scale.
-// jsonOut, if non-empty, additionally writes the profiles as JSON for
-// regression diffing.
-func runProfile(sys, realSys *molecule.System, mcfg cluster.Config, names []string, cores, workers int, jsonOut string) error {
-	fmt.Printf("system: %v\n", sys)
-	fmt.Printf("machine: %d nodes x %d cores/node (simulated); real run on %s with %d workers\n",
-		mcfg.Nodes, cores, realSys.Name, workers)
+// profileCmd executes the requested series under tracing — simulated on
+// the cluster, plus one real shared-memory run of the last PTG variant —
+// and prints a full observability report for each: per-class duration
+// histograms, idle bubbles (the quantitative form of Fig 11),
+// communication volumes, and critical-path attribution. The default
+// series are the paper's Fig 11 pair — v2 vs v4, identical graphs
+// without and with priorities, so the startup bubble shows up directly
+// in the idle section — plus the original code for the Figs 12/13
+// communication signature (GET/ACC volumes, no dataflow deliveries).
+// The real run uses the -real system, kept small so real arithmetic
+// stays fast even when the sims run at paper scale (there it needs tens
+// of GB and ~an hour per core). -out additionally writes the profiles as
+// JSON for regression diffing.
+func profileCmd(fs *flag.FlagSet) func(io.Writer) error {
+	var o options
+	o.register(fs, defaults{preset: "water", quickPreset: "benzene", variants: "original,v2,v4", cores: "7"},
+		"preset", "nodes", "variants", "cores", "quick", "out")
+	workers := fs.Int("workers", 4, "worker goroutines of the real run")
+	realPreset := fs.String("real", "benzene", "molecule preset of the real run")
+	return func(out io.Writer) error {
+		sys, err := o.resolve()
+		if err != nil {
+			return err
+		}
+		cores, err := o.oneCore()
+		if err != nil {
+			return err
+		}
+		realSys, err := molecule.Preset(*realPreset)
+		if err != nil {
+			return fmt.Errorf("bad -real: %w", err)
+		}
+		mcfg := o.machine()
+		fmt.Fprintf(out, "system: %v\n", sys)
+		fmt.Fprintf(out, "machine: %d nodes x %d cores/node (simulated); real run on %s with %d workers\n",
+			mcfg.Nodes, cores, realSys.Name, *workers)
 
-	var profiles []*obsv.Profile
-	var lastSpec ccsd.VariantSpec
-	haveSpec := false
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "original" {
-			p, err := profileOriginal(sys, mcfg, cores)
+		var profiles []*obsv.Profile
+		for _, name := range o.series {
+			p, err := profileSim(sys, name, mcfg, cores)
 			if err != nil {
-				return err
+				return fmt.Errorf("profile %s: %w", name, err)
 			}
 			profiles = append(profiles, p)
-			continue
 		}
-		spec, err := ccsd.VariantByName(name)
-		if err != nil {
-			return err
+		if n := len(o.ptg); n > 0 {
+			p, err := profileReal(realSys, o.ptg[n-1].spec, *workers)
+			if err != nil {
+				return fmt.Errorf("profile real run: %w", err)
+			}
+			profiles = append(profiles, p)
 		}
-		lastSpec, haveSpec = spec, true
-		p, err := profileSimVariant(sys, name, spec, mcfg, cores)
-		if err != nil {
-			return fmt.Errorf("profile %s: %w", name, err)
-		}
-		profiles = append(profiles, p)
-	}
 
-	if haveSpec {
-		p, err := profileReal(realSys, lastSpec, workers)
-		if err != nil {
-			return fmt.Errorf("profile real run: %w", err)
+		for _, p := range profiles {
+			fmt.Fprintln(out)
+			if err := p.Report(maxIdleRows).WriteTable(out); err != nil {
+				return err
+			}
 		}
-		profiles = append(profiles, p)
+		return writeArtifact(out, o.out, func(w io.Writer) error { return obsv.WriteJSON(w, profiles) })
 	}
-
-	for _, p := range profiles {
-		fmt.Println()
-		if err := p.Report(maxIdleRows).WriteTable(os.Stdout); err != nil {
-			return err
-		}
-	}
-
-	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := obsv.WriteJSON(f, profiles); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", jsonOut)
-	}
-	return nil
 }
 
-// profileSimVariant runs one PaRSEC variant on the simulated cluster
-// with tracing, then replays the identical DAG under the measured span
-// durations for critical-path attribution.
-func profileSimVariant(sys *molecule.System, name string, spec ccsd.VariantSpec, mcfg cluster.Config, cores int) (*obsv.Profile, error) {
+// profileSim runs one series on the simulated cluster with tracing. A
+// PTG variant's identical DAG is then replayed under the measured span
+// durations for critical-path attribution; the CGP baseline has no PTG,
+// so its profile carries histograms, idle gaps and GET/ACC volumes only
+// — for the original code that tally IS the whole communication story
+// (blocking GET_HASH_BLOCK before every GEMM, ADD_HASH_BLOCK per chain;
+// no dataflow deliveries).
+func profileSim(sys *molecule.System, name string, mcfg cluster.Config, cores int) (*obsv.Profile, error) {
 	tr := trace.New()
 	rc := ccsd.SimRunConfig{CoresPerNode: cores, Trace: tr}
-	res, comm, err := ccsd.RunSimComm(sys, spec, mcfg, rc)
+	res, err := ccsd.RunSimSeries(sys, name, mcfg, rc)
 	if err != nil {
 		return nil, err
 	}
-	p := obsv.FromTrace(fmt.Sprintf("%s sim %s %dn x %dc", name, sys.Name, mcfg.Nodes, cores), tr)
-	p.SetRamp("GEMM", tr)
-	byClass := make(map[string]int64, len(res.BytesByClass))
-	for k, v := range res.BytesByClass {
-		byClass[k] = v
+	baseline := name == ccsd.BaselineName
+	unit := "c" // cores; the baseline's are MPI ranks
+	if baseline {
+		unit = "r"
 	}
+	p := obsv.FromTrace(fmt.Sprintf("%s sim %s %dn x %d%s", name, sys.Name, mcfg.Nodes, cores, unit), tr)
+	p.SetRamp("GEMM", tr)
 	p.SetComm(obsv.CommStats{
-		GetOps: comm.GetOps, GetBytes: comm.GetBytes,
-		AccOps: comm.AccOps, AccBytes: comm.AccBytes,
+		GetOps: res.Gets, GetBytes: res.GetBytes,
+		AccOps: res.Adds, AccBytes: res.AddBytes,
 		Transfers: int64(res.Transfers), TotalBytes: res.BytesSent,
-		ByClass: byClass,
+		ByClass: res.BytesByClass,
 	})
+	if baseline {
+		return p, nil
+	}
+	spec, err := ccsd.VariantByName(name)
+	if err != nil {
+		return nil, err
+	}
 	a, err := ccsd.AnalyzeVariantSim(sys, spec, mcfg, rc, measuredDurations(tr))
 	if err != nil {
 		return nil, fmt.Errorf("critical-path replay: %w", err)
@@ -115,35 +122,17 @@ func profileSimVariant(sys *molecule.System, name string, spec ccsd.VariantSpec,
 	return p, nil
 }
 
-// profileOriginal runs the CGP baseline with tracing. The baseline has
-// no PTG, so its profile carries histograms, idle gaps, and GET/ACC
-// volumes but no critical-path attribution.
-func profileOriginal(sys *molecule.System, mcfg cluster.Config, cores int) (*obsv.Profile, error) {
-	tr := trace.New()
-	_, comm, err := ccsd.RunSimBaselineComm(sys, mcfg, cores, tr)
-	if err != nil {
-		return nil, fmt.Errorf("profile original: %w", err)
-	}
-	p := obsv.FromTrace(fmt.Sprintf("original sim %s %dn x %dr", sys.Name, mcfg.Nodes, cores), tr)
-	p.SetRamp("GEMM", tr)
-	p.SetComm(obsv.CommStats{
-		GetOps: comm.GetOps, GetBytes: comm.GetBytes,
-		AccOps: comm.AccOps, AccBytes: comm.AccBytes,
-	})
-	return p, nil
-}
-
 // profileReal runs one variant with real arithmetic on the goroutine
 // runtime, profiling wall-clock spans instead of simulated time.
 func profileReal(sys *molecule.System, spec ccsd.VariantSpec, workers int) (*obsv.Profile, error) {
-	w := tce.Inspect(tce.T2_7(sys), nil)
+	plan := ccsd.Compile(sys, spec, ccsd.Options{Nodes: 1})
 	tr := trace.New()
-	if _, err := ccsd.RunRealTraced(w, spec, workers, tr); err != nil {
+	if _, err := plan.Execute(ccsd.ExecConfig{Workers: workers, Trace: tr}); err != nil {
 		return nil, err
 	}
 	p := obsv.FromTrace(fmt.Sprintf("%s real %s, %d workers (wall time)", spec.Name, sys.Name, workers), tr)
 	p.SetRamp("GEMM", tr)
-	a, err := ccsd.AnalyzeVariantReal(w, spec, 0, measuredDurations(tr))
+	a, err := ccsd.AnalyzeVariantReal(plan.Workload, spec, 0, measuredDurations(tr))
 	if err != nil {
 		return nil, fmt.Errorf("critical-path replay: %w", err)
 	}

@@ -59,25 +59,11 @@ func main() {
 	mcfg.Nodes = *nodes
 
 	tr := trace.New()
-	var makespan float64
-	switch *variant {
-	case "original":
-		mk, err := ccsd.RunSimBaseline(sys, mcfg, *cores, tr)
-		if err != nil {
-			fatal(err)
-		}
-		makespan = mk.Seconds()
-	default:
-		spec, err := ccsd.VariantByName(*variant)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := ccsd.RunSim(sys, spec, mcfg, ccsd.SimRunConfig{CoresPerNode: *cores, Trace: tr})
-		if err != nil {
-			fatal(err)
-		}
-		makespan = res.Makespan.Seconds()
+	res, err := ccsd.RunSimSeries(sys, *variant, mcfg, ccsd.SimRunConfig{CoresPerNode: *cores, Trace: tr})
+	if err != nil {
+		fatal(err)
 	}
+	makespan := res.Makespan.Seconds()
 	if err := tr.Validate(); err != nil {
 		fatal(fmt.Errorf("trace invalid: %w", err))
 	}

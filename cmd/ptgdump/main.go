@@ -6,7 +6,7 @@
 //
 // The -variant flag accepts either a paper name (v1..v5) or a flat
 // recipe in the transformation-pass grammar, so a derived shape — say
-// one found by ccsim -tune — can be dumped and diffed like any named
+// one found by ccsim tune — can be dumped and diffed like any named
 // variant:
 //
 //	ptgdump -variant seg=1,tree=4,fission=sorts -dot tuned.dot

@@ -1,16 +1,16 @@
 package ccsd
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"parsec/internal/cluster"
-	"parsec/internal/ga"
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
-	"parsec/internal/runtime"
 	"parsec/internal/sched"
 	"parsec/internal/tce"
 	"parsec/internal/trace"
@@ -20,12 +20,10 @@ func waterWorkload() *tce.Workload {
 	return tce.Inspect(tce.T2_7(molecule.Water631G()), nil)
 }
 
-func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if m := math.Max(math.Abs(a), math.Abs(b)); m > 0 {
-		return d / m
-	}
-	return d
+// execute runs one variant over an inspected workload with the default
+// ExecConfig but for the worker count.
+func execute(w *tce.Workload, spec VariantSpec, workers int) (RealResult, error) {
+	return CompileWorkload(w, spec, Options{Nodes: 1}).Execute(ExecConfig{Workers: workers})
 }
 
 // TestAllVariantsMatchReference is experiment E5 (§IV-A): every
@@ -40,11 +38,11 @@ func TestAllVariantsMatchReference(t *testing.T) {
 	for _, spec := range Variants() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			res, err := RunReal(w, spec, 4)
+			res, err := execute(w, spec, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := relDiff(res.Energy, ref); d > 1e-12 {
+			if d := EnergyRelDiff(res.Energy, ref); d > EnergyTol {
 				t.Errorf("%s energy %.15g differs from reference %.15g (rel %g)",
 					spec.Name, res.Energy, ref, d)
 			}
@@ -97,26 +95,55 @@ func TestVariantTaskCounts(t *testing.T) {
 	}
 }
 
-func TestSegmentHeightAblationMatchesReference(t *testing.T) {
-	w := waterWorkload()
-	ref := ReferenceEnergy(w)
-	spec, _ := VariantByName("v3")
-	for _, h := range []int{2, 3, 5} {
-		store := buildAndRunWithHeight(t, w, spec, h)
-		if d := relDiff(store, ref); d > 1e-12 {
-			t.Errorf("height %d: energy %.15g vs reference %.15g", h, store, ref)
+// TestExecuteTable drives the one real-arithmetic path — CompileWorkload
+// + Execute — over every ExecConfig and Options dial that changes how
+// the work is scheduled or cut, on both kernels and all five variants:
+// none of them may move the energy past EnergyTol, and a traced run
+// records exactly one event per task.
+func TestExecuteTable(t *testing.T) {
+	sys := molecule.Water631G()
+	straggler := func(worker int, _ ptg.TaskRef) time.Duration {
+		if worker == 0 {
+			return 5 * time.Microsecond
+		}
+		return 0
+	}
+	for _, k := range []*tce.Kernel{tce.T2_7(sys), tce.T1_2(sys)} {
+		w := tce.Inspect(k, nil)
+		ref := ReferenceEnergy(w)
+		if ref == 0 || math.IsNaN(ref) {
+			t.Fatalf("%s: degenerate reference energy %v", k.Name, ref)
+		}
+		for _, spec := range Variants() {
+			for _, h := range []int{0, 1, 2, 3, 5} {
+				plan := CompileWorkload(w, spec, Options{Nodes: 1, SegmentHeight: h})
+				for _, q := range []sched.QueueMode{sched.SharedQueue, sched.PerWorker, sched.PerWorkerSteal} {
+					for _, traced := range []bool{false, true} {
+						for _, delayed := range []bool{false, true} {
+							cfg := ExecConfig{Workers: 4, Queue: q}
+							if traced {
+								cfg.Trace = trace.New()
+							}
+							if delayed {
+								cfg.TaskDelay = straggler
+							}
+							name := fmt.Sprintf("%s/%s/h=%d/%v/trace=%v/delay=%v", k.Name, spec.Name, h, q, traced, delayed)
+							res, err := plan.Execute(cfg)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if d := EnergyRelDiff(res.Energy, ref); d > EnergyTol {
+								t.Errorf("%s: energy %.15g vs reference %.15g (rel %g)", name, res.Energy, ref, d)
+							}
+							if traced && cfg.Trace.Len() != res.Report.Tasks {
+								t.Errorf("%s: trace has %d events, report %d tasks", name, cfg.Trace.Len(), res.Report.Tasks)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
-}
-
-func buildAndRunWithHeight(t *testing.T, w *tce.Workload, spec VariantSpec, h int) float64 {
-	t.Helper()
-	// RunReal with a custom segment height.
-	res, err := runRealWithOptions(w, spec, 4, h, sched.SharedQueue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Energy
 }
 
 func TestChainPlanShapes(t *testing.T) {
@@ -214,12 +241,12 @@ func TestSimTraceWellFormed(t *testing.T) {
 
 func TestSimBaselineCompletes(t *testing.T) {
 	sys := molecule.Water631G()
-	mk, err := RunSimBaseline(sys, simConfig(4, 4), 2, nil)
+	res, err := RunSimBaseline(sys, simConfig(4, 4), SimRunConfig{CoresPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mk <= 0 {
-		t.Error("zero baseline makespan")
+	if res.Makespan <= 0 || res.Gets == 0 || res.Adds == 0 {
+		t.Errorf("degenerate baseline run: %v", res)
 	}
 }
 
@@ -236,27 +263,6 @@ func TestSimMoreCoresHelpParallelVariant(t *testing.T) {
 	}
 	if r4.Makespan >= r1.Makespan {
 		t.Errorf("v5 with 4 cores (%v) not faster than 1 core (%v)", r4.Makespan, r1.Makespan)
-	}
-}
-
-// TestT1KernelAllVariants shows the port generalizes beyond icsd_t2_7
-// (§VII: "the effort to port a larger part of the application"): the same
-// variant graphs execute the T1-shaped kernel and reproduce its serial
-// reference energy.
-func TestT1KernelAllVariants(t *testing.T) {
-	w := tce.Inspect(tce.T1_2(molecule.Water631G()), nil)
-	ref := ReferenceEnergy(w)
-	if ref == 0 {
-		t.Fatal("degenerate T1 reference")
-	}
-	for _, spec := range Variants() {
-		res, err := RunReal(w, spec, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		if d := relDiff(res.Energy, ref); d > 1e-12 {
-			t.Errorf("%s: T1 energy %.15g vs reference %.15g", spec.Name, res.Energy, ref)
-		}
 	}
 }
 
@@ -308,7 +314,7 @@ func TestDTDMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
-		if d := relDiff(got, ref); d > 1e-12 {
+		if d := EnergyRelDiff(got, ref); d > EnergyTol {
 			t.Errorf("%s: DTD energy %.15g vs reference %.15g", k, got, ref)
 		}
 	}
@@ -355,12 +361,12 @@ func TestPropertyVariantsMatchReferenceOnRandomSystems(t *testing.T) {
 		ref := ReferenceEnergy(w)
 		for _, name := range []string{"v1", "v5"} {
 			spec, _ := VariantByName(name)
-			res, err := RunReal(w, spec, 3)
+			res, err := execute(w, spec, 3)
 			if err != nil {
 				t.Logf("%s on %v: %v", name, sys, err)
 				return false
 			}
-			if relDiff(res.Energy, ref) > 1e-11 {
+			if EnergyRelDiff(res.Energy, ref) > 1e-11 {
 				t.Logf("%s energy %.15g vs %.15g on %v", name, res.Energy, ref, sys)
 				return false
 			}
@@ -416,7 +422,7 @@ func TestFusedEnergyMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := relDiff(got, ref); d > 1e-12 {
+	if d := EnergyRelDiff(got, ref); d > EnergyTol {
 		t.Errorf("fused energy %.15g vs reference %.15g", got, ref)
 	}
 }
@@ -463,7 +469,7 @@ func TestSegmentedWritesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s span %d: %v", name, span, err)
 			}
-			if d := relDiff(res, ref); d > 1e-12 {
+			if d := EnergyRelDiff(res, ref); d > EnergyTol {
 				t.Errorf("%s span %d: energy %.15g vs %.15g", name, span, res, ref)
 			}
 		}
@@ -471,22 +477,8 @@ func TestSegmentedWritesMatchReference(t *testing.T) {
 }
 
 func runRealWithWriteSpan(w *tce.Workload, spec VariantSpec, workers, span int) (float64, error) {
-	store := ga.NewStore(1)
-	aName, bName := w.InputTensors()
-	a := store.Create(aName)
-	bt := store.Create(bName)
-	store.Create(tce.TensorC)
-	for _, ref := range w.UniqueBlocks(aName) {
-		w.FillBlock(ref, a.GetOrCreate(ref.Key, ref.Dims))
-	}
-	for _, ref := range w.UniqueBlocks(bName) {
-		w.FillBlock(ref, bt.GetOrCreate(ref.Key, ref.Dims))
-	}
-	g := BuildGraph(w, spec, Options{Nodes: 1, Store: store, WriteSpan: span})
-	if _, err := runtime.Run(g, runtime.Config{Workers: workers}); err != nil {
-		return 0, err
-	}
-	return w.Energy(store.Array(tce.TensorC)), nil
+	res, err := CompileWorkload(w, spec, Options{Nodes: 1, WriteSpan: span}).Execute(ExecConfig{Workers: workers})
+	return res.Energy, err
 }
 
 // TestSimSegmentedWrites: the simulated run completes with spanning
@@ -580,7 +572,7 @@ func TestConcurrentExecutesShareOneSkeleton(t *testing.T) {
 			t.Errorf("job %d: energy %.17g differs from job 0's %.17g", j, energies[j], energies[0])
 		}
 	}
-	if d := relDiff(energies[0], ref); d > 1e-12 {
+	if d := EnergyRelDiff(energies[0], ref); d > EnergyTol {
 		t.Errorf("energy %.15g vs reference %.15g (rel %g)", energies[0], ref, d)
 	}
 }

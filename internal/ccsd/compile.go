@@ -55,24 +55,33 @@ type CompiledPlan struct {
 }
 
 // Compile runs the inspection phase and chain planning for the T2_7
-// kernel on sys and returns the cacheable plan. opts.Store is ignored
-// (and cleared): stores are per-execution, not part of the plan.
+// kernel on sys and returns the cacheable plan.
 func Compile(sys *molecule.System, spec VariantSpec, opts Options) *CompiledPlan {
+	t0 := time.Now()
+	w := tce.Inspect(tce.T2_7(sys), nil)
+	inspect := time.Since(t0)
+	p := CompileWorkload(w, spec, opts)
+	p.InspectTime = inspect
+	return p
+}
+
+// CompileWorkload is Compile for a workload that is already inspected:
+// the other kernel (tce.T1_2), or one inspection shared by several
+// variants. InspectTime stays zero. opts.Store is ignored (and
+// cleared): stores are per-execution, not part of the plan.
+func CompileWorkload(w *tce.Workload, spec VariantSpec, opts Options) *CompiledPlan {
 	opts.Store = nil
 	shape := effectiveShape(spec, opts)
 	t0 := time.Now()
-	w := tce.Inspect(tce.T2_7(sys), nil)
-	t1 := time.Now()
 	ps := plans(w, shape)
 	return &CompiledPlan{
-		Sys:         sys,
-		Spec:        spec,
-		Opts:        opts,
-		Shape:       shape,
-		Workload:    w,
-		InspectTime: t1.Sub(t0),
-		PlanTime:    time.Since(t1),
-		ps:          ps,
+		Sys:      w.Kernel.Sys,
+		Spec:     spec,
+		Opts:     opts,
+		Shape:    shape,
+		Workload: w,
+		PlanTime: time.Since(t0),
+		ps:       ps,
 	}
 }
 
@@ -138,17 +147,36 @@ type ExecConfig struct {
 	// Trace, when non-nil, records every completed task for obsv
 	// profiling.
 	Trace *trace.Trace
+	// TaskDelay, when non-nil, stalls a worker before each task body —
+	// runtime.Config.TaskDelay, the real-runtime analogue of a simulated
+	// straggler. The energy must not move: fault recovery may reshuffle
+	// who computes what, never what is computed.
+	TaskDelay func(worker int, ref ptg.TaskRef) time.Duration
 	// Cancel, when non-nil, aborts the run when it becomes readable;
 	// the error returned satisfies errors.Is(err, runtime.ErrCanceled).
 	Cancel <-chan struct{}
 }
 
-// Execute runs the compiled plan once: it creates a fresh store, fills
-// the input tensors, binds the graph, and executes it, returning the
-// correlation energy. Concurrent Executes of the same plan are safe —
-// the plan is read-only after Compile.
+// Execute runs the compiled plan once on the goroutine runtime: it
+// creates a fresh store, fills the input tensors, binds the graph,
+// executes it under the variant's ready-queue policy, and reduces the
+// output array to the correlation energy. Concurrent Executes of the
+// same plan are safe — the plan is read-only after Compile.
 func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
 	store := filledStore(p.Workload)
-	rcfg := runtime.Config{Workers: cfg.Workers, Queues: cfg.Queue, Cancel: cfg.Cancel}
-	return runKernelGraph(p.Workload, p.Spec, p.NewGraph(store), store, rcfg, cfg.Trace)
+	rcfg := runtime.Config{
+		Workers:   cfg.Workers,
+		Queues:    cfg.Queue,
+		Policy:    p.Spec.Policy(),
+		Cancel:    cfg.Cancel,
+		TaskDelay: cfg.TaskDelay,
+	}
+	if cfg.Trace != nil {
+		rcfg.Observer = runtime.TraceObserver(0, cfg.Trace)
+	}
+	rep, err := runtime.Run(p.NewGraph(store), rcfg)
+	if err != nil {
+		return RealResult{}, err
+	}
+	return RealResult{Energy: p.Workload.Energy(store.Array(tce.TensorC)), Report: rep}, nil
 }

@@ -176,11 +176,11 @@ func TestNewShapesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunReal(w, spec, 4)
+		res, err := execute(w, spec, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		if d := relDiff(res.Energy, ref); d > 1e-12 {
+		if d := EnergyRelDiff(res.Energy, ref); d > EnergyTol {
 			t.Errorf("%s: energy %.15g vs reference %.15g (rel %g)", src, res.Energy, ref, d)
 		}
 	}
@@ -192,11 +192,11 @@ func TestNewShapesMatchReference(t *testing.T) {
 	if r.SegHeight != 2 {
 		t.Fatalf("FuseSegments landed on seg=%d, want 2", r.SegHeight)
 	}
-	res, err := RunReal(w, VariantFromRecipe(mustParse(t, "seg=2")), 4)
+	res, err := execute(w, VariantFromRecipe(mustParse(t, "seg=2")), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := relDiff(res.Energy, ref); d > 1e-12 {
+	if d := EnergyRelDiff(res.Energy, ref); d > EnergyTol {
 		t.Errorf("fused-segment shape: energy %.15g vs reference %.15g", res.Energy, ref)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"parsec/internal/cluster"
-	"parsec/internal/ga"
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
@@ -306,12 +305,10 @@ func RunSimFusion(sys *molecule.System, mcfg cluster.Config, cores int) (FusionR
 		return out, err
 	}
 	// Staged, stage 2: the energy graph reading i0 back from the GA.
-	eng := sim.NewEngine()
-	m := cluster.New(eng, mcfg)
-	gs := ga.NewSim(m)
-	w := tce.Inspect(tce.T2_7(sys), func(ref tce.BlockRef) int {
-		return gs.Distribution().Owner(ref.Tensor, ref.Key)
-	})
+	m, gs, w, err := newSimMachine(sys, "", mcfg, nil)
+	if err != nil {
+		return out, err
+	}
 	g2 := BuildEnergyStaged(w, Options{Nodes: mcfg.Nodes}, nil)
 	res2, err := simexec.Run(g2, m, gs, simexec.Config{
 		CoresPerNode: cores,
@@ -324,12 +321,10 @@ func RunSimFusion(sys *molecule.System, mcfg cluster.Config, cores int) (FusionR
 	out.Staged = res1.Makespan + res2.Makespan
 
 	// Fused: one graph, one run.
-	engF := sim.NewEngine()
-	mF := cluster.New(engF, mcfg)
-	gsF := ga.NewSim(mF)
-	wF := tce.Inspect(tce.T2_7(sys), func(ref tce.BlockRef) int {
-		return gsF.Distribution().Owner(ref.Tensor, ref.Key)
-	})
+	mF, gsF, wF, err := newSimMachine(sys, "", mcfg, nil)
+	if err != nil {
+		return out, err
+	}
 	psF := plans(wF, spec.MustShape())
 	gF := BuildFused(wF, Options{Nodes: mcfg.Nodes}, nil)
 	resF, err := simexec.Run(gF, mF, gsF, simexec.Config{

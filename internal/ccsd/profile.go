@@ -1,16 +1,10 @@
 package ccsd
 
 import (
-	"parsec/internal/cgp"
 	"parsec/internal/cluster"
-	"parsec/internal/ga"
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
-	"parsec/internal/sched"
-	"parsec/internal/sim"
-	"parsec/internal/simexec"
 	"parsec/internal/tce"
-	"parsec/internal/trace"
 )
 
 // SimGraph rebuilds the exact graph RunSim executes for the same
@@ -19,14 +13,10 @@ import (
 // it to replay an executed DAG through ptg.Analyze with measured
 // durations (internal/obsv critical-path attribution).
 func SimGraph(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (*ptg.Graph, error) {
-	k, err := tce.KernelByName(rc.Kernel, sys)
+	_, _, w, err := newSimMachine(sys, rc.Kernel, mcfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	dist := ga.Distribution{Nodes: mcfg.Nodes}
-	w := tce.Inspect(k, func(ref tce.BlockRef) int {
-		return dist.Owner(ref.Tensor, ref.Key)
-	})
 	return BuildGraph(w, spec, Options{
 		Nodes:         mcfg.Nodes,
 		SegmentHeight: rc.SegmentHeight,
@@ -47,64 +37,11 @@ func AnalyzeVariantSim(sys *molecule.System, spec VariantSpec, mcfg cluster.Conf
 }
 
 // AnalyzeVariantReal is AnalyzeVariantSim for the single-node
-// shared-memory graph runRealWithOptions executes. The graph is built
+// shared-memory graph a plan compiled with Options{Nodes: 1,
+// SegmentHeight: segHeight} executes. The graph is built
 // without a backing store — task bodies are never invoked during
 // replay, only the dataflow is.
 func AnalyzeVariantReal(w *tce.Workload, spec VariantSpec, segHeight int, dur func(ptg.TaskRef) int64) (ptg.Analysis, error) {
 	g := BuildGraph(w, spec, Options{Nodes: 1, SegmentHeight: segHeight})
 	return ptg.Analyze(g, func(in *ptg.Instance) int64 { return dur(in.Ref) })
-}
-
-// RunRealTraced is RunReal with an execution trace: every completed
-// task is recorded as a span on node 0 via runtime.TraceObserver, so
-// real shared-memory runs feed the same profiling pipeline as the
-// simulated ones.
-func RunRealTraced(w *tce.Workload, spec VariantSpec, workers int, tr *trace.Trace) (RealResult, error) {
-	return runRealTraced(w, spec, workers, 0, sched.SharedQueue, tr)
-}
-
-// SimComm tallies the Global-Arrays one-sided traffic of one simulated
-// run: GET_HASH_BLOCK vs ADD_HASH_BLOCK operations and payload bytes.
-type SimComm struct {
-	GetOps, GetBytes int64
-	AccOps, AccBytes int64
-}
-
-// RunSimComm is RunSim additionally returning the GA communication
-// tally, which the profile report combines with the simexec result's
-// per-class network volumes (obsv.CommStats).
-func RunSimComm(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, SimComm, error) {
-	res, gs, err := runSimGA(sys, spec, mcfg, rc)
-	if err != nil {
-		return res, SimComm{}, err
-	}
-	var c SimComm
-	c.GetOps, c.AccOps = gs.Stats()
-	c.GetBytes, c.AccBytes = gs.ByteStats()
-	return res, c, nil
-}
-
-// RunSimBaselineComm is RunSimBaseline additionally returning the GA
-// communication tally — for the original code that tally IS the whole
-// communication story (blocking GET_HASH_BLOCK before every GEMM,
-// ADD_HASH_BLOCK per chain; no dataflow deliveries).
-func RunSimBaselineComm(sys *molecule.System, mcfg cluster.Config, ranksPerNode int, tr *trace.Trace) (sim.Time, SimComm, error) {
-	eng := sim.NewEngine()
-	m := cluster.New(eng, mcfg)
-	gs := ga.NewSim(m)
-	k, err := tce.KernelByName("t2_7", sys)
-	if err != nil {
-		return 0, SimComm{}, err
-	}
-	w := tce.Inspect(k, func(ref tce.BlockRef) int {
-		return gs.Distribution().Owner(ref.Tensor, ref.Key)
-	})
-	res, err := cgp.Run(w, m, gs, cgp.Config{RanksPerNode: ranksPerNode, Trace: tr})
-	if err != nil {
-		return 0, SimComm{}, err
-	}
-	var c SimComm
-	c.GetOps, c.AccOps = gs.Stats()
-	c.GetBytes, c.AccBytes = gs.ByteStats()
-	return res.Makespan, c, nil
 }

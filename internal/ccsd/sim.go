@@ -85,46 +85,50 @@ type SimRunConfig struct {
 	Retry simexec.RetryPolicy
 }
 
-// RunSim executes one variant on a fresh simulated machine built from the
-// cluster configuration, returning the simexec result. The workload must
-// have been inspected; block owners are derived from the machine's GA
-// distribution regardless of how the workload was located, so callers can
-// reuse one inspection across machine sizes.
-func RunSim(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, error) {
-	res, _, err := runSimGA(sys, spec, mcfg, rc)
-	return res, err
-}
+// BaselineName is the series name of the original CGP code in Fig 9
+// listings. It is not a variant: it has no PTG, only the simulated
+// NXTVAL/GET/ACC loop of internal/cgp.
+const BaselineName = "original"
 
-// runSimGA is RunSim additionally returning the GA substrate, whose
-// operation counters the profiler reads after the run.
-func runSimGA(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, *ga.Sim, error) {
-	if rc.CoresPerNode <= 0 {
-		return simexec.Result{}, nil, fmt.Errorf("ccsd: CoresPerNode = %d", rc.CoresPerNode)
-	}
-	eng := sim.NewEngine()
-	m := cluster.New(eng, mcfg)
-	m.SetFaults(rc.Faults)
-	gs := ga.NewSim(m)
-	k, err := tce.KernelByName(rc.Kernel, sys)
+// newSimMachine builds what every simulated run starts from: a fresh
+// engine and machine (under inj, if non-nil), its Global Arrays layer,
+// and the kernel's workload inspected with block owners taken from that
+// layer's distribution — so one inspection is never tied to a machine
+// size it was not located for.
+func newSimMachine(sys *molecule.System, kernel string, mcfg cluster.Config, inj *fault.Injector) (*cluster.Machine, *ga.Sim, *tce.Workload, error) {
+	k, err := tce.KernelByName(kernel, sys)
 	if err != nil {
-		return simexec.Result{}, nil, err
+		return nil, nil, nil, err
 	}
+	m := cluster.New(sim.NewEngine(), mcfg)
+	m.SetFaults(inj)
+	gs := ga.NewSim(m)
 	w := tce.Inspect(k, func(ref tce.BlockRef) int {
 		return gs.Distribution().Owner(ref.Tensor, ref.Key)
 	})
+	return m, gs, w, nil
+}
+
+// RunSim executes one variant on a fresh simulated machine built from
+// the cluster configuration, returning the simexec result (makespan,
+// dataflow volumes, the GA GET/ACC tally, recovery counters).
+func RunSim(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, error) {
+	if rc.CoresPerNode <= 0 {
+		return simexec.Result{}, fmt.Errorf("ccsd: CoresPerNode = %d", rc.CoresPerNode)
+	}
+	m, gs, w, err := newSimMachine(sys, rc.Kernel, mcfg, rc.Faults)
+	if err != nil {
+		return simexec.Result{}, err
+	}
 	shape, err := EffectiveShape(spec, rc.SegmentHeight, rc.WriteSpan)
 	if err != nil {
-		return simexec.Result{}, nil, err
+		return simexec.Result{}, err
 	}
 	ps := plans(w, shape)
 	g := BuildGraph(w, spec, Options{Nodes: mcfg.Nodes, SegmentHeight: rc.SegmentHeight, WriteSpan: rc.WriteSpan})
-	policy := sched.PriorityOrder
-	if !spec.UsePriorities() {
-		policy = sched.LIFOOrder
-	}
-	res, err := simexec.Run(g, m, gs, simexec.Config{
+	return simexec.Run(g, m, gs, simexec.Config{
 		CoresPerNode:   rc.CoresPerNode,
-		Policy:         policy,
+		Policy:         spec.Policy(),
 		Queues:         rc.Queues,
 		Behaviors:      simBehaviorsSpan(w, spec, ps, shape.WriteSpan),
 		Trace:          rc.Trace,
@@ -132,40 +136,43 @@ func runSimGA(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc Si
 		Retry:          rc.Retry,
 		InterNodeSteal: rc.InterNodeSteal,
 	})
-	return res, gs, err
 }
 
-// RunSimBaseline executes the original CGP code path on a fresh simulated
-// machine for the same system, for side-by-side Fig 9 comparisons.
-func RunSimBaseline(sys *molecule.System, mcfg cluster.Config, ranksPerNode int, tr *trace.Trace) (sim.Time, error) {
-	return RunSimBaselineKernel(sys, "t2_7", mcfg, ranksPerNode, tr)
-}
-
-// RunSimBaselineKernel is RunSimBaseline with an explicit kernel choice.
-func RunSimBaselineKernel(sys *molecule.System, kernel string, mcfg cluster.Config, ranksPerNode int, tr *trace.Trace) (sim.Time, error) {
-	return RunSimBaselineFaults(sys, kernel, mcfg, ranksPerNode, tr, nil)
-}
-
-// RunSimBaselineFaults is RunSimBaselineKernel under a fault injector.
+// RunSimBaseline executes the original CGP code path on a fresh
+// simulated machine for the same system, for side-by-side Fig 9
+// comparisons. Of rc it reads CoresPerNode (the ranks per node), Kernel,
+// Trace and Faults; the rest shapes a PTG the baseline does not have.
 // The CGP baseline has no comm threads — its GETs and ACCs are
-// one-sided — so only stragglers and GA-service hiccups apply; its
-// NXTVAL work distribution then rebalances around them on its own,
-// which is the natural contrast to the PTG executors' re-dispatch.
-func RunSimBaselineFaults(sys *molecule.System, kernel string, mcfg cluster.Config, ranksPerNode int, tr *trace.Trace, inj *fault.Injector) (sim.Time, error) {
-	eng := sim.NewEngine()
-	m := cluster.New(eng, mcfg)
-	m.SetFaults(inj)
-	gs := ga.NewSim(m)
-	k, err := tce.KernelByName(kernel, sys)
+// one-sided — so of the injected faults only stragglers and GA-service
+// hiccups apply; its NXTVAL work distribution then rebalances around
+// them on its own, which is the natural contrast to the PTG executors'
+// re-dispatch.
+func RunSimBaseline(sys *molecule.System, mcfg cluster.Config, rc SimRunConfig) (cgp.Result, error) {
+	m, gs, w, err := newSimMachine(sys, rc.Kernel, mcfg, rc.Faults)
 	if err != nil {
-		return 0, err
+		return cgp.Result{}, err
 	}
-	w := tce.Inspect(k, func(ref tce.BlockRef) int {
-		return gs.Distribution().Owner(ref.Tensor, ref.Key)
-	})
-	res, err := cgp.Run(w, m, gs, cgp.Config{RanksPerNode: ranksPerNode, Trace: tr})
+	return cgp.Run(w, m, gs, cgp.Config{RanksPerNode: rc.CoresPerNode, Trace: rc.Trace})
+}
+
+// RunSimSeries runs one Fig 9 series by name — BaselineName through
+// RunSimBaseline, anything else as a variant name or flat recipe
+// through RunSim — so drivers that list series side by side do not
+// each carry that branch. The baseline reports in the same result type:
+// its makespan and GA tally; it has no tasks, deliveries or recovery
+// counters, and those fields stay zero.
+func RunSimSeries(sys *molecule.System, name string, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, error) {
+	if name == BaselineName {
+		res, err := RunSimBaseline(sys, mcfg, rc)
+		return simexec.Result{
+			Makespan: res.Makespan,
+			Gets:     res.Gets, Adds: res.Adds,
+			GetBytes: res.GetBytes, AddBytes: res.AddBytes,
+		}, err
+	}
+	spec, err := VariantByName(name)
 	if err != nil {
-		return 0, err
+		return simexec.Result{}, err
 	}
-	return res.Makespan, nil
+	return RunSim(sys, spec, mcfg, rc)
 }

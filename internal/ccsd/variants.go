@@ -11,6 +11,7 @@ package ccsd
 import (
 	"fmt"
 
+	"parsec/internal/sched"
 	"parsec/internal/xform"
 )
 
@@ -45,6 +46,15 @@ func (v VariantSpec) MustShape() xform.Shape { return v.Recipe.MustShape() }
 // priority expressions; without them schedulers run
 // most-recently-ready-first (LIFO).
 func (v VariantSpec) UsePriorities() bool { return v.MustShape().Prio == xform.PrioPaper }
+
+// Policy is the ready-queue order both executors run the variant under:
+// priority order when the shape assigns priorities, LIFO otherwise.
+func (v VariantSpec) Policy() sched.Policy {
+	if v.UsePriorities() {
+		return sched.PriorityOrder
+	}
+	return sched.LIFOOrder
+}
 
 // variantDescriptions are the §V one-liners for the named recipes.
 var variantDescriptions = map[string]string{

@@ -72,7 +72,7 @@ type PathRow struct {
 // ProfileReport renders one run's observability profile — per-class
 // duration histograms, per-worker idle bubbles, communication volumes,
 // and critical-path attribution — as the aligned text sections behind
-// ccsim -profile.
+// ccsim profile.
 type ProfileReport struct {
 	Title string
 	Span  int64 // trace span (ns)

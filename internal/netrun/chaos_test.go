@@ -31,7 +31,7 @@ func refEnergy(t *testing.T, preset, variant string) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ccsd.RunReal(w, spec, 4)
+	res, err := ccsd.CompileWorkload(w, spec, ccsd.Options{Nodes: 1}).Execute(ccsd.ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

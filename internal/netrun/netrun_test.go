@@ -23,7 +23,7 @@ func waterRef(t *testing.T, variant string) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ccsd.RunReal(w, spec, 2)
+	res, err := ccsd.CompileWorkload(w, spec, ccsd.Options{Nodes: 1}).Execute(ccsd.ExecConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

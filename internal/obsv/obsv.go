@@ -13,7 +13,7 @@
 // A Profile is normally built from a recorded trace with FromTrace,
 // enriched with SetComm and SetCritical, and rendered through
 // internal/metrics (see Report) or exported as JSON (WriteJSON) for
-// regression diffing. cmd/ccsim -profile is the command-line surface.
+// regression diffing. cmd/ccsim profile is the command-line surface.
 package obsv
 
 import (
@@ -630,7 +630,7 @@ func (p *Profile) Report(maxWorkers int) *metrics.ProfileReport {
 }
 
 // WriteJSON exports profiles as indented JSON, the regression-diffing
-// format of cmd/ccsim -profileout.
+// format of cmd/ccsim profile -out.
 func WriteJSON(w io.Writer, profiles []*Profile) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

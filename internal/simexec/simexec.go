@@ -140,6 +140,12 @@ type Result struct {
 	// BytesByClass splits BytesSent by the consuming task's class — the
 	// communication-volume attribution of the profile report.
 	BytesByClass map[string]int64
+	// Gets/Adds count the Global Arrays one-sided operations the run
+	// issued and GetBytes/AddBytes their payload, as cgp.Result reports
+	// them for the original code: the GET-vs-ACC split of the profile
+	// report.
+	Gets, Adds         int64
+	GetBytes, AddBytes int64
 
 	// Recovery counters, nonzero only under fault injection.
 	//
@@ -249,6 +255,8 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 	}
 	ex.res.Makespan = end
 	ex.res.Tasks = tr.NumInstances()
+	ex.res.Gets, ex.res.Adds = gasim.Stats()
+	ex.res.GetBytes, ex.res.AddBytes = gasim.ByteStats()
 	return ex.res, nil
 }
 

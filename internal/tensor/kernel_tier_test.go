@@ -234,7 +234,7 @@ func FuzzSort4Add(f *testing.F) {
 
 // BenchmarkKernelGemmPar measures the team-split GEMM against the serial
 // blocked path on a large square shape (the CI smoke leg runs it once;
-// real numbers land in BENCH_kernels.json via ccsim -kernels).
+// real numbers land in BENCH_kernels.json via ccsim kernels).
 func BenchmarkKernelGemmPar(b *testing.B) {
 	const m, n, k = 512, 512, 512
 	rng := rand.New(rand.NewSource(5))

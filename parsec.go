@@ -32,6 +32,14 @@
 //	sys, _ := parsec.Molecule("betacarotene")
 //	v5, _ := parsec.Variant("v5")
 //	res, _ := parsec.Simulate(sys, v5, parsec.Cascade(), parsec.SimConfig{CoresPerNode: 15})
+//
+// The same variant with real tensor arithmetic, on a system small enough
+// to hold in memory — one compiled plan, one execution, checked against
+// the serial reference:
+//
+//	w := parsec.Inspect(small)
+//	real, _ := parsec.RunCCSD(w, v5, 8)
+//	ok := math.Abs(real.Energy-parsec.ReferenceEnergy(w)) <= 1e-12*math.Abs(real.Energy)
 package parsec
 
 import (
@@ -42,7 +50,6 @@ import (
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
 	"parsec/internal/sched"
-	"parsec/internal/sim"
 	"parsec/internal/simexec"
 	"parsec/internal/tce"
 	"parsec/internal/trace"
@@ -148,18 +155,7 @@ func Run(g *Graph, cfg RunConfig) (Report, error) { return runtime.Run(g, cfg) }
 // shared-memory executions can be rendered with the same Gantt tooling
 // as the simulated runs (all events land on node 0; the worker index is
 // the thread row).
-func RuntimeTraceObserver(tr *Trace) func(runtime.Event) {
-	return func(e runtime.Event) {
-		tr.Add(trace.Event{
-			Node:   0,
-			Thread: e.Worker,
-			Class:  e.Task.Class,
-			Label:  e.Task.String(),
-			Start:  e.Start.Nanoseconds(),
-			End:    e.End.Nanoseconds(),
-		})
-	}
-}
+func RuntimeTraceObserver(tr *Trace) func(runtime.Event) { return runtime.TraceObserver(0, tr) }
 
 // ---- chemistry application layer ----
 
@@ -200,14 +196,7 @@ type RealResult = ccsd.RealResult
 // RunCCSD executes one variant of the ported subroutine with real tensor
 // arithmetic on the goroutine runtime.
 func RunCCSD(w *Workload, spec VariantSpec, workers int) (RealResult, error) {
-	return ccsd.RunReal(w, spec, workers)
-}
-
-// RunCCSDQueued is RunCCSD with an explicit ready-queue mode, for
-// comparing the shared queue against per-worker queues on the real
-// workload.
-func RunCCSDQueued(w *Workload, spec VariantSpec, workers int, queue QueueMode) (RealResult, error) {
-	return ccsd.RunRealQueued(w, spec, workers, queue)
+	return ccsd.CompileWorkload(w, spec, ccsd.Options{Nodes: 1}).Execute(ccsd.ExecConfig{Workers: workers})
 }
 
 // ReferenceEnergy computes the serial ground-truth correlation-energy
@@ -244,9 +233,6 @@ func Simulate(sys *System, spec VariantSpec, mcfg ClusterConfig, rc SimConfig) (
 // SimulateBaseline executes the original CGP code path on a simulated
 // cluster, returning the makespan in seconds of virtual time.
 func SimulateBaseline(sys *System, mcfg ClusterConfig, ranksPerNode int, tr *Trace) (float64, error) {
-	mk, err := ccsd.RunSimBaseline(sys, mcfg, ranksPerNode, tr)
-	return mk.Seconds(), err
+	res, err := ccsd.RunSimBaseline(sys, mcfg, ccsd.SimRunConfig{CoresPerNode: ranksPerNode, Trace: tr})
+	return res.Makespan.Seconds(), err
 }
-
-// VirtualSeconds converts a virtual duration to seconds.
-func VirtualSeconds(t sim.Time) float64 { return t.Seconds() }
