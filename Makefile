@@ -6,8 +6,10 @@ GO ?= go
 
 all: build vet test lint
 
-# Documentation hygiene: godoc coverage and Markdown link integrity.
+# Source and documentation hygiene: gofmt-clean files (any file gofmt
+# lists fails the target), godoc coverage and Markdown link integrity.
 lint:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/doclint -strict ./...
 	$(GO) run ./cmd/mdlint .
 

@@ -14,11 +14,13 @@
 //   - BenchmarkAblation*: sweeps of the design choices DESIGN.md calls
 //     out (segment height, NXTVAL round-trip, network bandwidth).
 //   - BenchmarkKernel*/BenchmarkInspector/BenchmarkTracker*/
-//     BenchmarkHeapPopDeep: the substrate microbenchmarks.
+//     BenchmarkHeapPopDeep/BenchmarkQueuePreloadedDrain: the substrate
+//     microbenchmarks.
 package parsec
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -605,6 +607,43 @@ func BenchmarkHeapPopDeep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/depth, "ns/pop")
+}
+
+// BenchmarkQueuePreloadedDrain is the same 16k tasks the way a run now
+// meets them: handed to the queue as one sorted run (the order a plan's
+// skeleton keeps), then popped to empty while every eighth pop pushes a
+// successor that outranks the run — so the heap holds a task or two and
+// a pop is a cursor step or a one-level sift, not a 14-level one.
+func BenchmarkQueuePreloadedDrain(b *testing.B) {
+	const depth = 16384
+	sorted := make([]*ptg.Instance, depth)
+	for seq := range sorted {
+		sorted[seq] = &ptg.Instance{Priority: int64(seq * 7919 % 1382), Seq: seq}
+	}
+	slices.SortFunc(sorted, func(x, y *ptg.Instance) int {
+		if sched.Before(x, y) {
+			return -1
+		}
+		return 1
+	})
+	succ := make([]ptg.Instance, depth/8)
+	for i := range succ {
+		succ[i] = ptg.Instance{Priority: 1 << 20, Seq: depth + i}
+	}
+	run := make([]*ptg.Instance, depth)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(run, sorted)
+		q := sched.NewQueue(sched.PriorityOrder, sched.SharedQueue)
+		q.Preload(run)
+		for n := 0; q.Len() > 0; n++ {
+			q.Pop()
+			if n%8 == 0 && n/8 < len(succ) {
+				q.Push(&succ[n/8])
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(depth+depth/8), "ns/pop")
 }
 
 // BenchmarkT1Kernel runs the T1-shaped kernel (the generalization beyond

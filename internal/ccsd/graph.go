@@ -340,7 +340,7 @@ func (b *builder) buildReduce() {
 	tc.Cost = func(a ptg.Args) ptg.Cost {
 		// Fold up to arity-1 sibling buffers into the accumulator: one
 		// read + one write per fold, plus the accumulator read.
-		return ptg.Cost{MemBytes: int64(2*b.ps[a[0]].arity - 1) * b.ps[a[0]].cbytes}
+		return ptg.Cost{MemBytes: int64(2*b.ps[a[0]].arity-1) * b.ps[a[0]].cbytes}
 	}
 	tc.FlowBytes = func(a ptg.Args, flow string) int64 {
 		if flow == "X" {

@@ -63,7 +63,7 @@ type API interface {
 // concurrent use.
 type Store struct {
 	dist    Distribution
-	tensors map[string]*tensor.BlockTensor4
+	arrays  map[string]*array
 	counter atomic.Int64
 	// rangeLocks stripes AccRange's serialization by (array, block):
 	// concurrent segment updates to different blocks proceed in
@@ -72,8 +72,21 @@ type Store struct {
 	// lock in the parallel-writes graphs.
 	rangeLocks [rangeStripes]sync.Mutex
 
-	accMu   sync.Mutex // guards pending ordered accumulations
-	pending map[string]map[tensor.BlockKey][]orderedAcc
+	accMu sync.Mutex // guards every array's pending ordered accumulations
+}
+
+// array is one named array with the AccOrdered contributions awaiting
+// their fold into it. buffered says whether there are any; it is written
+// under accMu together with pending — set by AccOrdered, cleared by the
+// flush that takes the buffer — and read without it, so reading an array
+// that is never accumulated into (every input tensor) takes no lock. A
+// read that must see an accumulation is ordered after it by the caller
+// (the dataflow edge, or quiescence), hence also after its store to the
+// flag.
+type array struct {
+	bt       *tensor.BlockTensor4
+	buffered atomic.Bool
+	pending  map[tensor.BlockKey][]orderedAcc
 }
 
 // rangeStripes is the AccRange lock-stripe count: enough that tens of
@@ -110,9 +123,8 @@ var _ API = (*Store)(nil)
 // address space.
 func NewStore(nodes int) *Store {
 	return &Store{
-		dist:    Distribution{Nodes: nodes},
-		tensors: make(map[string]*tensor.BlockTensor4),
-		pending: make(map[string]map[tensor.BlockKey][]orderedAcc),
+		dist:   Distribution{Nodes: nodes},
+		arrays: make(map[string]*array),
 	}
 }
 
@@ -121,11 +133,11 @@ func (s *Store) Distribution() Distribution { return s.dist }
 
 // Create registers an empty named array. Creating an existing name panics.
 func (s *Store) Create(name string) *tensor.BlockTensor4 {
-	if _, dup := s.tensors[name]; dup {
+	if _, dup := s.arrays[name]; dup {
 		panic(fmt.Sprintf("ga: array %q already exists", name))
 	}
 	bt := tensor.NewBlockTensor4()
-	s.tensors[name] = bt
+	s.arrays[name] = &array{bt: bt}
 	return bt
 }
 
@@ -133,12 +145,14 @@ func (s *Store) Create(name string) *tensor.BlockTensor4 {
 // result extraction after execution; concurrent mutation must go through
 // GetHashBlock / AddHashBlock.
 func (s *Store) Array(name string) *tensor.BlockTensor4 {
-	bt, ok := s.tensors[name]
+	a, ok := s.arrays[name]
 	if !ok {
 		panic(fmt.Sprintf("ga: no array %q", name))
 	}
-	s.flushOrdered(name, bt)
-	return bt
+	if a.buffered.Load() {
+		s.flushOrdered(a)
+	}
+	return a.bt
 }
 
 // GetHashBlock fetches a copy of a block, like GET_HASH_BLOCK copying
@@ -200,30 +214,31 @@ func (s *Store) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, 
 	if lo < 0 || hi > src.Len() || lo > hi {
 		return fmt.Errorf("ga: AccOrdered [%d,%d) of %d elements", lo, hi, src.Len())
 	}
-	s.accMu.Lock()
-	m := s.pending[name]
-	if m == nil {
-		m = make(map[tensor.BlockKey][]orderedAcc)
-		s.pending[name] = m
+	a, ok := s.arrays[name]
+	if !ok {
+		return fmt.Errorf("ga: AccOrdered into missing array %q", name)
 	}
-	m[key] = append(m[key], orderedAcc{tag: tag, lo: lo, hi: hi, scale: scale, src: src})
+	s.accMu.Lock()
+	if a.pending == nil {
+		a.pending = make(map[tensor.BlockKey][]orderedAcc)
+	}
+	a.pending[key] = append(a.pending[key], orderedAcc{tag: tag, lo: lo, hi: hi, scale: scale, src: src})
+	a.buffered.Store(true)
 	s.accMu.Unlock()
 	return nil
 }
 
-// flushOrdered folds the named array's buffered contributions. Blocks
+// flushOrdered folds the array's buffered contributions. Blocks
 // are independent storage, so only the within-block order matters; that
 // order is fixed by the (tag, lo) sort. Deterministic results require
 // that all AccOrdered calls happened-before the triggering read (i.e.
 // the graph reached quiescence), which the runtime guarantees.
-func (s *Store) flushOrdered(name string, bt *tensor.BlockTensor4) {
+func (s *Store) flushOrdered(a *array) {
 	s.accMu.Lock()
-	m := s.pending[name]
-	delete(s.pending, name)
+	m := a.pending
+	a.pending = nil
+	a.buffered.Store(false)
 	s.accMu.Unlock()
-	if len(m) == 0 {
-		return
-	}
 	for key, accs := range m {
 		sort.Slice(accs, func(i, j int) bool {
 			if accs[i].tag != accs[j].tag {
@@ -231,7 +246,7 @@ func (s *Store) flushOrdered(name string, bt *tensor.BlockTensor4) {
 			}
 			return accs[i].lo < accs[j].lo
 		})
-		dst := bt.GetOrCreate(key, accs[0].src.Dim)
+		dst := a.bt.GetOrCreate(key, accs[0].src.Dim)
 		for n, a := range accs {
 			// Suppress retransmitted duplicates: after the (tag, lo) sort a
 			// retried contribution sits next to its original.

@@ -527,3 +527,61 @@ func TestRangeLockDeterministicAndSpread(t *testing.T) {
 		t.Error("array name appears to be ignored by the stripe hash")
 	}
 }
+
+// TestAccessLockFreeBesideOrderedAcc runs the two halves of a job's GA
+// traffic against each other: readers hammering Access on an input
+// array nothing accumulates into, and a writer interleaving AccOrdered
+// with reads of the output array. Under -race it checks the buffered
+// flag that lets the readers skip the accumulation lock; in any mode it
+// checks what the flag must never cost — a read that follows an
+// accumulation sees it (the staged energy kernel reads TensorC blocks
+// mid-run), and an untouched array reads back unchanged.
+func TestAccessLockFreeBesideOrderedAcc(t *testing.T) {
+	s := NewStore(1)
+	key := tensor.BlockKey{0, 1, 0, 1}
+	in := s.Create("t2").GetOrCreate(key, [4]int{2, 2, 2, 2})
+	in.FillRandom(11, 1)
+	want := append([]float64(nil), in.Data...)
+	s.Create("c")
+
+	const readers, rounds = 4, 400
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if got := s.Access("t2", key); got != in {
+					t.Errorf("Access returned a different tile: %p, want %p", got, in)
+					return
+				}
+			}
+		}()
+	}
+	one := tensor.NewTile4(2, 2, 2, 2)
+	for i := range one.Data {
+		one.Data[i] = 1
+	}
+	for i := 1; i <= rounds; i++ {
+		if err := s.AccOrdered("c", key, one, 1, i, 0, one.Len()); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 != 0 {
+			continue // let several contributions buffer up between reads
+		}
+		for _, v := range s.GetHashBlock("c", key).Data {
+			if v != float64(i) {
+				t.Fatalf("read after %d accumulations sees %v", i, v)
+			}
+		}
+	}
+	wg.Wait()
+	for i, v := range s.Access("t2", key).Data {
+		if v != want[i] {
+			t.Fatalf("input element %d changed: %v, want %v", i, v, want[i])
+		}
+	}
+	if err := s.AccOrdered("nope", key, one, 1, 0, 0, one.Len()); err == nil {
+		t.Error("AccOrdered into an array that was never created succeeded")
+	}
+}

@@ -232,6 +232,10 @@ func (tc *TaskClass) AddFlow(name string, mode Mode) *Flow {
 	return f
 }
 
+// Index returns the class's position in its graph's definition order: a
+// dense ordinal executors key per-class tables by.
+func (tc *TaskClass) Index() int { return tc.idx }
+
 // FlowIndex returns the index of the named flow and whether it exists.
 func (tc *TaskClass) FlowIndex(name string) (int, bool) {
 	i, ok := tc.flowIdx[name]

@@ -1,6 +1,7 @@
 package ptg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -36,7 +37,14 @@ type Skeleton struct {
 	news    []newSlot
 	newVals []any
 
-	nready int // instances with no task-sourced input
+	// ready lists the instances with no task-sourced input — the tasks
+	// ready before anything completes — in the order a priority queue
+	// serves them: priority descending, then creation order (the
+	// scheduling core's Before). Which tasks start ready, and in what
+	// order they pop, is a property of the plan, so an executor adopts
+	// this run instead of heaping it again every execution.
+	ready []int32
+
 	nslots int // sum over instances of their class's flow count
 }
 
@@ -125,7 +133,7 @@ func NewSkeleton(g *Graph) (*Skeleton, error) {
 				}
 			}
 			if in.fromTask == 0 {
-				s.nready++
+				s.ready = append(s.ready, int32(len(s.inst)))
 			}
 			if n := len(s.inst); n > int(sc.base) && slices.Compare(s.inst[n-1].args[:], in.args[:]) >= 0 {
 				inOrder = false
@@ -147,9 +155,11 @@ func NewSkeleton(g *Graph) (*Skeleton, error) {
 	if err := s.resolveEdges(g); err != nil {
 		return nil, err
 	}
+	// Stable, so equal priorities stay in creation order.
+	slices.SortStableFunc(s.ready, func(i, j int32) int { return cmp.Compare(s.inst[j].prio, s.inst[i].prio) })
 	// Append growth leaves up to a quarter of each array as slack, and
 	// the skeleton outlives the build by the life of the plan.
-	s.inst, s.edges, s.news = slices.Clone(s.inst), slices.Clone(s.edges), slices.Clone(s.news)
+	s.inst, s.edges, s.news, s.ready = slices.Clone(s.inst), slices.Clone(s.edges), slices.Clone(s.news), slices.Clone(s.ready)
 	return s, nil
 }
 
@@ -261,7 +271,8 @@ func (s *Skeleton) NumInstances() int { return len(s.inst) }
 // cached plan keeps resident for it.
 func (s *Skeleton) Bytes() int {
 	n := len(s.inst)*int(unsafe.Sizeof(skelInst{})) + len(s.edges)*int(unsafe.Sizeof(skelEdge{})) +
-		len(s.news)*int(unsafe.Sizeof(newSlot{})) + len(s.newVals)*(16+8) // interface word pair + boxed int64
+		len(s.news)*int(unsafe.Sizeof(newSlot{})) + len(s.newVals)*(16+8) + // interface word pair + boxed int64
+		len(s.ready)*4
 	for i := range s.classes {
 		n += len(s.classes[i].sorted) * 4
 	}

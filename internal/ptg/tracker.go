@@ -201,13 +201,26 @@ func (t *Tracker) Instances() []*Instance {
 // InitialReady returns the instances ready before any completions, in
 // deterministic creation order.
 func (t *Tracker) InitialReady() []*Instance {
-	ready := make([]*Instance, 0, t.sk.nready)
+	ready := make([]*Instance, 0, len(t.sk.ready))
 	for i := range t.inst {
 		if in := &t.inst[i]; in.State == StateReady {
 			ready = append(ready, in)
 		}
 	}
 	return ready
+}
+
+// InitialReadySorted returns the same instances as InitialReady in the
+// order a priority queue pops them — priority descending, then creation
+// order — as the skeleton resolved it once for the plan. The caller owns
+// the slice; a ready queue can adopt it as an already-sorted run
+// (sched.Queue.Preload).
+func (t *Tracker) InitialReadySorted() []*Instance {
+	run := make([]*Instance, len(t.sk.ready))
+	for k, i := range t.sk.ready {
+		run[k] = &t.inst[i]
+	}
+	return run
 }
 
 // Start marks a ready instance as running. Executors call it when they

@@ -36,8 +36,9 @@ type Hooks struct {
 
 // shard is one mutex-protected ready deque. SharedQueue uses a single
 // shard all workers pop from; the per-worker modes give each worker its
-// own. The queue discipline (Before-ordered heap, or a LIFO stack for
-// SharedQueue+LIFOOrder only) comes from the scheduling core.
+// own. The queue discipline (Before order — a preloaded sorted run
+// merged with a heap — or a LIFO stack for SharedQueue+LIFOOrder only)
+// comes from the scheduling core.
 type shard struct {
 	mu       sync.Mutex
 	q        sched.Queue
@@ -63,8 +64,8 @@ type workerState struct {
 	probes    int64 // steal attempts
 	steals    int64
 	busy      time.Duration
-	parkedFor time.Duration // time spent blocked in park (coarse busy accounting)
-	byClass   map[string]int
+	parkedFor time.Duration     // time spent blocked in park (coarse busy accounting)
+	byClass   []classCount      // tasks run per class, indexed by ptg.TaskClass.Index
 	scratch   []*ptg.Instance   // reusable ready-successor buffer
 	buckets   [][]*ptg.Instance // reusable per-shard batch buckets
 	// ctx and out are the execution context and Ctx.Out buffer of the
@@ -82,6 +83,13 @@ type workerState struct {
 	// helped counts span parts this worker ran for other workers' tasks.
 	spans  int64
 	helped int64
+}
+
+// classCount is one worker's task count for one class; the name is kept
+// beside it so Report can key ByClass without knowing the graph.
+type classCount struct {
+	name string
+	n    int
 }
 
 // Executor runs ready task instances on worker goroutines: sharded
@@ -143,7 +151,6 @@ func NewExecutor(cfg Config, hooks Hooks) *Executor {
 	for i := range x.ws {
 		x.ws[i].park = make(chan struct{}, 1)
 		x.ws[i].rng = sched.NewRNG(i)
-		x.ws[i].byClass = make(map[string]int)
 		x.ws[i].loc = pool.NewLocal()
 		x.ws[i].par = workerTeam{x: x, id: i}
 	}
@@ -208,8 +215,10 @@ func (x *Executor) Report() Report {
 		rep.Sched.Steals += ws.steals
 		rep.Sched.LendSpans += ws.spans
 		rep.Sched.LendHelped += ws.helped
-		for c, n := range ws.byClass {
-			rep.ByClass[c] += n
+		for _, c := range ws.byClass {
+			if c.n > 0 {
+				rep.ByClass[c.name] += c.n
+			}
 		}
 	}
 	for i := range x.shards {
@@ -256,48 +265,136 @@ func (x *Executor) Push(in *ptg.Instance) {
 	x.wakeFor(si)
 }
 
-// enqueueBatch pushes all successors released by one completion, locking
-// each destination shard once rather than once per task, then wakes
-// enough workers to absorb the batch. ws provides reusable per-shard
-// buckets so the single grouping pass allocates nothing in steady state.
-func (x *Executor) enqueueBatch(ws *workerState, ins []*ptg.Instance) {
-	if len(ins) == 0 {
+// Preload enqueues a Before-sorted run of ready instances — a plan's
+// initially-ready tasks, ordered once by its skeleton — without pushing
+// them one at a time: each shard adopts the sub-run homed on it (a
+// sub-sequence of a sorted run is sorted) under one lock acquisition.
+// The executor takes ownership of the slice. Like Push it is safe from
+// any goroutine, also before Run.
+func (x *Executor) Preload(run []*ptg.Instance) {
+	if len(run) == 0 {
 		return
 	}
-	if len(ins) == 1 {
-		x.Push(ins[0])
-		return
+	if nsh := len(x.shards); nsh == 1 {
+		x.preloadShard(0, run)
+	} else {
+		subs := make([][]*ptg.Instance, nsh)
+		for si := range subs {
+			subs[si] = make([]*ptg.Instance, 0, len(run)/nsh+1)
+		}
+		for _, in := range run {
+			si := sched.HomeQueue(in, nsh)
+			subs[si] = append(subs[si], in)
+		}
+		for si, sub := range subs {
+			if len(sub) > 0 {
+				x.preloadShard(si, sub)
+			}
+		}
 	}
+	x.wakeBatch(len(run))
+}
+
+// preloadShard hands one shard its nonempty sub-run.
+func (x *Executor) preloadShard(si int, run []*ptg.Instance) {
+	s := &x.shards[si]
+	s.mu.Lock()
+	depth := s.q.Preload(run)
+	if depth > s.maxDepth {
+		s.maxDepth = depth
+	}
+	s.size.Store(1)
+	if x.cfg.SchedObserver != nil {
+		for _, in := range run {
+			x.observe(sched.OpEnqueue, -1, si, in)
+		}
+	}
+	s.mu.Unlock()
+}
+
+// handOff enqueues the successors one completion made ready and takes
+// the completing worker's next task in the same critical section of its
+// own shard, so a task costs one queue hand-off instead of a push and a
+// later pop. What the worker takes is exactly what pushing everything
+// and then popping would have given it, and the observer sees that
+// push-then-pop; only the lock acquisitions are saved. A single
+// successor that would be popped straight back (Queue.PopsNext) never
+// touches the queue at all. Because the worker keeps one task for
+// itself, one fewer worker is woken than tasks were made ready. It
+// returns nil when nothing ready is homed on the worker's shard; the
+// worker then looks for work the ordinary way.
+func (x *Executor) handOff(id int, ws *workerState, ready []*ptg.Instance) *ptg.Instance {
+	own, nsh := x.ownShard(id), len(x.shards)
+	switch {
+	case len(ready) == 0:
+		return nil
+	case len(ready) == 1 && sched.HomeQueue(ready[0], nsh) != own:
+		x.Push(ready[0])
+		return nil
+	}
+	mine := ready
+	if nsh > 1 && len(ready) > 1 {
+		mine = x.pushForeign(ws, ready, own)
+	}
+	if len(mine) == 0 {
+		x.wakeBatch(len(ready))
+		return nil
+	}
+	var next *ptg.Instance
+	s := &x.shards[own]
+	s.mu.Lock()
+	if len(mine) == 1 && s.q.PopsNext(mine[0]) {
+		next = mine[0]
+		// It counts as having been queued for an instant.
+		if d := s.q.Len() + 1; d > s.maxDepth {
+			s.maxDepth = d
+		}
+		x.observe(sched.OpEnqueue, -1, own, next)
+	} else {
+		for _, in := range mine {
+			x.pushLocked(own, in)
+		}
+		var left int
+		if next, left = s.q.Pop(); left == 0 {
+			s.size.Store(0)
+		}
+	}
+	x.observe(sched.OpPop, id, own, next)
+	s.mu.Unlock()
+	if len(ready) > 1 {
+		x.wakeBatch(len(ready) - 1)
+	}
+	return next
+}
+
+// pushForeign pushes the instances homed on shards other than own, one
+// lock acquisition per destination shard, and returns the ones homed on
+// own (valid until the worker's next hand-off). ws provides reusable
+// per-shard buckets so the grouping pass allocates nothing in steady
+// state.
+func (x *Executor) pushForeign(ws *workerState, ins []*ptg.Instance, own int) []*ptg.Instance {
 	nsh := len(x.shards)
-	if nsh == 1 {
-		s := &x.shards[0]
+	if len(ws.buckets) != nsh {
+		ws.buckets = make([][]*ptg.Instance, nsh)
+	}
+	for _, in := range ins {
+		b := sched.HomeQueue(in, nsh)
+		ws.buckets[b] = append(ws.buckets[b], in)
+	}
+	mine := ws.buckets[own]
+	for si, bucket := range ws.buckets {
+		ws.buckets[si] = bucket[:0]
+		if si == own || len(bucket) == 0 {
+			continue
+		}
+		s := &x.shards[si]
 		s.mu.Lock()
-		for _, in := range ins {
-			x.pushLocked(0, in)
+		for _, in := range bucket {
+			x.pushLocked(si, in)
 		}
 		s.mu.Unlock()
-	} else {
-		if len(ws.buckets) != nsh {
-			ws.buckets = make([][]*ptg.Instance, nsh)
-		}
-		for _, in := range ins {
-			b := in.Seq % nsh
-			ws.buckets[b] = append(ws.buckets[b], in)
-		}
-		for si, bucket := range ws.buckets {
-			if len(bucket) == 0 {
-				continue
-			}
-			s := &x.shards[si]
-			s.mu.Lock()
-			for _, in := range bucket {
-				x.pushLocked(si, in)
-			}
-			s.mu.Unlock()
-			ws.buckets[si] = bucket[:0]
-		}
 	}
-	x.wakeBatch(len(ins))
+	return mine
 }
 
 // wakeBatch unparks workers after a batch push: in PerWorker mode each
@@ -481,13 +578,18 @@ func (x *Executor) steal(id int) *ptg.Instance {
 	return got
 }
 
+// ownShard is the shard worker id pops from: its own, or the lone one.
+func (x *Executor) ownShard(id int) int {
+	if len(x.shards) == 1 {
+		return 0
+	}
+	return id
+}
+
 // tryGet returns the next task for worker id: local pop first, then a
 // randomized steal when the mode allows it.
 func (x *Executor) tryGet(id int) *ptg.Instance {
-	own := id
-	if x.cfg.Queues == sched.SharedQueue {
-		own = 0
-	}
+	own := x.ownShard(id)
 	if in := x.popShard(own); in != nil {
 		x.observe(sched.OpPop, id, own, in)
 		return in
@@ -556,23 +658,38 @@ func (x *Executor) work(id int) {
 			ws.busy = time.Since(t0) - ws.parkedFor
 		}
 	}()
-	for !x.stop.Load() {
-		in := x.tryGet(id)
+	// in is the task the previous completion handed this worker
+	// (handOff), or nil when it has to go looking.
+	var in *ptg.Instance
+	for {
+		if x.stop.Load() {
+			if in != nil {
+				// The run stopped while the task was in hand: it was never
+				// started, so it goes back where a taker can find it.
+				si := x.ownShard(id)
+				x.shards[si].mu.Lock()
+				x.pushLocked(si, in)
+				x.shards[si].mu.Unlock()
+			}
+			return
+		}
 		if in == nil {
-			// No ready task anywhere: volunteer for a published span
-			// before sleeping — lending only ever recruits idle workers.
-			if x.tryHelp(id) {
+			if in = x.tryGet(id); in == nil {
+				// No ready task anywhere: volunteer for a published span
+				// before sleeping — lending only ever recruits idle workers.
+				if x.tryHelp(id) {
+					continue
+				}
+				if x.hooks.Dry != nil {
+					x.hooks.Dry()
+				}
+				x.park(id)
 				continue
 			}
-			if x.hooks.Dry != nil {
-				x.hooks.Dry()
-			}
-			x.park(id)
-			continue
 		}
 		err := x.hooks.Start(in)
 		if err == nil {
-			err = x.execute(id, in)
+			in, err = x.execute(id, in)
 		}
 		if err != nil {
 			x.Fail(err)
@@ -581,7 +698,9 @@ func (x *Executor) work(id int) {
 	}
 }
 
-func (x *Executor) execute(worker int, in *ptg.Instance) error {
+// execute runs one started instance to completion and returns the task
+// the worker should run next, if the completion handed it one.
+func (x *Executor) execute(worker int, in *ptg.Instance) (*ptg.Instance, error) {
 	ws := &x.ws[worker]
 	if cap(ws.out) < len(in.In) {
 		ws.out = make([]any, len(in.In))
@@ -602,10 +721,10 @@ func (x *Executor) execute(worker int, in *ptg.Instance) error {
 	}
 	if body := in.Class.Body; body != nil {
 		if err := safeBody(body, ctx, in); err != nil {
-			return err
+			return nil, err
 		}
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("runtime: task %v failed: %w", in.Ref, err)
+			return nil, fmt.Errorf("runtime: task %v failed: %w", in.Ref, err)
 		}
 	}
 	var dur time.Duration
@@ -613,7 +732,15 @@ func (x *Executor) execute(worker int, in *ptg.Instance) error {
 		dur = time.Since(t0)
 		ws.busy += dur
 	}
-	ws.byClass[in.Ref.Class]++
+	ci := in.Class.Index()
+	for ci >= len(ws.byClass) {
+		ws.byClass = append(ws.byClass, classCount{})
+	}
+	c := &ws.byClass[ci]
+	if c.n == 0 {
+		c.name = in.Ref.Class
+	}
+	c.n++
 	ws.tasks++
 
 	// Completion synchronizes on the embedder's own structures (the
@@ -621,15 +748,15 @@ func (x *Executor) execute(worker int, in *ptg.Instance) error {
 	ready, err := x.hooks.Complete(in, ctx.Out, ws.scratch[:0])
 	clear(out) // the successors hold the payloads now; do not pin them here
 	if err != nil {
-		return err
+		return nil, err
 	}
-	x.enqueueBatch(ws, ready)
+	next := x.handOff(worker, ws, ready)
 	ws.scratch = ready[:0]
 
 	if obs != nil {
 		obs(Event{Task: in.Ref, Worker: worker, Start: t0.Sub(x.start), End: t0.Add(dur).Sub(x.start)})
 	}
-	return nil
+	return next, nil
 }
 
 // safeBody runs one task body, turning a panic into the run's error.

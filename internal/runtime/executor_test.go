@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	goruntime "runtime"
 	"sync"
@@ -112,6 +113,21 @@ func TestExecutorForeignPushWhileParked(t *testing.T) {
 // would park a worker next to a nonempty shard, or spin it on an empty
 // one).
 func TestExecutorTakeWhere(t *testing.T) {
+	// The queued tasks are found and removed the same whether they were
+	// pushed one by one or adopted as a preloaded run.
+	t.Run("pushed", func(t *testing.T) {
+		testTakeWhere(t, func(x *Executor, tr *ptg.Tracker) {
+			for _, in := range tr.InitialReady() {
+				x.Push(in)
+			}
+		})
+	})
+	t.Run("preloaded", func(t *testing.T) {
+		testTakeWhere(t, func(x *Executor, tr *ptg.Tracker) { x.Preload(tr.InitialReadySorted()) })
+	})
+}
+
+func testTakeWhere(t *testing.T, enqueue func(*Executor, *ptg.Tracker)) {
 	const n = 12
 	g := ptg.NewGraph("take-where")
 	tc := g.Class("T")
@@ -137,9 +153,7 @@ func TestExecutorTakeWhere(t *testing.T) {
 			return ready, nil
 		},
 	})
-	for _, in := range tr.InitialReady() {
-		x.Push(in)
-	}
+	enqueue(x, tr)
 	odd := func(in *ptg.Instance) bool { return in.Ref.Args[0]%2 == 1 }
 	// Odd instances have priority 1 or 3; the best is the lowest-Seq
 	// priority-3 one, then the next.
@@ -159,5 +173,82 @@ func TestExecutorTakeWhere(t *testing.T) {
 	}
 	if got := x.Report().Tasks; got != n-2 {
 		t.Fatalf("workers ran %d tasks, want the %d left queued", got, n-2)
+	}
+}
+
+// TestHandOffHeldTaskSurvivesStop stops the run — by Halt, by Fail, by
+// Cancel — at the one point where a ready task is in neither a queue nor
+// a body: after a completion handed its successor to the completing
+// worker. The successor must be back in Backlog when Run returns and its
+// body must never have run; a rank counts on both when it reports or
+// re-homes what it did not finish.
+func TestHandOffHeldTaskSurvivesStop(t *testing.T) {
+	errBoom := errors.New("boom")
+	stops := []struct {
+		name string
+		stop func(x *Executor, cancel chan struct{})
+		want error
+	}{
+		{"halt", func(x *Executor, _ chan struct{}) { x.Halt() }, nil},
+		{"fail", func(x *Executor, _ chan struct{}) { x.Fail(errBoom) }, errBoom},
+		{"cancel", func(x *Executor, cancel chan struct{}) {
+			close(cancel)
+			for x.Err() == nil { // the watcher goroutine delivers it
+				goruntime.Gosched()
+			}
+		}, ErrCanceled},
+	}
+	for _, st := range stops {
+		t.Run(st.name, func(t *testing.T) {
+			g := ptg.NewGraph("held")
+			tc := g.Class("STEP")
+			tc.Domain = func(emit func(ptg.Args)) { emit(ptg.A1(0)); emit(ptg.A1(1)) }
+			tc.AddFlow("D", ptg.RW).
+				InNew(func(a ptg.Args) bool { return a[0] == 0 }, func(ptg.Args) int64 { return 8 }).
+				In(nil, func(a ptg.Args) (ptg.TaskRef, string) {
+					return ptg.TaskRef{Class: "STEP", Args: ptg.A1(a[0] - 1)}, "D"
+				}).
+				Out(func(a ptg.Args) bool { return a[0] == 0 }, func(a ptg.Args) (ptg.TaskRef, string) {
+					return ptg.TaskRef{Class: "STEP", Args: ptg.A1(1)}, "D"
+				})
+			var ranSecond atomic.Bool
+			tc.Body = func(ctx *ptg.Ctx) {
+				if ctx.Args[0] == 1 {
+					ranSecond.Store(true)
+				}
+			}
+			tr, err := ptg.NewTracker(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cancel := make(chan struct{})
+			// One worker: nobody else can be between its stop check and
+			// its pop when the stop lands, so the outcome is exact.
+			var x *Executor
+			x = NewExecutor(Config{Workers: 1, Cancel: cancel}, Hooks{
+				Start: tr.Start,
+				Complete: func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
+					ready, err := tr.CompleteDeliver(in, out, ready)
+					if len(ready) != 1 {
+						t.Errorf("completing %v readied %d tasks, want 1", in.Ref, len(ready))
+					}
+					st.stop(x, cancel)
+					return ready, err
+				},
+			})
+			x.Preload(tr.InitialReadySorted())
+			if err := x.Run(); !errors.Is(err, st.want) {
+				t.Fatalf("Run = %v, want %v", err, st.want)
+			}
+			if ranSecond.Load() {
+				t.Error("the held successor ran after the stop")
+			}
+			if b := x.Backlog(); b != 1 {
+				t.Errorf("backlog %d after the stop, want the held successor", b)
+			}
+			if in := x.TakeWhere(func(*ptg.Instance) bool { return true }); in == nil || in.Ref.Args[0] != 1 {
+				t.Errorf("queued after the stop: %v, want STEP(1)", in)
+			}
+		})
 	}
 }

@@ -168,11 +168,12 @@ func Run(g *ptg.Graph, cfg Config) (Report, error) {
 		},
 	})
 
-	initial := tr.InitialReady()
+	// The initially-ready tasks arrive already in pop order (the plan's
+	// skeleton sorted them once), so the queues adopt them as a run rather
+	// than heaping them one push at a time.
+	initial := tr.InitialReadySorted()
 	pending.Store(int64(len(initial)))
-	for _, in := range initial {
-		x.Push(in)
-	}
+	x.Preload(initial)
 	if len(initial) == 0 {
 		if !tr.Done() {
 			// Nothing can ever become ready: no task has all inputs

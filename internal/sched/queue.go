@@ -1,14 +1,28 @@
 package sched
 
-import "parsec/internal/ptg"
+import (
+	"cmp"
+	"slices"
+
+	"parsec/internal/ptg"
+)
 
 // Queue is one ready queue of PTG task instances. Its discipline is
-// fixed at construction: a Before-ordered priority heap, or — only for
-// the shared-queue LIFO configuration — a plain stack serving the most
-// recently enqueued task first. Per-worker queues always use the heap
-// regardless of policy, so a steal always takes a victim's best task;
-// this matches what both executors have always done and the conformance
-// suite pins it.
+// fixed at construction: Before order, or — only for the shared-queue
+// LIFO configuration — a plain stack serving the most recently enqueued
+// task first. Per-worker queues always serve in Before order regardless
+// of policy, so a steal always takes a victim's best task; this matches
+// what both executors have always done and the conformance suite pins
+// it.
+//
+// A Before-ordered queue is a sorted run plus a heap. The run is a
+// slice somebody else already sorted (Preload: a plan's initially-ready
+// tasks, ordered once per plan by ptg.Skeleton), consumed front to back
+// by a cursor; the heap takes every Push. Pop serves whichever head is
+// Before the other, so the sequence is exactly the one a single heap
+// holding both would pop — Before is a strict total order — while the
+// heap only ever holds the tasks that became ready during the run and
+// stays a few entries deep.
 //
 // Queue is not synchronized. The runtime wraps each queue in its shard
 // mutex; the discrete-event simulator runs one process at a time and
@@ -17,6 +31,9 @@ type Queue struct {
 	lifo  bool
 	heap  Heap[*ptg.Instance]
 	stack []*ptg.Instance
+	// run[cur:] is the part of the preloaded run still queued.
+	run []*ptg.Instance
+	cur int
 }
 
 // NewQueue returns an empty queue with the discipline implied by the
@@ -30,7 +47,29 @@ func (q *Queue) Len() int {
 	if q.lifo {
 		return len(q.stack)
 	}
-	return len(q.heap)
+	return len(q.heap) + len(q.run) - q.cur
+}
+
+// Preload enqueues a run of ready instances that is already sorted in
+// Before order and returns the resulting depth. The queue takes
+// ownership of the slice: with no earlier run outstanding it is adopted
+// as is — no per-task push, nothing heaped — otherwise its tasks are
+// pushed. A stack serves by push order, not by Before, and a run's
+// initial tasks have always been pushed in creation order, so the LIFO
+// discipline re-sorts the run that way before stacking it.
+func (q *Queue) Preload(run []*ptg.Instance) int {
+	switch {
+	case q.lifo:
+		slices.SortFunc(run, func(a, b *ptg.Instance) int { return cmp.Compare(a.Seq, b.Seq) })
+		q.stack = append(q.stack, run...)
+	case q.cur == len(q.run):
+		q.run, q.cur = run, 0
+	default:
+		for _, in := range run {
+			q.heap.PushTask(in)
+		}
+	}
+	return q.Len()
 }
 
 // Push enqueues a ready instance and returns the resulting depth (the
@@ -42,7 +81,21 @@ func (q *Queue) Push(in *ptg.Instance) int {
 		return len(q.stack)
 	}
 	q.heap.PushTask(in)
-	return len(q.heap)
+	return q.Len()
+}
+
+// runFirst reports whether the next task in Before order is the run's
+// head rather than the heap's. The heap side is compared by the keys its
+// root entry carries.
+func (q *Queue) runFirst() bool {
+	if q.cur == len(q.run) {
+		return false
+	}
+	if len(q.heap) == 0 {
+		return true
+	}
+	in := q.run[q.cur]
+	return heapEntry[*ptg.Instance]{prio: in.Priority, seq: in.Seq}.before(q.heap[0])
 }
 
 // Pop dequeues the next instance under the queue's discipline, returning
@@ -58,10 +111,15 @@ func (q *Queue) Pop() (*ptg.Instance, int) {
 		q.stack = q.stack[:n-1]
 		return in, n - 1
 	}
+	if q.runFirst() {
+		in := q.run[q.cur]
+		q.cur++
+		return in, q.Len()
+	}
 	if len(q.heap) == 0 {
 		return nil, 0
 	}
-	return q.heap.PopTask(), len(q.heap)
+	return q.heap.PopTask(), q.Len()
 }
 
 // Peek returns the instance Pop would return without removing it, or
@@ -73,26 +131,44 @@ func (q *Queue) Peek() *ptg.Instance {
 		}
 		return nil
 	}
+	if q.runFirst() {
+		return q.run[q.cur]
+	}
 	if len(q.heap) > 0 {
 		return q.heap.At(0)
 	}
 	return nil
 }
 
-// at returns the instance at backing-slice index i (heap order or stack
-// order).
-func (q *Queue) at(i int) *ptg.Instance {
+// PopsNext reports whether in, pushed now, would be the very next Pop:
+// always on a stack, and on a Before-ordered queue when it runs before
+// the current head. A worker holding such a task can run it without
+// queueing it at all.
+func (q *Queue) PopsNext(in *ptg.Instance) bool {
 	if q.lifo {
-		return q.stack[i]
+		return true
 	}
-	return q.heap.At(i)
+	head := q.Peek()
+	return head == nil || Before(in, head)
+}
+
+// at returns the instance at position i: positions count the stack, or
+// the heap's backing slice followed by the unconsumed run.
+func (q *Queue) at(i int) *ptg.Instance {
+	switch {
+	case q.lifo:
+		return q.stack[i]
+	case i < len(q.heap):
+		return q.heap.At(i)
+	}
+	return q.run[q.cur+i-len(q.heap)]
 }
 
 // FindWhere returns the Before-best queued instance satisfying ok and
-// its backing-slice index (for RemoveAt), or (nil, -1). The queue is
-// scanned whole — not just its head — because the inter-node steal may
-// only move migratable classes and the best migratable task can sit
-// below a pinned one.
+// its position (for RemoveAt; a push or pop invalidates it), or
+// (nil, -1). The queue is scanned whole — not just its head — because
+// the inter-node steal may only move migratable classes and the best
+// migratable task can sit below a pinned one.
 func (q *Queue) FindWhere(ok func(*ptg.Instance) bool) (best *ptg.Instance, bi int) {
 	bi = -1
 	for i, n := 0, q.Len(); i < n; i++ {
@@ -103,12 +179,22 @@ func (q *Queue) FindWhere(ok func(*ptg.Instance) bool) (best *ptg.Instance, bi i
 	return best, bi
 }
 
-// RemoveAt removes and returns the instance at backing-slice index i.
+// RemoveAt removes and returns the instance at a position FindWhere
+// reported. Taking from the middle of the run shifts the entries ahead
+// of it up by one; that is linear, and only the inter-node steal does
+// it.
 func (q *Queue) RemoveAt(i int) *ptg.Instance {
 	if q.lifo {
 		in := q.stack[i]
 		q.stack = append(q.stack[:i], q.stack[i+1:]...)
 		return in
 	}
-	return q.heap.RemoveAt(i)
+	if i < len(q.heap) {
+		return q.heap.RemoveAt(i)
+	}
+	k := q.cur + i - len(q.heap)
+	in := q.run[k]
+	copy(q.run[q.cur+1:k+1], q.run[q.cur:k])
+	q.cur++
+	return in
 }
