@@ -76,9 +76,17 @@ tune:
 
 # Scheduling-core conformance: the real runtime, the simulator, and the
 # socket runtime must take identical scheduling decisions
-# (internal/sched/conformance_test.go).
+# (internal/sched/conformance_test.go). What the schedule decides for a
+# real execution's inputs rides along, under the same race detector:
+# blocks fill once on ga_access and retire on the last ga_release
+# (internal/ga), the resident set is the variant's read-ahead window
+# (internal/ccsd), and the streamed energy folds in the pinned order
+# (internal/tce).
 sched-conformance:
 	$(GO) test -race -run 'TestPopOrderEquivalence|TestSimexecDecisionsMatchShadowModel|TestStealVictimGolden|TestInterNodeStealInvariants' ./internal/sched
+	$(GO) test -race -run 'TestLazy|TestEagerReleaseIsNoOp|TestNewLazyNeverRetires' ./internal/ga
+	$(GO) test -race -run 'TestInputsFlowThroughGraph|TestCancelledRunLeaksNothing' ./internal/ccsd
+	$(GO) test -race -run 'TestEnergyStreamsBitwise|TestEnergyDimsMismatchPanics|TestInputTablesMatchWorkload' ./internal/tce
 
 # Distributed-runtime conformance: wire-codec round-trips, the in-process
 # socket backends, the multi-process benzene acceptance run, and the

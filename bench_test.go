@@ -169,6 +169,47 @@ func BenchmarkEnergyVariants(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteKernelShape is one whole real-arithmetic job on a
+// benzene-shaped system (v5, 2 workers): inputs filling on ga_access and
+// retiring on ga_release, kernels, the ordered flush and the streamed
+// energy. B/op is the number to watch: what a job allocates — the sorted
+// output tiles, and input tiles for about 160 of the 256 distinct input
+// blocks, because a retired block's tile serves the next first touch.
+func BenchmarkExecuteKernelShape(b *testing.B) {
+	sys := molecule.Custom("benzene-shaped", 21, 45, 12, 2, 0x5eed)
+	spec, _ := ccsd.VariantByName("v5")
+	plan := ccsd.Compile(sys, spec, ccsd.Options{Nodes: 1})
+	ref := ccsd.ReferenceEnergy(plan.Workload)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := plan.Execute(ccsd.ExecConfig{Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if d := ccsd.EnergyRelDiff(res.Energy, ref); d > ccsd.EnergyTol {
+			b.Fatalf("energy off the reference by %g", d)
+		}
+	}
+}
+
+// BenchmarkEnergy is the energy reduction alone on the same shape: the
+// weights are generated a block at a time into one scratch tile, so a
+// call allocates a few objects, not a weight tensor.
+func BenchmarkEnergy(b *testing.B) {
+	sys := molecule.Custom("benzene-shaped", 21, 45, 12, 2, 0x5eed)
+	w := tce.Inspect(tce.T2_7(sys), nil)
+	c := w.RunReference(w.Materialize())
+	want := c.Dot(w.Weights())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := w.Energy(c); got != want {
+			b.Fatalf("Energy = %v, c.Dot(Weights()) = %v", got, want)
+		}
+	}
+}
+
 // BenchmarkAblationSegmentHeight sweeps the GEMM segment height of §IV-A
 // between the paper's two extremes (1 = max parallelism, full chain = max
 // locality, v1) through intermediate points.

@@ -158,12 +158,22 @@ type ExecConfig struct {
 }
 
 // Execute runs the compiled plan once on the goroutine runtime: it
-// creates a fresh store, fills the input tensors, binds the graph,
-// executes it under the variant's ready-queue policy, and reduces the
-// output array to the correlation energy. Concurrent Executes of the
-// same plan are safe — the plan is read-only after Compile.
+// creates a fresh store whose inputs fill as the READ tasks reach them,
+// binds the graph, executes it under the variant's ready-queue policy,
+// and reduces the output array to the correlation energy. Concurrent
+// Executes of the same plan are safe — the plan is read-only after
+// Compile.
 func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
-	store := filledStore(p.Workload)
+	store := inputStore(p.Workload)
+	rep, err := p.runOn(store, cfg)
+	if err != nil {
+		return RealResult{}, err
+	}
+	return RealResult{Energy: p.Workload.Energy(store.Array(tce.TensorC)), Report: rep}, nil
+}
+
+// runOn binds the plan to store and runs the graph to completion.
+func (p *CompiledPlan) runOn(store ga.API, cfg ExecConfig) (runtime.Report, error) {
 	rcfg := runtime.Config{
 		Workers:   cfg.Workers,
 		Queues:    cfg.Queue,
@@ -174,9 +184,5 @@ func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
 	if cfg.Trace != nil {
 		rcfg.Observer = runtime.TraceObserver(0, cfg.Trace)
 	}
-	rep, err := runtime.Run(p.NewGraph(store), rcfg)
-	if err != nil {
-		return RealResult{}, err
-	}
-	return RealResult{Energy: p.Workload.Energy(store.Array(tce.TensorC)), Report: rep}, nil
+	return runtime.Run(p.NewGraph(store), rcfg)
 }

@@ -274,7 +274,7 @@ func BuildEnergyStaged(w *tce.Workload, opts Options, result *float64) *ptg.Grap
 // the correlation energy, which must equal the reference functional.
 func RunRealFused(w *tce.Workload, workers int) (float64, error) {
 	var result float64
-	g := BuildFused(w, Options{Nodes: 1, Store: filledStore(w)}, &result)
+	g := BuildFused(w, Options{Nodes: 1, Store: inputStore(w)}, &result)
 	if _, err := runtime.Run(g, runtime.Config{Workers: workers}); err != nil {
 		return 0, err
 	}

@@ -154,6 +154,57 @@ func (b *builder) addSortStageOuts(f *ptg.Flow, srcGuard func(ptg.Args) bool) {
 	})
 }
 
+// inputIO is how task bodies reach one input tensor through the store.
+// When the store holds the tensor as a ga.Lazy array over the workload's
+// own block table, bodies address blocks by the number the inspection
+// resolved (no name or key is hashed per task); any other store — an
+// eagerly filled one, a foreign implementation — gets the keyed calls.
+type inputIO struct {
+	store ga.API
+	lazy  *ga.Lazy
+	tbl   *tce.InputTable
+}
+
+// inputs resolves the access paths of the A and B tensors for b's store;
+// without a store (a simulation graph) there is nothing to resolve, and
+// the workload's block tables are not even derived.
+func (b *builder) inputs() (ioA, ioB inputIO) {
+	if b.opts.Store == nil {
+		return
+	}
+	ta, tb := b.w.Inputs()
+	return b.inputIO(ta), b.inputIO(tb)
+}
+
+func (b *builder) inputIO(tbl *tce.InputTable) inputIO {
+	io := inputIO{store: b.opts.Store, tbl: tbl}
+	if s, ok := b.opts.Store.(interface{ Lazy(string) *ga.Lazy }); ok {
+		if l := s.Lazy(tbl.Name); l != nil && l.Source() == tbl {
+			io.lazy = l
+		}
+	}
+	return io
+}
+
+// access is ga_access of the block GEMM(l1, l2) reads from the tensor;
+// release is the matching ga_release.
+func (io inputIO) access(l1, l2 int) *tensor.Tile4 {
+	i := io.tbl.BlockOf(l1, l2)
+	if io.lazy != nil {
+		return io.lazy.Access(i)
+	}
+	return io.store.Access(io.tbl.Name, io.tbl.Blocks[i].Key)
+}
+
+func (io inputIO) release(l1, l2 int) {
+	i := io.tbl.BlockOf(l1, l2)
+	if io.lazy != nil {
+		io.lazy.Release(i)
+		return
+	}
+	io.store.Release(io.tbl.Name, io.tbl.Blocks[i].Key)
+}
+
 // ---- task classes ----
 
 func (b *builder) buildDFill() {
@@ -190,14 +241,16 @@ func (b *builder) buildDFill() {
 func (b *builder) buildReads() {
 	type readSpec struct {
 		class string
+		io    inputIO
 		ref   func(g tce.GemmMeta) tce.BlockRef
 		node  func(g tce.GemmMeta) int
 	}
+	ioA, ioB := b.inputs()
 	for _, rs := range []readSpec{
-		{"READA",
+		{"READA", ioA,
 			func(g tce.GemmMeta) tce.BlockRef { return g.Op.A },
 			func(g tce.GemmMeta) int { return g.ANode }},
-		{"READB",
+		{"READB", ioB,
 			func(g tce.GemmMeta) tce.BlockRef { return g.Op.B },
 			func(g tce.GemmMeta) int { return g.BNode }},
 	} {
@@ -236,12 +289,12 @@ func (b *builder) buildReads() {
 		f.Out(nil, func(a ptg.Args) (ptg.TaskRef, string) {
 			return ptg.TaskRef{Class: "GEMM", Args: a}, flowName
 		})
-		if store := b.opts.Store; store != nil {
+		if b.opts.Store != nil {
 			tc.Body = func(ctx *ptg.Ctx) {
-				ref := rs.ref(b.ps[ctx.Args[0]].meta.Gemms[ctx.Args[1]])
 				// ga_access: direct, zero-copy reference (§IV-B); GEMMs
-				// only read A and B, so no copy is needed.
-				ctx.Out[0] = store.Access(ref.Tensor, ref.Key)
+				// only read A and B, so no copy is needed. On a lazy
+				// input array this is where the block is generated.
+				ctx.Out[0] = rs.io.access(ctx.Args[0], ctx.Args[1])
 			}
 		}
 	}
@@ -309,7 +362,8 @@ func (b *builder) buildGemm() {
 		p := b.ps[a[0]]
 		return p.isSegEnd(a[1]) && p.m == 1
 	})
-	if store := b.opts.Store; store != nil {
+	if b.opts.Store != nil {
+		ioA, ioB := b.inputs()
 		tc.Body = func(ctx *ptg.Ctx) {
 			at := ctx.In[0].(*tensor.Tile4)
 			bt := ctx.In[1].(*tensor.Tile4)
@@ -319,6 +373,10 @@ func (b *builder) buildGemm() {
 			// lending handle; the result is bitwise identical to a
 			// serial Gemm for any part count.
 			tensor.GemmP(ctx.Par, ctx.Pool, true, false, 1, at.AsMatrix(), bt.AsMatrix(), 1, ct.AsMatrix())
+			// ga_release: this GEMM is done with its A and B. The last
+			// reader's release is what retires a lazily filled block.
+			ioA.release(ctx.Args[0], ctx.Args[1])
+			ioB.release(ctx.Args[0], ctx.Args[1])
 			ctx.Out[2] = ct
 		}
 	}

@@ -1,0 +1,153 @@
+package ccsd
+
+import (
+	"errors"
+	"fmt"
+	stdruntime "runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"parsec/internal/molecule"
+	"parsec/internal/ptg"
+	"parsec/internal/runtime"
+	"parsec/internal/tce"
+)
+
+// shapedWorkload inspects a synthetic system with the orbital-space
+// structure of a preset (the benchmark's "uracil-shaped" and
+// "benzene-shaped" problems).
+func shapedWorkload(name string) *tce.Workload {
+	shapes := map[string][4]int{
+		"uracil":  {29, 59, 16, 4},
+		"benzene": {21, 45, 12, 2},
+	}
+	s := shapes[name]
+	return tce.Inspect(tce.T2_7(molecule.Custom(name+"-shaped", s[0], s[1], s[2], s[3], 0x5eed)), nil)
+}
+
+// inputBytes returns the number and total size of a workload's distinct
+// input blocks.
+func inputBytes(w *tce.Workload) (blocks int, bytes int64) {
+	a, b := w.Inputs()
+	for _, tbl := range []*tce.InputTable{a, b} {
+		blocks += tbl.NumBlocks()
+		for _, ref := range tbl.Blocks {
+			bytes += ref.Bytes()
+		}
+	}
+	return blocks, bytes
+}
+
+// TestInputsFlowThroughGraph pins the read path of a real execution:
+// every input block is generated exactly once, by the READ that first
+// reaches it; the GEMM that last reads it retires it, so nothing is
+// resident when the run ends; and how much is resident at the worst
+// moment is the variant's read-ahead window — with §IV-C's priorities
+// (v1, v5) reads run a bounded distance ahead of the GEMMs that consume
+// them, without them (v2) every read runs first and the whole input set
+// is resident at once, the flooding the paper reports for v2.
+func TestInputsFlowThroughGraph(t *testing.T) {
+	shapes := []string{"uracil", "benzene"}
+	if testing.Short() {
+		shapes = shapes[1:]
+	}
+	for _, shape := range shapes {
+		w := shapedWorkload(shape)
+		ref := ReferenceEnergy(w)
+		blocks, total := inputBytes(w)
+		for _, name := range []string{"v1", "v2", "v5"} {
+			spec, err := VariantByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := CompileWorkload(w, spec, Options{Nodes: 1})
+			for _, workers := range []int{1, 2, 4} {
+				cell := fmt.Sprintf("%s/%s/workers=%d", shape, name, workers)
+				store := inputStore(w)
+				if _, err := plan.runOn(store, ExecConfig{Workers: workers}); err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				if d := EnergyRelDiff(w.Energy(store.Array(tce.TensorC)), ref); d > EnergyTol {
+					t.Errorf("%s: energy off the reference by %g", cell, d)
+				}
+				st := store.LazyStats()
+				if st.Fills != int64(blocks) {
+					t.Errorf("%s: %d fills, want one per distinct input block = %d", cell, st.Fills, blocks)
+				}
+				if st.ResidentBytes != 0 {
+					t.Errorf("%s: %d input bytes resident at run end, want 0", cell, st.ResidentBytes)
+				}
+				if st.Allocated > st.Fills {
+					t.Errorf("%s: %d tiles allocated for %d fills", cell, st.Allocated, st.Fills)
+				}
+				frac := float64(st.PeakBytes) / float64(total)
+				t.Logf("%s: peak resident %.1f of %.1f MB (%.2f), %d tiles allocated for %d fills",
+					cell, float64(st.PeakBytes)/1e6, float64(total)/1e6, frac, st.Allocated, st.Fills)
+				if spec.UsePriorities() {
+					if frac > 0.6 {
+						t.Errorf("%s: peak resident inputs %.2f of the total, want <= 0.6 under the read priorities", cell, frac)
+					}
+				} else if st.PeakBytes != total {
+					t.Errorf("%s: peak resident inputs %d B, want all %d B (no priorities: reads flood)", cell, st.PeakBytes, total)
+				}
+			}
+		}
+	}
+}
+
+// TestCancelledRunLeaksNothing cancels an execution mid-way, with input
+// blocks resident and retired tiles on the free list. The store owns
+// all of them — no tile went to a process-wide pool — so once the store
+// is dropped the heap is back where it started.
+func TestCancelledRunLeaksNothing(t *testing.T) {
+	w := shapedWorkload("benzene")
+	spec, _ := VariantByName("v5")
+	plan := CompileWorkload(w, spec, Options{Nodes: 1})
+	blocks, _ := inputBytes(w)
+	if _, err := plan.Execute(ExecConfig{Workers: 2}); err != nil { // skeleton, pools
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		for i := 0; i < 3; i++ { // sync.Pool contents survive one cycle
+			stdruntime.GC()
+		}
+		var m stdruntime.MemStats
+		stdruntime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+
+	cancel := make(chan struct{})
+	var gemms atomic.Int32
+	store := inputStore(w)
+	_, err := plan.runOn(store, ExecConfig{Workers: 2, Cancel: cancel,
+		TaskDelay: func(_ int, ref ptg.TaskRef) time.Duration {
+			// Called by the worker before each body: closing here lands
+			// the cancel mid-run however fast the machine is.
+			if ref.Class == "GEMM" && gemms.Add(1) == 60 {
+				close(cancel)
+			}
+			return 0
+		}})
+	if !errors.Is(err, runtime.ErrCanceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	st := store.LazyStats()
+	if st.Fills == 0 || st.Fills >= int64(blocks) || st.ResidentBytes < 1<<20 {
+		t.Fatalf("cancel did not land mid-run: %d of %d blocks filled, %d B resident", st.Fills, blocks, st.ResidentBytes)
+	}
+	// What was resident at the cancel still reads back right: the store
+	// is consistent, just unfinished.
+	a, _ := w.Inputs()
+	want := store.Access(a.Name, a.Blocks[0].Key).Clone()
+	w.FillBlock(a.Blocks[0], want)
+	if store.Access(a.Name, a.Blocks[0].Key).MaxAbsDiff(want) != 0 {
+		t.Error("an input block of the cancelled store reads back wrong")
+	}
+
+	store = nil
+	if leaked := heap() - before; leaked > st.ResidentBytes/4 {
+		t.Errorf("%d B still live after dropping a cancelled run's store (it held %d B of inputs)", leaked, st.ResidentBytes)
+	}
+}

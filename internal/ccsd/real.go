@@ -34,18 +34,18 @@ func EnergyRelDiff(a, b float64) float64 {
 	return d
 }
 
-// filledStore returns a fresh single-node store holding the workload's
-// two input tensors, every distinct block filled, and an empty output
-// array: the state one real execution starts from.
-func filledStore(w *tce.Workload) *ga.Store {
+// inputStore returns a fresh single-node store for one real execution:
+// the workload's two input tensors as lazy arrays — a block fills when
+// its first READ calls ga_access and retires when its last GEMM calls
+// ga_release, so the inputs flow through the graph under the variant's
+// read-ahead window instead of being materialized before it starts —
+// and an empty output array. It costs one slice of block states per
+// tensor; the block tables are the workload's.
+func inputStore(w *tce.Workload) *ga.Store {
 	store := ga.NewStore(1)
-	aName, bName := w.InputTensors()
-	for _, name := range []string{aName, bName} {
-		arr := store.Create(name)
-		for _, ref := range w.UniqueBlocks(name) {
-			w.FillBlock(ref, arr.GetOrCreate(ref.Key, ref.Dims))
-		}
-	}
+	a, b := w.Inputs()
+	store.CreateLazy(a.Name, a)
+	store.CreateLazy(b.Name, b)
 	store.Create(tce.TensorC)
 	return store
 }

@@ -8,7 +8,10 @@
 // Two implementations share the Distribution placement logic:
 //
 //   - Store: a real in-memory array store for shared-memory execution
-//     (unit tests, the goroutine runtime, the examples).
+//     (unit tests, the goroutine runtime, the examples). Its arrays are
+//     either created empty and written (Create) or lazy read-only
+//     inputs that fill on ga_access and retire on ga_release
+//     (CreateLazy, lazy.go).
 //   - Sim: cost-model operations against the simulated cluster, used by
 //     the CGP baseline and PaRSEC executors in the Fig 9 experiments.
 package ga
@@ -46,14 +49,19 @@ func (d Distribution) Owner(tensorName string, key tensor.BlockKey) int {
 }
 
 // API is the Global Arrays surface task bodies are written against: the
-// zero-copy local read (ga_access), the copying fetch (GET_HASH_BLOCK),
-// and the ordered accumulate that keeps results bitwise deterministic.
-// Store implements it in one address space; internal/netrun implements
-// it over sockets, reading inputs from a rank-local replica and shipping
-// accumulations to the GA server process. Graph builders take an API so
-// the same task bodies drive both.
+// zero-copy local read and its end (ga_access / ga_release), the copying
+// fetch (GET_HASH_BLOCK), and the ordered accumulate that keeps results
+// bitwise deterministic. Store implements it in one address space;
+// internal/netrun implements it over sockets, reading inputs from a
+// rank-local replica and shipping accumulations to the GA server
+// process. Graph builders take an API so the same task bodies drive
+// both.
 type API interface {
 	Access(name string, key tensor.BlockKey) *tensor.Tile4
+	// Release ends the use of a block obtained through Access. It is what
+	// lets a lazily filled array (Lazy) retire a block after its last
+	// reader; on arrays that hold their blocks for good it does nothing.
+	Release(name string, key tensor.BlockKey)
 	GetHashBlock(name string, key tensor.BlockKey) *tensor.Tile4
 	AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, tag, lo, hi int) error
 }
@@ -73,6 +81,8 @@ type Store struct {
 	rangeLocks [rangeStripes]sync.Mutex
 
 	accMu sync.Mutex // guards every array's pending ordered accumulations
+
+	lazyMem lazyMem // tiles and accounting of the CreateLazy arrays
 }
 
 // array is one named array with the AccOrdered contributions awaiting
@@ -83,8 +93,12 @@ type Store struct {
 // read that must see an accumulation is ordered after it by the caller
 // (the dataflow edge, or quiescence), hence also after its store to the
 // flag.
+//
+// A CreateLazy array has lazy set and no block tensor: it is read-only,
+// reachable through Access / GetHashBlock / Release alone.
 type array struct {
 	bt       *tensor.BlockTensor4
+	lazy     *Lazy
 	buffered atomic.Bool
 	pending  map[tensor.BlockKey][]orderedAcc
 }
@@ -141,13 +155,17 @@ func (s *Store) Create(name string) *tensor.BlockTensor4 {
 	return bt
 }
 
-// Array returns the named array, panicking if absent. Intended for
-// result extraction after execution; concurrent mutation must go through
+// Array returns the named array, panicking if absent or lazy (a lazy
+// array never holds all its blocks at once). Intended for result
+// extraction after execution; concurrent mutation must go through
 // GetHashBlock / AddHashBlock.
 func (s *Store) Array(name string) *tensor.BlockTensor4 {
 	a, ok := s.arrays[name]
 	if !ok {
 		panic(fmt.Sprintf("ga: no array %q", name))
+	}
+	if a.lazy != nil {
+		panic(fmt.Sprintf("ga: array %q is lazy: read its blocks through Access", name))
 	}
 	if a.buffered.Load() {
 		s.flushOrdered(a)
@@ -158,14 +176,27 @@ func (s *Store) Array(name string) *tensor.BlockTensor4 {
 // GetHashBlock fetches a copy of a block, like GET_HASH_BLOCK copying
 // from the distributed array into a local buffer.
 func (s *Store) GetHashBlock(name string, key tensor.BlockKey) *tensor.Tile4 {
-	return s.Array(name).MustTile(key).Clone()
+	return s.Access(name, key).Clone()
 }
 
 // Access returns a direct reference to a block's storage without
 // copying — ga_access, which the PaRSEC port uses for its zero-copy
-// reads at the owning node (§IV-B). Callers must not mutate the tile.
+// reads at the owning node (§IV-B). Callers must not mutate the tile. On
+// a lazy array the first access of a block fills it.
 func (s *Store) Access(name string, key tensor.BlockKey) *tensor.Tile4 {
+	if l := s.Lazy(name); l != nil {
+		return l.AccessKey(key)
+	}
 	return s.Array(name).MustTile(key)
+}
+
+// Release ends one use of a block obtained through Access — ga_release.
+// It counts towards a lazy array's retirement of the block and is a
+// no-op on an eagerly created array, whose blocks stay.
+func (s *Store) Release(name string, key tensor.BlockKey) {
+	if l := s.Lazy(name); l != nil {
+		l.ReleaseKey(key)
+	}
 }
 
 // AddHashBlock atomically accumulates scale*src into a block, creating it
@@ -215,8 +246,8 @@ func (s *Store) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, 
 		return fmt.Errorf("ga: AccOrdered [%d,%d) of %d elements", lo, hi, src.Len())
 	}
 	a, ok := s.arrays[name]
-	if !ok {
-		return fmt.Errorf("ga: AccOrdered into missing array %q", name)
+	if !ok || a.lazy != nil {
+		return fmt.Errorf("ga: AccOrdered into missing or read-only array %q", name)
 	}
 	s.accMu.Lock()
 	if a.pending == nil {

@@ -94,9 +94,19 @@ func sender(t *testing.T, retry RetryPolicy, recoverPeers bool, addr string) *tr
 // measures the link from the socket write, so neither frame is late:
 // once the reader resumes, each must arrive exactly once with no retry
 // charged.
+//
+// The timer is wall-clock and starts when the 48 MB write returns, which
+// is when the reader is about a socket buffer short of having the whole
+// frame. What the reader still does after that point — finish the read,
+// acknowledge — has to fit in one Timeout or the retry is legitimate, so
+// each frame is acknowledged the moment it is read and the Timeout
+// leaves room for a loaded or race-instrumented reader.
 func TestOutboxWaitIsNotLoss(t *testing.T) {
-	retry := RetryPolicy{Timeout: 50 * time.Millisecond, Backoff: 10 * time.Millisecond,
+	retry := RetryPolicy{Timeout: 150 * time.Millisecond, Backoff: 10 * time.Millisecond,
 		BackoffCap: 20 * time.Millisecond, MaxRetries: 2}
+	if raceEnabled {
+		retry.Timeout = 500 * time.Millisecond
+	}
 	peer := listenRaw(t)
 	tp := sender(t, retry, false, peer.ln.Addr().String())
 
@@ -114,9 +124,9 @@ func TestOutboxWaitIsNotLoss(t *testing.T) {
 		if f.id != want {
 			t.Fatalf("got frame id %d, want %d: a frame was written twice or out of turn", f.id, want)
 		}
-	}
-	if _, err := conn.Write(sealFrame(ackMsg{IDs: []uint64{1, 2}}.encode(), 0)); err != nil {
-		t.Fatal(err)
+		if _, err := conn.Write(sealFrame(ackMsg{IDs: []uint64{want}}.encode(), 0)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !tp.waitDrained(nil, nil, 5*time.Second) {
 		t.Fatal("channel not drained after both frames were acknowledged")

@@ -20,15 +20,14 @@ import (
 // fetches of anything else go to the GA server process.
 type gaClient struct {
 	tp      *transport
-	w       *tce.Workload
 	timeout time.Duration
 
-	// refs maps (tensor, key) to the block's full reference for every
-	// input block the workload touches; replicas holds the lazily filled
-	// local copies.
-	refs     map[string]map[tensor.BlockKey]tce.BlockRef
-	mu       sync.Mutex
-	replicas map[string]*tensor.BlockTensor4
+	// replicas holds the rank's copy of each input tensor: the same
+	// fill-on-access array a shared-memory execution uses, in its
+	// never-retire form — a stolen or re-executed GEMM may read a block
+	// again, and READ outputs cross ranks, so a rank cannot count a
+	// block's readers.
+	replicas map[string]*ga.Lazy
 
 	reqID   atomic.Uint64
 	pendMu  sync.Mutex
@@ -39,64 +38,41 @@ type gaClient struct {
 var _ ga.API = (*gaClient)(nil)
 
 func newGAClient(tp *transport, w *tce.Workload, timeout time.Duration) *gaClient {
-	c := &gaClient{
+	a, b := w.Inputs()
+	return &gaClient{
 		tp:       tp,
-		w:        w,
 		timeout:  timeout,
-		refs:     make(map[string]map[tensor.BlockKey]tce.BlockRef),
-		replicas: make(map[string]*tensor.BlockTensor4),
+		replicas: map[string]*ga.Lazy{a.Name: ga.NewLazy(a), b.Name: ga.NewLazy(b)},
 		pendGet:  make(map[uint64]chan *tensor.Tile4),
 		pendNxt:  make(map[uint64]chan int64),
 	}
-	aName, bName := w.InputTensors()
-	for _, name := range []string{aName, bName} {
-		m := make(map[tensor.BlockKey]tce.BlockRef)
-		for _, ref := range w.UniqueBlocks(name) {
-			m[ref.Key] = ref
-		}
-		c.refs[name] = m
-		c.replicas[name] = tensor.NewBlockTensor4()
-	}
-	return c
 }
+
+// Lazy returns the replica of the named input tensor (nil for any other
+// name), so task bodies can address its blocks by number.
+func (c *gaClient) Lazy(name string) *ga.Lazy { return c.replicas[name] }
 
 // Access returns a direct reference to an input block's local replica,
 // filling it on first use (ga_access; §IV-B's zero-copy read, with the
 // owning node replaced by the deterministic replica).
 func (c *gaClient) Access(name string, key tensor.BlockKey) *tensor.Tile4 {
-	refs, ok := c.refs[name]
-	if !ok {
+	l := c.replicas[name]
+	if l == nil {
 		panic(fmt.Sprintf("netrun: Access(%q): not an input tensor; distributed reads use GetHashBlock", name))
 	}
-	ref, ok := refs[key]
-	if !ok {
-		panic(fmt.Sprintf("netrun: Access(%q, %v): block not in workload", name, key))
-	}
-	bt := c.replicas[name]
-	if t, ok := bt.Tile(key); ok {
-		return t
-	}
-	// Fill outside the tensor's lock, publish under it: two racing
-	// fillers produce identical bytes, so last-write-wins is safe.
-	t := tensor.NewTile4(ref.Dims[0], ref.Dims[1], ref.Dims[2], ref.Dims[3])
-	c.w.FillBlock(ref, t)
-	c.mu.Lock()
-	if prev, ok := bt.Tile(key); ok {
-		t = prev
-	} else {
-		bt.Put(key, t)
-	}
-	c.mu.Unlock()
-	return t
+	return l.AccessKey(key)
 }
+
+// Release is a no-op: replica blocks stay for the run.
+func (c *gaClient) Release(string, tensor.BlockKey) {}
 
 // GetHashBlock fetches a copy of a block: input tensors from the local
 // replica, everything else from the GA server (GET_HASH_BLOCK). A nil
 // return means the server does not hold the block (or the request timed
 // out during shutdown).
 func (c *gaClient) GetHashBlock(name string, key tensor.BlockKey) *tensor.Tile4 {
-	if _, ok := c.refs[name]; ok {
-		return c.Access(name, key).Clone()
+	if l := c.replicas[name]; l != nil {
+		return l.AccessKey(key).Clone()
 	}
 	id := c.reqID.Add(1)
 	ch := make(chan *tensor.Tile4, 1)

@@ -140,9 +140,16 @@ type workerTeam struct {
 	id int // the worker executing the spanning task
 }
 
-// Workers returns the worker count of the run: the natural upper bound
-// for part counts.
-func (t workerTeam) Workers() int { return len(t.x.ws) }
+// Workers returns how many workers could run parts of a span published
+// now: the caller plus the workers currently parked. Only a parked
+// worker volunteers (a busy one has a task), so with nobody parked the
+// bound is 1 and a kernel that sizes its split by it stays whole on the
+// caller — no span published, no operand packed once per part by one
+// goroutine. The count is a snapshot: fewer may turn up (a parked
+// worker can be woken for a task first), which Span tolerates.
+func (t workerTeam) Workers() int {
+	return min(1+int(t.x.nparked.Load()), len(t.x.ws))
+}
 
 // Span runs f(0..parts-1) across the spanning worker and any volunteers,
 // returning when every part has finished. parts <= 1 runs inline.

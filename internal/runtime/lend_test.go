@@ -106,8 +106,11 @@ func TestLendAllWorkersSpanningNoDeadlock(t *testing.T) {
 // depends on task i-1, so graph-level parallelism is zero and worker
 // lending is the only way a multi-worker run can beat one worker. Each
 // body computes cs[i] += aT·b through the Ctx handles, exactly like the
-// production GEMM task body.
-func gemmChainGraph(n int, a, b *tensor.Matrix, cs []*tensor.Matrix) *ptg.Graph {
+// production GEMM task body. The first task waits (bounded) for its
+// siblings to park: GemmP sizes its split by the workers that can
+// volunteer, so this makes "helpers are parked" a fact rather than a
+// race with goroutine start-up.
+func gemmChainGraph(n, workers int, a, b *tensor.Matrix, cs []*tensor.Matrix) *ptg.Graph {
 	g := ptg.NewGraph("gemm-chain")
 	c := g.Class("G")
 	c.Domain = func(emit func(ptg.Args)) {
@@ -124,6 +127,11 @@ func gemmChainGraph(n int, a, b *tensor.Matrix, cs []*tensor.Matrix) *ptg.Graph 
 			return ptg.TaskRef{Class: "G", Args: ptg.A1(args[0] + 1)}, "D"
 		})
 	c.Body = func(ctx *ptg.Ctx) {
+		if ctx.Args[0] == 0 {
+			for end := time.Now().Add(5 * time.Second); ctx.Par.Workers() < workers && time.Now().Before(end); {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
 		tensor.GemmP(ctx.Par, ctx.Pool, true, false, 1, a, b, 1, cs[ctx.Args[0]])
 		ctx.Out[0] = int64(ctx.Args[0])
 	}
@@ -133,9 +141,10 @@ func gemmChainGraph(n int, a, b *tensor.Matrix, cs []*tensor.Matrix) *ptg.Graph 
 // TestLendGemmChainStress is the satellite stress case: a chain of large
 // GEMMs where lending is the only available concurrency. It pins three
 // things — the lent run produces bitwise-identical matrices to the
-// one-worker run, spans are published for every task, and (on machines
-// with enough cores to measure it) the eight-worker run beats the
-// single-threaded wall clock.
+// one-worker run, a GEMM publishes a span when helpers are parked (and
+// never more than one: a GEMM that finds nobody parked stays whole on
+// its worker), and (on machines with enough cores to measure it) the
+// eight-worker run beats the single-threaded wall clock.
 func TestLendGemmChainStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
@@ -154,7 +163,7 @@ func TestLendGemmChainStress(t *testing.T) {
 			cs[i] = tensor.NewMatrix(dim, dim)
 		}
 		t0 := time.Now()
-		rep, err := Run(gemmChainGraph(n, a, b, cs), Config{Workers: workers})
+		rep, err := Run(gemmChainGraph(n, workers, a, b, cs), Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +181,8 @@ func TestLendGemmChainStress(t *testing.T) {
 			}
 		}
 	}
-	if rep.Sched.LendSpans != n {
-		t.Errorf("LendSpans = %d, want %d (one span per chain GEMM)", rep.Sched.LendSpans, n)
+	if sp := rep.Sched.LendSpans; sp < 1 || sp > n {
+		t.Errorf("LendSpans = %d, want 1..%d (the first GEMM finds every helper parked; none publishes twice)", sp, n)
 	}
 	if stdruntime.NumCPU() < 4 {
 		t.Skipf("only %d cpus: lent %v vs serial %v wall clock not meaningful",

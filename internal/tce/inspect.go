@@ -50,8 +50,14 @@ type Workload struct {
 	Kernel *Kernel
 	Chains []*ChainMeta
 
-	uniqOnce sync.Once
-	uniq     map[string][]BlockRef // see UniqueBlocks
+	// Derived once, on first use, by derive: the distinct blocks per
+	// tensor (UniqueBlocks), the input block tables (Inputs) and the
+	// output blocks in block-key order (Energy's fold order).
+	deriveOnce sync.Once
+	uniq       map[string][]BlockRef
+	gemmOff    []int32 // chain c's first GEMM in chain-after-chain numbering; len(Chains)+1 entries
+	inputs     [2]*InputTable
+	outByKey   []int32 // positions in uniq[TensorC], in block-key order
 }
 
 // Locator maps a block to the node that owns its Global Array storage.
@@ -169,7 +175,14 @@ func (s Stats) String() string {
 // the lists are derived once per workload; callers must not mutate the
 // returned slice.
 func (w *Workload) UniqueBlocks(tensorName string) []BlockRef {
-	w.uniqOnce.Do(func() {
+	w.derive()
+	return w.uniq[tensorName]
+}
+
+// derive computes everything that is a pure function of the inspected
+// chains and is asked for per job rather than per workload.
+func (w *Workload) derive() {
+	w.deriveOnce.Do(func() {
 		printed := make(map[BlockRef]string)
 		add := func(ref BlockRef) {
 			if _, seen := printed[ref]; !seen {
@@ -192,6 +205,15 @@ func (w *Workload) UniqueBlocks(tensorName string) []BlockRef {
 		for _, ref := range refs {
 			w.uniq[ref.Tensor] = append(w.uniq[ref.Tensor], ref)
 		}
+
+		w.gemmOff = make([]int32, len(w.Chains)+1)
+		for i, c := range w.Chains {
+			w.gemmOff[i+1] = w.gemmOff[i] + int32(len(c.Gemms))
+		}
+		aName, bName := w.InputTensors()
+		w.inputs[0] = newInputTable(w, aName, func(g *GemmOp) BlockRef { return g.A })
+		w.inputs[1] = newInputTable(w, bName, func(g *GemmOp) BlockRef { return g.B })
+
+		w.outByKey = keyOrder(w.uniq[TensorC])
 	})
-	return w.uniq[tensorName]
 }

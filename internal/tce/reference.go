@@ -1,6 +1,8 @@
 package tce
 
 import (
+	"fmt"
+
 	"parsec/internal/tensor"
 )
 
@@ -54,13 +56,20 @@ func (w *Workload) Materialize() (a, b *tensor.BlockTensor4) {
 	return a, b
 }
 
+// fillWeights overwrites t with the deterministic weights of the output
+// block with the given key.
+func (w *Workload) fillWeights(key tensor.BlockKey, t *tensor.Tile4) {
+	t.FillRandom(blockSeed(w.Kernel.Sys.Seed, "weights", key), 0.25)
+}
+
 // Weights returns the deterministic weight tensor over the workload's
-// output blocks used by the correlation-energy functional Energy.
+// output blocks used by the correlation-energy functional Energy. Energy
+// itself never builds it: this is for callers that want the weights as
+// data.
 func (w *Workload) Weights() *tensor.BlockTensor4 {
 	wt := tensor.NewBlockTensor4()
 	for _, ref := range w.UniqueBlocks(TensorC) {
-		t := wt.GetOrCreate(ref.Key, ref.Dims)
-		t.FillRandom(blockSeed(w.Kernel.Sys.Seed, "weights", ref.Key), 0.25)
+		w.fillWeights(ref.Key, wt.GetOrCreate(ref.Key, ref.Dims))
 	}
 	return wt
 }
@@ -69,8 +78,32 @@ func (w *Workload) Weights() *tensor.BlockTensor4 {
 // functional: the inner product with the deterministic weight tensor,
 // accumulated in block-key order. All algorithmic variants of the kernel
 // must reproduce this value to ~14 digits (§IV-A).
+//
+// The weights are read once, so they are streamed: each output block's
+// weights are generated into one pooled scratch tile and folded
+// immediately. Blocks in key order, elements in storage order, one
+// running sum — the fold order of c.Dot(w.Weights()), so the value is
+// bitwise that one's, without the weight tensor ever existing.
 func (w *Workload) Energy(c *tensor.BlockTensor4) float64 {
-	return c.Dot(w.Weights())
+	out := w.UniqueBlocks(TensorC)
+	var sum float64
+	for _, pos := range w.outByKey {
+		ref := out[pos]
+		t, ok := c.Tile(ref.Key)
+		if !ok {
+			continue
+		}
+		if t.Dim != ref.Dims {
+			panic(fmt.Sprintf("tce: Energy dims mismatch at %v: %v vs %v", ref.Key, t.Dim, ref.Dims))
+		}
+		wt := tensor.GetTile4(ref.Dims[0], ref.Dims[1], ref.Dims[2], ref.Dims[3])
+		w.fillWeights(ref.Key, wt)
+		for i, v := range t.Data {
+			sum += v * wt.Data[i]
+		}
+		tensor.PutTile4(wt)
+	}
+	return sum
 }
 
 // RunReference executes the workload exactly as the original serial
