@@ -8,10 +8,14 @@ all: build vet test lint
 
 # Source and documentation hygiene: gofmt-clean files (any file gofmt
 # lists fails the target), godoc coverage and Markdown link integrity.
+# The benchmark harness is a module of its own that `vet` below never
+# sees; vetting it here makes an API change that breaks it fail in
+# seconds, before bench-quick runs it.
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/doclint -strict ./...
 	$(GO) run ./cmd/mdlint .
+	$(GO) -C bench vet ./...
 
 build:
 	$(GO) build ./...
@@ -55,9 +59,9 @@ fig9:
 
 # The trace experiments (Figs 10-13).
 traces:
-	$(GO) run ./cmd/cctrace -variant v4 -preset betacarotene -nodes 32 -cores 7 -svg trace_v4.svg
-	$(GO) run ./cmd/cctrace -variant v2 -preset betacarotene -nodes 32 -cores 7 -svg trace_v2.svg
-	$(GO) run ./cmd/cctrace -variant original -preset betacarotene -nodes 32 -cores 7 -svg trace_original.svg
+	$(GO) run ./cmd/ccsim trace -variants v4 -svg trace_v4.svg
+	$(GO) run ./cmd/ccsim trace -variants v2 -svg trace_v2.svg
+	$(GO) run ./cmd/ccsim trace -variants original -svg trace_original.svg
 
 # Observability profiles (histograms, idle bubbles, critical path).
 profile:
@@ -92,11 +96,12 @@ sched-conformance:
 # socket backends, the multi-process benzene acceptance run, and the
 # kill/sever chaos run, all under the race detector, plus a short fuzz of
 # the frame decoder (internal/netrun). A rank's message handlers push
-# into, and take from, an executor whose workers may all be parked; the
-# tests that live on that seam run five more times.
+# into, and take from, an executor whose workers may all be parked, and
+# the ranks of one process bind one compiled plan's skeleton at once;
+# the tests that live on those seams run five more times.
 netrun-conformance:
 	$(GO) test -race -count=1 ./internal/netrun
-	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestInterNodeStealRedispatch|TestCancel|TestProcessChaosKillAndSever' ./internal/netrun
+	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestInterNodeStealRedispatch|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends' ./internal/netrun
 	$(GO) test -race -count=5 -run 'TestExecutorForeignPushWhileParked' ./internal/runtime
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/netrun
 

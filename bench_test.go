@@ -35,6 +35,7 @@ import (
 	"parsec/internal/tce"
 	"parsec/internal/tensor"
 	"parsec/internal/trace"
+	"parsec/internal/xform"
 )
 
 // benchCluster is the reduced Fig 9 machine used by benchmarks.
@@ -161,8 +162,8 @@ func BenchmarkEnergyVariants(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if d := res.Energy - ref; d > 1e-9 || d < -1e-9 {
-					b.Fatalf("energy drift: %g", d)
+				if d := ccsd.EnergyRelDiff(res.Energy, ref); d > ccsd.EnergyTol {
+					b.Fatalf("energy drift: relative %g", d)
 				}
 			}
 		})
@@ -215,18 +216,26 @@ func BenchmarkEnergy(b *testing.B) {
 // locality, v1) through intermediate points.
 func BenchmarkAblationSegmentHeight(b *testing.B) {
 	sys := molecule.Benzene631G()
-	spec, _ := ccsd.VariantByName("v3")
-	for _, h := range []int{1, 2, 4, 8, 1 << 20} {
-		h := h
-		name := fmt.Sprintf("h-%d", h)
-		if h == 1<<20 {
-			name = "h-full"
+	v3, _ := ccsd.VariantByName("v3")
+	for _, pt := range []struct {
+		name string
+		pass xform.Pass
+	}{
+		{"h-1", xform.SplitChain{Height: 1}},
+		{"h-2", xform.SplitChain{Height: 2}},
+		{"h-4", xform.SplitChain{Height: 4}},
+		{"h-8", xform.SplitChain{Height: 8}},
+		{"h-full", xform.FuseChain{}},
+	} {
+		spec, err := v3.Append(pt.pass)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(pt.name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
 				res, err := ccsd.RunSim(sys, spec, benchCluster(),
-					ccsd.SimRunConfig{CoresPerNode: 7, SegmentHeight: h})
+					ccsd.SimRunConfig{CoresPerNode: 7})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -421,8 +430,8 @@ func BenchmarkDTDExecution(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if d := got - ref; d > 1e-9 || d < -1e-9 {
-			b.Fatalf("energy drift %g", d)
+		if d := ccsd.EnergyRelDiff(got, ref); d > ccsd.EnergyTol {
+			b.Fatalf("energy drift: relative %g", d)
 		}
 	}
 }
@@ -611,7 +620,7 @@ func BenchmarkTrackerBuild(b *testing.B) {
 		name string
 		g    *ptg.Graph
 	}{
-		{"unbound", ccsd.BuildGraph(plan.Workload, spec, plan.Opts)},
+		{"unbound", ccsd.BuildGraph(plan.Workload, spec, ccsd.Options{Nodes: plan.Nodes})},
 		{"bound", plan.NewGraph(nil)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -727,14 +736,17 @@ func BenchmarkFusionVsStaged(b *testing.B) {
 // split across.
 func BenchmarkAblationWriteSpan(b *testing.B) {
 	sys := molecule.Benzene631G()
-	spec, _ := ccsd.VariantByName("v5")
+	v5, _ := ccsd.VariantByName("v5")
 	for _, span := range []int{1, 2, 4} {
-		span := span
+		spec, err := v5.Append(xform.SpanWrites{Span: span})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("span-%d", span), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
 				res, err := ccsd.RunSim(sys, spec, benchCluster(),
-					ccsd.SimRunConfig{CoresPerNode: 7, WriteSpan: span})
+					ccsd.SimRunConfig{CoresPerNode: 7})
 				if err != nil {
 					b.Fatal(err)
 				}

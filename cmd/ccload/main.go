@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -31,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parsec/internal/ccsd"
 	"parsec/internal/serve"
 )
 
@@ -258,20 +258,22 @@ func main() {
 	summarize("cold", cold)
 	summarize("cached", cached)
 
-	// Energy agreement: every job sharing a plan key must agree to
-	// 1e-12 (they are bitwise identical under ordered accumulation).
+	// Energy agreement: every job sharing a plan key must agree to a
+	// relative ccsd.EnergyTol (they are bitwise identical under ordered
+	// accumulation).
 	worst := 0.0
 	for key, outs := range byKey {
 		for _, o := range outs[1:] {
-			if d := math.Abs(o.energy - outs[0].energy); d > worst {
+			d := ccsd.EnergyRelDiff(o.energy, outs[0].energy)
+			if d > worst {
 				worst = d
 			}
-			if math.Abs(o.energy-outs[0].energy) > 1e-12 {
+			if d > ccsd.EnergyTol {
 				fatal(fmt.Errorf("energy mismatch on %s: %.15f vs %.15f", key, o.energy, outs[0].energy))
 			}
 		}
 	}
-	fmt.Printf("energies: cold vs cached agree per key (max |diff| = %.1e)\n", worst)
+	fmt.Printf("energies: cold vs cached agree per key (max relative diff = %.1e)\n", worst)
 
 	// The cache contract: a hit must not pay for inspection or planning.
 	for _, o := range cached {

@@ -13,6 +13,7 @@ import (
 	"parsec/internal/molecule"
 	"parsec/internal/sim"
 	"parsec/internal/tce"
+	"parsec/internal/xform"
 )
 
 // simSeconds runs one series on the simulated cluster and returns its
@@ -78,61 +79,78 @@ func fig9Cmd(fs *flag.FlagSet) func(io.Writer) error {
 	}
 }
 
-// sweepPoint is one configuration of an ablation sweep.
+// sweepPoint is one configuration of an ablation sweep: a machine, and
+// for a graph parameter the pass that sets it on every PTG series.
 type sweepPoint struct {
 	label string
 	mcfg  cluster.Config
-	rc    ccsd.SimRunConfig
+	pass  xform.Pass
 }
 
 // sweepNames lists the ablations sweepPoints implements.
 var sweepNames = []string{"gaservice", "nic", "contention", "stride", "segheight"}
 
 // sweepPoints returns the fixed range of the named ablation: one machine
-// or run parameter varied around the calibrated value.
-func sweepPoints(name string, base cluster.Config, cores int) ([]sweepPoint, error) {
+// or graph parameter varied around the calibrated value.
+func sweepPoints(name string, base cluster.Config) ([]sweepPoint, error) {
 	var points []sweepPoint
-	mk := func(label string, mutate func(*cluster.Config, *ccsd.SimRunConfig)) {
-		pt := sweepPoint{label: label, mcfg: base, rc: ccsd.SimRunConfig{CoresPerNode: cores}}
-		mutate(&pt.mcfg, &pt.rc)
+	mk := func(label string, mutate func(*sweepPoint)) {
+		pt := sweepPoint{label: label, mcfg: base}
+		mutate(&pt)
 		points = append(points, pt)
 	}
 	switch name {
 	case "gaservice":
 		for _, bw := range []float64{0.05e9, 0.1e9, 0.21e9, 0.5e9, 1e9} {
 			bw := bw
-			mk(fmt.Sprintf("%.2fGB/s", bw/1e9), func(c *cluster.Config, _ *ccsd.SimRunConfig) { c.GAServiceBW = bw })
+			mk(fmt.Sprintf("%.2fGB/s", bw/1e9), func(pt *sweepPoint) { pt.mcfg.GAServiceBW = bw })
 		}
 	case "nic":
 		for _, bw := range []float64{0.3e9, 0.6e9, 1.2e9, 2.4e9, 5e9} {
 			bw := bw
-			mk(fmt.Sprintf("%.1fGB/s", bw/1e9), func(c *cluster.Config, _ *ccsd.SimRunConfig) { c.NICBWBytes = bw })
+			mk(fmt.Sprintf("%.1fGB/s", bw/1e9), func(pt *sweepPoint) { pt.mcfg.NICBWBytes = bw })
 		}
 	case "contention":
 		for _, b := range []float64{0, 0.1, 0.286, 0.5, 1} {
 			b := b
-			mk(fmt.Sprintf("beta=%.3f", b), func(c *cluster.Config, _ *ccsd.SimRunConfig) { c.GemmContention = b })
+			mk(fmt.Sprintf("beta=%.3f", b), func(pt *sweepPoint) { pt.mcfg.GemmContention = b })
 		}
 	case "stride":
 		for _, us := range []int{0, 10, 47, 100, 200} {
 			us := us
-			mk(fmt.Sprintf("%dus", us), func(c *cluster.Config, _ *ccsd.SimRunConfig) {
-				c.GAStrideLatency = sim.Time(us) * sim.Microsecond
+			mk(fmt.Sprintf("%dus", us), func(pt *sweepPoint) {
+				pt.mcfg.GAStrideLatency = sim.Time(us) * sim.Microsecond
 			})
 		}
 	case "segheight":
-		for _, h := range []int{1, 2, 4, 8, 1 << 20} {
+		for _, h := range []int{1, 2, 4, 8} {
 			h := h
-			label := fmt.Sprintf("h=%d", h)
-			if h == 1<<20 {
-				label = "h=full"
-			}
-			mk(label, func(_ *cluster.Config, rc *ccsd.SimRunConfig) { rc.SegmentHeight = h })
+			mk(fmt.Sprintf("h=%d", h), func(pt *sweepPoint) { pt.pass = xform.SplitChain{Height: h} })
 		}
+		mk("h=full", func(pt *sweepPoint) { pt.pass = xform.FuseChain{} })
 	default:
 		return nil, fmt.Errorf("unknown sweep -name %q (accepted: %s)", name, strings.Join(sweepNames, ", "))
 	}
 	return points, nil
+}
+
+// seconds runs one series at the sweep point. A point that varies the
+// graph appends its pass to the series' recipe; the CGP baseline has no
+// graph to vary and runs as it is.
+func (pt sweepPoint) seconds(sys *molecule.System, name string, cores int) (float64, error) {
+	rc := ccsd.SimRunConfig{CoresPerNode: cores}
+	if pt.pass == nil || name == ccsd.BaselineName {
+		return simSeconds(sys, name, pt.mcfg, rc)
+	}
+	spec, err := ccsd.VariantByName(name)
+	if err == nil {
+		spec, err = spec.Append(pt.pass)
+	}
+	if err != nil {
+		return 0, err
+	}
+	res, err := ccsd.RunSim(sys, spec, pt.mcfg, rc)
+	return res.Makespan.Seconds(), err
 }
 
 // sweepCmd runs the named ablation: every requested series re-run at
@@ -151,7 +169,7 @@ func sweepCmd(fs *flag.FlagSet) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		points, err := sweepPoints(*name, o.machine(), cores)
+		points, err := sweepPoints(*name, o.machine())
 		if err != nil {
 			return err
 		}
@@ -165,7 +183,7 @@ func sweepCmd(fs *flag.FlagSet) func(io.Writer) error {
 		for _, pt := range points {
 			row := fmt.Sprintf("%-12s", pt.label)
 			for _, n := range o.series {
-				sec, err := simSeconds(sys, n, pt.mcfg, pt.rc)
+				sec, err := pt.seconds(sys, n, cores)
 				if err != nil {
 					return fmt.Errorf("%s @%s: %w", n, pt.label, err)
 				}

@@ -9,6 +9,7 @@
 //	ccsim faults    seeded fault-injection sweep with the recovery and energy criteria
 //	ccsim real-dist real arithmetic across worker OS processes over loopback sockets
 //	ccsim tune      simulator-guided recipe search, checked against hand-derived v5
+//	ccsim trace     Figs 10-13: one series traced on the simulated cluster, ASCII/SVG/CSV/Perfetto
 //
 // The subcommands share one option set — -preset -nodes -variants -cores
 // -quick -v -out — of which each registers the options it reads;
@@ -62,6 +63,7 @@ var subcommands = []subcommand{
 	{"faults", "seeded fault-injection sweep; recovery and energy criteria", faultsCmd},
 	{"real-dist", "real arithmetic across worker OS processes over loopback sockets", realDistCmd},
 	{"tune", "simulator-guided recipe search, checked against hand-derived v5", tuneCmd},
+	{"trace", "Figs 10-13: one series traced on the simulated cluster; Gantt chart, SVG/CSV/Perfetto", traceCmd},
 }
 
 // run parses args as `<subcommand> [flags]` and executes it, printing to

@@ -57,6 +57,8 @@ func TestSubcommandsQuick(t *testing.T) {
 			[]string{"water/6-31G", "across 2 worker processes", "\nv5 ", "ok: every distributed energy matches its single-process run to a relative 1e-12"}},
 		{[]string{"tune", "-quick", "-budget", "24"},
 			[]string{"recipe autotuning on uracil/6-31G, 8 nodes x 7 cores/node", "hand-derived variants", "criterion [PASS]"}},
+		{[]string{"trace", "-quick", "-variants", "original", "-nodes", "2", "-width", "60", "-from", "0.1", "-to", "0.2"},
+			[]string{"zoomed to [0.100s, 0.200s]", "trace of original on benzene/6-31G, 2 nodes x 7 cores/node", "--- node 1 ", "communication/computation overlap", "startup idle (Fig 11 bubble)"}},
 	} {
 		tc := tc
 		t.Run(tc.args[0], func(t *testing.T) {
@@ -74,8 +76,8 @@ func TestSubcommandsQuick(t *testing.T) {
 			}
 		})
 	}
-	if len(subcommands) != 8 {
-		t.Errorf("%d subcommands, the table above covers 8", len(subcommands))
+	if len(subcommands) != 9 {
+		t.Errorf("%d subcommands, the table above covers 9", len(subcommands))
 	}
 }
 
@@ -117,6 +119,10 @@ func TestUsageAndFlagErrors(t *testing.T) {
 		{[]string{"sweep", "-quick"}, "accepted: gaservice, nic, contention, stride, segheight", ""},
 		{[]string{"fig9", "-preset", "nope"}, "bad -preset: molecule: unknown preset \"nope\" (want water, benzene, uracil, porphin, or betacarotene)", ""},
 		{[]string{"fig9", "-quick", "-variants", "v9"}, `bad -variants entry "v9"`, ""},
+		// A write span over fissioned writes is refused up front, as the
+		// service and netrun refuse it, not run at span 1.
+		{[]string{"fig9", "-quick", "-variants", "v5,seg=1,fission=writes,span=2"}, "write span > 1 requires fused writes", ""},
+		{[]string{"real-dist", "-quick", "-variants", "seg=full,span=2"}, "write span > 1 requires fused writes", ""},
 		{[]string{"fig9", "-quick", "-cores", "x"}, "bad -cores list", ""},
 		{[]string{"fig9", "-quick", "-nodes", "-3"}, "bad -nodes -3", ""},
 		{[]string{"faults", "-quick", "-cores", "1,3"}, "want one positive integer", ""},
@@ -124,6 +130,8 @@ func TestUsageAndFlagErrors(t *testing.T) {
 		{[]string{"fig9", "-quick", "stray"}, `unexpected argument "stray"`, ""},
 		{[]string{"profile", "-quick", "-real", "nope"}, `bad -real: molecule: unknown preset "nope"`, ""},
 		{[]string{"tune", "-quick", "-start", "v9"}, "bad -start", ""},
+		{[]string{"trace", "-quick", "-variants", "v2,v4"}, "trace renders one series", ""},
+		{[]string{"trace", "-quick", "-pprof", "localhost:6060"}, "flag provided but not defined: -pprof", ""},
 		{[]string{"kernels", "-quick", "-baseline", "/does/not/exist.json"}, "exist.json", ""},
 	} {
 		out, err := runCLI(t, tc.args...)

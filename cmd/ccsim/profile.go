@@ -10,6 +10,7 @@ import (
 	"parsec/internal/molecule"
 	"parsec/internal/obsv"
 	"parsec/internal/ptg"
+	"parsec/internal/simexec"
 	"parsec/internal/trace"
 )
 
@@ -81,40 +82,46 @@ func profileCmd(fs *flag.FlagSet) func(io.Writer) error {
 }
 
 // profileSim runs one series on the simulated cluster with tracing. A
-// PTG variant's identical DAG is then replayed under the measured span
-// durations for critical-path attribution; the CGP baseline has no PTG,
-// so its profile carries histograms, idle gaps and GET/ACC volumes only
-// — for the original code that tally IS the whole communication story
-// (blocking GET_HASH_BLOCK before every GEMM, ADD_HASH_BLOCK per chain;
-// no dataflow deliveries).
+// PTG variant's plan is compiled once: simulated, then its DAG replayed
+// under the measured span durations for critical-path attribution. The
+// CGP baseline has no PTG, so its profile carries histograms, idle gaps
+// and GET/ACC volumes only — for the original code that tally IS the
+// whole communication story (blocking GET_HASH_BLOCK before every GEMM,
+// ADD_HASH_BLOCK per chain; no dataflow deliveries).
 func profileSim(sys *molecule.System, name string, mcfg cluster.Config, cores int) (*obsv.Profile, error) {
 	tr := trace.New()
 	rc := ccsd.SimRunConfig{CoresPerNode: cores, Trace: tr}
-	res, err := ccsd.RunSimSeries(sys, name, mcfg, rc)
-	if err != nil {
-		return nil, err
+	// profile wraps a finished run; unit is what the run's per-node
+	// workers are — cores, or the baseline's MPI ranks.
+	profile := func(res simexec.Result, unit string) *obsv.Profile {
+		p := obsv.FromTrace(fmt.Sprintf("%s sim %s %dn x %d%s", name, sys.Name, mcfg.Nodes, cores, unit), tr)
+		p.SetRamp("GEMM", tr)
+		p.SetComm(obsv.CommStats{
+			GetOps: res.Gets, GetBytes: res.GetBytes,
+			AccOps: res.Adds, AccBytes: res.AddBytes,
+			Transfers: int64(res.Transfers), TotalBytes: res.BytesSent,
+			ByClass: res.BytesByClass,
+		})
+		return p
 	}
-	baseline := name == ccsd.BaselineName
-	unit := "c" // cores; the baseline's are MPI ranks
-	if baseline {
-		unit = "r"
-	}
-	p := obsv.FromTrace(fmt.Sprintf("%s sim %s %dn x %d%s", name, sys.Name, mcfg.Nodes, cores, unit), tr)
-	p.SetRamp("GEMM", tr)
-	p.SetComm(obsv.CommStats{
-		GetOps: res.Gets, GetBytes: res.GetBytes,
-		AccOps: res.Adds, AccBytes: res.AddBytes,
-		Transfers: int64(res.Transfers), TotalBytes: res.BytesSent,
-		ByClass: res.BytesByClass,
-	})
-	if baseline {
-		return p, nil
+	if name == ccsd.BaselineName {
+		res, err := ccsd.RunSimSeries(sys, name, mcfg, rc)
+		if err != nil {
+			return nil, err
+		}
+		return profile(res, "r"), nil
 	}
 	spec, err := ccsd.VariantByName(name)
 	if err != nil {
 		return nil, err
 	}
-	a, err := ccsd.AnalyzeVariantSim(sys, spec, mcfg, rc, measuredDurations(tr))
+	plan := ccsd.Compile(sys, spec, ccsd.Options{Nodes: mcfg.Nodes})
+	res, err := plan.Simulate(mcfg, rc)
+	if err != nil {
+		return nil, err
+	}
+	p := profile(res, "c")
+	a, err := plan.Analyze(measuredDurations(tr))
 	if err != nil {
 		return nil, fmt.Errorf("critical-path replay: %w", err)
 	}
@@ -132,7 +139,7 @@ func profileReal(sys *molecule.System, spec ccsd.VariantSpec, workers int) (*obs
 	}
 	p := obsv.FromTrace(fmt.Sprintf("%s real %s, %d workers (wall time)", spec.Name, sys.Name, workers), tr)
 	p.SetRamp("GEMM", tr)
-	a, err := ccsd.AnalyzeVariantReal(plan.Workload, spec, 0, measuredDurations(tr))
+	a, err := plan.Analyze(measuredDurations(tr))
 	if err != nil {
 		return nil, fmt.Errorf("critical-path replay: %w", err)
 	}
@@ -143,10 +150,10 @@ func profileReal(sys *molecule.System, spec ccsd.VariantSpec, workers int) (*obs
 // measuredDurations indexes a trace's spans by label (the canonical
 // TaskRef string) so a DAG replay can charge each instance its measured
 // duration. Unlabeled or unmatched instances charge zero.
-func measuredDurations(tr *trace.Trace) func(ptg.TaskRef) int64 {
+func measuredDurations(tr *trace.Trace) func(*ptg.Instance) int64 {
 	byLabel := make(map[string]int64)
 	for _, e := range tr.Events() {
 		byLabel[e.Label] += e.Duration()
 	}
-	return func(ref ptg.TaskRef) int64 { return byLabel[ref.String()] }
+	return func(in *ptg.Instance) int64 { return byLabel[in.Ref.String()] }
 }

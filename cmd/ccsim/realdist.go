@@ -47,17 +47,13 @@ func realDistCmd(fs *flag.FlagSet) func(io.Writer) error {
 				return fmt.Errorf("%s reference: %w", v.name, err)
 			}
 			job := netrun.JobSpec{Preset: o.preset, Variant: v.name}
-			pol, err := job.Policy()
-			if err != nil {
-				return err
-			}
 			if o.verbose {
 				fmt.Fprintf(os.Stderr, "# %s: launching %d processes...\n", v.name, *ranks)
 			}
 			l, err := netrun.StartProcesses(netrun.Config{
 				Ranks:    *ranks,
 				Workers:  *workers,
-				Policy:   pol,
+				Policy:   v.spec.Policy(),
 				Deadline: 10 * time.Minute,
 			}, job)
 			if err != nil {

@@ -116,7 +116,7 @@ func TestExecuteTable(t *testing.T) {
 		}
 		for _, spec := range Variants() {
 			for _, h := range []int{0, 1, 2, 3, 5} {
-				plan := CompileWorkload(w, spec, Options{Nodes: 1, SegmentHeight: h})
+				plan := CompileWorkload(w, override(t, spec, h, 0), Options{Nodes: 1})
 				for _, q := range []sched.QueueMode{sched.SharedQueue, sched.PerWorker, sched.PerWorkerSteal} {
 					for _, traced := range []bool{false, true} {
 						for _, delayed := range []bool{false, true} {
@@ -239,14 +239,19 @@ func TestSimTraceWellFormed(t *testing.T) {
 	}
 }
 
+// TestSimBaselineCompletes runs the CGP baseline on four nodes and on
+// one: a one-node inspection has no locator (owners read -1), which the
+// baseline must take as node 0 like the PTG builders do.
 func TestSimBaselineCompletes(t *testing.T) {
 	sys := molecule.Water631G()
-	res, err := RunSimBaseline(sys, simConfig(4, 4), SimRunConfig{CoresPerNode: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan <= 0 || res.Gets == 0 || res.Adds == 0 {
-		t.Errorf("degenerate baseline run: %v", res)
+	for _, nodes := range []int{4, 1} {
+		res, err := RunSimBaseline(sys, simConfig(nodes, 4), SimRunConfig{CoresPerNode: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Makespan <= 0 || res.Gets == 0 || res.Adds == 0 {
+			t.Errorf("%d nodes: degenerate baseline run: %v", nodes, res)
+		}
 	}
 }
 
@@ -465,20 +470,15 @@ func TestSegmentedWritesMatchReference(t *testing.T) {
 	for _, name := range []string{"v4", "v5"} {
 		spec, _ := VariantByName(name)
 		for _, span := range []int{2, 3} {
-			res, err := runRealWithWriteSpan(w, spec, 4, span)
+			res, err := execute(w, override(t, spec, 0, span), 4)
 			if err != nil {
 				t.Fatalf("%s span %d: %v", name, span, err)
 			}
-			if d := EnergyRelDiff(res, ref); d > EnergyTol {
-				t.Errorf("%s span %d: energy %.15g vs %.15g", name, span, res, ref)
+			if d := EnergyRelDiff(res.Energy, ref); d > EnergyTol {
+				t.Errorf("%s span %d: energy %.15g vs %.15g", name, span, res.Energy, ref)
 			}
 		}
 	}
-}
-
-func runRealWithWriteSpan(w *tce.Workload, spec VariantSpec, workers, span int) (float64, error) {
-	res, err := CompileWorkload(w, spec, Options{Nodes: 1, WriteSpan: span}).Execute(ExecConfig{Workers: workers})
-	return res.Energy, err
 }
 
 // TestSimSegmentedWrites: the simulated run completes with spanning
@@ -486,7 +486,7 @@ func runRealWithWriteSpan(w *tce.Workload, spec VariantSpec, workers, span int) 
 func TestSimSegmentedWrites(t *testing.T) {
 	sys := molecule.Water631G()
 	spec, _ := VariantByName("v5")
-	res, err := RunSim(sys, spec, simConfig(4, 4), SimRunConfig{CoresPerNode: 2, WriteSpan: 3})
+	res, err := RunSim(sys, override(t, spec, 0, 3), simConfig(4, 4), SimRunConfig{CoresPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestSimSegmentedWrites(t *testing.T) {
 func TestInBytesSplitsTransfers(t *testing.T) {
 	w := waterWorkload()
 	spec, _ := VariantByName("v5")
-	g := BuildGraph(w, spec, Options{Nodes: 4, WriteSpan: 2})
+	g := BuildGraph(w, override(t, spec, 0, 2), Options{Nodes: 4})
 	tr, err := ptg.NewTracker(g)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package ccsd
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -14,30 +15,32 @@ import (
 	"parsec/internal/xform"
 )
 
-// CompiledPlan is the reusable front half of the pipeline: the inspected
-// workload plus the per-chain GEMM segmentation and reduction-tree
-// shapes for one (system, variant, graph-shape) triple. Everything in it
-// is a pure function of those inputs — no Global Arrays store, no
-// scheduler state — so a plan compiled once can back any number of
-// executions, which is what the service's content-keyed cache holds. The
-// one lazily added piece, the task-graph skeleton, is a pure function of
-// the same inputs and is built under a sync.Once on first use.
+// CompiledPlan is the reusable front half of the pipeline, and the one
+// thing every executor consumes: the inspected workload plus the
+// per-chain GEMM segmentation and reduction-tree shapes for one (system,
+// recipe, node count) triple. Everything in it is a pure function of
+// those inputs — no Global Arrays store, no scheduler state — so a plan
+// compiled once can back any number of executions on any backend:
+// Execute on the goroutine runtime, Simulate on the discrete-event
+// cluster, and every rank of a netrun job (NewGraph over the rank's
+// store). The service's content-keyed cache holds plans. The one lazily
+// added piece, the task-graph skeleton, is a pure function of the same
+// inputs and is resolved under a sync.Once on first use.
 type CompiledPlan struct {
 	// Sys is the inspected molecular system.
 	Sys *molecule.System
-	// Spec is the algorithmic variant the plan was compiled for.
+	// Spec is the recipe the plan was compiled for.
 	Spec VariantSpec
-	// Opts is the graph shape (nodes, segment height, write span). The
-	// Store field is always nil here; executions bind their own store.
-	Opts Options
-	// Shape is the resolved plan shape: the spec's recipe with the
-	// Options overrides applied and normalized. Everything the chain
-	// plans and the graph skeleton depend on — besides the workload and
-	// node count — is in here, which is why the service's plan-cache key
-	// hashes its canonical string.
+	// Nodes is the affinity modulus the workload was located and the
+	// graph is distributed for; 1 is shared memory.
+	Nodes int
+	// Shape is the recipe's resolved, normalized plan shape. Everything
+	// the chain plans and the graph skeleton depend on — besides the
+	// workload and node count — is in here, which is why the service's
+	// plan-cache key hashes its canonical string.
 	Shape xform.Shape
-	// Workload is the inspection result: chains, block shapes, FLOP
-	// counts, and the reference-energy machinery.
+	// Workload is the inspection result: chains, block shapes and
+	// owners, FLOP counts, and the reference-energy machinery.
 	Workload *tce.Workload
 	// InspectTime and PlanTime record how long inspection and chain
 	// planning took — the cost a cache hit avoids.
@@ -46,38 +49,72 @@ type CompiledPlan struct {
 
 	ps []*chainPlan
 
-	// skel is the resolved structure of the plan's task graph, built from
-	// the first graph NewGraph binds and shared read-only by every
-	// execution after it; nil if that build failed, in which case each
-	// run's tracker reports the error itself.
+	// skel is the resolved structure of the plan's task graph, shared
+	// read-only by every graph NewGraph returns; skelErr is why it could
+	// not be resolved, in which case each run's tracker reports the same
+	// error itself.
 	skelOnce sync.Once
 	skel     *ptg.Skeleton
+	skelErr  error
+}
+
+// inspect is the one place a kernel is inspected for a machine size:
+// block owners come from the Global Arrays placement every backend uses
+// (ga.Distribution over nodes). A single node needs no locator — every
+// block is local — and gets none, so a shared-memory plan's inspection
+// pays no placement hashing and records owner -1, which the builders
+// read as node 0.
+func inspect(k *tce.Kernel, nodes int) *tce.Workload {
+	if nodes <= 1 {
+		return tce.Inspect(k, nil)
+	}
+	dist := ga.Distribution{Nodes: nodes}
+	return tce.Inspect(k, func(ref tce.BlockRef) int { return dist.Owner(ref.Tensor, ref.Key) })
+}
+
+// InspectKernel inspects the named TCE kernel of sys ("t2_7", the
+// default for "", or "t1_2") for a machine of the given node count. It
+// is what Compile does for the T2_7 kernel, exposed for callers that
+// compile several recipes over one inspection (CompileWorkload) or need
+// the located workload without a graph (the CGP baseline).
+func InspectKernel(sys *molecule.System, kernel string, nodes int) (*tce.Workload, error) {
+	k, err := tce.KernelByName(kernel, sys)
+	if err != nil {
+		return nil, err
+	}
+	return inspect(k, nodes), nil
 }
 
 // Compile runs the inspection phase and chain planning for the T2_7
-// kernel on sys and returns the cacheable plan.
+// kernel on sys, distributed over opts.Nodes, and returns the cacheable
+// plan. It panics on a pass list that does not resolve; specs obtained
+// from Variants, VariantByName, Recipe.Append or xform.FromShape always
+// do.
 func Compile(sys *molecule.System, spec VariantSpec, opts Options) *CompiledPlan {
 	t0 := time.Now()
-	w := tce.Inspect(tce.T2_7(sys), nil)
-	inspect := time.Since(t0)
+	w := inspect(tce.T2_7(sys), opts.Nodes)
+	inspectTime := time.Since(t0)
 	p := CompileWorkload(w, spec, opts)
-	p.InspectTime = inspect
+	p.InspectTime = inspectTime
 	return p
 }
 
-// CompileWorkload is Compile for a workload that is already inspected:
-// the other kernel (tce.T1_2), or one inspection shared by several
-// variants. InspectTime stays zero. opts.Store is ignored (and
-// cleared): stores are per-execution, not part of the plan.
+// CompileWorkload is Compile for a workload that is already inspected
+// (InspectKernel): the other kernel, or one inspection shared by several
+// recipes. InspectTime stays zero. opts.Store is ignored: stores are
+// per-execution, not part of the plan.
 func CompileWorkload(w *tce.Workload, spec VariantSpec, opts Options) *CompiledPlan {
-	opts.Store = nil
-	shape := effectiveShape(spec, opts)
+	shape := spec.MustShape().Normalize()
+	nodes := opts.Nodes
+	if nodes <= 0 {
+		nodes = 1
+	}
 	t0 := time.Now()
 	ps := plans(w, shape)
 	return &CompiledPlan{
 		Sys:      w.Kernel.Sys,
 		Spec:     spec,
-		Opts:     opts,
+		Nodes:    nodes,
 		Shape:    shape,
 		Workload: w,
 		PlanTime: time.Since(t0),
@@ -85,23 +122,63 @@ func CompileWorkload(w *tce.Workload, spec VariantSpec, opts Options) *CompiledP
 	}
 }
 
-// NewGraph binds the compiled plan to a store and returns a fresh task
-// graph for one execution. The class definitions are rebuilt — a handful
-// of closures, because task bodies close over the per-job store — but
-// the graph is not re-inspected: its instances and edges were resolved
-// into a ptg.Skeleton the first time the plan was bound, and every graph
+// NewGraph binds the compiled plan to a store (nil for a graph that
+// carries only the simulation cost model) and returns a fresh task graph
+// for one execution. The class definitions are rebuilt — a handful of
+// closures, because task bodies close over the per-job store — but the
+// graph is not re-inspected: its instances and edges were resolved into
+// a ptg.Skeleton the first time the plan was bound, and every graph
 // returned here carries that skeleton, so the tracker of each run is a
 // copy rather than an enumeration. The store changes bodies only, never
-// structure, which is what makes one skeleton valid for all bindings.
+// structure, which is what makes one skeleton valid for all bindings —
+// across executions, and across the ranks of one distributed run, which
+// call this concurrently.
 func (p *CompiledPlan) NewGraph(store ga.API) *ptg.Graph {
-	opts := p.Opts
-	opts.Store = store
-	g := buildGraphFrom(p.Workload, p.Spec.Name, p.Shape, opts, p.ps)
-	p.skelOnce.Do(func() { p.skel, _ = ptg.NewSkeleton(g) })
-	if p.skel != nil {
-		g.Bind(p.skel)
+	g := p.unbound(store)
+	if sk, _ := p.skeleton(g); sk != nil {
+		g.Bind(sk)
 	}
 	return g
+}
+
+// unbound builds the plan's graph over store without a skeleton; its
+// tracker inspects the graph itself.
+func (p *CompiledPlan) unbound(store ga.API) *ptg.Graph {
+	b := p.builder(fmt.Sprintf("icsd_t2_7-%s", p.Spec.Name), store)
+	b.buildKernel()
+	return b.g
+}
+
+// skeleton resolves the plan's graph structure, once. Structure does not
+// depend on the store, so a caller that has just built a graph of the
+// plan passes it and the first binding costs no second build.
+func (p *CompiledPlan) skeleton(g *ptg.Graph) (*ptg.Skeleton, error) {
+	p.skelOnce.Do(func() {
+		if g == nil {
+			g = p.unbound(nil)
+		}
+		p.skel, p.skelErr = ptg.NewSkeleton(g)
+	})
+	return p.skel, p.skelErr
+}
+
+// NumTasks returns the number of task instances in the plan's graph —
+// what a distributed run's coordinator counts completions against.
+func (p *CompiledPlan) NumTasks() (int, error) {
+	sk, err := p.skeleton(nil)
+	if err != nil {
+		return 0, err
+	}
+	return sk.NumInstances(), nil
+}
+
+// Analyze replays the plan's DAG — the one every backend executes —
+// charging each instance the duration dur reports: measured trace spans
+// for critical-path attribution (internal/obsv), or a cost model for a
+// static bound (internal/tune). Task bodies are never invoked, only the
+// dataflow is.
+func (p *CompiledPlan) Analyze(dur func(*ptg.Instance) int64) (ptg.Analysis, error) {
+	return ptg.Analyze(p.NewGraph(nil), dur)
 }
 
 // NumChains returns the number of GEMM chains in the plan's workload.

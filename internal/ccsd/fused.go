@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"parsec/internal/cluster"
+	"parsec/internal/ga"
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
@@ -98,8 +99,8 @@ func (es *energyStage) buildEnergy(fused bool) {
 	p.InNew(nil, func(a ptg.Args) int64 { return 8 })
 	es.addTreeOut(p, 0, func(a ptg.Args) int { return a[0] })
 
-	if b.opts.Store != nil {
-		store := b.opts.Store
+	if b.store != nil {
+		store := b.store
 		weights := b.w.Weights()
 		tc.Body = func(ctx *ptg.Ctx) {
 			p := b.ps[ctx.Args[0]]
@@ -181,7 +182,7 @@ func (es *energyStage) buildEReduce() {
 		func(a ptg.Args) (ptg.TaskRef, string) {
 			return ptg.TaskRef{Class: "ESINK", Args: ptg.A1(0)}, "P"
 		})
-	if b.opts.Store != nil {
+	if b.store != nil {
 		tc.Body = func(ctx *ptg.Ctx) {
 			sum := ctx.In[0].(float64)
 			if ctx.In[1] != nil {
@@ -204,68 +205,39 @@ func (es *energyStage) buildESink() {
 		}
 		return ptg.TaskRef{Class: "EREDUCE", Args: ptg.A2(es.tree.top, 0)}, "X"
 	})
-	if b.opts.Store != nil {
+	if b.store != nil {
 		result := es.result
 		tc.Body = func(ctx *ptg.Ctx) { *result = ctx.In[0].(float64) }
 	}
 }
 
-// fusedSpec returns the variant the fused graph builds on: v5, whose
+// fusedPlan compiles the variant the fused graph builds on: v5, whose
 // single merged SORT produces each chain's complete output block.
-func fusedSpec() VariantSpec {
+func fusedPlan(w *tce.Workload, nodes int) *CompiledPlan {
 	spec, _ := VariantByName("v5")
-	return spec
+	return CompileWorkload(w, spec, Options{Nodes: nodes})
 }
 
-// BuildFused constructs the single fused graph: the v5 kernel whose SORT
+// fused constructs the single fused graph: the v5 kernel whose SORT
 // outputs feed the energy stage directly, with the WRITE tasks still
 // persisting i0 to the Global Array.
-func BuildFused(w *tce.Workload, opts Options, result *float64) *ptg.Graph {
-	shape := effectiveShape(fusedSpec(), opts)
-	nodes := opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
-	b := &builder{
-		g:     ptg.NewGraph("icsd_t2_7+energy-fused"),
-		w:     w,
-		shape: shape,
-		opts:  opts,
-		ps:    plans(w, shape),
-		nodes: nodes,
-	}
-	b.buildDFill()
-	b.buildReads()
-	b.buildGemm()
-	b.buildReduce()
-	b.buildSort()
+func (p *CompiledPlan) fused(store ga.API, result *float64) *ptg.Graph {
+	b := p.builder("icsd_t2_7+energy-fused", store)
+	b.buildKernel()
 	// Fan the SORT output out to the energy stage as well as the WRITE.
 	sort := b.g.ClassByName("SORT")
 	sFlow := sort.Flows[sort.MustFlowIndex("S")]
 	sFlow.Out(nil, func(a ptg.Args) (ptg.TaskRef, string) {
 		return ptg.TaskRef{Class: "ENERGY", Args: ptg.A1(a[0])}, "S"
 	})
-	b.buildWrite()
 	b.buildEnergyStage(result, true)
 	return b.g
 }
 
-// BuildEnergyStaged constructs the standalone second-stage graph that
-// reads every i0 block back from the Global Array (Fig 3's integration).
-func BuildEnergyStaged(w *tce.Workload, opts Options, result *float64) *ptg.Graph {
-	nodes := opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
-	shape := effectiveShape(fusedSpec(), opts)
-	b := &builder{
-		g:     ptg.NewGraph("energy-staged"),
-		w:     w,
-		shape: shape,
-		opts:  opts,
-		ps:    plans(w, shape),
-		nodes: nodes,
-	}
+// energyStaged constructs the standalone second-stage graph that reads
+// every i0 block back from the Global Array (Fig 3's integration).
+func (p *CompiledPlan) energyStaged(store ga.API, result *float64) *ptg.Graph {
+	b := p.builder("energy-staged", store)
 	b.buildEnergyStage(result, false)
 	return b.g
 }
@@ -274,7 +246,7 @@ func BuildEnergyStaged(w *tce.Workload, opts Options, result *float64) *ptg.Grap
 // the correlation energy, which must equal the reference functional.
 func RunRealFused(w *tce.Workload, workers int) (float64, error) {
 	var result float64
-	g := BuildFused(w, Options{Nodes: 1, Store: inputStore(w)}, &result)
+	g := fusedPlan(w, 1).fused(inputStore(w), &result)
 	if _, err := runtime.Run(g, runtime.Config{Workers: workers}); err != nil {
 		return 0, err
 	}
@@ -295,22 +267,23 @@ func (f FusionResult) String() string {
 		100*(1-f.Fused.Seconds()/f.Staged.Seconds()))
 }
 
-// RunSimFusion executes both integrations on fresh simulated machines.
+// RunSimFusion executes both integrations on fresh simulated machines,
+// all three runs off one compiled v5 plan.
 func RunSimFusion(sys *molecule.System, mcfg cluster.Config, cores int) (FusionResult, error) {
 	var out FusionResult
+	w, err := InspectKernel(sys, "", mcfg.Nodes)
+	if err != nil {
+		return out, err
+	}
+	plan := fusedPlan(w, mcfg.Nodes)
 	// Staged, stage 1: the kernel alone (v5), writing i0 to the GA.
-	spec := fusedSpec()
-	res1, err := RunSim(sys, spec, mcfg, SimRunConfig{CoresPerNode: cores})
+	res1, err := plan.Simulate(mcfg, SimRunConfig{CoresPerNode: cores})
 	if err != nil {
 		return out, err
 	}
 	// Staged, stage 2: the energy graph reading i0 back from the GA.
-	m, gs, w, err := newSimMachine(sys, "", mcfg, nil)
-	if err != nil {
-		return out, err
-	}
-	g2 := BuildEnergyStaged(w, Options{Nodes: mcfg.Nodes}, nil)
-	res2, err := simexec.Run(g2, m, gs, simexec.Config{
+	m, gs := newSimMachine(mcfg, nil)
+	res2, err := simexec.Run(plan.energyStaged(nil, nil), m, gs, simexec.Config{
 		CoresPerNode: cores,
 		Behaviors:    stagedEnergyBehaviors(w, mcfg.Nodes),
 	})
@@ -321,15 +294,10 @@ func RunSimFusion(sys *molecule.System, mcfg cluster.Config, cores int) (FusionR
 	out.Staged = res1.Makespan + res2.Makespan
 
 	// Fused: one graph, one run.
-	mF, gsF, wF, err := newSimMachine(sys, "", mcfg, nil)
-	if err != nil {
-		return out, err
-	}
-	psF := plans(wF, spec.MustShape())
-	gF := BuildFused(wF, Options{Nodes: mcfg.Nodes}, nil)
-	resF, err := simexec.Run(gF, mF, gsF, simexec.Config{
+	m, gs = newSimMachine(mcfg, nil)
+	resF, err := simexec.Run(plan.fused(nil, nil), m, gs, simexec.Config{
 		CoresPerNode: cores,
-		Behaviors:    SimBehaviors(wF, spec, psF),
+		Behaviors:    plan.simBehaviors(),
 	})
 	if err != nil {
 		return out, err

@@ -21,16 +21,6 @@ type Options struct {
 	// runtime). When nil the graph carries only the simulation cost
 	// model.
 	Store ga.API
-	// SegmentHeight overrides the recipe's GEMM segment height; <= 0
-	// keeps the recipe's value (full chain for v1, height 1 for v2-v5).
-	// This is the locality/parallelism dial of §IV-A.
-	SegmentHeight int
-	// WriteSpan > 1 overrides the recipe's write span: each output block
-	// splits across that many adjacent nodes, as Fig 8 depicts — one
-	// WRITE_C instance per node holding a segment, each receiving only
-	// the slice of the sorted matrix relevant to its node. Applies to
-	// the fused-write shapes (v2/v4/v5); 0 keeps the recipe's value.
-	WriteSpan int
 }
 
 // Priority offsets of §IV-C: "We assign a higher priority to the tasks
@@ -43,46 +33,47 @@ const (
 	gemmPriorityOffset = 1
 )
 
-// builder carries construction state: the resolved plan shape (recipe
-// plus Options overrides) and the per-chain plans realized from it.
+// builder carries construction state: the plan's resolved shape and
+// per-chain plans, and the store the task bodies of this one graph
+// close over.
 type builder struct {
 	g     *ptg.Graph
 	w     *tce.Workload
 	shape xform.Shape
-	opts  Options
+	store ga.API
 	ps    []*chainPlan
 	nodes int
 }
 
-// BuildGraph constructs the PTG for one variant of the ported subroutine.
+// BuildGraph constructs the PTG for one variant of the ported
+// subroutine, for callers that want a graph and nothing else (dumps,
+// signatures, hand-driven trackers): it compiles a throw-away plan and
+// returns its graph unbound. Anything that runs the graph should keep
+// the plan (Compile / CompileWorkload) instead.
 func BuildGraph(w *tce.Workload, spec VariantSpec, opts Options) *ptg.Graph {
-	shape := effectiveShape(spec, opts)
-	return buildGraphFrom(w, spec.Name, shape, opts, plans(w, shape))
+	return CompileWorkload(w, spec, opts).unbound(opts.Store)
 }
 
-// buildGraphFrom is BuildGraph with the shape resolved and the chain
-// plans supplied by the caller, so a CompiledPlan can rebind its cached
-// plans to a fresh per-job store without re-deriving them.
-func buildGraphFrom(w *tce.Workload, name string, shape xform.Shape, opts Options, ps []*chainPlan) *ptg.Graph {
-	nodes := opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
+// builder starts a graph of the plan under the given name and store.
+func (p *CompiledPlan) builder(name string, store ga.API) *builder {
+	return &builder{
+		g:     ptg.NewGraph(name),
+		w:     p.Workload,
+		shape: p.Shape,
+		store: store,
+		ps:    p.ps,
+		nodes: p.Nodes,
 	}
-	b := &builder{
-		g:     ptg.NewGraph(fmt.Sprintf("icsd_t2_7-%s", name)),
-		w:     w,
-		shape: shape,
-		opts:  opts,
-		ps:    ps,
-		nodes: nodes,
-	}
+}
+
+// buildKernel adds the task classes of the ported subroutine.
+func (b *builder) buildKernel() {
 	b.buildDFill()
 	b.buildReads()
 	b.buildGemm()
 	b.buildReduce()
 	b.buildSort()
 	b.buildWrite()
-	return b.g
 }
 
 // ---- helpers ----
@@ -169,7 +160,7 @@ type inputIO struct {
 // without a store (a simulation graph) there is nothing to resolve, and
 // the workload's block tables are not even derived.
 func (b *builder) inputs() (ioA, ioB inputIO) {
-	if b.opts.Store == nil {
+	if b.store == nil {
 		return
 	}
 	ta, tb := b.w.Inputs()
@@ -177,8 +168,8 @@ func (b *builder) inputs() (ioA, ioB inputIO) {
 }
 
 func (b *builder) inputIO(tbl *tce.InputTable) inputIO {
-	io := inputIO{store: b.opts.Store, tbl: tbl}
-	if s, ok := b.opts.Store.(interface{ Lazy(string) *ga.Lazy }); ok {
+	io := inputIO{store: b.store, tbl: tbl}
+	if s, ok := b.store.(interface{ Lazy(string) *ga.Lazy }); ok {
 		if l := s.Lazy(tbl.Name); l != nil && l.Source() == tbl {
 			io.lazy = l
 		}
@@ -227,7 +218,7 @@ func (b *builder) buildDFill() {
 	f.Out(nil, func(a ptg.Args) (ptg.TaskRef, string) {
 		return ptg.TaskRef{Class: "GEMM", Args: ptg.A2(a[0], a[1]*b.ps[a[0]].h)}, "C"
 	})
-	if store := b.opts.Store; store != nil {
+	if store := b.store; store != nil {
 		tc.Body = func(ctx *ptg.Ctx) {
 			d := b.ps[ctx.Args[0]].meta.CDims
 			// Pooled: the chain accumulator is recycled by the consumer
@@ -289,7 +280,7 @@ func (b *builder) buildReads() {
 		f.Out(nil, func(a ptg.Args) (ptg.TaskRef, string) {
 			return ptg.TaskRef{Class: "GEMM", Args: a}, flowName
 		})
-		if b.opts.Store != nil {
+		if b.store != nil {
 			tc.Body = func(ctx *ptg.Ctx) {
 				// ga_access: direct, zero-copy reference (§IV-B); GEMMs
 				// only read A and B, so no copy is needed. On a lazy
@@ -362,7 +353,7 @@ func (b *builder) buildGemm() {
 		p := b.ps[a[0]]
 		return p.isSegEnd(a[1]) && p.m == 1
 	})
-	if b.opts.Store != nil {
+	if b.store != nil {
 		ioA, ioB := b.inputs()
 		tc.Body = func(ctx *ptg.Ctx) {
 			at := ctx.In[0].(*tensor.Tile4)
@@ -438,7 +429,7 @@ func (b *builder) buildReduce() {
 			return ptg.TaskRef{Class: "REDUCE", Args: ptg.A3(a[0], a[1]+1, a[2]/p.arity)}, reduceFlow(a[2] % p.arity)
 		})
 	b.addSortStageOuts(x, func(a ptg.Args) bool { return a[1] == b.ps[a[0]].top })
-	if b.opts.Store != nil {
+	if b.store != nil {
 		tc.Body = func(ctx *ptg.Ctx) {
 			xt := ctx.In[0].(*tensor.Tile4)
 			for _, in := range ctx.In[1:] {
@@ -516,7 +507,7 @@ func (b *builder) buildSort() {
 			})
 		}
 	}
-	if b.opts.Store != nil {
+	if b.store != nil {
 		if b.shape.SortFission {
 			tc.Body = func(ctx *ptg.Ctx) {
 				p := b.ps[ctx.Args[0]]
@@ -617,7 +608,7 @@ func (b *builder) buildWrite() {
 			return ptg.DataRef{ID: out.String(), Node: b.ownerNode(b.ps[a[0]].meta.OutNode), Bytes: out.Bytes()}
 		})
 	}
-	if store := b.opts.Store; store != nil {
+	if store := b.store; store != nil {
 		// ADD_HASH_BLOCK semantics, but through the store's ordered
 		// accumulation: contributions to a C block are folded in task
 		// creation order (ctx.Seq), not completion order, so the energy

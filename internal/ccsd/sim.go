@@ -11,11 +11,10 @@ import (
 	"parsec/internal/sched"
 	"parsec/internal/sim"
 	"parsec/internal/simexec"
-	"parsec/internal/tce"
 	"parsec/internal/trace"
 )
 
-// SimBehaviors returns the executor behaviors that go beyond a plain cost
+// simBehaviors returns the executor behaviors that go beyond a plain cost
 // charge. Only WRITE needs one: it is the critical section of §IV-A —
 // lock the node-wide mutex, apply Corig += Csorted through
 // ADD_HASH_BLOCK, unlock. The three write organizations differ exactly as
@@ -28,29 +27,24 @@ import (
 //     lock — a longer critical region;
 //   - single write, single sort (v5): one input, one accumulate, with the
 //     sorted matrix still hot in cache.
-func SimBehaviors(w *tce.Workload, spec VariantSpec, ps []*chainPlan) map[string]simexec.Behavior {
-	return simBehaviorsSpan(w, spec, ps, spec.MustShape().WriteSpan)
-}
-
-// simBehaviorsSpan is SimBehaviors with the Fig 8 write span: each WRITE
-// instance accumulates only its 1/span slice.
-func simBehaviorsSpan(w *tce.Workload, spec VariantSpec, ps []*chainPlan, span int) map[string]simexec.Behavior {
-	if span < 1 {
-		span = 1
-	}
+//
+// Under a Fig 8 write span each WRITE instance accumulates only its
+// 1/span slice.
+func (p *CompiledPlan) simBehaviors() map[string]simexec.Behavior {
+	ps, span := p.ps, p.Shape.WriteSpan
 	return map[string]simexec.Behavior{
 		"WRITE": func(ctx *simexec.TaskCtx) {
-			p := ps[ctx.Inst.Ref.Args[0]]
+			cp := ps[ctx.Inst.Ref.Args[0]]
 			inputs := ctx.ActiveInputs()
 			node := ctx.M.Nodes[ctx.Node]
 			node.WriteMutex.Lock(ctx.P)
-			sliceBytes := (p.cbytes + int64(span) - 1) / int64(span)
+			sliceBytes := (cp.cbytes + int64(span) - 1) / int64(span)
 			if len(inputs) > 1 {
 				// Merge the sorted matrices locally before the single
 				// accumulate (Fig 6).
 				ctx.M.MemOp(ctx.P, ctx.Node, int64(len(inputs)-1)*2*sliceBytes, true)
 			}
-			out := p.meta.Out
+			out := cp.meta.Out
 			ctx.GA.AddHashBlock(ctx.P, ctx.Node, ctx.Node,
 				(out.Bytes()+int64(span)-1)/int64(span), out.Dims[0]*out.Dims[1]/span+1)
 			node.WriteMutex.Unlock(ctx.P)
@@ -63,15 +57,13 @@ type SimRunConfig struct {
 	CoresPerNode int
 	Trace        *trace.Trace
 	Horizon      sim.Time
-	// SegmentHeight overrides the GEMM segment height (ablation).
-	SegmentHeight int
-	// Kernel selects the TCE kernel: "t2_7" (default) or "t1_2".
+	// Kernel selects the TCE kernel RunSim and RunSimBaseline inspect:
+	// "t2_7" (default) or "t1_2". A compiled plan already has its
+	// workload, so Simulate does not read it.
 	Kernel string
 	// Queues selects the intra-node scheduling structure (ablation of the
 	// §IV-D work-stealing choice).
 	Queues sched.QueueMode
-	// WriteSpan > 1 splits output blocks across adjacent nodes (Fig 8).
-	WriteSpan int
 	// Faults, if non-nil, perturbs the run: the machine consults it for
 	// straggler slowdowns and the executor for transfer and GA-service
 	// faults. The caller keeps the handle to read the attribution ledger
@@ -91,51 +83,53 @@ type SimRunConfig struct {
 const BaselineName = "original"
 
 // newSimMachine builds what every simulated run starts from: a fresh
-// engine and machine (under inj, if non-nil), its Global Arrays layer,
-// and the kernel's workload inspected with block owners taken from that
-// layer's distribution — so one inspection is never tied to a machine
-// size it was not located for.
-func newSimMachine(sys *molecule.System, kernel string, mcfg cluster.Config, inj *fault.Injector) (*cluster.Machine, *ga.Sim, *tce.Workload, error) {
-	k, err := tce.KernelByName(kernel, sys)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// engine and machine (under inj, if non-nil) and its Global Arrays
+// layer, whose block placement is the ga.Distribution the workload was
+// inspected with.
+func newSimMachine(mcfg cluster.Config, inj *fault.Injector) (*cluster.Machine, *ga.Sim) {
 	m := cluster.New(sim.NewEngine(), mcfg)
 	m.SetFaults(inj)
-	gs := ga.NewSim(m)
-	w := tce.Inspect(k, func(ref tce.BlockRef) int {
-		return gs.Distribution().Owner(ref.Tensor, ref.Key)
-	})
-	return m, gs, w, nil
+	return m, ga.NewSim(m)
 }
 
-// RunSim executes one variant on a fresh simulated machine built from
-// the cluster configuration, returning the simexec result (makespan,
-// dataflow volumes, the GA GET/ACC tally, recovery counters).
-func RunSim(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, error) {
+// Simulate executes the plan on a fresh simulated machine built from the
+// cluster configuration, returning the simexec result (makespan,
+// dataflow volumes, the GA GET/ACC tally, recovery counters). The plan
+// must have been compiled for the machine's node count: block owners
+// and task affinities are part of the plan.
+func (p *CompiledPlan) Simulate(mcfg cluster.Config, rc SimRunConfig) (simexec.Result, error) {
 	if rc.CoresPerNode <= 0 {
 		return simexec.Result{}, fmt.Errorf("ccsd: CoresPerNode = %d", rc.CoresPerNode)
 	}
-	m, gs, w, err := newSimMachine(sys, rc.Kernel, mcfg, rc.Faults)
-	if err != nil {
-		return simexec.Result{}, err
+	if mcfg.Nodes != p.Nodes {
+		return simexec.Result{}, fmt.Errorf("ccsd: plan compiled for %d nodes simulated on %d", p.Nodes, mcfg.Nodes)
 	}
-	shape, err := EffectiveShape(spec, rc.SegmentHeight, rc.WriteSpan)
-	if err != nil {
-		return simexec.Result{}, err
-	}
-	ps := plans(w, shape)
-	g := BuildGraph(w, spec, Options{Nodes: mcfg.Nodes, SegmentHeight: rc.SegmentHeight, WriteSpan: rc.WriteSpan})
-	return simexec.Run(g, m, gs, simexec.Config{
+	m, gs := newSimMachine(mcfg, rc.Faults)
+	return simexec.Run(p.NewGraph(nil), m, gs, simexec.Config{
 		CoresPerNode:   rc.CoresPerNode,
-		Policy:         spec.Policy(),
+		Policy:         p.Spec.Policy(),
 		Queues:         rc.Queues,
-		Behaviors:      simBehaviorsSpan(w, spec, ps, shape.WriteSpan),
+		Behaviors:      p.simBehaviors(),
 		Trace:          rc.Trace,
 		Horizon:        rc.Horizon,
 		Retry:          rc.Retry,
 		InterNodeSteal: rc.InterNodeSteal,
 	})
+}
+
+// RunSim executes one variant on a fresh simulated machine: inspect the
+// kernel for the machine's node count, compile, Simulate. Callers that
+// run one system more than once (the tuner) keep the inspection and
+// call those steps themselves.
+func RunSim(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, error) {
+	w, err := InspectKernel(sys, rc.Kernel, mcfg.Nodes)
+	if err != nil {
+		return simexec.Result{}, err
+	}
+	if _, err := spec.Shape(); err != nil {
+		return simexec.Result{}, err
+	}
+	return CompileWorkload(w, spec, Options{Nodes: mcfg.Nodes}).Simulate(mcfg, rc)
 }
 
 // RunSimBaseline executes the original CGP code path on a fresh
@@ -148,10 +142,11 @@ func RunSim(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimR
 // them on its own, which is the natural contrast to the PTG executors'
 // re-dispatch.
 func RunSimBaseline(sys *molecule.System, mcfg cluster.Config, rc SimRunConfig) (cgp.Result, error) {
-	m, gs, w, err := newSimMachine(sys, rc.Kernel, mcfg, rc.Faults)
+	w, err := InspectKernel(sys, rc.Kernel, mcfg.Nodes)
 	if err != nil {
 		return cgp.Result{}, err
 	}
+	m, gs := newSimMachine(mcfg, rc.Faults)
 	return cgp.Run(w, m, gs, cgp.Config{RanksPerNode: rc.CoresPerNode, Trace: rc.Trace})
 }
 

@@ -125,6 +125,16 @@ func runRank(p *sim.Proc, w *tce.Workload, m *cluster.Machine, gs *ga.Sim,
 	}
 }
 
+// owner maps an inspection's recorded block owner to a node. A one-node
+// inspection has no locator and records -1: every block is on node 0,
+// the convention the PTG builders read it by too.
+func owner(recorded int) int {
+	if recorded < 0 {
+		return 0
+	}
+	return recorded
+}
+
 // executeChain runs one chain exactly as the generated Fortran does:
 // DFILL, then for each GEMM a blocking GET of A and B followed by the
 // kernel, then the active SORT_4 + ADD_HASH_BLOCK pairs, all serially.
@@ -141,10 +151,10 @@ func executeChain(p *sim.Proc, c *tce.ChainMeta, m *cluster.Machine, gs *ga.Sim,
 		// computation in the code between the point where the data
 		// transfer starts and the point where the data is needed" (§V).
 		t0 = p.Now()
-		gs.GetHashBlock(p, node, g.ANode, g.Op.A.Bytes(), g.Op.A.Dims[0]*g.Op.A.Dims[1])
+		gs.GetHashBlock(p, node, owner(g.ANode), g.Op.A.Bytes(), g.Op.A.Dims[0]*g.Op.A.Dims[1])
 		record("READA", fmt.Sprintf("GET-A(%d,%d)", c.ID, g.Op.Iter.H7), t0)
 		t0 = p.Now()
-		gs.GetHashBlock(p, node, g.BNode, g.Op.B.Bytes(), g.Op.B.Dims[0]*g.Op.B.Dims[1])
+		gs.GetHashBlock(p, node, owner(g.BNode), g.Op.B.Bytes(), g.Op.B.Dims[0]*g.Op.B.Dims[1])
 		record("READB", fmt.Sprintf("GET-B(%d,%d)", c.ID, g.Op.Iter.H7), t0)
 
 		t0 = p.Now()
@@ -157,7 +167,7 @@ func executeChain(p *sim.Proc, c *tce.ChainMeta, m *cluster.Machine, gs *ga.Sim,
 		m.MemOp(p, node, 2*cb, true)
 		record("SORT", fmt.Sprintf("SORT(%d,%d)", c.ID, s.Branch), t0)
 		t0 = p.Now()
-		gs.AddHashBlock(p, node, c.OutNode, c.Out.Bytes(), c.Out.Dims[0]*c.Out.Dims[1])
+		gs.AddHashBlock(p, node, owner(c.OutNode), c.Out.Bytes(), c.Out.Dims[0]*c.Out.Dims[1])
 		record("WRITE", fmt.Sprintf("ADD(%d,%d)", c.ID, s.Branch), t0)
 	}
 }

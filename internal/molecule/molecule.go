@@ -180,6 +180,43 @@ func Preset(name string) (*System, error) {
 	return nil, fmt.Errorf("molecule: unknown preset %q (want water, benzene, uracil, porphin, or betacarotene)", name)
 }
 
+// CustomSpec is the serializable form of a non-preset system: Custom's
+// parameters under the JSON names a service submit body, the job journal
+// and a netrun worker's environment all carry.
+type CustomSpec struct {
+	// Name labels the system (empty defaults to "custom").
+	Name string `json:"name"`
+	// NOccupied, NVirtual, TileTarget, NIrreps, and Seed are the Custom
+	// constructor arguments.
+	NOccupied  int    `json:"n_occupied"`
+	NVirtual   int    `json:"n_virtual"`
+	TileTarget int    `json:"tile_target"`
+	NIrreps    int    `json:"n_irreps"`
+	Seed       uint64 `json:"seed"`
+}
+
+// Resolve returns the system a job names: exactly one of a preset name
+// and a custom description must be given.
+func Resolve(preset string, custom *CustomSpec) (*System, error) {
+	switch {
+	case preset != "" && custom != nil:
+		return nil, fmt.Errorf("molecule: both a preset and a custom system given")
+	case custom != nil:
+		if custom.NOccupied <= 0 || custom.NVirtual <= 0 || custom.TileTarget <= 0 {
+			return nil, fmt.Errorf("molecule: custom system needs positive n_occupied, n_virtual, tile_target")
+		}
+		name := custom.Name
+		if name == "" {
+			name = "custom"
+		}
+		return Custom(name, custom.NOccupied, custom.NVirtual, custom.TileTarget, custom.NIrreps, custom.Seed), nil
+	case preset != "":
+		return Preset(preset)
+	default:
+		return nil, fmt.Errorf("molecule: need a preset or a custom system")
+	}
+}
+
 // PresetNames lists the available presets.
 func PresetNames() []string {
 	return []string{"water", "benzene", "uracil", "porphin", "betacarotene"}

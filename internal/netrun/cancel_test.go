@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"parsec/internal/molecule"
 	"parsec/internal/sched"
 )
 
@@ -51,17 +52,20 @@ func TestCancelMidRun(t *testing.T) {
 // inputs.
 func TestCustomSpecSystem(t *testing.T) {
 	spec := JobSpec{Custom: &CustomSpec{NOccupied: 4, NVirtual: 8, TileTarget: 4, NIrreps: 2, Seed: 7}, Variant: "v5"}
-	sys, err := spec.system()
+	sys, err := molecule.Resolve(spec.Preset, spec.Custom)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sys.Name != "custom" || sys.NOccupied != 4 || sys.NVirtual != 8 {
 		t.Fatalf("resolved system = %+v", sys)
 	}
-	if _, err := (JobSpec{Preset: "water", Custom: spec.Custom}).system(); err == nil {
+	if _, err := (JobSpec{Preset: "water", Custom: spec.Custom, Variant: "v5"}).plan(2); err == nil {
 		t.Fatal("spec with both preset and custom was accepted")
 	}
-	if _, err := (JobSpec{Custom: &CustomSpec{NOccupied: -1, NVirtual: 8, TileTarget: 4}}).system(); err == nil {
+	if _, err := (JobSpec{Custom: &CustomSpec{NOccupied: -1, NVirtual: 8, TileTarget: 4}, Variant: "v5"}).plan(2); err == nil {
 		t.Fatal("negative n_occupied was accepted")
+	}
+	if _, err := (JobSpec{Variant: "v5"}).plan(2); err == nil {
+		t.Fatal("spec with neither preset nor custom was accepted")
 	}
 }

@@ -5,12 +5,14 @@
 //
 // The design follows the same lineage as the simulator. Dataflow is
 // TaskTorrent-style one-sided active messages with rank-local dependency
-// counting: every rank deterministically enumerates the full graph
-// (enumeration is cheap; payload data is what must not be replicated)
-// but counts dependencies and schedules only the instances whose
-// affinity maps to it, so no rank holds a global tracker. Completing a
-// task sends each remote successor an activation message carrying the
-// payload; local successors are delivered in-memory. The package has no
+// counting: every rank holds the full graph's structure (it is small;
+// payload data is what must not be replicated) — for a CCSD job the one
+// skeleton of the job's ccsd.CompiledPlan, resolved once per process
+// and shared by the ranks in it — but counts dependencies and schedules
+// only the instances whose affinity maps to it, so no rank holds a
+// global tracker. Completing a task sends each remote successor an
+// activation message carrying the payload; local successors are
+// delivered in-memory. The package has no
 // worker loop of its own: each rank runs its ready instances on a
 // runtime.Executor — the same sharded queues, park/unpark, stealing,
 // worker lending and per-worker Ctx reuse the shared-memory runtime.Run

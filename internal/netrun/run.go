@@ -46,10 +46,11 @@ func RunGraph(cfg Config, build func(rank int) (*ptg.Graph, error)) (*Result, er
 }
 
 // Run executes a CCSD job across cfg.Ranks in-process ranks over real
-// sockets, with the coordinator goroutine serving the Global Arrays.
-// The returned energy must match the single-process RunReal to 1e-12 —
-// the distribution, the wire, and any injected faults may reshuffle who
-// computes what, never what is computed.
+// sockets, with the coordinator goroutine serving the Global Arrays: it
+// compiles the job once and hands the plan to RunPlan. The returned
+// energy must match a single-process Execute of the same job to a
+// relative ccsd.EnergyTol — the distribution, the wire, and any injected
+// faults may reshuffle who computes what, never what is computed.
 func Run(cfg Config, spec JobSpec) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -58,7 +59,25 @@ func Run(cfg Config, spec JobSpec) (*Result, error) {
 	if cfg.Migratable == nil {
 		cfg.Migratable = spec.migratable()
 	}
-	cspec, err := spec.coordSpec(cfg.Ranks)
+	plan, err := spec.plan(cfg.Ranks)
+	if err != nil {
+		return nil, err
+	}
+	return RunPlan(cfg, plan)
+}
+
+// RunPlan executes a compiled plan across cfg.Ranks in-process ranks.
+// The plan is the same value Execute and the simulator consume, compiled
+// for Nodes == cfg.Ranks: every rank binds its own graph over its own
+// Global Arrays client against the plan's one shared skeleton, and the
+// coordinator reads the task count and the energy functional off it, so
+// the job is inspected and enumerated once however many ranks run it.
+func RunPlan(cfg Config, plan *ccsd.CompiledPlan) (*Result, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	cspec, err := planCoordSpec(cfg, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -67,11 +86,7 @@ func Run(cfg Config, spec JobSpec) (*Result, error) {
 		return nil, err
 	}
 	return runInProcess(cfg, co, func(rank int) error {
-		w, build, err := spec.workerJob(cfg.Ranks)
-		if err != nil {
-			return err
-		}
-		return runWorker(cfg, rank, co.addr(), w, build)
+		return runWorker(cfg, rank, co.addr(), plan.Workload, planBuild(plan))
 	})
 }
 
@@ -126,36 +141,23 @@ func runInProcess(cfg Config, co *coordinator, work func(rank int) error) (*Resu
 	return res, nil
 }
 
-// CustomSpec is the serializable form of a non-preset molecular system,
-// mirroring molecule.Custom's parameters so a custom job can cross the
-// process boundary the same way presets do.
-type CustomSpec struct {
-	// Name labels the system (empty defaults to "custom").
-	Name string `json:"name"`
-	// NOccupied, NVirtual, TileTarget, NIrreps, and Seed are the
-	// molecule.Custom constructor arguments.
-	NOccupied  int    `json:"n_occupied"`
-	NVirtual   int    `json:"n_virtual"`
-	TileTarget int    `json:"tile_target"`
-	NIrreps    int    `json:"n_irreps"`
-	Seed       uint64 `json:"seed"`
-}
+// CustomSpec is the serializable form of a non-preset molecular system.
+type CustomSpec = molecule.CustomSpec
 
 // JobSpec names a CCSD job in serializable form: it crosses the
-// process boundary as JSON, so everything a worker needs to rebuild the
-// graph — system, variant, the graph-shape dials, and which task
-// classes may migrate — lives here rather than in Config's funcs.
+// process boundary as JSON, so everything a worker needs to compile the
+// same plan — system, recipe, and which task classes may migrate —
+// lives here rather than in Config's funcs.
 type JobSpec struct {
 	// Preset is the molecule preset name (molecule.Preset). Exactly one
 	// of Preset and Custom must be set.
 	Preset string `json:"preset,omitempty"`
 	// Custom describes an explicit system instead of a preset.
 	Custom *CustomSpec `json:"custom,omitempty"`
-	// Variant is the CCSD dataflow variant (ccsd.VariantByName).
+	// Variant is the CCSD dataflow variant (ccsd.VariantByName): v1..v5
+	// or a flat recipe string, which is also how a segment-height or
+	// write-span override travels ("seg=2,fission=sorts,span=2").
 	Variant string `json:"variant"`
-	// SegmentHeight and WriteSpan pass through to ccsd.Options.
-	SegmentHeight int `json:"segment_height,omitempty"`
-	WriteSpan     int `json:"write_span,omitempty"`
 	// MigratableClasses lists the task classes inter-node stealing may
 	// re-dispatch (the serializable stand-in for Config.Migratable).
 	MigratableClasses []string `json:"migratable_classes,omitempty"`
@@ -173,87 +175,49 @@ func (s JobSpec) migratable() func(string) bool {
 	return func(class string) bool { return set[class] }
 }
 
-// system resolves the spec's molecular system from its preset name or
-// its custom parameters.
-func (s JobSpec) system() (*molecule.System, error) {
-	switch {
-	case s.Preset != "" && s.Custom != nil:
-		return nil, fmt.Errorf("netrun: job sets both preset and custom")
-	case s.Custom != nil:
-		c := s.Custom
-		if c.NOccupied <= 0 || c.NVirtual <= 0 || c.TileTarget <= 0 {
-			return nil, fmt.Errorf("netrun: custom system needs positive n_occupied, n_virtual, tile_target")
-		}
-		name := c.Name
-		if name == "" {
-			name = "custom"
-		}
-		return molecule.Custom(name, c.NOccupied, c.NVirtual, c.TileTarget, c.NIrreps, c.Seed), nil
-	default:
-		return molecule.Preset(s.Preset)
+// plan compiles the job for a run of the given rank count: the one
+// route from a serialized job to something runnable, taken once by Run
+// and by StartProcesses' coordinator, and once in each worker process.
+func (s JobSpec) plan(ranks int) (*ccsd.CompiledPlan, error) {
+	sys, err := molecule.Resolve(s.Preset, s.Custom)
+	if err != nil {
+		return nil, fmt.Errorf("netrun: %w", err)
 	}
-}
-
-// workload builds the job's workload with block ownership distributed
-// over ranks (the same FNV placement ga.Store uses).
-func (s JobSpec) workload(ranks int) (*tce.Workload, error) {
-	sys, err := s.system()
+	recipe, err := ccsd.VariantByName(s.Variant)
 	if err != nil {
 		return nil, err
 	}
-	dist := ga.Distribution{Nodes: ranks}
-	return tce.Inspect(tce.T2_7(sys), func(b tce.BlockRef) int {
-		return dist.Owner(b.Tensor, b.Key)
-	}), nil
-}
-
-// workerJob builds one rank's workload and graph constructor.
-func (s JobSpec) workerJob(ranks int) (*tce.Workload, BuildFn, error) {
-	w, err := s.workload(ranks)
-	if err != nil {
-		return nil, nil, err
-	}
-	vs, err := ccsd.VariantByName(s.Variant)
-	if err != nil {
-		return nil, nil, err
-	}
-	build := func(rank int, store ga.API) (*ptg.Graph, error) {
-		return ccsd.BuildGraph(w, vs, ccsd.Options{
-			Nodes:         ranks,
-			Store:         store,
-			SegmentHeight: s.SegmentHeight,
-			WriteSpan:     s.WriteSpan,
-		}), nil
-	}
-	return w, build, nil
+	return ccsd.Compile(sys, recipe, ccsd.Options{Nodes: ranks}), nil
 }
 
 // Policy returns the variant's scheduling policy (priorities when the
-// variant uses them, LIFO otherwise) — the same rule the shared-memory
-// entry points apply.
+// variant uses them, LIFO otherwise) — the same rule every backend
+// applies, xform.Recipe.Policy.
 func (s JobSpec) Policy() (sched.Policy, error) {
-	vs, err := ccsd.VariantByName(s.Variant)
+	recipe, err := ccsd.VariantByName(s.Variant)
 	if err != nil {
 		return sched.PriorityOrder, err
 	}
-	if !vs.UsePriorities() {
-		return sched.LIFOOrder, nil
-	}
-	return sched.PriorityOrder, nil
+	return recipe.Policy(), nil
 }
 
-// coordSpec builds the coordinator's side of the job: the task count,
-// the served array, and the energy functional.
-func (s JobSpec) coordSpec(ranks int) (coordSpec, error) {
-	w, build, err := s.workerJob(ranks)
+// planBuild is a rank's graph constructor over a compiled plan.
+func planBuild(plan *ccsd.CompiledPlan) BuildFn {
+	return func(_ int, store ga.API) (*ptg.Graph, error) { return plan.NewGraph(store), nil }
+}
+
+// planCoordSpec builds the coordinator's side of a CCSD job: the task
+// count, the served array, and the energy functional, all read off the
+// plan.
+func planCoordSpec(cfg Config, plan *ccsd.CompiledPlan) (coordSpec, error) {
+	if plan.Nodes != cfg.Ranks {
+		return coordSpec{}, fmt.Errorf("netrun: plan compiled for %d nodes run on %d ranks", plan.Nodes, cfg.Ranks)
+	}
+	total, err := plan.NumTasks()
 	if err != nil {
 		return coordSpec{}, err
 	}
-	g, err := build(-1, nil)
-	if err != nil {
-		return coordSpec{}, err
-	}
-	_, total := g.CountTasks()
+	w := plan.Workload
 	return coordSpec{
 		numInstances: total,
 		arrays:       []string{tce.TensorC},
@@ -361,7 +325,11 @@ func StartProcesses(cfg Config, spec JobSpec) (*Launch, error) {
 	if err != nil {
 		return nil, err
 	}
-	cspec, err := spec.coordSpec(cfg.Ranks)
+	plan, err := spec.plan(cfg.Ranks)
+	if err != nil {
+		return nil, err
+	}
+	cspec, err := planCoordSpec(cfg, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -440,12 +408,12 @@ func MaybeWorkerMain() {
 	}
 	cfg := wc.toConfig()
 	cfg.Migratable = spec.migratable()
-	w, build, err := spec.workerJob(cfg.Ranks)
+	plan, err := spec.plan(cfg.Ranks)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "netrun worker %d: %v\n", rank, err)
 		os.Exit(1)
 	}
-	if err := runWorker(cfg, rank, os.Getenv(workerCoordEnv), w, build); err != nil {
+	if err := runWorker(cfg, rank, os.Getenv(workerCoordEnv), plan.Workload, planBuild(plan)); err != nil {
 		fmt.Fprintf(os.Stderr, "netrun worker %d: %v\n", rank, err)
 		os.Exit(1)
 	}

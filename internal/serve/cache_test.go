@@ -12,18 +12,14 @@ import (
 )
 
 // keyFor resolves a variant/recipe string plus overrides to its plan
-// key, the way Submit does: name → recipe → effective shape → key.
+// key, the way Submit does: spec → resolve → recipe → shape → key.
 func keyFor(t *testing.T, sys *molecule.System, variant string, seg, span, nodes int) string {
 	t.Helper()
-	spec, err := ccsd.VariantByName(variant)
+	_, recipe, err := JobSpec{Preset: "water", Variant: variant, SegmentHeight: seg, WriteSpan: span}.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	shape, err := ccsd.EffectiveShape(spec, seg, span)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return PlanKey(sys, shape, nodes)
+	return PlanKey(sys, recipe.MustShape(), nodes)
 }
 
 // compileWater compiles the water plan, counting invocations.

@@ -8,6 +8,7 @@ import (
 	"parsec/internal/ccsd"
 	"parsec/internal/molecule"
 	"parsec/internal/obsv"
+	"parsec/internal/xform"
 )
 
 // JobState is one station of the job lifecycle state machine:
@@ -37,14 +38,7 @@ func (s JobState) Terminal() bool {
 
 // CustomSystem describes a non-preset molecular system in a submit
 // body, mirroring molecule.Custom.
-type CustomSystem struct {
-	Name       string `json:"name"`
-	NOccupied  int    `json:"n_occupied"`
-	NVirtual   int    `json:"n_virtual"`
-	TileTarget int    `json:"tile_target"`
-	NIrreps    int    `json:"n_irreps"`
-	Seed       uint64 `json:"seed"`
-}
+type CustomSystem = molecule.CustomSpec
 
 // JobSpec is the JSON submit body: which system to run, which variant,
 // and the graph/execution shape. Zero values select server defaults.
@@ -54,39 +48,50 @@ type JobSpec struct {
 	Preset string `json:"preset,omitempty"`
 	// Custom describes an explicit system instead of a preset.
 	Custom *CustomSystem `json:"custom,omitempty"`
-	// Variant is the algorithmic variant (v1..v5); default v5.
+	// Variant is the algorithmic variant: v1..v5 or a flat recipe string
+	// in the xform grammar; default v5.
 	Variant string `json:"variant,omitempty"`
 	// Workers overrides the per-job runtime worker count.
 	Workers int `json:"workers,omitempty"`
-	// SegmentHeight overrides the GEMM segment height (plan-affecting).
+	// SegmentHeight and WriteSpan are shorthand for appending a seg= /
+	// span= term to the variant: positive values apply the SplitChain /
+	// SpanWrites pass to its recipe (plan-affecting), and are validated
+	// by those passes — a write span over fissioned writes (v1, v3) is
+	// rejected at Submit exactly as "fission=writes,span=2" is.
 	SegmentHeight int `json:"segment_height,omitempty"`
-	// WriteSpan splits output writes across adjacent nodes (plan-affecting).
-	WriteSpan int `json:"write_span,omitempty"`
+	WriteSpan     int `json:"write_span,omitempty"`
 	// Nodes is the affinity modulus of the graph (plan-affecting);
 	// default 1 (shared memory).
 	Nodes int `json:"nodes,omitempty"`
 }
 
-// system resolves the spec's molecular system.
-func (s JobSpec) system() (*molecule.System, error) {
-	switch {
-	case s.Preset != "" && s.Custom != nil:
-		return nil, fmt.Errorf("serve: spec sets both preset and custom")
-	case s.Custom != nil:
-		c := s.Custom
-		if c.NOccupied <= 0 || c.NVirtual <= 0 || c.TileTarget <= 0 {
-			return nil, fmt.Errorf("serve: custom system needs positive n_occupied, n_virtual, tile_target")
-		}
-		name := c.Name
-		if name == "" {
-			name = "custom"
-		}
-		return molecule.Custom(name, c.NOccupied, c.NVirtual, c.TileTarget, c.NIrreps, c.Seed), nil
-	case s.Preset != "":
-		return molecule.Preset(s.Preset)
-	default:
-		return nil, fmt.Errorf("serve: spec needs a preset or a custom system")
+// resolve validates the spec and returns what running it needs: the
+// system, and the recipe (variant, segment_height, write_span) stands
+// for. It is the only place a spec is interpreted — Submit and journal
+// recovery both call it — so a spec either resolves the same way every
+// time or is refused before it reaches an executor.
+func (s JobSpec) resolve() (*molecule.System, ccsd.VariantSpec, error) {
+	sys, err := molecule.Resolve(s.Preset, s.Custom)
+	if err != nil {
+		return nil, ccsd.VariantSpec{}, fmt.Errorf("serve: %w", err)
 	}
+	recipe, err := ccsd.VariantByName(s.Variant)
+	if err != nil {
+		return nil, ccsd.VariantSpec{}, err
+	}
+	var passes []xform.Pass
+	if s.SegmentHeight > 0 {
+		passes = append(passes, xform.SplitChain{Height: s.SegmentHeight})
+	}
+	if s.WriteSpan > 0 {
+		passes = append(passes, xform.SpanWrites{Span: s.WriteSpan})
+	}
+	if len(passes) > 0 {
+		if recipe, err = recipe.Append(passes...); err != nil {
+			return nil, ccsd.VariantSpec{}, fmt.Errorf("serve: %w", err)
+		}
+	}
+	return sys, recipe, nil
 }
 
 // Backend names which execution backend completed a job.

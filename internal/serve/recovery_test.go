@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -281,8 +280,8 @@ func TestServerNetrunDispatch(t *testing.T) {
 		t.Fatalf("backend = %q ranks = %d, want netrun/2", st.Result.Backend, st.Result.Ranks)
 	}
 	ref := ccsd.ReferenceEnergy(tce.Inspect(tce.T2_7(molecule.Water631G()), nil))
-	if math.Abs(st.Result.Energy-ref) > 1e-12 {
-		t.Fatalf("netrun energy %.15f vs reference %.15f: |diff| > 1e-12", st.Result.Energy, ref)
+	if d := ccsd.EnergyRelDiff(st.Result.Energy, ref); d > ccsd.EnergyTol {
+		t.Fatalf("netrun energy %.15f vs reference %.15f: relative diff %.3e > %g", st.Result.Energy, ref, d, ccsd.EnergyTol)
 	}
 	if got := s.Stats().NetrunJobs; got != 1 {
 		t.Fatalf("netrun jobs = %d, want 1", got)

@@ -281,17 +281,14 @@ func (s *Server) restore(st *replayState) []*job {
 		case rj.State.Terminal():
 			// canceled: nothing more to restore
 		default:
-			sys, err := rj.Spec.system()
-			if err == nil {
-				j.vspec, err = ccsd.VariantByName(rj.Spec.Variant)
-			}
+			sys, vspec, err := rj.Spec.resolve()
 			if err != nil {
 				j.state = JobFailed
 				j.err = fmt.Errorf("serve: recovered job no longer valid: %w", err)
 				s.journalAppend(Record{Op: OpFailed, ID: j.id, Error: j.err.Error()})
 				continue
 			}
-			j.sys = sys
+			j.sys, j.vspec = sys, vspec
 			j.state = JobQueued
 			j.foot = s.footprint(sys)
 			j.accounted = true
@@ -347,18 +344,10 @@ func (s *Server) journalAppend(rec Record) {
 // validated before admission, so a returned job can only fail at
 // execution time.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
-	sys, err := spec.system()
-	if err != nil {
-		return JobStatus{}, err
-	}
 	if spec.Variant == "" {
 		spec.Variant = "v5"
 	}
-	vspec, err := ccsd.VariantByName(spec.Variant)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	shape, err := ccsd.EffectiveShape(vspec, spec.SegmentHeight, spec.WriteSpan)
+	sys, vspec, err := spec.resolve()
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -384,7 +373,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		spec:      spec,
 		sys:       sys,
 		vspec:     vspec,
-		key:       PlanKey(sys, shape, spec.Nodes),
+		key:       PlanKey(sys, vspec.MustShape(), spec.Nodes),
 		foot:      foot,
 		submitted: time.Now(),
 		cancel:    make(chan struct{}),
@@ -531,11 +520,7 @@ func (s *Server) runJob(j *job) {
 	}
 
 	plan, hit, err := s.cache.Get(j.key, func() (*ccsd.CompiledPlan, error) {
-		return ccsd.Compile(j.sys, j.vspec, ccsd.Options{
-			Nodes:         j.spec.Nodes,
-			SegmentHeight: j.spec.SegmentHeight,
-			WriteSpan:     j.spec.WriteSpan,
-		}), nil
+		return ccsd.Compile(j.sys, j.vspec, ccsd.Options{Nodes: j.spec.Nodes}), nil
 	})
 	if err != nil {
 		s.finishFailed(j, err)
@@ -591,33 +576,15 @@ func (s *Server) runJob(j *job) {
 	}, prof)
 }
 
-// runJobNetrun executes one job across netrun worker ranks: the graph
-// is rebuilt rank-locally from the serialized spec (the plan cache does
-// not apply — workers own their inspection), cancellation threads into
-// the coordinator, and the distributed trace feeds the job profile.
+// runJobNetrun executes one job across netrun worker ranks. The job
+// travels as its system and its resolved shape's canonical recipe
+// string, from which netrun compiles its own plan for the rank count
+// (the plan cache does not apply: its plans are compiled for the spec's
+// node count, not NetrunRanks, and worker processes compile their own);
+// cancellation threads into the coordinator, and the distributed trace
+// feeds the job profile.
 func (s *Server) runJobNetrun(j *job, queueDur time.Duration) {
-	nspec := netrun.JobSpec{
-		Variant:       j.spec.Variant,
-		SegmentHeight: j.spec.SegmentHeight,
-		WriteSpan:     j.spec.WriteSpan,
-	}
-	if c := j.spec.Custom; c != nil {
-		nspec.Custom = &netrun.CustomSpec{
-			Name:       c.Name,
-			NOccupied:  c.NOccupied,
-			NVirtual:   c.NVirtual,
-			TileTarget: c.TileTarget,
-			NIrreps:    c.NIrreps,
-			Seed:       c.Seed,
-		}
-	} else {
-		nspec.Preset = j.spec.Preset
-	}
-	policy, err := nspec.Policy()
-	if err != nil {
-		s.finishFailed(j, err)
-		return
-	}
+	nspec := netrun.JobSpec{Preset: j.spec.Preset, Custom: j.spec.Custom, Variant: j.vspec.MustShape().Canon()}
 	workers := j.spec.Workers
 	if workers <= 0 {
 		workers = s.cfg.DefaultWorkers
@@ -630,7 +597,7 @@ func (s *Server) runJobNetrun(j *job, queueDur time.Duration) {
 	res, err := netrun.RunService(netrun.Config{
 		Ranks:   s.cfg.NetrunRanks,
 		Workers: workers,
-		Policy:  policy,
+		Policy:  j.vspec.Policy(),
 		Cancel:  j.cancel,
 	}, nspec, netrun.ServiceOptions{Processes: s.cfg.NetrunProcs})
 	execDur := time.Since(t0)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -75,8 +74,8 @@ func TestServerColdThenCachedEnergy(t *testing.T) {
 		t.Errorf("cold energy %.15f != cached energy %.15f", r1.Energy, r2.Energy)
 	}
 	ref := ccsd.ReferenceEnergy(tce.Inspect(tce.T2_7(molecule.Water631G()), nil))
-	if math.Abs(r1.Energy-ref) > 1e-12 {
-		t.Errorf("energy %.15f vs reference %.15f: |diff| > 1e-12", r1.Energy, ref)
+	if d := ccsd.EnergyRelDiff(r1.Energy, ref); d > ccsd.EnergyTol {
+		t.Errorf("energy %.15f vs reference %.15f: relative diff %.3e > %g", r1.Energy, ref, d, ccsd.EnergyTol)
 	}
 }
 

@@ -128,7 +128,8 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	k, err := tce.KernelByName(cfg.Kernel, cfg.Sys)
+	// One inspection, located for the machine, serves every candidate.
+	w, err := ccsd.InspectKernel(cfg.Sys, cfg.Kernel, cfg.Cluster.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +139,7 @@ func Run(cfg Config) (*Result, error) {
 		budget:  budget,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		visited: map[string]bool{},
-		w:       tce.Inspect(k, nil),
+		w:       w,
 		res: &Result{
 			System: cfg.Sys.Name,
 			Kernel: kernelName(cfg.Kernel),
@@ -152,11 +153,15 @@ func Run(cfg Config) (*Result, error) {
 
 	best := startShape.Normalize()
 	s.visited[best.Canon()] = true
-	bound, err := s.staticBound(best)
+	plan, err := s.compile(best)
 	if err != nil {
 		return nil, err
 	}
-	bestMs, err := s.simulate(best)
+	bound, err := s.staticBound(plan)
+	if err != nil {
+		return nil, err
+	}
+	bestMs, err := s.simulate(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +221,11 @@ type searcher struct {
 // (bound cannot beat bestMs) or simulates it. Returns the simulated
 // makespan, 0 when pruned.
 func (s *searcher) scoreOrPrune(sh xform.Shape, bestMs int64, round int) (int64, error) {
-	bound, err := s.staticBound(sh)
+	plan, err := s.compile(sh)
+	if err != nil {
+		return 0, err
+	}
+	bound, err := s.staticBound(plan)
 	if err != nil {
 		return 0, err
 	}
@@ -225,7 +234,7 @@ func (s *searcher) scoreOrPrune(sh xform.Shape, bestMs int64, round int) (int64,
 		s.res.History = append(s.res.History, Eval{Round: round, Recipe: sh.Canon(), BoundNs: bound, Pruned: true})
 		return 0, nil
 	}
-	ms, err := s.simulate(sh)
+	ms, err := s.simulate(plan)
 	if err != nil {
 		return 0, err
 	}
@@ -233,17 +242,21 @@ func (s *searcher) scoreOrPrune(sh xform.Shape, bestMs int64, round int) (int64,
 	return ms, nil
 }
 
-// simulate runs the discrete-event simulator on the shape's graph and
-// returns its makespan, charging one evaluation against the budget.
-func (s *searcher) simulate(sh xform.Shape) (int64, error) {
-	spec, err := specFor(sh)
+// compile plans a candidate shape over the run's one inspection; the
+// static bound and the simulation of a candidate share the plan and its
+// graph skeleton.
+func (s *searcher) compile(sh xform.Shape) (*ccsd.CompiledPlan, error) {
+	r, err := xform.FromShape(sh)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	res, err := ccsd.RunSim(s.cfg.Sys, spec, s.cfg.Cluster, ccsd.SimRunConfig{
-		CoresPerNode: s.cfg.CoresPerNode,
-		Kernel:       s.cfg.Kernel,
-	})
+	return ccsd.CompileWorkload(s.w, r, ccsd.Options{Nodes: s.cfg.Cluster.Nodes}), nil
+}
+
+// simulate runs the discrete-event simulator on the candidate's graph
+// and returns its makespan, charging one evaluation against the budget.
+func (s *searcher) simulate(plan *ccsd.CompiledPlan) (int64, error) {
+	res, err := plan.Simulate(s.cfg.Cluster, ccsd.SimRunConfig{CoresPerNode: s.cfg.CoresPerNode})
 	if err != nil {
 		return 0, err
 	}
@@ -252,18 +265,13 @@ func (s *searcher) simulate(sh xform.Shape) (int64, error) {
 	return int64(res.Makespan), nil
 }
 
-// staticBound builds the candidate's graph and computes the ParaGraph-
+// staticBound replays the candidate's graph and computes the ParaGraph-
 // style lower bound on any schedule's makespan: the duration-weighted
 // critical path, and total work spread perfectly over every core,
 // whichever is larger. Durations use uncontended machine rates (compute
 // at CoreGFlops, memory at MemBWBytes with the GEMM traffic factor), so
 // the bound is optimistic — safe to prune on, never to rank by.
-func (s *searcher) staticBound(sh xform.Shape) (int64, error) {
-	spec, err := specFor(sh)
-	if err != nil {
-		return 0, err
-	}
-	g := ccsd.BuildGraph(s.w, spec, ccsd.Options{Nodes: s.cfg.Cluster.Nodes})
+func (s *searcher) staticBound(plan *ccsd.CompiledPlan) (int64, error) {
 	mcfg := s.cfg.Cluster
 	dur := func(in *ptg.Instance) int64 {
 		if in.Class.Cost == nil {
@@ -274,7 +282,7 @@ func (s *searcher) staticBound(sh xform.Shape) (int64, error) {
 			(float64(c.MemBytes)+mcfg.GemmMemTraffic*float64(c.GemmBytes))/mcfg.MemBWBytes
 		return int64(sec * 1e9)
 	}
-	a, err := ptg.Analyze(g, dur)
+	a, err := plan.Analyze(dur)
 	if err != nil {
 		return 0, err
 	}
@@ -340,15 +348,6 @@ func neighbors(s xform.Shape) []xform.Shape {
 		out = append(out, nb)
 	}
 	return out
-}
-
-// specFor converts a normalized shape to a buildable variant spec.
-func specFor(sh xform.Shape) (ccsd.VariantSpec, error) {
-	r, err := xform.FromShape(sh)
-	if err != nil {
-		return ccsd.VariantSpec{}, err
-	}
-	return ccsd.VariantFromRecipe(r), nil
 }
 
 // kernelName normalizes the kernel label for reports.

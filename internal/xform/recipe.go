@@ -3,6 +3,8 @@ package xform
 import (
 	"fmt"
 	"strings"
+
+	"parsec/internal/sched"
 )
 
 // Recipe is an ordered pass list applied to the base shape. A recipe IS
@@ -16,6 +18,9 @@ type Recipe struct {
 	Name string
 	// Passes is the ordered rewrite list; empty means the base shape.
 	Passes []Pass
+	// Description is the paper's one-line characterization (§V) of a
+	// named recipe, or the pass list of a derived one.
+	Description string
 }
 
 // Shape applies the pass list to Base and returns the resolved shape.
@@ -24,11 +29,11 @@ func (r Recipe) Shape() (Shape, error) {
 	for _, p := range r.Passes {
 		var err error
 		if s, err = p.Apply(s); err != nil {
-			return Shape{}, fmt.Errorf("%w (in recipe %s)", err, r)
+			return Shape{}, fmt.Errorf("%w (in recipe %s)", err, r.passList())
 		}
 	}
 	if err := s.Validate(); err != nil {
-		return Shape{}, fmt.Errorf("%w (in recipe %s)", err, r)
+		return Shape{}, fmt.Errorf("%w (in recipe %s)", err, r.passList())
 	}
 	return s, nil
 }
@@ -43,8 +48,33 @@ func (r Recipe) MustShape() Shape {
 	return s
 }
 
-// String renders the recipe as its name plus the pass list.
+// UsePriorities reports whether the recipe's shape assigns the §IV-C
+// priority expressions; without them schedulers run
+// most-recently-ready-first (LIFO). Like MustShape it panics on an
+// invalid hand-assembled pass list.
+func (r Recipe) UsePriorities() bool { return r.MustShape().Prio == PrioPaper }
+
+// Policy is the ready-queue order every executor runs the recipe under:
+// priority order when the shape assigns priorities, LIFO otherwise.
+func (r Recipe) Policy() sched.Policy {
+	if r.UsePriorities() {
+		return sched.PriorityOrder
+	}
+	return sched.LIFOOrder
+}
+
+// String renders the recipe as "name: description", its line in a
+// variant listing; a hand-assembled recipe without a description renders
+// as its pass list.
 func (r Recipe) String() string {
+	if r.Description == "" {
+		return r.passList()
+	}
+	return r.Name + ": " + r.Description
+}
+
+// passList renders the recipe as its name plus the pass list.
+func (r Recipe) passList() string {
 	names := make([]string, len(r.Passes))
 	for i, p := range r.Passes {
 		names[i] = p.String()
@@ -58,18 +88,27 @@ func (r Recipe) String() string {
 
 // Append returns a copy of r with extra passes appended; the new
 // recipe's name is the resolved canonical shape string. The receiver's
-// pass slice is never aliased, so search loops can branch freely.
+// pass slice is never aliased, so search loops can branch freely. This
+// is how a caller overrides one dial of a variant — v4 at segment
+// height 2 is v4.Append(SplitChain{2}) — and the appended pass's own
+// precondition is what rejects an override the shape cannot take.
 func (r Recipe) Append(extra ...Pass) (Recipe, error) {
 	passes := make([]Pass, 0, len(r.Passes)+len(extra))
 	passes = append(passes, r.Passes...)
 	passes = append(passes, extra...)
-	nr := Recipe{Passes: passes}
-	s, err := nr.Shape()
+	s, err := Recipe{Passes: passes}.Shape()
 	if err != nil {
 		return Recipe{}, err
 	}
-	nr.Name = s.Canon()
-	return nr, nil
+	return derived(passes, s), nil
+}
+
+// derived names a resolved pass list after its canonical shape string
+// and describes it by the list itself.
+func derived(passes []Pass, s Shape) Recipe {
+	r := Recipe{Name: s.Canon(), Passes: passes}
+	r.Description = "derived recipe " + r.passList()
+	return r
 }
 
 // FromShape synthesizes the minimal pass list that rewrites Base into
@@ -99,7 +138,7 @@ func FromShape(s Shape) (Recipe, error) {
 	if s.Prio != PrioPaper {
 		passes = append(passes, Prioritize{Scheme: s.Prio})
 	}
-	return Recipe{Name: s.Canon(), Passes: passes}, nil
+	return derived(passes, s), nil
 }
 
 // Named returns the paper's five variants as recipes, in paper order.
@@ -107,11 +146,16 @@ func FromShape(s Shape) (Recipe, error) {
 // is the whole point: the hand-derived variant space is mechanical.
 func Named() []Recipe {
 	return []Recipe{
-		{Name: "v1", Passes: nil},
-		{Name: "v2", Passes: []Pass{SplitChain{Height: 1}, FuseWrites{}, Prioritize{Scheme: PrioNone}}},
-		{Name: "v3", Passes: []Pass{SplitChain{Height: 1}}},
-		{Name: "v4", Passes: []Pass{SplitChain{Height: 1}, FuseWrites{}}},
-		{Name: "v5", Passes: []Pass{SplitChain{Height: 1}, FuseSorts{}}},
+		{Name: "v1", Passes: nil,
+			Description: "GEMMs in a serial chain, SORTs and WRITEs parallel, priorities"},
+		{Name: "v2", Passes: []Pass{SplitChain{Height: 1}, FuseWrites{}, Prioritize{Scheme: PrioNone}},
+			Description: "GEMMs and SORTs parallel, one WRITE, no priorities"},
+		{Name: "v3", Passes: []Pass{SplitChain{Height: 1}},
+			Description: "GEMMs, SORTs and WRITEs all parallel, priorities"},
+		{Name: "v4", Passes: []Pass{SplitChain{Height: 1}, FuseWrites{}},
+			Description: "GEMMs and SORTs parallel, one WRITE, priorities"},
+		{Name: "v5", Passes: []Pass{SplitChain{Height: 1}, FuseSorts{}},
+			Description: "GEMMs parallel, one SORT and one WRITE, priorities"},
 	}
 }
 
