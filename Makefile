@@ -85,12 +85,15 @@ tune:
 # blocks fill once on ga_access and retire on the last ga_release
 # (internal/ga), the resident set is the variant's read-ahead window
 # (internal/ccsd), and the streamed energy folds in the pinned order
-# (internal/tce).
+# (internal/tce). The DTD engine embeds the same executor with its own
+# completion logic (internal/dtd); like the other embedder seams its
+# tests run five times under the race detector.
 sched-conformance:
 	$(GO) test -race -run 'TestPopOrderEquivalence|TestSimexecDecisionsMatchShadowModel|TestStealVictimGolden|TestInterNodeStealInvariants' ./internal/sched
 	$(GO) test -race -run 'TestLazy|TestEagerReleaseIsNoOp|TestNewLazyNeverRetires' ./internal/ga
 	$(GO) test -race -run 'TestInputsFlowThroughGraph|TestCancelledRunLeaksNothing' ./internal/ccsd
 	$(GO) test -race -run 'TestEnergyStreamsBitwise|TestEnergyDimsMismatchPanics|TestInputTablesMatchWorkload' ./internal/tce
+	$(GO) test -race -count=5 ./internal/dtd
 
 # Distributed-runtime conformance: wire-codec round-trips, the in-process
 # socket backends, the multi-process benzene acceptance run, and the

@@ -10,6 +10,7 @@ import (
 
 	"parsec/internal/ccsd"
 	"parsec/internal/fault"
+	"parsec/internal/metrics"
 	"parsec/internal/molecule"
 	"parsec/internal/obsv"
 	"parsec/internal/ptg"
@@ -205,7 +206,7 @@ func runFaults(out io.Writer, o *options, sys *molecule.System, cores int) error
 
 	for _, p := range profiles {
 		fmt.Fprintln(out)
-		if err := p.Report(0).WriteTable(out); err != nil {
+		if err := metrics.WriteProfile(out, p, 0); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -180,26 +181,32 @@ func TestWriteArtifact(t *testing.T) {
 	}
 }
 
-// TestArtifactsRegenerateByteIdentical re-runs the three paper-scale
+// TestArtifactsRegenerateByteIdentical re-runs the paper-scale
 // experiments behind the committed artifacts and compares bytes: the
 // simulator, the fault injector and the tuner are deterministic, so any
-// difference is a behaviour change. ~10 s + ~6 s + ~16 s on two cores,
-// hence not under -short or the race detector.
+// difference is a behaviour change. ~10 s + ~6 s + ~16 s + ~2 s on two
+// cores, hence not under -short or the race detector. The profile run
+// ends with one real (wall-clock) run, which is not compared: only the
+// three simulated profiles ahead of it are.
 func TestArtifactsRegenerateByteIdentical(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("paper-scale runs: skipped under -short and -race")
 	}
 	docs := filepath.Join("..", "..", "docs")
-	for _, tc := range []struct{ cmd, file string }{
-		{"fig9", "fig9.csv"},
-		{"faults", "faults.json"},
-		{"tune", "tune.json"},
+	for _, tc := range []struct {
+		cmd, file string
+		args      []string
+	}{
+		{cmd: "fig9", file: "fig9.csv"},
+		{cmd: "faults", file: "faults.json"},
+		{cmd: "tune", file: "tune.json"},
+		{cmd: "profile", file: "profile.json", args: []string{"-preset", "betacarotene", "-nodes", "32"}},
 	} {
 		tc := tc
 		t.Run(tc.cmd, func(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join(t.TempDir(), tc.file)
-			out, err := runCLI(t, tc.cmd, "-out", path)
+			out, err := runCLI(t, append([]string{tc.cmd, "-out", path}, tc.args...)...)
 			if err != nil {
 				t.Fatalf("ccsim %s: %v\n%s", tc.cmd, err, out)
 			}
@@ -211,20 +218,52 @@ func TestArtifactsRegenerateByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.cmd == "profile" {
+				got, want = simulatedProfiles(t, got), simulatedProfiles(t, want)
+			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("ccsim %s -out no longer regenerates docs/%s byte-identically:\n got %d bytes\nwant %d bytes", tc.cmd, tc.file, len(got), len(want))
 			}
-			if tc.cmd != "fig9" {
-				return
-			}
-			// docs/fig9.txt is this run's standard output.
-			txt, err := os.ReadFile(filepath.Join(docs, "fig9.txt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := strings.Replace(string(txt), "docs/fig9.csv", path, 1); out != want {
-				t.Errorf("ccsim fig9 output differs from docs/fig9.txt:\n%s", out)
+			switch tc.cmd {
+			case "fig9":
+				// docs/fig9.txt is this run's standard output.
+				txt, err := os.ReadFile(filepath.Join(docs, "fig9.txt"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := strings.Replace(string(txt), "docs/fig9.csv", path, 1); out != want {
+					t.Errorf("ccsim fig9 output differs from docs/fig9.txt:\n%s", out)
+				}
+			case "profile":
+				// docs/profile.txt is this run's standard output; the
+				// simulated reports end where the real run's begins.
+				txt, err := os.ReadFile(filepath.Join(docs, "profile.txt"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				const realReport = "== v4 real "
+				cut := func(s string) string { head, _, _ := strings.Cut(s, realReport); return head }
+				if got, want := cut(out), cut(string(txt)); got != want || !strings.Contains(out, realReport) {
+					t.Errorf("ccsim profile's simulated reports differ from docs/profile.txt:\n%s", got)
+				}
 			}
 		})
 	}
+}
+
+// simulatedProfiles returns the first three entries of a profile JSON
+// artifact — the simulated runs — with their text kept as written
+// (RawMessage: whitespace is compacted, numbers and key order are not
+// reinterpreted).
+func simulatedProfiles(t *testing.T, doc []byte) []byte {
+	t.Helper()
+	var entries []json.RawMessage
+	if err := json.Unmarshal(doc, &entries); err != nil || len(entries) < 3 {
+		t.Fatalf("profile artifact: %d entries, %v", len(entries), err)
+	}
+	sims, err := json.Marshal(entries[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sims
 }

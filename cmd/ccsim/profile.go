@@ -7,6 +7,7 @@ import (
 
 	"parsec/internal/ccsd"
 	"parsec/internal/cluster"
+	"parsec/internal/metrics"
 	"parsec/internal/molecule"
 	"parsec/internal/obsv"
 	"parsec/internal/ptg"
@@ -14,9 +15,9 @@ import (
 	"parsec/internal/trace"
 )
 
-// maxIdleRows bounds the per-worker idle section of each report; the
+// maxWorkerRows bounds the per-worker idle section of each report; the
 // aggregate idle line still covers every worker.
-const maxIdleRows = 8
+const maxWorkerRows = 8
 
 // profileCmd executes the requested series under tracing — simulated on
 // the cluster, plus one real shared-memory run of the last PTG variant —
@@ -73,7 +74,7 @@ func profileCmd(fs *flag.FlagSet) func(io.Writer) error {
 
 		for _, p := range profiles {
 			fmt.Fprintln(out)
-			if err := p.Report(maxIdleRows).WriteTable(out); err != nil {
+			if err := metrics.WriteProfile(out, p, maxWorkerRows); err != nil {
 				return err
 			}
 		}

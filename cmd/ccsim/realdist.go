@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"parsec/internal/ccsd"
+	"parsec/internal/metrics"
 	"parsec/internal/netrun"
 	"parsec/internal/tce"
 )
@@ -73,8 +74,8 @@ func realDistCmd(fs *flag.FlagSet) func(io.Writer) error {
 			}
 			if o.verbose {
 				fmt.Fprintln(out)
-				if err := res.Profile(fmt.Sprintf("%s %s x%d-proc", o.preset, v.name, *ranks)).
-					Report(maxIdleRows).WriteTable(out); err != nil {
+				prof := res.Profile(fmt.Sprintf("%s %s x%d-proc", o.preset, v.name, *ranks))
+				if err := metrics.WriteProfile(out, prof, maxWorkerRows); err != nil {
 					return err
 				}
 			}

@@ -46,6 +46,11 @@ import (
 	"parsec/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens sockets and trickles bytes
+// cannot pin them forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	// A process launched as a netrun worker rank runs that rank and
 	// exits here: this is what lets the daemon place large jobs across
@@ -102,7 +107,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccsimd: %v\n", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	done := make(chan struct{})
 	sigs := make(chan os.Signal, 1)

@@ -12,14 +12,18 @@
 // inspector "does not build a DAG in memory and does not need to discover
 // the way tasks depend on one another by matching input and output data"
 // (§VI). The benchmark BenchmarkPTGvsDTD quantifies the difference.
+//
+// The contrast is about how the DAG is discovered, not about who runs
+// it: as in PaRSEC, where inserted tasks share the PTG's scheduler, Run
+// hands the discovered DAG to the one worker loop, runtime.Executor.
 package dtd
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
-	"parsec/internal/sched"
+	"parsec/internal/ptg"
+	"parsec/internal/runtime"
 )
 
 // Mode is how a task accesses one datum.
@@ -63,7 +67,7 @@ type Ctx struct {
 
 // Get returns the current value of a declared datum.
 func (c *Ctx) Get(key string) any {
-	c.mustDeclare(key)
+	c.declared(key)
 	c.eng.mu.Lock()
 	defer c.eng.mu.Unlock()
 	return c.eng.values[key]
@@ -71,24 +75,20 @@ func (c *Ctx) Get(key string) any {
 
 // Set stores a new value for a declared written datum.
 func (c *Ctx) Set(key string, v any) {
-	for _, a := range c.keys {
-		if a.Key == key {
-			if a.Mode == ModeRead {
-				panic(fmt.Sprintf("dtd: task %s writes %q declared read-only", c.Name, key))
-			}
-			c.eng.mu.Lock()
-			c.eng.values[key] = v
-			c.eng.mu.Unlock()
-			return
-		}
+	if c.declared(key) == ModeRead {
+		panic(fmt.Sprintf("dtd: task %s writes %q declared read-only", c.Name, key))
 	}
-	panic(fmt.Sprintf("dtd: task %s touches undeclared datum %q", c.Name, key))
+	c.eng.mu.Lock()
+	c.eng.values[key] = v
+	c.eng.mu.Unlock()
 }
 
-func (c *Ctx) mustDeclare(key string) {
+// declared returns the mode the task declared for key; touching an
+// undeclared datum panics, which fails the run.
+func (c *Ctx) declared(key string) Mode {
 	for _, a := range c.keys {
 		if a.Key == key {
-			return
+			return a.Mode
 		}
 	}
 	panic(fmt.Sprintf("dtd: task %s touches undeclared datum %q", c.Name, key))
@@ -105,15 +105,7 @@ type task struct {
 
 	succs   []*task
 	pending int
-	done    bool
 }
-
-// SchedPriority implements sched.Task: higher-priority tasks run first.
-func (t *task) SchedPriority() int64 { return t.priority }
-
-// SchedSeq implements sched.Task: the insertion index breaks priority
-// ties, so ready tasks run in program order within a priority level.
-func (t *task) SchedSeq() int { return t.id }
 
 // lastAccess tracks the dependency frontier of one datum.
 type lastAccess struct {
@@ -207,106 +199,55 @@ func (e *Engine) Insert(name string, priority int64, body func(*Ctx), accesses .
 	return t.id
 }
 
-// Run executes the DAG on the given number of workers (0 = GOMAXPROCS).
+// Run executes the DAG on the given number of workers (0 = GOMAXPROCS)
+// and returns the first body failure, which names the inserted task.
 // The engine may not be reused afterwards.
+//
+// The engine is an embedder of runtime.Executor, like runtime.Run and a
+// netrun rank: every inserted task becomes one ptg.Instance of a single
+// class whose body dispatches on the insertion id, and the Complete hook
+// walks the discovered DAG instead of a ptg.Tracker. Edges only point
+// from a lower insertion id to a higher one, so the DAG cannot deadlock
+// and the last completion ends the run.
 func (e *Engine) Run(workers int) error {
 	if e.sealed {
 		return fmt.Errorf("dtd: Run called twice")
 	}
 	e.sealed = true
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	remaining := len(e.tasks)
+	if remaining == 0 {
+		return nil
 	}
-	var (
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		ready     sched.Heap[*task]
-		remaining = len(e.tasks)
-		inflight  int
-		idle      int
-		failed    error
-		stop      bool
-	)
-	for _, t := range e.tasks {
-		if t.pending == 0 {
-			ready.PushTask(t)
+	class := &ptg.TaskClass{Name: "dtd", Body: func(ctx *ptg.Ctx) {
+		if t := e.tasks[ctx.Seq]; t.body != nil {
+			t.body(&Ctx{ID: t.id, Name: t.name, eng: e, keys: t.accesses})
 		}
-	}
-	fail := func(err error) {
-		if failed == nil {
-			failed = err
-		}
-		stop = true
-		cond.Broadcast()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && !stop {
-					if remaining == 0 {
-						stop = true
-						cond.Broadcast()
-						break
-					}
-					idle++
-					if idle == workers && inflight == 0 && remaining > 0 {
-						fail(fmt.Errorf("dtd: deadlock with %d tasks remaining", remaining))
-						idle--
-						break
-					}
-					cond.Wait()
-					idle--
+	}}
+	insts := make([]ptg.Instance, len(e.tasks))
+	var x *runtime.Executor
+	x = runtime.NewExecutor(runtime.Config{Workers: workers}, runtime.Hooks{
+		Start: func(*ptg.Instance) error { return nil },
+		Complete: func(in *ptg.Instance, _ []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			for _, s := range e.tasks[in.Seq].succs {
+				if s.pending--; s.pending == 0 {
+					ready = append(ready, &insts[s.id])
 				}
-				if stop && len(ready) == 0 {
-					mu.Unlock()
-					return
-				}
-				t := ready.PopTask()
-				inflight++
-				mu.Unlock()
-
-				err := runBody(e, t)
-
-				mu.Lock()
-				inflight--
-				if err != nil {
-					fail(err)
-					mu.Unlock()
-					return
-				}
-				t.done = true
-				remaining--
-				for _, s := range t.succs {
-					s.pending--
-					if s.pending == 0 {
-						ready.PushTask(s)
-						cond.Signal()
-					}
-				}
-				if remaining == 0 {
-					stop = true
-					cond.Broadcast()
-				}
-				mu.Unlock()
 			}
-		}()
-	}
-	wg.Wait()
-	return failed
-}
-
-func runBody(e *Engine, t *task) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("dtd: task %s panicked: %v", t.name, r)
+			if remaining--; remaining == 0 {
+				x.Halt()
+			}
+			return ready, nil
+		},
+	})
+	for i, t := range e.tasks {
+		// The executor's panic report prints Ref, so the class slot carries
+		// the inserted task's name.
+		insts[i] = ptg.Instance{Ref: ptg.TaskRef{Class: t.name, Args: ptg.Args{i}}, Class: class, Priority: t.priority, Seq: i}
+		if t.pending == 0 {
+			x.Push(&insts[i])
 		}
-	}()
-	if t.body != nil {
-		t.body(&Ctx{ID: t.id, Name: t.name, eng: e, keys: t.accesses})
 	}
-	return nil
+	return x.Run()
 }

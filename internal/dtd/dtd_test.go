@@ -2,7 +2,9 @@ package dtd
 
 import (
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -130,6 +132,71 @@ func TestUndeclaredAccessPanicsIntoError(t *testing.T) {
 	e2.Insert("bad", 0, func(ctx *Ctx) { ctx.Set("r", 1) }, Read("r"))
 	if err := e2.Run(1); err == nil {
 		t.Error("write to read-only datum not surfaced")
+	}
+}
+
+// A failing body fails Run with an error naming the inserted task, also
+// when the panic is the body's own.
+func TestBodyFailureNamesInsertedTask(t *testing.T) {
+	for name, body := range map[string]func(*Ctx){
+		"undeclared": func(ctx *Ctx) { ctx.Get("nope") },
+		"own-panic":  func(ctx *Ctx) { panic("boom") },
+	} {
+		e := New()
+		e.Insert("ok", 0, nil, Write("y"))
+		e.Insert("GEMM(3,1)", 0, body, Write("x"))
+		err := e.Run(2)
+		if err == nil || !strings.Contains(err.Error(), "GEMM(3,1)") {
+			t.Errorf("%s: err = %v, want one naming task GEMM(3,1)", name, err)
+		}
+	}
+}
+
+func TestEmptyEngineAndDefaultWorkers(t *testing.T) {
+	if err := New().Run(4); err != nil {
+		t.Errorf("empty engine: %v", err)
+	}
+	for _, workers := range []int{0, -3} {
+		e := New()
+		e.Put("c", 0)
+		for i := 0; i < 10; i++ {
+			e.Insert("inc", 0, func(ctx *Ctx) { ctx.Set("c", ctx.Get("c").(int)+1) }, ReadWrite("c"))
+		}
+		if err := e.Run(workers); err != nil || e.Value("c").(int) != 10 {
+			t.Errorf("workers=%d: err %v, c = %v", workers, err, e.Value("c"))
+		}
+	}
+}
+
+// The case DESIGN.md §6 gave as the reason DTD could not be lowered onto
+// ptg.Tracker: a writer that follows more than 32 readers.
+func TestWriterAfterManyReaders(t *testing.T) {
+	const readers = 100
+	e := New()
+	e.Put("d", 7)
+	var finished atomic.Int64
+	for i := 0; i < readers; i++ {
+		e.Insert(fmt.Sprintf("r%d", i), 0, func(ctx *Ctx) {
+			if ctx.Get("d").(int) != 7 {
+				t.Error("reader saw the writer's value")
+			}
+			finished.Add(1)
+		}, Read("d"))
+	}
+	e.Insert("w", 10, func(ctx *Ctx) {
+		if n := finished.Load(); n != readers {
+			t.Errorf("writer ran after %d of %d readers", n, readers)
+		}
+		ctx.Set("d", ctx.Get("d").(int)+1)
+	}, ReadWrite("d"))
+	if e.NumEdges() != readers {
+		t.Errorf("edges = %d, want %d", e.NumEdges(), readers)
+	}
+	if err := e.Run(8); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Value("d").(int); got != 8 {
+		t.Errorf("final = %d, want 8", got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
+	"parsec/internal/trace"
 )
 
 // engine is the rank side of one rank's execution. Running ready
@@ -31,7 +32,7 @@ type engine struct {
 	wg       sync.WaitGroup
 	// traces holds one event list per executor worker, each appended to
 	// only by that worker (the executor's Observer runs on it).
-	traces [][]RankTraceEvent
+	traces [][]trace.Event
 
 	// mu guards the rank bookkeeping below; no scheduling happens under
 	// it. It may be held while calling into the executor, never the
@@ -78,7 +79,7 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 		tp:         tp,
 		tr:         tr,
 		stopCh:     make(chan struct{}),
-		traces:     make([][]RankTraceEvent, cfg.Workers),
+		traces:     make([][]trace.Event, cfg.Workers),
 		owned:      make([]bool, cfg.Ranks),
 		adopted:    make(map[*ptg.Instance]bool),
 		migratedTo: make(map[*ptg.Instance]int),
@@ -92,9 +93,9 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 		Queues:        cfg.Queues,
 		SchedObserver: cfg.SchedObserver,
 		Observer: func(ev runtime.Event) {
-			e.traces[ev.Worker] = append(e.traces[ev.Worker], RankTraceEvent{
+			e.traces[ev.Worker] = append(e.traces[ev.Worker], trace.Event{
 				Thread: ev.Worker, Class: ev.Task.Class, Label: ev.Task.String(),
-				StartNs: int64(ev.Start), EndNs: int64(ev.End),
+				Start: int64(ev.Start), End: int64(ev.End),
 			})
 		},
 	}

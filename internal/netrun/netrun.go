@@ -202,26 +202,19 @@ func (c *commCounters) snapshot() CommSnapshot {
 	}
 }
 
-// RankTraceEvent is one executed task in a rank's final report.
-type RankTraceEvent struct {
-	Thread  int    `json:"t"`
-	Class   string `json:"c"`
-	Label   string `json:"l"`
-	StartNs int64  `json:"s"`
-	EndNs   int64  `json:"e"`
-}
-
 // RankReport is one worker process's final self-report, shipped to the
 // coordinator as the msgDoneInfo JSON body.
 type RankReport struct {
-	Rank            int              `json:"rank"`
-	Tasks           int              `json:"tasks"`
-	ByClass         map[string]int   `json:"by_class,omitempty"`
-	Adopted         int              `json:"adopted,omitempty"`
-	Redispatches    int              `json:"redispatches,omitempty"`
-	RedispatchBytes int64            `json:"redispatch_bytes,omitempty"`
-	Comm            CommSnapshot     `json:"comm"`
-	Trace           []RankTraceEvent `json:"trace,omitempty"`
+	Rank            int            `json:"rank"`
+	Tasks           int            `json:"tasks"`
+	ByClass         map[string]int `json:"by_class,omitempty"`
+	Adopted         int            `json:"adopted,omitempty"`
+	Redispatches    int            `json:"redispatches,omitempty"`
+	RedispatchBytes int64          `json:"redispatch_bytes,omitempty"`
+	Comm            CommSnapshot   `json:"comm"`
+	// Trace is one event per executed task; a rank leaves Node unset and
+	// the coordinator stamps the reporting rank when it aggregates.
+	Trace []trace.Event `json:"trace,omitempty"`
 }
 
 // Result summarizes a completed distributed run.
@@ -249,7 +242,7 @@ type Result struct {
 }
 
 // Profile builds the observability profile of the run: the same
-// ProfileReport surface the simulator and shared-memory runtime feed.
+// obsv.Profile the simulator and shared-memory runtime feed.
 func (r *Result) Profile(name string) *obsv.Profile {
 	p := obsv.FromTrace(name, r.Trace)
 	p.SetComm(r.Comm)
@@ -276,13 +269,7 @@ func (r *Result) aggregate(rep RankReport) {
 	r.Recovery.Redispatches += rep.Redispatches
 	r.Recovery.RedispatchBytes += rep.RedispatchBytes
 	for _, ev := range rep.Trace {
-		r.Trace.Add(trace.Event{
-			Node:   rep.Rank,
-			Thread: ev.Thread,
-			Class:  ev.Class,
-			Label:  ev.Label,
-			Start:  ev.StartNs,
-			End:    ev.EndNs,
-		})
+		ev.Node = rep.Rank
+		r.Trace.Add(ev)
 	}
 }

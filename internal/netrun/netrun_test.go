@@ -1,15 +1,21 @@
 package netrun
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"parsec/internal/ccsd"
 	"parsec/internal/fault"
+	"parsec/internal/metrics"
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
 	"parsec/internal/tce"
+	"parsec/internal/trace"
 )
 
 // energyTol is ccsd.EnergyTol under the name the pinned chaos test
@@ -288,7 +294,68 @@ func TestResultProfile(t *testing.T) {
 		t.Fatal("no trace events aggregated")
 	}
 	p := res.Profile("netrun water v2")
-	if rep := p.Report(8); rep == nil {
-		t.Error("nil profile report")
+	if p.Tasks != int64(len(res.Trace.Events())) || len(p.Workers) == 0 {
+		t.Errorf("profile covers %d tasks on %d workers, trace has %d events",
+			p.Tasks, len(p.Workers), len(res.Trace.Events()))
+	}
+	if p.Comm == nil || p.Comm.AccOps != res.Comm.AccOps || p.Recov == nil {
+		t.Errorf("profile comm = %+v, recovery = %+v", p.Comm, p.Recov)
+	}
+	var buf bytes.Buffer
+	if err := metrics.WriteProfile(&buf, p, 8); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"== netrun water v2:", "task durations", "n1/t", "ACC", "fault recovery"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("rendered profile missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestRankReportRoundTrip ships a rank's report the way a worker does —
+// encodeReport, the doneInfo frame body, JSON — and folds it into a
+// result: the events come back as trace.Events on the reporting rank's
+// node, and the encoded bytes are the compact spelling (keys t,c,l,s,e,
+// no node) the wire has always carried.
+func TestRankReportRoundTrip(t *testing.T) {
+	events := []trace.Event{
+		{Thread: 0, Class: "READ", Label: "READ(1,0,0)", Start: 5, End: 40},
+		{Thread: 1, Class: "GEMM", Label: "GEMM(1,2,0)", Start: 40, End: 900},
+	}
+	comm, err := json.Marshal(CommSnapshot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rank := range []int{0, 3} {
+		frm, err := encodeReport(RankReport{Rank: rank, Tasks: 2, Trace: events})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := decodeDoneInfo(frm[frameHeaderLen:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON := fmt.Sprintf(`{"rank":%d,"tasks":2,"comm":%s,"trace":[`+
+			`{"t":0,"c":"READ","l":"READ(1,0,0)","s":5,"e":40},`+
+			`{"t":1,"c":"GEMM","l":"GEMM(1,2,0)","s":40,"e":900}]}`, rank, comm)
+		if string(m.JSON) != wantJSON {
+			t.Errorf("rank %d report encodes as\n%s\nwant\n%s", rank, m.JSON, wantJSON)
+		}
+		var rep RankReport
+		if err := json.Unmarshal(m.JSON, &rep); err != nil {
+			t.Fatal(err)
+		}
+		res := Result{Trace: trace.New()}
+		res.aggregate(rep)
+		got := res.Trace.Events()
+		if len(got) != len(events) {
+			t.Fatalf("rank %d: %d events aggregated, want %d", rank, len(got), len(events))
+		}
+		for i, want := range events {
+			want.Node = rank
+			if got[i] != want {
+				t.Errorf("rank %d event %d = %+v, want %+v", rank, i, got[i], want)
+			}
+		}
 	}
 }

@@ -11,9 +11,9 @@
 // path each task class contributes.
 //
 // A Profile is normally built from a recorded trace with FromTrace,
-// enriched with SetComm and SetCritical, and rendered through
-// internal/metrics (see Report) or exported as JSON (WriteJSON) for
-// regression diffing. cmd/ccsim profile is the command-line surface.
+// enriched with SetComm and SetCritical, and rendered as text by
+// metrics.WriteProfile or exported as JSON (WriteJSON) for regression
+// diffing. cmd/ccsim profile is the command-line surface.
 package obsv
 
 import (
@@ -24,7 +24,6 @@ import (
 	"sort"
 	"sync"
 
-	"parsec/internal/metrics"
 	"parsec/internal/ptg"
 	"parsec/internal/trace"
 )
@@ -541,92 +540,6 @@ func (p *Profile) WorstWorkers(n int) []WorkerProfile {
 		ws = ws[:n]
 	}
 	return ws
-}
-
-// Report converts the profile into its text-rendering form, keeping at
-// most maxWorkers per-worker idle rows (the worst ones). The aggregate
-// idle line always covers every worker.
-func (p *Profile) Report(maxWorkers int) *metrics.ProfileReport {
-	r := &metrics.ProfileReport{
-		Title: p.Name,
-		Span:  p.Span,
-		Tasks: int(p.Tasks),
-	}
-	for _, c := range p.Classes {
-		r.Hist = append(r.Hist, metrics.HistRow{
-			Class: c.Class, Count: c.Count,
-			P50: c.P50, P95: c.P95, P99: c.P99, Max: c.Max, Total: c.Total,
-		})
-	}
-	r.IdleWorkers = len(p.Workers)
-	r.TotalIdle = p.Idle.TotalIdle
-	r.MeanIdleFrac = p.Idle.MeanIdleFrac
-	r.MeanStartup = p.Idle.MeanStartup
-	r.MaxBubble = p.Idle.MaxBubble
-	r.MaxBubbleAt = p.Idle.MaxBubbleAt
-	r.MaxBubbleBy = p.Idle.MaxBubbleOwner
-	if p.Ramp != nil {
-		r.RampClass = p.Ramp.Class
-		r.RampMean = p.Ramp.Mean
-		r.RampMax = p.Ramp.Max
-		r.RampMeanFrac = p.Ramp.MeanFrac
-		r.RampMaxFrac = p.Ramp.MaxFrac
-	}
-	for _, w := range p.WorstWorkers(maxWorkers) {
-		r.Idle = append(r.Idle, metrics.IdleRow{
-			Worker: w.Name(), Tasks: w.Tasks, Busy: w.Busy, Idle: w.Idle,
-			StartupIdle: w.StartupIdle, LongestBubble: w.LongestBubble,
-			BubbleStart: w.BubbleStart,
-		})
-	}
-	if c := p.Comm; c != nil {
-		if c.GetOps > 0 || c.GetBytes > 0 {
-			r.Comm = append(r.Comm, metrics.CommRow{Label: "GET", Ops: c.GetOps, Bytes: c.GetBytes})
-		}
-		if c.AccOps > 0 || c.AccBytes > 0 {
-			r.Comm = append(r.Comm, metrics.CommRow{Label: "ACC", Ops: c.AccOps, Bytes: c.AccBytes})
-		}
-		if c.Transfers > 0 || c.TotalBytes > 0 {
-			r.Comm = append(r.Comm, metrics.CommRow{Label: "net total", Ops: c.Transfers, Bytes: c.TotalBytes})
-		}
-		classes := make([]string, 0, len(c.ByClass))
-		for n := range c.ByClass {
-			classes = append(classes, n)
-		}
-		sort.Strings(classes)
-		for _, n := range classes {
-			r.Comm = append(r.Comm, metrics.CommRow{Label: "net to " + n, Bytes: c.ByClass[n]})
-		}
-	}
-	if cp := p.Crit; cp != nil {
-		r.CritLength = cp.Length
-		r.TotalWork = cp.TotalWork
-		r.MaxSpeedup = cp.MaxSpeedup
-		for _, s := range cp.Shares {
-			r.Path = append(r.Path, metrics.PathRow{
-				Class: s.Class, Tasks: s.Tasks, Time: s.Time, Frac: s.Frac,
-			})
-		}
-	}
-	if rc := p.Recov; rc != nil {
-		r.Recovery = &metrics.RecoveryStats{
-			Retries: rc.Retries, Drops: rc.Drops, AckDrops: rc.AckDrops,
-			DupSuppressed: rc.DupSuppressed, BackoffTime: rc.BackoffTime,
-			RetransmitBytes: rc.RetransmitBytes, Redispatches: rc.Redispatches,
-			RedispatchBytes: rc.RedispatchBytes,
-		}
-	}
-	if s := p.Slow; s != nil {
-		r.BaselineSpan = s.BaselineSpan
-		r.SlowdownLoss = s.Loss
-		r.SlowdownShown = true
-		for _, c := range s.Causes {
-			r.Slowdown = append(r.Slowdown, metrics.SlowdownRow{
-				Cause: c.Cause, Time: c.Time, Frac: c.Frac,
-			})
-		}
-	}
-	return r
 }
 
 // WriteJSON exports profiles as indented JSON, the regression-diffing

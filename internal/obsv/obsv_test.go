@@ -272,9 +272,8 @@ func TestSetRamp(t *testing.T) {
 	if math.Abs(p.Ramp.MaxFrac-0.4) > 1e-12 {
 		t.Fatalf("max frac = %g, want 0.4", p.Ramp.MaxFrac)
 	}
-	r := p.Report(4)
-	if r.RampClass != "GEMM" || r.RampMax != 40 {
-		t.Fatalf("report ramp: class=%q max=%d", r.RampClass, r.RampMax)
+	if p.Ramp.Class != "GEMM" {
+		t.Fatalf("ramp class = %q", p.Ramp.Class)
 	}
 }
 
@@ -308,9 +307,6 @@ func TestSingleInstantTraceNoNaN(t *testing.T) {
 	}
 	if bytes.Contains(buf.Bytes(), []byte("NaN")) || bytes.Contains(buf.Bytes(), []byte("Inf")) {
 		t.Fatalf("JSON carries non-finite values:\n%s", buf.Bytes())
-	}
-	if err := p.Report(4).WriteTable(&buf); err != nil {
-		t.Fatalf("WriteTable: %v", err)
 	}
 }
 
@@ -350,24 +346,19 @@ func TestSetSlowdownAttribution(t *testing.T) {
 	if math.Abs(s.Causes[0].Frac-0.8) > 1e-12 || math.Abs(s.Causes[1].Frac-0.2) > 1e-12 {
 		t.Fatalf("fracs = %g/%g, want 0.8/0.2", s.Causes[0].Frac, s.Causes[1].Frac)
 	}
-	r := p.Report(4)
-	if !r.SlowdownShown || r.SlowdownLoss != 500 || len(r.Slowdown) != 2 {
-		t.Fatalf("report slowdown: shown=%v loss=%d rows=%d",
-			r.SlowdownShown, r.SlowdownLoss, len(r.Slowdown))
-	}
 }
 
-// TestSetRecoveryReport: recovery counters flow through to the report
-// only when attached.
+// TestSetRecoveryReport: recovery counters are part of the profile (and
+// so of its report) only when attached.
 func TestSetRecoveryReport(t *testing.T) {
 	p := &Profile{Name: "clean", Span: 100}
-	if p.Report(4).Recovery != nil {
-		t.Fatal("report grew a recovery section without SetRecovery")
+	if p.Recov != nil {
+		t.Fatal("profile grew a recovery section without SetRecovery")
 	}
 	p.SetRecovery(Recovery{Retries: 3, Drops: 2, AckDrops: 1, DupSuppressed: 1,
 		BackoffTime: 150_000, RetransmitBytes: 2_000_000, Redispatches: 4, RedispatchBytes: 800_000})
-	rc := p.Report(4).Recovery
+	rc := p.Recov
 	if rc == nil || rc.Retries != 3 || rc.Redispatches != 4 || rc.RedispatchBytes != 800_000 {
-		t.Fatalf("report recovery = %+v", rc)
+		t.Fatalf("profile recovery = %+v", rc)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -364,5 +365,42 @@ func TestHTTPBackpressure429(t *testing.T) {
 	}
 	if ra := over.Header.Get("Retry-After"); ra != "3" {
 		t.Errorf("Retry-After = %q, want \"3\"", ra)
+	}
+}
+
+// TestHTTPSubmitBodyLimit: a submit body past maxSubmitBytes is refused
+// with 413 and the usual JSON error before anything is admitted, and the
+// limit does not touch an ordinary submit.
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1, QueueDepth: 4})
+	defer s.Shutdown()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	huge := `{"preset":"` + strings.Repeat("a", 2*maxSubmitBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]string
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB submit = %d, want 413", resp.StatusCode)
+	}
+	if err != nil || !strings.Contains(body["error"], "bad submit body") {
+		t.Errorf("413 body = %v (decode: %v), want a JSON error", body, err)
+	}
+	if st := s.Stats(); st.Accepted != 0 || st.Queued+st.Running+st.Done != 0 {
+		t.Errorf("oversized submit admitted a job: %+v", st)
+	}
+
+	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"preset":"water"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("normal submit = %d, want 202", resp.StatusCode)
 	}
 }

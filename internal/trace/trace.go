@@ -13,14 +13,15 @@ import (
 	"sync"
 )
 
-// Event is one task execution.
+// Event is one task execution. The compact JSON keys are what a netrun
+// rank ships per executed task in its final report.
 type Event struct {
-	Node   int
-	Thread int
-	Class  string
-	Label  string // instance label, e.g. "GEMM(3,7)"
-	Start  int64  // nanoseconds since execution start
-	End    int64
+	Node   int    `json:"n,omitempty"`
+	Thread int    `json:"t"`
+	Class  string `json:"c"`
+	Label  string `json:"l"` // instance label, e.g. "GEMM(3,7)"
+	Start  int64  `json:"s"` // nanoseconds since execution start
+	End    int64  `json:"e"`
 }
 
 // Duration returns End - Start.
