@@ -101,10 +101,12 @@ sched-conformance:
 # the frame decoder (internal/netrun). A rank's message handlers push
 # into, and take from, an executor whose workers may all be parked, and
 # the ranks of one process bind one compiled plan's skeleton at once;
-# the tests that live on those seams run five more times.
+# the tests that live on those seams run five more times. So do the ones
+# that lose frames whose tiles are on loan to a channel (seeded drops, a
+# link severed mid-burst): a retransmission reads the tile again.
 netrun-conformance:
 	$(GO) test -race -count=1 ./internal/netrun
-	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestInterNodeStealRedispatch|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends' ./internal/netrun
+	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestInterNodeStealRedispatch|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithDropsAndAckDrops|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss' ./internal/netrun
 	$(GO) test -race -count=5 -run 'TestExecutorForeignPushWhileParked' ./internal/runtime
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/netrun
 

@@ -432,7 +432,7 @@ func (b *builder) buildReduce() {
 	if b.store != nil {
 		tc.Body = func(ctx *ptg.Ctx) {
 			xt := ctx.In[0].(*tensor.Tile4)
-			for _, in := range ctx.In[1:] {
+			for i, in := range ctx.In[1:] {
 				if in == nil {
 					continue
 				}
@@ -441,6 +441,7 @@ func (b *builder) buildReduce() {
 				// The sibling branches are folded here and have no other
 				// consumer.
 				tensor.PutTile4In(ctx.Pool, yt)
+				ctx.In[1+i] = nil
 			}
 			ctx.Out[0] = xt
 		}
@@ -538,6 +539,7 @@ func (b *builder) buildSort() {
 				// final C (the fissioned-sort shapes share it across
 				// four instances and must leave it to the GC).
 				tensor.PutTile4In(ctx.Pool, src)
+				ctx.In[0] = nil
 				ctx.Out[1] = dst
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
 	"parsec/internal/tce"
+	"parsec/internal/tensor"
 )
 
 // shapedWorkload inspects a synthetic system with the orbital-space
@@ -149,5 +150,62 @@ func TestCancelledRunLeaksNothing(t *testing.T) {
 	store = nil
 	if leaked := heap() - before; leaked > st.ResidentBytes/4 {
 		t.Errorf("%d B still live after dropping a cancelled run's store (it held %d B of inputs)", leaked, st.ResidentBytes)
+	}
+}
+
+// TestBodiesClearInputsTheyRelease pins the body side of ptg.Ctx's
+// ownership rule: a body that returns an input tile to the pool — REDUCE
+// its folded siblings, the merged SORT the chain's final C — sets that
+// In slot to nil. An executor that owns some inputs' storage (a netrun
+// rank, for tiles that came off the wire) reads the slot to know the
+// tile is already gone; a body that released without clearing would have
+// it returned twice. Each graph runs on one worker through the same
+// completion the runtime uses, with a check in front: the Out buffer is
+// prefilled with the inputs, so an untouched Out slot still names a tile
+// the body released.
+func TestBodiesClearInputsTheyRelease(t *testing.T) {
+	sys := molecule.Water631G()
+	for _, name := range []string{"v1", "v2", "v3", "v4", "v5", "seg=2,fission=sorts", "seg=2,tree=3"} {
+		recipe, err := VariantByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := Compile(sys, recipe, Options{Nodes: 1})
+		tr, err := ptg.NewTracker(plan.NewGraph(inputStore(plan.Workload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		released := 0
+		var x *runtime.Executor
+		x = runtime.NewExecutor(runtime.Config{Workers: 1, Policy: recipe.Policy()}, runtime.Hooks{
+			Start: tr.Start,
+			Complete: func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
+				for fi, p := range out {
+					if tile, ok := p.(*tensor.Tile4); ok && tile.Data == nil && tile.Len() == 0 {
+						released++
+						if in.In[fi] != nil {
+							return ready, fmt.Errorf("%v released its input %s and left the slot set", in.Ref, in.Class.Flows[fi].Name)
+						}
+					}
+				}
+				ready, err := tr.CompleteDeliver(in, out, ready)
+				if err == nil && tr.Done() {
+					x.Halt()
+				}
+				return ready, err
+			},
+		})
+		x.Preload(tr.InitialReadySorted())
+		if err := x.Run(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if !tr.Done() {
+			t.Errorf("%s: run stopped with %d tasks left", name, tr.Remaining())
+		}
+		// Every recipe here reduces segments or merges its sorts, bar v1
+		// (one serial chain, one SORT per permutation).
+		if released == 0 && name != "v1" {
+			t.Errorf("%s: no body released an input; the check saw nothing", name)
+		}
 	}
 }

@@ -106,15 +106,26 @@ type commCounters struct {
 	accBytes      atomic.Int64
 	getOps        atomic.Int64
 	getBytes      atomic.Int64
+
+	// Tile ownership on the wire (engine.go): activations sent by
+	// reference; pooled tiles decoded from activations, and where each
+	// went — back to the pool at its consumer's completion, back at once
+	// as a duplicate, or onward (forwarded by the consumer, or released by
+	// its body).
+	tilesBorrowed  atomic.Int64
+	tilesReceived  atomic.Int64
+	tilesReturned  atomic.Int64
+	tilesDuplicate atomic.Int64
+	tilesPassedOn  atomic.Int64
 }
 
 // pendingMsg is one unacknowledged frame awaiting ack or retransmission.
 type pendingMsg struct {
 	id uint64
 	// frame is the encoded frame, built once by the message's encode; a
-	// retransmission resends these bytes with only the ack-suppress bit
-	// rewritten.
-	frame    []byte
+	// retransmission resends these bytes — head and borrowed tail alike —
+	// with only the ack-suppress bit rewritten.
+	frame    outFrame
 	attempts int       // retransmissions charged
 	deadline time.Time // next loss-detection point
 	// queued is set from staging until the socket write returns. A queued
@@ -147,8 +158,8 @@ type relChan struct {
 	unacked map[uint64]*pendingMsg
 	// retained is the activation log owed to an heir should the peer die:
 	// kept only when recovery can use it (recoverDeadPeers), and sharing
-	// the pending frames' bytes.
-	retained [][]byte
+	// the pending frames' bytes, borrowed tiles included.
+	retained []outFrame
 	frames   int // frames written, for SeverSpec
 	severed  bool
 	stopped  bool
@@ -167,27 +178,30 @@ func (c *relChan) stop() {
 	c.tp.drainWake.post()
 }
 
-// send takes ownership of an encoded frame: it assigns the reliability
-// id, retains activations for takeover replay, and stages the first
-// transmission. Loss is recovered by the retransmit timer; the call
-// never touches the network.
-func (c *relChan) send(frame []byte) {
+// send takes ownership of an encoded frame's head and, when the frame
+// has a tail, a borrow of the tile behind it until the frame is
+// acknowledged (for the whole run when the activation is retained): it
+// assigns the reliability id, retains activations for takeover replay,
+// and stages the first transmission. Loss is recovered by the retransmit
+// timer; the call never touches the network.
+func (c *relChan) send(frame outFrame) {
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
 		return
 	}
 	c.nextID++
-	p := &pendingMsg{id: c.nextID, frame: sealFrame(frame, c.nextID)}
+	frame.seal(c.nextID)
+	p := &pendingMsg{id: c.nextID, frame: frame}
 	c.unacked[p.id] = p
-	if c.tp.recoverDeadPeers && frame[3]&typeMask == msgActivate {
+	if c.tp.recoverDeadPeers && frame.typ() == msgActivate {
 		c.retained = append(c.retained, frame)
 	}
 	c.stageLocked(p)
 	c.mu.Unlock()
 
 	c.tp.counters.msgsSent.Add(1)
-	c.tp.counters.bytesSent.Add(int64(len(frame)))
+	c.tp.counters.bytesSent.Add(int64(frame.size()))
 }
 
 // armLocked sets the frame's next loss-detection point: Timeout from
@@ -219,7 +233,7 @@ func (c *relChan) stageLocked(p *pendingMsg) {
 	if out.AckDrop {
 		c.tp.counters.ackDropsInj.Add(1)
 	}
-	setAckSuppress(p.frame, out.AckDrop)
+	setAckSuppress(p.frame.head, out.AckDrop)
 	if sv := c.tp.sever; sv != nil && sv.From == c.tp.local && sv.To == c.dst {
 		c.frames++
 		if !c.severed && c.frames > sv.AfterFrames {
@@ -242,9 +256,15 @@ func (c *relChan) stageLocked(p *pendingMsg) {
 // onto whatever connection is current, blocking on the kernel with no
 // locks held, and starts each frame's loss timer when its write
 // returns. A failed or severed write loses the bytes — the frame stays
-// in the unacked window, so the redial (or the timer) retransmits it.
+// in the unacked window, so the redial (or the timer) retransmits it. A
+// frame with a borrowed tail goes out as one vectored write, head then
+// tile, through a net.Buffers this goroutine reuses.
 func (c *relChan) writeLoop() {
 	defer c.tp.wg.Done()
+	var (
+		pair [2][]byte
+		vec  net.Buffers
+	)
 	for {
 		c.mu.Lock()
 		for !c.stopped && (len(c.outbox) == 0 || c.conn == nil) {
@@ -267,7 +287,15 @@ func (c *relChan) writeLoop() {
 			c.dropConn(conn, true)
 			continue
 		}
-		_, err := conn.Write(p.frame)
+		var err error
+		if p.frame.tail == nil {
+			_, err = conn.Write(p.frame.head)
+		} else {
+			pair[0], pair[1] = p.frame.head, p.frame.tail
+			vec = pair[:] // WriteTo consumes vec, not pair
+			_, err = vec.WriteTo(conn)
+			pair[0], pair[1] = nil, nil // do not pin an acked tile
+		}
 		c.mu.Lock()
 		p.queued = false
 		c.armLocked(p)
@@ -420,7 +448,7 @@ func (c *relChan) tick(now time.Time) error {
 		if p.attempts >= c.tp.retry.MaxRetries &&
 			!(c.tp.recoverDeadPeers && c.dst != coordRank) {
 			return fmt.Errorf("netrun: rank %d -> %d: message %d (type %d) unacked after %d retries",
-				c.tp.local, c.dst, p.id, p.frame[3]&typeMask, p.attempts)
+				c.tp.local, c.dst, p.id, p.frame.typ(), p.attempts)
 		}
 		c.tp.counters.retries.Add(1)
 		c.tp.counters.backoffNs.Add(int64(c.tp.retry.backoffFor(p.attempts)))
@@ -429,7 +457,7 @@ func (c *relChan) tick(now time.Time) error {
 			c.armLocked(p)
 			continue
 		}
-		c.tp.counters.retransmitBytes.Add(int64(len(p.frame)))
+		c.tp.counters.retransmitBytes.Add(int64(p.frame.size()))
 		c.stageLocked(p)
 	}
 	return nil
@@ -447,7 +475,7 @@ func (c *relChan) drained() bool {
 
 // takeRetained stops the channel and surrenders its retained activation
 // log for replay to an heir.
-func (c *relChan) takeRetained() [][]byte {
+func (c *relChan) takeRetained() []outFrame {
 	c.mu.Lock()
 	r := c.retained
 	c.retained = nil
@@ -672,15 +700,22 @@ func (tp *transport) connect(rank int, addr string) {
 	tp.mu.Unlock()
 }
 
-// sendTo delivers one encoded frame reliably to a rank (through the
-// routing table). The transport owns the frame from here on.
+// sendTo delivers one encoded single-buffer frame reliably to a rank
+// (through the routing table). The transport owns the frame from here
+// on.
 func (tp *transport) sendTo(rank int, frame []byte) {
+	tp.sendFrame(rank, outFrame{head: frame})
+}
+
+// sendFrame is sendTo for any frame: the transport owns the head, and
+// borrows the tile behind a tail for as long as relChan.send says.
+func (tp *transport) sendFrame(rank int, frame outFrame) {
 	tp.chanTo(rank).send(frame)
 }
 
 // redirect re-routes a dead rank to its heir and returns the retained
 // activation log owed to the heir. Idempotent per dead rank.
-func (tp *transport) redirect(dead, heir int) [][]byte {
+func (tp *transport) redirect(dead, heir int) []outFrame {
 	tp.mu.Lock()
 	if r, ok := tp.routes[dead]; ok && r == heir {
 		tp.mu.Unlock()

@@ -1,11 +1,15 @@
 package netrun
 
 import (
+	"bytes"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"parsec/internal/fault"
 	"parsec/internal/ptg"
+	"parsec/internal/tensor"
 )
 
 // TestHealthyLinkSendsNothingTwice runs the benchmark's benzene-shaped
@@ -187,10 +191,103 @@ func TestRetainedOnlyUnderRecover(t *testing.T) {
 			t.Fatalf("Recover on: channel retains %d frames, want the %d activations", len(retained), n)
 		}
 		for i, f := range retained {
-			if &f[0] != &sent[i][0] {
+			if &f.head[0] != &sent[i][0] {
 				t.Errorf("retained frame %d is a copy, not the sent frame's bytes", i)
 			}
 		}
+	}
+}
+
+// TestBorrowedFramesSurviveLoss sends tile activations by reference down
+// a link that loses them — seeded payload and ack drops in one run, a
+// connection severed mid-burst in the other — to a real receiving
+// endpoint. Every activation must arrive exactly once, its body byte for
+// byte what the copying encode builds, however many times the borrowed
+// tile was written; and the loss must actually have happened.
+func TestBorrowedFramesSurviveLoss(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("tiles are not sent by reference on a big-endian host")
+	}
+	retry := RetryPolicy{Timeout: 30 * time.Millisecond, Backoff: 5 * time.Millisecond,
+		BackoffCap: 20 * time.Millisecond, MaxRetries: 200}
+	cases := []struct {
+		name  string
+		fault *fault.Config
+		sever *SeverSpec
+		lossy func(c *commCounters) bool
+	}{
+		{"drops", &fault.Config{Seed: 11, DropProb: 0.3, AckDropProb: 0.2}, nil,
+			func(c *commCounters) bool { return c.retries.Load() > 0 && c.dropsInjected.Load() > 0 }},
+		{"sever", nil, &SeverSpec{From: 0, To: 1, AfterFrames: 9},
+			func(c *commCounters) bool { return c.severs.Load() == 1 && c.reconnects.Load() >= 2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recv, err := newTransport(1, "tcp", "127.0.0.1:0", retry, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer recv.close()
+			var mu sync.Mutex
+			got := make(map[int][]byte) // activation index -> body
+			recv.serve(func(_ int, f frame) {
+				if f.typ != msgActivate {
+					return
+				}
+				m, err := decodeActivate(f.body)
+				if err != nil {
+					t.Errorf("activation does not decode: %v", err)
+					return
+				}
+				mu.Lock()
+				if _, dup := got[m.Args[0]]; dup {
+					t.Errorf("activation %d delivered twice", m.Args[0])
+				}
+				got[m.Args[0]] = append([]byte(nil), f.body...)
+				mu.Unlock()
+				tensor.PutTile4(m.Payload.(*tensor.Tile4))
+			}, nil)
+
+			send, err := newTransport(0, "tcp", "127.0.0.1:0", retry, newInjector(tc.fault), tc.sever)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer send.close()
+			send.serve(func(int, frame) {}, nil)
+			send.connect(1, recv.addr())
+			send.runRetryTimer(func(err error) { t.Errorf("retry timer: %v", err) })
+
+			const n = 24
+			want := make([][]byte, n)
+			for i := 0; i < n; i++ {
+				tl := bigTile()
+				tl.Data[0] = float64(i)
+				m := activateMsg{Class: "GEMM", Args: ptg.A1(i), Flow: i % 3, Payload: tl}
+				if want[i], err = m.encode(); err != nil {
+					t.Fatal(err)
+				}
+				f, ok := m.encodeRef()
+				if !ok {
+					t.Fatal("tile activation not sent by reference")
+				}
+				send.sendFrame(1, f)
+				send.sendTo(1, statusMsg{Backlog: i}.encode())
+			}
+			if !send.waitDrained(nil, nil, 20*time.Second) {
+				t.Fatal("sender not drained")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i := range want {
+				if !bytes.Equal(got[i], want[i][frameHeaderLen:]) {
+					t.Errorf("activation %d: %d body bytes arrived, differing from the %d encode builds",
+						i, len(got[i]), len(want[i])-frameHeaderLen)
+				}
+			}
+			if !tc.lossy(send.counters) {
+				t.Errorf("the link lost nothing: %+v", send.counters.snapshot())
+			}
+		})
 	}
 }
 
@@ -228,5 +325,55 @@ func TestDedupStaysBounded(t *testing.T) {
 	}
 	if d.low != 100003 || len(d.above) != 1 {
 		t.Fatalf("after the gap closed: watermark %d, %d sparse entries; want 100003 and 1", d.low, len(d.above))
+	}
+}
+
+// BenchmarkActivateRoundTrip is one 12^4 tile's whole trip between two
+// ranks: encoded by reference, written to a loopback socket from the
+// tile's own storage, read and decoded into a pooled tile by a real
+// receiving endpoint, and returned to the pool as the consumer's
+// completion would. MB/s is frame bytes; B/op is what the trip allocates
+// on both ends together, next to the 165 KB it moves.
+func BenchmarkActivateRoundTrip(b *testing.B) {
+	recv, err := newTransport(1, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer recv.close()
+	landed := make(chan struct{}, 1) // one trip in flight at a time
+	recv.serve(func(_ int, f frame) {
+		m, err := decodeActivate(f.body)
+		if err != nil {
+			b.Error(err)
+		} else {
+			tensor.PutTile4(m.Payload.(*tensor.Tile4))
+		}
+		landed <- struct{}{}
+	}, nil)
+	send, err := newTransport(0, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer send.close()
+	send.serve(func(int, frame) {}, nil)
+	send.connect(1, recv.addr())
+
+	m := activateMsg{Class: "GEMM", Args: ptg.A3(1, 2, 3), Flow: 1, Payload: bigTile()}
+	trip := func() {
+		f, ok := m.encodeRef()
+		if !ok { // big-endian host: the copying encode is the data path
+			enc, _ := m.encode()
+			f = outFrame{head: enc}
+		}
+		send.sendFrame(1, f)
+		<-landed
+	}
+	trip() // dial, and put a tile in the pool
+	size, _ := payloadSize(m.Payload)
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trip()
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"parsec/internal/ga"
+	"parsec/internal/ptg"
 	"parsec/internal/tensor"
-	"parsec/internal/trace"
 )
 
 // coordSpec tells the coordinator what it serves and how the run ends.
@@ -22,6 +22,9 @@ type coordSpec struct {
 	// energy, if non-nil, reduces the server's folded store to the final
 	// scalar after the flush barrier.
 	energy func(st *ga.Store) float64
+	// graph builds the job's graph once more, should the caller ask the
+	// result for its trace (Result.Trace).
+	graph func() *ptg.Graph
 }
 
 // accKey identifies one ordered accumulation for the server-side dedup:
@@ -260,6 +263,7 @@ func (co *coordinator) handle(from int, f frame) {
 			co.fail(fmt.Errorf("netrun: rank %d done info: %w", from, err))
 			return
 		}
+		rep.Spans = m.Spans
 		co.mu.Lock()
 		co.reports[from] = rep
 		co.mu.Unlock()
@@ -457,7 +461,7 @@ func (co *coordinator) wait() (*Result, error) {
 		Tasks:   co.spec.numInstances,
 		Ranks:   co.cfg.Ranks,
 		Elapsed: time.Since(co.start),
-		Trace:   trace.New(),
+		graph:   co.spec.graph,
 	}
 	if co.spec.energy != nil {
 		res.Energy = co.spec.energy(co.store)

@@ -3,11 +3,12 @@ package netrun
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
-	"parsec/internal/trace"
+	"parsec/internal/tensor"
 )
 
 // engine is the rank side of one rank's execution. Running ready
@@ -15,8 +16,9 @@ import (
 // worker lending, Ctx reuse, body failure capture — is runtime.Executor,
 // the same worker loop the shared-memory runtime.Run drives. The engine
 // supplies only what makes it a rank: which instances it schedules
-// (owned, adopted, migratedTo, queued), where a completion's payloads go
-// (the rank-local tracker or the wire), completion reporting to the
+// (owned, adopted, migratedTo, the queued marks), where a completion's
+// payloads go (the rank-local tracker or the wire), who returns a tile
+// that came off the wire (the wired marks), completion reporting to the
 // coordinator's termination bitset, the heartbeat, and the inter-node
 // steal, migrate and takeover handlers.
 type engine struct {
@@ -30,17 +32,29 @@ type engine struct {
 	stopCh   chan struct{}
 	failOnce sync.Once
 	wg       sync.WaitGroup
-	// traces holds one event list per executor worker, each appended to
+	// spans holds one span list per executor worker, each appended to
 	// only by that worker (the executor's Observer runs on it).
-	traces [][]trace.Event
+	spans [][]Span
 
+	// marks is one word per instance, indexed by Seq, set and cleared
+	// with compare-and-swap so that neither a push nor a completion takes
+	// mu. Bit queuedBit marks an instance ever pushed here: an instance
+	// becomes ready exactly once, so a second push is always a
+	// duplicate-source race (an heir's takeover scan against a concurrent
+	// replayed activation, say) and is dropped; the one legitimate
+	// re-push — re-claiming a task from a dead thief — clears the mark
+	// first. Bit f below it marks input flow f as wire-delivered: its
+	// payload is a pooled tile decoded from an activation, which this
+	// rank returns to the pool when the instance completes (returnWired).
+	marks []atomic.Uint32
+	// owned is the snapshot of which ranks' instances this engine
+	// schedules — its own, plus any dead rank it inherited — indexed by
+	// rank. It is replaced, never written, and only by handleTakeover.
+	owned atomic.Pointer[[]bool]
 	// mu guards the rank bookkeeping below; no scheduling happens under
 	// it. It may be held while calling into the executor, never the
 	// reverse.
 	mu sync.Mutex
-	// owned marks the ranks whose instances this engine schedules: its
-	// own, plus any dead rank it inherited.
-	owned []bool
 	// adopted marks instances migrated here by an inter-node steal; they
 	// execute here although their affinity names another rank.
 	adopted map[*ptg.Instance]bool
@@ -48,13 +62,7 @@ type engine struct {
 	// re-claim if the thief dies before completing them.
 	migratedTo map[*ptg.Instance]int
 	takenOver  map[int]bool
-	// queued marks instances ever pushed here. An instance becomes ready
-	// exactly once, so a second push is always a duplicate-source race
-	// (an heir's takeover scan against a concurrent replayed activation,
-	// say) and is dropped; the one legitimate re-push — re-claiming a
-	// task from a dead thief — clears the mark first.
-	queued    map[*ptg.Instance]bool
-	lastSteal time.Time // of the last steal request
+	lastSteal  time.Time // of the last steal request
 	// doneSeqs are completed instances not yet reported to the
 	// coordinator: they leave as one msgDone when doneBatch have
 	// gathered, when a worker runs dry, or on the heartbeat.
@@ -68,6 +76,40 @@ type engine struct {
 // doneBatch is the completion count that forces a msgDone out.
 const doneBatch = 64
 
+// queuedBit is the marks bit for "pushed here"; the bits below it are
+// the wire-delivered flows (a tracker has at most 32 flows per class,
+// and one landing on bit 31 is simply left to the collector).
+const (
+	queuedBit  = 31
+	wiredFlows = uint32(1)<<queuedBit - 1
+)
+
+// mark sets one bit of an instance's marks word and reports whether it
+// was clear. go.mod's language version predates atomic.OrUint32.
+func (e *engine) mark(in *ptg.Instance, bit uint) (fresh bool) {
+	w := &e.marks[in.Seq]
+	for {
+		old := w.Load()
+		if old&(1<<bit) != 0 {
+			return false
+		}
+		if w.CompareAndSwap(old, old|1<<bit) {
+			return true
+		}
+	}
+}
+
+// unmark clears the given bits of an instance's marks word.
+func (e *engine) unmark(in *ptg.Instance, bits uint32) {
+	w := &e.marks[in.Seq]
+	for {
+		old := w.Load()
+		if old&bits == 0 || w.CompareAndSwap(old, old&^bits) {
+			return
+		}
+	}
+}
+
 // stealInterval is the least time between two steal requests of one
 // rank, however many of its workers run dry.
 const stealInterval = 5 * time.Millisecond
@@ -79,23 +121,23 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 		tp:         tp,
 		tr:         tr,
 		stopCh:     make(chan struct{}),
-		traces:     make([][]trace.Event, cfg.Workers),
-		owned:      make([]bool, cfg.Ranks),
+		spans:      make([][]Span, cfg.Workers),
+		marks:      make([]atomic.Uint32, tr.NumInstances()),
 		adopted:    make(map[*ptg.Instance]bool),
 		migratedTo: make(map[*ptg.Instance]int),
 		takenOver:  make(map[int]bool),
-		queued:     make(map[*ptg.Instance]bool),
 	}
-	e.owned[rank] = true
+	owned := make([]bool, cfg.Ranks)
+	owned[rank] = true
+	e.owned.Store(&owned)
 	xcfg := runtime.Config{
 		Workers:       cfg.Workers,
 		Policy:        cfg.Policy,
 		Queues:        cfg.Queues,
 		SchedObserver: cfg.SchedObserver,
 		Observer: func(ev runtime.Event) {
-			e.traces[ev.Worker] = append(e.traces[ev.Worker], trace.Event{
-				Thread: ev.Worker, Class: ev.Task.Class, Label: ev.Task.String(),
-				Start: int64(ev.Start), End: int64(ev.End),
+			e.spans[ev.Worker] = append(e.spans[ev.Worker], Span{
+				Seq: uint32(ev.Seq), Worker: uint32(ev.Worker), Start: int64(ev.Start), End: int64(ev.End),
 			})
 		},
 	}
@@ -109,14 +151,19 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 	return e
 }
 
-// run pushes this rank's initially ready instances and starts the
-// executor and the heartbeat.
+// run hands the executor this rank's initially ready instances — its
+// share of the run the plan's skeleton already sorted, so the queues
+// adopt it as runtime.Run's do — and starts the executor and the
+// heartbeat.
 func (e *engine) run() {
-	for _, in := range e.tr.InitialReady() {
-		if in.Node == e.rank {
-			e.push(in)
+	initial := e.tr.InitialReadySorted()
+	mine := initial[:0]
+	for _, in := range initial {
+		if in.Node == e.rank && e.mark(in, queuedBit) {
+			mine = append(mine, in)
 		}
 	}
+	e.ex.Preload(mine)
 	e.wg.Add(2)
 	go func() {
 		defer e.wg.Done()
@@ -158,25 +205,22 @@ func (e *engine) abort(err error) {
 // err returns the recorded fatal error, if any.
 func (e *engine) err() error { return e.ex.Err() }
 
-// push enqueues a ready instance, at most once (see queued).
+// push enqueues a ready instance, at most once (see marks).
 func (e *engine) push(in *ptg.Instance) {
-	e.mu.Lock()
-	fresh := !e.queued[in]
-	e.queued[in] = true
-	e.mu.Unlock()
-	if fresh {
+	if e.mark(in, queuedBit) {
 		e.ex.Push(in)
 	}
 }
 
 // complete is the executor's completion hook: it routes a finished
 // task's payloads — local successors through the tracker, remote ones as
-// activation messages — returns the local successors that became ready
-// for the executor to enqueue, and adds the instance's sequence number
-// to the batch bound for the coordinator's termination bitset (see
-// doneSeqs). The sequence number joins its batch only after the payload
-// sends, so the Done that carries it is ordered after them on purpose —
-// the coordinator's flush barrier then guarantees every accumulation is
+// activation messages — returns the wire-delivered inputs the task did
+// not pass on, returns the local successors that became ready for the
+// executor to enqueue, and adds the instance's sequence number to the
+// batch bound for the coordinator's termination bitset (see doneSeqs).
+// The sequence number joins its batch only after the payload sends, so
+// the Done that carries it is ordered after them on purpose — the
+// coordinator's flush barrier then guarantees every accumulation is
 // server-side before the energy is read.
 func (e *engine) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
 	dels, _, err := e.tr.Complete(in)
@@ -184,29 +228,26 @@ func (e *engine) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([
 		return ready, err
 	}
 	for _, d := range dels {
+		payload := out[d.FromFlow]
 		if !e.owns(d.To.Node) {
-			if err := e.sendActivate(d.To, d.ToFlow, out[d.FromFlow]); err != nil {
+			if err := e.sendActivate(d.To, d.ToFlow, payload, soleDelivery(dels, out, d)); err != nil {
 				return ready, err
 			}
 			continue
 		}
-		became, err := e.deliver(d.To, d.ToFlow, out[d.FromFlow])
+		_, became, err := e.deliver(d.To, d.ToFlow, payload)
 		if err != nil {
 			return ready, err
 		}
-		if became {
+		if became && e.mark(d.To, queuedBit) {
 			ready = append(ready, d.To)
 		}
 	}
+	if wired := e.marks[in.Seq].Load() & wiredFlows; wired != 0 {
+		e.returnWired(in, wired, dels, out)
+	}
 
 	e.mu.Lock()
-	fresh := ready[:0]
-	for _, to := range ready {
-		if !e.queued[to] {
-			e.queued[to] = true
-			fresh = append(fresh, to)
-		}
-	}
 	e.doneSeqs = append(e.doneSeqs, in.Seq)
 	var done []byte
 	if len(e.doneSeqs) >= doneBatch {
@@ -216,7 +257,50 @@ func (e *engine) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([
 	if done != nil {
 		e.tp.sendTo(coordRank, done)
 	}
-	return fresh, nil
+	return ready, nil
+}
+
+// carriers counts the deliveries of a finished task whose payload is the
+// tile t.
+func carriers(dels []ptg.Delivery, out []any, t *tensor.Tile4) (n int) {
+	for _, d := range dels {
+		if o, ok := out[d.FromFlow].(*tensor.Tile4); ok && o == t {
+			n++
+		}
+	}
+	return n
+}
+
+// soleDelivery reports whether the payload of delivery d is a tile that
+// no other delivery of the finished task carries: then, once the task's
+// Out buffer is cleared, nothing on this rank can reach the tile through
+// the graph, and a remote send may borrow it instead of copying it.
+func soleDelivery(dels []ptg.Delivery, out []any, d ptg.Delivery) bool {
+	t, ok := out[d.FromFlow].(*tensor.Tile4)
+	return ok && t != nil && carriers(dels, out, t) == 1
+}
+
+// returnWired gives back to the tile pool every input of a finished
+// task that arrived off the wire (wired is its marks word's flow bits),
+// unless the task handed the tile on: a tile that one of the deliveries
+// carries now belongs to that consumer — or, sent by reference, is on
+// loan to a channel. A body that released an input itself has cleared
+// its In slot (ptg.Ctx), which is how a tile is never returned twice.
+func (e *engine) returnWired(in *ptg.Instance, wired uint32, dels []ptg.Delivery, out []any) {
+	for fi := range in.In {
+		if wired&(1<<uint(fi)) == 0 {
+			continue
+		}
+		t, _ := in.In[fi].(*tensor.Tile4)
+		if t == nil || carriers(dels, out, t) > 0 {
+			e.tp.counters.tilesPassedOn.Add(1)
+			continue
+		}
+		in.In[fi] = nil
+		tensor.PutTile4(t)
+		e.tp.counters.tilesReturned.Add(1)
+	}
+	e.unmark(in, wired)
 }
 
 // takeDoneLocked encodes the gathered completions as one msgDone frame
@@ -255,41 +339,54 @@ func (e *engine) dry() {
 // owns reports whether this engine schedules instances of the given
 // affinity rank.
 func (e *engine) owns(node int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return node >= 0 && node < len(e.owned) && e.owned[node]
+	owned := *e.owned.Load()
+	return node >= 0 && node < len(owned) && owned[node]
 }
 
-// deliver satisfies one input of an instance and reports whether that
-// made it ready to run here. It tolerates duplicates: an at-least-once
-// wire and post-takeover replays legitimately present the same payload
-// twice, and the DeliveredFlow pre-check (re-checked after a Deliver
-// error, in case two sources raced past the first check) filters them
-// out before the tracker treats them as protocol errors.
-func (e *engine) deliver(to *ptg.Instance, flow int, payload any) (bool, error) {
+// deliver satisfies one input of an instance, reporting whether the
+// instance took the payload and whether that made it ready to run here.
+// It tolerates duplicates: an at-least-once wire and post-takeover
+// replays legitimately present the same payload twice, and the
+// DeliveredFlow pre-check (re-checked after a Deliver error, in case two
+// sources raced past the first check) filters them out before the
+// tracker treats them as protocol errors.
+func (e *engine) deliver(to *ptg.Instance, flow int, payload any) (took, ready bool, err error) {
 	if e.tr.DeliveredFlow(to, flow) {
-		return false, nil
+		return false, false, nil
 	}
-	ready, err := e.tr.Deliver(to, flow, payload)
+	ready, err = e.tr.Deliver(to, flow, payload)
 	if err != nil {
 		if e.tr.DeliveredFlow(to, flow) || e.tr.StateOf(to) != ptg.StateWaiting {
-			return false, nil // lost a duplicate race; already satisfied elsewhere
+			return false, false, nil // lost a duplicate race; already satisfied elsewhere
 		}
-		return false, err
+		return false, false, err
 	}
-	return ready && e.owns(to.Node), nil
+	return true, ready && e.owns(to.Node), nil
 }
 
 // sendActivate ships one dataflow payload to the rank owning the
-// consumer (through the takeover routing table).
-func (e *engine) sendActivate(to *ptg.Instance, flow int, payload any) error {
-	f, err := (activateMsg{Class: to.Ref.Class, Args: to.Ref.Args, Flow: flow, Payload: payload}).encode()
-	if err != nil {
-		return fmt.Errorf("netrun: activate %v: %w", to.Ref, err)
+// consumer (through the takeover routing table). With borrow set — the
+// caller knows nothing here will touch the payload again — a tile goes
+// by reference: only the frame head is built, and the channel writes
+// the floats from the tile itself.
+func (e *engine) sendActivate(to *ptg.Instance, flow int, payload any, borrow bool) error {
+	m := activateMsg{Class: to.Ref.Class, Args: to.Ref.Args, Flow: flow, Payload: payload}
+	var f outFrame
+	if borrow {
+		f, borrow = m.encodeRef()
+	}
+	if borrow {
+		e.tp.counters.tilesBorrowed.Add(1)
+	} else {
+		b, err := m.encode()
+		if err != nil {
+			return fmt.Errorf("netrun: activate %v: %w", to.Ref, err)
+		}
+		f = outFrame{head: b}
 	}
 	e.tp.counters.transferOps.Add(1)
-	e.tp.counters.transferBytes.Add(int64(len(f) - frameHeaderLen))
-	e.tp.sendTo(to.Node, f)
+	e.tp.counters.transferBytes.Add(int64(f.size() - frameHeaderLen))
+	e.tp.sendFrame(to.Node, f)
 	return nil
 }
 
@@ -311,14 +408,27 @@ func (e *engine) heartbeat() {
 	}
 }
 
-// handleActivate applies one inbound activation.
+// handleActivate applies one inbound activation. A tile payload is a
+// pooled tile (decodeActivate) this rank now owes the pool: if the
+// instance takes it, the flow is marked wire-delivered and the tile goes
+// back when the instance completes; a duplicate goes back at once.
 func (e *engine) handleActivate(m activateMsg) {
 	in := e.tr.Instance(ptg.TaskRef{Class: m.Class, Args: m.Args})
 	if in == nil {
 		e.fail(fmt.Errorf("netrun: activation for unknown task %s%v", m.Class, m.Args))
 		return
 	}
-	ready, err := e.deliver(in, m.Flow, m.Payload)
+	took, ready, err := e.deliver(in, m.Flow, m.Payload)
+	if t, ok := m.Payload.(*tensor.Tile4); ok {
+		e.tp.counters.tilesReceived.Add(1)
+		switch {
+		case !took:
+			tensor.PutTile4(t)
+			e.tp.counters.tilesDuplicate.Add(1)
+		case m.Flow < queuedBit:
+			e.mark(in, uint(m.Flow))
+		}
+	}
 	if err != nil {
 		e.fail(err)
 	} else if ready {
@@ -443,8 +553,11 @@ func (e *engine) handleTakeover(m takeoverMsg) {
 	for _, f := range e.tp.redirect(m.Dead, m.Heir) {
 		if e.rank == m.Heir {
 			// Our own retained traffic for the dead rank is now ours to
-			// apply; there is no loopback channel to send it through.
-			am, err := decodeActivate(f[frameHeaderLen:])
+			// apply; there is no loopback channel to send it through. It
+			// is decoded from the frame's bytes like any arrival, so a
+			// borrowed tile is copied into a pooled one here and the
+			// consumer's completion returns that, never the original.
+			am, err := decodeActivate(f.bytes()[frameHeaderLen:])
 			if err != nil {
 				e.fail(err)
 				return
@@ -452,10 +565,11 @@ func (e *engine) handleTakeover(m takeoverMsg) {
 			e.handleActivate(am)
 			continue
 		}
-		// Replay a copy: the dead rank's stopped channel may still be
-		// inside a write of these bytes, and the heir's channel restamps
-		// the header.
-		e.tp.sendTo(m.Heir, append([]byte(nil), f...))
+		// Replay a copy of the head: the dead rank's stopped channel may
+		// still be inside a write of these bytes, and the heir's channel
+		// restamps the header. A borrowed tail is only ever read, so both
+		// channels share it.
+		e.tp.sendFrame(m.Heir, outFrame{head: append([]byte(nil), f.head...), tail: f.tail})
 	}
 
 	for _, in := range reclaim {
@@ -463,18 +577,16 @@ func (e *engine) handleTakeover(m takeoverMsg) {
 			e.fail(err)
 			return
 		}
-		e.mu.Lock()
-		delete(e.queued, in) // legitimate re-push: the thief died with it
-		e.mu.Unlock()
+		e.unmark(in, 1<<queuedBit) // legitimate re-push: the thief died with it
 		e.push(in)
 	}
 
 	if e.rank != m.Heir {
 		return
 	}
-	e.mu.Lock()
-	e.owned[m.Dead] = true
-	e.mu.Unlock()
+	owned := append([]bool(nil), *e.owned.Load()...)
+	owned[m.Dead] = true
+	e.owned.Store(&owned)
 	for _, in := range e.tr.Instances() {
 		if in.Node != m.Dead {
 			continue
@@ -506,8 +618,8 @@ func (e *engine) report() RankReport {
 		RedispatchBytes: e.redispBytes,
 		Comm:            e.tp.counters.snapshot(),
 	}
-	for _, evs := range e.traces {
-		rep.Trace = append(rep.Trace, evs...)
+	for _, sps := range e.spans {
+		rep.Spans = append(rep.Spans, sps...)
 	}
 	return rep
 }

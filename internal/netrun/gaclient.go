@@ -12,12 +12,16 @@ import (
 )
 
 // gaClient is a rank's Global Arrays surface (ga.API) in the
-// distributed runtime. Reads of the immutable input tensors never touch
-// the wire: the inputs are a pure function of the workload seed, so
-// each rank fills a local replica block on first access (deterministic
-// input replication — the bytes are identical on every rank, and
-// 118 MB of benzene inputs never cross a socket). Accumulations and
-// fetches of anything else go to the GA server process.
+// distributed runtime. A ga_access of an immutable input tensor never
+// asks the GA server for it: the inputs are a pure function of the
+// workload seed, so each rank fills a local replica block on first
+// access (deterministic input replication — the bytes are identical on
+// every rank). That is the READ task's side only. What a READ produces
+// still crosses ranks whenever its GEMM lives elsewhere — 62 MB per job
+// of the benchmark's benzene-shaped problem on two ranks — as an
+// activation that borrows the replica block itself (engine.sendActivate),
+// which is one more reason replica blocks never retire. Accumulations
+// and fetches of anything else go to the GA server process.
 type gaClient struct {
 	tp      *transport
 	timeout time.Duration

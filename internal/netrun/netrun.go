@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"parsec/internal/fault"
@@ -177,6 +178,15 @@ type CommSnapshot struct {
 	AccBytes        int64 `json:"acc_bytes"`
 	GetOps          int64 `json:"get_ops"`
 	GetBytes        int64 `json:"get_bytes"`
+	// Tile ownership: activations whose tile went out by reference, and
+	// the pooled tiles that came in — each of which was returned when its
+	// consumer completed, returned on arrival as a duplicate, or passed on
+	// by its consumer (or is still held by a task that never ran here).
+	TilesBorrowed  int64 `json:"tiles_borrowed"`
+	TilesReceived  int64 `json:"tiles_received"`
+	TilesReturned  int64 `json:"tiles_returned"`
+	TilesDuplicate int64 `json:"tiles_duplicate"`
+	TilesPassedOn  int64 `json:"tiles_passed_on"`
 }
 
 // snapshot captures the counters.
@@ -199,11 +209,26 @@ func (c *commCounters) snapshot() CommSnapshot {
 		AccBytes:        c.accBytes.Load(),
 		GetOps:          c.getOps.Load(),
 		GetBytes:        c.getBytes.Load(),
+		TilesBorrowed:   c.tilesBorrowed.Load(),
+		TilesReceived:   c.tilesReceived.Load(),
+		TilesReturned:   c.tilesReturned.Load(),
+		TilesDuplicate:  c.tilesDuplicate.Load(),
+		TilesPassedOn:   c.tilesPassedOn.Load(),
 	}
 }
 
+// Span is what a rank records per executed task: which instance (its
+// Seq in the graph every rank and the coordinator enumerate alike), on
+// which worker, from when to when in nanoseconds since the rank's
+// executor started. It carries no strings; Result.Trace labels it.
+type Span struct {
+	Seq, Worker uint32
+	Start, End  int64
+}
+
 // RankReport is one worker process's final self-report, shipped to the
-// coordinator as the msgDoneInfo JSON body.
+// coordinator as the msgDoneInfo body: the counters as JSON, the spans
+// as its binary section.
 type RankReport struct {
 	Rank            int            `json:"rank"`
 	Tasks           int            `json:"tasks"`
@@ -212,9 +237,8 @@ type RankReport struct {
 	Redispatches    int            `json:"redispatches,omitempty"`
 	RedispatchBytes int64          `json:"redispatch_bytes,omitempty"`
 	Comm            CommSnapshot   `json:"comm"`
-	// Trace is one event per executed task; a rank leaves Node unset and
-	// the coordinator stamps the reporting rank when it aggregates.
-	Trace []trace.Event `json:"trace,omitempty"`
+	// Spans is one span per task the rank executed.
+	Spans []Span `json:"-"`
 }
 
 // Result summarizes a completed distributed run.
@@ -236,15 +260,47 @@ type Result struct {
 	// observability layer's vocabulary.
 	Comm     obsv.CommStats
 	Recovery obsv.Recovery
-	// Trace holds one event per executed task across all ranks (rows are
-	// (rank, worker) pairs), ready for the trace/obsv pipelines.
-	Trace *trace.Trace
+
+	// graph builds the job's graph, for the Seq -> TaskRef table Trace
+	// labels spans from; nil leaves them labelled by number.
+	graph     func() *ptg.Graph
+	traceOnce sync.Once
+	trace     *trace.Trace
+}
+
+// Trace returns one event per executed task across all ranks (rows are
+// (rank, worker) pairs), ready for the trace/obsv pipelines. It is built
+// on first call from the spans the ranks reported: a run nobody asks for
+// the trace of formats no label.
+func (r *Result) Trace() *trace.Trace {
+	r.traceOnce.Do(func() {
+		var insts []*ptg.Instance
+		if r.graph != nil {
+			if tr, err := ptg.NewTracker(r.graph()); err == nil {
+				insts = tr.Instances()
+			}
+		}
+		r.trace = trace.New()
+		for _, rep := range r.PerRank {
+			for _, sp := range rep.Spans {
+				ev := trace.Event{Node: rep.Rank, Thread: int(sp.Worker), Start: sp.Start, End: sp.End}
+				if int(sp.Seq) < len(insts) {
+					ref := insts[sp.Seq].Ref
+					ev.Class, ev.Label = ref.Class, ref.String()
+				} else {
+					ev.Class, ev.Label = "task", fmt.Sprintf("#%d", sp.Seq)
+				}
+				r.trace.Add(ev)
+			}
+		}
+	})
+	return r.trace
 }
 
 // Profile builds the observability profile of the run: the same
 // obsv.Profile the simulator and shared-memory runtime feed.
 func (r *Result) Profile(name string) *obsv.Profile {
-	p := obsv.FromTrace(name, r.Trace)
+	p := obsv.FromTrace(name, r.Trace())
 	p.SetComm(r.Comm)
 	p.SetRecovery(r.Recovery)
 	return p
@@ -268,8 +324,4 @@ func (r *Result) aggregate(rep RankReport) {
 	r.Recovery.RetransmitBytes += c.RetransmitBytes
 	r.Recovery.Redispatches += rep.Redispatches
 	r.Recovery.RedispatchBytes += rep.RedispatchBytes
-	for _, ev := range rep.Trace {
-		ev.Node = rep.Rank
-		r.Trace.Add(ev)
-	}
 }

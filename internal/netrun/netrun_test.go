@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -67,9 +68,38 @@ func checkEnergy(t *testing.T, res *Result, want float64) {
 	}
 }
 
+// checkTileBooks audits a run's tile ownership counters: tiles went out
+// by reference, and of the pooled tiles the ranks decoded none is
+// accounted for twice. With settled set — two ranks, nothing stolen,
+// nobody dead — the books must balance exactly: every tile was returned
+// at its consumer's completion or passed on by it, and a healthy or
+// merely lossy link (whose retransmissions the channel dedups) hands the
+// engine no duplicate.
+func checkTileBooks(t *testing.T, res *Result, settled bool) {
+	t.Helper()
+	var c CommSnapshot
+	for _, rep := range res.PerRank {
+		c.TilesBorrowed += rep.Comm.TilesBorrowed
+		c.TilesReceived += rep.Comm.TilesReceived
+		c.TilesReturned += rep.Comm.TilesReturned
+		c.TilesDuplicate += rep.Comm.TilesDuplicate
+		c.TilesPassedOn += rep.Comm.TilesPassedOn
+	}
+	if hostLittleEndian && c.TilesBorrowed == 0 {
+		t.Error("no tile went out by reference")
+	}
+	accounted := c.TilesReturned + c.TilesDuplicate + c.TilesPassedOn
+	if c.TilesReturned == 0 || accounted > c.TilesReceived ||
+		settled && (accounted != c.TilesReceived || c.TilesDuplicate != 0) {
+		t.Errorf("tiles: %d borrowed; %d received = %d returned + %d duplicate + %d passed on + %d unaccounted",
+			c.TilesBorrowed, c.TilesReceived, c.TilesReturned, c.TilesDuplicate, c.TilesPassedOn, c.TilesReceived-accounted)
+	}
+}
+
 // TestRunMatchesSingleProcess runs every CCSD variant across two ranks
 // over real sockets and demands the single-process energy to 1e-12:
-// distribution must change where work runs, never what it computes.
+// distribution must change where work runs, never what it computes. On
+// the way every tile that crossed the wire must be accounted for.
 func TestRunMatchesSingleProcess(t *testing.T) {
 	for _, vs := range ccsd.Variants() {
 		vs := vs
@@ -82,6 +112,7 @@ func TestRunMatchesSingleProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkEnergy(t, res, want)
+			checkTileBooks(t, res, true)
 			if res.Takeovers != 0 {
 				t.Fatalf("unexpected takeovers: %d", res.Takeovers)
 			}
@@ -165,6 +196,7 @@ func TestRunWithDropsAndAckDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEnergy(t, res, want)
+	checkTileBooks(t, res, true)
 	if res.Recovery.Drops == 0 {
 		t.Error("no payload drops injected at 5% probability")
 	}
@@ -176,24 +208,37 @@ func TestRunWithDropsAndAckDrops(t *testing.T) {
 	}
 }
 
-// TestRunWithSeveredLink closes one inter-rank connection mid-run; the
-// sender must reconnect, retransmit its window, and finish correctly.
+// TestRunWithSeveredLink closes one inter-rank connection — early, and
+// again in the middle of rank 0's burst of some 200 frames, most of them
+// tiles on loan to the channel; the sender must reconnect, retransmit its
+// window, and finish correctly.
 func TestRunWithSeveredLink(t *testing.T) {
 	want := waterRef(t, "v2")
 	spec := jobFor("v2")
-	cfg := cfgFor(t, spec, 2, 2)
-	cfg.Sever = &SeverSpec{From: 0, To: 1, AfterFrames: 5}
-	res, err := Run(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEnergy(t, res, want)
-	var severs int64
-	for _, rep := range res.PerRank {
-		severs += rep.Comm.Severs
-	}
-	if severs == 0 {
-		t.Error("sever configured but never triggered")
+	for _, after := range []int{5, 80} {
+		cfg := cfgFor(t, spec, 2, 2)
+		cfg.Sever = &SeverSpec{From: 0, To: 1, AfterFrames: after}
+		res, err := Run(cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEnergy(t, res, want)
+		checkTileBooks(t, res, true)
+		var severs, reconnects int64
+		for _, rep := range res.PerRank {
+			severs += rep.Comm.Severs
+			if rep.Rank == 0 {
+				reconnects = rep.Comm.Reconnects
+			}
+		}
+		if severs == 0 {
+			t.Errorf("sever after %d frames configured but never triggered", after)
+		}
+		// Rank 0 dials the coordinator and rank 1 once each; the third
+		// connection is the one that replaces the severed link.
+		if reconnects < 3 {
+			t.Errorf("sever after %d frames: rank 0 connected %d times, want a reconnect", after, reconnects)
+		}
 	}
 }
 
@@ -220,6 +265,9 @@ func TestInterNodeStealRedispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEnergy(t, res, want)
+	// A stolen GEMM's C comes back over the wire into a chain whose last
+	// consumer's body releases it: the engine must not release it again.
+	checkTileBooks(t, res, false)
 	if res.Recovery.Redispatches == 0 {
 		t.Error("straggling rank never re-dispatched work")
 	}
@@ -290,13 +338,23 @@ func TestResultProfile(t *testing.T) {
 	if res.Comm.AccOps == 0 {
 		t.Error("no accumulate traffic recorded")
 	}
-	if res.Trace == nil || len(res.Trace.Events()) == 0 {
-		t.Fatal("no trace events aggregated")
+	events := res.Trace().Events()
+	if len(events) != res.Tasks {
+		t.Fatalf("%d trace events aggregated for %d tasks", len(events), res.Tasks)
+	}
+	for _, ev := range events {
+		// Labels come from the coordinator's own enumeration of the graph.
+		if ev.Class == "" || !strings.HasPrefix(ev.Label, ev.Class+"(") {
+			t.Fatalf("event labelled %q / %q", ev.Class, ev.Label)
+		}
+	}
+	if res.Trace() != res.Trace() {
+		t.Error("Trace built twice")
 	}
 	p := res.Profile("netrun water v2")
-	if p.Tasks != int64(len(res.Trace.Events())) || len(p.Workers) == 0 {
+	if p.Tasks != int64(len(events)) || len(p.Workers) == 0 {
 		t.Errorf("profile covers %d tasks on %d workers, trace has %d events",
-			p.Tasks, len(p.Workers), len(res.Trace.Events()))
+			p.Tasks, len(p.Workers), len(events))
 	}
 	if p.Comm == nil || p.Comm.AccOps != res.Comm.AccOps || p.Recov == nil {
 		t.Errorf("profile comm = %+v, recovery = %+v", p.Comm, p.Recov)
@@ -313,21 +371,32 @@ func TestResultProfile(t *testing.T) {
 }
 
 // TestRankReportRoundTrip ships a rank's report the way a worker does —
-// encodeReport, the doneInfo frame body, JSON — and folds it into a
-// result: the events come back as trace.Events on the reporting rank's
-// node, and the encoded bytes are the compact spelling (keys t,c,l,s,e,
-// no node) the wire has always carried.
+// encodeReport, the doneInfo frame body, counters as JSON and spans as
+// the fixed-width section behind it — and folds it into a result: the
+// JSON carries no per-task text at all, the spans come back bit for
+// bit, and Trace labels them from the graph's own instance table on the
+// reporting rank's node.
 func TestRankReportRoundTrip(t *testing.T) {
-	events := []trace.Event{
-		{Thread: 0, Class: "READ", Label: "READ(1,0,0)", Start: 5, End: 40},
-		{Thread: 1, Class: "GEMM", Label: "GEMM(1,2,0)", Start: 40, End: 900},
+	g := ptg.NewGraph("two-steps")
+	step := g.Class("STEP")
+	step.Domain = func(emit func(ptg.Args)) { emit(ptg.A1(0)); emit(ptg.A1(1)) }
+	step.Affinity = func(ptg.Args) int { return 0 }
+	spans := []Span{
+		{Seq: 1, Worker: 0, Start: 5, End: 40},
+		{Seq: 0, Worker: 1, Start: 40, End: 900},
+		{Seq: 7, Worker: 1, Start: 900, End: 901}, // no such instance
+	}
+	want := []trace.Event{
+		{Thread: 0, Class: "STEP", Label: "STEP(1,0,0)", Start: 5, End: 40},
+		{Thread: 1, Class: "STEP", Label: "STEP(0,0,0)", Start: 40, End: 900},
+		{Thread: 1, Class: "task", Label: "#7", Start: 900, End: 901},
 	}
 	comm, err := json.Marshal(CommSnapshot{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rank := range []int{0, 3} {
-		frm, err := encodeReport(RankReport{Rank: rank, Tasks: 2, Trace: events})
+		frm, err := encodeReport(RankReport{Rank: rank, Tasks: 3, Spans: spans})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,26 +404,31 @@ func TestRankReportRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantJSON := fmt.Sprintf(`{"rank":%d,"tasks":2,"comm":%s,"trace":[`+
-			`{"t":0,"c":"READ","l":"READ(1,0,0)","s":5,"e":40},`+
-			`{"t":1,"c":"GEMM","l":"GEMM(1,2,0)","s":40,"e":900}]}`, rank, comm)
+		wantJSON := fmt.Sprintf(`{"rank":%d,"tasks":3,"comm":%s}`, rank, comm)
 		if string(m.JSON) != wantJSON {
 			t.Errorf("rank %d report encodes as\n%s\nwant\n%s", rank, m.JSON, wantJSON)
+		}
+		if wantLen := frameHeaderLen + 4 + len(wantJSON) + 4 + 24*len(spans); len(frm) != wantLen {
+			t.Errorf("rank %d report frame is %d bytes, want %d (24 per span)", rank, len(frm), wantLen)
+		}
+		if !reflect.DeepEqual(m.Spans, spans) {
+			t.Errorf("rank %d spans came back as %+v", rank, m.Spans)
 		}
 		var rep RankReport
 		if err := json.Unmarshal(m.JSON, &rep); err != nil {
 			t.Fatal(err)
 		}
-		res := Result{Trace: trace.New()}
+		rep.Spans = m.Spans
+		res := Result{graph: func() *ptg.Graph { return g }}
 		res.aggregate(rep)
-		got := res.Trace.Events()
-		if len(got) != len(events) {
-			t.Fatalf("rank %d: %d events aggregated, want %d", rank, len(got), len(events))
+		got := res.Trace().Events()
+		if len(got) != len(want) {
+			t.Fatalf("rank %d: %d events aggregated, want %d", rank, len(got), len(want))
 		}
-		for i, want := range events {
-			want.Node = rank
-			if got[i] != want {
-				t.Errorf("rank %d event %d = %+v, want %+v", rank, i, got[i], want)
+		for i, w := range want {
+			w.Node = rank
+			if got[i] != w {
+				t.Errorf("rank %d event %d = %+v, want %+v", rank, i, got[i], w)
 			}
 		}
 	}

@@ -34,7 +34,10 @@ func RunGraph(cfg Config, build func(rank int) (*ptg.Graph, error)) (*Result, er
 		return nil, err
 	}
 	_, total := g.CountTasks()
-	co, err := startCoordinator(cfg, coordSpec{numInstances: total})
+	co, err := startCoordinator(cfg, coordSpec{
+		numInstances: total,
+		graph:        func() *ptg.Graph { return g },
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -222,6 +225,7 @@ func planCoordSpec(cfg Config, plan *ccsd.CompiledPlan) (coordSpec, error) {
 		numInstances: total,
 		arrays:       []string{tce.TensorC},
 		energy:       func(st *ga.Store) float64 { return w.Energy(st.Array(tce.TensorC)) },
+		graph:        func() *ptg.Graph { return plan.NewGraph(nil) },
 	}, nil
 }
 

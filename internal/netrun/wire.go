@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"parsec/internal/ptg"
 	"parsec/internal/tensor"
@@ -27,10 +28,14 @@ import (
 //
 // A frame is built exactly once: every message's encode sizes its body
 // up front, newFrame allocates header and body as one buffer, the body
-// is appended in a single pass (tiles by one bulk loop), and sealFrame
-// stamps the id and length when the channel takes it. That buffer is
-// what the socket write reads and what a retransmission resends; only
-// the ack-suppress bit is ever rewritten.
+// is appended in a single pass (a tile's floats by one bulk copy), and
+// the channel stamps the id and length when it takes the frame. That
+// buffer is what the socket write reads and what a retransmission
+// resends; only the ack-suppress bit is ever rewritten. The one frame
+// that is not a single buffer is a tile activation sent by reference
+// (outFrame): its floats are never copied into a frame at all, and go to
+// the socket from the tile's own storage behind the head. The bytes on
+// the wire are the same either way.
 
 const (
 	wireMagic0  = 'P'
@@ -104,11 +109,39 @@ func newFrame(typ byte, bodyLen int) []byte {
 	return f
 }
 
-// sealFrame stamps the reliability id and the body length into a frame
-// whose body is complete.
+// outFrame is one encoded frame as a channel carries it. head is the
+// header and the body's leading bytes, a buffer the channel owns. tail,
+// when set, is the rest of the body: a tile's floats, borrowed from the
+// tile rather than copied (activateMsg.encodeRef), which therefore must
+// not change while the channel can still write them — until the frame is
+// acknowledged, and for as long as a recovering run retains it.
+type outFrame struct{ head, tail []byte }
+
+// size is the frame's length on the wire.
+func (f outFrame) size() int { return len(f.head) + len(f.tail) }
+
+// typ is the frame's message type.
+func (f outFrame) typ() byte { return f.head[3] & typeMask }
+
+// seal stamps the reliability id and the body length into a frame whose
+// body is complete.
+func (f outFrame) seal(id uint64) {
+	binary.LittleEndian.PutUint64(f.head[4:], id)
+	binary.LittleEndian.PutUint32(f.head[12:], uint32(f.size()-frameHeaderLen))
+}
+
+// bytes returns the frame as one buffer, exactly as the socket sees it;
+// a frame with a tail is copied.
+func (f outFrame) bytes() []byte {
+	if f.tail == nil {
+		return f.head
+	}
+	return append(append(make([]byte, 0, f.size()), f.head...), f.tail...)
+}
+
+// sealFrame seals a single-buffer frame.
 func sealFrame(f []byte, id uint64) []byte {
-	binary.LittleEndian.PutUint64(f[4:], id)
-	binary.LittleEndian.PutUint32(f[12:], uint32(len(f)-frameHeaderLen))
+	outFrame{head: f}.seal(id)
 	return f
 }
 
@@ -150,7 +183,10 @@ func decodeHeader(hdr []byte) (frame, int, error) {
 // come through a bufio.Reader, so a burst of them costs one read
 // syscall; the bufio buffer is deliberately small, so a tile-sized body
 // is read from the socket straight into the body buffer rather than
-// copied through it. The body buffer is reused from frame to frame.
+// copied through it. The reader owns the body buffer and reuses it from
+// frame to frame: a decoder that keeps anything past the next read
+// copies it out — a tile's floats go, in one copy, into the tile the
+// consumer will read (decodePayload).
 type frameReader struct {
 	br   *bufio.Reader
 	body []byte
@@ -318,6 +354,10 @@ const (
 	payFloat
 )
 
+// tileHeadSize is the encoded size of everything a tile payload carries
+// ahead of its floats: kind, four extents, element count.
+const tileHeadSize = 1 + 8*4 + 4
+
 // payloadSize returns a payload's encoded size, rejecting every value
 // appendPayload cannot encode.
 func payloadSize(p any) (int, error) {
@@ -328,12 +368,22 @@ func payloadSize(p any) (int, error) {
 		if v == nil { // a typed nil would otherwise masquerade as a tile
 			return 0, errors.New("netrun: cannot encode nil tile payload")
 		}
-		return 1 + 8*len(v.Dim) + 4 + 8*len(v.Data), nil
+		return tileHeadSize + 8*len(v.Data), nil
 	case ptg.NewBuffer, int, float64:
 		return 1 + 8, nil
 	default:
 		return 0, fmt.Errorf("netrun: cannot encode payload of type %T", p)
 	}
+}
+
+// appendTileHead encodes a tile payload up to, not including, its
+// floats.
+func appendTileHead(dst []byte, t *tensor.Tile4) []byte {
+	dst = append(dst, payTile)
+	for _, d := range t.Dim {
+		dst = appendI64(dst, int64(d))
+	}
+	return appendU32(dst, uint32(len(t.Data)))
 }
 
 // appendPayload encodes a payload payloadSize has accepted.
@@ -342,19 +392,10 @@ func appendPayload(dst []byte, p any) []byte {
 	case nil:
 		dst = append(dst, payNil)
 	case *tensor.Tile4:
-		dst = append(dst, payTile)
-		for _, d := range v.Dim {
-			dst = appendI64(dst, int64(d))
-		}
-		dst = appendU32(dst, uint32(len(v.Data)))
-		// One bulk pass: extend once, then store element by element with
-		// no per-element growth check.
+		dst = appendTileHead(dst, v)
 		n := len(dst)
 		dst = slices.Grow(dst, 8*len(v.Data))[:n+8*len(v.Data)]
-		out := dst[n:]
-		for i, x := range v.Data {
-			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-		}
+		putFloats(dst[n:], v.Data)
 	case ptg.NewBuffer:
 		dst = appendI64(append(dst, payNewBuffer), v.Bytes)
 	case int:
@@ -365,7 +406,60 @@ func appendPayload(dst []byte, p any) []byte {
 	return dst
 }
 
-func decodePayload(c *cursor) any {
+// hostLittleEndian reports that a float64 in this process's memory is
+// already its wire encoding (IEEE bits, little-endian), so a tile's
+// floats move as one block copy — or, sent by reference, as no copy.
+var hostLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// floatBytes returns the memory of data as bytes, without copying. Only
+// on a little-endian host are those the wire's bytes.
+func floatBytes(data []float64) []byte {
+	if len(data) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*len(data))
+}
+
+// putFloats encodes src into dst, which holds exactly 8*len(src) bytes.
+func putFloats(dst []byte, src []float64) {
+	if hostLittleEndian {
+		copy(dst, floatBytes(src))
+		return
+	}
+	putFloatsPortable(dst, src)
+}
+
+// putFloatsPortable is putFloats for any byte order, element by element.
+func putFloatsPortable(dst []byte, src []float64) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+	}
+}
+
+// getFloats decodes 8*len(dst) bytes of src into dst.
+func getFloats(dst []float64, src []byte) {
+	if hostLittleEndian {
+		copy(floatBytes(dst), src)
+		return
+	}
+	getFloatsPortable(dst, src)
+}
+
+// getFloatsPortable is getFloats for any byte order.
+func getFloatsPortable(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+// decodePayload decodes one payload. With pooled set a tile lands in
+// storage drawn from the tile pool (tensor.GetTile4), which whoever
+// receives the payload must see returned; otherwise it is allocated and
+// left to the collector.
+func decodePayload(c *cursor, pooled bool) any {
 	if c.err != nil || len(c.buf) < 1 {
 		c.fail()
 		return nil
@@ -381,15 +475,18 @@ func decodePayload(c *cursor) any {
 			dim[i] = c.int()
 		}
 		n := c.count(8)
-		if c.err != nil || n != dim[0]*dim[1]*dim[2]*dim[3] {
+		if c.err != nil || dim[0] < 0 || dim[1] < 0 || dim[2] < 0 || dim[3] < 0 ||
+			n != dim[0]*dim[1]*dim[2]*dim[3] {
 			c.fail()
 			return nil
 		}
-		t := &tensor.Tile4{Dim: dim, Data: make([]float64, n)}
-		src := c.buf[:8*n]
-		for i := range t.Data {
-			t.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		var t *tensor.Tile4
+		if pooled {
+			t = tensor.GetTile4(dim[0], dim[1], dim[2], dim[3])
+		} else {
+			t = &tensor.Tile4{Dim: dim, Data: make([]float64, n)}
 		}
+		getFloats(t.Data, c.buf[:8*n])
 		c.buf = c.buf[8*n:]
 		return t
 	case payNewBuffer:
@@ -522,11 +619,34 @@ func (m activateMsg) encode() ([]byte, error) {
 	return appendPayload(dst, m.Payload), nil
 }
 
+// encodeRef is encode for a tile payload, minus the copy: the head
+// stops after the tile's element count and the tail is the tile's floats
+// where they lie, so head and tail written back to back are encode's
+// bytes exactly. ok is false — use encode — when the payload is not a
+// tile, or the host's floats are not in wire order.
+func (m activateMsg) encodeRef() (f outFrame, ok bool) {
+	t, isTile := m.Payload.(*tensor.Tile4)
+	if !isTile || t == nil || len(t.Data) == 0 || !hostLittleEndian {
+		return outFrame{}, false
+	}
+	dst := appendString(newFrame(msgActivate, strSize(m.Class)+argsSize+8+tileHeadSize), m.Class)
+	dst = appendI64(appendArgs(dst, m.Args), int64(m.Flow))
+	return outFrame{head: appendTileHead(dst, t), tail: floatBytes(t.Data)}, true
+}
+
+// decodeActivate decodes an activation; a tile payload comes out of the
+// tile pool, the caller's to return (engine.handleActivate).
 func decodeActivate(b []byte) (activateMsg, error) {
 	c := &cursor{buf: b}
 	m := activateMsg{Class: c.name(), Args: c.args(), Flow: c.int()}
-	m.Payload = decodePayload(c)
-	return m, c.done()
+	m.Payload = decodePayload(c, true)
+	if err := c.done(); err != nil {
+		if t, ok := m.Payload.(*tensor.Tile4); ok {
+			tensor.PutTile4(t)
+		}
+		return activateMsg{}, err
+	}
+	return m, nil
 }
 
 // doneMsg reports a batch of completed instance sequence numbers to the
@@ -609,7 +729,7 @@ func decodeAccOrdered(b []byte) (accOrderedMsg, error) {
 	m.Lo = c.int()
 	m.Hi = c.int()
 	m.Scale = c.f64()
-	p := decodePayload(c)
+	p := decodePayload(c, false)
 	if err := c.done(); err != nil {
 		return m, err
 	}
@@ -664,7 +784,7 @@ func (m getRespMsg) encode() []byte {
 func decodeGetResp(b []byte) (getRespMsg, error) {
 	c := &cursor{buf: b}
 	m := getRespMsg{ReqID: c.u64()}
-	p := decodePayload(c)
+	p := decodePayload(c, false)
 	if err := c.done(); err != nil {
 		return m, err
 	}
@@ -752,7 +872,7 @@ func decodeMigrate(b []byte) (migrateMsg, error) {
 	m := migrateMsg{Class: c.name(), Args: c.args()}
 	for n := c.count(8 + 1); n > 0 && c.err == nil; n-- {
 		mp := migratePayload{Flow: c.int()}
-		mp.Payload = decodePayload(c)
+		mp.Payload = decodePayload(c, false)
 		m.Ins = append(m.Ins, mp)
 	}
 	return m, c.done()
@@ -772,19 +892,40 @@ func decodeTakeover(b []byte) (takeoverMsg, error) {
 	return takeoverMsg{Dead: c.int(), Heir: c.int()}, c.done()
 }
 
-// doneInfoMsg is a worker's final report: counters and trace events,
-// JSON-encoded (the schema is internal to one build, not a wire
-// contract, so JSON's flexibility beats hand-rolled encoding here).
-type doneInfoMsg struct{ JSON []byte }
+// doneInfoMsg is a worker's final report. The counters are JSON (the
+// schema is internal to one build, not a wire contract, so JSON's
+// flexibility beats hand-rolled encoding there); the spans — one per
+// executed task, which is nearly all of the report — are a fixed-width
+// binary section, so a rank formats no text per task and the
+// coordinator parses none.
+type doneInfoMsg struct {
+	JSON  []byte
+	Spans []Span
+}
+
+// spanSize is one encoded Span: seq(4) worker(4) start(8) end(8).
+const spanSize = 4 + 4 + 8 + 8
 
 func (m doneInfoMsg) encode() []byte {
-	dst := appendU32(newFrame(msgDoneInfo, 4+len(m.JSON)), uint32(len(m.JSON)))
-	return append(dst, m.JSON...)
+	dst := appendU32(newFrame(msgDoneInfo, 4+len(m.JSON)+4+spanSize*len(m.Spans)), uint32(len(m.JSON)))
+	dst = appendU32(append(dst, m.JSON...), uint32(len(m.Spans)))
+	for _, sp := range m.Spans {
+		dst = appendU32(appendU32(dst, sp.Seq), sp.Worker)
+		dst = appendI64(appendI64(dst, sp.Start), sp.End)
+	}
+	return dst
 }
 
 func decodeDoneInfo(b []byte) (doneInfoMsg, error) {
-	c := cursor{buf: b}
-	return doneInfoMsg{JSON: c.bytes()}, c.done()
+	c := &cursor{buf: b}
+	m := doneInfoMsg{JSON: c.bytes()}
+	if n := c.count(spanSize); n > 0 {
+		m.Spans = make([]Span, n)
+		for i := range m.Spans {
+			m.Spans[i] = Span{Seq: c.u32(), Worker: c.u32(), Start: c.i64(), End: c.i64()}
+		}
+	}
+	return m, c.done()
 }
 
 // errorMsg reports a fatal worker-side failure to the coordinator.

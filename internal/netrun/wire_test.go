@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"parsec/internal/ptg"
 	"parsec/internal/tensor"
@@ -185,7 +187,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 			t.Fatalf("%T: payloadSize %d, encoded %d bytes", v, size, len(buf))
 		}
 		c := &cursor{buf: buf}
-		got := decodePayload(c)
+		got := decodePayload(c, false)
 		if err := c.done(); err != nil {
 			t.Fatalf("%T: decode: %v", v, err)
 		}
@@ -204,8 +206,19 @@ func TestPayloadRoundTrip(t *testing.T) {
 	bad := appendPayload(nil, tile(1))
 	binary.LittleEndian.PutUint32(bad[1+32:], 5) // count 5, dims say 6
 	c := &cursor{buf: bad}
-	if p := decodePayload(c); p != nil || c.err == nil {
+	if p := decodePayload(c, true); p != nil || c.err == nil {
 		t.Error("tile with mismatched element count decoded")
+	}
+	// So must negative extents, even when their product is the count: the
+	// tile pool rejects them by panicking.
+	neg := appendPayload(nil, tile(1))
+	binary.LittleEndian.PutUint64(neg[1:], uint64(math.MaxUint64-1))    // -2
+	binary.LittleEndian.PutUint64(neg[1+16:], uint64(math.MaxUint64-2)) // -3: -2 * 1 * -3 * 1 = 6
+	for _, pooled := range []bool{false, true} {
+		c = &cursor{buf: neg}
+		if p := decodePayload(c, pooled); p != nil || c.err == nil {
+			t.Errorf("tile with negative extents decoded (pooled=%v)", pooled)
+		}
 	}
 }
 
@@ -393,8 +406,10 @@ func TestMessageRoundTrips(t *testing.T) {
 		roundTrip(t, "takeover", m, msgTakeover, m.encode(), decodeTakeover)
 	})
 	t.Run("doneInfo", func(t *testing.T) {
-		m := doneInfoMsg{JSON: []byte(`{"rank":1}`)}
+		m := doneInfoMsg{JSON: []byte(`{"rank":1}`)} // a rank that ran nothing
 		roundTrip(t, "doneInfo", m, msgDoneInfo, m.encode(), decodeDoneInfo)
+		m.Spans = []Span{{Seq: 0, Worker: 1, Start: 5, End: 40}, {Seq: math.MaxUint32, Worker: 0, Start: -1, End: 1 << 40}}
+		roundTrip(t, "doneInfo/spans", m, msgDoneInfo, m.encode(), decodeDoneInfo)
 	})
 	t.Run("error", func(t *testing.T) {
 		m := errorMsg{Text: "netrun: rank 1: deadline exceeded"}
@@ -425,6 +440,9 @@ func TestDecodersRejectHugeCounts(t *testing.T) {
 	}
 	if _, err := decodeDoneInfo(huge); err == nil {
 		t.Error("doneInfo: huge length decoded cleanly")
+	}
+	if _, err := decodeDoneInfo(append(appendU32(nil, 0), huge...)); err == nil {
+		t.Error("doneInfo: huge span count decoded cleanly")
 	}
 	// A tile header claiming 2^32-1 elements inside an activate body.
 	act := appendString(nil, "GEMM")
@@ -458,6 +476,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{'P', 'R', wireVersion, msgMax, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{'P', 'R', 1, msgHello}) // a v1 peer
 	f.Add([]byte("not a frame at all, definitely longer than a header"))
+	f.Add(sealFrame(doneInfoMsg{JSON: []byte(`{}`), Spans: []Span{{Seq: 3, Worker: 1, Start: 2, End: 9}}}.encode(), 9))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := decodeFrame(data)
 		switch {
@@ -545,28 +564,135 @@ func bigTile() *tensor.Tile4 {
 	return t
 }
 
-// TestTileCodecAllocs pins the single-pass codec: an activation carrying
-// a tile is encoded into exactly one buffer (header, body and floats),
-// and decoded with at most the tile and its data.
+// oddTile is a tile whose floats exercise every byte of the encoding:
+// signed zero, infinities, a NaN with a payload, a denormal.
+func oddTile() *tensor.Tile4 {
+	t := tensor.NewTile4(2, 2, 2, 1)
+	copy(t.Data, []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8_0000_dead_beef), 5e-324, -1.0 / 3, math.MaxFloat64, 1})
+	return t
+}
+
+// TestBorrowedFrameIsTheSameBytes holds sending by reference to its one
+// promise: head and tail back to back are, byte for byte, the frame the
+// copying encode builds for the same message — so everything the decoder
+// tests and the fuzz corpus establish about those bytes covers a
+// borrowed frame too. Payloads with nothing to borrow report so.
+func TestBorrowedFrameIsTheSameBytes(t *testing.T) {
+	for _, tl := range []*tensor.Tile4{tile(2.25), bigTile(), oddTile()} {
+		m := activateMsg{Class: "GEMM", Args: ptg.A3(4, -1, 9), Flow: 2, Payload: tl}
+		want, err := m.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, ok := m.encodeRef()
+		if !ok {
+			if hostLittleEndian {
+				t.Fatal("a tile activation could not be sent by reference")
+			}
+			continue
+		}
+		if len(f.head) != cap(f.head) || len(f.head) != len(want)-8*len(tl.Data) {
+			t.Errorf("head is %d bytes (cap %d), want the frame minus its %d floats: %d",
+				len(f.head), cap(f.head), len(tl.Data), len(want)-8*len(tl.Data))
+		}
+		if &f.tail[0] != (*byte)(unsafe.Pointer(&tl.Data[0])) {
+			t.Error("tail is a copy of the tile, not the tile")
+		}
+		f.seal(7)
+		if !bytes.Equal(f.bytes(), sealFrame(want, 7)) {
+			t.Error("borrowed frame differs from the copying encode of the same message")
+		}
+		setAckSuppress(f.head, true)
+		setAckSuppress(want, true)
+		if !bytes.Equal(f.bytes(), want) {
+			t.Error("borrowed frame differs once the ack-suppress bit is set")
+		}
+	}
+	for _, p := range []any{nil, 7, 2.5, ptg.NewBuffer{Bytes: 64}, (*tensor.Tile4)(nil), &tensor.Tile4{}} {
+		if _, ok := (activateMsg{Class: "GEMM", Payload: p}).encodeRef(); ok {
+			t.Errorf("payload %#v was sent by reference", p)
+		}
+	}
+}
+
+// TestFloatPathsAgree pins the block copy a little-endian host uses for
+// a tile's floats to the element-by-element loop every host can run.
+func TestFloatPathsAgree(t *testing.T) {
+	for _, tl := range []*tensor.Tile4{tile(0.5), bigTile(), oddTile()} {
+		n := len(tl.Data)
+		fast, slow := make([]byte, 8*n), make([]byte, 8*n)
+		putFloats(fast, tl.Data)
+		putFloatsPortable(slow, tl.Data)
+		if !bytes.Equal(fast, slow) {
+			t.Fatal("putFloats and putFloatsPortable encode differently")
+		}
+		a, b := make([]float64, n), make([]float64, n)
+		getFloats(a, slow)
+		getFloatsPortable(b, slow)
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) || math.Float64bits(a[i]) != math.Float64bits(tl.Data[i]) {
+				t.Fatalf("element %d decodes to %x / %x, want %x", i,
+					math.Float64bits(a[i]), math.Float64bits(b[i]), math.Float64bits(tl.Data[i]))
+			}
+		}
+	}
+}
+
+// TestTileCodecAllocs pins the tile data path's allocations. The copying
+// encode builds exactly one buffer (header, body and floats); encoding
+// by reference builds only the head; and decoding an activation draws
+// the tile from the pool, so once a returned tile is there to reuse it
+// allocates no tile storage at all.
 func TestTileCodecAllocs(t *testing.T) {
 	m := activateMsg{Class: "GEMM", Args: ptg.A3(1, 2, 3), Flow: 1, Payload: bigTile()}
 	var f []byte
 	if n := testing.AllocsPerRun(20, func() { f, _ = m.encode() }); n != 1 {
 		t.Errorf("encoding a tile activation took %v allocations, want 1", n)
 	}
+	if hostLittleEndian {
+		var ref outFrame
+		if n := testing.AllocsPerRun(20, func() { ref, _ = m.encodeRef() }); n > 2 {
+			t.Errorf("encoding a tile activation by reference took %v allocations, want at most 2", n)
+		}
+		if len(ref.head) > 128 {
+			t.Errorf("a borrowed frame's head is %d bytes", len(ref.head))
+		}
+	}
 	body := sealFrame(f, 1)[frameHeaderLen:]
-	var out activateMsg
-	if n := testing.AllocsPerRun(20, func() { out, _ = decodeActivate(body) }); n > 2 {
+	out, err := decodeActivate(body)
+	if err != nil || !reflect.DeepEqual(out, m) {
+		t.Fatalf("tile activation changed in the round trip: %v", err)
+	}
+	if raceEnabled {
+		return // sync.Pool drops items at random under the race detector
+	}
+	decodeAndReturn := func() {
+		out, _ := decodeActivate(body)
+		tensor.PutTile4(out.Payload.(*tensor.Tile4))
+	}
+	decodeAndReturn() // warm the pool
+	if n := testing.AllocsPerRun(20, decodeAndReturn); n > 2 {
 		t.Errorf("decoding a tile activation took %v allocations, want at most 2", n)
 	}
-	if !reflect.DeepEqual(out, m) {
-		t.Error("tile activation changed in the round trip")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		decodeAndReturn()
+	}
+	runtime.ReadMemStats(&after)
+	// A garbage collection in the window may empty the pool once; twenty
+	// fresh tiles would be 3.3 MB.
+	if got := (after.TotalAlloc - before.TotalAlloc) / rounds; got > 16<<10 {
+		t.Errorf("decoding into a warm pool allocated %d B per tile of %d B", got, 8*len(out.Payload.(*tensor.Tile4).Data))
 	}
 }
 
-// BenchmarkWireTile is the codec's own number: one 12^4-tile activation
-// encoded into its frame and decoded back out of it, in MB/s of frame
-// bytes and allocations per round trip.
+// BenchmarkWireTile is the copying codec's own number: one 12^4-tile
+// activation encoded into its frame and decoded back out of it into a
+// pooled tile, in MB/s of frame bytes and allocations per round trip.
+// BenchmarkActivateRoundTrip is the by-reference path, sockets included.
 func BenchmarkWireTile(b *testing.B) {
 	m := activateMsg{Class: "GEMM", Args: ptg.A3(1, 2, 3), Flow: 1, Payload: bigTile()}
 	f, err := m.encode()
@@ -582,8 +708,10 @@ func BenchmarkWireTile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decodeActivate(fr.body); err != nil {
+		out, err := decodeActivate(fr.body)
+		if err != nil {
 			b.Fatal(err)
 		}
+		tensor.PutTile4(out.Payload.(*tensor.Tile4))
 	}
 }

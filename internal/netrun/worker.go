@@ -190,5 +190,5 @@ func encodeReport(rep RankReport) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return doneInfoMsg{JSON: b}.encode(), nil
+	return doneInfoMsg{JSON: b, Spans: rep.Spans}.encode(), nil
 }

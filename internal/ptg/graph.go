@@ -140,7 +140,13 @@ type Cost struct {
 // Ctx and one Out buffer per worker, so a body must not retain ctx,
 // ctx.In or ctx.Out past its return. The payloads are another matter:
 // what a body leaves in Out is copied into the successors' inputs when
-// the task completes and lives on there.
+// the task completes and lives on there. An input payload is the body's
+// to read until it returns, and not after: an executor may own its
+// storage (a netrun rank returns a tile that came off the wire to the
+// tile pool when its consumer completes). A body that itself releases an
+// input — the one consumer of a pooled tile returning it — sets that In
+// slot to nil, which is how such an executor knows not to release it
+// again.
 type Ctx struct {
 	Args Args
 	Node int

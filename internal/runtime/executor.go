@@ -755,7 +755,7 @@ func (x *Executor) execute(worker int, in *ptg.Instance) (*ptg.Instance, error) 
 	ws.scratch = ready[:0]
 
 	if obs != nil {
-		obs(Event{Task: in.Ref, Worker: worker, Start: t0.Sub(x.start), End: t0.Add(dur).Sub(x.start)})
+		obs(Event{Task: in.Ref, Seq: in.Seq, Worker: worker, Start: t0.Sub(x.start), End: t0.Add(dur).Sub(x.start)})
 	}
 	return next, nil
 }

@@ -45,7 +45,10 @@ var ErrCanceled = errors.New("runtime: run canceled")
 
 // Event records one task execution for tracing.
 type Event struct {
-	Task   ptg.TaskRef
+	Task ptg.TaskRef
+	// Seq is the instance's creation ordinal (ptg.Instance.Seq): all an
+	// observer that labels its spans later needs to keep.
+	Seq    int
 	Worker int
 	Start  time.Duration // since Run began
 	End    time.Duration
