@@ -18,16 +18,17 @@ import (
 )
 
 // The kernels subcommand: benchmark the dense-kernel layer (blocked
-// GEMM — serial and team-split — and the SORT_4 permutations) over the
-// tile shapes the real workloads produce, and emit the result as the
-// committed BENCH_kernels.json baseline. Shapes are harvested from the
-// inspection phase of each preset, so the sweep tracks the workloads
-// rather than a hand-picked list. With -baseline the fresh sweep is
-// diffed against a committed baseline and >10% ns/op regressions fail
-// the run (the make bench-kernels guard).
+// GEMM — serial and team-split — the SORT_4 permutations, and the
+// synthetic input fill) over the tile shapes the real workloads
+// produce, and emit the result as the committed BENCH_kernels.json
+// baseline. Shapes are harvested from the inspection phase of each
+// preset, so the sweep tracks the workloads rather than a hand-picked
+// list. With -baseline the fresh sweep is diffed against a committed
+// baseline and >10% ns/op regressions fail the run (the make
+// bench-kernels guard).
 
 // kernelPresets are the workloads the sweep harvests shapes from.
-var kernelPresets = []string{"water", "benzene", "betacarotene"}
+var kernelPresets = []string{"water", "benzene", "uracil", "betacarotene"}
 
 // maxShapesPerKind caps how many distinct shapes per (workload, kernel)
 // are benchmarked, most-frequent first. -quick keeps one shape of the
@@ -51,15 +52,17 @@ type sortShape struct {
 }
 
 // harvestShapes runs the inspection phase for a preset and returns its
-// distinct GEMM and SORT_4 shapes with occurrence counts.
-func harvestShapes(preset string) (map[gemmShape]int, map[sortShape]int, error) {
+// distinct GEMM and SORT_4 shapes with occurrence counts, and the
+// extents of its input blocks with the number of blocks of each.
+func harvestShapes(preset string) (map[gemmShape]int, map[sortShape]int, map[[4]int]int, error) {
 	sys, err := molecule.Preset(preset)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	w := tce.Inspect(tce.T2_7(sys), nil)
 	gemms := map[gemmShape]int{}
 	sorts := map[sortShape]int{}
+	fills := map[[4]int]int{}
 	for _, c := range w.Chains {
 		for _, g := range c.Gemms {
 			gemms[gemmShape{g.Op.M, g.Op.N, g.Op.K}]++
@@ -68,7 +71,13 @@ func harvestShapes(preset string) (map[gemmShape]int, map[sortShape]int, error) 
 			sorts[sortShape{src: c.CDims, perm: s.Perm}]++
 		}
 	}
-	return gemms, sorts, nil
+	ta, tb := w.Inputs()
+	for _, t := range []*tce.InputTable{ta, tb} {
+		for _, b := range t.Blocks {
+			fills[b.Dims]++
+		}
+	}
+	return gemms, sorts, fills, nil
 }
 
 // topShapes returns the keys of counts sorted by descending count (ties
@@ -132,6 +141,17 @@ func benchSort(s sortShape, add bool) testing.BenchmarkResult {
 	})
 }
 
+// benchFill times the synthetic fill of one input block, the body of
+// every READ task's first ga_access.
+func benchFill(dims [4]int) testing.BenchmarkResult {
+	t := tensor.NewTile4(dims[0], dims[1], dims[2], dims[3])
+	return testing.Benchmark(func(bb *testing.B) {
+		for i := 0; i < bb.N; i++ {
+			t.FillRandom(uint64(i), 0.5)
+		}
+	})
+}
+
 // kernelsCmd executes the sweep, prints the table, writes the JSON
 // baseline to -out, and with -baseline fails on >10% ns/op regressions
 // against a committed one.
@@ -175,7 +195,7 @@ func kernelsCmd(fs *flag.FlagSet) func(io.Writer) error {
 		tp := team.NewPool(gemmParWorkers)
 		defer tp.Close()
 		for _, preset := range presets {
-			gemms, sorts, err := harvestShapes(preset)
+			gemms, sorts, fills, err := harvestShapes(preset)
 			if err != nil {
 				return err
 			}
@@ -197,6 +217,11 @@ func kernelsCmd(fs *flag.FlagSet) func(io.Writer) error {
 				shape := fmt.Sprintf("%dx%dx%dx%d perm=%v", s.src[0], s.src[1], s.src[2], s.src[3], s.perm)
 				add("sort4", shape, preset, sorts[s], benchSort(s, false), bytes, 0)
 				add("sort4add", shape, preset, sorts[s], benchSort(s, true), bytes, 0)
+			}
+			// One fill row: the preset's most common input-block size.
+			for _, d := range topShapes(fills, 1, func(d [4]int) string { return fmt.Sprint(d) }) {
+				bytes := int64(8 * d[0] * d[1] * d[2] * d[3])
+				add("fill", fmt.Sprintf("%dx%dx%dx%d", d[0], d[1], d[2], d[3]), preset, fills[d], benchFill(d), bytes, 0)
 			}
 		}
 		if err := report.WriteTable(out); err != nil {

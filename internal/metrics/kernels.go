@@ -11,8 +11,9 @@ import (
 // sweep: a (kernel, tile shape) pair taken from a real workload, with
 // its benchmark numbers.
 type KernelResult struct {
-	// Kernel names the operation: "gemm" (the production blocked path)
-	// or "sort4" (the permutation kernel).
+	// Kernel names the operation: "gemm" (the production blocked path),
+	// "sort4" (the permutation kernel) or "fill" (the synthetic input
+	// generator).
 	Kernel string `json:"kernel"`
 	// Shape is a human-readable shape key, e.g. "TN m=121 n=121 k=121"
 	// or "36x37x36x37 perm=[2 0 3 1]".

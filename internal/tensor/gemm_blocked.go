@@ -8,11 +8,20 @@ import "parsec/internal/tensor/pool"
 // contiguous scratch laid out in micro-panel strips, so every trans
 // variant runs the same register-blocked micro-kernel on unit-stride
 // data. The micro-kernel comes from the active dispatch tier
-// (kernel_tier.go): an 8x16 zmm FMA block on AVX-512F hardware, a 4x8
+// (kernel_tier.go): an 8x16 zmm FMA block on AVX-512 hardware, a 4x8
 // AVX2+FMA block below that, else a portable 4x4 block of scalar
-// accumulators. alpha is folded into the A packing. Tiny products fall
-// back to the direct loops in matrix.go (the water tiles are 2–9 wide;
-// packing would cost more than it saves).
+// accumulators. Tiny products fall back to the direct loops in
+// matrix.go (the water tiles are 2–9 wide; packing would cost more than
+// it saves).
+//
+// Who moves what on the two assembly tiers: on the production call
+// shape (op(A) = A^T, op(B) = B, alpha = 1, the dgemm('T','N') of Fig 1)
+// a full strip is kc rows of mr or nr contiguous doubles, and packA and
+// packB hand it to one assembly loop (packStrip); edge strips, alpha !=
+// 1 (folded into the A packing) and the two transposing layouts keep
+// the Go loops, which also serve the portable tier. A full mr x nr tile
+// is accumulated into C by the micro-kernel itself; an edge tile goes
+// through a stack block that a Go loop trims.
 //
 // The n loop accepts an arbitrary column window [j0, j1), which is how
 // GemmP (gemm_parallel.go) splits one product across a worker team:
@@ -63,6 +72,7 @@ func gemmBlockedCols(transA, transB bool, alpha float64, a, b, c *Matrix, j0, j1
 	m, k := opDims(a, transA)
 	tier := activeTier
 	mr, nr := gemmTierShape()
+	strips := tier != TierPortable
 
 	// Packing scratch, recycled through the worker-local shard when one
 	// is supplied, else the shared size-class pool.
@@ -78,10 +88,10 @@ func gemmBlockedCols(transA, transB bool, alpha float64, a, b, c *Matrix, j0, j1
 		ncEff := min2(gemmNC, j1-jc)
 		for pc := 0; pc < k; pc += gemmKC {
 			kcEff := min2(gemmKC, k-pc)
-			packB(transB, b, pc, jc, kcEff, ncEff, nr, bPack)
+			packB(transB, b, pc, jc, kcEff, ncEff, nr, strips, bPack)
 			for ic := 0; ic < m; ic += gemmMC {
 				mcEff := min2(gemmMC, m-ic)
-				packA(transA, alpha, a, ic, pc, mcEff, kcEff, mr, aPack)
+				packA(transA, alpha, a, ic, pc, mcEff, kcEff, mr, strips, aPack)
 				switch tier {
 				case TierAVX512:
 					gemmMacroAsm512(aPack, bPack, c, ic, jc, mcEff, ncEff, kcEff)
@@ -104,12 +114,32 @@ func min2(a, b int) int {
 	return b
 }
 
+// packStrip packs one full strip whose rows are contiguous in the
+// source: dst[p*w+j] = src[p*ld+j] for p in [0, kc), j in [0, w), with
+// the assembly loop of width w (4, 8 or 16; asm tiers only). The two
+// index expressions are the bounds checks the assembly does not have.
+func packStrip(w, kc int, src []float64, ld int, dst []float64) {
+	_ = src[(kc-1)*ld+w-1]
+	_ = dst[kc*w-1]
+	switch w {
+	case 4:
+		packStrip4(int64(kc), &src[0], int64(ld)*8, &dst[0])
+	case 8:
+		packStrip8(int64(kc), &src[0], int64(ld)*8, &dst[0])
+	case 16:
+		packStrip16(int64(kc), &src[0], int64(ld)*8, &dst[0])
+	default:
+		panic("tensor: packStrip width")
+	}
+}
+
 // packA copies the (ic:ic+mcEff, pc:pc+kcEff) panel of op(A), scaled by
 // alpha, into dst as mr-row strips: strip s holds rows ic+s*mr.. and is
 // laid out k-major, dst[s*kcEff*mr + p*mr + r] = alpha*op(A)[ic+s*mr+r,
 // pc+p]. Short final strips are zero-padded so the micro-kernel never
-// branches on the row count.
-func packA(transA bool, alpha float64, a *Matrix, ic, pc, mcEff, kcEff, mr int, dst []float64) {
+// branches on the row count. strips sends full strips of A^T at alpha =
+// 1 through packStrip (1*v is v, so the panel is the same bits).
+func packA(transA bool, alpha float64, a *Matrix, ic, pc, mcEff, kcEff, mr int, strips bool, dst []float64) {
 	lda := a.Cols
 	if transA {
 		// A is k x m row-major; op(A)[i,p] = A[p,i]: each p contributes
@@ -119,6 +149,10 @@ func packA(transA bool, alpha float64, a *Matrix, ic, pc, mcEff, kcEff, mr int, 
 			rows := min2(mr, ic+mcEff-i0)
 			out := dst[s*kcEff*mr:]
 			if rows == mr {
+				if strips && alpha == 1 {
+					packStrip(mr, kcEff, a.Data[pc*lda+i0:], lda, out)
+					continue
+				}
 				for p := 0; p < kcEff; p++ {
 					src := a.Data[(pc+p)*lda+i0 : (pc+p)*lda+i0+mr]
 					o := out[p*mr : p*mr+mr]
@@ -165,8 +199,9 @@ func packA(transA bool, alpha float64, a *Matrix, ic, pc, mcEff, kcEff, mr int, 
 
 // packB copies the (pc:pc+kcEff, jc:jc+ncEff) panel of op(B) into dst as
 // nr-column strips, dst[s*kcEff*nr + p*nr + j] = op(B)[pc+p, jc+s*nr+j],
-// zero-padding short final strips.
-func packB(transB bool, b *Matrix, pc, jc, kcEff, ncEff, nr int, dst []float64) {
+// zero-padding short final strips. strips sends full strips of an
+// untransposed B through packStrip.
+func packB(transB bool, b *Matrix, pc, jc, kcEff, ncEff, nr int, strips bool, dst []float64) {
 	ldb := b.Cols
 	if !transB {
 		// B is k x n row-major: each p contributes nr consecutive
@@ -175,6 +210,10 @@ func packB(transB bool, b *Matrix, pc, jc, kcEff, ncEff, nr int, dst []float64) 
 			j0 := jc + s*nr
 			cols := min2(nr, jc+ncEff-j0)
 			out := dst[s*kcEff*nr:]
+			if strips && cols == nr {
+				packStrip(nr, kcEff, b.Data[pc*ldb+j0:], ldb, out)
+				continue
+			}
 			for p := 0; p < kcEff; p++ {
 				src := b.Data[(pc+p)*ldb+j0 : (pc+p)*ldb+j0+cols]
 				o := out[p*nr : (p+1)*nr]
@@ -208,8 +247,9 @@ func packB(transB bool, b *Matrix, pc, jc, kcEff, ncEff, nr int, dst []float64) 
 }
 
 // gemmMacroAsm runs the AVX2 micro-kernel over one packed panel pair,
-// accumulating into the C block at (ic, jc). The kernel always computes a
-// full 4x8 tile into a stack block; the write-back loop trims edges.
+// accumulating into the C block at (ic, jc). A full 4x8 tile is added
+// into C by the kernel; an edge tile is computed in full into a stack
+// block that the write-back loop trims.
 func gemmMacroAsm(aPack, bPack []float64, c *Matrix, ic, jc, mcEff, ncEff, kcEff int) {
 	const nr = gemmNRAsm
 	ldc := c.Cols
@@ -222,22 +262,13 @@ func gemmMacroAsm(aPack, bPack []float64, c *Matrix, ic, jc, mcEff, ncEff, kcEff
 			i0 := ic + ir*gemmMR
 			rows := min2(gemmMR, ic+mcEff-i0)
 			ap := aPack[ir*kcEff*gemmMR : (ir+1)*kcEff*gemmMR]
-			gemmAsm4x8(int64(kcEff), &ap[0], &bp[0], &acc[0])
 			if rows == gemmMR && cols == nr {
-				for r := 0; r < gemmMR; r++ {
-					crow := c.Data[(i0+r)*ldc+j0 : (i0+r)*ldc+j0+nr]
-					av := acc[r*nr : r*nr+nr]
-					crow[0] += av[0]
-					crow[1] += av[1]
-					crow[2] += av[2]
-					crow[3] += av[3]
-					crow[4] += av[4]
-					crow[5] += av[5]
-					crow[6] += av[6]
-					crow[7] += av[7]
-				}
+				// The slice expression is the kernel's bounds check.
+				ctile := c.Data[i0*ldc+j0 : (i0+gemmMR-1)*ldc+j0+nr]
+				gemmAsm4x8C(int64(kcEff), &ap[0], &bp[0], &ctile[0], int64(ldc)*8)
 				continue
 			}
+			gemmAsm4x8(int64(kcEff), &ap[0], &bp[0], &acc[0])
 			for r := 0; r < rows; r++ {
 				crow := c.Data[(i0+r)*ldc+j0:]
 				for j := 0; j < cols; j++ {
@@ -249,9 +280,9 @@ func gemmMacroAsm(aPack, bPack []float64, c *Matrix, ic, jc, mcEff, ncEff, kcEff
 }
 
 // gemmMacroAsm512 runs the AVX-512 micro-kernel over one packed panel
-// pair, accumulating into the C block at (ic, jc). The kernel always
-// computes a full 8x16 tile into a stack block; the write-back loop
-// trims edges.
+// pair, accumulating into the C block at (ic, jc). A full 8x16 tile is
+// added into C by the kernel; an edge tile is computed in full into a
+// stack block that the write-back loop trims.
 func gemmMacroAsm512(aPack, bPack []float64, c *Matrix, ic, jc, mcEff, ncEff, kcEff int) {
 	const (
 		mr = gemmMR512
@@ -267,17 +298,13 @@ func gemmMacroAsm512(aPack, bPack []float64, c *Matrix, ic, jc, mcEff, ncEff, kc
 			i0 := ic + ir*mr
 			rows := min2(mr, ic+mcEff-i0)
 			ap := aPack[ir*kcEff*mr : (ir+1)*kcEff*mr]
-			gemmAsm8x16(int64(kcEff), &ap[0], &bp[0], &acc[0])
 			if rows == mr && cols == nr {
-				for r := 0; r < mr; r++ {
-					crow := c.Data[(i0+r)*ldc+j0 : (i0+r)*ldc+j0+nr]
-					av := acc[r*nr : r*nr+nr]
-					for j, v := range av {
-						crow[j] += v
-					}
-				}
+				// The slice expression is the kernel's bounds check.
+				ctile := c.Data[i0*ldc+j0 : (i0+mr-1)*ldc+j0+nr]
+				gemmAsm8x16C(int64(kcEff), &ap[0], &bp[0], &ctile[0], int64(ldc)*8)
 				continue
 			}
+			gemmAsm8x16(int64(kcEff), &ap[0], &bp[0], &acc[0])
 			for r := 0; r < rows; r++ {
 				crow := c.Data[(i0+r)*ldc+j0:]
 				for j := 0; j < cols; j++ {

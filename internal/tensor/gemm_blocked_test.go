@@ -143,13 +143,13 @@ func benchGemm(b *testing.B, m, n, k int, transA, transB bool, fn func(a, bb, c 
 }
 
 // BenchmarkKernelGemmBlockedVsDirect pits the packed kernel against the
-// direct loops on the dominant TN tile shapes of the two evaluation
-// systems (benzene 121^3, beta-carotene 1332^3) plus the 128^3 shape the
-// root suite tracks.
+// direct loops on the dominant TN tile shapes of the evaluation systems
+// (benzene 121^3, uracil 210^3, beta-carotene 1332^3) plus the 128^3
+// shape the root suite tracks.
 func BenchmarkKernelGemmBlockedVsDirect(b *testing.B) {
-	for _, sh := range [][3]int{{121, 121, 121}, {128, 128, 128}, {1332, 1332, 1332}} {
+	for _, sh := range [][3]int{{121, 121, 121}, {128, 128, 128}, {210, 210, 210}, {1332, 1332, 1332}} {
 		m, n, k := sh[0], sh[1], sh[2]
-		if testing.Short() && m > 200 {
+		if testing.Short() && m > 1000 {
 			continue
 		}
 		b.Run(fmt.Sprintf("blocked-%dx%dx%d", m, n, k), func(b *testing.B) {

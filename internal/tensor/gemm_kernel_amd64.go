@@ -16,6 +16,38 @@ func gemmAsm4x8(kc int64, a, b, acc *float64)
 //go:noescape
 func gemmAsm8x16(kc int64, a, b, acc *float64)
 
+// gemmAsm4x8C and gemmAsm8x16C are the same kernels for a full tile:
+// the block is added straight into the C rows starting at c, ldcBytes
+// apart, instead of being stored for the caller to add.
+//
+//go:noescape
+func gemmAsm4x8C(kc int64, a, b, c *float64, ldcBytes int64)
+
+//go:noescape
+func gemmAsm8x16C(kc int64, a, b, c *float64, ldcBytes int64)
+
+// packStrip4, packStrip8 and packStrip16 copy kc rows of 4, 8 or 16
+// contiguous doubles, ldBytes apart, into one packed strip at dst,
+// prefetching nine rows ahead. kc must be positive; the caller
+// guarantees every row lies inside src's slice (packStrip in
+// gemm_blocked.go).
+//
+//go:noescape
+func packStrip4(kc int64, src *float64, ldBytes int64, dst *float64)
+
+//go:noescape
+func packStrip8(kc int64, src *float64, ldBytes int64, dst *float64)
+
+//go:noescape
+func packStrip16(kc int64, src *float64, ldBytes int64, dst *float64)
+
+// fillRandomAsm writes n (a positive multiple of 8) SplitMix64 doubles
+// to dst, eight streams at a time; lanes[i] is the generator state of
+// element i. See Tile4.FillRandom.
+//
+//go:noescape
+func fillRandomAsm(n int64, dst *float64, lanes *[8]uint64, scale float64)
+
 // axpyAsm accumulates dst[i] += scale*src[i] for i in [0, n) with
 // unfused 256-bit multiply and add, so the result is bitwise identical
 // to the scalar loop. n must be a positive multiple of 8.
@@ -59,15 +91,19 @@ func probeHWTier() KernelTier {
 	}
 	_, ebx7, _, _ := cpuidRaw(7, 0)
 	const (
-		avx2Bit    = 1 << 5
-		avx512fBit = 1 << 16
+		avx2Bit     = 1 << 5
+		avx512fBit  = 1 << 16
+		avx512dqBit = 1 << 17
 	)
 	if ebx7&avx2Bit == 0 {
 		return TierPortable
 	}
-	// AVX-512 needs the F foundation plus XCR0 bits 5-7 (opmask,
-	// ZMM_Hi256, Hi16_ZMM): the OS saves full zmm state.
-	if ebx7&avx512fBit != 0 && xcr0&0xe0 == 0xe0 {
+	// AVX-512 needs the F foundation for the GEMM block, DQ for the
+	// fill's 64-bit multiply and unsigned convert (an F-only part stays
+	// on the AVX2 rung), plus XCR0 bits 5-7 (opmask, ZMM_Hi256,
+	// Hi16_ZMM): the OS saves full zmm state.
+	const avx512Bits = avx512fBit | avx512dqBit
+	if ebx7&avx512Bits == avx512Bits && xcr0&0xe0 == 0xe0 {
 		return TierAVX512
 	}
 	return TierAVX2

@@ -1,61 +1,72 @@
-// Assembly micro-kernels for the cache-blocked packed GEMM
-// (gemm_blocked.go) and the accumulate kernels (axpy.go): the AVX2+FMA
-// 4x8 GEMM block, the AVX-512F 8x16 GEMM block, and the 256-bit
-// unfused axpy/scale loops. Entry is gated by probeHWTier (CPUID +
-// XCR0); every unsupported configuration runs the pure-Go paths.
+// Assembly kernels for the cache-blocked packed GEMM (gemm_blocked.go),
+// the accumulate kernels (axpy.go) and the input fill (tile4.go): the
+// AVX2+FMA 4x8 and AVX-512 8x16 GEMM blocks, each storing to a stack
+// block or accumulating straight into C; the strip packers that feed
+// them; the 256-bit unfused axpy/scale loops; and the eight-lane
+// SplitMix64 fill. Entry is gated by probeHWTier (CPUID + XCR0); every
+// unsupported configuration runs the pure-Go paths.
 
 //go:build amd64 && !purego
 
 #include "textflag.h"
 
+// ZERO4X8 clears the 4x8 accumulator block Y0..Y7 (two YMM per row).
+#define ZERO4X8 \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7
+
+// STEP4X8 is one k step of the 4x8 block: Y12/Y13 take the eight b
+// values at (DI), Y14 each of the four a values at (SI) in turn.
+#define STEP4X8 \
+	VMOVUPD (DI), Y12; \
+	VMOVUPD 32(DI), Y13; \
+	VBROADCASTSD (SI), Y14; \
+	VFMADD231PD Y12, Y14, Y0; \
+	VFMADD231PD Y13, Y14, Y1; \
+	VBROADCASTSD 8(SI), Y14; \
+	VFMADD231PD Y12, Y14, Y2; \
+	VFMADD231PD Y13, Y14, Y3; \
+	VBROADCASTSD 16(SI), Y14; \
+	VFMADD231PD Y12, Y14, Y4; \
+	VFMADD231PD Y13, Y14, Y5; \
+	VBROADCASTSD 24(SI), Y14; \
+	VFMADD231PD Y12, Y14, Y6; \
+	VFMADD231PD Y13, Y14, Y7; \
+	ADDQ $32, SI; \
+	ADDQ $64, DI
+
+// ADDROW4X8 adds the accumulator row (ya, yb) into the eight doubles at
+// (DX) and steps DX to the next C row, R8 bytes on.
+#define ADDROW4X8(ya, yb) \
+	VADDPD  (DX), ya, ya; \
+	VADDPD  32(DX), yb, yb; \
+	VMOVUPD ya, (DX); \
+	VMOVUPD yb, 32(DX); \
+	ADDQ    R8, DX
+
 // func gemmAsm4x8(kc int64, a, b, acc *float64)
 //
 // Computes a full 4x8 block acc[r*8+j] = sum_p a[p*4+r] * b[p*8+j] over
 // the packed panels a (kc x 4, row-minor) and b (kc x 8). The caller
-// accumulates acc into C, handling edge tiles.
-//
-// Register plan: Y0..Y7 hold the 4x8 accumulator block (two YMM per
-// row), Y12/Y13 the current eight b values, Y14 the broadcast a value.
+// accumulates acc into C, trimming an edge tile.
 TEXT ·gemmAsm4x8(SB), NOSPLIT, $0-32
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DI
 	MOVQ acc+24(FP), DX
 
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
+	ZERO4X8
 	TESTQ CX, CX
 	JZ    done
 
 loop:
-	VMOVUPD (DI), Y12
-	VMOVUPD 32(DI), Y13
-
-	VBROADCASTSD (SI), Y14
-	VFMADD231PD Y12, Y14, Y0
-	VFMADD231PD Y13, Y14, Y1
-
-	VBROADCASTSD 8(SI), Y14
-	VFMADD231PD Y12, Y14, Y2
-	VFMADD231PD Y13, Y14, Y3
-
-	VBROADCASTSD 16(SI), Y14
-	VFMADD231PD Y12, Y14, Y4
-	VFMADD231PD Y13, Y14, Y5
-
-	VBROADCASTSD 24(SI), Y14
-	VFMADD231PD Y12, Y14, Y6
-	VFMADD231PD Y13, Y14, Y7
-
-	ADDQ $32, SI
-	ADDQ $64, DI
+	STEP4X8
 	DECQ CX
 	JNZ  loop
 
@@ -71,6 +82,95 @@ done:
 	VZEROUPPER
 	RET
 
+// func gemmAsm4x8C(kc int64, a, b, c *float64, ldcBytes int64)
+//
+// gemmAsm4x8 for a full tile: the block is added into the four C rows
+// of eight doubles starting at c, ldcBytes apart, one rounding per
+// element exactly like the caller's c[j] += acc[j] after gemmAsm4x8.
+TEXT ·gemmAsm4x8C(SB), NOSPLIT, $0-40
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ c+24(FP), DX
+	MOVQ ldcBytes+32(FP), R8
+
+	ZERO4X8
+	TESTQ CX, CX
+	JZ    done
+
+loop:
+	STEP4X8
+	DECQ CX
+	JNZ  loop
+
+done:
+	ADDROW4X8(Y0, Y1)
+	ADDROW4X8(Y2, Y3)
+	ADDROW4X8(Y4, Y5)
+	ADDROW4X8(Y6, Y7)
+	VZEROUPPER
+	RET
+
+// ZERO8X16 clears the 8x16 accumulator block Z0..Z15 (two ZMM per row).
+#define ZERO8X16 \
+	VPXORQ Z0, Z0, Z0; \
+	VPXORQ Z1, Z1, Z1; \
+	VPXORQ Z2, Z2, Z2; \
+	VPXORQ Z3, Z3, Z3; \
+	VPXORQ Z4, Z4, Z4; \
+	VPXORQ Z5, Z5, Z5; \
+	VPXORQ Z6, Z6, Z6; \
+	VPXORQ Z7, Z7, Z7; \
+	VPXORQ Z8, Z8, Z8; \
+	VPXORQ Z9, Z9, Z9; \
+	VPXORQ Z10, Z10, Z10; \
+	VPXORQ Z11, Z11, Z11; \
+	VPXORQ Z12, Z12, Z12; \
+	VPXORQ Z13, Z13, Z13; \
+	VPXORQ Z14, Z14, Z14; \
+	VPXORQ Z15, Z15, Z15
+
+// STEP8X16 is one k step of the 8x16 block: Z16/Z17 take the sixteen b
+// values at (DI), Z18 each of the eight a values at (SI) in turn.
+#define STEP8X16 \
+	VMOVUPD (DI), Z16; \
+	VMOVUPD 64(DI), Z17; \
+	VBROADCASTSD (SI), Z18; \
+	VFMADD231PD Z16, Z18, Z0; \
+	VFMADD231PD Z17, Z18, Z1; \
+	VBROADCASTSD 8(SI), Z18; \
+	VFMADD231PD Z16, Z18, Z2; \
+	VFMADD231PD Z17, Z18, Z3; \
+	VBROADCASTSD 16(SI), Z18; \
+	VFMADD231PD Z16, Z18, Z4; \
+	VFMADD231PD Z17, Z18, Z5; \
+	VBROADCASTSD 24(SI), Z18; \
+	VFMADD231PD Z16, Z18, Z6; \
+	VFMADD231PD Z17, Z18, Z7; \
+	VBROADCASTSD 32(SI), Z18; \
+	VFMADD231PD Z16, Z18, Z8; \
+	VFMADD231PD Z17, Z18, Z9; \
+	VBROADCASTSD 40(SI), Z18; \
+	VFMADD231PD Z16, Z18, Z10; \
+	VFMADD231PD Z17, Z18, Z11; \
+	VBROADCASTSD 48(SI), Z18; \
+	VFMADD231PD Z16, Z18, Z12; \
+	VFMADD231PD Z17, Z18, Z13; \
+	VBROADCASTSD 56(SI), Z18; \
+	VFMADD231PD Z16, Z18, Z14; \
+	VFMADD231PD Z17, Z18, Z15; \
+	ADDQ $64, SI; \
+	ADDQ $128, DI
+
+// ADDROW8X16 adds the accumulator row (za, zb) into the sixteen doubles
+// at (DX) and steps DX to the next C row, R8 bytes on.
+#define ADDROW8X16(za, zb) \
+	VADDPD  (DX), za, za; \
+	VADDPD  64(DX), zb, zb; \
+	VMOVUPD za, (DX); \
+	VMOVUPD zb, 64(DX); \
+	ADDQ    R8, DX
+
 // func gemmAsm8x16(kc int64, a, b, acc *float64)
 //
 // Computes a full 8x16 block acc[r*16+j] = sum_p a[p*8+r] * b[p*16+j]
@@ -78,78 +178,23 @@ done:
 // AVX-512 tier above the 4x8 AVX2 kernel. Per C element the FMA
 // sequence is identical to gemmAsm4x8's (ascending p, one fused
 // multiply-add each), so the two tiers produce bitwise-equal results.
-//
-// Register plan: Z0..Z15 hold the 8x16 accumulator block (two ZMM per
-// row), Z16/Z17 the current sixteen b values, Z18 the broadcast a
-// value. Requires only AVX-512F.
+// The GEMM entries need only AVX-512F.
 TEXT ·gemmAsm8x16(SB), NOSPLIT, $0-32
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DI
 	MOVQ acc+24(FP), DX
 
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	VPXORQ Z12, Z12, Z12
-	VPXORQ Z13, Z13, Z13
-	VPXORQ Z14, Z14, Z14
-	VPXORQ Z15, Z15, Z15
-
+	ZERO8X16
 	TESTQ CX, CX
-	JZ    done512
+	JZ    done
 
-loop512:
-	VMOVUPD (DI), Z16
-	VMOVUPD 64(DI), Z17
-
-	VBROADCASTSD (SI), Z18
-	VFMADD231PD Z16, Z18, Z0
-	VFMADD231PD Z17, Z18, Z1
-
-	VBROADCASTSD 8(SI), Z18
-	VFMADD231PD Z16, Z18, Z2
-	VFMADD231PD Z17, Z18, Z3
-
-	VBROADCASTSD 16(SI), Z18
-	VFMADD231PD Z16, Z18, Z4
-	VFMADD231PD Z17, Z18, Z5
-
-	VBROADCASTSD 24(SI), Z18
-	VFMADD231PD Z16, Z18, Z6
-	VFMADD231PD Z17, Z18, Z7
-
-	VBROADCASTSD 32(SI), Z18
-	VFMADD231PD Z16, Z18, Z8
-	VFMADD231PD Z17, Z18, Z9
-
-	VBROADCASTSD 40(SI), Z18
-	VFMADD231PD Z16, Z18, Z10
-	VFMADD231PD Z17, Z18, Z11
-
-	VBROADCASTSD 48(SI), Z18
-	VFMADD231PD Z16, Z18, Z12
-	VFMADD231PD Z17, Z18, Z13
-
-	VBROADCASTSD 56(SI), Z18
-	VFMADD231PD Z16, Z18, Z14
-	VFMADD231PD Z17, Z18, Z15
-
-	ADDQ $64, SI
-	ADDQ $128, DI
+loop:
+	STEP8X16
 	DECQ CX
-	JNZ  loop512
+	JNZ  loop
 
-done512:
+done:
 	VMOVUPD Z0, (DX)
 	VMOVUPD Z1, 64(DX)
 	VMOVUPD Z2, 128(DX)
@@ -166,6 +211,167 @@ done512:
 	VMOVUPD Z13, 832(DX)
 	VMOVUPD Z14, 896(DX)
 	VMOVUPD Z15, 960(DX)
+	VZEROUPPER
+	RET
+
+// func gemmAsm8x16C(kc int64, a, b, c *float64, ldcBytes int64)
+//
+// gemmAsm8x16 for a full tile: the block is added into the eight C rows
+// of sixteen doubles starting at c, ldcBytes apart, one rounding per
+// element exactly like the caller's c[j] += acc[j] after gemmAsm8x16.
+TEXT ·gemmAsm8x16C(SB), NOSPLIT, $0-40
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ c+24(FP), DX
+	MOVQ ldcBytes+32(FP), R8
+
+	ZERO8X16
+	TESTQ CX, CX
+	JZ    done
+
+loop:
+	STEP8X16
+	DECQ CX
+	JNZ  loop
+
+done:
+	ADDROW8X16(Z0, Z1)
+	ADDROW8X16(Z2, Z3)
+	ADDROW8X16(Z4, Z5)
+	ADDROW8X16(Z6, Z7)
+	ADDROW8X16(Z8, Z9)
+	ADDROW8X16(Z10, Z11)
+	ADDROW8X16(Z12, Z13)
+	ADDROW8X16(Z14, Z15)
+	VZEROUPPER
+	RET
+
+// The strip packers copy kc rows of 4, 8 or 16 contiguous doubles from
+// src, ldBytes apart, to consecutive slots at dst. The prefetch runs
+// nine rows ahead (R9 = 9*ldBytes) so the strided walk over a tile that
+// went cold since its READ overlaps its misses; it may run past the
+// last row, which a prefetch is allowed to and a load is not.
+
+// func packStrip4(kc int64, src *float64, ldBytes int64, dst *float64)
+//
+// dst[p*4+j] = src[p*ld+j] for p in [0, kc), j in [0, 4): one AVX2 A
+// strip of op(A) = A^T. kc must be positive.
+TEXT ·packStrip4(SB), NOSPLIT, $0-32
+	MOVQ kc+0(FP), CX
+	MOVQ src+8(FP), SI
+	MOVQ ldBytes+16(FP), R8
+	MOVQ dst+24(FP), DI
+	LEAQ (R8)(R8*8), R9
+
+loop:
+	PREFETCHT0 (SI)(R9*1)
+	VMOVUPD (SI), Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    R8, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     loop
+	VZEROUPPER
+	RET
+
+// func packStrip8(kc int64, src *float64, ldBytes int64, dst *float64)
+//
+// dst[p*8+j] = src[p*ld+j] for p in [0, kc), j in [0, 8): one AVX2 B
+// strip or one AVX-512 A strip. 256-bit moves, so both tiers share it.
+// kc must be positive.
+TEXT ·packStrip8(SB), NOSPLIT, $0-32
+	MOVQ kc+0(FP), CX
+	MOVQ src+8(FP), SI
+	MOVQ ldBytes+16(FP), R8
+	MOVQ dst+24(FP), DI
+	LEAQ (R8)(R8*8), R9
+
+loop:
+	PREFETCHT0 (SI)(R9*1)
+	PREFETCHT0 63(SI)(R9*1)
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    R8, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     loop
+	VZEROUPPER
+	RET
+
+// func packStrip16(kc int64, src *float64, ldBytes int64, dst *float64)
+//
+// dst[p*16+j] = src[p*ld+j] for p in [0, kc), j in [0, 16): one AVX-512
+// B strip. kc must be positive.
+TEXT ·packStrip16(SB), NOSPLIT, $0-32
+	MOVQ kc+0(FP), CX
+	MOVQ src+8(FP), SI
+	MOVQ ldBytes+16(FP), R8
+	MOVQ dst+24(FP), DI
+	LEAQ (R8)(R8*8), R9
+
+loop:
+	PREFETCHT0 (SI)(R9*1)
+	PREFETCHT0 64(SI)(R9*1)
+	PREFETCHT0 127(SI)(R9*1)
+	VMOVUPD (SI), Z0
+	VMOVUPD 64(SI), Z1
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	ADDQ    R8, SI
+	ADDQ    $128, DI
+	DECQ    CX
+	JNZ     loop
+	VZEROUPPER
+	RET
+
+// func fillRandomAsm(n int64, dst *float64, lanes *[8]uint64, scale float64)
+//
+// Eight SplitMix64 streams side by side: lane i enters holding the
+// state of element i and advances by 8*gamma per iteration, so element
+// e gets exactly the scalar generator's state seed + (e+1)*gamma. The
+// float mapping is convert, times 2^-52, minus 1 (all three exact for a
+// 53-bit integer, as 2*x/2^53 - 1 is in Go), times scale (the one
+// rounding). n must be a positive multiple of 8. Needs AVX-512DQ
+// (VPMULLQ, VCVTUQQ2PD), which the avx512 tier requires.
+TEXT ·fillRandomAsm(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ lanes+16(FP), SI
+	VMOVDQU64 (SI), Z0
+	VBROADCASTSD scale+24(FP), Z6
+	MOVQ $0xf1bbcdcbfa53e0a8, AX // 8 * 0x9e3779b97f4a7c15 mod 2^64
+	VPBROADCASTQ AX, Z1
+	MOVQ $0xbf58476d1ce4e5b9, AX
+	VPBROADCASTQ AX, Z2
+	MOVQ $0x94d049bb133111eb, AX
+	VPBROADCASTQ AX, Z3
+	MOVQ $0x3cb0000000000000, AX // 2^-52
+	VPBROADCASTQ AX, Z4
+	MOVQ $0x3ff0000000000000, AX // 1.0
+	VPBROADCASTQ AX, Z5
+
+loop:
+	VPSRLQ     $30, Z0, Z8
+	VPXORQ     Z8, Z0, Z8
+	VPMULLQ    Z2, Z8, Z8
+	VPSRLQ     $27, Z8, Z9
+	VPXORQ     Z9, Z8, Z8
+	VPMULLQ    Z3, Z8, Z8
+	VPSRLQ     $31, Z8, Z9
+	VPXORQ     Z9, Z8, Z8
+	VPSRLQ     $11, Z8, Z8
+	VCVTUQQ2PD Z8, Z8
+	VMULPD     Z4, Z8, Z8
+	VSUBPD     Z5, Z8, Z8
+	VMULPD     Z6, Z8, Z8
+	VMOVUPD    Z8, (DI)
+	VPADDQ     Z1, Z0, Z0
+	ADDQ       $64, DI
+	SUBQ       $8, CX
+	JNZ        loop
 	VZEROUPPER
 	RET
 

@@ -4,10 +4,13 @@ import "os"
 
 // KernelTier identifies one rung of the micro-kernel dispatch ladder
 // (DESIGN.md §13). Every tier computes identical results on the shared
-// packed-panel format; higher tiers only widen the register block. The
-// two assembly tiers are bitwise identical to each other (same fused
-// multiply-add sequence per C element); the portable tier differs in
-// the last ulp because Go emits separate multiply and add.
+// packed-panel format; higher tiers only widen the register block and
+// move the data around it faster. The two assembly tiers are bitwise
+// identical to each other (same fused multiply-add sequence per C
+// element, and their strip packers and accumulate-into-C kernel entries
+// only copy and add); the portable tier differs in the last ulp because
+// Go emits separate multiply and add. Tile4.FillRandom is the same bits
+// on all three.
 type KernelTier int32
 
 const (
@@ -15,14 +18,17 @@ const (
 	// micro-kernel and scalar accumulate loops. Always available; the
 	// reference the assembly tiers are property-tested against.
 	TierPortable KernelTier = iota
-	// TierAVX2 is the 4x8 AVX2+FMA GEMM micro-kernel plus the vector
-	// axpy/scale kernels, entered when CPUID reports FMA+AVX2 with
-	// OS-enabled YMM state.
+	// TierAVX2 is the 4x8 AVX2+FMA GEMM micro-kernel with its ymm strip
+	// packers, plus the vector axpy/scale kernels, entered when CPUID
+	// reports FMA+AVX2 with OS-enabled YMM state. The fill stays scalar
+	// here: AVX2 has no 64-bit vector multiply.
 	TierAVX2
 	// TierAVX512 is the 8x16 zmm FMA GEMM micro-kernel above the AVX2
-	// path, entered when CPUID reports AVX-512F with OS-enabled ZMM
-	// state. The axpy/scale kernels stay on the 256-bit path (they are
-	// memory-bound; wider vectors buy nothing).
+	// path with its strip packers, and the eight-lane FillRandom,
+	// entered when CPUID reports AVX-512F and AVX-512DQ (the fill's
+	// VPMULLQ and VCVTUQQ2PD) with OS-enabled ZMM state; an F-only part
+	// runs TierAVX2. The axpy/scale kernels stay on the 256-bit path
+	// (they are memory-bound; wider vectors buy nothing).
 	TierAVX512
 )
 

@@ -196,17 +196,34 @@ func Sort4Flops(n int) int64 { return 0 }
 // elements: n float64 reads plus n float64 writes.
 func Sort4Bytes(n int) int64 { return 16 * int64(n) }
 
+// splitMixGamma is the SplitMix64 increment: element e of a fill takes
+// its value from the state seed + (e+1)*splitMixGamma.
+const splitMixGamma = 0x9e3779b97f4a7c15
+
 // FillRandom fills the tile with deterministic pseudo-random values in
 // [-scale, scale) derived from the seed, for building reproducible
-// synthetic amplitudes and integrals.
+// synthetic amplitudes and integrals. The values are the same bits on
+// every tier: the AVX-512 tier runs eight elements' generators side by
+// side (fillRandomAsm), the scalar loop below finishes the tail and is
+// the whole fill everywhere else.
 func (t *Tile4) FillRandom(seed uint64, scale float64) {
+	data := t.Data
 	state := seed
-	for i := range t.Data {
-		state += 0x9e3779b97f4a7c15
+	if q := len(data) &^ 7; q > 0 && activeTier == TierAVX512 {
+		var lanes [8]uint64
+		for i := range lanes {
+			lanes[i] = seed + uint64(i+1)*splitMixGamma
+		}
+		fillRandomAsm(int64(q), &data[0], &lanes, scale)
+		state += uint64(q) * splitMixGamma
+		data = data[q:]
+	}
+	for i := range data {
+		state += splitMixGamma
 		z := state
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
-		t.Data[i] = scale * (2*float64(z>>11)/(1<<53) - 1)
+		data[i] = scale * (2*float64(z>>11)/(1<<53) - 1)
 	}
 }
