@@ -194,6 +194,42 @@ func BenchmarkExecuteKernelShape(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteTraced is what observing a job costs, on the shape the
+// service runs most (water, v5, 2 workers, 1,216 tasks of about a
+// microsecond): the same Execute unobserved; recorded and profiled the
+// way serve.runJob does it, from 24-byte spans and no trace; and with
+// the labelled trace built from those spans when the run ends, which
+// the real run of `ccsim profile` and the exporters ask for. allocs/op of the
+// middle one over the first must stay a per-worker number, not a
+// per-task one (TestRecordingAllocatesPerWorkerNotPerTask).
+func BenchmarkExecuteTraced(b *testing.B) {
+	spec, _ := ccsd.VariantByName("v5")
+	plan := ccsd.Compile(molecule.Water631G(), spec, ccsd.Options{Nodes: 1})
+	cfg := ccsd.ExecConfig{Workers: 2}
+	for _, mode := range []struct {
+		name string
+		run  func() error
+	}{
+		{"untraced", func() error { _, err := plan.Execute(cfg); return err }},
+		{"profiled", func() error { _, _, err := plan.ExecuteProfiled("bench", cfg); return err }},
+		{"labelled", func() error {
+			traced := cfg
+			traced.Trace = trace.New()
+			_, err := plan.Execute(traced)
+			return err
+		}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := mode.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEnergy is the energy reduction alone on the same shape: the
 // weights are generated a block at a time into one scratch tile, so a
 // call allocates a few objects, not a weight tensor.

@@ -148,13 +148,14 @@ func profileReal(sys *molecule.System, spec ccsd.VariantSpec, workers int) (*obs
 	return p, nil
 }
 
-// measuredDurations indexes a trace's spans by label (the canonical
-// TaskRef string) so a DAG replay can charge each instance its measured
-// duration. Unlabeled or unmatched instances charge zero.
+// measuredDurations indexes a PTG run's events by instance (Event.Seq)
+// so a DAG replay can charge each instance its measured duration — its
+// execution plus whatever migration or retry the executor recorded
+// against it. Instances without an event charge zero.
 func measuredDurations(tr *trace.Trace) func(*ptg.Instance) int64 {
-	byLabel := make(map[string]int64)
+	bySeq := make(map[int]int64)
 	for _, e := range tr.Events() {
-		byLabel[e.Label] += e.Duration()
+		bySeq[e.Seq] += e.Duration()
 	}
-	return func(in *ptg.Instance) int64 { return byLabel[in.Ref.String()] }
+	return func(in *ptg.Instance) int64 { return bySeq[in.Seq] }
 }

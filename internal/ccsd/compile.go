@@ -7,6 +7,7 @@ import (
 
 	"parsec/internal/ga"
 	"parsec/internal/molecule"
+	"parsec/internal/obsv"
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
 	"parsec/internal/sched"
@@ -221,8 +222,9 @@ type ExecConfig struct {
 	// Queue selects the ready-queue structure; the zero value is the
 	// shared queue.
 	Queue sched.QueueMode
-	// Trace, when non-nil, records every completed task for obsv
-	// profiling.
+	// Trace, when non-nil, receives one labelled event per completed
+	// task, for rendering and obsv profiling. The run records spans and
+	// the events are built from them when it ends (trace.Trace.AddSpans).
 	Trace *trace.Trace
 	// TaskDelay, when non-nil, stalls a worker before each task body —
 	// runtime.Config.TaskDelay, the real-runtime analogue of a simulated
@@ -241,16 +243,36 @@ type ExecConfig struct {
 // Executes of the same plan are safe — the plan is read-only after
 // Compile.
 func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
+	return p.execute(cfg, cfg.Trace != nil)
+}
+
+// ExecuteProfiled is Execute with span recording on, returning beside
+// the result the run's obsv.Profile under the given name, computed
+// straight from the spans (obsv.FromSpans): the per-job profile of the
+// service, which never builds a trace. The spans themselves are the
+// result's Report.Spans.
+func (p *CompiledPlan) ExecuteProfiled(name string, cfg ExecConfig) (RealResult, *obsv.Profile, error) {
+	res, err := p.execute(cfg, true)
+	if err != nil {
+		return RealResult{}, nil, err
+	}
+	sk, _ := p.skeleton(nil) // resolved when the run bound its graph
+	return res, obsv.FromSpans(name, [][]trace.Span{res.Report.Spans}, sk), nil
+}
+
+func (p *CompiledPlan) execute(cfg ExecConfig, record bool) (RealResult, error) {
 	store := inputStore(p.Workload)
-	rep, err := p.runOn(store, cfg)
+	rep, err := p.runOn(store, cfg, record)
 	if err != nil {
 		return RealResult{}, err
 	}
 	return RealResult{Energy: p.Workload.Energy(store.Array(tce.TensorC)), Report: rep}, nil
 }
 
-// runOn binds the plan to store and runs the graph to completion.
-func (p *CompiledPlan) runOn(store ga.API, cfg ExecConfig) (runtime.Report, error) {
+// runOn binds the plan to store and runs the graph to completion,
+// recording spans if asked; a cfg.Trace gets whatever was recorded, also
+// of a run that failed or was canceled.
+func (p *CompiledPlan) runOn(store ga.API, cfg ExecConfig, record bool) (runtime.Report, error) {
 	rcfg := runtime.Config{
 		Workers:   cfg.Workers,
 		Queues:    cfg.Queue,
@@ -258,8 +280,14 @@ func (p *CompiledPlan) runOn(store ga.API, cfg ExecConfig) (runtime.Report, erro
 		Cancel:    cfg.Cancel,
 		TaskDelay: cfg.TaskDelay,
 	}
-	if cfg.Trace != nil {
-		rcfg.Observer = runtime.TraceObserver(0, cfg.Trace)
+	g := p.NewGraph(store)
+	if !record {
+		return runtime.Run(g, rcfg)
 	}
-	return runtime.Run(p.NewGraph(store), rcfg)
+	rep, err := runtime.RunRecorded(g, rcfg)
+	if cfg.Trace != nil {
+		sk, _ := p.skeleton(g)
+		cfg.Trace.AddSpans(0, rep.Spans, sk)
+	}
+	return rep, err
 }

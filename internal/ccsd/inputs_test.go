@@ -66,7 +66,7 @@ func TestInputsFlowThroughGraph(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				cell := fmt.Sprintf("%s/%s/workers=%d", shape, name, workers)
 				store := inputStore(w)
-				if _, err := plan.runOn(store, ExecConfig{Workers: workers}); err != nil {
+				if _, err := plan.runOn(store, ExecConfig{Workers: workers}, false); err != nil {
 					t.Fatalf("%s: %v", cell, err)
 				}
 				if d := EnergyRelDiff(w.Energy(store.Array(tce.TensorC)), ref); d > EnergyTol {
@@ -130,7 +130,7 @@ func TestCancelledRunLeaksNothing(t *testing.T) {
 				close(cancel)
 			}
 			return 0
-		}})
+		}}, false)
 	if !errors.Is(err, runtime.ErrCanceled) {
 		t.Fatalf("cancelled run returned %v", err)
 	}

@@ -32,10 +32,6 @@ type engine struct {
 	stopCh   chan struct{}
 	failOnce sync.Once
 	wg       sync.WaitGroup
-	// spans holds one span list per executor worker, each appended to
-	// only by that worker (the executor's Observer runs on it).
-	spans [][]Span
-
 	// marks is one word per instance, indexed by Seq, set and cleared
 	// with compare-and-swap so that neither a push nor a completion takes
 	// mu. Bit queuedBit marks an instance ever pushed here: an instance
@@ -121,7 +117,6 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 		tp:         tp,
 		tr:         tr,
 		stopCh:     make(chan struct{}),
-		spans:      make([][]Span, cfg.Workers),
 		marks:      make([]atomic.Uint32, tr.NumInstances()),
 		adopted:    make(map[*ptg.Instance]bool),
 		migratedTo: make(map[*ptg.Instance]int),
@@ -135,11 +130,6 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 		Policy:        cfg.Policy,
 		Queues:        cfg.Queues,
 		SchedObserver: cfg.SchedObserver,
-		Observer: func(ev runtime.Event) {
-			e.spans[ev.Worker] = append(e.spans[ev.Worker], Span{
-				Seq: uint32(ev.Seq), Worker: uint32(ev.Worker), Start: int64(ev.Start), End: int64(ev.End),
-			})
-		},
 	}
 	if delay := cfg.TaskDelay; delay != nil {
 		xcfg.TaskDelay = func(worker int, ref ptg.TaskRef) time.Duration { return delay(rank, worker, ref) }
@@ -148,6 +138,9 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 	// probes, takeover scans) read and claim instance state concurrently
 	// with the workers.
 	e.ex = runtime.NewExecutor(xcfg, runtime.Hooks{Start: tr.ClaimStart, Complete: e.complete, Dry: e.dry})
+	// Every rank records: its spans are the binary section of its final
+	// report. A rank expects its share of the graph.
+	e.ex.Record(tr.NumInstances() / cfg.Ranks)
 	return e
 }
 
@@ -609,7 +602,7 @@ func (e *engine) report() RankReport {
 	x := e.ex.Report()
 	e.mu.Lock() // message handlers may still be counting re-dispatches
 	defer e.mu.Unlock()
-	rep := RankReport{
+	return RankReport{
 		Rank:            e.rank,
 		Tasks:           x.Tasks,
 		ByClass:         x.ByClass,
@@ -617,9 +610,6 @@ func (e *engine) report() RankReport {
 		Redispatches:    e.redisp,
 		RedispatchBytes: e.redispBytes,
 		Comm:            e.tp.counters.snapshot(),
+		Spans:           x.Spans,
 	}
-	for _, sps := range e.spans {
-		rep.Spans = append(rep.Spans, sps...)
-	}
-	return rep
 }

@@ -217,15 +217,6 @@ func (c *commCounters) snapshot() CommSnapshot {
 	}
 }
 
-// Span is what a rank records per executed task: which instance (its
-// Seq in the graph every rank and the coordinator enumerate alike), on
-// which worker, from when to when in nanoseconds since the rank's
-// executor started. It carries no strings; Result.Trace labels it.
-type Span struct {
-	Seq, Worker uint32
-	Start, End  int64
-}
-
 // RankReport is one worker process's final self-report, shipped to the
 // coordinator as the msgDoneInfo body: the counters as JSON, the spans
 // as its binary section.
@@ -237,8 +228,9 @@ type RankReport struct {
 	Redispatches    int            `json:"redispatches,omitempty"`
 	RedispatchBytes int64          `json:"redispatch_bytes,omitempty"`
 	Comm            CommSnapshot   `json:"comm"`
-	// Spans is one span per task the rank executed.
-	Spans []Span `json:"-"`
+	// Spans is one span per task the rank executed, as its executor's
+	// Report hands them back.
+	Spans []trace.Span `json:"-"`
 }
 
 // Result summarizes a completed distributed run.
@@ -261,11 +253,21 @@ type Result struct {
 	Comm     obsv.CommStats
 	Recovery obsv.Recovery
 
-	// graph builds the job's graph, for the Seq -> TaskRef table Trace
-	// labels spans from; nil leaves them labelled by number.
+	// graph builds the job's graph, whose skeleton is the Seq -> TaskRef
+	// table Trace labels spans from and Profile reads classes from; nil
+	// leaves them labelled by number.
 	graph     func() *ptg.Graph
 	traceOnce sync.Once
 	trace     *trace.Trace
+}
+
+// skeleton resolves the job's graph structure, or nil.
+func (r *Result) skeleton() *ptg.Skeleton {
+	if r.graph == nil {
+		return nil
+	}
+	sk, _ := r.graph().Skeleton()
+	return sk
 }
 
 // Trace returns one event per executed task across all ranks (rows are
@@ -274,33 +276,26 @@ type Result struct {
 // the trace of formats no label.
 func (r *Result) Trace() *trace.Trace {
 	r.traceOnce.Do(func() {
-		var insts []*ptg.Instance
-		if r.graph != nil {
-			if tr, err := ptg.NewTracker(r.graph()); err == nil {
-				insts = tr.Instances()
-			}
-		}
+		sk := r.skeleton()
 		r.trace = trace.New()
 		for _, rep := range r.PerRank {
-			for _, sp := range rep.Spans {
-				ev := trace.Event{Node: rep.Rank, Thread: int(sp.Worker), Start: sp.Start, End: sp.End}
-				if int(sp.Seq) < len(insts) {
-					ref := insts[sp.Seq].Ref
-					ev.Class, ev.Label = ref.Class, ref.String()
-				} else {
-					ev.Class, ev.Label = "task", fmt.Sprintf("#%d", sp.Seq)
-				}
-				r.trace.Add(ev)
-			}
+			r.trace.AddSpans(rep.Rank, rep.Spans, sk)
 		}
 	})
 	return r.trace
 }
 
 // Profile builds the observability profile of the run: the same
-// obsv.Profile the simulator and shared-memory runtime feed.
+// obsv.Profile the simulator and shared-memory runtime feed, computed
+// straight from the ranks' spans — no trace is built for it.
 func (r *Result) Profile(name string) *obsv.Profile {
-	p := obsv.FromTrace(name, r.Trace())
+	byRank := make([][]trace.Span, r.Ranks)
+	for _, rep := range r.PerRank {
+		if rep.Rank >= 0 && rep.Rank < len(byRank) {
+			byRank[rep.Rank] = rep.Spans
+		}
+	}
+	p := obsv.FromSpans(name, byRank, r.skeleton())
 	p.SetComm(r.Comm)
 	p.SetRecovery(r.Recovery)
 	return p

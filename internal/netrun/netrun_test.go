@@ -13,6 +13,7 @@ import (
 	"parsec/internal/fault"
 	"parsec/internal/metrics"
 	"parsec/internal/molecule"
+	"parsec/internal/obsv"
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
 	"parsec/internal/tce"
@@ -359,6 +360,21 @@ func TestResultProfile(t *testing.T) {
 	if p.Comm == nil || p.Comm.AccOps != res.Comm.AccOps || p.Recov == nil {
 		t.Errorf("profile comm = %+v, recovery = %+v", p.Comm, p.Recov)
 	}
+	// Profile reads the ranks' spans directly; it must be what folding
+	// the labelled trace of the same spans gives, field for field.
+	want := obsv.FromTrace("netrun water v2", res.Trace())
+	want.SetComm(res.Comm)
+	want.SetRecovery(res.Recovery)
+	if !reflect.DeepEqual(p, want) {
+		t.Errorf("profile from spans\n%+v\nprofile from the trace of the same spans\n%+v", p, want)
+	}
+	ranks := map[int]bool{}
+	for _, w := range p.Workers {
+		ranks[w.Node] = true
+	}
+	if len(ranks) != 2 {
+		t.Errorf("profile has rows of %d ranks, want 2", len(ranks))
+	}
 	var buf bytes.Buffer
 	if err := metrics.WriteProfile(&buf, p, 8); err != nil {
 		t.Fatal(err)
@@ -381,15 +397,15 @@ func TestRankReportRoundTrip(t *testing.T) {
 	step := g.Class("STEP")
 	step.Domain = func(emit func(ptg.Args)) { emit(ptg.A1(0)); emit(ptg.A1(1)) }
 	step.Affinity = func(ptg.Args) int { return 0 }
-	spans := []Span{
+	spans := []trace.Span{
 		{Seq: 1, Worker: 0, Start: 5, End: 40},
 		{Seq: 0, Worker: 1, Start: 40, End: 900},
 		{Seq: 7, Worker: 1, Start: 900, End: 901}, // no such instance
 	}
 	want := []trace.Event{
-		{Thread: 0, Class: "STEP", Label: "STEP(1,0,0)", Start: 5, End: 40},
-		{Thread: 1, Class: "STEP", Label: "STEP(0,0,0)", Start: 40, End: 900},
-		{Thread: 1, Class: "task", Label: "#7", Start: 900, End: 901},
+		{Thread: 0, Seq: 1, Class: "STEP", Label: "STEP(1,0,0)", Start: 5, End: 40},
+		{Thread: 1, Seq: 0, Class: "STEP", Label: "STEP(0,0,0)", Start: 40, End: 900},
+		{Thread: 1, Seq: 7, Class: "task", Label: "#7", Start: 900, End: 901},
 	}
 	comm, err := json.Marshal(CommSnapshot{})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"parsec/internal/ptg"
 	"parsec/internal/tensor"
+	"parsec/internal/trace"
 )
 
 // Wire protocol (version 2): every frame is
@@ -900,10 +901,10 @@ func decodeTakeover(b []byte) (takeoverMsg, error) {
 // coordinator parses none.
 type doneInfoMsg struct {
 	JSON  []byte
-	Spans []Span
+	Spans []trace.Span
 }
 
-// spanSize is one encoded Span: seq(4) worker(4) start(8) end(8).
+// spanSize is one encoded trace.Span: seq(4) worker(4) start(8) end(8).
 const spanSize = 4 + 4 + 8 + 8
 
 func (m doneInfoMsg) encode() []byte {
@@ -920,9 +921,9 @@ func decodeDoneInfo(b []byte) (doneInfoMsg, error) {
 	c := &cursor{buf: b}
 	m := doneInfoMsg{JSON: c.bytes()}
 	if n := c.count(spanSize); n > 0 {
-		m.Spans = make([]Span, n)
+		m.Spans = make([]trace.Span, n)
 		for i := range m.Spans {
-			m.Spans[i] = Span{Seq: c.u32(), Worker: c.u32(), Start: c.i64(), End: c.i64()}
+			m.Spans[i] = trace.Span{Seq: c.u32(), Worker: c.u32(), Start: c.i64(), End: c.i64()}
 		}
 	}
 	return m, c.done()

@@ -13,6 +13,7 @@ import (
 
 	"parsec/internal/ptg"
 	"parsec/internal/tensor"
+	"parsec/internal/trace"
 )
 
 // tile constructs a small Tile4 with distinctive, non-round values so a
@@ -408,7 +409,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	t.Run("doneInfo", func(t *testing.T) {
 		m := doneInfoMsg{JSON: []byte(`{"rank":1}`)} // a rank that ran nothing
 		roundTrip(t, "doneInfo", m, msgDoneInfo, m.encode(), decodeDoneInfo)
-		m.Spans = []Span{{Seq: 0, Worker: 1, Start: 5, End: 40}, {Seq: math.MaxUint32, Worker: 0, Start: -1, End: 1 << 40}}
+		m.Spans = []trace.Span{{Seq: 0, Worker: 1, Start: 5, End: 40}, {Seq: math.MaxUint32, Worker: 0, Start: -1, End: 1 << 40}}
 		roundTrip(t, "doneInfo/spans", m, msgDoneInfo, m.encode(), decodeDoneInfo)
 	})
 	t.Run("error", func(t *testing.T) {
@@ -476,7 +477,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{'P', 'R', wireVersion, msgMax, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{'P', 'R', 1, msgHello}) // a v1 peer
 	f.Add([]byte("not a frame at all, definitely longer than a header"))
-	f.Add(sealFrame(doneInfoMsg{JSON: []byte(`{}`), Spans: []Span{{Seq: 3, Worker: 1, Start: 2, End: 9}}}.encode(), 9))
+	f.Add(sealFrame(doneInfoMsg{JSON: []byte(`{}`), Spans: []trace.Span{{Seq: 3, Worker: 1, Start: 2, End: 9}}}.encode(), 9))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := decodeFrame(data)
 		switch {

@@ -10,7 +10,9 @@
 // that replays the executed DAG to report what fraction of the critical
 // path each task class contributes.
 //
-// A Profile is normally built from a recorded trace with FromTrace,
+// A Profile is built from a recorded trace with FromTrace (the
+// simulators, which record labelled events) or straight from a real
+// run's spans with FromSpans (the service, netrun — no trace is built),
 // enriched with SetComm and SetCritical, and rendered as text by
 // metrics.WriteProfile or exported as JSON (WriteJSON) for regression
 // diffing. cmd/ccsim profile is the command-line surface.
@@ -21,7 +23,9 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"parsec/internal/ptg"
@@ -376,71 +380,146 @@ func FromTrace(name string, t *trace.Trace) *Profile {
 	}
 	for _, class := range reg.Classes() {
 		h := reg.Histogram(class)
-		p.Classes = append(p.Classes, ClassProfile{
-			Class: class,
-			Count: h.Count,
-			P50:   h.Quantile(0.50),
-			P95:   h.Quantile(0.95),
-			P99:   h.Quantile(0.99),
-			Max:   h.Max,
-			Total: h.Sum,
-		})
+		p.Classes = append(p.Classes, h.profile(class))
 	}
 
 	// Events() is sorted by (node, thread, start): walk each row once.
-	flush := func(w *WorkerProfile, lastEnd int64) {
-		if gap := end - lastEnd; gap > 0 {
-			w.Idle += gap
-			if gap > w.LongestBubble {
-				w.LongestBubble, w.BubbleStart = gap, lastEnd-start
-			}
-		}
-		p.Workers = append(p.Workers, *w)
-	}
-	var cur *WorkerProfile
-	var lastEnd int64
+	w := rowWalk{p: p, start: start, end: end}
 	for i := range evs {
 		e := &evs[i]
-		if cur == nil || e.Node != cur.Node || e.Thread != cur.Thread {
-			if cur != nil {
-				flush(cur, lastEnd)
-			}
-			cur = &WorkerProfile{Node: e.Node, Thread: e.Thread}
-			lastEnd = start
-			cur.StartupIdle = e.Start - start
-		}
-		if gap := e.Start - lastEnd; gap > 0 {
-			cur.Idle += gap
-			if gap > cur.LongestBubble {
-				cur.LongestBubble, cur.BubbleStart = gap, lastEnd-start
-			}
-		}
-		cur.Tasks++
-		cur.Busy += e.Duration()
-		if e.End > lastEnd {
-			lastEnd = e.End
-		}
+		w.add(e.Node, e.Thread, e.Start, e.End)
 	}
-	if cur != nil {
-		flush(cur, lastEnd)
-	}
+	w.finish()
+	return p
+}
 
+// FromSpans computes the same profile FromTrace computes from the
+// labelled trace of the same run — every field equal — straight from the
+// spans real executors record, without building that trace: byNode[n] is
+// node n's spans as runtime.Report.Spans and a netrun rank's report carry
+// them (grouped by worker in increasing order, each worker's in start
+// order), and sk, the skeleton of the graph that ran, supplies what a
+// span leaves out, the class. Durations go into histograms indexed by
+// class, and each worker's row is walked in the order it was recorded:
+// no label is formatted, no span is sorted, no lock is taken. Spans sk
+// does not describe (a nil sk describes none) count under class "task",
+// as trace.Trace.AddSpans labels them.
+func FromSpans(name string, byNode [][]trace.Span, sk *ptg.Skeleton) *Profile {
+	p := &Profile{Name: name}
+	names := append(sk.ClassNames(), "task")
+	hists := make([]Histogram, len(names))
+	var start, end int64
+	for _, spans := range byNode {
+		for i := range spans {
+			sp := &spans[i]
+			if p.Tasks == 0 || sp.Start < start {
+				start = sp.Start
+			}
+			if p.Tasks == 0 || sp.End > end {
+				end = sp.End
+			}
+			p.Tasks++
+			ci := sk.ClassOf(int(sp.Seq))
+			if ci < 0 {
+				ci = len(names) - 1
+			}
+			hists[ci].Add(sp.End - sp.Start)
+		}
+	}
+	p.Span = end - start
+	for ci := range hists {
+		if hists[ci].Count > 0 {
+			p.Classes = append(p.Classes, hists[ci].profile(names[ci]))
+		}
+	}
+	slices.SortFunc(p.Classes, func(a, b ClassProfile) int { return strings.Compare(a.Class, b.Class) })
+
+	w := rowWalk{p: p, start: start, end: end}
+	for node, spans := range byNode {
+		for i := range spans {
+			sp := &spans[i]
+			w.add(node, int(sp.Worker), sp.Start, sp.End)
+		}
+	}
+	w.finish()
+	return p
+}
+
+// profile summarizes the histogram as one class's row of a Profile.
+func (h *Histogram) profile(class string) ClassProfile {
+	return ClassProfile{
+		Class: class,
+		Count: h.Count,
+		P50:   h.Quantile(0.50),
+		P95:   h.Quantile(0.95),
+		P99:   h.Quantile(0.99),
+		Max:   h.Max,
+		Total: h.Sum,
+	}
+}
+
+// rowWalk builds a profile's per-worker idle accounting from task
+// executions visited in (node, thread, start) order, over the run's
+// global [start, end] span.
+type rowWalk struct {
+	p          *Profile
+	start, end int64
+	cur        WorkerProfile // the row being walked, once open
+	open       bool
+	lastEnd    int64
+}
+
+// gap charges the current row an idle interval [lastEnd, to).
+func (w *rowWalk) gap(to int64) {
+	if g := to - w.lastEnd; g > 0 {
+		w.cur.Idle += g
+		if g > w.cur.LongestBubble {
+			w.cur.LongestBubble, w.cur.BubbleStart = g, w.lastEnd-w.start
+		}
+	}
+}
+
+// flush closes the current row with its tail idle.
+func (w *rowWalk) flush() {
+	if w.open {
+		w.gap(w.end)
+		w.p.Workers = append(w.p.Workers, w.cur)
+	}
+}
+
+func (w *rowWalk) add(node, thread int, s, e int64) {
+	if !w.open || node != w.cur.Node || thread != w.cur.Thread {
+		w.flush()
+		w.cur, w.open = WorkerProfile{Node: node, Thread: thread, StartupIdle: s - w.start}, true
+		w.lastEnd = w.start
+	}
+	w.gap(s)
+	w.cur.Tasks++
+	w.cur.Busy += e - s
+	if e > w.lastEnd {
+		w.lastEnd = e
+	}
+}
+
+// finish closes the last row and folds the rows into the idle summary.
+func (w *rowWalk) finish() {
+	w.flush()
+	p := w.p
 	if n := len(p.Workers); n > 0 && p.Span > 0 {
 		var fracSum float64
-		for _, w := range p.Workers {
-			p.Idle.TotalIdle += w.Idle
-			p.Idle.MeanStartup += w.StartupIdle
-			fracSum += float64(w.Idle) / float64(p.Span)
-			if w.LongestBubble > p.Idle.MaxBubble {
-				p.Idle.MaxBubble = w.LongestBubble
-				p.Idle.MaxBubbleAt = w.BubbleStart
-				p.Idle.MaxBubbleOwner = w.Name()
+		for _, wp := range p.Workers {
+			p.Idle.TotalIdle += wp.Idle
+			p.Idle.MeanStartup += wp.StartupIdle
+			fracSum += float64(wp.Idle) / float64(p.Span)
+			if wp.LongestBubble > p.Idle.MaxBubble {
+				p.Idle.MaxBubble = wp.LongestBubble
+				p.Idle.MaxBubbleAt = wp.BubbleStart
+				p.Idle.MaxBubbleOwner = wp.Name()
 			}
 		}
 		p.Idle.MeanIdleFrac = fracSum / float64(n)
 		p.Idle.MeanStartup /= int64(n)
 	}
-	return p
 }
 
 // SetComm attaches communication-volume counters.

@@ -320,6 +320,16 @@ func (g *Graph) Class(name string) *TaskClass {
 // class or flow layout differs from the graph's.
 func (g *Graph) Bind(s *Skeleton) { g.skel = s }
 
+// Skeleton returns the graph's resolved structure: the bound one, or a
+// private one built now. It is the Seq -> TaskRef table a recorded run's
+// spans are labelled from.
+func (g *Graph) Skeleton() (*Skeleton, error) {
+	if g.skel != nil {
+		return g.skel, nil
+	}
+	return NewSkeleton(g)
+}
+
 // ClassByName returns the named class, or nil.
 func (g *Graph) ClassByName(name string) *TaskClass { return g.classes[name] }
 

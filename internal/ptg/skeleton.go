@@ -267,6 +267,47 @@ func (s *Skeleton) matches(g *Graph) error {
 // NumInstances returns the number of task instances described.
 func (s *Skeleton) NumInstances() int { return len(s.inst) }
 
+// ClassNames returns the class names in definition order: the index
+// space of ClassOf. A nil skeleton has none.
+func (s *Skeleton) ClassNames() []string {
+	if s == nil {
+		return nil
+	}
+	names := make([]string, len(s.classes))
+	for ci := range s.classes {
+		names[ci] = s.classes[ci].name
+	}
+	return names
+}
+
+// ClassOf returns the definition-order index of the class instance seq
+// belongs to, or -1 when the skeleton (a nil one included) describes no
+// such instance. Seq is all an executor's recorded span keeps of a
+// task; this and Ref are how a reader gets the rest back.
+func (s *Skeleton) ClassOf(seq int) int {
+	if s == nil || seq < 0 || seq >= len(s.inst) {
+		return -1
+	}
+	// Classes are contiguous in creation order, and there are a handful.
+	for ci := len(s.classes) - 1; ci > 0; ci-- {
+		if int(s.classes[ci].base) <= seq {
+			return ci
+		}
+	}
+	return 0
+}
+
+// Ref rebuilds the reference of instance seq — class name plus args, as
+// a tracker's Instance.Ref carries it — and reports whether there is
+// such an instance.
+func (s *Skeleton) Ref(seq int) (TaskRef, bool) {
+	ci := s.ClassOf(seq)
+	if ci < 0 {
+		return TaskRef{}, false
+	}
+	return TaskRef{Class: s.classes[ci].name, Args: widen(s.inst[seq].args)}, true
+}
+
 // Bytes returns the heap footprint of the skeleton's arrays: what a
 // cached plan keeps resident for it.
 func (s *Skeleton) Bytes() int {

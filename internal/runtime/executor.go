@@ -11,6 +11,7 @@ import (
 	"parsec/internal/sched"
 	"parsec/internal/team"
 	"parsec/internal/tensor/pool"
+	"parsec/internal/trace"
 )
 
 // Hooks are the only points where an embedder's semantics enter the
@@ -84,6 +85,11 @@ type workerState struct {
 	// helped counts span parts this worker ran for other workers' tasks.
 	spans  int64
 	helped int64
+	// rec is the worker's span buffer in a recorded run (Record): one
+	// trace.Span per task this worker executed, in execution order,
+	// appended only by this worker. A helper running a lent part of
+	// another worker's task executes no task and so appends nothing.
+	rec []trace.Span
 }
 
 // classCount is one worker's task count for one class; the name is kept
@@ -126,6 +132,9 @@ type Executor struct {
 	err   error
 
 	start time.Time
+	// record is set by Record; timed says each task is stamped at both
+	// ends, which an Observer or a recorded run asks for.
+	record, timed bool
 }
 
 // NewExecutor returns an idle executor configured by cfg (Workers,
@@ -145,6 +154,7 @@ func NewExecutor(cfg Config, hooks Hooks) *Executor {
 		shards: make([]shard, nshards),
 		ws:     make([]workerState, cfg.Workers),
 		start:  time.Now(),
+		timed:  cfg.Observer != nil,
 	}
 	for i := range x.shards {
 		x.shards[i].q = sched.NewQueue(cfg.Policy, cfg.Queues)
@@ -156,6 +166,20 @@ func NewExecutor(cfg Config, hooks Hooks) *Executor {
 		x.ws[i].par = workerTeam{x: x, id: i}
 	}
 	return x
+}
+
+// Record turns span recording on for the coming Run: every worker keeps
+// a trace.Span per task it executes in a buffer of its own — no lock,
+// no formatting, no pointer — and Report hands them back. n is the
+// number of task executions the embedder expects of this executor (a
+// whole-graph run's instance count, a rank's share of it); the buffers
+// are sized from it once, so a balanced run appends without growing.
+func (x *Executor) Record(n int) {
+	x.record, x.timed = true, true
+	per := (n+n/4)/len(x.ws) + 16
+	for i := range x.ws {
+		x.ws[i].rec = make([]trace.Span, 0, per)
+	}
 }
 
 // Run starts the workers and blocks until Halt or a failure stops them,
@@ -225,6 +249,12 @@ func (x *Executor) Report() Report {
 	for i := range x.shards {
 		if d := x.shards[i].maxDepth; d > rep.Sched.MaxQueueDepth {
 			rep.Sched.MaxQueueDepth = d
+		}
+	}
+	if x.record {
+		rep.Spans = make([]trace.Span, 0, rep.Tasks)
+		for i := range x.ws {
+			rep.Spans = append(rep.Spans, x.ws[i].rec...)
 		}
 	}
 	return rep
@@ -651,11 +681,11 @@ func (x *Executor) work(id int) {
 	ws := &x.ws[id]
 	t0 := time.Now()
 	defer func() {
-		// Without an Observer, busy is coarse: the worker's unparked
-		// time. Per-task timestamping costs two clock reads per task —
-		// measurable against sub-microsecond bodies — so the precise
-		// accounting only runs when someone asked to see it.
-		if x.cfg.Observer == nil {
+		// Untimed, busy is coarse: the worker's unparked time. Per-task
+		// timestamping costs two clock reads per task — measurable
+		// against sub-microsecond bodies — so the precise accounting
+		// only runs when someone asked to see it.
+		if !x.timed {
 			ws.busy = time.Since(t0) - ws.parkedFor
 		}
 	}()
@@ -710,15 +740,17 @@ func (x *Executor) execute(worker int, in *ptg.Instance) (*ptg.Instance, error) 
 	copy(out, in.In)
 	ctx := &ws.ctx
 	*ctx = ptg.Ctx{Args: in.Ref.Args, Node: in.Node, Seq: in.Seq, In: in.In, Out: out, Pool: ws.loc, Par: ws.par}
-	obs := x.cfg.Observer
 	if delay := x.cfg.TaskDelay; delay != nil {
 		if d := delay(worker, in.Ref); d > 0 {
 			time.Sleep(d)
 		}
 	}
-	var t0 time.Time
-	if obs != nil {
-		t0 = time.Now()
+	// Both ends of a task are offsets from x.start on the monotonic
+	// clock: one clock read each, no wall-clock read.
+	timed := x.timed
+	var t0, t1 time.Duration
+	if timed {
+		t0 = time.Since(x.start)
 	}
 	if body := in.Class.Body; body != nil {
 		if err := safeBody(body, ctx, in); err != nil {
@@ -728,10 +760,9 @@ func (x *Executor) execute(worker int, in *ptg.Instance) (*ptg.Instance, error) 
 			return nil, fmt.Errorf("runtime: task %v failed: %w", in.Ref, err)
 		}
 	}
-	var dur time.Duration
-	if obs != nil {
-		dur = time.Since(t0)
-		ws.busy += dur
+	if timed {
+		t1 = time.Since(x.start)
+		ws.busy += t1 - t0
 	}
 	ci := in.Class.Index()
 	for ci >= len(ws.byClass) {
@@ -754,8 +785,13 @@ func (x *Executor) execute(worker int, in *ptg.Instance) (*ptg.Instance, error) 
 	next := x.handOff(worker, ws, ready)
 	ws.scratch = ready[:0]
 
-	if obs != nil {
-		obs(Event{Task: in.Ref, Seq: in.Seq, Worker: worker, Start: t0.Sub(x.start), End: t0.Add(dur).Sub(x.start)})
+	if timed {
+		if x.record {
+			ws.rec = append(ws.rec, trace.Span{Seq: uint32(in.Seq), Worker: uint32(worker), Start: int64(t0), End: int64(t1)})
+		}
+		if obs := x.cfg.Observer; obs != nil {
+			obs(Event{Task: in.Ref, Seq: in.Seq, Worker: worker, Start: t0, End: t1})
+		}
 	}
 	return next, nil
 }

@@ -144,7 +144,10 @@ func gemmChainGraph(n, workers int, a, b *tensor.Matrix, cs []*tensor.Matrix) *p
 // one-worker run, a GEMM publishes a span when helpers are parked (and
 // never more than one: a GEMM that finds nobody parked stays whole on
 // its worker), and (on machines with enough cores to measure it) the
-// eight-worker run beats the single-threaded wall clock.
+// eight-worker run beats the single-threaded wall clock. The lent run is
+// recorded: the helpers that ran slices of a GEMM executed no task, so
+// under -race and in checkSpans none of them may have touched a span
+// buffer — the owning worker's included.
 func TestLendGemmChainStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
@@ -163,10 +166,11 @@ func TestLendGemmChainStress(t *testing.T) {
 			cs[i] = tensor.NewMatrix(dim, dim)
 		}
 		t0 := time.Now()
-		rep, err := Run(gemmChainGraph(n, workers, a, b, cs), Config{Workers: workers})
+		rep, err := RunRecorded(gemmChainGraph(n, workers, a, b, cs), Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkSpans(t, rep, n)
 		return cs, time.Since(t0), rep
 	}
 

@@ -5,17 +5,22 @@ import (
 )
 
 // TraceObserver returns an Observer that records every completed task
-// into tr as a span on the given node, with the worker index as the
-// thread lane and the task's canonical reference string (e.g.
-// "GEMM(1,2,3)") as the label. That label convention matches
-// internal/simexec's traces, so the result feeds the same consumers:
-// trace rendering, internal/obsv profiles, and critical-path replay
-// keyed by TaskRef. Safe for concurrent use, like trace.Trace.Add.
+// into tr as it completes: one trace.Trace.Add — its mutex, a label
+// formatted with fmt — per task. No run path of the repository uses it
+// any more: Execute, the service and every netrun rank record 24-byte
+// spans in the executor (Executor.Record, RunRecorded) and label them
+// after the run with trace.Trace.AddSpans. It stays for the
+// parsec.RuntimeTraceObserver facade, whose caller brings a graph of
+// their own and a Config.Observer to put this in, and for the tests
+// that pin the Observer contract. The events are the ones AddSpans
+// builds: worker index as the thread lane, canonical reference string
+// (e.g. "GEMM(1,2,3)") as the label.
 func TraceObserver(node int, tr *trace.Trace) func(Event) {
 	return func(e Event) {
 		tr.Add(trace.Event{
 			Node:   node,
 			Thread: e.Worker,
+			Seq:    e.Seq,
 			Class:  e.Task.Class,
 			Label:  e.Task.String(),
 			Start:  int64(e.Start),

@@ -33,6 +33,7 @@ import (
 
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
+	"parsec/internal/trace"
 )
 
 // ErrCanceled is the error Run returns when Config.Cancel fires before
@@ -122,6 +123,12 @@ type Report struct {
 	Elapsed  time.Duration
 	BusyTime time.Duration // summed task execution time across workers
 	Sched    SchedStats
+	// Spans is one span per executed task when the run was recorded
+	// (RunRecorded, Executor.Record), nil otherwise: grouped by worker in
+	// increasing order, each worker's in the order it ran them, which is
+	// start order. obsv.FromSpans profiles them as they are;
+	// trace.Trace.AddSpans labels them.
+	Spans []trace.Span
 }
 
 // String summarizes the run in one line.
@@ -131,7 +138,14 @@ func (r Report) String() string {
 
 // Run executes the graph to completion and returns a report. Execution is
 // aborted with an error if a task body panics or the graph deadlocks.
-func Run(g *ptg.Graph, cfg Config) (Report, error) {
+func Run(g *ptg.Graph, cfg Config) (Report, error) { return run(g, cfg, false) }
+
+// RunRecorded is Run with span recording on: the report's Spans hold one
+// trace.Span per executed task. It is what a caller that wants a profile
+// or a trace of the run asks for; Config.Observer is not involved.
+func RunRecorded(g *ptg.Graph, cfg Config) (Report, error) { return run(g, cfg, true) }
+
+func run(g *ptg.Graph, cfg Config, record bool) (Report, error) {
 	tr, err := ptg.NewTracker(g)
 	if err != nil {
 		return Report{}, err
@@ -170,6 +184,10 @@ func Run(g *ptg.Graph, cfg Config) (Report, error) {
 			return ready, nil
 		},
 	})
+
+	if record {
+		x.Record(tr.NumInstances())
+	}
 
 	// The initially-ready tasks arrive already in pop order (the plan's
 	// skeleton sorted them once), so the queues adopt them as a run rather

@@ -68,10 +68,11 @@ func TestStressLayeredDAG(t *testing.T) {
 		q := q
 		t.Run(q.String(), func(t *testing.T) {
 			var done atomic.Int64
-			rep, err := Run(stressDAG(width, layers, &done), Config{Workers: 8, Queues: q})
+			rep, err := RunRecorded(stressDAG(width, layers, &done), Config{Workers: 8, Queues: q})
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkSpans(t, rep, width*layers)
 			if want := int64(width * layers); done.Load() != want || int64(rep.Tasks) != want {
 				t.Errorf("ran %d bodies, report %d tasks, want %d", done.Load(), rep.Tasks, want)
 			}

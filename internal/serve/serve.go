@@ -39,7 +39,6 @@ import (
 	"parsec/internal/netrun"
 	"parsec/internal/obsv"
 	"parsec/internal/runtime"
-	"parsec/internal/trace"
 )
 
 // ErrQueueFull is returned by Submit when the admission queue is at
@@ -535,11 +534,12 @@ func (s *Server) runJob(j *job) {
 	if workers <= 0 {
 		workers = s.cfg.DefaultWorkers
 	}
-	tr := trace.New()
+	// Every job is profiled, from the spans its run records; no trace
+	// is built and no label formatted for a profile nobody may fetch.
+	name := fmt.Sprintf("%s %s/%s", j.id, j.sys.Name, j.spec.Variant)
 	t0 := time.Now()
-	res, err := plan.Execute(ccsd.ExecConfig{
+	res, prof, err := plan.ExecuteProfiled(name, ccsd.ExecConfig{
 		Workers: workers,
-		Trace:   tr,
 		Cancel:  j.cancel,
 	})
 	execDur := time.Since(t0)
@@ -561,7 +561,6 @@ func (s *Server) runJob(j *job) {
 		ph.InspectNs = plan.InspectTime.Nanoseconds()
 		ph.PlanNs = plan.PlanTime.Nanoseconds()
 	}
-	prof := obsv.FromTrace(fmt.Sprintf("%s %s/%s", j.id, j.sys.Name, j.spec.Variant), tr)
 	prof.SetPhases(ph)
 
 	s.finishDone(j, &JobResult{
@@ -581,8 +580,8 @@ func (s *Server) runJob(j *job) {
 // string, from which netrun compiles its own plan for the rank count
 // (the plan cache does not apply: its plans are compiled for the spec's
 // node count, not NetrunRanks, and worker processes compile their own);
-// cancellation threads into the coordinator, and the distributed trace
-// feeds the job profile.
+// cancellation threads into the coordinator, and the ranks' spans feed
+// the job profile.
 func (s *Server) runJobNetrun(j *job, queueDur time.Duration) {
 	nspec := netrun.JobSpec{Preset: j.spec.Preset, Custom: j.spec.Custom, Variant: j.vspec.MustShape().Canon()}
 	workers := j.spec.Workers

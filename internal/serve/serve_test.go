@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -402,5 +403,114 @@ func TestHTTPSubmitBodyLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("normal submit = %d, want 202", resp.StatusCode)
+	}
+}
+
+// jsonPaths flattens a decoded JSON value into the set of its key paths,
+// array elements collapsed ("classes[].count").
+func jsonPaths(prefix string, v any, into map[string]bool) {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, e := range v {
+			p := k
+			if prefix != "" {
+				p = prefix + "." + k
+			}
+			into[p] = true
+			jsonPaths(p, e, into)
+		}
+	case []any:
+		for _, e := range v {
+			jsonPaths(prefix+"[]", e, into)
+		}
+	}
+}
+
+// TestJobProfileShape pins what GET /jobs/{id}/profile serves for a
+// fixed job — water v5 — on both backends, against what it served when
+// every job's profile was folded from a labelled trace: the same JSON
+// keys, the same task total, the same classes with the same counts, and
+// worker rows that account for every task. The profile is now computed
+// from the run's spans; nothing a client reads may have changed.
+func TestJobProfileShape(t *testing.T) {
+	common := []string{
+		"name", "span_ns", "tasks",
+		"classes", "classes[].class", "classes[].count", "classes[].p50_ns", "classes[].p95_ns", "classes[].p99_ns", "classes[].max_ns", "classes[].total_ns",
+		"workers", "workers[].node", "workers[].thread", "workers[].tasks", "workers[].busy_ns", "workers[].idle_ns",
+		"workers[].startup_idle_ns", "workers[].longest_bubble_ns", "workers[].bubble_start_ns",
+		"idle", "idle.total_idle_ns", "idle.mean_idle_frac", "idle.mean_startup_ns", "idle.max_bubble_ns", "idle.max_bubble_at_ns", "idle.max_bubble_owner",
+		"phases", "phases.queue_ns", "phases.inspect_ns", "phases.plan_ns", "phases.exec_ns", "phases.cache_hit",
+	}
+	wantClasses := map[string]int64{"DFILL": 228, "GEMM": 228, "READA": 228, "READB": 228, "REDUCE": 228, "SORT": 38, "WRITE": 38}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		extra   []string
+		maxRows int
+	}{
+		{"in-process", Config{MaxConcurrent: 1, DefaultWorkers: 2}, nil, 2},
+		{"netrun", Config{MaxConcurrent: 1, DefaultWorkers: 2, NetrunBytes: 1, NetrunRanks: 2},
+			[]string{"comm", "comm.acc_ops", "comm.acc_bytes", "comm.transfers", "comm.total_bytes", "recovery"}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(tc.cfg)
+			defer s.Shutdown()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			st, err := s.Submit(JobSpec{Preset: "water", Variant: "v5"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st = waitTerminal(t, s, st.ID); st.State != JobDone {
+				t.Fatalf("job state = %s (%s)", st.State, st.Error)
+			}
+			resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/profile")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body bytes.Buffer
+			if _, err := body.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("profile status = %d, read error %v", resp.StatusCode, err)
+			}
+
+			var raw any
+			if err := json.Unmarshal(body.Bytes(), &raw); err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[string]bool)
+			jsonPaths("", raw, got)
+			for _, k := range append(append([]string(nil), common...), tc.extra...) {
+				if !got[k] {
+					t.Errorf("profile lost key %s", k)
+				}
+				delete(got, k)
+			}
+			for k := range got {
+				t.Errorf("profile grew key %s", k)
+			}
+
+			var prof obsv.Profile
+			if err := json.Unmarshal(body.Bytes(), &prof); err != nil {
+				t.Fatal(err)
+			}
+			if prof.Tasks != 1216 || int(prof.Tasks) != st.Result.Tasks {
+				t.Errorf("profile covers %d tasks, result %d, want 1216", prof.Tasks, st.Result.Tasks)
+			}
+			classes := make(map[string]int64)
+			for _, c := range prof.Classes {
+				classes[c.Class] = c.Count
+			}
+			if !reflect.DeepEqual(classes, wantClasses) {
+				t.Errorf("classes = %v, want %v", classes, wantClasses)
+			}
+			rowTasks := 0
+			for _, w := range prof.Workers {
+				rowTasks += w.Tasks
+			}
+			if n := len(prof.Workers); n < 1 || n > tc.maxRows || rowTasks != 1216 {
+				t.Errorf("%d worker rows (want 1..%d) account for %d tasks", n, tc.maxRows, rowTasks)
+			}
+		})
 	}
 }

@@ -394,7 +394,7 @@ func (ex *executor) worker(p *sim.Proc, node, wid int) {
 		}
 		if ex.cfg.Trace != nil {
 			ex.cfg.Trace.Add(trace.Event{
-				Node: node, Thread: wid,
+				Node: node, Thread: wid, Seq: in.Seq,
 				Class: in.Ref.Class, Label: in.Ref.String(),
 				Start: int64(start), End: int64(p.Now()),
 			})
@@ -451,7 +451,7 @@ func (ex *executor) stealRemote(p *sim.Proc, node, wid int) *ptg.Instance {
 	ex.res.RedispatchBytes += moved
 	if ex.cfg.Trace != nil && p.Now() > start {
 		ex.cfg.Trace.Add(trace.Event{
-			Node: node, Thread: wid,
+			Node: node, Thread: wid, Seq: in.Seq,
 			Class: "MIGRATE", Label: in.Ref.String(),
 			Start: int64(start), End: int64(p.Now()),
 		})
@@ -613,7 +613,7 @@ func (ex *executor) send(p *sim.Proc, node int, t transfer) {
 		// Mark retried transfers on the comm thread's own row (one past
 		// the worker threads) so recovery is visible in the Gantt views.
 		ex.cfg.Trace.Add(trace.Event{
-			Node: node, Thread: ex.cfg.CoresPerNode,
+			Node: node, Thread: ex.cfg.CoresPerNode, Seq: t.del.To.Seq,
 			Class: "XFER-RETRY", Label: t.del.To.Ref.String(),
 			Start: int64(start), End: int64(p.Now()),
 		})

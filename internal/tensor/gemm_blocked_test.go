@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"testing"
+
+	"parsec/internal/team"
+	"parsec/internal/tensor/pool"
 )
 
 // gemmNaive is an independent reference: the textbook triple loop with
@@ -162,6 +165,39 @@ func BenchmarkKernelGemmBlockedVsDirect(b *testing.B) {
 				gemmDirect(true, false, 1, a, bb, c)
 			})
 		})
+	}
+}
+
+// TestGemmPSerialBranchAllocatesNothing is the GEMM task body's call —
+// three AsMatrix() headers handed to GemmP with the worker's lending
+// handle and scratch shard — at a tile too small to split (the direct
+// and the blocked branch both) and at one large enough when nobody can
+// help: none of the serial branches allocates, the headers included.
+// The closure of the parallel branch used to capture GemmP's own a, b
+// and c, which sent every caller's headers to the heap on every call.
+func TestGemmPSerialBranchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside sync.Pool")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	loc := pool.NewLocal()
+	defer loc.Drain()
+	for _, dim := range [][4]int{{2, 3, 3, 2}, {6, 6, 6, 6}, {12, 12, 12, 12}} {
+		// dgemm('T','N'): A is k x m, B is k x n, C is m x n.
+		at := NewTile4(dim[0], dim[1], dim[2], dim[3])
+		bt := NewTile4(dim[0], dim[1], dim[2], dim[3])
+		ct := NewTile4(dim[2], dim[3], dim[2], dim[3])
+		at.FillRandom(1, 1)
+		bt.FillRandom(2, 1)
+		for _, par := range []team.Parallelism{nil, team.Serial} {
+			body := func() {
+				GemmP(par, loc, true, false, 1, at.AsMatrix(), bt.AsMatrix(), 1, ct.AsMatrix())
+			}
+			body() // warm the scratch shard
+			if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
+				t.Errorf("GemmP %v par=%v: %v allocs/call, want 0", dim, par, allocs)
+			}
+		}
 	}
 }
 

@@ -56,9 +56,14 @@ func GemmP(par team.Parallelism, loc *pool.Local, transA, transB bool, alpha flo
 		gemmBlockedCols(transA, transB, alpha, a, b, c, 0, n, loc)
 		return
 	}
+	// The closure goes to other workers, so what it captures lives on the
+	// heap. Capturing copies of the three headers made here keeps the
+	// callers' own — typically AsMatrix() temporaries — on their stacks
+	// whenever a branch above ran instead, which is nearly always.
+	pa, pb, pc := *a, *b, *c
 	par.Span(parts, func(part int, scratch *pool.Local) {
 		j0 := part * n / parts
 		j1 := (part + 1) * n / parts
-		gemmBlockedCols(transA, transB, alpha, a, b, c, j0, j1, scratch)
+		gemmBlockedCols(transA, transB, alpha, &pa, &pb, &pc, j0, j1, scratch)
 	})
 }

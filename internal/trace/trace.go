@@ -9,19 +9,39 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+
+	"parsec/internal/ptg"
 )
 
-// Event is one task execution. The compact JSON keys are what a netrun
-// rank ships per executed task in its final report.
+// Span is what a real executor records per executed task: which
+// instance (its Seq in the graph the executor, every rank and the
+// coordinator enumerate alike), on which worker, from when to when in
+// nanoseconds since the executor started. It is 24 bytes without a
+// pointer — a worker appends it to its own buffer with no lock and no
+// formatting, a rank ships it as is — and it carries no strings: AddSpans
+// labels it, for someone who prints it.
+type Span struct {
+	Seq, Worker uint32
+	Start, End  int64
+}
+
+// Event is one labelled task execution: what the renderers draw and the
+// simulators record directly. Real executors record Spans instead, and
+// AddSpans turns those into Events on demand.
 type Event struct {
-	Node   int    `json:"n,omitempty"`
-	Thread int    `json:"t"`
-	Class  string `json:"c"`
-	Label  string `json:"l"` // instance label, e.g. "GEMM(3,7)"
-	Start  int64  `json:"s"` // nanoseconds since execution start
-	End    int64  `json:"e"`
+	Node   int
+	Thread int
+	// Seq is the creation ordinal of the task instance the event belongs
+	// to in the executed PTG (ptg.Instance.Seq). Only PTG executors set
+	// it; critical-path replay keys measured durations by it.
+	Seq   int
+	Class string
+	Label string // instance label, e.g. "GEMM(3,7)"
+	Start int64  // nanoseconds since execution start
+	End   int64
 }
 
 // Duration returns End - Start.
@@ -55,6 +75,30 @@ func (t *Trace) Add(ev Event) {
 	t.events = append(t.events, ev)
 	t.sorted = false
 	t.mu.Unlock()
+}
+
+// AddSpans materialises one node's recorded spans as labelled events:
+// the worker index is the thread lane, and the class and the canonical
+// reference string (e.g. "GEMM(1,2,3)", the label convention of
+// internal/simexec's traces) come from sk, the skeleton of the graph
+// that ran. A span whose Seq sk does not describe (a nil sk describes
+// none) becomes class "task", label "#seq". This is the one place a
+// real run's labels are formatted, after the run and only for a caller
+// that wants a trace. Safe for concurrent use.
+func (t *Trace) AddSpans(node int, spans []Span, sk *ptg.Skeleton) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.events = slices.Grow(t.events, len(spans))
+	for _, sp := range spans {
+		ev := Event{Node: node, Thread: int(sp.Worker), Seq: int(sp.Seq), Start: sp.Start, End: sp.End}
+		if ref, ok := sk.Ref(ev.Seq); ok {
+			ev.Class, ev.Label = ref.Class, ref.String()
+		} else {
+			ev.Class, ev.Label = "task", fmt.Sprintf("#%d", sp.Seq)
+		}
+		t.events = append(t.events, ev)
+	}
+	t.sorted = false
 }
 
 // AddCounter records a counter sample. Safe for concurrent use.
