@@ -386,14 +386,14 @@ func BenchmarkTracker(b *testing.B) {
 			b.Fatal(err)
 		}
 		queue := append([]*ptg.Instance(nil), tr.InitialReady()...)
+		var dels []ptg.Delivery
 		for len(queue) > 0 {
 			in := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
 			if err := tr.Start(in); err != nil {
 				b.Fatal(err)
 			}
-			dels, _, err := tr.Complete(in)
-			if err != nil {
+			if dels, _, err = tr.Complete(in, dels[:0]); err != nil {
 				b.Fatal(err)
 			}
 			for _, d := range dels {

@@ -513,7 +513,7 @@ func TestInBytesSplitsTransfers(t *testing.T) {
 		in := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		tr.Start(in)
-		dels, _, err := tr.Complete(in)
+		dels, _, err := tr.Complete(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -216,7 +216,9 @@ func (e *engine) push(in *ptg.Instance) {
 // coordinator's flush barrier then guarantees every accumulation is
 // server-side before the energy is read.
 func (e *engine) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
-	dels, _, err := e.tr.Complete(in)
+	// Every worker runs this hook at once, so there is no one buffer to
+	// reuse: each call gets a fresh Delivery slice.
+	dels, _, err := e.tr.Complete(in, nil)
 	if err != nil {
 		return ready, err
 	}

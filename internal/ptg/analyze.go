@@ -50,6 +50,7 @@ func Analyze(g *Graph, dur func(*Instance) int64) (Analysis, error) {
 
 	queue := append([]*Instance(nil), tr.InitialReady()...)
 	var last *Instance
+	var dels []Delivery
 	for len(queue) > 0 {
 		in := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -68,8 +69,7 @@ func Analyze(g *Graph, dur func(*Instance) int64) (Analysis, error) {
 			a.CriticalPath = finish
 			last = in
 		}
-		dels, _, err := tr.Complete(in)
-		if err != nil {
+		if dels, _, err = tr.Complete(in, dels[:0]); err != nil {
 			return a, err
 		}
 		for _, del := range dels {

@@ -197,7 +197,7 @@ func runAll(t *testing.T, tr *Tracker) []TaskRef {
 			t.Fatal(err)
 		}
 		order = append(order, in.Ref)
-		dels, _, err := tr.Complete(in)
+		dels, _, err := tr.Complete(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestTrackerTerminalWrites(t *testing.T) {
 		in := queue[0]
 		queue = queue[1:]
 		tr.Start(in)
-		dels, ws, err := tr.Complete(in)
+		dels, ws, err := tr.Complete(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestStartCompleteStateErrors(t *testing.T) {
 	if err := tr.Start(gemm); err == nil {
 		t.Error("Start of waiting task accepted")
 	}
-	if _, _, err := tr.Complete(gemm); err == nil {
+	if _, _, err := tr.Complete(gemm, nil); err == nil {
 		t.Error("Complete of waiting task accepted")
 	}
 	dfill := tr.Instance(TaskRef{"DFILL", A1(0)})
@@ -531,12 +531,33 @@ func TestFlowBytesInDeliveries(t *testing.T) {
 	}
 	dfill := tr.Instance(TaskRef{"DFILL", A1(0)})
 	tr.Start(dfill)
-	dels, _, err := tr.Complete(dfill)
+	dels, _, err := tr.Complete(dfill, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dels) != 1 || dels[0].Bytes != 4096 {
 		t.Errorf("deliveries = %+v", dels)
+	}
+}
+
+// Complete appends to the caller's buffer, as CompleteDeliver does, so an
+// executor that reuses one buffer allocates nothing per task.
+func TestCompleteAppendsToCallerBuffer(t *testing.T) {
+	g := chainGraph(1, func(int) int { return 1 })
+	tr, err := NewTracker(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dfill := tr.Instance(TaskRef{"DFILL", A1(0)})
+	tr.Start(dfill)
+	buf := make([]Delivery, 1, 4)
+	buf[0].Bytes = -1
+	dels, _, err := tr.Complete(dfill, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dels) != 2 || dels[0].Bytes != -1 || dels[1].From != dfill || &dels[0] != &buf[0] {
+		t.Errorf("Complete(in, buf) = %+v, want buf's entry then DFILL's delivery, in buf's array", dels)
 	}
 }
 

@@ -39,6 +39,7 @@ func drive(t testing.TB, g *ptg.Graph) ([]instance, []delivery) {
 		insts = append(insts, instance{in.Ref, in.Node, in.Priority, in.Seq, in.State})
 	}
 	var log []delivery
+	var dels []ptg.Delivery
 	queue := tr.InitialReady()
 	for len(queue) > 0 {
 		in := queue[0]
@@ -46,8 +47,7 @@ func drive(t testing.TB, g *ptg.Graph) ([]instance, []delivery) {
 		if err := tr.Start(in); err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		dels, _, err := tr.Complete(in)
-		if err != nil {
+		if dels, _, err = tr.Complete(in, dels[:0]); err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
 		for _, d := range dels {

@@ -3,6 +3,7 @@ package ptg
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -255,13 +256,15 @@ func (t *Tracker) ClaimStart(in *Instance) error {
 // instance done and returns the deliveries to perform — one per resolved
 // out-edge, in flow order then Outs order, sized by the producer's
 // FlowBytes unless the consumer's InBytes overrides it — and the
-// terminal writes its flows are bound to. Only the state transition
+// terminal writes its flows are bound to. The deliveries are appended to
+// dels, a caller-owned buffer as in CompleteDeliver, and the extended
+// slice is returned; pass nil for a fresh one. Only the state transition
 // takes the lock: edges and classes are read-only.
-func (t *Tracker) Complete(in *Instance) ([]Delivery, []TerminalWrite, error) {
+func (t *Tracker) Complete(in *Instance, dels []Delivery) ([]Delivery, []TerminalWrite, error) {
 	t.mu.Lock()
 	if in.State != StateRunning && in.State != StateReady {
 		t.mu.Unlock()
-		return nil, nil, fmt.Errorf("ptg: Complete(%v) in state %v", in.Ref, in.State)
+		return dels, nil, fmt.Errorf("ptg: Complete(%v) in state %v", in.Ref, in.State)
 	}
 	in.State = StateDone
 	t.mu.Unlock()
@@ -269,8 +272,8 @@ func (t *Tracker) Complete(in *Instance) ([]Delivery, []TerminalWrite, error) {
 
 	a := in.Ref.Args
 	edges := t.sk.edgesOf(in.Seq)
-	dels := make([]Delivery, len(edges))
-	for k, e := range edges {
+	dels = slices.Grow(dels, len(edges))
+	for _, e := range edges {
 		to := &t.inst[e.to]
 		var bytes int64
 		if in.Class.FlowBytes != nil {
@@ -279,7 +282,7 @@ func (t *Tracker) Complete(in *Instance) ([]Delivery, []TerminalWrite, error) {
 		if to.Class.InBytes != nil {
 			bytes = to.Class.InBytes(to.Ref.Args, to.Class.Flows[e.toFlow].Name)
 		}
-		dels[k] = Delivery{From: in, FromFlow: int(e.fromFlow), To: to, ToFlow: int(e.toFlow), Bytes: bytes}
+		dels = append(dels, Delivery{From: in, FromFlow: int(e.fromFlow), To: to, ToFlow: int(e.toFlow), Bytes: bytes})
 	}
 	var writes []TerminalWrite
 	for fi, f := range in.Class.Flows {

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine advances a virtual clock by executing events from a priority
@@ -7,8 +9,14 @@
 //     inline on the engine goroutine; they must not block.
 //   - processes: sequential activities (Proc) started with Engine.Go that
 //     may hold virtual time (Proc.Hold), wait on queues, and use resources.
-//     Exactly one process runs at any instant, so simulations are
-//     bit-reproducible for a fixed seed and program.
+//     Each is a coroutine (iter.Pull) the engine resumes and that hands
+//     control back when it blocks, so exactly one process runs at any
+//     instant and simulations are bit-reproducible for a fixed seed and
+//     program.
+//
+// An event belongs to whoever waits on it: a process owns its one wake
+// event, a PS its completion event, an EventHandle its callback's. The
+// steady state therefore allocates nothing per wait.
 //
 // The engine is the substrate for the simulated cluster on which the
 // reproduced CCSD experiments execute (see internal/cluster and
@@ -16,8 +24,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 )
@@ -61,42 +69,85 @@ func (t Time) String() string {
 }
 
 // event is a scheduled occurrence. Exactly one of fn and proc is set.
+// Events are embedded in their owners and rescheduled in place.
 type event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	proc      *Proc
-	cancelled bool
-	index     int // heap index, -1 when popped
+	at    Time
+	seq   uint64
+	fn    func()
+	proc  *Proc
+	index int // heap index while scheduled, -1 otherwise
 }
 
+// eventHeap is a binary min-heap on (at, seq) that keeps each event's
+// index current, so an owner can take its event out early.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (h eventHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			return
+		}
+		h.swap(i, j)
+		j = i
+	}
 }
-func (h *eventHeap) Pop() any {
+
+// down sifts h[i] toward the leaves within h[:n] and reports whether it
+// moved.
+func (h eventHeap) down(i, n int) bool {
+	i0 := i
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(ev *event) {
+	ev.index = len(*h)
+	*h = append(*h, ev)
+	h.up(ev.index)
+}
+
+func (h *eventHeap) pop() *event { return h.remove(0) }
+
+// remove takes the event at heap index i out of the heap and returns it.
+func (h *eventHeap) remove(i int) *event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	if i != n {
+		old.swap(i, n)
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	ev := old[n]
+	old[n] = nil
+	ev.index = -1
+	*h = old[:n]
+	return ev
 }
 
 // Engine is a deterministic discrete-event simulator.
@@ -105,24 +156,34 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	heap    eventHeap
-	yield   chan struct{}
 	running bool
 	stopped bool
 
-	liveProcs    int
-	blockedProcs map[*Proc]struct{}
+	// live holds every process that has not finished: the running one,
+	// and those not yet started, sleeping, or blocked on a queue.
+	live []*Proc
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{
-		yield:        make(chan struct{}),
-		blockedProcs: make(map[*Proc]struct{}),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// schedule queues an owned, unscheduled event at the given time, after
+// everything already queued for that instant.
+func (e *Engine) schedule(ev *event, at Time) {
+	e.seq++
+	ev.at, ev.seq = at, e.seq
+	e.heap.push(ev)
+}
+
+// unschedule takes an owned event out of the queue if it is in it.
+func (e *Engine) unschedule(ev *event) {
+	if ev.index >= 0 {
+		e.heap.remove(ev.index)
+	}
+}
 
 // Schedule runs fn after the given virtual delay. fn executes inline on the
 // engine goroutine and must not block. A negative delay is treated as zero.
@@ -131,44 +192,49 @@ func (e *Engine) Schedule(delay Time, fn func()) *EventHandle {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := &event{at: e.now + delay, seq: e.nextSeq(), fn: fn}
-	heap.Push(&e.heap, ev)
-	return &EventHandle{ev: ev}
+	h := &EventHandle{eng: e}
+	h.ev.fn = fn
+	e.schedule(&h.ev, e.now+delay)
+	return h
 }
 
 // EventHandle allows cancelling a scheduled callback.
-type EventHandle struct{ ev *event }
+type EventHandle struct {
+	ev        event
+	eng       *Engine
+	cancelled bool
+}
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// Cancel prevents the event from firing and takes it out of the queue.
+// Cancelling an already-fired or already-cancelled event is a no-op.
 func (h *EventHandle) Cancel() {
-	if h != nil && h.ev != nil {
-		h.ev.cancelled = true
+	if h == nil || h.eng == nil {
+		return
 	}
+	h.cancelled = true
+	h.eng.unschedule(&h.ev)
 }
 
 // Cancelled reports whether the handle was cancelled before firing.
-func (h *EventHandle) Cancelled() bool { return h != nil && h.ev != nil && h.ev.cancelled }
-
-func (e *Engine) nextSeq() uint64 {
-	e.seq++
-	return e.seq
-}
+func (h *EventHandle) Cancelled() bool { return h != nil && h.cancelled }
 
 // Stop terminates Run after the current event completes. Pending events are
-// discarded; blocked processes are abandoned (their goroutines are released
-// with a panic that Run recovers into cleanup).
+// discarded; blocked processes are abandoned (each is resumed once with a
+// panic its body wrapper recovers, so it unwinds and ends).
 func (e *Engine) Stop() { e.stopped = true }
 
 // Proc is a simulated sequential process. All Proc methods must be called
 // from the process's own body function.
 type Proc struct {
+	// wake is the process's one event: its start, a Hold's expiry, or a
+	// queue's wake-up. It is scheduled exactly while wake.index >= 0.
+	wake   event
 	eng    *Engine
 	name   string
-	resume chan struct{}
-	done   bool
+	next   func() (struct{}, bool) // resume the coroutine until it blocks or ends
+	yield  func(struct{}) bool     // inside the coroutine: hand control back
+	slot   int                     // index in eng.live
 	killed bool
-	wake   *event // pending wake event while sleeping, nil while runnable
 }
 
 // Name returns the name given to Engine.Go.
@@ -186,31 +252,33 @@ type procKilled struct{}
 // the current virtual time, after all events already scheduled for this
 // instant.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	e.liveProcs++
-	go func() {
-		<-p.resume
+	p := &Proc{eng: e, name: name}
+	p.wake.proc = p
+	// No stop function is needed: killBlocked ends an abandoned process
+	// by resuming it to its end, started or not.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		if p.killed {
+			return // abandoned before it ever ran
+		}
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilled); !ok {
 					panic(r)
 				}
 			}
-			p.done = true
-			e.yield <- struct{}{}
 		}()
 		body(p)
-	}()
-	ev := &event{at: e.now, seq: e.nextSeq(), proc: p}
-	heap.Push(&e.heap, ev)
+	})
+	p.slot = len(e.live)
+	e.live = append(e.live, p)
+	e.schedule(&p.wake, e.now)
 	return p
 }
 
 // block suspends the process until the engine resumes it.
 func (p *Proc) block() {
-	p.eng.blockedProcs[p] = struct{}{}
-	p.eng.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -221,57 +289,56 @@ func (p *Proc) Hold(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	ev := &event{at: p.eng.now + d, seq: p.eng.nextSeq(), proc: p}
-	heap.Push(&p.eng.heap, ev)
-	p.wake = ev
+	p.eng.schedule(&p.wake, p.eng.now+d)
 	p.block()
 }
 
 // wakeAt schedules the process to resume at the given absolute time.
 // The process must currently be blocked on a queue (not sleeping).
 func (e *Engine) wakeAt(p *Proc, at Time) {
-	if p.wake != nil && !p.wake.cancelled {
+	if p.wake.index >= 0 {
 		return // already scheduled
 	}
-	ev := &event{at: at, seq: e.nextSeq(), proc: p}
-	heap.Push(&e.heap, ev)
-	p.wake = ev
+	e.schedule(&p.wake, at)
 }
 
-// resumeProc hands control to p and waits until it blocks or finishes.
+// resumeProc runs p until it blocks or finishes. A panic other than the
+// kill signal comes out of the body and up through here to Run's caller.
 func (e *Engine) resumeProc(p *Proc) {
-	delete(e.blockedProcs, p)
-	p.wake = nil
-	p.resume <- struct{}{}
-	<-e.yield
-	if p.done {
-		e.liveProcs--
+	if _, ok := p.next(); ok {
+		return
 	}
+	last := e.live[len(e.live)-1]
+	last.slot = p.slot
+	e.live[p.slot] = last
+	e.live[len(e.live)-1] = nil
+	e.live = e.live[:len(e.live)-1]
 }
 
 // Run executes events until the queue is empty, Stop is called, or the
 // clock would pass horizon (horizon <= 0 means no limit). It returns the
 // final virtual time and an error if processes remain blocked with no
-// pending events (a simulation deadlock).
+// pending events (a simulation deadlock). However Run ends, no process
+// outlives it: those still suspended are abandoned.
 func (e *Engine) Run(horizon Time) (Time, error) {
 	if e.running {
 		return e.now, fmt.Errorf("sim: Run called reentrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() {
+		e.killBlocked()
+		e.running = false
+	}()
 	for len(e.heap) > 0 && !e.stopped {
-		ev := heap.Pop(&e.heap).(*event)
-		if ev.cancelled {
-			continue
-		}
+		ev := e.heap[0]
 		if horizon > 0 && ev.at > horizon {
 			e.now = horizon
-			e.killBlocked()
 			return e.now, nil
 		}
 		if ev.at < e.now {
 			return e.now, fmt.Errorf("sim: event scheduled in the past (%v < %v)", ev.at, e.now)
 		}
+		e.heap.pop()
 		e.now = ev.at
 		if ev.proc != nil {
 			e.resumeProc(ev.proc)
@@ -279,39 +346,38 @@ func (e *Engine) Run(horizon Time) (Time, error) {
 			ev.fn()
 		}
 	}
-	if e.stopped {
-		e.killBlocked()
-		return e.now, nil
-	}
-	if n := len(e.blockedProcs); n > 0 {
+	if n := len(e.live); n > 0 && !e.stopped {
 		names := make([]string, 0, n)
-		for p := range e.blockedProcs {
+		for _, p := range e.live {
 			names = append(names, p.name)
 		}
 		sort.Strings(names)
-		e.killBlocked()
 		return e.now, fmt.Errorf("sim: deadlock, %d process(es) blocked forever: %v", n, names)
 	}
 	return e.now, nil
 }
 
-// killBlocked releases the goroutines of any still-blocked processes so
-// they do not leak after Run returns.
+// killBlocked ends every suspended process — blocked, sleeping or never
+// started — so no coroutine outlives Run: each is resumed once with
+// killed set, and block panics procKilled up its stack. Then every
+// pending event is dropped.
 func (e *Engine) killBlocked() {
-	for p := range e.blockedProcs {
+	for len(e.live) > 0 {
+		p := e.live[len(e.live)-1]
 		p.killed = true
 		e.resumeProc(p)
 	}
-	// Drain events for processes that were sleeping (their wake events may
-	// still reference them); they are now done, so just discard the heap.
+	for i, ev := range e.heap {
+		ev.index = -1
+		e.heap[i] = nil
+	}
 	e.heap = e.heap[:0]
-	e.blockedProcs = make(map[*Proc]struct{})
 }
 
 // LiveProcs returns the number of processes that have started and not yet
 // finished. Intended for tests and diagnostics.
-func (e *Engine) LiveProcs() int { return e.liveProcs }
+func (e *Engine) LiveProcs() int { return len(e.live) }
 
-// PendingEvents returns the number of events currently scheduled,
-// including cancelled-but-unpopped ones. Intended for tests.
+// PendingEvents returns the number of events currently scheduled. A
+// cancelled event leaves the queue at once. Intended for tests.
 func (e *Engine) PendingEvents() int { return len(e.heap) }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -464,5 +465,214 @@ func TestJitterBounds(t *testing.T) {
 	}
 	if r.Jitter(d, 0) != d {
 		t.Error("zero-frac jitter should be identity")
+	}
+}
+
+// allocsPerOp measures a whole simulation of n operations and of 2n, so
+// set-up (engine, processes, coroutines) cancels out: it returns the
+// steady-state allocations per operation.
+func allocsPerOp(n int, sim func(n int)) float64 {
+	a := testing.AllocsPerRun(5, func() { sim(n) })
+	b := testing.AllocsPerRun(5, func() { sim(2 * n) })
+	return (b - a) / float64(n)
+}
+
+// The engine's waits allocate nothing in steady state: a process reuses
+// its one wake event, a PS its one completion event and its flow slots,
+// a WaitQ its slice.
+func TestSteadyStateAllocations(t *testing.T) {
+	cases := []struct {
+		name string
+		sim  func(n int)
+	}{
+		{"Hold", func(n int) {
+			e := NewEngine()
+			e.Go("p", func(p *Proc) {
+				for i := 0; i < n; i++ {
+					p.Hold(1)
+				}
+			})
+			e.Run(0)
+		}},
+		{"PS.Use", func(n int) {
+			e := NewEngine()
+			ps := NewPS(e, "bw", 1e9)
+			for _, name := range []string{"a", "b"} {
+				e.Go(name, func(p *Proc) {
+					for i := 0; i < n; i++ {
+						ps.Use(p, 1e3)
+					}
+				})
+			}
+			e.Run(0)
+		}},
+		{"WaitQ", func(n int) {
+			e := NewEngine()
+			q := NewWaitQ(e)
+			e.Go("waiter", func(p *Proc) {
+				for i := 0; i < n; i++ {
+					q.Wait(p)
+				}
+			})
+			e.Go("waker", func(p *Proc) {
+				for i := 0; i < n; i++ {
+					p.Hold(1)
+					q.WakeOne()
+				}
+			})
+			e.Run(0)
+		}},
+	}
+	for _, c := range cases {
+		if got := allocsPerOp(1000, c.sim); got > 0 {
+			t.Errorf("%s: %v allocations per operation in steady state, want 0", c.name, got)
+		}
+	}
+}
+
+// However Run ends, no process outlives it: blocked, sleeping and
+// never-started processes are all unwound, so the goroutine count returns
+// to where it was.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	cases := []struct {
+		name    string
+		horizon Time
+		build   func(e *Engine)
+		wantErr bool
+	}{
+		{"deadlock", 0, func(e *Engine) {
+			q := NewWaitQ(e)
+			for i := 0; i < 4; i++ {
+				e.Go(fmt.Sprint("w", i), func(p *Proc) {
+					p.Hold(Time(i))
+					q.Wait(p)
+				})
+			}
+		}, true},
+		{"horizon", 50, func(e *Engine) {
+			q := NewWaitQ(e)
+			ps := NewPS(e, "bw", 1)
+			e.Go("sleeper", func(p *Proc) { p.Hold(Second) })
+			e.Go("waiter", func(p *Proc) { q.Wait(p) })
+			e.Go("flow", func(p *Proc) { ps.Use(p, 10) })
+		}, false},
+		{"stop", 0, func(e *Engine) {
+			e.Go("ticker", func(p *Proc) {
+				for {
+					p.Hold(10)
+				}
+			})
+			e.Schedule(35, func() {
+				e.Go("never-started", func(p *Proc) { t.Error("abandoned process ran") })
+				e.Stop()
+			})
+		}, false},
+	}
+	for _, c := range cases {
+		base := runtime.NumGoroutine()
+		e := NewEngine()
+		c.build(e)
+		if _, err := e.Run(c.horizon); (err != nil) != c.wantErr {
+			t.Errorf("%s: Run error = %v, want error %v", c.name, err, c.wantErr)
+		}
+		if n := e.LiveProcs(); n != 0 {
+			t.Errorf("%s: %d live processes after Run", c.name, n)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Errorf("%s: %d goroutines after Run, %d before", c.name, n, base)
+		}
+	}
+}
+
+// A body's own panic is not swallowed and does not crash the program from
+// a goroutine nobody can recover: it comes out of Run, and the other
+// processes are unwound on the way.
+func TestBodyPanicComesOutOfRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	q := NewWaitQ(e)
+	e.Go("waiter", func(p *Proc) { q.Wait(p) })
+	e.Go("boom", func(p *Proc) {
+		p.Hold(5)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v from Run, want the body's panic", r)
+			}
+		}()
+		e.Run(0)
+		t.Error("Run returned normally")
+	}()
+	if n := e.LiveProcs(); n != 0 {
+		t.Errorf("%d live processes after the panic", n)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("%d goroutines after the panic, %d before", n, base)
+	}
+	if _, err := e.Run(0); err != nil {
+		t.Errorf("Run after a panic: %v", err)
+	}
+}
+
+// BenchmarkEngineSwitch reports the cost of one virtual wait: a Hold, and
+// a PS.Use sharing the resource with a second flow.
+func BenchmarkEngineSwitch(b *testing.B) {
+	b.Run("Hold", func(b *testing.B) {
+		e := NewEngine()
+		e.Go("p", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Hold(1)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if _, err := e.Run(0); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("PSUse2", func(b *testing.B) {
+		e := NewEngine()
+		ps := NewPS(e, "bw", 1e9)
+		for i, n := range []int{b.N - b.N/2, b.N / 2} {
+			e.Go(fmt.Sprint("flow", i), func(p *Proc) {
+				for k := 0; k < n; k++ {
+					ps.Use(p, 1e3)
+				}
+			})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		if _, err := e.Run(0); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// FIFO keeps arrival order through rewinds and compactions, and a queue
+// that never empties keeps its backing array near its longest backlog.
+func TestFIFOOrderAndBound(t *testing.T) {
+	rng := NewRNG(3)
+	var q FIFO[int]
+	var ref []int
+	longest := 0
+	for i := 0; i < 20000; i++ {
+		if len(ref) < 2 || (len(ref) < 64 && rng.Intn(2) == 0) {
+			q.Push(i)
+			ref = append(ref, i)
+			longest = max(longest, len(ref))
+		} else {
+			if got := q.Pop(); got != ref[0] {
+				t.Fatalf("step %d: popped %d, want %d", i, got, ref[0])
+			}
+			ref = ref[1:]
+		}
+		if q.Len() != len(ref) || (len(ref) > 0 && q.Front() != ref[0]) {
+			t.Fatalf("step %d: Len %d, want %d", i, q.Len(), len(ref))
+		}
+	}
+	if c := cap(q.buf); c > 4*longest {
+		t.Errorf("backing array grew to %d for a longest backlog of %d", c, longest)
 	}
 }

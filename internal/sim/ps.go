@@ -22,9 +22,11 @@ type PS struct {
 	// contention, when > 0, selects the co-running contention model; see
 	// SetContention.
 	contention float64
-	flows      []*psFlow
+	flows      []psFlow
 	last       Time
-	pending    *EventHandle
+	// done is the completion event of the flow that finishes first,
+	// scheduled while any flow is active; fn is bound once, in NewPS.
+	done event
 
 	// Stats.
 	totalUnits float64
@@ -42,7 +44,10 @@ func NewPS(e *Engine, name string, capacity float64) *PS {
 	if !(capacity > 0) {
 		panic(fmt.Sprintf("sim: NewPS(%q) capacity %v", name, capacity))
 	}
-	return &PS{eng: e, name: name, capacity: capacity, last: e.Now()}
+	ps := &PS{eng: e, name: name, capacity: capacity, last: e.Now()}
+	ps.done.fn = ps.complete
+	ps.done.index = -1
+	return ps
 }
 
 // Capacity returns the configured capacity in units per second.
@@ -113,7 +118,7 @@ func (ps *PS) Use(p *Proc, amount float64) {
 	}
 	ps.advance()
 	ps.totalUnits += amount
-	ps.flows = append(ps.flows, &psFlow{remaining: amount, p: p})
+	ps.flows = append(ps.flows, psFlow{remaining: amount, p: p})
 	ps.reschedule()
 	p.block()
 }
@@ -131,8 +136,8 @@ func (ps *PS) advance() {
 	}
 	ps.busy += elapsed
 	perFlow := elapsed.Seconds() * ps.rate()
-	for _, f := range ps.flows {
-		f.remaining -= perFlow
+	for i := range ps.flows {
+		ps.flows[i].remaining -= perFlow
 	}
 }
 
@@ -141,11 +146,10 @@ func (ps *PS) advance() {
 // rounding without ever letting a flow strand.
 func (ps *PS) tolerance() float64 { return 2e-9 * ps.capacity }
 
-// reschedule cancels any pending completion event and schedules the next
-// one for the flow with the least remaining work.
+// reschedule takes any pending completion event out of the queue and
+// schedules it again for the flow with the least remaining work.
 func (ps *PS) reschedule() {
-	ps.pending.Cancel()
-	ps.pending = nil
+	ps.eng.unschedule(&ps.done)
 	if len(ps.flows) == 0 {
 		return
 	}
@@ -159,13 +163,12 @@ func (ps *PS) reschedule() {
 	if dt < Nanosecond {
 		dt = Nanosecond
 	}
-	ps.pending = ps.eng.Schedule(dt, ps.complete)
+	ps.eng.schedule(&ps.done, ps.eng.now+dt)
 }
 
 // complete finishes all flows whose remaining work is within tolerance,
 // waking their processes, then reschedules.
 func (ps *PS) complete() {
-	ps.pending = nil
 	ps.advance()
 	tol := ps.tolerance()
 	kept := ps.flows[:0]
@@ -176,9 +179,7 @@ func (ps *PS) complete() {
 			kept = append(kept, f)
 		}
 	}
-	for i := len(kept); i < len(ps.flows); i++ {
-		ps.flows[i] = nil
-	}
+	clear(ps.flows[len(kept):])
 	ps.flows = kept
 	ps.reschedule()
 }

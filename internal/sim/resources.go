@@ -2,23 +2,60 @@ package sim
 
 import "fmt"
 
+// FIFO is a first-in first-out queue popped by head index: a pop moves
+// nothing and the slice rewinds when it empties. A push that would grow
+// the backing array first slides the queued entries down over the popped
+// ones, so a queue that never empties stays as large as its longest
+// backlog. The zero value is an empty queue.
+type FIFO[T any] struct {
+	buf  []T
+	head int
+}
+
+// Len returns the number of queued entries.
+func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
+
+// Push appends v at the tail.
+func (q *FIFO[T]) Push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// Front returns the oldest entry; the queue must not be empty.
+func (q *FIFO[T]) Front() T { return q.buf[q.head] }
+
+// Pop removes and returns the oldest entry; the queue must not be empty.
+func (q *FIFO[T]) Pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
+}
+
 // WaitQ is a FIFO queue of blocked processes. It is the building block for
 // all higher-level synchronization: a process parks itself with Wait and is
 // released, in order, by WakeOne or WakeAll.
 type WaitQ struct {
 	eng   *Engine
-	procs []*Proc
+	procs FIFO[*Proc]
 }
 
 // NewWaitQ returns an empty wait queue bound to the engine.
 func NewWaitQ(e *Engine) *WaitQ { return &WaitQ{eng: e} }
 
 // Len returns the number of parked processes.
-func (q *WaitQ) Len() int { return len(q.procs) }
+func (q *WaitQ) Len() int { return q.procs.Len() }
 
 // Wait parks the calling process at the tail of the queue.
 func (q *WaitQ) Wait(p *Proc) {
-	q.procs = append(q.procs, p)
+	q.procs.Push(p)
 	p.block()
 }
 
@@ -26,22 +63,18 @@ func (q *WaitQ) Wait(p *Proc) {
 // process resumes at the current virtual time, after events already
 // scheduled for this instant. It reports whether a process was woken.
 func (q *WaitQ) WakeOne() bool {
-	if len(q.procs) == 0 {
+	if q.procs.Len() == 0 {
 		return false
 	}
-	p := q.procs[0]
-	copy(q.procs, q.procs[1:])
-	q.procs = q.procs[:len(q.procs)-1]
-	q.eng.wakeAt(p, q.eng.now)
+	q.eng.wakeAt(q.procs.Pop(), q.eng.now)
 	return true
 }
 
 // WakeAll releases every parked process, in FIFO order.
 func (q *WaitQ) WakeAll() {
-	for _, p := range q.procs {
-		q.eng.wakeAt(p, q.eng.now)
+	for q.procs.Len() > 0 {
+		q.eng.wakeAt(q.procs.Pop(), q.eng.now)
 	}
-	q.procs = q.procs[:0]
 }
 
 // Resource is a counting semaphore with FIFO admission. Units are granted
@@ -52,7 +85,7 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []resWaiter
+	waiters  FIFO[resWaiter]
 }
 
 type resWaiter struct {
@@ -75,18 +108,18 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting for units.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Acquire obtains n units, blocking the process until they are available.
 func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: Acquire(%d) on resource of capacity %d", n, r.capacity))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p, n})
+	r.waiters.Push(resWaiter{p, n})
 	p.block()
 }
 
@@ -101,14 +134,13 @@ func (r *Resource) Release(n int) {
 }
 
 func (r *Resource) admit() {
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.waiters.Len() > 0 {
+		w := r.waiters.Front()
 		if r.inUse+w.n > r.capacity {
 			return
 		}
 		r.inUse += w.n
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
+		r.waiters.Pop()
 		r.eng.wakeAt(w.p, r.eng.now)
 	}
 }

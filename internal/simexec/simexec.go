@@ -274,7 +274,7 @@ type nodeState struct {
 	// counter rides its observer.
 	rq          *sched.Set
 	workersIdle *sim.WaitQ
-	commQ       []transfer
+	commQ       sim.FIFO[transfer]
 	commIdle    *sim.WaitQ
 	// commBytes mirrors the in-flight transfer volume for the counter
 	// track.
@@ -291,9 +291,12 @@ type executor struct {
 	// (node*CoresPerNode+wid) so the substrate's idle primitive can park
 	// the caller on its node's wait queue.
 	procs []*sim.Proc
-	res   Result
-	done  bool
-	err   error
+	// dels is complete's Delivery buffer, reused by every task: nothing
+	// it calls blocks, so no other process runs while it iterates.
+	dels []ptg.Delivery
+	res  Result
+	done bool
+	err  error
 }
 
 // Now returns the current virtual time in nanoseconds: the clock the
@@ -483,19 +486,19 @@ func (ex *executor) execute(p *sim.Proc, node int, in *ptg.Instance) {
 // node that executed the task (its affinity node unless the task was
 // re-dispatched).
 func (ex *executor) complete(in *ptg.Instance, node int) {
-	dels, _, err := ex.tr.Complete(in)
-	if err != nil {
+	var err error
+	if ex.dels, _, err = ex.tr.Complete(in, ex.dels[:0]); err != nil {
 		ex.fail(err)
 		return
 	}
 	ex.res.ByClass[in.Ref.Class]++
-	for _, d := range dels {
+	for _, d := range ex.dels {
 		pl := Payload{Bytes: d.Bytes}
 		if d.To.Node == node {
 			ex.deliver(d, pl)
 		} else {
 			ns := ex.nodes[node]
-			ns.commQ = append(ns.commQ, transfer{del: d, payload: pl})
+			ns.commQ.Push(transfer{del: d, payload: pl})
 			ns.commBytes += pl.Bytes
 			ex.sample("comm bytes in flight", node, float64(ns.commBytes))
 			ns.commIdle.WakeOne()
@@ -524,15 +527,14 @@ func (ex *executor) deliver(d ptg.Delivery, pl Payload) {
 func (ex *executor) comm(p *sim.Proc, node int) {
 	ns := ex.nodes[node]
 	for {
-		if len(ns.commQ) == 0 {
+		if ns.commQ.Len() == 0 {
 			if ex.done {
 				return
 			}
 			ns.commIdle.Wait(p)
 			continue
 		}
-		t := ns.commQ[0]
-		ns.commQ = ns.commQ[:copy(ns.commQ, ns.commQ[1:])]
+		t := ns.commQ.Pop()
 		ex.send(p, node, t)
 		ns.commBytes -= t.payload.Bytes
 		ex.sample("comm bytes in flight", node, float64(ns.commBytes))
