@@ -46,10 +46,38 @@ import (
 	"parsec/internal/serve"
 )
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so a client that opens sockets and trickles bytes
-// cannot pin them forever.
-const readHeaderTimeout = 10 * time.Second
+// The daemon's connection deadlines. Every handler answers from memory
+// without waiting on a job (clients poll), so none of them is near a
+// bound a legitimate request meets.
+const (
+	// readHeaderTimeout bounds how long a connection may take to send
+	// its request headers, so a client that opens sockets and trickles
+	// bytes cannot pin them forever.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds reading a whole request, body included: a
+	// submit body is capped at 1 MiB, and one sent a byte at a time
+	// would otherwise hold its connection and goroutine indefinitely.
+	readTimeout = 30 * time.Second
+	// writeTimeout bounds writing a response, against a client that
+	// stops reading.
+	writeTimeout = 30 * time.Second
+	// idleTimeout closes a keep-alive connection that sends no next
+	// request; at zero Go would fall back to readTimeout.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer is the daemon's HTTP server: the service's handler on
+// addr behind the connection deadlines above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func main() {
 	// A process launched as a netrun worker rank runs that rank and
@@ -107,7 +135,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccsimd: %v\n", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := newHTTPServer(*addr, s.Handler())
 
 	done := make(chan struct{})
 	sigs := make(chan os.Signal, 1)

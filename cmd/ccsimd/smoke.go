@@ -129,7 +129,7 @@ func runSmoke() error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := newHTTPServer("", s.Handler())
 	go func() { _ = httpSrv.Serve(ln) }()
 	defer httpSrv.Close()
 

@@ -80,6 +80,12 @@ func (b *builder) buildKernel() {
 
 func (b *builder) numChains() int { return len(b.ps) }
 
+// gemm returns the metadata of GEMM (L1, L2) = (a[0], a[1]) in place: the
+// graph closures run once per instance during the skeleton build, and a
+// GemmMeta copied by value there is an iteration vector, two block refs
+// and three extents per call.
+func (b *builder) gemm(a ptg.Args) *tce.GemmMeta { return &b.ps[a[0]].meta.Gemms[a[1]] }
+
 // chainNode is the §IV-D static round-robin distribution of chains.
 func (b *builder) chainNode(l1 int) int { return l1 % b.nodes }
 
@@ -233,17 +239,17 @@ func (b *builder) buildReads() {
 	type readSpec struct {
 		class string
 		io    inputIO
-		ref   func(g tce.GemmMeta) tce.BlockRef
-		node  func(g tce.GemmMeta) int
+		ref   func(g *tce.GemmMeta) *tce.BlockRef
+		node  func(g *tce.GemmMeta) int
 	}
 	ioA, ioB := b.inputs()
 	for _, rs := range []readSpec{
 		{"READA", ioA,
-			func(g tce.GemmMeta) tce.BlockRef { return g.Op.A },
-			func(g tce.GemmMeta) int { return g.ANode }},
+			func(g *tce.GemmMeta) *tce.BlockRef { return &g.Op.A },
+			func(g *tce.GemmMeta) int { return g.ANode }},
 		{"READB", ioB,
-			func(g tce.GemmMeta) tce.BlockRef { return g.Op.B },
-			func(g tce.GemmMeta) int { return g.BNode }},
+			func(g *tce.GemmMeta) *tce.BlockRef { return &g.Op.B },
+			func(g *tce.GemmMeta) int { return g.BNode }},
 	} {
 		rs := rs
 		tc := b.g.Class(rs.class)
@@ -257,16 +263,16 @@ func (b *builder) buildReads() {
 		// Reads execute where the Global Array segment lives (Fig 1's
 		// find_last_segment_owner); PaRSEC ships the result to the GEMM.
 		tc.Affinity = func(a ptg.Args) int {
-			return b.ownerNode(rs.node(b.ps[a[0]].meta.Gemms[a[1]]))
+			return b.ownerNode(rs.node(b.gemm(a)))
 		}
 		tc.Priority = b.priority(readPriorityOffset)
 		tc.Cost = func(a ptg.Args) ptg.Cost {
 			// Local gather of the strided block into a contiguous send
 			// buffer via ga_access (§IV-B): memory traffic only.
-			return ptg.Cost{MemBytes: 2 * rs.ref(b.ps[a[0]].meta.Gemms[a[1]]).Bytes()}
+			return ptg.Cost{MemBytes: 2 * rs.ref(b.gemm(a)).Bytes()}
 		}
 		tc.FlowBytes = func(a ptg.Args, flow string) int64 {
-			return rs.ref(b.ps[a[0]].meta.Gemms[a[1]]).Bytes()
+			return rs.ref(b.gemm(a)).Bytes()
 		}
 		flowName := "A"
 		if rs.class == "READB" {
@@ -274,8 +280,9 @@ func (b *builder) buildReads() {
 		}
 		f := tc.AddFlow("D", ptg.Write)
 		f.InData(nil, func(a ptg.Args) ptg.DataRef {
-			ref := rs.ref(b.ps[a[0]].meta.Gemms[a[1]])
-			return ptg.DataRef{ID: ref.String(), Node: b.ownerNode(rs.node(b.ps[a[0]].meta.Gemms[a[1]])), Bytes: ref.Bytes()}
+			g := b.gemm(a)
+			ref := rs.ref(g)
+			return ptg.DataRef{ID: ref.String(), Node: b.ownerNode(rs.node(g)), Bytes: ref.Bytes()}
 		})
 		f.Out(nil, func(a ptg.Args) (ptg.TaskRef, string) {
 			return ptg.TaskRef{Class: "GEMM", Args: a}, flowName
@@ -303,11 +310,10 @@ func (b *builder) buildGemm() {
 	tc.Affinity = func(a ptg.Args) int { return b.chainNode(a[0]) }
 	tc.Priority = b.priority(gemmPriorityOffset)
 	tc.Cost = func(a ptg.Args) ptg.Cost {
-		p := b.ps[a[0]]
-		g := p.meta.Gemms[a[1]]
+		g := b.gemm(a)
 		return ptg.Cost{
 			Flops:     g.Op.Flops(),
-			GemmBytes: g.Op.A.Bytes() + g.Op.B.Bytes() + p.cbytes,
+			GemmBytes: g.Op.A.Bytes() + g.Op.B.Bytes() + b.ps[a[0]].cbytes,
 			// A and B panels are streamed fresh from memory regardless of
 			// chain organization, so GEMM traffic is never cache-warm;
 			// v1's locality advantage shows up in the SORT/WRITE path.

@@ -32,13 +32,16 @@ type BlockRef struct {
 	Dims   [4]int
 }
 
-// Elems returns the number of elements in the block.
-func (b BlockRef) Elems() int {
+// Elems returns the number of elements in the block. Elems, Bytes and
+// GemmOp.Flops take pointers: the graph builders call them once per task
+// instance while building a skeleton, and a value receiver copies the
+// whole struct on every call, inlined or not.
+func (b *BlockRef) Elems() int {
 	return b.Dims[0] * b.Dims[1] * b.Dims[2] * b.Dims[3]
 }
 
 // Bytes returns the storage size of the block in bytes.
-func (b BlockRef) Bytes() int64 { return int64(b.Elems()) * 8 }
+func (b *BlockRef) Bytes() int64 { return int64(b.Elems()) * 8 }
 
 // String renders the block as tensor name plus key.
 func (b BlockRef) String() string {
@@ -65,7 +68,7 @@ type GemmOp struct {
 }
 
 // Flops returns the floating-point operations of the GEMM.
-func (g GemmOp) Flops() int64 { return tensor.GemmFlops(g.M, g.N, g.K) }
+func (g *GemmOp) Flops() int64 { return tensor.GemmFlops(g.M, g.N, g.K) }
 
 // SortOp is one of the up-to-four SORT_4 applications at the end of a
 // chain (§IV-A): an index permutation with a sign, targeting the chain's

@@ -10,7 +10,7 @@ import "parsec/internal/tensor/pool"
 // data. The micro-kernel comes from the active dispatch tier
 // (kernel_tier.go): an 8x16 zmm FMA block on AVX-512 hardware, a 4x8
 // AVX2+FMA block below that, else a portable 4x4 block of scalar
-// accumulators. Tiny products fall back to the direct loops in
+// accumulators. Tiny products take the unpacked direct path in
 // matrix.go (the water tiles are 2–9 wide; packing would cost more than
 // it saves).
 //

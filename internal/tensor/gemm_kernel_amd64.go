@@ -26,6 +26,16 @@ func gemmAsm4x8C(kc int64, a, b, c *float64, ldcBytes int64)
 //go:noescape
 func gemmAsm8x16C(kc int64, a, b, c *float64, ldcBytes int64)
 
+// gemmTN4x8 is the direct-path dgemm('T','N') entry of both assembly
+// tiers (gemm_kernel_amd64.s): for strips consecutive 8-column blocks of
+// the four C rows at c, ldcBytes apart, it adds alpha*A^T*B over k rows
+// of A (four doubles at a, ldaBytes apart) and of B (from b, ldbBytes
+// apart), bitwise as gemmTNGo does. k and strips must be positive; the
+// caller bounds-checks (gemmTN in matrix.go).
+//
+//go:noescape
+func gemmTN4x8(k, strips int64, a *float64, ldaBytes int64, b *float64, ldbBytes int64, c *float64, ldcBytes int64, alpha float64)
+
 // packStrip4, packStrip8 and packStrip16 copy kc rows of 4, 8 or 16
 // contiguous doubles, ldBytes apart, into one packed strip at dst,
 // prefetching nine rows ahead. kc must be positive; the caller

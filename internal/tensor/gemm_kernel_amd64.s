@@ -1,10 +1,11 @@
 // Assembly kernels for the cache-blocked packed GEMM (gemm_blocked.go),
-// the accumulate kernels (axpy.go) and the input fill (tile4.go): the
-// AVX2+FMA 4x8 and AVX-512 8x16 GEMM blocks, each storing to a stack
-// block or accumulating straight into C; the strip packers that feed
-// them; the 256-bit unfused axpy/scale loops; and the eight-lane
-// SplitMix64 fill. Entry is gated by probeHWTier (CPUID + XCR0); every
-// unsupported configuration runs the pure-Go paths.
+// the direct TN path (matrix.go), the accumulate kernels (axpy.go) and
+// the input fill (tile4.go): the AVX2+FMA 4x8 and AVX-512 8x16 GEMM
+// blocks, each storing to a stack block or accumulating straight into
+// C; the strip packers that feed them; the unfused 4x8 TN block below
+// the blocking cutoff; the 256-bit unfused axpy/scale loops; and the
+// eight-lane SplitMix64 fill. Entry is gated by probeHWTier (CPUID +
+// XCR0); every unsupported configuration runs the pure-Go paths.
 
 //go:build amd64 && !purego
 
@@ -244,6 +245,88 @@ done:
 	ADDROW8X16(Z10, Z11)
 	ADDROW8X16(Z12, Z13)
 	ADDROW8X16(Z14, Z15)
+	VZEROUPPER
+	RET
+
+// TNROW is one C row of a gemmTN4x8 step: Y10 takes lane sel of the
+// scaled A values in Y8, and the row (ya, yb) adds its product with the
+// eight b values in Y12/Y13, multiply and add rounded separately.
+#define TNROW(sel, ya, yb) \
+	VPERMPD sel, Y8, Y10; \
+	VMULPD  Y12, Y10, Y11; \
+	VMULPD  Y13, Y10, Y9; \
+	VADDPD  Y11, ya, ya; \
+	VADDPD  Y9, yb, yb
+
+// func gemmTN4x8(k, strips int64, a *float64, ldaBytes int64, b *float64, ldbBytes int64, c *float64, ldcBytes int64, alpha float64)
+//
+// The direct-path dgemm('T','N') block of both assembly tiers: C[r][j]
+// += alpha*A[l][r]*B[l][j] for four C rows and strips consecutive
+// 8-column strips, l ascending. A strip of C is loaded into Y0..Y7 and
+// stays there across k. Per l, the four A values are scaled by alpha
+// with one VMULPD (the Go loop's av0..av3, same rounding); if all four
+// compare equal to zero the l is skipped, as the Go loop's continue
+// skips it; otherwise each C vector gets VMULPD then VADDPD, never an
+// FMA. So every element sees gemmTNGo's operations in gemmTNGo's order
+// and ends up the same bits. k and strips must be positive.
+TEXT ·gemmTN4x8(SB), NOSPLIT, $0-72
+	MOVQ         k+0(FP), R9
+	MOVQ         strips+8(FP), R10
+	MOVQ         a+16(FP), R11
+	MOVQ         ldaBytes+24(FP), R12
+	MOVQ         b+32(FP), R13
+	MOVQ         ldbBytes+40(FP), R14
+	MOVQ         c+48(FP), DX
+	MOVQ         ldcBytes+56(FP), R8
+	VBROADCASTSD alpha+64(FP), Y15
+	VXORPD       Y14, Y14, Y14
+	LEAQ         (DX)(R8*2), BX // C row 2; rows 1 and 3 index off DX and BX
+
+tnstrip:
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD (DX)(R8*1), Y2
+	VMOVUPD 32(DX)(R8*1), Y3
+	VMOVUPD (BX), Y4
+	VMOVUPD 32(BX), Y5
+	VMOVUPD (BX)(R8*1), Y6
+	VMOVUPD 32(BX)(R8*1), Y7
+	MOVQ    R11, SI
+	MOVQ    R13, DI
+	MOVQ    R9, CX
+
+tnloop:
+	VMULPD    (SI), Y15, Y8
+	VCMPPD    $0, Y14, Y8, Y9 // EQ_OQ: +0 and -0 are zero, NaN is not
+	VMOVMSKPD Y9, AX
+	CMPL      AX, $15
+	JEQ       tnskip
+	VMOVUPD   (DI), Y12
+	VMOVUPD   32(DI), Y13
+	TNROW($0x00, Y0, Y1)
+	TNROW($0x55, Y2, Y3)
+	TNROW($0xaa, Y4, Y5)
+	TNROW($0xff, Y6, Y7)
+
+tnskip:
+	ADDQ R12, SI
+	ADDQ R14, DI
+	DECQ CX
+	JNZ  tnloop
+
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, (DX)(R8*1)
+	VMOVUPD Y3, 32(DX)(R8*1)
+	VMOVUPD Y4, (BX)
+	VMOVUPD Y5, 32(BX)
+	VMOVUPD Y6, (BX)(R8*1)
+	VMOVUPD Y7, 32(BX)(R8*1)
+	ADDQ    $64, DX
+	ADDQ    $64, BX
+	ADDQ    $64, R13
+	DECQ    R10
+	JNZ     tnstrip
 	VZEROUPPER
 	RET
 

@@ -25,6 +25,11 @@ func gemmAsm8x16C(kc int64, a, b, c *float64, ldcBytes int64) {
 	panic("tensor: gemmAsm8x16C without asm support")
 }
 
+// gemmTN4x8 is never called when the active tier is TierPortable.
+func gemmTN4x8(k, strips int64, a *float64, ldaBytes int64, b *float64, ldbBytes int64, c *float64, ldcBytes int64, alpha float64) {
+	panic("tensor: gemmTN4x8 without asm support")
+}
+
 // packStrip4 is never called when the active tier is TierPortable.
 func packStrip4(kc int64, src *float64, ldBytes int64, dst *float64) {
 	panic("tensor: packStrip4 without asm support")

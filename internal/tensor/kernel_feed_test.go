@@ -15,11 +15,20 @@ import (
 // forEachHostTier runs fn as a subtest under every dispatch tier the
 // host supports, from lo up.
 func forEachHostTier(t *testing.T, lo KernelTier, fn func(t *testing.T, tier KernelTier)) {
+	underHostTiers(lo, func(tier KernelTier) {
+		t.Run(tier.String(), func(t *testing.T) { fn(t, tier) })
+	})
+}
+
+// underHostTiers runs fn once under every dispatch tier the host
+// supports, from lo up, restoring the active tier even if fn fails the
+// test.
+func underHostTiers(lo KernelTier, fn func(tier KernelTier)) {
 	for tier := lo; tier <= hwKernelTier(); tier++ {
-		t.Run(tier.String(), func(t *testing.T) {
+		func() {
 			defer setKernelTier(tier)()
-			fn(t, tier)
-		})
+			fn(tier)
+		}()
 	}
 }
 
@@ -183,6 +192,82 @@ func TestFillRandomMatchesScalar(t *testing.T) {
 				t.Errorf("FillRandom(1, 0.5)[%d] = %s, want %s", i, got, want)
 			}
 		}
+	})
+}
+
+// checkKernelFeed is one generated case of the kernel-feed assembly
+// against the Go code, from folded fuzz inputs. The packers: a rows x
+// cols source (cols is also the leading dimension) packed from row pc and
+// column off to the end, as an A^T panel through packA and as a B panel
+// through packB, with the strip path against the Go loops, under every
+// assembly tier the host runs — so packStrip4 and packStrip8 on the AVX2
+// rung, packStrip8 and packStrip16 on the AVX-512 one. The fill: n8*8
+// elements of FillRandom (whole multiples of eight, so on the AVX-512
+// rung fillRandomAsm writes every one) against the scalar generator.
+func checkKernelFeed(t *testing.T, rows8, cols8, pc8, off8 uint8, n8 uint16, seed uint64, scale float64) {
+	t.Helper()
+	rows, cols := 1+int(rows8)%64, 1+int(cols8)%240
+	pc, off := int(pc8)%rows, int(off8)%cols
+	kc, w := rows-pc, cols-off
+	src := randMat(rand.New(rand.NewSource(int64(seed))), rows, cols)
+	underHostTiers(TierAVX2, func(tier KernelTier) {
+		mr, nr := gemmTierShape()
+		for _, p := range []struct {
+			name string
+			size int
+			pack func(strips bool, dst []float64)
+		}{
+			{"packA", roundUp(w, mr) * kc, func(strips bool, dst []float64) {
+				packA(true, 1, src, off, pc, w, kc, mr, strips, dst)
+			}},
+			{"packB", roundUp(w, nr) * kc, func(strips bool, dst []float64) {
+				packB(false, src, pc, off, kc, w, nr, strips, dst)
+			}},
+		} {
+			got, want := make([]float64, p.size), make([]float64, p.size)
+			for i := range got {
+				got[i], want[i] = 1e300, -1e300
+			}
+			p.pack(true, got)
+			p.pack(false, want)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("%v %s rows=%d cols=%d pc=%d off=%d: strip path differs at %d: %v vs %v",
+					tier, p.name, rows, cols, pc, off, i, got[i], want[i])
+			}
+		}
+	})
+	n := 8 * (1 + int(n8)%512)
+	want := make([]float64, n)
+	fillRandomScalar(want, seed, scale)
+	underHostTiers(TierPortable, func(tier KernelTier) {
+		got := NewTile4(n, 1, 1, 1)
+		got.FillRandom(seed, scale)
+		if i := sameBitsOrNaN(got.Data, want); i >= 0 {
+			t.Fatalf("%v FillRandom n=%d seed=%#x scale=%v: [%d] = %x, want %x", tier, n, seed, scale, i, got.Data[i], want[i])
+		}
+	})
+}
+
+// TestKernelFeedSweep is the seeded sweep of FuzzKernelFeed.
+func TestKernelFeedSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	scales := []float64{1, 0.5, -2, 0.37, 1e-300, 3e300}
+	for it := 0; it < 1000; it++ {
+		checkKernelFeed(t, uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)),
+			uint16(rng.Intn(1<<16)), rng.Uint64(), scales[it%len(scales)])
+	}
+}
+
+// FuzzKernelFeed drives the strip packers and the eight-lane fill with
+// fuzzer-chosen panel extents, offsets, fill length, seed and scale,
+// requiring the assembly to equal the Go code bit for bit on every
+// host tier.
+func FuzzKernelFeed(f *testing.F) {
+	f.Add(uint8(209), uint8(209), uint8(0), uint8(0), uint16(3359), uint64(1), 0.5) // 210 wide, as on uracil
+	f.Add(uint8(0), uint8(16), uint8(0), uint8(1), uint16(0), uint64(0), 1.0)       // kc = 1, offset window
+	f.Add(uint8(40), uint8(120), uint8(7), uint8(5), uint16(15), uint64(1<<63), -2.0)
+	f.Fuzz(func(t *testing.T, rows8, cols8, pc8, off8 uint8, n8 uint16, seed uint64, scale float64) {
+		checkKernelFeed(t, rows8, cols8, pc8, off8, n8, seed, scale)
 	})
 }
 

@@ -9,17 +9,21 @@ import "os"
 // identical to each other (same fused multiply-add sequence per C
 // element, and their strip packers and accumulate-into-C kernel entries
 // only copy and add); the portable tier differs in the last ulp because
-// Go emits separate multiply and add. Tile4.FillRandom is the same bits
-// on all three.
+// Go emits separate multiply and add. Below the blocking cutoff all three
+// tiers are the same bits: the assembly tiers' direct TN block does the
+// Go loop's unfused multiply and add in the Go loop's order.
+// Tile4.FillRandom is the same bits on all three.
 type KernelTier int32
 
 const (
 	// TierPortable is the pure-Go fallback: the 4x4 scalar GEMM
-	// micro-kernel and scalar accumulate loops. Always available; the
-	// reference the assembly tiers are property-tested against.
+	// micro-kernel, the direct Go loops and scalar accumulate loops.
+	// Always available; the reference the assembly tiers are
+	// property-tested against.
 	TierPortable KernelTier = iota
 	// TierAVX2 is the 4x8 AVX2+FMA GEMM micro-kernel with its ymm strip
-	// packers, plus the vector axpy/scale kernels, entered when CPUID
+	// packers, plus the unfused 4x8 direct TN block (which TierAVX512
+	// runs too) and the vector axpy/scale kernels, entered when CPUID
 	// reports FMA+AVX2 with OS-enabled YMM state. The fill stays scalar
 	// here: AVX2 has no 64-bit vector multiply.
 	TierAVX2
