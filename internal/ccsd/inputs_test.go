@@ -3,11 +3,13 @@ package ccsd
 import (
 	"errors"
 	"fmt"
+	"math"
 	stdruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"parsec/internal/ga"
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
@@ -27,17 +29,42 @@ func shapedWorkload(name string) *tce.Workload {
 	return tce.Inspect(tce.T2_7(molecule.Custom(name+"-shaped", s[0], s[1], s[2], s[3], 0x5eed)), nil)
 }
 
-// inputBytes returns the number and total size of a workload's distinct
-// input blocks.
-func inputBytes(w *tce.Workload) (blocks int, bytes int64) {
+// inputBytes returns the number and total storage of a workload's
+// distinct input blocks, and how many of them are born packed: a panel's
+// storage includes its strip padding.
+func inputBytes(w *tce.Workload) (blocks int, bytes int64, panels int) {
 	a, b := w.Inputs()
 	for _, tbl := range []*tce.InputTable{a, b} {
 		blocks += tbl.NumBlocks()
-		for _, ref := range tbl.Blocks {
-			bytes += ref.Bytes()
+		for i, ref := range tbl.Blocks {
+			l := tbl.Layout(i)
+			bytes += int64(l.Len(ref.Dims)) * 8
+			if l.Kind != tensor.RowMajor {
+				panels++
+			}
 		}
 	}
-	return blocks, bytes
+	return blocks, bytes, panels
+}
+
+// eagerInputStore is inputStore with every input block filled up front,
+// row-major, from Materialize — the store the reference and the traced
+// harness run on, which never sees a panel.
+func eagerInputStore(w *tce.Workload) *ga.Store {
+	store := ga.NewStore(1)
+	a, b := w.Materialize()
+	aName, bName := w.InputTensors()
+	for _, in := range []struct {
+		name string
+		bt   *tensor.BlockTensor4
+	}{{aName, a}, {bName, b}} {
+		arr := store.Create(in.name)
+		for _, k := range in.bt.Keys() {
+			arr.Put(k, in.bt.MustTile(k))
+		}
+	}
+	store.Create(tce.TensorC)
+	return store
 }
 
 // TestInputsFlowThroughGraph pins the read path of a real execution:
@@ -47,7 +74,9 @@ func inputBytes(w *tce.Workload) (blocks int, bytes int64) {
 // moment is the variant's read-ahead window — with §IV-C's priorities
 // (v1, v5) reads run a bounded distance ahead of the GEMMs that consume
 // them, without them (v2) every read runs first and the whole input set
-// is resident at once, the flooding the paper reports for v2.
+// is resident at once, the flooding the paper reports for v2. Residency
+// is storage: on an assembly tier the shapes' inputs are born packed,
+// and a panel's strip padding counts while it is resident.
 func TestInputsFlowThroughGraph(t *testing.T) {
 	shapes := []string{"uracil", "benzene"}
 	if testing.Short() {
@@ -56,7 +85,10 @@ func TestInputsFlowThroughGraph(t *testing.T) {
 	for _, shape := range shapes {
 		w := shapedWorkload(shape)
 		ref := ReferenceEnergy(w)
-		blocks, total := inputBytes(w)
+		blocks, total, panels := inputBytes(w)
+		if tensor.ActiveKernelTier() != tensor.TierPortable && panels == 0 {
+			t.Errorf("%s: no input block is born packed on the %v tier", shape, tensor.ActiveKernelTier())
+		}
 		for _, name := range []string{"v1", "v2", "v5"} {
 			spec, err := VariantByName(name)
 			if err != nil {
@@ -90,8 +122,38 @@ func TestInputsFlowThroughGraph(t *testing.T) {
 						t.Errorf("%s: peak resident inputs %.2f of the total, want <= 0.6 under the read priorities", cell, frac)
 					}
 				} else if st.PeakBytes != total {
-					t.Errorf("%s: peak resident inputs %d B, want all %d B (no priorities: reads flood)", cell, st.PeakBytes, total)
+					t.Errorf("%s: peak resident inputs %d B, want all %d B, padding included (no priorities: reads flood)", cell, st.PeakBytes, total)
 				}
+			}
+		}
+	}
+}
+
+// TestPanelInputsMatchRowMajor runs uracil- and benzene-shaped plans
+// twice on one kernel tier: on lazily filled inputs, born packed where
+// the table says so, and on the same inputs eagerly filled row-major.
+// Every GEMM reads the same values in the same k order either way, so
+// the energies are the same bits.
+func TestPanelInputsMatchRowMajor(t *testing.T) {
+	shapes := []string{"uracil", "benzene"}
+	if testing.Short() {
+		shapes = shapes[1:]
+	}
+	for _, shape := range shapes {
+		w := shapedWorkload(shape)
+		_, _, panels := inputBytes(w)
+		for _, name := range []string{"v1", "v5"} {
+			spec, _ := VariantByName(name)
+			plan := CompileWorkload(w, spec, Options{Nodes: 1})
+			energy := func(store *ga.Store) float64 {
+				if _, err := plan.runOn(store, ExecConfig{Workers: 2}, false); err != nil {
+					t.Fatalf("%s/%s: %v", shape, name, err)
+				}
+				return w.Energy(store.Array(tce.TensorC))
+			}
+			packed, rowMajor := energy(inputStore(w)), energy(eagerInputStore(w))
+			if math.Float64bits(packed) != math.Float64bits(rowMajor) {
+				t.Errorf("%s/%s: energy %.17g with %d panel inputs, %.17g row-major", shape, name, packed, panels, rowMajor)
 			}
 		}
 	}
@@ -105,7 +167,7 @@ func TestCancelledRunLeaksNothing(t *testing.T) {
 	w := shapedWorkload("benzene")
 	spec, _ := VariantByName("v5")
 	plan := CompileWorkload(w, spec, Options{Nodes: 1})
-	blocks, _ := inputBytes(w)
+	blocks, _, _ := inputBytes(w)
 	if _, err := plan.Execute(ExecConfig{Workers: 2}); err != nil { // skeleton, pools
 		t.Fatal(err)
 	}
@@ -141,9 +203,10 @@ func TestCancelledRunLeaksNothing(t *testing.T) {
 	// What was resident at the cancel still reads back right: the store
 	// is consistent, just unfinished.
 	a, _ := w.Inputs()
-	want := store.Access(a.Name, a.Blocks[0].Key).Clone()
+	d := a.Blocks[0].Dims
+	want := tensor.NewTile4(d[0], d[1], d[2], d[3])
 	w.FillBlock(a.Blocks[0], want)
-	if store.Access(a.Name, a.Blocks[0].Key).MaxAbsDiff(want) != 0 {
+	if store.GetHashBlock(a.Name, a.Blocks[0].Key).MaxAbsDiff(want) != 0 {
 		t.Error("an input block of the cancelled store reads back wrong")
 	}
 

@@ -174,9 +174,11 @@ func (s *Store) Array(name string) *tensor.BlockTensor4 {
 }
 
 // GetHashBlock fetches a copy of a block, like GET_HASH_BLOCK copying
-// from the distributed array into a local buffer.
+// from the distributed array into a local buffer. The copy is row-major
+// whatever the block's storage: ga_get returns data, not a kernel's
+// private layout.
 func (s *Store) GetHashBlock(name string, key tensor.BlockKey) *tensor.Tile4 {
-	return s.Access(name, key).Clone()
+	return s.Access(name, key).RowMajorCopy()
 }
 
 // Access returns a direct reference to a block's storage without

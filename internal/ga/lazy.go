@@ -22,6 +22,9 @@ type LazySource interface {
 	Lookup(key tensor.BlockKey) (i int, ok bool)
 	// Dims returns the extents of block i.
 	Dims(i int) [4]int
+	// Layout returns the storage layout of block i's tile: row-major, or
+	// a GEMM panel the block is born packed into (tensor.Layout).
+	Layout(i int) tensor.Layout
 	// Uses is the number of readers of block i: the Release that
 	// balances the last of them retires the block.
 	Uses(i int) int
@@ -61,12 +64,17 @@ type lazyBlock struct {
 }
 
 // lazyMem is the storage behind a store's lazy arrays: the tiles retired
-// blocks gave back, keyed by extent, and the residency accounting. It is
-// local to the store, so nothing outlives it: a finished or cancelled
-// run leaves no tile in any process-wide pool.
+// blocks gave back, and the residency accounting. It is local to the
+// store, so nothing outlives it: a finished or cancelled run leaves no
+// tile in any process-wide pool.
 type lazyMem struct {
-	mu    sync.Mutex
-	free  map[[4]int][]*tensor.Tile4
+	mu sync.Mutex
+	// free holds the retired tiles. A block reuses one of its own extents
+	// and layout, which together fix the storage length. One slice that
+	// take scans, rather than a list per shape: a run has tens of shapes
+	// and never more than ~100 free tiles, and every per-shape list would
+	// grow by its own allocations.
+	free  []*tensor.Tile4
 	stats LazyStats
 }
 
@@ -77,31 +85,39 @@ type LazyStats struct {
 	// Allocated counts tiles taken from the heap rather than the free
 	// list.
 	Allocated int64
-	// ResidentBytes is the storage of the blocks resident now;
-	// PeakBytes its high-water mark.
+	// ResidentBytes is the storage of the blocks resident now, a
+	// panel's padding included; PeakBytes its high-water mark.
 	ResidentBytes, PeakBytes int64
 }
 
-// take returns a tile of the given extents for a block about to fill,
-// reusing a retired one when there is one. Its contents are arbitrary:
-// Fill overwrites every element, so a reused tile is not zeroed.
-func (m *lazyMem) take(d [4]int) *tensor.Tile4 {
+// take returns a tile with extents dim in layout l for a block about to
+// fill, reusing the most recently retired such tile when there is one.
+// Its contents are arbitrary: Fill overwrites every element, so a reused
+// tile is not zeroed. The block is charged its tile's storage, padding
+// included — the measure give refunds.
+func (m *lazyMem) take(dim [4]int, l tensor.Layout) *tensor.Tile4 {
 	m.mu.Lock()
 	var t *tensor.Tile4
-	if l := m.free[d]; len(l) > 0 {
-		t, l[len(l)-1] = l[len(l)-1], nil
-		m.free[d] = l[:len(l)-1]
-	} else {
+	for i := len(m.free) - 1; i >= 0; i-- {
+		if f := m.free[i]; f.Dim == dim && f.Layout == l {
+			t = f
+			last := len(m.free) - 1
+			m.free[i], m.free[last] = m.free[last], nil
+			m.free = m.free[:last]
+			break
+		}
+	}
+	if t == nil {
 		m.stats.Allocated++
 	}
 	m.stats.Fills++
-	m.stats.ResidentBytes += int64(d[0]*d[1]*d[2]*d[3]) * 8
+	m.stats.ResidentBytes += int64(l.Len(dim)) * 8
 	if m.stats.ResidentBytes > m.stats.PeakBytes {
 		m.stats.PeakBytes = m.stats.ResidentBytes
 	}
 	m.mu.Unlock()
 	if t == nil {
-		t = tensor.NewTile4(d[0], d[1], d[2], d[3])
+		t = tensor.NewTile4Layout(dim, l)
 	}
 	return t
 }
@@ -109,11 +125,8 @@ func (m *lazyMem) take(d [4]int) *tensor.Tile4 {
 // give returns a retired block's tile to the free list.
 func (m *lazyMem) give(t *tensor.Tile4) {
 	m.mu.Lock()
-	if m.free == nil {
-		m.free = make(map[[4]int][]*tensor.Tile4)
-	}
-	m.free[t.Dim] = append(m.free[t.Dim], t)
-	m.stats.ResidentBytes -= t.Bytes()
+	m.free = append(m.free, t)
+	m.stats.ResidentBytes -= int64(t.Layout.Len(t.Dim)) * 8
 	m.mu.Unlock()
 }
 
@@ -166,8 +179,10 @@ func (s *Store) LazyStats() LazyStats {
 func (l *Lazy) Source() LazySource { return l.src }
 
 // Access returns block i's tile, filling it first if it is not
-// resident. Callers must not mutate the tile, and must not use it after
-// the Release balancing their Access.
+// resident — in the source's layout for it, so a born-packed block comes
+// back as the GEMM panel it was generated into. Callers must not mutate
+// the tile, and must not use it after the Release balancing their
+// Access.
 func (l *Lazy) Access(i int) *tensor.Tile4 {
 	b := &l.blocks[i]
 	if t := b.tile.Load(); t != nil {
@@ -177,7 +192,7 @@ func (l *Lazy) Access(i int) *tensor.Tile4 {
 	defer b.mu.Unlock()
 	t := b.tile.Load()
 	if t == nil {
-		t = l.mem.take(l.src.Dims(i))
+		t = l.mem.take(l.src.Dims(i), l.src.Layout(i))
 		l.src.Fill(i, t)
 		b.tile.Store(t)
 	}

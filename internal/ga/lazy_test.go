@@ -10,14 +10,16 @@ import (
 )
 
 // testSource is a LazySource over n blocks of one extent (or of the
-// per-block extents in dims): block i holds seed-of-i data, is read
-// uses times, and counts its fills.
+// per-block extents in dims), row-major unless layout says otherwise:
+// block i holds seed-of-i data, is read uses times, and counts its
+// fills.
 type testSource struct {
-	n     int
-	dims  func(i int) [4]int
-	uses  int
-	fills []atomic.Int32
-	slow  time.Duration // held inside Fill, to widen the first-touch race
+	n      int
+	dims   func(i int) [4]int
+	layout func(i int) tensor.Layout // nil: every block row-major
+	uses   int
+	fills  []atomic.Int32
+	slow   time.Duration // held inside Fill, to widen the first-touch race
 }
 
 func newTestSource(n, uses int) *testSource {
@@ -30,6 +32,12 @@ func (s *testSource) key(i int) tensor.BlockKey { return tensor.BlockKey{i, 0, 1
 func (s *testSource) NumBlocks() int    { return s.n }
 func (s *testSource) Dims(i int) [4]int { return s.dims(i) }
 func (s *testSource) Uses(i int) int    { return s.uses }
+func (s *testSource) Layout(i int) tensor.Layout {
+	if s.layout == nil {
+		return tensor.Layout{}
+	}
+	return s.layout(i)
+}
 func (s *testSource) Lookup(key tensor.BlockKey) (int, bool) {
 	if key[0] < 0 || key[0] >= s.n || key != s.key(key[0]) {
 		return 0, false
@@ -50,8 +58,15 @@ func (s *testSource) want(i int) *tensor.Tile4 {
 	return t
 }
 
+// checkBlock checks a tile read from block i: its layout is the
+// source's, and its elements, unpacked, are the block's data.
 func checkBlock(t *testing.T, src *testSource, i int, got *tensor.Tile4) {
 	t.Helper()
+	if got.Layout != src.Layout(i) {
+		t.Errorf("block %d: layout %v, want %v", i, got.Layout, src.Layout(i))
+		return
+	}
+	got = got.RowMajorCopy()
 	want := src.want(i)
 	if got.Dim != want.Dim {
 		t.Errorf("block %d: dims %v, want %v", i, got.Dim, want.Dim)
@@ -266,5 +281,56 @@ func TestNewLazyNeverRetires(t *testing.T) {
 	l.ReleaseKey(src.key(0))
 	if l.Access(0) != a || src.fills[0].Load() != 1 {
 		t.Error("a never-retire array dropped or refilled a block")
+	}
+}
+
+// TestLazyPanelBlocks: a source may lay a block out as a GEMM panel.
+// Access returns the panel, filled straight into its layout; GetHashBlock
+// returns row-major data equal to FillRandom's; residency counts the
+// panel's padded storage and returns to 0 when it retires; and the free
+// list never hands a panel's tile to a row-major block of the same
+// extents, or the reverse.
+func TestLazyPanelBlocks(t *testing.T) {
+	dim := [4]int{3, 2, 2, 5} // 6 x 10: a 16-wide panel pads 6 of every 16 columns
+	panel := tensor.Layout{Kind: tensor.PanelB, Strip: 16}
+	src := newTestSource(4, 1)
+	src.layout = func(i int) tensor.Layout {
+		if i%2 == 0 {
+			return panel
+		}
+		return tensor.Layout{}
+	}
+	s := NewStore(1)
+	l := s.CreateLazy("v2", src)
+	p := l.Access(0)
+	checkBlock(t, src, 0, p)
+	if got := s.GetHashBlock("v2", src.key(0)); got.Layout != (tensor.Layout{}) {
+		t.Errorf("GetHashBlock of a panel block returned a %v tile", got.Layout)
+	} else if got.MaxAbsDiff(src.want(0)) != 0 || got.Len() != 60 {
+		t.Error("GetHashBlock of a panel block is not FillRandom's row-major data")
+	}
+	r := l.Access(1)
+	checkBlock(t, src, 1, r)
+	rowBytes, panelBytes := int64(60*8), int64(panel.Len(dim)*8)
+	if st := s.LazyStats(); st.ResidentBytes != rowBytes+panelBytes || st.PeakBytes != st.ResidentBytes {
+		t.Errorf("two resident blocks: %+v, want %d B resident (a %d B panel and a %d B row-major tile)",
+			st, rowBytes+panelBytes, panelBytes, rowBytes)
+	}
+	l.Release(0)
+	l.Release(1)
+	if st := s.LazyStats(); st.ResidentBytes != 0 {
+		t.Fatalf("resident %d B after both blocks retired", st.ResidentBytes)
+	}
+	// Blocks 2 and 3 reuse the retired tiles, each its own shape's.
+	if p2, r3 := l.Access(2), l.Access(3); p2 != p || r3 != r {
+		t.Errorf("free list handed out the wrong tiles: panel reused %v, row-major reused %v", p2 == p, r3 == r)
+	} else {
+		checkBlock(t, src, 2, p2)
+		checkBlock(t, src, 3, r3)
+	}
+	l.Release(2)
+	l.Release(3)
+	if st := s.LazyStats(); st.ResidentBytes != 0 || st.Allocated != 2 || st.Fills != 4 {
+		t.Errorf("stats at the end: %+v, want 0 resident, 2 tiles allocated for 4 fills", st)
 	}
 }

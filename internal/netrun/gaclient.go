@@ -71,12 +71,13 @@ func (c *gaClient) Access(name string, key tensor.BlockKey) *tensor.Tile4 {
 func (c *gaClient) Release(string, tensor.BlockKey) {}
 
 // GetHashBlock fetches a copy of a block: input tensors from the local
-// replica, everything else from the GA server (GET_HASH_BLOCK). A nil
-// return means the server does not hold the block (or the request timed
-// out during shutdown).
+// replica (row-major, like every ga_get, even where the replica block is
+// born packed), everything else from the GA server (GET_HASH_BLOCK). A
+// nil return means the server does not hold the block (or the request
+// timed out during shutdown).
 func (c *gaClient) GetHashBlock(name string, key tensor.BlockKey) *tensor.Tile4 {
 	if l := c.replicas[name]; l != nil {
-		return l.AccessKey(key).Clone()
+		return l.AccessKey(key).RowMajorCopy()
 	}
 	id := c.reqID.Add(1)
 	ch := make(chan *tensor.Tile4, 1)

@@ -17,6 +17,7 @@ import (
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
 	"parsec/internal/tce"
+	"parsec/internal/tensor"
 	"parsec/internal/trace"
 )
 
@@ -177,6 +178,41 @@ func TestRunBenzeneShapedFourWorkersSteal(t *testing.T) {
 		if rep.Tasks == 0 {
 			t.Errorf("rank %d executed nothing", rep.Rank)
 		}
+	}
+}
+
+// TestReplicaGetHashBlockIsRowMajor: a rank's input replicas use the
+// workload's own tables, so on an assembly tier the benzene shape's
+// blocks are born packed — Access hands out the panel a READ ships —
+// while GetHashBlock, a copying ga_get, returns row-major data equal to
+// FillRandom's.
+func TestReplicaGetHashBlockIsRowMajor(t *testing.T) {
+	sys := molecule.Custom("benzene-shaped", 21, 45, 12, 2, 1)
+	w := tce.Inspect(tce.T2_7(sys), nil)
+	c := newGAClient(nil, w, 0)
+	a, b := w.Inputs()
+	panels := 0
+	for _, tbl := range []*tce.InputTable{a, b} {
+		for i, ref := range tbl.Blocks {
+			l := tbl.Layout(i)
+			if got := c.Access(tbl.Name, ref.Key); got.Layout != l {
+				t.Fatalf("%s block %d: Access returned a %v tile, the table says %v", tbl.Name, i, got.Layout, l)
+			}
+			if l.Kind == tensor.RowMajor {
+				continue
+			}
+			panels++
+			d := ref.Dims
+			want := tensor.NewTile4(d[0], d[1], d[2], d[3])
+			w.FillBlock(ref, want)
+			got := c.GetHashBlock(tbl.Name, ref.Key)
+			if got.Layout != (tensor.Layout{}) || got.MaxAbsDiff(want) != 0 {
+				t.Fatalf("%s block %d (%v): GetHashBlock is not FillRandom's row-major tile", tbl.Name, i, l)
+			}
+		}
+	}
+	if panels == 0 && tensor.ActiveKernelTier() != tensor.TierPortable {
+		t.Errorf("no replica block is born packed on the %v tier", tensor.ActiveKernelTier())
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"parsec/internal/trace"
 )
 
-// Wire protocol (version 2): every frame is
+// Wire protocol (version 3): every frame is
 //
 //	magic(2) version(1) type(1) id(8, LE) bodyLen(4, LE) body
 //
@@ -39,9 +39,11 @@ import (
 // the wire are the same either way.
 
 const (
-	wireMagic0  = 'P'
-	wireMagic1  = 'R' // "PaRSEC reproduction"
-	wireVersion = 2
+	wireMagic0 = 'P'
+	wireMagic1 = 'R' // "PaRSEC reproduction"
+	// wireVersion 3 added a tile payload's layout (DESIGN.md §12): a
+	// born-packed input block crosses ranks in its panel form.
+	wireVersion = 3
 
 	frameHeaderLen = 2 + 1 + 1 + 8 + 4
 	// maxBody caps a frame body: the largest legitimate payload is one
@@ -162,7 +164,7 @@ func decodeHeader(hdr []byte) (frame, int, error) {
 		return frame{}, 0, errBadMagic
 	}
 	if hdr[2] != wireVersion {
-		return frame{}, 0, fmt.Errorf("%w: %d", errBadVersion, hdr[2])
+		return frame{}, 0, fmt.Errorf("%w %d (this build speaks %d)", errBadVersion, hdr[2], wireVersion)
 	}
 	t := hdr[3]
 	typ := t & typeMask
@@ -292,6 +294,17 @@ func (c *cursor) bytes() []byte {
 
 func (c *cursor) str() string { return string(c.bytes()) }
 
+// layout reads a tile's layout: its kind byte and strip-width byte.
+func (c *cursor) layout() tensor.Layout {
+	if c.err != nil || len(c.buf) < 2 {
+		c.fail()
+		return tensor.Layout{}
+	}
+	l := tensor.Layout{Kind: tensor.LayoutKind(c.buf[0]), Strip: c.buf[1]}
+	c.buf = c.buf[2:]
+	return l
+}
+
 // name reads a string that recurs from frame to frame — a task class,
 // an array name — through the intern table, so it costs no allocation.
 func (c *cursor) name() string { return intern(c.bytes()) }
@@ -356,8 +369,10 @@ const (
 )
 
 // tileHeadSize is the encoded size of everything a tile payload carries
-// ahead of its floats: kind, four extents, element count.
-const tileHeadSize = 1 + 8*4 + 4
+// ahead of its floats: kind, four extents, layout (kind and strip width),
+// element count. The element count is the tile's storage length, so a
+// panel's floats include its strip padding.
+const tileHeadSize = 1 + 8*4 + 2 + 4
 
 // payloadSize returns a payload's encoded size, rejecting every value
 // appendPayload cannot encode.
@@ -384,6 +399,7 @@ func appendTileHead(dst []byte, t *tensor.Tile4) []byte {
 	for _, d := range t.Dim {
 		dst = appendI64(dst, int64(d))
 	}
+	dst = append(dst, byte(t.Layout.Kind), t.Layout.Strip)
 	return appendU32(dst, uint32(len(t.Data)))
 }
 
@@ -456,8 +472,10 @@ func getFloatsPortable(dst []float64, src []byte) {
 	}
 }
 
-// decodePayload decodes one payload. With pooled set a tile lands in
-// storage drawn from the tile pool (tensor.GetTile4), which whoever
+// decodePayload decodes one payload. A tile is sized from its frame:
+// extents and layout, whose storage length the element count must be.
+// With pooled set it lands in storage drawn from the tile pool
+// (tensor.GetTile4Layout), which whoever
 // receives the payload must see returned; otherwise it is allocated and
 // left to the collector.
 func decodePayload(c *cursor, pooled bool) any {
@@ -475,17 +493,18 @@ func decodePayload(c *cursor, pooled bool) any {
 		for i := range dim {
 			dim[i] = c.int()
 		}
+		l := c.layout()
 		n := c.count(8)
 		if c.err != nil || dim[0] < 0 || dim[1] < 0 || dim[2] < 0 || dim[3] < 0 ||
-			n != dim[0]*dim[1]*dim[2]*dim[3] {
+			!l.Valid() || n != l.Len(dim) {
 			c.fail()
 			return nil
 		}
 		var t *tensor.Tile4
 		if pooled {
-			t = tensor.GetTile4(dim[0], dim[1], dim[2], dim[3])
+			t = tensor.GetTile4Layout(dim, l)
 		} else {
-			t = &tensor.Tile4{Dim: dim, Data: make([]float64, n)}
+			t = &tensor.Tile4{Dim: dim, Layout: l, Data: make([]float64, n)}
 		}
 		getFloats(t.Data, c.buf[:8*n])
 		c.buf = c.buf[8*n:]

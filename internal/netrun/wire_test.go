@@ -26,6 +26,14 @@ func tile(seed float64) *tensor.Tile4 {
 	return t
 }
 
+// panelTile is a born-packed tile of the given kind and strip width: a
+// 3 x 10 matrix whose strips are padded (10 is no multiple of 4 or 16).
+func panelTile(kind tensor.LayoutKind, strip uint8, seed uint64) *tensor.Tile4 {
+	t := tensor.NewTile4Layout([4]int{3, 1, 2, 5}, tensor.Layout{Kind: kind, Strip: strip})
+	t.FillRandom(seed, 1)
+	return t
+}
+
 // decodeFrame parses one frame from the front of buf, returning the
 // frame and the number of bytes consumed. It returns (zero, 0, nil)
 // when buf holds only a partial frame, and an error for any malformed
@@ -145,6 +153,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		{"bad magic", corrupt(func(b []byte) { b[0] = 'X' }), errBadMagic},
 		{"bad version", corrupt(func(b []byte) { b[2] = 99 }), errBadVersion},
 		{"v1 peer", corrupt(func(b []byte) { b[2] = 1 }), errBadVersion},
+		{"v2 peer", corrupt(func(b []byte) { b[2] = 2 }), errBadVersion},
 		{"type zero", corrupt(func(b []byte) { b[3] = 0 }), errBadType},
 		{"type past max", corrupt(func(b []byte) { b[3] = msgMax }), errBadType},
 		{"type zero suppressed", corrupt(func(b []byte) { b[3] = ackSuppressBit }), errBadType},
@@ -161,6 +170,13 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		}
 	}
 
+	// A v2 peer, whose tile payloads carry no layout, is told which
+	// version it speaks and which this build does.
+	_, _, err := decodeFrame(corrupt(func(b []byte) { b[2] = 2 }))
+	if want := "netrun: unsupported protocol version 2 (this build speaks 3)"; err == nil || err.Error() != want {
+		t.Errorf("v2 frame: got %v, want %q", err, want)
+	}
+
 	// A header promising more body than the stream has must surface an
 	// io error from readFrame, not hang or panic.
 	if _, err := readFrame(bytes.NewReader(good[:len(good)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -173,6 +189,8 @@ func TestPayloadRoundTrip(t *testing.T) {
 	vals := []any{
 		nil,
 		tile(0.5),
+		panelTile(tensor.PanelA, 8, 1),
+		panelTile(tensor.PanelB, 16, 2),
 		ptg.NewBuffer{Bytes: 4096},
 		int(-17),
 		float64(-315.378772551848),
@@ -205,10 +223,28 @@ func TestPayloadRoundTrip(t *testing.T) {
 	// A tile whose element count disagrees with its dims must be
 	// rejected, not allocated.
 	bad := appendPayload(nil, tile(1))
-	binary.LittleEndian.PutUint32(bad[1+32:], 5) // count 5, dims say 6
+	binary.LittleEndian.PutUint32(bad[1+32+2:], 5) // count 5, dims say 6
 	c := &cursor{buf: bad}
 	if p := decodePayload(c, true); p != nil || c.err == nil {
 		t.Error("tile with mismatched element count decoded")
+	}
+	// A panel's count is its padded storage: the 30 elements of a 3 x 10
+	// panel are not its 48 stored ones. Nor is any count valid under a
+	// layout that does not exist.
+	for name, mod := range map[string]func([]byte){
+		"unpadded panel count": func(b []byte) { binary.LittleEndian.PutUint32(b[1+32+2:], 30) },
+		"unknown layout kind":  func(b []byte) { b[1+32] = 3 },
+		"panel strip 0":        func(b []byte) { b[1+32+1] = 0 },
+		"row-major with strip": func(b []byte) { b[1+32] = byte(tensor.RowMajor) },
+	} {
+		bad := appendPayload(nil, panelTile(tensor.PanelB, 16, 3))
+		mod(bad)
+		for _, pooled := range []bool{false, true} {
+			c := &cursor{buf: bad}
+			if p := decodePayload(c, pooled); p != nil || c.err == nil {
+				t.Errorf("%s: tile decoded (pooled=%v)", name, pooled)
+			}
+		}
 	}
 	// So must negative extents, even when their product is the count: the
 	// tile pool rejects them by panicking.
@@ -273,7 +309,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		roundTrip(t, "welcome", m, msgWelcome, m.encode(), decodeWelcome)
 	})
 	t.Run("activate", func(t *testing.T) {
-		for _, payload := range []any{nil, tile(2.25), ptg.NewBuffer{Bytes: 64}, 7, 2.5} {
+		for _, payload := range []any{nil, tile(2.25), panelTile(tensor.PanelA, 16, 4), panelTile(tensor.PanelB, 8, 5), ptg.NewBuffer{Bytes: 64}, 7, 2.5} {
 			m := activateMsg{Class: "GEMM", Args: ptg.A3(4, -1, 9), Flow: 2, Payload: payload}
 			enc, err := m.encode()
 			if err != nil {
@@ -470,6 +506,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(rawFrame(msgAck, 0, false, appendU32(nil, math.MaxUint32))) // count far past the body
 	act, _ := activateMsg{Class: "STEP", Args: ptg.A2(1, 2), Flow: 0, Payload: tile(1)}.encode()
 	f.Add(sealFrame(act, 3))
+	for _, p := range []*tensor.Tile4{panelTile(tensor.PanelA, 8, 6), panelTile(tensor.PanelB, 16, 7)} {
+		act, _ := activateMsg{Class: "GEMM", Args: ptg.A2(3, 4), Flow: 1, Payload: p}.encode()
+		f.Add(sealFrame(act, 10))
+	}
 	f.Add(sealFrame(doneMsg{Seqs: []int{1, 2, 1 << 40}}.encode(), 4))
 	mig, _ := migrateMsg{Class: "DFILL", Args: ptg.A2(5, 6), Ins: []migratePayload{{Flow: 1, Payload: tile(2)}, {Flow: 2}}}.encode()
 	f.Add(rawFrame(msgMigrate, 6, true, mig[frameHeaderLen:]))
@@ -580,7 +620,7 @@ func oddTile() *tensor.Tile4 {
 // tests and the fuzz corpus establish about those bytes covers a
 // borrowed frame too. Payloads with nothing to borrow report so.
 func TestBorrowedFrameIsTheSameBytes(t *testing.T) {
-	for _, tl := range []*tensor.Tile4{tile(2.25), bigTile(), oddTile()} {
+	for _, tl := range []*tensor.Tile4{tile(2.25), bigTile(), oddTile(), panelTile(tensor.PanelB, 16, 8)} {
 		m := activateMsg{Class: "GEMM", Args: ptg.A3(4, -1, 9), Flow: 2, Payload: tl}
 		want, err := m.encode()
 		if err != nil {

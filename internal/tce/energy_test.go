@@ -24,6 +24,49 @@ func energyCases(seed uint64) map[string]*Kernel {
 	}
 }
 
+// TestInputLayoutNeedsEveryReader: a block is born packed only when
+// every GEMM reading it consumes the panel in place, whichever order
+// its readers come in. No preset has a block read by both kinds of
+// GEMM, so the workload here is built by hand: 64^3 products take a
+// panel, a 64 x 4 x 64 one is below the blocking cutoff.
+func TestInputLayoutNeedsEveryReader(t *testing.T) {
+	block := func(name string, i, cols int) BlockRef {
+		return BlockRef{Tensor: name, Key: tensor.BlockKey{i, 0, 0, 0}, Dims: [4]int{1, 64, 1, cols}}
+	}
+	a0, a1, a2 := block(TensorA, 0, 64), block(TensorA, 1, 64), block(TensorA, 2, 64)
+	b0, b1 := block(TensorB, 0, 64), block(TensorB, 1, 4)
+	w := &Workload{}
+	for i, ab := range [][2]BlockRef{{a0, b0}, {a0, b1}, {a1, b0}, {a2, b1}, {a2, b0}} {
+		n := ab[1].Dims[3]
+		w.Chains = append(w.Chains, &ChainMeta{
+			ID: i, Out: BlockRef{Tensor: TensorC, Key: tensor.BlockKey{i, 0, 0, 0}, Dims: [4]int{1, 64, 1, n}},
+			Gemms: []GemmMeta{{Op: GemmOp{A: ab[0], B: ab[1], M: 64, N: n, K: 64}}},
+		})
+	}
+	ta, tb := w.Inputs()
+	panels := tensor.PanelOperands(64, 64, 64)
+	for _, c := range []struct {
+		tbl  *InputTable
+		ref  BlockRef
+		kind tensor.LayoutKind // the block's panel, or RowMajor
+	}{
+		{ta, a0, tensor.RowMajor}, // read in place, then by the small product
+		{ta, a1, tensor.PanelA},
+		{ta, a2, tensor.RowMajor}, // read by the small product first
+		{tb, b0, tensor.PanelB},
+		{tb, b1, tensor.RowMajor},
+	} {
+		i, _ := c.tbl.Lookup(c.ref.Key)
+		want := tensor.Layout{}
+		if c.kind != tensor.RowMajor && panels {
+			want = tensor.PanelLayout(c.kind)
+		}
+		if got := c.tbl.Layout(i); got != want {
+			t.Errorf("%s block %v: %v, want %v", c.ref.Tensor, c.ref.Key, got, want)
+		}
+	}
+}
+
 // TestEnergyStreamsBitwise pins the fold order of the streamed energy:
 // for every kernel, system and seed it is bit for bit the inner product
 // with the materialized weight tensor — and stays so on an output
@@ -137,6 +180,26 @@ func TestInputTablesMatchWorkload(t *testing.T) {
 			}
 			if uses != gemms {
 				t.Errorf("%s %s: use counts sum to %d, want one per GEMM = %d", name, c.name, uses, gemms)
+			}
+			// A block is born packed exactly when every GEMM reading it
+			// consumes the panel in place.
+			inPlace := map[BlockRef]bool{}
+			for _, ch := range w.Chains {
+				for _, g := range ch.Gemms {
+					r := c.ref(g.Op)
+					ok, seen := inPlace[r]
+					inPlace[r] = (ok || !seen) && tensor.PanelOperands(g.Op.M, g.Op.N, g.Op.K)
+				}
+			}
+			side := map[bool]tensor.LayoutKind{true: tensor.PanelA, false: tensor.PanelB}[c.name == aName]
+			for i, ref := range uniq {
+				want := tensor.Layout{}
+				if inPlace[ref] {
+					want = tensor.PanelLayout(side)
+				}
+				if got := c.tbl.Layout(i); got != want {
+					t.Errorf("%s %s: block %d is %v, want %v", name, c.name, i, got, want)
+				}
 			}
 			if _, ok := c.tbl.Lookup(tensor.BlockKey{-1, 0, 0, 0}); ok {
 				t.Errorf("%s %s: Lookup found a block that does not exist", name, c.name)

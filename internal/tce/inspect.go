@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"parsec/internal/tensor"
 )
 
 // GemmMeta is one entry of the inspection phase's metadata arrays: the
@@ -211,8 +213,8 @@ func (w *Workload) derive() {
 			w.gemmOff[i+1] = w.gemmOff[i] + int32(len(c.Gemms))
 		}
 		aName, bName := w.InputTensors()
-		w.inputs[0] = newInputTable(w, aName, func(g *GemmOp) BlockRef { return g.A })
-		w.inputs[1] = newInputTable(w, bName, func(g *GemmOp) BlockRef { return g.B })
+		w.inputs[0] = newInputTable(w, aName, tensor.PanelA, func(g *GemmOp) BlockRef { return g.A })
+		w.inputs[1] = newInputTable(w, bName, tensor.PanelB, func(g *GemmOp) BlockRef { return g.B })
 
 		w.outByKey = keyOrder(w.uniq[TensorC])
 	})

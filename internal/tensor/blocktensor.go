@@ -153,6 +153,8 @@ func (bt *BlockTensor4) Dot(o *BlockTensor4) float64 {
 			continue
 		}
 		t := bt.MustTile(k)
+		t.mustRowMajor("Dot")
+		ot.mustRowMajor("Dot")
 		if t.Dim != ot.Dim {
 			panic(fmt.Sprintf("tensor: Dot dims mismatch at %v: %v vs %v", k, t.Dim, ot.Dim))
 		}

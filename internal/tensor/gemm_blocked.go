@@ -68,37 +68,72 @@ func gemmBlocked(transA, transB bool, alpha float64, a, b, c *Matrix) {
 // [j0, j1), drawing packing scratch from loc (nil means the shared
 // pool). It is the unit of intra-task parallelism: GemmP runs disjoint
 // windows concurrently, each on its executing worker's scratch shard.
+//
+// A born-packed operand (layout.go) that is exactly the panel this call
+// would pack — an A panel of the tier's mr under transA at alpha = 1, a
+// B panel of its nr under !transB with j0 on the strip grid, k one
+// packed block — is handed to the micro-kernel in place: the panel of
+// block (ic, jc) starts at strip ic/mr or jc/nr, because gemmMC and
+// gemmNC are multiples of every strip width. Any other panel is
+// unpacked to row-major scratch first and packed as usual.
 func gemmBlockedCols(transA, transB bool, alpha float64, a, b, c *Matrix, j0, j1 int, loc *pool.Local) {
 	m, k := opDims(a, transA)
 	tier := activeTier
 	mr, nr := gemmTierShape()
 	strips := tier != TierPortable
+	aIn := transA && alpha == 1 && panelOperand(a, PanelA, mr, k)
+	bIn := !transB && j0%nr == 0 && panelOperand(b, PanelB, nr, k)
+	if !aIn && a.Layout.Kind != RowMajor {
+		ra, buf := rowMajorOperand(a, loc)
+		defer loc.Put(buf)
+		a = &ra
+	}
+	if !bIn && b.Layout.Kind != RowMajor {
+		rb, buf := rowMajorOperand(b, loc)
+		defer loc.Put(buf)
+		b = &rb
+	}
 
 	// Packing scratch, recycled through the worker-local shard when one
 	// is supplied, else the shared size-class pool.
 	ncMax := min2(j1-j0, gemmNC)
 	kcMax := min2(k, gemmKC)
 	mcMax := min2(m, gemmMC)
-	aPack := loc.Get(roundUp(mcMax, mr) * kcMax)
-	bPack := loc.Get(roundUp(ncMax, nr) * kcMax)
-	defer loc.Put(aPack)
-	defer loc.Put(bPack)
+	var aPack, bPack []float64
+	if !aIn {
+		aPack = loc.Get(roundUp(mcMax, mr) * kcMax)
+		defer loc.Put(aPack)
+	}
+	if !bIn {
+		bPack = loc.Get(roundUp(ncMax, nr) * kcMax)
+		defer loc.Put(bPack)
+	}
 
 	for jc := j0; jc < j1; jc += gemmNC {
 		ncEff := min2(gemmNC, j1-jc)
 		for pc := 0; pc < k; pc += gemmKC {
 			kcEff := min2(gemmKC, k-pc)
-			packB(transB, b, pc, jc, kcEff, ncEff, nr, strips, bPack)
+			bp := bPack
+			if bIn {
+				bp = b.Data[jc/nr*kcEff*nr:]
+			} else {
+				packB(transB, b, pc, jc, kcEff, ncEff, nr, strips, bPack)
+			}
 			for ic := 0; ic < m; ic += gemmMC {
 				mcEff := min2(gemmMC, m-ic)
-				packA(transA, alpha, a, ic, pc, mcEff, kcEff, mr, strips, aPack)
+				ap := aPack
+				if aIn {
+					ap = a.Data[ic/mr*kcEff*mr:]
+				} else {
+					packA(transA, alpha, a, ic, pc, mcEff, kcEff, mr, strips, aPack)
+				}
 				switch tier {
 				case TierAVX512:
-					gemmMacroAsm512(aPack, bPack, c, ic, jc, mcEff, ncEff, kcEff)
+					gemmMacroAsm512(ap, bp, c, ic, jc, mcEff, ncEff, kcEff)
 				case TierAVX2:
-					gemmMacroAsm(aPack, bPack, c, ic, jc, mcEff, ncEff, kcEff)
+					gemmMacroAsm(ap, bp, c, ic, jc, mcEff, ncEff, kcEff)
 				default:
-					gemmMacro(aPack, bPack, c, ic, jc, mcEff, ncEff, kcEff)
+					gemmMacro(ap, bp, c, ic, jc, mcEff, ncEff, kcEff)
 				}
 			}
 		}

@@ -114,7 +114,7 @@ func TestGemmBlockedMatchesDirect(t *testing.T) {
 		c1 := NewMatrix(m, n)
 		c2 := NewMatrix(m, n)
 		gemmBlocked(transA, transB, 1.5, a, b, c1)
-		gemmDirect(transA, transB, 1.5, a, b, c2)
+		gemmDirect(transA, transB, 1.5, a, b, c2, nil)
 		if d := c1.MaxAbsDiff(c2); d > 1e-13*float64(k) {
 			t.Fatalf("variant %d: blocked vs direct max diff %g", variant, d)
 		}
@@ -191,13 +191,23 @@ func TestGemmPSerialBranchAllocatesNothing(t *testing.T) {
 		ct := NewTile4(dim[2], dim[3], dim[2], dim[3])
 		at.FillRandom(1, 1)
 		bt.FillRandom(2, 1)
+		// The same operands born packed, when the tier makes panels.
+		pa, pb := at, bt
+		if ActiveKernelTier() != TierPortable {
+			pa = NewTile4Layout(dim, PanelLayout(PanelA))
+			pb = NewTile4Layout(dim, PanelLayout(PanelB))
+			pa.FillRandom(1, 1)
+			pb.FillRandom(2, 1)
+		}
 		for _, par := range []team.Parallelism{nil, team.Serial} {
-			body := func() {
-				GemmP(par, loc, true, false, 1, at.AsMatrix(), bt.AsMatrix(), 1, ct.AsMatrix())
-			}
-			body() // warm the scratch shard
-			if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
-				t.Errorf("GemmP %v par=%v: %v allocs/call, want 0", dim, par, allocs)
+			for _, in := range [][2]*Tile4{{at, bt}, {pa, pb}} {
+				body := func() {
+					GemmP(par, loc, true, false, 1, in[0].AsMatrix(), in[1].AsMatrix(), 1, ct.AsMatrix())
+				}
+				body() // warm the scratch shard
+				if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
+					t.Errorf("GemmP %v %v par=%v: %v allocs/call, want 0", dim, in[0].Layout, par, allocs)
+				}
 			}
 		}
 	}

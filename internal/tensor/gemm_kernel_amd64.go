@@ -58,6 +58,18 @@ func packStrip16(kc int64, src *float64, ldBytes int64, dst *float64)
 //go:noescape
 func fillRandomAsm(n int64, dst *float64, lanes *[8]uint64, scale float64)
 
+// fillStrip8 and fillStrip16 write one born-packed panel strip (see
+// Tile4.fillPanel): kc rows of 8 or 16 SplitMix64 doubles to dst, row
+// after row. lanes[i] is the generator state of the row's element i
+// (element 8+i of a 16-wide row is 8 states on) and every lane steps by
+// rowStep per row. kc must be positive.
+//
+//go:noescape
+func fillStrip8(kc int64, dst *float64, lanes *[8]uint64, rowStep uint64, scale float64)
+
+//go:noescape
+func fillStrip16(kc int64, dst *float64, lanes *[8]uint64, rowStep uint64, scale float64)
+
 // axpyAsm accumulates dst[i] += scale*src[i] for i in [0, n) with
 // unfused 256-bit multiply and add, so the result is bitwise identical
 // to the scalar loop. n must be a positive multiple of 8.

@@ -1,11 +1,12 @@
 // Assembly kernels for the cache-blocked packed GEMM (gemm_blocked.go),
 // the direct TN path (matrix.go), the accumulate kernels (axpy.go) and
-// the input fill (tile4.go): the AVX2+FMA 4x8 and AVX-512 8x16 GEMM
-// blocks, each storing to a stack block or accumulating straight into
-// C; the strip packers that feed them; the unfused 4x8 TN block below
-// the blocking cutoff; the 256-bit unfused axpy/scale loops; and the
-// eight-lane SplitMix64 fill. Entry is gated by probeHWTier (CPUID +
-// XCR0); every unsupported configuration runs the pure-Go paths.
+// the input fill (tile4.go, layout.go): the AVX2+FMA 4x8 and AVX-512
+// 8x16 GEMM blocks, each storing to a stack block or accumulating
+// straight into C; the strip packers that feed them; the unfused 4x8 TN
+// block below the blocking cutoff; the 256-bit unfused axpy/scale
+// loops; and the eight-lane SplitMix64 fill, row-major or straight into
+// panel strips. Entry is gated by probeHWTier (CPUID + XCR0); every
+// unsupported configuration runs the pure-Go paths.
 
 //go:build amd64 && !purego
 
@@ -410,15 +411,45 @@ loop:
 	VZEROUPPER
 	RET
 
+// FILLCONSTS loads the SplitMix64 constants every fill entry shares:
+// the two multipliers in Z2/Z3, 2^-52 in Z4 and 1.0 in Z5. The caller
+// puts scale in Z6.
+#define FILLCONSTS \
+	MOVQ         $0xbf58476d1ce4e5b9, AX; \
+	VPBROADCASTQ AX, Z2; \
+	MOVQ         $0x94d049bb133111eb, AX; \
+	VPBROADCASTQ AX, Z3; \
+	MOVQ         $0x3cb0000000000000, AX; \
+	VPBROADCASTQ AX, Z4; \
+	MOVQ         $0x3ff0000000000000, AX; \
+	VPBROADCASTQ AX, Z5
+
+// SPLITMIX8 maps the eight generator states in s to their doubles in t
+// (u is scratch): the SplitMix64 finalizer, then convert, times 2^-52,
+// minus 1 (all three exact for a 53-bit integer, as 2*x/2^53 - 1 is in
+// Go), times scale (the one rounding).
+#define SPLITMIX8(s, t, u) \
+	VPSRLQ     $30, s, t; \
+	VPXORQ     t, s, t; \
+	VPMULLQ    Z2, t, t; \
+	VPSRLQ     $27, t, u; \
+	VPXORQ     u, t, t; \
+	VPMULLQ    Z3, t, t; \
+	VPSRLQ     $31, t, u; \
+	VPXORQ     u, t, t; \
+	VPSRLQ     $11, t, t; \
+	VCVTUQQ2PD t, t; \
+	VMULPD     Z4, t, t; \
+	VSUBPD     Z5, t, t; \
+	VMULPD     Z6, t, t
+
 // func fillRandomAsm(n int64, dst *float64, lanes *[8]uint64, scale float64)
 //
 // Eight SplitMix64 streams side by side: lane i enters holding the
 // state of element i and advances by 8*gamma per iteration, so element
-// e gets exactly the scalar generator's state seed + (e+1)*gamma. The
-// float mapping is convert, times 2^-52, minus 1 (all three exact for a
-// 53-bit integer, as 2*x/2^53 - 1 is in Go), times scale (the one
-// rounding). n must be a positive multiple of 8. Needs AVX-512DQ
-// (VPMULLQ, VCVTUQQ2PD), which the avx512 tier requires.
+// e gets exactly the scalar generator's state seed + (e+1)*gamma. n
+// must be a positive multiple of 8. Needs AVX-512DQ (VPMULLQ,
+// VCVTUQQ2PD), which the avx512 tier requires.
 TEXT ·fillRandomAsm(SB), NOSPLIT, $0-32
 	MOVQ n+0(FP), CX
 	MOVQ dst+8(FP), DI
@@ -427,33 +458,71 @@ TEXT ·fillRandomAsm(SB), NOSPLIT, $0-32
 	VBROADCASTSD scale+24(FP), Z6
 	MOVQ $0xf1bbcdcbfa53e0a8, AX // 8 * 0x9e3779b97f4a7c15 mod 2^64
 	VPBROADCASTQ AX, Z1
-	MOVQ $0xbf58476d1ce4e5b9, AX
-	VPBROADCASTQ AX, Z2
-	MOVQ $0x94d049bb133111eb, AX
-	VPBROADCASTQ AX, Z3
-	MOVQ $0x3cb0000000000000, AX // 2^-52
-	VPBROADCASTQ AX, Z4
-	MOVQ $0x3ff0000000000000, AX // 1.0
-	VPBROADCASTQ AX, Z5
+	FILLCONSTS
 
 loop:
-	VPSRLQ     $30, Z0, Z8
-	VPXORQ     Z8, Z0, Z8
-	VPMULLQ    Z2, Z8, Z8
-	VPSRLQ     $27, Z8, Z9
-	VPXORQ     Z9, Z8, Z8
-	VPMULLQ    Z3, Z8, Z8
-	VPSRLQ     $31, Z8, Z9
-	VPXORQ     Z9, Z8, Z8
-	VPSRLQ     $11, Z8, Z8
-	VCVTUQQ2PD Z8, Z8
-	VMULPD     Z4, Z8, Z8
-	VSUBPD     Z5, Z8, Z8
-	VMULPD     Z6, Z8, Z8
+	SPLITMIX8(Z0, Z8, Z9)
 	VMOVUPD    Z8, (DI)
 	VPADDQ     Z1, Z0, Z0
 	ADDQ       $64, DI
 	SUBQ       $8, CX
+	JNZ        loop
+	VZEROUPPER
+	RET
+
+// func fillStrip8(kc int64, dst *float64, lanes *[8]uint64, rowStep uint64, scale float64)
+//
+// One 8-wide born-packed strip: kc rows of eight doubles at dst, row
+// after row. Lane i enters holding the state of the first row's element
+// i and advances by rowStep (the row-major row length times gamma) per
+// row, so every element gets the state FillRandom gives it. kc must be
+// positive.
+TEXT ·fillStrip8(SB), NOSPLIT, $0-40
+	MOVQ kc+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ lanes+16(FP), SI
+	VMOVDQU64 (SI), Z0
+	MOVQ rowStep+24(FP), AX
+	VPBROADCASTQ AX, Z1
+	VBROADCASTSD scale+32(FP), Z6
+	FILLCONSTS
+
+loop:
+	SPLITMIX8(Z0, Z8, Z9)
+	VMOVUPD    Z8, (DI)
+	VPADDQ     Z1, Z0, Z0
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        loop
+	VZEROUPPER
+	RET
+
+// func fillStrip16(kc int64, dst *float64, lanes *[8]uint64, rowStep uint64, scale float64)
+//
+// fillStrip8 for a 16-wide strip: the row's upper eight lanes (Z7) are
+// the lower eight (Z0) eight states on, and both step by rowStep.
+TEXT ·fillStrip16(SB), NOSPLIT, $0-40
+	MOVQ kc+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ lanes+16(FP), SI
+	VMOVDQU64 (SI), Z0
+	MOVQ $0xf1bbcdcbfa53e0a8, AX // 8 * gamma
+	VPBROADCASTQ AX, Z7
+	VPADDQ Z7, Z0, Z7
+	MOVQ rowStep+24(FP), AX
+	VPBROADCASTQ AX, Z1
+	VBROADCASTSD scale+32(FP), Z6
+	FILLCONSTS
+
+loop:
+	SPLITMIX8(Z0, Z8, Z9)
+	SPLITMIX8(Z7, Z10, Z11)
+	VMOVUPD    Z8, (DI)
+	VMOVUPD    Z10, 64(DI)
+	VPADDQ     Z1, Z0, Z0
+	VPADDQ     Z1, Z7, Z7
+	ADDQ       $128, DI
+	DECQ       CX
 	JNZ        loop
 	VZEROUPPER
 	RET

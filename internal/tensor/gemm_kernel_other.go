@@ -50,6 +50,16 @@ func fillRandomAsm(n int64, dst *float64, lanes *[8]uint64, scale float64) {
 	panic("tensor: fillRandomAsm without asm support")
 }
 
+// fillStrip8 is never called when the active tier is TierPortable.
+func fillStrip8(kc int64, dst *float64, lanes *[8]uint64, rowStep uint64, scale float64) {
+	panic("tensor: fillStrip8 without asm support")
+}
+
+// fillStrip16 is never called when the active tier is TierPortable.
+func fillStrip16(kc int64, dst *float64, lanes *[8]uint64, rowStep uint64, scale float64) {
+	panic("tensor: fillStrip16 without asm support")
+}
+
 // axpyAsm is never called when the active tier is TierPortable.
 func axpyAsm(n int64, dst, src *float64, scale float64) {
 	panic("tensor: axpyAsm without asm support")

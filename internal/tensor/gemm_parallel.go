@@ -20,7 +20,9 @@ const (
 // beta*C, with the C columns split across the team handle par. Each part
 // runs the full blocked kernel over a disjoint column window, so every C
 // element is accumulated by exactly one part in the same k order and the
-// result is bitwise identical to serial Gemm for any part count. loc is
+// result is bitwise identical to serial Gemm for any part count (the
+// split points sit on the micro-kernel's column grid, which moves no C
+// element to another k order). loc is
 // the caller's scratch shard, used for the serial path (parts draw from
 // the scratch handle their Span slot provides).
 //
@@ -32,6 +34,7 @@ func GemmP(par team.Parallelism, loc *pool.Local, transA, transB bool, alpha flo
 	if k != kb || c.Rows != m || c.Cols != n {
 		panic("tensor: GemmP dimension mismatch")
 	}
+	mustRowMajorC(c)
 	if beta == 0 {
 		for i := range c.Data {
 			c.Data[i] = 0
@@ -44,8 +47,8 @@ func GemmP(par team.Parallelism, loc *pool.Local, transA, transB bool, alpha flo
 	if alpha == 0 || k == 0 {
 		return
 	}
-	if m*n*k < gemmBlockCutoff {
-		gemmDirect(transA, transB, alpha, a, b, c)
+	if !BlockedGemm(m, n, k) {
+		gemmDirect(transA, transB, alpha, a, b, c, loc)
 		return
 	}
 	parts := 1
@@ -61,9 +64,21 @@ func GemmP(par team.Parallelism, loc *pool.Local, transA, transB bool, alpha flo
 	// callers' own — typically AsMatrix() temporaries — on their stacks
 	// whenever a branch above ran instead, which is nearly always.
 	pa, pb, pc := *a, *b, *c
+	_, nr := gemmTierShape()
 	par.Span(parts, func(part int, scratch *pool.Local) {
-		j0 := part * n / parts
-		j1 := (part + 1) * n / parts
-		gemmBlockedCols(transA, transB, alpha, &pa, &pb, &pc, j0, j1, scratch)
+		gemmBlockedCols(transA, transB, alpha, &pa, &pb, &pc, splitCol(part, parts, n, nr), splitCol(part+1, parts, n, nr), scratch)
 	})
+}
+
+// splitCol is the first C column of part of parts over n columns: the
+// even split point rounded to the nearest multiple of the strip width
+// nr, so every window starts on the strip grid of a born-packed B panel
+// and the parts stay as even as that grid allows. Rounding moves a split
+// by at most nr/2, and gemmParMinCols (> nr) columns per part keep every
+// window non-empty.
+func splitCol(part, parts, n, nr int) int {
+	if part == parts {
+		return n
+	}
+	return (part*n/parts + nr/2) / nr * nr
 }

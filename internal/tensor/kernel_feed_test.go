@@ -9,7 +9,7 @@ import (
 
 // Tests and benchmarks for what feeds the micro-kernel and what it
 // feeds: the assembly strip packers, the accumulate-into-C kernel
-// entries, and the eight-lane FillRandom. All of it is data movement
+// entries, the eight-lane FillRandom and the born-packed panel fill. All of it is data movement
 // with a fixed result, so every check is on the bits.
 
 // forEachHostTier runs fn as a subtest under every dispatch tier the
@@ -203,7 +203,8 @@ func TestFillRandomMatchesScalar(t *testing.T) {
 // assembly tier the host runs — so packStrip4 and packStrip8 on the AVX2
 // rung, packStrip8 and packStrip16 on the AVX-512 one. The fill: n8*8
 // elements of FillRandom (whole multiples of eight, so on the AVX-512
-// rung fillRandomAsm writes every one) against the scalar generator.
+// rung fillRandomAsm writes every one) against the scalar generator. The
+// panel fill: a prows x cols tile born packed (checkPanelFill).
 func checkKernelFeed(t *testing.T, rows8, cols8, pc8, off8 uint8, n8 uint16, seed uint64, scale float64) {
 	t.Helper()
 	rows, cols := 1+int(rows8)%64, 1+int(cols8)%240
@@ -246,6 +247,45 @@ func checkKernelFeed(t *testing.T, rows8, cols8, pc8, off8 uint8, n8 uint16, see
 			t.Fatalf("%v FillRandom n=%d seed=%#x scale=%v: [%d] = %x, want %x", tier, n, seed, scale, i, got.Data[i], want[i])
 		}
 	})
+	prows := 1 + (int(rows8)<<8|int(pc8))%300
+	checkPanelFill(t, [4]int{1, prows, cols, 1}, seed, scale)
+}
+
+// checkPanelFill pins the born-packed fill of a tile with extents dim,
+// under every host tier and on both sides (the tier's A and B panel
+// widths): unpacking the panel gives FillRandom's row-major values, and
+// the panel itself, padding included, is what packA and packB (Go
+// loops) make of them — bit for bit.
+func checkPanelFill(t *testing.T, dim [4]int, seed uint64, scale float64) {
+	t.Helper()
+	rows, cols := dim[0]*dim[1], dim[2]*dim[3]
+	rm := NewTile4(dim[0], dim[1], dim[2], dim[3])
+	fillRandomScalar(rm.Data, seed, scale)
+	src := rm.AsMatrix()
+	underHostTiers(TierPortable, func(tier KernelTier) {
+		for _, kind := range []LayoutKind{PanelA, PanelB} {
+			l := PanelLayout(kind)
+			w := int(l.Strip)
+			p := NewTile4Layout(dim, l)
+			for i := range p.Data {
+				p.Data[i] = 1e300 // a slot the fill leaves unwritten fails
+			}
+			p.FillRandom(seed, scale)
+			if i := sameBitsOrNaN(p.RowMajorCopy().Data, rm.Data); i >= 0 {
+				t.Fatalf("%v %v fill of %v seed=%#x scale=%v: unpacked [%d] = %x, FillRandom %x",
+					tier, l, dim, seed, scale, i, p.RowMajorCopy().Data[i], rm.Data[i])
+			}
+			want := make([]float64, len(p.Data))
+			if kind == PanelA {
+				packA(true, 1, src, 0, 0, cols, rows, w, false, want)
+			} else {
+				packB(false, src, 0, 0, rows, cols, w, false, want)
+			}
+			if i := sameBitsOrNaN(p.Data, want); i >= 0 {
+				t.Fatalf("%v %v fill of %v seed=%#x: panel [%d] = %x, packed FillRandom %x", tier, l, dim, seed, i, p.Data[i], want[i])
+			}
+		}
+	})
 }
 
 // TestKernelFeedSweep is the seeded sweep of FuzzKernelFeed.
@@ -258,14 +298,20 @@ func TestKernelFeedSweep(t *testing.T) {
 	}
 }
 
-// FuzzKernelFeed drives the strip packers and the eight-lane fill with
-// fuzzer-chosen panel extents, offsets, fill length, seed and scale,
-// requiring the assembly to equal the Go code bit for bit on every
-// host tier.
+// FuzzKernelFeed drives the strip packers, the eight-lane fill and the
+// panel fill with fuzzer-chosen panel extents, offsets, fill length,
+// seed and scale, requiring the assembly to equal the Go code bit for
+// bit on every host tier.
 func FuzzKernelFeed(f *testing.F) {
 	f.Add(uint8(209), uint8(209), uint8(0), uint8(0), uint16(3359), uint64(1), 0.5) // 210 wide, as on uracil
 	f.Add(uint8(0), uint8(16), uint8(0), uint8(1), uint16(0), uint64(0), 1.0)       // kc = 1, offset window
 	f.Add(uint8(40), uint8(120), uint8(7), uint8(5), uint16(15), uint64(1<<63), -2.0)
+	// Panel fills: uracil's 210 x 210 block (prows 210: every strip of
+	// both widths full but the last 16-wide one), a single row, and
+	// widths at and one past a strip.
+	f.Add(uint8(0), uint8(209), uint8(210), uint8(0), uint16(0), uint64(7), 0.5)
+	f.Add(uint8(0), uint8(15), uint8(1), uint8(0), uint16(0), uint64(8), 1.0)
+	f.Add(uint8(1), uint8(16), uint8(44), uint8(0), uint16(0), uint64(9), -0.37)
 	f.Fuzz(func(t *testing.T, rows8, cols8, pc8, off8 uint8, n8 uint16, seed uint64, scale float64) {
 		checkKernelFeed(t, rows8, cols8, pc8, off8, n8, seed, scale)
 	})
@@ -318,5 +364,10 @@ func BenchmarkKernelFill(b *testing.B) {
 			defer setKernelTier(TierPortable)()
 			run(b)
 		})
+		// The same 256 x 210 tile born packed, as either operand.
+		for _, kind := range []LayoutKind{PanelA, PanelB} {
+			tile = NewTile4Layout(tile.Dim, PanelLayout(kind))
+			b.Run(tile.Layout.String(), run)
+		}
 	}
 }

@@ -8,12 +8,17 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"parsec/internal/tensor/pool"
 )
 
-// Matrix is a dense row-major matrix of float64.
+// Matrix is a dense row-major matrix of float64, or — when it views a
+// born-packed tile (Tile4.AsMatrix) — the same Rows x Cols matrix held
+// as a GEMM panel, which only Gemm and GemmP read.
 type Matrix struct {
 	Rows, Cols int
 	Data       []float64
+	Layout     Layout
 }
 
 // NewMatrix returns a zeroed rows x cols matrix.
@@ -30,9 +35,9 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, in its layout.
 func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
+	c := &Matrix{Rows: m.Rows, Cols: m.Cols, Data: make([]float64, len(m.Data)), Layout: m.Layout}
 	copy(c.Data, m.Data)
 	return c
 }
@@ -84,6 +89,7 @@ func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 		panic(fmt.Sprintf("tensor: Gemm shape mismatch op(A)=%dx%d op(B)=%dx%d C=%dx%d",
 			am, ak, bk, bn, c.Rows, c.Cols))
 	}
+	mustRowMajorC(c)
 	if beta != 1 {
 		if beta == 0 {
 			c.Zero()
@@ -99,17 +105,34 @@ func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 	// Large products go through the cache-blocked packed kernel
 	// (gemm_blocked.go); tiny tiles keep the direct path below, whose
 	// setup cost is near zero.
-	if int64(am)*int64(bn)*int64(ak) >= gemmBlockCutoff {
+	if BlockedGemm(am, bn, ak) {
 		gemmBlocked(transA, transB, alpha, a, b, c)
 		return
 	}
-	gemmDirect(transA, transB, alpha, a, b, c)
+	gemmDirect(transA, transB, alpha, a, b, c, nil)
+}
+
+// mustRowMajorC panics unless the GEMM output c is row-major: only
+// inputs are ever born packed.
+func mustRowMajorC(c *Matrix) {
+	if c.Layout.Kind != RowMajor {
+		panic(fmt.Sprintf("tensor: GEMM output in %v layout", c.Layout))
+	}
 }
 
 // gemmDirect dispatches to the unpacked kernels, the path of every tile
 // below the blocking cutoff. Only TN, the one call shape in the tree,
-// has an assembly entry; the other three are Go loops.
-func gemmDirect(transA, transB bool, alpha float64, a, b, c *Matrix) {
+// has an assembly entry; the other three are Go loops. A panel operand
+// is unpacked into scratch from loc first.
+func gemmDirect(transA, transB bool, alpha float64, a, b, c *Matrix, loc *pool.Local) {
+	if a.Layout.Kind != RowMajor || b.Layout.Kind != RowMajor {
+		ra, abuf := rowMajorOperand(a, loc)
+		rb, bbuf := rowMajorOperand(b, loc)
+		gemmDirect(transA, transB, alpha, &ra, &rb, c, nil)
+		loc.Put(abuf)
+		loc.Put(bbuf)
+		return
+	}
 	switch {
 	case !transA && !transB:
 		gemmNN(alpha, a, b, c)

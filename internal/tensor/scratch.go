@@ -22,9 +22,16 @@ func GetTile4(d0, d1, d2, d3 int) *Tile4 {
 	if d0 < 0 || d1 < 0 || d2 < 0 || d3 < 0 {
 		panic(fmt.Sprintf("tensor: GetTile4(%d,%d,%d,%d)", d0, d1, d2, d3))
 	}
+	return GetTile4Layout([4]int{d0, d1, d2, d3}, Layout{})
+}
+
+// GetTile4Layout is GetTile4 for a tile stored in layout l: its storage
+// is l.Len(dim) elements, a panel's padding included.
+func GetTile4Layout(dim [4]int, l Layout) *Tile4 {
+	checkTile(dim, l)
 	t := tile4HeaderPool.Get().(*Tile4)
-	t.Dim = [4]int{d0, d1, d2, d3}
-	t.Data = pool.Get(d0 * d1 * d2 * d3)
+	t.Dim, t.Layout = dim, l
+	t.Data = pool.Get(l.Len(dim))
 	return t
 }
 
@@ -46,7 +53,7 @@ func PutTile4(t *Tile4) {
 	}
 	pool.Put(t.Data)
 	t.Data = nil
-	t.Dim = [4]int{}
+	t.Dim, t.Layout = [4]int{}, Layout{}
 	tile4HeaderPool.Put(t)
 }
 
@@ -57,7 +64,7 @@ func GetTile4In(loc *pool.Local, d0, d1, d2, d3 int) *Tile4 {
 		panic(fmt.Sprintf("tensor: GetTile4In(%d,%d,%d,%d)", d0, d1, d2, d3))
 	}
 	t := tile4HeaderPool.Get().(*Tile4)
-	t.Dim = [4]int{d0, d1, d2, d3}
+	t.Dim, t.Layout = [4]int{d0, d1, d2, d3}, Layout{}
 	t.Data = loc.Get(d0 * d1 * d2 * d3)
 	return t
 }
@@ -80,6 +87,6 @@ func PutTile4In(loc *pool.Local, t *Tile4) {
 	}
 	loc.Put(t.Data)
 	t.Data = nil
-	t.Dim = [4]int{}
+	t.Dim, t.Layout = [4]int{}, Layout{}
 	tile4HeaderPool.Put(t)
 }

@@ -2,12 +2,16 @@ package tensor
 
 import "fmt"
 
-// Tile4 is a dense 4-index tile stored in row-major (last index fastest)
-// order, the unit of data the TCE-generated CCSD code moves through Global
-// Arrays and feeds to GEMM and SORT_4.
+// Tile4 is a dense 4-index tile, the unit of data the TCE-generated CCSD
+// code moves through Global Arrays and feeds to GEMM and SORT_4. It is
+// stored in row-major (last index fastest) order unless Layout says it
+// is a GEMM panel (layout.go), which only the blocked GEMM and the
+// layout-aware calls — FillRandom, Clone, RowMajorCopy, AsMatrix — may
+// read; every element-wise operation panics on one.
 type Tile4 struct {
-	Dim  [4]int
-	Data []float64
+	Dim    [4]int
+	Data   []float64
+	Layout Layout
 }
 
 // NewTile4 returns a zeroed tile with the given extents.
@@ -18,14 +22,17 @@ func NewTile4(d0, d1, d2, d3 int) *Tile4 {
 	return &Tile4{Dim: [4]int{d0, d1, d2, d3}, Data: make([]float64, d0*d1*d2*d3)}
 }
 
-// Len returns the number of elements.
+// Len returns the number of stored elements (a panel's include its
+// padding).
 func (t *Tile4) Len() int { return len(t.Data) }
 
 // Bytes returns the storage size in bytes.
 func (t *Tile4) Bytes() int64 { return int64(len(t.Data)) * 8 }
 
-// Index returns the flat offset of element (i0,i1,i2,i3).
+// Index returns the flat offset of element (i0,i1,i2,i3) in a row-major
+// tile.
 func (t *Tile4) Index(i0, i1, i2, i3 int) int {
+	t.mustRowMajor("Index")
 	return ((i0*t.Dim[1]+i1)*t.Dim[2]+i2)*t.Dim[3] + i3
 }
 
@@ -35,9 +42,9 @@ func (t *Tile4) At(i0, i1, i2, i3 int) float64 { return t.Data[t.Index(i0, i1, i
 // Set assigns the element at (i0,i1,i2,i3).
 func (t *Tile4) Set(i0, i1, i2, i3 int, v float64) { t.Data[t.Index(i0, i1, i2, i3)] = v }
 
-// Clone returns a deep copy of the tile.
+// Clone returns a deep copy of the tile, in its layout.
 func (t *Tile4) Clone() *Tile4 {
-	c := &Tile4{Dim: t.Dim, Data: make([]float64, len(t.Data))}
+	c := &Tile4{Dim: t.Dim, Layout: t.Layout, Data: make([]float64, len(t.Data))}
 	copy(c.Data, t.Data)
 	return c
 }
@@ -50,13 +57,16 @@ func (t *Tile4) Zero() {
 }
 
 // AsMatrix views the tile as a (Dim0*Dim1) x (Dim2*Dim3) matrix sharing
-// the same backing storage; mutations are visible in both views.
+// the same backing storage and layout; mutations are visible in both
+// views.
 func (t *Tile4) AsMatrix() *Matrix {
-	return &Matrix{Rows: t.Dim[0] * t.Dim[1], Cols: t.Dim[2] * t.Dim[3], Data: t.Data}
+	return &Matrix{Rows: t.Dim[0] * t.Dim[1], Cols: t.Dim[2] * t.Dim[3], Data: t.Data, Layout: t.Layout}
 }
 
 // AddScaled accumulates s * src into t elementwise. Shapes must match.
 func (t *Tile4) AddScaled(src *Tile4, s float64) {
+	t.mustRowMajor("AddScaled")
+	src.mustRowMajor("AddScaled")
 	if t.Dim != src.Dim {
 		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %v vs %v", t.Dim, src.Dim))
 	}
@@ -66,6 +76,8 @@ func (t *Tile4) AddScaled(src *Tile4, s float64) {
 // MaxAbsDiff returns the largest absolute elementwise difference between
 // two same-shaped tiles.
 func (t *Tile4) MaxAbsDiff(o *Tile4) float64 {
+	t.mustRowMajor("MaxAbsDiff")
+	o.mustRowMajor("MaxAbsDiff")
 	if t.Dim != o.Dim {
 		panic("tensor: MaxAbsDiff shape mismatch")
 	}
@@ -137,6 +149,8 @@ func sort4Strides(dst *Tile4, perm [4]int) [4]int {
 }
 
 func sort4Impl(dst, src *Tile4, perm [4]int, scale float64, add bool) {
+	dst.mustRowMajor("Sort4")
+	src.mustRowMajor("Sort4")
 	checkPerm(perm)
 	want := src.SortedDims(perm)
 	if dst.Dim != want {
@@ -205,8 +219,14 @@ const splitMixGamma = 0x9e3779b97f4a7c15
 // synthetic amplitudes and integrals. The values are the same bits on
 // every tier: the AVX-512 tier runs eight elements' generators side by
 // side (fillRandomAsm), the scalar loop below finishes the tail and is
-// the whole fill everywhere else.
+// the whole fill everywhere else. Element e of the row-major order gets
+// the same value in every layout: a panel is filled in place
+// (fillPanel), bit for bit FillRandom followed by packing.
 func (t *Tile4) FillRandom(seed uint64, scale float64) {
+	if t.Layout.Kind != RowMajor {
+		t.fillPanel(seed, scale)
+		return
+	}
 	data := t.Data
 	state := seed
 	if q := len(data) &^ 7; q > 0 && activeTier == TierAVX512 {
@@ -220,10 +240,16 @@ func (t *Tile4) FillRandom(seed uint64, scale float64) {
 	}
 	for i := range data {
 		state += splitMixGamma
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		data[i] = scale * (2*float64(z>>11)/(1<<53) - 1)
+		data[i] = splitMix(state, scale)
 	}
+}
+
+// splitMix is the value of the SplitMix64 generator in state state,
+// mapped to [-scale, scale).
+func splitMix(state uint64, scale float64) float64 {
+	z := state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return scale * (2*float64(z>>11)/(1<<53) - 1)
 }
