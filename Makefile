@@ -116,17 +116,17 @@ netrun-conformance:
 real-dist:
 	$(GO) run ./cmd/ccsim real-dist -ranks 3
 
-# Service smoke: start ccsimd in-process under the race detector and
-# drive the acceptance scenario over real HTTP — cold benzene job,
-# identical cached job (must skip inspection+planning), a canceled job,
-# queue-full 429 backpressure, and a draining shutdown. Then the
-# restart-recovery scenario: a journaled child daemon is SIGKILLed
-# mid-queue and restarted; terminal results must come back verbatim,
-# interrupted jobs must re-execute to bitwise-identical energies, and a
-# large job must run across 2 netrun worker processes.
+# Service smoke, under the race detector. The service's own tests drive
+# the acceptance surface over real HTTP: cold job then identical cached
+# job (must skip inspection+planning), cancellation of queued and
+# running jobs, queue-full 429 backpressure, and a draining shutdown.
+# Then the restart-recovery test: a journaled child ccsimd is SIGKILLed
+# with jobs in every state and restarted; terminal results must come
+# back verbatim, interrupted jobs must re-execute to bitwise-identical
+# energies, and a large job must run across 2 netrun worker processes.
 serve-smoke:
-	$(GO) run -race ./cmd/ccsimd -smoke
-	$(GO) run -race ./cmd/ccsimd -recovery-smoke
+	$(GO) test -race -count=1 -run 'Recovery' ./cmd/ccsimd
+	$(GO) test -race -count=1 ./internal/serve
 
 # Service load test: mixed preset/variant workload against an
 # in-process server; reports throughput, cache hit rate, cold vs cached

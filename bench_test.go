@@ -679,11 +679,11 @@ func BenchmarkTrackerBuild(b *testing.B) {
 // levels under the shard lock.
 func BenchmarkHeapPopDeep(b *testing.B) {
 	const depth = 16384
-	var full sched.Heap[*ptg.Instance]
+	var full sched.Heap
 	for seq := 0; seq < depth; seq++ {
 		full.PushTask(&ptg.Instance{Priority: int64(seq * 7919 % 1382), Seq: seq})
 	}
-	h := make(sched.Heap[*ptg.Instance], depth)
+	h := make(sched.Heap, depth)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h = h[:depth]

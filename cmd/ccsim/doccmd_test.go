@@ -205,7 +205,7 @@ func TestCommandLintRejectsOldSpellings(t *testing.T) {
 	for _, prose := range []string{
 		"| `cmd/ccsim` | The experiment driver: Fig 9 sweep, ablations |",
 		"E1 | `cmd/ccsim`, `BenchmarkFig9Original` |",
-		"the daemon is cmd/ccsimd -smoke, not ccsim",
+		"the daemon is cmd/ccsimd -data DIR, not ccsim",
 		"default `ccsim` (beta-carotene, 32 nodes) takes minutes",
 	} {
 		for _, args := range invocations(prose) {

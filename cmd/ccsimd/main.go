@@ -10,8 +10,6 @@
 //	       [-cache-cap N] [-workers N] [-retry-after D]
 //	       [-data DIR] [-mem-budget BYTES]
 //	       [-netrun-bytes BYTES] [-netrun-ranks N] [-netrun-procs]
-//	ccsimd -smoke
-//	ccsimd -recovery-smoke
 //
 // With -data the daemon journals every job transition to
 // DIR/jobs.journal and replays it on startup: terminal results are
@@ -21,15 +19,10 @@
 // accounting, and -netrun-bytes dispatches jobs at or above that
 // footprint onto the netrun multi-process backend.
 //
-// Without -smoke the server runs until SIGINT/SIGTERM, then drains
-// in-flight jobs before exiting. With -smoke it starts an in-process
-// server on a loopback port, drives the CI acceptance scenario against
-// the real HTTP surface (cold benzene job, identical cached job,
-// canceled job, queue-full 429, drained shutdown), prints the outcome,
-// and exits non-zero on any failure. With -recovery-smoke it drives the
-// restart-recovery scenario instead: a child ccsimd with a journal is
-// SIGKILLed mid-queue and restarted, and recovered results must be
-// bitwise identical.
+// The server runs until SIGINT/SIGTERM, then drains in-flight jobs
+// before exiting. The restart-recovery acceptance test
+// (recovery_test.go) runs this daemon as a child process, SIGKILLs it
+// with jobs in every state and restarts it on the same journal.
 package main
 
 import (
@@ -96,8 +89,6 @@ func main() {
 	netrunBytes := flag.Int64("netrun-bytes", 0, "dispatch jobs with footprint >= this onto the netrun backend (0 = always in-process)")
 	netrunRanks := flag.Int("netrun-ranks", 2, "worker ranks for netrun-dispatched jobs")
 	netrunProcs := flag.Bool("netrun-procs", true, "netrun ranks as real OS processes (false: in-process ranks over sockets)")
-	smoke := flag.Bool("smoke", false, "run the service smoke scenario and exit")
-	recovery := flag.Bool("recovery-smoke", false, "run the restart-recovery smoke scenario and exit")
 	flag.Parse()
 
 	cfg := serve.Config{
@@ -111,23 +102,6 @@ func main() {
 		NetrunBytes:    *netrunBytes,
 		NetrunRanks:    *netrunRanks,
 		NetrunProcs:    *netrunProcs,
-	}
-
-	if *smoke {
-		if err := runSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "ccsimd: smoke FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("ccsimd: smoke ok")
-		return
-	}
-	if *recovery {
-		if err := runRecoverySmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "ccsimd: recovery smoke FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("ccsimd: recovery smoke ok")
-		return
 	}
 
 	s, err := serve.Open(cfg)

@@ -19,7 +19,7 @@ import (
 // the run ends. The profile must be, field for field, what FromTrace
 // computes from that trace — the path every job took before spans — and
 // every event's class and label must be those of the instance the span
-// names, as the per-task Observer used to format them.
+// names: its class name and TaskRef.String().
 func TestProfileFromSpansMatchesTrace(t *testing.T) {
 	spec, err := VariantByName("v5")
 	if err != nil {

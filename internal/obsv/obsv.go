@@ -2,13 +2,13 @@
 // runtime (internal/runtime) and the simulator (internal/simexec). The
 // paper argues entirely from its traces — Fig 11's startup bubble, Figs
 // 12/13's unoverlapped communication, §IV-C's priority-driven variant
-// ordering — and this package turns those pictures into numbers: a
-// metrics registry of log-bucketed per-task-class duration histograms
-// (count/p50/p95/p99/max), per-worker idle-gap accounting (total idle,
-// longest bubble and when it opened, startup idle), communication-volume
-// counters (bytes per class, GET vs ACC), and critical-path attribution
-// that replays the executed DAG to report what fraction of the critical
-// path each task class contributes.
+// ordering — and this package turns those pictures into numbers:
+// log-bucketed per-task-class duration histograms (count/p50/p95/p99/
+// max), per-worker idle-gap accounting (total idle, longest bubble and
+// when it opened, startup idle), communication-volume counters (bytes
+// per class, GET vs ACC), and critical-path attribution that replays the
+// executed DAG to report what fraction of the critical path each task
+// class contributes.
 //
 // A Profile is built from a recorded trace with FromTrace (the
 // simulators, which record labelled events) or straight from a real
@@ -26,7 +26,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"parsec/internal/ptg"
 	"parsec/internal/trace"
@@ -37,8 +36,7 @@ import (
 const nbuckets = 65
 
 // Histogram is a log-2-bucketed duration histogram (nanoseconds). The
-// zero value is ready to use; Add is not concurrency-safe (wrap it in a
-// Registry for concurrent recording).
+// zero value is ready to use; Add is not concurrency-safe.
 type Histogram struct {
 	Count   int64
 	Sum     int64
@@ -156,52 +154,6 @@ func (h *Histogram) Buckets() [][3]int64 {
 		out = append(out, [3]int64{lo, hi, c})
 	}
 	return out
-}
-
-// Registry is a concurrency-safe collection of named histograms — the
-// recording surface executors observe spans into (one histogram per task
-// class, keyed by class name).
-type Registry struct {
-	mu    sync.Mutex
-	hists map[string]*Histogram
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{hists: make(map[string]*Histogram)} }
-
-// Observe records one span duration under the given class.
-func (r *Registry) Observe(class string, ns int64) {
-	r.mu.Lock()
-	h := r.hists[class]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[class] = h
-	}
-	h.Add(ns)
-	r.mu.Unlock()
-}
-
-// Histogram returns a copy of the named class's histogram (zero-valued
-// if the class was never observed).
-func (r *Registry) Histogram(class string) Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h := r.hists[class]; h != nil {
-		return *h
-	}
-	return Histogram{}
-}
-
-// Classes returns the observed class names, sorted.
-func (r *Registry) Classes() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ClassProfile is the exported summary of one task class's duration
@@ -374,13 +326,20 @@ func FromTrace(name string, t *trace.Trace) *Profile {
 	p.Span = end - start
 	p.Tasks = int64(len(evs))
 
-	reg := NewRegistry()
+	hists := make(map[string]*Histogram)
+	var classes []string
 	for _, e := range evs {
-		reg.Observe(e.Class, e.Duration())
+		h := hists[e.Class]
+		if h == nil {
+			h = &Histogram{}
+			hists[e.Class] = h
+			classes = append(classes, e.Class)
+		}
+		h.Add(e.Duration())
 	}
-	for _, class := range reg.Classes() {
-		h := reg.Histogram(class)
-		p.Classes = append(p.Classes, h.profile(class))
+	sort.Strings(classes)
+	for _, class := range classes {
+		p.Classes = append(p.Classes, hists[class].profile(class))
 	}
 
 	// Events() is sorted by (node, thread, start): walk each row once.

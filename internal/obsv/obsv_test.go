@@ -85,31 +85,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 1000; i++ {
-				r.Observe("GEMM", int64(i))
-			}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if h := r.Histogram("GEMM"); h.Count != 4000 {
-		t.Fatalf("count = %d, want 4000", h.Count)
-	}
-	if got := r.Classes(); len(got) != 1 || got[0] != "GEMM" {
-		t.Fatalf("classes = %v", got)
-	}
-	if h := r.Histogram("NOPE"); h.Count != 0 {
-		t.Fatal("unknown class must be zero-valued")
-	}
-}
-
 func TestFromTraceEmpty(t *testing.T) {
 	p := FromTrace("empty", trace.New())
 	if p.Span != 0 || p.Tasks != 0 || len(p.Classes) != 0 || len(p.Workers) != 0 {

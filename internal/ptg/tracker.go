@@ -63,14 +63,6 @@ func (in *Instance) String() string {
 	return fmt.Sprintf("%v@n%d[%v]", in.Ref, in.Node, in.State)
 }
 
-// SchedPriority returns the instance's scheduling priority, satisfying
-// the scheduling core's Task interface (internal/sched).
-func (in *Instance) SchedPriority() int64 { return in.Priority }
-
-// SchedSeq returns the instance's deterministic creation ordinal, the
-// scheduling core's priority tie-breaker (internal/sched).
-func (in *Instance) SchedSeq() int { return in.Seq }
-
 // Delivery instructs the executor to move the payload produced on one of
 // a completed task's flows to a successor's input flow. The executor
 // performs the (possibly remote) transport, then calls Tracker.Deliver.

@@ -97,23 +97,35 @@ func TestRunCancelAfterDone(t *testing.T) {
 	}
 }
 
-// TestRunCancelFromLastObserver closes Cancel from the Observer call of
-// the final task — after the run has decided it is complete, while Run
-// is about to read its error. The watcher goroutine must be joined
-// before that read (run under -race), and the completed run must not be
-// relabeled canceled.
-func TestRunCancelFromLastObserver(t *testing.T) {
+// TestExecutorCancelFromLastComplete closes Cancel from the Complete
+// hook of the final task, right after the hook halted the executor: the
+// run is decided complete while Run is about to read its error, and the
+// cancel watcher's Fail races that read (run under -race). The completed
+// run must not be relabeled canceled.
+func TestExecutorCancelFromLastComplete(t *testing.T) {
 	const n = 16
 	for round := 0; round < 50; round++ {
-		var ran, seen atomic.Int64
-		g := sleeperGraph(n, 0, &ran)
+		var ran, completed atomic.Int64
+		tr, err := ptg.NewTracker(sleeperGraph(n, 0, &ran))
+		if err != nil {
+			t.Fatal(err)
+		}
 		cancel := make(chan struct{})
-		rep, err := Run(g, Config{Workers: 2, Cancel: cancel, Observer: func(Event) {
-			if seen.Add(1) == n {
-				close(cancel)
-			}
-		}})
-		if err != nil || rep.Tasks != n {
+		var x *Executor
+		x = NewExecutor(Config{Workers: 2, Cancel: cancel}, Hooks{
+			Start: tr.Start,
+			Complete: func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
+				ready, err := tr.CompleteDeliver(in, out, ready)
+				if completed.Add(1) == n {
+					x.Halt()
+					close(cancel)
+				}
+				return ready, err
+			},
+		})
+		x.Preload(tr.InitialReadySorted())
+		err = x.Run()
+		if rep := x.Report(); err != nil || rep.Tasks != n {
 			t.Fatalf("round %d: err = %v, tasks = %d; want a clean run of %d", round, err, rep.Tasks, n)
 		}
 	}

@@ -132,13 +132,13 @@ type Executor struct {
 	err   error
 
 	start time.Time
-	// record is set by Record; timed says each task is stamped at both
-	// ends, which an Observer or a recorded run asks for.
-	record, timed bool
+	// record is set by Record: each task is stamped at both ends and
+	// kept as a span.
+	record bool
 }
 
 // NewExecutor returns an idle executor configured by cfg (Workers,
-// Policy, Queues, the observers, TaskDelay, Cancel). Instances may be
+// Policy, Queues, SchedObserver, TaskDelay, Cancel). Instances may be
 // pushed before Run starts the workers.
 func NewExecutor(cfg Config, hooks Hooks) *Executor {
 	if cfg.Workers <= 0 {
@@ -154,7 +154,6 @@ func NewExecutor(cfg Config, hooks Hooks) *Executor {
 		shards: make([]shard, nshards),
 		ws:     make([]workerState, cfg.Workers),
 		start:  time.Now(),
-		timed:  cfg.Observer != nil,
 	}
 	for i := range x.shards {
 		x.shards[i].q = sched.NewQueue(cfg.Policy, cfg.Queues)
@@ -175,7 +174,7 @@ func NewExecutor(cfg Config, hooks Hooks) *Executor {
 // whole-graph run's instance count, a rank's share of it); the buffers
 // are sized from it once, so a balanced run appends without growing.
 func (x *Executor) Record(n int) {
-	x.record, x.timed = true, true
+	x.record = true
 	per := (n+n/4)/len(x.ws) + 16
 	for i := range x.ws {
 		x.ws[i].rec = make([]trace.Span, 0, per)
@@ -681,11 +680,11 @@ func (x *Executor) work(id int) {
 	ws := &x.ws[id]
 	t0 := time.Now()
 	defer func() {
-		// Untimed, busy is coarse: the worker's unparked time. Per-task
-		// timestamping costs two clock reads per task — measurable
-		// against sub-microsecond bodies — so the precise accounting
-		// only runs when someone asked to see it.
-		if !x.timed {
+		// Unrecorded, busy is coarse: the worker's unparked time.
+		// Per-task timestamping costs two clock reads per task —
+		// measurable against sub-microsecond bodies — so the precise
+		// accounting only runs when someone asked to see it.
+		if !x.record {
 			ws.busy = time.Since(t0) - ws.parkedFor
 		}
 	}()
@@ -747,9 +746,9 @@ func (x *Executor) execute(worker int, in *ptg.Instance) (*ptg.Instance, error) 
 	}
 	// Both ends of a task are offsets from x.start on the monotonic
 	// clock: one clock read each, no wall-clock read.
-	timed := x.timed
+	record := x.record
 	var t0, t1 time.Duration
-	if timed {
+	if record {
 		t0 = time.Since(x.start)
 	}
 	if body := in.Class.Body; body != nil {
@@ -760,7 +759,7 @@ func (x *Executor) execute(worker int, in *ptg.Instance) (*ptg.Instance, error) 
 			return nil, fmt.Errorf("runtime: task %v failed: %w", in.Ref, err)
 		}
 	}
-	if timed {
+	if record {
 		t1 = time.Since(x.start)
 		ws.busy += t1 - t0
 	}
@@ -785,13 +784,8 @@ func (x *Executor) execute(worker int, in *ptg.Instance) (*ptg.Instance, error) 
 	next := x.handOff(worker, ws, ready)
 	ws.scratch = ready[:0]
 
-	if timed {
-		if x.record {
-			ws.rec = append(ws.rec, trace.Span{Seq: uint32(in.Seq), Worker: uint32(worker), Start: int64(t0), End: int64(t1)})
-		}
-		if obs := x.cfg.Observer; obs != nil {
-			obs(Event{Task: in.Ref, Seq: in.Seq, Worker: worker, Start: t0, End: t1})
-		}
+	if record {
+		ws.rec = append(ws.rec, trace.Span{Seq: uint32(in.Seq), Worker: uint32(worker), Start: int64(t0), End: int64(t1)})
 	}
 	return next, nil
 }

@@ -44,27 +44,14 @@ import (
 // errors.Is.
 var ErrCanceled = errors.New("runtime: run canceled")
 
-// Event records one task execution for tracing.
-type Event struct {
-	Task ptg.TaskRef
-	// Seq is the instance's creation ordinal (ptg.Instance.Seq): all an
-	// observer that labels its spans later needs to keep.
-	Seq    int
-	Worker int
-	Start  time.Duration // since Run began
-	End    time.Duration
-}
-
-// Config controls a run.
+// Config controls a run. To watch one, record it (RunRecorded,
+// Executor.Record): Report.Spans then holds one span per task.
 type Config struct {
 	// Workers is the number of worker goroutines; 0 means GOMAXPROCS.
 	Workers int
 	Policy  sched.Policy
 	// Queues selects the ready-queue structure (default SharedQueue).
 	Queues sched.QueueMode
-	// Observer, if set, receives an Event after each task completes.
-	// Called concurrently from workers; must be safe.
-	Observer func(Event)
 	// TaskDelay, if set, is called before each task body with the
 	// executing worker and instance, and the worker sleeps for the
 	// returned duration. It is a fault-injection hook: straggler tests
@@ -142,7 +129,7 @@ func Run(g *ptg.Graph, cfg Config) (Report, error) { return run(g, cfg, false) }
 
 // RunRecorded is Run with span recording on: the report's Spans hold one
 // trace.Span per executed task. It is what a caller that wants a profile
-// or a trace of the run asks for; Config.Observer is not involved.
+// or a trace of the run asks for.
 func RunRecorded(g *ptg.Graph, cfg Config) (Report, error) { return run(g, cfg, true) }
 
 func run(g *ptg.Graph, cfg Config, record bool) (Report, error) {

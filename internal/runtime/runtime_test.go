@@ -211,33 +211,6 @@ func TestRunDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestObserverReceivesAllTasks(t *testing.T) {
-	var log []string
-	var mu sync.Mutex
-	g := diamondGraph(3, &log, &mu)
-	var events []Event
-	var emu sync.Mutex
-	rep, err := Run(g, Config{Workers: 2, Observer: func(e Event) {
-		emu.Lock()
-		events = append(events, e)
-		emu.Unlock()
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != rep.Tasks {
-		t.Errorf("observer saw %d events, want %d", len(events), rep.Tasks)
-	}
-	for _, e := range events {
-		if e.End < e.Start {
-			t.Errorf("event %v has End < Start", e.Task)
-		}
-		if e.Worker < 0 || e.Worker >= 2 {
-			t.Errorf("event worker %d out of range", e.Worker)
-		}
-	}
-}
-
 func TestReportString(t *testing.T) {
 	var log []string
 	var mu sync.Mutex

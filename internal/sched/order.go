@@ -1,18 +1,6 @@
 package sched
 
-// Task is the minimal view the scheduling core needs of a schedulable
-// unit. ptg.Instance implements it for the PTG executors; dtd's
-// in-memory DAG nodes implement it for the Dynamic Task Discovery
-// engine.
-type Task interface {
-	// SchedPriority is the task's scheduling priority; higher runs
-	// first.
-	SchedPriority() int64
-	// SchedSeq is the task's deterministic creation ordinal (the
-	// instance sequence number for PTG tasks, the insertion index for
-	// DTD tasks); lower breaks priority ties.
-	SchedSeq() int
-}
+import "parsec/internal/ptg"
 
 // Before reports whether a should run before b under the core's one
 // total order: descending priority, then ascending creation sequence.
@@ -20,44 +8,45 @@ type Task interface {
 // resolves ties through this function, so the simulator and the real
 // runtime cannot drift apart on tie-breaks; TestBeforeTotalOrder pins
 // the order.
-func Before[T Task](a, b T) bool {
-	if pa, pb := a.SchedPriority(), b.SchedPriority(); pa != pb {
-		return pa > pb
+func Before(a, b *ptg.Instance) bool {
+	if a.Priority != b.Priority {
+		return a.Priority > b.Priority
 	}
-	return a.SchedSeq() < b.SchedSeq()
+	return a.Seq < b.Seq
 }
 
-// Heap is a binary priority heap ordered by Before: the root is the task
-// that should run next. Each entry carries its task's (priority, seq)
-// key, read once at push, and the sifts are inline rather than through
-// container/heap: a deep shared queue sits under its shard lock for
-// every pop, and comparing through the tasks themselves costs a cache
-// miss per level (a 16k-deep heap of instances spans megabytes) on top
-// of the generic protocol's four interface calls per comparison. Before
-// is a strict total order, so any correct heap pops the same sequence;
-// the conformance suite pins it.
-type Heap[T Task] []heapEntry[T]
+// Heap is a binary priority heap of instances ordered by Before: the
+// root is the instance that should run next. Each entry carries its
+// instance's (priority, seq) key, read once at push, and the sifts are
+// inline rather than through container/heap: a deep shared queue sits
+// under its shard lock for every pop, and comparing through the
+// instances themselves costs a cache miss per level (a 16k-deep heap of
+// instances spans megabytes) on top of the generic protocol's four
+// interface calls per comparison. Before is a strict total order, so
+// any correct heap pops the same sequence; the conformance suite pins
+// it.
+type Heap []heapEntry
 
-type heapEntry[T Task] struct {
+type heapEntry struct {
 	prio int64
 	seq  int
-	task T
+	task *ptg.Instance
 }
 
 // before is Before on the entries' keys.
-func (a heapEntry[T]) before(b heapEntry[T]) bool {
+func (a heapEntry) before(b heapEntry) bool {
 	if a.prio != b.prio {
 		return a.prio > b.prio
 	}
 	return a.seq < b.seq
 }
 
-// At returns the task at heap index i; index 0 is the Before-best.
-func (h Heap[T]) At(i int) T { return h[i].task }
+// At returns the instance at heap index i; index 0 is the Before-best.
+func (h Heap) At(i int) *ptg.Instance { return h[i].task }
 
-// PushTask adds a task, restoring heap order.
-func (h *Heap[T]) PushTask(t T) {
-	s := append(*h, heapEntry[T]{t.SchedPriority(), t.SchedSeq(), t})
+// PushTask adds an instance, restoring heap order.
+func (h *Heap) PushTask(in *ptg.Instance) {
+	s := append(*h, heapEntry{in.Priority, in.Seq, in})
 	*h = s
 	// Sift the new entry toward the root.
 	i := len(s) - 1
@@ -73,18 +62,18 @@ func (h *Heap[T]) PushTask(t T) {
 	s[i] = x
 }
 
-// PopTask removes and returns the Before-best task. The heap must be
+// PopTask removes and returns the Before-best instance. The heap must be
 // nonempty.
-func (h *Heap[T]) PopTask() T { return h.RemoveAt(0) }
+func (h *Heap) PopTask() *ptg.Instance { return h.RemoveAt(0) }
 
-// RemoveAt removes and returns the task at heap index i, restoring heap
-// order (for pickers that choose a victim by scanning, like the
+// RemoveAt removes and returns the instance at heap index i, restoring
+// heap order (for pickers that choose a victim by scanning, like the
 // migratable-task steal).
-func (h *Heap[T]) RemoveAt(i int) T {
+func (h *Heap) RemoveAt(i int) *ptg.Instance {
 	s := *h
 	n := len(s) - 1
 	removed, x := s[i].task, s[n]
-	s[n] = heapEntry[T]{} // drop the reference for the garbage collector
+	s[n] = heapEntry{} // drop the reference for the garbage collector
 	s = s[:n]
 	*h = s
 	if i == n {

@@ -43,7 +43,7 @@ func TestBeforeTotalOrder(t *testing.T) {
 // TestHeapPopOrder pushes instances in scrambled order and checks the
 // heap drains them in the Before order.
 func TestHeapPopOrder(t *testing.T) {
-	var h Heap[*ptg.Instance]
+	var h Heap
 	for _, in := range []*ptg.Instance{
 		inst(1, 4), inst(3, 1), inst(1, 2), inst(3, 0), inst(2, 3),
 	} {
@@ -66,7 +66,7 @@ func TestHeapPopOrder(t *testing.T) {
 // the Before-best of what is queued, whatever RemoveAt took out.
 func TestHeapRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var h Heap[*ptg.Instance]
+	var h Heap
 	var ref []*ptg.Instance // kept sorted by Before
 	remove := func(in *ptg.Instance) {
 		for i, r := range ref {

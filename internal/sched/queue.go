@@ -29,7 +29,7 @@ import (
 // needs no lock.
 type Queue struct {
 	lifo  bool
-	heap  Heap[*ptg.Instance]
+	heap  Heap
 	stack []*ptg.Instance
 	// run[cur:] is the part of the preloaded run still queued.
 	run []*ptg.Instance
@@ -95,7 +95,7 @@ func (q *Queue) runFirst() bool {
 		return true
 	}
 	in := q.run[q.cur]
-	return heapEntry[*ptg.Instance]{prio: in.Priority, seq: in.Seq}.before(q.heap[0])
+	return heapEntry{prio: in.Priority, seq: in.Seq}.before(q.heap[0])
 }
 
 // Pop dequeues the next instance under the queue's discipline, returning

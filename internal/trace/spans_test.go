@@ -25,8 +25,8 @@ func twoClassGraph() *ptg.Graph {
 
 // TestAddSpansLabels: every materialised event carries its span's node,
 // lane, Seq and times, and the class and label of the instance with
-// that Seq — insts[Seq].Ref.Class and .String(), what an Observer-built
-// trace carried — whatever order the spans come in; a Seq the skeleton
+// that Seq — insts[Seq].Ref.Class and .String() — whatever order the
+// spans come in; a Seq the skeleton
 // does not describe still renders, as "#seq".
 func TestAddSpansLabels(t *testing.T) {
 	g := twoClassGraph()

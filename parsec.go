@@ -98,9 +98,6 @@ func A1(a int) Args { return ptg.A1(a) }
 // A2 builds a 2-parameter argument vector.
 func A2(a, b int) Args { return ptg.A2(a, b) }
 
-// A3 builds a 3-parameter argument vector.
-func A3(a, b, c int) Args { return ptg.A3(a, b, c) }
-
 // JDFEnv supplies the named constants, helper functions, bodies, and
 // data resolvers a JDF source references.
 type JDFEnv = jdf.Env
@@ -119,29 +116,17 @@ type RunConfig = runtime.Config
 // Report summarizes a shared-memory run.
 type Report = runtime.Report
 
-// Policy orders ready tasks: by descending priority (with creation
-// order breaking ties) or most-recently-enabled first. One definition
-// lives in internal/sched and is shared by every executor.
+// Policy orders ready tasks (RunConfig.Policy): by descending priority,
+// with creation order breaking ties (the zero value), or
+// most-recently-enabled first. One definition lives in internal/sched
+// and is shared by every executor.
 type Policy = sched.Policy
 
-// Scheduling policies for ready tasks.
-const (
-	PriorityOrder = sched.PriorityOrder
-	LIFOOrder     = sched.LIFOOrder
-)
-
-// QueueMode selects the ready-queue structure of the sharded scheduler:
-// one shared queue, statically pinned per-worker queues, or pinned
-// queues with randomized work stealing (PaRSEC's per-thread queues,
-// §IV-D).
+// QueueMode selects the ready-queue structure of the sharded scheduler
+// (RunConfig.Queues): one shared queue (the zero value), statically
+// pinned per-worker queues, or pinned queues with randomized work
+// stealing (PaRSEC's per-thread queues, §IV-D).
 type QueueMode = sched.QueueMode
-
-// The ready-queue structures a RunConfig can select (see QueueMode).
-const (
-	SharedQueue    = sched.SharedQueue
-	PerWorker      = sched.PerWorker
-	PerWorkerSteal = sched.PerWorkerSteal
-)
 
 // SchedStats are the scheduler's internal counters for one run
 // (steal attempts/hits, parks, wakes, per-worker task counts, queue
@@ -150,12 +135,6 @@ type SchedStats = runtime.SchedStats
 
 // Run executes a graph with real data on worker goroutines.
 func Run(g *Graph, cfg RunConfig) (Report, error) { return runtime.Run(g, cfg) }
-
-// RuntimeTraceObserver adapts a Trace into a RunConfig.Observer so
-// shared-memory executions can be rendered with the same Gantt tooling
-// as the simulated runs (all events land on node 0; the worker index is
-// the thread row).
-func RuntimeTraceObserver(tr *Trace) func(runtime.Event) { return runtime.TraceObserver(0, tr) }
 
 // ---- chemistry application layer ----
 

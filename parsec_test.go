@@ -19,7 +19,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 	c.Priority = func(a Args) int64 { return int64(n - a[0]) }
 	c.Body = func(ctx *Ctx) { sum += ctx.Args[0] }
-	rep, err := Run(g, RunConfig{Workers: 1, Policy: PriorityOrder})
+	rep, err := Run(g, RunConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,27 +103,6 @@ func TestFacadeJDF(t *testing.T) {
 	}
 	if _, err := CompileJDF("bad", "T(", JDFEnv{}); err == nil {
 		t.Error("bad source compiled")
-	}
-}
-
-func TestRuntimeTraceObserver(t *testing.T) {
-	tr := NewTrace()
-	g := NewGraph("traced")
-	c := g.Class("T")
-	c.Domain = func(emit func(Args)) {
-		for i := 0; i < 6; i++ {
-			emit(A1(i))
-		}
-	}
-	c.Body = func(ctx *Ctx) {}
-	if _, err := Run(g, RunConfig{Workers: 2, Observer: RuntimeTraceObserver(tr)}); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 6 {
-		t.Errorf("trace events = %d, want 6", tr.Len())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Error(err)
 	}
 }
 
