@@ -28,6 +28,7 @@ import (
 	"parsec/internal/cluster"
 	"parsec/internal/ga"
 	"parsec/internal/molecule"
+	"parsec/internal/obsv"
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
 	"parsec/internal/sched"
@@ -99,18 +100,18 @@ func traceBench(b *testing.B, run func(tr *trace.Trace) (float64, error)) {
 			b.Fatal(err)
 		}
 		makespan = mk
-		s := tr.Summarize()
 		gm, _ := tr.RampStats("GEMM")
 		ramp = float64(gm) / 1e9
-		var commBusy int64
-		for _, c := range s.ByClass {
+		var busy, commBusy int64
+		for _, c := range obsv.FromTrace("", tr).Classes {
+			busy += c.Total
 			switch c.Class {
 			case "READA", "READB", "WRITE":
-				commBusy += c.Busy
+				commBusy += c.Total
 			}
 		}
-		if s.TotalBusy > 0 {
-			commShare = 100 * float64(commBusy) / float64(s.TotalBusy)
+		if busy > 0 {
+			commShare = 100 * float64(commBusy) / float64(busy)
 		}
 	}
 	b.ReportMetric(makespan, "sim-s")

@@ -99,8 +99,8 @@ func topShapes[K comparable](counts map[K]int, max int, render func(K) string) [
 	return keys
 }
 
-// benchGemm times the production call shape — dgemm('T','N') per Fig 1,
-// beta = 1 — serially, or split across pool when it is non-nil.
+// benchGemm times the production call shape — dgemm('T','N') per Fig 1 —
+// serially, or split across pool when it is non-nil.
 func benchGemm(s gemmShape, pool *team.Pool) testing.BenchmarkResult {
 	a := tensor.NewMatrix(s.k, s.m)
 	b := tensor.NewMatrix(s.k, s.n)
@@ -111,13 +111,13 @@ func benchGemm(s gemmShape, pool *team.Pool) testing.BenchmarkResult {
 	tb := tensor.NewTile4(s.k, s.n, 1, 1)
 	tb.FillRandom(2, 1)
 	copy(b.Data, tb.Data)
+	var par team.Parallelism // a nil *team.Pool would be a non-nil handle
+	if pool != nil {
+		par = pool
+	}
 	return testing.Benchmark(func(bb *testing.B) {
 		for i := 0; i < bb.N; i++ {
-			if pool != nil {
-				tensor.GemmP(pool, nil, true, false, 1, a, b, 1, c)
-			} else {
-				tensor.Gemm(true, false, 1, a, b, 1, c)
-			}
+			tensor.GemmP(par, nil, a, b, c)
 		}
 	})
 }

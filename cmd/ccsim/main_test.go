@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"parsec/internal/netrun"
+	"parsec/internal/obsv"
+	"parsec/internal/trace"
 )
 
 // TestMain completes real-dist's self-exec loop: a test binary
@@ -178,6 +180,44 @@ func TestWriteArtifact(t *testing.T) {
 	}
 	if err := writeArtifact(io.Discard, "", func(io.Writer) error { return boom }); err != nil {
 		t.Errorf("empty path must write nothing: %v", err)
+	}
+}
+
+// TestTraceSummary pins the summary block of ccsim trace, rendered from
+// the run's profile: span, thread rows, the idle fraction 1 -
+// busy/(rows*span), the mean startup idle as a fraction of the span, and
+// one line per class, on a hand-checked trace and on an empty one.
+func TestTraceSummary(t *testing.T) {
+	const ms = 1_000_000
+	tr := trace.New()
+	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "READA", Start: 0, End: 100 * ms})
+	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "GEMM", Start: 100 * ms, End: 400 * ms})
+	tr.Add(trace.Event{Node: 0, Thread: 1, Class: "GEMM", Start: 200 * ms, End: 500 * ms})
+	tr.Add(trace.Event{Node: 1, Thread: 0, Class: "WRITE", Start: 450 * ms, End: 500 * ms})
+	for _, tc := range []struct {
+		tr   *trace.Trace
+		busy int64
+		want string
+	}{
+		// Busy 100+300+300+50 ms over 3 rows x 500 ms: idle 50%. The rows
+		// start at 0, 200 and 450 ms: mean startup 216.7 ms, 43.3%.
+		{tr, 750 * ms, `
+span=0.500s threads=3 idle=50.0% startup-idle=43.3%
+  GEMM       count=2      busy=0.600s
+  READA      count=1      busy=0.100s
+  WRITE      count=1      busy=0.050s
+`},
+		{trace.New(), 0, `
+span=0.000s threads=0 idle=0.0% startup-idle=0.0%
+`},
+	} {
+		var buf bytes.Buffer
+		if busy := writeTraceSummary(&buf, obsv.FromTrace("t", tc.tr)); busy != tc.busy {
+			t.Errorf("busy = %d, want %d", busy, tc.busy)
+		}
+		if got := buf.String(); got != tc.want {
+			t.Errorf("summary:\n%s\nwant:\n%s", got, tc.want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"parsec/internal/ccsd"
+	"parsec/internal/obsv"
 	"parsec/internal/trace"
 )
 
@@ -68,8 +69,8 @@ func traceCmd(fs *flag.FlagSet) func(io.Writer) error {
 			return err
 		}
 
-		s := tr.Summarize()
-		fmt.Fprintf(out, "\n%s", s)
+		p := obsv.FromTrace(name, tr)
+		busy := writeTraceSummary(out, p)
 
 		// Communication classes: reads (PaRSEC) or GETs and ADDs (original).
 		comm := map[string]bool{"READA": true, "READB": true, "WRITE": true}
@@ -83,21 +84,21 @@ func traceCmd(fs *flag.FlagSet) func(io.Writer) error {
 		// the GEMMs, while PaRSEC workers only do short local gathers and the
 		// comm thread moves the data off the critical path.
 		var commBusy int64
-		for _, c := range s.ByClass {
+		for _, c := range p.Classes {
 			if comm[c.Class] {
-				commBusy += c.Busy
+				commBusy += c.Total
 			}
 		}
-		if s.TotalBusy > 0 {
+		if busy > 0 {
 			fmt.Fprintf(out, "worker time blocked in communication: %.1f%% of all busy time\n",
-				100*float64(commBusy)/float64(s.TotalBusy))
+				100*float64(commBusy)/float64(busy))
 		}
 		fmt.Fprintf(out, "startup idle (Fig 11 bubble): mean %.3f s = %.1f%% of the makespan\n",
-			float64(s.StartupIdleMean)/1e9, 100*s.StartupIdleFrac)
+			float64(p.Idle.MeanStartup)/1e9, 100*spanFrac(p.Idle.MeanStartup, p.Span))
 		gm, gx := tr.RampStats("GEMM")
 		fmt.Fprintf(out, "time to first GEMM per thread: mean %.3f s, max %.3f s (%.1f%% / %.1f%% of makespan)\n",
 			float64(gm)/1e9, float64(gx)/1e9,
-			100*float64(gm)/float64(s.Span), 100*float64(gx)/float64(s.Span))
+			100*float64(gm)/float64(p.Span), 100*float64(gx)/float64(p.Span))
 
 		for _, a := range []struct {
 			path   string
@@ -113,4 +114,33 @@ func traceCmd(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		return nil
 	}
+}
+
+// writeTraceSummary prints what the paper reads off a trace, from its
+// profile: the span, the thread (row) count, the idle fraction 1 -
+// busy/(rows*span), the mean startup idle before each thread's first
+// event (Fig 11's bubble) as a fraction of the span, and each class's
+// count and busy time. It returns the total busy time.
+func writeTraceSummary(out io.Writer, p *obsv.Profile) (busy int64) {
+	for _, w := range p.Workers {
+		busy += w.Busy
+	}
+	var idle float64
+	if rows := len(p.Workers); rows > 0 && p.Span > 0 {
+		idle = 1 - float64(busy)/(float64(rows)*float64(p.Span))
+	}
+	fmt.Fprintf(out, "\nspan=%.3fs threads=%d idle=%.1f%% startup-idle=%.1f%%\n",
+		float64(p.Span)/1e9, len(p.Workers), 100*idle, 100*spanFrac(p.Idle.MeanStartup, p.Span))
+	for _, c := range p.Classes {
+		fmt.Fprintf(out, "  %-10s count=%-6d busy=%.3fs\n", c.Class, c.Count, float64(c.Total)/1e9)
+	}
+	return busy
+}
+
+// spanFrac is d as a fraction of a span, 0 for an empty span.
+func spanFrac(d, span int64) float64 {
+	if span <= 0 {
+		return 0
+	}
+	return float64(d) / float64(span)
 }

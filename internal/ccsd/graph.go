@@ -368,10 +368,10 @@ func (b *builder) buildGemm() {
 			// dgemm('T', 'N', ...) as in Fig 1. Large products split
 			// their C columns across idle workers through the runtime's
 			// lending handle; the result is bitwise identical to a
-			// serial Gemm for any part count. A and B come as their
+			// serial call for any part count. A and B come as their
 			// blocks are stored — born-packed panels on the large
 			// shapes (DESIGN.md §8) — and AsMatrix carries the layout.
-			tensor.GemmP(ctx.Par, ctx.Pool, true, false, 1, at.AsMatrix(), bt.AsMatrix(), 1, ct.AsMatrix())
+			tensor.GemmP(ctx.Par, ctx.Pool, at.AsMatrix(), bt.AsMatrix(), ct.AsMatrix())
 			// ga_release: this GEMM is done with its A and B. The last
 			// reader's release is what retires a lazily filled block.
 			ioA.release(ctx.Args[0], ctx.Args[1])

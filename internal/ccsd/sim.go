@@ -56,7 +56,6 @@ func (p *CompiledPlan) simBehaviors() map[string]simexec.Behavior {
 type SimRunConfig struct {
 	CoresPerNode int
 	Trace        *trace.Trace
-	Horizon      sim.Time
 	// Kernel selects the TCE kernel RunSim and RunSimBaseline inspect:
 	// "t2_7" (default) or "t1_2". A compiled plan already has its
 	// workload, so Simulate does not read it.
@@ -111,7 +110,6 @@ func (p *CompiledPlan) Simulate(mcfg cluster.Config, rc SimRunConfig) (simexec.R
 		Queues:         rc.Queues,
 		Behaviors:      p.simBehaviors(),
 		Trace:          rc.Trace,
-		Horizon:        rc.Horizon,
 		Retry:          rc.Retry,
 		InterNodeSteal: rc.InterNodeSteal,
 	})

@@ -30,8 +30,6 @@ type Config struct {
 	Levels int
 	// Trace, if non-nil, receives GET / GEMM / SORT / ADD events.
 	Trace *trace.Trace
-	// Horizon aborts the simulation after this much virtual time.
-	Horizon sim.Time
 }
 
 // Result summarizes a baseline run.
@@ -80,7 +78,7 @@ func Run(w *tce.Workload, m *cluster.Machine, gs *ga.Sim, cfg Config) (Result, e
 			})
 		}
 	}
-	end, err := m.Eng.Run(cfg.Horizon)
+	end, err := m.Eng.Run(0)
 	if err != nil {
 		return Result{}, fmt.Errorf("cgp: %w", err)
 	}

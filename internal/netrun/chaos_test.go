@@ -1,8 +1,11 @@
 package netrun
 
 import (
+	"encoding/json"
 	"math"
 	"os"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -149,5 +152,79 @@ func TestProcessChaosKillAndSever(t *testing.T) {
 	}
 	if d := math.Abs(res.Energy - want); d > energyTol {
 		t.Fatalf("post-recovery energy off by %.3e", d)
+	}
+}
+
+// TestConfigSurvivesProcessBoundary pins what a worker process gets of
+// its Config: StartProcesses ships it as JSON and MaybeWorkerMain reads
+// it back, so every field not tagged json:"-" must survive that round
+// trip. Each such field — recursively, through pointers, slices and
+// nested structs — is set to a non-zero value; a new field of a type the
+// JSON cannot carry, or tagged away by mistake, fails here instead of
+// running silently at its zero value on the ranks. The tagged fields are
+// exactly the coordinator-side Cancel and the three func-valued hooks.
+func TestConfigSurvivesProcessBoundary(t *testing.T) {
+	var cfg Config
+	v := reflect.ValueOf(&cfg).Elem()
+	var tagged []string
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.Tag.Get("json") == "-" {
+			tagged = append(tagged, f.Name)
+			continue
+		}
+		fillNonZero(t, f.Name, v.Field(i))
+		if v.Field(i).IsZero() {
+			t.Fatalf("%s: still zero after filling", f.Name)
+		}
+	}
+	if want := []string{"Migratable", "Cancel", "TaskDelay", "SchedObserver"}; !slices.Equal(tagged, want) {
+		t.Errorf("fields tagged json:\"-\" = %v, want %v", tagged, want)
+	}
+	buf, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Config
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	g := reflect.ValueOf(got)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; !reflect.DeepEqual(g.Field(i).Interface(), v.Field(i).Interface()) {
+			t.Errorf("%s: sent %+v, received %+v", name, v.Field(i).Interface(), g.Field(i).Interface())
+		}
+	}
+}
+
+// fillNonZero sets every settable leaf under v to a non-zero value
+// derived from its path, so two fields of one type still differ.
+func fillNonZero(t *testing.T, path string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(len(path)))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(len(path)))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(len(path)) / 64)
+	case reflect.String:
+		v.SetString(path)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillNonZero(t, path, v.Elem())
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillNonZero(t, path+"[0]", v.Index(0))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).CanSet() {
+				fillNonZero(t, path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		}
+	default:
+		t.Fatalf("%s: no non-zero value for a %v field; tag it json:\"-\" if it cannot cross the process boundary", path, v.Kind())
 	}
 }

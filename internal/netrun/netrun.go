@@ -64,7 +64,9 @@ const coordRank = -1
 var ErrCanceled = errors.New("netrun: run canceled")
 
 // Config controls a distributed run. The zero value of optional fields
-// selects the documented defaults.
+// selects the documented defaults. A worker process receives it as JSON
+// (StartProcesses), so every field crosses the process boundary except
+// those tagged json:"-".
 type Config struct {
 	// Ranks is the number of worker processes (graph affinity nodes).
 	Ranks int
@@ -83,7 +85,7 @@ type Config struct {
 	InterNodeSteal bool
 	// Migratable reports whether a task class may be re-dispatched to
 	// another rank; nil means no class is.
-	Migratable func(class string) bool
+	Migratable func(class string) bool `json:"-"`
 	// Fault, when non-nil, drives seeded payload- and ack-drops on every
 	// send attempt (the DropProb/AckDropProb/Seed fields; the simulation-
 	// time fields are ignored on real sockets).
@@ -104,14 +106,14 @@ type Config struct {
 	// the coordinator broadcasts shutdown and returns ErrCanceled.
 	// Coordinator-side only — it does not cross the process boundary,
 	// so it works identically for in-process and multi-process runs.
-	Cancel <-chan struct{}
+	Cancel <-chan struct{} `json:"-"`
 
 	// TaskDelay, in-process runs only, delays each task body: the
 	// real-socket analogue of a simulated straggler.
-	TaskDelay func(rank, worker int, ref ptg.TaskRef) time.Duration
+	TaskDelay func(rank, worker int, ref ptg.TaskRef) time.Duration `json:"-"`
 	// SchedObserver, in-process runs only, receives every local
 	// scheduling decision (the conformance suite's hook).
-	SchedObserver sched.Observer
+	SchedObserver sched.Observer `json:"-"`
 }
 
 // withDefaults returns cfg with defaults filled in.

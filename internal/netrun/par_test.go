@@ -39,7 +39,7 @@ func TestEngineCtxParSerialGemm(t *testing.T) {
 	a := parTestMatrix(1, parGemmDim, parGemmDim)
 	b := parTestMatrix(2, parGemmDim, parGemmDim)
 	want := tensor.NewMatrix(parGemmDim, parGemmDim)
-	tensor.Gemm(false, false, 1, a, b, 0, want)
+	tensor.Gemm(true, false, 1, a, b, 1, want)
 
 	const tasks, ranks, workers = 4, 2, 2
 	build := func(rank int) (*ptg.Graph, error) {
@@ -64,7 +64,7 @@ func TestEngineCtxParSerialGemm(t *testing.T) {
 			ta := parTestMatrix(1, parGemmDim, parGemmDim)
 			tb := parTestMatrix(2, parGemmDim, parGemmDim)
 			c := tensor.NewMatrix(parGemmDim, parGemmDim)
-			tensor.GemmP(ctx.Par, ctx.Pool, false, false, 1, ta, tb, 0, c)
+			tensor.GemmP(ctx.Par, ctx.Pool, ta, tb, c)
 			for i := range c.Data {
 				if c.Data[i] != want.Data[i] {
 					ctx.Fail(fmt.Errorf("task %v: GemmP differs from serial Gemm at %d: %x vs %x",

@@ -6,10 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"sync"
-	"time"
 
 	"parsec/internal/ccsd"
-	"parsec/internal/fault"
 	"parsec/internal/ga"
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
@@ -91,32 +89,6 @@ func RunPlan(cfg Config, plan *ccsd.CompiledPlan) (*Result, error) {
 	return runInProcess(cfg, co, func(rank int) error {
 		return runWorker(cfg, rank, co.addr(), plan.Workload, planBuild(plan))
 	})
-}
-
-// ServiceOptions selects how RunService places a job's ranks.
-type ServiceOptions struct {
-	// Processes runs each rank as a real OS process by re-executing the
-	// current binary (which must call MaybeWorkerMain early in main);
-	// false runs ranks as in-process goroutines over the same sockets
-	// and wire protocol.
-	Processes bool
-}
-
-// RunService is the service-facing entry point: it executes one CCSD
-// job across cfg.Ranks workers — real OS processes or in-process ranks
-// per opt — honoring cfg.Cancel either way. It is what ccsimd's
-// executor calls for jobs whose tensor footprint exceeds the netrun
-// dispatch threshold; small jobs stay on the in-process runtime.Run
-// fast path.
-func RunService(cfg Config, spec JobSpec, opt ServiceOptions) (*Result, error) {
-	if !opt.Processes {
-		return Run(cfg, spec)
-	}
-	l, err := StartProcesses(cfg, spec)
-	if err != nil {
-		return nil, err
-	}
-	return l.Wait()
 }
 
 // runInProcess drives one coordinator and cfg.Ranks worker goroutines
@@ -233,7 +205,10 @@ func planCoordSpec(cfg Config, plan *ccsd.CompiledPlan) (coordSpec, error) {
 
 // Environment variables of the self-exec protocol: a process launched
 // with workerEnv set runs one rank and exits instead of its normal
-// main. MaybeWorkerMain in TestMain or main() completes the loop.
+// main. MaybeWorkerMain in TestMain or main() completes the loop. The
+// rank's Config travels as its own JSON, less the fields tagged
+// json:"-": the coordinator-side Cancel and the func-valued ones
+// (migratability travels in JobSpec instead).
 const (
 	workerEnv      = "PARSEC_NETRUN_WORKER"
 	workerRankEnv  = "PARSEC_NETRUN_RANK"
@@ -241,61 +216,6 @@ const (
 	workerCfgEnv   = "PARSEC_NETRUN_CONFIG"
 	workerJobEnv   = "PARSEC_NETRUN_JOB"
 )
-
-// wireConfig is the serializable subset of Config that crosses the
-// process boundary (the funcs — TaskDelay, SchedObserver, Migratable —
-// cannot; migratability travels in JobSpec instead).
-type wireConfig struct {
-	Ranks          int           `json:"ranks"`
-	Workers        int           `json:"workers"`
-	Policy         int           `json:"policy"`
-	Queues         int           `json:"queues"`
-	Network        string        `json:"network"`
-	Retry          RetryPolicy   `json:"retry"`
-	InterNodeSteal bool          `json:"inter_node_steal,omitempty"`
-	Fault          *fault.Config `json:"fault,omitempty"`
-	Sever          *SeverSpec    `json:"sever,omitempty"`
-	Recover        bool          `json:"recover,omitempty"`
-	DeathTimeout   time.Duration `json:"death_timeout"`
-	Deadline       time.Duration `json:"deadline"`
-	Heartbeat      time.Duration `json:"heartbeat"`
-}
-
-func toWire(cfg Config) wireConfig {
-	return wireConfig{
-		Ranks:          cfg.Ranks,
-		Workers:        cfg.Workers,
-		Policy:         int(cfg.Policy),
-		Queues:         int(cfg.Queues),
-		Network:        cfg.Network,
-		Retry:          cfg.Retry,
-		InterNodeSteal: cfg.InterNodeSteal,
-		Fault:          cfg.Fault,
-		Sever:          cfg.Sever,
-		Recover:        cfg.Recover,
-		DeathTimeout:   cfg.DeathTimeout,
-		Deadline:       cfg.Deadline,
-		Heartbeat:      cfg.Heartbeat,
-	}
-}
-
-func (wc wireConfig) toConfig() Config {
-	return Config{
-		Ranks:          wc.Ranks,
-		Workers:        wc.Workers,
-		Policy:         sched.Policy(wc.Policy),
-		Queues:         sched.QueueMode(wc.Queues),
-		Network:        wc.Network,
-		Retry:          wc.Retry,
-		InterNodeSteal: wc.InterNodeSteal,
-		Fault:          wc.Fault,
-		Sever:          wc.Sever,
-		Recover:        wc.Recover,
-		DeathTimeout:   wc.DeathTimeout,
-		Deadline:       wc.Deadline,
-		Heartbeat:      wc.Heartbeat,
-	}
-}
 
 // Launch is a running multi-process job: the coordinator in this
 // process, one OS process per rank.
@@ -321,7 +241,7 @@ func StartProcesses(cfg Config, spec JobSpec) (*Launch, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfgJSON, err := json.Marshal(toWire(cfg))
+	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -400,8 +320,8 @@ func MaybeWorkerMain() {
 		fmt.Fprintf(os.Stderr, "netrun worker: bad rank %q: %v\n", os.Getenv(workerRankEnv), err)
 		os.Exit(2)
 	}
-	var wc wireConfig
-	if err := json.Unmarshal([]byte(os.Getenv(workerCfgEnv)), &wc); err != nil {
+	var cfg Config
+	if err := json.Unmarshal([]byte(os.Getenv(workerCfgEnv)), &cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "netrun worker %d: bad config: %v\n", rank, err)
 		os.Exit(2)
 	}
@@ -410,7 +330,6 @@ func MaybeWorkerMain() {
 		fmt.Fprintf(os.Stderr, "netrun worker %d: bad job: %v\n", rank, err)
 		os.Exit(2)
 	}
-	cfg := wc.toConfig()
 	cfg.Migratable = spec.migratable()
 	plan, err := spec.plan(cfg.Ranks)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+	"testing/quick"
 
 	"parsec/internal/ptg"
 	"parsec/internal/trace"
@@ -166,6 +167,44 @@ func TestFromTraceTailIdleCounts(t *testing.T) {
 	w1 := p.Workers[1]
 	if w1.Idle != 80 || w1.LongestBubble != 80 || w1.BubbleStart != 20 {
 		t.Fatalf("tail idle: %+v", w1)
+	}
+}
+
+// Property: on arbitrary non-overlapping rows, FromTrace's busy time is
+// the sum of the event durations, per class and per worker alike, every
+// worker's busy and idle time cover the span exactly, and the mean idle
+// fraction lies in [0, 1].
+func TestPropertyFromTraceBusy(t *testing.T) {
+	f := func(durs []uint16) bool {
+		if len(durs) == 0 || len(durs) > 64 {
+			return true
+		}
+		tr := trace.New()
+		var cursor, want int64
+		for i, d := range durs {
+			dur := int64(d) + 1
+			tr.Add(trace.Event{Node: 0, Thread: i % 4, Class: []string{"GEMM", "SORT"}[i%3%2], Start: cursor, End: cursor + dur})
+			cursor += dur + 10
+			want += dur
+		}
+		if tr.Validate() != nil {
+			return false
+		}
+		p := FromTrace("prop", tr)
+		var byClass, byWorker int64
+		for _, c := range p.Classes {
+			byClass += c.Total
+		}
+		for _, w := range p.Workers {
+			byWorker += w.Busy
+			if w.Busy+w.Idle != p.Span {
+				return false
+			}
+		}
+		return byClass == want && byWorker == want && p.Idle.MeanIdleFrac >= 0 && p.Idle.MeanIdleFrac <= 1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
 	}
 }
 

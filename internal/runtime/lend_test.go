@@ -132,7 +132,7 @@ func gemmChainGraph(n, workers int, a, b *tensor.Matrix, cs []*tensor.Matrix) *p
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
-		tensor.GemmP(ctx.Par, ctx.Pool, true, false, 1, a, b, 1, cs[ctx.Args[0]])
+		tensor.GemmP(ctx.Par, ctx.Pool, a, b, cs[ctx.Args[0]])
 		ctx.Out[0] = int64(ctx.Args[0])
 	}
 	return g

@@ -90,8 +90,9 @@ type Config struct {
 
 	// NetrunBytes, when positive, dispatches jobs whose estimated
 	// footprint is at least this many bytes onto the netrun
-	// multi-process backend (netrun.RunService) instead of the
-	// in-process runtime. Zero keeps every job in-process.
+	// multi-rank backend (netrun.Run, or netrun.StartProcesses under
+	// NetrunProcs) instead of the in-process runtime. Zero keeps every
+	// job in-process.
 	NetrunBytes int64
 	// NetrunRanks is the worker rank count for netrun-dispatched jobs.
 	// Default 2.
@@ -592,13 +593,23 @@ func (s *Server) runJobNetrun(j *job, queueDur time.Duration) {
 	s.netrunJobs++
 	s.mu.Unlock()
 
-	t0 := time.Now()
-	res, err := netrun.RunService(netrun.Config{
+	cfg := netrun.Config{
 		Ranks:   s.cfg.NetrunRanks,
 		Workers: workers,
 		Policy:  j.vspec.Policy(),
 		Cancel:  j.cancel,
-	}, nspec, netrun.ServiceOptions{Processes: s.cfg.NetrunProcs})
+	}
+	t0 := time.Now()
+	var res *netrun.Result
+	var err error
+	if s.cfg.NetrunProcs {
+		var l *netrun.Launch
+		if l, err = netrun.StartProcesses(cfg, nspec); err == nil {
+			res, err = l.Wait()
+		}
+	} else {
+		res, err = netrun.Run(cfg, nspec)
+	}
 	execDur := time.Since(t0)
 	if errors.Is(err, netrun.ErrCanceled) || errors.Is(err, runtime.ErrCanceled) {
 		s.finishCanceled(j)

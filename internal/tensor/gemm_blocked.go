@@ -2,26 +2,24 @@ package tensor
 
 import "parsec/internal/tensor/pool"
 
-// Cache-blocked packed GEMM (DESIGN.md §8, §13). The triple loop is
-// tiled BLIS-style over (n, k, m) with block sizes (gemmNC, gemmKC,
-// gemmMC); inside a block, panels of op(A) and op(B) are packed into
-// contiguous scratch laid out in micro-panel strips, so every trans
-// variant runs the same register-blocked micro-kernel on unit-stride
-// data. The micro-kernel comes from the active dispatch tier
+// Cache-blocked packed GEMM (DESIGN.md §8, §13) of C += A^T*B, the
+// dgemm('T','N') of Fig 1. The triple loop is tiled BLIS-style over
+// (n, k, m) with block sizes (gemmNC, gemmKC, gemmMC); inside a block,
+// panels of A^T and B are packed into contiguous scratch laid out in
+// micro-panel strips, so the register-blocked micro-kernel runs on
+// unit-stride data. The micro-kernel comes from the active dispatch tier
 // (kernel_tier.go): an 8x16 zmm FMA block on AVX-512 hardware, a 4x8
 // AVX2+FMA block below that, else a portable 4x4 block of scalar
 // accumulators. Tiny products take the unpacked direct path in
 // matrix.go (the water tiles are 2–9 wide; packing would cost more than
 // it saves).
 //
-// Who moves what on the two assembly tiers: on the production call
-// shape (op(A) = A^T, op(B) = B, alpha = 1, the dgemm('T','N') of Fig 1)
-// a full strip is kc rows of mr or nr contiguous doubles, and packA and
-// packB hand it to one assembly loop (packStrip); edge strips, alpha !=
-// 1 (folded into the A packing) and the two transposing layouts keep
-// the Go loops, which also serve the portable tier. A full mr x nr tile
-// is accumulated into C by the micro-kernel itself; an edge tile goes
-// through a stack block that a Go loop trims.
+// Who moves what on the two assembly tiers: a strip of either operand is
+// kc rows of mr or nr contiguous doubles, and packPanel hands a full one
+// to one assembly loop (packStrip); edge strips keep the Go loop, which
+// also serves the portable tier. A full mr x nr tile is accumulated into
+// C by the micro-kernel itself; an edge tile goes through a stack block
+// that a Go loop trims.
 //
 // The n loop accepts an arbitrary column window [j0, j1), which is how
 // GemmP (gemm_parallel.go) splits one product across a worker team:
@@ -59,30 +57,25 @@ func gemmTierShape() (mr, nr int) {
 	}
 }
 
-// gemmBlocked computes C += alpha*op(A)*op(B) over pre-beta-scaled C.
-func gemmBlocked(transA, transB bool, alpha float64, a, b, c *Matrix) {
-	gemmBlockedCols(transA, transB, alpha, a, b, c, 0, c.Cols, nil)
-}
-
 // gemmBlockedCols runs the blocked kernel over the C column window
 // [j0, j1), drawing packing scratch from loc (nil means the shared
 // pool). It is the unit of intra-task parallelism: GemmP runs disjoint
 // windows concurrently, each on its executing worker's scratch shard.
 //
 // A born-packed operand (layout.go) that is exactly the panel this call
-// would pack — an A panel of the tier's mr under transA at alpha = 1, a
-// B panel of its nr under !transB with j0 on the strip grid, k one
-// packed block — is handed to the micro-kernel in place: the panel of
-// block (ic, jc) starts at strip ic/mr or jc/nr, because gemmMC and
-// gemmNC are multiples of every strip width. Any other panel is
-// unpacked to row-major scratch first and packed as usual.
-func gemmBlockedCols(transA, transB bool, alpha float64, a, b, c *Matrix, j0, j1 int, loc *pool.Local) {
-	m, k := opDims(a, transA)
+// would pack — an A panel of the tier's mr, a B panel of its nr with j0
+// on the strip grid, k one packed block — is handed to the micro-kernel
+// in place: the panel of block (ic, jc) starts at strip ic/mr or jc/nr,
+// because gemmMC and gemmNC are multiples of every strip width. Any
+// other panel is unpacked to row-major scratch first and packed as
+// usual.
+func gemmBlockedCols(a, b, c *Matrix, j0, j1 int, loc *pool.Local) {
+	m, k := a.Cols, a.Rows
 	tier := activeTier
 	mr, nr := gemmTierShape()
 	strips := tier != TierPortable
-	aIn := transA && alpha == 1 && panelOperand(a, PanelA, mr, k)
-	bIn := !transB && j0%nr == 0 && panelOperand(b, PanelB, nr, k)
+	aIn := panelOperand(a, PanelA, mr, k)
+	bIn := j0%nr == 0 && panelOperand(b, PanelB, nr, k)
 	if !aIn && a.Layout.Kind != RowMajor {
 		ra, buf := rowMajorOperand(a, loc)
 		defer loc.Put(buf)
@@ -117,7 +110,7 @@ func gemmBlockedCols(transA, transB bool, alpha float64, a, b, c *Matrix, j0, j1
 			if bIn {
 				bp = b.Data[jc/nr*kcEff*nr:]
 			} else {
-				packB(transB, b, pc, jc, kcEff, ncEff, nr, strips, bPack)
+				packPanel(b, pc, jc, kcEff, ncEff, nr, strips, bPack)
 			}
 			for ic := 0; ic < m; ic += gemmMC {
 				mcEff := min2(gemmMC, m-ic)
@@ -125,7 +118,7 @@ func gemmBlockedCols(transA, transB bool, alpha float64, a, b, c *Matrix, j0, j1
 				if aIn {
 					ap = a.Data[ic/mr*kcEff*mr:]
 				} else {
-					packA(transA, alpha, a, ic, pc, mcEff, kcEff, mr, strips, aPack)
+					packPanel(a, pc, ic, kcEff, mcEff, mr, strips, aPack)
 				}
 				switch tier {
 				case TierAVX512:
@@ -168,114 +161,28 @@ func packStrip(w, kc int, src []float64, ld int, dst []float64) {
 	}
 }
 
-// packA copies the (ic:ic+mcEff, pc:pc+kcEff) panel of op(A), scaled by
-// alpha, into dst as mr-row strips: strip s holds rows ic+s*mr.. and is
-// laid out k-major, dst[s*kcEff*mr + p*mr + r] = alpha*op(A)[ic+s*mr+r,
-// pc+p]. Short final strips are zero-padded so the micro-kernel never
-// branches on the row count. strips sends full strips of A^T at alpha =
-// 1 through packStrip (1*v is v, so the panel is the same bits).
-func packA(transA bool, alpha float64, a *Matrix, ic, pc, mcEff, kcEff, mr int, strips bool, dst []float64) {
-	lda := a.Cols
-	if transA {
-		// A is k x m row-major; op(A)[i,p] = A[p,i]: each p contributes
-		// mr consecutive source elements.
-		for s := 0; s*mr < mcEff; s++ {
-			i0 := ic + s*mr
-			rows := min2(mr, ic+mcEff-i0)
-			out := dst[s*kcEff*mr:]
-			if rows == mr {
-				if strips && alpha == 1 {
-					packStrip(mr, kcEff, a.Data[pc*lda+i0:], lda, out)
-					continue
-				}
-				for p := 0; p < kcEff; p++ {
-					src := a.Data[(pc+p)*lda+i0 : (pc+p)*lda+i0+mr]
-					o := out[p*mr : p*mr+mr]
-					for r, v := range src {
-						o[r] = alpha * v
-					}
-				}
-				continue
-			}
-			for p := 0; p < kcEff; p++ {
-				src := a.Data[(pc+p)*lda+i0:]
-				o := out[p*mr : (p+1)*mr]
-				for r := 0; r < mr; r++ {
-					if r < rows {
-						o[r] = alpha * src[r]
-					} else {
-						o[r] = 0
-					}
-				}
-			}
+// packPanel packs the (pc:pc+kc, x0:x0+w) block of the row-major x
+// into dst as s-wide column strips, each laid out k-major:
+// dst[t*kc*s + p*s + j] = x[pc+p][x0+t*s+j], the short final strip
+// zero-padded so the micro-kernel never branches on its width. It packs
+// both operands of C += A^T*B: the mr-row strips of A^T are mr-wide
+// column strips of A, and the nr-column strips of B are nr-wide column
+// strips of B. strips sends every full strip through packStrip.
+func packPanel(x *Matrix, pc, x0, kc, w, s int, strips bool, dst []float64) {
+	ld := x.Cols
+	for t := 0; t*s < w; t++ {
+		j0 := x0 + t*s
+		cols := min2(s, x0+w-j0)
+		out := dst[t*kc*s:]
+		if strips && cols == s {
+			packStrip(s, kc, x.Data[pc*ld+j0:], ld, out)
+			continue
 		}
-		return
-	}
-	// A is m x k row-major; a strip interleaves mr row slices: row r of
-	// the strip scatters into dst with stride mr.
-	for s := 0; s*mr < mcEff; s++ {
-		i0 := ic + s*mr
-		rows := min2(mr, ic+mcEff-i0)
-		out := dst[s*kcEff*mr : s*kcEff*mr+kcEff*mr]
-		for r := 0; r < mr; r++ {
-			if r >= rows {
-				for p := 0; p < kcEff; p++ {
-					out[p*mr+r] = 0
-				}
-				continue
-			}
-			src := a.Data[(i0+r)*lda+pc : (i0+r)*lda+pc+kcEff]
-			for p, v := range src {
-				out[p*mr+r] = alpha * v
-			}
-		}
-	}
-}
-
-// packB copies the (pc:pc+kcEff, jc:jc+ncEff) panel of op(B) into dst as
-// nr-column strips, dst[s*kcEff*nr + p*nr + j] = op(B)[pc+p, jc+s*nr+j],
-// zero-padding short final strips. strips sends full strips of an
-// untransposed B through packStrip.
-func packB(transB bool, b *Matrix, pc, jc, kcEff, ncEff, nr int, strips bool, dst []float64) {
-	ldb := b.Cols
-	if !transB {
-		// B is k x n row-major: each p contributes nr consecutive
-		// source elements.
-		for s := 0; s*nr < ncEff; s++ {
-			j0 := jc + s*nr
-			cols := min2(nr, jc+ncEff-j0)
-			out := dst[s*kcEff*nr:]
-			if strips && cols == nr {
-				packStrip(nr, kcEff, b.Data[pc*ldb+j0:], ldb, out)
-				continue
-			}
-			for p := 0; p < kcEff; p++ {
-				src := b.Data[(pc+p)*ldb+j0 : (pc+p)*ldb+j0+cols]
-				o := out[p*nr : (p+1)*nr]
-				copy(o, src)
-				for j := cols; j < nr; j++ {
-					o[j] = 0
-				}
-			}
-		}
-		return
-	}
-	// B is n x k row-major; op(B)[p,j] = B[j,p]: a strip interleaves nr
-	// row slices of B.
-	for s := 0; s*nr < ncEff; s++ {
-		j0 := jc + s*nr
-		cols := min2(nr, jc+ncEff-j0)
-		out := dst[s*kcEff*nr:]
-		for j := 0; j < nr; j++ {
-			if j >= cols {
-				for p := 0; p < kcEff; p++ {
-					out[p*nr+j] = 0
-				}
-				continue
-			}
-			src := b.Data[(j0+j)*ldb+pc : (j0+j)*ldb+pc+kcEff]
-			for p, v := range src {
-				out[p*nr+j] = v
+		for p := 0; p < kc; p++ {
+			o := out[p*s : (p+1)*s]
+			copy(o, x.Data[(pc+p)*ld+j0:(pc+p)*ld+j0+cols])
+			for j := cols; j < s; j++ {
+				o[j] = 0
 			}
 		}
 	}

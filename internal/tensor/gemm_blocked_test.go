@@ -10,31 +10,17 @@ import (
 	"parsec/internal/tensor/pool"
 )
 
-// gemmNaive is an independent reference: the textbook triple loop with
-// explicit index arithmetic, sharing no code with either the direct or
-// the blocked kernels.
-func gemmNaive(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	m, k := opDims(a, transA)
-	_, n := opDims(b, transB)
-	opA := func(i, p int) float64 {
-		if transA {
-			return a.At(p, i)
-		}
-		return a.At(i, p)
-	}
-	opB := func(p, j int) float64 {
-		if transB {
-			return b.At(j, p)
-		}
-		return b.At(p, j)
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
+// gemmNaive is an independent reference for C += A^T*B: the textbook
+// triple loop with explicit index arithmetic, sharing no code with
+// either the direct or the blocked kernels.
+func gemmNaive(a, b, c *Matrix) {
+	for i := 0; i < c.Rows; i++ {
+		for j := 0; j < c.Cols; j++ {
 			var sum float64
-			for p := 0; p < k; p++ {
-				sum += opA(i, p) * opB(p, j)
+			for p := 0; p < a.Rows; p++ {
+				sum += a.At(p, i) * b.At(p, j)
 			}
-			c.Set(i, j, alpha*sum+beta*c.At(i, j))
+			c.Set(i, j, sum+c.At(i, j))
 		}
 	}
 }
@@ -48,8 +34,7 @@ func randMat(rng *rand.Rand, rows, cols int) *Matrix {
 }
 
 // TestGemmBlockedProperty checks Gemm against the naive reference on
-// random shapes straddling the blocking cutoff, for all four trans
-// combinations and assorted alpha/beta, to ~1e-13 relative to k.
+// random shapes straddling the blocking cutoff, to ~1e-13 relative to k.
 func TestGemmBlockedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
@@ -65,30 +50,15 @@ func TestGemmBlockedProperty(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		m, n, k := sh[0], sh[1], sh[2]
-		for variant := 0; variant < 4; variant++ {
-			transA := variant&1 != 0
-			transB := variant&2 != 0
-			alpha := []float64{1, -0.5, 2.25}[(m+n+k+variant)%3]
-			beta := []float64{1, 0, 0.5}[(m+n)%3]
-			ar, ac := m, k
-			if transA {
-				ar, ac = k, m
-			}
-			br, bc := k, n
-			if transB {
-				br, bc = n, k
-			}
-			a := randMat(rng, ar, ac)
-			b := randMat(rng, br, bc)
-			c := randMat(rng, m, n)
-			want := c.Clone()
-			gemmNaive(transA, transB, alpha, a, b, beta, want)
-			Gemm(transA, transB, alpha, a, b, beta, c)
-			tol := 1e-13 * float64(k)
-			if d := c.MaxAbsDiff(want); d > tol {
-				t.Fatalf("Gemm(%v,%v) m=%d n=%d k=%d alpha=%g beta=%g: max diff %g > %g",
-					transA, transB, m, n, k, alpha, beta, d, tol)
-			}
+		a := randMat(rng, k, m)
+		b := randMat(rng, k, n)
+		c := randMat(rng, m, n)
+		want := c.Clone()
+		gemmNaive(a, b, want)
+		Gemm(true, false, 1, a, b, 1, c)
+		tol := 1e-13 * float64(k)
+		if d := c.MaxAbsDiff(want); d > tol {
+			t.Fatalf("Gemm m=%d n=%d k=%d: max diff %g > %g", m, n, k, d, tol)
 		}
 	}
 }
@@ -97,44 +67,24 @@ func TestGemmBlockedProperty(t *testing.T) {
 // against each other on identical inputs at a size both handle.
 func TestGemmBlockedMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for variant := 0; variant < 4; variant++ {
-		transA := variant&1 != 0
-		transB := variant&2 != 0
-		const m, n, k = 96, 80, 112
-		ar, ac := m, k
-		if transA {
-			ar, ac = k, m
-		}
-		br, bc := k, n
-		if transB {
-			br, bc = n, k
-		}
-		a := randMat(rng, ar, ac)
-		b := randMat(rng, br, bc)
-		c1 := NewMatrix(m, n)
-		c2 := NewMatrix(m, n)
-		gemmBlocked(transA, transB, 1.5, a, b, c1)
-		gemmDirect(transA, transB, 1.5, a, b, c2, nil)
-		if d := c1.MaxAbsDiff(c2); d > 1e-13*float64(k) {
-			t.Fatalf("variant %d: blocked vs direct max diff %g", variant, d)
-		}
+	const m, n, k = 96, 80, 112
+	a := randMat(rng, k, m)
+	b := randMat(rng, k, n)
+	c1 := randMat(rng, m, n)
+	c2 := c1.Clone()
+	gemmBlockedCols(a, b, c1, 0, n, nil)
+	gemmDirect(a, b, c2, nil)
+	if d := c1.MaxAbsDiff(c2); d > 1e-13*float64(k) {
+		t.Fatalf("blocked vs direct max diff %g", d)
 	}
 }
 
-// benchGemm runs one (m,n,k) DGEMM variant through fn, reporting GFLOP/s
-// and the bytes each op touches.
-func benchGemm(b *testing.B, m, n, k int, transA, transB bool, fn func(a, bb, c *Matrix)) {
-	ar, ac := m, k
-	if transA {
-		ar, ac = k, m
-	}
-	br, bc := k, n
-	if transB {
-		br, bc = n, k
-	}
+// benchGemm runs one (m,n,k) dgemm('T','N') through fn, reporting
+// GFLOP/s and the bytes each op touches.
+func benchGemm(b *testing.B, m, n, k int, fn func(a, bb, c *Matrix)) {
 	rng := rand.New(rand.NewSource(1))
-	a := randMat(rng, ar, ac)
-	bb := randMat(rng, br, bc)
+	a := randMat(rng, k, m)
+	bb := randMat(rng, k, n)
 	c := NewMatrix(m, n)
 	b.SetBytes(int64(8 * (m*k + k*n + m*n)))
 	b.ResetTimer()
@@ -146,7 +96,7 @@ func benchGemm(b *testing.B, m, n, k int, transA, transB bool, fn func(a, bb, c 
 }
 
 // BenchmarkKernelGemmBlockedVsDirect pits the packed kernel against the
-// Go direct loop on the dominant TN tile shapes of the evaluation systems
+// Go direct loop on the dominant tile shapes of the evaluation systems
 // (benzene 121^3, uracil 210^3, beta-carotene 1332^3) plus the 128^3
 // shape the root suite tracks. The direct rows stay on gemmTNGo, not on
 // the tier-dispatched gemmTN, so the ratio keeps meaning "packed against
@@ -158,13 +108,13 @@ func BenchmarkKernelGemmBlockedVsDirect(b *testing.B) {
 			continue
 		}
 		b.Run(fmt.Sprintf("blocked-%dx%dx%d", m, n, k), func(b *testing.B) {
-			benchGemm(b, m, n, k, true, false, func(a, bb, c *Matrix) {
-				gemmBlocked(true, false, 1, a, bb, c)
+			benchGemm(b, m, n, k, func(a, bb, c *Matrix) {
+				gemmBlockedCols(a, bb, c, 0, n, nil)
 			})
 		})
 		b.Run(fmt.Sprintf("direct-%dx%dx%d", m, n, k), func(b *testing.B) {
-			benchGemm(b, m, n, k, true, false, func(a, bb, c *Matrix) {
-				gemmTNGo(1, a, bb, c)
+			benchGemm(b, m, n, k, func(a, bb, c *Matrix) {
+				gemmTNGo(a, bb, c)
 			})
 		})
 	}
@@ -202,7 +152,7 @@ func TestGemmPSerialBranchAllocatesNothing(t *testing.T) {
 		for _, par := range []team.Parallelism{nil, team.Serial} {
 			for _, in := range [][2]*Tile4{{at, bt}, {pa, pb}} {
 				body := func() {
-					GemmP(par, loc, true, false, 1, in[0].AsMatrix(), in[1].AsMatrix(), 1, ct.AsMatrix())
+					GemmP(par, loc, in[0].AsMatrix(), in[1].AsMatrix(), ct.AsMatrix())
 				}
 				body() // warm the scratch shard
 				if allocs := testing.AllocsPerRun(5, body); allocs != 0 {

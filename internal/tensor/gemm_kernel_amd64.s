@@ -250,7 +250,7 @@ done:
 	RET
 
 // TNROW is one C row of a gemmTN4x8 step: Y10 takes lane sel of the
-// scaled A values in Y8, and the row (ya, yb) adds its product with the
+// four A values in Y8, and the row (ya, yb) adds its product with the
 // eight b values in Y12/Y13, multiply and add rounded separately.
 #define TNROW(sel, ya, yb) \
 	VPERMPD sel, Y8, Y10; \
@@ -259,29 +259,28 @@ done:
 	VADDPD  Y11, ya, ya; \
 	VADDPD  Y9, yb, yb
 
-// func gemmTN4x8(k, strips int64, a *float64, ldaBytes int64, b *float64, ldbBytes int64, c *float64, ldcBytes int64, alpha float64)
+// func gemmTN4x8(k, strips int64, a *float64, ldaBytes int64, b *float64, ldbBytes int64, c *float64, ldcBytes int64)
 //
 // The direct-path dgemm('T','N') block of both assembly tiers: C[r][j]
-// += alpha*A[l][r]*B[l][j] for four C rows and strips consecutive
-// 8-column strips, l ascending. A strip of C is loaded into Y0..Y7 and
-// stays there across k. Per l, the four A values are scaled by alpha
-// with one VMULPD (the Go loop's av0..av3, same rounding); if all four
-// compare equal to zero the l is skipped, as the Go loop's continue
-// skips it; otherwise each C vector gets VMULPD then VADDPD, never an
-// FMA. So every element sees gemmTNGo's operations in gemmTNGo's order
-// and ends up the same bits. k and strips must be positive.
-TEXT ·gemmTN4x8(SB), NOSPLIT, $0-72
-	MOVQ         k+0(FP), R9
-	MOVQ         strips+8(FP), R10
-	MOVQ         a+16(FP), R11
-	MOVQ         ldaBytes+24(FP), R12
-	MOVQ         b+32(FP), R13
-	MOVQ         ldbBytes+40(FP), R14
-	MOVQ         c+48(FP), DX
-	MOVQ         ldcBytes+56(FP), R8
-	VBROADCASTSD alpha+64(FP), Y15
-	VXORPD       Y14, Y14, Y14
-	LEAQ         (DX)(R8*2), BX // C row 2; rows 1 and 3 index off DX and BX
+// += A[l][r]*B[l][j] for four C rows and strips consecutive 8-column
+// strips, l ascending. A strip of C is loaded into Y0..Y7 and stays
+// there across k. Per l, the four A values are loaded into Y8 (the Go
+// loop's av0..av3); if all four compare equal to zero the l is skipped,
+// as the Go loop's continue skips it; otherwise each C vector gets
+// VMULPD then VADDPD, never an FMA. So every element sees gemmTNGo's
+// operations in gemmTNGo's order and ends up the same bits. k and
+// strips must be positive.
+TEXT ·gemmTN4x8(SB), NOSPLIT, $0-64
+	MOVQ   k+0(FP), R9
+	MOVQ   strips+8(FP), R10
+	MOVQ   a+16(FP), R11
+	MOVQ   ldaBytes+24(FP), R12
+	MOVQ   b+32(FP), R13
+	MOVQ   ldbBytes+40(FP), R14
+	MOVQ   c+48(FP), DX
+	MOVQ   ldcBytes+56(FP), R8
+	VXORPD Y14, Y14, Y14
+	LEAQ   (DX)(R8*2), BX // C row 2; rows 1 and 3 index off DX and BX
 
 tnstrip:
 	VMOVUPD (DX), Y0
@@ -297,7 +296,7 @@ tnstrip:
 	MOVQ    R9, CX
 
 tnloop:
-	VMULPD    (SI), Y15, Y8
+	VMOVUPD   (SI), Y8
 	VCMPPD    $0, Y14, Y8, Y9 // EQ_OQ: +0 and -0 are zero, NaN is not
 	VMOVMSKPD Y9, AX
 	CMPL      AX, $15

@@ -26,7 +26,7 @@ func gemmAsm8x16C(kc int64, a, b, c *float64, ldcBytes int64) {
 }
 
 // gemmTN4x8 is never called when the active tier is TierPortable.
-func gemmTN4x8(k, strips int64, a *float64, ldaBytes int64, b *float64, ldbBytes int64, c *float64, ldcBytes int64, alpha float64) {
+func gemmTN4x8(k, strips int64, a *float64, ldaBytes int64, b *float64, ldbBytes int64, c *float64, ldcBytes int64) {
 	panic("tensor: gemmTN4x8 without asm support")
 }
 

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+
 	"parsec/internal/team"
 
 	"parsec/internal/tensor/pool"
@@ -16,39 +18,30 @@ const (
 	gemmParMinCols = 64
 )
 
-// GemmP is Gemm with intra-task parallelism: C = alpha*op(A)*op(B) +
-// beta*C, with the C columns split across the team handle par. Each part
-// runs the full blocked kernel over a disjoint column window, so every C
-// element is accumulated by exactly one part in the same k order and the
-// result is bitwise identical to serial Gemm for any part count (the
-// split points sit on the micro-kernel's column grid, which moves no C
-// element to another k order). loc is
-// the caller's scratch shard, used for the serial path (parts draw from
-// the scratch handle their Span slot provides).
+// GemmP computes C += A^T*B, Gemm's dgemm('T','N'), with A k x m, B k x n
+// and C m x n, splitting the C columns across the team handle par. Each
+// part runs the full blocked kernel over a disjoint column window, so
+// every C element is accumulated by exactly one part in the same k order
+// and the result is bitwise identical to a serial call for any part
+// count (the split points sit on the micro-kernel's column grid, which
+// moves no C element to another k order). loc is the caller's scratch
+// shard, used for the serial path (parts draw from the scratch handle
+// their Span slot provides). It panics on shape mismatch.
 //
 // par may be nil or team.Serial for a plain serial call; loc may be nil
 // to draw from the shared pool.
-func GemmP(par team.Parallelism, loc *pool.Local, transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	m, k := opDims(a, transA)
-	kb, n := opDims(b, transB)
-	if k != kb || c.Rows != m || c.Cols != n {
-		panic("tensor: GemmP dimension mismatch")
+func GemmP(par team.Parallelism, loc *pool.Local, a, b, c *Matrix) {
+	m, n, k := a.Cols, b.Cols, a.Rows
+	if b.Rows != k || c.Rows != m || c.Cols != n {
+		panic(fmt.Sprintf("tensor: GEMM shape mismatch A^T=%dx%d B=%dx%d C=%dx%d",
+			m, k, b.Rows, n, c.Rows, c.Cols))
 	}
 	mustRowMajorC(c)
-	if beta == 0 {
-		for i := range c.Data {
-			c.Data[i] = 0
-		}
-	} else if beta != 1 {
-		for i := range c.Data {
-			c.Data[i] *= beta
-		}
-	}
-	if alpha == 0 || k == 0 {
+	if m == 0 || n == 0 || k == 0 {
 		return
 	}
 	if !BlockedGemm(m, n, k) {
-		gemmDirect(transA, transB, alpha, a, b, c, loc)
+		gemmDirect(a, b, c, loc)
 		return
 	}
 	parts := 1
@@ -56,7 +49,7 @@ func GemmP(par team.Parallelism, loc *pool.Local, transA, transB bool, alpha flo
 		parts = min2(par.Workers(), n/gemmParMinCols)
 	}
 	if parts <= 1 {
-		gemmBlockedCols(transA, transB, alpha, a, b, c, 0, n, loc)
+		gemmBlockedCols(a, b, c, 0, n, loc)
 		return
 	}
 	// The closure goes to other workers, so what it captures lives on the
@@ -66,7 +59,7 @@ func GemmP(par team.Parallelism, loc *pool.Local, transA, transB bool, alpha flo
 	pa, pb, pc := *a, *b, *c
 	_, nr := gemmTierShape()
 	par.Span(parts, func(part int, scratch *pool.Local) {
-		gemmBlockedCols(transA, transB, alpha, &pa, &pb, &pc, splitCol(part, parts, n, nr), splitCol(part+1, parts, n, nr), scratch)
+		gemmBlockedCols(&pa, &pb, &pc, splitCol(part, parts, n, nr), splitCol(part+1, parts, n, nr), scratch)
 	})
 }
 

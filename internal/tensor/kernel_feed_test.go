@@ -50,62 +50,52 @@ func sameBits(got, want []float64) int {
 var feedDims = []int{1, 7, 8, 9, 16, 17, 121, 210, 225}
 
 // TestStripPackersMatchGoPackers pins the panels the assembly strip
-// path packs to the Go packers', over every extent pair, panels that
-// start inside the matrix (a GemmP column window whose j0 is no
-// multiple of the strip width, a second k block) and kc = 1. The two
-// destinations start out different, so a slot either path leaves
-// unwritten fails too.
+// path packs to the Go loop's, at both of the tier's strip widths (A's
+// mr, B's nr), over every extent pair, panels that start inside the
+// matrix (a GemmP column window whose j0 is no multiple of the strip
+// width, a second k block) and kc = 1. The two destinations start out
+// different, so a slot either path leaves unwritten fails too.
 func TestStripPackersMatchGoPackers(t *testing.T) {
 	forEachHostTier(t, TierAVX2, func(t *testing.T, tier KernelTier) {
 		mr, nr := gemmTierShape()
 		rng := rand.New(rand.NewSource(31))
-		pack := func(n int, fn func(strips bool, dst []float64)) (got, want []float64) {
-			got, want = make([]float64, n), make([]float64, n)
-			for i := range got {
-				got[i], want[i] = 1e300, -1e300
-			}
-			fn(true, got)
-			fn(false, want)
-			return got, want
-		}
 		for _, k := range feedDims {
 			for _, w := range feedDims {
-				src := randMat(rng, k, w) // A^T (k x m) or B (k x n)
+				src := randMat(rng, k, w) // A (k x m) or B (k x n)
 				for _, pc := range []int{0, 1, k - 1} {
 					if pc >= k {
 						continue
 					}
 					kc := k - pc
-					got, want := pack(roundUp(w, mr)*kc, func(strips bool, dst []float64) {
-						packA(true, 1, src, 0, pc, w, kc, mr, strips, dst)
-					})
-					if i := sameBits(got, want); i >= 0 {
-						t.Fatalf("packA m=%d k=%d pc=%d: strip path differs at %d: %v vs %v", w, k, pc, i, got[i], want[i])
-					}
-					for _, jc := range []int{0, 5, 100} {
-						if jc >= w {
+					for _, x0 := range []int{0, 5, 100} {
+						if x0 >= w {
 							continue
 						}
-						nc := w - jc
-						got, want := pack(roundUp(nc, nr)*kc, func(strips bool, dst []float64) {
-							packB(false, src, pc, jc, kc, nc, nr, strips, dst)
-						})
-						if i := sameBits(got, want); i >= 0 {
-							t.Fatalf("packB n=%d k=%d pc=%d jc=%d: strip path differs at %d: %v vs %v", w, k, pc, jc, i, got[i], want[i])
+						for _, s := range []int{mr, nr} {
+							got, want := packBothWays(src, pc, x0, kc, w-x0, s)
+							if i := sameBits(got, want); i >= 0 {
+								t.Fatalf("width %d m=%d k=%d pc=%d x0=%d: strip path differs at %d: %v vs %v", s, w, k, pc, x0, i, got[i], want[i])
+							}
 						}
 					}
 				}
 			}
 		}
-		// alpha != 1 must not take the strip path: it would drop alpha.
-		src := randMat(rng, 9, 17)
-		got, want := pack(roundUp(17, mr)*9, func(strips bool, dst []float64) {
-			packA(true, 1.25, src, 0, 0, 17, 9, mr, strips, dst)
-		})
-		if i := sameBits(got, want); i >= 0 {
-			t.Fatalf("packA alpha=1.25: strips flag changed the panel at %d: %v vs %v", i, got[i], want[i])
-		}
 	})
+}
+
+// packBothWays packs one panel of x with packPanel through the strip
+// path and through the Go loop, into destinations that start out
+// different.
+func packBothWays(x *Matrix, pc, x0, kc, w, s int) (got, want []float64) {
+	n := roundUp(w, s) * kc
+	got, want = make([]float64, n), make([]float64, n)
+	for i := range got {
+		got[i], want[i] = 1e300, -1e300
+	}
+	packPanel(x, pc, x0, kc, w, s, true, got)
+	packPanel(x, pc, x0, kc, w, s, false, want)
+	return got, want
 }
 
 // TestGemmKernelAccumulatesIntoC pins the accumulate entry of each
@@ -196,12 +186,12 @@ func TestFillRandomMatchesScalar(t *testing.T) {
 }
 
 // checkKernelFeed is one generated case of the kernel-feed assembly
-// against the Go code, from folded fuzz inputs. The packers: a rows x
+// against the Go code, from folded fuzz inputs. The packer: a rows x
 // cols source (cols is also the leading dimension) packed from row pc and
-// column off to the end, as an A^T panel through packA and as a B panel
-// through packB, with the strip path against the Go loops, under every
-// assembly tier the host runs — so packStrip4 and packStrip8 on the AVX2
-// rung, packStrip8 and packStrip16 on the AVX-512 one. The fill: n8*8
+// column off to the end, at the A strip width mr and the B strip width
+// nr, with the strip path against the Go loop, under every assembly tier
+// the host runs — so packStrip4 and packStrip8 on the AVX2 rung,
+// packStrip8 and packStrip16 on the AVX-512 one. The fill: n8*8
 // elements of FillRandom (whole multiples of eight, so on the AVX-512
 // rung fillRandomAsm writes every one) against the scalar generator. The
 // panel fill: a prows x cols tile born packed (checkPanelFill).
@@ -213,27 +203,11 @@ func checkKernelFeed(t *testing.T, rows8, cols8, pc8, off8 uint8, n8 uint16, see
 	src := randMat(rand.New(rand.NewSource(int64(seed))), rows, cols)
 	underHostTiers(TierAVX2, func(tier KernelTier) {
 		mr, nr := gemmTierShape()
-		for _, p := range []struct {
-			name string
-			size int
-			pack func(strips bool, dst []float64)
-		}{
-			{"packA", roundUp(w, mr) * kc, func(strips bool, dst []float64) {
-				packA(true, 1, src, off, pc, w, kc, mr, strips, dst)
-			}},
-			{"packB", roundUp(w, nr) * kc, func(strips bool, dst []float64) {
-				packB(false, src, pc, off, kc, w, nr, strips, dst)
-			}},
-		} {
-			got, want := make([]float64, p.size), make([]float64, p.size)
-			for i := range got {
-				got[i], want[i] = 1e300, -1e300
-			}
-			p.pack(true, got)
-			p.pack(false, want)
+		for _, s := range []int{mr, nr} {
+			got, want := packBothWays(src, pc, off, kc, w, s)
 			if i := sameBits(got, want); i >= 0 {
-				t.Fatalf("%v %s rows=%d cols=%d pc=%d off=%d: strip path differs at %d: %v vs %v",
-					tier, p.name, rows, cols, pc, off, i, got[i], want[i])
+				t.Fatalf("%v width %d rows=%d cols=%d pc=%d off=%d: strip path differs at %d: %v vs %v",
+					tier, s, rows, cols, pc, off, i, got[i], want[i])
 			}
 		}
 	})
@@ -254,8 +228,8 @@ func checkKernelFeed(t *testing.T, rows8, cols8, pc8, off8 uint8, n8 uint16, see
 // checkPanelFill pins the born-packed fill of a tile with extents dim,
 // under every host tier and on both sides (the tier's A and B panel
 // widths): unpacking the panel gives FillRandom's row-major values, and
-// the panel itself, padding included, is what packA and packB (Go
-// loops) make of them — bit for bit.
+// the panel itself, padding included, is what packPanel's Go loop makes
+// of them — bit for bit.
 func checkPanelFill(t *testing.T, dim [4]int, seed uint64, scale float64) {
 	t.Helper()
 	rows, cols := dim[0]*dim[1], dim[2]*dim[3]
@@ -276,11 +250,7 @@ func checkPanelFill(t *testing.T, dim [4]int, seed uint64, scale float64) {
 					tier, l, dim, seed, scale, i, p.RowMajorCopy().Data[i], rm.Data[i])
 			}
 			want := make([]float64, len(p.Data))
-			if kind == PanelA {
-				packA(true, 1, src, 0, 0, cols, rows, w, false, want)
-			} else {
-				packB(false, src, 0, 0, rows, cols, w, false, want)
-			}
+			packPanel(src, 0, 0, rows, cols, w, false, want)
 			if i := sameBitsOrNaN(p.Data, want); i >= 0 {
 				t.Fatalf("%v %v fill of %v seed=%#x: panel [%d] = %x, packed FillRandom %x", tier, l, dim, seed, i, p.Data[i], want[i])
 			}
@@ -318,8 +288,8 @@ func FuzzKernelFeed(f *testing.F) {
 }
 
 // BenchmarkKernelPack measures packing one uracil-sized panel (210
-// rows, 210 wide) of A^T and of B through the Go loops and through the
-// assembly strip path of the active tier.
+// rows, 210 wide) at the A and the B strip width through the Go loop and
+// through the assembly strip path of the active tier.
 func BenchmarkKernelPack(b *testing.B) {
 	if ActiveKernelTier() == TierPortable {
 		b.Skip("the portable tier has no strip path")
@@ -335,13 +305,13 @@ func BenchmarkKernelPack(b *testing.B) {
 		b.Run("A-"+path.name, func(b *testing.B) {
 			b.SetBytes(16 * k * w)
 			for i := 0; i < b.N; i++ {
-				packA(true, 1, src, 0, 0, w, k, mr, path.strips, dst)
+				packPanel(src, 0, 0, k, w, mr, path.strips, dst)
 			}
 		})
 		b.Run("B-"+path.name, func(b *testing.B) {
 			b.SetBytes(16 * k * w)
 			for i := 0; i < b.N; i++ {
-				packB(false, src, 0, 0, k, w, nr, path.strips, dst)
+				packPanel(src, 0, 0, k, w, nr, path.strips, dst)
 			}
 		})
 	}

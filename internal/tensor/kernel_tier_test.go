@@ -96,42 +96,31 @@ func TestGemmTiersBitwiseEqual(t *testing.T) {
 	}
 	for _, s := range shapes {
 		m, n, k := s[0], s[1], s[2]
-		for _, tt := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-			transA, transB := tt[0], tt[1]
-			ar, ac := m, k
-			if transA {
-				ar, ac = k, m
-			}
-			br, bc := k, n
-			if transB {
-				br, bc = n, k
-			}
-			a := randMat(rng, ar, ac)
-			b := randMat(rng, br, bc)
-			c512 := randMat(rng, m, n)
-			c256 := c512.Clone()
+		a := randMat(rng, k, m)
+		b := randMat(rng, k, n)
+		c512 := randMat(rng, m, n)
+		c256 := c512.Clone()
 
-			gemmBlocked(transA, transB, 1.25, a, b, c512)
-			restore := setKernelTier(TierAVX2)
-			gemmBlocked(transA, transB, 1.25, a, b, c256)
-			restore()
+		gemmBlockedCols(a, b, c512, 0, n, nil)
+		restore := setKernelTier(TierAVX2)
+		gemmBlockedCols(a, b, c256, 0, n, nil)
+		restore()
 
-			for i := range c512.Data {
-				if c512.Data[i] != c256.Data[i] {
-					t.Fatalf("m=%d n=%d k=%d transA=%v transB=%v: avx512 and avx2 differ at %d: %v vs %v",
-						m, n, k, transA, transB, i, c512.Data[i], c256.Data[i])
-				}
+		for i := range c512.Data {
+			if c512.Data[i] != c256.Data[i] {
+				t.Fatalf("m=%d n=%d k=%d: avx512 and avx2 differ at %d: %v vs %v",
+					m, n, k, i, c512.Data[i], c256.Data[i])
 			}
 		}
 	}
 }
 
 // TestGemmPMatchesSerial pins the column-split parallel GEMM bitwise to
-// the serial kernel for every trans variant, several part counts, and
-// shapes above and below the parallel cutoff. Each C element is computed
-// by exactly one part in the same k order, so even the floats must
-// match exactly — this is what keeps energies independent of how many
-// workers were lent.
+// the serial kernel, over a zeroed and a filled C, for several part
+// counts, and shapes above and below the parallel cutoff. Each C element
+// is computed by exactly one part in the same k order, so even the
+// floats must match exactly — this is what keeps energies independent
+// of how many workers were lent.
 func TestGemmPMatchesSerial(t *testing.T) {
 	pool4 := team.NewPool(4)
 	defer pool4.Close()
@@ -156,30 +145,18 @@ func TestGemmPMatchesSerial(t *testing.T) {
 	}
 	for _, s := range shapes {
 		m, n, k := s[0], s[1], s[2]
-		for _, tt := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-			transA, transB := tt[0], tt[1]
-			ar, ac := m, k
-			if transA {
-				ar, ac = k, m
-			}
-			br, bc := k, n
-			if transB {
-				br, bc = n, k
-			}
-			a := randMat(rng, ar, ac)
-			b := randMat(rng, br, bc)
-			c0 := randMat(rng, m, n)
-			for _, beta := range []float64{0, 1, 0.5} {
-				want := c0.Clone()
-				Gemm(transA, transB, 1.25, a, b, beta, want)
-				for _, tm := range teams {
-					got := c0.Clone()
-					GemmP(tm.par, nil, transA, transB, 1.25, a, b, beta, got)
-					for i := range got.Data {
-						if got.Data[i] != want.Data[i] {
-							t.Fatalf("m=%d n=%d k=%d transA=%v transB=%v beta=%v team=%s: differs from serial at %d: %v vs %v",
-								m, n, k, transA, transB, beta, tm.name, i, got.Data[i], want.Data[i])
-						}
+		a := randMat(rng, k, m)
+		b := randMat(rng, k, n)
+		for _, c0 := range []*Matrix{NewMatrix(m, n), randMat(rng, m, n)} {
+			want := c0.Clone()
+			Gemm(true, false, 1, a, b, 1, want)
+			for _, tm := range teams {
+				got := c0.Clone()
+				GemmP(tm.par, nil, a, b, got)
+				for i := range got.Data {
+					if got.Data[i] != want.Data[i] {
+						t.Fatalf("m=%d n=%d k=%d team=%s: differs from serial at %d: %v vs %v",
+							m, n, k, tm.name, i, got.Data[i], want.Data[i])
 					}
 				}
 			}
@@ -195,7 +172,7 @@ func TestGemmPShapePanic(t *testing.T) {
 			t.Fatal("GemmP with mismatched shapes did not panic")
 		}
 	}()
-	GemmP(nil, nil, false, false, 1, NewMatrix(4, 5), NewMatrix(6, 7), 1, NewMatrix(4, 7))
+	GemmP(nil, nil, NewMatrix(5, 4), NewMatrix(6, 7), NewMatrix(4, 7))
 }
 
 // FuzzSort4Add drives the blocked and contiguous Sort4Add paths against
@@ -253,7 +230,7 @@ func BenchmarkKernelGemmPar(b *testing.B) {
 		b.Run(fmt.Sprintf("team%d", w), func(b *testing.B) {
 			b.SetBytes(flops)
 			for i := 0; i < b.N; i++ {
-				GemmP(tp, nil, true, false, 1, a, bm, 1, c)
+				GemmP(tp, nil, a, bm, c)
 			}
 		})
 		tp.Close()

@@ -13,7 +13,7 @@ import (
 // tile views (R = Dim0*Dim1, C = Dim2*Dim3) as w-wide column strips:
 // strip s holds columns s*w.. and is laid out k-major, element (p, j)
 // at s*R*w + p*w + j%w, the last strip padded with zeros to full width.
-// That is exactly what packA makes of op(A) = A^T and packB of B in a
+// That is exactly what packPanel makes of A and of B in a
 // dgemm('T','N') whose k is one packed block (k <= gemmKC), so the
 // blocked GEMM hands such a panel to its micro-kernel as it stands.
 
@@ -23,8 +23,8 @@ type LayoutKind uint8
 const (
 	// RowMajor is the default: last index fastest.
 	RowMajor LayoutKind = iota
-	// PanelA is op(A) = A^T of dgemm('T','N') in mr-row strips (mr-wide
-	// column strips of the row-major A).
+	// PanelA is A^T of dgemm('T','N') in mr-row strips (mr-wide column
+	// strips of the row-major A).
 	PanelA
 	// PanelB is B of dgemm('T','N') in nr-column strips.
 	PanelB
@@ -213,9 +213,8 @@ func panelOperand(x *Matrix, kind LayoutKind, w, k int) bool {
 // rowMajorOperand returns x itself when it is row-major; a panel it
 // unpacks into scratch from loc, returned with the view for the caller
 // to give back (loc.Put). This is how a panel the running call cannot
-// consume in place — another tier's width, an alpha the packing must
-// fold, a window off the strip grid, the direct path — stays a valid
-// operand.
+// consume in place — another tier's width, a k past one packed block, a
+// window off the strip grid, the direct path — stays a valid operand.
 func rowMajorOperand(x *Matrix, loc *pool.Local) (Matrix, []float64) {
 	if x.Layout.Kind == RowMajor {
 		return *x, nil

@@ -98,31 +98,18 @@ func TestPanelTileContract(t *testing.T) {
 	}
 }
 
-// gemmTierCase builds one dgemm problem from folded fuzz inputs: m, n, k
-// with m*n*k at or past the blocking cutoff and k up to 300 (past
-// gemmKC, where no panel is used in place), edge tiles of every width,
-// the transposes, an alpha (1, the only one a panel is used in place at,
-// in half the cases), and a C column window [j0, j1).
-func gemmTierCase(m8, n8, k8, flags uint8, seed int64) (transA, transB bool, alpha float64, a, b, c *Matrix, j0, j1 int) {
+// gemmTierCase builds one dgemm('T','N') problem from folded fuzz
+// inputs: m, n, k with m*n*k at or past the blocking cutoff and k up to
+// 300 (past gemmKC, where no panel is used in place), edge tiles of
+// every width, and, when flags has bit 3 set, a C column window
+// [j0, j1); bits 4-5 stretch k.
+func gemmTierCase(m8, n8, k8, flags uint8, seed int64) (a, b, c *Matrix, j0, j1 int) {
 	m, n, k := 8+int(m8)%120, 8+int(n8)%120, 1+int(k8)+int(flags>>4)%4*12
 	for !BlockedGemm(m, n, k) {
 		k *= 2
 	}
-	transA, transB = flags&1 == 0, flags&2 != 0
 	rng := rand.New(rand.NewSource(seed))
-	alpha = 1
-	if flags&4 != 0 {
-		alpha = []float64{-1, 0.5, 2.75, -1e-3}[rng.Intn(4)]
-	}
-	ar, ac := m, k
-	if transA {
-		ar, ac = k, m
-	}
-	br, bc := k, n
-	if transB {
-		br, bc = n, k
-	}
-	a, b, c = randMat(rng, ar, ac), randMat(rng, br, bc), randMat(rng, m, n)
+	a, b, c = randMat(rng, k, m), randMat(rng, k, n), randMat(rng, m, n)
 	j0, j1 = 0, n
 	if flags&8 != 0 {
 		j0 = rng.Intn(n)
@@ -143,13 +130,8 @@ func gemmTierCase(m8, n8, k8, flags uint8, seed int64) (transA, transB bool, alp
 //     per step, agrees to 1e-13 relative to k.
 func checkGemmTiers(t *testing.T, m8, n8, k8, flags uint8, seed int64) {
 	t.Helper()
-	transA, transB, alpha, a, b, c0, j0, j1 := gemmTierCase(m8, n8, k8, flags, seed)
-	m, n := c0.Rows, c0.Cols
-	_, k := opDims(a, transA)
-	desc := func(tier KernelTier) string {
-		return tier.String() + " " + strings.Join([]string{
-			map[bool]string{true: "T", false: "N"}[transA], map[bool]string{true: "T", false: "N"}[transB]}, "")
-	}
+	a, b, c0, j0, j1 := gemmTierCase(m8, n8, k8, flags, seed)
+	m, n, k := c0.Rows, c0.Cols, a.Rows
 	forms := func(x *Matrix, kind LayoutKind) []*Matrix {
 		out := []*Matrix{x}
 		for _, w := range []uint8{4, 8, 16} {
@@ -163,20 +145,20 @@ func checkGemmTiers(t *testing.T, m8, n8, k8, flags uint8, seed int64) {
 		for _, pa := range forms(a, PanelA) {
 			for _, pb := range forms(b, PanelB) {
 				got := c0.Clone()
-				gemmBlockedCols(transA, transB, alpha, pa, pb, got, j0, j1, nil)
+				gemmBlockedCols(pa, pb, got, j0, j1, nil)
 				if want == nil {
 					want = got.Data
 					for i, v := range got.Data {
 						if j := i % n; (j < j0 || j >= j1) && math.Float64bits(v) != math.Float64bits(c0.Data[i]) {
-							t.Fatalf("%s m=%d n=%d k=%d window [%d,%d): C[%d][%d] outside the window changed",
-								desc(tier), m, n, k, j0, j1, i/n, j)
+							t.Fatalf("%v m=%d n=%d k=%d window [%d,%d): C[%d][%d] outside the window changed",
+								tier, m, n, k, j0, j1, i/n, j)
 						}
 					}
 					continue
 				}
 				if i := sameBits(got.Data, want); i >= 0 {
-					t.Fatalf("%s m=%d n=%d k=%d alpha=%g window [%d,%d) A %v B %v: C[%d][%d] = %v, row-major operands give %v",
-						desc(tier), m, n, k, alpha, j0, j1, pa.Layout, pb.Layout, i/n, i%n, got.Data[i], want[i])
+					t.Fatalf("%v m=%d n=%d k=%d window [%d,%d) A %v B %v: C[%d][%d] = %v, row-major operands give %v",
+						tier, m, n, k, j0, j1, pa.Layout, pb.Layout, i/n, i%n, got.Data[i], want[i])
 				}
 			}
 		}
@@ -184,22 +166,22 @@ func checkGemmTiers(t *testing.T, m8, n8, k8, flags uint8, seed int64) {
 	})
 	if hi, ok := results[TierAVX512]; ok {
 		if i := sameBits(hi, results[TierAVX2]); i >= 0 {
-			t.Fatalf("%s m=%d n=%d k=%d: avx512 C[%d][%d] = %v, avx2 %v", desc(TierAVX512), m, n, k, i/n, i%n, hi[i], results[TierAVX2][i])
+			t.Fatalf("avx512 m=%d n=%d k=%d: C[%d][%d] = %v, avx2 %v", m, n, k, i/n, i%n, hi[i], results[TierAVX2][i])
 		}
 	}
 	if asm, ok := results[hwKernelTier()]; ok && hwKernelTier() != TierPortable {
 		tol := 1e-13 * float64(k)
 		for i, v := range asm {
 			if d := math.Abs(v - results[TierPortable][i]); d > tol*math.Max(1, math.Abs(v)) {
-				t.Fatalf("%s m=%d n=%d k=%d: C[%d][%d] = %v, portable %v", desc(hwKernelTier()), m, n, k, i/n, i%n, v, results[TierPortable][i])
+				t.Fatalf("%v m=%d n=%d k=%d: C[%d][%d] = %v, portable %v", hwKernelTier(), m, n, k, i/n, i%n, v, results[TierPortable][i])
 			}
 		}
 	}
 }
 
 // TestGemmTiersSweep is the seeded sweep of FuzzGemmTiers, plus the
-// production shape: uracil's 210^3 dgemm('T','N') at alpha = 1 over the
-// whole C and over a GemmP-style window.
+// production shape: uracil's 210^3 dgemm('T','N') over the whole C and
+// over a GemmP-style window.
 func TestGemmTiersSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	n := 120
@@ -209,19 +191,19 @@ func TestGemmTiersSweep(t *testing.T) {
 	for it := 0; it < n; it++ {
 		checkGemmTiers(t, uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), rng.Int63())
 	}
-	checkGemmTiers(t, 202, 202, 209, 0x00, 1) // 210^3, TN, alpha 1
+	checkGemmTiers(t, 202, 202, 209, 0x00, 1) // 210^3
 	checkGemmTiers(t, 202, 202, 209, 0x08, 2) // the same over a window
 }
 
 // FuzzGemmTiers drives the blocked GEMM with fuzzer-chosen shapes past
-// the cutoff, transposes, alpha, C window and operand layouts, requiring
+// the cutoff, C window and operand layouts, requiring
 // every panel form to equal the row-major operand bit for bit on every
 // host tier and the two assembly tiers to equal each other.
 func FuzzGemmTiers(f *testing.F) {
 	f.Add(uint8(202), uint8(202), uint8(209), uint8(0x00), int64(1)) // uracil 210^3
 	f.Add(uint8(113), uint8(113), uint8(120), uint8(0x08), int64(2)) // benzene-sized, windowed
 	f.Add(uint8(25), uint8(40), uint8(255), uint8(0x30), int64(3))   // k = 292 > gemmKC
-	f.Add(uint8(9), uint8(119), uint8(40), uint8(0x0f), int64(4))    // NT, alpha != 1, window
+	f.Add(uint8(9), uint8(119), uint8(40), uint8(0x08), int64(4))    // narrow m, wide n, window
 	f.Fuzz(func(t *testing.T, m8, n8, k8, flags uint8, seed int64) {
 		checkGemmTiers(t, m8, n8, k8, flags, seed)
 	})
@@ -243,7 +225,7 @@ func TestGemmPPanelsMatchRowMajor(t *testing.T) {
 		Gemm(true, false, 1, a, b, 1, want)
 		for _, par := range []team.Parallelism{nil, team.Serial, pool3} {
 			got := c0.Clone()
-			GemmP(par, nil, true, false, 1, pa, pb, 1, got)
+			GemmP(par, nil, pa, pb, got)
 			if i := sameBits(got.Data, want.Data); i >= 0 {
 				t.Fatalf("%dx%dx%d par=%v: C[%d][%d] = %v, row-major %v", m, n, k, par, i/n, i%n, got.Data[i], want.Data[i])
 			}

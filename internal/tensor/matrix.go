@@ -42,13 +42,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Zero sets all elements to zero.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Bytes returns the storage size of the matrix in bytes.
 func (m *Matrix) Bytes() int64 { return int64(len(m.Data)) * 8 }
 
@@ -71,45 +64,18 @@ func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
 // m x n x k GEMM (multiply-adds counted as two ops).
 func GemmFlops(m, n, k int) int64 { return 2 * int64(m) * int64(n) * int64(k) }
 
-// opDims returns the effective (rows, cols) of op(M).
-func opDims(m *Matrix, trans bool) (int, int) {
-	if trans {
-		return m.Cols, m.Rows
-	}
-	return m.Rows, m.Cols
-}
-
-// Gemm computes C = alpha*op(A)*op(B) + beta*C where op is identity or
-// transpose per the flags, matching the semantics of BLAS DGEMM as called
-// by the TCE-generated code. It panics on shape mismatch.
+// Gemm is BLAS DGEMM as the TCE-generated code calls it (Fig 1):
+// dgemm('T','N', m, n, k, 1.0, A, k, B, k, 1.0, C, m), that is C +=
+// A^T*B with A k x m, B k x n and C m x n, all row-major. It is the one
+// call shape in the tree, so it is the only one Gemm computes: any other
+// transA, transB, alpha or beta panics. The argument list stays BLAS's
+// so a call reads like the Fortran it ports; the work is GemmP's.
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	am, ak := opDims(a, transA)
-	bk, bn := opDims(b, transB)
-	if ak != bk || am != c.Rows || bn != c.Cols {
-		panic(fmt.Sprintf("tensor: Gemm shape mismatch op(A)=%dx%d op(B)=%dx%d C=%dx%d",
-			am, ak, bk, bn, c.Rows, c.Cols))
+	if !transA || transB || alpha != 1 || beta != 1 {
+		panic(fmt.Sprintf("tensor: Gemm computes only dgemm('T','N', 1, A, B, 1, C), not transA=%v transB=%v alpha=%g beta=%g",
+			transA, transB, alpha, beta))
 	}
-	mustRowMajorC(c)
-	if beta != 1 {
-		if beta == 0 {
-			c.Zero()
-		} else {
-			for i := range c.Data {
-				c.Data[i] *= beta
-			}
-		}
-	}
-	if alpha == 0 || am == 0 || bn == 0 || ak == 0 {
-		return
-	}
-	// Large products go through the cache-blocked packed kernel
-	// (gemm_blocked.go); tiny tiles keep the direct path below, whose
-	// setup cost is near zero.
-	if BlockedGemm(am, bn, ak) {
-		gemmBlocked(transA, transB, alpha, a, b, c)
-		return
-	}
-	gemmDirect(transA, transB, alpha, a, b, c, nil)
+	GemmP(nil, nil, a, b, c)
 }
 
 // mustRowMajorC panics unless the GEMM output c is row-major: only
@@ -120,65 +86,35 @@ func mustRowMajorC(c *Matrix) {
 	}
 }
 
-// gemmDirect dispatches to the unpacked kernels, the path of every tile
-// below the blocking cutoff. Only TN, the one call shape in the tree,
-// has an assembly entry; the other three are Go loops. A panel operand
-// is unpacked into scratch from loc first.
-func gemmDirect(transA, transB bool, alpha float64, a, b, c *Matrix, loc *pool.Local) {
+// gemmDirect is the unpacked path of every product below the blocking
+// cutoff. A panel operand is unpacked into scratch from loc first.
+func gemmDirect(a, b, c *Matrix, loc *pool.Local) {
 	if a.Layout.Kind != RowMajor || b.Layout.Kind != RowMajor {
 		ra, abuf := rowMajorOperand(a, loc)
 		rb, bbuf := rowMajorOperand(b, loc)
-		gemmDirect(transA, transB, alpha, &ra, &rb, c, nil)
+		gemmTN(&ra, &rb, c)
 		loc.Put(abuf)
 		loc.Put(bbuf)
 		return
 	}
-	switch {
-	case !transA && !transB:
-		gemmNN(alpha, a, b, c)
-	case transA && !transB:
-		gemmTN(alpha, a, b, c)
-	case !transA && transB:
-		gemmNT(alpha, a, b, c)
-	default:
-		gemmTT(alpha, a, b, c)
-	}
+	gemmTN(a, b, c)
 }
 
-// gemmNN uses an ikj loop order so the inner loop streams rows of B and C.
-func gemmNN(alpha float64, a, b, c *Matrix) {
-	n, k := c.Cols, a.Cols
-	for i := 0; i < c.Rows; i++ {
-		crow := c.Data[i*n : (i+1)*n]
-		arow := a.Data[i*k : (i+1)*k]
-		for l := 0; l < k; l++ {
-			av := alpha * arow[l]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[l*n : (l+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
-
-// gemmTN computes C += alpha * A^T * B where A is k x m row-major. This
-// is the hot kernel of every product below the blocking cutoff — the TCE
-// calls dgemm('T','N') for every block contraction (Fig 1). On the two
+// gemmTN computes C += A^T * B where A is k x m row-major. This is the
+// hot kernel of every product below the blocking cutoff — the TCE calls
+// dgemm('T','N') for every block contraction (Fig 1). On the two
 // assembly tiers each full 4-row x 8-column block of C goes to gemmTN4x8
 // (gemm_kernel_amd64.s), which keeps the block in registers across k and
 // does, per element, what gemmTNGo does in the order it does it: the
-// same alpha multiply, the same skip of an l whose four scaled A values
-// are all zero, then an unfused multiply and add. The result is the same
-// bits as gemmTNGo. Columns past the last full strip and the m%4
-// leftover rows run the Go loop itself.
-func gemmTN(alpha float64, a, b, c *Matrix) {
+// same skip of an l whose four A values are all zero, then an unfused
+// multiply and add. The result is the same bits as gemmTNGo. Columns
+// past the last full strip and the m%4 leftover rows run the Go loop
+// itself.
+func gemmTN(a, b, c *Matrix) {
 	n, k, m := c.Cols, a.Rows, a.Cols
 	n8 := n &^ (gemmNRAsm - 1)
 	if activeTier == TierPortable || n8 == 0 || m < gemmMR || k == 0 {
-		gemmTNGo(alpha, a, b, c)
+		gemmTNGo(a, b, c)
 		return
 	}
 	m4 := m &^ (gemmMR - 1)
@@ -189,13 +125,13 @@ func gemmTN(alpha float64, a, b, c *Matrix) {
 	_ = c.Data[(m4-1)*n+n8-1]
 	for i := 0; i < m4; i += gemmMR {
 		gemmTN4x8(int64(k), int64(n8/gemmNRAsm), &a.Data[i], int64(m)*8,
-			&b.Data[0], int64(n)*8, &c.Data[i*n], int64(n)*8, alpha)
+			&b.Data[0], int64(n)*8, &c.Data[i*n], int64(n)*8)
 		if n8 < n {
-			gemmTNRows4(alpha, a, b, c, i, n8)
+			gemmTNRows4(a, b, c, i, n8)
 		}
 	}
 	for i := m4; i < m; i++ {
-		gemmTNRow(alpha, a, b, c, i)
+		gemmTNRow(a, b, c, i)
 	}
 }
 
@@ -204,22 +140,22 @@ func gemmTN(alpha float64, a, b, c *Matrix) {
 // register-blocked: four C rows accumulate simultaneously while each B
 // row streams through once, quartering the memory traffic of the naive
 // loop.
-func gemmTNGo(alpha float64, a, b, c *Matrix) {
+func gemmTNGo(a, b, c *Matrix) {
 	m := a.Cols
 	i := 0
 	for ; i+4 <= m; i += 4 {
-		gemmTNRows4(alpha, a, b, c, i, 0)
+		gemmTNRows4(a, b, c, i, 0)
 	}
 	for ; i < m; i++ {
-		gemmTNRow(alpha, a, b, c, i)
+		gemmTNRow(a, b, c, i)
 	}
 }
 
 // gemmTNRows4 accumulates C rows i..i+3, columns [j0, n), skipping an l
-// whose four scaled A values are all zero. The float64 conversion keeps
-// the multiply rounded on its own: the language lets a compiler fuse
-// x*y + z (Go does on arm64), and the assembly path never does.
-func gemmTNRows4(alpha float64, a, b, c *Matrix, i, j0 int) {
+// whose four A values are all zero. The float64 conversion keeps the
+// multiply rounded on its own: the language lets a compiler fuse x*y + z
+// (Go does on arm64), and the assembly path never does.
+func gemmTNRows4(a, b, c *Matrix, i, j0 int) {
 	n, k, m := c.Cols, a.Rows, a.Cols
 	w := n - j0
 	// Every row slice is w long, so the inner loop needs no bounds check.
@@ -229,10 +165,7 @@ func gemmTNRows4(alpha float64, a, b, c *Matrix, i, j0 int) {
 	c3 := c.Data[(i+3)*n+j0:][:w]
 	for l := 0; l < k; l++ {
 		av := a.Data[l*m+i:][:4]
-		av0 := alpha * av[0]
-		av1 := alpha * av[1]
-		av2 := alpha * av[2]
-		av3 := alpha * av[3]
+		av0, av1, av2, av3 := av[0], av[1], av[2], av[3]
 		if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
 			continue
 		}
@@ -246,53 +179,19 @@ func gemmTNRows4(alpha float64, a, b, c *Matrix, i, j0 int) {
 	}
 }
 
-// gemmTNRow accumulates the single C row i, skipping an l whose scaled A
-// value is zero.
-func gemmTNRow(alpha float64, a, b, c *Matrix, i int) {
+// gemmTNRow accumulates the single C row i, skipping an l whose A value
+// is zero.
+func gemmTNRow(a, b, c *Matrix, i int) {
 	n, k, m := c.Cols, a.Rows, a.Cols
 	crow := c.Data[i*n : (i+1)*n]
 	for l := 0; l < k; l++ {
-		av := alpha * a.Data[l*m+i]
+		av := a.Data[l*m+i]
 		if av == 0 {
 			continue
 		}
 		brow := b.Data[l*n : (l+1)*n]
 		for j, bv := range brow {
 			crow[j] += float64(av * bv)
-		}
-	}
-}
-
-func gemmNT(alpha float64, a, b, c *Matrix) {
-	// op(B) = B^T: B is n x k row-major, so op(B)[l,j] = B[j,l].
-	n, k := c.Cols, a.Cols
-	for i := 0; i < c.Rows; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		crow := c.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			var sum float64
-			for l, av := range arow {
-				sum += av * brow[l]
-			}
-			crow[j] += alpha * sum
-		}
-	}
-}
-
-func gemmTT(alpha float64, a, b, c *Matrix) {
-	// op(A)[i,l] = A[l,i], op(B)[l,j] = B[j,l].
-	n, k := c.Cols, a.Rows
-	m := a.Cols
-	for i := 0; i < m; i++ {
-		crow := c.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			var sum float64
-			for l := 0; l < k; l++ {
-				sum += a.Data[l*m+i] * brow[l]
-			}
-			crow[j] += alpha * sum
 		}
 	}
 }

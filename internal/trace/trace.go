@@ -219,76 +219,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// ClassStat aggregates one task class.
-type ClassStat struct {
-	Class string
-	Count int
-	Busy  int64
-}
-
-// Summary is what the paper reads off a trace: how busy each class kept
-// the machine, how long threads idled before their first task (the
-// Fig 11 startup bubble), and the overall idle fraction.
-type Summary struct {
-	Span         int64 // makespan (ns)
-	Threads      int
-	ByClass      []ClassStat
-	TotalBusy    int64
-	IdleFraction float64 // 1 - busy / (threads * span)
-	// StartupIdleMean is the mean over threads of the time between
-	// execution start and the thread's first event.
-	StartupIdleMean int64
-	// StartupIdleFrac is StartupIdleMean / Span.
-	StartupIdleFrac float64
-}
-
-// Summarize computes the summary.
-func (t *Trace) Summarize() Summary {
-	keys, byRow := t.rows()
-	start, end := t.Span()
-	s := Summary{Span: end - start, Threads: len(keys)}
-	classes := map[string]*ClassStat{}
-	var startupTotal int64
-	for _, k := range keys {
-		row := byRow[k]
-		startupTotal += row[0].Start - start
-		for _, e := range row {
-			cs := classes[e.Class]
-			if cs == nil {
-				cs = &ClassStat{Class: e.Class}
-				classes[e.Class] = cs
-			}
-			cs.Count++
-			cs.Busy += e.Duration()
-			s.TotalBusy += e.Duration()
-		}
-	}
-	names := make([]string, 0, len(classes))
-	for n := range classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s.ByClass = append(s.ByClass, *classes[n])
-	}
-	if s.Threads > 0 && s.Span > 0 {
-		s.IdleFraction = 1 - float64(s.TotalBusy)/(float64(s.Threads)*float64(s.Span))
-		s.StartupIdleMean = startupTotal / int64(s.Threads)
-		s.StartupIdleFrac = float64(s.StartupIdleMean) / float64(s.Span)
-	}
-	return s
-}
-
-// String renders the summary with one line per class.
-func (s Summary) String() string {
-	out := fmt.Sprintf("span=%.3fs threads=%d idle=%.1f%% startup-idle=%.1f%%\n",
-		float64(s.Span)/1e9, s.Threads, 100*s.IdleFraction, 100*s.StartupIdleFrac)
-	for _, c := range s.ByClass {
-		out += fmt.Sprintf("  %-10s count=%-6d busy=%.3fs\n", c.Class, c.Count, float64(c.Busy)/1e9)
-	}
-	return out
-}
-
 // Window returns a new trace containing only the events overlapping
 // [from, to), with events clipped to the window — the "zoomed in" view
 // of Fig 13, which magnifies part of Fig 12's trace so individual tasks

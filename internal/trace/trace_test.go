@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func sampleTrace() *Trace {
@@ -55,37 +54,6 @@ func TestValidateDetectsOverlap(t *testing.T) {
 	tr2.Add(Event{Node: 0, Thread: 0, Class: "X", Label: "neg", Start: 10, End: 5})
 	if err := tr2.Validate(); err == nil {
 		t.Error("negative duration not detected")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	tr := sampleTrace()
-	s := tr.Summarize()
-	if s.Span != 500 || s.Threads != 3 {
-		t.Fatalf("summary %+v", s)
-	}
-	// Busy: 100+300 + 300 + 50 = 750 over 3*500 = 1500 -> idle 0.5.
-	if s.TotalBusy != 750 {
-		t.Errorf("TotalBusy = %d", s.TotalBusy)
-	}
-	if s.IdleFraction < 0.49 || s.IdleFraction > 0.51 {
-		t.Errorf("IdleFraction = %v", s.IdleFraction)
-	}
-	// Startup idle: thread starts at 0, 200, 450 -> mean 216.
-	if s.StartupIdleMean != (0+200+450)/3 {
-		t.Errorf("StartupIdleMean = %d", s.StartupIdleMean)
-	}
-	var gemm *ClassStat
-	for i := range s.ByClass {
-		if s.ByClass[i].Class == "GEMM" {
-			gemm = &s.ByClass[i]
-		}
-	}
-	if gemm == nil || gemm.Count != 2 || gemm.Busy != 600 {
-		t.Errorf("GEMM stat %+v", gemm)
-	}
-	if !strings.Contains(s.String(), "GEMM") {
-		t.Error("summary string missing class")
 	}
 }
 
@@ -177,33 +145,6 @@ func TestConcurrentAdd(t *testing.T) {
 	wg.Wait()
 	if tr.Len() != 800 {
 		t.Errorf("Len = %d", tr.Len())
-	}
-}
-
-// Property: Summarize busy time equals the sum of event durations, and
-// idle fraction is in [0, 1], for arbitrary non-overlapping rows.
-func TestPropertySummarize(t *testing.T) {
-	f := func(durs []uint16) bool {
-		if len(durs) == 0 || len(durs) > 64 {
-			return true
-		}
-		tr := New()
-		var cursor int64
-		var want int64
-		for i, d := range durs {
-			dur := int64(d) + 1
-			tr.Add(Event{Node: 0, Thread: i % 4, Class: "GEMM", Start: cursor, End: cursor + dur})
-			cursor += dur + 10
-			want += dur
-		}
-		if tr.Validate() != nil {
-			return false
-		}
-		s := tr.Summarize()
-		return s.TotalBusy == want && s.IdleFraction >= 0 && s.IdleFraction <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -362,21 +303,13 @@ func TestEmptyTraceRenders(t *testing.T) {
 	if !strings.Contains(buf.String(), "<svg") {
 		t.Error("empty SVG missing root element")
 	}
-	s := tr.Summarize()
-	if s.Span != 0 || s.Threads != 0 || s.IdleFraction != 0 {
-		t.Errorf("empty summary: %+v", s)
-	}
 }
 
 func TestSingleEventTrace(t *testing.T) {
 	tr := New()
 	tr.Add(Event{Node: 0, Thread: 0, Class: "GEMM", Label: "GEMM(0,0)", Start: 10, End: 20})
-	s := tr.Summarize()
-	if s.Span != 10 || s.Threads != 1 || s.TotalBusy != 10 {
-		t.Fatalf("summary: %+v", s)
-	}
-	if s.IdleFraction != 0 {
-		t.Errorf("idle = %g, want 0", s.IdleFraction)
+	if s, e := tr.Span(); s != 10 || e != 20 {
+		t.Fatalf("Span = [%d,%d], want [10,20]", s, e)
 	}
 	var buf bytes.Buffer
 	if err := tr.ASCIIGantt(&buf, 40); err != nil {
@@ -393,10 +326,6 @@ func TestZeroDurationSpans(t *testing.T) {
 	tr.Add(Event{Node: 0, Thread: 0, Class: "GEMM", Label: "GEMM(0,0)", Start: 50, End: 150})
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("zero-duration event rejected: %v", err)
-	}
-	s := tr.Summarize()
-	if s.TotalBusy != 100 {
-		t.Errorf("busy = %d", s.TotalBusy)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
