@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -177,9 +178,10 @@ func startDaemon(t *testing.T, addr, dataDir string, netrunBytes int64) *daemon 
 	)
 	cmd.Env = append(os.Environ(), daemonEnv+"=1")
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-	// The daemon leads a process group its worker ranks join, so cleanup
-	// can reach a rank the SIGKILL orphaned: a rank whose coordinator is
-	// gone waits out its deadline, holding the test's output open.
+	// The daemon leads a process group its worker ranks join, so the test
+	// can watch the ranks of a SIGKILLed daemon exit on their own — a rank
+	// whose coordinator is gone fails — and cleanup can reach any that do
+	// not.
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -233,6 +235,38 @@ func (d *daemon) stop() {
 		<-done
 		d.t.Fatal("daemon did not drain within 2 minutes of SIGTERM")
 	}
+}
+
+// groupAlive reports whether any process of the group pgid still runs.
+// An exited rank whose daemon died stays a zombie until init reaps it,
+// and an init that never reaps must not make it count, so where procfs
+// exists a member is alive only in a state other than Z.
+func groupAlive(pgid int) bool {
+	if syscall.Kill(-pgid, 0) != nil {
+		return false // ESRCH: nothing left, zombies included
+	}
+	stats, _ := filepath.Glob("/proc/[0-9]*/stat")
+	if stats == nil {
+		return true
+	}
+	for _, p := range stats {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			continue // exited since the glob
+		}
+		// pid (comm) state ppid pgrp ...: comm may hold spaces, so the
+		// fields after it are counted from its closing parenthesis.
+		var state byte
+		var ppid, pgrp int
+		i := bytes.LastIndexByte(b, ')')
+		if i < 0 {
+			continue
+		}
+		if _, err := fmt.Sscanf(string(b[i+1:]), " %c %d %d", &state, &ppid, &pgrp); err == nil && pgrp == pgid && state != 'Z' {
+			return true
+		}
+	}
+	return false
 }
 
 // freeAddr reserves a loopback port and releases it for a child to bind.
@@ -317,6 +351,13 @@ func TestRecoveryAfterKill(t *testing.T) {
 	c1.kill()
 	t.Logf("killed with %d done, %d canceled, %d running, %d queued",
 		before.Done, before.Canceled, before.Running, before.Queued)
+	// The interrupted benzene's two ranks lost their coordinator with the
+	// daemon; each must notice and exit, not wait out its deadline.
+	for deadline := time.Now().Add(2 * time.Second); groupAlive(c1.cmd.Process.Pid); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker ranks still running 2 s after their daemon was killed")
+		}
+	}
 
 	c2 := startDaemon(t, addr, dataDir, threshold)
 	for _, want := range []serve.JobStatus{doneWater, doneBenz} {

@@ -1,10 +1,12 @@
 package netrun
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"parsec/internal/fault"
@@ -25,9 +27,10 @@ type RetryPolicy struct {
 
 // DefaultRetryPolicy returns the production defaults. The retry horizon
 // (Timeout plus the backoff series) deliberately exceeds the
-// coordinator's death-detection window, so a sender blocked on a dead
-// peer survives long enough for the takeover broadcast to re-route its
-// retained traffic instead of failing the run.
+// coordinator's death-detection window (deathTimeout), so a sender
+// blocked on a dead peer survives long enough for the takeover
+// broadcast to re-route its retained traffic instead of failing the
+// run.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		Timeout:    100 * time.Millisecond,
@@ -100,7 +103,7 @@ type commCounters struct {
 	reconnects      atomic.Int64
 	severs          atomic.Int64
 
-	transferOps   atomic.Int64 // activations + migrations (tile movement)
+	transferOps   atomic.Int64 // activations (tile movement)
 	transferBytes atomic.Int64
 	accOps        atomic.Int64
 	accBytes      atomic.Int64
@@ -346,6 +349,15 @@ func (c *relChan) dialLoop() {
 
 		conn, err := net.DialTimeout(c.tp.network, c.addr, time.Second)
 		if err != nil {
+			if c.dst == coordRank && refused(err) {
+				// Nothing listens at the coordinator's address: it has
+				// exited, and a rank cannot finish without it. A severed
+				// link redials, because the listener is still there. A
+				// stopped channel never dials again.
+				c.stop()
+				c.tp.fail(fmt.Errorf("netrun: rank %d: coordinator %s is gone: %w", c.tp.local, c.addr, err))
+				return
+			}
 			select {
 			case <-c.tp.stopCh:
 				c.mu.Lock()
@@ -405,7 +417,9 @@ func (c *relChan) readAcks(conn net.Conn) {
 			if c.conn == conn {
 				c.conn.Close()
 				c.conn = nil
-				if len(c.unacked) > 0 {
+				// A rank redials its coordinator even with nothing owed: a
+				// refused dial is how it learns the coordinator is gone.
+				if len(c.unacked) > 0 || c.dst == coordRank {
 					c.ensureDialLocked()
 				}
 			}
@@ -473,6 +487,12 @@ func (c *relChan) drained() bool {
 	return c.stopped || len(c.unacked) == 0
 }
 
+// refused reports whether a dial found nothing listening at its
+// address: a refused TCP connection, or a unix socket whose file is gone.
+func refused(err error) bool {
+	return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ENOENT)
+}
+
 // takeRetained stops the channel and surrenders its retained activation
 // log for replay to an heir.
 func (c *relChan) takeRetained() []outFrame {
@@ -512,6 +532,9 @@ type transport struct {
 	// onSeen, if set, observes every inbound frame's sender before
 	// dedup — the coordinator's liveness signal.
 	onSeen func(from int)
+	// fail receives the errors that end the run for this endpoint (see
+	// watch).
+	fail func(error)
 
 	// drainWake is posted whenever some channel's unacked window may
 	// have just emptied; waitDrained parks on it.
@@ -786,10 +809,12 @@ func (tp *transport) waitDrained(only *relChan, stop <-chan struct{}, limit time
 	return true
 }
 
-// runRetryTimer drives loss detection for every channel until the
-// transport stops; the first exhausted-retries error is reported once
-// through fail.
-func (tp *transport) runRetryTimer(fail func(error)) {
+// watch routes what makes this endpoint unusable to fail: a channel
+// whose retries ran out — the first one the loss-detection timer finds;
+// it runs until the transport stops — or a refused dial to the
+// coordinator. Call it before serve and the first send.
+func (tp *transport) watch(fail func(error)) {
+	tp.fail = fail
 	tp.wg.Add(1)
 	go func() {
 		defer tp.wg.Done()

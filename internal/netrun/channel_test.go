@@ -88,7 +88,7 @@ func sender(t *testing.T, retry RetryPolicy, recoverPeers bool, addr string) *tr
 	tp.recoverDeadPeers = recoverPeers
 	tp.serve(func(int, frame) {}, nil)
 	tp.connect(1, addr)
-	tp.runRetryTimer(func(err error) { t.Errorf("retry timer: %v", err) })
+	tp.watch(func(err error) { t.Errorf("retry timer: %v", err) })
 	return tp
 }
 
@@ -116,7 +116,7 @@ func TestOutboxWaitIsNotLoss(t *testing.T) {
 
 	big := newFrame(msgDoneInfo, 48<<20)
 	tp.sendTo(1, big[:cap(big)])
-	tp.sendTo(1, statusMsg{Backlog: 7}.encode())
+	tp.sendTo(1, newFrame(msgStatus, 0))
 	fr, conn := peer.accept(t)
 	time.Sleep(5 * retry.Timeout) // the reader stays blocked past the whole retry horizon
 
@@ -162,7 +162,7 @@ func TestRetainedOnlyUnderRecover(t *testing.T) {
 			}
 			sent = append(sent, f)
 			tp.sendTo(1, f)
-			tp.sendTo(1, statusMsg{Backlog: i}.encode())
+			tp.sendTo(1, newFrame(msgStatus, 0))
 		}
 		fr, conn := peer.accept(t)
 		var ids []uint64
@@ -255,7 +255,7 @@ func TestBorrowedFramesSurviveLoss(t *testing.T) {
 			defer send.close()
 			send.serve(func(int, frame) {}, nil)
 			send.connect(1, recv.addr())
-			send.runRetryTimer(func(err error) { t.Errorf("retry timer: %v", err) })
+			send.watch(func(err error) { t.Errorf("retry timer: %v", err) })
 
 			const n = 24
 			want := make([][]byte, n)
@@ -271,7 +271,7 @@ func TestBorrowedFramesSurviveLoss(t *testing.T) {
 					t.Fatal("tile activation not sent by reference")
 				}
 				send.sendFrame(1, f)
-				send.sendTo(1, statusMsg{Backlog: i}.encode())
+				send.sendTo(1, newFrame(msgStatus, 0))
 			}
 			if !send.waitDrained(nil, nil, 20*time.Second) {
 				t.Fatal("sender not drained")

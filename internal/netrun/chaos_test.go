@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"reflect"
@@ -155,6 +156,65 @@ func TestProcessChaosKillAndSever(t *testing.T) {
 	}
 }
 
+// TestRanksExitWhenCoordinatorDies closes the coordinator's transport
+// abruptly once a tenth of the job has completed — its listener and
+// every connection gone at once, as when its process is killed — and
+// requires both rank processes to exit on their own within 2 s, not at
+// their deadline: a rank whose dial to the coordinator is refused fails.
+func TestRanksExitWhenCoordinatorDies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process run in -short mode")
+	}
+	spec := JobSpec{Preset: "benzene", Variant: "v5"}
+	pol, err := spec.Policy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := StartProcesses(Config{Ranks: 2, Workers: 1, Policy: pol, Deadline: time.Minute}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, len(l.cmds))
+	for _, cmd := range l.cmds {
+		go func() { exited <- cmd.Wait() }()
+	}
+	// wait drives the protocol (welcome, termination) the ranks need. Once
+	// the test fails the coordinator below it returns on its own; nothing
+	// here waits for it.
+	go l.co.wait()
+
+	total := l.co.spec.numInstances
+	deadline := time.Now().Add(time.Minute)
+	for l.co.nComplete() < total/10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck at %d/%d tasks", l.co.nComplete(), total)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	l.co.tp.close()
+	died := time.Now()
+	if n := l.co.nComplete(); n == total {
+		t.Fatalf("all %d tasks completed before the coordinator died", n)
+	}
+	defer l.co.fail(errors.New("coordinator closed by the test"))
+
+	timeout := time.After(2 * time.Second)
+	for range l.cmds {
+		select {
+		case err := <-exited:
+			if err == nil {
+				t.Error("a rank exited cleanly although its coordinator died mid-run")
+			}
+		case <-timeout:
+			for _, cmd := range l.cmds {
+				cmd.Process.Kill()
+			}
+			t.Fatal("rank processes still running 2 s after their coordinator died")
+		}
+	}
+	t.Logf("both ranks exited within %v of the coordinator's death", time.Since(died).Round(time.Millisecond))
+}
+
 // TestConfigSurvivesProcessBoundary pins what a worker process gets of
 // its Config: StartProcesses ships it as JSON and MaybeWorkerMain reads
 // it back, so every field not tagged json:"-" must survive that round
@@ -162,7 +222,7 @@ func TestProcessChaosKillAndSever(t *testing.T) {
 // nested structs — is set to a non-zero value; a new field of a type the
 // JSON cannot carry, or tagged away by mistake, fails here instead of
 // running silently at its zero value on the ranks. The tagged fields are
-// exactly the coordinator-side Cancel and the three func-valued hooks.
+// exactly the coordinator-side Cancel and the in-process SchedObserver.
 func TestConfigSurvivesProcessBoundary(t *testing.T) {
 	var cfg Config
 	v := reflect.ValueOf(&cfg).Elem()
@@ -178,7 +238,7 @@ func TestConfigSurvivesProcessBoundary(t *testing.T) {
 			t.Fatalf("%s: still zero after filling", f.Name)
 		}
 	}
-	if want := []string{"Migratable", "Cancel", "TaskDelay", "SchedObserver"}; !slices.Equal(tagged, want) {
+	if want := []string{"Cancel", "SchedObserver"}; !slices.Equal(tagged, want) {
 		t.Errorf("fields tagged json:\"-\" = %v, want %v", tagged, want)
 	}
 	buf, err := json.Marshal(cfg)

@@ -40,8 +40,7 @@ type accKey struct {
 }
 
 // coordinator is the rank -1 process: registration barrier, GA server,
-// termination bitset, steal broker, death detector, and result
-// assembly.
+// termination bitset, death detector, and result assembly.
 type coordinator struct {
 	cfg   Config
 	spec  coordSpec
@@ -55,7 +54,6 @@ type coordinator struct {
 	addrs     map[int]string
 	completed []bool
 	ncomplete int
-	backlog   map[int]int
 	lastSeen  map[int]time.Time
 	dead      map[int]int   // dead rank -> heir
 	flushAcks map[int]int64 // rank -> accs the rank reports having sent
@@ -81,7 +79,7 @@ type coordinator struct {
 // by the caller and told this address.
 func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 	network, listen := cfg.listenSpec(coordRank)
-	// The coordinator's own sends (welcome, probes, takeover) are not
+	// The coordinator's own sends (welcome, GA replies, takeover) are not
 	// fault-injected: the chaos model targets the data plane.
 	tp, err := newTransport(coordRank, network, listen, cfg.Retry, nil, nil)
 	if err != nil {
@@ -95,7 +93,6 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 		served:    make(map[string]bool),
 		addrs:     make(map[int]string),
 		completed: make([]bool, spec.numInstances),
-		backlog:   make(map[int]int),
 		lastSeen:  make(map[int]time.Time),
 		dead:      make(map[int]int),
 		flushAcks: make(map[int]int64),
@@ -111,8 +108,8 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 		co.store.Create(name)
 		co.served[name] = true
 	}
+	tp.watch(co.fail)
 	tp.serve(co.handle, co.noteSeen)
-	tp.runRetryTimer(co.fail)
 	return co, nil
 }
 
@@ -128,8 +125,12 @@ func (co *coordinator) fail(err error) {
 }
 
 // noteSeen timestamps any inbound frame from a rank — the liveness
-// signal death detection reads.
+// signal death detection reads. A sender that is no rank of this run is
+// not tracked: declaring it dead would broadcast a takeover of nothing.
 func (co *coordinator) noteSeen(from int) {
+	if from < 0 || from >= co.cfg.Ranks {
+		return
+	}
 	co.mu.Lock()
 	if _, isDead := co.dead[from]; !isDead {
 		co.lastSeen[from] = time.Now()
@@ -146,18 +147,11 @@ func (co *coordinator) handle(from int, f frame) {
 	switch f.typ {
 	case msgRegister:
 		m, err := decodeRegister(f.body)
+		if err == nil {
+			err = co.register(m)
+		}
 		if err != nil {
 			co.fail(err)
-			return
-		}
-		co.tp.connect(m.Rank, m.Addr)
-		co.mu.Lock()
-		co.addrs[m.Rank] = m.Addr
-		n := len(co.addrs)
-		co.lastSeen[m.Rank] = time.Now()
-		co.mu.Unlock()
-		if n == co.cfg.Ranks {
-			co.regOnce.Do(func() { close(co.allRegCh) })
 		}
 	case msgDone:
 		m, err := decodeDone(f.body)
@@ -174,15 +168,6 @@ func (co *coordinator) handle(from int, f frame) {
 		}
 		co.mu.Unlock()
 		co.wake.post()
-	case msgStatus:
-		m, err := decodeStatus(f.body)
-		if err != nil {
-			co.fail(err)
-			return
-		}
-		co.mu.Lock()
-		co.backlog[from] = m.Backlog
-		co.mu.Unlock()
 	case msgAccOrdered:
 		m, err := decodeAccOrdered(f.body)
 		if err != nil {
@@ -225,23 +210,6 @@ func (co *coordinator) handle(from int, f frame) {
 			return
 		}
 		co.tp.sendTo(from, nxtValRespMsg{ReqID: m.ReqID, Val: co.store.NxtVal()}.encode())
-	case msgStealReq:
-		m, err := decodeSteal(f.body)
-		if err != nil {
-			co.fail(err)
-			return
-		}
-		co.brokerSteal(m.Thief)
-	case msgStealNone:
-		if _, err := decodeSteal(f.body); err != nil {
-			co.fail(err)
-			return
-		}
-		// The victim had nothing migratable: its recorded backlog is
-		// stale, so stop nominating it until the next heartbeat.
-		co.mu.Lock()
-		co.backlog[from] = 0
-		co.mu.Unlock()
 	case msgFlushAck:
 		m, err := decodeFlushAck(f.body)
 		if err != nil {
@@ -278,26 +246,32 @@ func (co *coordinator) handle(from int, f frame) {
 	}
 }
 
-// brokerSteal nominates the live rank with the deepest reported backlog
-// as the thief's victim and forwards a probe; the victim decides.
-func (co *coordinator) brokerSteal(thief int) {
+// register records a rank's listen address; the last rank to register
+// opens the barrier. The rank id comes off the wire, so it is checked
+// before anything is indexed by it: a rank outside the run, or one
+// registering twice, fails the run.
+func (co *coordinator) register(m registerMsg) error {
+	if m.Rank < 0 || m.Rank >= co.cfg.Ranks {
+		return fmt.Errorf("netrun: register of rank %d in a %d-rank run", m.Rank, co.cfg.Ranks)
+	}
+	// The channel exists before the rank counts, so the welcome finds it
+	// (connect keeps the first channel on a repeat).
+	co.tp.connect(m.Rank, m.Addr)
 	co.mu.Lock()
-	victim, best := -1, co.cfg.Workers
-	for r, b := range co.backlog {
-		if r == thief {
-			continue
-		}
-		if _, isDead := co.dead[r]; isDead {
-			continue
-		}
-		if b > best {
-			victim, best = r, b
-		}
+	_, dup := co.addrs[m.Rank]
+	if !dup {
+		co.addrs[m.Rank] = m.Addr
+		co.lastSeen[m.Rank] = time.Now()
 	}
+	n := len(co.addrs)
 	co.mu.Unlock()
-	if victim >= 0 {
-		co.tp.sendTo(victim, stealMsg{Thief: thief}.encode(msgStealProbe))
+	if dup {
+		return fmt.Errorf("netrun: rank %d registered twice", m.Rank)
 	}
+	if n == co.cfg.Ranks {
+		co.regOnce.Do(func() { close(co.allRegCh) })
+	}
+	return nil
 }
 
 // liveRanks returns the ranks not declared dead. Caller holds co.mu.
@@ -324,7 +298,7 @@ func (co *coordinator) checkDeaths() {
 		if _, isDead := co.dead[r]; isDead {
 			continue
 		}
-		if now.Sub(seen) < co.cfg.DeathTimeout {
+		if now.Sub(seen) < deathTimeout {
 			continue
 		}
 		heir := -1
@@ -346,7 +320,7 @@ func (co *coordinator) checkDeaths() {
 	co.mu.Unlock()
 
 	for _, t := range takeovers {
-		// Stop our own traffic to the dead rank first (probes, flush);
+		// Stop our own traffic to the dead rank first (GA replies, flush);
 		// coordinator channels retain no activations.
 		co.tp.redirect(t.Dead, t.Heir)
 		for _, r := range live {

@@ -16,11 +16,10 @@ import (
 // worker lending, Ctx reuse, body failure capture — is runtime.Executor,
 // the same worker loop the shared-memory runtime.Run drives. The engine
 // supplies only what makes it a rank: which instances it schedules
-// (owned, adopted, migratedTo, the queued marks), where a completion's
-// payloads go (the rank-local tracker or the wire), who returns a tile
-// that came off the wire (the wired marks), completion reporting to the
-// coordinator's termination bitset, the heartbeat, and the inter-node
-// steal, migrate and takeover handlers.
+// (owned, the queued marks), where a completion's payloads go (the
+// rank-local tracker or the wire), who returns a tile that came off the
+// wire (the wired marks), completion reporting to the coordinator's
+// termination bitset, the heartbeat, and the takeover handler.
 type engine struct {
 	cfg  Config
 	rank int
@@ -37,36 +36,23 @@ type engine struct {
 	// mu. Bit queuedBit marks an instance ever pushed here: an instance
 	// becomes ready exactly once, so a second push is always a
 	// duplicate-source race (an heir's takeover scan against a concurrent
-	// replayed activation, say) and is dropped; the one legitimate
-	// re-push — re-claiming a task from a dead thief — clears the mark
-	// first. Bit f below it marks input flow f as wire-delivered: its
-	// payload is a pooled tile decoded from an activation, which this
-	// rank returns to the pool when the instance completes (returnWired).
+	// replayed activation, say) and is dropped. Bit f below it marks
+	// input flow f as wire-delivered: its payload is a pooled tile
+	// decoded from an activation, which this rank returns to the pool
+	// when the instance completes (returnWired).
 	marks []atomic.Uint32
 	// owned is the snapshot of which ranks' instances this engine
 	// schedules — its own, plus any dead rank it inherited — indexed by
 	// rank. It is replaced, never written, and only by handleTakeover.
 	owned atomic.Pointer[[]bool]
 	// mu guards the rank bookkeeping below; no scheduling happens under
-	// it. It may be held while calling into the executor, never the
-	// reverse.
-	mu sync.Mutex
-	// adopted marks instances migrated here by an inter-node steal; they
-	// execute here although their affinity names another rank.
-	adopted map[*ptg.Instance]bool
-	// migratedTo records instances this rank handed to a thief, for
-	// re-claim if the thief dies before completing them.
-	migratedTo map[*ptg.Instance]int
-	takenOver  map[int]bool
-	lastSteal  time.Time // of the last steal request
+	// it.
+	mu        sync.Mutex
+	takenOver map[int]bool
 	// doneSeqs are completed instances not yet reported to the
 	// coordinator: they leave as one msgDone when doneBatch have
 	// gathered, when a worker runs dry, or on the heartbeat.
 	doneSeqs []int
-
-	adoptedN    int
-	redisp      int
-	redispBytes int64
 }
 
 // doneBatch is the completion count that forces a msgDone out.
@@ -106,21 +92,15 @@ func (e *engine) unmark(in *ptg.Instance, bits uint32) {
 	}
 }
 
-// stealInterval is the least time between two steal requests of one
-// rank, however many of its workers run dry.
-const stealInterval = 5 * time.Millisecond
-
 func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 	e := &engine{
-		cfg:        cfg,
-		rank:       rank,
-		tp:         tp,
-		tr:         tr,
-		stopCh:     make(chan struct{}),
-		marks:      make([]atomic.Uint32, tr.NumInstances()),
-		adopted:    make(map[*ptg.Instance]bool),
-		migratedTo: make(map[*ptg.Instance]int),
-		takenOver:  make(map[int]bool),
+		cfg:       cfg,
+		rank:      rank,
+		tp:        tp,
+		tr:        tr,
+		stopCh:    make(chan struct{}),
+		marks:     make([]atomic.Uint32, tr.NumInstances()),
+		takenOver: make(map[int]bool),
 	}
 	owned := make([]bool, cfg.Ranks)
 	owned[rank] = true
@@ -131,12 +111,8 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 		Queues:        cfg.Queues,
 		SchedObserver: cfg.SchedObserver,
 	}
-	if delay := cfg.TaskDelay; delay != nil {
-		xcfg.TaskDelay = func(worker int, ref ptg.TaskRef) time.Duration { return delay(rank, worker, ref) }
-	}
-	// Claims go through the tracker's lock: message handlers (steal
-	// probes, takeover scans) read and claim instance state concurrently
-	// with the workers.
+	// Claims go through the tracker's lock: message handlers (deliveries,
+	// takeover scans) read instance state concurrently with the workers.
 	e.ex = runtime.NewExecutor(xcfg, runtime.Hooks{Start: tr.ClaimStart, Complete: e.complete, Dry: e.dry})
 	// Every rank records: its spans are the binary section of its final
 	// report. A rank expects its share of the graph.
@@ -311,23 +287,13 @@ func (e *engine) takeDoneLocked() []byte {
 
 // dry is the executor's came-up-dry hook, also run on every heartbeat
 // (parked workers do not re-evaluate anything): flush the gathered
-// completions, and — with inter-node stealing on, nothing queued here,
-// and no request within stealInterval — ask the coordinator to broker a
-// steal.
+// completions.
 func (e *engine) dry() {
 	e.mu.Lock()
 	done := e.takeDoneLocked()
-	steal := e.cfg.InterNodeSteal && e.cfg.Ranks >= 2 &&
-		time.Since(e.lastSteal) >= stealInterval && e.ex.Backlog() == 0
-	if steal {
-		e.lastSteal = time.Now()
-	}
 	e.mu.Unlock()
 	if done != nil {
 		e.tp.sendTo(coordRank, done)
-	}
-	if steal {
-		e.tp.sendTo(coordRank, stealMsg{Thief: e.rank}.encode(msgStealReq))
 	}
 }
 
@@ -385,12 +351,13 @@ func (e *engine) sendActivate(to *ptg.Instance, flow int, payload any, borrow bo
 	return nil
 }
 
-// heartbeat reports the rank's backlog to the coordinator on every
-// interval, after giving a dry rank the chance to flush completions and
-// re-ask for a steal.
+// heartbeat tells the coordinator the rank is alive — a bodiless
+// msgStatus — on every interval, after giving a dry rank the chance to
+// flush completions. It also keeps the link to the coordinator busy, so
+// a rank notices a coordinator that has gone.
 func (e *engine) heartbeat() {
 	defer e.wg.Done()
-	t := time.NewTicker(e.cfg.Heartbeat)
+	t := time.NewTicker(heartbeat)
 	defer t.Stop()
 	for {
 		select {
@@ -398,7 +365,7 @@ func (e *engine) heartbeat() {
 			return
 		case <-t.C:
 			e.dry()
-			e.tp.sendTo(coordRank, statusMsg{Backlog: e.ex.Backlog()}.encode())
+			e.tp.sendTo(coordRank, newFrame(msgStatus, 0))
 		}
 	}
 }
@@ -431,118 +398,27 @@ func (e *engine) handleActivate(m activateMsg) {
 	}
 }
 
-// handleStealProbe serves a coordinator-forwarded steal on the victim
-// side: if the backlog still exceeds what the local workers can drain,
-// the best migratable ready task is claimed (Started, so nobody here
-// re-runs it), shipped to the thief with its delivered task-sourced
-// inputs, and remembered for re-claim should the thief die.
-func (e *engine) handleStealProbe(thief int) {
-	migratable := e.cfg.Migratable
-	var in *ptg.Instance
-	e.mu.Lock()
-	if migratable != nil && e.ex.Backlog() > e.cfg.Workers {
-		in = e.ex.TakeWhere(func(c *ptg.Instance) bool {
-			return c.Node == e.rank && !e.adopted[c] && migratable(c.Ref.Class)
-		})
-	}
-	if in == nil {
-		e.mu.Unlock()
-		e.tp.sendTo(coordRank, stealMsg{Thief: thief}.encode(msgStealNone))
-		return
-	}
-	if err := e.tr.ClaimStart(in); err != nil {
-		// The queues never hold a non-ready instance; a failure here is a
-		// scheduling invariant break, not a race to absorb.
-		e.mu.Unlock()
-		e.fail(err)
-		return
-	}
-	e.migratedTo[in] = thief
-	e.redisp++
-	e.mu.Unlock()
-
-	m := migrateMsg{Class: in.Ref.Class, Args: in.Ref.Args}
-	for fi := range in.In {
-		if e.tr.TaskSourced(in, fi) && e.tr.DeliveredFlow(in, fi) {
-			m.Ins = append(m.Ins, migratePayload{Flow: fi, Payload: in.In[fi]})
-		}
-	}
-	f, err := m.encode()
-	if err != nil {
-		e.fail(fmt.Errorf("netrun: migrate %v: %w", in.Ref, err))
-		return
-	}
-	bodyLen := int64(len(f) - frameHeaderLen)
-	e.mu.Lock()
-	e.redispBytes += bodyLen
-	e.mu.Unlock()
-	e.tp.counters.transferOps.Add(1)
-	e.tp.counters.transferBytes.Add(bodyLen)
-	e.tp.sendTo(thief, f)
-}
-
-// handleMigrate adopts a task stolen from a loaded rank: deliver the
-// shipped inputs this rank is missing, mark it adopted so a takeover
-// scan will not double-schedule it, and queue it.
-func (e *engine) handleMigrate(m migrateMsg) {
-	in := e.tr.Instance(ptg.TaskRef{Class: m.Class, Args: m.Args})
-	if in == nil {
-		e.fail(fmt.Errorf("netrun: migration of unknown task %s%v", m.Class, m.Args))
-		return
-	}
-	switch e.tr.StateOf(in) {
-	case ptg.StateRunning, ptg.StateDone:
-		return // duplicate or raced with local execution
-	}
-	for _, p := range m.Ins {
-		if e.tr.DeliveredFlow(in, p.Flow) {
-			continue
-		}
-		if _, err := e.tr.Deliver(in, p.Flow, p.Payload); err != nil && !e.tr.DeliveredFlow(in, p.Flow) {
-			e.fail(err)
-			return
-		}
-	}
-	if e.tr.StateOf(in) != ptg.StateReady {
-		// The victim only migrates ready tasks, so arriving here means the
-		// shipped inputs were incomplete.
-		e.fail(fmt.Errorf("netrun: migrated task %v not ready after delivery", in.Ref))
-		return
-	}
-	e.mu.Lock()
-	fresh := !e.adopted[in]
-	if fresh {
-		e.adopted[in] = true
-		e.adoptedN++
-	}
-	e.mu.Unlock()
-	if fresh {
-		e.push(in)
-	}
-}
-
 // handleTakeover reacts to a rank death on every surviving rank:
 // re-route the dead rank's traffic to the heir and replay the retained
-// activation log there; re-claim any task migrated to the dead rank;
-// and, on the heir itself, inherit the dead rank's slice of the graph
-// and queue everything in it that is (or later becomes) ready. The
-// heir re-executes the dead rank's entire subgraph from its roots —
-// completions the dead rank already reported stay deduplicated
-// downstream by the tracker flows and the GA server tags.
+// activation log there; and, on the heir itself, inherit the dead
+// rank's slice of the graph and queue everything in it that is (or
+// later becomes) ready. The heir re-executes the dead rank's entire
+// subgraph from its roots — completions the dead rank already reported
+// stay deduplicated downstream by the tracker flows and the GA server
+// tags. Both rank ids come off the wire and index the routing tables,
+// so a takeover naming a rank outside the run, or a rank as its own
+// heir, fails this rank instead.
 func (e *engine) handleTakeover(m takeoverMsg) {
+	if m.Dead < 0 || m.Dead >= e.cfg.Ranks || m.Heir < 0 || m.Heir >= e.cfg.Ranks || m.Dead == m.Heir {
+		e.fail(fmt.Errorf("netrun: rank %d: takeover of rank %d by rank %d in a %d-rank run", e.rank, m.Dead, m.Heir, e.cfg.Ranks))
+		return
+	}
 	e.mu.Lock()
 	if e.takenOver[m.Dead] {
 		e.mu.Unlock()
 		return
 	}
 	e.takenOver[m.Dead] = true
-	reclaim := make([]*ptg.Instance, 0)
-	for in, thief := range e.migratedTo {
-		if thief == m.Dead {
-			reclaim = append(reclaim, in)
-			delete(e.migratedTo, in)
-		}
-	}
 	e.mu.Unlock()
 
 	for _, f := range e.tp.redirect(m.Dead, m.Heir) {
@@ -567,15 +443,6 @@ func (e *engine) handleTakeover(m takeoverMsg) {
 		e.tp.sendFrame(m.Heir, outFrame{head: append([]byte(nil), f.head...), tail: f.tail})
 	}
 
-	for _, in := range reclaim {
-		if err := e.tr.Reset(in); err != nil {
-			e.fail(err)
-			return
-		}
-		e.unmark(in, 1<<queuedBit) // legitimate re-push: the thief died with it
-		e.push(in)
-	}
-
 	if e.rank != m.Heir {
 		return
 	}
@@ -583,16 +450,7 @@ func (e *engine) handleTakeover(m takeoverMsg) {
 	owned[m.Dead] = true
 	e.owned.Store(&owned)
 	for _, in := range e.tr.Instances() {
-		if in.Node != m.Dead {
-			continue
-		}
-		e.mu.Lock()
-		skip := e.adopted[in]
-		e.mu.Unlock()
-		if skip {
-			continue // already queued (or run) here via migration
-		}
-		if e.tr.StateOf(in) == ptg.StateReady {
+		if in.Node == m.Dead && e.tr.StateOf(in) == ptg.StateReady {
 			e.push(in)
 		}
 	}
@@ -602,16 +460,11 @@ func (e *engine) handleTakeover(m takeoverMsg) {
 // have been joined (wait).
 func (e *engine) report() RankReport {
 	x := e.ex.Report()
-	e.mu.Lock() // message handlers may still be counting re-dispatches
-	defer e.mu.Unlock()
 	return RankReport{
-		Rank:            e.rank,
-		Tasks:           x.Tasks,
-		ByClass:         x.ByClass,
-		Adopted:         e.adoptedN,
-		Redispatches:    e.redisp,
-		RedispatchBytes: e.redispBytes,
-		Comm:            e.tp.counters.snapshot(),
-		Spans:           x.Spans,
+		Rank:    e.rank,
+		Tasks:   x.Tasks,
+		ByClass: x.ByClass,
+		Comm:    e.tp.counters.snapshot(),
+		Spans:   x.Spans,
 	}
 }

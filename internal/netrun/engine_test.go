@@ -106,8 +106,8 @@ func TestWireTileOwnership(t *testing.T) {
 		t.Fatal("the duplicate replaced the delivered tile")
 	}
 	y := arrive(t, e, 1, 2)
-	if e.ex.Backlog() != 1 {
-		t.Fatalf("MID has both inputs but backlog is %d", e.ex.Backlog())
+	if e.tr.StateOf(mid) != ptg.StateReady {
+		t.Fatalf("MID has both inputs but is %v", e.tr.StateOf(mid))
 	}
 	if got := e.marks[mid.Seq].Load(); got != 1<<queuedBit|0b11 {
 		t.Fatalf("MID's marks are %#x, want queued and flows 0 and 1 wire-delivered", got)
@@ -143,6 +143,28 @@ func TestWireTileOwnership(t *testing.T) {
 	}
 	if got, want := c.tilesReceived.Load(), c.tilesReturned.Load()+c.tilesDuplicate.Load()+c.tilesPassedOn.Load(); got != want {
 		t.Errorf("%d tiles received, %d accounted for", got, want)
+	}
+}
+
+// TestTakeoverValidatesRanks: a takeover's two rank ids come off the
+// wire and index the routing tables, so one naming a rank outside the
+// run, or a rank as its own heir, fails the rank with an error.
+func TestTakeoverValidatesRanks(t *testing.T) {
+	for _, m := range []takeoverMsg{{Dead: 5, Heir: 1}, {Dead: -1, Heir: 1}, {Dead: 0, Heir: 2}, {Dead: 0, Heir: -1}, {Dead: 1, Heir: 1}} {
+		// The failure is reported to the coordinator, so the rank needs one
+		// to report to. It is made first so that it closes last.
+		coord, err := newTransport(coordRank, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(coord.close)
+		coord.serve(func(int, frame) {}, nil)
+		e := rankOne(t)
+		e.tp.connect(coordRank, coord.addr())
+		e.handleTakeover(m)
+		if e.err() == nil {
+			t.Errorf("takeover of rank %d by rank %d accepted in a 2-rank run", m.Dead, m.Heir)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ type gaClient struct {
 
 	// replicas holds the rank's copy of each input tensor: the same
 	// fill-on-access array a shared-memory execution uses, in its
-	// never-retire form — a stolen or re-executed GEMM may read a block
+	// never-retire form — a GEMM an heir re-executes may read a block
 	// again, and READ outputs cross ranks, so a rank cannot count a
 	// block's readers.
 	replicas map[string]*ga.Lazy

@@ -18,17 +18,19 @@
 // worker lending and per-worker Ctx reuse the shared-memory runtime.Run
 // uses — and adds only what makes it a rank, through the executor's
 // hooks: route a completion's payloads to the local tracker or the
-// wire, report completions, ask for steals when dry. That is
-// TaskTorrent's structure too: a shared-memory tasking core with an
-// active-message layer beside it, not a second runtime. Pop order,
-// queue pinning, and steal-victim choice are therefore identical across
-// the three backends by construction (and the conformance suite in
-// internal/sched still checks it).
+// wire, and report completions. That is TaskTorrent's structure too: a
+// shared-memory tasking core with an active-message layer beside it,
+// not a second runtime. Pop order, queue pinning, and steal-victim
+// choice are therefore identical across the three backends by
+// construction (and the conformance suite in internal/sched still
+// checks it). A task runs on the rank its affinity names — stealing
+// stays inside a rank, as PaRSEC's does (§IV-D) — or, after a takeover,
+// on that rank's heir.
 //
 // A coordinator process serves the Global Arrays surface (ordered
 // accumulation with the same fold semantics as internal/ga, block
-// fetches, NXTVAL) and owns the termination bitset, steal brokering,
-// and failure recovery: ranks that miss heartbeats are declared dead,
+// fetches, NXTVAL) and owns the termination bitset and failure
+// recovery: ranks that miss heartbeats are declared dead,
 // an heir re-executes the dead rank's subgraph, and the live ranks
 // replay their retained activation logs to the heir. Every wire message
 // is carried by an at-least-once reliable channel with the
@@ -80,27 +82,18 @@ type Config struct {
 	// Retry tunes the reliable channel; the zero value selects
 	// DefaultRetryPolicy.
 	Retry RetryPolicy
-	// InterNodeSteal enables coordinator-brokered re-dispatch of ready
-	// migratable tasks from loaded ranks to idle ones.
-	InterNodeSteal bool
-	// Migratable reports whether a task class may be re-dispatched to
-	// another rank; nil means no class is.
-	Migratable func(class string) bool `json:"-"`
 	// Fault, when non-nil, drives seeded payload- and ack-drops on every
 	// send attempt (the DropProb/AckDropProb/Seed fields; the simulation-
 	// time fields are ignored on real sockets).
 	Fault *fault.Config
 	// Sever, when non-nil, closes one link once after a frame count.
 	Sever *SeverSpec
-	// Recover enables rank-death detection and takeover.
+	// Recover enables rank-death detection and takeover: a rank silent
+	// for deathTimeout is declared dead and its heir re-executes its
+	// share of the graph.
 	Recover bool
-	// DeathTimeout is how long a rank may go silent before the
-	// coordinator declares it dead (default 2s; meaningful with Recover).
-	DeathTimeout time.Duration
 	// Deadline bounds the whole run (default 2 minutes).
 	Deadline time.Duration
-	// Heartbeat is the worker status interval (default 25ms).
-	Heartbeat time.Duration
 
 	// Cancel, when non-nil, aborts the run when it becomes readable:
 	// the coordinator broadcasts shutdown and returns ErrCanceled.
@@ -108,13 +101,19 @@ type Config struct {
 	// so it works identically for in-process and multi-process runs.
 	Cancel <-chan struct{} `json:"-"`
 
-	// TaskDelay, in-process runs only, delays each task body: the
-	// real-socket analogue of a simulated straggler.
-	TaskDelay func(rank, worker int, ref ptg.TaskRef) time.Duration `json:"-"`
 	// SchedObserver, in-process runs only, receives every local
 	// scheduling decision (the conformance suite's hook).
 	SchedObserver sched.Observer `json:"-"`
 }
+
+const (
+	// heartbeat is the interval of a rank's liveness status to the
+	// coordinator.
+	heartbeat = 25 * time.Millisecond
+	// deathTimeout is how long a rank may go silent before the
+	// coordinator declares it dead (with Recover).
+	deathTimeout = 2 * time.Second
+)
 
 // withDefaults returns cfg with defaults filled in.
 func (cfg Config) withDefaults() (Config, error) {
@@ -134,14 +133,8 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Retry == (RetryPolicy{}) {
 		cfg.Retry = DefaultRetryPolicy()
 	}
-	if cfg.DeathTimeout <= 0 {
-		cfg.DeathTimeout = 2 * time.Second
-	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 2 * time.Minute
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 25 * time.Millisecond
 	}
 	if cfg.Fault != nil {
 		if err := cfg.Fault.Validate(); err != nil {
@@ -223,13 +216,10 @@ func (c *commCounters) snapshot() CommSnapshot {
 // coordinator as the msgDoneInfo body: the counters as JSON, the spans
 // as its binary section.
 type RankReport struct {
-	Rank            int            `json:"rank"`
-	Tasks           int            `json:"tasks"`
-	ByClass         map[string]int `json:"by_class,omitempty"`
-	Adopted         int            `json:"adopted,omitempty"`
-	Redispatches    int            `json:"redispatches,omitempty"`
-	RedispatchBytes int64          `json:"redispatch_bytes,omitempty"`
-	Comm            CommSnapshot   `json:"comm"`
+	Rank    int            `json:"rank"`
+	Tasks   int            `json:"tasks"`
+	ByClass map[string]int `json:"by_class,omitempty"`
+	Comm    CommSnapshot   `json:"comm"`
 	// Spans is one span per task the rank executed, as its executor's
 	// Report hands them back.
 	Spans []trace.Span `json:"-"`
@@ -319,6 +309,4 @@ func (r *Result) aggregate(rep RankReport) {
 	r.Recovery.DupSuppressed += int(c.DupSuppressed)
 	r.Recovery.BackoffTime += c.BackoffNs
 	r.Recovery.RetransmitBytes += c.RetransmitBytes
-	r.Recovery.Redispatches += rep.Redispatches
-	r.Recovery.RedispatchBytes += rep.RedispatchBytes
 }

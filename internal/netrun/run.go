@@ -57,9 +57,6 @@ func Run(cfg Config, spec JobSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Migratable == nil {
-		cfg.Migratable = spec.migratable()
-	}
 	plan, err := spec.plan(cfg.Ranks)
 	if err != nil {
 		return nil, err
@@ -121,8 +118,7 @@ type CustomSpec = molecule.CustomSpec
 
 // JobSpec names a CCSD job in serializable form: it crosses the
 // process boundary as JSON, so everything a worker needs to compile the
-// same plan — system, recipe, and which task classes may migrate —
-// lives here rather than in Config's funcs.
+// same plan — system and recipe — lives here.
 type JobSpec struct {
 	// Preset is the molecule preset name (molecule.Preset). Exactly one
 	// of Preset and Custom must be set.
@@ -133,21 +129,6 @@ type JobSpec struct {
 	// or a flat recipe string, which is also how a segment-height or
 	// write-span override travels ("seg=2,fission=sorts,span=2").
 	Variant string `json:"variant"`
-	// MigratableClasses lists the task classes inter-node stealing may
-	// re-dispatch (the serializable stand-in for Config.Migratable).
-	MigratableClasses []string `json:"migratable_classes,omitempty"`
-}
-
-// migratable builds the class predicate from MigratableClasses.
-func (s JobSpec) migratable() func(string) bool {
-	if len(s.MigratableClasses) == 0 {
-		return nil
-	}
-	set := make(map[string]bool, len(s.MigratableClasses))
-	for _, c := range s.MigratableClasses {
-		set[c] = true
-	}
-	return func(class string) bool { return set[class] }
 }
 
 // plan compiles the job for a run of the given rank count: the one
@@ -207,8 +188,8 @@ func planCoordSpec(cfg Config, plan *ccsd.CompiledPlan) (coordSpec, error) {
 // with workerEnv set runs one rank and exits instead of its normal
 // main. MaybeWorkerMain in TestMain or main() completes the loop. The
 // rank's Config travels as its own JSON, less the fields tagged
-// json:"-": the coordinator-side Cancel and the func-valued ones
-// (migratability travels in JobSpec instead).
+// json:"-": the coordinator-side Cancel and the in-process
+// SchedObserver.
 const (
 	workerEnv      = "PARSEC_NETRUN_WORKER"
 	workerRankEnv  = "PARSEC_NETRUN_RANK"
@@ -227,15 +208,15 @@ type Launch struct {
 // StartProcesses launches a CCSD job across cfg.Ranks real OS
 // processes by re-executing the current binary (which must call
 // MaybeWorkerMain early in main or TestMain). The coordinator and the
-// GA server run in the calling process. Config's func fields do not
-// cross the process boundary and must be nil.
+// GA server run in the calling process. SchedObserver does not cross
+// the process boundary and must be nil.
 func StartProcesses(cfg Config, spec JobSpec) (*Launch, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TaskDelay != nil || cfg.SchedObserver != nil || cfg.Migratable != nil {
-		return nil, fmt.Errorf("netrun: func-valued Config fields cannot cross the process boundary; use JobSpec.MigratableClasses")
+	if cfg.SchedObserver != nil {
+		return nil, fmt.Errorf("netrun: SchedObserver cannot cross the process boundary")
 	}
 	exe, err := os.Executable()
 	if err != nil {
@@ -330,7 +311,6 @@ func MaybeWorkerMain() {
 		fmt.Fprintf(os.Stderr, "netrun worker %d: bad job: %v\n", rank, err)
 		os.Exit(2)
 	}
-	cfg.Migratable = spec.migratable()
 	plan, err := spec.plan(cfg.Ranks)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "netrun worker %d: %v\n", rank, err)

@@ -16,7 +16,7 @@ import (
 	"parsec/internal/trace"
 )
 
-// Wire protocol (version 3): every frame is
+// Wire protocol (version 4): every frame is
 //
 //	magic(2) version(1) type(1) id(8, LE) bodyLen(4, LE) body
 //
@@ -42,8 +42,10 @@ const (
 	wireMagic0 = 'P'
 	wireMagic1 = 'R' // "PaRSEC reproduction"
 	// wireVersion 3 added a tile payload's layout (DESIGN.md §12): a
-	// born-packed input block crosses ranks in its panel form.
-	wireVersion = 3
+	// born-packed input block crosses ranks in its panel form. Version 4
+	// dropped the inter-rank steal messages and the status heartbeat's
+	// body.
+	wireVersion = 4
 
 	frameHeaderLen = 2 + 1 + 1 + 8 + 4
 	// maxBody caps a frame body: the largest legitimate payload is one
@@ -75,10 +77,6 @@ const (
 	msgGetResp
 	msgNxtValReq
 	msgNxtValResp
-	msgStealReq
-	msgStealProbe
-	msgStealNone
-	msgMigrate
 	msgTakeover
 	msgFlushReq
 	msgFlushAck
@@ -690,17 +688,6 @@ func decodeDone(b []byte) (doneMsg, error) {
 	return m, c.done()
 }
 
-// statusMsg is the worker heartbeat, carrying its ready-queue backlog
-// for the coordinator's steal brokering.
-type statusMsg struct{ Backlog int }
-
-func (m statusMsg) encode() []byte { return appendI64(newFrame(msgStatus, 8), int64(m.Backlog)) }
-
-func decodeStatus(b []byte) (statusMsg, error) {
-	c := cursor{buf: b}
-	return statusMsg{Backlog: c.int()}, c.done()
-}
-
 // flushAckMsg confirms a rank's outbound window is drained; Accs is the
 // number of distinct accumulation messages the rank has sent, so the
 // coordinator can also wait out any acc still inside a handler on a
@@ -840,62 +827,6 @@ func (m nxtValRespMsg) encode() []byte {
 func decodeNxtValResp(b []byte) (nxtValRespMsg, error) {
 	c := cursor{buf: b}
 	return nxtValRespMsg{ReqID: c.u64(), Val: c.i64()}, c.done()
-}
-
-// stealMsg serves three message types that all name one thief rank:
-// msgStealReq (thief -> coordinator), msgStealProbe (coordinator ->
-// victim), and msgStealNone (victim -> coordinator).
-type stealMsg struct{ Thief int }
-
-func (m stealMsg) encode(typ byte) []byte { return appendI64(newFrame(typ, 8), int64(m.Thief)) }
-
-func decodeSteal(b []byte) (stealMsg, error) {
-	c := cursor{buf: b}
-	return stealMsg{Thief: c.int()}, c.done()
-}
-
-// migratePayload is one delivered task-sourced input shipped with a
-// migrated task.
-type migratePayload struct {
-	Flow    int
-	Payload any
-}
-
-// migrateMsg re-dispatches a ready task from a loaded victim to an idle
-// thief, carrying every already-delivered task-sourced input (data- and
-// new-sourced flows the thief reconstructs from its own tracker).
-type migrateMsg struct {
-	Class string
-	Args  ptg.Args
-	Ins   []migratePayload
-}
-
-func (m migrateMsg) encode() ([]byte, error) {
-	size := strSize(m.Class) + argsSize + 4
-	for _, in := range m.Ins {
-		psize, err := payloadSize(in.Payload)
-		if err != nil {
-			return nil, err
-		}
-		size += 8 + psize
-	}
-	dst := appendArgs(appendString(newFrame(msgMigrate, size), m.Class), m.Args)
-	dst = appendU32(dst, uint32(len(m.Ins)))
-	for _, in := range m.Ins {
-		dst = appendPayload(appendI64(dst, int64(in.Flow)), in.Payload)
-	}
-	return dst, nil
-}
-
-func decodeMigrate(b []byte) (migrateMsg, error) {
-	c := &cursor{buf: b}
-	m := migrateMsg{Class: c.name(), Args: c.args()}
-	for n := c.count(8 + 1); n > 0 && c.err == nil; n-- {
-		mp := migratePayload{Flow: c.int()}
-		mp.Payload = decodePayload(c, false)
-		m.Ins = append(m.Ins, mp)
-	}
-	return m, c.done()
 }
 
 // takeoverMsg announces that a dead rank's subgraph is reassigned to an

@@ -33,9 +33,11 @@ type worker struct {
 
 // runWorker executes one rank end to end: listen, register, await the
 // welcome roster, connect to peers, run the engine until the
-// coordinator's shutdown (or failure), and ship the final self-report.
-// workload is non-nil for CCSD jobs (it backs the GA client's
-// deterministic input replicas).
+// coordinator's shutdown or the rank's own failure, and ship the final
+// self-report. A rank whose coordinator is gone fails (see
+// relChan.dialLoop), so it exits within a heartbeat or two rather than
+// at the deadline. workload is non-nil for CCSD jobs (it backs the GA
+// client's deterministic input replicas).
 func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, build BuildFn) error {
 	network, listen := cfg.listenSpec(rank)
 	tp, err := newTransport(rank, network, listen, cfg.Retry, newInjector(cfg.Fault), cfg.Sever)
@@ -66,9 +68,9 @@ func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, b
 		return err
 	}
 	w.eng = newEngine(cfg, rank, tp, tr)
+	tp.watch(w.eng.fail)
 	tp.serve(w.handle, nil)
 	tp.connect(coordRank, coordAddr)
-	tp.runRetryTimer(w.eng.fail)
 	tp.sendTo(coordRank, registerMsg{Rank: rank, Addr: tp.addr()}.encode())
 
 	var welcome welcomeMsg
@@ -78,6 +80,9 @@ func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, b
 		tp.close()
 		return fmt.Errorf("netrun: rank %d: no welcome before deadline", rank)
 	case <-w.shutCh:
+		tp.close()
+		return w.eng.err()
+	case <-w.eng.stopCh: // failed
 		tp.close()
 		return w.eng.err()
 	}
@@ -90,6 +95,7 @@ func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, b
 	w.eng.run()
 	select {
 	case <-w.shutCh:
+	case <-w.eng.stopCh: // failed
 	case <-time.After(cfg.Deadline):
 		w.eng.fail(fmt.Errorf("netrun: rank %d: deadline exceeded", rank))
 	}
@@ -130,20 +136,6 @@ func (w *worker) handle(from int, f frame) {
 			return
 		}
 		w.eng.handleActivate(m)
-	case msgMigrate:
-		m, err := decodeMigrate(f.body)
-		if err != nil {
-			w.eng.fail(err)
-			return
-		}
-		w.eng.handleMigrate(m)
-	case msgStealProbe:
-		m, err := decodeSteal(f.body)
-		if err != nil {
-			w.eng.fail(err)
-			return
-		}
-		w.eng.handleStealProbe(m.Thief)
 	case msgTakeover:
 		m, err := decodeTakeover(f.body)
 		if err != nil {

@@ -230,10 +230,10 @@ func (t *Tracker) Start(in *Instance) error {
 
 // ClaimStart is Start under the tracker's lock. The lock-free Start
 // contract — only the dequeuer touches a ready instance — holds inside
-// one scheduler, but a distributed engine also claims tasks from
-// message-handler goroutines (steal probes, takeover scans) that run
-// concurrently with locked state reads, so its claims must serialize
-// with the tracker's other transitions.
+// one scheduler, but a distributed engine also reads instance state
+// from message-handler goroutines (duplicate deliveries, takeover
+// scans) concurrently with its workers, so its claims must serialize
+// with those locked reads.
 func (t *Tracker) ClaimStart(in *Instance) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -366,33 +366,6 @@ func (t *Tracker) DeliveredFlow(in *Instance, flowIdx int) bool {
 	}
 	bit := uint32(1) << flowIdx
 	return in.fromTask&bit == 0 || in.delivered&bit != 0
-}
-
-// TaskSourced reports whether an instance's input on the given flow
-// comes from another task (as opposed to terminal data, a fresh buffer,
-// or an inactive flow). A migrating executor ships exactly the
-// task-sourced delivered inputs: everything else every rank
-// reconstructs from the graph definition.
-func (t *Tracker) TaskSourced(in *Instance, flowIdx int) bool {
-	if flowIdx < 0 || flowIdx >= len(in.In) {
-		return false
-	}
-	return in.fromTask&(1<<flowIdx) != 0
-}
-
-// Reset returns a running instance to the ready state, keeping its
-// delivered inputs. It is the re-claim path of distributed migration: a
-// victim marks a task Running when it hands it to a remote thief, and if
-// the thief dies before completing it the victim resets and re-executes
-// the task itself. Resetting an instance in any other state is an error.
-func (t *Tracker) Reset(in *Instance) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if in.State != StateRunning {
-		return fmt.Errorf("ptg: Reset(%v) in state %v", in.Ref, in.State)
-	}
-	in.State = StateReady
-	return nil
 }
 
 // StateOf returns an instance's lifecycle state under the tracker's

@@ -540,52 +540,6 @@ func (x *Executor) popShard(si int) *ptg.Instance {
 	return in
 }
 
-// TakeWhere removes and returns the Before-best queued instance
-// satisfying ok, or nil: the pick behind an inter-node steal, which may
-// only move some classes, so queues are scanned whole. It holds every
-// shard lock for the scan (ok must not call back into the executor);
-// workers hold one at a time, so the fixed order cannot deadlock.
-func (x *Executor) TakeWhere(ok func(*ptg.Instance) bool) *ptg.Instance {
-	for i := range x.shards {
-		x.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range x.shards {
-			x.shards[i].mu.Unlock()
-		}
-	}()
-	var best *ptg.Instance
-	bq, bi := -1, -1
-	for si := range x.shards {
-		if in, i := x.shards[si].q.FindWhere(ok); in != nil && (best == nil || sched.Before(in, best)) {
-			best, bq, bi = in, si, i
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	s := &x.shards[bq]
-	s.q.RemoveAt(bi)
-	if s.q.Len() == 0 {
-		s.size.Store(0)
-	}
-	x.observe(sched.OpSteal, -1, bq, best)
-	return best
-}
-
-// Backlog returns the number of queued instances. It locks each shard
-// in turn, so it is for heartbeat-rate callers, not the dispatch path.
-func (x *Executor) Backlog() int {
-	n := 0
-	for i := range x.shards {
-		s := &x.shards[i]
-		s.mu.Lock()
-		n += s.q.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // steal probes victims in the core's randomized order, locking only one
 // victim shard at a time, and takes that victim's best task (PaRSEC
 // steals ready work rather than rebalancing whole queues, §IV-D).

@@ -100,88 +100,19 @@ func TestExecutorForeignPushWhileParked(t *testing.T) {
 					t.Errorf("instance %d ran %d times", i, c)
 				}
 			}
-			if b := x.Backlog(); b != 0 {
-				t.Errorf("backlog %d after the run", b)
+			if q := x.queued(); len(q) != 0 {
+				t.Errorf("%d instances still queued after the run", len(q))
 			}
 		})
-	}
-}
-
-// TestExecutorTakeWhere checks the predicate take behind a rank's steal
-// probe: across shards it removes the Before-best match, leaves the rest
-// for the workers, and keeps the emptiness mirrors right (a stale one
-// would park a worker next to a nonempty shard, or spin it on an empty
-// one).
-func TestExecutorTakeWhere(t *testing.T) {
-	// The queued tasks are found and removed the same whether they were
-	// pushed one by one or adopted as a preloaded run.
-	t.Run("pushed", func(t *testing.T) {
-		testTakeWhere(t, func(x *Executor, tr *ptg.Tracker) {
-			for _, in := range tr.InitialReady() {
-				x.Push(in)
-			}
-		})
-	})
-	t.Run("preloaded", func(t *testing.T) {
-		testTakeWhere(t, func(x *Executor, tr *ptg.Tracker) { x.Preload(tr.InitialReadySorted()) })
-	})
-}
-
-func testTakeWhere(t *testing.T, enqueue func(*Executor, *ptg.Tracker)) {
-	const n = 12
-	g := ptg.NewGraph("take-where")
-	tc := g.Class("T")
-	tc.Domain = func(emit func(ptg.Args)) {
-		for i := 0; i < n; i++ {
-			emit(ptg.A1(i))
-		}
-	}
-	tc.Priority = func(a ptg.Args) int64 { return int64(a[0] % 4) }
-	tc.AddFlow("D", ptg.Write).InNew(nil, func(ptg.Args) int64 { return 8 })
-	tr, err := ptg.NewTracker(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ran atomic.Int64
-	var x *Executor
-	x = NewExecutor(Config{Workers: 3, Queues: sched.PerWorkerSteal}, Hooks{
-		Start: tr.Start,
-		Complete: func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
-			if ran.Add(1) == n-2 {
-				x.Halt()
-			}
-			return ready, nil
-		},
-	})
-	enqueue(x, tr)
-	odd := func(in *ptg.Instance) bool { return in.Ref.Args[0]%2 == 1 }
-	// Odd instances have priority 1 or 3; the best is the lowest-Seq
-	// priority-3 one, then the next.
-	for _, want := range []int{3, 7} {
-		if in := x.TakeWhere(odd); in == nil || in.Ref.Args[0] != want {
-			t.Fatalf("TakeWhere = %v, want T(%d)", in, want)
-		}
-	}
-	if in := x.TakeWhere(func(*ptg.Instance) bool { return false }); in != nil {
-		t.Fatalf("TakeWhere with no match = %v", in)
-	}
-	if b := x.Backlog(); b != n-2 {
-		t.Fatalf("backlog %d after two takes, want %d", b, n-2)
-	}
-	if err := x.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := x.Report().Tasks; got != n-2 {
-		t.Fatalf("workers ran %d tasks, want the %d left queued", got, n-2)
 	}
 }
 
 // TestHandOffHeldTaskSurvivesStop stops the run — by Halt, by Fail, by
 // Cancel — at the one point where a ready task is in neither a queue nor
 // a body: after a completion handed its successor to the completing
-// worker. The successor must be back in Backlog when Run returns and its
-// body must never have run; a rank counts on both when it reports or
-// re-homes what it did not finish.
+// worker. The successor must be back in a queue when Run returns and
+// its body must never have run; a rank counts on both when it reports
+// what it did not finish.
 func TestHandOffHeldTaskSurvivesStop(t *testing.T) {
 	errBoom := errors.New("boom")
 	stops := []struct {
@@ -243,11 +174,8 @@ func TestHandOffHeldTaskSurvivesStop(t *testing.T) {
 			if ranSecond.Load() {
 				t.Error("the held successor ran after the stop")
 			}
-			if b := x.Backlog(); b != 1 {
-				t.Errorf("backlog %d after the stop, want the held successor", b)
-			}
-			if in := x.TakeWhere(func(*ptg.Instance) bool { return true }); in == nil || in.Ref.Args[0] != 1 {
-				t.Errorf("queued after the stop: %v, want STEP(1)", in)
+			if q := x.queued(); len(q) != 1 || q[0].Ref.Args[0] != 1 {
+				t.Errorf("queued after the stop: %v, want the held successor STEP(1)", q)
 			}
 		})
 	}
