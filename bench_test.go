@@ -173,10 +173,12 @@ func BenchmarkEnergyVariants(b *testing.B) {
 
 // BenchmarkExecuteKernelShape is one whole real-arithmetic job on a
 // benzene-shaped system (v5, 2 workers): inputs filling on ga_access and
-// retiring on ga_release, kernels, the ordered flush and the streamed
-// energy. B/op is the number to watch: what a job allocates — the sorted
-// output tiles, and input tiles for about 160 of the 256 distinct input
-// blocks, because a retired block's tile serves the next first touch.
+// retiring on ga_release, kernels, and each output block folded into the
+// energy by the WRITE that completes it. B/op is the number to watch:
+// what a job allocates — the sorted output tiles, each adopted as its
+// block and dropped once folded, and input tiles for about 160 of the
+// 256 distinct input blocks, because a retired block's tile serves the
+// next first touch.
 func BenchmarkExecuteKernelShape(b *testing.B) {
 	sys := molecule.Custom("benzene-shaped", 21, 45, 12, 2, 0x5eed)
 	spec, _ := ccsd.VariantByName("v5")

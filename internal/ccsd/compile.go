@@ -12,6 +12,7 @@ import (
 	"parsec/internal/runtime"
 	"parsec/internal/sched"
 	"parsec/internal/tce"
+	"parsec/internal/tensor"
 	"parsec/internal/trace"
 	"parsec/internal/xform"
 )
@@ -49,6 +50,10 @@ type CompiledPlan struct {
 	PlanTime    time.Duration
 
 	ps []*chainPlan
+	// outCounts is how many AccOrdered contributions the WRITE tasks make
+	// to each output block (writeCounts): what lets Execute finish a
+	// block, and fold it into the energy, the moment its last WRITE lands.
+	outCounts map[tensor.BlockKey]int
 
 	// skel is the resolved structure of the plan's task graph, shared
 	// read-only by every graph NewGraph returns; skelErr is why it could
@@ -113,14 +118,35 @@ func CompileWorkload(w *tce.Workload, spec VariantSpec, opts Options) *CompiledP
 	t0 := time.Now()
 	ps := plans(w, shape)
 	return &CompiledPlan{
-		Sys:      w.Kernel.Sys,
-		Spec:     spec,
-		Nodes:    nodes,
-		Shape:    shape,
-		Workload: w,
-		PlanTime: time.Since(t0),
-		ps:       ps,
+		Sys:       w.Kernel.Sys,
+		Spec:      spec,
+		Nodes:     nodes,
+		Shape:     shape,
+		Workload:  w,
+		PlanTime:  time.Since(t0),
+		ps:        ps,
+		outCounts: writeCounts(ps, shape),
 	}
+}
+
+// writeCounts returns the number of AccOrdered contributions each output
+// block receives from the WRITE tasks of a graph with the given chain
+// plans and shape (buildWrite): one per WRITE_C_i with write fission;
+// else one per input flow fed by a SORT — the chain's nsorts with sort
+// fission, its one merged SORT without — in each of WriteSpan segments.
+func writeCounts(ps []*chainPlan, shape xform.Shape) map[tensor.BlockKey]int {
+	counts := make(map[tensor.BlockKey]int, len(ps))
+	for _, p := range ps {
+		n := shape.WriteSpan
+		switch {
+		case shape.WriteFission:
+			n = p.nsorts
+		case shape.SortFission:
+			n *= p.nsorts
+		}
+		counts[p.meta.Out.Key] += n
+	}
+	return counts
 }
 
 // NewGraph binds the compiled plan to a store (nil for a graph that
@@ -238,10 +264,13 @@ type ExecConfig struct {
 
 // Execute runs the compiled plan once on the goroutine runtime: it
 // creates a fresh store whose inputs fill as the READ tasks reach them,
-// binds the graph, executes it under the variant's ready-queue policy,
-// and reduces the output array to the correlation energy. Concurrent
-// Executes of the same plan are safe — the plan is read-only after
-// Compile.
+// binds the graph, and executes it under the variant's ready-queue
+// policy. The output never lands in the store: each block is final when
+// its last WRITE lands, and is folded into the correlation energy in
+// block-key order while the run goes on (tce.EnergyFold), then dropped.
+// A run that ends with a block short of its contributions is an error.
+// Concurrent Executes of the same plan are safe — the plan is read-only
+// after Compile.
 func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
 	return p.execute(cfg, cfg.Trace != nil)
 }
@@ -261,12 +290,18 @@ func (p *CompiledPlan) ExecuteProfiled(name string, cfg ExecConfig) (RealResult,
 }
 
 func (p *CompiledPlan) execute(cfg ExecConfig, record bool) (RealResult, error) {
-	store := inputStore(p.Workload)
+	store := lazyInputs(p.Workload)
+	fold := p.Workload.NewEnergyFold()
+	store.CreateCounted(tce.TensorC, p.outCounts, fold.Put)
 	rep, err := p.runOn(store, cfg, record)
 	if err != nil {
 		return RealResult{}, err
 	}
-	return RealResult{Energy: p.Workload.Energy(store.Array(tce.TensorC)), Report: rep}, nil
+	energy, err := fold.Energy()
+	if err != nil {
+		return RealResult{}, err
+	}
+	return RealResult{Energy: energy, Report: rep}, nil
 }
 
 // runOn binds the plan to store and runs the graph to completion,

@@ -91,19 +91,8 @@ func override(t testing.TB, spec VariantSpec, seg, span int) VariantSpec {
 // testdata/variant_sigs.json with the row's inspected workload, variant
 // and graph options.
 func forEachGolden(t *testing.T, f func(t *testing.T, gs variantSig, w *tce.Workload, spec VariantSpec, opts Options)) {
-	buf, err := os.ReadFile("testdata/variant_sigs.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sigs []variantSig
-	if err := json.Unmarshal(buf, &sigs); err != nil {
-		t.Fatal(err)
-	}
-	if len(sigs) < 20 {
-		t.Fatalf("only %d golden signatures", len(sigs))
-	}
 	workloads := map[string]*tce.Workload{}
-	for _, gs := range sigs {
+	for _, gs := range goldenRows(t) {
 		gs := gs
 		key := gs.Kernel + "/" + gs.Preset
 		w := workloads[key]
@@ -121,13 +110,37 @@ func forEachGolden(t *testing.T, f func(t *testing.T, gs variantSig, w *tce.Work
 		}
 		name := gs.Kernel + "/" + gs.Preset + "/" + gs.Variant
 		t.Run(name, func(t *testing.T) {
-			spec, err := VariantByName(gs.Variant)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f(t, gs, w, override(t, spec, gs.Seg, gs.Span), Options{Nodes: gs.Nodes})
+			f(t, gs, w, gs.recipe(t), Options{Nodes: gs.Nodes})
 		})
 	}
+}
+
+// goldenRows reads testdata/variant_sigs.json.
+func goldenRows(t testing.TB) []variantSig {
+	t.Helper()
+	buf, err := os.ReadFile("testdata/variant_sigs.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sigs []variantSig
+	if err := json.Unmarshal(buf, &sigs); err != nil {
+		t.Fatal(err)
+	}
+	if len(sigs) < 20 {
+		t.Fatalf("only %d golden signatures", len(sigs))
+	}
+	return sigs
+}
+
+// recipe is the row's variant with its segment-height and write-span
+// overrides applied.
+func (gs variantSig) recipe(t testing.TB) VariantSpec {
+	t.Helper()
+	spec, err := VariantByName(gs.Variant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return override(t, spec, gs.Seg, gs.Span)
 }
 
 // TestFlatRecipeSpellingsMatchNamedVariants: a variant written as an

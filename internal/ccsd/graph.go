@@ -532,13 +532,14 @@ func (b *builder) buildSort() {
 				p := b.ps[ctx.Args[0]]
 				src := ctx.In[0].(*tensor.Tile4)
 				d := p.meta.Out.Dims
-				// dst is NOT pooled: AccOrdered retains it until the
-				// ordered flush, and the fused graph shares it with the
-				// ENERGY task. Each permutation accumulates straight
-				// into the zeroed dst via Sort4Add — bitwise identical
-				// to the old permute-into-scratch-then-AddScaled pair
-				// (one multiply, one add per element either way), minus
-				// a full tile of traffic per permutation.
+				// dst is NOT pooled: AccOrdered retains it until its
+				// block's fold, which may adopt it as the block, and the
+				// fused graph shares it with the ENERGY task. Each
+				// permutation accumulates straight into the zeroed dst
+				// via Sort4Add — bitwise identical to the old
+				// permute-into-scratch-then-AddScaled pair (one multiply,
+				// one add per element either way), minus a full tile of
+				// traffic per permutation.
 				dst := tensor.NewTile4(d[0], d[1], d[2], d[3])
 				for _, br := range p.meta.Sorts {
 					tensor.Sort4Add(dst, src, br.Perm, br.Sign)

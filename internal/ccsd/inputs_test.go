@@ -21,12 +21,17 @@ import (
 // structure of a preset (the benchmark's "uracil-shaped" and
 // "benzene-shaped" problems).
 func shapedWorkload(name string) *tce.Workload {
+	return tce.Inspect(tce.T2_7(shapedSystem(name)), nil)
+}
+
+// shapedSystem is the system behind shapedWorkload.
+func shapedSystem(name string) *molecule.System {
 	shapes := map[string][4]int{
 		"uracil":  {29, 59, 16, 4},
 		"benzene": {21, 45, 12, 2},
 	}
 	s := shapes[name]
-	return tce.Inspect(tce.T2_7(molecule.Custom(name+"-shaped", s[0], s[1], s[2], s[3], 0x5eed)), nil)
+	return molecule.Custom(name+"-shaped", s[0], s[1], s[2], s[3], 0x5eed)
 }
 
 // inputBytes returns the number and total storage of a workload's

@@ -39,14 +39,21 @@ func EnergyRelDiff(a, b float64) float64 {
 // its first READ calls ga_access and retires when its last GEMM calls
 // ga_release, so the inputs flow through the graph under the variant's
 // read-ahead window instead of being materialized before it starts —
-// and an empty output array. It costs one slice of block states per
-// tensor; the block tables are the workload's.
+// and an empty output array, which Array flushes once the run is over.
+// It costs one slice of block states per tensor; the block tables are
+// the workload's.
 func inputStore(w *tce.Workload) *ga.Store {
+	store := lazyInputs(w)
+	store.Create(tce.TensorC)
+	return store
+}
+
+// lazyInputs is inputStore without the output array.
+func lazyInputs(w *tce.Workload) *ga.Store {
 	store := ga.NewStore(1)
 	a, b := w.Inputs()
 	store.CreateLazy(a.Name, a)
 	store.CreateLazy(b.Name, b)
-	store.Create(tce.TensorC)
 	return store
 }
 

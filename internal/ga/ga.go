@@ -9,15 +9,17 @@
 //
 //   - Store: a real in-memory array store for shared-memory execution
 //     (unit tests, the goroutine runtime, the examples). Its arrays are
-//     either created empty and written (Create) or lazy read-only
-//     inputs that fill on ga_access and retire on ga_release
-//     (CreateLazy, lazy.go).
+//     created empty and written (Create), output arrays whose blocks
+//     complete by count and are handed on as they do (CreateCounted), or
+//     lazy read-only inputs that fill on ga_access and retire on
+//     ga_release (CreateLazy, lazy.go).
 //   - Sim: cost-model operations against the simulated cluster, used by
 //     the CGP baseline and PaRSEC executors in the Fig 9 experiments.
 package ga
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,12 +97,19 @@ type Store struct {
 // flag.
 //
 // A CreateLazy array has lazy set and no block tensor: it is read-only,
-// reachable through Access / GetHashBlock / Release alone.
+// reachable through Access / GetHashBlock / Release alone. A
+// CreateCounted array has want set and no block tensor either: its
+// blocks leave through done as they complete, and a completed block
+// keeps a nil pending entry, which is how a late contribution is told
+// from a first one.
 type array struct {
 	bt       *tensor.BlockTensor4
 	lazy     *Lazy
 	buffered atomic.Bool
 	pending  map[tensor.BlockKey][]orderedAcc
+
+	want map[tensor.BlockKey]int
+	done func(tensor.BlockKey, *tensor.Tile4)
 }
 
 // rangeStripes is the AccRange lock-stripe count: enough that tens of
@@ -121,8 +130,8 @@ func (s *Store) rangeLock(name string, key tensor.BlockKey) *sync.Mutex {
 	return &s.rangeLocks[h%rangeStripes]
 }
 
-// orderedAcc is one buffered AccOrdered contribution awaiting the
-// deterministic fold performed by Array.
+// orderedAcc is one buffered AccOrdered contribution awaiting its
+// deterministic fold (foldOrdered).
 type orderedAcc struct {
 	tag    int
 	lo, hi int
@@ -155,10 +164,26 @@ func (s *Store) Create(name string) *tensor.BlockTensor4 {
 	return bt
 }
 
-// Array returns the named array, panicking if absent or lazy (a lazy
-// array never holds all its blocks at once). Intended for result
-// extraction after execution; concurrent mutation must go through
-// GetHashBlock / AddHashBlock.
+// CreateCounted registers an ordered output array whose blocks complete
+// by count: want[key] is the number of AccOrdered contributions block key
+// receives in all, and the call that brings it there folds the block at
+// once — the fold Array's flush performs, in the same (tag, lo) order —
+// and hands the final tile to done, on the calling goroutine. The array
+// keeps nothing of a completed block, so it cannot be read through Array
+// or Access; done owns the tile. want is only read, so one map may back
+// every execution of a plan. A contribution to a key want lacks, or to a
+// block already complete, is an error.
+func (s *Store) CreateCounted(name string, want map[tensor.BlockKey]int, done func(tensor.BlockKey, *tensor.Tile4)) {
+	if _, dup := s.arrays[name]; dup {
+		panic(fmt.Sprintf("ga: array %q already exists", name))
+	}
+	s.arrays[name] = &array{want: want, done: done}
+}
+
+// Array returns the named array, panicking if absent, lazy (a lazy array
+// never holds all its blocks at once) or counted (its blocks went to its
+// done callback). Intended for result extraction after execution;
+// concurrent mutation must go through GetHashBlock / AddHashBlock.
 func (s *Store) Array(name string) *tensor.BlockTensor4 {
 	a, ok := s.arrays[name]
 	if !ok {
@@ -166,6 +191,9 @@ func (s *Store) Array(name string) *tensor.BlockTensor4 {
 	}
 	if a.lazy != nil {
 		panic(fmt.Sprintf("ga: array %q is lazy: read its blocks through Access", name))
+	}
+	if a.want != nil {
+		panic(fmt.Sprintf("ga: array %q hands its blocks on as they complete: it holds none", name))
 	}
 	if a.buffered.Load() {
 		s.flushOrdered(a)
@@ -231,18 +259,20 @@ func (s *Store) AccRange(name string, key tensor.BlockKey, src *tensor.Tile4, sc
 // scale*src[lo:hi], tagged with a schedule-independent ordinal (the
 // runtime passes the task instance's creation sequence). The buffered
 // contributions are folded into the block in ascending (tag, lo) order
-// the next time the array is read through Array, so the resulting
-// floats are bitwise identical for every worker count, queue mode, and
-// scheduling policy — the "ordered reduce" invariance of DESIGN §6,
-// which a sharded scheduler can no longer get for free from lock
-// serialization. The caller must not mutate src afterwards.
+// the next time the array is read through Array — or, on a
+// CreateCounted array, by the call that completes the block — so the
+// resulting floats are bitwise identical for every worker count, queue
+// mode, and scheduling policy — the "ordered reduce" invariance of
+// DESIGN §6, which a sharded scheduler can no longer get for free from
+// lock serialization. The caller must not mutate src afterwards.
 //
 // Out-of-range segments are reported as errors rather than panics —
 // this surface is reached from task bodies, and under fault injection a
 // retried task must be able to fail cleanly. An exact duplicate of an
 // already-buffered contribution (same tag, segment, scale, and source
 // tile) is the signature of an at-least-once retransmission; it is
-// suppressed at fold time, so a retried ACC never double-counts.
+// suppressed at fold time, so a retried ACC never double-counts, and it
+// does not count towards a counted block's completion.
 func (s *Store) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, tag, lo, hi int) error {
 	if lo < 0 || hi > src.Len() || lo > hi {
 		return fmt.Errorf("ga: AccOrdered [%d,%d) of %d elements", lo, hi, src.Len())
@@ -251,19 +281,48 @@ func (s *Store) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, 
 	if !ok || a.lazy != nil {
 		return fmt.Errorf("ga: AccOrdered into missing or read-only array %q", name)
 	}
+	complete, err := s.buffer(a, key, orderedAcc{tag: tag, lo: lo, hi: hi, scale: scale, src: src})
+	if err != nil {
+		return fmt.Errorf("ga: AccOrdered into %q: %w", name, err)
+	}
+	if complete != nil {
+		a.done(key, foldOrdered(complete, nil))
+	}
+	return nil
+}
+
+// buffer records acc against block key of a. On a counted array it
+// returns the block's contributions once acc completes them, and leaves
+// a nil entry behind, so a later contribution is told from a first one.
+func (s *Store) buffer(a *array, key tensor.BlockKey, acc orderedAcc) ([]orderedAcc, error) {
 	s.accMu.Lock()
+	defer s.accMu.Unlock()
 	if a.pending == nil {
 		a.pending = make(map[tensor.BlockKey][]orderedAcc)
 	}
-	a.pending[key] = append(a.pending[key], orderedAcc{tag: tag, lo: lo, hi: hi, scale: scale, src: src})
-	a.buffered.Store(true)
-	s.accMu.Unlock()
-	return nil
+	accs, seen := a.pending[key]
+	if a.want == nil {
+		a.pending[key] = append(accs, acc)
+		a.buffered.Store(true)
+		return nil, nil
+	}
+	want := a.want[key] // 0 for a key want lacks
+	switch {
+	case seen && accs == nil || len(accs) >= want:
+		return nil, fmt.Errorf("block %v beyond its count of %d", key, want)
+	case slices.Contains(accs, acc):
+		return nil, nil
+	case len(accs)+1 < want:
+		a.pending[key] = append(accs, acc)
+		return nil, nil
+	}
+	a.pending[key] = nil
+	return append(accs, acc), nil
 }
 
 // flushOrdered folds the array's buffered contributions. Blocks
 // are independent storage, so only the within-block order matters; that
-// order is fixed by the (tag, lo) sort. Deterministic results require
+// order is fixed by foldOrdered's sort. Deterministic results require
 // that all AccOrdered calls happened-before the triggering read (i.e.
 // the graph reached quiescence), which the runtime guarantees.
 func (s *Store) flushOrdered(a *array) {
@@ -273,22 +332,40 @@ func (s *Store) flushOrdered(a *array) {
 	a.buffered.Store(false)
 	s.accMu.Unlock()
 	for key, accs := range m {
+		foldOrdered(accs, a.bt.GetOrCreate(key, accs[0].src.Dim))
+	}
+}
+
+// foldOrdered folds one block's contributions into dst in ascending
+// (tag, lo) order and returns it. A nil dst asks for a fresh block: a
+// zeroed tile, or — when the block has one contribution, covering all of
+// it at scale 1 — that contribution's tile itself, which is 0 + 1·x up
+// to the sign of zero.
+func foldOrdered(accs []orderedAcc, dst *tensor.Tile4) *tensor.Tile4 {
+	if len(accs) > 1 {
 		sort.Slice(accs, func(i, j int) bool {
 			if accs[i].tag != accs[j].tag {
 				return accs[i].tag < accs[j].tag
 			}
 			return accs[i].lo < accs[j].lo
 		})
-		dst := a.bt.GetOrCreate(key, accs[0].src.Dim)
-		for n, a := range accs {
-			// Suppress retransmitted duplicates: after the (tag, lo) sort a
-			// retried contribution sits next to its original.
-			if n > 0 && accs[n-1] == a {
-				continue
-			}
-			tensor.Axpy(dst.Data[a.lo:a.hi], a.src.Data[a.lo:a.hi], a.scale)
-		}
 	}
+	if dst == nil {
+		if a := accs[0]; len(accs) == 1 && a.scale == 1 && a.lo == 0 && a.hi == a.src.Len() {
+			return a.src
+		}
+		d := accs[0].src.Dim
+		dst = tensor.NewTile4(d[0], d[1], d[2], d[3])
+	}
+	for n, a := range accs {
+		// Suppress retransmitted duplicates: after the sort a retried
+		// contribution sits next to its original.
+		if n > 0 && accs[n-1] == a {
+			continue
+		}
+		tensor.Axpy(dst.Data[a.lo:a.hi], a.src.Data[a.lo:a.hi], a.scale)
+	}
+	return dst
 }
 
 // NxtVal atomically fetches-and-increments the shared work-stealing

@@ -2,7 +2,10 @@ package tce
 
 import (
 	"math"
+	"math/rand"
 	"runtime/debug"
+	"strings"
+	"sync"
 	"testing"
 
 	"parsec/internal/molecule"
@@ -99,6 +102,74 @@ func TestEnergyStreamsBitwise(t *testing.T) {
 			partial.Put(tensor.BlockKey{99, 99, 99, 99}, tensor.NewTile4(1, 1, 1, 1))
 			c = partial
 			check("partial output")
+		}
+	}
+}
+
+// TestEnergyFoldMatchesEnergy pins the fold a run feeds block by block:
+// blocks put in random order from several goroutines fold to bitwise
+// Energy over the same blocks, for both kernels on a one-irrep and a
+// multi-irrep system. The fold's blocks carry −0 where Energy's tensor
+// holds +0 — all of the first block in key order, and a few elements of
+// another — which is the one way a block adopted from a WRITE differs
+// from one folded as 0 + 1·x. A fold missing a block names it instead of
+// returning a number.
+func TestEnergyFoldMatchesEnergy(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		for name, k := range energyCases(seed * 0x51ed) {
+			w := Inspect(k, nil)
+			a, b := w.Materialize()
+			c := w.RunReference(a, b)
+			out := w.UniqueBlocks(TensorC)
+			tiles := make([]*tensor.Tile4, len(out)) // what the fold is handed, by position
+			for i, ref := range out {
+				tiles[i] = c.MustTile(ref.Key).Clone()
+			}
+			signed := func(i, n int) {
+				for j := range tiles[i].Data[:n] {
+					tiles[i].Data[j] = math.Copysign(0, -1)
+					c.MustTile(out[i].Key).Data[j] = 0
+				}
+			}
+			first, mid := int(w.outByKey[0]), int(w.outByKey[len(w.outByKey)/2])
+			signed(first, tiles[first].Len())
+			signed(mid, min(5, tiles[mid].Len()))
+			want := w.Energy(c)
+
+			for round := 0; round < 4; round++ {
+				order := rand.New(rand.NewSource(int64(round))).Perm(len(out))
+				missing := -1
+				if round == 3 {
+					missing = order[len(order)/2]
+				}
+				f := w.NewEnergyFold()
+				var wg sync.WaitGroup
+				for g := 0; g < 4; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for n := g; n < len(order); n += 4 {
+							if i := order[n]; i != missing {
+								f.Put(out[i].Key, tiles[i])
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				got, err := f.Energy()
+				if missing >= 0 {
+					if err == nil || !strings.Contains(err.Error(), out[missing].String()) {
+						t.Errorf("%s seed %d: fold without %v returned %v, %v", name, seed, out[missing], got, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", name, seed, err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s seed %d round %d: fold = %x, Energy = %x", name, seed, round, got, want)
+				}
+			}
 		}
 	}
 }

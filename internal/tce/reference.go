@@ -2,6 +2,8 @@ package tce
 
 import (
 	"fmt"
+	"sort"
+	"sync/atomic"
 
 	"parsec/internal/tensor"
 )
@@ -83,27 +85,104 @@ func (w *Workload) Weights() *tensor.BlockTensor4 {
 // weights are generated into one pooled scratch tile and folded
 // immediately. Blocks in key order, elements in storage order, one
 // running sum — the fold order of c.Dot(w.Weights()), so the value is
-// bitwise that one's, without the weight tensor ever existing.
+// bitwise that one's, without the weight tensor ever existing. A block c
+// lacks contributes nothing; EnergyFold is the same fold fed block by
+// block while the output is still being written.
 func (w *Workload) Energy(c *tensor.BlockTensor4) float64 {
 	out := w.UniqueBlocks(TensorC)
 	var sum float64
 	for _, pos := range w.outByKey {
-		ref := out[pos]
-		t, ok := c.Tile(ref.Key)
-		if !ok {
-			continue
+		if t, ok := c.Tile(out[pos].Key); ok {
+			sum = w.foldBlock(sum, &out[pos], t)
 		}
-		if t.Dim != ref.Dims {
-			panic(fmt.Sprintf("tce: Energy dims mismatch at %v: %v vs %v", ref.Key, t.Dim, ref.Dims))
-		}
-		wt := tensor.GetTile4(ref.Dims[0], ref.Dims[1], ref.Dims[2], ref.Dims[3])
-		w.fillWeights(ref.Key, wt)
-		for i, v := range t.Data {
-			sum += v * wt.Data[i]
-		}
-		tensor.PutTile4(wt)
 	}
 	return sum
+}
+
+// foldBlock adds output block ref's contribution to the energy, held in t,
+// to sum: the one step both Energy and EnergyFold take per block.
+func (w *Workload) foldBlock(sum float64, ref *BlockRef, t *tensor.Tile4) float64 {
+	if t.Dim != ref.Dims {
+		panic(fmt.Sprintf("tce: Energy dims mismatch at %v: %v vs %v", ref.Key, t.Dim, ref.Dims))
+	}
+	wt := tensor.GetTile4(ref.Dims[0], ref.Dims[1], ref.Dims[2], ref.Dims[3])
+	w.fillWeights(ref.Key, wt)
+	for i, v := range t.Data {
+		sum += v * wt.Data[i]
+	}
+	tensor.PutTile4(wt)
+	return sum
+}
+
+// EnergyFold is Energy computed while the output is still being written.
+// Each output block arrives once, through Put, from any goroutine and in
+// any order; it is folded as soon as every block before it in key order
+// has been, by whichever Put finds the next block ready, and then
+// dropped. The order of the sum is Energy's, so the value is bitwise
+// Energy's over the same blocks. Folding into a running sum that starts
+// at +0 also makes a block that holds −0 where Energy's tensor held +0
+// (the zero sign is all that separates an adopted contribution from
+// 0 + 1·x) fold to the same bits: round to nearest never makes such a
+// sum −0, and sum + (±0) is sum.
+type EnergyFold struct {
+	w     *Workload
+	tiles []atomic.Pointer[tensor.Tile4] // by rank in key order; cleared once folded
+	// busy is a try-lock held by the one Put folding; sum is its.
+	busy atomic.Bool
+	sum  float64
+	// next is the rank of the first block not folded yet, stored by the
+	// folding Put before it looks at that block, so a Put that read an
+	// older value and left its block behind is always seen later.
+	next atomic.Int32
+}
+
+// NewEnergyFold returns an empty fold over the workload's output blocks.
+func (w *Workload) NewEnergyFold() *EnergyFold {
+	w.derive()
+	return &EnergyFold{w: w, tiles: make([]atomic.Pointer[tensor.Tile4], len(w.outByKey))}
+}
+
+// Put hands the fold output block key's final tile, which must not change
+// afterwards. It folds every block that is now next in key order, unless
+// another Put is folding: that one looks again after it lets go, so a
+// block left ready is never missed. Putting a block twice, or one the
+// workload does not write, panics.
+func (f *EnergyFold) Put(key tensor.BlockKey, t *tensor.Tile4) {
+	out := f.w.uniq[TensorC]
+	r := sort.Search(len(f.w.outByKey), func(r int) bool { return !out[f.w.outByKey[r]].Key.Less(key) })
+	if r == len(f.w.outByKey) || out[f.w.outByKey[r]].Key != key {
+		panic(fmt.Sprintf("tce: EnergyFold.Put of %v, not an output block", key))
+	}
+	if int(f.next.Load()) > r || !f.tiles[r].CompareAndSwap(nil, t) {
+		panic(fmt.Sprintf("tce: EnergyFold.Put of %v twice", key))
+	}
+	for {
+		n := int(f.next.Load())
+		if n == len(f.tiles) || f.tiles[n].Load() == nil || !f.busy.CompareAndSwap(false, true) {
+			return
+		}
+		for n = int(f.next.Load()); n < len(f.tiles); {
+			t := f.tiles[n].Load()
+			if t == nil {
+				break
+			}
+			f.sum = f.w.foldBlock(f.sum, &out[f.w.outByKey[n]], t)
+			f.tiles[n].Store(nil)
+			n++
+			f.next.Store(int32(n))
+		}
+		f.busy.Store(false)
+	}
+}
+
+// Energy returns the folded energy once every Put has returned, or an
+// error naming the first block in key order that never arrived.
+func (f *EnergyFold) Energy() (float64, error) {
+	if n := int(f.next.Load()); n < len(f.tiles) {
+		ref := f.w.uniq[TensorC][f.w.outByKey[n]]
+		return 0, fmt.Errorf("tce: output block %v never completed, so the energy is unknown", ref)
+	}
+	return f.sum, nil
 }
 
 // RunReference executes the workload exactly as the original serial

@@ -75,14 +75,14 @@ func (FuseChain) String() string { return "FuseChain" }
 // task. Wider trees are shallower but serialize more additions inside
 // each task.
 type ReshapeReduction struct {
-	// Arity is the fan-in, >= 2.
+	// Arity is the fan-in, 2 to MaxTreeArity.
 	Arity int
 }
 
 // Apply implements Pass.
 func (p ReshapeReduction) Apply(s Shape) (Shape, error) {
-	if p.Arity < 2 {
-		return s, fmt.Errorf("xform: ReshapeReduction arity %d < 2", p.Arity)
+	if p.Arity < 2 || p.Arity > MaxTreeArity {
+		return s, fmt.Errorf("xform: ReshapeReduction arity %d outside [2, %d]", p.Arity, MaxTreeArity)
 	}
 	s.TreeArity = p.Arity
 	return s, nil

@@ -83,13 +83,18 @@ func Base() Shape {
 	}
 }
 
+// MaxTreeArity is the widest reduction tree a shape can ask for: a
+// REDUCE task takes one input flow per child, and a task class carries
+// at most 32 flows (ptg keeps per-flow state as a bit of a uint32).
+const MaxTreeArity = 32
+
 // Validate reports whether the shape is internally consistent.
 func (s Shape) Validate() error {
 	if s.SegHeight < 0 {
 		return fmt.Errorf("xform: segment height %d < 0", s.SegHeight)
 	}
-	if s.TreeArity < 2 {
-		return fmt.Errorf("xform: reduction-tree arity %d < 2", s.TreeArity)
+	if s.TreeArity < 2 || s.TreeArity > MaxTreeArity {
+		return fmt.Errorf("xform: reduction-tree arity %d outside [2, %d]", s.TreeArity, MaxTreeArity)
 	}
 	if s.WriteSpan < 1 {
 		return fmt.Errorf("xform: write span %d < 1", s.WriteSpan)
@@ -241,7 +246,7 @@ func Grammar() string {
   v1..v5                     the paper's named variants
   key=value[,key=value...]   a flat recipe; omitted keys keep v1 defaults:
     seg=N|full    GEMM segment height (full/0 = one serial chain; N>=1 segments of N)
-    tree=N        reduction-tree arity, N>=2 (moot while seg=full)
+    tree=N        reduction-tree arity, 2<=N<=32 (moot while seg=full)
     fission=F     none | sorts | writes (writes implies fissioned sorts)
     prio=S        none | paper (§IV-C chain-rank + read/GEMM offsets)
     span=N        fused-WRITE span across N adjacent nodes, N>=1 (needs fission!=writes)

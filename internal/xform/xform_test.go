@@ -36,6 +36,7 @@ func TestPassPreconditions(t *testing.T) {
 		{"fuseseg-unsplit", FuseSegments{Factor: 2}, Base()},
 		{"fuseseg-factor1", FuseSegments{Factor: 1}, mustShape(t, "seg=2")},
 		{"reshape1", ReshapeReduction{Arity: 1}, Base()},
+		{"reshape-wider-than-a-class", ReshapeReduction{Arity: MaxTreeArity + 1}, mustShape(t, "seg=1")},
 		{"fissionwrites-fused-sorts", FissionWrites{}, mustShape(t, "fission=none")},
 		{"span-on-fissioned-writes", SpanWrites{Span: 2}, Base()},
 		{"span0", SpanWrites{Span: 0}, mustShape(t, "fission=sorts")},
@@ -45,6 +46,19 @@ func TestPassPreconditions(t *testing.T) {
 		if _, err := c.pass.Apply(c.shape); err == nil {
 			t.Errorf("%s: Apply succeeded, want precondition error", c.name)
 		}
+	}
+}
+
+// TestTreeArityBound: the grammar refuses a reduction tree wider than a
+// task class can carry flows for. tree=33 used to parse and compile, and
+// then every backend failed to build the graph (its REDUCE class had 33
+// flows); the widest tree that builds still parses.
+func TestTreeArityBound(t *testing.T) {
+	if _, err := Parse("seg=1,tree=33"); err == nil {
+		t.Error("tree=33 parsed")
+	}
+	if s := mustShape(t, "seg=1,tree=32"); s.TreeArity != MaxTreeArity {
+		t.Errorf("tree=32 parsed to arity %d", s.TreeArity)
 	}
 }
 
