@@ -103,12 +103,14 @@ sched-conformance:
 # the ranks of one process bind one compiled plan's skeleton at once;
 # the tests that live on those seams run five more times. So do the ones
 # that lose frames whose tiles are on loan to a channel (seeded drops, a
-# link severed mid-burst): a retransmission reads the tile again; and the
+# link severed mid-burst): a retransmission reads the tile again; the
 # ones where the coordinator misbehaves (a bogus register off the wire)
-# or dies under its ranks.
+# or dies under its ranks; and the input-replica ones: every block
+# crosses to a rank once and is adopted on arrival, a hostile replica
+# tag fails the rank, and a Get of the counted output answers nil.
 netrun-conformance:
 	$(GO) test -race -count=1 ./internal/netrun
-	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithDropsAndAckDrops|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss|TestRanksExitWhenCoordinatorDies|TestRegisterValidatesRank' ./internal/netrun
+	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithDropsAndAckDrops|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss|TestRanksExitWhenCoordinatorDies|TestRegisterValidatesRank|TestReplicaFramesMatchPlan|TestTaggedActivationValidates|TestGetOfCountedOutputAnswersNil' ./internal/netrun
 	$(GO) test -race -count=5 -run 'TestExecutorForeignPushWhileParked' ./internal/runtime
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/netrun
 

@@ -291,8 +291,7 @@ func (p *CompiledPlan) ExecuteProfiled(name string, cfg ExecConfig) (RealResult,
 
 func (p *CompiledPlan) execute(cfg ExecConfig, record bool) (RealResult, error) {
 	store := lazyInputs(p.Workload)
-	fold := p.Workload.NewEnergyFold()
-	store.CreateCounted(tce.TensorC, p.outCounts, fold.Put)
+	fold := p.CreateOutput(store)
 	rep, err := p.runOn(store, cfg, record)
 	if err != nil {
 		return RealResult{}, err
@@ -302,6 +301,40 @@ func (p *CompiledPlan) execute(cfg ExecConfig, record bool) (RealResult, error) 
 		return RealResult{}, err
 	}
 	return RealResult{Energy: energy, Report: rep}, nil
+}
+
+// CreateOutput creates the plan's output tensor on store as a counted
+// array (ga.Store.CreateCounted): a block is final when the last of the
+// AccOrdered contributions the plan's WRITE tasks make to it lands, and
+// is then folded into the returned energy and dropped. The fold's Energy
+// is the run's correlation energy once every contribution has landed,
+// and an error naming the first incomplete block otherwise. Execute and
+// the distributed runtime's GA server both end a job this way.
+func (p *CompiledPlan) CreateOutput(store *ga.Store) *tce.EnergyFold {
+	fold := p.Workload.NewEnergyFold()
+	store.CreateCounted(tce.TensorC, p.outCounts, fold.Put)
+	return fold
+}
+
+// ReadBlock names the input block a READ instance of the plan's graph
+// reads: its tensor and its number in that tensor's table
+// (tce.InputTable), as the inspection resolved it. ok is false for any
+// other instance.
+func (p *CompiledPlan) ReadBlock(ref ptg.TaskRef) (name string, block int, ok bool) {
+	var tbl *tce.InputTable
+	switch ref.Class {
+	case "READA":
+		tbl, _ = p.Workload.Inputs()
+	case "READB":
+		_, tbl = p.Workload.Inputs()
+	default:
+		return "", 0, false
+	}
+	l1, l2 := ref.Args[0], ref.Args[1]
+	if l1 < 0 || l1 >= len(p.ps) || l2 < 0 || l2 >= p.ps[l1].n {
+		return "", 0, false
+	}
+	return tbl.Name, tbl.BlockOf(l1, l2), true
 }
 
 // runOn binds the plan to store and runs the graph to completion,

@@ -111,15 +111,20 @@ func (m *lazyMem) take(dim [4]int, l tensor.Layout) *tensor.Tile4 {
 		m.stats.Allocated++
 	}
 	m.stats.Fills++
-	m.stats.ResidentBytes += int64(l.Len(dim)) * 8
-	if m.stats.ResidentBytes > m.stats.PeakBytes {
-		m.stats.PeakBytes = m.stats.ResidentBytes
-	}
+	m.chargeLocked(int64(l.Len(dim)) * 8)
 	m.mu.Unlock()
 	if t == nil {
 		t = tensor.NewTile4Layout(dim, l)
 	}
 	return t
+}
+
+// chargeLocked adds a newly resident block's storage to the accounting.
+func (m *lazyMem) chargeLocked(bytes int64) {
+	m.stats.ResidentBytes += bytes
+	if m.stats.ResidentBytes > m.stats.PeakBytes {
+		m.stats.PeakBytes = m.stats.ResidentBytes
+	}
 }
 
 // give returns a retired block's tile to the free list.
@@ -131,10 +136,11 @@ func (m *lazyMem) give(t *tensor.Tile4) {
 }
 
 // NewLazy returns a stand-alone lazy array that never retires: Release
-// is a no-op and a filled block stays for the array's lifetime. This is
-// a rank's input replica in the distributed runtime, where a stolen or
-// re-executed task may read a block again and READ outputs cross ranks,
-// so rank-local use counts mean nothing.
+// is a no-op and a resident block stays for the array's lifetime. This
+// is a rank's input replica in the distributed runtime. An heir may
+// re-execute a READ or a GEMM, and a block may become resident by
+// adoption (Adopt) rather than by a local READ, so rank-local use counts
+// mean nothing there.
 func NewLazy(src LazySource) *Lazy {
 	return &Lazy{src: src, blocks: make([]lazyBlock, src.NumBlocks()), mem: &lazyMem{}}
 }
@@ -184,19 +190,40 @@ func (l *Lazy) Source() LazySource { return l.src }
 // the tile, and must not use it after the Release balancing their
 // Access.
 func (l *Lazy) Access(i int) *tensor.Tile4 {
+	t, _ := l.Adopt(i, nil)
+	return t
+}
+
+// Adopt makes block i resident without filling it: if the block is not
+// resident, t becomes its tile. t must hold the block's contents in its
+// extents and layout and must not change afterwards. On a never-retiring
+// array (NewLazy) it is the caller's again once the array is no longer
+// used; on a retiring one it goes to the free list at retirement like a
+// filled tile. A nil t fills an absent block instead: that is Access.
+// Adopt returns the block's tile and whether the block was already
+// resident, in which case t was not taken. It is how a distributed rank
+// installs an input block that arrived over the wire (netrun's replica
+// tags).
+func (l *Lazy) Adopt(i int, t *tensor.Tile4) (tile *tensor.Tile4, resident bool) {
 	b := &l.blocks[i]
-	if t := b.tile.Load(); t != nil {
-		return t
+	if r := b.tile.Load(); r != nil {
+		return r, true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	t := b.tile.Load()
+	if r := b.tile.Load(); r != nil {
+		return r, true
+	}
 	if t == nil {
 		t = l.mem.take(l.src.Dims(i), l.src.Layout(i))
 		l.src.Fill(i, t)
-		b.tile.Store(t)
+	} else {
+		l.mem.mu.Lock()
+		l.mem.chargeLocked(int64(t.Layout.Len(t.Dim)) * 8)
+		l.mem.mu.Unlock()
 	}
-	return t
+	b.tile.Store(t)
+	return t, false
 }
 
 // Release ends one reader's use of block i (ga_release). The Release

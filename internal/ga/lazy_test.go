@@ -334,3 +334,59 @@ func TestLazyPanelBlocks(t *testing.T) {
 		t.Errorf("stats at the end: %+v, want 0 resident, 2 tiles allocated for 4 fills", st)
 	}
 }
+
+// TestLazyAdoptInstallsOnce walks a never-retiring array through Adopt: an
+// absent block takes the tile it is handed, with no fill and its storage
+// charged; a resident block keeps its tile, whether it got it by fill
+// or by adoption, and the tile handed in is not taken; a nil tile fills
+// an absent block as Access does. Concurrent Adopts of one block install
+// exactly one tile.
+func TestLazyAdoptInstallsOnce(t *testing.T) {
+	src := newTestSource(3, 1)
+	l := NewLazy(src)
+	adopted := src.want(0)
+	if got, resident := l.Adopt(0, adopted); resident || got != adopted {
+		t.Fatalf("Adopt of absent block 0: got %p resident=%v, want the tile handed in", got, resident)
+	}
+	if src.fills[0].Load() != 0 || l.Access(0) != adopted {
+		t.Fatal("an adopted block was filled, or Access does not return the adopted tile")
+	}
+	if got, resident := l.Adopt(0, src.want(0)); !resident || got != adopted {
+		t.Error("a second Adopt replaced the resident block")
+	}
+	filled := l.Access(1)
+	if got, resident := l.Adopt(1, src.want(1)); !resident || got != filled {
+		t.Error("Adopt replaced a block a READ had filled")
+	}
+	if got, resident := l.Adopt(2, nil); resident || src.fills[2].Load() != 1 {
+		t.Errorf("Adopt(2, nil): resident=%v after %d fills; want a fill", resident, src.fills[2].Load())
+	} else {
+		checkBlock(t, src, 2, got)
+	}
+	one := int64(src.Layout(0).Len(src.Dims(0))) * 8
+	if st := l.mem.stats; st.ResidentBytes != 3*one || st.Fills != 2 {
+		t.Errorf("stats %+v: want 3 resident blocks of %d B and 2 fills", st, one)
+	}
+
+	l = NewLazy(src)
+	var wg sync.WaitGroup
+	var installed atomic.Int32
+	tiles := make([]*tensor.Tile4, 8)
+	for g := range tiles {
+		tiles[g] = src.want(0)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if got, resident := l.Adopt(0, tiles[g]); !resident {
+				installed.Add(1)
+				if got != tiles[g] {
+					t.Error("Adopt installed a tile other than the one handed in")
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if installed.Load() != 1 {
+		t.Errorf("%d concurrent Adopts installed their tile, want 1", installed.Load())
+	}
+}

@@ -112,14 +112,18 @@ type commCounters struct {
 
 	// Tile ownership on the wire (engine.go): activations sent by
 	// reference; pooled tiles decoded from activations, and where each
-	// went — back to the pool at its consumer's completion, back at once
-	// as a duplicate, or onward (forwarded by the consumer, or released by
-	// its body).
+	// went — back to the pool at its consumer's completion or at once
+	// (a duplicate, or an input block already resident), onward
+	// (forwarded by the consumer, or released by its body), or into the
+	// input replica. Replica refills are tag-only activations whose
+	// block was not resident and was filled locally.
 	tilesBorrowed  atomic.Int64
 	tilesReceived  atomic.Int64
 	tilesReturned  atomic.Int64
 	tilesDuplicate atomic.Int64
 	tilesPassedOn  atomic.Int64
+	tilesAdopted   atomic.Int64
+	replicaRefills atomic.Int64
 }
 
 // pendingMsg is one unacknowledged frame awaiting ack or retransmission.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"parsec/internal/ccsd"
 	"parsec/internal/fault"
 	"parsec/internal/ptg"
 	"parsec/internal/tensor"
@@ -18,9 +19,7 @@ import (
 // a receiver twice, and batched completions must keep the message count
 // well under one per task.
 func TestHealthyLinkSendsNothingTwice(t *testing.T) {
-	spec := JobSpec{Variant: "v5", Custom: &CustomSpec{
-		Name: "benzene-shaped", NOccupied: 21, NVirtual: 45, TileTarget: 12, NIrreps: 2, Seed: 1,
-	}}
+	spec := benzeneShaped
 	cfg := cfgFor(t, spec, 2, 1)
 	if raceEnabled {
 		// The loss timer is wall-clock, and an instrumented receiver takes
@@ -44,6 +43,107 @@ func TestHealthyLinkSendsNothingTwice(t *testing.T) {
 	}
 	if perTask := float64(msgs) / float64(res.Tasks); perTask > 0.6 {
 		t.Errorf("%d messages for %d tasks (%.2f per task): completions are not batched", msgs, res.Tasks, perTask)
+	}
+	// An input block crosses to a rank once: ~33 MB per job, where one
+	// copy per consuming GEMM sent ~73 MB.
+	const maxBytes = 36_000_000
+	if res.Comm.TotalBytes > maxBytes {
+		t.Errorf("%d bytes sent per job, want at most %d: input blocks are crossing twice", res.Comm.TotalBytes, maxBytes)
+	}
+}
+
+// benzeneShaped is the benchmark's distributed job.
+var benzeneShaped = JobSpec{Variant: "v5", Custom: &CustomSpec{
+	Name: "benzene-shaped", NOccupied: 21, NVirtual: 45, TileTarget: 12, NIrreps: 2, Seed: 1,
+}}
+
+// planTraffic walks a plan's graph once in dependency order and counts
+// its cross-rank deliveries: all of them, the READs' among them, and the
+// distinct (input block, consumer rank) pairs those READs reach.
+func planTraffic(t *testing.T, plan *ccsd.CompiledPlan) (all, reads, pairs int) {
+	t.Helper()
+	tr, err := ptg.NewTracker(plan.NewGraph(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pair struct {
+		tensor      string
+		block, rank int
+	}
+	seen := make(map[pair]bool)
+	queue := tr.InitialReady()
+	for len(queue) > 0 {
+		in := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		dels, _, err := tr.Complete(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dels {
+			if d.To.Node != in.Node {
+				all++
+				if name, i, ok := plan.ReadBlock(in.Ref); ok {
+					reads++
+					seen[pair{name, i, d.To.Node}] = true
+				}
+			}
+			ready, err := tr.Deliver(d.To, d.ToFlow, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ready {
+				queue = append(queue, d.To)
+			}
+		}
+	}
+	if !tr.Done() {
+		t.Fatalf("%d instances never became ready", tr.Remaining())
+	}
+	return all, reads, len(seen)
+}
+
+// TestReplicaFramesMatchPlan counts, frame by frame, what the
+// benchmark's job sends across a healthy two-rank link against what its
+// plan says must cross: one activation per cross-rank delivery; of the
+// READs' activations, exactly one full replica frame per distinct (input
+// block, consumer rank) pair, adopted on arrival, and a tag-only frame
+// for every other; every other activation an untagged tile. No tag-only
+// frame finds its block absent.
+func TestReplicaFramesMatchPlan(t *testing.T) {
+	plan, err := benzeneShaped.plan(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, reads, pairs := planTraffic(t, plan)
+	if pairs == 0 || pairs == reads {
+		t.Fatalf("plan: %d remote READ deliveries of %d distinct (block, rank) pairs; the test needs repeats", reads, pairs)
+	}
+	res, err := RunPlan(cfgFor(t, benzeneShaped, 2, 1), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c CommSnapshot
+	for _, rep := range res.PerRank {
+		c.TransferOps += rep.Comm.TransferOps
+		c.TilesReceived += rep.Comm.TilesReceived
+		c.TilesAdopted += rep.Comm.TilesAdopted
+		c.ReplicaRefills += rep.Comm.ReplicaRefills
+	}
+	t.Logf("plan: %d cross-rank deliveries, %d of them READs' over %d (block, rank) pairs", all, reads, pairs)
+	if c.TransferOps != int64(all) {
+		t.Errorf("%d activations sent, the plan has %d cross-rank deliveries", c.TransferOps, all)
+	}
+	if c.TilesAdopted != int64(pairs) {
+		t.Errorf("%d full replica frames adopted, want one per (block, rank) pair: %d", c.TilesAdopted, pairs)
+	}
+	if bare := c.TransferOps - c.TilesReceived; bare != int64(reads-pairs) {
+		t.Errorf("%d tag-only frames, want remote READ deliveries - pairs = %d - %d = %d", bare, reads, pairs, reads-pairs)
+	}
+	if untagged := c.TilesReceived - c.TilesAdopted; untagged != int64(all-reads) {
+		t.Errorf("%d untagged tile frames, want the %d cross-rank deliveries that are not READs'", untagged, all-reads)
+	}
+	if c.ReplicaRefills != 0 {
+		t.Errorf("%d tag-only frames found their block absent on a healthy link", c.ReplicaRefills)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"parsec/internal/ga"
 	"parsec/internal/ptg"
+	"parsec/internal/tce"
 	"parsec/internal/tensor"
 )
 
@@ -16,12 +17,11 @@ type coordSpec struct {
 	// numInstances is the graph's task count; the run terminates when
 	// every sequence number has been reported completed.
 	numInstances int
-	// arrays are the Global Arrays the server creates (the CCSD job's
-	// output tensor).
-	arrays []string
-	// energy, if non-nil, reduces the server's folded store to the final
-	// scalar after the flush barrier.
-	energy func(st *ga.Store) float64
+	// output, if non-nil, creates the job's output tensor on the GA
+	// server's store (ccsd.CompiledPlan.CreateOutput): a counted array
+	// whose blocks fold into the returned energy as their last
+	// accumulation lands, on whichever connection goroutine delivers it.
+	output func(st *ga.Store) *tce.EnergyFold
 	// graph builds the job's graph once more, should the caller ask the
 	// result for its trace (Result.Trace).
 	graph func() *ptg.Graph
@@ -46,9 +46,9 @@ type coordinator struct {
 	spec  coordSpec
 	tp    *transport
 	store *ga.Store
-	// served guards Array panics: Get requests for arrays the server
-	// never created answer nil instead of exploding.
-	served map[string]bool
+	// fold is the energy the output's blocks fold into; nil without an
+	// output.
+	fold *tce.EnergyFold
 
 	mu        sync.Mutex
 	addrs     map[int]string
@@ -90,7 +90,6 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 		spec:      spec,
 		tp:        tp,
 		store:     ga.NewStore(cfg.Ranks),
-		served:    make(map[string]bool),
 		addrs:     make(map[int]string),
 		completed: make([]bool, spec.numInstances),
 		lastSeen:  make(map[int]time.Time),
@@ -104,9 +103,8 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 		wake:      make(wakeup, 1),
 		start:     time.Now(),
 	}
-	for _, name := range spec.arrays {
-		co.store.Create(name)
-		co.served[name] = true
+	if spec.output != nil {
+		co.fold = spec.output(co.store)
 	}
 	tp.watch(co.fail)
 	tp.serve(co.handle, co.noteSeen)
@@ -196,13 +194,10 @@ func (co *coordinator) handle(from int, f frame) {
 			co.fail(err)
 			return
 		}
-		var tile *tensor.Tile4
-		if co.served[m.Name] {
-			if t, ok := co.store.Array(m.Name).Tile(m.Key); ok {
-				tile = t.Clone()
-			}
-		}
-		co.tp.sendTo(from, getRespMsg{ReqID: m.ReqID, Tile: tile}.encode())
+		// The server holds no readable array: the output is counted, and
+		// each of its blocks is folded into the energy and dropped as it
+		// completes. Every block is absent.
+		co.tp.sendTo(from, getRespMsg{ReqID: m.ReqID}.encode())
 	case msgNxtValReq:
 		m, err := decodeNxtVal(f.body)
 		if err != nil {
@@ -331,7 +326,8 @@ func (co *coordinator) checkDeaths() {
 
 // wait drives the run to completion: registration barrier, welcome
 // broadcast, the completion/death-detection loop, the flush barrier,
-// energy extraction, shutdown, and report collection.
+// reading the energy folded while the run went on, shutdown, and report
+// collection.
 func (co *coordinator) wait() (*Result, error) {
 	defer co.tp.close()
 	deadline := time.After(co.cfg.Deadline)
@@ -437,9 +433,13 @@ func (co *coordinator) wait() (*Result, error) {
 		Elapsed: time.Since(co.start),
 		graph:   co.spec.graph,
 	}
-	if co.spec.energy != nil {
-		res.Energy = co.spec.energy(co.store)
-		res.HasEnergy = true
+	if co.fold != nil {
+		energy, err := co.fold.Energy()
+		if err != nil {
+			co.awaitReports(co.shutdown())
+			return nil, err
+		}
+		res.Energy, res.HasEnergy = energy, true
 	}
 
 	co.shutdown()

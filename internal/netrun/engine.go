@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parsec/internal/ga"
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
 	"parsec/internal/tensor"
@@ -17,15 +18,22 @@ import (
 // the same worker loop the shared-memory runtime.Run drives. The engine
 // supplies only what makes it a rank: which instances it schedules
 // (owned, the queued marks), where a completion's payloads go (the
-// rank-local tracker or the wire), who returns a tile that came off the
-// wire (the wired marks), completion reporting to the coordinator's
-// termination bitset, the heartbeat, and the takeover handler.
+// rank-local tracker or the wire), which input blocks a peer already
+// holds (shipped), who returns a tile that came off the wire (the wired
+// marks), completion reporting to the coordinator's termination bitset,
+// the heartbeat, and the takeover handler.
 type engine struct {
 	cfg  Config
 	rank int
 	tp   *transport
 	tr   *ptg.Tracker
 	ex   *runtime.Executor
+	// gac is the rank's GA client on a CCSD job, nil on a generic graph:
+	// its input replicas are what READ activations are tagged against.
+	gac *gaClient
+	// shipped is, per destination rank, which input blocks this rank has
+	// sent there in full (sendActivate).
+	shipped []shipBook
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -100,6 +108,7 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 		tr:        tr,
 		stopCh:    make(chan struct{}),
 		marks:     make([]atomic.Uint32, tr.NumInstances()),
+		shipped:   make([]shipBook, cfg.Ranks),
 		takenOver: make(map[int]bool),
 	}
 	owned := make([]bool, cfg.Ranks)
@@ -201,7 +210,7 @@ func (e *engine) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([
 	for _, d := range dels {
 		payload := out[d.FromFlow]
 		if !e.owns(d.To.Node) {
-			if err := e.sendActivate(d.To, d.ToFlow, payload, soleDelivery(dels, out, d)); err != nil {
+			if err := e.sendActivate(in, d.To, d.ToFlow, payload, soleDelivery(dels, out, d)); err != nil {
 				return ready, err
 			}
 			continue
@@ -325,13 +334,60 @@ func (e *engine) deliver(to *ptg.Instance, flow int, payload any) (took, ready b
 	return true, ready && e.owns(to.Node), nil
 }
 
-// sendActivate ships one dataflow payload to the rank owning the
-// consumer (through the takeover routing table). With borrow set — the
-// caller knows nothing here will touch the payload again — a tile goes
-// by reference: only the frame head is built, and the channel writes
-// the floats from the tile itself.
-func (e *engine) sendActivate(to *ptg.Instance, flow int, payload any, borrow bool) error {
+// shipBook is one destination rank's record of the input blocks sent
+// there in full, by tensor and block number. Its lock is held from the
+// test-and-set of a block's entry through the enqueue of the frame it
+// decided, so the full frame of a block is on the link before any
+// tag-only frame of it.
+type shipBook struct {
+	mu   sync.Mutex
+	sent map[string][]bool
+}
+
+// firstLocked marks block i of the named tensor, which has n blocks, as
+// sent and reports whether it was not already. The caller holds mu.
+func (b *shipBook) firstLocked(name string, i, n int) bool {
+	if b.sent == nil {
+		b.sent = make(map[string][]bool, 2)
+	}
+	sent := b.sent[name]
+	if sent == nil {
+		sent = make([]bool, n)
+		b.sent[name] = sent
+	}
+	first := !sent[i]
+	sent[i] = true
+	return first
+}
+
+// readBlock names the input block a finished READ hands on as payload;
+// ok is false for any other task or payload, and on a generic graph.
+func (e *engine) readBlock(src *ptg.Instance, payload any) (name string, block int, ok bool) {
+	if _, isTile := payload.(*tensor.Tile4); !isTile || e.gac == nil || e.gac.readBlock == nil {
+		return "", 0, false
+	}
+	return e.gac.readBlock(src.Ref)
+}
+
+// sendActivate ships one dataflow payload from the finished instance src
+// to the rank owning the consumer (through the takeover routing table).
+// With borrow set — the caller knows nothing here will touch the payload
+// again — a tile goes by reference: only the frame head is built, and
+// the channel writes the floats from the tile itself. A READ's tile is
+// an input block, and goes to each rank once: the first activation of
+// the block to that rank carries it and its replica tag, later ones the
+// tag alone (activateMsg).
+func (e *engine) sendActivate(src, to *ptg.Instance, flow int, payload any, borrow bool) error {
 	m := activateMsg{Class: to.Ref.Class, Args: to.Ref.Args, Flow: flow, Payload: payload}
+	if name, i, ok := e.readBlock(src, payload); ok {
+		b := &e.shipped[to.Node]
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		m.Replica, m.Block = name, i
+		if !b.firstLocked(name, i, e.gac.Lazy(name).Source().NumBlocks()) {
+			m.Payload = nil
+		}
+	}
 	var f outFrame
 	if borrow {
 		f, borrow = m.encodeRef()
@@ -370,18 +426,31 @@ func (e *engine) heartbeat() {
 	}
 }
 
-// handleActivate applies one inbound activation. A tile payload is a
-// pooled tile (decodeActivate) this rank now owes the pool: if the
-// instance takes it, the flow is marked wire-delivered and the tile goes
-// back when the instance completes; a duplicate goes back at once.
+// handleActivate applies one inbound activation. An untagged tile
+// payload is a pooled tile (decodeActivate) this rank now owes the pool:
+// if the instance takes it, the flow is marked wire-delivered and the
+// tile goes back when the instance completes; a duplicate goes back at
+// once. A tagged activation's payload is a block of the input replica
+// (replicaBlock), which no completion returns.
 func (e *engine) handleActivate(m activateMsg) {
 	in := e.tr.Instance(ptg.TaskRef{Class: m.Class, Args: m.Args})
 	if in == nil {
+		if t, ok := m.Payload.(*tensor.Tile4); ok {
+			tensor.PutTile4(t)
+		}
 		e.fail(fmt.Errorf("netrun: activation for unknown task %s%v", m.Class, m.Args))
 		return
 	}
+	if m.Replica != "" {
+		t, err := e.replicaBlock(m)
+		if err != nil {
+			e.fail(err)
+			return
+		}
+		m.Payload = t
+	}
 	took, ready, err := e.deliver(in, m.Flow, m.Payload)
-	if t, ok := m.Payload.(*tensor.Tile4); ok {
+	if t, ok := m.Payload.(*tensor.Tile4); ok && m.Replica == "" {
 		e.tp.counters.tilesReceived.Add(1)
 		switch {
 		case !took:
@@ -396,6 +465,54 @@ func (e *engine) handleActivate(m activateMsg) {
 	} else if ready {
 		e.push(in)
 	}
+}
+
+// replicaBlock resolves a tagged activation to the block of this rank's
+// input replica it names. A tile that came with the tag is adopted as
+// the block if the block is not resident, and goes back to the pool at
+// once if it is; a tag alone finds the block resident on a healthy link
+// — the sender queued the full frame first — and otherwise fills it
+// from the deterministic input, so a tag is only ever a hint. A tag
+// naming no input tensor of this rank, a block outside the tensor's
+// table, or a tile of another shape than the block's fails the rank, and
+// nothing is adopted.
+func (e *engine) replicaBlock(m activateMsg) (*tensor.Tile4, error) {
+	t, _ := m.Payload.(*tensor.Tile4)
+	var l *ga.Lazy
+	if e.gac != nil {
+		l = e.gac.Lazy(m.Replica)
+	}
+	var err error
+	switch {
+	case l == nil:
+		err = fmt.Errorf("netrun: activation tagged with %q, not an input tensor of this rank", m.Replica)
+	case m.Block < 0 || m.Block >= l.Source().NumBlocks():
+		err = fmt.Errorf("netrun: activation tagged with block %d of %q, which has %d", m.Block, m.Replica, l.Source().NumBlocks())
+	case t != nil && (t.Dim != l.Source().Dims(m.Block) || t.Layout != l.Source().Layout(m.Block)):
+		err = fmt.Errorf("netrun: activation carries a %v %v tile as block %d of %q, which is %v %v",
+			t.Dim, t.Layout, m.Block, m.Replica, l.Source().Dims(m.Block), l.Source().Layout(m.Block))
+	}
+	if err != nil {
+		tensor.PutTile4(t)
+		return nil, err
+	}
+	c := e.tp.counters
+	got, resident := l.Adopt(m.Block, t)
+	switch {
+	case t == nil:
+		if !resident {
+			c.replicaRefills.Add(1)
+		}
+	case resident:
+		c.tilesReceived.Add(1)
+		tensor.PutTile4(t)
+		c.tilesReturned.Add(1)
+	default:
+		c.tilesReceived.Add(1)
+		c.tilesAdopted.Add(1)
+		e.gac.adopted(t)
+	}
+	return got, nil
 }
 
 // handleTakeover reacts to a rank death on every surviving rank:

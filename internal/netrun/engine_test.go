@@ -1,8 +1,12 @@
 package netrun
 
 import (
+	"net"
+	"strings"
 	"testing"
+	"time"
 
+	"parsec/internal/ccsd"
 	"parsec/internal/ptg"
 	"parsec/internal/tensor"
 )
@@ -189,5 +193,131 @@ func TestWireTileReleasedByBody(t *testing.T) {
 	if c.tilesReturned.Load() != 0 || c.tilesPassedOn.Load() != 2 {
 		t.Errorf("returned %d, passed on %d; want 0 and 2 (X forwarded, Y released by the body)",
 			c.tilesReturned.Load(), c.tilesPassedOn.Load())
+	}
+}
+
+// ccsdRank is rank 1 of a two-rank CCSD job, serving on a real socket as
+// runWorker sets it up — GA client with input replicas, engine, inbound
+// handler — but never run: frames are what the tests drive it with. Its
+// failures are reported to a stand-in coordinator.
+func ccsdRank(t *testing.T, plan *ccsd.CompiledPlan) *worker {
+	t.Helper()
+	coord, err := newTransport(coordRank, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.close)
+	coord.serve(func(int, frame) {}, nil)
+	tp, err := newTransport(1, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tp.close)
+	cfg := Config{Ranks: 2, Workers: 1}
+	w := &worker{cfg: cfg, rank: 1, tp: tp, welcomeCh: make(chan welcomeMsg, 1), shutCh: make(chan struct{})}
+	w.gac = newGAClient(tp, plan.Workload, time.Second)
+	w.gac.readBlock = plan.ReadBlock
+	tr, err := ptg.NewTracker(plan.NewGraph(w.gac))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.eng = newEngine(cfg, 1, tp, tr)
+	w.eng.gac = w.gac
+	tp.watch(w.eng.fail)
+	tp.serve(w.handle, nil)
+	tp.connect(coordRank, coord.addr())
+	return w
+}
+
+// TestTaggedActivationValidates sends a rank raw activation frames over a
+// socket, as any process that reaches its port can, whose replica tag
+// names no input tensor, a block outside the tensor's table, or a tile
+// that is not the block's shape. Each must fail the rank with an error —
+// no panic — and leave its replicas as they were: nothing adopted.
+func TestTaggedActivationValidates(t *testing.T) {
+	plan, err := JobSpec{Preset: "water", Variant: "v5"}.plan(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A GEMM on rank 1 whose A block is read on rank 0, the activation a
+	// healthy rank 0 would send.
+	var gemm ptg.TaskRef
+	var block int
+	tr, err := ptg.NewTracker(plan.NewGraph(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range tr.Instances() {
+		if in.Ref.Class != "READA" || in.Node != 0 {
+			continue
+		}
+		if g := tr.Instance(ptg.TaskRef{Class: "GEMM", Args: in.Ref.Args}); g.Node == 1 {
+			gemm = g.Ref
+			_, block, _ = plan.ReadBlock(in.Ref)
+			break
+		}
+	}
+	if gemm.Class == "" {
+		t.Fatal("no READA on rank 0 feeds a GEMM on rank 1")
+	}
+	ta, _ := plan.Workload.Inputs()
+	dim, layout := ta.Blocks[block].Dims, ta.Layout(block)
+	otherLayout := tensor.Layout{Kind: tensor.PanelB, Strip: 8}
+	if layout.Kind != tensor.RowMajor {
+		otherLayout = tensor.Layout{}
+	}
+	wrongDims := dim
+	wrongDims[3]++
+	flowA := plan.NewGraph(nil).ClassByName("GEMM").MustFlowIndex("A")
+
+	cases := []struct {
+		name string
+		m    activateMsg
+		want string
+	}{
+		{"unknown tensor", activateMsg{Replica: "T", Block: block, Payload: tensor.NewTile4Layout(dim, layout)},
+			`tagged with "T", not an input tensor`},
+		{"unknown tensor, tag only", activateMsg{Replica: "C", Block: block}, `tagged with "C", not an input tensor`},
+		{"block past the end", activateMsg{Replica: ta.Name, Block: ta.NumBlocks()}, "which has"},
+		{"negative block", activateMsg{Replica: ta.Name, Block: -1, Payload: tensor.NewTile4Layout(dim, layout)}, "which has"},
+		{"wrong extents", activateMsg{Replica: ta.Name, Block: block, Payload: tensor.NewTile4Layout(wrongDims, layout)}, "carries a"},
+		{"wrong layout", activateMsg{Replica: ta.Name, Block: block, Payload: tensor.NewTile4Layout(dim, otherLayout)}, "carries a"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := ccsdRank(t, plan)
+			conn, err := net.Dial("tcp", w.tp.addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			m := tc.m
+			m.Class, m.Args, m.Flow = gemm.Class, gemm.Args, flowA
+			act, err := m.encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := append(sealFrame(helloMsg{From: 0}.encode(), 0), sealFrame(act, 1)...)
+			if _, err := conn.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-w.eng.stopCh:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the rank took the frame")
+			}
+			if err := w.eng.err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("rank failed with %v, want an error saying %q", err, tc.want)
+			}
+			w.gac.adoptMu.Lock()
+			n := len(w.gac.adoptedTiles)
+			w.gac.adoptMu.Unlock()
+			if n != 0 || w.tp.counters.tilesAdopted.Load() != 0 {
+				t.Errorf("%d tiles adopted from a frame the rank refused", n)
+			}
+			if _, resident := w.gac.Lazy(ta.Name).Adopt(block, tensor.NewTile4Layout(dim, layout)); resident {
+				t.Error("the refused frame made its block resident")
+			}
+		})
 	}
 }

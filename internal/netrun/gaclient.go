@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"parsec/internal/ga"
+	"parsec/internal/ptg"
 	"parsec/internal/tce"
 	"parsec/internal/tensor"
 )
@@ -14,14 +15,18 @@ import (
 // gaClient is a rank's Global Arrays surface (ga.API) in the
 // distributed runtime. A ga_access of an immutable input tensor never
 // asks the GA server for it: the inputs are a pure function of the
-// workload seed, so each rank fills a local replica block on first
-// access (deterministic input replication — the bytes are identical on
-// every rank). That is the READ task's side only. What a READ produces
-// still crosses ranks whenever its GEMM lives elsewhere — 62 MB per job
-// of the benchmark's benzene-shaped problem on two ranks — as an
-// activation that borrows the replica block itself (engine.sendActivate),
-// which is one more reason replica blocks never retire. Accumulations
-// and fetches of anything else go to the GA server process.
+// workload seed, so each rank holds a replica of each input tensor
+// (deterministic input replication — the bytes are identical on every
+// rank). A block of it becomes resident in one of two ways. A READ on
+// this rank fills it on first access. Or a READ on the block's owner
+// sends it here once: the owner ships each input block to each peer at
+// most once (engine.sendActivate), tagging the activation with the
+// block, and this rank adopts that tile as the block; every later
+// activation of the block to this rank carries the tag alone and is
+// resolved from the replica (engine.replicaBlock). The owner's data thus
+// still crosses the wire, as the paper's READ ships it to the GEMM, but
+// never twice to one rank. Accumulations and fetches of anything else go
+// to the GA server process.
 type gaClient struct {
 	tp      *transport
 	timeout time.Duration
@@ -29,9 +34,18 @@ type gaClient struct {
 	// replicas holds the rank's copy of each input tensor: the same
 	// fill-on-access array a shared-memory execution uses, in its
 	// never-retire form — a GEMM an heir re-executes may read a block
-	// again, and READ outputs cross ranks, so a rank cannot count a
+	// again, and blocks arrive by adoption, so a rank cannot count a
 	// block's readers.
 	replicas map[string]*ga.Lazy
+	// readBlock names the input block a READ instance reads
+	// (ccsd.CompiledPlan.ReadBlock); nil leaves activations untagged.
+	readBlock func(ptg.TaskRef) (name string, block int, ok bool)
+
+	// adoptMu guards adoptedTiles: the pooled tiles adopted into the
+	// replicas, which go back to the tile pool when the rank exits
+	// (release).
+	adoptMu      sync.Mutex
+	adoptedTiles []*tensor.Tile4
 
 	reqID   atomic.Uint64
 	pendMu  sync.Mutex
@@ -50,6 +64,25 @@ func newGAClient(tp *transport, w *tce.Workload, timeout time.Duration) *gaClien
 		pendGet:  make(map[uint64]chan *tensor.Tile4),
 		pendNxt:  make(map[uint64]chan int64),
 	}
+}
+
+// adopted records a pooled tile a replica adopted.
+func (c *gaClient) adopted(t *tensor.Tile4) {
+	c.adoptMu.Lock()
+	c.adoptedTiles = append(c.adoptedTiles, t)
+	c.adoptMu.Unlock()
+}
+
+// release returns the adopted tiles to the tile pool. Nothing may use
+// the replicas afterwards: call it once the rank's executor and
+// transport have stopped.
+func (c *gaClient) release() {
+	c.adoptMu.Lock()
+	for _, t := range c.adoptedTiles {
+		tensor.PutTile4(t)
+	}
+	c.adoptedTiles = nil
+	c.adoptMu.Unlock()
 }
 
 // Lazy returns the replica of the named input tensor (nil for any other

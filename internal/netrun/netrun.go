@@ -11,8 +11,9 @@
 // and shared by the ranks in it — but counts dependencies and schedules
 // only the instances whose affinity maps to it, so no rank holds a
 // global tracker. Completing a task sends each remote successor an
-// activation message carrying the payload; local successors are
-// delivered in-memory. The package has no
+// activation message carrying the payload — or, for an input block the
+// successor's rank already received, naming it — and local successors
+// are delivered in-memory. The package has no
 // worker loop of its own: each rank runs its ready instances on a
 // runtime.Executor — the same sharded queues, park/unpark, stealing,
 // worker lending and per-worker Ctx reuse the shared-memory runtime.Run
@@ -28,8 +29,9 @@
 // on that rank's heir.
 //
 // A coordinator process serves the Global Arrays surface (ordered
-// accumulation with the same fold semantics as internal/ga, block
-// fetches, NXTVAL) and owns the termination bitset and failure
+// accumulation with the same fold semantics as internal/ga, folding
+// each output block into the energy as it completes; block fetches;
+// NXTVAL) and owns the termination bitset and failure
 // recovery: ranks that miss heartbeats are declared dead,
 // an heir re-executes the dead rank's subgraph, and the live ranks
 // replay their retained activation logs to the heir. Every wire message
@@ -175,13 +177,19 @@ type CommSnapshot struct {
 	GetBytes        int64 `json:"get_bytes"`
 	// Tile ownership: activations whose tile went out by reference, and
 	// the pooled tiles that came in — each of which was returned when its
-	// consumer completed, returned on arrival as a duplicate, or passed on
-	// by its consumer (or is still held by a task that never ran here).
+	// consumer completed, returned on arrival (as a duplicate, or as an
+	// input block already resident), passed on by its consumer, or
+	// adopted into the rank's input replica (or is still held by a task
+	// that never ran here). ReplicaRefills counts tag-only activations
+	// that found their input block absent and filled it locally: 0 on a
+	// link that loses nothing.
 	TilesBorrowed  int64 `json:"tiles_borrowed"`
 	TilesReceived  int64 `json:"tiles_received"`
 	TilesReturned  int64 `json:"tiles_returned"`
 	TilesDuplicate int64 `json:"tiles_duplicate"`
 	TilesPassedOn  int64 `json:"tiles_passed_on"`
+	TilesAdopted   int64 `json:"tiles_adopted"`
+	ReplicaRefills int64 `json:"replica_refills"`
 }
 
 // snapshot captures the counters.
@@ -209,6 +217,8 @@ func (c *commCounters) snapshot() CommSnapshot {
 		TilesReturned:   c.tilesReturned.Load(),
 		TilesDuplicate:  c.tilesDuplicate.Load(),
 		TilesPassedOn:   c.tilesPassedOn.Load(),
+		TilesAdopted:    c.tilesAdopted.Load(),
+		ReplicaRefills:  c.replicaRefills.Load(),
 	}
 }
 
@@ -227,9 +237,9 @@ type RankReport struct {
 
 // Result summarizes a completed distributed run.
 type Result struct {
-	// Energy is the correlation energy computed from the GA server's
-	// folded output array; HasEnergy is false for jobs without an
-	// energy functional (the conformance DAGs).
+	// Energy is the correlation energy the GA server folded from the
+	// output blocks as they completed; HasEnergy is false for jobs
+	// without an energy functional (the conformance DAGs).
 	Energy    float64
 	HasEnergy bool
 	// Tasks is the number of distinct task instances completed (each

@@ -73,10 +73,12 @@ func checkEnergy(t *testing.T, res *Result, want float64) {
 // checkTileBooks audits a run's tile ownership counters: tiles went out
 // by reference, and of the pooled tiles the ranks decoded none is
 // accounted for twice. With settled set — two ranks, nobody dead — the
-// books must balance exactly: every tile was returned
-// at its consumer's completion or passed on by it, and a healthy or
-// merely lossy link (whose retransmissions the channel dedups) hands the
-// engine no duplicate.
+// books must balance exactly: every tile was returned at its consumer's
+// completion or on arrival, passed on by its consumer, or adopted into
+// an input replica, and a healthy or merely lossy link (whose
+// retransmissions the channel dedups) hands the engine no duplicate. A
+// link that lost nothing also delivered every input block in full before
+// any tag-only activation of it, so no rank refilled a replica block.
 func checkTileBooks(t *testing.T, res *Result, settled bool) {
 	t.Helper()
 	var c CommSnapshot
@@ -86,15 +88,21 @@ func checkTileBooks(t *testing.T, res *Result, settled bool) {
 		c.TilesReturned += rep.Comm.TilesReturned
 		c.TilesDuplicate += rep.Comm.TilesDuplicate
 		c.TilesPassedOn += rep.Comm.TilesPassedOn
+		c.TilesAdopted += rep.Comm.TilesAdopted
+		c.ReplicaRefills += rep.Comm.ReplicaRefills
+		c.Severs += rep.Comm.Severs
 	}
 	if hostLittleEndian && c.TilesBorrowed == 0 {
 		t.Error("no tile went out by reference")
 	}
-	accounted := c.TilesReturned + c.TilesDuplicate + c.TilesPassedOn
-	if c.TilesReturned == 0 || accounted > c.TilesReceived ||
+	accounted := c.TilesReturned + c.TilesDuplicate + c.TilesPassedOn + c.TilesAdopted
+	if c.TilesReturned == 0 || c.TilesAdopted == 0 || accounted > c.TilesReceived ||
 		settled && (accounted != c.TilesReceived || c.TilesDuplicate != 0) {
-		t.Errorf("tiles: %d borrowed; %d received = %d returned + %d duplicate + %d passed on + %d unaccounted",
-			c.TilesBorrowed, c.TilesReceived, c.TilesReturned, c.TilesDuplicate, c.TilesPassedOn, c.TilesReceived-accounted)
+		t.Errorf("tiles: %d borrowed; %d received = %d returned + %d duplicate + %d passed on + %d adopted + %d unaccounted",
+			c.TilesBorrowed, c.TilesReceived, c.TilesReturned, c.TilesDuplicate, c.TilesPassedOn, c.TilesAdopted, c.TilesReceived-accounted)
+	}
+	if lossless := res.Recovery.Drops == 0 && c.Severs == 0; settled && lossless && c.ReplicaRefills != 0 {
+		t.Errorf("%d tag-only activations found their input block absent on a link that lost nothing", c.ReplicaRefills)
 	}
 }
 

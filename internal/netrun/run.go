@@ -12,7 +12,6 @@ import (
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
-	"parsec/internal/tce"
 )
 
 // RunGraph executes a generic PTG across cfg.Ranks in-process ranks
@@ -84,7 +83,7 @@ func RunPlan(cfg Config, plan *ccsd.CompiledPlan) (*Result, error) {
 		return nil, err
 	}
 	return runInProcess(cfg, co, func(rank int) error {
-		return runWorker(cfg, rank, co.addr(), plan.Workload, planBuild(plan))
+		return runWorker(cfg, rank, co.addr(), plan, planBuild(plan))
 	})
 }
 
@@ -163,8 +162,8 @@ func planBuild(plan *ccsd.CompiledPlan) BuildFn {
 }
 
 // planCoordSpec builds the coordinator's side of a CCSD job: the task
-// count, the served array, and the energy functional, all read off the
-// plan.
+// count and the counted output whose fold is the energy, both read off
+// the plan.
 func planCoordSpec(cfg Config, plan *ccsd.CompiledPlan) (coordSpec, error) {
 	if plan.Nodes != cfg.Ranks {
 		return coordSpec{}, fmt.Errorf("netrun: plan compiled for %d nodes run on %d ranks", plan.Nodes, cfg.Ranks)
@@ -173,11 +172,9 @@ func planCoordSpec(cfg Config, plan *ccsd.CompiledPlan) (coordSpec, error) {
 	if err != nil {
 		return coordSpec{}, err
 	}
-	w := plan.Workload
 	return coordSpec{
 		numInstances: total,
-		arrays:       []string{tce.TensorC},
-		energy:       func(st *ga.Store) float64 { return w.Energy(st.Array(tce.TensorC)) },
+		output:       plan.CreateOutput,
 		graph:        func() *ptg.Graph { return plan.NewGraph(nil) },
 	}, nil
 }
@@ -316,7 +313,7 @@ func MaybeWorkerMain() {
 		fmt.Fprintf(os.Stderr, "netrun worker %d: %v\n", rank, err)
 		os.Exit(1)
 	}
-	if err := runWorker(cfg, rank, os.Getenv(workerCoordEnv), plan.Workload, planBuild(plan)); err != nil {
+	if err := runWorker(cfg, rank, os.Getenv(workerCoordEnv), plan, planBuild(plan)); err != nil {
 		fmt.Fprintf(os.Stderr, "netrun worker %d: %v\n", rank, err)
 		os.Exit(1)
 	}

@@ -16,7 +16,7 @@ import (
 	"parsec/internal/trace"
 )
 
-// Wire protocol (version 4): every frame is
+// Wire protocol (version 5): every frame is
 //
 //	magic(2) version(1) type(1) id(8, LE) bodyLen(4, LE) body
 //
@@ -44,8 +44,9 @@ const (
 	// wireVersion 3 added a tile payload's layout (DESIGN.md §12): a
 	// born-packed input block crosses ranks in its panel form. Version 4
 	// dropped the inter-rank steal messages and the status heartbeat's
-	// body.
-	wireVersion = 4
+	// body. Version 5 added an activation's replica tag (activateMsg): an
+	// input block crosses to a rank once, and later activations name it.
+	wireVersion = 5
 
 	frameHeaderLen = 2 + 1 + 1 + 8 + 4
 	// maxBody caps a frame body: the largest legitimate payload is one
@@ -272,6 +273,16 @@ func (c *cursor) u64() uint64 {
 	}
 	v := binary.LittleEndian.Uint64(c.buf)
 	c.buf = c.buf[8:]
+	return v
+}
+
+func (c *cursor) u8() byte {
+	if c.err != nil || len(c.buf) < 1 {
+		c.fail()
+		return 0
+	}
+	v := c.buf[0]
+	c.buf = c.buf[1:]
 	return v
 }
 
@@ -620,21 +631,69 @@ func decodeWelcome(b []byte) (welcomeMsg, error) {
 // activateMsg is the one-sided active message of the dataflow: "your
 // task toRef's input flow is satisfied with this payload". The receiver
 // counts it against its rank-local dependency tracker.
+//
+// A READ's activation is tagged with the input block it carries: tensor
+// Replica, block number Block in that tensor's table (tce.InputTable).
+// The first activation of a block to a rank carries the tile and the
+// tag, and the receiver adopts the tile into its input replica; every
+// later one carries the tag alone (Payload nil), and the receiver takes
+// the block from its replica. An untagged activation has Replica "".
 type activateMsg struct {
 	Class   string
 	Args    ptg.Args
 	Flow    int
+	Replica string
+	Block   int
 	Payload any
 }
 
+// Replica tag kinds, the byte after an activation's flow.
+const (
+	tagNone byte = iota // no tag; a payload follows
+	tagTile             // tag, then the block's tile
+	tagOnly             // tag alone: the receiver holds the block
+)
+
+// tagAlone reports whether the activation names its block without
+// carrying it.
+func (m activateMsg) tagAlone() bool { return m.Replica != "" && m.Payload == nil }
+
+// headSize is the encoded size of everything ahead of the payload.
+func (m activateMsg) headSize() int {
+	n := strSize(m.Class) + argsSize + 8 + 1
+	if m.Replica != "" {
+		n += strSize(m.Replica) + 8
+	}
+	return n
+}
+
+// appendHead encodes everything ahead of the payload.
+func (m activateMsg) appendHead(dst []byte) []byte {
+	dst = appendString(dst, m.Class)
+	dst = appendI64(appendArgs(dst, m.Args), int64(m.Flow))
+	switch {
+	case m.Replica == "":
+		return append(dst, tagNone)
+	case m.tagAlone():
+		dst = append(dst, tagOnly)
+	default:
+		dst = append(dst, tagTile)
+	}
+	return appendI64(appendString(dst, m.Replica), int64(m.Block))
+}
+
 func (m activateMsg) encode() ([]byte, error) {
+	if m.tagAlone() {
+		return m.appendHead(newFrame(msgActivate, m.headSize())), nil
+	}
+	if _, isTile := m.Payload.(*tensor.Tile4); m.Replica != "" && !isTile {
+		return nil, errors.New("netrun: a replica tag carries a tile or nothing")
+	}
 	psize, err := payloadSize(m.Payload)
 	if err != nil {
 		return nil, err
 	}
-	dst := appendString(newFrame(msgActivate, strSize(m.Class)+argsSize+8+psize), m.Class)
-	dst = appendI64(appendArgs(dst, m.Args), int64(m.Flow))
-	return appendPayload(dst, m.Payload), nil
+	return appendPayload(m.appendHead(newFrame(msgActivate, m.headSize()+psize)), m.Payload), nil
 }
 
 // encodeRef is encode for a tile payload, minus the copy: the head
@@ -647,18 +706,36 @@ func (m activateMsg) encodeRef() (f outFrame, ok bool) {
 	if !isTile || t == nil || len(t.Data) == 0 || !hostLittleEndian {
 		return outFrame{}, false
 	}
-	dst := appendString(newFrame(msgActivate, strSize(m.Class)+argsSize+8+tileHeadSize), m.Class)
-	dst = appendI64(appendArgs(dst, m.Args), int64(m.Flow))
+	dst := m.appendHead(newFrame(msgActivate, m.headSize()+tileHeadSize))
 	return outFrame{head: appendTileHead(dst, t), tail: floatBytes(t.Data)}, true
 }
 
 // decodeActivate decodes an activation; a tile payload comes out of the
-// tile pool, the caller's to return (engine.handleActivate).
+// tile pool, the caller's to return (engine.handleActivate). It checks
+// the tag's shape only: whether the named block exists, and whether a
+// tile fits it, is the receiving rank's to judge.
 func decodeActivate(b []byte) (activateMsg, error) {
 	c := &cursor{buf: b}
 	m := activateMsg{Class: c.name(), Args: c.args(), Flow: c.int()}
-	m.Payload = decodePayload(c, true)
-	if err := c.done(); err != nil {
+	var err error
+	switch tag := c.u8(); tag {
+	case tagNone:
+		m.Payload = decodePayload(c, true)
+	case tagTile, tagOnly:
+		m.Replica, m.Block = c.name(), c.int()
+		if tag == tagTile {
+			m.Payload = decodePayload(c, true)
+		}
+		if _, isTile := m.Payload.(*tensor.Tile4); c.err == nil && (m.Replica == "" || tag == tagTile && !isTile) {
+			err = errors.New("netrun: a replica tag names no tensor, or carries something other than a tile")
+		}
+	default:
+		err = fmt.Errorf("netrun: activation tag kind %d", tag)
+	}
+	if err == nil {
+		err = c.done()
+	}
+	if err != nil {
 		if t, ok := m.Payload.(*tensor.Tile4); ok {
 			tensor.PutTile4(t)
 		}

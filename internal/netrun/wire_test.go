@@ -155,6 +155,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		{"v1 peer", corrupt(func(b []byte) { b[2] = 1 }), errBadVersion},
 		{"v2 peer", corrupt(func(b []byte) { b[2] = 2 }), errBadVersion},
 		{"v3 peer", corrupt(func(b []byte) { b[2] = 3 }), errBadVersion},
+		{"v4 peer", corrupt(func(b []byte) { b[2] = 4 }), errBadVersion},
 		{"type zero", corrupt(func(b []byte) { b[3] = 0 }), errBadType},
 		{"type past max", corrupt(func(b []byte) { b[3] = msgMax }), errBadType},
 		{"type zero suppressed", corrupt(func(b []byte) { b[3] = ackSuppressBit }), errBadType},
@@ -174,7 +175,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	// A v3 peer, which still speaks the inter-rank steal messages, is told
 	// which version it speaks and which this build does.
 	_, _, err := decodeFrame(corrupt(func(b []byte) { b[2] = 3 }))
-	if want := "netrun: unsupported protocol version 3 (this build speaks 4)"; err == nil || err.Error() != want {
+	if want := "netrun: unsupported protocol version 3 (this build speaks 5)"; err == nil || err.Error() != want {
 		t.Errorf("v3 frame: got %v, want %q", err, want)
 	}
 
@@ -317,6 +318,21 @@ func TestMessageRoundTrips(t *testing.T) {
 				t.Fatalf("activate(%T): encode: %v", payload, err)
 			}
 			roundTrip(t, "activate", m, msgActivate, enc, decodeActivate)
+		}
+		// A READ's activation, tagged with its input block: the first one
+		// to a rank with the tile, every later one with the tag alone.
+		for _, payload := range []any{tile(1.5), panelTile(tensor.PanelB, 8, 5), nil} {
+			m := activateMsg{Class: "GEMM", Args: ptg.A2(3, 0), Flow: 1, Replica: "v", Block: 41, Payload: payload}
+			enc, err := m.encode()
+			if err != nil {
+				t.Fatalf("tagged activate(%T): encode: %v", payload, err)
+			}
+			roundTrip(t, "tagged activate", m, msgActivate, enc, decodeActivate)
+		}
+		for _, payload := range []any{7, ptg.NewBuffer{Bytes: 8}, (*tensor.Tile4)(nil)} {
+			if _, err := (activateMsg{Class: "GEMM", Replica: "v", Payload: payload}).encode(); err == nil {
+				t.Errorf("a replica tag encoded with a %T payload", payload)
+			}
 		}
 	})
 	t.Run("done", func(t *testing.T) {
@@ -477,6 +493,16 @@ func FuzzDecodeFrame(f *testing.F) {
 		act, _ := activateMsg{Class: "GEMM", Args: ptg.A2(3, 4), Flow: 1, Payload: p}.encode()
 		f.Add(sealFrame(act, 10))
 	}
+	// A READ's activations: the first to a rank, tile and replica tag;
+	// every later one, the tag alone. The same full frame from a v4 peer,
+	// which knows no tag, must be refused by its version byte.
+	full, _ := activateMsg{Class: "GEMM", Args: ptg.A2(0, 3), Flow: 0, Replica: "v", Block: 17, Payload: tile(2)}.encode()
+	f.Add(sealFrame(full, 11))
+	bare, _ := activateMsg{Class: "GEMM", Args: ptg.A2(1, 3), Flow: 0, Replica: "v", Block: 17}.encode()
+	f.Add(sealFrame(bare, 12))
+	v4 := append([]byte(nil), sealFrame(full, 13)...)
+	v4[2] = 4
+	f.Add(v4)
 	f.Add(sealFrame(doneMsg{Seqs: []int{1, 2, 1 << 40}}.encode(), 4))
 	// A v3 peer's steal request. Type 13 has been msgTakeover since v4:
 	// only the version byte keeps it from the takeover decoder.

@@ -6,9 +6,9 @@ import (
 	"sync"
 	"time"
 
+	"parsec/internal/ccsd"
 	"parsec/internal/ga"
 	"parsec/internal/ptg"
-	"parsec/internal/tce"
 )
 
 // BuildFn constructs one rank's view of the graph. Every rank builds
@@ -36,9 +36,10 @@ type worker struct {
 // coordinator's shutdown or the rank's own failure, and ship the final
 // self-report. A rank whose coordinator is gone fails (see
 // relChan.dialLoop), so it exits within a heartbeat or two rather than
-// at the deadline. workload is non-nil for CCSD jobs (it backs the GA
-// client's deterministic input replicas).
-func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, build BuildFn) error {
+// at the deadline. plan is non-nil for CCSD jobs: its workload backs the
+// GA client's deterministic input replicas, and its READ table tags the
+// activations that ship them.
+func runWorker(cfg Config, rank int, coordAddr string, plan *ccsd.CompiledPlan, build BuildFn) error {
 	network, listen := cfg.listenSpec(rank)
 	tp, err := newTransport(rank, network, listen, cfg.Retry, newInjector(cfg.Fault), cfg.Sever)
 	if err != nil {
@@ -53,8 +54,9 @@ func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, b
 		shutCh:    make(chan struct{}),
 	}
 	var store ga.API
-	if workload != nil {
-		w.gac = newGAClient(tp, workload, 5*time.Second)
+	if plan != nil {
+		w.gac = newGAClient(tp, plan.Workload, 5*time.Second)
+		w.gac.readBlock = plan.ReadBlock
 		store = w.gac
 	}
 	g, err := build(rank, store)
@@ -68,6 +70,7 @@ func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, b
 		return err
 	}
 	w.eng = newEngine(cfg, rank, tp, tr)
+	w.eng.gac = w.gac
 	tp.watch(w.eng.fail)
 	tp.serve(w.handle, nil)
 	tp.connect(coordRank, coordAddr)
@@ -111,6 +114,9 @@ func runWorker(cfg Config, rank int, coordAddr string, workload *tce.Workload, b
 	// cancel they may have gone with our last frames unacknowledged.
 	tp.waitDrained(tp.chanTo(coordRank), nil, 2*time.Second)
 	tp.close()
+	if w.gac != nil {
+		w.gac.release()
+	}
 	return w.eng.err()
 }
 

@@ -174,6 +174,45 @@ func TestEnergyFoldMatchesEnergy(t *testing.T) {
 	}
 }
 
+// TestEnergyFoldRechecksAfterRelease pins the one step that makes
+// concurrent Puts safe: a Put that finds another Put folding leaves its
+// block to that one, so the folder must look again after it lets go of
+// its try-lock. The test puts block 1 in exactly that window — while the
+// Put of block 0 holds the lock, after its folding loop has stopped — so
+// a fold without the second look leaves block 1 behind every time. The
+// distributed runtime's GA server puts blocks from one goroutine per
+// rank connection, so this window is open on every netrun job.
+func TestEnergyFoldRechecksAfterRelease(t *testing.T) {
+	w := Inspect(T2_7(molecule.Water631G()), nil)
+	a, b := w.Materialize()
+	c := w.RunReference(a, b)
+	out := w.UniqueBlocks(TensorC)
+	put := func(f *EnergyFold, rank int) { f.Put(out[w.outByKey[rank]].Key, c.MustTile(out[w.outByKey[rank]].Key)) }
+
+	f := w.NewEnergyFold()
+	f.beforeRelease = func() {
+		f.beforeRelease = nil
+		put(f, 1)
+		if n := f.next.Load(); n != 1 {
+			t.Fatalf("the Put of block 1 folded while block 0's Put held the lock: next = %d", n)
+		}
+	}
+	put(f, 0)
+	if n := f.next.Load(); n != 2 {
+		t.Fatalf("after the Put of block 0 let go of the lock, %d blocks are folded; want 2 (block 1 was left behind)", n)
+	}
+	for r := 2; r < len(w.outByKey); r++ {
+		put(f, r)
+	}
+	got, err := f.Energy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := w.Energy(c); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("fold = %x, Energy = %x", got, want)
+	}
+}
+
 // TestEnergyDimsMismatchPanics keeps Dot's guard: an output block whose
 // extents differ from the workload's is a bug upstream, not a number.
 func TestEnergyDimsMismatchPanics(t *testing.T) {

@@ -134,6 +134,10 @@ type EnergyFold struct {
 	// folding Put before it looks at that block, so a Put that read an
 	// older value and left its block behind is always seen later.
 	next atomic.Int32
+	// beforeRelease, set only by tests, runs while the folding Put still
+	// holds busy, just before it lets go: the window in which another Put
+	// finds busy held and leaves its block behind.
+	beforeRelease func()
 }
 
 // NewEnergyFold returns an empty fold over the workload's output blocks.
@@ -170,6 +174,9 @@ func (f *EnergyFold) Put(key tensor.BlockKey, t *tensor.Tile4) {
 			f.tiles[n].Store(nil)
 			n++
 			f.next.Store(int32(n))
+		}
+		if f.beforeRelease != nil {
+			f.beforeRelease()
 		}
 		f.busy.Store(false)
 	}
