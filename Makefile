@@ -87,11 +87,19 @@ tune:
 # (internal/ccsd), and the streamed energy folds in the pinned order
 # (internal/tce). The DTD engine embeds the same executor with its own
 # completion logic (internal/dtd); like the other embedder seams its
-# tests run five times under the race detector.
+# tests run five times under the race detector. Execute runs on
+# execution contexts kept from job to job: a reset tracker, runner and
+# store must hold what new ones hold (internal/ptg, internal/runtime,
+# internal/ga), and contexts shared by concurrent, canceled and failing
+# runs of several plans must carry nothing from one run to the next —
+# that stress test runs five times.
 sched-conformance:
 	$(GO) test -race -run 'TestPopOrderEquivalence|TestSimexecDecisionsMatchShadowModel|TestStealVictimGolden|TestInterNodeStealInvariants' ./internal/sched
-	$(GO) test -race -run 'TestLazy|TestEagerReleaseIsNoOp|TestNewLazyNeverRetires' ./internal/ga
-	$(GO) test -race -run 'TestInputsFlowThroughGraph|TestCancelledRunLeaksNothing' ./internal/ccsd
+	$(GO) test -race -run 'TestTrackerResetIsFresh' ./internal/ptg
+	$(GO) test -race -run 'TestRunnerRunsLikeANewRun' ./internal/runtime
+	$(GO) test -race -run 'TestLazy|TestEagerReleaseIsNoOp|TestNewLazyNeverRetires|TestStoreResetKeepsOneRun' ./internal/ga
+	$(GO) test -race -run 'TestInputsFlowThroughGraph|TestCancelledRunLeaksNothing|TestWarmExecuteAllocatesAThird' ./internal/ccsd
+	$(GO) test -race -count=5 -run 'TestContextsCarryNothingBetweenRuns' ./internal/ccsd
 	$(GO) test -race -run 'TestEnergyStreamsBitwise|TestEnergyDimsMismatchPanics|TestInputTablesMatchWorkload' ./internal/tce
 	$(GO) test -race -count=5 ./internal/dtd
 

@@ -1,7 +1,6 @@
 package ccsd
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -162,18 +161,30 @@ func writeCounts(ps []*chainPlan, shape xform.Shape) map[tensor.BlockKey]int {
 // call this concurrently.
 func (p *CompiledPlan) NewGraph(store ga.API) *ptg.Graph {
 	g := p.unbound(store)
-	if sk, _ := p.skeleton(g); sk != nil {
-		g.Bind(sk)
-	}
+	p.bindSkeleton(g)
 	return g
 }
 
 // unbound builds the plan's graph over store without a skeleton; its
 // tracker inspects the graph itself.
-func (p *CompiledPlan) unbound(store ga.API) *ptg.Graph {
-	b := p.builder(fmt.Sprintf("icsd_t2_7-%s", p.Spec.Name), store)
+func (p *CompiledPlan) unbound(store ga.API) *ptg.Graph { return p.build(store).g }
+
+// build builds the plan's graph over store and returns its builder.
+func (p *CompiledPlan) build(store ga.API) *builder {
+	b := p.builder(p.graphName(), store)
 	b.buildKernel()
-	return b.g
+	return b
+}
+
+// graphName names the plan's task graph.
+func (p *CompiledPlan) graphName() string { return "icsd_t2_7-" + p.Spec.Name }
+
+// bindSkeleton binds the plan's skeleton to g, a graph of the plan — or
+// unbinds g when the skeleton cannot be resolved, so that g's tracker
+// reports why.
+func (p *CompiledPlan) bindSkeleton(g *ptg.Graph) {
+	sk, _ := p.skeleton(g)
+	g.Bind(sk)
 }
 
 // skeleton resolves the plan's graph structure, once. Structure does not
@@ -262,15 +273,16 @@ type ExecConfig struct {
 	Cancel <-chan struct{}
 }
 
-// Execute runs the compiled plan once on the goroutine runtime: it
-// creates a fresh store whose inputs fill as the READ tasks reach them,
-// binds the graph, and executes it under the variant's ready-queue
-// policy. The output never lands in the store: each block is final when
-// its last WRITE lands, and is folded into the correlation energy in
-// block-key order while the run goes on (tce.EnergyFold), then dropped.
-// A run that ends with a block short of its contributions is an error.
-// Concurrent Executes of the same plan are safe — the plan is read-only
-// after Compile.
+// Execute runs the compiled plan once on the goroutine runtime: on an
+// execution context taken from the process's free list (context.go),
+// whose store's inputs fill as the READ tasks reach them, it executes the
+// plan's graph under the variant's ready-queue policy. The output never
+// lands in the store: each block is final when its last WRITE lands, and
+// is folded into the correlation energy in block-key order while the run
+// goes on (tce.EnergyFold), then dropped. A run that ends with a block
+// short of its contributions is an error. Concurrent Executes of the
+// same plan are safe — the plan is read-only after Compile, and each run
+// has a context to itself.
 func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
 	return p.execute(cfg, cfg.Trace != nil)
 }
@@ -279,7 +291,7 @@ func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
 // the result the run's obsv.Profile under the given name, computed
 // straight from the spans (obsv.FromSpans): the per-job profile of the
 // service, which never builds a trace. The spans themselves are the
-// result's Report.Spans.
+// result's Report.Spans, a copy the caller owns.
 func (p *CompiledPlan) ExecuteProfiled(name string, cfg ExecConfig) (RealResult, *obsv.Profile, error) {
 	res, err := p.execute(cfg, true)
 	if err != nil {
@@ -290,17 +302,9 @@ func (p *CompiledPlan) ExecuteProfiled(name string, cfg ExecConfig) (RealResult,
 }
 
 func (p *CompiledPlan) execute(cfg ExecConfig, record bool) (RealResult, error) {
-	store := lazyInputs(p.Workload)
-	fold := p.CreateOutput(store)
-	rep, err := p.runOn(store, cfg, record)
-	if err != nil {
-		return RealResult{}, err
-	}
-	energy, err := fold.Energy()
-	if err != nil {
-		return RealResult{}, err
-	}
-	return RealResult{Energy: energy, Report: rep}, nil
+	c := takeContext(p)
+	defer giveContext(c)
+	return c.execute(p, cfg, record)
 }
 
 // CreateOutput creates the plan's output tensor on store as a counted
@@ -337,10 +341,10 @@ func (p *CompiledPlan) ReadBlock(ref ptg.TaskRef) (name string, block int, ok bo
 	return tbl.Name, tbl.BlockOf(l1, l2), true
 }
 
-// runOn binds the plan to store and runs the graph to completion,
-// recording spans if asked; a cfg.Trace gets whatever was recorded, also
-// of a run that failed or was canceled.
-func (p *CompiledPlan) runOn(store ga.API, cfg ExecConfig, record bool) (runtime.Report, error) {
+// run runs g, a graph of the plan, to completion on r, recording spans if
+// asked; a cfg.Trace gets whatever was recorded, also of a run that
+// failed or was canceled.
+func (p *CompiledPlan) run(r *runtime.Runner, g *ptg.Graph, cfg ExecConfig, record bool) (runtime.Report, error) {
 	rcfg := runtime.Config{
 		Workers:   cfg.Workers,
 		Queues:    cfg.Queue,
@@ -348,11 +352,10 @@ func (p *CompiledPlan) runOn(store ga.API, cfg ExecConfig, record bool) (runtime
 		Cancel:    cfg.Cancel,
 		TaskDelay: cfg.TaskDelay,
 	}
-	g := p.NewGraph(store)
 	if !record {
-		return runtime.Run(g, rcfg)
+		return r.Run(g, rcfg)
 	}
-	rep, err := runtime.RunRecorded(g, rcfg)
+	rep, err := r.RunRecorded(g, rcfg)
 	if cfg.Trace != nil {
 		sk, _ := p.skeleton(g)
 		cfg.Trace.AddSpans(0, rep.Spans, sk)

@@ -12,11 +12,20 @@ import (
 	"testing"
 	"time"
 
+	"parsec/internal/ga"
 	"parsec/internal/molecule"
+	"parsec/internal/runtime"
 	"parsec/internal/sched"
 	"parsec/internal/tce"
 	"parsec/internal/xform"
 )
+
+// runOn binds the plan to store and runs the graph to completion on a
+// runner of its own, recording spans if asked: a run outside the
+// execution contexts, over a store the test owns.
+func (p *CompiledPlan) runOn(store ga.API, cfg ExecConfig, record bool) (runtime.Report, error) {
+	return p.run(new(runtime.Runner), p.NewGraph(store), cfg, record)
+}
 
 // arrayEnergy runs plan the way a caller holding the store does: its
 // graph over a plain output array (NewGraph, runtime.Run), then
@@ -245,7 +254,7 @@ func TestExecuteLeavesNoTail(t *testing.T) {
 	cfg := ExecConfig{Workers: 2}
 	var folded, flushed []time.Duration
 	for i := 0; i < 3; i++ {
-		store := lazyInputs(w)
+		store := addInputs(ga.NewStore(1), w)
 		fold := w.NewEnergyFold()
 		store.CreateCounted(tce.TensorC, plan.outCounts, fold.Put)
 		if _, err := plan.runOn(store, cfg, false); err != nil {

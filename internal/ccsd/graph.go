@@ -35,7 +35,10 @@ const (
 
 // builder carries construction state: the plan's resolved shape and
 // per-chain plans, and the store the task bodies of this one graph
-// close over.
+// close over. The closures read the plan's parts through b when they
+// run, never a copy taken at build time — only the class structure is
+// fixed by the shape — so point can aim a built graph at another plan
+// of the same shape.
 type builder struct {
 	g     *ptg.Graph
 	w     *tce.Workload
@@ -43,6 +46,9 @@ type builder struct {
 	store ga.API
 	ps    []*chainPlan
 	nodes int
+	// io is how the READA (0) and READB (1) bodies reach their tensors in
+	// store, and how GEMM releases them.
+	io [2]inputIO
 }
 
 // BuildGraph constructs the PTG for one variant of the ported
@@ -56,14 +62,18 @@ func BuildGraph(w *tce.Workload, spec VariantSpec, opts Options) *ptg.Graph {
 
 // builder starts a graph of the plan under the given name and store.
 func (p *CompiledPlan) builder(name string, store ga.API) *builder {
-	return &builder{
-		g:     ptg.NewGraph(name),
-		w:     p.Workload,
-		shape: p.Shape,
-		store: store,
-		ps:    p.ps,
-		nodes: p.Nodes,
-	}
+	b := &builder{g: ptg.NewGraph(name), store: store}
+	b.point(p)
+	return b
+}
+
+// point aims the builder, and with it every closure of its graph, at
+// plan p, which must have the shape the graph was built for. The input
+// arrays are looked up in the store again, so a store whose arrays were
+// replaced for p is seen.
+func (b *builder) point(p *CompiledPlan) {
+	b.w, b.shape, b.ps, b.nodes = p.Workload, p.Shape, p.ps, p.Nodes
+	b.io[0], b.io[1] = b.inputs()
 }
 
 // buildKernel adds the task classes of the ported subroutine.
@@ -102,9 +112,9 @@ func (b *builder) priority(offset int) func(ptg.Args) int64 {
 	if b.shape.Prio != xform.PrioPaper {
 		return nil
 	}
-	max := int64(b.numChains())
-	p := int64(b.nodes)
-	return func(a ptg.Args) int64 { return max - int64(a[0]) + int64(offset)*p }
+	return func(a ptg.Args) int64 {
+		return int64(b.numChains()) - int64(a[0]) + int64(offset)*int64(b.nodes)
+	}
 }
 
 // reduceFlow names the REDUCE input flow of the which-th child: "X" is
@@ -238,16 +248,15 @@ func (b *builder) buildDFill() {
 func (b *builder) buildReads() {
 	type readSpec struct {
 		class string
-		io    inputIO
+		io    *inputIO
 		ref   func(g *tce.GemmMeta) *tce.BlockRef
 		node  func(g *tce.GemmMeta) int
 	}
-	ioA, ioB := b.inputs()
 	for _, rs := range []readSpec{
-		{"READA", ioA,
+		{"READA", &b.io[0],
 			func(g *tce.GemmMeta) *tce.BlockRef { return &g.Op.A },
 			func(g *tce.GemmMeta) int { return g.ANode }},
-		{"READB", ioB,
+		{"READB", &b.io[1],
 			func(g *tce.GemmMeta) *tce.BlockRef { return &g.Op.B },
 			func(g *tce.GemmMeta) int { return g.BNode }},
 	} {
@@ -360,7 +369,6 @@ func (b *builder) buildGemm() {
 		return p.isSegEnd(a[1]) && p.m == 1
 	})
 	if b.store != nil {
-		ioA, ioB := b.inputs()
 		tc.Body = func(ctx *ptg.Ctx) {
 			at := ctx.In[0].(*tensor.Tile4)
 			bt := ctx.In[1].(*tensor.Tile4)
@@ -374,8 +382,8 @@ func (b *builder) buildGemm() {
 			tensor.GemmP(ctx.Par, ctx.Pool, at.AsMatrix(), bt.AsMatrix(), ct.AsMatrix())
 			// ga_release: this GEMM is done with its A and B. The last
 			// reader's release is what retires a lazily filled block.
-			ioA.release(ctx.Args[0], ctx.Args[1])
-			ioB.release(ctx.Args[0], ctx.Args[1])
+			b.io[0].release(ctx.Args[0], ctx.Args[1])
+			b.io[1].release(ctx.Args[0], ctx.Args[1])
 			ctx.Out[2] = ct
 		}
 	}

@@ -263,7 +263,7 @@ func TestBodiesClearInputsTheyRelease(t *testing.T) {
 				return ready, err
 			},
 		})
-		x.Preload(tr.InitialReadySorted())
+		x.Preload(tr.AppendInitialReady(nil))
 		if err := x.Run(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

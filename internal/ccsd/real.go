@@ -35,22 +35,21 @@ func EnergyRelDiff(a, b float64) float64 {
 }
 
 // inputStore returns a fresh single-node store for one real execution:
-// the workload's two input tensors as lazy arrays — a block fills when
-// its first READ calls ga_access and retires when its last GEMM calls
-// ga_release, so the inputs flow through the graph under the variant's
-// read-ahead window instead of being materialized before it starts —
-// and an empty output array, which Array flushes once the run is over.
-// It costs one slice of block states per tensor; the block tables are
-// the workload's.
+// the workload's two input tensors as lazy arrays (addInputs) and an
+// empty output array, which Array flushes once the run is over.
 func inputStore(w *tce.Workload) *ga.Store {
-	store := lazyInputs(w)
+	store := addInputs(ga.NewStore(1), w)
 	store.Create(tce.TensorC)
 	return store
 }
 
-// lazyInputs is inputStore without the output array.
-func lazyInputs(w *tce.Workload) *ga.Store {
-	store := ga.NewStore(1)
+// addInputs creates the workload's two input tensors on store as lazy
+// arrays — a block fills when its first READ calls ga_access and retires
+// when its last GEMM calls ga_release, so the inputs flow through the
+// graph under the variant's read-ahead window instead of being
+// materialized before it starts — and returns the store. It costs one
+// slice of block states per tensor; the block tables are the workload's.
+func addInputs(store *ga.Store, w *tce.Workload) *ga.Store {
 	a, b := w.Inputs()
 	store.CreateLazy(a.Name, a)
 	store.CreateLazy(b.Name, b)

@@ -180,6 +180,37 @@ func (s *Store) CreateCounted(name string, want map[tensor.BlockKey]int, done fu
 	s.arrays[name] = &array{want: want, done: done}
 }
 
+// Reset empties the store for another run, in place: every array is
+// as it was created — a lazy one with no block resident and its use
+// counts full, a counted one with no contribution, any other empty —
+// and the counter is at zero. What the store keeps are the arrays
+// themselves, so a graph whose task bodies hold them stays bound, and
+// the lazy arrays' tiles, for the next run to fill instead of
+// allocating: up to keptBytes of the tiles of the run just ended, no
+// more, as any an earlier run left that this one did not take back are
+// let go. It is a
+// full reset, also after a run that failed or was canceled part-way.
+// No operation may be in flight.
+func (s *Store) Reset() {
+	for _, a := range s.arrays {
+		switch {
+		case a.lazy != nil:
+			a.lazy.reset()
+		case a.bt != nil:
+			a.bt = tensor.NewBlockTensor4()
+		}
+		clear(a.pending)
+		a.buffered.Store(false)
+	}
+	s.counter.Store(0)
+	s.lazyMem.age()
+}
+
+// Clear removes every array of a store that was just Reset, for one
+// about to hold another run's arrays: the tiles Reset kept stay, for
+// the lazy arrays created next.
+func (s *Store) Clear() { clear(s.arrays) }
+
 // Array returns the named array, panicking if absent, lazy (a lazy array
 // never holds all its blocks at once) or counted (its blocks went to its
 // done callback). Intended for result extraction after execution;

@@ -69,13 +69,15 @@ type lazyBlock struct {
 // tile in any process-wide pool.
 type lazyMem struct {
 	mu sync.Mutex
-	// free holds the retired tiles. A block reuses one of its own extents
-	// and layout, which together fix the storage length. One slice that
-	// take scans, rather than a list per shape: a run has tens of shapes
-	// and never more than ~100 free tiles, and every per-shape list would
-	// grow by its own allocations.
-	free  []*tensor.Tile4
-	stats LazyStats
+	// free holds the tiles retired in this run, old those the store's
+	// last run retired and this one has not taken back (age). A block
+	// reuses one of its own extents and layout, which together fix the
+	// storage length, from free first. Plain slices that take scans,
+	// rather than a list per shape: a run has tens of shapes and never
+	// more than ~100 free tiles, and every per-shape list would grow by
+	// its own allocations.
+	free, old []*tensor.Tile4
+	stats     LazyStats
 }
 
 // LazyStats is the residency accounting of a store's lazy arrays.
@@ -97,15 +99,9 @@ type LazyStats struct {
 // included — the measure give refunds.
 func (m *lazyMem) take(dim [4]int, l tensor.Layout) *tensor.Tile4 {
 	m.mu.Lock()
-	var t *tensor.Tile4
-	for i := len(m.free) - 1; i >= 0; i-- {
-		if f := m.free[i]; f.Dim == dim && f.Layout == l {
-			t = f
-			last := len(m.free) - 1
-			m.free[i], m.free[last] = m.free[last], nil
-			m.free = m.free[:last]
-			break
-		}
+	t := pick(&m.free, dim, l)
+	if t == nil {
+		t = pick(&m.old, dim, l)
 	}
 	if t == nil {
 		m.stats.Allocated++
@@ -119,6 +115,56 @@ func (m *lazyMem) take(dim [4]int, l tensor.Layout) *tensor.Tile4 {
 	return t
 }
 
+// pick removes from list and returns its last tile with extents dim in
+// layout l, or nil.
+func pick(list *[]*tensor.Tile4, dim [4]int, l tensor.Layout) *tensor.Tile4 {
+	free := *list
+	for i := len(free) - 1; i >= 0; i-- {
+		if f := free[i]; f.Dim == dim && f.Layout == l {
+			last := len(free) - 1
+			free[i], free[last] = free[last], nil
+			*list = free[:last]
+			return f
+		}
+	}
+	return nil
+}
+
+// keptBytes bounds the tiles a store keeps from one run for the next.
+// They are live heap between runs, and the garbage collector paces its
+// heap goal against live heap, so every kept byte costs up to two of
+// resident memory. The bound holds the whole input working set of a
+// service-sized job (water's peak is 30 KB) and of a dispatch-bound one
+// (1.3 MB for the benchmark's 12/24-orbital system); of a large job
+// (32 MB for uracil) it keeps a few blocks, whose fill costs far more
+// than their allocation anyway.
+const keptBytes = 2 << 20
+
+// age closes a run on the memory: the tiles it retired, up to keptBytes
+// of them, become the ones the next run takes from once that run's own
+// are used up, and the rest — with what the run before left untaken —
+// goes to the garbage collector. So between runs a store keeps at most
+// keptBytes of the tiles of its last run, whichever shapes the runs
+// before had. The accounting starts over.
+func (m *lazyMem) age() {
+	m.mu.Lock()
+	clear(m.old)
+	m.old, m.free = m.free, m.old[:0]
+	var kept int64
+	for i, t := range m.old {
+		if kept += tileBytes(t); kept > keptBytes {
+			clear(m.old[i:])
+			m.old = m.old[:i]
+			break
+		}
+	}
+	m.stats = LazyStats{}
+	m.mu.Unlock()
+}
+
+// tileBytes is the storage of a tile, a panel's padding included.
+func tileBytes(t *tensor.Tile4) int64 { return int64(t.Layout.Len(t.Dim)) * 8 }
+
 // chargeLocked adds a newly resident block's storage to the accounting.
 func (m *lazyMem) chargeLocked(bytes int64) {
 	m.stats.ResidentBytes += bytes
@@ -131,7 +177,7 @@ func (m *lazyMem) chargeLocked(bytes int64) {
 func (m *lazyMem) give(t *tensor.Tile4) {
 	m.mu.Lock()
 	m.free = append(m.free, t)
-	m.stats.ResidentBytes -= int64(t.Layout.Len(t.Dim)) * 8
+	m.stats.ResidentBytes -= tileBytes(t)
 	m.mu.Unlock()
 }
 
@@ -160,6 +206,18 @@ func (s *Store) CreateLazy(name string, src LazySource) *Lazy {
 	}
 	s.arrays[name] = &array{lazy: l}
 	return l
+}
+
+// reset makes every block of the array empty, its tile back on the free
+// list, with its full count of Releases to come.
+func (l *Lazy) reset() {
+	for i := range l.blocks {
+		b := &l.blocks[i]
+		if t := b.tile.Swap(nil); t != nil {
+			l.mem.give(t)
+		}
+		b.left.Store(int32(l.src.Uses(i)))
+	}
 }
 
 // Lazy returns the named array's lazy handle, or nil if the array was
@@ -219,7 +277,7 @@ func (l *Lazy) Adopt(i int, t *tensor.Tile4) (tile *tensor.Tile4, resident bool)
 		l.src.Fill(i, t)
 	} else {
 		l.mem.mu.Lock()
-		l.mem.chargeLocked(int64(t.Layout.Len(t.Dim)) * 8)
+		l.mem.chargeLocked(tileBytes(t))
 		l.mem.mu.Unlock()
 	}
 	b.tile.Store(t)

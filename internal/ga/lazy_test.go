@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -388,5 +389,116 @@ func TestLazyAdoptInstallsOnce(t *testing.T) {
 	wg.Wait()
 	if installed.Load() != 1 {
 		t.Errorf("%d concurrent Adopts installed their tile, want 1", installed.Load())
+	}
+}
+
+// TestStoreResetKeepsOneRun runs a store the way an execution context
+// does — a run, Reset, another — and pins what Reset keeps and what it
+// does not. After a run cut short (blocks resident, one retired, one
+// released part-way, a counted block half accumulated, the counter
+// moved) the store reads like a new one: every block fills again with
+// its own data and stays until its last release, the counted
+// block takes its full count, the counter starts at zero, the accounting
+// is empty. The tiles are kept: the next run fills all its blocks
+// without allocating one. After Clear and a run over blocks of another
+// extent, the next Reset lets go of the first run's tiles, which that
+// run never took back, and keeps the new run's — up to keptBytes.
+func TestStoreResetKeepsOneRun(t *testing.T) {
+	const n, uses = 4, 2
+	src := newTestSource(n, uses)
+	s := NewStore(1)
+	l := s.CreateLazy("t2", src)
+	key := tensor.BlockKey{1, 2, 3, 4}
+	var done int
+	s.CreateCounted("c", map[tensor.BlockKey]int{key: 2}, func(tensor.BlockKey, *tensor.Tile4) { done++ })
+	part := tensor.NewTile4(1, 1, 1, 2)
+	acc := func(tag int) error { return s.AccOrdered("c", key, part, 1, tag, 0, part.Len()) }
+
+	for i := 0; i < n; i++ {
+		l.Access(i)
+	}
+	l.Release(0)
+	l.Release(0)
+	l.Release(1)
+	if err := acc(0); err != nil {
+		t.Fatal(err)
+	}
+	s.NxtVal()
+	s.Reset()
+
+	if st := s.LazyStats(); st != (LazyStats{}) {
+		t.Errorf("stats after Reset: %+v", st)
+	}
+	if v := s.NxtVal(); v != 0 {
+		t.Errorf("counter after Reset starts at %d", v)
+	}
+	if err := errors.Join(acc(0), acc(1)); err != nil || done != 1 {
+		t.Errorf("counted block after Reset: error %v, completed %d times", err, done)
+	}
+	for i := 0; i < n; i++ {
+		checkBlock(t, src, i, l.Access(i))
+	}
+	resident := s.LazyStats().ResidentBytes
+	for i := 0; i < n; i++ {
+		l.Release(i)
+	}
+	if st := s.LazyStats(); st.ResidentBytes != resident {
+		t.Errorf("a block retired before its last release: %d of %d B resident", st.ResidentBytes, resident)
+	}
+	for i := 0; i < n; i++ {
+		l.Release(i)
+	}
+	for i := 0; i < n; i++ {
+		if got := src.fills[i].Load(); got != 2 {
+			t.Errorf("block %d filled %d times over two runs, want 2", i, got)
+		}
+	}
+	if st := s.LazyStats(); st.Fills != n || st.Allocated != 0 || st.ResidentBytes != 0 {
+		t.Errorf("second run: %+v, want %d fills from kept tiles and nothing resident", st, n)
+	}
+	s.Reset()
+
+	s.Clear()
+	other := newTestSource(n, 1)
+	other.dims = func(int) [4]int { return [4]int{2, 2, 2, 2} }
+	lo := s.CreateLazy("t3", other)
+	if s.Lazy("t2") != nil {
+		t.Error("Clear left an array behind")
+	}
+	for i := 0; i < n; i++ {
+		checkBlock(t, other, i, lo.Access(i))
+	}
+	for i := 0; i < n; i++ {
+		lo.Release(i)
+	}
+	if st := s.LazyStats(); st.Allocated != n {
+		t.Errorf("run over another extent allocated %d tiles, want %d", st.Allocated, n)
+	}
+	s.Reset()
+	if len(s.lazyMem.free) != 0 || len(s.lazyMem.old) != n {
+		t.Fatalf("after the third run the store keeps %d+%d tiles, want its %d", len(s.lazyMem.free), len(s.lazyMem.old), n)
+	}
+	for _, tile := range s.lazyMem.old {
+		if tile.Dim != [4]int{2, 2, 2, 2} {
+			t.Errorf("a tile of extent %v outlived the run after its last", tile.Dim)
+		}
+	}
+
+	// A run whose tiles add up to more than keptBytes leaves only
+	// keptBytes of them behind.
+	s.Clear()
+	const mib = 1 << 20
+	large := newTestSource(3*keptBytes/mib, 1)
+	large.dims = func(int) [4]int { return [4]int{32, 32, 8, mib / 8 / (32 * 32 * 8)} }
+	ll := s.CreateLazy("t4", large)
+	for i := 0; i < large.n; i++ {
+		ll.Access(i)
+	}
+	for i := 0; i < large.n; i++ {
+		ll.Release(i)
+	}
+	s.Reset()
+	if got := len(s.lazyMem.old); got != keptBytes/mib {
+		t.Errorf("after a run of %d MiB tiles the store keeps %d of them, want %d", large.n, got, keptBytes/mib)
 	}
 }

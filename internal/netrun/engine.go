@@ -134,7 +134,7 @@ func newEngine(cfg Config, rank int, tp *transport, tr *ptg.Tracker) *engine {
 // adopt it as runtime.Run's do — and starts the executor and the
 // heartbeat.
 func (e *engine) run() {
-	initial := e.tr.InitialReadySorted()
+	initial := e.tr.AppendInitialReady(nil)
 	mine := initial[:0]
 	for _, in := range initial {
 		if in.Node == e.rank && e.mark(in, queuedBit) {

@@ -2,6 +2,7 @@ package ptg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -589,5 +590,100 @@ func TestArgsHelpers(t *testing.T) {
 	}
 	if Read.String() != "READ" || RW.String() != "RW" || Write.String() != "WRITE" {
 		t.Error("mode strings")
+	}
+}
+
+// TestTrackerResetIsFresh pins Reset against NewTracker: a tracker reset
+// in the middle of a run — payloads delivered, tasks done, others
+// running — onto the same bound graph, a smaller one, a larger one or an
+// unbound one holds exactly what a new tracker of that graph holds, and
+// runs the graph in the same order. A graph that fails validation
+// leaves the tracker empty, and it resets cleanly after that.
+func TestTrackerResetIsFresh(t *testing.T) {
+	bound := func(g *Graph) *Graph {
+		sk, err := NewSkeleton(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Bind(sk)
+		return g
+	}
+	big := bound(chainGraph(3, func(l1 int) int { return 2 + l1 }))
+	small := bound(chainGraph(2, func(int) int { return 1 }))
+	unbound := chainGraph(2, func(l1 int) int { return 3 - l1 })
+	snapshot := func(tr *Tracker) []Instance {
+		out := make([]Instance, len(tr.inst))
+		for i, in := range tr.inst {
+			out[i] = in
+			out[i].In = slices.Clone(in.In)
+		}
+		return out
+	}
+	same := func(a, b []Instance) bool {
+		return slices.EqualFunc(a, b, func(x, y Instance) bool {
+			return x.Ref == y.Ref && x.Class == y.Class && x.Node == y.Node && x.Priority == y.Priority &&
+				x.Seq == y.Seq && x.State == y.State && slices.Equal(x.In, y.In) &&
+				x.delivered == y.delivered && x.fromTask == y.fromTask && x.pending == y.pending
+		})
+	}
+	// half runs the first half of the graph's tasks, leaving the next one
+	// started but not completed.
+	half := func(tr *Tracker) {
+		queue := tr.InitialReady()
+		for n := 0; n < tr.NumInstances()/2 && len(queue) > 0; n++ {
+			in := queue[0]
+			queue = queue[1:]
+			if err := tr.Start(in); err != nil {
+				t.Fatal(err)
+			}
+			dels, _, err := tr.Complete(in, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range dels {
+				if ready, err := tr.Deliver(d.To, d.ToFlow, "payload"); err != nil {
+					t.Fatal(err)
+				} else if ready {
+					queue = append(queue, d.To)
+				}
+			}
+		}
+		if err := tr.Start(queue[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := NewTracker(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{big, big, small, big, unbound, unbound, small} {
+		half(tr)
+		if err := tr.Reset(g); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewTracker(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(snapshot(tr), snapshot(fresh)) || tr.Remaining() != fresh.Remaining() || tr.G != g {
+			t.Fatalf("%d-task graph: a reset tracker differs from a new one", fresh.NumInstances())
+		}
+		if got, want := runAll(t, tr), runAll(t, fresh); !slices.Equal(got, want) {
+			t.Fatalf("%d-task graph: a reset tracker runs %v, a new one %v", fresh.NumInstances(), got, want)
+		}
+		if err := tr.Reset(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	bad := NewGraph("dangling")
+	x := bad.Class("X")
+	x.Domain = func(emit func(Args)) { emit(A1(0)) }
+	x.AddFlow("D", Write).InNew(nil, func(Args) int64 { return 8 }).Out(nil, func(Args) (TaskRef, string) { return TaskRef{"Y", A1(0)}, "D" })
+	if err := tr.Reset(bad); err == nil || tr.NumInstances() != 0 || tr.G != nil {
+		t.Fatalf("Reset onto a dangling graph: error %v, %d instances left", err, tr.NumInstances())
+	}
+	if err := tr.Reset(small); err != nil || len(runAll(t, tr)) != tr.NumInstances() || !tr.Done() {
+		t.Fatalf("Reset after a failed one: %v", err)
 	}
 }

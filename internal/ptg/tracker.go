@@ -100,6 +100,7 @@ type Tracker struct {
 	G    *Graph
 	sk   *Skeleton
 	inst []Instance // indexed by Seq
+	slab []any      // every instance's In, end to end
 
 	mu        sync.Mutex // guards instance state transitions
 	remaining atomic.Int64
@@ -110,6 +111,27 @@ type Tracker struct {
 // one it first builds a private skeleton (see NewSkeleton for the
 // structural errors that reports) and then takes the same path.
 func NewTracker(g *Graph) (*Tracker, error) {
+	t := new(Tracker)
+	if err := t.Reset(g); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Reset re-initialises the tracker in place for a new execution of g —
+// the graph of its last run or any other — exactly as NewTracker would
+// build it, but into the slabs it already holds, growing them only for
+// a larger graph. Every instance's per-run state is rewritten from the
+// skeleton — all of the instance when the graph or skeleton is not the
+// last run's — so nothing of the last run survives: not a state, a
+// delivered payload or a pending count, also after a run that failed or
+// was canceled. The
+// caller must be the tracker's only user, and instances of the last run
+// are invalid afterwards. On error the tracker is empty.
+func (t *Tracker) Reset(g *Graph) error {
+	lastG, last := t.G, t.sk
+	t.G, t.sk, t.inst = nil, nil, t.inst[:0]
+	t.remaining.Store(0)
 	sk := g.skel
 	var err error
 	if sk == nil {
@@ -118,13 +140,31 @@ func NewTracker(g *Graph) (*Tracker, error) {
 		err = sk.matches(g)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t := &Tracker{G: g, sk: sk, inst: make([]Instance, len(sk.inst))}
-	slab := make([]any, sk.nslots)
+	t.G, t.sk = g, sk
+	// Run again on the graph and skeleton of its last run, the tracker
+	// only has the per-run fields to rewrite: the rest is already copied,
+	// and each In still covers its own part of the slab.
+	again := g == lastG && sk == last && len(t.slab) == sk.nslots
+	t.inst = grow(t.inst, len(sk.inst))
+	t.slab = grow(t.slab, sk.nslots)
+	clear(t.slab)
 	for _, nb := range sk.news {
-		slab[nb.slot] = sk.newVals[nb.val]
+		t.slab[nb.slot] = sk.newVals[nb.val]
 	}
+	if again {
+		for i := range t.inst {
+			in := &t.inst[i]
+			in.State, in.delivered, in.pending = StateWaiting, 0, int32(bits.OnesCount32(in.fromTask))
+			if in.pending == 0 {
+				in.State = StateReady
+			}
+		}
+		t.remaining.Store(int64(len(t.inst)))
+		return nil
+	}
+	slab := t.slab
 	for ci, tc := range g.order {
 		sc := &sk.classes[ci]
 		nf := len(tc.Flows)
@@ -135,7 +175,9 @@ func NewTracker(g *Graph) (*Tracker, error) {
 			in.Node = int(si.node)
 			in.Priority = si.prio
 			in.Seq = int(i)
+			in.State = StateWaiting
 			in.In, slab = slab[:nf:nf], slab[nf:]
+			in.delivered = 0
 			in.fromTask = si.fromTask
 			in.pending = int32(bits.OnesCount32(si.fromTask))
 			if in.pending == 0 {
@@ -144,8 +186,21 @@ func NewTracker(g *Graph) (*Tracker, error) {
 		}
 	}
 	t.remaining.Store(int64(len(t.inst)))
-	return t, nil
+	return nil
 }
+
+// grow returns s resized to n, reusing its array when it is large enough.
+func grow[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
+// Drop clears the payloads the last run left in the tracker — the tiles
+// its instances were handed — so that a tracker kept between runs pins
+// none of them. The instances stay as they were.
+func (t *Tracker) Drop() { clear(t.slab) }
 
 // matchIn returns the first input alternative whose guard holds.
 func matchIn(f *Flow, a Args) (InDep, bool) {
@@ -203,15 +258,16 @@ func (t *Tracker) InitialReady() []*Instance {
 	return ready
 }
 
-// InitialReadySorted returns the same instances as InitialReady in the
-// order a priority queue pops them — priority descending, then creation
-// order — as the skeleton resolved it once for the plan. The caller owns
-// the slice; a ready queue can adopt it as an already-sorted run
-// (sched.Queue.Preload).
-func (t *Tracker) InitialReadySorted() []*Instance {
-	run := make([]*Instance, len(t.sk.ready))
-	for k, i := range t.sk.ready {
-		run[k] = &t.inst[i]
+// AppendInitialReady appends to run the same instances as InitialReady
+// in the order a priority queue pops them — priority descending, then
+// creation order — as the skeleton resolved it once for the plan, and
+// returns the extended slice. The caller owns it; a ready queue can
+// adopt it as an already-sorted run (sched.Queue.Preload), and a caller
+// that runs again can pass the same buffer back.
+func (t *Tracker) AppendInitialReady(run []*Instance) []*Instance {
+	run = slices.Grow(run, len(t.sk.ready))
+	for _, i := range t.sk.ready {
+		run = append(run, &t.inst[i])
 	}
 	return run
 }

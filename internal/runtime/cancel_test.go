@@ -123,7 +123,7 @@ func TestExecutorCancelFromLastComplete(t *testing.T) {
 				return ready, err
 			},
 		})
-		x.Preload(tr.InitialReadySorted())
+		x.Preload(tr.AppendInitialReady(nil))
 		err = x.Run()
 		if rep := x.Report(); err != nil || rep.Tasks != n {
 			t.Fatalf("round %d: err = %v, tasks = %d; want a clean run of %d", round, err, rep.Tasks, n)

@@ -141,6 +141,18 @@ type Executor struct {
 // Policy, Queues, SchedObserver, TaskDelay, Cancel). Instances may be
 // pushed before Run starts the workers.
 func NewExecutor(cfg Config, hooks Hooks) *Executor {
+	x := &Executor{hooks: hooks}
+	x.reset(cfg)
+	return x
+}
+
+// reset readies the executor for another run under cfg, in place: it is
+// then what NewExecutor(cfg, hooks) returns — empty queues, and every
+// worker's counters, wake token and steal stream as a new worker's —
+// except for what a worker keeps to be reused: its scratch shard, its
+// buffers and its span buffer's capacity. Only a Runner resets an
+// executor, between its runs.
+func (x *Executor) reset(cfg Config) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -148,23 +160,59 @@ func NewExecutor(cfg Config, hooks Hooks) *Executor {
 	if cfg.Queues == sched.SharedQueue {
 		nshards = 1
 	}
-	x := &Executor{
-		cfg:    cfg,
-		hooks:  hooks,
-		shards: make([]shard, nshards),
-		ws:     make([]workerState, cfg.Workers),
-		start:  time.Now(),
+	x.cfg = cfg
+	if cap(x.shards) < nshards {
+		x.shards = make([]shard, nshards)
 	}
+	// The shards past this run's count are emptied too, so none of them
+	// keeps an instance of an earlier run.
+	x.shards = x.shards[:cap(x.shards)]
 	for i := range x.shards {
-		x.shards[i].q = sched.NewQueue(cfg.Policy, cfg.Queues)
+		s := &x.shards[i]
+		s.q.Reset(cfg.Policy, cfg.Queues)
+		s.maxDepth = 0
+		s.size.Store(0)
 	}
+	x.shards = x.shards[:nshards]
+	if cap(x.ws) < cfg.Workers {
+		x.ws = make([]workerState, cfg.Workers)
+	}
+	x.ws = x.ws[:cfg.Workers]
 	for i := range x.ws {
-		x.ws[i].park = make(chan struct{}, 1)
-		x.ws[i].rng = sched.NewRNG(i)
-		x.ws[i].loc = pool.NewLocal()
-		x.ws[i].par = workerTeam{x: x, id: i}
+		x.ws[i].reset(x, i)
 	}
-	return x
+	x.stop.Store(false)
+	x.wakes.Store(0)
+	x.nparked.Store(0)
+	x.lend.reset()
+	x.err = nil
+	x.record = false
+	x.start = time.Now()
+}
+
+// reset makes ws worker id of x as a new executor has it, keeping its
+// wake channel, scratch shard, lending handle and buffers.
+func (ws *workerState) reset(x *Executor, id int) {
+	park, loc, par := ws.park, ws.loc, ws.par
+	if park == nil {
+		park, loc, par = make(chan struct{}, 1), pool.NewLocal(), workerTeam{x: x, id: id}
+	}
+	select {
+	case <-park: // a Halt token of the last run
+	default:
+	}
+	clear(ws.byClass)
+	*ws = workerState{
+		park:    park,
+		rng:     sched.NewRNG(id),
+		byClass: ws.byClass,
+		scratch: ws.scratch,
+		buckets: ws.buckets,
+		out:     ws.out,
+		par:     par,
+		loc:     loc,
+		rec:     ws.rec[:0],
+	}
 }
 
 // Record turns span recording on for the coming Run: every worker keeps
@@ -177,7 +225,9 @@ func (x *Executor) Record(n int) {
 	x.record = true
 	per := (n+n/4)/len(x.ws) + 16
 	for i := range x.ws {
-		x.ws[i].rec = make([]trace.Span, 0, per)
+		if cap(x.ws[i].rec) < per {
+			x.ws[i].rec = make([]trace.Span, 0, per)
+		}
 	}
 }
 

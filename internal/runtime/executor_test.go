@@ -167,7 +167,7 @@ func TestHandOffHeldTaskSurvivesStop(t *testing.T) {
 					return ready, err
 				},
 			})
-			x.Preload(tr.InitialReadySorted())
+			x.Preload(tr.AppendInitialReady(nil))
 			if err := x.Run(); !errors.Is(err, st.want) {
 				t.Fatalf("Run = %v, want %v", err, st.want)
 			}

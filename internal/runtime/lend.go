@@ -49,6 +49,16 @@ type lendState struct {
 	n atomic.Int64
 }
 
+// reset empties the list for another run. A span retires when its last
+// part is claimed, so only a run whose body panicked inside a span
+// leaves one behind — and the next run's idle workers must not take
+// parts of it.
+func (l *lendState) reset() {
+	clear(l.spans)
+	l.spans = l.spans[:0]
+	l.n.Store(0)
+}
+
 // publish registers a span and wakes up to parts-1 parked workers to
 // volunteer for it.
 func (x *Executor) publish(sp *spanJob) {

@@ -107,7 +107,7 @@ func TestRecordGrowsPastItsEstimate(t *testing.T) {
 		},
 	})
 	x.Record(1)
-	x.Preload(tr.InitialReadySorted())
+	x.Preload(tr.AppendInitialReady(nil))
 	if err := x.Run(); err != nil {
 		t.Fatal(err)
 	}

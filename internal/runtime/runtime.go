@@ -125,53 +125,56 @@ func (r Report) String() string {
 
 // Run executes the graph to completion and returns a report. Execution is
 // aborted with an error if a task body panics or the graph deadlocks.
-func Run(g *ptg.Graph, cfg Config) (Report, error) { return run(g, cfg, false) }
+func Run(g *ptg.Graph, cfg Config) (Report, error) { return new(Runner).Run(g, cfg) }
 
 // RunRecorded is Run with span recording on: the report's Spans hold one
 // trace.Span per executed task. It is what a caller that wants a profile
 // or a trace of the run asks for.
-func RunRecorded(g *ptg.Graph, cfg Config) (Report, error) { return run(g, cfg, true) }
+func RunRecorded(g *ptg.Graph, cfg Config) (Report, error) { return new(Runner).RunRecorded(g, cfg) }
 
-func run(g *ptg.Graph, cfg Config, record bool) (Report, error) {
-	tr, err := ptg.NewTracker(g)
-	if err != nil {
-		return Report{}, err
-	}
+// Runner runs graphs one after another on what it keeps from each run
+// for the next: the tracker's instance and payload slabs, and the
+// executor with its queues, per-worker scratch shards and span buffers.
+// It is Run for a caller that runs many jobs — of one graph or of
+// several — and would otherwise allocate all of that per job. Every run
+// re-initialises that state in place (ptg.Tracker.Reset, and the
+// executor's reset to what NewExecutor builds), so no run sees anything
+// of the one before, also when that one failed or was canceled; the
+// report, its spans included, is the caller's. Between runs a Runner
+// holds no payload of the last one. A Runner runs one graph at a time;
+// the zero value is ready to use.
+type Runner struct {
+	tr ptg.Tracker
+	x  *Executor
 	// pending counts tasks that are ready-queued or running: set before
 	// the initial tasks are pushed, decremented only after a completion
 	// has handed the executor every successor it made ready. The
 	// completion that drives it to zero owns termination: graph done, or
 	// deadlock.
-	var pending atomic.Int64
-	var x *Executor
-	x = NewExecutor(cfg, Hooks{
-		Start: tr.Start,
-		Complete: func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
-			// One tracker lock acquisition covers the completion and every
-			// delivery it triggers.
-			ready, err := tr.CompleteDeliver(in, out, ready)
-			if err != nil {
-				return ready, err
-			}
-			// This task's pending token transfers to its successors: one net
-			// update covers the -1 for completing and the +1 per ready
-			// successor, so a chain step touches the counter not at all. The
-			// increment lands before the executor makes the batch visible to
-			// other workers, so pending only reaches zero at true quiescence:
-			// nothing queued, nothing running.
-			switch n := len(ready); {
-			case n > 1:
-				pending.Add(int64(n - 1))
-			case n == 0 && pending.Add(-1) == 0:
-				if !tr.Done() {
-					return ready, fmt.Errorf("runtime: deadlock with %d tasks remaining", tr.Remaining())
-				}
-				x.Halt()
-			}
-			return ready, nil
-		},
-	})
+	pending atomic.Int64
+	// initial is the buffer the initially-ready tasks are listed in; the
+	// queues adopt it for the run.
+	initial []*ptg.Instance
+}
 
+// Run is the package's Run on the runner's kept state.
+func (r *Runner) Run(g *ptg.Graph, cfg Config) (Report, error) { return r.run(g, cfg, false) }
+
+// RunRecorded is the package's RunRecorded on the runner's kept state.
+func (r *Runner) RunRecorded(g *ptg.Graph, cfg Config) (Report, error) { return r.run(g, cfg, true) }
+
+func (r *Runner) run(g *ptg.Graph, cfg Config, record bool) (Report, error) {
+	tr := &r.tr
+	if err := tr.Reset(g); err != nil {
+		return Report{}, err
+	}
+	defer tr.Drop()
+	if r.x == nil {
+		r.x = NewExecutor(cfg, Hooks{Start: tr.Start, Complete: r.complete})
+	} else {
+		r.x.reset(cfg)
+	}
+	x := r.x
 	if record {
 		x.Record(tr.NumInstances())
 	}
@@ -179,10 +182,10 @@ func run(g *ptg.Graph, cfg Config, record bool) (Report, error) {
 	// The initially-ready tasks arrive already in pop order (the plan's
 	// skeleton sorted them once), so the queues adopt them as a run rather
 	// than heaping them one push at a time.
-	initial := tr.InitialReadySorted()
-	pending.Store(int64(len(initial)))
-	x.Preload(initial)
-	if len(initial) == 0 {
+	r.initial = tr.AppendInitialReady(r.initial[:0])
+	r.pending.Store(int64(len(r.initial)))
+	x.Preload(r.initial)
+	if len(r.initial) == 0 {
 		if !tr.Done() {
 			// Nothing can ever become ready: no task has all inputs
 			// satisfied and no completion will fire.
@@ -192,9 +195,34 @@ func run(g *ptg.Graph, cfg Config, record bool) (Report, error) {
 		x.Halt() // empty graph
 	}
 
-	err = x.Run()
+	err := x.Run()
 	if err == nil {
 		err = tr.CheckQuiescent()
 	}
 	return x.Report(), err
+}
+
+// complete is the run's Complete hook. One tracker lock acquisition
+// covers the completion and every delivery it triggers.
+func (r *Runner) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
+	ready, err := r.tr.CompleteDeliver(in, out, ready)
+	if err != nil {
+		return ready, err
+	}
+	// This task's pending token transfers to its successors: one net
+	// update covers the -1 for completing and the +1 per ready
+	// successor, so a chain step touches the counter not at all. The
+	// increment lands before the executor makes the batch visible to
+	// other workers, so pending only reaches zero at true quiescence:
+	// nothing queued, nothing running.
+	switch n := len(ready); {
+	case n > 1:
+		r.pending.Add(int64(n - 1))
+	case n == 0 && r.pending.Add(-1) == 0:
+		if !r.tr.Done() {
+			return ready, fmt.Errorf("runtime: deadlock with %d tasks remaining", r.tr.Remaining())
+		}
+		r.x.Halt()
+	}
+	return ready, nil
 }

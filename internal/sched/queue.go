@@ -42,6 +42,15 @@ func NewQueue(pol Policy, mode QueueMode) Queue {
 	return Queue{lifo: pol == LIFOOrder && mode == SharedQueue}
 }
 
+// Reset empties the queue for another run under the discipline pol and
+// mode imply, keeping the storage its heap and stack have grown. A
+// preloaded run is let go, not kept: its slice is its preloader's.
+func (q *Queue) Reset(pol Policy, mode QueueMode) {
+	clear(q.heap)
+	clear(q.stack)
+	*q = Queue{lifo: pol == LIFOOrder && mode == SharedQueue, heap: q.heap[:0], stack: q.stack[:0]}
+}
+
 // Len returns the number of queued tasks.
 func (q *Queue) Len() int {
 	if q.lifo {
