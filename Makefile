@@ -80,7 +80,11 @@ tune:
 
 # Scheduling-core conformance: the real runtime, the simulator, and the
 # socket runtime must take identical scheduling decisions
-# (internal/sched/conformance_test.go). What the schedule decides for a
+# (internal/sched/conformance_test.go), and a queue set that adopts a
+# plan's sorted ready run must decide what one that pushed every task
+# decides — the simulator preloads, so its decisions are replayed
+# against a pushing shadow core on the dispatch-shaped CCSD graph too.
+# What the schedule decides for a
 # real execution's inputs rides along, under the same race detector:
 # blocks fill once on ga_access and retire on the last ga_release
 # (internal/ga), the resident set is the variant's read-ahead window
@@ -94,7 +98,7 @@ tune:
 # runs of several plans must carry nothing from one run to the next —
 # that stress test runs five times.
 sched-conformance:
-	$(GO) test -race -run 'TestPopOrderEquivalence|TestSimexecDecisionsMatchShadowModel|TestStealVictimGolden|TestInterNodeStealInvariants' ./internal/sched
+	$(GO) test -race -run 'TestPopOrderEquivalence|TestSimexecDecisionsMatchShadowModel|TestSetPreloadMatchesPushAll|TestStealVictimGolden|TestInterNodeStealInvariants' ./internal/sched
 	$(GO) test -race -run 'TestTrackerResetIsFresh' ./internal/ptg
 	$(GO) test -race -run 'TestRunnerRunsLikeANewRun' ./internal/runtime
 	$(GO) test -race -run 'TestLazy|TestEagerReleaseIsNoOp|TestNewLazyNeverRetires|TestStoreResetKeepsOneRun' ./internal/ga

@@ -396,7 +396,7 @@ func BenchmarkTracker(b *testing.B) {
 			if err := tr.Start(in); err != nil {
 				b.Fatal(err)
 			}
-			if dels, _, err = tr.Complete(in, dels[:0]); err != nil {
+			if dels, err = tr.Complete(in, dels[:0]); err != nil {
 				b.Fatal(err)
 			}
 			for _, d := range dels {

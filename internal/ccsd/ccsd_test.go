@@ -3,6 +3,7 @@ package ccsd
 import (
 	"fmt"
 	"math"
+	stdruntime "runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -513,7 +514,7 @@ func TestInBytesSplitsTransfers(t *testing.T) {
 		in := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		tr.Start(in)
-		dels, _, err := tr.Complete(in, nil)
+		dels, err := tr.Complete(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,20 +579,26 @@ func TestConcurrentExecutesShareOneSkeleton(t *testing.T) {
 }
 
 // TestSkeletonSizeBudget pins what a cached plan keeps resident for its
-// task graph: at most 64 bytes per instance, edges included, on the
-// water preset and on the benchmark's dispatch-bound shape (12/24
-// orbitals tiled at 4). The service caches up to 32 plans; at 220 bytes
-// per instance its resident set grew by half.
+// task graph: at most 64 bytes per instance, edges and lookup indexes
+// included, on the water preset, on the benchmark's dispatch-bound shape
+// (12/24 orbitals tiled at 4) and on the simulator's Fig 9 point
+// (beta-carotene at 32 nodes). The service caches up to 32 plans; at 220
+// bytes per instance its resident set grew by half.
 func TestSkeletonSizeBudget(t *testing.T) {
 	spec, err := VariantByName("v5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sys := range []*molecule.System{
-		molecule.Water631G(),
-		molecule.Custom("dispatch", 12, 24, 4, 2, 1),
+	for _, c := range []struct {
+		sys   *molecule.System
+		nodes int
+	}{
+		{molecule.Water631G(), 1},
+		{molecule.Custom("dispatch", 12, 24, 4, 2, 1), 1},
+		{molecule.BetaCarotene631G(), 32},
 	} {
-		sk, err := ptg.NewSkeleton(Compile(sys, spec, Options{Nodes: 1}).NewGraph(nil))
+		sys := c.sys
+		sk, err := ptg.NewSkeleton(Compile(sys, spec, Options{Nodes: c.nodes}).NewGraph(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -600,5 +607,34 @@ func TestSkeletonSizeBudget(t *testing.T) {
 		if per > 64 {
 			t.Errorf("%s: skeleton is %.1f bytes per instance, budget 64", sys.Name, per)
 		}
+	}
+}
+
+// TestSkeletonBuildAllocatesItsSize: NewSkeleton counts the domains
+// before it enumerates them, so the arrays it keeps are allocated once
+// at their final size, and what it allocates beyond them is small
+// scratch — at most twice the skeleton's own footprint on the
+// dispatch-bound shape, where growing the arrays by appending cost about
+// six times.
+func TestSkeletonBuildAllocatesItsSize(t *testing.T) {
+	spec, err := VariantByName("v5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Compile(molecule.Custom("dispatch", 12, 24, 4, 2, 1), spec, Options{Nodes: 1}).NewGraph(nil)
+	var before, after stdruntime.MemStats
+	best := uint64(math.MaxUint64)
+	var sk *ptg.Skeleton
+	for r := 0; r < 3; r++ {
+		stdruntime.ReadMemStats(&before)
+		if sk, err = ptg.NewSkeleton(g); err != nil {
+			t.Fatal(err)
+		}
+		stdruntime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("NewSkeleton allocates %d bytes for a %d-byte skeleton (%.2fx)", best, sk.Bytes(), float64(best)/float64(sk.Bytes()))
+	if best > 2*uint64(sk.Bytes()) {
+		t.Errorf("NewSkeleton allocates %d bytes, more than twice the skeleton's %d", best, sk.Bytes())
 	}
 }

@@ -75,7 +75,7 @@ func planTraffic(t *testing.T, plan *ccsd.CompiledPlan) (all, reads, pairs int) 
 	for len(queue) > 0 {
 		in := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		dels, _, err := tr.Complete(in, nil)
+		dels, err := tr.Complete(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

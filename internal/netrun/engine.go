@@ -203,7 +203,7 @@ func (e *engine) push(in *ptg.Instance) {
 func (e *engine) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
 	// Every worker runs this hook at once, so there is no one buffer to
 	// reuse: each call gets a fresh Delivery slice.
-	dels, _, err := e.tr.Complete(in, nil)
+	dels, err := e.tr.Complete(in, nil)
 	if err != nil {
 		return ready, err
 	}

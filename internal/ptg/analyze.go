@@ -69,7 +69,7 @@ func Analyze(g *Graph, dur func(*Instance) int64) (Analysis, error) {
 			a.CriticalPath = finish
 			last = in
 		}
-		if dels, _, err = tr.Complete(in, dels[:0]); err != nil {
+		if dels, err = tr.Complete(in, dels[:0]); err != nil {
 			return a, err
 		}
 		for _, del := range dels {

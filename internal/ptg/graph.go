@@ -4,7 +4,7 @@
 // the compact, symbolic form; execution does not walk it. Like the
 // paper's inspection phase (§III), the graph is inspected once — every
 // domain, guard, affinity, priority and consumer closure evaluated, every
-// edge resolved to an instance index — into a Skeleton of about 42 bytes
+// edge resolved to an instance index — into a Skeleton of about 50 bytes
 // per instance, and from then on completing a task is a walk over a slice
 // of pre-resolved edges and an integer decrement per successor. A plan
 // that runs many times (ccsd.CompiledPlan) builds the skeleton once and

@@ -198,7 +198,7 @@ func runAll(t *testing.T, tr *Tracker) []TaskRef {
 			t.Fatal(err)
 		}
 		order = append(order, in.Ref)
-		dels, _, err := tr.Complete(in, nil)
+		dels, err := tr.Complete(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,33 +250,37 @@ func TestTrackerRunsToCompletion(t *testing.T) {
 	}
 }
 
-func TestTrackerTerminalWrites(t *testing.T) {
-	g := chainGraph(1, func(int) int { return 1 })
-	tr, err := NewTracker(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var writes []TerminalWrite
-	queue := append([]*Instance(nil), tr.InitialReady()...)
-	for len(queue) > 0 {
-		in := queue[0]
-		queue = queue[1:]
-		tr.Start(in)
-		dels, ws, err := tr.Complete(in, nil)
+// TestTerminalWritesInSignatureAndDOT: an OutData dependency never
+// reaches an executor — bodies and behaviors write their terminal data
+// themselves, and Complete reports deliveries only — so the graph's two
+// readers of it, the signature and the DOT export, are what pin it:
+// SORT(0)'s write to out(0) is a signed edge and a dashed DOT edge.
+func TestTerminalWritesInSignatureAndDOT(t *testing.T) {
+	sig := func(id string) Sig {
+		g := chainGraph(1, func(int) int { return 1 })
+		if id != "out(0)" {
+			g.ClassByName("SORT").Flows[0].Outs[0].Data = func(Args) DataRef { return DataRef{ID: id, Bytes: 1024} }
+		}
+		s, err := Signature(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		writes = append(writes, ws...)
-		for _, d := range dels {
-			if ready, err := tr.Deliver(d.To, d.ToFlow, 1); err != nil {
-				t.Fatal(err)
-			} else if ready {
-				queue = append(queue, d.To)
-			}
-		}
+		return s
 	}
-	if len(writes) != 1 || writes[0].Data.ID != "out(0)" {
-		t.Errorf("terminal writes = %+v", writes)
+	// DFILL, READA and READB feed GEMM(0,0), which feeds SORT(0), which
+	// writes out(0).
+	if s := sig("out(0)"); s.Edges != 5 {
+		t.Errorf("signature counts %d edges, want 5 with the terminal write", s.Edges)
+	}
+	if sig("out(0)") == sig("out(1)") {
+		t.Error("signature does not see the terminal write's datum")
+	}
+	var buf strings.Builder
+	if err := ExportDOT(chainGraph(1, func(int) int { return 1 }), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `"SORT(0,0,0)" -> "out(0)" [style=dashed]`; !strings.Contains(buf.String(), want) {
+		t.Errorf("DOT output lacks %s:\n%s", want, buf.String())
 	}
 }
 
@@ -313,7 +317,7 @@ func TestStartCompleteStateErrors(t *testing.T) {
 	if err := tr.Start(gemm); err == nil {
 		t.Error("Start of waiting task accepted")
 	}
-	if _, _, err := tr.Complete(gemm, nil); err == nil {
+	if _, err := tr.Complete(gemm, nil); err == nil {
 		t.Error("Complete of waiting task accepted")
 	}
 	dfill := tr.Instance(TaskRef{"DFILL", A1(0)})
@@ -368,6 +372,56 @@ func TestDanglingEdgeFailsAtBuild(t *testing.T) {
 		z.AddFlow("D", Read).In(nil, func(Args) (TaskRef, string) { return TaskRef{"X", A1(0)}, "D" })
 		if _, err := NewTracker(g); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: NewTracker error = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestEdgeTargetsFollowEachConsumer: one output dependency whose
+// consumer switches class and flow from instance to instance — the same
+// flow name at different indexes in two classes, two flows of one class
+// — delivers each edge to the flow its consumer named. The build caches
+// the last target per dependency, and a switch must not reuse it.
+func TestEdgeTargetsFollowEachConsumer(t *testing.T) {
+	g := NewGraph("switching")
+	src := g.Class("SRC")
+	src.Domain = func(emit func(Args)) {
+		for i := 0; i < 6; i++ {
+			emit(A1(i))
+		}
+	}
+	targets := []TaskRef{{"A", A1(0)}, {"B", A1(0)}, {"A", A1(1)}, {"A", A1(2)}, {"B", A1(1)}, {"A", A1(3)}}
+	flows := []string{"D", "D", "E", "D", "D", "E"}
+	src.AddFlow("X", Write).InNew(nil, func(Args) int64 { return 8 }).
+		Out(nil, func(a Args) (TaskRef, string) { return targets[a[0]], flows[a[0]] })
+	from := func(i int) func(Args) (TaskRef, string) {
+		return func(Args) (TaskRef, string) { return TaskRef{"SRC", A1(i)}, "X" }
+	}
+	a := g.Class("A") // flows P (inactive), D, E
+	a.Domain = func(emit func(Args)) {
+		for i := 0; i < 4; i++ {
+			emit(A1(i))
+		}
+	}
+	a.AddFlow("P", Read)
+	a.AddFlow("D", Read).In(func(x Args) bool { return x[0] != 1 && x[0] != 3 }, from(0)).In(nil, from(0))
+	a.AddFlow("E", Read).In(func(x Args) bool { return x[0] == 1 || x[0] == 3 }, from(0))
+	b := g.Class("B") // flow D at index 0
+	b.Domain = func(emit func(Args)) { emit(A1(0)); emit(A1(1)) }
+	b.AddFlow("D", Read).In(nil, from(0))
+	tr, err := NewTracker(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range targets {
+		in := tr.Instance(TaskRef{"SRC", A1(i)})
+		dels, err := tr.Complete(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		to := tr.Instance(targets[i])
+		want := to.Class.MustFlowIndex(flows[i])
+		if len(dels) != 1 || dels[0].To != to || dels[0].ToFlow != want {
+			t.Fatalf("SRC(%d) delivers %+v, want %v flow %s (%d)", i, dels, targets[i], flows[i], want)
 		}
 	}
 }
@@ -532,7 +586,7 @@ func TestFlowBytesInDeliveries(t *testing.T) {
 	}
 	dfill := tr.Instance(TaskRef{"DFILL", A1(0)})
 	tr.Start(dfill)
-	dels, _, err := tr.Complete(dfill, nil)
+	dels, err := tr.Complete(dfill, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +607,7 @@ func TestCompleteAppendsToCallerBuffer(t *testing.T) {
 	tr.Start(dfill)
 	buf := make([]Delivery, 1, 4)
 	buf[0].Bytes = -1
-	dels, _, err := tr.Complete(dfill, buf)
+	dels, err := tr.Complete(dfill, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,7 +690,7 @@ func TestTrackerResetIsFresh(t *testing.T) {
 			if err := tr.Start(in); err != nil {
 				t.Fatal(err)
 			}
-			dels, _, err := tr.Complete(in, nil)
+			dels, err := tr.Complete(in, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

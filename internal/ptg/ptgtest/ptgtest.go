@@ -47,7 +47,7 @@ func drive(t testing.TB, g *ptg.Graph) ([]instance, []delivery) {
 		if err := tr.Start(in); err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		if dels, _, err = tr.Complete(in, dels[:0]); err != nil {
+		if dels, err = tr.Complete(in, dels[:0]); err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
 		for _, d := range dels {

@@ -74,16 +74,6 @@ type Delivery struct {
 	Bytes    int64 // simulated payload size (0 if FlowBytes is nil)
 }
 
-// TerminalWrite reports that a completed task's flow is bound to a
-// terminal datum (an OutData dependency); the executor decides what, if
-// anything, to do (our CCSD bodies write Global Arrays themselves, so
-// executors typically treat this as informational).
-type TerminalWrite struct {
-	From     *Instance
-	FromFlow int
-	Data     DataRef
-}
-
 // Tracker holds the per-execution state of a graph's instances and
 // tracks dataflow readiness. The graph's structure — instances, their
 // resolved inputs, the edges that fire — comes from a Skeleton, built
@@ -262,8 +252,9 @@ func (t *Tracker) InitialReady() []*Instance {
 // in the order a priority queue pops them — priority descending, then
 // creation order — as the skeleton resolved it once for the plan, and
 // returns the extended slice. The caller owns it; a ready queue can
-// adopt it as an already-sorted run (sched.Queue.Preload), and a caller
-// that runs again can pass the same buffer back.
+// adopt it as an already-sorted run (sched.Queue.Preload,
+// sched.Set.Preload), and a caller that runs again can pass the same
+// buffer back.
 func (t *Tracker) AppendInitialReady(run []*Instance) []*Instance {
 	run = slices.Grow(run, len(t.sk.ready))
 	for _, i := range t.sk.ready {
@@ -303,16 +294,18 @@ func (t *Tracker) ClaimStart(in *Instance) error {
 // Complete marks a running (or, for executors that skip Start, ready)
 // instance done and returns the deliveries to perform — one per resolved
 // out-edge, in flow order then Outs order, sized by the producer's
-// FlowBytes unless the consumer's InBytes overrides it — and the
-// terminal writes its flows are bound to. The deliveries are appended to
-// dels, a caller-owned buffer as in CompleteDeliver, and the extended
-// slice is returned; pass nil for a fresh one. Only the state transition
-// takes the lock: edges and classes are read-only.
-func (t *Tracker) Complete(in *Instance, dels []Delivery) ([]Delivery, []TerminalWrite, error) {
+// FlowBytes unless the consumer's InBytes overrides it. The deliveries
+// are appended to dels, a caller-owned buffer as in CompleteDeliver, and
+// the extended slice is returned; pass nil for a fresh one. OutData
+// dependencies are not evaluated: a body or behavior writes its terminal
+// data itself, and the graph keeps them for Signature and ExportDOT.
+// Only the state transition takes the lock: edges and classes are
+// read-only.
+func (t *Tracker) Complete(in *Instance, dels []Delivery) ([]Delivery, error) {
 	t.mu.Lock()
 	if in.State != StateRunning && in.State != StateReady {
 		t.mu.Unlock()
-		return dels, nil, fmt.Errorf("ptg: Complete(%v) in state %v", in.Ref, in.State)
+		return dels, fmt.Errorf("ptg: Complete(%v) in state %v", in.Ref, in.State)
 	}
 	in.State = StateDone
 	t.mu.Unlock()
@@ -332,15 +325,7 @@ func (t *Tracker) Complete(in *Instance, dels []Delivery) ([]Delivery, []Termina
 		}
 		dels = append(dels, Delivery{From: in, FromFlow: int(e.fromFlow), To: to, ToFlow: int(e.toFlow), Bytes: bytes})
 	}
-	var writes []TerminalWrite
-	for fi, f := range in.Class.Flows {
-		for _, out := range f.Outs {
-			if out.Data != nil && (out.Guard == nil || out.Guard(a)) {
-				writes = append(writes, TerminalWrite{From: in, FromFlow: fi, Data: out.Data(a)})
-			}
-		}
-	}
-	return dels, writes, nil
+	return dels, nil
 }
 
 // Deliver satisfies one task-sourced input of an instance with a payload.
@@ -384,8 +369,6 @@ func (t *Tracker) deliverLocked(to *Instance, flowIdx int, payload any) (bool, e
 // from outs (the task's Ctx.Out, indexed by producer flow). Newly ready
 // successors are appended to ready — a caller-owned scratch buffer, so
 // steady state allocates nothing — and the extended slice is returned.
-// Terminal writes are not reported: shared-memory bodies perform their
-// own Global Array updates.
 func (t *Tracker) CompleteDeliver(in *Instance, outs []any, ready []*Instance) ([]*Instance, error) {
 	if in.State != StateRunning && in.State != StateReady {
 		return ready, fmt.Errorf("ptg: Complete(%v) in state %v", in.Ref, in.State)

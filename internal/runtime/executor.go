@@ -355,23 +355,8 @@ func (x *Executor) Preload(run []*ptg.Instance) {
 	if len(run) == 0 {
 		return
 	}
-	if nsh := len(x.shards); nsh == 1 {
-		x.preloadShard(0, run)
-	} else {
-		subs := make([][]*ptg.Instance, nsh)
-		for si := range subs {
-			subs[si] = make([]*ptg.Instance, 0, len(run)/nsh+1)
-		}
-		for _, in := range run {
-			si := sched.HomeQueue(in, nsh)
-			subs[si] = append(subs[si], in)
-		}
-		for si, sub := range subs {
-			if len(sub) > 0 {
-				x.preloadShard(si, sub)
-			}
-		}
-	}
+	nsh := len(x.shards)
+	sched.SplitRun(run, nsh, func(in *ptg.Instance) int { return sched.HomeQueue(in, nsh) }, x.preloadShard)
 	x.wakeBatch(len(run))
 }
 

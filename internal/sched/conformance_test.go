@@ -15,8 +15,10 @@ import (
 	"sync"
 	"testing"
 
+	"parsec/internal/ccsd"
 	"parsec/internal/cluster"
 	"parsec/internal/ga"
+	"parsec/internal/molecule"
 	"parsec/internal/netrun"
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
@@ -224,54 +226,80 @@ func TestPopOrderEquivalence(t *testing.T) {
 // stream at several workers per node against a shadow copy of the
 // core's queue state: every pop and steal the executor reports must be
 // exactly the task a freestanding sched.Set would hand out at that
-// point. This catches an executor that bypasses or reorders around the
-// core even when the end-to-end makespan looks right.
+// point, and a shadow that pushes every task the simulator reports
+// enqueued — where the simulator preloads the plan's sorted ready run —
+// must pop what the simulator popped. This catches an executor that
+// bypasses or reorders around the core even when the end-to-end
+// makespan looks right. Besides the generated chains it runs the
+// dispatch-shaped v5 CCSD graph (12/24 orbitals tiled at 4), whose
+// 16 k initially-ready READs are the preloaded run at its largest.
 func TestSimexecDecisionsMatchShadowModel(t *testing.T) {
 	const nodes, cores = 2, 2
-	for _, pol := range []sched.Policy{sched.PriorityOrder, sched.LIFOOrder} {
-		for _, mode := range []sched.QueueMode{sched.SharedQueue, sched.PerWorker, sched.PerWorkerSteal} {
-			t.Run(fmt.Sprintf("%v/%v", pol, mode), func(t *testing.T) {
-				events, _ := simexecDecisions(t, confChains(8, 4, nodes), pol, mode, nodes, cores, false)
-				shadow := make([]*sched.Set, nodes)
-				for n := range shadow {
-					shadow[n] = sched.NewSet(cores, pol, mode, nil, nil)
-				}
-				for i, e := range events {
-					node := e.Queue / cores
-					if e.Op != sched.OpEnqueue && e.Worker >= 0 {
-						node = e.Worker / cores
-					}
-					s := shadow[node]
-					switch e.Op {
-					case sched.OpEnqueue:
-						if want := s.Home(e.Inst) + node*cores; want != e.Queue {
-							t.Fatalf("event %d: enqueue of %v on queue %d, core pins it to %d",
-								i, e.Inst.Ref, e.Queue, want)
-						}
-						s.Push(e.Inst)
-					case sched.OpPop:
-						got := s.Pop(e.Worker % cores)
-						if got != e.Inst {
-							t.Fatalf("event %d: worker %d popped %v, shadow core pops %v",
-								i, e.Worker, e.Inst.Ref, got)
-						}
-					case sched.OpSteal:
-						got := s.StealBest(e.Worker % cores)
-						if got != e.Inst {
-							t.Fatalf("event %d: worker %d stole %v, shadow core steals %v",
-								i, e.Worker, e.Inst.Ref, got)
-						}
-					}
-				}
-				total := 0
-				for _, s := range shadow {
-					total += s.Total()
-				}
-				if total != 0 {
-					t.Fatalf("%d tasks left in shadow queues after the run", total)
-				}
-			})
+	v5, err := ccsd.VariantByName("v5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatch := ccsd.Compile(molecule.Custom("dispatch", 12, 24, 4, 2, 1), v5, ccsd.Options{Nodes: nodes})
+	graphs := []struct {
+		prefix string // of the subtest names; the chains keep the bare ones
+		build  func() *ptg.Graph
+	}{
+		{"", func() *ptg.Graph { return confChains(8, 4, nodes) }},
+		{"dispatch-v5/", func() *ptg.Graph { return dispatch.NewGraph(nil) }},
+	}
+	for _, gr := range graphs {
+		for _, pol := range []sched.Policy{sched.PriorityOrder, sched.LIFOOrder} {
+			for _, mode := range []sched.QueueMode{sched.SharedQueue, sched.PerWorker, sched.PerWorkerSteal} {
+				t.Run(fmt.Sprintf("%s%v/%v", gr.prefix, pol, mode), func(t *testing.T) {
+					checkShadow(t, gr.build(), pol, mode, nodes, cores)
+				})
+			}
 		}
+	}
+}
+
+// checkShadow runs one simulation and replays its decisions against the
+// shadow core.
+func checkShadow(t *testing.T, g *ptg.Graph, pol sched.Policy, mode sched.QueueMode, nodes, cores int) {
+	t.Helper()
+	events, _ := simexecDecisions(t, g, pol, mode, nodes, cores, false)
+	shadow := make([]*sched.Set, nodes)
+	for n := range shadow {
+		shadow[n] = sched.NewSet(cores, pol, mode, nil, nil)
+	}
+	for i, e := range events {
+		node := e.Queue / cores
+		if e.Op != sched.OpEnqueue && e.Worker >= 0 {
+			node = e.Worker / cores
+		}
+		s := shadow[node]
+		switch e.Op {
+		case sched.OpEnqueue:
+			if want := s.Home(e.Inst) + node*cores; want != e.Queue {
+				t.Fatalf("event %d: enqueue of %v on queue %d, core pins it to %d",
+					i, e.Inst.Ref, e.Queue, want)
+			}
+			s.Push(e.Inst)
+		case sched.OpPop:
+			got := s.Pop(e.Worker % cores)
+			if got != e.Inst {
+				t.Fatalf("event %d: worker %d popped %v, shadow core pops %v",
+					i, e.Worker, e.Inst.Ref, got)
+			}
+		case sched.OpSteal:
+			got := s.StealBest(e.Worker % cores)
+			if got != e.Inst {
+				t.Fatalf("event %d: worker %d stole %v, shadow core steals %v",
+					i, e.Worker, e.Inst.Ref, got)
+			}
+		}
+	}
+	total := 0
+	for _, s := range shadow {
+		total += s.Total()
+	}
+	if total != 0 {
+		t.Fatalf("%d tasks left in shadow queues after the run", total)
 	}
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -159,4 +160,87 @@ func checkQueueAgainstReference(t *testing.T, pol Policy, mode QueueMode, seed i
 		pop()
 	}
 	pop() // empty: (nil, 0)
+}
+
+// TestSetPreloadMatchesPushAll is Set.Preload's contract: adopting a
+// Before-sorted run is pushing every task of it. For every
+// Policy×QueueMode set, one set preloads the sorted run and a twin
+// pushes the same tasks in creation order, as executors did before
+// runs were preloaded; both then go through the same random
+// interleaving of Push, Pop and StealBest. Every take must hand out the
+// same task, Total must agree after every op, and the observer must see
+// exactly one OpEnqueue per preloaded task, on the queue the twin's push
+// chose, with Total counting up from 1 — and a third set that pushes the
+// tasks in the order those events report them, as a shadow replaying
+// the decision stream does, must hand out the same tasks too.
+func TestSetPreloadMatchesPushAll(t *testing.T) {
+	const queues = 3
+	for _, pol := range []Policy{PriorityOrder, LIFOOrder} {
+		for _, mode := range []QueueMode{SharedQueue, PerWorker, PerWorkerSteal} {
+			t.Run(fmt.Sprintf("%v/%v", pol, mode), func(t *testing.T) {
+				for seed := int64(1); seed <= 20; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					var evA, evB []Event
+					a := NewSet(queues, pol, mode, nil, func(e Event) { evA = append(evA, e) })
+					b := NewSet(queues, pol, mode, nil, func(e Event) { evB = append(evB, e) })
+					created := make([]*ptg.Instance, rng.Intn(60))
+					for i := range created {
+						created[i] = inst(int64(rng.Intn(5)), i)
+					}
+					run := append([]*ptg.Instance(nil), created...)
+					sort.Slice(run, func(i, j int) bool { return Before(run[i], run[j]) })
+					a.Preload(run)
+					for _, in := range created {
+						b.Push(in)
+					}
+					if len(evA) != len(created) || a.Total() != b.Total() {
+						t.Fatalf("seed %d: preload of %d tasks reported %d enqueues, Total %d vs %d",
+							seed, len(created), len(evA), a.Total(), b.Total())
+					}
+					c := NewSet(queues, pol, mode, nil, nil)
+					seen := make(map[*ptg.Instance]bool)
+					for k, e := range evA {
+						c.Push(e.Inst)
+						if e.Op != OpEnqueue || e.Worker != -1 || e.Total != k+1 || seen[e.Inst] || e.Queue != b.Home(e.Inst) {
+							t.Fatalf("seed %d: preload event %d = %+v", seed, k, e)
+						}
+						seen[e.Inst] = true
+					}
+					for q := 0; q < a.Queues(); q++ {
+						if a.Len(q) != b.Len(q) {
+							t.Fatalf("seed %d: queue %d holds %d preloaded, %d pushed", seed, q, a.Len(q), b.Len(q))
+						}
+					}
+					evA, evB = evA[:0], evB[:0]
+					next := len(created)
+					for op := 0; op < 200 || a.Total() > 0; op++ {
+						wid := rng.Intn(queues)
+						var ga, gb, gc *ptg.Instance
+						switch r := rng.Intn(10); {
+						case r < 3 && op < 200:
+							in := inst(int64(rng.Intn(5)), next)
+							next++
+							a.Push(in)
+							b.Push(in)
+							c.Push(in)
+						case r < 7:
+							ga, gb, gc = a.Pop(wid), b.Pop(wid), c.Pop(wid)
+						default:
+							ga, gb, gc = a.StealBest(wid), b.StealBest(wid), c.StealBest(wid)
+						}
+						if gc != gb {
+							t.Fatalf("seed %d, op %d: replaying the preload's enqueues gave %v, pushing gave %v", seed, op, gc, gb)
+						}
+						if ga != gb || a.Total() != b.Total() {
+							t.Fatalf("seed %d, op %d: preloaded set gave %v (Total %d), pushed set %v (Total %d)",
+								seed, op, ga, a.Total(), gb, b.Total())
+						}
+					}
+					if !slices.Equal(evA, evB) {
+						t.Fatalf("seed %d: decision streams differ after the preload:\n%v\n%v", seed, evA, evB)
+					}
+				}
+			})
+		}
+	}
 }

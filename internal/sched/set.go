@@ -109,6 +109,63 @@ func (s *Set) Push(in *ptg.Instance) {
 	s.emit(Event{Op: OpEnqueue, Worker: -1, Queue: q, Inst: in, Total: s.total})
 }
 
+// Preload enqueues a run of ready instances already sorted in Before
+// order — a plan's initially-ready tasks, as ptg.Tracker's
+// AppendInitialReady returns them — without pushing them one at a time:
+// each queue adopts the sub-run homed on it (Queue.Preload), as the
+// runtime's Executor.Preload does with its shards. The set takes
+// ownership of the slice. The observer still sees one OpEnqueue per
+// task with Total counting up, queue by queue in the order each queue
+// holds them, so what pushing the run would have reported — the
+// ready-task depth, the enqueue decisions — is what it reports.
+func (s *Set) Preload(run []*ptg.Instance) {
+	n := len(s.queues)
+	SplitRun(run, n, func(in *ptg.Instance) int { return HomeQueue(in, n) }, func(q int, sub []*ptg.Instance) {
+		s.queues[q].Preload(sub)
+		for _, in := range sub {
+			s.total++
+			s.emit(Event{Op: OpEnqueue, Worker: -1, Queue: q, Inst: in, Total: s.total})
+		}
+	})
+}
+
+// SplitRun splits a run of instances by key, which must lie in [0, n),
+// and hands each nonempty sub-run to each with its key, in key order.
+// Each sub-run keeps the run's order — a sub-sequence of a Before-sorted
+// run is Before-sorted — and can be adopted by a queue: the sub-runs
+// share one new backing array, each capped at its own end. A run split
+// one way is handed over as is.
+func SplitRun(run []*ptg.Instance, n int, key func(*ptg.Instance) int, each func(q int, sub []*ptg.Instance)) {
+	if len(run) == 0 {
+		return
+	}
+	if n == 1 {
+		each(0, run)
+		return
+	}
+	start := make([]int, n+1)
+	for _, in := range run {
+		start[key(in)+1]++
+	}
+	for q := 1; q <= n; q++ {
+		start[q] += start[q-1]
+	}
+	buf := make([]*ptg.Instance, len(run))
+	next := start[:n]
+	for _, in := range run {
+		q := key(in)
+		buf[next[q]] = in
+		next[q]++
+	}
+	// next[q] is now the end of sub-run q, which is where q+1 starts.
+	for q, lo := 0, 0; q < n; q++ {
+		if hi := next[q]; hi > lo {
+			each(q, buf[lo:hi:hi])
+		}
+		lo = next[q]
+	}
+}
+
 // Pop takes the next task from worker wid's own queue (queue 0 in
 // SharedQueue mode), or nil.
 func (s *Set) Pop(wid int) *ptg.Instance {

@@ -204,8 +204,15 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 		cfg:   cfg,
 		nodes: make([]*nodeState, m.Cfg.Nodes),
 		procs: make([]*sim.Proc, m.Cfg.Nodes*cfg.CoresPerNode),
-		res:   Result{ByClass: make(map[string]int), BytesByClass: make(map[string]int64)},
+		boxed: make(map[int64]any),
 	}
+	classes := g.Classes()
+	ex.behaviors = make([]Behavior, len(classes))
+	for ci, tc := range classes {
+		ex.behaviors[ci] = cfg.Behaviors[tc.Name]
+	}
+	ex.byClass = make([]int, len(classes))
+	ex.sentTo = make([]classBytes, len(classes))
 	nq := cfg.CoresPerNode // NewSet collapses to one queue in SharedQueue mode
 	for n := range ex.nodes {
 		n := n
@@ -230,10 +237,22 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 			commIdle:    sim.NewWaitQ(m.Eng),
 		}
 	}
-	// Seed initial ready tasks.
-	for _, in := range tr.InitialReady() {
-		ex.enqueue(in)
+	// Seed each node with its share of the plan's sorted ready run, which
+	// its queues adopt as the runtime's shards do; no worker is parked
+	// yet, so there is nobody to wake.
+	initial := tr.AppendInitialReady(nil)
+	var outside *ptg.Instance
+	for _, in := range initial {
+		if (in.Node < 0 || in.Node >= len(ex.nodes)) && (outside == nil || in.Seq < outside.Seq) {
+			outside = in
+		}
 	}
+	if outside != nil {
+		return Result{}, outsideErr(outside)
+	}
+	sched.SplitRun(initial, len(ex.nodes), func(in *ptg.Instance) int { return in.Node }, func(n int, run []*ptg.Instance) {
+		ex.nodes[n].rq.Preload(run)
+	})
 	// Start workers and comm threads.
 	for n := 0; n < m.Cfg.Nodes; n++ {
 		n := n
@@ -255,6 +274,15 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 	}
 	ex.res.Makespan = end
 	ex.res.Tasks = tr.NumInstances()
+	ex.res.ByClass, ex.res.BytesByClass = make(map[string]int), make(map[string]int64)
+	for ci, tc := range classes {
+		if ex.byClass[ci] > 0 {
+			ex.res.ByClass[tc.Name] = ex.byClass[ci]
+		}
+		if ex.sentTo[ci].any {
+			ex.res.BytesByClass[tc.Name] = ex.sentTo[ci].bytes
+		}
+	}
 	ex.res.Gets, ex.res.Adds = gasim.Stats()
 	ex.res.GetBytes, ex.res.AddBytes = gasim.ByteStats()
 	return ex.res, nil
@@ -294,9 +322,23 @@ type executor struct {
 	// dels is complete's Delivery buffer, reused by every task: nothing
 	// it calls blocks, so no other process runs while it iterates.
 	dels []ptg.Delivery
-	res  Result
-	done bool
-	err  error
+	// behaviors, byClass and sentTo are indexed by TaskClass.Index: a
+	// class's behavior resolved once, and the per-class tallies the
+	// result's maps are built from at the end.
+	behaviors []Behavior
+	byClass   []int
+	sentTo    []classBytes
+	boxed     map[int64]any // deliver's Payload per size
+	res       Result
+	done      bool
+	err       error
+}
+
+// classBytes tallies the inter-node transfers into one class: the
+// result names a class once any transfer reached it, zero bytes or not.
+type classBytes struct {
+	bytes int64
+	any   bool
 }
 
 // Now returns the current virtual time in nanoseconds: the clock the
@@ -331,7 +373,7 @@ func (ex *executor) sample(name string, node int, v float64) {
 func (ex *executor) enqueue(in *ptg.Instance) {
 	node := in.Node
 	if node < 0 || node >= len(ex.nodes) {
-		ex.fail(fmt.Errorf("simexec: %v has affinity %d outside machine", in.Ref, node))
+		ex.fail(outsideErr(in))
 		return
 	}
 	ns := ex.nodes[node]
@@ -351,6 +393,11 @@ func (ex *executor) enqueue(in *ptg.Instance) {
 			}
 		}
 	}
+}
+
+// outsideErr reports a task whose affinity names no node of the machine.
+func outsideErr(in *ptg.Instance) error {
+	return fmt.Errorf("simexec: %v has affinity %d outside machine", in.Ref, in.Node)
 }
 
 // dequeueFor pops the next task for a specific worker: its own queue
@@ -464,7 +511,7 @@ func (ex *executor) stealRemote(p *sim.Proc, node, wid int) *ptg.Instance {
 
 // execute charges the task's simulated duration.
 func (ex *executor) execute(p *sim.Proc, node int, in *ptg.Instance) {
-	if b, ok := ex.cfg.Behaviors[in.Ref.Class]; ok {
+	if b := ex.behaviors[in.Class.Index()]; b != nil {
 		b(&TaskCtx{P: p, M: ex.m, GA: ex.ga, Inst: in, Node: node})
 		return
 	}
@@ -487,11 +534,11 @@ func (ex *executor) execute(p *sim.Proc, node int, in *ptg.Instance) {
 // re-dispatched).
 func (ex *executor) complete(in *ptg.Instance, node int) {
 	var err error
-	if ex.dels, _, err = ex.tr.Complete(in, ex.dels[:0]); err != nil {
+	if ex.dels, err = ex.tr.Complete(in, ex.dels[:0]); err != nil {
 		ex.fail(err)
 		return
 	}
-	ex.res.ByClass[in.Ref.Class]++
+	ex.byClass[in.Class.Index()]++
 	for _, d := range ex.dels {
 		pl := Payload{Bytes: d.Bytes}
 		if d.To.Node == node {
@@ -508,9 +555,16 @@ func (ex *executor) complete(in *ptg.Instance, node int) {
 }
 
 // deliver satisfies the consumer's input and enqueues it if it became
-// ready.
+// ready. A payload is an immutable value and a run's edges carry a few
+// distinct sizes, so each size is boxed once per run rather than once
+// per delivery.
 func (ex *executor) deliver(d ptg.Delivery, pl Payload) {
-	ready, err := ex.tr.Deliver(d.To, d.ToFlow, pl)
+	boxed, ok := ex.boxed[pl.Bytes]
+	if !ok {
+		boxed = pl
+		ex.boxed[pl.Bytes] = boxed
+	}
+	ready, err := ex.tr.Deliver(d.To, d.ToFlow, boxed)
 	if err != nil {
 		ex.fail(err)
 		return
@@ -582,7 +636,9 @@ func (ex *executor) send(p *sim.Proc, node int, t transfer) {
 				delivered = true
 				ex.res.BytesSent += t.payload.Bytes
 				ex.res.Transfers++
-				ex.res.BytesByClass[t.del.To.Ref.Class] += t.payload.Bytes
+				sent := &ex.sentTo[t.del.To.Class.Index()]
+				sent.bytes += t.payload.Bytes
+				sent.any = true
 				ex.deliver(t.del, t.payload)
 				if ex.err != nil {
 					return

@@ -2,6 +2,8 @@ package simexec
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"parsec/internal/cluster"
@@ -249,6 +251,52 @@ func TestByClassCounts(t *testing.T) {
 	}
 	if fmt.Sprint(res) == "" {
 		t.Error("empty result string")
+	}
+}
+
+// TestResultMapsKeyEveryClassSeen pins the keys of the per-class result
+// maps: ByClass names every class that completed a task and no other,
+// and BytesByClass every class an inter-node transfer reached — also when
+// the transfers carried zero bytes (a flow with no FlowBytes).
+func TestResultMapsKeyEveryClassSeen(t *testing.T) {
+	g := pipelineGraph(3, 0)
+	g.Class("EMPTY").Domain = func(func(ptg.Args)) {}
+	m, gs := testMachine(2, 1)
+	res, err := Run(g, m, gs, Config{CoresPerNode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Transfers != 3 {
+		t.Fatalf("transfers = %d, want 3", res.Transfers)
+	}
+	if want := map[string]int{"SRC": 3, "DST": 3}; !maps.Equal(res.ByClass, want) {
+		t.Errorf("ByClass = %v, want %v", res.ByClass, want)
+	}
+	if want := map[string]int64{"DST": 0}; !maps.Equal(res.BytesByClass, want) {
+		t.Errorf("BytesByClass = %v, want %v", res.BytesByClass, want)
+	}
+}
+
+// TestPayloadsCarryTheirSizes: every consumer receives a payload of its
+// own edge's size, local or remote, though the executor boxes one
+// payload per distinct size and shares it between deliveries.
+func TestPayloadsCarryTheirSizes(t *testing.T) {
+	const n = 8
+	g := pipelineGraph(n, 0)
+	g.ClassByName("SRC").FlowBytes = func(a ptg.Args, _ string) int64 { return int64(1000 * (1 + a[0]%3)) }
+	g.ClassByName("DST").Affinity = func(a ptg.Args) int { return a[0] % 2 }
+	got := make(map[int][]Payload)
+	m, gs := testMachine(2, 1)
+	_, err := Run(g, m, gs, Config{CoresPerNode: 1, Behaviors: map[string]Behavior{
+		"DST": func(ctx *TaskCtx) { got[ctx.Inst.Ref.Args[0]] = ctx.ActiveInputs() },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if want := []Payload{{Bytes: int64(1000 * (1 + i%3))}}; !slices.Equal(got[i], want) {
+			t.Errorf("DST(%d) received %v, want %v", i, got[i], want)
+		}
 	}
 }
 
