@@ -291,6 +291,62 @@ func TestArtifactsRegenerateByteIdentical(t *testing.T) {
 	}
 }
 
+// TestTraceArtifactsRegenerate pins the committed traces (Figs 10-13):
+// ccsim trace regenerates docs/trace_*.svg and the Chrome exports
+// docs/trace_{v4,original}.json byte for byte on benzene over 8 nodes,
+// and prints docs/trace_*.txt (beta-carotene over 32 nodes, the
+// defaults) exactly, less the trailing lines that name what a run wrote.
+func TestTraceArtifactsRegenerate(t *testing.T) {
+	docs := filepath.Join("..", "..", "docs")
+	read := func(t *testing.T, path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, v := range []string{"v4", "v2", "original"} {
+		v := v
+		t.Run(v+"/render", func(t *testing.T) {
+			t.Parallel()
+			args := []string{"trace", "-preset", "benzene", "-nodes", "8", "-variants", v}
+			written := map[string]string{} // committed file -> this run's
+			for _, r := range []struct{ flag, file string }{{"-svg", ".svg"}, {"-chrome", ".json"}} {
+				if v == "v2" && r.flag == "-chrome" {
+					continue // no committed Chrome export of v2
+				}
+				f := "trace_" + v + r.file
+				written[f] = filepath.Join(t.TempDir(), f)
+				args = append(args, r.flag, written[f])
+			}
+			if out, err := runCLI(t, args...); err != nil {
+				t.Fatalf("ccsim %s: %v\n%s", strings.Join(args, " "), err, out)
+			}
+			for f, path := range written {
+				if got, want := read(t, path), read(t, filepath.Join(docs, f)); !bytes.Equal(got, want) {
+					t.Errorf("ccsim %s no longer regenerates docs/%s byte-identically: got %d bytes, want %d", strings.Join(args, " "), f, len(got), len(want))
+				}
+			}
+		})
+		t.Run(v+"/text", func(t *testing.T) {
+			t.Parallel()
+			args := []string{"trace", "-width", "140", "-variants", v}
+			out, err := runCLI(t, args...)
+			if err != nil {
+				t.Fatalf("ccsim %s: %v\n%s", strings.Join(args, " "), err, out)
+			}
+			lines := strings.SplitAfter(string(read(t, filepath.Join(docs, "trace_"+v+".txt"))), "\n")
+			for n := len(lines); n > 0 && (lines[n-1] == "" || strings.HasPrefix(lines[n-1], "wrote ")); n-- {
+				lines = lines[:n-1]
+			}
+			if want := strings.Join(lines, ""); out != want {
+				t.Errorf("ccsim %s output differs from docs/trace_%s.txt:\n%s", strings.Join(args, " "), v, out)
+			}
+		})
+	}
+}
+
 // simulatedProfiles returns the first three entries of a profile JSON
 // artifact — the simulated runs — with their text kept as written
 // (RawMessage: whitespace is compacted, numbers and key order are not
