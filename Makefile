@@ -156,7 +156,6 @@ examples:
 	$(GO) run ./examples/ccsd_t2_7
 	$(GO) run ./examples/inspector
 	$(GO) run ./examples/fusion
-	$(GO) run ./examples/variants
 
 clean:
 	rm -f fig9.csv trace_*.svg test_output.txt bench_output.txt bench_kernels_new.json

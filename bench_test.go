@@ -100,10 +100,12 @@ func traceBench(b *testing.B, run func(tr *trace.Trace) (float64, error)) {
 			b.Fatal(err)
 		}
 		makespan = mk
-		gm, _ := tr.RampStats("GEMM")
-		ramp = float64(gm) / 1e9
+		byNode, sk := tr.Spans()
+		p := obsv.FromSpans("", byNode, sk)
+		p.SetRamp("GEMM", byNode, sk)
+		ramp = float64(p.Ramp.Mean) / 1e9
 		var busy, commBusy int64
-		for _, c := range obsv.FromTrace("", tr).Classes {
+		for _, c := range p.Classes {
 			busy += c.Total
 			switch c.Class {
 			case "READA", "READB", "WRITE":
@@ -201,14 +203,18 @@ func BenchmarkExecuteKernelShape(b *testing.B) {
 // service runs most (water, v5, 2 workers, 1,216 tasks of about a
 // microsecond): the same Execute unobserved; recorded and profiled the
 // way serve.runJob does it, from 24-byte spans and no trace; and with
-// the labelled trace built from those spans when the run ends, which
-// the real run of `ccsim profile` and the exporters ask for. allocs/op of the
+// the spans labelled as a trace when the run ends, which the exporters
+// ask for. allocs/op of the
 // middle one over the first must stay a per-worker number, not a
 // per-task one (TestRecordingAllocatesPerWorkerNotPerTask).
 func BenchmarkExecuteTraced(b *testing.B) {
 	spec, _ := ccsd.VariantByName("v5")
 	plan := ccsd.Compile(molecule.Water631G(), spec, ccsd.Options{Nodes: 1})
 	cfg := ccsd.ExecConfig{Workers: 2}
+	sk, err := plan.NewGraph(nil).Skeleton()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []struct {
 		name string
 		run  func() error
@@ -216,9 +222,10 @@ func BenchmarkExecuteTraced(b *testing.B) {
 		{"untraced", func() error { _, err := plan.Execute(cfg); return err }},
 		{"profiled", func() error { _, _, err := plan.ExecuteProfiled("bench", cfg); return err }},
 		{"labelled", func() error {
-			traced := cfg
-			traced.Trace = trace.New()
-			_, err := plan.Execute(traced)
+			res, _, err := plan.ExecuteProfiled("bench", cfg)
+			tr := trace.New()
+			tr.AddSpans(0, res.Report.Spans, sk)
+			tr.Events()
 			return err
 		}},
 	} {

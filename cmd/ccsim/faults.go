@@ -10,7 +10,6 @@ import (
 
 	"parsec/internal/ccsd"
 	"parsec/internal/fault"
-	"parsec/internal/metrics"
 	"parsec/internal/molecule"
 	"parsec/internal/obsv"
 	"parsec/internal/ptg"
@@ -206,7 +205,7 @@ func runFaults(out io.Writer, o *options, sys *molecule.System, cores int) error
 
 	for _, p := range profiles {
 		fmt.Fprintln(out)
-		if err := metrics.WriteProfile(out, p, 0); err != nil {
+		if err := obsv.WriteProfile(out, p, 0); err != nil {
 			return err
 		}
 	}

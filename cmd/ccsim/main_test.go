@@ -13,6 +13,7 @@ import (
 
 	"parsec/internal/netrun"
 	"parsec/internal/obsv"
+	"parsec/internal/ptg"
 	"parsec/internal/trace"
 )
 
@@ -186,33 +187,49 @@ func TestWriteArtifact(t *testing.T) {
 // TestTraceSummary pins the summary block of ccsim trace, rendered from
 // the run's profile: span, thread rows, the idle fraction 1 -
 // busy/(rows*span), the mean startup idle as a fraction of the span, and
-// one line per class, on a hand-checked trace and on an empty one.
+// one line per class, on hand-checked spans and on none.
 func TestTraceSummary(t *testing.T) {
 	const ms = 1_000_000
-	tr := trace.New()
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "READA", Start: 0, End: 100 * ms})
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "GEMM", Start: 100 * ms, End: 400 * ms})
-	tr.Add(trace.Event{Node: 0, Thread: 1, Class: "GEMM", Start: 200 * ms, End: 500 * ms})
-	tr.Add(trace.Event{Node: 1, Thread: 0, Class: "WRITE", Start: 450 * ms, End: 500 * ms})
+	g := ptg.NewGraph("summary")
+	for _, c := range []struct {
+		class string
+		n     int
+	}{{"READA", 1}, {"GEMM", 2}, {"WRITE", 1}} {
+		n := c.n
+		g.Class(c.class).Domain = func(emit func(ptg.Args)) {
+			for k := 0; k < n; k++ {
+				emit(ptg.A1(k))
+			}
+		}
+	}
+	sk, err := ptg.NewSkeleton(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seq 0 is the READA, 1 and 2 the GEMMs, 3 the WRITE.
+	spans := [][]trace.Span{
+		{{Seq: 0, Worker: 0, Start: 0, End: 100 * ms}, {Seq: 1, Worker: 0, Start: 100 * ms, End: 400 * ms}, {Seq: 2, Worker: 1, Start: 200 * ms, End: 500 * ms}},
+		{{Seq: 3, Worker: 0, Start: 450 * ms, End: 500 * ms}},
+	}
 	for _, tc := range []struct {
-		tr   *trace.Trace
-		busy int64
-		want string
+		spans [][]trace.Span
+		busy  int64
+		want  string
 	}{
 		// Busy 100+300+300+50 ms over 3 rows x 500 ms: idle 50%. The rows
 		// start at 0, 200 and 450 ms: mean startup 216.7 ms, 43.3%.
-		{tr, 750 * ms, `
+		{spans, 750 * ms, `
 span=0.500s threads=3 idle=50.0% startup-idle=43.3%
   GEMM       count=2      busy=0.600s
   READA      count=1      busy=0.100s
   WRITE      count=1      busy=0.050s
 `},
-		{trace.New(), 0, `
+		{nil, 0, `
 span=0.000s threads=0 idle=0.0% startup-idle=0.0%
 `},
 	} {
 		var buf bytes.Buffer
-		if busy := writeTraceSummary(&buf, obsv.FromTrace("t", tc.tr)); busy != tc.busy {
+		if busy := writeTraceSummary(&buf, obsv.FromSpans("t", tc.spans, sk)); busy != tc.busy {
 			t.Errorf("busy = %d, want %d", busy, tc.busy)
 		}
 		if got := buf.String(); got != tc.want {

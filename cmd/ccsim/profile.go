@@ -7,7 +7,6 @@ import (
 
 	"parsec/internal/ccsd"
 	"parsec/internal/cluster"
-	"parsec/internal/metrics"
 	"parsec/internal/molecule"
 	"parsec/internal/obsv"
 	"parsec/internal/ptg"
@@ -74,7 +73,7 @@ func profileCmd(fs *flag.FlagSet) func(io.Writer) error {
 
 		for _, p := range profiles {
 			fmt.Fprintln(out)
-			if err := metrics.WriteProfile(out, p, maxWorkerRows); err != nil {
+			if err := obsv.WriteProfile(out, p, maxWorkerRows); err != nil {
 				return err
 			}
 		}
@@ -95,8 +94,9 @@ func profileSim(sys *molecule.System, name string, mcfg cluster.Config, cores in
 	// profile wraps a finished run; unit is what the run's per-node
 	// workers are — cores, or the baseline's MPI ranks.
 	profile := func(res simexec.Result, unit string) *obsv.Profile {
-		p := obsv.FromTrace(fmt.Sprintf("%s sim %s %dn x %d%s", name, sys.Name, mcfg.Nodes, cores, unit), tr)
-		p.SetRamp("GEMM", tr)
+		byNode, sk := tr.Spans()
+		p := obsv.FromSpans(fmt.Sprintf("%s sim %s %dn x %d%s", name, sys.Name, mcfg.Nodes, cores, unit), byNode, sk)
+		p.SetRamp("GEMM", byNode, sk)
 		p.SetComm(obsv.CommStats{
 			GetOps: res.Gets, GetBytes: res.GetBytes,
 			AccOps: res.Adds, AccBytes: res.AddBytes,
@@ -122,7 +122,8 @@ func profileSim(sys *molecule.System, name string, mcfg cluster.Config, cores in
 		return nil, err
 	}
 	p := profile(res, "c")
-	a, err := plan.Analyze(measuredDurations(tr))
+	byNode, _ := tr.Spans()
+	a, err := plan.Analyze(measuredDurations(byNode))
 	if err != nil {
 		return nil, fmt.Errorf("critical-path replay: %w", err)
 	}
@@ -134,13 +135,18 @@ func profileSim(sys *molecule.System, name string, mcfg cluster.Config, cores in
 // runtime, profiling wall-clock spans instead of simulated time.
 func profileReal(sys *molecule.System, spec ccsd.VariantSpec, workers int) (*obsv.Profile, error) {
 	plan := ccsd.Compile(sys, spec, ccsd.Options{Nodes: 1})
-	tr := trace.New()
-	if _, err := plan.Execute(ccsd.ExecConfig{Workers: workers, Trace: tr}); err != nil {
+	res, p, err := plan.ExecuteProfiled(fmt.Sprintf("%s real %s, %d workers (wall time)", spec.Name, sys.Name, workers),
+		ccsd.ExecConfig{Workers: workers})
+	if err != nil {
 		return nil, err
 	}
-	p := obsv.FromTrace(fmt.Sprintf("%s real %s, %d workers (wall time)", spec.Name, sys.Name, workers), tr)
-	p.SetRamp("GEMM", tr)
-	a, err := plan.Analyze(measuredDurations(tr))
+	byNode := [][]trace.Span{res.Report.Spans}
+	sk, err := plan.NewGraph(nil).Skeleton()
+	if err != nil {
+		return nil, err
+	}
+	p.SetRamp("GEMM", byNode, sk)
+	a, err := plan.Analyze(measuredDurations(byNode))
 	if err != nil {
 		return nil, fmt.Errorf("critical-path replay: %w", err)
 	}
@@ -148,14 +154,15 @@ func profileReal(sys *molecule.System, spec ccsd.VariantSpec, workers int) (*obs
 	return p, nil
 }
 
-// measuredDurations indexes a PTG run's events by instance (Event.Seq)
-// so a DAG replay can charge each instance its measured duration — its
-// execution plus whatever migration or retry the executor recorded
-// against it. Instances without an event charge zero.
-func measuredDurations(tr *trace.Trace) func(*ptg.Instance) int64 {
+// measuredDurations sums a PTG run's span durations by instance (Seq) so
+// a DAG replay can charge each instance its measured duration.
+// Instances without a span charge zero.
+func measuredDurations(byNode [][]trace.Span) func(*ptg.Instance) int64 {
 	bySeq := make(map[int]int64)
-	for _, e := range tr.Events() {
-		bySeq[e.Seq] += e.Duration()
+	for _, spans := range byNode {
+		for _, sp := range spans {
+			bySeq[int(sp.Seq)] += sp.End - sp.Start
+		}
 	}
 	return func(in *ptg.Instance) int64 { return bySeq[in.Seq] }
 }

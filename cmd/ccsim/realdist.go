@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"parsec/internal/ccsd"
-	"parsec/internal/metrics"
 	"parsec/internal/netrun"
+	"parsec/internal/obsv"
 	"parsec/internal/tce"
 )
 
@@ -75,7 +75,7 @@ func realDistCmd(fs *flag.FlagSet) func(io.Writer) error {
 			if o.verbose {
 				fmt.Fprintln(out)
 				prof := res.Profile(fmt.Sprintf("%s %s x%d-proc", o.preset, v.name, *ranks))
-				if err := metrics.WriteProfile(out, prof, maxWorkerRows); err != nil {
+				if err := obsv.WriteProfile(out, prof, maxWorkerRows); err != nil {
 					return err
 				}
 			}

@@ -1,4 +1,4 @@
-package metrics
+package main
 
 import (
 	"strings"
@@ -37,16 +37,6 @@ func TestSchedRowImbalance(t *testing.T) {
 	}
 }
 
-func TestSchedRowStealHitRate(t *testing.T) {
-	r := SchedRow{StealAttempts: 40, Steals: 10}
-	if got := r.StealHitRate(); got != 0.25 {
-		t.Errorf("hit rate = %v, want 0.25", got)
-	}
-	if got := (SchedRow{}).StealHitRate(); got != 0 {
-		t.Errorf("no-probe hit rate = %v, want 0", got)
-	}
-}
-
 func TestSchedTableWriteTable(t *testing.T) {
 	var b strings.Builder
 	if err := sampleSchedTable().WriteTable(&b); err != nil {
@@ -61,25 +51,5 @@ func TestSchedTableWriteTable(t *testing.T) {
 	// Non-stealing rows show "-" in the steals column.
 	if !strings.Contains(out, "-") {
 		t.Errorf("no placeholder for non-stealing row:\n%s", out)
-	}
-}
-
-func TestSchedTableWriteCSV(t *testing.T) {
-	var b strings.Builder
-	if err := sampleSchedTable().WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3: %q", len(lines), b.String())
-	}
-	if !strings.HasPrefix(lines[0], "config,workers,tasks") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[2], "pinned-steal,8,2049") {
-		t.Errorf("row = %q", lines[2])
-	}
-	if !strings.Contains(lines[2], "8.0000") { // imbalance 2049/(2049/8)
-		t.Errorf("imbalance missing from %q", lines[2])
 	}
 }

@@ -69,7 +69,9 @@ func traceCmd(fs *flag.FlagSet) func(io.Writer) error {
 			return err
 		}
 
-		p := obsv.FromTrace(name, tr)
+		byNode, sk := tr.Spans()
+		p := obsv.FromSpans(name, byNode, sk)
+		p.SetRamp("GEMM", byNode, sk)
 		busy := writeTraceSummary(out, p)
 
 		// Communication classes: reads (PaRSEC) or GETs and ADDs (original).
@@ -95,10 +97,9 @@ func traceCmd(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		fmt.Fprintf(out, "startup idle (Fig 11 bubble): mean %.3f s = %.1f%% of the makespan\n",
 			float64(p.Idle.MeanStartup)/1e9, 100*spanFrac(p.Idle.MeanStartup, p.Span))
-		gm, gx := tr.RampStats("GEMM")
 		fmt.Fprintf(out, "time to first GEMM per thread: mean %.3f s, max %.3f s (%.1f%% / %.1f%% of makespan)\n",
-			float64(gm)/1e9, float64(gx)/1e9,
-			100*float64(gm)/float64(p.Span), 100*float64(gx)/float64(p.Span))
+			float64(p.Ramp.Mean)/1e9, float64(p.Ramp.Max)/1e9,
+			100*float64(p.Ramp.Mean)/float64(p.Span), 100*float64(p.Ramp.Max)/float64(p.Span))
 
 		for _, a := range []struct {
 			path   string

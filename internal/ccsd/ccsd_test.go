@@ -99,8 +99,8 @@ func TestVariantTaskCounts(t *testing.T) {
 // TestExecuteTable drives the one real-arithmetic path — CompileWorkload
 // + Execute — over every ExecConfig and Options dial that changes how
 // the work is scheduled or cut, on both kernels and all five variants:
-// none of them may move the energy past EnergyTol, and a traced run
-// records exactly one event per task.
+// none of them may move the energy past EnergyTol, and a recorded run
+// records exactly one span per task.
 func TestExecuteTable(t *testing.T) {
 	sys := molecule.Water631G()
 	straggler := func(worker int, _ ptg.TaskRef) time.Duration {
@@ -122,22 +122,22 @@ func TestExecuteTable(t *testing.T) {
 					for _, traced := range []bool{false, true} {
 						for _, delayed := range []bool{false, true} {
 							cfg := ExecConfig{Workers: 4, Queue: q}
-							if traced {
-								cfg.Trace = trace.New()
-							}
 							if delayed {
 								cfg.TaskDelay = straggler
 							}
 							name := fmt.Sprintf("%s/%s/h=%d/%v/trace=%v/delay=%v", k.Name, spec.Name, h, q, traced, delayed)
 							res, err := plan.Execute(cfg)
+							if traced {
+								res, _, err = plan.ExecuteProfiled(name, cfg)
+							}
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
 							if d := EnergyRelDiff(res.Energy, ref); d > EnergyTol {
 								t.Errorf("%s: energy %.15g vs reference %.15g (rel %g)", name, res.Energy, ref, d)
 							}
-							if traced && cfg.Trace.Len() != res.Report.Tasks {
-								t.Errorf("%s: trace has %d events, report %d tasks", name, cfg.Trace.Len(), res.Report.Tasks)
+							if traced && len(res.Report.Spans) != res.Report.Tasks {
+								t.Errorf("%s: %d spans recorded, report %d tasks", name, len(res.Report.Spans), res.Report.Tasks)
 							}
 						}
 					}

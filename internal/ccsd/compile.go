@@ -259,10 +259,6 @@ type ExecConfig struct {
 	// Queue selects the ready-queue structure; the zero value is the
 	// shared queue.
 	Queue sched.QueueMode
-	// Trace, when non-nil, receives one labelled event per completed
-	// task, for rendering and obsv profiling. The run records spans and
-	// the events are built from them when it ends (trace.Trace.AddSpans).
-	Trace *trace.Trace
 	// TaskDelay, when non-nil, stalls a worker before each task body —
 	// runtime.Config.TaskDelay, the real-runtime analogue of a simulated
 	// straggler. The energy must not move: fault recovery may reshuffle
@@ -284,7 +280,7 @@ type ExecConfig struct {
 // same plan are safe — the plan is read-only after Compile, and each run
 // has a context to itself.
 func (p *CompiledPlan) Execute(cfg ExecConfig) (RealResult, error) {
-	return p.execute(cfg, cfg.Trace != nil)
+	return p.execute(cfg, false)
 }
 
 // ExecuteProfiled is Execute with span recording on, returning beside
@@ -342,8 +338,7 @@ func (p *CompiledPlan) ReadBlock(ref ptg.TaskRef) (name string, block int, ok bo
 }
 
 // run runs g, a graph of the plan, to completion on r, recording spans if
-// asked; a cfg.Trace gets whatever was recorded, also of a run that
-// failed or was canceled.
+// asked.
 func (p *CompiledPlan) run(r *runtime.Runner, g *ptg.Graph, cfg ExecConfig, record bool) (runtime.Report, error) {
 	rcfg := runtime.Config{
 		Workers:   cfg.Workers,
@@ -355,10 +350,5 @@ func (p *CompiledPlan) run(r *runtime.Runner, g *ptg.Graph, cfg ExecConfig, reco
 	if !record {
 		return r.Run(g, rcfg)
 	}
-	rep, err := r.RunRecorded(g, rcfg)
-	if cfg.Trace != nil {
-		sk, _ := p.skeleton(g)
-		cfg.Trace.AddSpans(0, rep.Spans, sk)
-	}
-	return rep, err
+	return r.RunRecorded(g, rcfg)
 }

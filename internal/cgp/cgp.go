@@ -14,6 +14,7 @@ import (
 
 	"parsec/internal/cluster"
 	"parsec/internal/ga"
+	"parsec/internal/ptg"
 	"parsec/internal/sim"
 	"parsec/internal/tce"
 	"parsec/internal/trace"
@@ -28,7 +29,10 @@ type Config struct {
 	// a barrier and counter reset between them (the original T2 code uses
 	// seven across its subroutines; a single subroutine region is one).
 	Levels int
-	// Trace, if non-nil, receives GET / GEMM / SORT / ADD events.
+	// Trace, if non-nil, receives one span per step a rank executes —
+	// DFILL, the GETs of A and B (READA, READB), GEMM, SORT and the ADD
+	// (WRITE) — with the rank as the worker, named by a skeleton of the
+	// run's steps (newSteps).
 	Trace *trace.Trace
 }
 
@@ -69,16 +73,28 @@ func Run(w *tce.Workload, m *cluster.Machine, gs *ga.Sim, cfg Config) (Result, e
 	totalRanks := m.Cfg.Nodes * cfg.RanksPerNode
 	barrier := sim.NewBarrier(m.Eng, totalRanks)
 	res := Result{Chains: len(w.Chains), ChainsByRank: make(map[string]int)}
+	var st *steps
+	if cfg.Trace != nil {
+		var err error
+		if st, err = newSteps(w, m.Cfg.Nodes, cfg.RanksPerNode); err != nil {
+			return Result{}, err
+		}
+	}
 
 	for node := 0; node < m.Cfg.Nodes; node++ {
 		for rank := 0; rank < cfg.RanksPerNode; rank++ {
 			node, rank := node, rank
 			m.Eng.Go(fmt.Sprintf("n%d.r%d", node, rank), func(p *sim.Proc) {
-				runRank(p, w, m, gs, cfg, node, rank, bounds, barrier, &res)
+				runRank(p, w, m, gs, st, node, rank, bounds, barrier, &res)
 			})
 		}
 	}
 	end, err := m.Eng.Run(0)
+	if st != nil {
+		for i, spans := range st.spans {
+			cfg.Trace.AddSpans(i/st.perNode, spans, st.sk)
+		}
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("cgp: %w", err)
 	}
@@ -88,15 +104,11 @@ func Run(w *tce.Workload, m *cluster.Machine, gs *ga.Sim, cfg Config) (Result, e
 	return res, nil
 }
 
-func runRank(p *sim.Proc, w *tce.Workload, m *cluster.Machine, gs *ga.Sim,
-	cfg Config, node, rank int, bounds []int, barrier *sim.Barrier, res *Result) {
-	record := func(class, label string, start sim.Time) {
-		if cfg.Trace != nil {
-			cfg.Trace.Add(trace.Event{
-				Node: node, Thread: rank,
-				Class: class, Label: label,
-				Start: int64(start), End: int64(p.Now()),
-			})
+func runRank(p *sim.Proc, w *tce.Workload, m *cluster.Machine, gs *ga.Sim, st *steps,
+	node, rank int, bounds []int, barrier *sim.Barrier, res *Result) {
+	record := func(class, chain, step int, start sim.Time) {
+		if st != nil {
+			st.record(node, rank, class, chain, step, start, p.Now())
 		}
 	}
 	rankKey := fmt.Sprintf("%d/%d", node, rank)
@@ -123,6 +135,71 @@ func runRank(p *sim.Proc, w *tce.Workload, m *cluster.Machine, gs *ga.Sim,
 	}
 }
 
+// The classes of the steps a rank records, in skeleton order.
+const (
+	dfill = iota
+	readA
+	readB
+	gemm
+	sortC
+	write
+	nclasses
+)
+
+var classNames = [nclasses]string{"DFILL", "READA", "READB", "GEMM", "SORT", "WRITE"}
+
+// steps records a traced run: one span buffer per rank, and the
+// skeleton that names what they hold — one instance per (class, chain,
+// step), where a step counts a chain's GEMMs (DFILL has one, READA,
+// READB and GEMM one per GEMM) or its sorts (SORT and WRITE one per
+// sort). Instance (chain, step) of a class is CLASS(chain,step,0), and
+// its Seq is seq0[class][chain] + step.
+type steps struct {
+	sk      *ptg.Skeleton
+	seq0    [nclasses][]int // per chain: the Seq of its step 0 in the class
+	spans   [][]trace.Span  // by node*perNode + rank
+	perNode int
+}
+
+// newSteps builds the skeleton of w's steps, and a buffer per rank.
+func newSteps(w *tce.Workload, nodes, perNode int) (*steps, error) {
+	st := &steps{spans: make([][]trace.Span, nodes*perNode), perNode: perNode}
+	g := ptg.NewGraph("cgp")
+	n := 0
+	for class, name := range classNames {
+		st.seq0[class] = make([]int, len(w.Chains))
+		count := func(c *tce.ChainMeta) int {
+			switch class {
+			case dfill:
+				return 1
+			case sortC, write:
+				return len(c.Sorts)
+			}
+			return len(c.Gemms)
+		}
+		for _, c := range w.Chains {
+			st.seq0[class][c.ID] = n
+			n += count(c)
+		}
+		g.Class(name).Domain = func(emit func(ptg.Args)) {
+			for _, c := range w.Chains {
+				for i := 0; i < count(c); i++ {
+					emit(ptg.A2(c.ID, i))
+				}
+			}
+		}
+	}
+	var err error
+	st.sk, err = ptg.NewSkeleton(g)
+	return st, err
+}
+
+// record appends one step's span to the buffer of a node's rank.
+func (st *steps) record(node, rank, class, chain, step int, start, end sim.Time) {
+	i := node*st.perNode + rank
+	st.spans[i] = append(st.spans[i], trace.Span{Seq: uint32(st.seq0[class][chain] + step), Worker: uint32(rank), Start: int64(start), End: int64(end)})
+}
+
 // owner maps an inspection's recorded block owner to a node. A one-node
 // inspection has no locator and records -1: every block is on node 0,
 // the convention the PTG builders read it by too.
@@ -137,35 +214,35 @@ func owner(recorded int) int {
 // DFILL, then for each GEMM a blocking GET of A and B followed by the
 // kernel, then the active SORT_4 + ADD_HASH_BLOCK pairs, all serially.
 func executeChain(p *sim.Proc, c *tce.ChainMeta, m *cluster.Machine, gs *ga.Sim,
-	node int, record func(class, label string, start sim.Time)) {
+	node int, record func(class, chain, step int, start sim.Time)) {
 	cb := c.CBytes()
 	// DFILL: zero the local C buffer (MA_PUSH_GET + dfill).
 	t0 := p.Now()
 	m.MemOp(p, node, cb, false)
-	record("DFILL", fmt.Sprintf("DFILL(%d)", c.ID), t0)
+	record(dfill, c.ID, 0, t0)
 
-	for _, g := range c.Gemms {
+	for i, g := range c.Gemms {
 		// GET_HASH_BLOCK immediately before the GEMM: "there is no
 		// computation in the code between the point where the data
 		// transfer starts and the point where the data is needed" (§V).
 		t0 = p.Now()
 		gs.GetHashBlock(p, node, owner(g.ANode), g.Op.A.Bytes(), g.Op.A.Dims[0]*g.Op.A.Dims[1])
-		record("READA", fmt.Sprintf("GET-A(%d,%d)", c.ID, g.Op.Iter.H7), t0)
+		record(readA, c.ID, i, t0)
 		t0 = p.Now()
 		gs.GetHashBlock(p, node, owner(g.BNode), g.Op.B.Bytes(), g.Op.B.Dims[0]*g.Op.B.Dims[1])
-		record("READB", fmt.Sprintf("GET-B(%d,%d)", c.ID, g.Op.Iter.H7), t0)
+		record(readB, c.ID, i, t0)
 
 		t0 = p.Now()
 		m.Gemm(p, node, g.Op.Flops(), g.Op.A.Bytes()+g.Op.B.Bytes()+cb)
-		record("GEMM", fmt.Sprintf("GEMM(%d,%d)", c.ID, g.Op.Iter.H7), t0)
+		record(gemm, c.ID, i, t0)
 	}
 
-	for _, s := range c.Sorts {
+	for i := range c.Sorts {
 		t0 = p.Now()
 		m.MemOp(p, node, 2*cb, true)
-		record("SORT", fmt.Sprintf("SORT(%d,%d)", c.ID, s.Branch), t0)
+		record(sortC, c.ID, i, t0)
 		t0 = p.Now()
 		gs.AddHashBlock(p, node, owner(c.OutNode), c.Out.Bytes(), c.Out.Dims[0]*c.Out.Dims[1])
-		record("WRITE", fmt.Sprintf("ADD(%d,%d)", c.ID, s.Branch), t0)
+		record(write, c.ID, i, t0)
 	}
 }

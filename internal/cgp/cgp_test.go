@@ -1,6 +1,7 @@
 package cgp
 
 import (
+	"runtime"
 	"testing"
 
 	"parsec/internal/cluster"
@@ -12,6 +13,11 @@ import (
 )
 
 func testSetup(nodes, cores int) (*tce.Workload, *cluster.Machine, *ga.Sim) {
+	return setupFor(molecule.Water631G(), nodes, cores)
+}
+
+// setupFor inspects sys for a fresh machine of nodes x cores.
+func setupFor(sys *molecule.System, nodes, cores int) (*tce.Workload, *cluster.Machine, *ga.Sim) {
 	cfg := cluster.CascadeLike()
 	cfg.Nodes = nodes
 	cfg.CoresPerNode = cores
@@ -19,7 +25,7 @@ func testSetup(nodes, cores int) (*tce.Workload, *cluster.Machine, *ga.Sim) {
 	e := sim.NewEngine()
 	m := cluster.New(e, cfg)
 	gs := ga.NewSim(m)
-	k := tce.T2_7(molecule.Water631G())
+	k := tce.T2_7(sys)
 	w := tce.Inspect(k, func(b tce.BlockRef) int {
 		return gs.Distribution().Owner(b.Tensor, b.Key)
 	})
@@ -53,6 +59,30 @@ func TestRunExecutesAllChains(t *testing.T) {
 	}
 }
 
+// TestUntracedRunFormatsNothing: a run nobody traces records nothing, so
+// what it allocates does not grow with the steps it executes — benzene
+// runs 1,902 steps on 2 nodes x 2 ranks to water's 878. A label
+// formatted per step before the trace check showed as one allocation
+// per step.
+func TestUntracedRunFormatsNothing(t *testing.T) {
+	allocs := func(sys *molecule.System) uint64 {
+		w, m, gs := setupFor(sys, 2, 2)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Run(w, m, gs, Config{RanksPerNode: 2})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	water, benzene := allocs(molecule.Water631G()), allocs(molecule.Benzene631G())
+	t.Logf("allocations per untraced Run: water %d, benzene %d", water, benzene)
+	if benzene > water+32 {
+		t.Errorf("an untraced benzene Run allocates %d times, water %d: more steps should not cost more allocations", benzene, water)
+	}
+}
+
 func TestTraceShowsNoOverlapPattern(t *testing.T) {
 	w, m, gs := testSetup(2, 1)
 	tr := trace.New()
@@ -61,6 +91,18 @@ func TestTraceShowsNoOverlapPattern(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// One span per step, each a distinct instance of the run's skeleton.
+	st := w.Stats()
+	if want := w.NumChains() + 3*st.Gemms + 2*st.Sorts; tr.Len() != want {
+		t.Errorf("%d spans, want %d steps", tr.Len(), want)
+	}
+	seen := map[int]bool{}
+	for _, ev := range tr.Events() {
+		if ev.Class == "task" || seen[ev.Seq] {
+			t.Fatalf("step %+v unnamed or recorded twice", ev)
+		}
+		seen[ev.Seq] = true
 	}
 	// The defining property of the original code: communication (GETs)
 	// happens on the worker thread, so comm and compute on a rank never

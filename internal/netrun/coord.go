@@ -23,7 +23,7 @@ type coordSpec struct {
 	// accumulation lands, on whichever connection goroutine delivers it.
 	output func(st *ga.Store) *tce.EnergyFold
 	// graph builds the job's graph once more, should the caller ask the
-	// result for its trace (Result.Trace).
+	// result for its profile (Result.Profile).
 	graph func() *ptg.Graph
 }
 

@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"parsec/internal/fault"
@@ -256,11 +255,8 @@ type Result struct {
 	Recovery obsv.Recovery
 
 	// graph builds the job's graph, whose skeleton is the Seq -> TaskRef
-	// table Trace labels spans from and Profile reads classes from; nil
-	// leaves them labelled by number.
-	graph     func() *ptg.Graph
-	traceOnce sync.Once
-	trace     *trace.Trace
+	// table Profile reads classes from; nil leaves them unnamed.
+	graph func() *ptg.Graph
 }
 
 // skeleton resolves the job's graph structure, or nil.
@@ -270,21 +266,6 @@ func (r *Result) skeleton() *ptg.Skeleton {
 	}
 	sk, _ := r.graph().Skeleton()
 	return sk
-}
-
-// Trace returns one event per executed task across all ranks (rows are
-// (rank, worker) pairs), ready for the trace/obsv pipelines. It is built
-// on first call from the spans the ranks reported: a run nobody asks for
-// the trace of formats no label.
-func (r *Result) Trace() *trace.Trace {
-	r.traceOnce.Do(func() {
-		sk := r.skeleton()
-		r.trace = trace.New()
-		for _, rep := range r.PerRank {
-			r.trace.AddSpans(rep.Rank, rep.Spans, sk)
-		}
-	})
-	return r.trace
 }
 
 // Profile builds the observability profile of the run: the same

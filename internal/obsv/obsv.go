@@ -10,11 +10,11 @@
 // executed DAG to report what fraction of the critical path each task
 // class contributes.
 //
-// A Profile is built from a recorded trace with FromTrace (the
-// simulators, which record labelled events) or straight from a real
-// run's spans with FromSpans (the service, netrun — no trace is built),
-// enriched with SetComm and SetCritical, and rendered as text by
-// metrics.WriteProfile or exported as JSON (WriteJSON) for regression
+// A Profile is built straight from the spans an executor recorded with
+// FromSpans — the real runtime, netrun's ranks, the service and both
+// simulators record the same trace.Span, so there is one builder —
+// enriched with SetRamp, SetComm and SetCritical, and rendered as text
+// by WriteProfile or exported as JSON (WriteJSON) for regression
 // diffing. cmd/ccsim profile is the command-line surface.
 package obsv
 
@@ -315,57 +315,22 @@ type Profile struct {
 	Phase   *Phases         `json:"phases,omitempty"`
 }
 
-// FromTrace computes the histogram and idle-gap halves of a profile from
-// a recorded trace. Comm and critical-path attribution are attached
-// separately (SetComm, SetCritical) because they need executor state the
-// trace does not carry.
-func FromTrace(name string, t *trace.Trace) *Profile {
-	p := &Profile{Name: name}
-	evs := t.Events()
-	start, end := t.Span()
-	p.Span = end - start
-	p.Tasks = int64(len(evs))
-
-	hists := make(map[string]*Histogram)
-	var classes []string
-	for _, e := range evs {
-		h := hists[e.Class]
-		if h == nil {
-			h = &Histogram{}
-			hists[e.Class] = h
-			classes = append(classes, e.Class)
-		}
-		h.Add(e.Duration())
-	}
-	sort.Strings(classes)
-	for _, class := range classes {
-		p.Classes = append(p.Classes, hists[class].profile(class))
-	}
-
-	// Events() is sorted by (node, thread, start): walk each row once.
-	w := rowWalk{p: p, start: start, end: end}
-	for i := range evs {
-		e := &evs[i]
-		w.add(e.Node, e.Thread, e.Start, e.End)
-	}
-	w.finish()
-	return p
-}
-
-// FromSpans computes the same profile FromTrace computes from the
-// labelled trace of the same run — every field equal — straight from the
-// spans real executors record, without building that trace: byNode[n] is
-// node n's spans as runtime.Report.Spans and a netrun rank's report carry
-// them (grouped by worker in increasing order, each worker's in start
-// order), and sk, the skeleton of the graph that ran, supplies what a
-// span leaves out, the class. Durations go into histograms indexed by
-// class, and each worker's row is walked in the order it was recorded:
-// no label is formatted, no span is sorted, no lock is taken. Spans sk
-// does not describe (a nil sk describes none) count under class "task",
-// as trace.Trace.AddSpans labels them.
+// FromSpans computes the histogram and idle-gap halves of a profile
+// from the spans a run recorded: byNode[n] is node n's spans as
+// runtime.Report.Spans, a netrun rank's report and a simulator's
+// trace.Trace carry them (grouped by worker in increasing order, each
+// worker's in start order), and sk, the skeleton of the graph that ran,
+// supplies what a span leaves out, the class. Durations go into
+// histograms indexed by class, and each worker's row is walked in the
+// order it was recorded: no label is formatted, no span is sorted, no
+// lock is taken. Spans sk does not describe (a nil sk describes none)
+// count under class "task", as trace.Trace labels them. Ramp, comm and
+// critical-path attribution are attached separately (SetRamp, SetComm,
+// SetCritical): the spans do not carry the last two, and the service's
+// profiles leave the first out.
 func FromSpans(name string, byNode [][]trace.Span, sk *ptg.Skeleton) *Profile {
 	p := &Profile{Name: name}
-	names := append(sk.ClassNames(), "task")
+	names := classNames(sk)
 	hists := make([]Histogram, len(names))
 	var start, end int64
 	for _, spans := range byNode {
@@ -378,11 +343,7 @@ func FromSpans(name string, byNode [][]trace.Span, sk *ptg.Skeleton) *Profile {
 				end = sp.End
 			}
 			p.Tasks++
-			ci := sk.ClassOf(int(sp.Seq))
-			if ci < 0 {
-				ci = len(names) - 1
-			}
-			hists[ci].Add(sp.End - sp.Start)
+			hists[classOf(sk, sp.Seq, names)].Add(sp.End - sp.Start)
 		}
 	}
 	p.Span = end - start
@@ -402,6 +363,19 @@ func FromSpans(name string, byNode [][]trace.Span, sk *ptg.Skeleton) *Profile {
 	}
 	w.finish()
 	return p
+}
+
+// classNames returns the class names of sk and, last, "task": the
+// class of a span sk does not describe.
+func classNames(sk *ptg.Skeleton) []string { return append(sk.ClassNames(), "task") }
+
+// classOf returns the index into names = classNames(sk) of the class of
+// instance seq.
+func classOf(sk *ptg.Skeleton, seq uint32, names []string) int {
+	if ci := sk.ClassOf(int(seq)); ci >= 0 {
+		return ci
+	}
+	return len(names) - 1
 }
 
 // profile summarizes the histogram as one class's row of a Profile.
@@ -511,14 +485,43 @@ func (p *Profile) SetSlowdown(baselineSpan int64, causes []SlowdownCause) {
 	p.Slow = s
 }
 
-// SetRamp attaches the time-to-first-event ramp for one class,
-// computed from the recorded trace (trace.RampStats).
-func (p *Profile) SetRamp(class string, tr *trace.Trace) {
-	mean, max := tr.RampStats(class)
-	r := &RampStat{Class: class, Mean: mean, Max: max}
+// SetRamp attaches the ramp of one class: the mean and max, over the
+// workers that ran it, of the time from the run's first start to each
+// worker's first span of the class. byNode and sk are what the profile
+// was built from (FromSpans).
+func (p *Profile) SetRamp(class string, byNode [][]trace.Span, sk *ptg.Skeleton) {
+	names := classNames(sk)
+	want := slices.Index(names, class)
+	var start int64
+	first := true
+	for _, spans := range byNode {
+		for i := range spans {
+			if first || spans[i].Start < start {
+				start, first = spans[i].Start, false
+			}
+		}
+	}
+	r := &RampStat{Class: class}
+	var total, n int64
+	for _, spans := range byNode {
+		seen := false // the current worker's first span of the class is behind
+		for i := range spans {
+			sp := &spans[i]
+			if i > 0 && sp.Worker != spans[i-1].Worker {
+				seen = false
+			}
+			if !seen && classOf(sk, sp.Seq, names) == want {
+				d := sp.Start - start
+				total, n, r.Max, seen = total+d, n+1, max(r.Max, d), true
+			}
+		}
+	}
+	if n > 0 {
+		r.Mean = total / n
+	}
 	if p.Span > 0 {
-		r.MeanFrac = float64(mean) / float64(p.Span)
-		r.MaxFrac = float64(max) / float64(p.Span)
+		r.MeanFrac = float64(r.Mean) / float64(p.Span)
+		r.MaxFrac = float64(r.Max) / float64(p.Span)
 	}
 	p.Ramp = r
 }

@@ -2,8 +2,14 @@ package obsv
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -86,8 +92,149 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// fromTrace is the reference FromSpans is held to: the fold of a
+// labelled trace that built every profile before executors recorded
+// spans. It walks the events sorted by (node, thread, start), takes the
+// class from each event's label, and keys histograms by class name.
+func fromTrace(name string, t *trace.Trace) *Profile {
+	p := &Profile{Name: name}
+	evs := t.Events()
+	start, end := t.Span()
+	p.Span = end - start
+	p.Tasks = int64(len(evs))
+
+	hists := make(map[string]*Histogram)
+	var classes []string
+	for _, e := range evs {
+		h := hists[e.Class]
+		if h == nil {
+			h = &Histogram{}
+			hists[e.Class] = h
+			classes = append(classes, e.Class)
+		}
+		h.Add(e.Duration())
+	}
+	sort.Strings(classes)
+	for _, class := range classes {
+		p.Classes = append(p.Classes, hists[class].profile(class))
+	}
+
+	w := rowWalk{p: p, start: start, end: end}
+	for i := range evs {
+		e := &evs[i]
+		w.add(e.Node, e.Thread, e.Start, e.End)
+	}
+	w.finish()
+	return p
+}
+
+// setRampRef is the reference SetRamp is held to: per (node, thread)
+// row of the sorted events, the time from the trace's first start to
+// the row's first event of the class; mean and max over the rows that
+// have one.
+func setRampRef(p *Profile, class string, t *trace.Trace) {
+	start, _ := t.Span()
+	type row struct{ node, thread int }
+	seen := map[row]bool{}
+	var total, n, maxD int64
+	for _, e := range t.Events() {
+		if r := (row{e.Node, e.Thread}); e.Class == class && !seen[r] {
+			seen[r] = true
+			d := e.Start - start
+			total, n, maxD = total+d, n+1, max(maxD, d)
+		}
+	}
+	r := &RampStat{Class: class, Max: maxD}
+	if n > 0 {
+		r.Mean = total / n
+	}
+	if p.Span > 0 {
+		r.MeanFrac = float64(r.Mean) / float64(p.Span)
+		r.MaxFrac = float64(r.Max) / float64(p.Span)
+	}
+	p.Ramp = r
+}
+
+// rec is one recorded task of a test run: where, which class, when.
+type rec struct {
+	node, thread int
+	class        string
+	start, end   int64
+}
+
+// recorded returns rs as an executor records them: each span is the
+// next instance of its class in a skeleton made for rs, and each node's
+// spans are grouped by worker in start order.
+func recorded(t testing.TB, rs ...rec) ([][]trace.Span, *ptg.Skeleton) {
+	t.Helper()
+	g := ptg.NewGraph("recs")
+	count := map[string]int{}
+	for _, r := range rs {
+		if count[r.class]++; count[r.class] == 1 {
+			g.Class(r.class)
+		}
+	}
+	for _, tc := range g.Classes() {
+		n := count[tc.Name]
+		tc.Domain = func(emit func(ptg.Args)) {
+			for k := 0; k < n; k++ {
+				emit(ptg.A1(k))
+			}
+		}
+	}
+	sk, err := ptg.NewSkeleton(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := map[string]int{} // the Seq of each class's next instance
+	for seq := sk.NumInstances() - 1; seq >= 0; seq-- {
+		ref, _ := sk.Ref(seq)
+		next[ref.Class] = seq
+	}
+	var byNode [][]trace.Span
+	for _, r := range rs {
+		for len(byNode) <= r.node {
+			byNode = append(byNode, nil)
+		}
+		byNode[r.node] = append(byNode[r.node], trace.Span{Seq: uint32(next[r.class]), Worker: uint32(r.thread), Start: r.start, End: r.end})
+		next[r.class]++
+	}
+	for _, spans := range byNode {
+		slices.SortStableFunc(spans, func(a, b trace.Span) int {
+			return cmp.Or(cmp.Compare(a.Worker, b.Worker), cmp.Compare(a.Start, b.Start))
+		})
+	}
+	return byNode, sk
+}
+
+// profileOf is FromSpans over rs, with the ramp of class attached.
+func profileOf(t testing.TB, name, class string, rs ...rec) *Profile {
+	byNode, sk := recorded(t, rs...)
+	p := FromSpans(name, byNode, sk)
+	p.SetRamp(class, byNode, sk)
+	return p
+}
+
+// The hand-checked runs below; the property test also holds each to
+// the reference.
+var (
+	singleEvent  = []rec{{0, 0, "GEMM", 10, 30}}
+	zeroDuration = []rec{{0, 0, "NXTVAL", 5, 5}, {0, 0, "GEMM", 5, 15}}
+	// Worker n0/t0: busy [0,10), idle [10,40), busy [40,50).
+	// Worker n0/t1: idle [0,30) (startup bubble), busy [30,50).
+	idleGaps = []rec{{0, 0, "A", 0, 10}, {0, 0, "A", 40, 50}, {0, 1, "A", 30, 50}}
+	// t0 spans the whole run; t1 finishes early — its tail gap is the
+	// longest bubble.
+	tailIdle = []rec{{0, 0, "A", 0, 100}, {0, 1, "A", 0, 20}}
+	// t0's first GEMM starts at 10, t1's at 40; the span is [0, 100].
+	ramp = []rec{{0, 0, "READ", 0, 10}, {0, 0, "GEMM", 10, 100}, {0, 1, "READ", 0, 40}, {0, 1, "GEMM", 40, 100}}
+	// Workers with GEMMs: (0,0) at 100, (0,1) at 300; node 1 has none.
+	rampOverNodes = []rec{{0, 0, "READA", 0, 50}, {0, 0, "GEMM", 100, 200}, {0, 1, "GEMM", 300, 400}, {1, 0, "READA", 0, 10}}
+	handBuilt     = [][]rec{nil, singleEvent, zeroDuration, idleGaps, tailIdle, ramp, rampOverNodes}
+)
+
 func TestFromTraceEmpty(t *testing.T) {
-	p := FromTrace("empty", trace.New())
+	p := FromSpans("empty", nil, nil)
 	if p.Span != 0 || p.Tasks != 0 || len(p.Classes) != 0 || len(p.Workers) != 0 {
 		t.Fatalf("empty profile not empty: %+v", p)
 	}
@@ -97,9 +244,7 @@ func TestFromTraceEmpty(t *testing.T) {
 }
 
 func TestFromTraceSingleEvent(t *testing.T) {
-	tr := trace.New()
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "GEMM", Label: "GEMM(0,0,0)", Start: 10, End: 30})
-	p := FromTrace("one", tr)
+	p := profileOf(t, "one", "GEMM", singleEvent...)
 	if p.Span != 20 || p.Tasks != 1 {
 		t.Fatalf("span=%d tasks=%d", p.Span, p.Tasks)
 	}
@@ -110,10 +255,7 @@ func TestFromTraceSingleEvent(t *testing.T) {
 }
 
 func TestFromTraceZeroDurationSpans(t *testing.T) {
-	tr := trace.New()
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "NXTVAL", Start: 5, End: 5})
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "GEMM", Start: 5, End: 15})
-	p := FromTrace("zero", tr)
+	p := profileOf(t, "zero", "GEMM", zeroDuration...)
 	if p.Span != 10 {
 		t.Fatalf("span = %d", p.Span)
 	}
@@ -129,13 +271,7 @@ func TestFromTraceZeroDurationSpans(t *testing.T) {
 }
 
 func TestFromTraceIdleGaps(t *testing.T) {
-	// Worker n0/t0: busy [0,10), idle [10,40), busy [40,50).
-	// Worker n0/t1: idle [0,30) (startup bubble), busy [30,50).
-	tr := trace.New()
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "A", Start: 0, End: 10})
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "A", Start: 40, End: 50})
-	tr.Add(trace.Event{Node: 0, Thread: 1, Class: "A", Start: 30, End: 50})
-	p := FromTrace("gaps", tr)
+	p := profileOf(t, "gaps", "A", idleGaps...)
 	if len(p.Workers) != 2 {
 		t.Fatalf("workers = %d", len(p.Workers))
 	}
@@ -158,20 +294,15 @@ func TestFromTraceIdleGaps(t *testing.T) {
 }
 
 func TestFromTraceTailIdleCounts(t *testing.T) {
-	// t0 spans the whole trace; t1 finishes early — its tail gap is the
-	// longest bubble.
-	tr := trace.New()
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "A", Start: 0, End: 100})
-	tr.Add(trace.Event{Node: 0, Thread: 1, Class: "A", Start: 0, End: 20})
-	p := FromTrace("tail", tr)
+	p := profileOf(t, "tail", "A", tailIdle...)
 	w1 := p.Workers[1]
 	if w1.Idle != 80 || w1.LongestBubble != 80 || w1.BubbleStart != 20 {
 		t.Fatalf("tail idle: %+v", w1)
 	}
 }
 
-// Property: on arbitrary non-overlapping rows, FromTrace's busy time is
-// the sum of the event durations, per class and per worker alike, every
+// Property: on arbitrary non-overlapping rows, FromSpans's busy time is
+// the sum of the span durations, per class and per worker alike, every
 // worker's busy and idle time cover the span exactly, and the mean idle
 // fraction lies in [0, 1].
 func TestPropertyFromTraceBusy(t *testing.T) {
@@ -179,18 +310,16 @@ func TestPropertyFromTraceBusy(t *testing.T) {
 		if len(durs) == 0 || len(durs) > 64 {
 			return true
 		}
-		tr := trace.New()
+		var rs []rec
 		var cursor, want int64
 		for i, d := range durs {
 			dur := int64(d) + 1
-			tr.Add(trace.Event{Node: 0, Thread: i % 4, Class: []string{"GEMM", "SORT"}[i%3%2], Start: cursor, End: cursor + dur})
+			rs = append(rs, rec{0, i % 4, []string{"GEMM", "SORT"}[i%3%2], cursor, cursor + dur})
 			cursor += dur + 10
 			want += dur
 		}
-		if tr.Validate() != nil {
-			return false
-		}
-		p := FromTrace("prop", tr)
+		byNode, sk := recorded(t, rs...)
+		p := FromSpans("prop", byNode, sk)
 		var byClass, byWorker int64
 		for _, c := range p.Classes {
 			byClass += c.Total
@@ -208,12 +337,84 @@ func TestPropertyFromTraceBusy(t *testing.T) {
 	}
 }
 
-func TestWorstWorkers(t *testing.T) {
-	tr := trace.New()
-	for i := 0; i < 4; i++ {
-		tr.Add(trace.Event{Node: 0, Thread: i, Class: "A", Start: int64(i * 10), End: 100})
+// TestFromSpansMatchesReference holds FromSpans and SetRamp to the
+// reference fold of the labelled trace of the same spans, field for
+// field, on the hand-checked runs above and on seeded random ones:
+// 1-3 nodes, some of them empty, 1-4 workers with some idle, idle gaps
+// and zero-length spans, Seqs the skeleton does not describe, and no
+// skeleton at all.
+func TestFromSpansMatchesReference(t *testing.T) {
+	check := func(t *testing.T, what string, byNode [][]trace.Span, sk *ptg.Skeleton, class string) {
+		t.Helper()
+		got := FromSpans(what, byNode, sk)
+		got.SetRamp(class, byNode, sk)
+		tr := trace.New()
+		for node, spans := range byNode {
+			tr.AddSpans(node, spans, sk)
+		}
+		want := fromTrace(what, tr)
+		setRampRef(want, class, tr)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: FromSpans\n%+v\nreference\n%+v", what, got, want)
+		}
 	}
-	p := FromTrace("worst", tr)
+	for i, rs := range handBuilt {
+		byNode, sk := recorded(t, rs...)
+		for _, class := range []string{"GEMM", "A", "NOPE"} {
+			check(t, fmt.Sprintf("hand-built %d, ramp of %s", i, class), byNode, sk, class)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	classes := []string{"READA", "GEMM", "SORT", "WRITE"}
+	for iter := 0; iter < 400; iter++ {
+		// A skeleton of up to four classes, some of them empty, and
+		// Seqs up to a few past its last instance.
+		g := ptg.NewGraph("random")
+		for _, c := range classes[:1+rng.Intn(len(classes))] {
+			n := rng.Intn(6)
+			g.Class(c).Domain = func(emit func(ptg.Args)) {
+				for k := 0; k < n; k++ {
+					emit(ptg.A1(k))
+				}
+			}
+		}
+		sk, err := ptg.NewSkeleton(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(8) == 0 {
+			sk = nil
+		}
+		seqs := 3
+		if sk != nil {
+			seqs += sk.NumInstances()
+		}
+		byNode := make([][]trace.Span, 1+rng.Intn(3))
+		for node := range byNode {
+			if rng.Intn(4) == 0 {
+				continue // a node that ran nothing
+			}
+			for w := 0; w < 1+rng.Intn(4); w++ {
+				cursor := int64(rng.Intn(50))
+				for k := rng.Intn(6); k > 0; k-- {
+					start := cursor + int64(rng.Intn(3)*rng.Intn(40)) // often no gap
+					end := start + int64(rng.Intn(3)*rng.Intn(100))   // often zero-length
+					byNode[node] = append(byNode[node], trace.Span{Seq: uint32(rng.Intn(seqs)), Worker: uint32(w), Start: start, End: end})
+					cursor = end
+				}
+			}
+		}
+		class := append(classes, "task", "NOPE")[rng.Intn(len(classes)+2)]
+		check(t, fmt.Sprintf("random %d, ramp of %s", iter, class), byNode, sk, class)
+	}
+}
+
+func TestWorstWorkers(t *testing.T) {
+	var rs []rec
+	for i := 0; i < 4; i++ {
+		rs = append(rs, rec{0, i, "A", int64(i * 10), 100})
+	}
+	p := profileOf(t, "worst", "A", rs...)
 	worst := p.WorstWorkers(2)
 	if len(worst) != 2 || worst[0].Thread != 3 || worst[1].Thread != 2 {
 		t.Fatalf("worst = %+v", worst)
@@ -254,9 +455,7 @@ func TestSetCriticalAttribution(t *testing.T) {
 }
 
 func TestWriteJSONRoundTrip(t *testing.T) {
-	tr := trace.New()
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "GEMM", Start: 0, End: 10})
-	p := FromTrace("rt", tr)
+	p := profileOf(t, "rt", "GEMM", rec{0, 0, "GEMM", 0, 10})
 	p.SetComm(CommStats{GetOps: 3, GetBytes: 300, AccOps: 1, AccBytes: 100})
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, []*Profile{p}); err != nil {
@@ -272,14 +471,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 }
 
 func TestSetRamp(t *testing.T) {
-	// t0's first GEMM starts at 10, t1's at 40; span is [0, 100].
-	tr := trace.New()
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "READ", Start: 0, End: 10})
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "GEMM", Start: 10, End: 100})
-	tr.Add(trace.Event{Node: 0, Thread: 1, Class: "READ", Start: 0, End: 40})
-	tr.Add(trace.Event{Node: 0, Thread: 1, Class: "GEMM", Start: 40, End: 100})
-	p := FromTrace("ramp", tr)
-	p.SetRamp("GEMM", tr)
+	p := profileOf(t, "ramp", "GEMM", ramp...)
 	if p.Ramp.Mean != 25 || p.Ramp.Max != 40 {
 		t.Fatalf("ramp = %+v", p.Ramp)
 	}
@@ -289,20 +481,24 @@ func TestSetRamp(t *testing.T) {
 	if p.Ramp.Class != "GEMM" {
 		t.Fatalf("ramp class = %q", p.Ramp.Class)
 	}
+	// Only workers that ran the class count: mean of 100 and 300.
+	if r := profileOf(t, "nodes", "GEMM", rampOverNodes...).Ramp; r.Mean != 200 || r.Max != 300 {
+		t.Errorf("ramp over nodes = (%d, %d), want (200, 300)", r.Mean, r.Max)
+	}
+	if r := profileOf(t, "none", "NOPE", rampOverNodes...).Ramp; r.Mean != 0 || r.Max != 0 || r.Class != "NOPE" {
+		t.Errorf("ramp of a class nobody ran = %+v", r)
+	}
 }
 
-// TestSingleInstantTraceNoNaN is the zero-span regression: a trace whose
-// only event is instantaneous gives Span == 0, and every derived
+// TestSingleInstantTraceNoNaN is the zero-span regression: a run whose
+// only span is instantaneous gives Span == 0, and every derived
 // fraction (idle, ramp, slowdown) must stay finite so WriteJSON — which
 // rejects NaN/Inf outright — still succeeds with all sections attached.
 func TestSingleInstantTraceNoNaN(t *testing.T) {
-	tr := trace.New()
-	tr.Add(trace.Event{Node: 0, Thread: 0, Class: "NXTVAL", Start: 7, End: 7})
-	p := FromTrace("instant", tr)
+	p := profileOf(t, "instant", "NXTVAL", rec{0, 0, "NXTVAL", 7, 7})
 	if p.Span != 0 || p.Tasks != 1 {
 		t.Fatalf("span=%d tasks=%d, want 0/1", p.Span, p.Tasks)
 	}
-	p.SetRamp("NXTVAL", tr)
 	p.SetCritical(ptg.Analysis{})
 	p.SetComm(CommStats{})
 	p.SetRecovery(Recovery{})
@@ -324,10 +520,10 @@ func TestSingleInstantTraceNoNaN(t *testing.T) {
 	}
 }
 
-// TestEmptyTraceJSON: a profile of a trace with no events at all must
+// TestEmptyTraceJSON: a profile of a run with no spans at all must
 // export cleanly too.
 func TestEmptyTraceJSON(t *testing.T) {
-	p := FromTrace("empty", trace.New())
+	p := FromSpans("empty", nil, nil)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, []*Profile{p}); err != nil {
 		t.Fatalf("WriteJSON: %v", err)

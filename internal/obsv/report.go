@@ -1,13 +1,29 @@
-package metrics
+package obsv
 
 import (
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-
-	"parsec/internal/obsv"
 )
+
+// FormatBytes renders a byte quantity with a unit chosen for legibility
+// (B, kB, MB, GB). It is the one byte formatter in the repo: the
+// profile report, the simulator's transfer diagnostics, and every other
+// byte rendering share it so quantities read identically across
+// surfaces.
+func FormatBytes(b int64) string {
+	switch {
+	case b >= 1e9:
+		return fmt.Sprintf("%.2fGB", float64(b)/1e9)
+	case b >= 1e6:
+		return fmt.Sprintf("%.2fMB", float64(b)/1e6)
+	case b >= 1e3:
+		return fmt.Sprintf("%.1fkB", float64(b)/1e3)
+	default:
+		return fmt.Sprintf("%dB", b)
+	}
+}
 
 // fmtNS renders a nanosecond quantity with a unit chosen for legibility.
 func fmtNS(ns int64) string {
@@ -22,10 +38,6 @@ func fmtNS(ns int64) string {
 		return fmt.Sprintf("%dns", ns)
 	}
 }
-
-// fmtBytes renders a byte quantity with a binary-ish decimal unit (the
-// shared FormatBytes, aliased for brevity at the call sites).
-func fmtBytes(b int64) string { return FormatBytes(b) }
 
 // fmtSignedNS is fmtNS with an explicit sign for deltas.
 func fmtSignedNS(ns int64) string {
@@ -46,7 +58,7 @@ func rule(w io.Writer, n int) error {
 // text sections behind ccsim profile. Sections the profile has nothing
 // for are omitted; at most maxWorkers per-worker idle rows are printed
 // (the worst ones), while the aggregate idle line covers every worker.
-func WriteProfile(w io.Writer, p *obsv.Profile, maxWorkers int) error {
+func WriteProfile(w io.Writer, p *Profile, maxWorkers int) error {
 	if _, err := fmt.Fprintf(w, "== %s: %d tasks over %s ==\n",
 		p.Name, p.Tasks, fmtNS(p.Span)); err != nil {
 		return err
@@ -143,12 +155,12 @@ func WriteProfile(w io.Writer, p *obsv.Profile, maxWorkers int) error {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "backoff %s, retransmitted %s\n",
-			fmtNS(rc.BackoffTime), fmtBytes(rc.RetransmitBytes)); err != nil {
+			fmtNS(rc.BackoffTime), FormatBytes(rc.RetransmitBytes)); err != nil {
 			return err
 		}
 		if rc.Redispatches > 0 {
 			if _, err := fmt.Fprintf(w, "re-dispatch: %d tasks migrated off stragglers, %s of inputs moved\n",
-				rc.Redispatches, fmtBytes(rc.RedispatchBytes)); err != nil {
+				rc.Redispatches, FormatBytes(rc.RedispatchBytes)); err != nil {
 				return err
 			}
 		}
@@ -188,7 +200,7 @@ func WriteProfile(w io.Writer, p *obsv.Profile, maxWorkers int) error {
 // writeComm renders the communication-volume section: one line per
 // operation kind that moved anything (ops and payload bytes), then the
 // dataflow bytes delivered to each consumer class.
-func writeComm(w io.Writer, c *obsv.CommStats) error {
+func writeComm(w io.Writer, c *CommStats) error {
 	if c == nil {
 		return nil
 	}
@@ -230,7 +242,7 @@ func writeComm(w io.Writer, c *obsv.CommStats) error {
 			ops = fmt.Sprint(r.ops)
 		}
 		if _, err := fmt.Fprintf(w, "%-14s %10s %12s\n",
-			r.label, ops, fmtBytes(r.bytes)); err != nil {
+			r.label, ops, FormatBytes(r.bytes)); err != nil {
 			return err
 		}
 	}

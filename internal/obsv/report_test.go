@@ -1,4 +1,4 @@
-package metrics
+package obsv
 
 import (
 	"bytes"
@@ -6,34 +6,31 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"parsec/internal/obsv"
-	"parsec/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // sampleProfile has eight workers of which the report prints the worst
 // two; the other six carry smaller bubbles.
-func sampleProfile() *obsv.Profile {
-	workers := []obsv.WorkerProfile{
+func sampleProfile() *Profile {
+	workers := []WorkerProfile{
 		{Node: 0, Thread: 1, Tasks: 160, Busy: 2_100_000_000, Idle: 400_000_000, StartupIdle: 0, LongestBubble: 300_000_000, BubbleStart: 1_200_000_000},
 		{Node: 1, Thread: 3, Tasks: 150, Busy: 1_900_000_000, Idle: 600_000_000, StartupIdle: 500_000_000, LongestBubble: 500_000_000, BubbleStart: 0},
 	}
 	for len(workers) < 8 {
-		workers = append(workers, obsv.WorkerProfile{Node: 0, Thread: 10 + len(workers), Tasks: 150, Busy: 2_300_000_000, Idle: 200_000_000, LongestBubble: 100_000_000})
+		workers = append(workers, WorkerProfile{Node: 0, Thread: 10 + len(workers), Tasks: 150, Busy: 2_300_000_000, Idle: 200_000_000, LongestBubble: 100_000_000})
 	}
-	return &obsv.Profile{
+	return &Profile{
 		Name:  "v4 sim water 2n x 4c",
 		Span:  2_500_000_000,
 		Tasks: 1234,
-		Classes: []obsv.ClassProfile{
+		Classes: []ClassProfile{
 			{Class: "GEMM", Count: 800, P50: 1_200_000, P95: 3_400_000, P99: 4_100_000, Max: 5_000_000, Total: 1_100_000_000},
 			{Class: "SORT", Count: 200, P50: 400_000, P95: 900_000, P99: 950_000, Max: 1_000_000, Total: 90_000_000},
 			{Class: "NXTVAL", Count: 234, P50: 800, P95: 2_000, P99: 2_300, Max: 2_500, Total: 250_000},
 		},
 		Workers: workers,
-		Idle: obsv.IdleSummary{
+		Idle: IdleSummary{
 			TotalIdle:      2_400_000_000,
 			MeanIdleFrac:   0.12,
 			MeanStartup:    150_000_000,
@@ -41,15 +38,15 @@ func sampleProfile() *obsv.Profile {
 			MaxBubbleAt:    0,
 			MaxBubbleOwner: "n1/t3",
 		},
-		Ramp: &obsv.RampStat{Class: "GEMM", Mean: 70_000_000, Max: 500_000_000, MeanFrac: 0.028, MaxFrac: 0.2},
-		Comm: &obsv.CommStats{
+		Ramp: &RampStat{Class: "GEMM", Mean: 70_000_000, Max: 500_000_000, MeanFrac: 0.028, MaxFrac: 0.2},
+		Comm: &CommStats{
 			GetOps: 4000, GetBytes: 3_200_000_000,
 			AccOps: 1000, AccBytes: 700_000_000,
 			ByClass: map[string]int64{"WRITE": 650_000_000},
 		},
-		Crit: &obsv.CritPath{
+		Crit: &CritPath{
 			Length: 200_000_000, TotalWork: 1_200_000_000, MaxSpeedup: 6.0, Tasks: 60,
-			Shares: []obsv.PathShare{
+			Shares: []PathShare{
 				{Class: "GEMM", Tasks: 40, Time: 160_000_000, Frac: 0.8},
 				{Class: "WRITE", Tasks: 10, Time: 30_000_000, Frac: 0.15},
 				{Class: "READ", Tasks: 10, Time: 10_000_000, Frac: 0.05},
@@ -59,7 +56,7 @@ func sampleProfile() *obsv.Profile {
 }
 
 // TestProfileReportGolden pins the exact rendering of the -profile
-// report table. Regenerate with: go test ./internal/metrics -run Golden -update
+// report table. Regenerate with: go test ./internal/obsv -run Golden -update
 func TestProfileReportGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteProfile(&buf, sampleProfile(), 2); err != nil {
@@ -85,7 +82,7 @@ func TestProfileReportGolden(t *testing.T) {
 }
 
 func TestProfileReportOmitsEmptySections(t *testing.T) {
-	p := &obsv.Profile{Name: "empty"}
+	p := &Profile{Name: "empty"}
 	var buf bytes.Buffer
 	if err := WriteProfile(&buf, p, 8); err != nil {
 		t.Fatal(err)
@@ -98,16 +95,15 @@ func TestProfileReportOmitsEmptySections(t *testing.T) {
 	}
 }
 
-// TestWriteProfileZeroSpan: a profile whose only event is instantaneous
+// TestWriteProfileZeroSpan: a profile whose only span is instantaneous
 // (span 0) renders with every section attached.
 func TestWriteProfileZeroSpan(t *testing.T) {
-	tr := trace.New()
-	tr.Add(trace.Event{Class: "NXTVAL", Start: 7, End: 7})
-	p := obsv.FromTrace("instant", tr)
-	p.SetRamp("NXTVAL", tr)
-	p.SetComm(obsv.CommStats{})
-	p.SetRecovery(obsv.Recovery{})
-	p.SetSlowdown(0, []obsv.SlowdownCause{{Cause: "straggler n0", Time: 5}})
+	byNode, sk := recorded(t, rec{0, 0, "NXTVAL", 7, 7})
+	p := FromSpans("instant", byNode, sk)
+	p.SetRamp("NXTVAL", byNode, sk)
+	p.SetComm(CommStats{})
+	p.SetRecovery(Recovery{})
+	p.SetSlowdown(0, []SlowdownCause{{Cause: "straggler n0", Time: 5}})
 	var buf bytes.Buffer
 	if err := WriteProfile(&buf, p, 4); err != nil {
 		t.Fatal(err)
@@ -132,8 +128,8 @@ func TestFmtHelpers(t *testing.T) {
 		b    int64
 		want string
 	}{{12, "12B"}, {4_000, "4.0kB"}, {2_500_000, "2.50MB"}, {3_200_000_000, "3.20GB"}} {
-		if got := fmtBytes(tc.b); got != tc.want {
-			t.Errorf("fmtBytes(%d) = %q, want %q", tc.b, got, tc.want)
+		if got := FormatBytes(tc.b); got != tc.want {
+			t.Errorf("FormatBytes(%d) = %q, want %q", tc.b, got, tc.want)
 		}
 	}
 }
@@ -141,17 +137,17 @@ func TestFmtHelpers(t *testing.T) {
 // TestProfileReportRecoverySections pins the fault-recovery and
 // slowdown-attribution renderings added with the fault layer.
 func TestProfileReportRecoverySections(t *testing.T) {
-	p := &obsv.Profile{
+	p := &Profile{
 		Name: "perturbed", Span: 2_600_000_000, Tasks: 10,
-		Recov: &obsv.Recovery{
+		Recov: &Recovery{
 			Retries: 3, Drops: 2, AckDrops: 1, DupSuppressed: 1,
 			BackoffTime: 150_000, RetransmitBytes: 2_000_000,
 			Redispatches: 4, RedispatchBytes: 800_000,
 		},
-		Slow: &obsv.Slowdown{
+		Slow: &Slowdown{
 			BaselineSpan: 2_500_000_000,
 			Loss:         100_000_000,
-			Causes: []obsv.SlowdownCause{
+			Causes: []SlowdownCause{
 				{Cause: "straggler n0", Time: 80_000_000, Frac: 0.8},
 				{Cause: "xfer backoff", Time: 150_000, Frac: 0.0015},
 			},

@@ -202,6 +202,10 @@ func matchIn(f *Flow, a Args) (InDep, bool) {
 	return InDep{}, false
 }
 
+// Skeleton returns the structure the tracker runs on: the Seq ->
+// TaskRef table a recorded run's spans are labelled from.
+func (t *Tracker) Skeleton() *Skeleton { return t.sk }
+
 // NumInstances returns the total number of task instances.
 func (t *Tracker) NumInstances() int { return len(t.inst) }
 

@@ -113,8 +113,8 @@ type Report struct {
 	// Spans is one span per executed task when the run was recorded
 	// (RunRecorded, Executor.Record), nil otherwise: grouped by worker in
 	// increasing order, each worker's in the order it ran them, which is
-	// start order. obsv.FromSpans profiles them as they are;
-	// trace.Trace.AddSpans labels them.
+	// start order. obsv.FromSpans profiles them as they are; a
+	// trace.Trace holds them for the renderers.
 	Spans []trace.Span
 }
 

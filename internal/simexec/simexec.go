@@ -27,7 +27,7 @@ import (
 
 	"parsec/internal/cluster"
 	"parsec/internal/ga"
-	"parsec/internal/metrics"
+	"parsec/internal/obsv"
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
 	"parsec/internal/sim"
@@ -98,10 +98,11 @@ type Config struct {
 	// Behaviors overrides execution per class name; classes without an
 	// entry charge their Cost function.
 	Behaviors map[string]Behavior
-	// Trace, if non-nil, receives one event per task execution, plus
-	// per-node counter tracks (ready-queue depth, in-flight communication
-	// bytes) that the Chrome/Perfetto export renders alongside the Gantt
-	// rows.
+	// Trace, if non-nil, receives one span per task execution — the
+	// worker is the thread within its node, the graph's skeleton names
+	// the instance — plus per-node counter tracks (ready-queue depth,
+	// in-flight communication bytes) that the Chrome/Perfetto export
+	// renders alongside the Gantt rows.
 	Trace *trace.Trace
 	// Horizon aborts the simulation after this much virtual time
 	// (0 = unlimited).
@@ -206,6 +207,9 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 		procs: make([]*sim.Proc, m.Cfg.Nodes*cfg.CoresPerNode),
 		boxed: make(map[int64]any),
 	}
+	if cfg.Trace != nil {
+		ex.spans = make([][]trace.Span, len(ex.procs))
+	}
 	classes := g.Classes()
 	ex.behaviors = make([]Behavior, len(classes))
 	for ci, tc := range classes {
@@ -263,6 +267,11 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 		m.Eng.Go(fmt.Sprintf("n%d.comm", n), func(p *sim.Proc) { ex.comm(p, n) })
 	}
 	end, err := m.Eng.Run(cfg.Horizon)
+	// Each node's spans go over grouped by worker, each worker's in start
+	// order; a failed run hands over what it recorded too.
+	for flat, spans := range ex.spans {
+		cfg.Trace.AddSpans(flat/cfg.CoresPerNode, spans, tr.Skeleton())
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("simexec: %w", err)
 	}
@@ -329,9 +338,12 @@ type executor struct {
 	byClass   []int
 	sentTo    []classBytes
 	boxed     map[int64]any // deliver's Payload per size
-	res       Result
-	done      bool
-	err       error
+	// spans is each worker's recording buffer by flat index, when the
+	// run is traced.
+	spans [][]trace.Span
+	res   Result
+	done  bool
+	err   error
 }
 
 // classBytes tallies the inter-node transfers into one class: the
@@ -421,7 +433,7 @@ func (ex *executor) worker(p *sim.Proc, node, wid int) {
 	for {
 		in := ex.dequeueFor(node, wid)
 		if in == nil && ex.cfg.InterNodeSteal {
-			in = ex.stealRemote(p, node, wid)
+			in = ex.stealRemote(p, node)
 			if ex.err != nil {
 				return
 			}
@@ -442,12 +454,8 @@ func (ex *executor) worker(p *sim.Proc, node, wid int) {
 		if ex.err != nil {
 			return
 		}
-		if ex.cfg.Trace != nil {
-			ex.cfg.Trace.Add(trace.Event{
-				Node: node, Thread: wid, Seq: in.Seq,
-				Class: in.Ref.Class, Label: in.Ref.String(),
-				Start: int64(start), End: int64(p.Now()),
-			})
+		if ex.spans != nil {
+			ex.spans[flat] = append(ex.spans[flat], trace.Span{Seq: uint32(in.Seq), Worker: uint32(wid), Start: int64(start), End: int64(p.Now())})
 		}
 		ex.complete(in, node)
 		if ex.err != nil {
@@ -464,7 +472,7 @@ func (ex *executor) worker(p *sim.Proc, node, wid int) {
 // GETs move with it. Behind a straggler this converts queueing delay
 // into one bounded data movement; the fault-free cost is nothing, since
 // workers only probe when they have no local work.
-func (ex *executor) stealRemote(p *sim.Proc, node, wid int) *ptg.Instance {
+func (ex *executor) stealRemote(p *sim.Proc, node int) *ptg.Instance {
 	migratable := func(in *ptg.Instance) bool { return ex.cfg.Migratable(in.Ref.Class) }
 	victim := -1
 	for n, ns := range ex.nodes {
@@ -495,17 +503,9 @@ func (ex *executor) stealRemote(p *sim.Proc, node, wid int) *ptg.Instance {
 			moved += pl.Bytes
 		}
 	}
-	start := p.Now()
 	ex.m.Transfer(p, node, victim, moved)
 	ex.res.Redispatches++
 	ex.res.RedispatchBytes += moved
-	if ex.cfg.Trace != nil && p.Now() > start {
-		ex.cfg.Trace.Add(trace.Event{
-			Node: node, Thread: wid, Seq: in.Seq,
-			Class: "MIGRATE", Label: in.Ref.String(),
-			Start: int64(start), End: int64(p.Now()),
-		})
-	}
 	return in
 }
 
@@ -617,8 +617,6 @@ func (ex *executor) send(p *sim.Proc, node int, t transfer) {
 	inj := ex.m.Faults()
 	backoff := pol.Backoff
 	delivered := false
-	retried := false
-	start := p.Now()
 	for attempt := 1; ; attempt++ {
 		out := inj.Transfer(node, t.del.To.Node)
 		if out.Extra > 0 {
@@ -656,25 +654,15 @@ func (ex *executor) send(p *sim.Proc, node int, t transfer) {
 		p.Hold(pol.Timeout)
 		if attempt > pol.MaxRetries {
 			ex.fail(fmt.Errorf("simexec: transfer %s -> node %d for %v lost %d times, retries exhausted",
-				metrics.FormatBytes(t.payload.Bytes), t.del.To.Node, t.del.To.Ref, attempt))
+				obsv.FormatBytes(t.payload.Bytes), t.del.To.Node, t.del.To.Ref, attempt))
 			return
 		}
 		ex.res.Retries++
 		ex.res.BackoffTime += backoff
-		retried = true
 		p.Hold(backoff)
 		if backoff *= 2; backoff > pol.BackoffCap {
 			backoff = pol.BackoffCap
 		}
-	}
-	if retried && ex.cfg.Trace != nil && p.Now() > start {
-		// Mark retried transfers on the comm thread's own row (one past
-		// the worker threads) so recovery is visible in the Gantt views.
-		ex.cfg.Trace.Add(trace.Event{
-			Node: node, Thread: ex.cfg.CoresPerNode, Seq: t.del.To.Seq,
-			Class: "XFER-RETRY", Label: t.del.To.Ref.String(),
-			Start: int64(start), End: int64(p.Now()),
-		})
 	}
 }
 

@@ -1,13 +1,16 @@
 // Package trace reimplements PaRSEC's native performance instrumentation
-// (§V): executors record one event per task execution (node, thread,
-// class, start, end), and the package renders the traces the paper shows
-// in Figs 10-13 — one row per thread, rows grouped by node, colored by
-// task class — as ASCII Gantt charts, SVG, and CSV. It also computes the
-// summary statistics the paper reads off the traces: startup idle time
-// (the v2 bubble of Fig 11) and communication/computation overlap.
+// (§V): every executor, real or simulated, records one Span per task
+// execution (instance, worker, start, end), and the package renders the
+// traces the paper shows in Figs 10-13 — one row per thread, rows
+// grouped by node, colored by task class — as ASCII Gantt charts, SVG,
+// CSV and Chrome trace-event JSON, labelling the spans from the
+// skeleton of the graph that ran. It also measures the
+// communication/computation overlap the paper reads off the traces; the
+// rest of what a trace shows in numbers is internal/obsv's profile.
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -16,30 +19,28 @@ import (
 	"parsec/internal/ptg"
 )
 
-// Span is what a real executor records per executed task: which
-// instance (its Seq in the graph the executor, every rank and the
-// coordinator enumerate alike), on which worker, from when to when in
-// nanoseconds since the executor started. It is 24 bytes without a
-// pointer — a worker appends it to its own buffer with no lock and no
-// formatting, a rank ships it as is — and it carries no strings: AddSpans
-// labels it, for someone who prints it.
+// Span is what an executor records per executed task: which instance
+// (its Seq in the graph the executor, every rank and the coordinator
+// enumerate alike), on which worker, from when to when in nanoseconds
+// since the executor started (virtual time, for a simulator). It is 24
+// bytes without a pointer — a worker appends it to its own buffer with
+// no lock and no formatting, a rank ships it as is — and it carries no
+// strings: Events labels it, for someone who prints it.
 type Span struct {
 	Seq, Worker uint32
 	Start, End  int64
 }
 
-// Event is one labelled task execution: what the renderers draw and the
-// simulators record directly. Real executors record Spans instead, and
-// AddSpans turns those into Events on demand.
+// Event is one labelled task execution: what the renderers draw. A
+// trace holds spans, and Events labels them on first call.
 type Event struct {
 	Node   int
 	Thread int
 	// Seq is the creation ordinal of the task instance the event belongs
-	// to in the executed PTG (ptg.Instance.Seq). Only PTG executors set
-	// it; critical-path replay keys measured durations by it.
+	// to in the executed PTG (ptg.Instance.Seq).
 	Seq   int
 	Class string
-	Label string // instance label, e.g. "GEMM(3,7)"
+	Label string // instance label, e.g. "GEMM(3,7,0)"
 	Start int64  // nanoseconds since execution start
 	End   int64
 }
@@ -58,47 +59,47 @@ type Counter struct {
 	Value float64
 }
 
-// Trace is a concurrent-safe collector of events.
+// Trace is what a run recorded: its spans by node, the skeleton that
+// names them, and counter samples. A simulated run hands its spans over
+// with AddSpans, and a real run's Report.Spans go in the same way;
+// labels are built only when someone asks for Events. Safe for
+// concurrent use.
 type Trace struct {
 	mu       sync.Mutex
-	events   []Event
+	spans    [][]Span // by node
+	sk       *ptg.Skeleton
 	counters []Counter
-	sorted   bool
+	events   []Event // the spans labelled and sorted; nil until Events
 }
 
 // New returns an empty trace.
 func New() *Trace { return &Trace{} }
 
-// Add records an event. Safe for concurrent use.
-func (t *Trace) Add(ev Event) {
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.sorted = false
-	t.mu.Unlock()
-}
-
-// AddSpans materialises one node's recorded spans as labelled events:
-// the worker index is the thread lane, and the class and the canonical
-// reference string (e.g. "GEMM(1,2,3)", the label convention of
-// internal/simexec's traces) come from sk, the skeleton of the graph
-// that ran. A span whose Seq sk does not describe (a nil sk describes
-// none) becomes class "task", label "#seq". This is the one place a
-// real run's labels are formatted, after the run and only for a caller
-// that wants a trace. Safe for concurrent use.
+// AddSpans appends one node's recorded spans, as an executor hands them
+// over: grouped by worker, each worker's in start order (the layout
+// obsv.FromSpans reads). sk is the skeleton of the graph that ran, the
+// same for every call on one trace: the worker index is the thread
+// lane, and the class and canonical reference string (e.g.
+// "GEMM(1,2,3)") of a span come from it when Events labels them. A span
+// whose Seq sk does not describe (a nil sk describes none) becomes
+// class "task", label "#seq".
 func (t *Trace) AddSpans(node int, spans []Span, sk *ptg.Skeleton) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.events = slices.Grow(t.events, len(spans))
-	for _, sp := range spans {
-		ev := Event{Node: node, Thread: int(sp.Worker), Seq: int(sp.Seq), Start: sp.Start, End: sp.End}
-		if ref, ok := sk.Ref(ev.Seq); ok {
-			ev.Class, ev.Label = ref.Class, ref.String()
-		} else {
-			ev.Class, ev.Label = "task", fmt.Sprintf("#%d", sp.Seq)
-		}
-		t.events = append(t.events, ev)
+	for len(t.spans) <= node {
+		t.spans = append(t.spans, nil)
 	}
-	t.sorted = false
+	t.spans[node] = append(t.spans[node], spans...)
+	t.sk, t.events = sk, nil
+}
+
+// Spans returns the recorded spans by node and the skeleton that names
+// them: what obsv.FromSpans profiles. The slices are owned by the
+// trace; callers must not mutate them.
+func (t *Trace) Spans() ([][]Span, *ptg.Skeleton) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.spans, t.sk
 }
 
 // AddCounter records a counter sample. Safe for concurrent use.
@@ -126,34 +127,43 @@ func (t *Trace) Counters() []Counter {
 	return t.counters
 }
 
-// Len returns the number of events.
+// Len returns the number of recorded spans.
 func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	n := 0
+	for _, spans := range t.spans {
+		n += len(spans)
+	}
+	return n
 }
 
-// Events returns the events sorted by (node, thread, start, end).
-// The returned slice is owned by the trace; callers must not mutate it.
+// Events returns the spans as labelled events sorted by (node, thread,
+// start, end, seq), labelling them on the first call after spans were
+// added. The returned slice is owned by the trace; callers must not
+// mutate it.
 func (t *Trace) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.sorted {
-		sort.Slice(t.events, func(i, j int) bool {
-			a, b := t.events[i], t.events[j]
-			if a.Node != b.Node {
-				return a.Node < b.Node
-			}
-			if a.Thread != b.Thread {
-				return a.Thread < b.Thread
-			}
-			if a.Start != b.Start {
-				return a.Start < b.Start
-			}
-			return a.End < b.End
-		})
-		t.sorted = true
+	if t.events != nil {
+		return t.events
 	}
+	t.events = []Event{}
+	for node, spans := range t.spans {
+		for _, sp := range spans {
+			ev := Event{Node: node, Thread: int(sp.Worker), Seq: int(sp.Seq), Start: sp.Start, End: sp.End}
+			if ref, ok := t.sk.Ref(ev.Seq); ok {
+				ev.Class, ev.Label = ref.Class, ref.String()
+			} else {
+				ev.Class, ev.Label = "task", fmt.Sprintf("#%d", sp.Seq)
+			}
+			t.events = append(t.events, ev)
+		}
+	}
+	slices.SortFunc(t.events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Thread, b.Thread),
+			cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End), cmp.Compare(a.Seq, b.Seq))
+	})
 	return t.events
 }
 
@@ -219,59 +229,28 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Window returns a new trace containing only the events overlapping
-// [from, to), with events clipped to the window — the "zoomed in" view
-// of Fig 13, which magnifies part of Fig 12's trace so individual tasks
-// can be discerned.
+// Window returns a new trace containing only the spans overlapping
+// [from, to), clipped to the window — the "zoomed in" view of Fig 13,
+// which magnifies part of Fig 12's trace so individual tasks can be
+// discerned — and the counter samples inside it.
 func (t *Trace) Window(from, to int64) *Trace {
-	out := New()
-	for _, e := range t.Events() {
-		if e.End <= from || e.Start >= to {
-			continue
+	byNode, sk := t.Spans()
+	out := &Trace{sk: sk, spans: make([][]Span, len(byNode))}
+	for node, spans := range byNode {
+		for _, sp := range spans {
+			if sp.End <= from || sp.Start >= to {
+				continue
+			}
+			sp.Start, sp.End = max(sp.Start, from), min(sp.End, to)
+			out.spans[node] = append(out.spans[node], sp)
 		}
-		c := e
-		if c.Start < from {
-			c.Start = from
-		}
-		if c.End > to {
-			c.End = to
-		}
-		out.Add(c)
 	}
 	for _, c := range t.Counters() {
 		if c.Ts >= from && c.Ts < to {
-			out.AddCounter(c)
+			out.counters = append(out.counters, c)
 		}
 	}
 	return out
-}
-
-// RampStats returns the mean and max, over threads, of the time from
-// execution start until the thread's first event of the given class.
-// With class "GEMM" this quantifies the startup bubble of Fig 11: until
-// input blocks arrive, workers have nothing to compute.
-func (t *Trace) RampStats(class string) (mean, max int64) {
-	keys, byRow := t.rows()
-	start, _ := t.Span()
-	var total int64
-	n := 0
-	for _, k := range keys {
-		for _, e := range byRow[k] {
-			if e.Class == class {
-				d := e.Start - start
-				total += d
-				if d > max {
-					max = d
-				}
-				n++
-				break
-			}
-		}
-	}
-	if n > 0 {
-		mean = total / int64(n)
-	}
-	return mean, max
 }
 
 // OverlapStats measures communication/computation overlap: the fraction
@@ -315,7 +294,7 @@ func (t *Trace) OverlapStats(commClasses map[string]bool) (commTime, overlapped 
 			commTime += c.e - c.s
 			// Intersect c with merged compute intervals.
 			for _, m := range merged {
-				lo, hi := max64(c.s, m.s), min64(c.e, m.e)
+				lo, hi := max(c.s, m.s), min(c.e, m.e)
 				if hi > lo {
 					overlapped += hi - lo
 				}
@@ -323,18 +302,4 @@ func (t *Trace) OverlapStats(commClasses map[string]bool) (commTime, overlapped 
 		}
 	}
 	return commTime, overlapped
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

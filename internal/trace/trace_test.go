@@ -2,24 +2,84 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"parsec/internal/ptg"
 )
 
-func sampleTrace() *Trace {
-	t := New()
-	// Node 0, thread 0: read then gemm; thread 1 idle at start.
-	t.Add(Event{Node: 0, Thread: 0, Class: "READA", Label: "READA(0,0)", Start: 0, End: 100})
-	t.Add(Event{Node: 0, Thread: 0, Class: "GEMM", Label: "GEMM(0,0)", Start: 100, End: 400})
-	t.Add(Event{Node: 0, Thread: 1, Class: "GEMM", Label: "GEMM(1,0)", Start: 200, End: 500})
-	t.Add(Event{Node: 1, Thread: 0, Class: "WRITE", Label: "WRITE(0)", Start: 450, End: 500})
-	return t
+// rec is one recorded task of a test trace: where, which class, when.
+type rec struct {
+	node, thread int
+	class        string
+	start, end   int64
 }
 
+// traceOf records rs as an executor hands its spans over: each span is
+// the next instance of its class in a skeleton made for rs (instance k
+// of a class is CLASS(k,0,0)), and each node's spans come grouped by
+// worker in start order.
+func traceOf(t testing.TB, rs ...rec) *Trace {
+	t.Helper()
+	g := ptg.NewGraph("recs")
+	count := map[string]int{}
+	for _, r := range rs {
+		if count[r.class]++; count[r.class] == 1 {
+			g.Class(r.class)
+		}
+	}
+	for _, tc := range g.Classes() {
+		n := count[tc.Name]
+		tc.Domain = func(emit func(ptg.Args)) {
+			for k := 0; k < n; k++ {
+				emit(ptg.A1(k))
+			}
+		}
+	}
+	sk, err := ptg.NewSkeleton(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := map[string]int{} // the Seq of each class's next instance
+	for seq := sk.NumInstances() - 1; seq >= 0; seq-- {
+		ref, _ := sk.Ref(seq)
+		next[ref.Class] = seq
+	}
+	var byNode [][]Span
+	for _, r := range rs {
+		for len(byNode) <= r.node {
+			byNode = append(byNode, nil)
+		}
+		byNode[r.node] = append(byNode[r.node], Span{Seq: uint32(next[r.class]), Worker: uint32(r.thread), Start: r.start, End: r.end})
+		next[r.class]++
+	}
+	tr := New()
+	for node, spans := range byNode {
+		slices.SortStableFunc(spans, func(a, b Span) int {
+			return cmp.Or(cmp.Compare(a.Worker, b.Worker), cmp.Compare(a.Start, b.Start))
+		})
+		tr.AddSpans(node, spans, sk)
+	}
+	return tr
+}
+
+// sampleRecs: node 0, thread 0 reads then runs a GEMM; thread 1 is
+// idle at the start; node 1 writes at the end.
+var sampleRecs = []rec{
+	{0, 0, "READA", 0, 100},
+	{0, 0, "GEMM", 100, 400},
+	{0, 1, "GEMM", 200, 500},
+	{1, 0, "WRITE", 450, 500},
+}
+
+func sampleTrace(t testing.TB) *Trace { return traceOf(t, sampleRecs...) }
+
 func TestEventsSorted(t *testing.T) {
-	tr := sampleTrace()
+	tr := sampleTrace(t)
 	evs := tr.Events()
 	for i := 1; i < len(evs); i++ {
 		a, b := evs[i-1], evs[i]
@@ -30,7 +90,7 @@ func TestEventsSorted(t *testing.T) {
 }
 
 func TestSpan(t *testing.T) {
-	tr := sampleTrace()
+	tr := sampleTrace(t)
 	s, e := tr.Span()
 	if s != 0 || e != 500 {
 		t.Errorf("Span = [%d,%d], want [0,500]", s, e)
@@ -42,29 +102,28 @@ func TestSpan(t *testing.T) {
 }
 
 func TestValidateDetectsOverlap(t *testing.T) {
-	tr := sampleTrace()
+	tr := sampleTrace(t)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
-	tr.Add(Event{Node: 0, Thread: 0, Class: "GEMM", Label: "bad", Start: 350, End: 360})
+	tr = traceOf(t, append(sampleRecs, rec{0, 0, "GEMM", 350, 360})...)
 	if err := tr.Validate(); err == nil {
 		t.Error("overlap not detected")
 	}
-	tr2 := New()
-	tr2.Add(Event{Node: 0, Thread: 0, Class: "X", Label: "neg", Start: 10, End: 5})
-	if err := tr2.Validate(); err == nil {
+	if err := traceOf(t, rec{0, 0, "X", 10, 5}).Validate(); err == nil {
 		t.Error("negative duration not detected")
 	}
 }
 
 func TestOverlapStats(t *testing.T) {
-	tr := New()
 	comm := map[string]bool{"READA": true}
-	// Comm [0,100) with compute [50,150) on same node: 50 overlapped.
-	tr.Add(Event{Node: 0, Thread: 0, Class: "READA", Start: 0, End: 100})
-	tr.Add(Event{Node: 0, Thread: 1, Class: "GEMM", Start: 50, End: 150})
-	// Comm on node 1 with no compute: no overlap.
-	tr.Add(Event{Node: 1, Thread: 0, Class: "READA", Start: 0, End: 80})
+	tr := traceOf(t,
+		// Comm [0,100) with compute [50,150) on same node: 50 overlapped.
+		rec{0, 0, "READA", 0, 100},
+		rec{0, 1, "GEMM", 50, 150},
+		// Comm on node 1 with no compute: no overlap.
+		rec{1, 0, "READA", 0, 80},
+	)
 	commTime, over := tr.OverlapStats(comm)
 	if commTime != 180 {
 		t.Errorf("commTime = %d, want 180", commTime)
@@ -75,7 +134,7 @@ func TestOverlapStats(t *testing.T) {
 }
 
 func TestASCIIGantt(t *testing.T) {
-	tr := sampleTrace()
+	tr := sampleTrace(t)
 	var buf bytes.Buffer
 	if err := tr.ASCIIGantt(&buf, 50); err != nil {
 		t.Fatal(err)
@@ -97,7 +156,7 @@ func TestASCIIGantt(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	tr := sampleTrace()
+	tr := sampleTrace(t)
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -112,7 +171,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestWriteSVG(t *testing.T) {
-	tr := sampleTrace()
+	tr := sampleTrace(t)
 	var buf bytes.Buffer
 	if err := tr.WriteSVG(&buf, 400); err != nil {
 		t.Fatal(err)
@@ -130,6 +189,8 @@ func TestWriteSVG(t *testing.T) {
 	}
 }
 
+// TestConcurrentAdd: nodes hand their spans over concurrently, as
+// netrun's ranks report.
 func TestConcurrentAdd(t *testing.T) {
 	tr := New()
 	var wg sync.WaitGroup
@@ -138,7 +199,7 @@ func TestConcurrentAdd(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				tr.Add(Event{Node: i, Thread: 0, Class: "GEMM", Start: int64(j), End: int64(j + 1)})
+				tr.AddSpans(i, []Span{{Seq: uint32(j), Start: int64(j), End: int64(j + 1)}}, nil)
 			}
 		}(i)
 	}
@@ -157,24 +218,8 @@ func TestGlyphAndColorFallbacks(t *testing.T) {
 	}
 }
 
-func TestRampStats(t *testing.T) {
-	tr := New()
-	tr.Add(Event{Node: 0, Thread: 0, Class: "READA", Start: 0, End: 50})
-	tr.Add(Event{Node: 0, Thread: 0, Class: "GEMM", Start: 100, End: 200})
-	tr.Add(Event{Node: 0, Thread: 1, Class: "GEMM", Start: 300, End: 400})
-	tr.Add(Event{Node: 1, Thread: 0, Class: "READA", Start: 0, End: 10})
-	mean, max := tr.RampStats("GEMM")
-	// Threads with GEMMs: (0,0) at 100, (0,1) at 300 -> mean 200, max 300.
-	if mean != 200 || max != 300 {
-		t.Errorf("RampStats = (%d, %d), want (200, 300)", mean, max)
-	}
-	if m, x := tr.RampStats("NOPE"); m != 0 || x != 0 {
-		t.Errorf("missing class ramp = (%d, %d)", m, x)
-	}
-}
-
 func TestWindow(t *testing.T) {
-	tr := sampleTrace()
+	tr := sampleTrace(t)
 	z := tr.Window(150, 450)
 	for _, e := range z.Events() {
 		if e.Start < 150 || e.End > 450 {
@@ -193,7 +238,7 @@ func TestWindow(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	tr := sampleTrace()
+	tr := sampleTrace(t)
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -234,7 +279,7 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestWriteChromeTraceCounters(t *testing.T) {
-	tr := sampleTrace()
+	tr := sampleTrace(t)
 	tr.AddCounter(Counter{Name: "ready tasks", Node: 0, Ts: 50, Value: 3})
 	tr.AddCounter(Counter{Name: "ready tasks", Node: 0, Ts: 150, Value: 1})
 	tr.AddCounter(Counter{Name: "comm bytes in flight", Node: 1, Ts: 75, Value: 4096})
@@ -266,7 +311,7 @@ func TestCountersSortedAndWindowed(t *testing.T) {
 	if cs[0].Name != "a" || cs[0].Node != 0 || cs[1].Node != 1 || cs[2].Name != "b" {
 		t.Fatalf("counters not sorted: %+v", cs)
 	}
-	tr.Add(Event{Node: 0, Thread: 0, Class: "X", Start: 0, End: 100})
+	tr.AddSpans(0, []Span{{Start: 0, End: 100}}, nil)
 	win := tr.Window(15, 25)
 	if got := win.Counters(); len(got) != 1 || got[0].Name != "b" {
 		t.Fatalf("windowed counters = %+v", got)
@@ -306,8 +351,7 @@ func TestEmptyTraceRenders(t *testing.T) {
 }
 
 func TestSingleEventTrace(t *testing.T) {
-	tr := New()
-	tr.Add(Event{Node: 0, Thread: 0, Class: "GEMM", Label: "GEMM(0,0)", Start: 10, End: 20})
+	tr := traceOf(t, rec{0, 0, "GEMM", 10, 20})
 	if s, e := tr.Span(); s != 10 || e != 20 {
 		t.Fatalf("Span = [%d,%d], want [10,20]", s, e)
 	}
@@ -321,9 +365,7 @@ func TestSingleEventTrace(t *testing.T) {
 }
 
 func TestZeroDurationSpans(t *testing.T) {
-	tr := New()
-	tr.Add(Event{Node: 0, Thread: 0, Class: "NXTVAL", Label: "NXTVAL(0)", Start: 50, End: 50})
-	tr.Add(Event{Node: 0, Thread: 0, Class: "GEMM", Label: "GEMM(0,0)", Start: 50, End: 150})
+	tr := traceOf(t, rec{0, 0, "NXTVAL", 50, 50}, rec{0, 0, "GEMM", 50, 150})
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("zero-duration event rejected: %v", err)
 	}

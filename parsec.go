@@ -197,7 +197,8 @@ type SimConfig = ccsd.SimRunConfig
 // SimResult summarizes a simulated execution.
 type SimResult = simexec.Result
 
-// Trace collects per-task execution events (Figs 10-13).
+// Trace holds what a run recorded, one span per task execution, for
+// rendering (Figs 10-13).
 type Trace = trace.Trace
 
 // NewTrace returns an empty trace collector.
