@@ -481,7 +481,12 @@ func TestSetRamp(t *testing.T) {
 	if p.Ramp.Class != "GEMM" {
 		t.Fatalf("ramp class = %q", p.Ramp.Class)
 	}
-	// Only workers that ran the class count: mean of 100 and 300.
+}
+
+// TestRampStats: the ramp spans nodes and counts only the workers that
+// ran the class; a class nobody ran gives a zero ramp.
+func TestRampStats(t *testing.T) {
+	// Workers with GEMMs: (0,0) at 100, (0,1) at 300 -> mean 200, max 300.
 	if r := profileOf(t, "nodes", "GEMM", rampOverNodes...).Ramp; r.Mean != 200 || r.Max != 300 {
 		t.Errorf("ramp over nodes = (%d, %d), want (200, 300)", r.Mean, r.Max)
 	}

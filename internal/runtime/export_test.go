@@ -14,3 +14,8 @@ func (x *Executor) queued() []*ptg.Instance {
 	}
 	return q
 }
+
+// Halted reports whether the runner's current run has been halted — by
+// a failure, a cancellation or completion. A task hook may poll it to
+// hold its task until a cancellation it fired has landed.
+func (r *Runner) Halted() bool { return r.x.stop.Load() }

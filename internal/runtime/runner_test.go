@@ -99,13 +99,18 @@ func TestRunnerRunsLikeANewRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Canceled with most of the graph still queued on its shards.
+				// The hundredth task is held until the cancellation has
+				// halted the run: while it runs the graph cannot finish,
+				// so the run ends canceled however the workers are timed.
 				cancel := make(chan struct{})
 				var started atomic.Int32
 				_, err := r.Run(graphs["v5"], runtime.Config{Workers: 2, Policy: pol, Queues: mode, Cancel: cancel,
 					TaskDelay: func(int, ptg.TaskRef) time.Duration {
 						if started.Add(1) == 100 {
 							close(cancel)
-							return time.Millisecond
+							for !r.Halted() {
+								time.Sleep(10 * time.Microsecond)
+							}
 						}
 						return 0
 					}})
