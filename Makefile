@@ -155,7 +155,6 @@ examples:
 	$(GO) run ./examples/jdfchain
 	$(GO) run ./examples/ccsd_t2_7
 	$(GO) run ./examples/inspector
-	$(GO) run ./examples/fusion
 
 clean:
 	rm -f fig9.csv trace_*.svg test_output.txt bench_output.txt bench_kernels_new.json

@@ -759,24 +759,6 @@ func BenchmarkT1Kernel(b *testing.B) {
 	b.ReportMetric(last, "sim-s")
 }
 
-// BenchmarkFusionVsStaged quantifies the §III-B integration claim: the
-// fused kernel+energy graph versus the staged execution with a Global
-// Array round trip and barrier between the two subroutines.
-func BenchmarkFusionVsStaged(b *testing.B) {
-	sys := molecule.Benzene631G()
-	var res ccsd.FusionResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = ccsd.RunSimFusion(sys, benchCluster(), 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Staged.Seconds(), "staged-sim-s")
-	b.ReportMetric(res.Fused.Seconds(), "fused-sim-s")
-	b.ReportMetric(100*(1-res.Fused.Seconds()/res.Staged.Seconds()), "gain-%")
-}
-
 // BenchmarkAblationWriteSpan sweeps the Fig 8 block-spanning factor: how
 // many nodes each output block (and hence each chain's WRITE work) is
 // split across.

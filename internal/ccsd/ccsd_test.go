@@ -418,50 +418,6 @@ func TestSimT1Kernel(t *testing.T) {
 	}
 }
 
-// TestFusedEnergyMatchesReference: the fused kernel+energy graph (§III-B
-// future-work integration) computes the same scalar as the staged
-// reference path.
-func TestFusedEnergyMatchesReference(t *testing.T) {
-	w := waterWorkload()
-	ref := ReferenceEnergy(w)
-	got, err := RunRealFused(w, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := EnergyRelDiff(got, ref); d > EnergyTol {
-		t.Errorf("fused energy %.15g vs reference %.15g", got, ref)
-	}
-}
-
-// TestSimFusionBeatsStaged: fusing the subroutines must remove the GA
-// round trip, so the fused makespan is below kernel+energy staged.
-func TestSimFusionBeatsStaged(t *testing.T) {
-	res, err := RunSimFusion(molecule.Benzene631G(), simConfig(8, 8), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fused <= 0 || res.Staged <= 0 {
-		t.Fatalf("degenerate: %v", res)
-	}
-	if res.Fused >= res.Staged {
-		t.Errorf("fused (%v) not faster than staged (%v)", res.Fused, res.Staged)
-	}
-	if res.String() == "" {
-		t.Error("empty string")
-	}
-}
-
-func TestTreeShape(t *testing.T) {
-	ts := newTreeShape(1)
-	if ts.top != 0 || len(ts.width) != 1 {
-		t.Errorf("m=1: %+v", ts)
-	}
-	ts = newTreeShape(5)
-	if ts.top != 3 || ts.width[1] != 3 || ts.width[2] != 2 || ts.width[3] != 1 {
-		t.Errorf("m=5: %+v", ts)
-	}
-}
-
 // TestSegmentedWritesMatchReference is the Fig 8 experiment: with output
 // blocks spanning several nodes, one WRITE_C instance per segment updates
 // only its slice — and the result is unchanged.

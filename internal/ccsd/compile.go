@@ -171,7 +171,8 @@ func (p *CompiledPlan) unbound(store ga.API) *ptg.Graph { return p.build(store).
 
 // build builds the plan's graph over store and returns its builder.
 func (p *CompiledPlan) build(store ga.API) *builder {
-	b := p.builder(p.graphName(), store)
+	b := &builder{g: ptg.NewGraph(p.graphName()), store: store}
+	b.point(p)
 	b.buildKernel()
 	return b
 }

@@ -60,13 +60,6 @@ func BuildGraph(w *tce.Workload, spec VariantSpec, opts Options) *ptg.Graph {
 	return CompileWorkload(w, spec, opts).unbound(opts.Store)
 }
 
-// builder starts a graph of the plan under the given name and store.
-func (p *CompiledPlan) builder(name string, store ga.API) *builder {
-	b := &builder{g: ptg.NewGraph(name), store: store}
-	b.point(p)
-	return b
-}
-
 // point aims the builder, and with it every closure of its graph, at
 // plan p, which must have the shape the graph was built for. The input
 // arrays are looked up in the store again, so a store whose arrays were
@@ -541,8 +534,7 @@ func (b *builder) buildSort() {
 				src := ctx.In[0].(*tensor.Tile4)
 				d := p.meta.Out.Dims
 				// dst is NOT pooled: AccOrdered retains it until its
-				// block's fold, which may adopt it as the block, and the
-				// fused graph shares it with the ENERGY task. Each
+				// block's fold, which may adopt it as the block. Each
 				// permutation accumulates straight into the zeroed dst
 				// via Sort4Add — bitwise identical to the old
 				// permute-into-scratch-then-AddScaled pair (one multiply,

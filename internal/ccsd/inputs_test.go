@@ -52,6 +52,16 @@ func inputBytes(w *tce.Workload) (blocks int, bytes int64, panels int) {
 	return blocks, bytes, panels
 }
 
+// inputStore returns a fresh single-node store for one run over the
+// Array path, the reference Execute is compared against: the workload's
+// two input tensors as lazy arrays (addInputs) and an empty output
+// array, which Array flushes once the run is over.
+func inputStore(w *tce.Workload) *ga.Store {
+	store := addInputs(ga.NewStore(1), w)
+	store.Create(tce.TensorC)
+	return store
+}
+
 // eagerInputStore is inputStore with every input block filled up front,
 // row-major, from Materialize — the store the reference and the traced
 // harness run on, which never sees a panel.

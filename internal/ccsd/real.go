@@ -34,15 +34,6 @@ func EnergyRelDiff(a, b float64) float64 {
 	return d
 }
 
-// inputStore returns a fresh single-node store for one real execution:
-// the workload's two input tensors as lazy arrays (addInputs) and an
-// empty output array, which Array flushes once the run is over.
-func inputStore(w *tce.Workload) *ga.Store {
-	store := addInputs(ga.NewStore(1), w)
-	store.Create(tce.TensorC)
-	return store
-}
-
 // addInputs creates the workload's two input tensors on store as lazy
 // arrays — a block fills when its first READ calls ga_access and retires
 // when its last GEMM calls ga_release, so the inputs flow through the

@@ -177,11 +177,6 @@ type Ctx struct {
 	err error
 }
 
-// InByName returns the input payload of the named flow.
-func (c *Ctx) InByName(class *TaskClass, name string) any {
-	return c.In[class.MustFlowIndex(name)]
-}
-
 // Fail records a task-body failure without panicking. Bodies call it
 // when a fallible operation (e.g. a Global Arrays accumulate) reports
 // an error; the runtime fails the task — and the run — cleanly after

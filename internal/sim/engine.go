@@ -377,7 +377,3 @@ func (e *Engine) killBlocked() {
 // LiveProcs returns the number of processes that have started and not yet
 // finished. Intended for tests and diagnostics.
 func (e *Engine) LiveProcs() int { return len(e.live) }
-
-// PendingEvents returns the number of events currently scheduled. A
-// cancelled event leaves the queue at once. Intended for tests.
-func (e *Engine) PendingEvents() int { return len(e.heap) }

@@ -94,9 +94,6 @@ func (ps *PS) rate() float64 {
 	return r
 }
 
-// ActiveFlows returns the number of flows currently in service.
-func (ps *PS) ActiveFlows() int { return len(ps.flows) }
-
 // TotalUnits returns the cumulative units served (diagnostics).
 func (ps *PS) TotalUnits() float64 { return ps.totalUnits }
 

@@ -104,12 +104,6 @@ func NewResource(e *Engine, capacity int) *Resource {
 // Capacity returns the total number of units.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting for units.
-func (r *Resource) QueueLen() int { return r.waiters.Len() }
-
 // Acquire obtains n units, blocking the process until they are available.
 func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 || n > r.capacity {

@@ -201,11 +201,6 @@ func sort4Scatter(dst, src *Tile4, perm [4]int, scale float64, add bool) {
 	}
 }
 
-// Sort4Flops returns the modeled arithmetic of a SORT_4 on a tile of n
-// elements. The kernel is pure memory movement, so this is always zero;
-// cost models account for it through Sort4Bytes instead.
-func Sort4Flops(n int) int64 { return 0 }
-
 // Sort4Bytes returns the memory traffic of one SORT_4 over a tile of n
 // elements: n float64 reads plus n float64 writes.
 func Sort4Bytes(n int) int64 { return 16 * int64(n) }
