@@ -36,18 +36,16 @@ func (p *CompiledPlan) simBehaviors() map[string]simexec.Behavior {
 		"WRITE": func(ctx *simexec.TaskCtx) {
 			cp := ps[ctx.Inst.Ref.Args[0]]
 			inputs := ctx.ActiveInputs()
-			node := ctx.M.Nodes[ctx.Node]
-			node.WriteMutex.Lock(ctx.P)
+			ctx.Lock()
 			sliceBytes := (cp.cbytes + int64(span) - 1) / int64(span)
 			if len(inputs) > 1 {
 				// Merge the sorted matrices locally before the single
 				// accumulate (Fig 6).
-				ctx.M.MemOp(ctx.P, ctx.Node, int64(len(inputs)-1)*2*sliceBytes, true)
+				ctx.MemOp(int64(len(inputs)-1)*2*sliceBytes, true)
 			}
 			out := cp.meta.Out
-			ctx.GA.AddHashBlock(ctx.P, ctx.Node, ctx.Node,
-				(out.Bytes()+int64(span)-1)/int64(span), out.Dims[0]*out.Dims[1]/span+1)
-			node.WriteMutex.Unlock(ctx.P)
+			ctx.AddHashBlock(ctx.Node, (out.Bytes()+int64(span)-1)/int64(span), out.Dims[0]*out.Dims[1]/span+1)
+			ctx.Unlock()
 		},
 	}
 }

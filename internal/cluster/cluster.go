@@ -244,29 +244,13 @@ func (m *Machine) ComputeTime(flops int64) sim.Time {
 // plus its memory traffic through the node's shared bandwidth. warm marks
 // the traffic as cache-resident (locality discount).
 func (m *Machine) Compute(p *sim.Proc, node int, flops, memBytes int64, warm bool) {
-	if flops > 0 {
-		p.Hold(m.faults.ScaleCompute(node, m.jitter(m.ComputeTime(flops))))
-	}
-	m.MemOp(p, node, memBytes, warm)
+	m.Play(p, ComputeOp(node, flops, memBytes, warm))
 }
 
 // MemOp occupies the calling worker for a memory-bound phase moving the
 // given number of bytes through the node's shared memory bandwidth.
 func (m *Machine) MemOp(p *sim.Proc, node int, bytes int64, warm bool) {
-	if bytes <= 0 {
-		return
-	}
-	amount := float64(bytes)
-	if warm {
-		amount *= m.Cfg.CacheWarm
-	}
-	if scaled := m.faults.ScaleAmount(node, amount); scaled != amount {
-		// Record the un-contended excess; contention can stretch it more,
-		// so the attribution ledger stays conservative.
-		m.faults.NoteExcess(node, sim.Duration((scaled-amount)/m.Cfg.MemBWBytes))
-		amount = scaled
-	}
-	m.Nodes[node].MemBW.Use(p, amount)
+	m.Play(p, MemoryOp(node, bytes, warm))
 }
 
 // Transfer moves bytes between nodes on behalf of the calling process
@@ -275,15 +259,7 @@ func (m *Machine) MemOp(p *sim.Proc, node int, bytes int64, warm bool) {
 // that NIC. Local transfers (src == dst) cost one pass through node memory
 // bandwidth instead.
 func (m *Machine) Transfer(p *sim.Proc, reqNode, otherNode int, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	if reqNode == otherNode {
-		m.Nodes[reqNode].MemBW.Use(p, float64(bytes))
-		return
-	}
-	p.Hold(m.jitter(m.Cfg.NetLatency))
-	m.Nodes[reqNode].NIC.Use(p, float64(bytes))
+	m.Play(p, TransferOp(reqNode, otherNode, bytes))
 }
 
 // Gemm occupies the calling worker for one GEMM kernel: its flops drawn
@@ -291,33 +267,14 @@ func (m *Machine) Transfer(p *sim.Proc, reqNode, otherNode int, bytes int64) {
 // core's rate), plus its DRAM traffic — the operand footprint scaled by
 // GemmMemTraffic — through the node's shared memory bandwidth.
 func (m *Machine) Gemm(p *sim.Proc, node int, flops, footprintBytes int64) {
-	if flops > 0 {
-		jf := float64(m.jitter(sim.Time(flops)))
-		if scaled := m.faults.ScaleAmount(node, jf); scaled != jf {
-			m.faults.NoteExcess(node, sim.Duration((scaled-jf)/(m.Cfg.CoreGFlops*1e9)))
-			jf = scaled
-		}
-		// Intra-task team split: the kernel's serial critical path
-		// shrinks by the modeled team speedup (the lent cores' work is
-		// hidden inside this flow rather than charged separately).
-		if m.Cfg.GemmTeam >= 2 {
-			jf /= 1 + m.Cfg.GemmTeamEff*float64(m.Cfg.GemmTeam-1)
-		}
-		m.Nodes[node].GemmPS.Use(p, jf)
-	}
-	if footprintBytes > 0 {
-		m.Nodes[node].MemBW.Use(p, m.Cfg.GemmMemTraffic*float64(footprintBytes))
-	}
+	m.Play(p, GemmOp(node, flops, footprintBytes))
 }
 
 // GALocalAccess blocks the calling process for a Global Arrays strided
 // access to a block owned by the local node: no wire, but still the
 // library's locked gather/scatter path through the one-sided engine.
 func (m *Machine) GALocalAccess(p *sim.Proc, node int, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	m.Nodes[node].GASrv.Use(p, float64(bytes))
+	m.Play(p, gaLocalOp(node, bytes))
 }
 
 // GARemoteAccess blocks the calling process for one remote Global Arrays
@@ -325,14 +282,277 @@ func (m *Machine) GALocalAccess(p *sim.Proc, node int, bytes int64) {
 // through the owner's one-sided engine, and the raw bytes through the
 // requester's NIC.
 func (m *Machine) GARemoteAccess(p *sim.Proc, reqNode, owner int, bytes int64, rows int) {
-	if bytes <= 0 {
-		return
+	m.Play(p, gaRemoteOp(reqNode, owner, bytes, rows))
+}
+
+// Op is one machine charge as a small steppable value: a hold, a kernel,
+// a memory phase, a transfer, a Global Arrays access, or a lock or
+// unlock of a node's write mutex. Step plays it phase by phase, and each
+// phase draws its jitter and fault scaling when it starts, so a callback
+// actor stepping an op and a process making the charge (Play) draw the
+// same values at the same virtual instants.
+type Op struct {
+	kind  opKind
+	phase uint8
+	warm  bool
+	node  int // the node charged; the requester of a transfer or GA access
+	peer  int // the other end of a transfer, the owner of a GA block
+	rows  int
+	a, b  int64 // per kind, as its constructor names them
+}
+
+type opKind uint8
+
+const (
+	opHold opKind = iota
+	opCompute
+	opMem
+	opGemm
+	opTransfer
+	opGALocal
+	opGARemote
+	opGAGet
+	opGAAcc
+	opLock
+	opUnlock
+)
+
+// HoldOp occupies the worker for d of virtual time.
+func HoldOp(d sim.Time) Op { return Op{kind: opHold, a: int64(d)} }
+
+// ComputeOp is the charge of Machine.Compute.
+func ComputeOp(node int, flops, memBytes int64, warm bool) Op {
+	return Op{kind: opCompute, node: node, a: flops, b: memBytes, warm: warm}
+}
+
+// MemoryOp is the charge of Machine.MemOp.
+func MemoryOp(node int, bytes int64, warm bool) Op {
+	return Op{kind: opMem, node: node, a: bytes, warm: warm}
+}
+
+// GemmOp is the charge of Machine.Gemm.
+func GemmOp(node int, flops, footprintBytes int64) Op {
+	return Op{kind: opGemm, node: node, a: flops, b: footprintBytes}
+}
+
+// TransferOp is the charge of Machine.Transfer.
+func TransferOp(reqNode, otherNode int, bytes int64) Op {
+	return Op{kind: opTransfer, node: reqNode, peer: otherNode, a: bytes}
+}
+
+// gaLocalOp is the charge of Machine.GALocalAccess.
+func gaLocalOp(node int, bytes int64) Op { return Op{kind: opGALocal, node: node, a: bytes} }
+
+// gaRemoteOp is the charge of Machine.GARemoteAccess.
+func gaRemoteOp(reqNode, owner int, bytes int64, rows int) Op {
+	return Op{kind: opGARemote, node: reqNode, peer: owner, a: bytes, rows: rows}
+}
+
+// GAGetOp fetches a block owned by owner into reqNode's memory: a pass
+// through node memory bandwidth when local, the remote strided path
+// otherwise. It is the charge of ga.Sim.GetHashBlock.
+func GAGetOp(reqNode, owner int, bytes int64, rows int) Op {
+	return Op{kind: opGAGet, node: reqNode, peer: owner, a: bytes, rows: rows}
+}
+
+// GAAccOp accumulates a block from reqNode into owner's memory: a
+// fault-injected service hiccup, if one is drawn, then the one-sided
+// engine's locked update, local or remote. It is the charge of
+// ga.Sim.AddHashBlock.
+func GAAccOp(reqNode, owner int, bytes int64, rows int) Op {
+	return Op{kind: opGAAcc, node: reqNode, peer: owner, a: bytes, rows: rows}
+}
+
+// LockOp locks node's write mutex, paying its lock cost once admitted.
+func LockOp(node int) Op { return Op{kind: opLock, node: node} }
+
+// UnlockOp unlocks node's write mutex after paying its unlock cost.
+func UnlockOp(node int) Op { return Op{kind: opUnlock, node: node} }
+
+// Play makes the charge op on behalf of process p, which blocks until it
+// is done.
+func (m *Machine) Play(p *sim.Proc, op Op) {
+	for !m.Step(&op, p.Event()) {
+		p.Block()
 	}
-	if rows < 1 {
-		rows = 1
+}
+
+// Step plays op from where it stands for the owner of ev: it starts
+// phases in order until one has to wait — it then returns false, and ev
+// fires when the wait ends, to call Step again — or until the op is done,
+// when it returns true.
+func (m *Machine) Step(op *Op, ev *sim.Event) bool {
+	for {
+		switch m.start(op, ev) {
+		case wait:
+			return false
+		case end:
+			return true
+		}
 	}
-	p.Hold(m.jitter(sim.Time(rows) * m.Cfg.GAStrideLatency))
-	m.Nodes[owner].GASrv.Use(p, float64(bytes))
-	p.Hold(m.jitter(m.Cfg.NetLatency))
-	m.Nodes[reqNode].NIC.Use(p, float64(bytes))
+}
+
+// phaseResult is what starting one phase of an op came to.
+type phaseResult uint8
+
+const (
+	next phaseResult = iota // the phase needed no wait
+	wait                    // ev fires when the phase ends
+	end                     // the op is done
+)
+
+// start starts op's current phase and moves the op to the next one. A
+// phase the op's kind does not have ends it.
+func (m *Machine) start(op *Op, ev *sim.Event) phaseResult {
+	ph := op.phase
+	op.phase++
+	n := op.node
+	switch op.kind {
+	case opHold:
+		if ph == 0 {
+			return m.hold(ev, sim.Time(op.a))
+		}
+	case opCompute:
+		if ph == 0 {
+			flops := op.a
+			*op = MemoryOp(n, op.b, op.warm)
+			if flops > 0 {
+				return m.hold(ev, m.faults.ScaleCompute(n, m.jitter(m.ComputeTime(flops))))
+			}
+			return next
+		}
+	case opMem:
+		if ph == 0 && op.a > 0 {
+			amount := float64(op.a)
+			if op.warm {
+				amount *= m.Cfg.CacheWarm
+			}
+			if scaled := m.faults.ScaleAmount(n, amount); scaled != amount {
+				// Record the un-contended excess; contention can stretch
+				// it more, so the attribution ledger stays conservative.
+				m.faults.NoteExcess(n, sim.Duration((scaled-amount)/m.Cfg.MemBWBytes))
+				amount = scaled
+			}
+			return use(ev, m.Nodes[n].MemBW, amount)
+		}
+	case opGemm:
+		switch ph {
+		case 0:
+			if op.a <= 0 {
+				return next
+			}
+			jf := float64(m.jitter(sim.Time(op.a)))
+			if scaled := m.faults.ScaleAmount(n, jf); scaled != jf {
+				m.faults.NoteExcess(n, sim.Duration((scaled-jf)/(m.Cfg.CoreGFlops*1e9)))
+				jf = scaled
+			}
+			// Intra-task team split: the kernel's serial critical path
+			// shrinks by the modeled team speedup (the lent cores' work
+			// is hidden inside this flow rather than charged separately).
+			if m.Cfg.GemmTeam >= 2 {
+				jf /= 1 + m.Cfg.GemmTeamEff*float64(m.Cfg.GemmTeam-1)
+			}
+			return use(ev, m.Nodes[n].GemmPS, jf)
+		case 1:
+			if op.b > 0 {
+				return use(ev, m.Nodes[n].MemBW, m.Cfg.GemmMemTraffic*float64(op.b))
+			}
+		}
+	case opTransfer:
+		switch ph {
+		case 0:
+			if op.a <= 0 {
+				return end
+			}
+			if n == op.peer {
+				op.phase = 2 // one pass through node memory, no wire
+				return use(ev, m.Nodes[n].MemBW, float64(op.a))
+			}
+			return m.hold(ev, m.jitter(m.Cfg.NetLatency))
+		case 1:
+			return use(ev, m.Nodes[n].NIC, float64(op.a))
+		}
+	case opGALocal:
+		if ph == 0 {
+			return use(ev, m.Nodes[n].GASrv, float64(op.a))
+		}
+	case opGARemote:
+		switch ph {
+		case 0:
+			if op.a <= 0 {
+				return end
+			}
+			return m.hold(ev, m.jitter(sim.Time(max(op.rows, 1))*m.Cfg.GAStrideLatency))
+		case 1:
+			return use(ev, m.Nodes[op.peer].GASrv, float64(op.a))
+		case 2:
+			return m.hold(ev, m.jitter(m.Cfg.NetLatency))
+		case 3:
+			return use(ev, m.Nodes[n].NIC, float64(op.a))
+		}
+	case opGAGet:
+		if ph == 0 {
+			if n == op.peer {
+				*op = MemoryOp(n, 2*op.a, false)
+			} else {
+				op.kind, op.phase = opGARemote, 0
+			}
+			return next
+		}
+	case opGAAcc:
+		if ph == 0 {
+			d := m.faults.AccHiccup()
+			if n == op.peer {
+				// Even a local accumulate goes through the GA library's
+				// locked strided update path, serviced by the node's
+				// one-sided engine.
+				*op = gaLocalOp(n, op.a)
+			} else {
+				op.kind, op.phase = opGARemote, 0
+			}
+			if d > 0 {
+				return m.hold(ev, d)
+			}
+			return next
+		}
+	case opLock:
+		mu := m.Nodes[n].WriteMutex
+		switch ph {
+		case 0:
+			if mu.Acquire(ev) {
+				return wait
+			}
+			return next
+		case 1:
+			if mu.LockCost > 0 {
+				return m.hold(ev, mu.LockCost)
+			}
+		}
+	case opUnlock:
+		mu := m.Nodes[n].WriteMutex
+		switch ph {
+		case 0:
+			if mu.UnlockCost > 0 {
+				return m.hold(ev, mu.UnlockCost)
+			}
+			return next
+		case 1:
+			mu.Release()
+		}
+	}
+	return end
+}
+
+// hold arms ev to fire d from now.
+func (m *Machine) hold(ev *sim.Event, d sim.Time) phaseResult {
+	m.Eng.After(ev, d)
+	return wait
+}
+
+// use starts a flow of amount on ps for ev's owner.
+func use(ev *sim.Event, ps *sim.PS, amount float64) phaseResult {
+	if ps.Start(ev, amount) {
+		return wait
+	}
+	return next
 }

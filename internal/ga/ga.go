@@ -440,29 +440,22 @@ func (g *Sim) Distribution() Distribution { return g.dist }
 func (g *Sim) GetHashBlock(p *sim.Proc, reqNode, owner int, bytes int64, rows int) {
 	g.gets.Add(1)
 	g.getBytes.Add(bytes)
-	if reqNode == owner {
-		g.mach.MemOp(p, reqNode, 2*bytes, false)
-		return
-	}
-	g.mach.GARemoteAccess(p, reqNode, owner, bytes, rows)
+	g.mach.Play(p, cluster.GAGetOp(reqNode, owner, bytes, rows))
 }
 
 // AddHashBlock blocks the calling process for the time to accumulate a
-// block into owner's memory from reqNode (read-modify-write through the
-// same one-sided path).
+// block into owner's memory from reqNode: the charge of AccOp.
 func (g *Sim) AddHashBlock(p *sim.Proc, reqNode, owner int, bytes int64, rows int) {
+	g.mach.Play(p, g.AccOp(reqNode, owner, bytes, rows))
+}
+
+// AccOp counts one accumulate and returns its charge: a read-modify-write
+// of owner's block from reqNode through the same one-sided path, local
+// or remote, behind any fault-injected service hiccup.
+func (g *Sim) AccOp(reqNode, owner int, bytes int64, rows int) cluster.Op {
 	g.accs.Add(1)
 	g.accBytes.Add(bytes)
-	if d := g.mach.Faults().AccHiccup(); d > 0 {
-		p.Hold(d)
-	}
-	if reqNode == owner {
-		// Even a local accumulate goes through the GA library's locked
-		// strided update path, serviced by the node's one-sided engine.
-		g.mach.GALocalAccess(p, owner, bytes)
-		return
-	}
-	g.mach.GARemoteAccess(p, reqNode, owner, bytes, rows)
+	return cluster.GAAccOp(reqNode, owner, bytes, rows)
 }
 
 // NxtVal performs one remote atomic fetch-and-increment, serialized

@@ -442,7 +442,7 @@ func TestInterNodeStealInvariants(t *testing.T) {
 		mu.Lock()
 		ranOn[ctx.Inst.Ref.String()] = ctx.Node
 		mu.Unlock()
-		ctx.P.Hold(sim.Millisecond)
+		ctx.Hold(sim.Millisecond)
 	}
 	for _, name := range []string{"PIN", "MIG"} {
 		c := g.Class(name)

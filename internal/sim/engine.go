@@ -3,20 +3,33 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine advances a virtual clock by executing events from a priority
-// queue ordered by (time, sequence number). Two kinds of activity exist:
+// queue ordered by (time, sequence number). Every event runs a callback
+// inline on the engine goroutine, and three kinds of activity are built
+// on that:
 //
-//   - callbacks: plain functions scheduled with Engine.Schedule, executed
-//     inline on the engine goroutine; they must not block.
-//   - processes: sequential activities (Proc) started with Engine.Go that
-//     may hold virtual time (Proc.Hold), wait on queues, and use resources.
-//     Each is a coroutine (iter.Pull) the engine resumes and that hands
-//     control back when it blocks, so exactly one process runs at any
-//     instant and simulations are bit-reproducible for a fixed seed and
-//     program.
+//   - callbacks: plain functions scheduled with Engine.Schedule; they
+//     must not block.
+//   - callback actors: state machines, each driven by one owned Event.
+//     An actor waits by handing its event to a primitive — Engine.After
+//     for virtual time, PS.Start, WaitQ.Park, Resource.Request,
+//     Mutex.Acquire — and returning; the primitive schedules the event
+//     when the wait ends, and the event's callback carries the actor on.
+//     A primitive that needs no wait says so, and the actor continues
+//     inline.
+//   - processes: sequential activities (Proc) started with Engine.Go
+//     that may hold virtual time (Proc.Hold), wait on queues, and use
+//     resources. A process is a thin layer over the same primitives: its
+//     wake event's callback resumes a coroutine (iter.Pull), and each
+//     blocking call arms the wake event and hands control back.
 //
-// An event belongs to whoever waits on it: a process owns its one wake
-// event, a PS its completion event, an EventHandle its callback's. The
-// steady state therefore allocates nothing per wait.
+// Exactly one activity runs at any instant, and a primitive ends every
+// wait the same way, by scheduling its waiter's event, so an actor and
+// a process making the same calls take the same (time, sequence) steps
+// and simulations are bit-reproducible for a fixed seed and program.
+//
+// An event belongs to whoever waits on it: an actor or a process owns
+// its one event, a PS its completion event, an EventHandle its
+// callback's. The steady state therefore allocates nothing per wait.
 //
 // The engine is the substrate for the simulated cluster on which the
 // reproduced CCSD experiments execute (see internal/cluster and
@@ -68,19 +81,24 @@ func (t Time) String() string {
 	}
 }
 
-// event is a scheduled occurrence. Exactly one of fn and proc is set.
-// Events are embedded in their owners and rescheduled in place.
-type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	proc  *Proc
-	index int // heap index while scheduled, -1 otherwise
+// Event is an owned, reusable event: a callback and, while it is
+// scheduled, its (time, sequence) key. Its owner reschedules it in place
+// for every wait, so waiting allocates nothing. The zero value is
+// unscheduled and has no callback; Bind gives it one.
+type Event struct {
+	at  Time
+	seq uint64
+	fn  func()
+	pos int // 1 + heap index while scheduled, 0 otherwise
 }
 
+// Bind sets the callback the event runs when it fires. An actor binds
+// its event once, before its first wait.
+func (ev *Event) Bind(fn func()) { ev.fn = fn }
+
 // eventHeap is a binary min-heap on (at, seq) that keeps each event's
-// index current, so an owner can take its event out early.
-type eventHeap []*event
+// position current, so an owner can take its event out or re-key it.
+type eventHeap []*Event
 
 func (h eventHeap) less(i, j int) bool {
 	a, b := h[i], h[j]
@@ -89,8 +107,8 @@ func (h eventHeap) less(i, j int) bool {
 
 func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].pos = i + 1
+	h[j].pos = j + 1
 }
 
 func (h eventHeap) up(j int) {
@@ -125,16 +143,23 @@ func (h eventHeap) down(i, n int) bool {
 	return i > i0
 }
 
-func (h *eventHeap) push(ev *event) {
-	ev.index = len(*h)
+func (h *eventHeap) push(ev *Event) {
 	*h = append(*h, ev)
-	h.up(ev.index)
+	ev.pos = len(*h)
+	h.up(ev.pos - 1)
 }
 
-func (h *eventHeap) pop() *event { return h.remove(0) }
+func (h *eventHeap) pop() *Event { return h.remove(0) }
+
+// fix restores the heap order after h[i]'s key changed.
+func (h eventHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
+}
 
 // remove takes the event at heap index i out of the heap and returns it.
-func (h *eventHeap) remove(i int) *event {
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
 	n := len(old) - 1
 	if i != n {
@@ -145,7 +170,7 @@ func (h *eventHeap) remove(i int) *event {
 	}
 	ev := old[n]
 	old[n] = nil
-	ev.index = -1
+	ev.pos = 0
 	*h = old[:n]
 	return ev
 }
@@ -172,35 +197,68 @@ func (e *Engine) Now() Time { return e.now }
 
 // schedule queues an owned, unscheduled event at the given time, after
 // everything already queued for that instant.
-func (e *Engine) schedule(ev *event, at Time) {
+func (e *Engine) schedule(ev *Event, at Time) {
 	e.seq++
 	ev.at, ev.seq = at, e.seq
 	e.heap.push(ev)
 }
 
-// unschedule takes an owned event out of the queue if it is in it.
-func (e *Engine) unschedule(ev *event) {
-	if ev.index >= 0 {
-		e.heap.remove(ev.index)
+// reschedule moves an owned event to the given time with the fresh
+// sequence number a removal and a new schedule would give it, but sifts
+// it once where it stands. (at, seq) is a strict total order, so the
+// events come out in the same order either way.
+func (e *Engine) reschedule(ev *Event, at Time) {
+	if ev.pos == 0 {
+		e.schedule(ev, at)
+		return
 	}
+	e.seq++
+	ev.at, ev.seq = at, e.seq
+	e.heap.fix(ev.pos - 1)
+}
+
+// unschedule takes an owned event out of the queue if it is in it.
+func (e *Engine) unschedule(ev *Event) {
+	if ev.pos > 0 {
+		e.heap.remove(ev.pos - 1)
+	}
+}
+
+// wake schedules a waiter's event at the current time, after everything
+// already queued for this instant, unless it is already scheduled.
+func (e *Engine) wake(ev *Event) {
+	if ev.pos == 0 {
+		e.schedule(ev, e.now)
+	}
+}
+
+// After schedules an owned event to fire d virtual nanoseconds from now,
+// after everything already queued for that instant: a callback actor's
+// Hold. A negative d is treated as zero. The event must not be
+// scheduled.
+func (e *Engine) After(ev *Event, d Time) {
+	if ev.pos != 0 {
+		panic("sim: After on a scheduled event")
+	}
+	if d < 0 {
+		d = 0
+	}
+	e.schedule(ev, e.now+d)
 }
 
 // Schedule runs fn after the given virtual delay. fn executes inline on the
 // engine goroutine and must not block. A negative delay is treated as zero.
 // The returned handle may be used to cancel the event before it fires.
 func (e *Engine) Schedule(delay Time, fn func()) *EventHandle {
-	if delay < 0 {
-		delay = 0
-	}
 	h := &EventHandle{eng: e}
 	h.ev.fn = fn
-	e.schedule(&h.ev, e.now+delay)
+	e.After(&h.ev, delay)
 	return h
 }
 
 // EventHandle allows cancelling a scheduled callback.
 type EventHandle struct {
-	ev        event
+	ev        Event
 	eng       *Engine
 	cancelled bool
 }
@@ -227,8 +285,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // from the process's own body function.
 type Proc struct {
 	// wake is the process's one event: its start, a Hold's expiry, or a
-	// queue's wake-up. It is scheduled exactly while wake.index >= 0.
-	wake   event
+	// queue's wake-up. Its callback resumes the coroutine.
+	wake   Event
 	eng    *Engine
 	name   string
 	next   func() (struct{}, bool) // resume the coroutine until it blocks or ends
@@ -253,7 +311,7 @@ type procKilled struct{}
 // instant.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
-	p.wake.proc = p
+	p.wake.fn = func() { e.resumeProc(p) }
 	// No stop function is needed: killBlocked ends an abandoned process
 	// by resuming it to its end, started or not.
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
@@ -276,8 +334,14 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// block suspends the process until the engine resumes it.
-func (p *Proc) block() {
+// Event returns the process's wake event, so the process can drive a
+// callback-style primitive or a steppable operation itself: hand the
+// event to the primitive and, if it has to wait, Block.
+func (p *Proc) Event() *Event { return &p.wake }
+
+// Block suspends the process until its wake event fires. The event must
+// already be scheduled or held by a primitive that will schedule it.
+func (p *Proc) Block() {
 	p.yield(struct{}{})
 	if p.killed {
 		panic(procKilled{})
@@ -286,20 +350,8 @@ func (p *Proc) block() {
 
 // Hold advances the process's local time by d virtual nanoseconds.
 func (p *Proc) Hold(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	p.eng.schedule(&p.wake, p.eng.now+d)
-	p.block()
-}
-
-// wakeAt schedules the process to resume at the given absolute time.
-// The process must currently be blocked on a queue (not sleeping).
-func (e *Engine) wakeAt(p *Proc, at Time) {
-	if p.wake.index >= 0 {
-		return // already scheduled
-	}
-	e.schedule(&p.wake, at)
+	p.eng.After(&p.wake, d)
+	p.Block()
 }
 
 // resumeProc runs p until it blocks or finishes. A panic other than the
@@ -318,8 +370,10 @@ func (e *Engine) resumeProc(p *Proc) {
 // Run executes events until the queue is empty, Stop is called, or the
 // clock would pass horizon (horizon <= 0 means no limit). It returns the
 // final virtual time and an error if processes remain blocked with no
-// pending events (a simulation deadlock). However Run ends, no process
-// outlives it: those still suspended are abandoned.
+// pending events (a simulation deadlock). A callback actor left waiting
+// is not one: the engine does not track actors, so their owner judges
+// whether the run finished. However Run ends, no process outlives it:
+// those still suspended are abandoned.
 func (e *Engine) Run(horizon Time) (Time, error) {
 	if e.running {
 		return e.now, fmt.Errorf("sim: Run called reentrantly")
@@ -340,11 +394,7 @@ func (e *Engine) Run(horizon Time) (Time, error) {
 		}
 		e.heap.pop()
 		e.now = ev.at
-		if ev.proc != nil {
-			e.resumeProc(ev.proc)
-		} else {
-			ev.fn()
-		}
+		ev.fn()
 	}
 	if n := len(e.live); n > 0 && !e.stopped {
 		names := make([]string, 0, n)
@@ -359,7 +409,7 @@ func (e *Engine) Run(horizon Time) (Time, error) {
 
 // killBlocked ends every suspended process — blocked, sleeping or never
 // started — so no coroutine outlives Run: each is resumed once with
-// killed set, and block panics procKilled up its stack. Then every
+// killed set, and Block panics procKilled up its stack. Then every
 // pending event is dropped.
 func (e *Engine) killBlocked() {
 	for len(e.live) > 0 {
@@ -368,7 +418,7 @@ func (e *Engine) killBlocked() {
 		e.resumeProc(p)
 	}
 	for i, ev := range e.heap {
-		ev.index = -1
+		ev.pos = 0
 		e.heap[i] = nil
 	}
 	e.heap = e.heap[:0]

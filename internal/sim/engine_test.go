@@ -477,9 +477,9 @@ func allocsPerOp(n int, sim func(n int)) float64 {
 	return (b - a) / float64(n)
 }
 
-// The engine's waits allocate nothing in steady state: a process reuses
-// its one wake event, a PS its one completion event and its flow slots,
-// a WaitQ its slice.
+// The engine's waits allocate nothing in steady state: a process or an
+// actor reuses its one event, a PS its one completion event and its flow
+// slots, a WaitQ its slice.
 func TestSteadyStateAllocations(t *testing.T) {
 	cases := []struct {
 		name string
@@ -520,6 +520,28 @@ func TestSteadyStateAllocations(t *testing.T) {
 					q.WakeOne()
 				}
 			})
+			e.Run(0)
+		}},
+		{"actor Hold and Park", func(n int) {
+			e := NewEngine()
+			q := NewWaitQ(e)
+			var waiter, waker Event
+			parks, wakes := n, n
+			waiter.Bind(func() {
+				if parks > 0 {
+					parks--
+					q.Park(&waiter)
+				}
+			})
+			waker.Bind(func() {
+				q.WakeOne()
+				if wakes > 0 {
+					wakes--
+					e.After(&waker, 1)
+				}
+			})
+			e.After(&waiter, 0)
+			e.After(&waker, 0)
 			e.Run(0)
 		}},
 	}
@@ -617,7 +639,9 @@ func TestBodyPanicComesOutOfRun(t *testing.T) {
 }
 
 // BenchmarkEngineSwitch reports the cost of one virtual wait: a Hold, and
-// a PS.Use sharing the resource with a second flow.
+// a PS.Use sharing the resource with a second flow, each made by a
+// process (a coroutine switch per wait) and by a callback actor handing
+// its owned event to the same primitive.
 func BenchmarkEngineSwitch(b *testing.B) {
 	b.Run("Hold", func(b *testing.B) {
 		e := NewEngine()
@@ -641,6 +665,47 @@ func BenchmarkEngineSwitch(b *testing.B) {
 					ps.Use(p, 1e3)
 				}
 			})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		if _, err := e.Run(0); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("ActorHold", func(b *testing.B) {
+		e := NewEngine()
+		var ev Event
+		left := b.N
+		ev.Bind(func() {
+			if left > 0 {
+				left--
+				e.After(&ev, 1)
+			}
+		})
+		e.After(&ev, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		if _, err := e.Run(0); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("ActorPSStart2", func(b *testing.B) {
+		e := NewEngine()
+		ps := NewPS(e, "bw", 1e9)
+		for _, n := range []int{b.N - b.N/2, b.N / 2} {
+			a := &struct {
+				ev   Event
+				left int
+			}{left: n}
+			a.ev.Bind(func() {
+				for a.left > 0 {
+					a.left--
+					if ps.Start(&a.ev, 1e3) {
+						return
+					}
+				}
+			})
+			e.After(&a.ev, 0)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -26,7 +26,7 @@ type PS struct {
 	last       Time
 	// done is the completion event of the flow that finishes first,
 	// scheduled while any flow is active; fn is bound once, in NewPS.
-	done event
+	done Event
 
 	// Stats.
 	totalUnits float64
@@ -35,7 +35,7 @@ type PS struct {
 
 type psFlow struct {
 	remaining float64
-	p         *Proc
+	ev        *Event // the waiter's event, scheduled when the flow completes
 }
 
 // NewPS returns a processor-sharing resource with the given capacity in
@@ -46,7 +46,6 @@ func NewPS(e *Engine, name string, capacity float64) *PS {
 	}
 	ps := &PS{eng: e, name: name, capacity: capacity, last: e.Now()}
 	ps.done.fn = ps.complete
-	ps.done.index = -1
 	return ps
 }
 
@@ -106,18 +105,29 @@ func (ps *PS) TimeFor(amount float64) Time {
 	return Duration(amount / ps.capacity)
 }
 
+// Start begins a flow of amount units, sharing capacity with all
+// concurrently active flows, and reports whether the caller must wait:
+// ev fires when the flow completes. An amount <= 0 (or NaN) needs no
+// service, so Start schedules nothing, reports false, and the caller
+// carries on inline.
+func (ps *PS) Start(ev *Event, amount float64) bool {
+	if amount <= 0 || math.IsNaN(amount) {
+		return false
+	}
+	ps.advance()
+	ps.totalUnits += amount
+	ps.flows = append(ps.flows, psFlow{remaining: amount, ev: ev})
+	ps.reschedule()
+	return true
+}
+
 // Use blocks the calling process until amount units have been served,
 // sharing capacity with all concurrently active flows. Amounts <= 0
 // complete immediately.
 func (ps *PS) Use(p *Proc, amount float64) {
-	if amount <= 0 || math.IsNaN(amount) {
-		return
+	if ps.Start(&p.wake, amount) {
+		p.Block()
 	}
-	ps.advance()
-	ps.totalUnits += amount
-	ps.flows = append(ps.flows, psFlow{remaining: amount, p: p})
-	ps.reschedule()
-	p.block()
 }
 
 // advance applies work done since the last update to all active flows.
@@ -143,11 +153,12 @@ func (ps *PS) advance() {
 // rounding without ever letting a flow strand.
 func (ps *PS) tolerance() float64 { return 2e-9 * ps.capacity }
 
-// reschedule takes any pending completion event out of the queue and
-// schedules it again for the flow with the least remaining work.
+// reschedule re-keys the completion event, in place when it is pending,
+// for the flow with the least remaining work, or takes it out of the
+// queue when no flow is active.
 func (ps *PS) reschedule() {
-	ps.eng.unschedule(&ps.done)
 	if len(ps.flows) == 0 {
+		ps.eng.unschedule(&ps.done)
 		return
 	}
 	minRem := math.Inf(1)
@@ -160,18 +171,18 @@ func (ps *PS) reschedule() {
 	if dt < Nanosecond {
 		dt = Nanosecond
 	}
-	ps.eng.schedule(&ps.done, ps.eng.now+dt)
+	ps.eng.reschedule(&ps.done, ps.eng.now+dt)
 }
 
 // complete finishes all flows whose remaining work is within tolerance,
-// waking their processes, then reschedules.
+// scheduling their waiters' events, then reschedules.
 func (ps *PS) complete() {
 	ps.advance()
 	tol := ps.tolerance()
 	kept := ps.flows[:0]
 	for _, f := range ps.flows {
 		if f.remaining <= tol {
-			ps.eng.wakeAt(f.p, ps.eng.Now())
+			ps.eng.wake(f.ev)
 		} else {
 			kept = append(kept, f)
 		}

@@ -39,41 +39,45 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
-// WaitQ is a FIFO queue of blocked processes. It is the building block for
-// all higher-level synchronization: a process parks itself with Wait and is
-// released, in order, by WakeOne or WakeAll.
+// WaitQ is a FIFO queue of waiters. It is the building block for all
+// higher-level synchronization: an actor parks its event with Park, a
+// process itself with Wait, and both are released, in order, by WakeOne
+// or WakeAll.
 type WaitQ struct {
-	eng   *Engine
-	procs FIFO[*Proc]
+	eng *Engine
+	evs FIFO[*Event]
 }
 
 // NewWaitQ returns an empty wait queue bound to the engine.
 func NewWaitQ(e *Engine) *WaitQ { return &WaitQ{eng: e} }
 
-// Len returns the number of parked processes.
-func (q *WaitQ) Len() int { return q.procs.Len() }
+// Len returns the number of parked waiters.
+func (q *WaitQ) Len() int { return q.evs.Len() }
+
+// Park queues ev at the tail; it fires when a wake reaches it.
+func (q *WaitQ) Park(ev *Event) { q.evs.Push(ev) }
 
 // Wait parks the calling process at the tail of the queue.
 func (q *WaitQ) Wait(p *Proc) {
-	q.procs.Push(p)
-	p.block()
+	q.Park(&p.wake)
+	p.Block()
 }
 
-// WakeOne releases the process at the head of the queue, if any. The woken
-// process resumes at the current virtual time, after events already
-// scheduled for this instant. It reports whether a process was woken.
+// WakeOne releases the waiter at the head of the queue, if any. Its event
+// fires at the current virtual time, after events already scheduled for
+// this instant. It reports whether a waiter was woken.
 func (q *WaitQ) WakeOne() bool {
-	if q.procs.Len() == 0 {
+	if q.evs.Len() == 0 {
 		return false
 	}
-	q.eng.wakeAt(q.procs.Pop(), q.eng.now)
+	q.eng.wake(q.evs.Pop())
 	return true
 }
 
-// WakeAll releases every parked process, in FIFO order.
+// WakeAll releases every parked waiter, in FIFO order.
 func (q *WaitQ) WakeAll() {
-	for q.procs.Len() > 0 {
-		q.eng.wakeAt(q.procs.Pop(), q.eng.now)
+	for q.evs.Len() > 0 {
+		q.eng.wake(q.evs.Pop())
 	}
 }
 
@@ -89,8 +93,8 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	p *Proc
-	n int
+	ev *Event
+	n  int
 }
 
 // NewResource returns a resource with the given capacity (> 0).
@@ -104,17 +108,26 @@ func NewResource(e *Engine, capacity int) *Resource {
 // Capacity returns the total number of units.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// Acquire obtains n units, blocking the process until they are available.
-func (r *Resource) Acquire(p *Proc, n int) {
+// Request asks for n units on behalf of ev's owner and reports whether
+// the caller must wait: granted at once it returns false, queued it
+// returns true and ev fires on admission.
+func (r *Resource) Request(ev *Event, n int) bool {
 	if n <= 0 || n > r.capacity {
-		panic(fmt.Sprintf("sim: Acquire(%d) on resource of capacity %d", n, r.capacity))
+		panic(fmt.Sprintf("sim: Request(%d) on resource of capacity %d", n, r.capacity))
 	}
 	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
-		return
+		return false
 	}
-	r.waiters.Push(resWaiter{p, n})
-	p.block()
+	r.waiters.Push(resWaiter{ev, n})
+	return true
+}
+
+// Acquire obtains n units, blocking the process until they are available.
+func (r *Resource) Acquire(p *Proc, n int) {
+	if r.Request(&p.wake, n) {
+		p.Block()
+	}
 }
 
 // Release returns n units and admits as many queued waiters as now fit,
@@ -135,7 +148,7 @@ func (r *Resource) admit() {
 		}
 		r.inUse += w.n
 		r.waiters.Pop()
-		r.eng.wakeAt(w.p, r.eng.now)
+		r.eng.wake(w.ev)
 	}
 }
 
@@ -154,6 +167,15 @@ func NewMutex(e *Engine, lockCost, unlockCost Time) *Mutex {
 	return &Mutex{res: NewResource(e, 1), LockCost: lockCost, UnlockCost: unlockCost}
 }
 
+// Acquire asks for the mutex on behalf of ev's owner and reports whether
+// the caller must wait for ev, as Resource.Request does. It charges no
+// cost: a caller locking in steps holds LockCost itself once admitted.
+func (m *Mutex) Acquire(ev *Event) bool { return m.res.Request(ev, 1) }
+
+// Release frees the mutex without charging UnlockCost, admitting the next
+// waiter.
+func (m *Mutex) Release() { m.res.Release(1) }
+
 // Lock acquires the mutex, paying LockCost of virtual time after admission.
 func (m *Mutex) Lock(p *Proc) {
 	m.res.Acquire(p, 1)
@@ -167,7 +189,7 @@ func (m *Mutex) Unlock(p *Proc) {
 	if m.UnlockCost > 0 {
 		p.Hold(m.UnlockCost)
 	}
-	m.res.Release(1)
+	m.Release()
 }
 
 // Barrier blocks processes until a fixed number have arrived, then releases

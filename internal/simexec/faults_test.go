@@ -260,7 +260,7 @@ func TestBehaviorTasksNeverMigrate(t *testing.T) {
 				if ctx.Node != ctx.Inst.Node {
 					t.Errorf("%v executed on node %d, affinity %d", ctx.Inst.Ref, ctx.Node, ctx.Inst.Node)
 				}
-				ctx.M.Compute(ctx.P, ctx.Node, 1e9, 0, false)
+				ctx.Compute(1e9, 0, false)
 			},
 		},
 	})

@@ -2,9 +2,8 @@
 // distributed-memory cluster. It reproduces the execution architecture of
 // PaRSEC on a real machine (§II-B, §V):
 //
-//   - every node runs a fixed set of worker "threads" (simulated
-//     processes) sharing one ready queue — the paper's dynamic work
-//     stealing within a node (§IV-D);
+//   - every node runs a fixed set of worker "threads" sharing one ready
+//     queue — the paper's dynamic work stealing within a node (§IV-D);
 //   - every node runs one dedicated communication thread; tasks never
 //     communicate directly, they express dataflow and the comm thread
 //     issues the transfers (§V: "data transfer calls are issued by a
@@ -20,12 +19,19 @@
 // real tracker (internal/ptg), with every scheduling decision taken from
 // the shared core (internal/sched) so the simulator provably schedules
 // what the real runtime ships.
+//
+// Workers and comm threads are callback actors of internal/sim, each a
+// state machine driven by one owned event: a thread returns to the
+// engine whenever a charge or an empty queue makes it wait, and its
+// event carries it on. No thread is a coroutine, so a virtual wait costs
+// an event and no context switch.
 package simexec
 
 import (
 	"fmt"
 
 	"parsec/internal/cluster"
+	"parsec/internal/fault"
 	"parsec/internal/ga"
 	"parsec/internal/obsv"
 	"parsec/internal/ptg"
@@ -37,13 +43,42 @@ import (
 // Payload is the simulated datum moved along graph edges.
 type Payload struct{ Bytes int64 }
 
-// TaskCtx is handed to behaviors.
+// TaskCtx is handed to behaviors. A behavior does not wait itself: it
+// appends the task's charge with the methods below, and the worker plays
+// the charge in order once the behavior returns — from the same virtual
+// instant, so each step starts, and draws its jitter, exactly when a
+// blocking call would have.
 type TaskCtx struct {
-	P    *sim.Proc
-	M    *cluster.Machine
-	GA   *ga.Sim
 	Inst *ptg.Instance
 	Node int
+	ga   *ga.Sim
+	ops  []cluster.Op
+}
+
+// Hold charges d of virtual time.
+func (c *TaskCtx) Hold(d sim.Time) { c.ops = append(c.ops, cluster.HoldOp(d)) }
+
+// Compute charges a kernel on the task's node (cluster.Machine.Compute).
+func (c *TaskCtx) Compute(flops, memBytes int64, warm bool) {
+	c.ops = append(c.ops, cluster.ComputeOp(c.Node, flops, memBytes, warm))
+}
+
+// MemOp charges a memory-bound phase on the task's node
+// (cluster.Machine.MemOp).
+func (c *TaskCtx) MemOp(bytes int64, warm bool) {
+	c.ops = append(c.ops, cluster.MemoryOp(c.Node, bytes, warm))
+}
+
+// Lock locks the task's node's write mutex.
+func (c *TaskCtx) Lock() { c.ops = append(c.ops, cluster.LockOp(c.Node)) }
+
+// Unlock unlocks the task's node's write mutex.
+func (c *TaskCtx) Unlock() { c.ops = append(c.ops, cluster.UnlockOp(c.Node)) }
+
+// AddHashBlock charges a Global Arrays accumulate from the task's node
+// into owner's block (ga.Sim.AddHashBlock).
+func (c *TaskCtx) AddHashBlock(owner int, bytes int64, rows int) {
+	c.ops = append(c.ops, c.ga.AccOp(c.Node, owner, bytes, rows))
 }
 
 // ActiveInputs returns the payloads of the instance's satisfied
@@ -59,7 +94,8 @@ func (c *TaskCtx) ActiveInputs() []Payload {
 }
 
 // Behavior simulates a task class's execution beyond a plain Cost charge
-// (e.g. Global Arrays interactions, mutex-protected critical sections).
+// (e.g. Global Arrays interactions, mutex-protected critical sections)
+// by appending that charge to ctx.
 type Behavior func(ctx *TaskCtx)
 
 // RetryPolicy controls how a node's communication thread recovers from
@@ -201,14 +237,12 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 	ex := &executor{
 		tr:    tr,
 		m:     m,
-		ga:    gasim,
 		cfg:   cfg,
 		nodes: make([]*nodeState, m.Cfg.Nodes),
-		procs: make([]*sim.Proc, m.Cfg.Nodes*cfg.CoresPerNode),
 		boxed: make(map[int64]any),
 	}
 	if cfg.Trace != nil {
-		ex.spans = make([][]trace.Span, len(ex.procs))
+		ex.spans = make([][]trace.Span, m.Cfg.Nodes*cfg.CoresPerNode)
 	}
 	classes := g.Classes()
 	ex.behaviors = make([]Behavior, len(classes))
@@ -257,14 +291,21 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 	sched.SplitRun(initial, len(ex.nodes), func(in *ptg.Instance) int { return in.Node }, func(n int, run []*ptg.Instance) {
 		ex.nodes[n].rq.Preload(run)
 	})
-	// Start workers and comm threads.
-	for n := 0; n < m.Cfg.Nodes; n++ {
-		n := n
-		for w := 0; w < cfg.CoresPerNode; w++ {
-			w := w
-			m.Eng.Go(fmt.Sprintf("n%d.w%d", n, w), func(p *sim.Proc) { ex.worker(p, n, w) })
+	// Start workers and comm threads, each node's workers then its comm
+	// thread, every one at time zero in that order.
+	workers := make([]worker, m.Cfg.Nodes*cfg.CoresPerNode)
+	comms := make([]comm, m.Cfg.Nodes)
+	for n := range comms {
+		for wid := 0; wid < cfg.CoresPerNode; wid++ {
+			w := &workers[n*cfg.CoresPerNode+wid]
+			*w = worker{ex: ex, node: n, wid: wid, ctx: TaskCtx{Node: n, ga: gasim}}
+			w.ev.Bind(w.run)
+			m.Eng.After(&w.ev, 0)
 		}
-		m.Eng.Go(fmt.Sprintf("n%d.comm", n), func(p *sim.Proc) { ex.comm(p, n) })
+		c := &comms[n]
+		*c = comm{ex: ex, node: n}
+		c.ev.Bind(c.run)
+		m.Eng.After(&c.ev, 0)
 	}
 	end, err := m.Eng.Run(cfg.Horizon)
 	// Each node's spans go over grouped by worker, each worker's in start
@@ -278,6 +319,8 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 	if ex.err != nil {
 		return Result{}, ex.err
 	}
+	// Threads left waiting are not an engine error: a graph that stalls
+	// leaves its workers parked and is caught here.
 	if qerr := tr.CheckQuiescent(); qerr != nil {
 		return Result{}, qerr
 	}
@@ -303,8 +346,8 @@ type transfer struct {
 	payload Payload
 }
 
-// nodeState is the per-node scheduler state. The DES runs one process at
-// a time, so no locking is needed.
+// nodeState is the per-node scheduler state. The DES runs one actor at a
+// time, so no locking is needed.
 type nodeState struct {
 	// rq is this node's ready-queue set: the scheduling core decides
 	// pinning, pop order, and steal picks; the trace's ready-task
@@ -321,15 +364,10 @@ type nodeState struct {
 type executor struct {
 	tr    *ptg.Tracker
 	m     *cluster.Machine
-	ga    *ga.Sim
 	cfg   Config
 	nodes []*nodeState
-	// procs registers each worker's simulated process by flat index
-	// (node*CoresPerNode+wid) so the substrate's idle primitive can park
-	// the caller on its node's wait queue.
-	procs []*sim.Proc
 	// dels is complete's Delivery buffer, reused by every task: nothing
-	// it calls blocks, so no other process runs while it iterates.
+	// it calls waits, so no other actor runs while it iterates.
 	dels []ptg.Delivery
 	// behaviors, byClass and sentTo are indexed by TaskClass.Index: a
 	// class's behavior resolved once, and the per-class tallies the
@@ -356,12 +394,6 @@ type classBytes struct {
 // Now returns the current virtual time in nanoseconds: the clock the
 // ready sets stamp scheduling events with.
 func (ex *executor) Now() int64 { return int64(ex.m.Eng.Now()) }
-
-// Idle suspends the calling worker's simulated process on its node's
-// wait queue until new work may be available.
-func (ex *executor) Idle(worker int) {
-	ex.nodes[worker/ex.cfg.CoresPerNode].workersIdle.Wait(ex.procs[worker])
-}
 
 func (ex *executor) fail(err error) {
 	if ex.err == nil {
@@ -426,41 +458,112 @@ func (ex *executor) dequeueFor(node, wid int) *ptg.Instance {
 	return nil
 }
 
-// worker is the main loop of one compute thread.
-func (ex *executor) worker(p *sim.Proc, node, wid int) {
-	flat := node*ex.cfg.CoresPerNode + wid
-	ex.procs[flat] = p
+// worker is one compute thread, a callback actor driven by ev. It
+// dispatches a task, plays the task's charge, completes the task and
+// goes on to the next, returning to the engine whenever the charge or an
+// empty queue makes it wait.
+type worker struct {
+	ex        *executor
+	ev        sim.Event
+	node, wid int
+	state     workerState
+	in        *ptg.Instance // the task in hand
+	moved     int64         // input bytes a stolen task brings along
+	start     sim.Time      // when the task in hand started
+	ctx       TaskCtx       // its charge; ctx.ops[next:] is still to play
+	next      int
+}
+
+type workerState uint8
+
+const (
+	dispatching workerState = iota // between tasks, or parked for work
+	stealing                       // a stolen task's inputs in transfer
+	running                        // the task's charge in play
+)
+
+// run carries the worker on from where it last waited.
+func (w *worker) run() {
+	ex := w.ex
 	for {
-		in := ex.dequeueFor(node, wid)
-		if in == nil && ex.cfg.InterNodeSteal {
-			in = ex.stealRemote(p, node)
+		for ; w.next < len(w.ctx.ops); w.next++ {
+			if !ex.m.Step(&w.ctx.ops[w.next], &w.ev) {
+				return
+			}
+		}
+		switch w.state {
+		case dispatching:
+			in := ex.dequeueFor(w.node, w.wid)
+			if in == nil && ex.cfg.InterNodeSteal {
+				if in = w.stealRemote(); in != nil {
+					w.in, w.state = in, stealing
+					continue
+				}
+			}
+			if in == nil {
+				if !ex.done {
+					ex.nodes[w.node].workersIdle.Park(&w.ev)
+				}
+				return
+			}
+			w.in = in
+			if !w.begin() {
+				return
+			}
+		case stealing:
+			ex.res.Redispatches++
+			ex.res.RedispatchBytes += w.moved
+			if !w.begin() {
+				return
+			}
+		case running:
+			in := w.in
+			if ex.spans != nil {
+				flat := w.node*ex.cfg.CoresPerNode + w.wid
+				ex.spans[flat] = append(ex.spans[flat], trace.Span{Seq: uint32(in.Seq), Worker: uint32(w.wid), Start: int64(w.start), End: int64(ex.m.Eng.Now())})
+			}
+			w.in, w.state = nil, dispatching
+			ex.complete(in, w.node)
 			if ex.err != nil {
 				return
 			}
 		}
-		if in == nil {
-			if ex.done {
-				return
+	}
+}
+
+// begin starts the task in hand and lays out its charge. It reports
+// false if the run failed.
+func (w *worker) begin() bool {
+	ex := w.ex
+	if err := ex.tr.Start(w.in); err != nil {
+		ex.fail(err)
+		return false
+	}
+	w.start = ex.m.Eng.Now()
+	w.charge(w.in)
+	w.state = running
+	return true
+}
+
+// charge lays out the task's simulated duration: its class's Behavior,
+// else its Cost.
+func (w *worker) charge(in *ptg.Instance) {
+	c := &w.ctx
+	c.Inst, c.ops, w.next = in, c.ops[:0], 0
+	if b := w.ex.behaviors[in.Class.Index()]; b != nil {
+		b(c)
+		return
+	}
+	if in.Class.Cost != nil {
+		cost := in.Class.Cost(in.Ref.Args)
+		if cost.GemmBytes > 0 || (cost.Flops > 0 && in.Ref.Class == "GEMM") {
+			c.ops = append(c.ops, cluster.GemmOp(w.node, cost.Flops, cost.GemmBytes))
+			if cost.MemBytes > 0 {
+				c.MemOp(cost.MemBytes, cost.Warm)
 			}
-			ex.Idle(flat)
-			continue
-		}
-		if err := ex.tr.Start(in); err != nil {
-			ex.fail(err)
 			return
 		}
-		start := p.Now()
-		ex.execute(p, node, in)
-		if ex.err != nil {
-			return
-		}
-		if ex.spans != nil {
-			ex.spans[flat] = append(ex.spans[flat], trace.Span{Seq: uint32(in.Seq), Worker: uint32(wid), Start: int64(start), End: int64(p.Now())})
-		}
-		ex.complete(in, node)
-		if ex.err != nil {
-			return
-		}
+		c.Compute(cost.Flops, cost.MemBytes, cost.Warm)
 	}
 }
 
@@ -471,8 +574,10 @@ func (ex *executor) worker(p *sim.Proc, node, wid int) {
 // task's already-delivered input payloads to its own node — the task's
 // GETs move with it. Behind a straggler this converts queueing delay
 // into one bounded data movement; the fault-free cost is nothing, since
-// workers only probe when they have no local work.
-func (ex *executor) stealRemote(p *sim.Proc, node int) *ptg.Instance {
+// workers only probe when they have no local work. The transfer becomes
+// the worker's charge.
+func (w *worker) stealRemote() *ptg.Instance {
+	ex, node := w.ex, w.node
 	migratable := func(in *ptg.Instance) bool { return ex.cfg.Migratable(in.Ref.Class) }
 	victim := -1
 	for n, ns := range ex.nodes {
@@ -503,29 +608,9 @@ func (ex *executor) stealRemote(p *sim.Proc, node int) *ptg.Instance {
 			moved += pl.Bytes
 		}
 	}
-	ex.m.Transfer(p, node, victim, moved)
-	ex.res.Redispatches++
-	ex.res.RedispatchBytes += moved
+	w.moved, w.next = moved, 0
+	w.ctx.ops = append(w.ctx.ops[:0], cluster.TransferOp(node, victim, moved))
 	return in
-}
-
-// execute charges the task's simulated duration.
-func (ex *executor) execute(p *sim.Proc, node int, in *ptg.Instance) {
-	if b := ex.behaviors[in.Class.Index()]; b != nil {
-		b(&TaskCtx{P: p, M: ex.m, GA: ex.ga, Inst: in, Node: node})
-		return
-	}
-	if in.Class.Cost != nil {
-		c := in.Class.Cost(in.Ref.Args)
-		if c.GemmBytes > 0 || (c.Flops > 0 && in.Ref.Class == "GEMM") {
-			ex.m.Gemm(p, node, c.Flops, c.GemmBytes)
-			if c.MemBytes > 0 {
-				ex.m.MemOp(p, node, c.MemBytes, c.Warm)
-			}
-			return
-		}
-		ex.m.Compute(p, node, c.Flops, c.MemBytes, c.Warm)
-	}
 }
 
 // complete evaluates the finished task's dataflow: local deliveries are
@@ -574,32 +659,11 @@ func (ex *executor) deliver(d ptg.Delivery, pl Payload) {
 	}
 }
 
-// comm is the main loop of one node's communication thread: it serves
-// queued transfers in FIFO order, one at a time, charging network latency
-// and this node's NIC injection bandwidth per payload. Each transfer
-// runs through the retry state machine in send.
-func (ex *executor) comm(p *sim.Proc, node int) {
-	ns := ex.nodes[node]
-	for {
-		if ns.commQ.Len() == 0 {
-			if ex.done {
-				return
-			}
-			ns.commIdle.Wait(p)
-			continue
-		}
-		t := ns.commQ.Pop()
-		ex.send(p, node, t)
-		ns.commBytes -= t.payload.Bytes
-		ex.sample("comm bytes in flight", node, float64(ns.commBytes))
-		if ex.err != nil {
-			return
-		}
-	}
-}
-
-// send pushes one transfer through until its ack comes back, retrying
-// around injected faults:
+// comm is one node's communication thread, a callback actor driven by
+// ev: it serves queued transfers in FIFO order, one at a time, charging
+// network latency and this node's NIC injection bandwidth per payload,
+// and pushes each through until its ack comes back, retrying around
+// injected faults:
 //
 //   - payload drop: the receiver saw nothing; the sender burns the
 //     detection timeout, waits out the (capped, doubling) backoff, and
@@ -612,61 +676,128 @@ func (ex *executor) comm(p *sim.Proc, node int) {
 //
 // Exhausting MaxRetries retransmissions fails the run: the link is
 // treated as partitioned, which the dataflow model cannot route around.
-func (ex *executor) send(p *sim.Proc, node int, t transfer) {
-	pol := ex.cfg.Retry
-	inj := ex.m.Faults()
-	backoff := pol.Backoff
-	delivered := false
-	for attempt := 1; ; attempt++ {
-		out := inj.Transfer(node, t.del.To.Node)
-		if out.Extra > 0 {
-			p.Hold(out.Extra)
-		}
-		lost := out.Drop
-		if !lost {
-			ex.m.Transfer(p, node, t.del.To.Node, t.payload.Bytes)
-			if attempt > 1 {
-				ex.res.RetransmitBytes += t.payload.Bytes
+type comm struct {
+	ex        *executor
+	ev        sim.Event
+	node      int
+	state     commState
+	t         transfer // the transfer in hand
+	attempt   int
+	backoff   sim.Time
+	delivered bool              // an attempt of t has landed
+	out       fault.XferOutcome // this attempt's fault draw
+	wire      cluster.Op        // this attempt's transfer
+}
+
+type commState uint8
+
+const (
+	commIdle      commState = iota // between transfers, or parked for one
+	commAttempt                    // draw the next attempt's faults
+	commSpiked                     // a latency spike held; send or lose
+	commWire                       // the payload on the wire
+	commTimedOut                   // the ack timeout held
+	commBackedOff                  // the backoff held; retransmit
+)
+
+// run carries the comm thread on from where it last waited.
+func (c *comm) run() {
+	ex := c.ex
+	ns, pol := ex.nodes[c.node], ex.cfg.Retry
+	for {
+		switch c.state {
+		case commIdle:
+			if ns.commQ.Len() == 0 {
+				if !ex.done {
+					ns.commIdle.Park(&c.ev)
+				}
+				return
 			}
-			if delivered {
+			c.t = ns.commQ.Pop()
+			c.attempt, c.backoff, c.delivered = 1, pol.Backoff, false
+			c.state = commAttempt
+		case commAttempt:
+			c.out = ex.m.Faults().Transfer(c.node, c.t.del.To.Node)
+			c.state = commSpiked
+			if c.out.Extra > 0 {
+				ex.m.Eng.After(&c.ev, c.out.Extra)
+				return
+			}
+		case commSpiked:
+			if c.out.Drop {
+				ex.res.Drops++
+				c.timeout()
+				return
+			}
+			c.wire = cluster.TransferOp(c.node, c.t.del.To.Node, c.t.payload.Bytes)
+			c.state = commWire
+		case commWire:
+			if !ex.m.Step(&c.wire, &c.ev) {
+				return
+			}
+			if c.attempt > 1 {
+				ex.res.RetransmitBytes += c.t.payload.Bytes
+			}
+			if c.delivered {
 				ex.res.DupSuppressed++
 			} else {
-				delivered = true
-				ex.res.BytesSent += t.payload.Bytes
+				c.delivered = true
+				ex.res.BytesSent += c.t.payload.Bytes
 				ex.res.Transfers++
-				sent := &ex.sentTo[t.del.To.Class.Index()]
-				sent.bytes += t.payload.Bytes
+				sent := &ex.sentTo[c.t.del.To.Class.Index()]
+				sent.bytes += c.t.payload.Bytes
 				sent.any = true
-				ex.deliver(t.del, t.payload)
+				ex.deliver(c.t.del, c.t.payload)
 				if ex.err != nil {
+					c.finish()
 					return
 				}
 			}
-			if !out.AckDrop {
-				break
+			if !c.out.AckDrop {
+				c.finish()
+				continue
 			}
 			ex.res.AckDrops++
-		} else {
-			ex.res.Drops++
-		}
-		// The ack never arrived (payload or ack lost): detect by timeout,
-		// back off, retransmit.
-		p.Hold(pol.Timeout)
-		if attempt > pol.MaxRetries {
-			ex.fail(fmt.Errorf("simexec: transfer %s -> node %d for %v lost %d times, retries exhausted",
-				obsv.FormatBytes(t.payload.Bytes), t.del.To.Node, t.del.To.Ref, attempt))
+			c.timeout()
 			return
-		}
-		ex.res.Retries++
-		ex.res.BackoffTime += backoff
-		p.Hold(backoff)
-		if backoff *= 2; backoff > pol.BackoffCap {
-			backoff = pol.BackoffCap
+		case commTimedOut:
+			if c.attempt > pol.MaxRetries {
+				ex.fail(fmt.Errorf("simexec: transfer %s -> node %d for %v lost %d times, retries exhausted",
+					obsv.FormatBytes(c.t.payload.Bytes), c.t.del.To.Node, c.t.del.To.Ref, c.attempt))
+				c.finish()
+				return
+			}
+			ex.res.Retries++
+			ex.res.BackoffTime += c.backoff
+			ex.m.Eng.After(&c.ev, c.backoff)
+			c.state = commBackedOff
+			return
+		case commBackedOff:
+			if c.backoff *= 2; c.backoff > pol.BackoffCap {
+				c.backoff = pol.BackoffCap
+			}
+			c.attempt++
+			c.state = commAttempt
 		}
 	}
 }
 
-// checkDone wakes every parked process once all tasks completed so the
+// timeout waits out the ack timeout of an attempt whose ack never came
+// (payload or ack lost).
+func (c *comm) timeout() {
+	c.ex.m.Eng.After(&c.ev, c.ex.cfg.Retry.Timeout)
+	c.state = commTimedOut
+}
+
+// finish retires the transfer in hand from the in-flight volume.
+func (c *comm) finish() {
+	ns := c.ex.nodes[c.node]
+	ns.commBytes -= c.t.payload.Bytes
+	c.ex.sample("comm bytes in flight", c.node, float64(ns.commBytes))
+	c.t, c.state = transfer{}, commIdle
+}
+
+// checkDone wakes every parked thread once all tasks completed so the
 // simulation can drain.
 func (ex *executor) checkDone() {
 	if ex.done || !ex.tr.Done() {

@@ -179,7 +179,7 @@ func TestBehaviorOverridesCost(t *testing.T) {
 		Behaviors: map[string]Behavior{
 			"T": func(ctx *TaskCtx) {
 				calls++
-				ctx.P.Hold(sim.Microsecond)
+				ctx.Hold(sim.Microsecond)
 			},
 		},
 	})
