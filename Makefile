@@ -118,11 +118,11 @@ sched-conformance:
 # link severed mid-burst): a retransmission reads the tile again; the
 # ones where the coordinator misbehaves (a bogus register off the wire)
 # or dies under its ranks; and the input-replica ones: every block
-# crosses to a rank once and is adopted on arrival, a hostile replica
-# tag fails the rank, and a Get of the counted output answers nil.
+# crosses to a rank once and is adopted on arrival, and a hostile
+# replica tag fails the rank.
 netrun-conformance:
 	$(GO) test -race -count=1 ./internal/netrun
-	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithDropsAndAckDrops|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss|TestRanksExitWhenCoordinatorDies|TestRegisterValidatesRank|TestReplicaFramesMatchPlan|TestTaggedActivationValidates|TestGetOfCountedOutputAnswersNil' ./internal/netrun
+	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithDropsAndAckDrops|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss|TestRanksExitWhenCoordinatorDies|TestRegisterValidatesRank|TestReplicaFramesMatchPlan|TestTaggedActivationValidates' ./internal/netrun
 	$(GO) test -race -count=5 -run 'TestExecutorForeignPushWhileParked' ./internal/runtime
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/netrun
 

@@ -26,7 +26,6 @@ import (
 
 	"parsec/internal/ccsd"
 	"parsec/internal/cluster"
-	"parsec/internal/ga"
 	"parsec/internal/molecule"
 	"parsec/internal/obsv"
 	"parsec/internal/ptg"
@@ -422,16 +421,6 @@ func BenchmarkTracker(b *testing.B) {
 	}
 	_, total := g.CountTasks()
 	b.ReportMetric(float64(total), "tasks/graph")
-}
-
-// BenchmarkNxtvalCounter measures the shared-counter substrate itself.
-func BenchmarkNxtvalCounter(b *testing.B) {
-	s := ga.NewStore(1)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			s.NxtVal()
-		}
-	})
 }
 
 // BenchmarkPTGvsDTD quantifies the contrast §VI draws between the two

@@ -221,7 +221,7 @@ func TestCancelledRunLeaksNothing(t *testing.T) {
 	d := a.Blocks[0].Dims
 	want := tensor.NewTile4(d[0], d[1], d[2], d[3])
 	w.FillBlock(a.Blocks[0], want)
-	if store.GetHashBlock(a.Name, a.Blocks[0].Key).MaxAbsDiff(want) != 0 {
+	if store.Access(a.Name, a.Blocks[0].Key).RowMajorCopy().MaxAbsDiff(want) != 0 {
 		t.Error("an input block of the cancelled store reads back wrong")
 	}
 

@@ -1,20 +1,24 @@
 // Package ga is a Global Arrays substrate: the "shared-memory
 // programming interface for distributed-memory computers" (§II-A) that
-// NWChem's TCE-generated code is written against. It provides the calls
-// the paper names — GET_HASH_BLOCK, ADD_HASH_BLOCK, the NXTVAL shared
-// counter, and the distribution queries (ga_distribution / ga_access)
-// that the PaRSEC inspection phase uses to locate data (§IV-B).
+// NWChem's TCE-generated code is written against. It provides the
+// distribution queries (ga_distribution / ga_access) that the PaRSEC
+// inspection phase uses to locate data (§IV-B), and the calls each of
+// the two codes the paper compares makes.
 //
 // Two implementations share the Distribution placement logic:
 //
-//   - Store: a real in-memory array store for shared-memory execution
-//     (unit tests, the goroutine runtime, the examples). Its arrays are
-//     created empty and written (Create), output arrays whose blocks
+//   - Store: the PaRSEC executors' GA, a real in-memory array store for
+//     shared-memory execution (unit tests, the goroutine runtime, the
+//     examples). It serves only what a PaRSEC task body calls (API):
+//     ga_access, ga_release and the ordered ADD_HASH_BLOCK. Its arrays
+//     are created empty and written (Create), output arrays whose blocks
 //     complete by count and are handed on as they do (CreateCounted), or
 //     lazy read-only inputs that fill on ga_access and retire on
 //     ga_release (CreateLazy, lazy.go).
 //   - Sim: cost-model operations against the simulated cluster, used by
-//     the CGP baseline and PaRSEC executors in the Fig 9 experiments.
+//     the CGP baseline and PaRSEC executors in the Fig 9 experiments. It
+//     keeps the CGP calls the port replaces: the copying GET_HASH_BLOCK,
+//     ADD_HASH_BLOCK and the NXTVAL shared counter.
 package ga
 
 import (
@@ -51,36 +55,26 @@ func (d Distribution) Owner(tensorName string, key tensor.BlockKey) int {
 }
 
 // API is the Global Arrays surface task bodies are written against: the
-// zero-copy local read and its end (ga_access / ga_release), the copying
-// fetch (GET_HASH_BLOCK), and the ordered accumulate that keeps results
-// bitwise deterministic. Store implements it in one address space;
-// internal/netrun implements it over sockets, reading inputs from a
-// rank-local replica and shipping accumulations to the GA server
-// process. Graph builders take an API so the same task bodies drive
-// both.
+// zero-copy local read and its end (ga_access / ga_release) and the
+// ordered accumulate that keeps results bitwise deterministic. Store
+// implements it in one address space; internal/netrun implements it
+// over sockets, reading inputs from a rank-local replica and shipping
+// accumulations to the GA server process. Graph builders take an API so
+// the same task bodies drive both.
 type API interface {
 	Access(name string, key tensor.BlockKey) *tensor.Tile4
 	// Release ends the use of a block obtained through Access. It is what
 	// lets a lazily filled array (Lazy) retire a block after its last
 	// reader; on arrays that hold their blocks for good it does nothing.
 	Release(name string, key tensor.BlockKey)
-	GetHashBlock(name string, key tensor.BlockKey) *tensor.Tile4
 	AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, tag, lo, hi int) error
 }
 
 // Store is the real, shared-memory Global Arrays implementation: named
-// block tensors plus a shared counter. All methods are safe for
-// concurrent use.
+// block tensors. All methods are safe for concurrent use.
 type Store struct {
-	dist    Distribution
-	arrays  map[string]*array
-	counter atomic.Int64
-	// rangeLocks stripes AccRange's serialization by (array, block):
-	// concurrent segment updates to different blocks proceed in
-	// parallel, while writers to the same block still serialize (their
-	// segments may overlap). A single global mutex here was the hottest
-	// lock in the parallel-writes graphs.
-	rangeLocks [rangeStripes]sync.Mutex
+	dist   Distribution
+	arrays map[string]*array
 
 	accMu sync.Mutex // guards every array's pending ordered accumulations
 
@@ -97,7 +91,7 @@ type Store struct {
 // flag.
 //
 // A CreateLazy array has lazy set and no block tensor: it is read-only,
-// reachable through Access / GetHashBlock / Release alone. A
+// reachable through Access / Release alone. A
 // CreateCounted array has want set and no block tensor either: its
 // blocks leave through done as they complete, and a completed block
 // keeps a nil pending entry, which is how a late contribution is told
@@ -110,24 +104,6 @@ type array struct {
 
 	want map[tensor.BlockKey]int
 	done func(tensor.BlockKey, *tensor.Tile4)
-}
-
-// rangeStripes is the AccRange lock-stripe count: enough that tens of
-// workers hashing random (array, block) pairs rarely collide, small
-// enough to stay a few cache lines.
-const rangeStripes = 64
-
-// rangeLock returns the stripe serializing updates to one block, chosen
-// by the same FNV hash family as Owner.
-func (s *Store) rangeLock(name string, key tensor.BlockKey) *sync.Mutex {
-	h := uint64(14695981039346656037)
-	for _, c := range []byte(name) {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	for _, k := range key {
-		h = (h ^ uint64(uint32(k))) * 1099511628211
-	}
-	return &s.rangeLocks[h%rangeStripes]
 }
 
 // orderedAcc is one buffered AccOrdered contribution awaiting its
@@ -182,8 +158,8 @@ func (s *Store) CreateCounted(name string, want map[tensor.BlockKey]int, done fu
 
 // Reset empties the store for another run, in place: every array is
 // as it was created — a lazy one with no block resident and its use
-// counts full, a counted one with no contribution, any other empty —
-// and the counter is at zero. What the store keeps are the arrays
+// counts full, a counted one with no contribution, any other empty.
+// What the store keeps are the arrays
 // themselves, so a graph whose task bodies hold them stays bound, and
 // the lazy arrays' tiles, for the next run to fill instead of
 // allocating: up to keptBytes of the tiles of the run just ended, no
@@ -202,7 +178,6 @@ func (s *Store) Reset() {
 		clear(a.pending)
 		a.buffered.Store(false)
 	}
-	s.counter.Store(0)
 	s.lazyMem.age()
 }
 
@@ -214,7 +189,7 @@ func (s *Store) Clear() { clear(s.arrays) }
 // Array returns the named array, panicking if absent, lazy (a lazy array
 // never holds all its blocks at once) or counted (its blocks went to its
 // done callback). Intended for result extraction after execution;
-// concurrent mutation must go through GetHashBlock / AddHashBlock.
+// concurrent writes must go through AccOrdered.
 func (s *Store) Array(name string) *tensor.BlockTensor4 {
 	a, ok := s.arrays[name]
 	if !ok {
@@ -230,14 +205,6 @@ func (s *Store) Array(name string) *tensor.BlockTensor4 {
 		s.flushOrdered(a)
 	}
 	return a.bt
-}
-
-// GetHashBlock fetches a copy of a block, like GET_HASH_BLOCK copying
-// from the distributed array into a local buffer. The copy is row-major
-// whatever the block's storage: ga_get returns data, not a kernel's
-// private layout.
-func (s *Store) GetHashBlock(name string, key tensor.BlockKey) *tensor.Tile4 {
-	return s.Access(name, key).RowMajorCopy()
 }
 
 // Access returns a direct reference to a block's storage without
@@ -258,32 +225,6 @@ func (s *Store) Release(name string, key tensor.BlockKey) {
 	if l := s.Lazy(name); l != nil {
 		l.ReleaseKey(key)
 	}
-}
-
-// AddHashBlock atomically accumulates scale*src into a block, creating it
-// zeroed if absent — ADD_HASH_BLOCK's Corig += Csorted. A dimension
-// mismatch with an existing block is reported as an error (task bodies
-// reach this surface, and under injected faults a panic here would tear
-// down the whole runtime instead of failing one task).
-func (s *Store) AddHashBlock(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64) error {
-	return s.Array(name).AccChecked(key, src, scale)
-}
-
-// AccRange atomically accumulates scale*src[lo:hi] into the element range
-// [lo, hi) of a block: the per-segment update a WRITE_C instance performs
-// when the block spans several nodes (Fig 8) and each instance owns one
-// contiguous slice. Out-of-range segments are reported as errors.
-func (s *Store) AccRange(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, lo, hi int) error {
-	if lo < 0 || hi > src.Len() || lo > hi {
-		return fmt.Errorf("ga: AccRange [%d,%d) of %d elements", lo, hi, src.Len())
-	}
-	bt := s.Array(name)
-	dst := bt.GetOrCreate(key, src.Dim)
-	mu := s.rangeLock(name, key)
-	mu.Lock()
-	tensor.Axpy(dst.Data[lo:hi], src.Data[lo:hi], scale)
-	mu.Unlock()
-	return nil
 }
 
 // AccOrdered buffers an ADD_HASH_BLOCK-style accumulation of
@@ -398,13 +339,6 @@ func foldOrdered(accs []orderedAcc, dst *tensor.Tile4) *tensor.Tile4 {
 	}
 	return dst
 }
-
-// NxtVal atomically fetches-and-increments the shared work-stealing
-// counter (§IV-D) and returns the pre-increment value.
-func (s *Store) NxtVal() int64 { return s.counter.Add(1) - 1 }
-
-// ResetCounter rewinds the shared counter (between work levels).
-func (s *Store) ResetCounter() { s.counter.Store(0) }
 
 // Sim is the cost-model Global Arrays implementation for the simulated
 // cluster. It carries no data: callers account for block sizes and the

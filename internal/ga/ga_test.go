@@ -64,81 +64,6 @@ func TestPropertyDistribution(t *testing.T) {
 	}
 }
 
-func TestStoreGetAddRoundtrip(t *testing.T) {
-	s := NewStore(4)
-	s.Create("i0")
-	key := tensor.BlockKey{1, 2, 3, 4}
-	src := tensor.NewTile4(2, 2, 2, 2)
-	src.FillRandom(1, 1)
-	s.AddHashBlock("i0", key, src, 2)
-	got := s.GetHashBlock("i0", key)
-	want := tensor.NewTile4(2, 2, 2, 2)
-	want.AddScaled(src, 2)
-	if got.MaxAbsDiff(want) != 0 {
-		t.Error("Add/Get roundtrip mismatch")
-	}
-	// GetHashBlock must return a copy.
-	got.Data[0] = 1e9
-	if s.GetHashBlock("i0", key).Data[0] == 1e9 {
-		t.Error("GetHashBlock aliases stored data")
-	}
-}
-
-func TestStoreConcurrentAdd(t *testing.T) {
-	s := NewStore(2)
-	s.Create("i0")
-	key := tensor.BlockKey{0, 0, 0, 0}
-	src := tensor.NewTile4(3, 3, 1, 1)
-	for i := range src.Data {
-		src.Data[i] = 1
-	}
-	var wg sync.WaitGroup
-	const n = 64
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.AddHashBlock("i0", key, src, 1)
-		}()
-	}
-	wg.Wait()
-	for _, v := range s.GetHashBlock("i0", key).Data {
-		if v != n {
-			t.Fatalf("lost updates: %v != %d", v, n)
-		}
-	}
-}
-
-func TestStoreNxtVal(t *testing.T) {
-	s := NewStore(1)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	seen := map[int64]bool{}
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				v := s.NxtVal()
-				mu.Lock()
-				if seen[v] {
-					t.Errorf("duplicate ticket %d", v)
-				}
-				seen[v] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != 800 {
-		t.Errorf("tickets = %d, want 800", len(seen))
-	}
-	s.ResetCounter()
-	if v := s.NxtVal(); v != 0 {
-		t.Errorf("after reset NxtVal = %d", v)
-	}
-}
-
 func TestStoreCreateDuplicatePanics(t *testing.T) {
 	s := NewStore(1)
 	s.Create("x")
@@ -247,19 +172,14 @@ func TestSimNxtValUnique(t *testing.T) {
 
 func TestStoreAccessZeroCopy(t *testing.T) {
 	s := NewStore(2)
-	s.Create("t2")
 	key := tensor.BlockKey{1, 1, 1, 1}
-	src := tensor.NewTile4(2, 2, 1, 1)
-	src.FillRandom(9, 1)
-	s.AddHashBlock("t2", key, src, 1)
+	stored := s.Create("t2").GetOrCreate(key, [4]int{2, 2, 1, 1})
+	stored.FillRandom(9, 1)
 	// ga_access returns the stored tile itself, not a copy.
 	a1 := s.Access("t2", key)
 	a2 := s.Access("t2", key)
-	if a1 != a2 {
-		t.Error("Access returned different pointers")
-	}
-	if s.GetHashBlock("t2", key) == a1 {
-		t.Error("GetHashBlock did not copy")
+	if a1 != stored || a2 != stored {
+		t.Error("Access returned a tile other than the stored one")
 	}
 }
 
@@ -334,70 +254,15 @@ func TestSimResetNxtVal(t *testing.T) {
 	}
 }
 
-func TestAccRangeSegmentsSumToFullAdd(t *testing.T) {
-	s := NewStore(4)
-	s.Create("i0")
-	key := tensor.BlockKey{0, 1, 2, 3}
-	src := tensor.NewTile4(3, 3, 2, 2)
-	src.FillRandom(5, 1)
-	// Three disjoint segments must together equal one full accumulate.
-	n := src.Len()
-	for seg := 0; seg < 3; seg++ {
-		s.AccRange("i0", key, src, 2, seg*n/3, (seg+1)*n/3)
-	}
-	want := tensor.NewTile4(3, 3, 2, 2)
-	want.AddScaled(src, 2)
-	if d := s.GetHashBlock("i0", key).MaxAbsDiff(want); d != 0 {
-		t.Errorf("segmented accumulate differs by %g", d)
-	}
-}
-
-func TestAccRangeBoundsError(t *testing.T) {
+func TestAccOrderedBoundsError(t *testing.T) {
 	s := NewStore(1)
 	s.Create("i0")
 	src := tensor.NewTile4(2, 2, 1, 1)
-	if err := s.AccRange("i0", tensor.BlockKey{}, src, 1, 2, 99); err == nil {
-		t.Error("expected out-of-range error")
-	}
 	if err := s.AccOrdered("i0", tensor.BlockKey{}, src, 1, 0, -1, 2); err == nil {
 		t.Error("expected out-of-range error from AccOrdered")
 	}
-	// Dimension mismatch with an existing block reports, not panics.
-	if err := s.AddHashBlock("i0", tensor.BlockKey{}, src, 1); err != nil {
-		t.Fatalf("first accumulate: %v", err)
-	}
-	other := tensor.NewTile4(3, 3, 1, 1)
-	if err := s.AddHashBlock("i0", tensor.BlockKey{}, other, 1); err == nil {
-		t.Error("expected dimension-mismatch error")
-	}
-}
-
-func TestAccRangeConcurrentSegments(t *testing.T) {
-	s := NewStore(1)
-	s.Create("i0")
-	key := tensor.BlockKey{}
-	src := tensor.NewTile4(4, 4, 2, 2)
-	for i := range src.Data {
-		src.Data[i] = 1
-	}
-	n := src.Len()
-	const span = 8
-	const rounds = 16
-	var wg sync.WaitGroup
-	for r := 0; r < rounds; r++ {
-		for seg := 0; seg < span; seg++ {
-			wg.Add(1)
-			go func(seg int) {
-				defer wg.Done()
-				s.AccRange("i0", key, src, 1, seg*n/span, (seg+1)*n/span)
-			}(seg)
-		}
-	}
-	wg.Wait()
-	for _, v := range s.GetHashBlock("i0", key).Data {
-		if v != rounds {
-			t.Fatalf("lost segment updates: %v != %d", v, rounds)
-		}
+	if err := s.AccOrdered("i0", tensor.BlockKey{}, src, 1, 0, 2, 99); err == nil {
+		t.Error("expected out-of-range error from AccOrdered")
 	}
 }
 
@@ -446,7 +311,7 @@ func TestAccOrderedRetriedOutOfOrder(t *testing.T) {
 		}
 		wg.Wait()
 		<-done
-		return append([]float64(nil), s.GetHashBlock("c", key).Data...)
+		return s.Access("c", key).RowMajorCopy().Data
 	}
 
 	inOrder := fold([]int{0, 1, 2, 3, 4, 5, 6, 7}, -1)
@@ -455,76 +320,6 @@ func TestAccOrderedRetriedOutOfOrder(t *testing.T) {
 		if inOrder[i] != shuffled[i] {
 			t.Fatalf("element %d differs: %v vs %v (retried/out-of-order fold not deterministic)", i, inOrder[i], shuffled[i])
 		}
-	}
-}
-
-// TestAccRangeStripedLocksCorrect pins the striped-lock refactor: heavy
-// concurrent AccRange traffic across many distinct (array, block) keys —
-// far more keys than stripes, so stripe collisions are guaranteed — must
-// lose no updates, and same-block writers must still serialize.
-func TestAccRangeStripedLocksCorrect(t *testing.T) {
-	s := NewStore(4)
-	arrays := []string{"c2", "x1", "i1"}
-	for _, a := range arrays {
-		s.Create(a)
-	}
-	const blocks = 128 // 384 keys over 64 stripes
-	const writers = 4  // concurrent writers per key
-	src := tensor.NewTile4(4, 4, 2, 2)
-	for i := range src.Data {
-		src.Data[i] = 1
-	}
-	var wg sync.WaitGroup
-	for _, a := range arrays {
-		for b := 0; b < blocks; b++ {
-			key := tensor.BlockKey{b, b % 7, 0, 0}
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(a string, key tensor.BlockKey) {
-					defer wg.Done()
-					if err := s.AccRange(a, key, src, 1, 0, src.Len()); err != nil {
-						t.Errorf("AccRange %s %v: %v", a, key, err)
-					}
-				}(a, key)
-			}
-		}
-	}
-	wg.Wait()
-	for _, a := range arrays {
-		for b := 0; b < blocks; b++ {
-			key := tensor.BlockKey{b, b % 7, 0, 0}
-			for i, v := range s.GetHashBlock(a, key).Data {
-				if v != writers {
-					t.Fatalf("%s %v element %d = %v, want %d (lost update under striping)",
-						a, key, i, v, writers)
-				}
-			}
-		}
-	}
-}
-
-// TestRangeLockDeterministicAndSpread pins the stripe chooser: the same
-// (array, block) always maps to the same stripe, and distinct keys use
-// more than a handful of distinct stripes (the refactor's whole point).
-func TestRangeLockDeterministicAndSpread(t *testing.T) {
-	s := NewStore(1)
-	used := map[*sync.Mutex]bool{}
-	for b := 0; b < 256; b++ {
-		key := tensor.BlockKey{b, 2 * b, 0, 1}
-		m1 := s.rangeLock("c2", key)
-		m2 := s.rangeLock("c2", key)
-		if m1 != m2 {
-			t.Fatalf("stripe for block %d not deterministic", b)
-		}
-		used[m1] = true
-	}
-	if len(used) < rangeStripes/2 {
-		t.Errorf("256 keys landed on only %d of %d stripes", len(used), rangeStripes)
-	}
-	if s.rangeLock("c2", tensor.BlockKey{1, 0, 0, 0}) == s.rangeLock("x1", tensor.BlockKey{1, 0, 0, 0}) &&
-		s.rangeLock("c2", tensor.BlockKey{2, 0, 0, 0}) == s.rangeLock("x1", tensor.BlockKey{2, 0, 0, 0}) &&
-		s.rangeLock("c2", tensor.BlockKey{3, 0, 0, 0}) == s.rangeLock("x1", tensor.BlockKey{3, 0, 0, 0}) {
-		t.Error("array name appears to be ignored by the stripe hash")
 	}
 }
 
@@ -569,7 +364,7 @@ func TestAccessLockFreeBesideOrderedAcc(t *testing.T) {
 		if i%4 != 0 {
 			continue // let several contributions buffer up between reads
 		}
-		for _, v := range s.GetHashBlock("c", key).Data {
+		for _, v := range s.Access("c", key).RowMajorCopy().Data {
 			if v != float64(i) {
 				t.Fatalf("read after %d accumulations sees %v", i, v)
 			}

@@ -193,7 +193,7 @@ func TestLazyAccessAfterRetireRefills(t *testing.T) {
 		t.Fatalf("resident %d B after the only reader released", st.ResidentBytes)
 	}
 	checkBlock(t, src, 1, s.Access("t2", key))
-	checkBlock(t, src, 1, s.GetHashBlock("t2", key))
+	checkBlock(t, src, 1, s.Access("t2", key).RowMajorCopy())
 	if n := src.fills[1].Load(); n != 2 {
 		t.Errorf("block filled %d times, want 2 (first touch + refill)", n)
 	}
@@ -286,8 +286,8 @@ func TestNewLazyNeverRetires(t *testing.T) {
 }
 
 // TestLazyPanelBlocks: a source may lay a block out as a GEMM panel.
-// Access returns the panel, filled straight into its layout; GetHashBlock
-// returns row-major data equal to FillRandom's; residency counts the
+// Access returns the panel, filled straight into its layout, whose
+// RowMajorCopy is FillRandom's row-major data; residency counts the
 // panel's padded storage and returns to 0 when it retires; and the free
 // list never hands a panel's tile to a row-major block of the same
 // extents, or the reverse.
@@ -305,10 +305,10 @@ func TestLazyPanelBlocks(t *testing.T) {
 	l := s.CreateLazy("v2", src)
 	p := l.Access(0)
 	checkBlock(t, src, 0, p)
-	if got := s.GetHashBlock("v2", src.key(0)); got.Layout != (tensor.Layout{}) {
-		t.Errorf("GetHashBlock of a panel block returned a %v tile", got.Layout)
+	if got := s.Access("v2", src.key(0)).RowMajorCopy(); got.Layout != (tensor.Layout{}) {
+		t.Errorf("RowMajorCopy of a panel block returned a %v tile", got.Layout)
 	} else if got.MaxAbsDiff(src.want(0)) != 0 || got.Len() != 60 {
-		t.Error("GetHashBlock of a panel block is not FillRandom's row-major data")
+		t.Error("RowMajorCopy of a panel block is not FillRandom's row-major data")
 	}
 	r := l.Access(1)
 	checkBlock(t, src, 1, r)
@@ -395,14 +395,14 @@ func TestLazyAdoptInstallsOnce(t *testing.T) {
 // TestStoreResetKeepsOneRun runs a store the way an execution context
 // does — a run, Reset, another — and pins what Reset keeps and what it
 // does not. After a run cut short (blocks resident, one retired, one
-// released part-way, a counted block half accumulated, the counter
-// moved) the store reads like a new one: every block fills again with
-// its own data and stays until its last release, the counted
-// block takes its full count, the counter starts at zero, the accounting
-// is empty. The tiles are kept: the next run fills all its blocks
-// without allocating one. After Clear and a run over blocks of another
-// extent, the next Reset lets go of the first run's tiles, which that
-// run never took back, and keeps the new run's — up to keptBytes.
+// released part-way, a counted block half accumulated) the store reads
+// like a new one: every block fills again with its own data and stays
+// until its last release, the counted block takes its full count, the
+// accounting is empty. The tiles are kept: the next run fills all its
+// blocks without allocating one. After Clear and a run over blocks of
+// another extent, the next Reset lets go of the first run's tiles,
+// which that run never took back, and keeps the new run's — up to
+// keptBytes.
 func TestStoreResetKeepsOneRun(t *testing.T) {
 	const n, uses = 4, 2
 	src := newTestSource(n, uses)
@@ -423,14 +423,10 @@ func TestStoreResetKeepsOneRun(t *testing.T) {
 	if err := acc(0); err != nil {
 		t.Fatal(err)
 	}
-	s.NxtVal()
 	s.Reset()
 
 	if st := s.LazyStats(); st != (LazyStats{}) {
 		t.Errorf("stats after Reset: %+v", st)
-	}
-	if v := s.NxtVal(); v != 0 {
-		t.Errorf("counter after Reset starts at %d", v)
 	}
 	if err := errors.Join(acc(0), acc(1)); err != nil || done != 1 {
 		t.Errorf("counted block after Reset: error %v, completed %d times", err, done)

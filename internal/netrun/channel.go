@@ -107,8 +107,6 @@ type commCounters struct {
 	transferBytes atomic.Int64
 	accOps        atomic.Int64
 	accBytes      atomic.Int64
-	getOps        atomic.Int64
-	getBytes      atomic.Int64
 
 	// Tile ownership on the wire (engine.go): activations sent by
 	// reference; pooled tiles decoded from activations, and where each
@@ -351,9 +349,9 @@ func (c *relChan) dialLoop() {
 		}
 		c.mu.Unlock()
 
-		conn, err := net.DialTimeout(c.tp.network, c.addr, time.Second)
+		conn, err := net.DialTimeout("tcp", c.addr, time.Second)
 		if err != nil {
-			if c.dst == coordRank && refused(err) {
+			if c.dst == coordRank && errors.Is(err, syscall.ECONNREFUSED) {
 				// Nothing listens at the coordinator's address: it has
 				// exited, and a rank cannot finish without it. A severed
 				// link redials, because the listener is still there. A
@@ -491,12 +489,6 @@ func (c *relChan) drained() bool {
 	return c.stopped || len(c.unacked) == 0
 }
 
-// refused reports whether a dial found nothing listening at its
-// address: a refused TCP connection, or a unix socket whose file is gone.
-func refused(err error) bool {
-	return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ENOENT)
-}
-
 // takeRetained stops the channel and surrenders its retained activation
 // log for replay to an heir.
 func (c *relChan) takeRetained() []outFrame {
@@ -513,7 +505,6 @@ func (c *relChan) takeRetained() []outFrame {
 // and the rank routing table that takeover rewrites.
 type transport struct {
 	local    int
-	network  string // "tcp" or "unix"
 	retry    RetryPolicy
 	inj      *injector
 	sever    *SeverSpec
@@ -579,16 +570,15 @@ func (d *dedup) observe(id uint64) (dup bool) {
 // never lets the read buffer run dry still acknowledges steadily.
 const ackBatch = 64
 
-// newTransport opens a listener ("tcp" on 127.0.0.1, "unix" on the
-// given socket path pattern); serve starts accepting on it.
-func newTransport(local int, network, listenAddr string, retry RetryPolicy, inj *injector, sever *SeverSpec) (*transport, error) {
-	ln, err := net.Listen(network, listenAddr)
+// newTransport opens a listener on a free TCP loopback port; serve
+// starts accepting on it.
+func newTransport(local int, retry RetryPolicy, inj *injector, sever *SeverSpec) (*transport, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("netrun: listen %s %s: %w", network, listenAddr, err)
+		return nil, fmt.Errorf("netrun: listen: %w", err)
 	}
 	tp := &transport{
 		local:    local,
-		network:  network,
 		retry:    retry,
 		inj:      inj,
 		sever:    sever,

@@ -180,7 +180,7 @@ func (p rawPeer) accept(t *testing.T) (*frameReader, net.Conn) {
 // retry timer running.
 func sender(t *testing.T, retry RetryPolicy, recoverPeers bool, addr string) *transport {
 	t.Helper()
-	tp, err := newTransport(0, "tcp", "127.0.0.1:0", retry, nil, nil)
+	tp, err := newTransport(0, retry, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestBorrowedFramesSurviveLoss(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			recv, err := newTransport(1, "tcp", "127.0.0.1:0", retry, nil, nil)
+			recv, err := newTransport(1, retry, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +348,7 @@ func TestBorrowedFramesSurviveLoss(t *testing.T) {
 				tensor.PutTile4(m.Payload.(*tensor.Tile4))
 			}, nil)
 
-			send, err := newTransport(0, "tcp", "127.0.0.1:0", retry, newInjector(tc.fault), tc.sever)
+			send, err := newTransport(0, retry, newInjector(tc.fault), tc.sever)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,7 +435,7 @@ func TestDedupStaysBounded(t *testing.T) {
 // completion would. MB/s is frame bytes; B/op is what the trip allocates
 // on both ends together, next to the 165 KB it moves.
 func BenchmarkActivateRoundTrip(b *testing.B) {
-	recv, err := newTransport(1, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+	recv, err := newTransport(1, DefaultRetryPolicy(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func BenchmarkActivateRoundTrip(b *testing.B) {
 		}
 		landed <- struct{}{}
 	}, nil)
-	send, err := newTransport(0, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+	send, err := newTransport(0, DefaultRetryPolicy(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -78,10 +78,9 @@ type coordinator struct {
 // startCoordinator opens the coordinator endpoint. Workers are started
 // by the caller and told this address.
 func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
-	network, listen := cfg.listenSpec(coordRank)
-	// The coordinator's own sends (welcome, GA replies, takeover) are not
+	// The coordinator's own sends (welcome, flush, takeover) are not
 	// fault-injected: the chaos model targets the data plane.
-	tp, err := newTransport(coordRank, network, listen, cfg.Retry, nil, nil)
+	tp, err := newTransport(coordRank, cfg.Retry, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -188,23 +187,6 @@ func (co *coordinator) handle(from int, f frame) {
 		co.accRecvd[from]++ // post-apply: the flush barrier counts on it
 		co.mu.Unlock()
 		co.wake.post()
-	case msgGetReq:
-		m, err := decodeGet(f.body)
-		if err != nil {
-			co.fail(err)
-			return
-		}
-		// The server holds no readable array: the output is counted, and
-		// each of its blocks is folded into the energy and dropped as it
-		// completes. Every block is absent.
-		co.tp.sendTo(from, getRespMsg{ReqID: m.ReqID}.encode())
-	case msgNxtValReq:
-		m, err := decodeNxtVal(f.body)
-		if err != nil {
-			co.fail(err)
-			return
-		}
-		co.tp.sendTo(from, nxtValRespMsg{ReqID: m.ReqID, Val: co.store.NxtVal()}.encode())
 	case msgFlushAck:
 		m, err := decodeFlushAck(f.body)
 		if err != nil {
@@ -315,7 +297,7 @@ func (co *coordinator) checkDeaths() {
 	co.mu.Unlock()
 
 	for _, t := range takeovers {
-		// Stop our own traffic to the dead rank first (GA replies, flush);
+		// Stop our own traffic to the dead rank first (flush requests);
 		// coordinator channels retain no activations.
 		co.tp.redirect(t.Dead, t.Heir)
 		for _, r := range live {

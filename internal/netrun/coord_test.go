@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"parsec/internal/tce"
 )
 
 // TestRegisterValidatesRank sends a coordinator raw frames over a
@@ -51,67 +49,5 @@ func TestRegisterValidatesRank(t *testing.T) {
 				t.Fatalf("run ended with %v, want an error saying %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestGetOfCountedOutputAnswersNil sends a CCSD job's coordinator a
-// GET_HASH_BLOCK of the output tensor over a raw socket, from a rank
-// that registered. The output is a counted array whose blocks are folded
-// into the energy and dropped as they complete, so the server holds no
-// block of it to hand out: the answer is the absent block, and the
-// coordinator keeps serving.
-func TestGetOfCountedOutputAnswersNil(t *testing.T) {
-	cfg, err := Config{Ranks: 2, Deadline: 5 * time.Second}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := JobSpec{Preset: "water", Variant: "v5"}.plan(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cspec, err := planCoordSpec(cfg, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := startCoordinator(cfg, cspec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.tp.close()
-	peer := listenRaw(t)
-	conn, err := net.Dial("tcp", co.addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	key := plan.Workload.UniqueBlocks(tce.TensorC)[0].Key
-	frames := sealFrame(helloMsg{From: 0}.encode(), 0)
-	frames = append(frames, sealFrame(registerMsg{Rank: 0, Addr: peer.ln.Addr().String()}.encode(), 1)...)
-	frames = append(frames, sealFrame(getMsg{ReqID: 7, Name: tce.TensorC, Key: key}.encode(), 2)...)
-	if _, err := conn.Write(frames); err != nil {
-		t.Fatal(err)
-	}
-	fr, _ := peer.accept(t)
-	for {
-		f, err := fr.read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.typ != msgGetResp {
-			continue
-		}
-		m, err := decodeGetResp(f.body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.ReqID != 7 || m.Tile != nil {
-			t.Fatalf("Get of %s%v answered %+v, want request 7 and no tile", tce.TensorC, key, m)
-		}
-		break
-	}
-	select {
-	case <-co.failCh:
-		t.Fatalf("the coordinator failed: %v", co.err())
-	default:
 	}
 }

@@ -48,7 +48,7 @@ func relayGraph() *ptg.Graph {
 // hand, as the transport and the executor would.
 func rankOne(t *testing.T) *engine {
 	t.Helper()
-	tp, err := newTransport(1, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+	tp, err := newTransport(1, DefaultRetryPolicy(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestTakeoverValidatesRanks(t *testing.T) {
 	for _, m := range []takeoverMsg{{Dead: 5, Heir: 1}, {Dead: -1, Heir: 1}, {Dead: 0, Heir: 2}, {Dead: 0, Heir: -1}, {Dead: 1, Heir: 1}} {
 		// The failure is reported to the coordinator, so the rank needs one
 		// to report to. It is made first so that it closes last.
-		coord, err := newTransport(coordRank, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+		coord, err := newTransport(coordRank, DefaultRetryPolicy(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,20 +202,20 @@ func TestWireTileReleasedByBody(t *testing.T) {
 // failures are reported to a stand-in coordinator.
 func ccsdRank(t *testing.T, plan *ccsd.CompiledPlan) *worker {
 	t.Helper()
-	coord, err := newTransport(coordRank, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+	coord, err := newTransport(coordRank, DefaultRetryPolicy(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.close)
 	coord.serve(func(int, frame) {}, nil)
-	tp, err := newTransport(1, "tcp", "127.0.0.1:0", DefaultRetryPolicy(), nil, nil)
+	tp, err := newTransport(1, DefaultRetryPolicy(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tp.close)
 	cfg := Config{Ranks: 2, Workers: 1}
 	w := &worker{cfg: cfg, rank: 1, tp: tp, welcomeCh: make(chan welcomeMsg, 1), shutCh: make(chan struct{})}
-	w.gac = newGAClient(tp, plan.Workload, time.Second)
+	w.gac = newGAClient(tp, plan.Workload)
 	w.gac.readBlock = plan.ReadBlock
 	tr, err := ptg.NewTracker(plan.NewGraph(w.gac))
 	if err != nil {

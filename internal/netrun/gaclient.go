@@ -3,8 +3,6 @@ package netrun
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"parsec/internal/ga"
 	"parsec/internal/ptg"
@@ -25,11 +23,10 @@ import (
 // activation of the block to this rank carries the tag alone and is
 // resolved from the replica (engine.replicaBlock). The owner's data thus
 // still crosses the wire, as the paper's READ ships it to the GEMM, but
-// never twice to one rank. Accumulations and fetches of anything else go
-// to the GA server process.
+// never twice to one rank. Accumulations go to the GA server process,
+// which serves nothing else.
 type gaClient struct {
-	tp      *transport
-	timeout time.Duration
+	tp *transport
 
 	// replicas holds the rank's copy of each input tensor: the same
 	// fill-on-access array a shared-memory execution uses, in its
@@ -46,23 +43,15 @@ type gaClient struct {
 	// (release).
 	adoptMu      sync.Mutex
 	adoptedTiles []*tensor.Tile4
-
-	reqID   atomic.Uint64
-	pendMu  sync.Mutex
-	pendGet map[uint64]chan *tensor.Tile4
-	pendNxt map[uint64]chan int64
 }
 
 var _ ga.API = (*gaClient)(nil)
 
-func newGAClient(tp *transport, w *tce.Workload, timeout time.Duration) *gaClient {
+func newGAClient(tp *transport, w *tce.Workload) *gaClient {
 	a, b := w.Inputs()
 	return &gaClient{
 		tp:       tp,
-		timeout:  timeout,
 		replicas: map[string]*ga.Lazy{a.Name: ga.NewLazy(a), b.Name: ga.NewLazy(b)},
-		pendGet:  make(map[uint64]chan *tensor.Tile4),
-		pendNxt:  make(map[uint64]chan int64),
 	}
 }
 
@@ -95,43 +84,13 @@ func (c *gaClient) Lazy(name string) *ga.Lazy { return c.replicas[name] }
 func (c *gaClient) Access(name string, key tensor.BlockKey) *tensor.Tile4 {
 	l := c.replicas[name]
 	if l == nil {
-		panic(fmt.Sprintf("netrun: Access(%q): not an input tensor; distributed reads use GetHashBlock", name))
+		panic(fmt.Sprintf("netrun: Access(%q): not an input tensor; a rank reads only its input replicas", name))
 	}
 	return l.AccessKey(key)
 }
 
 // Release is a no-op: replica blocks stay for the run.
 func (c *gaClient) Release(string, tensor.BlockKey) {}
-
-// GetHashBlock fetches a copy of a block: input tensors from the local
-// replica (row-major, like every ga_get, even where the replica block is
-// born packed), everything else from the GA server (GET_HASH_BLOCK). A
-// nil return means the server does not hold the block (or the request
-// timed out during shutdown).
-func (c *gaClient) GetHashBlock(name string, key tensor.BlockKey) *tensor.Tile4 {
-	if l := c.replicas[name]; l != nil {
-		return l.AccessKey(key).RowMajorCopy()
-	}
-	id := c.reqID.Add(1)
-	ch := make(chan *tensor.Tile4, 1)
-	c.pendMu.Lock()
-	c.pendGet[id] = ch
-	c.pendMu.Unlock()
-	c.tp.counters.getOps.Add(1)
-	c.tp.sendTo(coordRank, getMsg{ReqID: id, Name: name, Key: key}.encode())
-	select {
-	case t := <-ch:
-		if t != nil {
-			c.tp.counters.getBytes.Add(t.Bytes())
-		}
-		return t
-	case <-time.After(c.timeout):
-		c.pendMu.Lock()
-		delete(c.pendGet, id)
-		c.pendMu.Unlock()
-		return nil
-	}
-}
 
 // AccOrdered ships one ordered accumulation to the GA server. The tile
 // is copied into its frame immediately, so the no-mutation-after-call
@@ -148,46 +107,4 @@ func (c *gaClient) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile
 	c.tp.counters.accBytes.Add(int64(len(f) - frameHeaderLen))
 	c.tp.sendTo(coordRank, f)
 	return nil
-}
-
-// NxtVal fetches one ticket from the server's shared counter (NXTVAL).
-// It returns -1 if the server does not answer within the timeout.
-func (c *gaClient) NxtVal() int64 {
-	id := c.reqID.Add(1)
-	ch := make(chan int64, 1)
-	c.pendMu.Lock()
-	c.pendNxt[id] = ch
-	c.pendMu.Unlock()
-	c.tp.sendTo(coordRank, nxtValMsg{ReqID: id}.encode())
-	select {
-	case v := <-ch:
-		return v
-	case <-time.After(c.timeout):
-		c.pendMu.Lock()
-		delete(c.pendNxt, id)
-		c.pendMu.Unlock()
-		return -1
-	}
-}
-
-// handleGetResp completes a pending GetHashBlock.
-func (c *gaClient) handleGetResp(m getRespMsg) {
-	c.pendMu.Lock()
-	ch := c.pendGet[m.ReqID]
-	delete(c.pendGet, m.ReqID)
-	c.pendMu.Unlock()
-	if ch != nil {
-		ch <- m.Tile
-	}
-}
-
-// handleNxtValResp completes a pending NxtVal.
-func (c *gaClient) handleNxtValResp(m nxtValRespMsg) {
-	c.pendMu.Lock()
-	ch := c.pendNxt[m.ReqID]
-	delete(c.pendNxt, m.ReqID)
-	c.pendMu.Unlock()
-	if ch != nil {
-		ch <- m.Val
-	}
 }

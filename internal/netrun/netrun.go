@@ -1,6 +1,6 @@
 // Package netrun is the real multi-process distributed runtime: worker
 // processes execute one rank of a Parameterized Task Graph each and
-// communicate over TCP loopback or unix sockets, turning the simulated
+// communicate over TCP loopback, turning the simulated
 // cluster of internal/simexec into actual OS processes.
 //
 // The design follows the same lineage as the simulator. Dataflow is
@@ -28,13 +28,14 @@
 // stays inside a rank, as PaRSEC's does (§IV-D) — or, after a takeover,
 // on that rank's heir.
 //
-// A coordinator process serves the Global Arrays surface (ordered
-// accumulation with the same fold semantics as internal/ga, folding
-// each output block into the energy as it completes; block fetches;
-// NXTVAL) and owns the termination bitset and failure
-// recovery: ranks that miss heartbeats are declared dead,
-// an heir re-executes the dead rank's subgraph, and the live ranks
-// replay their retained activation logs to the heir. Every wire message
+// A coordinator process serves the Global Arrays surface — the one
+// call that leaves a rank, ordered accumulation with the same fold
+// semantics as internal/ga, folding each output block into the energy
+// as it completes; there is no GET and no NXTVAL, as a PaRSEC task
+// reads its inputs locally — and owns the termination bitset and
+// failure recovery: ranks that miss heartbeats are declared dead, an
+// heir re-executes the dead rank's subgraph, and the live ranks replay
+// their retained activation logs to the heir. Every wire message
 // is carried by an at-least-once reliable channel with the
 // retry/backoff state machine ported from simexec's virtual comm
 // threads; duplicate deliveries are suppressed at three layers (channel
@@ -46,8 +47,6 @@ package netrun
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"parsec/internal/fault"
@@ -77,9 +76,6 @@ type Config struct {
 	Workers int
 	Policy  sched.Policy
 	Queues  sched.QueueMode
-	// Network selects the socket family: "tcp" (loopback, the default)
-	// or "unix".
-	Network string
 	// Retry tunes the reliable channel; the zero value selects
 	// DefaultRetryPolicy.
 	Retry RetryPolicy
@@ -124,13 +120,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	switch cfg.Network {
-	case "":
-		cfg.Network = "tcp"
-	case "tcp", "unix":
-	default:
-		return cfg, fmt.Errorf("netrun: network %q (want tcp or unix)", cfg.Network)
-	}
 	if cfg.Retry == (RetryPolicy{}) {
 		cfg.Retry = DefaultRetryPolicy()
 	}
@@ -143,16 +132,6 @@ func (cfg Config) withDefaults() (Config, error) {
 		}
 	}
 	return cfg, nil
-}
-
-// listenSpec returns the (network, address) pair a rank listens on.
-func (cfg Config) listenSpec(rank int) (string, string) {
-	if cfg.Network == "unix" {
-		p := filepath.Join(os.TempDir(), fmt.Sprintf("parsec-netrun-%d-r%d.sock", os.Getpid(), rank))
-		os.Remove(p) // stale socket from a previous crashed run
-		return "unix", p
-	}
-	return "tcp", "127.0.0.1:0"
 }
 
 // CommSnapshot is one process's wire-activity counters at run end.
@@ -172,8 +151,6 @@ type CommSnapshot struct {
 	TransferBytes   int64 `json:"transfer_bytes"`
 	AccOps          int64 `json:"acc_ops"`
 	AccBytes        int64 `json:"acc_bytes"`
-	GetOps          int64 `json:"get_ops"`
-	GetBytes        int64 `json:"get_bytes"`
 	// Tile ownership: activations whose tile went out by reference, and
 	// the pooled tiles that came in — each of which was returned when its
 	// consumer completed, returned on arrival (as a duplicate, or as an
@@ -209,8 +186,6 @@ func (c *commCounters) snapshot() CommSnapshot {
 		TransferBytes:   c.transferBytes.Load(),
 		AccOps:          c.accOps.Load(),
 		AccBytes:        c.accBytes.Load(),
-		GetOps:          c.getOps.Load(),
-		GetBytes:        c.getBytes.Load(),
 		TilesBorrowed:   c.tilesBorrowed.Load(),
 		TilesReceived:   c.tilesReceived.Load(),
 		TilesReturned:   c.tilesReturned.Load(),
@@ -292,8 +267,6 @@ func (r *Result) aggregate(rep RankReport) {
 	r.Comm.TotalBytes += c.BytesSent
 	r.Comm.AccOps += c.AccOps
 	r.Comm.AccBytes += c.AccBytes
-	r.Comm.GetOps += c.GetOps
-	r.Comm.GetBytes += c.GetBytes
 	r.Recovery.Retries += int(c.Retries)
 	r.Recovery.Drops += int(c.DropsInjected)
 	r.Recovery.AckDrops += int(c.AckDropsInj)

@@ -16,7 +16,7 @@ import (
 	"parsec/internal/trace"
 )
 
-// Wire protocol (version 5): every frame is
+// Wire protocol (version 6): every frame is
 //
 //	magic(2) version(1) type(1) id(8, LE) bodyLen(4, LE) body
 //
@@ -46,7 +46,8 @@ const (
 	// dropped the inter-rank steal messages and the status heartbeat's
 	// body. Version 5 added an activation's replica tag (activateMsg): an
 	// input block crosses to a rank once, and later activations name it.
-	wireVersion = 5
+	// Version 6 dropped the GET and NXTVAL requests and their replies.
+	wireVersion = 6
 
 	frameHeaderLen = 2 + 1 + 1 + 8 + 4
 	// maxBody caps a frame body: the largest legitimate payload is one
@@ -74,10 +75,6 @@ const (
 	msgDone
 	msgStatus
 	msgAccOrdered
-	msgGetReq
-	msgGetResp
-	msgNxtValReq
-	msgNxtValResp
 	msgTakeover
 	msgFlushReq
 	msgFlushAck
@@ -823,87 +820,6 @@ func decodeAccOrdered(b []byte) (accOrderedMsg, error) {
 	}
 	m.Tile = t
 	return m, nil
-}
-
-// getMsg requests a block copy from the GA server (GET_HASH_BLOCK).
-type getMsg struct {
-	ReqID uint64
-	Name  string
-	Key   tensor.BlockKey
-}
-
-func (m getMsg) encode() []byte {
-	dst := appendU64(newFrame(msgGetReq, 8+strSize(m.Name)+8*len(m.Key)), m.ReqID)
-	dst = appendString(dst, m.Name)
-	for _, k := range m.Key {
-		dst = appendI64(dst, int64(k))
-	}
-	return dst
-}
-
-func decodeGet(b []byte) (getMsg, error) {
-	c := &cursor{buf: b}
-	m := getMsg{ReqID: c.u64(), Name: c.name()}
-	for i := range m.Key {
-		m.Key[i] = c.int()
-	}
-	return m, c.done()
-}
-
-// getRespMsg answers a getMsg; a nil tile means the block is absent.
-type getRespMsg struct {
-	ReqID uint64
-	Tile  *tensor.Tile4
-}
-
-func (m getRespMsg) encode() []byte {
-	var p any // an absent block travels as the nil payload, not a typed-nil tile
-	if m.Tile != nil {
-		p = m.Tile
-	}
-	psize, _ := payloadSize(p) // nil and non-nil tiles always encode
-	return appendPayload(appendU64(newFrame(msgGetResp, 8+psize), m.ReqID), p)
-}
-
-func decodeGetResp(b []byte) (getRespMsg, error) {
-	c := &cursor{buf: b}
-	m := getRespMsg{ReqID: c.u64()}
-	p := decodePayload(c, false)
-	if err := c.done(); err != nil {
-		return m, err
-	}
-	if p != nil {
-		t, ok := p.(*tensor.Tile4)
-		if !ok {
-			return m, errors.New("netrun: Get response payload is not a tile")
-		}
-		m.Tile = t
-	}
-	return m, nil
-}
-
-// nxtValMsg requests one NXTVAL ticket; nxtValRespMsg answers it.
-type nxtValMsg struct{ ReqID uint64 }
-
-func (m nxtValMsg) encode() []byte { return appendU64(newFrame(msgNxtValReq, 8), m.ReqID) }
-
-func decodeNxtVal(b []byte) (nxtValMsg, error) {
-	c := cursor{buf: b}
-	return nxtValMsg{ReqID: c.u64()}, c.done()
-}
-
-type nxtValRespMsg struct {
-	ReqID uint64
-	Val   int64
-}
-
-func (m nxtValRespMsg) encode() []byte {
-	return appendI64(appendU64(newFrame(msgNxtValResp, 16), m.ReqID), m.Val)
-}
-
-func decodeNxtValResp(b []byte) (nxtValRespMsg, error) {
-	c := cursor{buf: b}
-	return nxtValRespMsg{ReqID: c.u64(), Val: c.i64()}, c.done()
 }
 
 // takeoverMsg announces that a dead rank's subgraph is reassigned to an

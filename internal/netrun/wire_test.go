@@ -156,6 +156,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		{"v2 peer", corrupt(func(b []byte) { b[2] = 2 }), errBadVersion},
 		{"v3 peer", corrupt(func(b []byte) { b[2] = 3 }), errBadVersion},
 		{"v4 peer", corrupt(func(b []byte) { b[2] = 4 }), errBadVersion},
+		{"v5 peer", corrupt(func(b []byte) { b[2] = 5 }), errBadVersion},
 		{"type zero", corrupt(func(b []byte) { b[3] = 0 }), errBadType},
 		{"type past max", corrupt(func(b []byte) { b[3] = msgMax }), errBadType},
 		{"type zero suppressed", corrupt(func(b []byte) { b[3] = ackSuppressBit }), errBadType},
@@ -175,7 +176,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	// A v3 peer, which still speaks the inter-rank steal messages, is told
 	// which version it speaks and which this build does.
 	_, _, err := decodeFrame(corrupt(func(b []byte) { b[2] = 3 }))
-	if want := "netrun: unsupported protocol version 3 (this build speaks 5)"; err == nil || err.Error() != want {
+	if want := "netrun: unsupported protocol version 3 (this build speaks 6)"; err == nil || err.Error() != want {
 		t.Errorf("v3 frame: got %v, want %q", err, want)
 	}
 
@@ -404,30 +405,6 @@ func TestMessageRoundTrips(t *testing.T) {
 			t.Error("accOrdered with nil payload decoded cleanly")
 		}
 	})
-	t.Run("get", func(t *testing.T) {
-		m := getMsg{ReqID: 77, Name: "T2", Key: tensor.BlockKey{0, 1, 0, 4}}
-		roundTrip(t, "get", m, msgGetReq, m.encode(), decodeGet)
-	})
-	t.Run("getResp", func(t *testing.T) {
-		m := getRespMsg{ReqID: 78, Tile: tile(4.125)}
-		roundTrip(t, "getResp", m, msgGetResp, m.encode(), decodeGetResp)
-		// The nil tile (block absent) is a legitimate answer.
-		none := getRespMsg{ReqID: 79}
-		roundTrip(t, "getResp/absent", none, msgGetResp, none.encode(), decodeGetResp)
-		// A non-tile payload is a protocol violation.
-		buf := appendPayload(appendU64(nil, 80), int(3))
-		if _, err := decodeGetResp(buf); err == nil {
-			t.Error("getResp with int payload decoded cleanly")
-		}
-	})
-	t.Run("nxtVal", func(t *testing.T) {
-		m := nxtValMsg{ReqID: 81}
-		roundTrip(t, "nxtVal", m, msgNxtValReq, m.encode(), decodeNxtVal)
-	})
-	t.Run("nxtValResp", func(t *testing.T) {
-		m := nxtValRespMsg{ReqID: 82, Val: -1}
-		roundTrip(t, "nxtValResp", m, msgNxtValResp, m.encode(), decodeNxtValResp)
-	})
 	t.Run("takeover", func(t *testing.T) {
 		m := takeoverMsg{Dead: 2, Heir: 0}
 		roundTrip(t, "takeover", m, msgTakeover, m.encode(), decodeTakeover)
@@ -504,12 +481,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	v4[2] = 4
 	f.Add(v4)
 	f.Add(sealFrame(doneMsg{Seqs: []int{1, 2, 1 << 40}}.encode(), 4))
-	// A v3 peer's steal request. Type 13 has been msgTakeover since v4:
-	// only the version byte keeps it from the takeover decoder.
+	// A v3 peer's steal request. Type 13 is msgShutdown since v6: only
+	// the version byte keeps it from the shutdown handler.
 	v3 := rawFrame(13, 6, true, appendI64(nil, 1))
 	v3[2] = 3
 	f.Add(v3)
-	f.Add(sealFrame(getRespMsg{ReqID: 5}.encode(), 8))
+	// A v5 peer's absent-block GET reply. Type 10 is msgFlushReq since
+	// v6: only the version byte keeps it from the flush handler.
+	v5 := rawFrame(10, 8, false, append(appendU64(nil, 5), payNil))
+	v5[2] = 5
+	f.Add(v5)
 	f.Add([]byte{'P', 'R', wireVersion, msgMax, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{'P', 'R', 1, msgHello}) // a v1 peer
 	f.Add([]byte("not a frame at all, definitely longer than a header"))
@@ -567,14 +548,6 @@ func decodeBody(fr frame) {
 		_, _ = decodeDone(fr.body)
 	case msgAccOrdered:
 		_, _ = decodeAccOrdered(fr.body)
-	case msgGetReq:
-		_, _ = decodeGet(fr.body)
-	case msgGetResp:
-		_, _ = decodeGetResp(fr.body)
-	case msgNxtValReq:
-		_, _ = decodeNxtVal(fr.body)
-	case msgNxtValResp:
-		_, _ = decodeNxtValResp(fr.body)
 	case msgTakeover:
 		_, _ = decodeTakeover(fr.body)
 	case msgFlushAck:

@@ -40,8 +40,7 @@ type worker struct {
 // GA client's deterministic input replicas, and its READ table tags the
 // activations that ship them.
 func runWorker(cfg Config, rank int, coordAddr string, plan *ccsd.CompiledPlan, build BuildFn) error {
-	network, listen := cfg.listenSpec(rank)
-	tp, err := newTransport(rank, network, listen, cfg.Retry, newInjector(cfg.Fault), cfg.Sever)
+	tp, err := newTransport(rank, cfg.Retry, newInjector(cfg.Fault), cfg.Sever)
 	if err != nil {
 		return err
 	}
@@ -55,7 +54,7 @@ func runWorker(cfg Config, rank int, coordAddr string, plan *ccsd.CompiledPlan, 
 	}
 	var store ga.API
 	if plan != nil {
-		w.gac = newGAClient(tp, plan.Workload, 5*time.Second)
+		w.gac = newGAClient(tp, plan.Workload)
 		w.gac.readBlock = plan.ReadBlock
 		store = w.gac
 	}
@@ -159,24 +158,6 @@ func (w *worker) handle(from int, f frame) {
 				w.tp.sendTo(coordRank, flushAckMsg{Accs: accs}.encode())
 			}
 		}()
-	case msgGetResp:
-		m, err := decodeGetResp(f.body)
-		if err != nil {
-			w.eng.fail(err)
-			return
-		}
-		if w.gac != nil {
-			w.gac.handleGetResp(m)
-		}
-	case msgNxtValResp:
-		m, err := decodeNxtValResp(f.body)
-		if err != nil {
-			w.eng.fail(err)
-			return
-		}
-		if w.gac != nil {
-			w.gac.handleNxtValResp(m)
-		}
 	case msgShutdown:
 		w.shutOnce.Do(func() { close(w.shutCh) })
 	}

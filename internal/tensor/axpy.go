@@ -2,8 +2,8 @@ package tensor
 
 // Accumulate kernels: the dst += scale*src and dst = scale*src inner
 // loops shared by Sort4Add, Tile4.AddScaled, the REDUCE task bodies,
-// and the Global Arrays fold paths (ga.AccRange, ordered-accumulation
-// flush). On the AVX2+ tiers these dispatch to 256-bit assembly that
+// and the Global Arrays ordered-accumulation fold (ga.Store.AccOrdered
+// and its flush). On the AVX2+ tiers these dispatch to 256-bit assembly that
 // uses unfused multiply and add, so every tier — vector or scalar —
 // produces bitwise identical floats.
 

@@ -94,24 +94,6 @@ func (bt *BlockTensor4) Acc(key BlockKey, src *Tile4, scale float64) {
 	t.AddScaled(src, scale)
 }
 
-// AccChecked is Acc with dimension validation: it reports an error
-// instead of panicking when an existing tile's extents differ from
-// src's, so task-facing accumulate paths can fail one task instead of
-// tearing down the process.
-func (bt *BlockTensor4) AccChecked(key BlockKey, src *Tile4, scale float64) error {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	t, ok := bt.tiles[key]
-	if !ok {
-		t = NewTile4(src.Dim[0], src.Dim[1], src.Dim[2], src.Dim[3])
-		bt.tiles[key] = t
-	} else if t.Dim != src.Dim {
-		return fmt.Errorf("tensor: block %v has dims %v, accumulate of %v", key, t.Dim, src.Dim)
-	}
-	t.AddScaled(src, scale)
-	return nil
-}
-
 // NumBlocks returns the number of stored tiles.
 func (bt *BlockTensor4) NumBlocks() int {
 	bt.mu.RLock()

@@ -127,9 +127,9 @@ func (t *Tile4) mustRowMajor(op string) {
 }
 
 // RowMajorCopy returns a row-major copy of the tile: a Clone of a
-// row-major tile, the unpacked elements of a panel. It is what a copying
-// read hands out (ga's GetHashBlock), since a panel is a kernel's
-// private layout.
+// row-major tile, the unpacked elements of a panel — the data a panel
+// holds in a kernel's private layout, in the order every element-wise
+// operation reads.
 func (t *Tile4) RowMajorCopy() *Tile4 {
 	if t.Layout.Kind == RowMajor {
 		return t.Clone()
