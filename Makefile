@@ -122,7 +122,7 @@ sched-conformance:
 # replica tag fails the rank.
 netrun-conformance:
 	$(GO) test -race -count=1 ./internal/netrun
-	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithDropsAndAckDrops|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss|TestRanksExitWhenCoordinatorDies|TestRegisterValidatesRank|TestReplicaFramesMatchPlan|TestTaggedActivationValidates' ./internal/netrun
+	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss|TestHealthyLinkSendsNothingTwice|TestRedialResendsWindowInOrder|TestRanksExitWhenCoordinatorDies|TestRegisterValidatesRank|TestReplicaFramesMatchPlan|TestTaggedActivationValidates' ./internal/netrun
 	$(GO) test -race -count=5 -run 'TestExecutorForeignPushWhileParked' ./internal/runtime
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/netrun
 

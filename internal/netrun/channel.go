@@ -1,104 +1,34 @@
 package netrun
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"parsec/internal/fault"
 )
-
-// RetryPolicy is the real-time analogue of simexec's virtual-comm-thread
-// recovery machine (PR 4): a sender considers a frame lost Timeout after
-// its last transmission, waits a capped exponential backoff (Backoff,
-// 2*Backoff, ... up to BackoffCap), and retransmits; after MaxRetries
-// retransmissions the link — and the run — fails. The receiver's
-// per-sender dedup makes the resulting at-least-once delivery safe.
-type RetryPolicy struct {
-	Timeout    time.Duration
-	Backoff    time.Duration
-	BackoffCap time.Duration
-	MaxRetries int
-}
-
-// DefaultRetryPolicy returns the production defaults. The retry horizon
-// (Timeout plus the backoff series) deliberately exceeds the
-// coordinator's death-detection window (deathTimeout), so a sender
-// blocked on a dead peer survives long enough for the takeover
-// broadcast to re-route its retained traffic instead of failing the
-// run.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Timeout:    100 * time.Millisecond,
-		Backoff:    50 * time.Millisecond,
-		BackoffCap: 400 * time.Millisecond,
-		MaxRetries: 15,
-	}
-}
-
-// backoffFor returns the wait before retransmission n (0-based).
-func (p RetryPolicy) backoffFor(n int) time.Duration {
-	b := p.Backoff
-	for i := 0; i < n; i++ {
-		b *= 2
-		if b >= p.BackoffCap {
-			return p.BackoffCap
-		}
-	}
-	if b > p.BackoffCap {
-		b = p.BackoffCap
-	}
-	return b
-}
 
 // SeverSpec closes one direction of one link after a number of frames:
 // the scripted "sever a connection" of the chaos suite. The sender's
-// reconnect-and-retransmit path must absorb it without losing a message.
+// redial-and-resend path must absorb it without losing a message.
 type SeverSpec struct {
 	From, To    int
 	AfterFrames int
 }
 
-// injector wraps the discrete-event fault injector for concurrent use:
-// fault.Injector mutates seeded RNG streams and was written for the
-// single-threaded simulation engine, so every draw serializes here.
-type injector struct {
-	mu  sync.Mutex
-	inj *fault.Injector
-}
-
-func newInjector(cfg *fault.Config) *injector {
-	if cfg == nil {
-		return nil
-	}
-	return &injector{inj: fault.New(*cfg)}
-}
-
-// transfer returns the seeded verdict for one send attempt.
-func (j *injector) transfer(from, to int) fault.XferOutcome {
-	if j == nil {
-		return fault.XferOutcome{}
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.inj.Transfer(from, to)
-}
-
 // commCounters aggregates one process's wire activity; all fields are
-// atomics because senders, receivers, and retransmit timers race.
+// atomics because senders, receivers, writers and dialers race. retries
+// and retransmitBytes count the frames a redial writes again.
 type commCounters struct {
 	msgsSent        atomic.Int64
 	bytesSent       atomic.Int64
 	acksReceived    atomic.Int64
 	retries         atomic.Int64
 	retransmitBytes atomic.Int64
-	backoffNs       atomic.Int64
-	dropsInjected   atomic.Int64
-	ackDropsInj     atomic.Int64
 	dupSuppressed   atomic.Int64
 	reconnects      atomic.Int64
 	severs          atomic.Int64
@@ -124,32 +54,31 @@ type commCounters struct {
 	replicaRefills atomic.Int64
 }
 
-// pendingMsg is one unacknowledged frame awaiting ack or retransmission.
+// pendingMsg is one unacknowledged frame.
 type pendingMsg struct {
 	id uint64
 	// frame is the encoded frame, built once by the message's encode; a
-	// retransmission resends these bytes — head and borrowed tail alike —
-	// with only the ack-suppress bit rewritten.
-	frame    outFrame
-	attempts int       // retransmissions charged
-	deadline time.Time // next loss-detection point
+	// redial resends these bytes, head and borrowed tail alike.
+	frame outFrame
 	// queued is set from staging until the socket write returns. A queued
-	// frame is never staged again (so the receiver sees it once), and on
-	// a live link it is not timed either: waiting in the outbox is the
-	// sender's backlog, not loss.
+	// frame is never staged again, so the receiver sees it once: waiting
+	// in the outbox is the sender's backlog, not loss.
 	queued bool
 }
 
 // relChan is one outbound reliable link to a single peer: it owns the
-// dialed connection, the unacked window, the retransmit timer, and the
-// retained activation log. Data frames flow out; only acks flow back.
+// dialed connection, the unacked window, and the retained activation
+// log. Data frames flow out; only acks flow back. A live TCP connection
+// neither drops, duplicates nor reorders a frame, so the window is
+// written again only when its connection dies: the redial resends, in
+// send order, every frame written but not acknowledged, and the
+// receiver's dedup drops the copies it already had.
 //
 // All socket writes happen on the channel's writer goroutine, never
 // under c.mu: a blocking write while holding the mutex deadlocks once
 // the kernel buffers fill (sender holds mu blocked on write, the peer's
 // receive loop blocks writing an ack back, and the ack reader that
-// would drain it waits on mu). Unix sockets' small buffers hit this
-// immediately; TCP merely hides it behind bigger buffers.
+// would drain it waits on mu).
 type relChan struct {
 	tp   *transport
 	dst  int
@@ -187,8 +116,7 @@ func (c *relChan) stop() {
 // has a tail, a borrow of the tile behind it until the frame is
 // acknowledged (for the whole run when the activation is retained): it
 // assigns the reliability id, retains activations for takeover replay,
-// and stages the first transmission. Loss is recovered by the retransmit
-// timer; the call never touches the network.
+// and stages the first transmission. The call never touches the network.
 func (c *relChan) send(frame outFrame) {
 	c.mu.Lock()
 	if c.stopped {
@@ -209,36 +137,11 @@ func (c *relChan) send(frame outFrame) {
 	c.tp.counters.bytesSent.Add(int64(frame.size()))
 }
 
-// armLocked sets the frame's next loss-detection point: Timeout from
-// now, plus the backoff its last retransmission earned.
-func (c *relChan) armLocked(p *pendingMsg) {
-	d := c.tp.retry.Timeout
-	if p.attempts > 0 {
-		d += c.tp.retry.backoffFor(p.attempts - 1)
-	}
-	p.deadline = time.Now().Add(d)
-}
-
-// stageLocked queues one transmission attempt of a pending frame that
-// is not already queued, consulting the fault injector: a Drop verdict
-// skips it entirely (the timer retransmits), an AckDrop verdict sets
-// the ack-suppress bit so the receiver provokes the duplicate path, and
-// a Sever verdict due at this frame count is a nil outbox entry the
-// writer turns into a connection close. Callers hold c.mu; the socket
-// write itself happens on the writer goroutine, which re-arms the loss
-// timer when the write returns — the arming here only covers a frame
-// that is dropped, or queued on a link that stays down.
+// stageLocked queues one transmission of a pending frame that is not
+// already queued. A SeverSpec due at this frame count queues a nil
+// entry instead, which the writer turns into a connection close; the
+// frame itself then goes out after the redial. Callers hold c.mu.
 func (c *relChan) stageLocked(p *pendingMsg) {
-	c.armLocked(p)
-	out := c.tp.inj.transfer(c.tp.local, c.dst)
-	if out.Drop {
-		c.tp.counters.dropsInjected.Add(1)
-		return
-	}
-	if out.AckDrop {
-		c.tp.counters.ackDropsInj.Add(1)
-	}
-	setAckSuppress(p.frame.head, out.AckDrop)
 	if sv := c.tp.sever; sv != nil && sv.From == c.tp.local && sv.To == c.dst {
 		c.frames++
 		if !c.severed && c.frames > sv.AfterFrames {
@@ -257,13 +160,20 @@ func (c *relChan) stageLocked(p *pendingMsg) {
 	}
 }
 
+// resendLocked stages again a frame that a dead connection still owed,
+// charging it as a retry. Callers hold c.mu.
+func (c *relChan) resendLocked(p *pendingMsg) {
+	c.tp.counters.retries.Add(1)
+	c.tp.counters.retransmitBytes.Add(int64(p.frame.size()))
+	c.stageLocked(p)
+}
+
 // writeLoop is the channel's writer goroutine: it drains the outbox
 // onto whatever connection is current, blocking on the kernel with no
-// locks held, and starts each frame's loss timer when its write
-// returns. A failed or severed write loses the bytes — the frame stays
-// in the unacked window, so the redial (or the timer) retransmits it. A
-// frame with a borrowed tail goes out as one vectored write, head then
-// tile, through a net.Buffers this goroutine reuses.
+// locks held. A failed or severed write loses the bytes — the frame
+// stays in the unacked window, and the redial resends it. A frame with a
+// borrowed tail goes out as one vectored write, head then tile, through
+// a net.Buffers this goroutine reuses.
 func (c *relChan) writeLoop() {
 	defer c.tp.wg.Done()
 	var (
@@ -303,7 +213,11 @@ func (c *relChan) writeLoop() {
 		}
 		c.mu.Lock()
 		p.queued = false
-		c.armLocked(p)
+		if c.conn != nil && c.conn != conn && c.unacked[p.id] == p {
+			// The connection died under this write and the redial has
+			// already resent the window, skipping this frame as queued.
+			c.resendLocked(p)
+		}
 		c.mu.Unlock()
 		if err != nil {
 			c.dropConn(conn, false)
@@ -336,8 +250,13 @@ func (c *relChan) ensureDialLocked() {
 }
 
 // dialLoop establishes (or re-establishes) the connection, sends the
-// hello, and starts the ack reader. It retries with a short fixed pause
-// until it succeeds or the channel stops.
+// hello, resends the frames owed, and starts the ack reader. It retries
+// with a short fixed pause until it succeeds or the channel stops. A
+// refused dial means nothing listens at the peer's address any more:
+// the peer is gone, and this endpoint fails — unless Recover is on and
+// the peer is a worker rank, whose takeover will stop this channel and
+// redirect its traffic. A severed link redials, because the listener is
+// still there.
 func (c *relChan) dialLoop() {
 	defer c.tp.wg.Done()
 	for {
@@ -351,13 +270,13 @@ func (c *relChan) dialLoop() {
 
 		conn, err := net.DialTimeout("tcp", c.addr, time.Second)
 		if err != nil {
-			if c.dst == coordRank && errors.Is(err, syscall.ECONNREFUSED) {
-				// Nothing listens at the coordinator's address: it has
-				// exited, and a rank cannot finish without it. A severed
-				// link redials, because the listener is still there. A
-				// stopped channel never dials again.
+			if errors.Is(err, syscall.ECONNREFUSED) && !(c.tp.recoverDeadPeers && c.dst != coordRank) {
+				peer := fmt.Sprintf("rank %d", c.dst)
+				if c.dst == coordRank {
+					peer = "coordinator"
+				}
 				c.stop()
-				c.tp.fail(fmt.Errorf("netrun: rank %d: coordinator %s is gone: %w", c.tp.local, c.addr, err))
+				c.tp.fail(fmt.Errorf("netrun: rank %d: %s %s is gone: %w", c.tp.local, peer, c.addr, err))
 				return
 			}
 			select {
@@ -383,15 +302,18 @@ func (c *relChan) dialLoop() {
 		}
 		c.conn = conn
 		c.dialing = false
-		// Frames written to a connection that has since died are owed a
-		// retransmission now rather than when the loss timer notices.
-		// Frames still queued were never written: they go out on this
-		// connection as they are, and restaging them would only send the
-		// receiver duplicates.
+		// Frames written to a connection that has since died are owed
+		// again, in the order they were sent. Frames still queued were
+		// never written: they go out on this connection as they are.
+		owed := make([]*pendingMsg, 0, len(c.unacked))
 		for _, p := range c.unacked {
 			if !p.queued {
-				c.stageLocked(p)
+				owed = append(owed, p)
 			}
+		}
+		slices.SortFunc(owed, func(a, b *pendingMsg) int { return cmp.Compare(a.id, b.id) })
+		for _, p := range owed {
+			c.resendLocked(p)
 		}
 		c.wcond.Broadcast()
 		c.mu.Unlock()
@@ -442,43 +364,6 @@ func (c *relChan) readAcks(conn net.Conn) {
 	}
 }
 
-// tick is the loss-detection scan: every pending frame past its
-// deadline is charged one retry, waits its capped backoff (folded into
-// the next deadline rather than slept, so one timer serves all links),
-// and is retransmitted. The deadline measures the link: it runs from
-// the socket write, and a frame waiting its turn in the outbox of a
-// live connection is not late. With the link down the clock does run
-// for queued frames, so a peer that never comes back still exhausts the
-// retries. Exhausted retries fail the whole process — the simexec
-// contract — unless the peer is under takeover re-routing.
-func (c *relChan) tick(now time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return nil
-	}
-	for _, p := range c.unacked {
-		if (p.queued && c.conn != nil) || now.Before(p.deadline) {
-			continue
-		}
-		if p.attempts >= c.tp.retry.MaxRetries &&
-			!(c.tp.recoverDeadPeers && c.dst != coordRank) {
-			return fmt.Errorf("netrun: rank %d -> %d: message %d (type %d) unacked after %d retries",
-				c.tp.local, c.dst, p.id, p.frame.typ(), p.attempts)
-		}
-		c.tp.counters.retries.Add(1)
-		c.tp.counters.backoffNs.Add(int64(c.tp.retry.backoffFor(p.attempts)))
-		p.attempts++
-		if p.queued { // link down: the attempt is charged, the frame is already in line
-			c.armLocked(p)
-			continue
-		}
-		c.tp.counters.retransmitBytes.Add(int64(p.frame.size()))
-		c.stageLocked(p)
-	}
-	return nil
-}
-
 // drained reports whether every sent frame has been acknowledged. A
 // stopped channel counts as drained: its peer is dead, its window can
 // never be acked, and takeover already surrendered its retained log —
@@ -505,16 +390,13 @@ func (c *relChan) takeRetained() []outFrame {
 // and the rank routing table that takeover rewrites.
 type transport struct {
 	local    int
-	retry    RetryPolicy
-	inj      *injector
 	sever    *SeverSpec
 	counters *commCounters
-	// recoverDeadPeers (set when Config.Recover is on) keeps worker→worker
-	// channels retrying at the backoff cap after MaxRetries instead of
-	// failing the run: the coordinator's death-detection window is far
-	// shorter than the retry horizon, so a genuinely dead peer gets this
-	// channel redirected by takeover, while failing here would race the
-	// takeover broadcast. Channels to the coordinator still fail hard.
+	// recoverDeadPeers (set when Config.Recover is on) keeps a channel to
+	// a worker rank redialing a refused peer instead of failing the run:
+	// a rank that is really dead gets the channel redirected by takeover,
+	// while failing here would race the takeover broadcast. Channels to
+	// the coordinator still fail at the first refused dial.
 	recoverDeadPeers bool
 
 	ln     net.Listener
@@ -527,8 +409,9 @@ type transport struct {
 	// onSeen, if set, observes every inbound frame's sender before
 	// dedup — the coordinator's liveness signal.
 	onSeen func(from int)
-	// fail receives the errors that end the run for this endpoint (see
-	// watch).
+	// fail receives the error that ends the run for this endpoint: a
+	// refused dial to a peer that is gone (see dialLoop). Set it before
+	// serve and the first send.
 	fail func(error)
 
 	// drainWake is posted whenever some channel's unacked window may
@@ -544,10 +427,12 @@ type transport struct {
 }
 
 // dedup is one sender's receive-side duplicate filter. A channel numbers
-// its frames 1, 2, 3, ... so the ids seen are a contiguous prefix plus,
-// while a lost frame awaits retransmission, a few stragglers above it:
-// the state is the prefix's watermark and that sparse set, O(frames in
-// flight) however long the run.
+// its frames 1, 2, 3, ... and a connection delivers them in order, so the
+// ids seen are a contiguous prefix plus, after a redial, a few above it:
+// frames still queued when the old connection died go out ahead of the
+// resent ones. The copies of frames that arrived before it died fall
+// below the watermark. The state is the watermark and that sparse set,
+// O(frames in flight) however long the run.
 type dedup struct {
 	low   uint64          // every id <= low has been seen
 	above map[uint64]bool // ids seen beyond low
@@ -572,15 +457,13 @@ const ackBatch = 64
 
 // newTransport opens a listener on a free TCP loopback port; serve
 // starts accepting on it.
-func newTransport(local int, retry RetryPolicy, inj *injector, sever *SeverSpec) (*transport, error) {
+func newTransport(local int, sever *SeverSpec) (*transport, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("netrun: listen: %w", err)
 	}
 	tp := &transport{
 		local:    local,
-		retry:    retry,
-		inj:      inj,
 		sever:    sever,
 		counters: &commCounters{},
 		ln:       ln,
@@ -674,9 +557,7 @@ func (tp *transport) serveConn(conn net.Conn) {
 		if tp.onSeen != nil {
 			tp.onSeen(from)
 		}
-		if !f.suppressAck {
-			acks = append(acks, f.id)
-		}
+		acks = append(acks, f.id)
 		tp.mu.Lock()
 		dup := seen.observe(f.id)
 		tp.mu.Unlock()
@@ -803,39 +684,8 @@ func (tp *transport) waitDrained(only *relChan, stop <-chan struct{}, limit time
 	return true
 }
 
-// watch routes what makes this endpoint unusable to fail: a channel
-// whose retries ran out — the first one the loss-detection timer finds;
-// it runs until the transport stops — or a refused dial to the
-// coordinator. Call it before serve and the first send.
-func (tp *transport) watch(fail func(error)) {
-	tp.fail = fail
-	tp.wg.Add(1)
-	go func() {
-		defer tp.wg.Done()
-		interval := tp.retry.Timeout / 4
-		if interval < time.Millisecond {
-			interval = time.Millisecond
-		}
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-tp.stopCh:
-				return
-			case now := <-t.C:
-				for _, c := range tp.channels() {
-					if err := c.tick(now); err != nil {
-						fail(err)
-						return
-					}
-				}
-			}
-		}
-	}()
-}
-
 // close tears the endpoint down: listener, inbound sessions, outbound
-// channels, timer.
+// channels.
 func (tp *transport) close() {
 	tp.mu.Lock()
 	if tp.closed {

@@ -2,13 +2,13 @@ package netrun
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"parsec/internal/ccsd"
-	"parsec/internal/fault"
 	"parsec/internal/ptg"
 	"parsec/internal/tensor"
 )
@@ -20,16 +20,7 @@ import (
 // well under one per task.
 func TestHealthyLinkSendsNothingTwice(t *testing.T) {
 	spec := benzeneShaped
-	cfg := cfgFor(t, spec, 2, 1)
-	if raceEnabled {
-		// The loss timer is wall-clock, and an instrumented receiver takes
-		// longer than the default 100 ms to work through a socket buffer
-		// of tiles: those retransmissions are the timer doing its job.
-		// What the protocol itself sends twice shows at any timeout.
-		cfg.Retry = DefaultRetryPolicy()
-		cfg.Retry.Timeout = 5 * time.Second
-	}
-	res, err := Run(cfg, spec)
+	res, err := Run(cfgFor(t, spec, 2, 1), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,49 +167,37 @@ func (p rawPeer) accept(t *testing.T) (*frameReader, net.Conn) {
 	return fr, conn
 }
 
-// sender builds a transport with one outbound channel to addr and its
-// retry timer running.
-func sender(t *testing.T, retry RetryPolicy, recoverPeers bool, addr string) *transport {
+// sender builds a transport with one outbound channel to addr; a peer
+// that is gone fails the test.
+func sender(t *testing.T, recoverPeers bool, addr string) *transport {
 	t.Helper()
-	tp, err := newTransport(0, retry, nil, nil)
+	tp, err := newTransport(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tp.close)
 	tp.recoverDeadPeers = recoverPeers
+	tp.fail = func(err error) { t.Errorf("sender failed: %v", err) }
 	tp.serve(func(int, frame) {}, nil)
 	tp.connect(1, addr)
-	tp.watch(func(err error) { t.Errorf("retry timer: %v", err) })
 	return tp
 }
 
-// TestOutboxWaitIsNotLoss blocks the receiver while a frame far larger
-// than any socket buffer is mid-write and a second frame waits behind it
-// in the outbox, for many multiples of Retry.Timeout. The loss timer
-// measures the link from the socket write, so neither frame is late:
-// once the reader resumes, each must arrive exactly once with no retry
-// charged.
-//
-// The timer is wall-clock and starts when the 48 MB write returns, which
-// is when the reader is about a socket buffer short of having the whole
-// frame. What the reader still does after that point — finish the read,
-// acknowledge — has to fit in one Timeout or the retry is legitimate, so
-// each frame is acknowledged the moment it is read and the Timeout
-// leaves room for a loaded or race-instrumented reader.
+// TestOutboxWaitIsNotLoss blocks the receiver for half a second while a
+// frame far larger than any socket buffer is mid-write and a second
+// frame waits behind it in the outbox. Waiting is not loss: once the
+// reader resumes, each frame must arrive exactly once, in order, with no
+// retry charged.
 func TestOutboxWaitIsNotLoss(t *testing.T) {
-	retry := RetryPolicy{Timeout: 150 * time.Millisecond, Backoff: 10 * time.Millisecond,
-		BackoffCap: 20 * time.Millisecond, MaxRetries: 2}
-	if raceEnabled {
-		retry.Timeout = 500 * time.Millisecond
-	}
+	const stall = 500 * time.Millisecond
 	peer := listenRaw(t)
-	tp := sender(t, retry, false, peer.ln.Addr().String())
+	tp := sender(t, false, peer.ln.Addr().String())
 
 	big := newFrame(msgDoneInfo, 48<<20)
 	tp.sendTo(1, big[:cap(big)])
 	tp.sendTo(1, newFrame(msgStatus, 0))
 	fr, conn := peer.accept(t)
-	time.Sleep(5 * retry.Timeout) // the reader stays blocked past the whole retry horizon
+	time.Sleep(stall)
 
 	for want := uint64(1); want <= 2; want++ {
 		f, err := fr.read()
@@ -236,7 +215,7 @@ func TestOutboxWaitIsNotLoss(t *testing.T) {
 		t.Fatal("channel not drained after both frames were acknowledged")
 	}
 	// Nothing else may follow: a restaged copy would be on the wire now.
-	conn.SetReadDeadline(time.Now().Add(2 * retry.Timeout))
+	conn.SetReadDeadline(time.Now().Add(stall))
 	if f, err := fr.read(); err == nil {
 		t.Errorf("frame id %d arrived a second time", f.id)
 	}
@@ -252,7 +231,7 @@ func TestOutboxWaitIsNotLoss(t *testing.T) {
 func TestRetainedOnlyUnderRecover(t *testing.T) {
 	for _, on := range []bool{false, true} {
 		peer := listenRaw(t)
-		tp := sender(t, DefaultRetryPolicy(), on, peer.ln.Addr().String())
+		tp := sender(t, on, peer.ln.Addr().String())
 		const n = 5
 		var sent [][]byte
 		for i := 0; i < n; i++ {
@@ -299,95 +278,171 @@ func TestRetainedOnlyUnderRecover(t *testing.T) {
 }
 
 // TestBorrowedFramesSurviveLoss sends tile activations by reference down
-// a link that loses them — seeded payload and ack drops in one run, a
-// connection severed mid-burst in the other — to a real receiving
-// endpoint. Every activation must arrive exactly once, its body byte for
-// byte what the copying encode builds, however many times the borrowed
-// tile was written; and the loss must actually have happened.
+// a connection severed mid-burst to a real receiving endpoint. Every
+// activation must arrive exactly once, its body byte for byte what the
+// copying encode builds, however many times the borrowed tile was
+// written; and the sever must actually have happened.
 func TestBorrowedFramesSurviveLoss(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("tiles are not sent by reference on a big-endian host")
 	}
-	retry := RetryPolicy{Timeout: 30 * time.Millisecond, Backoff: 5 * time.Millisecond,
-		BackoffCap: 20 * time.Millisecond, MaxRetries: 200}
-	cases := []struct {
-		name  string
-		fault *fault.Config
-		sever *SeverSpec
-		lossy func(c *commCounters) bool
-	}{
-		{"drops", &fault.Config{Seed: 11, DropProb: 0.3, AckDropProb: 0.2}, nil,
-			func(c *commCounters) bool { return c.retries.Load() > 0 && c.dropsInjected.Load() > 0 }},
-		{"sever", nil, &SeverSpec{From: 0, To: 1, AfterFrames: 9},
-			func(c *commCounters) bool { return c.severs.Load() == 1 && c.reconnects.Load() >= 2 }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			recv, err := newTransport(1, retry, nil, nil)
+	t.Run("sever", func(t *testing.T) {
+		recv, err := newTransport(1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer recv.close()
+		var mu sync.Mutex
+		got := make(map[int][]byte) // activation index -> body
+		recv.serve(func(_ int, f frame) {
+			if f.typ != msgActivate {
+				return
+			}
+			m, err := decodeActivate(f.body)
 			if err != nil {
-				t.Fatal(err)
-			}
-			defer recv.close()
-			var mu sync.Mutex
-			got := make(map[int][]byte) // activation index -> body
-			recv.serve(func(_ int, f frame) {
-				if f.typ != msgActivate {
-					return
-				}
-				m, err := decodeActivate(f.body)
-				if err != nil {
-					t.Errorf("activation does not decode: %v", err)
-					return
-				}
-				mu.Lock()
-				if _, dup := got[m.Args[0]]; dup {
-					t.Errorf("activation %d delivered twice", m.Args[0])
-				}
-				got[m.Args[0]] = append([]byte(nil), f.body...)
-				mu.Unlock()
-				tensor.PutTile4(m.Payload.(*tensor.Tile4))
-			}, nil)
-
-			send, err := newTransport(0, retry, newInjector(tc.fault), tc.sever)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer send.close()
-			send.serve(func(int, frame) {}, nil)
-			send.connect(1, recv.addr())
-			send.watch(func(err error) { t.Errorf("retry timer: %v", err) })
-
-			const n = 24
-			want := make([][]byte, n)
-			for i := 0; i < n; i++ {
-				tl := bigTile()
-				tl.Data[0] = float64(i)
-				m := activateMsg{Class: "GEMM", Args: ptg.A1(i), Flow: i % 3, Payload: tl}
-				if want[i], err = m.encode(); err != nil {
-					t.Fatal(err)
-				}
-				f, ok := m.encodeRef()
-				if !ok {
-					t.Fatal("tile activation not sent by reference")
-				}
-				send.sendFrame(1, f)
-				send.sendTo(1, newFrame(msgStatus, 0))
-			}
-			if !send.waitDrained(nil, nil, 20*time.Second) {
-				t.Fatal("sender not drained")
+				t.Errorf("activation does not decode: %v", err)
+				return
 			}
 			mu.Lock()
-			defer mu.Unlock()
-			for i := range want {
-				if !bytes.Equal(got[i], want[i][frameHeaderLen:]) {
-					t.Errorf("activation %d: %d body bytes arrived, differing from the %d encode builds",
-						i, len(got[i]), len(want[i])-frameHeaderLen)
-				}
+			if _, dup := got[m.Args[0]]; dup {
+				t.Errorf("activation %d delivered twice", m.Args[0])
 			}
-			if !tc.lossy(send.counters) {
-				t.Errorf("the link lost nothing: %+v", send.counters.snapshot())
+			got[m.Args[0]] = append([]byte(nil), f.body...)
+			mu.Unlock()
+			tensor.PutTile4(m.Payload.(*tensor.Tile4))
+		}, nil)
+
+		send, err := newTransport(0, &SeverSpec{From: 0, To: 1, AfterFrames: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer send.close()
+		send.fail = func(err error) { t.Errorf("sender failed: %v", err) }
+		send.serve(func(int, frame) {}, nil)
+		send.connect(1, recv.addr())
+
+		const n = 24
+		want := make([][]byte, n)
+		for i := 0; i < n; i++ {
+			tl := bigTile()
+			tl.Data[0] = float64(i)
+			m := activateMsg{Class: "GEMM", Args: ptg.A1(i), Flow: i % 3, Payload: tl}
+			if want[i], err = m.encode(); err != nil {
+				t.Fatal(err)
 			}
-		})
+			f, ok := m.encodeRef()
+			if !ok {
+				t.Fatal("tile activation not sent by reference")
+			}
+			send.sendFrame(1, f)
+			send.sendTo(1, newFrame(msgStatus, 0))
+		}
+		if !send.waitDrained(nil, nil, 20*time.Second) {
+			t.Fatal("sender not drained")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range want {
+			if !bytes.Equal(got[i], want[i][frameHeaderLen:]) {
+				t.Errorf("activation %d: %d body bytes arrived, differing from the %d encode builds",
+					i, len(got[i]), len(want[i])-frameHeaderLen)
+			}
+		}
+		if c := send.counters; c.severs.Load() != 1 || c.reconnects.Load() < 2 {
+			t.Errorf("the link lost nothing: %+v", c.snapshot())
+		}
+	})
+}
+
+// TestRedialResendsWindowInOrder cuts a connection whose whole window
+// was written and read but never acknowledged. The redial must write
+// that window again, in send order and each frame once, charging one
+// retry per frame; and the receiving endpoint, which had every frame
+// already, must hand each to its handler once and count the copies as
+// duplicates. The peer in the middle is a raw socket that relays what it
+// reads to a real receiving transport over one connection of its own.
+func TestRedialResendsWindowInOrder(t *testing.T) {
+	const n = 16
+	recv, err := newTransport(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.close()
+	var mu sync.Mutex
+	handled := make(map[uint64]int)
+	recv.serve(func(_ int, f frame) {
+		mu.Lock()
+		handled[f.id]++
+		mu.Unlock()
+	}, nil)
+	up, err := net.Dial("tcp", recv.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	if _, err := up.Write(sealFrame(helloMsg{From: 0}.encode(), 0)); err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, up) // the receiver's acks never reach the sender
+
+	peer := listenRaw(t)
+	tp := sender(t, false, peer.ln.Addr().String())
+	for i := 0; i < n; i++ {
+		tp.sendTo(1, newFrame(msgStatus, 0))
+	}
+	relay := func(fr *frameReader) []uint64 {
+		t.Helper()
+		var ids []uint64
+		for len(ids) < n {
+			f, err := fr.read()
+			if err != nil {
+				t.Fatalf("after %d frames: %v", len(ids), err)
+			}
+			ids = append(ids, f.id)
+			if _, err := up.Write(rawFrame(f.typ, f.id, f.body)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ids
+	}
+	fr, conn := peer.accept(t)
+	relay(fr)
+	conn.Close() // the window is written and read, and not one frame acknowledged
+
+	fr, conn = peer.accept(t)
+	ids := relay(fr)
+	for i, id := range ids {
+		if id != uint64(i+1) {
+			t.Fatalf("the redial wrote ids %v, want 1..%d in send order", ids, n)
+		}
+	}
+	if _, err := conn.Write(sealFrame(ackMsg{IDs: ids}.encode(), 0)); err != nil {
+		t.Fatal(err)
+	}
+	if !tp.waitDrained(nil, nil, 5*time.Second) {
+		t.Fatal("channel not drained after the resent window was acknowledged")
+	}
+	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if f, err := fr.read(); err == nil {
+		t.Errorf("frame id %d written a third time", f.id)
+	}
+	if r := tp.counters.retries.Load(); r != n {
+		t.Errorf("%d retries charged, want %d: one per frame the redial wrote again", r, n)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for recv.counters.dupSuppressed.Load() < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if d := recv.counters.dupSuppressed.Load(); d != n {
+		t.Errorf("receiver suppressed %d duplicates, want %d", d, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for id := uint64(1); id <= n; id++ {
+		if handled[id] != 1 {
+			t.Errorf("frame %d handled %d times, want once", id, handled[id])
+		}
 	}
 }
 
@@ -435,7 +490,7 @@ func TestDedupStaysBounded(t *testing.T) {
 // completion would. MB/s is frame bytes; B/op is what the trip allocates
 // on both ends together, next to the 165 KB it moves.
 func BenchmarkActivateRoundTrip(b *testing.B) {
-	recv, err := newTransport(1, DefaultRetryPolicy(), nil, nil)
+	recv, err := newTransport(1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -450,7 +505,7 @@ func BenchmarkActivateRoundTrip(b *testing.B) {
 		}
 		landed <- struct{}{}
 	}, nil)
-	send, err := newTransport(0, DefaultRetryPolicy(), nil, nil)
+	send, err := newTransport(0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

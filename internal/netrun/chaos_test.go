@@ -156,6 +156,57 @@ func TestProcessChaosKillAndSever(t *testing.T) {
 	}
 }
 
+// TestKilledRankFailsRunWithoutRecover kills one of three worker
+// processes once a tenth of the job has completed, with Recover off.
+// Nothing can take the dead rank's work over, so the run must fail, and
+// promptly: a peer's redial to the dead rank is refused, which fails
+// that peer, and the coordinator shuts the run down. Wait must return
+// its error within 10 s of the kill, not at the deadline.
+func TestKilledRankFailsRunWithoutRecover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process run in -short mode")
+	}
+	spec := JobSpec{Preset: "water", Variant: "v2"}
+	pol, err := spec.Policy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := StartProcesses(Config{Ranks: 3, Workers: 2, Policy: pol, Deadline: time.Minute}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCh := make(chan error, 1)
+	go func() {
+		_, err := l.Wait()
+		waitCh <- err
+	}()
+	total := l.co.spec.numInstances
+	deadline := time.Now().Add(time.Minute)
+	for l.co.nComplete() < total/10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck at %d/%d tasks before kill", l.co.nComplete(), total)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := l.Kill(2); err != nil {
+		t.Fatal(err)
+	}
+	killed := time.Now()
+	select {
+	case err := <-waitCh:
+		if err == nil {
+			t.Fatal("run succeeded although rank 2 was killed and Recover is off")
+		}
+		t.Logf("run failed %v after the kill: %v", time.Since(killed).Round(time.Millisecond), err)
+	case <-time.After(10 * time.Second):
+		for _, cmd := range l.cmds {
+			cmd.Process.Kill()
+		}
+		l.co.fail(errors.New("run outlived the test"))
+		t.Fatal("run still going 10 s after a rank was killed with Recover off")
+	}
+}
+
 // TestRanksExitWhenCoordinatorDies closes the coordinator's transport
 // abruptly once a tenth of the job has completed — its listener and
 // every connection gone at once, as when its process is killed — and

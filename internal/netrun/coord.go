@@ -78,12 +78,13 @@ type coordinator struct {
 // startCoordinator opens the coordinator endpoint. Workers are started
 // by the caller and told this address.
 func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
-	// The coordinator's own sends (welcome, flush, takeover) are not
-	// fault-injected: the chaos model targets the data plane.
-	tp, err := newTransport(coordRank, cfg.Retry, nil, nil)
+	// The coordinator's own links are never severed: the chaos model
+	// targets the data plane.
+	tp, err := newTransport(coordRank, nil)
 	if err != nil {
 		return nil, err
 	}
+	tp.recoverDeadPeers = cfg.Recover
 	co := &coordinator{
 		cfg:       cfg,
 		spec:      spec,
@@ -105,7 +106,7 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 	if spec.output != nil {
 		co.fold = spec.output(co.store)
 	}
-	tp.watch(co.fail)
+	tp.fail = co.fail
 	tp.serve(co.handle, co.noteSeen)
 	return co, nil
 }

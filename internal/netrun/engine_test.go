@@ -48,7 +48,7 @@ func relayGraph() *ptg.Graph {
 // hand, as the transport and the executor would.
 func rankOne(t *testing.T) *engine {
 	t.Helper()
-	tp, err := newTransport(1, DefaultRetryPolicy(), nil, nil)
+	tp, err := newTransport(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestTakeoverValidatesRanks(t *testing.T) {
 	for _, m := range []takeoverMsg{{Dead: 5, Heir: 1}, {Dead: -1, Heir: 1}, {Dead: 0, Heir: 2}, {Dead: 0, Heir: -1}, {Dead: 1, Heir: 1}} {
 		// The failure is reported to the coordinator, so the rank needs one
 		// to report to. It is made first so that it closes last.
-		coord, err := newTransport(coordRank, DefaultRetryPolicy(), nil, nil)
+		coord, err := newTransport(coordRank, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,13 +202,13 @@ func TestWireTileReleasedByBody(t *testing.T) {
 // failures are reported to a stand-in coordinator.
 func ccsdRank(t *testing.T, plan *ccsd.CompiledPlan) *worker {
 	t.Helper()
-	coord, err := newTransport(coordRank, DefaultRetryPolicy(), nil, nil)
+	coord, err := newTransport(coordRank, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.close)
 	coord.serve(func(int, frame) {}, nil)
-	tp, err := newTransport(1, DefaultRetryPolicy(), nil, nil)
+	tp, err := newTransport(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func ccsdRank(t *testing.T, plan *ccsd.CompiledPlan) *worker {
 	}
 	w.eng = newEngine(cfg, 1, tp, tr)
 	w.eng.gac = w.gac
-	tp.watch(w.eng.fail)
+	tp.fail = w.eng.fail
 	tp.serve(w.handle, nil)
 	tp.connect(coordRank, coord.addr())
 	return w

@@ -36,12 +36,12 @@
 // failure recovery: ranks that miss heartbeats are declared dead, an
 // heir re-executes the dead rank's subgraph, and the live ranks replay
 // their retained activation logs to the heir. Every wire message
-// is carried by an at-least-once reliable channel with the
-// retry/backoff state machine ported from simexec's virtual comm
-// threads; duplicate deliveries are suppressed at three layers (channel
-// ids, tracker flows, accumulation tags), which is what keeps the final
-// energy bitwise identical to the single-process run under drops,
-// severed connections, and kill -9.
+// is carried by a reliable channel that trusts TCP: a frame is written
+// again only when its connection dies, and a refused dial means the
+// peer is gone. Duplicate deliveries are suppressed at three layers
+// (channel ids, tracker flows, accumulation tags), which is what keeps
+// the final energy bitwise identical to the single-process run under
+// severed connections and kill -9.
 package netrun
 
 import (
@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"time"
 
-	"parsec/internal/fault"
 	"parsec/internal/obsv"
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
@@ -76,13 +75,6 @@ type Config struct {
 	Workers int
 	Policy  sched.Policy
 	Queues  sched.QueueMode
-	// Retry tunes the reliable channel; the zero value selects
-	// DefaultRetryPolicy.
-	Retry RetryPolicy
-	// Fault, when non-nil, drives seeded payload- and ack-drops on every
-	// send attempt (the DropProb/AckDropProb/Seed fields; the simulation-
-	// time fields are ignored on real sockets).
-	Fault *fault.Config
 	// Sever, when non-nil, closes one link once after a frame count.
 	Sever *SeverSpec
 	// Recover enables rank-death detection and takeover: a rank silent
@@ -120,16 +112,8 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.Retry == (RetryPolicy{}) {
-		cfg.Retry = DefaultRetryPolicy()
-	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 2 * time.Minute
-	}
-	if cfg.Fault != nil {
-		if err := cfg.Fault.Validate(); err != nil {
-			return cfg, err
-		}
 	}
 	return cfg, nil
 }
@@ -141,9 +125,6 @@ type CommSnapshot struct {
 	AcksReceived    int64 `json:"acks_received"`
 	Retries         int64 `json:"retries"`
 	RetransmitBytes int64 `json:"retransmit_bytes"`
-	BackoffNs       int64 `json:"backoff_ns"`
-	DropsInjected   int64 `json:"drops_injected"`
-	AckDropsInj     int64 `json:"ack_drops_injected"`
 	DupSuppressed   int64 `json:"dup_suppressed"`
 	Reconnects      int64 `json:"reconnects"`
 	Severs          int64 `json:"severs"`
@@ -176,9 +157,6 @@ func (c *commCounters) snapshot() CommSnapshot {
 		AcksReceived:    c.acksReceived.Load(),
 		Retries:         c.retries.Load(),
 		RetransmitBytes: c.retransmitBytes.Load(),
-		BackoffNs:       c.backoffNs.Load(),
-		DropsInjected:   c.dropsInjected.Load(),
-		AckDropsInj:     c.ackDropsInj.Load(),
 		DupSuppressed:   c.dupSuppressed.Load(),
 		Reconnects:      c.reconnects.Load(),
 		Severs:          c.severs.Load(),
@@ -268,9 +246,6 @@ func (r *Result) aggregate(rep RankReport) {
 	r.Comm.AccOps += c.AccOps
 	r.Comm.AccBytes += c.AccBytes
 	r.Recovery.Retries += int(c.Retries)
-	r.Recovery.Drops += int(c.DropsInjected)
-	r.Recovery.AckDrops += int(c.AckDropsInj)
 	r.Recovery.DupSuppressed += int(c.DupSuppressed)
-	r.Recovery.BackoffTime += c.BackoffNs
 	r.Recovery.RetransmitBytes += c.RetransmitBytes
 }

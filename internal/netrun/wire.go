@@ -16,7 +16,7 @@ import (
 	"parsec/internal/trace"
 )
 
-// Wire protocol (version 6): every frame is
+// Wire protocol (version 7): every frame is
 //
 //	magic(2) version(1) type(1) id(8, LE) bodyLen(4, LE) body
 //
@@ -31,12 +31,11 @@ import (
 // up front, newFrame allocates header and body as one buffer, the body
 // is appended in a single pass (a tile's floats by one bulk copy), and
 // the channel stamps the id and length when it takes the frame. That
-// buffer is what the socket write reads and what a retransmission
-// resends; only the ack-suppress bit is ever rewritten. The one frame
-// that is not a single buffer is a tile activation sent by reference
-// (outFrame): its floats are never copied into a frame at all, and go to
-// the socket from the tile's own storage behind the head. The bytes on
-// the wire are the same either way.
+// buffer is what the socket write reads and what a redial resends,
+// unchanged. The one frame that is not a single buffer is a tile
+// activation sent by reference (outFrame): its floats are never copied
+// into a frame at all, and go to the socket from the tile's own storage
+// behind the head. The bytes on the wire are the same either way.
 
 const (
 	wireMagic0 = 'P'
@@ -47,7 +46,8 @@ const (
 	// body. Version 5 added an activation's replica tag (activateMsg): an
 	// input block crosses to a rank once, and later activations name it.
 	// Version 6 dropped the GET and NXTVAL requests and their replies.
-	wireVersion = 6
+	// Version 7 dropped the ack-suppress bit: every data frame is acked.
+	wireVersion = 7
 
 	frameHeaderLen = 2 + 1 + 1 + 8 + 4
 	// maxBody caps a frame body: the largest legitimate payload is one
@@ -55,14 +55,6 @@ const (
 	// still bounds what a corrupt length prefix can make a reader
 	// allocate.
 	maxBody = 256 << 20
-
-	// ackSuppressBit set in the type byte asks the receiver to process
-	// the frame but leave its id out of the acknowledgment: the
-	// sender-side fault injector uses it to emulate a lost ack with a
-	// single seeded RNG stream, forcing a retransmission the receiver
-	// must dedup.
-	ackSuppressBit = 0x80
-	typeMask       = 0x7f
 )
 
 // Message types.
@@ -94,10 +86,9 @@ var (
 // frame is one decoded wire frame. A body handed out by a frameReader
 // aliases its receive buffer and is valid only until the next read.
 type frame struct {
-	typ         byte
-	id          uint64
-	suppressAck bool
-	body        []byte
+	typ  byte
+	id   uint64
+	body []byte
 }
 
 // newFrame starts a frame of the given type with room for exactly
@@ -120,7 +111,7 @@ type outFrame struct{ head, tail []byte }
 func (f outFrame) size() int { return len(f.head) + len(f.tail) }
 
 // typ is the frame's message type.
-func (f outFrame) typ() byte { return f.head[3] & typeMask }
+func (f outFrame) typ() byte { return f.head[3] }
 
 // seal stamps the reliability id and the body length into a frame whose
 // body is complete.
@@ -144,15 +135,6 @@ func sealFrame(f []byte, id uint64) []byte {
 	return f
 }
 
-// setAckSuppress rewrites the one header bit a retransmission may
-// change.
-func setAckSuppress(f []byte, on bool) {
-	f[3] &= typeMask
-	if on {
-		f[3] |= ackSuppressBit
-	}
-}
-
 // decodeHeader validates a frame header and returns the frame (body
 // unset) with its body length.
 func decodeHeader(hdr []byte) (frame, int, error) {
@@ -162,8 +144,7 @@ func decodeHeader(hdr []byte) (frame, int, error) {
 	if hdr[2] != wireVersion {
 		return frame{}, 0, fmt.Errorf("%w %d (this build speaks %d)", errBadVersion, hdr[2], wireVersion)
 	}
-	t := hdr[3]
-	typ := t & typeMask
+	typ := hdr[3]
 	if typ == 0 || typ >= msgMax {
 		return frame{}, 0, fmt.Errorf("%w: %d", errBadType, typ)
 	}
@@ -171,11 +152,7 @@ func decodeHeader(hdr []byte) (frame, int, error) {
 	if n > maxBody {
 		return frame{}, 0, fmt.Errorf("%w: %d", errOversized, n)
 	}
-	return frame{
-		typ:         typ,
-		id:          binary.LittleEndian.Uint64(hdr[4:]),
-		suppressAck: t&ackSuppressBit != 0,
-	}, int(n), nil
+	return frame{typ: typ, id: binary.LittleEndian.Uint64(hdr[4:])}, int(n), nil
 }
 
 // frameReader reads frames off one connection. Headers and small frames
@@ -558,9 +535,9 @@ func decodeHello(b []byte) (helloMsg, error) {
 	return helloMsg{From: c.int()}, c.done()
 }
 
-// ackMsg acknowledges one read burst: the ids of every frame in it that
-// did not ask for its ack to be suppressed. Each id is acknowledged on
-// its own terms — a listed id settles that frame and nothing else.
+// ackMsg acknowledges one read burst: the ids of every frame in it. Each
+// id is acknowledged on its own terms — a listed id settles that frame
+// and nothing else.
 type ackMsg struct{ IDs []uint64 }
 
 func (m ackMsg) encode() []byte {

@@ -56,52 +56,48 @@ func decodeFrame(buf []byte) (frame, int, error) {
 
 // rawFrame builds a sealed frame around an arbitrary body, the way
 // every message's encode does around its own.
-func rawFrame(typ byte, id uint64, suppress bool, body []byte) []byte {
-	f := sealFrame(append(newFrame(typ, len(body)), body...), id)
-	setAckSuppress(f, suppress)
-	return f
+func rawFrame(typ byte, id uint64, body []byte) []byte {
+	return sealFrame(append(newFrame(typ, len(body)), body...), id)
 }
 
 // readFrame reads exactly one frame from r through a fresh frameReader.
 func readFrame(r io.Reader) (frame, error) { return newFrameReader(r).read() }
 
 // TestFrameRoundTrip drives newFrame/sealFrame through decodeFrame and
-// a frameReader for every valid type, with and without the ack-suppress
-// bit, including zero-length bodies and back-to-back frames.
+// a frameReader for every valid type, including zero-length bodies and
+// back-to-back frames.
 func TestFrameRoundTrip(t *testing.T) {
 	bodies := [][]byte{nil, {0xde}, bytes.Repeat([]byte{7}, 300), bytes.Repeat([]byte{9}, 10000)}
 	for typ := msgHello; typ < msgMax; typ++ {
 		for i, body := range bodies {
-			for _, suppress := range []bool{false, true} {
-				buf := rawFrame(typ, uint64(typ)<<8|uint64(i), suppress, body)
-				f, n, err := decodeFrame(buf)
-				if err != nil {
-					t.Fatalf("type %d: decode: %v", typ, err)
-				}
-				if n != len(buf) {
-					t.Fatalf("type %d: consumed %d of %d bytes", typ, n, len(buf))
-				}
-				if f.typ != typ || f.id != uint64(typ)<<8|uint64(i) || f.suppressAck != suppress {
-					t.Fatalf("type %d: frame header mangled: %+v", typ, f)
-				}
-				if !bytes.Equal(f.body, body) {
-					t.Fatalf("type %d: body mangled", typ)
-				}
-				rf, err := readFrame(bytes.NewReader(buf))
-				if err != nil {
-					t.Fatalf("type %d: readFrame: %v", typ, err)
-				}
-				if rf.typ != f.typ || rf.id != f.id || !bytes.Equal(rf.body, f.body) {
-					t.Fatalf("type %d: readFrame disagrees with decodeFrame", typ)
-				}
+			buf := rawFrame(typ, uint64(typ)<<8|uint64(i), body)
+			f, n, err := decodeFrame(buf)
+			if err != nil {
+				t.Fatalf("type %d: decode: %v", typ, err)
+			}
+			if n != len(buf) {
+				t.Fatalf("type %d: consumed %d of %d bytes", typ, n, len(buf))
+			}
+			if f.typ != typ || f.id != uint64(typ)<<8|uint64(i) {
+				t.Fatalf("type %d: frame header mangled: %+v", typ, f)
+			}
+			if !bytes.Equal(f.body, body) {
+				t.Fatalf("type %d: body mangled", typ)
+			}
+			rf, err := readFrame(bytes.NewReader(buf))
+			if err != nil {
+				t.Fatalf("type %d: readFrame: %v", typ, err)
+			}
+			if rf.typ != f.typ || rf.id != f.id || !bytes.Equal(rf.body, f.body) {
+				t.Fatalf("type %d: readFrame disagrees with decodeFrame", typ)
 			}
 		}
 	}
 	// Two frames back to back: decodeFrame must consume exactly one, and
 	// one frameReader must hand out both, reusing its body buffer.
-	buf := rawFrame(msgStatus, 1, false, []byte{1, 2, 3})
+	buf := rawFrame(msgStatus, 1, []byte{1, 2, 3})
 	first := len(buf)
-	buf = append(buf, rawFrame(msgDone, 2, false, nil)...)
+	buf = append(buf, rawFrame(msgDone, 2, nil)...)
 	f, n, err := decodeFrame(buf)
 	if err != nil || n != first || f.typ != msgStatus {
 		t.Fatalf("first frame of pair: typ %d n %d err %v", f.typ, n, err)
@@ -130,7 +126,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // TestFrameRejectsMalformed checks every header-level rejection path.
 func TestFrameRejectsMalformed(t *testing.T) {
-	good := rawFrame(msgHello, 9, false, []byte{1, 2})
+	good := rawFrame(msgHello, 9, []byte{1, 2})
 
 	// Partial input at every prefix length: pending, never an error.
 	for i := 0; i < len(good); i++ {
@@ -157,9 +153,10 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		{"v3 peer", corrupt(func(b []byte) { b[2] = 3 }), errBadVersion},
 		{"v4 peer", corrupt(func(b []byte) { b[2] = 4 }), errBadVersion},
 		{"v5 peer", corrupt(func(b []byte) { b[2] = 5 }), errBadVersion},
+		{"v6 peer", corrupt(func(b []byte) { b[2] = 6 }), errBadVersion},
 		{"type zero", corrupt(func(b []byte) { b[3] = 0 }), errBadType},
 		{"type past max", corrupt(func(b []byte) { b[3] = msgMax }), errBadType},
-		{"type zero suppressed", corrupt(func(b []byte) { b[3] = ackSuppressBit }), errBadType},
+		{"type high bit", corrupt(func(b []byte) { b[3] = 0x80 | msgHello }), errBadType},
 		{"oversized", corrupt(func(b []byte) {
 			binary.LittleEndian.PutUint32(b[12:], maxBody+1)
 		}), errOversized},
@@ -176,7 +173,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	// A v3 peer, which still speaks the inter-rank steal messages, is told
 	// which version it speaks and which this build does.
 	_, _, err := decodeFrame(corrupt(func(b []byte) { b[2] = 3 }))
-	if want := "netrun: unsupported protocol version 3 (this build speaks 6)"; err == nil || err.Error() != want {
+	if want := "netrun: unsupported protocol version 3 (this build speaks 7)"; err == nil || err.Error() != want {
 		t.Errorf("v3 frame: got %v, want %q", err, want)
 	}
 
@@ -463,7 +460,7 @@ func TestDecodersRejectHugeCounts(t *testing.T) {
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(sealFrame(helloMsg{From: 0}.encode(), 1))
 	f.Add(sealFrame(ackMsg{IDs: []uint64{7, 9, 8}}.encode(), 0))
-	f.Add(rawFrame(msgAck, 0, false, appendU32(nil, math.MaxUint32))) // count far past the body
+	f.Add(rawFrame(msgAck, 0, appendU32(nil, math.MaxUint32))) // count far past the body
 	act, _ := activateMsg{Class: "STEP", Args: ptg.A2(1, 2), Flow: 0, Payload: tile(1)}.encode()
 	f.Add(sealFrame(act, 3))
 	for _, p := range []*tensor.Tile4{panelTile(tensor.PanelA, 8, 6), panelTile(tensor.PanelB, 16, 7)} {
@@ -481,14 +478,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	v4[2] = 4
 	f.Add(v4)
 	f.Add(sealFrame(doneMsg{Seqs: []int{1, 2, 1 << 40}}.encode(), 4))
-	// A v3 peer's steal request. Type 13 is msgShutdown since v6: only
-	// the version byte keeps it from the shutdown handler.
-	v3 := rawFrame(13, 6, true, appendI64(nil, 1))
+	// A v3 peer's steal request, its ack-suppress bit set. Type 13 is
+	// msgShutdown since v6: only the version byte keeps it from the
+	// shutdown handler.
+	v3 := rawFrame(13|0x80, 6, appendI64(nil, 1))
 	v3[2] = 3
 	f.Add(v3)
 	// A v5 peer's absent-block GET reply. Type 10 is msgFlushReq since
 	// v6: only the version byte keeps it from the flush handler.
-	v5 := rawFrame(10, 8, false, append(appendU64(nil, 5), payNil))
+	v5 := rawFrame(10, 8, append(appendU64(nil, 5), payNil))
 	v5[2] = 5
 	f.Add(v5)
 	f.Add([]byte{'P', 'R', wireVersion, msgMax, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -511,7 +509,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if fr.typ == 0 || fr.typ >= msgMax {
 				t.Fatalf("decoded invalid type %d", fr.typ)
 			}
-			re := rawFrame(fr.typ, fr.id, fr.suppressAck, fr.body)
+			re := rawFrame(fr.typ, fr.id, fr.body)
 			if !bytes.Equal(re, data[:n]) {
 				t.Fatal("re-encode disagrees with consumed bytes")
 			}
@@ -606,11 +604,6 @@ func TestBorrowedFrameIsTheSameBytes(t *testing.T) {
 		f.seal(7)
 		if !bytes.Equal(f.bytes(), sealFrame(want, 7)) {
 			t.Error("borrowed frame differs from the copying encode of the same message")
-		}
-		setAckSuppress(f.head, true)
-		setAckSuppress(want, true)
-		if !bytes.Equal(f.bytes(), want) {
-			t.Error("borrowed frame differs once the ack-suppress bit is set")
 		}
 	}
 	for _, p := range []any{nil, 7, 2.5, ptg.NewBuffer{Bytes: 64}, (*tensor.Tile4)(nil), &tensor.Tile4{}} {

@@ -40,7 +40,7 @@ type worker struct {
 // GA client's deterministic input replicas, and its READ table tags the
 // activations that ship them.
 func runWorker(cfg Config, rank int, coordAddr string, plan *ccsd.CompiledPlan, build BuildFn) error {
-	tp, err := newTransport(rank, cfg.Retry, newInjector(cfg.Fault), cfg.Sever)
+	tp, err := newTransport(rank, cfg.Sever)
 	if err != nil {
 		return err
 	}
@@ -70,7 +70,7 @@ func runWorker(cfg Config, rank int, coordAddr string, plan *ccsd.CompiledPlan, 
 	}
 	w.eng = newEngine(cfg, rank, tp, tr)
 	w.eng.gac = w.gac
-	tp.watch(w.eng.fail)
+	tp.fail = w.eng.fail
 	tp.serve(w.handle, nil)
 	tp.connect(coordRank, coordAddr)
 	tp.sendTo(coordRank, registerMsg{Rank: rank, Addr: tp.addr()}.encode())
