@@ -117,12 +117,13 @@ sched-conformance:
 # that lose frames whose tiles are on loan to a channel (seeded drops, a
 # link severed mid-burst): a retransmission reads the tile again; the
 # ones where the coordinator misbehaves (a bogus register off the wire)
-# or dies under its ranks; and the input-replica ones: every block
+# or dies under its ranks, or a rank dies with no takeover to save the
+# run; and the input-replica ones: every block
 # crosses to a rank once and is adopted on arrival, and a hostile
 # replica tag fails the rank.
 netrun-conformance:
 	$(GO) test -race -count=1 ./internal/netrun
-	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss|TestHealthyLinkSendsNothingTwice|TestRedialResendsWindowInOrder|TestRanksExitWhenCoordinatorDies|TestRegisterValidatesRank|TestReplicaFramesMatchPlan|TestTaggedActivationValidates' ./internal/netrun
+	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss|TestHealthyLinkSendsNothingTwice|TestRedialResendsWindowInOrder|TestRanksExitWhenCoordinatorDies|TestKilledRankFailsRunWithoutRecover|TestRegisterValidatesRank|TestReplicaFramesMatchPlan|TestTaggedActivationValidates' ./internal/netrun
 	$(GO) test -race -count=5 -run 'TestExecutorForeignPushWhileParked' ./internal/runtime
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/netrun
 

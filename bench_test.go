@@ -461,10 +461,14 @@ func BenchmarkDTDExecution(b *testing.B) {
 	ref := ccsd.ReferenceEnergy(w)
 	spec, _ := ccsd.VariantByName("v1")
 	for i := 0; i < b.N; i++ {
-		got, err := ccsd.RunDTD(w, spec, 4)
+		e, out, err := ccsd.BuildDTD(w, spec, true)
+		if err == nil {
+			err = e.Run(4)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
+		got := w.Energy(out)
 		if d := ccsd.EnergyRelDiff(got, ref); d > ccsd.EnergyTol {
 			b.Fatalf("energy drift: relative %g", d)
 		}

@@ -316,10 +316,14 @@ func TestDTDMatchesReference(t *testing.T) {
 		w := tce.Inspect(kr, nil)
 		ref := ReferenceEnergy(w)
 		v1, _ := VariantByName("v1")
-		got, err := RunDTD(w, v1, 4)
+		e, out, err := BuildDTD(w, v1, true)
+		if err == nil {
+			err = e.Run(4)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
+		got := w.Energy(out)
 		if d := EnergyRelDiff(got, ref); d > EnergyTol {
 			t.Errorf("%s: DTD energy %.15g vs reference %.15g", k, got, ref)
 		}

@@ -123,18 +123,3 @@ func BuildDTD(w *tce.Workload, spec VariantSpec, materialize bool) (*dtd.Engine,
 	}
 	return e, out, nil
 }
-
-// RunDTD executes the workload through the DTD engine with real
-// arithmetic and returns the correlation-energy functional, which must
-// match the PTG variants and the serial reference. The spec selects the
-// (serial-chain) shape; Variants()[0] (v1) is the natural DTD port.
-func RunDTD(w *tce.Workload, spec VariantSpec, workers int) (float64, error) {
-	e, out, err := BuildDTD(w, spec, true)
-	if err != nil {
-		return 0, err
-	}
-	if err := e.Run(workers); err != nil {
-		return 0, err
-	}
-	return w.Energy(out), nil
-}

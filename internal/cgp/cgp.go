@@ -7,6 +7,11 @@
 // with, computation (Fig 12/13). Chain output is sorted and accumulated
 // with SORT_4 + ADD_HASH_BLOCK, serially on the same rank. Work is
 // divided into levels with an explicit synchronization between them.
+//
+// A rank is a callback actor on the simulator (see package sim): one
+// owned event carries it from state to state, through the NXTVAL
+// counter, each step's cluster.Op and the level barrier. Run fails if a
+// rank never finishes.
 package cgp
 
 import (
@@ -70,27 +75,26 @@ func Run(w *tce.Workload, m *cluster.Machine, gs *ga.Sim, cfg Config) (Result, e
 		bounds[i] = i * len(w.Chains) / levels
 	}
 
-	totalRanks := m.Cfg.Nodes * cfg.RanksPerNode
-	barrier := sim.NewBarrier(m.Eng, totalRanks)
 	res := Result{Chains: len(w.Chains), ChainsByRank: make(map[string]int)}
-	var st *steps
+	sh := &shared{w: w, m: m, gs: gs, bounds: bounds, res: &res,
+		barrier: sim.NewBarrier(m.Eng, m.Cfg.Nodes*cfg.RanksPerNode)}
 	if cfg.Trace != nil {
 		var err error
-		if st, err = newSteps(w, m.Cfg.Nodes, cfg.RanksPerNode); err != nil {
+		if sh.st, err = newSteps(w, m.Cfg.Nodes, cfg.RanksPerNode); err != nil {
 			return Result{}, err
 		}
 	}
 
-	for node := 0; node < m.Cfg.Nodes; node++ {
-		for rank := 0; rank < cfg.RanksPerNode; rank++ {
-			node, rank := node, rank
-			m.Eng.Go(fmt.Sprintf("n%d.r%d", node, rank), func(p *sim.Proc) {
-				runRank(p, w, m, gs, st, node, rank, bounds, barrier, &res)
-			})
-		}
+	ranks := make([]rank, m.Cfg.Nodes*cfg.RanksPerNode)
+	for i := range ranks {
+		r := &ranks[i]
+		r.shared, r.node, r.id = sh, i/cfg.RanksPerNode, i%cfg.RanksPerNode
+		r.key = fmt.Sprintf("%d/%d", r.node, r.id)
+		r.ev.Bind(r.resume)
+		m.Eng.After(&r.ev, 0)
 	}
 	end, err := m.Eng.Run(0)
-	if st != nil {
+	if st := sh.st; st != nil {
 		for i, spans := range st.spans {
 			cfg.Trace.AddSpans(i/st.perNode, spans, st.sk)
 		}
@@ -98,40 +102,132 @@ func Run(w *tce.Workload, m *cluster.Machine, gs *ga.Sim, cfg Config) (Result, e
 	if err != nil {
 		return Result{}, fmt.Errorf("cgp: %w", err)
 	}
+	// The engine stops when its queue runs dry or it is stopped; a rank
+	// still waiting then never finishes.
+	var stuck []string
+	for i := range ranks {
+		if r := &ranks[i]; r.state != finished {
+			stuck = append(stuck, fmt.Sprintf("n%d.r%d", r.node, r.id))
+		}
+	}
+	if len(stuck) > 0 {
+		return Result{}, fmt.Errorf("cgp: %d rank(s) never finished: %v", len(stuck), stuck)
+	}
 	res.Makespan = end
 	res.Gets, res.Adds = gs.Stats()
 	res.GetBytes, res.AddBytes = gs.ByteStats()
 	return res, nil
 }
 
-func runRank(p *sim.Proc, w *tce.Workload, m *cluster.Machine, gs *ga.Sim, st *steps,
-	node, rank int, bounds []int, barrier *sim.Barrier, res *Result) {
-	record := func(class, chain, step int, start sim.Time) {
-		if st != nil {
-			st.record(node, rank, class, chain, step, start, p.Now())
-		}
-	}
-	rankKey := fmt.Sprintf("%d/%d", node, rank)
-	for lvl := 0; lvl+1 < len(bounds); lvl++ {
-		base, limit := bounds[lvl], bounds[lvl+1]
-		for {
+// shared is what the ranks of one Run share.
+type shared struct {
+	w       *tce.Workload
+	m       *cluster.Machine
+	gs      *ga.Sim
+	st      *steps // nil when untraced
+	bounds  []int  // level l is chains [bounds[l], bounds[l+1])
+	barrier *sim.Barrier
+	res     *Result
+}
+
+// rank is one MPI rank as a callback actor. Its one event carries it
+// through the loop of §III-A: take a ticket from NXTVAL, run the chain it
+// names step by step, and at the end of a level meet the other ranks at
+// the barrier twice, the first rank rewinding the counter in between.
+type rank struct {
+	*shared
+	ev       sim.Event
+	node, id int
+	key      string // "node/rank", the ChainsByRank key
+	state    rankState
+	lvl      int
+	chain    *tce.ChainMeta
+	step     int        // the chain step being played, numbered as in startStep
+	class, i int        // its trace class, and its index among the chain's steps of that class
+	op       cluster.Op // its charge
+	t0       sim.Time   // when it started
+}
+
+// rankState is what a rank does when its event fires next.
+type rankState uint8
+
+const (
+	hiccup    rankState = iota // finish past the last level, or hold a fault-injected NXTVAL delay
+	request                    // queue for the NXTVAL server
+	roundTrip                  // hold the atomic's round trip
+	ticket                     // take the ticket: a chain, or the level's end
+	play                       // step the current chain step's charge
+	arrive                     // the barrier before the counter rewind
+	rewind                     // rewind the counter, then the barrier after
+	finished
+)
+
+// resume carries the rank on from its state until it has to wait or
+// finishes.
+func (r *rank) resume() {
+	ev, eng := &r.ev, r.m.Eng
+	for {
+		switch r.state {
+		case hiccup:
+			if r.lvl+1 == len(r.bounds) {
+				r.state = finished // past the last level
+				return
+			}
 			// Global work stealing: one remote atomic per unit of work
 			// (a whole chain), §IV-D.
-			ticket := gs.NxtVal(p)
-			idx := base + int(ticket)
-			if idx >= limit {
-				break
+			r.state = request
+			if d := r.m.Faults().NxtValHiccup(); d > 0 {
+				eng.After(ev, d)
+				return
 			}
-			res.ChainsByRank[rankKey]++
-			executeChain(p, w.Chains[idx], m, gs, node, record)
+		case request:
+			r.state = roundTrip
+			if r.gs.NxtVal().Request(ev) {
+				return
+			}
+		case roundTrip:
+			r.state = ticket
+			if rtt := r.gs.NxtVal().RTT; rtt > 0 {
+				eng.After(ev, rtt)
+				return
+			}
+		case ticket:
+			idx := r.bounds[r.lvl] + int(r.gs.NxtVal().Take())
+			if idx >= r.bounds[r.lvl+1] {
+				r.state = arrive
+				continue
+			}
+			r.res.ChainsByRank[r.key]++
+			r.chain, r.step = r.w.Chains[idx], 0
+			r.startStep()
+		case play:
+			if !r.m.Step(&r.op, ev) {
+				return
+			}
+			if r.st != nil {
+				r.st.record(r.node, r.id, r.class, r.chain.ID, r.i, r.t0, eng.Now())
+			}
+			r.step++
+			r.startStep()
+		case arrive:
+			// Explicit synchronization between work levels (§III-A),
+			// after which the shared counter is rewound for the next
+			// level.
+			r.state = rewind
+			if r.barrier.Arrive(ev) {
+				return
+			}
+		case rewind:
+			if r.node == 0 && r.id == 0 {
+				r.gs.ResetNxtVal()
+			}
+			r.state, r.lvl = hiccup, r.lvl+1
+			if r.barrier.Arrive(ev) {
+				return
+			}
+		case finished:
+			return
 		}
-		// Explicit synchronization between work levels (§III-A), after
-		// which the shared counter is rewound for the next level.
-		barrier.Arrive(p)
-		if rank == 0 && node == 0 {
-			gs.ResetNxtVal()
-		}
-		barrier.Arrive(p)
 	}
 }
 
@@ -210,39 +306,44 @@ func owner(recorded int) int {
 	return recorded
 }
 
-// executeChain runs one chain exactly as the generated Fortran does:
-// DFILL, then for each GEMM a blocking GET of A and B followed by the
-// kernel, then the active SORT_4 + ADD_HASH_BLOCK pairs, all serially.
-func executeChain(p *sim.Proc, c *tce.ChainMeta, m *cluster.Machine, gs *ga.Sim,
-	node int, record func(class, chain, step int, start sim.Time)) {
+// startStep makes the current chain step's charge the rank's op and
+// plays it, or, past the chain's last step, goes for the next ticket. A
+// chain runs exactly as the generated Fortran does: DFILL, then for each
+// GEMM a blocking GET of A and B followed by the kernel, then the active
+// SORT_4 + ADD_HASH_BLOCK pairs, all serially. Step 0 is the DFILL, steps
+// 1..3·GEMMs the GETs and GEMMs, and the rest the SORT and ADD pairs.
+func (r *rank) startStep() {
+	c, node := r.chain, r.node
 	cb := c.CBytes()
-	// DFILL: zero the local C buffer (MA_PUSH_GET + dfill).
-	t0 := p.Now()
-	m.MemOp(p, node, cb, false)
-	record(dfill, c.ID, 0, t0)
-
-	for i, g := range c.Gemms {
+	k, nGemm := r.step, 3*len(c.Gemms)
+	switch {
+	case k == 0:
+		// DFILL: zero the local C buffer (MA_PUSH_GET + dfill).
+		r.class, r.i = dfill, 0
+		r.op = cluster.MemoryOp(node, cb, false)
+	case k <= nGemm:
 		// GET_HASH_BLOCK immediately before the GEMM: "there is no
 		// computation in the code between the point where the data
 		// transfer starts and the point where the data is needed" (§V).
-		t0 = p.Now()
-		gs.GetHashBlock(p, node, owner(g.ANode), g.Op.A.Bytes(), g.Op.A.Dims[0]*g.Op.A.Dims[1])
-		record(readA, c.ID, i, t0)
-		t0 = p.Now()
-		gs.GetHashBlock(p, node, owner(g.BNode), g.Op.B.Bytes(), g.Op.B.Dims[0]*g.Op.B.Dims[1])
-		record(readB, c.ID, i, t0)
-
-		t0 = p.Now()
-		m.Gemm(p, node, g.Op.Flops(), g.Op.A.Bytes()+g.Op.B.Bytes()+cb)
-		record(gemm, c.ID, i, t0)
+		r.class, r.i = readA+(k-1)%3, (k-1)/3
+		g := c.Gemms[r.i]
+		switch r.class {
+		case readA:
+			r.op = r.gs.GetOp(node, owner(g.ANode), g.Op.A.Bytes(), g.Op.A.Dims[0]*g.Op.A.Dims[1])
+		case readB:
+			r.op = r.gs.GetOp(node, owner(g.BNode), g.Op.B.Bytes(), g.Op.B.Dims[0]*g.Op.B.Dims[1])
+		default:
+			r.op = cluster.GemmOp(node, g.Op.Flops(), g.Op.A.Bytes()+g.Op.B.Bytes()+cb)
+		}
+	case k < 1+nGemm+2*len(c.Sorts):
+		if r.class, r.i = sortC+(k-1-nGemm)%2, (k-1-nGemm)/2; r.class == sortC {
+			r.op = cluster.MemoryOp(node, 2*cb, true)
+		} else {
+			r.op = r.gs.AccOp(node, owner(c.OutNode), c.Out.Bytes(), c.Out.Dims[0]*c.Out.Dims[1])
+		}
+	default:
+		r.state = hiccup
+		return
 	}
-
-	for i := range c.Sorts {
-		t0 = p.Now()
-		m.MemOp(p, node, 2*cb, true)
-		record(sortC, c.ID, i, t0)
-		t0 = p.Now()
-		gs.AddHashBlock(p, node, owner(c.OutNode), c.Out.Bytes(), c.Out.Dims[0]*c.Out.Dims[1])
-		record(write, c.ID, i, t0)
-	}
+	r.state, r.t0 = play, r.m.Eng.Now()
 }

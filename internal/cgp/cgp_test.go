@@ -2,6 +2,7 @@ package cgp
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"parsec/internal/cluster"
@@ -175,5 +176,17 @@ func TestInvalidConfig(t *testing.T) {
 	w, m, gs := testSetup(1, 1)
 	if _, err := Run(w, m, gs, Config{}); err == nil {
 		t.Error("zero ranks accepted")
+	}
+}
+
+// TestStuckRankFailsRun: the engine does not track its actors, so Run
+// itself must notice a rank that never finished and name it. An engine
+// stopped mid-run leaves every rank waiting.
+func TestStuckRankFailsRun(t *testing.T) {
+	w, m, gs := testSetup(2, 2)
+	m.Eng.Schedule(10*sim.Microsecond, m.Eng.Stop)
+	_, err := Run(w, m, gs, Config{RanksPerNode: 2})
+	if err == nil || !strings.Contains(err.Error(), "4 rank(s) never finished: [n0.r0 n0.r1 n1.r0 n1.r1]") {
+		t.Errorf("Run of a stopped engine: %v, want every rank named as never finished", err)
 	}
 }

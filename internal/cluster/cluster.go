@@ -217,9 +217,6 @@ func newGASrv(eng *sim.Engine, i int, cfg Config) *sim.PS {
 	return srv
 }
 
-// TotalCores returns Nodes * CoresPerNode.
-func (m *Machine) TotalCores() int { return m.Cfg.Nodes * m.Cfg.CoresPerNode }
-
 // SetFaults installs a fault injector on the machine. Pass nil to
 // restore fault-free behavior. Executors built on this machine consult
 // the same injector for transfer and GA-service faults, so one seeded
@@ -240,57 +237,11 @@ func (m *Machine) ComputeTime(flops int64) sim.Time {
 	return sim.Duration(float64(flops) / (m.Cfg.CoreGFlops * 1e9))
 }
 
-// Compute occupies the calling worker for a kernel of the given flop count
-// plus its memory traffic through the node's shared bandwidth. warm marks
-// the traffic as cache-resident (locality discount).
-func (m *Machine) Compute(p *sim.Proc, node int, flops, memBytes int64, warm bool) {
-	m.Play(p, ComputeOp(node, flops, memBytes, warm))
-}
-
-// MemOp occupies the calling worker for a memory-bound phase moving the
-// given number of bytes through the node's shared memory bandwidth.
-func (m *Machine) MemOp(p *sim.Proc, node int, bytes int64, warm bool) {
-	m.Play(p, MemoryOp(node, bytes, warm))
-}
-
-// Transfer moves bytes between nodes on behalf of the calling process
-// (which blocks for the duration). Cost: network latency plus the bytes
-// through the requesting node's NIC, shared with all concurrent traffic on
-// that NIC. Local transfers (src == dst) cost one pass through node memory
-// bandwidth instead.
-func (m *Machine) Transfer(p *sim.Proc, reqNode, otherNode int, bytes int64) {
-	m.Play(p, TransferOp(reqNode, otherNode, bytes))
-}
-
-// Gemm occupies the calling worker for one GEMM kernel: its flops drawn
-// through the node's aggregate GEMM throughput (capped per flow at one
-// core's rate), plus its DRAM traffic — the operand footprint scaled by
-// GemmMemTraffic — through the node's shared memory bandwidth.
-func (m *Machine) Gemm(p *sim.Proc, node int, flops, footprintBytes int64) {
-	m.Play(p, GemmOp(node, flops, footprintBytes))
-}
-
-// GALocalAccess blocks the calling process for a Global Arrays strided
-// access to a block owned by the local node: no wire, but still the
-// library's locked gather/scatter path through the one-sided engine.
-func (m *Machine) GALocalAccess(p *sim.Proc, node int, bytes int64) {
-	m.Play(p, gaLocalOp(node, bytes))
-}
-
-// GARemoteAccess blocks the calling process for one remote Global Arrays
-// strided GET or ACC: per-row message overhead on the requester, service
-// through the owner's one-sided engine, and the raw bytes through the
-// requester's NIC.
-func (m *Machine) GARemoteAccess(p *sim.Proc, reqNode, owner int, bytes int64, rows int) {
-	m.Play(p, gaRemoteOp(reqNode, owner, bytes, rows))
-}
-
 // Op is one machine charge as a small steppable value: a hold, a kernel,
 // a memory phase, a transfer, a Global Arrays access, or a lock or
-// unlock of a node's write mutex. Step plays it phase by phase, and each
-// phase draws its jitter and fault scaling when it starts, so a callback
-// actor stepping an op and a process making the charge (Play) draw the
-// same values at the same virtual instants.
+// unlock of a node's write mutex. A callback actor plays it with Step,
+// phase by phase, and each phase draws its jitter and fault scaling when
+// it starts, so the draws follow virtual time.
 type Op struct {
 	kind  opKind
 	phase uint8
@@ -320,37 +271,51 @@ const (
 // HoldOp occupies the worker for d of virtual time.
 func HoldOp(d sim.Time) Op { return Op{kind: opHold, a: int64(d)} }
 
-// ComputeOp is the charge of Machine.Compute.
+// ComputeOp occupies a worker for a kernel of the given flop count plus
+// its memory traffic through the node's shared bandwidth. warm marks the
+// traffic as cache-resident (locality discount).
 func ComputeOp(node int, flops, memBytes int64, warm bool) Op {
 	return Op{kind: opCompute, node: node, a: flops, b: memBytes, warm: warm}
 }
 
-// MemoryOp is the charge of Machine.MemOp.
+// MemoryOp occupies a worker for a memory-bound phase moving the given
+// number of bytes through the node's shared memory bandwidth.
 func MemoryOp(node int, bytes int64, warm bool) Op {
 	return Op{kind: opMem, node: node, a: bytes, warm: warm}
 }
 
-// GemmOp is the charge of Machine.Gemm.
+// GemmOp occupies a worker for one GEMM kernel: its flops drawn through
+// the node's aggregate GEMM throughput (capped per flow at one core's
+// rate), plus its DRAM traffic — the operand footprint scaled by
+// GemmMemTraffic — through the node's shared memory bandwidth.
 func GemmOp(node int, flops, footprintBytes int64) Op {
 	return Op{kind: opGemm, node: node, a: flops, b: footprintBytes}
 }
 
-// TransferOp is the charge of Machine.Transfer.
+// TransferOp moves bytes between nodes for the requester: network
+// latency plus the bytes through the requesting node's NIC, shared with
+// all concurrent traffic on that NIC. A local transfer (reqNode ==
+// otherNode) costs one pass through node memory bandwidth instead.
 func TransferOp(reqNode, otherNode int, bytes int64) Op {
 	return Op{kind: opTransfer, node: reqNode, peer: otherNode, a: bytes}
 }
 
-// gaLocalOp is the charge of Machine.GALocalAccess.
+// gaLocalOp is a Global Arrays strided access to a block owned by the
+// local node: no wire, but still the library's locked gather/scatter
+// path through the one-sided engine.
 func gaLocalOp(node int, bytes int64) Op { return Op{kind: opGALocal, node: node, a: bytes} }
 
-// gaRemoteOp is the charge of Machine.GARemoteAccess.
+// gaRemoteOp is one remote Global Arrays strided GET or ACC: per-row
+// message overhead on the requester, service through the owner's
+// one-sided engine, and the raw bytes through the requester's NIC.
 func gaRemoteOp(reqNode, owner int, bytes int64, rows int) Op {
 	return Op{kind: opGARemote, node: reqNode, peer: owner, a: bytes, rows: rows}
 }
 
 // GAGetOp fetches a block owned by owner into reqNode's memory: a pass
 // through node memory bandwidth when local, the remote strided path
-// otherwise. It is the charge of ga.Sim.GetHashBlock.
+// otherwise. rows is the number of contiguous runs in the block (its
+// matrix row count). It is the charge of ga.Sim.GetOp.
 func GAGetOp(reqNode, owner int, bytes int64, rows int) Op {
 	return Op{kind: opGAGet, node: reqNode, peer: owner, a: bytes, rows: rows}
 }
@@ -358,7 +323,7 @@ func GAGetOp(reqNode, owner int, bytes int64, rows int) Op {
 // GAAccOp accumulates a block from reqNode into owner's memory: a
 // fault-injected service hiccup, if one is drawn, then the one-sided
 // engine's locked update, local or remote. It is the charge of
-// ga.Sim.AddHashBlock.
+// ga.Sim.AccOp.
 func GAAccOp(reqNode, owner int, bytes int64, rows int) Op {
 	return Op{kind: opGAAcc, node: reqNode, peer: owner, a: bytes, rows: rows}
 }
@@ -368,14 +333,6 @@ func LockOp(node int) Op { return Op{kind: opLock, node: node} }
 
 // UnlockOp unlocks node's write mutex after paying its unlock cost.
 func UnlockOp(node int) Op { return Op{kind: opUnlock, node: node} }
-
-// Play makes the charge op on behalf of process p, which blocks until it
-// is done.
-func (m *Machine) Play(p *sim.Proc, op Op) {
-	for !m.Step(&op, p.Event()) {
-		p.Block()
-	}
-}
 
 // Step plays op from where it stands for the owner of ev: it starts
 // phases in order until one has to wait — it then returns false, and ev

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 
 	"parsec/internal/sim"
@@ -11,6 +10,32 @@ func cfgNoJitter() Config {
 	c := Small()
 	c.JitterFrac = 0
 	return c
+}
+
+// player is a test actor that makes the charges ops, in order, through
+// its one event; ends[i] is the virtual time op i finished at.
+type player struct {
+	m    *Machine
+	ev   sim.Event
+	ops  []Op
+	ends []sim.Time
+}
+
+// play starts a player of ops at the current virtual time.
+func play(m *Machine, ops ...Op) *player {
+	p := &player{m: m, ops: ops}
+	p.ev.Bind(p.resume)
+	m.Eng.After(&p.ev, 0)
+	return p
+}
+
+func (p *player) resume() {
+	for len(p.ends) < len(p.ops) {
+		if !p.m.Step(&p.ops[len(p.ends)], &p.ev) {
+			return
+		}
+		p.ends = append(p.ends, p.m.Eng.Now())
+	}
 }
 
 func TestValidate(t *testing.T) {
@@ -57,15 +82,11 @@ func TestComputeOccupiesWorker(t *testing.T) {
 	c.CoreGFlops = 1
 	c.MemBWBytes = 1e9
 	m := New(e, c)
-	var end sim.Time
-	e.Go("w", func(p *sim.Proc) {
-		m.Compute(p, 0, 1e9, 1e9, false) // 1s compute + 1s memory
-		end = p.Now()
-	})
+	p := play(m, ComputeOp(0, 1e9, 1e9, false)) // 1s compute + 1s memory
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if end < 1990*sim.Millisecond || end > 2010*sim.Millisecond {
+	if end := p.ends[0]; end < 1990*sim.Millisecond || end > 2010*sim.Millisecond {
 		t.Errorf("end = %v, want ~2s", end)
 	}
 }
@@ -76,18 +97,11 @@ func TestMemOpWarmDiscount(t *testing.T) {
 	c.MemBWBytes = 1e9
 	c.CacheWarm = 0.25
 	m := New(e, c)
-	var cold, warm sim.Time
-	e.Go("w", func(p *sim.Proc) {
-		t0 := p.Now()
-		m.MemOp(p, 0, 1e9, false)
-		cold = p.Now() - t0
-		t0 = p.Now()
-		m.MemOp(p, 0, 1e9, true)
-		warm = p.Now() - t0
-	})
+	p := play(m, MemoryOp(0, 1e9, false), MemoryOp(0, 1e9, true))
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
+	cold, warm := p.ends[0], p.ends[1]-p.ends[0]
 	if cold < 990*sim.Millisecond || cold > 1010*sim.Millisecond {
 		t.Errorf("cold = %v, want ~1s", cold)
 	}
@@ -103,16 +117,11 @@ func TestTransferRemoteUsesNICAndLatency(t *testing.T) {
 	c.NICBWBytes = 1e9
 	c.NetLatency = sim.Millisecond
 	m := New(e, c)
-	var plain sim.Time
-	e.Go("w", func(p *sim.Proc) {
-		t0 := p.Now()
-		m.Transfer(p, 0, 1, 1e6) // 1ms latency + 1ms wire
-		plain = p.Now() - t0
-	})
+	p := play(m, TransferOp(0, 1, 1e6)) // 1ms latency + 1ms wire
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if plain < 1990*sim.Microsecond || plain > 2010*sim.Microsecond {
+	if plain := p.ends[0]; plain < 1990*sim.Microsecond || plain > 2010*sim.Microsecond {
 		t.Errorf("plain transfer = %v, want ~2ms", plain)
 	}
 }
@@ -125,17 +134,13 @@ func TestGARemoteAccess(t *testing.T) {
 	c.GAStrideLatency = 10 * sim.Microsecond
 	c.GAServiceBW = 0.5e9
 	m := New(e, c)
-	var el sim.Time
-	e.Go("w", func(p *sim.Proc) {
-		// 100 rows x 10us = 1ms stride overhead, 1MB/0.5GB/s = 2ms
-		// service, 1MB/1GB/s = 1ms wire -> 4ms total.
-		m.GARemoteAccess(p, 0, 1, 1e6, 100)
-		el = p.Now()
-	})
+	// 100 rows x 10us = 1ms stride overhead, 1MB/0.5GB/s = 2ms
+	// service, 1MB/1GB/s = 1ms wire -> 4ms total.
+	p := play(m, gaRemoteOp(0, 1, 1e6, 100))
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if el < 3990*sim.Microsecond || el > 4010*sim.Microsecond {
+	if el := p.ends[0]; el < 3990*sim.Microsecond || el > 4010*sim.Microsecond {
 		t.Errorf("GA remote access = %v, want ~4ms", el)
 	}
 }
@@ -147,20 +152,17 @@ func TestGemmContention(t *testing.T) {
 	c.GemmContention = 0.5
 	c.GemmMemTraffic = 0
 	m := New(e, c)
-	var ends [4]sim.Time
-	for i := 0; i < 4; i++ {
-		i := i
-		e.Go(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
-			m.Gemm(p, 0, 10e9, 0) // 1s at full core rate
-			ends[i] = p.Now()
-		})
+	var ps [4]*player
+	for i := range ps {
+		ps[i] = play(m, GemmOp(0, 10e9, 0)) // 1s at full core rate
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	// 4 concurrent GEMMs: each runs at 10/(1+0.5*3) = 4 GFlop/s while all
 	// four are active -> all finish together at ~2.5s.
-	for i, end := range ends {
+	for i, p := range ps {
+		end := p.ends[0]
 		if end < 2480*sim.Millisecond || end > 2520*sim.Millisecond {
 			t.Errorf("gemm %d ended at %v, want ~2.5s", i, end)
 		}
@@ -174,16 +176,12 @@ func TestGemmSingleFlowAtCoreRate(t *testing.T) {
 	c.GemmContention = 0.5
 	c.GemmMemTraffic = 0
 	m := New(e, c)
-	var end sim.Time
-	e.Go("w", func(p *sim.Proc) {
-		m.Gemm(p, 0, 10e9, 0)
-		end = p.Now()
-	})
+	p := play(m, GemmOp(0, 10e9, 0))
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	// One flow is capped at the core rate, not the node capacity.
-	if end < 990*sim.Millisecond || end > 1010*sim.Millisecond {
+	if end := p.ends[0]; end < 990*sim.Millisecond || end > 1010*sim.Millisecond {
 		t.Errorf("single gemm = %v, want ~1s (core-rate bound)", end)
 	}
 }
@@ -194,15 +192,11 @@ func TestTransferLocalUsesMemBW(t *testing.T) {
 	c.MemBWBytes = 1e9
 	c.NetLatency = sim.Second // would be obvious if charged
 	m := New(e, c)
-	var el sim.Time
-	e.Go("w", func(p *sim.Proc) {
-		m.Transfer(p, 2, 2, 1e6)
-		el = p.Now()
-	})
+	p := play(m, TransferOp(2, 2, 1e6))
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if el < 990*sim.Microsecond || el > 1010*sim.Microsecond {
+	if el := p.ends[0]; el < 990*sim.Microsecond || el > 1010*sim.Microsecond {
 		t.Errorf("local transfer = %v, want ~1ms (no net latency)", el)
 	}
 }
@@ -215,16 +209,15 @@ func TestNICContention(t *testing.T) {
 	m := New(e, c)
 	var latest sim.Time
 	const n = 4
-	for i := 0; i < n; i++ {
-		e.Go(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
-			m.Transfer(p, 0, 1, 1e6)
-			if p.Now() > latest {
-				latest = p.Now()
-			}
-		})
+	var ps [n]*player
+	for i := range ps {
+		ps[i] = play(m, TransferOp(0, 1, 1e6))
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range ps {
+		latest = max(latest, p.ends[0])
 	}
 	want := sim.Duration(n * 1e6 / 1e9)
 	if latest < want-10*sim.Microsecond || latest > want+10*sim.Microsecond {
@@ -235,25 +228,14 @@ func TestNICContention(t *testing.T) {
 func TestZeroByteOpsFree(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, cfgNoJitter())
-	e.Go("w", func(p *sim.Proc) {
-		m.MemOp(p, 0, 0, false)
-		m.Transfer(p, 0, 1, 0)
-		m.Compute(p, 0, 0, 0, false)
-		if p.Now() != 0 {
-			t.Errorf("zero-cost ops advanced time to %v", p.Now())
+	var ev sim.Event
+	for _, op := range []Op{MemoryOp(0, 0, false), TransferOp(0, 1, 0), ComputeOp(0, 0, 0, false)} {
+		if !m.Step(&op, &ev) {
+			t.Errorf("zero-cost op %+v has to wait", op)
 		}
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
 	}
-}
-
-func TestTotalCores(t *testing.T) {
-	e := sim.NewEngine()
-	c := cfgNoJitter()
-	c.Nodes, c.CoresPerNode = 8, 3
-	if got := New(e, c).TotalCores(); got != 24 {
-		t.Errorf("TotalCores = %d, want 24", got)
+	if end, err := e.Run(0); end != 0 || err != nil {
+		t.Errorf("zero-cost ops advanced time to %v (%v)", end, err)
 	}
 }
 
@@ -265,10 +247,7 @@ func TestDeterminismWithJitter(t *testing.T) {
 		m := New(e, c)
 		for i := 0; i < 8; i++ {
 			node := i % c.Nodes
-			e.Go(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
-				m.Compute(p, node, 1e8, 1e6, false)
-				m.Transfer(p, node, (node+1)%c.Nodes, 1e5)
-			})
+			play(m, ComputeOp(node, 1e8, 1e6, false), TransferOp(node, (node+1)%c.Nodes, 1e5))
 		}
 		end, err := e.Run(0)
 		if err != nil {
@@ -289,16 +268,11 @@ func TestGALocalAccess(t *testing.T) {
 	c := cfgNoJitter()
 	c.GAServiceBW = 0.5e9
 	m := New(e, c)
-	var el sim.Time
-	e.Go("w", func(p *sim.Proc) {
-		m.GALocalAccess(p, 0, 1e6) // 1MB at 0.5 GB/s = 2ms
-		m.GALocalAccess(p, 0, 0)   // free
-		el = p.Now()
-	})
+	p := play(m, gaLocalOp(0, 1e6), gaLocalOp(0, 0)) // 1MB at 0.5 GB/s = 2ms, then free
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if el < 1990*sim.Microsecond || el > 2010*sim.Microsecond {
+	if el := p.ends[1]; el < 1990*sim.Microsecond || el > 2010*sim.Microsecond {
 		t.Errorf("local GA access = %v, want ~2ms", el)
 	}
 }
@@ -306,13 +280,11 @@ func TestGALocalAccess(t *testing.T) {
 func TestGemmZeroFlopsFree(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, cfgNoJitter())
-	e.Go("w", func(p *sim.Proc) {
-		m.Gemm(p, 0, 0, 0)
-		if p.Now() != 0 {
-			t.Errorf("zero gemm advanced time")
-		}
-	})
+	p := play(m, GemmOp(0, 0, 0))
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
+	}
+	if p.ends[0] != 0 {
+		t.Errorf("zero gemm advanced time to %v", p.ends[0])
 	}
 }

@@ -178,18 +178,6 @@ func New(cfg Config) *Injector {
 // Config returns the schedule the injector was built with.
 func (inj *Injector) Config() Config { return inj.cfg }
 
-// ComputeFactor returns the compute slowdown factor for a node (1 when
-// the node is healthy or the injector is nil).
-func (inj *Injector) ComputeFactor(node int) float64 {
-	if inj == nil {
-		return 1
-	}
-	if f, ok := inj.factor[node]; ok {
-		return f
-	}
-	return 1
-}
-
 // ScaleCompute stretches a nominal duration by the node's straggler
 // factor and records the excess in the ledger. Nil-safe.
 func (inj *Injector) ScaleCompute(node int, d sim.Time) sim.Time {

@@ -81,9 +81,6 @@ func TestScaleComputeLedger(t *testing.T) {
 	if got := inj.Stats().StragglerExcess[1]; got != 3000 {
 		t.Fatalf("excess ledger = %d, want 3000", got)
 	}
-	if f := inj.ComputeFactor(1); f != 4 {
-		t.Fatalf("ComputeFactor = %g", f)
-	}
 	if amt := inj.ScaleAmount(1, 10); amt != 40 {
 		t.Fatalf("ScaleAmount = %g", amt)
 	}
@@ -93,9 +90,6 @@ func TestScaleComputeLedger(t *testing.T) {
 // so the machine model can thread it unconditionally.
 func TestNilInjector(t *testing.T) {
 	var inj *Injector
-	if f := inj.ComputeFactor(0); f != 1 {
-		t.Fatalf("nil ComputeFactor = %g", f)
-	}
 	if d := inj.ScaleCompute(0, 100); d != 100 {
 		t.Fatalf("nil ScaleCompute = %d", d)
 	}

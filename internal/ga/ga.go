@@ -366,21 +366,15 @@ func NewSim(m *cluster.Machine) *Sim {
 // Distribution returns the placement function (ga_distribution).
 func (g *Sim) Distribution() Distribution { return g.dist }
 
-// GetHashBlock blocks the calling process for the time to fetch a block
-// owned by owner into reqNode's memory through the strided GA one-sided
-// path: per-row message overhead, the owner's service engine, and the
-// wire. rows is the number of contiguous runs in the block (its matrix
-// row count). Local accesses cost a pass through node memory bandwidth.
-func (g *Sim) GetHashBlock(p *sim.Proc, reqNode, owner int, bytes int64, rows int) {
+// GetOp counts one GET and returns its charge: a fetch of owner's block
+// into reqNode's memory through the strided GA one-sided path — per-row
+// message overhead, the owner's service engine, and the wire. rows is
+// the number of contiguous runs in the block (its matrix row count). A
+// local fetch costs a pass through node memory bandwidth.
+func (g *Sim) GetOp(reqNode, owner int, bytes int64, rows int) cluster.Op {
 	g.gets.Add(1)
 	g.getBytes.Add(bytes)
-	g.mach.Play(p, cluster.GAGetOp(reqNode, owner, bytes, rows))
-}
-
-// AddHashBlock blocks the calling process for the time to accumulate a
-// block into owner's memory from reqNode: the charge of AccOp.
-func (g *Sim) AddHashBlock(p *sim.Proc, reqNode, owner int, bytes int64, rows int) {
-	g.mach.Play(p, g.AccOp(reqNode, owner, bytes, rows))
+	return cluster.GAGetOp(reqNode, owner, bytes, rows)
 }
 
 // AccOp counts one accumulate and returns its charge: a read-modify-write
@@ -392,19 +386,15 @@ func (g *Sim) AccOp(reqNode, owner int, bytes int64, rows int) cluster.Op {
 	return cluster.GAAccOp(reqNode, owner, bytes, rows)
 }
 
-// NxtVal performs one remote atomic fetch-and-increment, serialized
-// through the global counter server. A fault-injected service hiccup
-// stretches the caller's round trip before it reaches the server.
-func (g *Sim) NxtVal(p *sim.Proc) int64 {
-	if d := g.mach.Faults().NxtValHiccup(); d > 0 {
-		p.Hold(d)
-	}
-	return g.counter.Next(p)
-}
+// NxtVal returns the shared NXTVAL counter, whose server serializes every
+// remote atomic fetch-and-increment. A caller holds any hiccup the
+// machine's fault injector draws (NxtValHiccup) before it Requests the
+// counter, as a stretched round trip that has not reached the server yet.
+func (g *Sim) NxtVal() *sim.Counter { return g.counter }
 
 // ResetNxtVal rewinds the shared counter. The TCE code does this between
-// work levels, after the inter-level synchronization (§III-A); callers
-// must ensure no process is mid-NxtVal (e.g. behind a barrier).
+// work levels, after the inter-level synchronization (§III-A), when no
+// rank is between Request and Take.
 func (g *Sim) ResetNxtVal() { g.counter = sim.NewCounter(g.mach.Eng, g.mach.Cfg.AtomicRTT) }
 
 // Stats returns the number of Get and Acc operations performed.

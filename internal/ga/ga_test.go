@@ -1,7 +1,6 @@
 package ga
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -84,6 +83,79 @@ func TestStoreMissingArrayPanics(t *testing.T) {
 	NewStore(1).Array("nope")
 }
 
+// player is a test actor that makes the charges ops, in order, through
+// its one event; ends[i] is the virtual time op i finished at.
+type player struct {
+	m    *cluster.Machine
+	ev   sim.Event
+	ops  []cluster.Op
+	ends []sim.Time
+}
+
+// play starts a player of ops at the current virtual time.
+func play(m *cluster.Machine, ops ...cluster.Op) *player {
+	p := &player{m: m, ops: ops}
+	p.ev.Bind(p.resume)
+	m.Eng.After(&p.ev, 0)
+	return p
+}
+
+func (p *player) resume() {
+	for len(p.ends) < len(p.ops) {
+		if !p.m.Step(&p.ops[len(p.ends)], &p.ev) {
+			return
+		}
+		p.ends = append(p.ends, p.m.Eng.Now())
+	}
+}
+
+// taker is a test actor that takes n NXTVAL tickets from g one after the
+// other, the way a cgp rank does: request the counter, hold its round
+// trip once admitted, take. before, if set, runs ahead of ticket i.
+type taker struct {
+	g      *Sim
+	ev     sim.Event
+	n      int
+	before func(i int)
+	state  int // 0 request, 1 hold the round trip, 2 take
+	vals   []int64
+	end    sim.Time
+}
+
+// take starts a taker at the current virtual time.
+func take(g *Sim, n int, before func(i int)) *taker {
+	tk := &taker{g: g, n: n, before: before}
+	tk.ev.Bind(tk.resume)
+	g.mach.Eng.After(&tk.ev, 0)
+	return tk
+}
+
+func (tk *taker) resume() {
+	eng := tk.g.mach.Eng
+	for len(tk.vals) < tk.n {
+		switch tk.state {
+		case 0:
+			if tk.before != nil {
+				tk.before(len(tk.vals))
+			}
+			tk.state = 1
+			if tk.g.NxtVal().Request(&tk.ev) {
+				return
+			}
+		case 1:
+			tk.state = 2
+			if rtt := tk.g.NxtVal().RTT; rtt > 0 {
+				eng.After(&tk.ev, rtt)
+				return
+			}
+		case 2:
+			tk.vals = append(tk.vals, tk.g.NxtVal().Take())
+			tk.state = 0
+		}
+	}
+	tk.end = eng.Now()
+}
+
 func TestSimGetChargesRemotePath(t *testing.T) {
 	e := sim.NewEngine()
 	cfg := cluster.Small()
@@ -94,18 +166,14 @@ func TestSimGetChargesRemotePath(t *testing.T) {
 	cfg.GAServiceBW = 0.5e9
 	m := cluster.New(e, cfg)
 	g := NewSim(m)
-	var remote, local sim.Time
-	e.Go("w", func(p *sim.Proc) {
-		t0 := p.Now()
-		g.GetHashBlock(p, 0, 1, 1e6, 100) // 1ms strides + 2ms service + 1ms wire
-		remote = p.Now() - t0
-		t0 = p.Now()
-		g.GetHashBlock(p, 1, 1, 1e6, 100) // local: 2MB through MemBW
-		local = p.Now() - t0
-	})
+	p := play(m,
+		g.GetOp(0, 1, 1e6, 100), // 1ms strides + 2ms service + 1ms wire
+		g.GetOp(1, 1, 1e6, 100), // local: 2MB through MemBW
+	)
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
+	remote, local := p.ends[0], p.ends[1]-p.ends[0]
 	if remote < 3990*sim.Microsecond || remote > 4010*sim.Microsecond {
 		t.Errorf("remote GET took %v, want ~4ms", remote)
 	}
@@ -126,16 +194,15 @@ func TestSimNxtValSerializes(t *testing.T) {
 	g := NewSim(m)
 	var latest sim.Time
 	const clients = 8
-	for i := 0; i < clients; i++ {
-		e.Go(fmt.Sprintf("r%d", i), func(p *sim.Proc) {
-			g.NxtVal(p)
-			if p.Now() > latest {
-				latest = p.Now()
-			}
-		})
+	var tks [clients]*taker
+	for i := range tks {
+		tks[i] = take(g, 1, nil)
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
+	}
+	for _, tk := range tks {
+		latest = max(latest, tk.end)
 	}
 	want := sim.Time(clients) * cfg.AtomicRTT
 	if latest != want {
@@ -147,16 +214,16 @@ func TestSimNxtValUnique(t *testing.T) {
 	e := sim.NewEngine()
 	m := cluster.New(e, cluster.Small())
 	g := NewSim(m)
-	var vals []int64
-	for i := 0; i < 4; i++ {
-		e.Go(fmt.Sprintf("r%d", i), func(p *sim.Proc) {
-			for j := 0; j < 5; j++ {
-				vals = append(vals, g.NxtVal(p))
-			}
-		})
+	var tks [4]*taker
+	for i := range tks {
+		tks[i] = take(g, 5, nil)
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
+	}
+	var vals []int64
+	for _, tk := range tks {
+		vals = append(vals, tk.vals...)
 	}
 	seen := map[int64]bool{}
 	for _, v := range vals {
@@ -193,18 +260,14 @@ func TestSimAccRemoteUsesOneSidedPath(t *testing.T) {
 	cfg.NICBWBytes = 1e9
 	m := cluster.New(e, cfg)
 	g := NewSim(m)
-	var remote, local sim.Time
-	e.Go("w", func(p *sim.Proc) {
-		t0 := p.Now()
-		g.AddHashBlock(p, 0, 1, 1e6, 100) // strides 1ms + service 2ms + wire 1ms
-		remote = p.Now() - t0
-		t0 = p.Now()
-		g.AddHashBlock(p, 1, 1, 1e6, 100) // local: through GASrv only
-		local = p.Now() - t0
-	})
+	p := play(m,
+		g.AccOp(0, 1, 1e6, 100), // strides 1ms + service 2ms + wire 1ms
+		g.AccOp(1, 1, 1e6, 100), // local: through GASrv only
+	)
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
+	remote, local := p.ends[0], p.ends[1]-p.ends[0]
 	if remote < 3990*sim.Microsecond || remote > 4010*sim.Microsecond {
 		t.Errorf("remote ACC = %v, want ~4ms", remote)
 	}
@@ -239,16 +302,15 @@ func TestSimResetNxtVal(t *testing.T) {
 	e := sim.NewEngine()
 	m := cluster.New(e, cluster.Small())
 	g := NewSim(m)
-	var first, second int64
-	e.Go("w", func(p *sim.Proc) {
-		g.NxtVal(p)
-		first = g.NxtVal(p)
-		g.ResetNxtVal()
-		second = g.NxtVal(p)
+	tk := take(g, 3, func(i int) {
+		if i == 2 {
+			g.ResetNxtVal()
+		}
 	})
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
+	first, second := tk.vals[1], tk.vals[2]
 	if first != 1 || second != 0 {
 		t.Errorf("tickets = %d, %d; want 1, 0", first, second)
 	}

@@ -276,6 +276,9 @@ func (c *relChan) dialLoop() {
 					peer = "coordinator"
 				}
 				c.stop()
+				if c.tp.gone != nil {
+					c.tp.gone(c.dst)
+				}
 				c.tp.fail(fmt.Errorf("netrun: rank %d: %s %s is gone: %w", c.tp.local, peer, c.addr, err))
 				return
 			}
@@ -413,6 +416,9 @@ type transport struct {
 	// refused dial to a peer that is gone (see dialLoop). Set it before
 	// serve and the first send.
 	fail func(error)
+	// gone, if set, learns that peer is gone just before fail does. Set
+	// it with fail.
+	gone func(peer int)
 
 	// drainWake is posted whenever some channel's unacked window may
 	// have just emptied; waitDrained parks on it.

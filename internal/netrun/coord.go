@@ -59,6 +59,7 @@ type coordinator struct {
 	flushAcks map[int]int64 // rank -> accs the rank reports having sent
 	accRecvd  map[int]int64 // rank -> accs fully handled (post-apply)
 	reports   map[int]RankReport
+	gone      map[int]bool // ranks whose dial was refused: no report will come
 	accSeen   map[accKey]bool
 	accClosed bool
 	failure   error
@@ -69,7 +70,7 @@ type coordinator struct {
 	failOnce sync.Once
 	// wake is posted whenever a handler changed something wait may be
 	// blocked on: a completion, an accumulation applied, a flush ack, a
-	// rank report.
+	// rank report, a rank gone.
 	wake wakeup
 
 	start time.Time
@@ -97,6 +98,7 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 		flushAcks: make(map[int]int64),
 		accRecvd:  make(map[int]int64),
 		reports:   make(map[int]RankReport),
+		gone:      make(map[int]bool),
 		accSeen:   make(map[accKey]bool),
 		allRegCh:  make(chan struct{}),
 		failCh:    make(chan struct{}),
@@ -106,7 +108,7 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 	if spec.output != nil {
 		co.fold = spec.output(co.store)
 	}
-	tp.fail = co.fail
+	tp.fail, tp.gone = co.fail, co.noteGone
 	tp.serve(co.handle, co.noteSeen)
 	return co, nil
 }
@@ -120,6 +122,15 @@ func (co *coordinator) fail(err error) {
 	}
 	co.mu.Unlock()
 	co.failOnce.Do(func() { close(co.failCh) })
+}
+
+// noteGone records a rank whose dial was refused, so awaitReports does
+// not wait for its report.
+func (co *coordinator) noteGone(r int) {
+	co.mu.Lock()
+	co.gone[r] = true
+	co.mu.Unlock()
+	co.wake.post()
 }
 
 // noteSeen timestamps any inbound frame from a rank — the liveness
@@ -445,20 +456,26 @@ func (co *coordinator) shutdown() []int {
 }
 
 // awaitReports waits briefly for each live rank's final self-report; a
-// rank that dies during shutdown only costs its counters.
+// rank that dies during shutdown only costs its counters. A rank whose
+// dial was refused is gone and is not waited for.
 func (co *coordinator) awaitReports(live []int) {
 	deadline := time.After(5 * time.Second)
-	for waiting := true; waiting; {
+	for {
 		co.mu.Lock()
-		n := len(co.reports)
+		answered := 0
+		for _, r := range live {
+			if _, ok := co.reports[r]; ok || co.gone[r] {
+				answered++
+			}
+		}
 		co.mu.Unlock()
-		if n >= len(live) {
-			break
+		if answered == len(live) {
+			return
 		}
 		select {
 		case <-co.wake:
 		case <-deadline:
-			waiting = false
+			return
 		}
 	}
 }

@@ -268,7 +268,7 @@ func TestTaggedActivationValidates(t *testing.T) {
 	}
 	wrongDims := dim
 	wrongDims[3]++
-	flowA := plan.NewGraph(nil).ClassByName("GEMM").MustFlowIndex("A")
+	flowA, _ := plan.NewGraph(nil).ClassByName("GEMM").FlowIndex("A")
 
 	cases := []struct {
 		name string

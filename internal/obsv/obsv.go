@@ -77,24 +77,6 @@ func (h *Histogram) Add(ns int64) {
 	h.buckets[bucketOf(ns)]++
 }
 
-// Merge folds o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.Count == 0 {
-		return
-	}
-	if h.Count == 0 || o.Min < h.Min {
-		h.Min = o.Min
-	}
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() int64 {
 	if h.Count == 0 {
@@ -140,20 +122,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		cum += c
 	}
 	return h.Max
-}
-
-// Buckets returns the non-empty buckets as (lo, hi, count) triples, in
-// increasing duration order.
-func (h *Histogram) Buckets() [][3]int64 {
-	var out [][3]int64
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		lo, hi := bucketBounds(i)
-		out = append(out, [3]int64{lo, hi, c})
-	}
-	return out
 }
 
 // ClassProfile is the exported summary of one task class's duration

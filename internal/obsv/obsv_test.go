@@ -52,8 +52,8 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	if q := h.Quantile(0.5); q < 0 || q > 1 {
 		t.Fatalf("p50 = %d, want within [0,1]", q)
 	}
-	if got := len(h.Buckets()); got != 2 {
-		t.Fatalf("non-empty buckets = %d, want 2 ([0,1) and [1,2))", got)
+	if h.buckets[bucketOf(0)] != 2 || h.buckets[bucketOf(1)] != 1 || bucketOf(0) == bucketOf(1) {
+		t.Fatalf("buckets of 0 and 1 = %d and %d, want 2 ([0,1)) and 1 ([1,2))", h.buckets[bucketOf(0)], h.buckets[bucketOf(1)])
 	}
 }
 
@@ -72,23 +72,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		if got < tc.want/2 || got > tc.want*2 {
 			t.Errorf("q=%.2f: got %d, want within 2x of %d", tc.q, got, tc.want)
 		}
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Add(10)
-	a.Add(20)
-	b.Add(5)
-	b.Add(40)
-	a.Merge(&b)
-	if a.Count != 4 || a.Min != 5 || a.Max != 40 || a.Sum != 75 {
-		t.Fatalf("merged count/min/max/sum = %d/%d/%d/%d", a.Count, a.Min, a.Max, a.Sum)
-	}
-	var empty Histogram
-	a.Merge(&empty) // no-op
-	if a.Count != 4 {
-		t.Fatal("merging an empty histogram changed the count")
 	}
 }
 

@@ -243,15 +243,6 @@ func (tc *TaskClass) FlowIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// MustFlowIndex returns the index of the named flow, panicking if absent.
-func (tc *TaskClass) MustFlowIndex(name string) int {
-	i, ok := tc.flowIdx[name]
-	if !ok {
-		panic(fmt.Sprintf("ptg: no flow %s.%s", tc.Name, name))
-	}
-	return i
-}
-
 // In adds a guarded input alternative supplied by another task's flow.
 func (f *Flow) In(guard func(a Args) bool, producer func(a Args) (TaskRef, string)) *Flow {
 	f.Ins = append(f.Ins, InDep{Guard: guard, Producer: producer})
@@ -373,18 +364,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Enumerate lists every task instance of every class, in deterministic
-// order (class definition order, then domain emission order).
-func (g *Graph) Enumerate() []TaskRef {
-	var refs []TaskRef
-	for _, tc := range g.order {
-		tc.Domain(func(a Args) {
-			refs = append(refs, TaskRef{Class: tc.Name, Args: a})
-		})
-	}
-	return refs
 }
 
 // CountTasks returns the number of instances per class, keyed by class

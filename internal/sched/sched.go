@@ -17,10 +17,11 @@
 // every Policy×QueueMode combination.
 //
 // The core holds decisions only, so the same logic runs under real
-// goroutines parking on channels and under simulated processes yielding
-// to a virtual clock. Executors keep their own concurrency machinery —
+// goroutines parking on channels and under simulated callback actors on
+// a virtual clock. Executors keep their own concurrency machinery —
 // the runtime's sharded locks and park/unpark coordinator, the
-// simulator's sim.Proc wait queues — and borrow decisions from here;
+// simulator's sim.WaitQ-parked worker events — and borrow decisions
+// from here;
 // the one thing a Set takes from its executor is a clock to timestamp
 // observer events with.
 package sched

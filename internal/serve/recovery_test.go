@@ -2,8 +2,10 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -40,12 +42,22 @@ func TestServerRecovery(t *testing.T) {
 	}
 	eWater := done.Result.Energy
 
+	// The executor holds the job to cancel until the cancel is asked
+	// for, so a warm-cache water job cannot finish first. The first job
+	// is done, so the hook is set before the executor next reads it.
+	cancelAsked := make(chan struct{})
+	s1.hookJobStart = func(*job) { <-cancelAsked }
 	canceled, err := s1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.Cancel(canceled.ID)
-	canceled = waitTerminal(t, s1, canceled.ID)
+	if err := s1.Cancel(canceled.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(cancelAsked)
+	if canceled = waitTerminal(t, s1, canceled.ID); canceled.State != JobCanceled {
+		t.Fatalf("first-life canceled job state = %s, want canceled", canceled.State)
+	}
 	s1.Shutdown()
 
 	// Simulate the crash residue a SIGKILL leaves behind: a job that was
@@ -127,6 +139,76 @@ func TestServerRecovery(t *testing.T) {
 		t.Fatalf("fresh ID %q collides with a first-life ID", fresh.ID)
 	}
 	waitTerminal(t, s2, fresh.ID)
+}
+
+// TestSubmitJournaledBeforeRun: when an executor starts a job, the
+// job's submit record is already in the journal, ahead of its running
+// record. Replay drops a transition that comes before its submit, so a
+// submit record written late would replay a finished job as queued and
+// run it again. (The window is a few instructions wide, so this can
+// also pass on code that writes the record late.)
+func TestSubmitJournaledBeforeRun(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.journal")
+	s, err := Open(Config{MaxConcurrent: 2, QueueDepth: 16, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu       sync.Mutex
+		problems []string
+	)
+	s.hookJobStart = func(j *job) {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		recs, _, err := replay(f)
+		f.Close()
+		submit, running := -1, -1
+		for i, r := range recs {
+			if r.ID == j.id && r.Op == OpSubmit {
+				submit = i
+			}
+			if r.ID == j.id && r.Op == OpRunning {
+				running = i
+			}
+		}
+		if err != nil || submit < 0 || running < submit {
+			mu.Lock()
+			problems = append(problems, fmt.Sprintf("%s: submit record %d, running record %d (%v)", j.id, submit, running, err))
+			mu.Unlock()
+		}
+	}
+	var ids []string
+	for i := 0; i < 8; i++ {
+		st, err := s.Submit(JobSpec{Preset: "water", Variant: "v5"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		if st := waitTerminal(t, s, id); st.State != JobDone {
+			t.Fatalf("job %s state = %s (%s), want done", id, st.State, st.Error)
+		}
+	}
+	s.Shutdown()
+	for _, p := range problems {
+		t.Error(p)
+	}
+	jl, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+	replayed := reduceRecords(recs)
+	for _, id := range ids {
+		if j := replayed.Jobs[id]; j == nil || j.State != JobDone {
+			t.Errorf("job %s replays as %+v, want done", id, j)
+		}
+	}
 }
 
 // TestServerMemBudget exercises memory-based admission: a budget that

@@ -379,26 +379,30 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		cancel:    make(chan struct{}),
 		state:     JobQueued,
 	}
-	select {
-	case s.queue <- j:
-		s.jobs[j.id] = j
-		s.accepted++
-		j.accounted = true
-		s.admittedBytes += foot
-		s.mu.Unlock()
-		s.journalAppend(Record{
-			Op:          OpSubmit,
-			ID:          j.id,
-			Key:         j.key,
-			Spec:        &j.spec,
-			SubmittedNs: j.submitted.UnixNano(),
-		})
-		return j.status(), nil
-	default:
+	if len(s.queue) == cap(s.queue) {
 		s.rejected++
 		s.mu.Unlock()
 		return JobStatus{}, ErrQueueFull
 	}
+	s.jobs[j.id] = j
+	s.accepted++
+	j.accounted = true
+	s.admittedBytes += foot
+	// The submit record goes in before an executor can see the job, so
+	// its running/done/canceled records can never precede it: replay
+	// drops a transition that comes before its submit. Only Submit sends
+	// on the queue, and only under s.mu, so the room checked above is
+	// still there.
+	s.journalAppend(Record{
+		Op:          OpSubmit,
+		ID:          j.id,
+		Key:         j.key,
+		Spec:        &j.spec,
+		SubmittedNs: j.submitted.UnixNano(),
+	})
+	s.queue <- j
+	s.mu.Unlock()
+	return j.status(), nil
 }
 
 // Job returns the status of a job by ID.

@@ -1,10 +1,8 @@
-//go:build go1.23
-
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine advances a virtual clock by executing events from a priority
 // queue ordered by (time, sequence number). Every event runs a callback
-// inline on the engine goroutine, and three kinds of activity are built
+// inline on the engine goroutine, and two kinds of activity are built
 // on that:
 //
 //   - callbacks: plain functions scheduled with Engine.Schedule; they
@@ -12,35 +10,27 @@
 //   - callback actors: state machines, each driven by one owned Event.
 //     An actor waits by handing its event to a primitive — Engine.After
 //     for virtual time, PS.Start, WaitQ.Park, Resource.Request,
-//     Mutex.Acquire — and returning; the primitive schedules the event
-//     when the wait ends, and the event's callback carries the actor on.
-//     A primitive that needs no wait says so, and the actor continues
-//     inline.
-//   - processes: sequential activities (Proc) started with Engine.Go
-//     that may hold virtual time (Proc.Hold), wait on queues, and use
-//     resources. A process is a thin layer over the same primitives: its
-//     wake event's callback resumes a coroutine (iter.Pull), and each
-//     blocking call arms the wake event and hands control back.
+//     Mutex.Acquire, Barrier.Arrive, Counter.Request — and returning;
+//     the primitive schedules the event when the wait ends, and the
+//     event's callback carries the actor on. A primitive that needs no
+//     wait says so, and the actor continues inline.
 //
 // Exactly one activity runs at any instant, and a primitive ends every
-// wait the same way, by scheduling its waiter's event, so an actor and
-// a process making the same calls take the same (time, sequence) steps
-// and simulations are bit-reproducible for a fixed seed and program.
+// wait the same way, by scheduling its waiter's event, so simulations
+// are bit-reproducible for a fixed seed and program.
 //
-// An event belongs to whoever waits on it: an actor or a process owns
-// its one event, a PS its completion event, an EventHandle its
-// callback's. The steady state therefore allocates nothing per wait.
+// An event belongs to whoever waits on it: an actor owns its one event,
+// a PS its completion event, an EventHandle its callback's. The steady
+// state therefore allocates nothing per wait.
 //
 // The engine is the substrate for the simulated cluster on which the
-// reproduced CCSD experiments execute (see internal/cluster and
-// internal/simexec).
+// reproduced CCSD experiments execute (see internal/cluster,
+// internal/simexec and internal/cgp).
 package sim
 
 import (
 	"fmt"
-	"iter"
 	"math"
-	"sort"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -183,10 +173,6 @@ type Engine struct {
 	heap    eventHeap
 	running bool
 	stopped bool
-
-	// live holds every process that has not finished: the running one,
-	// and those not yet started, sleeping, or blocked on a queue.
-	live []*Proc
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -258,9 +244,8 @@ func (e *Engine) Schedule(delay Time, fn func()) *EventHandle {
 
 // EventHandle allows cancelling a scheduled callback.
 type EventHandle struct {
-	ev        Event
-	eng       *Engine
-	cancelled bool
+	ev  Event
+	eng *Engine
 }
 
 // Cancel prevents the event from firing and takes it out of the queue.
@@ -269,118 +254,26 @@ func (h *EventHandle) Cancel() {
 	if h == nil || h.eng == nil {
 		return
 	}
-	h.cancelled = true
 	h.eng.unschedule(&h.ev)
 }
 
-// Cancelled reports whether the handle was cancelled before firing.
-func (h *EventHandle) Cancelled() bool { return h != nil && h.cancelled }
-
-// Stop terminates Run after the current event completes. Pending events are
-// discarded; blocked processes are abandoned (each is resumed once with a
-// panic its body wrapper recovers, so it unwinds and ends).
+// Stop terminates Run after the current event completes. Pending events
+// are discarded, and whatever was waiting on them is abandoned.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Proc is a simulated sequential process. All Proc methods must be called
-// from the process's own body function.
-type Proc struct {
-	// wake is the process's one event: its start, a Hold's expiry, or a
-	// queue's wake-up. Its callback resumes the coroutine.
-	wake   Event
-	eng    *Engine
-	name   string
-	next   func() (struct{}, bool) // resume the coroutine until it blocks or ends
-	yield  func(struct{}) bool     // inside the coroutine: hand control back
-	slot   int                     // index in eng.live
-	killed bool
-}
-
-// Name returns the name given to Engine.Go.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.eng.now }
-
-type procKilled struct{}
-
-// Go starts a new simulated process executing body. The process begins at
-// the current virtual time, after all events already scheduled for this
-// instant.
-func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name}
-	p.wake.fn = func() { e.resumeProc(p) }
-	// No stop function is needed: killBlocked ends an abandoned process
-	// by resuming it to its end, started or not.
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		if p.killed {
-			return // abandoned before it ever ran
-		}
-		p.yield = yield
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					panic(r)
-				}
-			}
-		}()
-		body(p)
-	})
-	p.slot = len(e.live)
-	e.live = append(e.live, p)
-	e.schedule(&p.wake, e.now)
-	return p
-}
-
-// Event returns the process's wake event, so the process can drive a
-// callback-style primitive or a steppable operation itself: hand the
-// event to the primitive and, if it has to wait, Block.
-func (p *Proc) Event() *Event { return &p.wake }
-
-// Block suspends the process until its wake event fires. The event must
-// already be scheduled or held by a primitive that will schedule it.
-func (p *Proc) Block() {
-	p.yield(struct{}{})
-	if p.killed {
-		panic(procKilled{})
-	}
-}
-
-// Hold advances the process's local time by d virtual nanoseconds.
-func (p *Proc) Hold(d Time) {
-	p.eng.After(&p.wake, d)
-	p.Block()
-}
-
-// resumeProc runs p until it blocks or finishes. A panic other than the
-// kill signal comes out of the body and up through here to Run's caller.
-func (e *Engine) resumeProc(p *Proc) {
-	if _, ok := p.next(); ok {
-		return
-	}
-	last := e.live[len(e.live)-1]
-	last.slot = p.slot
-	e.live[p.slot] = last
-	e.live[len(e.live)-1] = nil
-	e.live = e.live[:len(e.live)-1]
-}
-
 // Run executes events until the queue is empty, Stop is called, or the
-// clock would pass horizon (horizon <= 0 means no limit). It returns the
-// final virtual time and an error if processes remain blocked with no
-// pending events (a simulation deadlock). A callback actor left waiting
-// is not one: the engine does not track actors, so their owner judges
-// whether the run finished. However Run ends, no process outlives it:
-// those still suspended are abandoned.
+// clock would pass horizon (horizon <= 0 means no limit), and returns the
+// final virtual time. However Run ends, the events still pending are
+// dropped. The engine does not track actors: one left waiting when the
+// queue runs dry is a deadlock that its owner judges, as simexec's
+// CheckQuiescent and cgp.Run do.
 func (e *Engine) Run(horizon Time) (Time, error) {
 	if e.running {
 		return e.now, fmt.Errorf("sim: Run called reentrantly")
 	}
 	e.running = true
 	defer func() {
-		e.killBlocked()
+		e.dropPending()
 		e.running = false
 	}()
 	for len(e.heap) > 0 && !e.stopped {
@@ -396,34 +289,14 @@ func (e *Engine) Run(horizon Time) (Time, error) {
 		e.now = ev.at
 		ev.fn()
 	}
-	if n := len(e.live); n > 0 && !e.stopped {
-		names := make([]string, 0, n)
-		for _, p := range e.live {
-			names = append(names, p.name)
-		}
-		sort.Strings(names)
-		return e.now, fmt.Errorf("sim: deadlock, %d process(es) blocked forever: %v", n, names)
-	}
 	return e.now, nil
 }
 
-// killBlocked ends every suspended process — blocked, sleeping or never
-// started — so no coroutine outlives Run: each is resumed once with
-// killed set, and Block panics procKilled up its stack. Then every
-// pending event is dropped.
-func (e *Engine) killBlocked() {
-	for len(e.live) > 0 {
-		p := e.live[len(e.live)-1]
-		p.killed = true
-		e.resumeProc(p)
-	}
+// dropPending takes every pending event out of the queue.
+func (e *Engine) dropPending() {
 	for i, ev := range e.heap {
 		ev.pos = 0
 		e.heap[i] = nil
 	}
 	e.heap = e.heap[:0]
 }
-
-// LiveProcs returns the number of processes that have started and not yet
-// finished. Intended for tests and diagnostics.
-func (e *Engine) LiveProcs() int { return len(e.live) }

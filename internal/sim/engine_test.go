@@ -67,21 +67,13 @@ func TestCancelEvent(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !h.Cancelled() {
-		t.Error("handle not reported cancelled")
-	}
 }
 
 func TestProcHold(t *testing.T) {
 	e := NewEngine()
 	var times []Time
-	e.Go("p", func(p *Proc) {
-		times = append(times, p.Now())
-		p.Hold(100)
-		times = append(times, p.Now())
-		p.Hold(50)
-		times = append(times, p.Now())
-	})
+	now := do(func() { times = append(times, e.Now()) })
+	spawn(e, now, hold(100), now, hold(50), now)
 	end, err := e.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -103,13 +95,13 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 		e := NewEngine()
 		var log []string
 		for i := 0; i < 4; i++ {
-			i := i
-			e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for j := 0; j < 3; j++ {
-					p.Hold(Time(10 + i))
-					log = append(log, fmt.Sprintf("%d@%d", i, p.Now()))
-				}
-			})
+			var steps []step
+			for j := 0; j < 3; j++ {
+				steps = append(steps, hold(Time(10+i)), do(func() {
+					log = append(log, fmt.Sprintf("%d@%d", i, e.Now()))
+				}))
+			}
+			spawn(e, steps...)
 		}
 		if _, err := e.Run(0); err != nil {
 			t.Fatal(err)
@@ -124,15 +116,15 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+// ticker returns a step that holds d and then calls tick, forever.
+func ticker(d Time, tick func()) step {
+	return loop(func() []step { return []step{hold(d), do(tick)} })
+}
+
 func TestRunHorizon(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.Go("ticker", func(p *Proc) {
-		for {
-			p.Hold(10)
-			count++
-		}
-	})
+	spawn(e, ticker(10, func() { count++ }))
 	end, err := e.Run(105)
 	if err != nil {
 		t.Fatal(err)
@@ -143,33 +135,17 @@ func TestRunHorizon(t *testing.T) {
 	if count != 10 {
 		t.Errorf("ticks = %d, want 10", count)
 	}
-	if e.LiveProcs() != 0 {
-		t.Errorf("live procs after horizon = %d", e.LiveProcs())
-	}
-}
-
-func TestDeadlockDetection(t *testing.T) {
-	e := NewEngine()
-	q := NewWaitQ(e)
-	e.Go("stuck", func(p *Proc) { q.Wait(p) })
-	_, err := e.Run(0)
-	if err == nil {
-		t.Fatal("expected deadlock error")
-	}
 }
 
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.Go("p", func(p *Proc) {
-		for {
-			p.Hold(1)
-			count++
-			if count == 5 {
-				e.Stop()
-			}
+	spawn(e, ticker(1, func() {
+		count++
+		if count == 5 {
+			e.Stop()
 		}
-	})
+	}))
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +159,7 @@ func TestWaitQWakeOrder(t *testing.T) {
 	q := NewWaitQ(e)
 	var order []string
 	for _, name := range []string{"a", "b", "c"} {
-		name := name
-		e.Go(name, func(p *Proc) {
-			q.Wait(p)
-			order = append(order, name)
-		})
+		spawn(e, park(q), do(func() { order = append(order, name) }))
 	}
 	e.Schedule(10, func() {
 		q.WakeOne()
@@ -205,14 +177,11 @@ func TestResourceSemantics(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 2)
 	var log []string
-	worker := func(name string, hold Time) {
-		e.Go(name, func(p *Proc) {
-			r.Acquire(p, 1)
-			log = append(log, name+"+")
-			p.Hold(hold)
+	worker := func(name string, d Time) {
+		spawn(e, request(r, 1), do(func() { log = append(log, name+"+") }), hold(d), do(func() {
 			r.Release(1)
 			log = append(log, name+"-")
-		})
+		}))
 	}
 	worker("a", 100)
 	worker("b", 100)
@@ -235,25 +204,19 @@ func TestResourceFIFONoBarging(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 2)
 	var order []string
-	e.Go("holder", func(p *Proc) {
-		r.Acquire(p, 2)
-		p.Hold(100)
-		r.Release(2)
-	})
-	e.Schedule(10, func() {
-		e.Go("big", func(p *Proc) {
-			r.Acquire(p, 2)
-			order = append(order, "big")
-			r.Release(2)
+	spawn(e, request(r, 2), hold(100), do(func() { r.Release(2) }))
+	for _, w := range []struct {
+		at   Time
+		name string
+		n    int
+	}{{10, "big", 2}, {20, "small", 1}} {
+		e.Schedule(w.at, func() {
+			spawn(e, request(r, w.n), do(func() {
+				order = append(order, w.name)
+				r.Release(w.n)
+			}))
 		})
-	})
-	e.Schedule(20, func() {
-		e.Go("small", func(p *Proc) {
-			r.Acquire(p, 1)
-			order = append(order, "small")
-			r.Release(1)
-		})
-	})
+	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -268,16 +231,10 @@ func TestMutexExclusionAndCost(t *testing.T) {
 	inside := 0
 	maxInside := 0
 	for i := 0; i < 3; i++ {
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			m.Lock(p)
+		spawn(e, lock(m), do(func() {
 			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Hold(10)
-			inside--
-			m.Unlock(p)
-		})
+			maxInside = max(maxInside, inside)
+		}), hold(10), do(func() { inside-- }), unlock(m))
 	}
 	end, err := e.Run(0)
 	if err != nil {
@@ -297,22 +254,15 @@ func TestBarrierReusable(t *testing.T) {
 	b := NewBarrier(e, 3)
 	phase := make([]int, 3)
 	for i := 0; i < 3; i++ {
-		i := i
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Hold(Time(i * 10))
-			b.Arrive(p)
-			phase[i] = 1
-			p.Hold(Time(i * 5))
-			b.Arrive(p)
-			phase[i] = 2
-		})
+		spawn(e, hold(Time(i*10)), arrive(b), do(func() { phase[i] = 1 }),
+			hold(Time(i*5)), arrive(b), do(func() { phase[i] = 2 }))
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	for i, ph := range phase {
 		if ph != 2 {
-			t.Errorf("proc %d finished phase %d", i, ph)
+			t.Errorf("actor %d finished phase %d", i, ph)
 		}
 	}
 }
@@ -320,12 +270,9 @@ func TestBarrierReusable(t *testing.T) {
 func TestCounterSerializesAndCharges(t *testing.T) {
 	e := NewEngine()
 	c := NewCounter(e, 100)
-	got := make([]int64, 0, 6)
+	got := make([]int64, 6)
 	for i := 0; i < 3; i++ {
-		e.Go(fmt.Sprintf("r%d", i), func(p *Proc) {
-			got = append(got, c.Next(p))
-			got = append(got, c.Next(p))
-		})
+		spawn(e, next(c, &got[2*i]), next(c, &got[2*i+1]))
 	}
 	end, err := e.Run(0)
 	if err != nil {
@@ -342,7 +289,7 @@ func TestCounterSerializesAndCharges(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if len(got) != 6 || c.Value() != 6 {
+	if c.Value() != 6 {
 		t.Errorf("got %v, value %d", got, c.Value())
 	}
 }
@@ -469,60 +416,43 @@ func TestJitterBounds(t *testing.T) {
 }
 
 // allocsPerOp measures a whole simulation of n operations and of 2n, so
-// set-up (engine, processes, coroutines) cancels out: it returns the
-// steady-state allocations per operation.
+// set-up (engine, actors) cancels out: it returns the steady-state
+// allocations per operation.
 func allocsPerOp(n int, sim func(n int)) float64 {
 	a := testing.AllocsPerRun(5, func() { sim(n) })
 	b := testing.AllocsPerRun(5, func() { sim(2 * n) })
 	return (b - a) / float64(n)
 }
 
-// The engine's waits allocate nothing in steady state: a process or an
-// actor reuses its one event, a PS its one completion event and its flow
-// slots, a WaitQ its slice.
+// twoFlows starts two actors that each Start n flows of 1e3 units on a
+// shared PS, one after the other.
+func twoFlows(e *Engine, ps *PS, n int) {
+	for _, left := range []int{n - n/2, n / 2} {
+		a := &struct {
+			ev   Event
+			left int
+		}{left: left}
+		a.ev.Bind(func() {
+			for a.left > 0 {
+				a.left--
+				if ps.Start(&a.ev, 1e3) {
+					return
+				}
+			}
+		})
+		e.After(&a.ev, 0)
+	}
+}
+
+// The engine's waits allocate nothing in steady state: an actor reuses
+// its one event, a PS its one completion event and its flow slots, a
+// WaitQ its slice.
 func TestSteadyStateAllocations(t *testing.T) {
 	cases := []struct {
 		name string
 		sim  func(n int)
 	}{
-		{"Hold", func(n int) {
-			e := NewEngine()
-			e.Go("p", func(p *Proc) {
-				for i := 0; i < n; i++ {
-					p.Hold(1)
-				}
-			})
-			e.Run(0)
-		}},
-		{"PS.Use", func(n int) {
-			e := NewEngine()
-			ps := NewPS(e, "bw", 1e9)
-			for _, name := range []string{"a", "b"} {
-				e.Go(name, func(p *Proc) {
-					for i := 0; i < n; i++ {
-						ps.Use(p, 1e3)
-					}
-				})
-			}
-			e.Run(0)
-		}},
-		{"WaitQ", func(n int) {
-			e := NewEngine()
-			q := NewWaitQ(e)
-			e.Go("waiter", func(p *Proc) {
-				for i := 0; i < n; i++ {
-					q.Wait(p)
-				}
-			})
-			e.Go("waker", func(p *Proc) {
-				for i := 0; i < n; i++ {
-					p.Hold(1)
-					q.WakeOne()
-				}
-			})
-			e.Run(0)
-		}},
-		{"actor Hold and Park", func(n int) {
+		{"Hold and Park", func(n int) {
 			e := NewEngine()
 			q := NewWaitQ(e)
 			var waiter, waker Event
@@ -544,6 +474,11 @@ func TestSteadyStateAllocations(t *testing.T) {
 			e.After(&waker, 0)
 			e.Run(0)
 		}},
+		{"PS.Start", func(n int) {
+			e := NewEngine()
+			twoFlows(e, NewPS(e, "bw", 1e9), 2*n)
+			e.Run(0)
+		}},
 	}
 	for _, c := range cases {
 		if got := allocsPerOp(1000, c.sim); got > 0 {
@@ -552,72 +487,57 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// However Run ends, no process outlives it: blocked, sleeping and
-// never-started processes are all unwound, so the goroutine count returns
-// to where it was.
+// However Run ends, it starts no goroutine and leaves no event pending:
+// a second Run has nothing left to do.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	cases := []struct {
 		name    string
 		horizon Time
 		build   func(e *Engine)
-		wantErr bool
 	}{
-		{"deadlock", 0, func(e *Engine) {
+		{"drained", 0, func(e *Engine) {
 			q := NewWaitQ(e)
 			for i := 0; i < 4; i++ {
-				e.Go(fmt.Sprint("w", i), func(p *Proc) {
-					p.Hold(Time(i))
-					q.Wait(p)
-				})
+				spawn(e, hold(Time(i)), park(q))
 			}
-		}, true},
+		}},
 		{"horizon", 50, func(e *Engine) {
-			q := NewWaitQ(e)
 			ps := NewPS(e, "bw", 1)
-			e.Go("sleeper", func(p *Proc) { p.Hold(Second) })
-			e.Go("waiter", func(p *Proc) { q.Wait(p) })
-			e.Go("flow", func(p *Proc) { ps.Use(p, 10) })
-		}, false},
+			spawn(e, hold(Second))
+			spawn(e, park(NewWaitQ(e)))
+			spawn(e, use(ps, 10))
+		}},
 		{"stop", 0, func(e *Engine) {
-			e.Go("ticker", func(p *Proc) {
-				for {
-					p.Hold(10)
-				}
-			})
+			spawn(e, ticker(10, func() {}))
 			e.Schedule(35, func() {
-				e.Go("never-started", func(p *Proc) { t.Error("abandoned process ran") })
+				spawn(e, do(func() { t.Error("abandoned actor ran") }))
 				e.Stop()
 			})
-		}, false},
+		}},
 	}
 	for _, c := range cases {
 		base := runtime.NumGoroutine()
 		e := NewEngine()
 		c.build(e)
-		if _, err := e.Run(c.horizon); (err != nil) != c.wantErr {
-			t.Errorf("%s: Run error = %v, want error %v", c.name, err, c.wantErr)
-		}
-		if n := e.LiveProcs(); n != 0 {
-			t.Errorf("%s: %d live processes after Run", c.name, n)
+		end, err := e.Run(c.horizon)
+		if err != nil {
+			t.Errorf("%s: Run error = %v", c.name, err)
 		}
 		if n := runtime.NumGoroutine(); n != base {
 			t.Errorf("%s: %d goroutines after Run, %d before", c.name, n, base)
 		}
+		if again, err := e.Run(0); again != end || err != nil {
+			t.Errorf("%s: a second Run ended at %v (%v), the first at %v", c.name, again, err, end)
+		}
 	}
 }
 
-// A body's own panic is not swallowed and does not crash the program from
-// a goroutine nobody can recover: it comes out of Run, and the other
-// processes are unwound on the way.
+// An actor's own panic is not swallowed: it comes out of Run, the events
+// still pending are dropped, and the engine runs again.
 func TestBodyPanicComesOutOfRun(t *testing.T) {
-	base := runtime.NumGoroutine()
 	e := NewEngine()
-	q := NewWaitQ(e)
-	e.Go("waiter", func(p *Proc) { q.Wait(p) })
-	e.Go("boom", func(p *Proc) {
-		p.Hold(5)
-		panic("boom")
-	})
+	waiter := spawn(e, hold(10), do(func() { t.Error("dropped event fired") }))
+	spawn(e, hold(5), do(func() { panic("boom") }))
 	func() {
 		defer func() {
 			if r := recover(); r != "boom" {
@@ -627,51 +547,15 @@ func TestBodyPanicComesOutOfRun(t *testing.T) {
 		e.Run(0)
 		t.Error("Run returned normally")
 	}()
-	if n := e.LiveProcs(); n != 0 {
-		t.Errorf("%d live processes after the panic", n)
-	}
-	if n := runtime.NumGoroutine(); n != base {
-		t.Errorf("%d goroutines after the panic, %d before", n, base)
-	}
-	if _, err := e.Run(0); err != nil {
-		t.Errorf("Run after a panic: %v", err)
+	if end, err := e.Run(0); end != 5 || err != nil || waiter.done {
+		t.Errorf("Run after a panic ended at %v (%v), waiter done %v", end, err, waiter.done)
 	}
 }
 
 // BenchmarkEngineSwitch reports the cost of one virtual wait: a Hold, and
-// a PS.Use sharing the resource with a second flow, each made by a
-// process (a coroutine switch per wait) and by a callback actor handing
-// its owned event to the same primitive.
+// a PS.Start sharing the resource with a second flow, each made by a
+// callback actor handing its owned event to the primitive.
 func BenchmarkEngineSwitch(b *testing.B) {
-	b.Run("Hold", func(b *testing.B) {
-		e := NewEngine()
-		e.Go("p", func(p *Proc) {
-			for i := 0; i < b.N; i++ {
-				p.Hold(1)
-			}
-		})
-		b.ReportAllocs()
-		b.ResetTimer()
-		if _, err := e.Run(0); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.Run("PSUse2", func(b *testing.B) {
-		e := NewEngine()
-		ps := NewPS(e, "bw", 1e9)
-		for i, n := range []int{b.N - b.N/2, b.N / 2} {
-			e.Go(fmt.Sprint("flow", i), func(p *Proc) {
-				for k := 0; k < n; k++ {
-					ps.Use(p, 1e3)
-				}
-			})
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		if _, err := e.Run(0); err != nil {
-			b.Fatal(err)
-		}
-	})
 	b.Run("ActorHold", func(b *testing.B) {
 		e := NewEngine()
 		var ev Event
@@ -691,22 +575,7 @@ func BenchmarkEngineSwitch(b *testing.B) {
 	})
 	b.Run("ActorPSStart2", func(b *testing.B) {
 		e := NewEngine()
-		ps := NewPS(e, "bw", 1e9)
-		for _, n := range []int{b.N - b.N/2, b.N / 2} {
-			a := &struct {
-				ev   Event
-				left int
-			}{left: n}
-			a.ev.Bind(func() {
-				for a.left > 0 {
-					a.left--
-					if ps.Start(&a.ev, 1e3) {
-						return
-					}
-				}
-			})
-			e.After(&a.ev, 0)
-		}
+		twoFlows(e, NewPS(e, "bw", 1e9), b.N)
 		b.ReportAllocs()
 		b.ResetTimer()
 		if _, err := e.Run(0); err != nil {

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -28,20 +29,22 @@ func (s orderScenario) String() string {
 
 // orderProgram runs one seeded, generated program over every engine
 // primitive and returns one line naming its seed, its step count, the
-// time and error Run ended with, and an FNV-64a hash of every step as
-// (process, op, Now). The program draws all its choices from one RNG
-// that whichever process is running consumes, so any change in which
-// process runs when, or at what virtual time, changes the hash.
+// time Run ended at, the actors a drained queue left stuck, and an
+// FNV-64a hash of every step as (actor, op, Now). The program draws all
+// its choices from one RNG that whichever actor is running consumes, so
+// any change in which actor runs when, or at what virtual time, changes
+// the hash.
 func orderProgram(seed uint64, sc orderScenario) string {
 	const procs, ops = 10, 100
 	rng := NewRNG(seed)
 	e := NewEngine()
 	h := fnv.New64a()
 	steps := 0
-	step := func(proc, op string) {
+	record := func(who, op string) {
 		steps++
-		fmt.Fprintf(h, "%s %s %d\n", proc, op, e.Now())
+		fmt.Fprintf(h, "%s %s %d\n", who, op, e.Now())
 	}
+	did := func(who, op string) step { return do(func() { record(who, op) }) }
 
 	bw := NewPS(e, "bw", 1e9)
 	gemm := NewPS(e, "gemm", 1)
@@ -54,77 +57,85 @@ func orderProgram(seed uint64, sc orderScenario) string {
 	q := NewWaitQ(e)
 	var handles []*EventHandle
 	finished := 0
+	var names []string
+	var actors []*actor
+	start := func(name string, steps ...step) {
+		names = append(names, name)
+		actors = append(actors, spawn(e, steps...))
+	}
 
-	e.Go("waker", func(p *Proc) {
-		for finished < procs {
-			p.Hold(Time(1 + rng.Intn(20000)))
-			if rng.Intn(3) == 0 {
-				q.WakeAll()
-			} else {
-				q.WakeOne()
-			}
-			step(p.Name(), "wake")
+	start("waker", loop(func() []step {
+		if finished == procs {
+			return nil
 		}
-	})
+		return []step{
+			func(a *actor) bool { return hold(Time(1 + rng.Intn(20000)))(a) },
+			do(func() {
+				if rng.Intn(3) == 0 {
+					q.WakeAll()
+				} else {
+					q.WakeOne()
+				}
+				record("waker", "wake")
+			}),
+		}
+	}))
 	children := 0
 	child := func(parent string) {
 		children++
-		e.Go(fmt.Sprintf("%s.c%d", parent, children), func(p *Proc) {
-			p.Hold(Time(rng.Intn(200)))
-			bw.Use(p, float64(1+rng.Intn(50000)))
-			step(p.Name(), "child")
-		})
+		name := fmt.Sprintf("%s.c%d", parent, children)
+		start(name, draw(rng, 200), func(a *actor) bool {
+			return bw.Start(&a.ev, float64(1+rng.Intn(50000)))
+		}, did(name, "child"))
 	}
 	for i := 0; i < procs; i++ {
 		name := fmt.Sprintf("p%d", i)
-		e.Go(name, func(p *Proc) {
-			for k := 0; k < ops; k++ {
-				if k == ops/2 {
-					bar.Arrive(p)
-					step(name, "barrier")
-					continue
-				}
-				op := rng.Intn(9)
-				switch op {
-				case 0:
-					p.Hold(Time(rng.Intn(500)))
-				case 1:
-					bw.Use(p, float64(1+rng.Intn(100000)))
-				case 2:
-					gemm.Use(p, float64(1+rng.Intn(20000)))
-				case 3:
-					q.Wait(p)
-				case 4:
-					n := 1 + rng.Intn(3)
-					res.Acquire(p, n)
-					p.Hold(Time(rng.Intn(100)))
-					res.Release(n)
-				case 5:
-					mu.Lock(p)
-					p.Hold(Time(rng.Intn(50)))
-					mu.Unlock(p)
-				case 6:
-					ctr.Next(p)
-				case 7:
-					act := rng.Intn(3)
-					handles = append(handles, e.Schedule(Time(rng.Intn(1000)), func() {
-						step(name, fmt.Sprintf("cb%d", act))
-						switch act {
-						case 1:
-							q.WakeOne()
-						case 2:
-							child(name)
-						}
-					}))
-				case 8:
-					if len(handles) > 0 {
-						handles[rng.Intn(len(handles))].Cancel()
-					}
-				}
-				step(name, fmt.Sprint(op))
+		k := 0
+		start(name, loop(func() []step {
+			switch k++; {
+			case k > ops:
+				finished++
+				return nil
+			case k-1 == ops/2:
+				return []step{arrive(bar), did(name, "barrier")}
 			}
-			finished++
-		})
+			op := rng.Intn(9)
+			var r []step
+			switch op {
+			case 0:
+				r = []step{hold(Time(rng.Intn(500)))}
+			case 1:
+				r = []step{use(bw, float64(1+rng.Intn(100000)))}
+			case 2:
+				r = []step{use(gemm, float64(1+rng.Intn(20000)))}
+			case 3:
+				r = []step{park(q)}
+			case 4:
+				n := 1 + rng.Intn(3)
+				r = []step{request(res, n), draw(rng, 100), do(func() { res.Release(n) })}
+			case 5:
+				r = []step{lock(mu), draw(rng, 50), unlock(mu)}
+			case 6:
+				var v int64
+				r = []step{next(ctr, &v)}
+			case 7:
+				act := rng.Intn(3)
+				handles = append(handles, e.Schedule(Time(rng.Intn(1000)), func() {
+					record(name, fmt.Sprintf("cb%d", act))
+					switch act {
+					case 1:
+						q.WakeOne()
+					case 2:
+						child(name)
+					}
+				}))
+			case 8:
+				if len(handles) > 0 {
+					handles[rng.Intn(len(handles))].Cancel()
+				}
+			}
+			return append(r, did(name, fmt.Sprint(op)))
+		}))
 	}
 
 	var horizon Time
@@ -134,21 +145,29 @@ func orderProgram(seed uint64, sc orderScenario) string {
 	case runToStop:
 		e.Schedule(1500*Microsecond, e.Stop)
 	case runToDeadlock:
-		stuck := NewWaitQ(e)
-		e.Go("stuck", func(p *Proc) {
-			p.Hold(Time(rng.Intn(5000)))
-			step(p.Name(), "stuck")
-			stuck.Wait(p)
-		})
+		start("stuck", draw(rng, 5000), did("stuck", "stuck"), park(NewWaitQ(e)))
 	}
 	end, err := e.Run(horizon)
+	if err == nil && (sc == runToEnd || sc == runToDeadlock) {
+		// The queue ran dry: any actor not done waits forever.
+		var stuck []string
+		for i, a := range actors {
+			if !a.done {
+				stuck = append(stuck, names[i])
+			}
+		}
+		if len(stuck) > 0 {
+			sort.Strings(stuck)
+			err = fmt.Errorf("deadlock, %d actor(s) never finished: %v", len(stuck), stuck)
+		}
+	}
 	return fmt.Sprintf("%s seed=%d steps=%d end=%d err=%v hash=%016x",
 		sc, seed, steps, end, err, h.Sum64())
 }
 
 // TestEngineOrderGolden pins the engine's event order, not only its
-// Fig 9 output: generated programs mixing Schedule, Cancel, Hold,
-// PS.Use, WaitQ, Resource, Mutex, Barrier, Counter and processes
+// Fig 9 output: generated programs mixing Schedule, Cancel, After,
+// PS.Start, WaitQ, Resource, Mutex, Barrier, Counter and actors
 // spawned from callbacks, each ended by completion, horizon, Stop and
 // deadlock, must take exactly the steps at exactly the times recorded
 // in testdata/engine_order.golden. Regenerate (only for an intended

@@ -28,9 +28,7 @@ type PS struct {
 	// scheduled while any flow is active; fn is bound once, in NewPS.
 	done Event
 
-	// Stats.
-	totalUnits float64
-	busy       Time
+	busy Time // virtual time with at least one flow active
 }
 
 type psFlow struct {
@@ -93,17 +91,9 @@ func (ps *PS) rate() float64 {
 	return r
 }
 
-// TotalUnits returns the cumulative units served (diagnostics).
-func (ps *PS) TotalUnits() float64 { return ps.totalUnits }
-
 // BusyTime returns the cumulative virtual time during which at least one
 // flow was active (diagnostics; used for utilization reports).
 func (ps *PS) BusyTime() Time { return ps.busy }
-
-// TimeFor returns the uncontended service time for the given amount.
-func (ps *PS) TimeFor(amount float64) Time {
-	return Duration(amount / ps.capacity)
-}
 
 // Start begins a flow of amount units, sharing capacity with all
 // concurrently active flows, and reports whether the caller must wait:
@@ -115,19 +105,9 @@ func (ps *PS) Start(ev *Event, amount float64) bool {
 		return false
 	}
 	ps.advance()
-	ps.totalUnits += amount
 	ps.flows = append(ps.flows, psFlow{remaining: amount, ev: ev})
 	ps.reschedule()
 	return true
-}
-
-// Use blocks the calling process until amount units have been served,
-// sharing capacity with all concurrently active flows. Amounts <= 0
-// complete immediately.
-func (ps *PS) Use(p *Proc, amount float64) {
-	if ps.Start(&p.wake, amount) {
-		p.Block()
-	}
 }
 
 // advance applies work done since the last update to all active flows.

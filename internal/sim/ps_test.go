@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -11,10 +10,7 @@ func TestPSSingleFlow(t *testing.T) {
 	e := NewEngine()
 	ps := NewPS(e, "bw", 1e9) // 1 GB/s
 	var end Time
-	e.Go("p", func(p *Proc) {
-		ps.Use(p, 1e6) // 1 MB
-		end = p.Now()
-	})
+	spawn(e, use(ps, 1e6), do(func() { end = e.Now() })) // 1 MB
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +25,7 @@ func TestPSFairSharing(t *testing.T) {
 	ps := NewPS(e, "bw", 1e9)
 	ends := map[string]Time{}
 	for _, name := range []string{"a", "b"} {
-		name := name
-		e.Go(name, func(p *Proc) {
-			ps.Use(p, 1e6)
-			ends[name] = p.Now()
-		})
+		spawn(e, use(ps, 1e6), do(func() { ends[name] = e.Now() }))
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
@@ -50,15 +42,8 @@ func TestPSLateJoiner(t *testing.T) {
 	e := NewEngine()
 	ps := NewPS(e, "bw", 1e9)
 	var endA, endB Time
-	e.Go("a", func(p *Proc) {
-		ps.Use(p, 2e6)
-		endA = p.Now()
-	})
-	e.Go("b", func(p *Proc) {
-		p.Hold(Millisecond)
-		ps.Use(p, 1e6)
-		endB = p.Now()
-	})
+	spawn(e, use(ps, 2e6), do(func() { endA = e.Now() }))
+	spawn(e, hold(Millisecond), use(ps, 1e6), do(func() { endB = e.Now() }))
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +63,12 @@ func TestPSLateJoiner(t *testing.T) {
 func TestPSZeroAmountImmediate(t *testing.T) {
 	e := NewEngine()
 	ps := NewPS(e, "bw", 1e9)
-	e.Go("p", func(p *Proc) {
-		ps.Use(p, 0)
-		ps.Use(p, -5)
-		if p.Now() != 0 {
-			t.Errorf("zero-amount Use advanced time to %v", p.Now())
-		}
-	})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
+	var ev Event
+	if ps.Start(&ev, 0) || ps.Start(&ev, -5) || ps.Start(&ev, math.NaN()) {
+		t.Error("a flow of no work asked its caller to wait")
+	}
+	if end, err := e.Run(0); end != 0 || err != nil {
+		t.Errorf("zero-amount Start advanced time to %v (%v)", end, err)
 	}
 }
 
@@ -97,12 +79,7 @@ func TestPSManyFlowsConservation(t *testing.T) {
 	const amount = 1e6
 	var latest Time
 	for i := 0; i < n; i++ {
-		e.Go(fmt.Sprintf("f%d", i), func(p *Proc) {
-			ps.Use(p, amount)
-			if p.Now() > latest {
-				latest = p.Now()
-			}
-		})
+		spawn(e, use(ps, amount), do(func() { latest = max(latest, e.Now()) }))
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
@@ -112,31 +89,17 @@ func TestPSManyFlowsConservation(t *testing.T) {
 	if diff := latest - want; diff < -Microsecond || diff > Microsecond {
 		t.Errorf("makespan %v, want ~%v", latest, want)
 	}
-	if got := ps.TotalUnits(); math.Abs(got-n*amount) > 1 {
-		t.Errorf("TotalUnits = %v, want %v", got, n*amount)
-	}
 }
 
 func TestPSBusyTime(t *testing.T) {
 	e := NewEngine()
 	ps := NewPS(e, "bw", 1e9)
-	e.Go("p", func(p *Proc) {
-		p.Hold(Millisecond) // idle gap first
-		ps.Use(p, 1e6)      // 1ms busy
-	})
+	spawn(e, hold(Millisecond), use(ps, 1e6)) // idle gap first, then 1ms busy
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if b := ps.BusyTime(); b < 900*Microsecond || b > 1100*Microsecond {
 		t.Errorf("BusyTime = %v, want ~1ms", b)
-	}
-}
-
-func TestPSTimeFor(t *testing.T) {
-	e := NewEngine()
-	ps := NewPS(e, "bw", 2e9)
-	if got := ps.TimeFor(2e9); got != Second {
-		t.Errorf("TimeFor = %v, want 1s", got)
 	}
 }
 
@@ -154,21 +117,16 @@ func TestPropertyPSWorkConservation(t *testing.T) {
 		var total float64
 		var latest Time
 		ok := true
-		for i, s := range sizes {
+		for _, s := range sizes {
 			amount := float64(s) + 1
 			total += amount
-			minT := ps.TimeFor(amount)
-			e.Go(fmt.Sprintf("f%d", i), func(p *Proc) {
-				start := p.Now()
-				ps.Use(p, amount)
-				el := p.Now() - start
-				if el < minT-10*Microsecond {
+			minT := Duration(amount / cap)
+			spawn(e, use(ps, amount), do(func() {
+				if e.Now() < minT-10*Microsecond {
 					ok = false
 				}
-				if p.Now() > latest {
-					latest = p.Now()
-				}
-			})
+				latest = max(latest, e.Now())
+			}))
 		}
 		if _, err := e.Run(0); err != nil {
 			return false
@@ -189,10 +147,7 @@ func TestPSPerFlowCap(t *testing.T) {
 	ps := NewPS(e, "gemm", 100) // capacity 100 units/s
 	ps.SetPerFlowCap(10)        // but one flow can only draw 10
 	var end Time
-	e.Go("p", func(p *Proc) {
-		ps.Use(p, 10) // 10 units at 10/s -> 1s, not 0.1s
-		end = p.Now()
-	})
+	spawn(e, use(ps, 10), do(func() { end = e.Now() })) // 10 units at 10/s -> 1s, not 0.1s
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +164,7 @@ func TestPSContentionModel(t *testing.T) {
 	// Two concurrent flows: each at 10/(1+0.5) = 6.67/s; 10 units -> 1.5s.
 	var ends [2]Time
 	for i := 0; i < 2; i++ {
-		i := i
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			ps.Use(p, 10)
-			ends[i] = p.Now()
-		})
+		spawn(e, use(ps, 10), do(func() { ends[i] = e.Now() }))
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
@@ -233,12 +184,7 @@ func TestPSContentionAboveOneDegradesAggregate(t *testing.T) {
 	var latest Time
 	const n = 4
 	for i := 0; i < n; i++ {
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			ps.Use(p, 10)
-			if p.Now() > latest {
-				latest = p.Now()
-			}
-		})
+		spawn(e, use(ps, 10), do(func() { latest = max(latest, e.Now()) }))
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)

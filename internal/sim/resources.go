@@ -40,9 +40,8 @@ func (q *FIFO[T]) Pop() T {
 }
 
 // WaitQ is a FIFO queue of waiters. It is the building block for all
-// higher-level synchronization: an actor parks its event with Park, a
-// process itself with Wait, and both are released, in order, by WakeOne
-// or WakeAll.
+// higher-level synchronization: an actor parks its event with Park, and
+// WakeOne or WakeAll release the parked events in order.
 type WaitQ struct {
 	eng *Engine
 	evs FIFO[*Event]
@@ -56,12 +55,6 @@ func (q *WaitQ) Len() int { return q.evs.Len() }
 
 // Park queues ev at the tail; it fires when a wake reaches it.
 func (q *WaitQ) Park(ev *Event) { q.evs.Push(ev) }
-
-// Wait parks the calling process at the tail of the queue.
-func (q *WaitQ) Wait(p *Proc) {
-	q.Park(&p.wake)
-	p.Block()
-}
 
 // WakeOne releases the waiter at the head of the queue, if any. Its event
 // fires at the current virtual time, after events already scheduled for
@@ -123,13 +116,6 @@ func (r *Resource) Request(ev *Event, n int) bool {
 	return true
 }
 
-// Acquire obtains n units, blocking the process until they are available.
-func (r *Resource) Acquire(p *Proc, n int) {
-	if r.Request(&p.wake, n) {
-		p.Block()
-	}
-}
-
 // Release returns n units and admits as many queued waiters as now fit,
 // in FIFO order.
 func (r *Resource) Release(n int) {
@@ -169,35 +155,18 @@ func NewMutex(e *Engine, lockCost, unlockCost Time) *Mutex {
 
 // Acquire asks for the mutex on behalf of ev's owner and reports whether
 // the caller must wait for ev, as Resource.Request does. It charges no
-// cost: a caller locking in steps holds LockCost itself once admitted.
+// cost: the caller holds LockCost itself once admitted.
 func (m *Mutex) Acquire(ev *Event) bool { return m.res.Request(ev, 1) }
 
-// Release frees the mutex without charging UnlockCost, admitting the next
-// waiter.
+// Release frees the mutex, admitting the next waiter. It charges no
+// cost either: the caller holds UnlockCost itself before releasing.
 func (m *Mutex) Release() { m.res.Release(1) }
 
-// Lock acquires the mutex, paying LockCost of virtual time after admission.
-func (m *Mutex) Lock(p *Proc) {
-	m.res.Acquire(p, 1)
-	if m.LockCost > 0 {
-		p.Hold(m.LockCost)
-	}
-}
-
-// Unlock releases the mutex, paying UnlockCost of virtual time first.
-func (m *Mutex) Unlock(p *Proc) {
-	if m.UnlockCost > 0 {
-		p.Hold(m.UnlockCost)
-	}
-	m.Release()
-}
-
-// Barrier blocks processes until a fixed number have arrived, then releases
-// them all. It is reusable: after releasing a generation it resets. This
-// models the explicit synchronization between the seven work levels of the
-// original TCE-generated code (§III-A).
+// Barrier holds its parties until a fixed number have arrived, then
+// releases them all. It is reusable: after releasing a generation it
+// resets. This models the explicit synchronization between the seven
+// work levels of the original TCE-generated code (§III-A).
 type Barrier struct {
-	eng     *Engine
 	parties int
 	arrived int
 	q       *WaitQ
@@ -208,46 +177,48 @@ func NewBarrier(e *Engine, parties int) *Barrier {
 	if parties <= 0 {
 		panic("sim: NewBarrier parties <= 0")
 	}
-	return &Barrier{eng: e, parties: parties, q: NewWaitQ(e)}
+	return &Barrier{parties: parties, q: NewWaitQ(e)}
 }
 
-// Arrive blocks until all parties have arrived. The last arriving process
-// does not block and releases the others.
-func (b *Barrier) Arrive(p *Proc) {
+// Arrive counts ev's owner in and reports whether it must wait: ev fires
+// when the last party arrives. The last party does not wait; it releases
+// the others, in arrival order, and carries on.
+func (b *Barrier) Arrive(ev *Event) bool {
 	b.arrived++
 	if b.arrived == b.parties {
 		b.arrived = 0
 		b.q.WakeAll()
-		return
+		return false
 	}
-	b.q.Wait(p)
+	b.q.Park(ev)
+	return true
 }
 
 // Counter is a monotonically increasing shared counter with a fixed
 // round-trip cost per fetch-and-increment, serialized through a FIFO
 // server. It models the Global Arrays NXTVAL work-stealing counter
 // (§III-A, §IV-D): every acquisition is a remote atomic that serializes
-// all ranks.
+// all ranks. A fetch-and-increment takes three steps: Request the
+// server, hold RTT once admitted, then Take the value.
 type Counter struct {
-	eng   *Engine
+	RTT   Time // the round trip of one fetch-and-increment, held once admitted
 	value int64
-	rtt   Time
 	srv   *Resource
 }
 
 // NewCounter returns a counter starting at zero whose increments cost rtt
 // each and are served one at a time.
 func NewCounter(e *Engine, rtt Time) *Counter {
-	return &Counter{eng: e, rtt: rtt, srv: NewResource(e, 1)}
+	return &Counter{RTT: rtt, srv: NewResource(e, 1)}
 }
 
-// Next performs a fetch-and-increment, blocking the process for queueing
-// plus the round-trip time, and returns the pre-increment value.
-func (c *Counter) Next(p *Proc) int64 {
-	c.srv.Acquire(p, 1)
-	if c.rtt > 0 {
-		p.Hold(c.rtt)
-	}
+// Request asks for the counter's server on behalf of ev's owner and
+// reports whether the caller must wait for ev, as Resource.Request does.
+func (c *Counter) Request(ev *Event) bool { return c.srv.Request(ev, 1) }
+
+// Take ends an admitted request: it increments the counter, frees the
+// server for the next request, and returns the pre-increment value.
+func (c *Counter) Take() int64 {
 	v := c.value
 	c.value++
 	c.srv.Release(1)

@@ -45,9 +45,8 @@ type Payload struct{ Bytes int64 }
 
 // TaskCtx is handed to behaviors. A behavior does not wait itself: it
 // appends the task's charge with the methods below, and the worker plays
-// the charge in order once the behavior returns — from the same virtual
-// instant, so each step starts, and draws its jitter, exactly when a
-// blocking call would have.
+// the charge in order once the behavior returns, from the same virtual
+// instant.
 type TaskCtx struct {
 	Inst *ptg.Instance
 	Node int
@@ -58,13 +57,13 @@ type TaskCtx struct {
 // Hold charges d of virtual time.
 func (c *TaskCtx) Hold(d sim.Time) { c.ops = append(c.ops, cluster.HoldOp(d)) }
 
-// Compute charges a kernel on the task's node (cluster.Machine.Compute).
+// Compute charges a kernel on the task's node (cluster.ComputeOp).
 func (c *TaskCtx) Compute(flops, memBytes int64, warm bool) {
 	c.ops = append(c.ops, cluster.ComputeOp(c.Node, flops, memBytes, warm))
 }
 
 // MemOp charges a memory-bound phase on the task's node
-// (cluster.Machine.MemOp).
+// (cluster.MemoryOp).
 func (c *TaskCtx) MemOp(bytes int64, warm bool) {
 	c.ops = append(c.ops, cluster.MemoryOp(c.Node, bytes, warm))
 }
@@ -76,7 +75,7 @@ func (c *TaskCtx) Lock() { c.ops = append(c.ops, cluster.LockOp(c.Node)) }
 func (c *TaskCtx) Unlock() { c.ops = append(c.ops, cluster.UnlockOp(c.Node)) }
 
 // AddHashBlock charges a Global Arrays accumulate from the task's node
-// into owner's block (ga.Sim.AddHashBlock).
+// into owner's block (ga.Sim.AccOp).
 func (c *TaskCtx) AddHashBlock(owner int, bytes int64, rows int) {
 	c.ops = append(c.ops, c.ga.AccOp(c.Node, owner, bytes, rows))
 }

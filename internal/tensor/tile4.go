@@ -49,13 +49,6 @@ func (t *Tile4) Clone() *Tile4 {
 	return c
 }
 
-// Zero sets all elements to zero.
-func (t *Tile4) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
 // AsMatrix views the tile as a (Dim0*Dim1) x (Dim2*Dim3) matrix sharing
 // the same backing storage and layout; mutations are visible in both
 // views.

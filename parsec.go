@@ -152,10 +152,6 @@ type Workload = tce.Workload
 // Inspect runs the inspection phase of the T2_7 kernel for a system.
 func Inspect(sys *System) *Workload { return tce.Inspect(tce.T2_7(sys), nil) }
 
-// InspectT1 runs the inspection phase of the T1-shaped kernel, the first
-// step of the paper's stated follow-on work of porting more of CCSD.
-func InspectT1(sys *System) *Workload { return tce.Inspect(tce.T1_2(sys), nil) }
-
 // VariantSpec selects one algorithmic variant (§IV-A): a recipe of
 // graph-transformation passes resolved to a plan shape.
 type VariantSpec = ccsd.VariantSpec

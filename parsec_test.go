@@ -3,6 +3,8 @@ package parsec
 import (
 	"math"
 	"testing"
+
+	"parsec/internal/tce"
 )
 
 // TestFacadeQuickstart exercises the public graph-building and execution
@@ -123,9 +125,11 @@ func TestFacadeBaselineWithTrace(t *testing.T) {
 	}
 }
 
+// TestFacadeInspectT1: the facade runs a workload of the T1-shaped
+// kernel as it runs T2_7's.
 func TestFacadeInspectT1(t *testing.T) {
 	sys, _ := Molecule("water")
-	w := InspectT1(sys)
+	w := tce.Inspect(tce.T1_2(sys), nil)
 	if w.NumChains() == 0 {
 		t.Error("empty T1 workload")
 	}
