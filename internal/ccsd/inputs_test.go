@@ -257,20 +257,20 @@ func TestBodiesClearInputsTheyRelease(t *testing.T) {
 		var x *runtime.Executor
 		x = runtime.NewExecutor(runtime.Config{Workers: 1, Policy: recipe.Policy()}, runtime.Hooks{
 			Start: tr.Start,
-			Complete: func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
+			Complete: func(in *ptg.Instance, out []any, s *runtime.Scratch) (err error) {
 				for fi, p := range out {
 					if tile, ok := p.(*tensor.Tile4); ok && tile.Data == nil && tile.Len() == 0 {
 						released++
 						if in.In[fi] != nil {
-							return ready, fmt.Errorf("%v released its input %s and left the slot set", in.Ref, in.Class.Flows[fi].Name)
+							return fmt.Errorf("%v released its input %s and left the slot set", in.Ref, in.Class.Flows[fi].Name)
 						}
 					}
 				}
-				ready, err := tr.CompleteDeliver(in, out, ready)
+				s.Ready, err = tr.CompleteDeliver(in, out, s.Ready)
 				if err == nil && tr.Done() {
 					x.Halt()
 				}
-				return ready, err
+				return err
 			},
 		})
 		x.Preload(tr.AppendInitialReady(nil))

@@ -227,18 +227,18 @@ func (e *Engine) Run(workers int) error {
 	var x *runtime.Executor
 	x = runtime.NewExecutor(runtime.Config{Workers: workers}, runtime.Hooks{
 		Start: func(*ptg.Instance) error { return nil },
-		Complete: func(in *ptg.Instance, _ []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
+		Complete: func(in *ptg.Instance, _ []any, scr *runtime.Scratch) error {
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			for _, s := range e.tasks[in.Seq].succs {
 				if s.pending--; s.pending == 0 {
-					ready = append(ready, &insts[s.id])
+					scr.Ready = append(scr.Ready, &insts[s.id])
 				}
 			}
 			if remaining--; remaining == 0 {
 				x.Halt()
 			}
-			return ready, nil
+			return nil
 		},
 	})
 	for i, t := range e.tasks {

@@ -1,11 +1,9 @@
 package netrun
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -54,25 +52,31 @@ type commCounters struct {
 	replicaRefills atomic.Int64
 }
 
-// pendingMsg is one unacknowledged frame.
+// pendingMsg is one slot of a channel's send window.
 type pendingMsg struct {
-	id uint64
 	// frame is the encoded frame, built once by the message's encode; a
-	// redial resends these bytes, head and borrowed tail alike.
+	// redial resends these bytes, head and borrowed tail alike. An
+	// acknowledged slot holds no frame, so it pins no tile.
 	frame outFrame
 	// queued is set from staging until the socket write returns. A queued
 	// frame is never staged again, so the receiver sees it once: waiting
 	// in the outbox is the sender's backlog, not loss.
 	queued bool
+	acked  bool
 }
 
 // relChan is one outbound reliable link to a single peer: it owns the
-// dialed connection, the unacked window, and the retained activation
-// log. Data frames flow out; only acks flow back. A live TCP connection
+// dialed connection, the send window, and the retained activation log.
+// Data frames flow out; only acks flow back. A live TCP connection
 // neither drops, duplicates nor reorders a frame, so the window is
 // written again only when its connection dies: the redial resends, in
 // send order, every frame written but not acknowledged, and the
 // receiver's dedup drops the copies it already had.
+//
+// The channel numbers its frames 1, 2, 3, ..., so the window is a slice
+// of slots in id order: window[i] is frame base+i. An ack marks its
+// slots and empties them; the acknowledged prefix is trimmed, and the
+// slice keeps its storage, so a steady stream allocates nothing here.
 //
 // All socket writes happen on the channel's writer goroutine, never
 // under c.mu: a blocking write while holding the mutex deadlocks once
@@ -84,12 +88,16 @@ type relChan struct {
 	dst  int
 	addr string
 
-	mu      sync.Mutex
-	wcond   *sync.Cond // outbox gained frames, conn changed, or stopped
-	conn    net.Conn
-	outbox  []*pendingMsg // frames awaiting the writer goroutine; nil = sever here
-	nextID  uint64
-	unacked map[uint64]*pendingMsg
+	mu    sync.Mutex
+	wcond *sync.Cond // outbox gained frames, conn changed, or stopped
+	conn  net.Conn
+	// outbox is the ids of the frames awaiting the writer goroutine, from
+	// outHead on; 0 = sever here.
+	outbox  []uint64
+	outHead int
+	window  []pendingMsg
+	base    uint64 // id of window[0]
+	unacked int    // slots of the window not yet acknowledged
 	// retained is the activation log owed to an heir should the peer die:
 	// kept only when recovery can use it (recoverDeadPeers), and sharing
 	// the pending frames' bytes, borrowed tiles included.
@@ -123,57 +131,94 @@ func (c *relChan) send(frame outFrame) {
 		c.mu.Unlock()
 		return
 	}
-	c.nextID++
-	frame.seal(c.nextID)
-	p := &pendingMsg{id: c.nextID, frame: frame}
-	c.unacked[p.id] = p
+	id := c.base + uint64(len(c.window))
+	frame.seal(id)
+	c.window = append(c.window, pendingMsg{frame: frame})
+	c.unacked++
 	if c.tp.recoverDeadPeers && frame.typ() == msgActivate {
 		c.retained = append(c.retained, frame)
 	}
-	c.stageLocked(p)
+	c.stageLocked(id)
 	c.mu.Unlock()
 
 	c.tp.counters.msgsSent.Add(1)
 	c.tp.counters.bytesSent.Add(int64(frame.size()))
 }
 
-// stageLocked queues one transmission of a pending frame that is not
-// already queued. A SeverSpec due at this frame count queues a nil
-// entry instead, which the writer turns into a connection close; the
+// pendingLocked returns the window slot of frame id, or nil once the
+// frame is acknowledged. Callers hold c.mu, and the slot is valid only
+// until they release it: a send or a trim may move the window.
+func (c *relChan) pendingLocked(id uint64) *pendingMsg {
+	if id < c.base || id-c.base >= uint64(len(c.window)) {
+		return nil
+	}
+	if p := &c.window[id-c.base]; !p.acked {
+		return p
+	}
+	return nil
+}
+
+// ackLocked settles the frames an ack lists that are still owed: each
+// slot gives up its frame, and then the acknowledged prefix of the
+// window is trimmed. Callers hold c.mu.
+func (c *relChan) ackLocked(ids []uint64) {
+	for _, id := range ids {
+		if p := c.pendingLocked(id); p != nil {
+			*p = pendingMsg{acked: true}
+			c.unacked--
+			c.tp.counters.acksReceived.Add(1)
+		}
+	}
+	k := 0
+	for k < len(c.window) && c.window[k].acked {
+		k++
+	}
+	if k > 0 {
+		n := copy(c.window, c.window[k:])
+		clear(c.window[n:]) // the moved slots' old places must not pin a frame
+		c.window = c.window[:n]
+		c.base += uint64(k)
+	}
+}
+
+// stageLocked queues one transmission of owed frame id, which is not
+// already queued. A SeverSpec due at this frame count queues the sever
+// marker instead, which the writer turns into a connection close; the
 // frame itself then goes out after the redial. Callers hold c.mu.
-func (c *relChan) stageLocked(p *pendingMsg) {
+func (c *relChan) stageLocked(id uint64) {
 	if sv := c.tp.sever; sv != nil && sv.From == c.tp.local && sv.To == c.dst {
 		c.frames++
 		if !c.severed && c.frames > sv.AfterFrames {
 			c.severed = true
 			c.tp.counters.severs.Add(1)
-			c.outbox = append(c.outbox, nil) // sever marker: writer cuts the link here
+			c.outbox = append(c.outbox, 0) // sever marker: writer cuts the link here
 			c.wcond.Broadcast()
 			return
 		}
 	}
-	p.queued = true
-	c.outbox = append(c.outbox, p)
+	c.pendingLocked(id).queued = true
+	c.outbox = append(c.outbox, id)
 	c.wcond.Broadcast()
 	if c.conn == nil {
 		c.ensureDialLocked()
 	}
 }
 
-// resendLocked stages again a frame that a dead connection still owed,
-// charging it as a retry. Callers hold c.mu.
-func (c *relChan) resendLocked(p *pendingMsg) {
+// resendLocked stages again owed frame id, written to a connection that
+// has since died, charging it as a retry. Callers hold c.mu.
+func (c *relChan) resendLocked(id uint64) {
 	c.tp.counters.retries.Add(1)
-	c.tp.counters.retransmitBytes.Add(int64(p.frame.size()))
-	c.stageLocked(p)
+	c.tp.counters.retransmitBytes.Add(int64(c.pendingLocked(id).frame.size()))
+	c.stageLocked(id)
 }
 
 // writeLoop is the channel's writer goroutine: it drains the outbox
 // onto whatever connection is current, blocking on the kernel with no
 // locks held. A failed or severed write loses the bytes — the frame
-// stays in the unacked window, and the redial resends it. A frame with a
-// borrowed tail goes out as one vectored write, head then tile, through
-// a net.Buffers this goroutine reuses.
+// stays in the window, and the redial resends it. A frame acknowledged
+// while it waited in the outbox (a dead connection's late ack) is not
+// written. A frame with a borrowed tail goes out as one vectored write,
+// head then tile, through a net.Buffers this goroutine reuses.
 func (c *relChan) writeLoop() {
 	defer c.tp.wg.Done()
 	var (
@@ -192,31 +237,41 @@ func (c *relChan) writeLoop() {
 			c.mu.Unlock()
 			return
 		}
-		p := c.outbox[0]
-		c.outbox[0] = nil // the backing array must not pin an acked frame
-		c.outbox = c.outbox[1:]
+		id := c.outbox[c.outHead]
+		if c.outHead++; c.outHead == len(c.outbox) {
+			c.outbox, c.outHead = c.outbox[:0], 0
+		}
 		conn := c.conn
-		c.mu.Unlock()
-
-		if p == nil { // sever marker
+		if id == 0 { // sever marker
+			c.mu.Unlock()
 			c.dropConn(conn, true)
 			continue
 		}
+		p := c.pendingLocked(id)
+		if p == nil {
+			c.mu.Unlock()
+			continue
+		}
+		frame := p.frame
+		c.mu.Unlock()
+
 		var err error
-		if p.frame.tail == nil {
-			_, err = conn.Write(p.frame.head)
+		if frame.tail == nil {
+			_, err = conn.Write(frame.head)
 		} else {
-			pair[0], pair[1] = p.frame.head, p.frame.tail
+			pair[0], pair[1] = frame.head, frame.tail
 			vec = pair[:] // WriteTo consumes vec, not pair
 			_, err = vec.WriteTo(conn)
 			pair[0], pair[1] = nil, nil // do not pin an acked tile
 		}
 		c.mu.Lock()
-		p.queued = false
-		if c.conn != nil && c.conn != conn && c.unacked[p.id] == p {
-			// The connection died under this write and the redial has
-			// already resent the window, skipping this frame as queued.
-			c.resendLocked(p)
+		if p := c.pendingLocked(id); p != nil {
+			p.queued = false
+			if c.conn != nil && c.conn != conn {
+				// The connection died under this write and the redial has
+				// already resent the window, skipping this frame as queued.
+				c.resendLocked(id)
+			}
 		}
 		c.mu.Unlock()
 		if err != nil {
@@ -232,7 +287,7 @@ func (c *relChan) dropConn(conn net.Conn, redial bool) {
 	c.mu.Lock()
 	if c.conn == conn {
 		c.conn = nil
-		if redial || len(c.unacked) > 0 {
+		if redial || c.unacked > 0 {
 			c.ensureDialLocked()
 		}
 	}
@@ -271,15 +326,11 @@ func (c *relChan) dialLoop() {
 		conn, err := net.DialTimeout("tcp", c.addr, time.Second)
 		if err != nil {
 			if errors.Is(err, syscall.ECONNREFUSED) && !(c.tp.recoverDeadPeers && c.dst != coordRank) {
-				peer := fmt.Sprintf("rank %d", c.dst)
-				if c.dst == coordRank {
-					peer = "coordinator"
-				}
 				c.stop()
 				if c.tp.gone != nil {
 					c.tp.gone(c.dst)
 				}
-				c.tp.fail(fmt.Errorf("netrun: rank %d: %s %s is gone: %w", c.tp.local, peer, c.addr, err))
+				c.tp.fail(fmt.Errorf("netrun: %s: %s %s is gone: %w", rankName(c.tp.local), rankName(c.dst), c.addr, err))
 				return
 			}
 			select {
@@ -306,17 +357,13 @@ func (c *relChan) dialLoop() {
 		c.conn = conn
 		c.dialing = false
 		// Frames written to a connection that has since died are owed
-		// again, in the order they were sent. Frames still queued were
-		// never written: they go out on this connection as they are.
-		owed := make([]*pendingMsg, 0, len(c.unacked))
-		for _, p := range c.unacked {
-			if !p.queued {
-				owed = append(owed, p)
+		// again, in the order they were sent: the window's. Frames still
+		// queued were never written: they go out on this connection as
+		// they are.
+		for i := range c.window {
+			if p := &c.window[i]; !p.acked && !p.queued {
+				c.resendLocked(c.base + uint64(i))
 			}
-		}
-		slices.SortFunc(owed, func(a, b *pendingMsg) int { return cmp.Compare(a.id, b.id) })
-		for _, p := range owed {
-			c.resendLocked(p)
 		}
 		c.wcond.Broadcast()
 		c.mu.Unlock()
@@ -329,16 +376,19 @@ func (c *relChan) dialLoop() {
 
 // readAcks drains acknowledgment frames from one connection until it
 // dies (or sends anything that is not a well-formed ack), then hands
-// the channel back to the dialer.
+// the channel back to the dialer. Every ack decodes into the same id
+// slice.
 func (c *relChan) readAcks(conn net.Conn) {
 	defer c.tp.wg.Done()
 	fr := newFrameReader(conn)
+	var m ackMsg
 	for {
 		f, err := fr.read()
 		if err == nil && f.typ != msgAck {
 			err = errBadType
 		}
-		m, aerr := decodeAck(f.body)
+		var aerr error
+		m, aerr = decodeAck(f.body, m.IDs)
 		if err != nil || aerr != nil {
 			c.mu.Lock()
 			if c.conn == conn {
@@ -346,7 +396,7 @@ func (c *relChan) readAcks(conn net.Conn) {
 				c.conn = nil
 				// A rank redials its coordinator even with nothing owed: a
 				// refused dial is how it learns the coordinator is gone.
-				if len(c.unacked) > 0 || c.dst == coordRank {
+				if c.unacked > 0 || c.dst == coordRank {
 					c.ensureDialLocked()
 				}
 			}
@@ -354,13 +404,8 @@ func (c *relChan) readAcks(conn net.Conn) {
 			return
 		}
 		c.mu.Lock()
-		for _, id := range m.IDs {
-			if _, ok := c.unacked[id]; ok {
-				delete(c.unacked, id)
-				c.tp.counters.acksReceived.Add(1)
-			}
-		}
-		if len(c.unacked) == 0 {
+		c.ackLocked(m.IDs)
+		if c.unacked == 0 {
 			c.tp.drainWake.post()
 		}
 		c.mu.Unlock()
@@ -374,7 +419,7 @@ func (c *relChan) readAcks(conn net.Conn) {
 func (c *relChan) drained() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stopped || len(c.unacked) == 0
+	return c.stopped || c.unacked == 0
 }
 
 // takeRetained stops the channel and surrenders its retained activation
@@ -420,8 +465,8 @@ type transport struct {
 	// it with fail.
 	gone func(peer int)
 
-	// drainWake is posted whenever some channel's unacked window may
-	// have just emptied; waitDrained parks on it.
+	// drainWake is posted whenever some channel's window may have just
+	// been settled; waitDrained parks on it.
 	drainWake wakeup
 
 	mu       sync.Mutex
@@ -513,7 +558,7 @@ func (tp *transport) acceptLoop() {
 // with a frame's body when it returns (the next read reuses the buffer).
 // Acknowledgments go out once per read burst — when the next frame has
 // to be waited for, or ackBatch ids are owed — as one msgAck listing
-// the ids.
+// the ids, encoded into one buffer per connection.
 func (tp *transport) serveConn(conn net.Conn) {
 	defer tp.wg.Done()
 	defer conn.Close()
@@ -543,12 +588,16 @@ func (tp *transport) serveConn(conn net.Conn) {
 		tp.onSeen(from)
 	}
 
-	var acks []uint64
+	var (
+		acks []uint64
+		ack  []byte // every burst's ack frame is encoded here
+	)
 	for {
 		if len(acks) > 0 && (fr.wouldBlock() || len(acks) >= ackBatch) {
 			// A failed write means the connection is dying; the read
 			// below reports it.
-			conn.Write(sealFrame(ackMsg{IDs: acks}.encode(), 0))
+			ack = ackMsg{IDs: acks}.appendFrame(ack[:0])
+			conn.Write(sealFrame(ack, 0))
 			acks = acks[:0]
 		}
 		f, err := fr.read()
@@ -595,7 +644,7 @@ func (tp *transport) chanTo(rank int) *relChan {
 func (tp *transport) connect(rank int, addr string) {
 	tp.mu.Lock()
 	if tp.chans[rank] == nil {
-		c := &relChan{tp: tp, dst: rank, addr: addr, unacked: make(map[uint64]*pendingMsg)}
+		c := &relChan{tp: tp, dst: rank, addr: addr, base: 1}
 		c.wcond = sync.NewCond(&c.mu)
 		tp.chans[rank] = c
 		tp.wg.Add(1)
@@ -645,8 +694,7 @@ func (tp *transport) channels() []*relChan {
 	return chans
 }
 
-// drained reports whether every outbound channel has an empty unacked
-// window.
+// drained reports whether every outbound channel's window is settled.
 func (tp *transport) drained() bool {
 	for _, c := range tp.channels() {
 		if !c.drained() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,6 +41,41 @@ func TestHealthyLinkSendsNothingTwice(t *testing.T) {
 	const maxBytes = 36_000_000
 	if res.Comm.TotalBytes > maxBytes {
 		t.Errorf("%d bytes sent per job, want at most %d: input blocks are crossing twice", res.Comm.TotalBytes, maxBytes)
+	}
+}
+
+// TestNetrunAllocationsPerTask holds the benchmark's job — two
+// in-process ranks of one worker each, as its netrun workload runs them
+// — to a budget of heap allocations per task, counted over the whole
+// process: the coordinator's compile, both ranks, the wire and the
+// Global Arrays server. A per-task or per-message allocation on the
+// rank's path (a fresh delivery slice, window entry or ack buffer)
+// costs about one per task and breaks it.
+func TestNetrunAllocationsPerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	spec := benzeneShaped
+	pol, err := spec.Policy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Ranks: 2, Workers: 1, Policy: pol}
+	var tasks int
+	run := func() {
+		res, err := Run(cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = res.Tasks
+	}
+	run() // fill the pools a steady stream of jobs draws on
+	perRun := testing.AllocsPerRun(3, run)
+	const budget = 1.7
+	if perTask := perRun / float64(tasks); perTask > budget {
+		t.Errorf("%.2f allocations per task (%v per run of %d tasks), want <= %v", perTask, perRun, tasks, budget)
+	} else {
+		t.Logf("%.3f allocations per task (%v per run of %d tasks)", perTask, perRun, tasks)
 	}
 }
 
@@ -443,6 +479,128 @@ func TestRedialResendsWindowInOrder(t *testing.T) {
 		if handled[id] != 1 {
 			t.Errorf("frame %d handled %d times, want once", id, handled[id])
 		}
+	}
+}
+
+// TestAckedWindowHoldsNothing sends a burst of tile activations by
+// reference and acknowledges it out of order: every acknowledged slot
+// must give up its frame at once, the window must keep its unacknowledged
+// front, and once the front is acknowledged too the window must be
+// empty, its id base past the burst, and no slot of its storage may
+// still hold a frame's head or tile.
+func TestAckedWindowHoldsNothing(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("tiles are not sent by reference on a big-endian host")
+	}
+	peer := listenRaw(t)
+	tp := sender(t, false, peer.ln.Addr().String())
+	const n = 12
+	for i := 0; i < n; i++ {
+		f, ok := activateMsg{Class: "GEMM", Args: ptg.A1(i), Payload: tile(float64(i))}.encodeRef()
+		if !ok {
+			t.Fatal("tile activation not sent by reference")
+		}
+		tp.sendFrame(1, f)
+	}
+	fr, conn := peer.accept(t)
+	var ids []uint64
+	for len(ids) < n {
+		f, err := fr.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, f.id)
+	}
+	c := tp.chanTo(1)
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			c.mu.Lock()
+			ok := cond()
+			c.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("window never %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	holdsFrame := func(p pendingMsg) bool { return p.frame.head != nil || p.frame.tail != nil }
+
+	if _, err := conn.Write(sealFrame(ackMsg{IDs: ids[1:]}.encode(), 0)); err != nil {
+		t.Fatal(err)
+	}
+	await("settled all but its front", func() bool { return c.unacked == 1 })
+	c.mu.Lock()
+	if len(c.window) != n || c.base != ids[0] || !holdsFrame(c.window[0]) {
+		t.Errorf("with only frame %d owed: %d slots from id %d; want %d from it, its frame kept", ids[0], len(c.window), c.base, n)
+	}
+	for i, p := range c.window[1:] {
+		if !p.acked || holdsFrame(p) {
+			t.Errorf("acknowledged frame %d: acked %v, still holds a frame %v", ids[i+1], p.acked, holdsFrame(p))
+		}
+	}
+	c.mu.Unlock()
+
+	if _, err := conn.Write(sealFrame(ackMsg{IDs: ids[:1]}.encode(), 0)); err != nil {
+		t.Fatal(err)
+	}
+	if !tp.waitDrained(nil, nil, 5*time.Second) {
+		t.Fatal("channel not drained after the whole burst was acknowledged")
+	}
+	await("trimmed", func() bool { return len(c.window) == 0 })
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.base != n+1 {
+		t.Errorf("window base %d after %d frames, want %d", c.base, n, n+1)
+	}
+	for i, p := range c.window[:cap(c.window)] {
+		if holdsFrame(p) {
+			t.Errorf("trimmed slot %d still holds a frame", i)
+		}
+	}
+}
+
+// TestRefusedDialNamesBothEnds dials an address nothing listens at,
+// from a rank and from the coordinator: the endpoint fails, and its
+// error names both ends as a reader knows them — the coordinator by
+// name, never by its wire rank id.
+func TestRefusedDialNamesBothEnds(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	for _, c := range []struct {
+		local, dst int
+		want       string
+	}{
+		{0, 1, "netrun: rank 0: rank 1 "},
+		{coordRank, 1, "netrun: coordinator: rank 1 "},
+		{1, coordRank, "netrun: rank 1: coordinator "},
+	} {
+		tp, err := newTransport(c.local, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := make(chan error, 1)
+		tp.fail = func(err error) { failed <- err }
+		tp.serve(func(int, frame) {}, nil)
+		tp.connect(c.dst, addr)
+		tp.sendTo(c.dst, newFrame(msgStatus, 0))
+		select {
+		case err := <-failed:
+			if !strings.HasPrefix(err.Error(), c.want) || !strings.Contains(err.Error(), "is gone") {
+				t.Errorf("refused dial from %d to %d failed with %q, want it to start %q", c.local, c.dst, err, c.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("refused dial from %d to %d never failed the endpoint", c.local, c.dst)
+		}
+		tp.close()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,8 +18,14 @@ import (
 
 // TestMain completes the self-exec loop: a test binary relaunched by
 // StartProcesses runs one worker rank and exits instead of the tests.
+// A race-instrumented process sleeps up to a second on its way out (the
+// race runtime's atexit_sleep_ms), and Launch.Wait waits for the worker
+// processes to exit, so every worker this binary launches gets that
+// sleep switched off. The variable is read at process start: the test
+// process itself keeps its own setting.
 func TestMain(m *testing.M) {
 	MaybeWorkerMain()
+	os.Setenv("GORACE", strings.TrimSpace(os.Getenv("GORACE")+" atexit_sleep_ms=0"))
 	os.Exit(m.Run())
 }
 
@@ -163,15 +170,12 @@ func TestProcessChaosKillAndSever(t *testing.T) {
 // that peer, and the coordinator shuts the run down. Its own redial to
 // the dead rank is refused too, so it does not wait for that rank's
 // report. Wait must return its error within 1 s of the kill, not at the
-// deadline and not after the 5 s wait for reports.
+// deadline and not after the 5 s wait for reports, and the error must
+// name the dead rank, and the coordinator by name, never as rank -1.
 func TestKilledRankFailsRunWithoutRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process run in -short mode")
 	}
-	// A race-instrumented process sleeps up to a second on its way out
-	// (the race runtime's atexit_sleep_ms), and Wait waits for the
-	// worker processes to exit: switch that sleep off in them.
-	t.Setenv("GORACE", "atexit_sleep_ms=0")
 	spec := JobSpec{Preset: "water", Variant: "v2"}
 	pol, err := spec.Policy()
 	if err != nil {
@@ -202,6 +206,9 @@ func TestKilledRankFailsRunWithoutRecover(t *testing.T) {
 	case err := <-waitCh:
 		if err == nil {
 			t.Fatal("run succeeded although rank 2 was killed and Recover is off")
+		}
+		if msg := err.Error(); !strings.Contains(msg, "rank 2") || strings.Contains(msg, "rank -1") {
+			t.Errorf("the run's error names its ranks wrongly: %v", err)
 		}
 		t.Logf("run failed %v after the kill: %v", time.Since(killed).Round(time.Millisecond), err)
 	case <-time.After(time.Second):

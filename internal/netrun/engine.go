@@ -193,34 +193,35 @@ func (e *engine) push(in *ptg.Instance) {
 // complete is the executor's completion hook: it routes a finished
 // task's payloads — local successors through the tracker, remote ones as
 // activation messages — returns the wire-delivered inputs the task did
-// not pass on, returns the local successors that became ready for the
-// executor to enqueue, and adds the instance's sequence number to the
+// not pass on, hands the executor the local successors that became
+// ready (s.Ready), and adds the instance's sequence number to the
 // batch bound for the coordinator's termination bitset (see doneSeqs).
 // The sequence number joins its batch only after the payload sends, so
 // the Done that carries it is ordered after them on purpose — the
 // coordinator's flush barrier then guarantees every accumulation is
-// server-side before the energy is read.
-func (e *engine) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
-	// Every worker runs this hook at once, so there is no one buffer to
-	// reuse: each call gets a fresh Delivery slice.
-	dels, err := e.tr.Complete(in, nil)
+// server-side before the energy is read. The deliveries go into the
+// worker's own buffer (s.Dels): every worker runs this hook at once, and
+// nothing keeps a Delivery past the call.
+func (e *engine) complete(in *ptg.Instance, out []any, s *runtime.Scratch) error {
+	dels, err := e.tr.Complete(in, s.Dels[:0])
+	s.Dels = dels
 	if err != nil {
-		return ready, err
+		return err
 	}
 	for _, d := range dels {
 		payload := out[d.FromFlow]
 		if !e.owns(d.To.Node) {
 			if err := e.sendActivate(in, d.To, d.ToFlow, payload, soleDelivery(dels, out, d)); err != nil {
-				return ready, err
+				return err
 			}
 			continue
 		}
 		_, became, err := e.deliver(d.To, d.ToFlow, payload)
 		if err != nil {
-			return ready, err
+			return err
 		}
 		if became && e.mark(d.To, queuedBit) {
-			ready = append(ready, d.To)
+			s.Ready = append(s.Ready, d.To)
 		}
 	}
 	if wired := e.marks[in.Seq].Load() & wiredFlows; wired != 0 {
@@ -237,7 +238,7 @@ func (e *engine) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([
 	if done != nil {
 		e.tp.sendTo(coordRank, done)
 	}
-	return ready, nil
+	return nil
 }
 
 // carriers counts the deliveries of a finished task whose payload is the

@@ -8,6 +8,7 @@ import (
 
 	"parsec/internal/ccsd"
 	"parsec/internal/ptg"
+	"parsec/internal/runtime"
 	"parsec/internal/tensor"
 )
 
@@ -82,11 +83,11 @@ func finish(t *testing.T, e *engine, in *ptg.Instance) []*ptg.Instance {
 	if err := e.tr.ClaimStart(in); err != nil {
 		t.Fatal(err)
 	}
-	ready, err := e.complete(in, append([]any(nil), in.In...), nil)
-	if err != nil {
+	var s runtime.Scratch
+	if err := e.complete(in, append([]any(nil), in.In...), &s); err != nil {
 		t.Fatal(err)
 	}
-	return ready
+	return s.Ready
 }
 
 // TestWireTileOwnership walks one consumer through everything that can
@@ -186,7 +187,7 @@ func TestWireTileReleasedByBody(t *testing.T) {
 	out := append([]any(nil), mid.In...)
 	tensor.PutTile4(y) // the body, done with Y
 	mid.In[1] = nil
-	if _, err := e.complete(mid, out, nil); err != nil {
+	if err := e.complete(mid, out, &runtime.Scratch{}); err != nil {
 		t.Fatal(err)
 	}
 	c := e.tp.counters

@@ -59,6 +59,14 @@ import (
 // routing tables; worker ranks are 0..Ranks-1.
 const coordRank = -1
 
+// rankName names a rank id in an error: "rank 2", or "coordinator".
+func rankName(rank int) string {
+	if rank == coordRank {
+		return "coordinator"
+	}
+	return fmt.Sprintf("rank %d", rank)
+}
+
 // ErrCanceled is returned when Config.Cancel fires mid-run: the
 // coordinator broadcasts shutdown, workers halt between tasks, and the
 // run ends without a result.

@@ -94,9 +94,13 @@ type frame struct {
 // newFrame starts a frame of the given type with room for exactly
 // bodyLen body bytes, so the appends that fill it never reallocate.
 func newFrame(typ byte, bodyLen int) []byte {
-	f := make([]byte, frameHeaderLen, frameHeaderLen+bodyLen)
-	f[0], f[1], f[2], f[3] = wireMagic0, wireMagic1, wireVersion, typ
-	return f
+	return appendHeader(make([]byte, 0, frameHeaderLen+bodyLen), typ)
+}
+
+// appendHeader appends the header of a frame of the given type, its id
+// and body length zero until seal stamps them.
+func appendHeader(dst []byte, typ byte) []byte {
+	return append(dst, wireMagic0, wireMagic1, wireVersion, typ, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 }
 
 // outFrame is one encoded frame as a channel carries it. head is the
@@ -541,16 +545,25 @@ func decodeHello(b []byte) (helloMsg, error) {
 type ackMsg struct{ IDs []uint64 }
 
 func (m ackMsg) encode() []byte {
-	dst := appendU32(newFrame(msgAck, 4+8*len(m.IDs)), uint32(len(m.IDs)))
+	return m.appendFrame(make([]byte, 0, frameHeaderLen+4+8*len(m.IDs)))
+}
+
+// appendFrame is encode into the caller's buffer: it appends the frame
+// to dst.
+func (m ackMsg) appendFrame(dst []byte) []byte {
+	dst = appendU32(appendHeader(dst, msgAck), uint32(len(m.IDs)))
 	for _, id := range m.IDs {
 		dst = appendU64(dst, id)
 	}
 	return dst
 }
 
-func decodeAck(b []byte) (ackMsg, error) {
+// decodeAck decodes an ack into ids' storage, growing it only when the
+// ack lists more ids than it holds; pass nil for a fresh slice.
+func decodeAck(b []byte, ids []uint64) (ackMsg, error) {
 	c := &cursor{buf: b}
-	m := ackMsg{IDs: make([]uint64, c.count(8))}
+	n := c.count(8)
+	m := ackMsg{IDs: slices.Grow(ids[:0], n)[:n]}
 	for i := range m.IDs {
 		m.IDs[i] = c.u64()
 	}

@@ -354,11 +354,20 @@ func TestMessageRoundTrips(t *testing.T) {
 		for i := range burst {
 			burst[i] = uint64(i)<<32 | 9
 		}
+		reused := make([]uint64, 0, ackBatch)
 		for _, ids := range [][]uint64{{1}, {4, 2, 1 << 63}, burst} {
 			m := ackMsg{IDs: ids}
-			roundTrip(t, "ack", m, msgAck, m.encode(), decodeAck)
+			roundTrip(t, "ack", m, msgAck, m.encode(), func(b []byte) (ackMsg, error) { return decodeAck(b, nil) })
+			roundTrip(t, "ack into a reused slice", m, msgAck, m.encode(), func(b []byte) (ackMsg, error) { return decodeAck(b, reused) })
+			if f := m.appendFrame([]byte("xy")); !bytes.Equal(f[2:], m.encode()) {
+				t.Errorf("appendFrame of %d ids differs from encode", len(ids))
+			}
 		}
-		out, err := decodeAck(ackMsg{}.encode()[frameHeaderLen:])
+		out, err := decodeAck(ackMsg{IDs: burst}.encode()[frameHeaderLen:], reused)
+		if err != nil || &out.IDs[0] != &reused[:1][0] {
+			t.Errorf("a burst decoded into a fresh slice, not the reused one (%v)", err)
+		}
+		out, err = decodeAck(ackMsg{}.encode()[frameHeaderLen:], reused)
 		if err != nil || len(out.IDs) != 0 {
 			t.Fatalf("empty ack: %+v, %v", out, err)
 		}
@@ -426,7 +435,7 @@ func TestDecodersRejectHugeCounts(t *testing.T) {
 	if _, err := decodeDone(huge); err == nil {
 		t.Error("done: huge count decoded cleanly")
 	}
-	if _, err := decodeAck(huge); err == nil {
+	if _, err := decodeAck(huge, nil); err == nil {
 		t.Error("ack: huge count decoded cleanly")
 	}
 	if _, err := decodeWelcome(append(appendI64(nil, 2), huge...)); err == nil {
@@ -535,7 +544,7 @@ func decodeBody(fr frame) {
 	case msgHello:
 		_, _ = decodeHello(fr.body)
 	case msgAck:
-		_, _ = decodeAck(fr.body)
+		_, _ = decodeAck(fr.body, nil)
 	case msgRegister:
 		_, _ = decodeRegister(fr.body)
 	case msgWelcome:

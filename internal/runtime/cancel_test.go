@@ -114,13 +114,13 @@ func TestExecutorCancelFromLastComplete(t *testing.T) {
 		var x *Executor
 		x = NewExecutor(Config{Workers: 2, Cancel: cancel}, Hooks{
 			Start: tr.Start,
-			Complete: func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
-				ready, err := tr.CompleteDeliver(in, out, ready)
+			Complete: func(in *ptg.Instance, out []any, s *Scratch) (err error) {
+				s.Ready, err = tr.CompleteDeliver(in, out, s.Ready)
 				if completed.Add(1) == n {
 					x.Halt()
 					close(cancel)
 				}
-				return ready, err
+				return err
 			},
 		})
 		x.Preload(tr.AppendInitialReady(nil))

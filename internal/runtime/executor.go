@@ -25,15 +25,26 @@ type Hooks struct {
 	// fails the run (the scheduler handed out something not ready).
 	Start func(in *ptg.Instance) error
 	// Complete is called on the worker once in's body has returned, with
-	// the body's Ctx.Out. It performs the dataflow the completion
-	// triggers and appends to ready (an empty scratch buffer the worker
-	// reuses) the instances it made ready that this executor should run;
-	// the executor enqueues them. It is also where the embedder decides
-	// the run is over and calls Halt. An error fails the run.
-	Complete func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error)
+	// the body's Ctx.Out and the worker's Scratch. It performs the
+	// dataflow the completion triggers and appends to s.Ready the
+	// instances it made ready that this executor should run; the
+	// executor enqueues them. It is also where the embedder decides the
+	// run is over and calls Halt. An error fails the run.
+	Complete func(in *ptg.Instance, out []any, s *Scratch) error
 	// Dry, if set, is called by a worker whose search for work — own
 	// queue, steal, lending — came up empty, just before it parks.
 	Dry func()
+}
+
+// Scratch is one worker's completion buffers, handed to Hooks.Complete
+// and reused from task to task, so a completion allocates nothing in
+// steady state. Ready arrives empty and carries back the instances the
+// completion made ready. Dels is the hook's own buffer for the
+// completion's deliveries (ptg.Tracker.Complete); the executor never
+// reads it, and the hook must be done with it when it returns.
+type Scratch struct {
+	Ready []*ptg.Instance
+	Dels  []ptg.Delivery
 }
 
 // shard is one mutex-protected ready deque. SharedQueue uses a single
@@ -68,7 +79,7 @@ type workerState struct {
 	busy      time.Duration
 	parkedFor time.Duration     // time spent blocked in park (coarse busy accounting)
 	byClass   []classCount      // tasks run per class, indexed by ptg.TaskClass.Index
-	scratch   []*ptg.Instance   // reusable ready-successor buffer
+	scratch   Scratch           // reusable completion buffers
 	buckets   [][]*ptg.Instance // reusable per-shard batch buckets
 	// ctx and out are the execution context and Ctx.Out buffer of the
 	// task this worker is running, reused from task to task (bodies must
@@ -765,13 +776,13 @@ func (x *Executor) execute(worker int, in *ptg.Instance) (*ptg.Instance, error) 
 
 	// Completion synchronizes on the embedder's own structures (the
 	// tracker's lock), never on a scheduler one.
-	ready, err := x.hooks.Complete(in, ctx.Out, ws.scratch[:0])
+	ws.scratch.Ready = ws.scratch.Ready[:0]
+	err := x.hooks.Complete(in, ctx.Out, &ws.scratch)
 	clear(out) // the successors hold the payloads now; do not pin them here
 	if err != nil {
 		return nil, err
 	}
-	next := x.handOff(worker, ws, ready)
-	ws.scratch = ready[:0]
+	next := x.handOff(worker, ws, ws.scratch.Ready)
 
 	if record {
 		ws.rec = append(ws.rec, trace.Span{Seq: uint32(in.Seq), Worker: uint32(worker), Start: int64(t0), End: int64(t1)})

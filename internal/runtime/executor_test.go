@@ -46,11 +46,11 @@ func TestExecutorForeignPushWhileParked(t *testing.T) {
 			var x *Executor
 			x = NewExecutor(Config{Workers: workers, Queues: mode}, Hooks{
 				Start: tr.Start,
-				Complete: func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
+				Complete: func(*ptg.Instance, []any, *Scratch) error {
 					if completed.Add(1) == n {
 						x.Halt()
 					}
-					return ready, nil
+					return nil
 				},
 			})
 			done := make(chan error, 1)
@@ -158,13 +158,13 @@ func TestHandOffHeldTaskSurvivesStop(t *testing.T) {
 			var x *Executor
 			x = NewExecutor(Config{Workers: 1, Cancel: cancel}, Hooks{
 				Start: tr.Start,
-				Complete: func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
-					ready, err := tr.CompleteDeliver(in, out, ready)
-					if len(ready) != 1 {
-						t.Errorf("completing %v readied %d tasks, want 1", in.Ref, len(ready))
+				Complete: func(in *ptg.Instance, out []any, s *Scratch) (err error) {
+					s.Ready, err = tr.CompleteDeliver(in, out, s.Ready)
+					if len(s.Ready) != 1 {
+						t.Errorf("completing %v readied %d tasks, want 1", in.Ref, len(s.Ready))
 					}
 					st.stop(x, cancel)
-					return ready, err
+					return err
 				},
 			})
 			x.Preload(tr.AppendInitialReady(nil))

@@ -98,12 +98,12 @@ func TestRecordGrowsPastItsEstimate(t *testing.T) {
 	left := n
 	x = NewExecutor(Config{Workers: 1}, Hooks{
 		Start: tr.Start,
-		Complete: func(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
-			ready, err := tr.CompleteDeliver(in, out, ready)
+		Complete: func(in *ptg.Instance, out []any, s *Scratch) (err error) {
+			s.Ready, err = tr.CompleteDeliver(in, out, s.Ready)
 			if left--; left == 0 {
 				x.Halt()
 			}
-			return ready, err
+			return err
 		},
 	})
 	x.Record(1)

@@ -204,10 +204,10 @@ func (r *Runner) run(g *ptg.Graph, cfg Config, record bool) (Report, error) {
 
 // complete is the run's Complete hook. One tracker lock acquisition
 // covers the completion and every delivery it triggers.
-func (r *Runner) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([]*ptg.Instance, error) {
-	ready, err := r.tr.CompleteDeliver(in, out, ready)
-	if err != nil {
-		return ready, err
+func (r *Runner) complete(in *ptg.Instance, out []any, s *Scratch) error {
+	var err error
+	if s.Ready, err = r.tr.CompleteDeliver(in, out, s.Ready); err != nil {
+		return err
 	}
 	// This task's pending token transfers to its successors: one net
 	// update covers the -1 for completing and the +1 per ready
@@ -215,14 +215,14 @@ func (r *Runner) complete(in *ptg.Instance, out []any, ready []*ptg.Instance) ([
 	// increment lands before the executor makes the batch visible to
 	// other workers, so pending only reaches zero at true quiescence:
 	// nothing queued, nothing running.
-	switch n := len(ready); {
+	switch n := len(s.Ready); {
 	case n > 1:
 		r.pending.Add(int64(n - 1))
 	case n == 0 && r.pending.Add(-1) == 0:
 		if !r.tr.Done() {
-			return ready, fmt.Errorf("runtime: deadlock with %d tasks remaining", r.tr.Remaining())
+			return fmt.Errorf("runtime: deadlock with %d tasks remaining", r.tr.Remaining())
 		}
 		r.x.Halt()
 	}
-	return ready, nil
+	return nil
 }

@@ -2,7 +2,7 @@ package tce
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -185,10 +185,12 @@ func (w *Workload) UniqueBlocks(tensorName string) []BlockRef {
 // chains and is asked for per job rather than per workload.
 func (w *Workload) derive() {
 	w.deriveOnce.Do(func() {
-		printed := make(map[BlockRef]string)
+		seen := make(map[BlockRef]bool)
+		var refs []BlockRef
 		add := func(ref BlockRef) {
-			if _, seen := printed[ref]; !seen {
-				printed[ref] = ref.String()
+			if !seen[ref] {
+				seen[ref] = true
+				refs = append(refs, ref)
 			}
 		}
 		for _, c := range w.Chains {
@@ -198,11 +200,7 @@ func (w *Workload) derive() {
 				add(g.Op.B)
 			}
 		}
-		refs := make([]BlockRef, 0, len(printed))
-		for ref := range printed {
-			refs = append(refs, ref)
-		}
-		sort.Slice(refs, func(i, j int) bool { return printed[refs[i]] < printed[refs[j]] })
+		slices.SortFunc(refs, comparePrinted)
 		w.uniq = make(map[string][]BlockRef)
 		for _, ref := range refs {
 			w.uniq[ref.Tensor] = append(w.uniq[ref.Tensor], ref)

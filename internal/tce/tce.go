@@ -11,7 +11,9 @@
 package tce
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 
 	"parsec/internal/molecule"
 	"parsec/internal/tensor"
@@ -43,9 +45,26 @@ func (b *BlockRef) Elems() int {
 // Bytes returns the storage size of the block in bytes.
 func (b *BlockRef) Bytes() int64 { return int64(b.Elems()) * 8 }
 
-// String renders the block as tensor name plus key.
-func (b BlockRef) String() string {
-	return fmt.Sprintf("%s%v", b.Tensor, b.Key)
+// String renders the block as tensor name plus key, "t2(1,0,2,3)".
+func (b BlockRef) String() string { return string(b.appendPrinted(nil)) }
+
+// appendPrinted appends the block's printed form (String) to dst.
+func (b *BlockRef) appendPrinted(dst []byte) []byte {
+	dst = append(dst, b.Tensor...)
+	sep := byte('(')
+	for _, k := range b.Key {
+		dst = strconv.AppendInt(append(dst, sep), int64(k), 10)
+		sep = ','
+	}
+	return append(dst, ')')
+}
+
+// comparePrinted orders blocks as their printed forms sort, without
+// building the strings: both forms are written into stack buffers and
+// compared byte by byte.
+func comparePrinted(a, b BlockRef) int {
+	var ab, bb [48]byte
+	return bytes.Compare(a.appendPrinted(ab[:0]), b.appendPrinted(bb[:0]))
 }
 
 // IterVec is the iteration vector of one GEMM: the values of the loop

@@ -1,8 +1,10 @@
 package tce
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -301,5 +303,56 @@ func TestBetaCaroteneWorkloadScale(t *testing.T) {
 	}
 	if s.TotalFlops < 1e12 || s.TotalFlops > 5e14 {
 		t.Errorf("flops = %g, outside plausible range", float64(s.TotalFlops))
+	}
+}
+
+// TestDeriveOrderMatchesPrintedForm holds UniqueBlocks to the order the
+// blocks' printed forms sort in, which fixes the energy fold's key
+// order: derive compares the forms without building them, and this
+// reference builds each with fmt and sorts the strings. It covers every
+// preset and a shape whose block indices reach two digits, where
+// "(10," sorts before "(9,".
+func TestDeriveOrderMatchesPrintedForm(t *testing.T) {
+	systems := []*molecule.System{molecule.Custom("two-digit", 6, 24, 4, 2, 1)}
+	for _, name := range molecule.PresetNames() {
+		sys, err := molecule.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, sys)
+	}
+	for _, sys := range systems {
+		w := Inspect(T2_7(sys), nil)
+		printed := make(map[BlockRef]string)
+		for _, c := range w.Chains {
+			printed[c.Out] = fmt.Sprintf("%s%v", c.Out.Tensor, c.Out.Key)
+			for _, g := range c.Gemms {
+				for _, ref := range []BlockRef{g.Op.A, g.Op.B} {
+					printed[ref] = fmt.Sprintf("%s%v", ref.Tensor, ref.Key)
+				}
+			}
+		}
+		want := make(map[string][]BlockRef)
+		refs := make([]BlockRef, 0, len(printed))
+		for ref := range printed {
+			refs = append(refs, ref)
+		}
+		sort.Slice(refs, func(i, j int) bool { return printed[refs[i]] < printed[refs[j]] })
+		for _, ref := range refs {
+			want[ref.Tensor] = append(want[ref.Tensor], ref)
+		}
+		twoDigit := false
+		for _, name := range []string{TensorA, TensorB, TensorC} {
+			got := w.UniqueBlocks(name)
+			if !slices.Equal(got, want[name]) {
+				t.Fatalf("%s %s: UniqueBlocks lists %d blocks out of the printed order of %d", sys.Name, name, len(got), len(want[name]))
+			}
+			for _, b := range got {
+				twoDigit = twoDigit || slices.Max(b.Key[:]) >= 10
+			}
+		}
+		if sys.Name == "two-digit" && !twoDigit {
+			t.Fatal("the two-digit shape has no block index of 10 or more")
+		}
 	}
 }
