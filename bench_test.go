@@ -54,7 +54,7 @@ func BenchmarkFig9Original(b *testing.B) {
 		b.Run(fmt.Sprintf("cores-%d", cores), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := ccsd.RunSimBaseline(sys, benchCluster(), ccsd.SimRunConfig{CoresPerNode: cores})
+				res, err := ccsd.RunSimSeries(sys, ccsd.BaselineName, benchCluster(), ccsd.SimRunConfig{CoresPerNode: cores})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -145,7 +145,7 @@ func BenchmarkFig11TraceV2(b *testing.B) {
 func BenchmarkFig12TraceOriginal(b *testing.B) {
 	sys := molecule.Benzene631G()
 	traceBench(b, func(tr *trace.Trace) (float64, error) {
-		res, err := ccsd.RunSimBaseline(sys, benchCluster(), ccsd.SimRunConfig{CoresPerNode: 7, Trace: tr})
+		res, err := ccsd.RunSimSeries(sys, ccsd.BaselineName, benchCluster(), ccsd.SimRunConfig{CoresPerNode: 7, Trace: tr})
 		return res.Makespan.Seconds(), err
 	})
 }
@@ -302,7 +302,7 @@ func BenchmarkAblationNxtvalRTT(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchCluster()
 				cfg.AtomicRTT = rtt
-				res, err := ccsd.RunSimBaseline(sys, cfg, ccsd.SimRunConfig{CoresPerNode: 7})
+				res, err := ccsd.RunSimSeries(sys, ccsd.BaselineName, cfg, ccsd.SimRunConfig{CoresPerNode: 7})
 				if err != nil {
 					b.Fatal(err)
 				}

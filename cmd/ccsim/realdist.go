@@ -47,7 +47,6 @@ func realDistCmd(fs *flag.FlagSet) func(io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("%s reference: %w", v.name, err)
 			}
-			job := netrun.JobSpec{Preset: o.preset, Variant: v.name}
 			if o.verbose {
 				fmt.Fprintf(os.Stderr, "# %s: launching %d processes...\n", v.name, *ranks)
 			}
@@ -56,7 +55,7 @@ func realDistCmd(fs *flag.FlagSet) func(io.Writer) error {
 				Workers:  *workers,
 				Policy:   v.spec.Policy(),
 				Deadline: 10 * time.Minute,
-			}, job)
+			}, ccsd.Compile(sys, v.spec, ccsd.Options{Nodes: *ranks}))
 			if err != nil {
 				return fmt.Errorf("%s: %w", v.name, err)
 			}

@@ -3,8 +3,11 @@
 // target is not an absolute URL (no "://" and no "mailto:") must point
 // at an existing file or directory, resolved against the linking file's
 // directory. Fenced code blocks are skipped, fragments (`#...`) and
-// query strings are stripped before the existence check. Broken links
-// exit with status 1.
+// query strings are stripped before the existence check. In a root that
+// holds a go.mod it also checks that every backticked qualified Go
+// identifier in the live docs (DESIGN.md, README.md, docs/*.md) names a
+// declaration of that module (see checkIdents). Broken links and stale
+// identifiers exit with status 1.
 //
 // Usage:
 //
@@ -58,8 +61,12 @@ func main() {
 	for _, path := range files {
 		broken += lintFile(path)
 	}
-	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "mdlint: %d broken link(s)\n", broken)
+	stale := 0
+	for _, root := range roots {
+		stale += checkIdents(root, os.Stderr)
+	}
+	if broken > 0 || stale > 0 {
+		fmt.Fprintf(os.Stderr, "mdlint: %d broken link(s), %d stale identifier(s)\n", broken, stale)
 		os.Exit(1)
 	}
 }

@@ -246,7 +246,7 @@ func TestSimTraceWellFormed(t *testing.T) {
 func TestSimBaselineCompletes(t *testing.T) {
 	sys := molecule.Water631G()
 	for _, nodes := range []int{4, 1} {
-		res, err := RunSimBaseline(sys, simConfig(nodes, 4), SimRunConfig{CoresPerNode: 2})
+		res, err := RunSimSeries(sys, BaselineName, simConfig(nodes, 4), SimRunConfig{CoresPerNode: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

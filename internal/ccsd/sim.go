@@ -54,7 +54,7 @@ func (p *CompiledPlan) simBehaviors() map[string]simexec.Behavior {
 type SimRunConfig struct {
 	CoresPerNode int
 	Trace        *trace.Trace
-	// Kernel selects the TCE kernel RunSim and RunSimBaseline inspect:
+	// Kernel selects the TCE kernel RunSim and RunSimSeries inspect:
 	// "t2_7" (default) or "t1_2". A compiled plan already has its
 	// workload, so Simulate does not read it.
 	Kernel string
@@ -128,42 +128,35 @@ func RunSim(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimR
 	return CompileWorkload(w, spec, Options{Nodes: mcfg.Nodes}).Simulate(mcfg, rc)
 }
 
-// RunSimBaseline executes the original CGP code path on a fresh
-// simulated machine for the same system, for side-by-side Fig 9
-// comparisons. Of rc it reads CoresPerNode (the ranks per node), Kernel,
-// Trace and Faults; the rest shapes a PTG the baseline does not have.
-// The CGP baseline has no comm threads — its GETs and ACCs are
-// one-sided — so of the injected faults only stragglers and GA-service
-// hiccups apply; its NXTVAL work distribution then rebalances around
-// them on its own, which is the natural contrast to the PTG executors'
-// re-dispatch.
-func RunSimBaseline(sys *molecule.System, mcfg cluster.Config, rc SimRunConfig) (cgp.Result, error) {
-	w, err := InspectKernel(sys, rc.Kernel, mcfg.Nodes)
-	if err != nil {
-		return cgp.Result{}, err
-	}
-	m, gs := newSimMachine(mcfg, rc.Faults)
-	return cgp.Run(w, m, gs, cgp.Config{RanksPerNode: rc.CoresPerNode, Trace: rc.Trace})
-}
-
-// RunSimSeries runs one Fig 9 series by name — BaselineName through
-// RunSimBaseline, anything else as a variant name or flat recipe
-// through RunSim — so drivers that list series side by side do not
-// each carry that branch. The baseline reports in the same result type:
-// its makespan and GA tally; it has no tasks, deliveries or recovery
-// counters, and those fields stay zero.
+// RunSimSeries runs one Fig 9 series by name on a fresh simulated
+// machine, so drivers that list series side by side do not each carry
+// the branch: a variant name or flat recipe through RunSim, and
+// BaselineName as the original CGP code path on the same system. Of rc
+// the baseline reads CoresPerNode (the ranks per node), Kernel, Trace
+// and Faults; the rest shapes a PTG it does not have. It has no comm
+// threads — its GETs and ACCs are one-sided — so of the injected faults
+// only stragglers and GA-service hiccups apply; its NXTVAL work
+// distribution then rebalances around them on its own, which is the
+// natural contrast to the PTG executors' re-dispatch. It reports in the
+// same result type: its makespan and GA tally; it has no tasks,
+// deliveries or recovery counters, and those fields stay zero.
 func RunSimSeries(sys *molecule.System, name string, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, error) {
-	if name == BaselineName {
-		res, err := RunSimBaseline(sys, mcfg, rc)
-		return simexec.Result{
-			Makespan: res.Makespan,
-			Gets:     res.Gets, Adds: res.Adds,
-			GetBytes: res.GetBytes, AddBytes: res.AddBytes,
-		}, err
+	if name != BaselineName {
+		spec, err := VariantByName(name)
+		if err != nil {
+			return simexec.Result{}, err
+		}
+		return RunSim(sys, spec, mcfg, rc)
 	}
-	spec, err := VariantByName(name)
+	w, err := InspectKernel(sys, rc.Kernel, mcfg.Nodes)
 	if err != nil {
 		return simexec.Result{}, err
 	}
-	return RunSim(sys, spec, mcfg, rc)
+	m, gs := newSimMachine(mcfg, rc.Faults)
+	res, err := cgp.Run(w, m, gs, cgp.Config{RanksPerNode: rc.CoresPerNode, Trace: rc.Trace})
+	return simexec.Result{
+		Makespan: res.Makespan,
+		Gets:     res.Gets, Adds: res.Adds,
+		GetBytes: res.GetBytes, AddBytes: res.AddBytes,
+	}, err
 }

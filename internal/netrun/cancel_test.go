@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"parsec/internal/molecule"
+	"parsec/internal/runtime"
 	"parsec/internal/sched"
 )
 
@@ -20,8 +21,8 @@ func TestCancelPreClosed(t *testing.T) {
 	close(c)
 	t0 := time.Now()
 	_, err := Run(Config{Ranks: 2, Workers: 1, Cancel: c}, JobSpec{Preset: "water", Variant: "v5"})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	if !errors.Is(err, runtime.ErrCanceled) {
+		t.Fatalf("err = %v, want runtime.ErrCanceled", err)
 	}
 	if elapsed := time.Since(t0); elapsed > 30*time.Second {
 		t.Fatalf("pre-closed cancel took %v — ranks idled to a deadline instead of shutting down", elapsed)
@@ -30,7 +31,7 @@ func TestCancelPreClosed(t *testing.T) {
 
 // TestCancelMidRun cancels a benzene job once it is measurably under
 // way — on the fiftieth task popped across the ranks, not after a
-// wall-clock delay the job might beat: the run must return ErrCanceled
+// wall-clock delay the job might beat: the run must return runtime.ErrCanceled
 // with thousands of tasks still to go, and the rank goroutines must
 // unwind cleanly.
 func TestCancelMidRun(t *testing.T) {
@@ -42,8 +43,8 @@ func TestCancelMidRun(t *testing.T) {
 		}
 	}}
 	_, err := Run(cfg, JobSpec{Preset: "benzene", Variant: "v5"})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v after %d pops, want ErrCanceled", err, pops.Load())
+	if !errors.Is(err, runtime.ErrCanceled) {
+		t.Fatalf("err = %v after %d pops, want runtime.ErrCanceled", err, pops.Load())
 	}
 }
 

@@ -29,6 +29,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// planFor compiles spec for a run on ranks ranks, the plan
+// StartProcesses takes.
+func planFor(t *testing.T, spec JobSpec, ranks int) *ccsd.CompiledPlan {
+	t.Helper()
+	plan, err := spec.plan(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 // refEnergy computes the single-process reference energy for a preset
 // and variant.
 func refEnergy(t *testing.T, preset, variant string) float64 {
@@ -68,7 +79,7 @@ func TestProcessesBenzeneThreeWorkers(t *testing.T) {
 		Workers:  2,
 		Policy:   pol,
 		Deadline: 2 * time.Minute,
-	}, spec)
+	}, planFor(t, spec, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +123,7 @@ func TestProcessChaosKillAndSever(t *testing.T) {
 		Recover:  true,
 		Sever:    &SeverSpec{From: 0, To: 1, AfterFrames: 10},
 		Deadline: 2 * time.Minute,
-	}, spec)
+	}, planFor(t, spec, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +192,7 @@ func TestKilledRankFailsRunWithoutRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := StartProcesses(Config{Ranks: 3, Workers: 2, Policy: pol, Deadline: time.Minute}, spec)
+	l, err := StartProcesses(Config{Ranks: 3, Workers: 2, Policy: pol, Deadline: time.Minute}, planFor(t, spec, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +245,7 @@ func TestRanksExitWhenCoordinatorDies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := StartProcesses(Config{Ranks: 2, Workers: 1, Policy: pol, Deadline: time.Minute}, spec)
+	l, err := StartProcesses(Config{Ranks: 2, Workers: 1, Policy: pol, Deadline: time.Minute}, planFor(t, spec, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"parsec/internal/ga"
 	"parsec/internal/ptg"
+	"parsec/internal/runtime"
 	"parsec/internal/tce"
 	"parsec/internal/tensor"
 )
@@ -373,7 +374,7 @@ func (co *coordinator) wait() (*Result, error) {
 			// once would close the transport under them and leave
 			// every rank idling to its own deadline.
 			co.awaitReports(co.shutdown())
-			return nil, ErrCanceled
+			return nil, runtime.ErrCanceled
 		case <-deadline:
 			co.shutdown()
 			return nil, fmt.Errorf("netrun: deadline exceeded with %d/%d tasks complete", co.nComplete(), co.spec.numInstances)

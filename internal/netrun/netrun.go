@@ -45,7 +45,6 @@
 package netrun
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -66,11 +65,6 @@ func rankName(rank int) string {
 	}
 	return fmt.Sprintf("rank %d", rank)
 }
-
-// ErrCanceled is returned when Config.Cancel fires mid-run: the
-// coordinator broadcasts shutdown, workers halt between tasks, and the
-// run ends without a result.
-var ErrCanceled = errors.New("netrun: run canceled")
 
 // Config controls a distributed run. The zero value of optional fields
 // selects the documented defaults. A worker process receives it as JSON
@@ -93,7 +87,9 @@ type Config struct {
 	Deadline time.Duration
 
 	// Cancel, when non-nil, aborts the run when it becomes readable:
-	// the coordinator broadcasts shutdown and returns ErrCanceled.
+	// the coordinator broadcasts shutdown, workers halt between tasks,
+	// and the run returns runtime.ErrCanceled, the error an in-process
+	// Execute returns.
 	// Coordinator-side only — it does not cross the process boundary,
 	// so it works identically for in-process and multi-process runs.
 	Cancel <-chan struct{} `json:"-"`

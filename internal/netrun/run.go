@@ -12,6 +12,7 @@ import (
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
+	"parsec/internal/tce"
 )
 
 // RunGraph executes a generic PTG across cfg.Ranks in-process ranks
@@ -132,7 +133,7 @@ type JobSpec struct {
 
 // plan compiles the job for a run of the given rank count: the one
 // route from a serialized job to something runnable, taken once by Run
-// and by StartProcesses' coordinator, and once in each worker process.
+// and once in each worker process.
 func (s JobSpec) plan(ranks int) (*ccsd.CompiledPlan, error) {
 	sys, err := molecule.Resolve(s.Preset, s.Custom)
 	if err != nil {
@@ -202,18 +203,24 @@ type Launch struct {
 	cmds []*exec.Cmd
 }
 
-// StartProcesses launches a CCSD job across cfg.Ranks real OS
+// StartProcesses launches a compiled plan across cfg.Ranks real OS
 // processes by re-executing the current binary (which must call
 // MaybeWorkerMain early in main or TestMain). The coordinator and the
-// GA server run in the calling process. SchedObserver does not cross
-// the process boundary and must be nil.
-func StartProcesses(cfg Config, spec JobSpec) (*Launch, error) {
+// GA server run in the calling process, off the plan as in RunPlan. A
+// worker process is another address space: it gets the plan's system
+// and canonical shape as a JobSpec and compiles its own T2_7 plan from
+// them. SchedObserver does not cross the process boundary and must be
+// nil.
+func StartProcesses(cfg Config, plan *ccsd.CompiledPlan) (*Launch, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	if cfg.SchedObserver != nil {
 		return nil, fmt.Errorf("netrun: SchedObserver cannot cross the process boundary")
+	}
+	if k := plan.Workload.Kernel.Name; k != tce.T2_7(nil).Name {
+		return nil, fmt.Errorf("netrun: worker processes compile the T2_7 kernel, not %s", k)
 	}
 	exe, err := os.Executable()
 	if err != nil {
@@ -223,11 +230,11 @@ func StartProcesses(cfg Config, spec JobSpec) (*Launch, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobJSON, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := spec.plan(cfg.Ranks)
+	sys := plan.Sys
+	jobJSON, err := json.Marshal(JobSpec{
+		Custom:  &CustomSpec{Name: sys.Name, NOccupied: sys.NOccupied, NVirtual: sys.NVirtual, TileTarget: sys.TileTarget, NIrreps: sys.NIrreps, Seed: sys.Seed},
+		Variant: plan.Shape.Canon(),
+	})
 	if err != nil {
 		return nil, err
 	}

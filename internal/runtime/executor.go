@@ -230,11 +230,14 @@ func (ws *workerState) reset(x *Executor, id int) {
 // a trace.Span per task it executes in a buffer of its own — no lock,
 // no formatting, no pointer — and Report hands them back. n is the
 // number of task executions the embedder expects of this executor (a
-// whole-graph run's instance count, a rank's share of it); the buffers
-// are sized from it once, so a balanced run appends without growing.
+// whole-graph run's instance count, a rank's share of it with a
+// margin). Every worker's buffer is sized for all n, because one worker
+// may run them all: a run then appends without growing however its
+// tasks fall on workers, and an executor kept from run to run allocates
+// its buffers once, not whenever a run is less balanced than the last.
 func (x *Executor) Record(n int) {
 	x.record = true
-	per := (n+n/4)/len(x.ws) + 16
+	per := n + 16
 	for i := range x.ws {
 		if cap(x.ws[i].rec) < per {
 			x.ws[i].rec = make([]trace.Span, 0, per)

@@ -164,6 +164,9 @@ type job struct {
 	foot      int64
 	accounted bool
 	recovered bool
+	// ranks is the netrun rank count the job runs on, 0 for the
+	// in-process runtime (see Server.place).
+	ranks int
 
 	cancel     chan struct{}
 	cancelOnce sync.Once
@@ -173,6 +176,29 @@ type job struct {
 	err     error
 	result  *JobResult
 	profile *obsv.Profile
+}
+
+// place chooses the job's backend from its footprint and the server's
+// Config, and keys its plan for the node count that backend runs.
+// Submit and journal recovery both call it, so a recovered job runs as
+// the restarted server would place it, never by its journaled key.
+func (s *Server) place(j *job) {
+	j.foot = s.footprint(j.sys)
+	if s.cfg.NetrunBytes > 0 && j.foot >= s.cfg.NetrunBytes {
+		j.ranks = s.cfg.NetrunRanks
+	}
+	j.key = PlanKey(j.sys, j.vspec.MustShape(), j.nodes())
+}
+
+// nodes is the node count the job's plan is compiled for: the rank
+// count of a netrun job, the spec's Nodes otherwise. A plan is a pure
+// function of (system, shape, nodes), so a netrun job shares its cache
+// entry with an in-process job of that many nodes.
+func (j *job) nodes() int {
+	if j.ranks > 0 {
+		return j.ranks
+	}
+	return j.spec.Nodes
 }
 
 // requestCancel fires the job's cancel channel exactly once.

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -345,31 +346,90 @@ func TestHTTPRetryAfterSubSecond(t *testing.T) {
 // TestServerNetrunDispatch routes a job above the netrun threshold onto
 // the distributed backend (in-process ranks over real sockets) and
 // checks the result carries the backend fingerprint and the right
-// energy.
+// energy. The same job submitted again takes its plan from the cache:
+// a netrun job compiles once per key, like an in-process one.
 func TestServerNetrunDispatch(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1, NetrunBytes: 1, NetrunRanks: 2})
 	defer s.Shutdown()
 
-	st, err := s.Submit(JobSpec{Preset: "water", Variant: "v5"})
+	var runs [2]JobStatus
+	for i := range runs {
+		st, err := s.Submit(JobSpec{Preset: "water", Variant: "v5"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = waitTerminal(t, s, st.ID)
+		if st.State != JobDone {
+			t.Fatalf("netrun job %d state = %s (%s), want done", i, st.State, st.Error)
+		}
+		if st.Result.Backend != BackendNetrun || st.Result.Ranks != 2 {
+			t.Fatalf("backend = %q ranks = %d, want netrun/2", st.Result.Backend, st.Result.Ranks)
+		}
+		if prof, _ := s.Profile(st.ID); prof == nil || prof.Phase == nil {
+			t.Fatal("netrun job has no profile with phases")
+		}
+		runs[i] = st
+	}
+	cold, warm := runs[0].Result, runs[1].Result
+	ref := ccsd.ReferenceEnergy(tce.Inspect(tce.T2_7(molecule.Water631G()), nil))
+	if d := ccsd.EnergyRelDiff(cold.Energy, ref); d > ccsd.EnergyTol {
+		t.Fatalf("netrun energy %.15f vs reference %.15f: relative diff %.3e > %g", cold.Energy, ref, d, ccsd.EnergyTol)
+	}
+	if cold.CacheHit || cold.InspectNs <= 0 || cold.PlanNs <= 0 {
+		t.Errorf("first run: cache_hit %v inspect %d ns plan %d ns, want a miss with both phases", cold.CacheHit, cold.InspectNs, cold.PlanNs)
+	}
+	if !warm.CacheHit || warm.InspectNs != 0 || warm.PlanNs != 0 {
+		t.Errorf("second run: cache_hit %v inspect %d ns plan %d ns, want a hit with neither phase", warm.CacheHit, warm.InspectNs, warm.PlanNs)
+	}
+	if math.Float64bits(warm.Energy) != math.Float64bits(cold.Energy) {
+		t.Errorf("cached-plan energy %.17g != first run's %.17g (must be bitwise)", warm.Energy, cold.Energy)
+	}
+	st := s.Stats()
+	if st.NetrunJobs != 2 || st.Cache.Misses != 1 {
+		t.Fatalf("netrun jobs = %d, cache misses = %d, want 2 and 1", st.NetrunJobs, st.Cache.Misses)
+	}
+}
+
+// TestRecoveredJobIsPlacedAgain restarts a server whose netrun rank
+// count changed while a job was queued. The journaled key was computed
+// for the old rank count, and a plan compiled for it cannot run on the
+// new one, so recovery places the job again, as Submit would now.
+func TestRecoveredJobIsPlacedAgain(t *testing.T) {
+	dir := t.TempDir()
+	sys := molecule.Water631G()
+	spec := JobSpec{Preset: "water", Variant: "v5"}
+	jl, _, err := OpenJournal(filepath.Join(dir, "jobs.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = waitTerminal(t, s, st.ID)
+	queued := Record{
+		Op: OpSubmit, ID: "j1-000001",
+		Key:  keyFor(t, sys, "v5", 0, 0, 2),
+		Spec: &spec, SubmittedNs: time.Now().UnixNano(),
+	}
+	if err := jl.Append(queued); err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+
+	s, err := Open(Config{MaxConcurrent: 1, DataDir: dir, NetrunBytes: 1, NetrunRanks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	st := waitTerminal(t, s, queued.ID)
 	if st.State != JobDone {
-		t.Fatalf("netrun job state = %s (%s), want done", st.State, st.Error)
+		t.Fatalf("recovered job state = %s (%s), want done", st.State, st.Error)
 	}
-	if st.Result.Backend != BackendNetrun || st.Result.Ranks != 2 {
-		t.Fatalf("backend = %q ranks = %d, want netrun/2", st.Result.Backend, st.Result.Ranks)
+	if want := keyFor(t, sys, "v5", 0, 0, 3); st.PlanKey != want {
+		t.Errorf("recovered job key %s, want the 3-rank key %s", st.PlanKey, want)
 	}
-	ref := ccsd.ReferenceEnergy(tce.Inspect(tce.T2_7(molecule.Water631G()), nil))
+	if st.Result.Backend != BackendNetrun || st.Result.Ranks != 3 {
+		t.Errorf("backend = %q ranks = %d, want netrun/3", st.Result.Backend, st.Result.Ranks)
+	}
+	ref := ccsd.ReferenceEnergy(tce.Inspect(tce.T2_7(sys), nil))
 	if d := ccsd.EnergyRelDiff(st.Result.Energy, ref); d > ccsd.EnergyTol {
-		t.Fatalf("netrun energy %.15f vs reference %.15f: relative diff %.3e > %g", st.Result.Energy, ref, d, ccsd.EnergyTol)
-	}
-	if got := s.Stats().NetrunJobs; got != 1 {
-		t.Fatalf("netrun jobs = %d, want 1", got)
-	}
-	if prof, _ := s.Profile(st.ID); prof == nil || prof.Phase == nil {
-		t.Fatal("netrun job has no profile with phases")
+		t.Fatalf("recovered energy %.15f vs reference %.15f: relative diff %.3e > %g", st.Result.Energy, ref, d, ccsd.EnergyTol)
 	}
 }
 

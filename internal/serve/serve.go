@@ -4,9 +4,9 @@
 // cancellation threaded into the runtime, and per-job observability
 // profiles. The paper's pipeline — inspection, chain planning, PTG
 // construction — is a pure function of (molecule, basis, variant, graph
-// shape), so the service compiles it once per distinct key and lets
-// every repeat submission skip straight to execution; ROADMAP calls
-// this the "millions of users" axis.
+// shape, node count), so the service compiles it once per distinct key
+// and lets every repeat submission skip straight to execution, on
+// either backend; ROADMAP calls this the "millions of users" axis.
 //
 // Concurrency model: Submit either enqueues a job or fails fast with
 // ErrQueueFull or ErrOverBudget (the HTTP layer maps both to 429 +
@@ -14,7 +14,10 @@
 // job executes on its own runtime.Run with its own Global Arrays store
 // and its own per-worker scratch shards — or, when its estimated tensor
 // footprint reaches Config.NetrunBytes, across netrun worker ranks —
-// so jobs share the machine but no mutable state. Cancellation closes a
+// so jobs share the machine but no mutable state. The backend is chosen
+// when a job is placed, at submit and again at recovery; both backends
+// take the job's plan from the cache, and one runner drives either.
+// Cancellation closes a
 // per-job channel observed by the queue (pre-execution), the runtime
 // scheduler, and the netrun coordinator (mid-execution). Shutdown stops
 // admission and drains everything already accepted.
@@ -90,9 +93,10 @@ type Config struct {
 
 	// NetrunBytes, when positive, dispatches jobs whose estimated
 	// footprint is at least this many bytes onto the netrun
-	// multi-rank backend (netrun.Run, or netrun.StartProcesses under
-	// NetrunProcs) instead of the in-process runtime. Zero keeps every
-	// job in-process.
+	// multi-rank backend (netrun.RunPlan, or netrun.StartProcesses
+	// under NetrunProcs) instead of the in-process runtime. Such a job's
+	// plan is compiled for NetrunRanks nodes and cached under that key.
+	// Zero keeps every job in-process.
 	NetrunBytes int64
 	// NetrunRanks is the worker rank count for netrun-dispatched jobs.
 	// Default 2.
@@ -254,9 +258,11 @@ func Open(cfg Config) (*Server, error) {
 
 // restore rebuilds the jobs map from a replayed journal: terminal jobs
 // keep their recorded results verbatim; queued/running jobs are
-// revalidated and returned for re-enqueue (admission bookkeeping
-// included — they were admitted before the crash, so they bypass the
-// budget check). Jobs whose spec no longer validates are marked failed.
+// revalidated, placed again under this server's Config (their journaled
+// key may be for another rank count) and returned for re-enqueue
+// (admission bookkeeping included — they were admitted before the
+// crash, so they bypass the budget check). Jobs whose spec no longer
+// validates are marked failed.
 func (s *Server) restore(st *replayState) []*job {
 	s.epoch = st.MaxEpoch + 1
 	var pending []*job
@@ -290,7 +296,7 @@ func (s *Server) restore(st *replayState) []*job {
 			}
 			j.sys, j.vspec = sys, vspec
 			j.state = JobQueued
-			j.foot = s.footprint(sys)
+			s.place(j)
 			j.accounted = true
 			s.admittedBytes += j.foot
 			pending = append(pending, j)
@@ -351,34 +357,26 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	foot := s.footprint(sys)
+	j := &job{spec: spec, sys: sys, vspec: vspec, cancel: make(chan struct{}), state: JobQueued}
+	s.place(j)
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return JobStatus{}, ErrShuttingDown
 	}
-	if s.cfg.MemBudget > 0 && s.admittedBytes+foot > s.cfg.MemBudget {
+	if s.cfg.MemBudget > 0 && s.admittedBytes+j.foot > s.cfg.MemBudget {
 		s.rejected++
 		s.rejectedMem++
 		s.mu.Unlock()
 		return JobStatus{}, ErrOverBudget
 	}
 	s.nextID++
-	j := &job{
-		// IDs are namespaced by the boot epoch so no two daemon
-		// lifetimes ever issue the same ID (journal replay depends on
-		// that); %06d widens past 999,999 instead of wrapping.
-		id:        fmt.Sprintf("j%d-%06d", s.epoch, s.nextID),
-		spec:      spec,
-		sys:       sys,
-		vspec:     vspec,
-		key:       PlanKey(sys, vspec.MustShape(), spec.Nodes),
-		foot:      foot,
-		submitted: time.Now(),
-		cancel:    make(chan struct{}),
-		state:     JobQueued,
-	}
+	// IDs are namespaced by the boot epoch so no two daemon lifetimes
+	// ever issue the same ID (journal replay depends on that); %06d
+	// widens past 999,999 instead of wrapping.
+	j.id = fmt.Sprintf("j%d-%06d", s.epoch, s.nextID)
+	j.submitted = time.Now()
 	if len(s.queue) == cap(s.queue) {
 		s.rejected++
 		s.mu.Unlock()
@@ -387,7 +385,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	s.jobs[j.id] = j
 	s.accepted++
 	j.accounted = true
-	s.admittedBytes += foot
+	s.admittedBytes += j.foot
 	// The submit record goes in before an executor can see the job, so
 	// its running/done/canceled records can never precede it: replay
 	// drops a transition that comes before its submit. Only Submit sends
@@ -503,8 +501,9 @@ func (s *Server) Shutdown() {
 	}
 }
 
-// runJob drives one job from queued to a terminal state, selecting the
-// in-process runtime or the netrun backend by footprint.
+// runJob drives one job from queued to a terminal state. Both backends
+// take the job's plan from the cache, compiled for the node count its
+// placement chose; they part only at the executor call.
 func (s *Server) runJob(j *job) {
 	if j.canceled() {
 		s.finishCanceled(j)
@@ -518,13 +517,9 @@ func (s *Server) runJob(j *job) {
 	if s.hookJobStart != nil {
 		s.hookJobStart(j)
 	}
-	if s.cfg.NetrunBytes > 0 && j.foot >= s.cfg.NetrunBytes {
-		s.runJobNetrun(j, queueDur)
-		return
-	}
 
 	plan, hit, err := s.cache.Get(j.key, func() (*ccsd.CompiledPlan, error) {
-		return ccsd.Compile(j.sys, j.vspec, ccsd.Options{Nodes: j.spec.Nodes}), nil
+		return ccsd.Compile(j.sys, j.vspec, ccsd.Options{Nodes: j.nodes()}), nil
 	})
 	if err != nil {
 		s.finishFailed(j, err)
@@ -542,11 +537,33 @@ func (s *Server) runJob(j *job) {
 	// Every job is profiled, from the spans its run records; no trace
 	// is built and no label formatted for a profile nobody may fetch.
 	name := fmt.Sprintf("%s %s/%s", j.id, j.sys.Name, j.spec.Variant)
+	var result *JobResult
+	var prof *obsv.Profile
 	t0 := time.Now()
-	res, prof, err := plan.ExecuteProfiled(name, ccsd.ExecConfig{
-		Workers: workers,
-		Cancel:  j.cancel,
-	})
+	if j.ranks == 0 {
+		var res ccsd.RealResult
+		if res, prof, err = plan.ExecuteProfiled(name, ccsd.ExecConfig{Workers: workers, Cancel: j.cancel}); err == nil {
+			result = &JobResult{Energy: res.Energy, Tasks: res.Report.Tasks, Backend: BackendInProcess}
+		}
+	} else {
+		s.mu.Lock()
+		s.netrunJobs++
+		s.mu.Unlock()
+		cfg := netrun.Config{Ranks: j.ranks, Workers: workers, Policy: j.vspec.Policy(), Cancel: j.cancel}
+		var res *netrun.Result
+		if s.cfg.NetrunProcs {
+			var l *netrun.Launch
+			if l, err = netrun.StartProcesses(cfg, plan); err == nil {
+				res, err = l.Wait()
+			}
+		} else {
+			res, err = netrun.RunPlan(cfg, plan)
+		}
+		if err == nil {
+			result = &JobResult{Energy: res.Energy, Tasks: res.Tasks, Backend: BackendNetrun, Ranks: res.Ranks}
+			prof = res.Profile(name)
+		}
+	}
 	execDur := time.Since(t0)
 	if errors.Is(err, runtime.ErrCanceled) {
 		s.finishCanceled(j)
@@ -567,76 +584,9 @@ func (s *Server) runJob(j *job) {
 		ph.PlanNs = plan.PlanTime.Nanoseconds()
 	}
 	prof.SetPhases(ph)
-
-	s.finishDone(j, &JobResult{
-		Energy:    res.Energy,
-		Tasks:     res.Report.Tasks,
-		Backend:   BackendInProcess,
-		CacheHit:  hit,
-		QueueNs:   ph.QueueNs,
-		InspectNs: ph.InspectNs,
-		PlanNs:    ph.PlanNs,
-		ExecNs:    ph.ExecNs,
-	}, prof)
-}
-
-// runJobNetrun executes one job across netrun worker ranks. The job
-// travels as its system and its resolved shape's canonical recipe
-// string, from which netrun compiles its own plan for the rank count
-// (the plan cache does not apply: its plans are compiled for the spec's
-// node count, not NetrunRanks, and worker processes compile their own);
-// cancellation threads into the coordinator, and the ranks' spans feed
-// the job profile.
-func (s *Server) runJobNetrun(j *job, queueDur time.Duration) {
-	nspec := netrun.JobSpec{Preset: j.spec.Preset, Custom: j.spec.Custom, Variant: j.vspec.MustShape().Canon()}
-	workers := j.spec.Workers
-	if workers <= 0 {
-		workers = s.cfg.DefaultWorkers
-	}
-	s.mu.Lock()
-	s.netrunJobs++
-	s.mu.Unlock()
-
-	cfg := netrun.Config{
-		Ranks:   s.cfg.NetrunRanks,
-		Workers: workers,
-		Policy:  j.vspec.Policy(),
-		Cancel:  j.cancel,
-	}
-	t0 := time.Now()
-	var res *netrun.Result
-	var err error
-	if s.cfg.NetrunProcs {
-		var l *netrun.Launch
-		if l, err = netrun.StartProcesses(cfg, nspec); err == nil {
-			res, err = l.Wait()
-		}
-	} else {
-		res, err = netrun.Run(cfg, nspec)
-	}
-	execDur := time.Since(t0)
-	if errors.Is(err, netrun.ErrCanceled) || errors.Is(err, runtime.ErrCanceled) {
-		s.finishCanceled(j)
-		return
-	}
-	if err != nil {
-		s.finishFailed(j, err)
-		return
-	}
-
-	prof := res.Profile(fmt.Sprintf("%s %s/%s", j.id, j.sys.Name, j.spec.Variant))
-	prof.SetPhases(obsv.Phases{
-		QueueNs: queueDur.Nanoseconds(),
-		ExecNs:  execDur.Nanoseconds(),
-	})
-	s.finishDone(j, &JobResult{
-		Energy:  res.Energy,
-		Tasks:   res.Tasks,
-		Backend: BackendNetrun,
-		Ranks:   res.Ranks,
-		QueueNs: queueDur.Nanoseconds(),
-		ExecNs:  execDur.Nanoseconds(),
-	}, prof)
+	result.CacheHit = hit
+	result.QueueNs, result.InspectNs, result.PlanNs, result.ExecNs = ph.QueueNs, ph.InspectNs, ph.PlanNs, ph.ExecNs
+	s.finishDone(j, result, prof)
 }
 
 // finishDone records success (unless the job already reached a terminal

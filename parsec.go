@@ -209,6 +209,6 @@ func Simulate(sys *System, spec VariantSpec, mcfg ClusterConfig, rc SimConfig) (
 // SimulateBaseline executes the original CGP code path on a simulated
 // cluster, returning the makespan in seconds of virtual time.
 func SimulateBaseline(sys *System, mcfg ClusterConfig, ranksPerNode int, tr *Trace) (float64, error) {
-	res, err := ccsd.RunSimBaseline(sys, mcfg, ccsd.SimRunConfig{CoresPerNode: ranksPerNode, Trace: tr})
+	res, err := ccsd.RunSimSeries(sys, ccsd.BaselineName, mcfg, ccsd.SimRunConfig{CoresPerNode: ranksPerNode, Trace: tr})
 	return res.Makespan.Seconds(), err
 }
