@@ -153,7 +153,6 @@ ccload:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/jdfchain
 	$(GO) run ./examples/ccsd_t2_7
 	$(GO) run ./examples/inspector
 

@@ -25,8 +25,13 @@ var spanRe = regexp.MustCompile("`([^`]+)`")
 // pkg.Name, pkg.Type.Member or pkg.(*Type).Member.
 var qualRe = regexp.MustCompile(`^([a-z][a-z0-9]*)\.(?:\(\*?([A-Za-z_]\w*)\)|([A-Za-z_]\w*))(?:\.([A-Za-z_]\w*))?`)
 
+// pathRe matches a repo-relative path at the start of a span: a path
+// under one of the tree's top directories, up to the first space or ':'
+// (`cmd/ccsim fig9`, `internal/x/y.go:51`). A * in it is a glob.
+var pathRe = regexp.MustCompile(`^(?:internal|cmd|examples|docs|bench)/[^\s:]*`)
+
 // fileRe matches spans that are file names, never identifiers.
-var fileRe = regexp.MustCompile(`^[\w./*-]+\.(go|md|json|s|txt|csv|svg|golden|jdf|yml|mod|dot|test|journal)$`)
+var fileRe = regexp.MustCompile(`^[\w./*-]+\.(go|md|json|s|txt|csv|svg|golden|yml|mod|dot|test|journal)$`)
 
 // decls are the declarations of one package name: its top-level
 // identifiers, the methods and fields each of its types declares, and
@@ -150,7 +155,6 @@ func recvName(e ast.Expr) string {
 // benchmark's metric keys (`runtime.parks`, `netrun.retransmits`) are
 // spelled that way.
 func stale(pkgs map[string]*decls, span string) string {
-	span = strings.Join(strings.Fields(span), " ")
 	m := qualRe.FindStringSubmatch(span)
 	if m == nil || fileRe.MatchString(span) || strings.HasPrefix(span[len(m[0]):], "/") {
 		return ""
@@ -167,11 +171,30 @@ func stale(pkgs map[string]*decls, span string) string {
 	return ""
 }
 
-// checkIdents reports, on w, every backticked qualified identifier in
-// the live docs under root that names no declaration of the module at
-// root, and returns how many it found. A root without go.mod is not a
+// missing returns a span's leading repo-relative path if nothing under
+// root matches it, and "" otherwise.
+func missing(root, span string) string {
+	p := pathRe.FindString(span)
+	if p == "" {
+		return ""
+	}
+	full := filepath.Join(root, filepath.FromSlash(p))
+	if strings.Contains(p, "*") {
+		if m, _ := filepath.Glob(full); len(m) > 0 {
+			return ""
+		}
+	} else if _, err := os.Stat(full); err == nil {
+		return ""
+	}
+	return p
+}
+
+// checkSpans reports, on w, every backticked span in the live docs under
+// root that names a qualified identifier no declaration of the module at
+// root has, or a repo-relative path no file or directory under root
+// matches, and returns how many it found. A root without go.mod is not a
 // module and has nothing to check.
-func checkIdents(root string, w io.Writer) int {
+func checkSpans(root string, w io.Writer) int {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		return 0
 	}
@@ -196,9 +219,14 @@ func checkIdents(root string, w io.Writer) int {
 		}
 		text := blankFences(string(data))
 		for _, loc := range spanRe.FindAllStringSubmatchIndex(text, -1) {
-			if name := stale(pkgs, text[loc[2]:loc[3]]); name != "" {
-				line := 1 + strings.Count(text[:loc[0]], "\n")
+			span := strings.Join(strings.Fields(text[loc[2]:loc[3]]), " ")
+			line := 1 + strings.Count(text[:loc[0]], "\n")
+			if name := stale(pkgs, span); name != "" {
 				fmt.Fprintf(w, "mdlint: %s:%d: `%s` names no declaration\n", path, line, name)
+				n++
+			}
+			if p := missing(root, span); p != "" {
+				fmt.Fprintf(w, "mdlint: %s:%d: `%s` names no file\n", path, line, p)
 				n++
 			}
 		}

@@ -4,10 +4,12 @@
 // at an existing file or directory, resolved against the linking file's
 // directory. Fenced code blocks are skipped, fragments (`#...`) and
 // query strings are stripped before the existence check. In a root that
-// holds a go.mod it also checks that every backticked qualified Go
-// identifier in the live docs (DESIGN.md, README.md, docs/*.md) names a
-// declaration of that module (see checkIdents). Broken links and stale
-// identifiers exit with status 1.
+// holds a go.mod it also checks the backticked spans of the live docs
+// (DESIGN.md, README.md, docs/*.md): every qualified Go identifier must
+// name a declaration of that module, and every repo-relative path under
+// internal/, cmd/, examples/, docs/ or bench/ an existing file or
+// directory (see checkSpans). Broken links and stale spans exit with
+// status 1.
 //
 // Usage:
 //
@@ -63,10 +65,10 @@ func main() {
 	}
 	stale := 0
 	for _, root := range roots {
-		stale += checkIdents(root, os.Stderr)
+		stale += checkSpans(root, os.Stderr)
 	}
 	if broken > 0 || stale > 0 {
-		fmt.Fprintf(os.Stderr, "mdlint: %d broken link(s), %d stale identifier(s)\n", broken, stale)
+		fmt.Fprintf(os.Stderr, "mdlint: %d broken link(s), %d stale span(s)\n", broken, stale)
 		os.Exit(1)
 	}
 }

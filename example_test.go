@@ -31,41 +31,6 @@ func ExampleVariants() {
 	// v5: GEMMs parallel, one SORT and one WRITE, priorities
 }
 
-// ExampleCompileJDF compiles a tiny PTG from the paper's textual notation
-// and executes it.
-func ExampleCompileJDF() {
-	src := `
-PING(i)
-  i = 0 .. n - 1
-  WRITE D <- NEW(8)
-          -> D PONG(i)
-BODY ping
-END
-
-PONG(i)
-  i = 0 .. n - 1
-  READ D <- D PING(i)
-BODY pong
-END
-`
-	sum := 0
-	g, err := parsec.CompileJDF("pingpong", src, parsec.JDFEnv{
-		Consts: map[string]int{"n": 3},
-		Bodies: map[string]func(*parsec.Ctx){
-			"ping": func(ctx *parsec.Ctx) { ctx.Out[0] = ctx.Args[0] * 10 },
-			"pong": func(ctx *parsec.Ctx) { sum += ctx.In[0].(int) },
-		},
-	})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	rep, _ := parsec.Run(g, parsec.RunConfig{Workers: 1})
-	fmt.Println("tasks:", rep.Tasks, "sum:", sum)
-	// Output:
-	// tasks: 6 sum: 30
-}
-
 // ExampleRunCCSD executes the ported kernel with real arithmetic and
 // compares against the serial reference (§IV-A).
 func ExampleRunCCSD() {

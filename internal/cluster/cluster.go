@@ -145,14 +145,6 @@ func CascadeLike() Config {
 	}
 }
 
-// Small returns a 4-node, 4-core configuration for fast tests.
-func Small() Config {
-	c := CascadeLike()
-	c.Nodes = 4
-	c.CoresPerNode = 4
-	return c
-}
-
 // Node is one machine node: identity plus its shared resources.
 type Node struct {
 	ID    int

@@ -6,8 +6,16 @@ import (
 	"parsec/internal/sim"
 )
 
+// small is a 4-node, 4-core cascade for fast tests.
+func small() Config {
+	c := CascadeLike()
+	c.Nodes = 4
+	c.CoresPerNode = 4
+	return c
+}
+
 func cfgNoJitter() Config {
-	c := Small()
+	c := small()
 	c.JitterFrac = 0
 	return c
 }
@@ -242,7 +250,7 @@ func TestZeroByteOpsFree(t *testing.T) {
 func TestDeterminismWithJitter(t *testing.T) {
 	run := func() sim.Time {
 		e := sim.NewEngine()
-		c := Small()
+		c := small()
 		c.JitterFrac = 0.1
 		m := New(e, c)
 		for i := 0; i < 8; i++ {

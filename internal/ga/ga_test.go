@@ -83,6 +83,14 @@ func TestStoreMissingArrayPanics(t *testing.T) {
 	NewStore(1).Array("nope")
 }
 
+// small is a 4-node, 4-core cascade for fast tests.
+func small() cluster.Config {
+	c := cluster.CascadeLike()
+	c.Nodes = 4
+	c.CoresPerNode = 4
+	return c
+}
+
 // player is a test actor that makes the charges ops, in order, through
 // its one event; ends[i] is the virtual time op i finished at.
 type player struct {
@@ -158,7 +166,7 @@ func (tk *taker) resume() {
 
 func TestSimGetChargesRemotePath(t *testing.T) {
 	e := sim.NewEngine()
-	cfg := cluster.Small()
+	cfg := small()
 	cfg.JitterFrac = 0
 	cfg.NICBWBytes = 1e9
 	cfg.NetLatency = 0
@@ -188,7 +196,7 @@ func TestSimGetChargesRemotePath(t *testing.T) {
 
 func TestSimNxtValSerializes(t *testing.T) {
 	e := sim.NewEngine()
-	cfg := cluster.Small()
+	cfg := small()
 	cfg.AtomicRTT = 10 * sim.Microsecond
 	m := cluster.New(e, cfg)
 	g := NewSim(m)
@@ -212,7 +220,7 @@ func TestSimNxtValSerializes(t *testing.T) {
 
 func TestSimNxtValUnique(t *testing.T) {
 	e := sim.NewEngine()
-	m := cluster.New(e, cluster.Small())
+	m := cluster.New(e, small())
 	g := NewSim(m)
 	var tks [4]*taker
 	for i := range tks {
@@ -252,7 +260,7 @@ func TestStoreAccessZeroCopy(t *testing.T) {
 
 func TestSimAccRemoteUsesOneSidedPath(t *testing.T) {
 	e := sim.NewEngine()
-	cfg := cluster.Small()
+	cfg := small()
 	cfg.JitterFrac = 0
 	cfg.NetLatency = 0
 	cfg.GAStrideLatency = 10 * sim.Microsecond
@@ -300,7 +308,7 @@ func TestDistributionZeroNodesPanics(t *testing.T) {
 
 func TestSimResetNxtVal(t *testing.T) {
 	e := sim.NewEngine()
-	m := cluster.New(e, cluster.Small())
+	m := cluster.New(e, small())
 	g := NewSim(m)
 	tk := take(g, 3, func(i int) {
 		if i == 2 {

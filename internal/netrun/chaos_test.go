@@ -179,10 +179,12 @@ func TestProcessChaosKillAndSever(t *testing.T) {
 // Nothing can take the dead rank's work over, so the run must fail, and
 // promptly: a peer's redial to the dead rank is refused, which fails
 // that peer, and the coordinator shuts the run down. Its own redial to
-// the dead rank is refused too, so it does not wait for that rank's
-// report. Wait must return its error within 1 s of the kill, not at the
-// deadline and not after the 5 s wait for reports, and the error must
-// name the dead rank, and the coordinator by name, never as rank -1.
+// the dead rank is refused too, so it notes the rank as gone and does
+// not wait for that rank's report. After Wait errors the coordinator
+// must have noted rank 2 as gone, and Wait must have returned well
+// inside awaitReports' reportWait, which a run that waited for the dead
+// rank's report sits out whole. The error must name the dead rank, and
+// the coordinator by name, never as rank -1.
 func TestKilledRankFailsRunWithoutRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process run in -short mode")
@@ -221,13 +223,19 @@ func TestKilledRankFailsRunWithoutRecover(t *testing.T) {
 		if msg := err.Error(); !strings.Contains(msg, "rank 2") || strings.Contains(msg, "rank -1") {
 			t.Errorf("the run's error names its ranks wrongly: %v", err)
 		}
+		l.co.mu.Lock()
+		gone := l.co.gone[2]
+		l.co.mu.Unlock()
+		if !gone {
+			t.Error("the run failed without the coordinator noting rank 2 as gone")
+		}
 		t.Logf("run failed %v after the kill: %v", time.Since(killed).Round(time.Millisecond), err)
-	case <-time.After(time.Second):
+	case <-time.After(reportWait / 2):
 		for _, cmd := range l.cmds {
 			cmd.Process.Kill()
 		}
 		l.co.fail(errors.New("run outlived the test"))
-		t.Fatal("run still going 1 s after a rank was killed with Recover off")
+		t.Fatalf("run still going %v after a rank was killed with Recover off", reportWait/2)
 	}
 }
 

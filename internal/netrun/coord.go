@@ -456,11 +456,14 @@ func (co *coordinator) shutdown() []int {
 	return live
 }
 
+// reportWait bounds awaitReports' wait for the live ranks' reports.
+const reportWait = 5 * time.Second
+
 // awaitReports waits briefly for each live rank's final self-report; a
 // rank that dies during shutdown only costs its counters. A rank whose
 // dial was refused is gone and is not waited for.
 func (co *coordinator) awaitReports(live []int) {
-	deadline := time.After(5 * time.Second)
+	deadline := time.After(reportWait)
 	for {
 		co.mu.Lock()
 		answered := 0

@@ -1,5 +1,5 @@
 // Package ptgtest holds test helpers shared by the packages that build
-// ptg graphs (ccsd's recipes, the jdf compiler).
+// or bind ptg graphs (ccsd's recipes, netrun's ranks).
 package ptgtest
 
 import (

@@ -59,15 +59,6 @@ func (l *Local) Get(n int) []float64 {
 	return Get(n)
 }
 
-// GetZeroed returns a zeroed float64 slice of length n from the shard.
-func (l *Local) GetZeroed(n int) []float64 {
-	s := l.Get(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 // Put returns a slice to the local free list, overflowing to the shared
 // pool when the class list is full. The caller must not retain any
 // reference to s. A nil receiver is the shared-pool path.

@@ -37,30 +37,7 @@ func TestLocalNilReceiver(t *testing.T) {
 		t.Fatalf("nil.Get(100) returned len %d", len(s))
 	}
 	l.Put(s)
-	z := l.GetZeroed(100)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("nil.GetZeroed: [%d] = %v", i, v)
-		}
-	}
-	l.Put(z)
 	l.Drain()
-}
-
-// TestLocalGetZeroed pins that a recycled dirty slice comes back zeroed.
-func TestLocalGetZeroed(t *testing.T) {
-	l := NewLocal()
-	s := l.Get(64)
-	for i := range s {
-		s[i] = 7
-	}
-	l.Put(s)
-	z := l.GetZeroed(64)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("GetZeroed after dirty Put: [%d] = %v", i, v)
-		}
-	}
 }
 
 // TestLocalOverflow pins the depth bound: the class list holds localDepth

@@ -48,7 +48,7 @@ func classIndex(n int) int {
 }
 
 // Get returns a float64 slice of length n. Contents are unspecified —
-// callers that need zeroed storage use GetZeroed. The slice's capacity is
+// a caller that needs zeroed storage clears it. The slice's capacity is
 // its size class, so callers must not append to it.
 func Get(n int) []float64 {
 	if n < 0 {
@@ -66,15 +66,6 @@ func Get(n int) []float64 {
 		return s
 	}
 	return make([]float64, n, 1<<(minClassBits+ci))
-}
-
-// GetZeroed returns a zeroed float64 slice of length n.
-func GetZeroed(n int) []float64 {
-	s := Get(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // Put returns a slice to its size class for reuse. Slices whose capacity

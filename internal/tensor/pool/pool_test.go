@@ -31,13 +31,6 @@ func TestGetPut(t *testing.T) {
 		s[i] = float64(i)
 	}
 	Put(s)
-	z := GetZeroed(900)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("GetZeroed[%d] = %g, want 0", i, v)
-		}
-	}
-	Put(z)
 
 	// Oversize requests fall through to the heap.
 	big := Get(1<<24 + 1)

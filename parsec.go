@@ -45,7 +45,6 @@ package parsec
 import (
 	"parsec/internal/ccsd"
 	"parsec/internal/cluster"
-	"parsec/internal/jdf"
 	"parsec/internal/molecule"
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
@@ -97,16 +96,6 @@ func A1(a int) Args { return ptg.A1(a) }
 
 // A2 builds a 2-parameter argument vector.
 func A2(a, b int) Args { return ptg.A2(a, b) }
-
-// JDFEnv supplies the named constants, helper functions, bodies, and
-// data resolvers a JDF source references.
-type JDFEnv = jdf.Env
-
-// CompileJDF compiles the textual PTG notation of the paper's Fig 1 into
-// an executable graph. See internal/jdf for the dialect.
-func CompileJDF(name, src string, env JDFEnv) (*Graph, error) {
-	return jdf.Compile(name, src, env)
-}
 
 // ---- shared-memory execution ----
 

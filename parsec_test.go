@@ -87,27 +87,6 @@ func TestFacadeVariants(t *testing.T) {
 	}
 }
 
-func TestFacadeJDF(t *testing.T) {
-	src := "T(i)\n i = 0 .. n - 1\nBODY tick\nEND\n"
-	count := 0
-	g, err := CompileJDF("facade-jdf", src, JDFEnv{
-		Consts: map[string]int{"n": 5},
-		Bodies: map[string]func(*Ctx){"tick": func(ctx *Ctx) { count++ }},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(g, RunConfig{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Errorf("count = %d", count)
-	}
-	if _, err := CompileJDF("bad", "T(", JDFEnv{}); err == nil {
-		t.Error("bad source compiled")
-	}
-}
-
 func TestFacadeBaselineWithTrace(t *testing.T) {
 	sys, _ := Molecule("water")
 	cfg := Cascade()
