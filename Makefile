@@ -7,13 +7,13 @@ GO ?= go
 all: build vet test lint
 
 # Source and documentation hygiene: gofmt-clean files (any file gofmt
-# lists fails the target), godoc coverage and Markdown link integrity.
+# lists fails the target), then cmd/mdlint: Markdown links, the Go
+# identifiers and repo paths the live docs name, and godoc coverage.
 # The benchmark harness is a module of its own that `vet` below never
 # sees; vetting it here makes an API change that breaks it fail in
 # seconds, before bench-quick runs it.
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
-	$(GO) run ./cmd/doclint -strict ./...
 	$(GO) run ./cmd/mdlint .
 	$(GO) -C bench vet ./...
 

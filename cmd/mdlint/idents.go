@@ -25,6 +25,16 @@ var spanRe = regexp.MustCompile("`([^`]+)`")
 // pkg.Name, pkg.Type.Member or pkg.(*Type).Member.
 var qualRe = regexp.MustCompile(`^([a-z][a-z0-9]*)\.(?:\(\*?([A-Za-z_]\w*)\)|([A-Za-z_]\w*))(?:\.([A-Za-z_]\w*))?`)
 
+// identRe matches a span that is one unqualified identifier: Name,
+// Type.Member or (*Type).Member, each maybe called (`Name()`,
+// `Name(a, b)`). The first group is the identifier without the call.
+var identRe = regexp.MustCompile(`^((?:\(\*?([A-Za-z_]\w*)\)|([A-Za-z_]\w*))(?:\.([A-Za-z_]\w*))?)(?:\(.*\))?$`)
+
+// capsRe matches an all-caps name — an instruction, an environment
+// variable, a Fortran routine, a journal magic — which is not an
+// identifier of the Go code.
+var capsRe = regexp.MustCompile(`^[A-Z0-9_]+$`)
+
 // pathRe matches a repo-relative path at the start of a span: a path
 // under one of the tree's top directories, up to the first space or ':'
 // (`cmd/ccsim fig9`, `internal/x/y.go:51`). A * in it is a glob.
@@ -33,9 +43,9 @@ var pathRe = regexp.MustCompile(`^(?:internal|cmd|examples|docs|bench)/[^\s:]*`)
 // fileRe matches spans that are file names, never identifiers.
 var fileRe = regexp.MustCompile(`^[\w./*-]+\.(go|md|json|s|txt|csv|svg|golden|yml|mod|dot|test|journal)$`)
 
-// decls are the declarations of one package name: its top-level
-// identifiers, the methods and fields each of its types declares, and
-// every method and field name of the package, for the pkg.Method
+// decls are the declarations of one package name, or of the whole
+// module: its top-level identifiers, the methods and fields each of its
+// types declares, and every method and field name, for the pkg.Method
 // shorthand docs use for a method of one of its types.
 type decls struct {
 	names   map[string]bool
@@ -43,49 +53,102 @@ type decls struct {
 	any     map[string]bool
 }
 
-// member records that type typ of p declares m.
-func (p *decls) member(typ, m string) {
-	if p.members[typ] == nil {
-		p.members[typ] = make(map[string]bool)
+func newDecls() *decls {
+	return &decls{names: make(map[string]bool), members: make(map[string]map[string]bool), any: make(map[string]bool)}
+}
+
+// typ returns the members of type name, recording the type.
+func (p *decls) typ(name string) map[string]bool {
+	if p.members[name] == nil {
+		p.members[name] = make(map[string]bool)
 	}
-	p.members[typ][m] = true
+	return p.members[name]
+}
+
+// member records that type typ declares m.
+func (p *decls) member(typ, m string) {
+	p.typ(typ)[m] = true
 	p.any[m] = true
 }
 
-// loadDecls parses every Go file of the module rooted at root, test
-// files included, and indexes its declarations by package name. An
-// external test package (foo_test) counts as foo. Nested modules and
-// hidden or testdata directories are skipped.
-func loadDecls(root string) (map[string]*decls, error) {
-	pkgs := make(map[string]*decls)
+// module is the Go code under a root, parsed once: its declarations by
+// package name and all together, and the number of godoc findings the
+// parse reported.
+type module struct {
+	pkgs         map[string]*decls
+	all          *decls
+	undocumented int
+}
+
+// loadModule parses every Go file under root, test files included, and
+// indexes its declarations: by package name (an external test package
+// foo_test counts as foo) and all together. Declarations of a nested
+// module count for the godoc check only. Hidden, testdata and vendor
+// directories are skipped. The godoc check's findings go to w.
+func loadModule(root string, w io.Writer) (*module, error) {
+	m := &module{pkgs: make(map[string]*decls), all: newDecls()}
 	fset := token.NewFileSet()
+	// docs maps a directory's package to where its first file names it,
+	// or to "" once a file documents it.
+	docs := make(map[string]string)
+	var nested []string // roots of nested modules
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || path == root {
 			return err
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
-				strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor" {
+			if strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor" {
 				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				nested = append(nested, path+string(filepath.Separator))
 			}
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		name := strings.TrimSuffix(f.Name.Name, "_test")
-		if pkgs[name] == nil {
-			pkgs[name] = &decls{names: make(map[string]bool), members: make(map[string]map[string]bool), any: make(map[string]bool)}
+		if !strings.HasSuffix(path, "_test.go") {
+			key := filepath.Dir(path) + "/" + f.Name.Name
+			if _, seen := docs[key]; !seen {
+				p := fset.Position(f.Package)
+				docs[key] = fmt.Sprintf("%s:%d: package %s", p.Filename, p.Line, f.Name.Name)
+			}
+			if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
+				docs[key] = ""
+			}
+			m.undocumented += godoc(fset, f, w)
 		}
-		pkgs[name].add(f)
+		for _, n := range nested {
+			if strings.HasPrefix(path, n) {
+				return nil
+			}
+		}
+		name := strings.TrimSuffix(f.Name.Name, "_test")
+		if m.pkgs[name] == nil {
+			m.pkgs[name] = newDecls()
+		}
+		m.pkgs[name].add(f)
+		m.all.add(f)
 		return nil
 	})
-	return pkgs, err
+	var undocumented []string
+	for _, at := range docs {
+		if at != "" {
+			undocumented = append(undocumented, at)
+		}
+	}
+	sort.Strings(undocumented)
+	for _, at := range undocumented {
+		fmt.Fprintf(w, "mdlint: %s has no package comment\n", at)
+	}
+	m.undocumented += len(undocumented)
+	return m, err
 }
 
 // add indexes one file's declarations. A type's members are those it
@@ -109,6 +172,7 @@ func (p *decls) add(f *ast.File) {
 					}
 				case *ast.TypeSpec:
 					p.names[s.Name.Name] = true
+					p.typ(s.Name.Name)
 					var fields *ast.FieldList
 					switch t := s.Type.(type) {
 					case *ast.StructType:
@@ -130,6 +194,54 @@ func (p *decls) add(f *ast.File) {
 	}
 }
 
+// godoc reports, on w, every exported top-level identifier of f without
+// a doc comment — funcs, types, methods on exported types, and the
+// names of const and var declarations — and returns how many it found.
+// A group's doc comment covers all of its specs, as godoc renders it,
+// and so does a trailing line comment on a const or var.
+func godoc(fset *token.FileSet, f *ast.File, w io.Writer) int {
+	n := 0
+	report := func(pos token.Pos, kind, name string) {
+		p := fset.Position(pos)
+		fmt.Fprintf(w, "mdlint: %s:%d: %s %s is exported but undocumented\n", p.Filename, p.Line, kind, name)
+		n++
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			switch {
+			case !d.Name.IsExported() || d.Doc != nil:
+			case d.Recv == nil:
+				report(d.Pos(), "func", d.Name.Name)
+			case token.IsExported(recvName(d.Recv.List[0].Type)):
+				report(d.Pos(), "method", d.Name.Name)
+			}
+		case *ast.GenDecl:
+			if d.Doc != nil {
+				continue
+			}
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() && s.Doc == nil {
+						report(s.Pos(), "type", s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					if s.Doc != nil || s.Comment != nil {
+						continue
+					}
+					for _, id := range s.Names {
+						if id.IsExported() {
+							report(id.Pos(), d.Tok.String(), id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
 // recvName is the type a receiver names: T from T, *T, T[K] or *T[K].
 func recvName(e ast.Expr) string {
 	for {
@@ -148,25 +260,56 @@ func recvName(e ast.Expr) string {
 	}
 }
 
-// stale returns a span's leading qualified identifier if it names no
-// declaration, and "" otherwise. Spans that do not start with one of
-// the module's package names are not identifiers of the module, and
-// lower-case names after a package name are not checked: the
-// benchmark's metric keys (`runtime.parks`, `netrun.retransmits`) are
-// spelled that way.
-func stale(pkgs map[string]*decls, span string) string {
-	m := qualRe.FindStringSubmatch(span)
-	if m == nil || fileRe.MatchString(span) || strings.HasPrefix(span[len(m[0]):], "/") {
+// stale returns the identifier a span names if no declaration of m has
+// it, and "" when the span names a declaration or is no identifier of
+// the module.
+//
+// A span that starts with one of the module's package names is
+// qualified: its name must be a declaration of that package, and its
+// member one of that type's. Lower-case names after a package name are
+// not checked: the benchmark's metric keys (`runtime.parks`,
+// `netrun.retransmits`) are spelled that way.
+//
+// Any other span that is one identifier is checked against every
+// declaration and member of the module, unexported ones included:
+// Name, Type.Member and (*Type).Member, called or not. After a name that
+// is no type (`in.Ref.Class`, `sync.Pool`) the member is not checked, and
+// a name without an upper-case letter (`water`, `quick`, `dgemm(...)`)
+// is a word, not an identifier. Nor is an all-caps name (`VPERMPD`,
+// `READA(l1, l2, 0)`): those are instructions, environment variables
+// and the paper's Fortran.
+func stale(m *module, span string) string {
+	if fileRe.MatchString(span) {
 		return ""
 	}
-	p, name, member := pkgs[m[1]], m[2]+m[3], m[4]
-	if p == nil || !token.IsExported(name) {
+	if q := qualRe.FindStringSubmatch(span); q != nil && m.pkgs[q[1]] != nil {
+		if strings.HasPrefix(span[len(q[0]):], "/") {
+			return ""
+		}
+		p, name, member := m.pkgs[q[1]], q[2]+q[3], q[4]
+		switch {
+		case !token.IsExported(name):
+		case member != "" && !p.members[name][member],
+			member == "" && !p.names[name] && !p.any[name]:
+			return q[0]
+		}
 		return ""
+	}
+	id := identRe.FindStringSubmatch(span)
+	if id == nil || capsRe.MatchString(id[2]+id[3]) {
+		return ""
+	}
+	ref, typ, name, member := id[1], id[2], id[3], id[4]
+	if member != "" && m.all.members[name] != nil {
+		typ = name
 	}
 	switch {
-	case member != "" && !p.members[name][member],
-		member == "" && !p.names[name] && !p.any[name]:
-		return m[0]
+	case typ != "":
+		if !m.all.members[typ][member] {
+			return ref
+		}
+	case strings.ToLower(name) != name && !m.all.names[name] && !m.all.any[name]:
+		return name
 	}
 	return ""
 }
@@ -190,25 +333,17 @@ func missing(root, span string) string {
 }
 
 // checkSpans reports, on w, every backticked span in the live docs under
-// root that names a qualified identifier no declaration of the module at
-// root has, or a repo-relative path no file or directory under root
-// matches, and returns how many it found. A root without go.mod is not a
-// module and has nothing to check.
-func checkSpans(root string, w io.Writer) int {
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		return 0
-	}
-	pkgs, err := loadDecls(root)
-	if err != nil {
-		fatal(err)
-	}
+// root that names an identifier no declaration of m has, or a
+// repo-relative path no file or directory under root matches, and
+// returns how many it found.
+func checkSpans(root string, m *module, w io.Writer) int {
 	var files []string
 	for _, pat := range liveDocs {
-		m, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(pat)))
+		found, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(pat)))
 		if err != nil {
 			fatal(err)
 		}
-		files = append(files, m...)
+		files = append(files, found...)
 	}
 	sort.Strings(files)
 	n := 0
@@ -221,7 +356,7 @@ func checkSpans(root string, w io.Writer) int {
 		for _, loc := range spanRe.FindAllStringSubmatchIndex(text, -1) {
 			span := strings.Join(strings.Fields(text[loc[2]:loc[3]]), " ")
 			line := 1 + strings.Count(text[:loc[0]], "\n")
-			if name := stale(pkgs, span); name != "" {
+			if name := stale(m, span); name != "" {
 				fmt.Fprintf(w, "mdlint: %s:%d: `%s` names no declaration\n", path, line, name)
 				n++
 			}
@@ -232,22 +367,4 @@ func checkSpans(root string, w io.Writer) int {
 		}
 	}
 	return n
-}
-
-// blankFences empties the lines of fenced code blocks, keeping the line
-// count, so spans are read from prose only.
-func blankFences(text string) string {
-	lines := strings.Split(text, "\n")
-	inFence := false
-	for i, line := range lines {
-		trimmed := strings.TrimSpace(line)
-		fence := strings.HasPrefix(trimmed, "```") || strings.HasPrefix(trimmed, "~~~")
-		if fence {
-			inFence = !inFence
-		}
-		if fence || inFence {
-			lines[i] = ""
-		}
-	}
-	return strings.Join(lines, "\n")
 }

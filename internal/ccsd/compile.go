@@ -174,6 +174,7 @@ func (p *CompiledPlan) build(store ga.API) *builder {
 	b := &builder{g: ptg.NewGraph(p.graphName()), store: store}
 	b.point(p)
 	b.buildKernel()
+	b.armSorts()
 	return b
 }
 

@@ -99,6 +99,7 @@ func (c *execCtx) execute(p *CompiledPlan, cfg ExecConfig, record bool) (RealRes
 		p.bindSkeleton(c.b.g)
 		c.plan = p
 	}
+	c.b.armSorts()
 	c.fold = p.Workload.NewEnergyFold()
 	defer func() {
 		c.store.Reset()

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	stdruntime "runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -17,6 +19,7 @@ import (
 	"parsec/internal/ptg"
 	"parsec/internal/runtime"
 	"parsec/internal/tce"
+	"parsec/internal/tensor"
 )
 
 // dropContexts empties the free list, so the next run starts on a new
@@ -214,5 +217,113 @@ func TestContextsCarryNothingBetweenRuns(t *testing.T) {
 	}
 	if free > goroutines {
 		t.Errorf("%d contexts on the free list after %d goroutines ran", free, goroutines)
+	}
+}
+
+// fissionedPlan compiles water v1, whose four SORTs per chain share the
+// chain's final C tile.
+func fissionedPlan(t *testing.T) *CompiledPlan {
+	t.Helper()
+	spec, err := VariantByName("v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Compile(molecule.Water631G(), spec, Options{Nodes: 1})
+	if !p.Shape.SortFission {
+		t.Fatal("v1 no longer fissions its SORT")
+	}
+	if _, err := p.NumTasks(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestWarmFissionedRunAllocatesNoCTile: the last SORT of each chain
+// gives the chain's final C back to the pool, so a warm water v1 run
+// draws every C tile from the tiles of the run before it. With the
+// collector off — it empties the pools — the best of three warm runs
+// allocates no object in the heap size classes of the C tiles.
+func TestWarmFissionedRunAllocatesNoCTile(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation drops sync.Pool items at random")
+	}
+	p := fissionedPlan(t)
+	classes := make(map[uint32]bool)
+	for _, c := range p.ps {
+		elems := max(int(c.meta.Out.Elems()), 256) // the pool's smallest class
+		size := uint32(8) << bits.Len(uint(elems-1))
+		classes[size] = true
+	}
+	cfg := ExecConfig{Workers: 2}
+	for i := 0; i < 2; i++ {
+		if _, err := p.Execute(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after stdruntime.MemStats
+		stdruntime.ReadMemStats(&before)
+		if _, err := p.Execute(cfg); err != nil {
+			t.Fatal(err)
+		}
+		stdruntime.ReadMemStats(&after)
+		var n uint64
+		for k, c := range before.BySize {
+			if classes[c.Size] {
+				n += after.BySize[k].Mallocs - c.Mallocs
+			}
+		}
+		best = min(best, n)
+	}
+	if best != 0 {
+		t.Errorf("a warm v1 run allocates %d objects of the C tiles' size classes %v, want 0", best, classes)
+	}
+}
+
+// TestCanceledSortLeavesNoCount cancels a water v1 run while a chain is
+// between its SORTs, then runs the plan in full on the same context:
+// the run must re-arm every chain's count, or the half-spent chain
+// gives its C back while two of its SORTs still have to read it. The
+// full run's energy is bitwise that of a run on a new context.
+func TestCanceledSortLeavesNoCount(t *testing.T) {
+	p := fissionedPlan(t)
+	cfg := ExecConfig{Workers: 1}
+	fresh := &execCtx{store: ga.NewStore(1)}
+	fresh.put = func(key tensor.BlockKey, tile *tensor.Tile4) { fresh.fold.Put(key, tile) }
+	want, err := fresh.execute(p, cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := &execCtx{store: ga.NewStore(1)}
+	c.put = func(key tensor.BlockKey, tile *tensor.Tile4) { c.fold.Put(key, tile) }
+	cancel := make(chan struct{})
+	chain := -1
+	canceled := cfg
+	canceled.Cancel = cancel
+	canceled.TaskDelay = func(_ int, ref ptg.TaskRef) time.Duration {
+		if chain < 0 && ref.Class == "SORT" && ref.Args[1] == 1 {
+			chain = ref.Args[0]
+			close(cancel)
+			// Time for the executor to see the cancel, which it does
+			// after this SORT's body.
+			return 50 * time.Millisecond
+		}
+		return 0
+	}
+	if _, err := c.execute(p, canceled, false); !errors.Is(err, runtime.ErrCanceled) {
+		t.Fatalf("canceled run returned %v", err)
+	}
+	if left := c.b.sortsLeft[chain].Load(); left <= 0 || int(left) >= p.ps[chain].nsorts {
+		t.Fatalf("chain %d has %d of %d SORTs left: the run was not canceled between them", chain, left, p.ps[chain].nsorts)
+	}
+	got, err := c.execute(p, cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
+		t.Errorf("energy %.17g after a canceled run, %.17g on a new context", got.Energy, want.Energy)
 	}
 }

@@ -2,6 +2,7 @@ package ccsd
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"parsec/internal/ga"
 	"parsec/internal/ptg"
@@ -49,6 +50,10 @@ type builder struct {
 	// io is how the READA (0) and READB (1) bodies reach their tensors in
 	// store, and how GEMM releases them.
 	io [2]inputIO
+	// sortsLeft counts, per chain, the fissioned SORTs of the running run
+	// that have yet to read the chain's final C; the one that brings it
+	// to zero gives the tile back. armSorts refills it before each run.
+	sortsLeft []atomic.Int32
 }
 
 // BuildGraph constructs the PTG for one variant of the ported
@@ -67,6 +72,23 @@ func BuildGraph(w *tce.Workload, spec VariantSpec, opts Options) *ptg.Graph {
 func (b *builder) point(p *CompiledPlan) {
 	b.w, b.shape, b.ps, b.nodes = p.Workload, p.Shape, p.ps, p.Nodes
 	b.io[0], b.io[1] = b.inputs()
+}
+
+// armSorts sets every chain's count of fissioned SORTs to its number of
+// SORTs. A graph that runs more than once must be re-armed before each
+// run: a canceled run leaves counts part-spent, and the next run would
+// give a chain's C back while SORTs still have to read it.
+func (b *builder) armSorts() {
+	if !b.shape.SortFission || b.store == nil {
+		return
+	}
+	if cap(b.sortsLeft) < len(b.ps) {
+		b.sortsLeft = make([]atomic.Int32, len(b.ps))
+	}
+	b.sortsLeft = b.sortsLeft[:len(b.ps)]
+	for l1, p := range b.ps {
+		b.sortsLeft[l1].Store(int32(p.nsorts))
+	}
 }
 
 // buildKernel adds the task classes of the ported subroutine.
@@ -526,6 +548,12 @@ func (b *builder) buildSort() {
 				d := p.meta.Out.Dims
 				dst := tensor.NewTile4(d[0], d[1], d[2], d[3])
 				tensor.Sort4(dst, src, br.Perm, br.Sign)
+				// The chain's SORTs share its final C; the last of them
+				// to read it gives it back.
+				if b.sortsLeft[ctx.Args[0]].Add(-1) == 0 {
+					tensor.PutTile4In(ctx.Pool, src)
+					ctx.In[0] = nil
+				}
 				ctx.Out[1] = dst
 			}
 		} else {
@@ -545,8 +573,7 @@ func (b *builder) buildSort() {
 					tensor.Sort4Add(dst, src, br.Perm, br.Sign)
 				}
 				// The merged SORT is the single consumer of the chain's
-				// final C (the fissioned-sort shapes share it across
-				// four instances and must leave it to the GC).
+				// final C.
 				tensor.PutTile4In(ctx.Pool, src)
 				ctx.In[0] = nil
 				ctx.Out[1] = dst
