@@ -98,7 +98,7 @@ tune:
 # runs of several plans must carry nothing from one run to the next —
 # that stress test runs five times.
 sched-conformance:
-	$(GO) test -race -run 'TestPopOrderEquivalence|TestSimexecDecisionsMatchShadowModel|TestSetPreloadMatchesPushAll|TestStealVictimGolden|TestInterNodeStealInvariants' ./internal/sched
+	$(GO) test -race -run 'TestPopOrderEquivalence|TestSimexecDecisionsMatchShadowModel|TestSetPreloadMatchesPushAll|TestStealVictimGolden' ./internal/sched
 	$(GO) test -race -run 'TestTrackerResetIsFresh' ./internal/ptg
 	$(GO) test -race -run 'TestRunnerRunsLikeANewRun' ./internal/runtime
 	$(GO) test -race -run 'TestLazy|TestEagerReleaseIsNoOp|TestNewLazyNeverRetires|TestStoreResetKeepsOneRun' ./internal/ga
@@ -114,8 +114,8 @@ sched-conformance:
 # into, and take from, an executor whose workers may all be parked, and
 # the ranks of one process bind one compiled plan's skeleton at once;
 # the tests that live on those seams run five more times. So do the ones
-# that lose frames whose tiles are on loan to a channel (seeded drops, a
-# link severed mid-burst): a retransmission reads the tile again; the
+# that sever a link mid-burst, the only way a frame goes back on the
+# wire: the resend of the unacked window reads a borrowed tile again; the
 # ones where the coordinator misbehaves (a bogus register off the wire)
 # or dies under its ranks, or a rank dies with no takeover to save the
 # run; and the input-replica ones: every block

@@ -28,30 +28,22 @@ type faultScenario struct {
 	name string
 	desc string
 	cfg  *fault.Config // nil = fault-free
-	// interNode enables the straggler-recovery re-dispatch path.
-	interNode bool
 	// commFaults marks transfer-level faults, which only exist on the PTG
 	// executors' comm threads — the CGP baseline's one-sided GETs/ACCs
-	// have no retry path to exercise, so it skips those scenarios.
+	// have no comm thread to spike, so it skips those scenarios.
 	commFaults bool
 }
 
-// faultScenarios is the fixed scenario list: a clean reference, the
-// acceptance-criterion straggler with and without re-dispatch, lossy
-// transfers under retry, and GA service stalls.
+// faultScenarios is the fixed scenario list: a clean reference, a
+// straggling node whose tasks stay pinned to it, transfer latency
+// spikes, and GA service stalls.
 func faultScenarios() []faultScenario {
-	straggle := func() *fault.Config {
-		return &fault.Config{Seed: faultSeed, Stragglers: []fault.Straggler{{Node: 0, Factor: 4}}}
-	}
 	return []faultScenario{
 		{name: "fault-free", desc: "no injected faults"},
 		{name: "straggler-pinned", desc: "node 0 computes 4x slower; tasks stay pinned to their affinity node",
-			cfg: straggle()},
-		{name: "straggler-redispatch", desc: "same straggler; idle nodes re-dispatch its queued tasks (moving their GETs)",
-			cfg: straggle(), interNode: true},
-		{name: "loss-retry", desc: "transfer drops and latency spikes absorbed by the comm threads' retry/backoff",
-			cfg: &fault.Config{Seed: faultSeed, DropProb: 0.02, AckDropProb: 0.01,
-				SpikeProb: 0.05, SpikeLatency: 200 * sim.Microsecond},
+			cfg: &fault.Config{Seed: faultSeed, Stragglers: []fault.Straggler{{Node: 0, Factor: 4}}}},
+		{name: "latency-spikes", desc: "transfer latency spikes held by the comm threads",
+			cfg:        &fault.Config{Seed: faultSeed, SpikeProb: 0.05, SpikeLatency: 200 * sim.Microsecond},
 			commFaults: true},
 		{name: "ga-hiccups", desc: "NXTVAL and ACC service stalls",
 			cfg: &fault.Config{Seed: faultSeed, NxtValProb: 0.05, NxtValDelay: 300 * sim.Microsecond,
@@ -61,30 +53,11 @@ func faultScenarios() []faultScenario {
 
 // faultRow is one (scenario, series) cell of the JSON baseline.
 type faultRow struct {
-	Scenario      string  `json:"scenario"`
-	Series        string  `json:"series"`
-	Seconds       float64 `json:"seconds"`
-	LossSeconds   float64 `json:"loss_seconds"`
-	Retries       int     `json:"retries,omitempty"`
-	Drops         int     `json:"drops,omitempty"`
-	AckDrops      int     `json:"ack_drops,omitempty"`
-	DupSuppressed int     `json:"dup_suppressed,omitempty"`
-	BackoffSec    float64 `json:"backoff_seconds,omitempty"`
-	RetransmitB   int64   `json:"retransmit_bytes,omitempty"`
-	Redispatches  int     `json:"redispatches,omitempty"`
-	RedispatchB   int64   `json:"redispatch_bytes,omitempty"`
-	StragglerSec  float64 `json:"straggler_excess_seconds,omitempty"`
-}
-
-// faultCriterion records the tentpole's recovery claim: with the seeded
-// 4x single-node straggler, the re-dispatching v4 run must lose less
-// than half the span the pinned run loses against fault-free.
-type faultCriterion struct {
-	Series        string  `json:"series"`
-	PinnedLossSec float64 `json:"pinned_loss_seconds"`
-	StolenLossSec float64 `json:"redispatch_loss_seconds"`
-	RecoveredFrac float64 `json:"recovered_frac"`
-	Pass          bool    `json:"pass"`
+	Scenario     string  `json:"scenario"`
+	Series       string  `json:"series"`
+	Seconds      float64 `json:"seconds"`
+	LossSeconds  float64 `json:"loss_seconds"`
+	StragglerSec float64 `json:"straggler_excess_seconds,omitempty"`
 }
 
 // faultEnergy records the real-runtime reproduction check: perturbed
@@ -99,26 +72,24 @@ type faultEnergy struct {
 
 // faultsDoc is the committed docs/faults.json schema.
 type faultsDoc struct {
-	System    string          `json:"system"`
-	Nodes     int             `json:"nodes"`
-	Cores     int             `json:"cores_per_node"`
-	Seed      uint64          `json:"seed"`
-	Quick     bool            `json:"quick,omitempty"`
-	Rows      []faultRow      `json:"rows"`
-	Criterion *faultCriterion `json:"criterion,omitempty"`
-	Energy    *faultEnergy    `json:"energy,omitempty"`
+	System string       `json:"system"`
+	Nodes  int          `json:"nodes"`
+	Cores  int          `json:"cores_per_node"`
+	Seed   uint64       `json:"seed"`
+	Quick  bool         `json:"quick,omitempty"`
+	Rows   []faultRow   `json:"rows"`
+	Energy *faultEnergy `json:"energy,omitempty"`
 }
 
 // faultsCmd executes the seeded fault sweep for each requested series —
 // by default the NXTVAL baseline against the no-priority and priority
-// PTG executors, the recovery layer's Fig 9 companions — prints per-run
-// recovery counters and slowdown attribution, verifies the re-dispatch
-// criterion and the perturbed real-runtime energies, and writes the
-// JSON baseline. Under -quick the system is uracil, not benzene:
-// benzene at 8 nodes leaves the 7-core workers underfed — a straggler
-// barely queues anything, so re-dispatch has nothing to recover and the
-// criteria are meaningless — while uracil keeps the smoke run subsecond
-// with a real backlog.
+// PTG executors, the Fig 9 companions — prints each perturbed run's
+// loss against fault-free with its slowdown attribution, verifies the
+// perturbed real-runtime energies, and writes the JSON baseline. Under
+// -quick the system is uracil, not benzene: benzene at 8 nodes leaves
+// the 7-core workers underfed, so a straggler or a stall barely queues
+// anything and every perturbed row reads close to fault-free, while
+// uracil keeps the smoke run subsecond with a real backlog.
 func faultsCmd(fs *flag.FlagSet) func(io.Writer) error {
 	var o options
 	o.register(fs, defaults{preset: "betacarotene", quickPreset: "uracil", variants: "original,v2,v4", cores: "7", out: "docs/faults.json"},
@@ -142,17 +113,17 @@ func runFaults(out io.Writer, o *options, sys *molecule.System, cores int) error
 		sys.Name, mcfg.Nodes, cores, uint64(faultSeed))
 
 	doc := &faultsDoc{System: sys.Name, Nodes: mcfg.Nodes, Cores: cores, Seed: faultSeed, Quick: o.quick}
-	// makespan[scenario][series], for loss columns and the criterion.
-	makespan := map[string]map[string]sim.Time{}
+	// faultFree[series] is each series' fault-free makespan, for the loss
+	// columns.
+	faultFree := map[string]sim.Time{}
 	var profiles []*obsv.Profile
 
 	for _, sc := range faultScenarios() {
-		makespan[sc.name] = map[string]sim.Time{}
 		fmt.Fprintf(out, "\n-- %s: %s\n", sc.name, sc.desc)
 		for _, name := range names {
 			baseline := name == ccsd.BaselineName
-			if baseline && (sc.commFaults || sc.interNode) {
-				fmt.Fprintf(out, "  %-9s skipped (the CGP baseline has no comm threads to retry or re-dispatch)\n", name)
+			if baseline && sc.commFaults {
+				fmt.Fprintf(out, "  %-9s skipped (the CGP baseline has no comm threads for a spike to delay)\n", name)
 				continue
 			}
 			var inj *fault.Injector
@@ -161,24 +132,19 @@ func runFaults(out io.Writer, o *options, sys *molecule.System, cores int) error
 			}
 			t0 := time.Now()
 			res, err := ccsd.RunSimSeries(sys, name, mcfg, ccsd.SimRunConfig{
-				CoresPerNode:   cores,
-				Queues:         sched.PerWorkerSteal,
-				Faults:         inj,
-				InterNodeSteal: sc.interNode,
+				CoresPerNode: cores,
+				Queues:       sched.PerWorkerSteal,
+				Faults:       inj,
 			})
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", sc.name, name, err)
 			}
 			mk := res.Makespan
-			makespan[sc.name][name] = mk
-			row := faultRow{
-				Scenario: sc.name, Series: name, Seconds: mk.Seconds(),
-				Retries: res.Retries, Drops: res.Drops, AckDrops: res.AckDrops,
-				DupSuppressed: res.DupSuppressed, BackoffSec: res.BackoffTime.Seconds(),
-				RetransmitB:  res.RetransmitBytes,
-				Redispatches: res.Redispatches, RedispatchB: res.RedispatchBytes,
+			row := faultRow{Scenario: sc.name, Series: name, Seconds: mk.Seconds()}
+			if sc.cfg == nil {
+				faultFree[name] = mk
 			}
-			base, haveBase := makespan["fault-free"][name]
+			base, haveBase := faultFree[name]
 			perturbed := haveBase && sc.cfg != nil
 			if perturbed {
 				row.LossSeconds = (mk - base).Seconds()
@@ -196,7 +162,7 @@ func runFaults(out io.Writer, o *options, sys *molecule.System, cores int) error
 			}
 			fmt.Fprintln(out)
 
-			// Perturbed PTG runs get the full recovery/slowdown report.
+			// Perturbed PTG runs get the slowdown report.
 			if perturbed && !baseline {
 				profiles = append(profiles, faultProfile(name, sc, res, inj, base))
 			}
@@ -210,33 +176,19 @@ func runFaults(out io.Writer, o *options, sys *molecule.System, cores int) error
 		}
 	}
 
-	var firstErr error
-	if crit := checkFaultCriterion(makespan, names); crit != nil {
-		doc.Criterion = crit
-		verdict := "PASS"
-		if !crit.Pass {
-			verdict = "FAIL"
-			firstErr = fmt.Errorf("recovery criterion failed: %s re-dispatch loss %.2fs vs pinned loss %.2fs (want < half)",
-				crit.Series, crit.StolenLossSec, crit.PinnedLossSec)
-		}
-		fmt.Fprintf(out, "\ncriterion [%s]: %s under the 4x straggler loses %.2f s re-dispatching vs %.2f s pinned (recovered %.0f%%, want > 50%%)\n",
-			verdict, crit.Series, crit.StolenLossSec, crit.PinnedLossSec, 100*crit.RecoveredFrac)
-	}
-
 	en, err := checkFaultEnergies(o.ptg, o.quick)
 	if err != nil {
 		return err
 	}
 	doc.Energy = en
+	var firstErr error
 	verdict := "PASS"
 	if !en.Pass {
 		verdict = "FAIL"
-		if firstErr == nil {
-			firstErr = fmt.Errorf("perturbed real-runtime energy drifted %g from the reference %g (relative bound %g)",
-				en.MaxDrift, en.Reference, ccsd.EnergyTol)
-		}
+		firstErr = fmt.Errorf("perturbed real-runtime energy drifted %g from the reference %g (relative bound %g)",
+			en.MaxDrift, en.Reference, ccsd.EnergyTol)
 	}
-	fmt.Fprintf(out, "criterion [%s]: perturbed real-runtime energies on %s drift %.1e from the reference (relative bound %g)\n",
+	fmt.Fprintf(out, "\ncriterion [%s]: perturbed real-runtime energies on %s drift %.1e from the reference (relative bound %g)\n",
 		verdict, en.System, en.MaxDrift, ccsd.EnergyTol)
 
 	if err := writeArtifact(out, o.out, func(w io.Writer) error {
@@ -252,17 +204,11 @@ func runFaults(out io.Writer, o *options, sys *molecule.System, cores int) error
 	return firstErr
 }
 
-// faultProfile wraps one perturbed run's counters and the injector's
-// ledger in an observability profile, so the report renders the fault
-// recovery and slowdown-attribution sections.
+// faultProfile wraps one perturbed run's span and the injector's ledger
+// in an observability profile, so the report renders the
+// slowdown-attribution section.
 func faultProfile(series string, sc faultScenario, res simexec.Result, inj *fault.Injector, base sim.Time) *obsv.Profile {
 	p := &obsv.Profile{Name: fmt.Sprintf("%s under %s", series, sc.name), Span: int64(res.Makespan)}
-	p.SetRecovery(obsv.Recovery{
-		Retries: res.Retries, Drops: res.Drops, AckDrops: res.AckDrops,
-		DupSuppressed: res.DupSuppressed, BackoffTime: int64(res.BackoffTime),
-		RetransmitBytes: res.RetransmitBytes,
-		Redispatches:    res.Redispatches, RedispatchBytes: res.RedispatchBytes,
-	})
 	var causes []obsv.SlowdownCause
 	st := inj.Stats()
 	for _, n := range st.StragglerNodes() {
@@ -274,42 +220,9 @@ func faultProfile(series string, sc faultScenario, res simexec.Result, inj *faul
 		obsv.SlowdownCause{Cause: "latency spikes", Time: int64(st.SpikeTime)},
 		obsv.SlowdownCause{Cause: "NXTVAL hiccups", Time: int64(st.NxtValTime)},
 		obsv.SlowdownCause{Cause: "ACC hiccups", Time: int64(st.AccTime)},
-		obsv.SlowdownCause{Cause: "retry backoff", Time: int64(res.BackoffTime)},
 	)
 	p.SetSlowdown(int64(base), causes)
 	return p
-}
-
-// checkFaultCriterion evaluates the re-dispatch recovery claim on the
-// priority variant (v4 when present, else the last PTG series run).
-func checkFaultCriterion(makespan map[string]map[string]sim.Time, names []string) *faultCriterion {
-	series := ""
-	for _, name := range names {
-		if name == ccsd.BaselineName {
-			continue
-		}
-		series = name
-		if name == "v4" {
-			break
-		}
-	}
-	if series == "" {
-		return nil
-	}
-	base, ok1 := makespan["fault-free"][series]
-	pinned, ok2 := makespan["straggler-pinned"][series]
-	stolen, ok3 := makespan["straggler-redispatch"][series]
-	if !ok1 || !ok2 || !ok3 || pinned <= base {
-		return nil
-	}
-	c := &faultCriterion{
-		Series:        series,
-		PinnedLossSec: (pinned - base).Seconds(),
-		StolenLossSec: (stolen - base).Seconds(),
-	}
-	c.RecoveredFrac = 1 - c.StolenLossSec/c.PinnedLossSec
-	c.Pass = 2*(stolen-base) < (pinned - base)
-	return c
 }
 
 // checkFaultEnergies reruns the PTG series on the real goroutine runtime

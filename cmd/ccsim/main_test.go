@@ -56,7 +56,7 @@ func TestSubcommandsQuick(t *testing.T) {
 		{[]string{"profile", "-quick", "-variants", "original,v4", "-real", "water", "-workers", "2"},
 			[]string{"original sim benzene/6-31G 8n x 7r", "v4 sim benzene/6-31G 8n x 7c", "v4 real water/6-31G, 2 workers", "critical path"}},
 		{[]string{"faults", "-quick"},
-			[]string{"fault-injection sweep on uracil/6-31G, 8 nodes x 7 cores/node", "straggler-redispatch", "criterion [PASS]: v4 under the 4x straggler", "criterion [PASS]: perturbed real-runtime energies", "relative bound 1e-12"}},
+			[]string{"fault-injection sweep on uracil/6-31G, 8 nodes x 7 cores/node", "straggler-pinned", "latency-spikes", "criterion [PASS]: perturbed real-runtime energies", "relative bound 1e-12"}},
 		{[]string{"real-dist", "-quick", "-ranks", "2", "-variants", "original,v5"},
 			[]string{"water/6-31G", "across 2 worker processes", "\nv5 ", "ok: every distributed energy matches its single-process run to a relative 1e-12"}},
 		{[]string{"tune", "-quick", "-budget", "24"},

@@ -62,16 +62,10 @@ type SimRunConfig struct {
 	// §IV-D work-stealing choice).
 	Queues sched.QueueMode
 	// Faults, if non-nil, perturbs the run: the machine consults it for
-	// straggler slowdowns and the executor for transfer and GA-service
-	// faults. The caller keeps the handle to read the attribution ledger
+	// straggler slowdowns and the executor for transfer latency spikes
+	// and GA-service hiccups. The caller keeps the handle to read the attribution ledger
 	// afterwards.
 	Faults *fault.Injector
-	// InterNodeSteal enables the straggler-recovery re-dispatch path
-	// (requires Queues == PerWorkerSteal).
-	InterNodeSteal bool
-	// Retry overrides the comm thread's loss-recovery policy (zero value
-	// selects simexec.DefaultRetryPolicy).
-	Retry simexec.RetryPolicy
 }
 
 // BaselineName is the series name of the original CGP code in Fig 9
@@ -91,7 +85,7 @@ func newSimMachine(mcfg cluster.Config, inj *fault.Injector) (*cluster.Machine, 
 
 // Simulate executes the plan on a fresh simulated machine built from the
 // cluster configuration, returning the simexec result (makespan,
-// dataflow volumes, the GA GET/ACC tally, recovery counters). The plan
+// dataflow volumes, the GA GET/ACC tally). The plan
 // must have been compiled for the machine's node count: block owners
 // and task affinities are part of the plan.
 func (p *CompiledPlan) Simulate(mcfg cluster.Config, rc SimRunConfig) (simexec.Result, error) {
@@ -103,13 +97,11 @@ func (p *CompiledPlan) Simulate(mcfg cluster.Config, rc SimRunConfig) (simexec.R
 	}
 	m, gs := newSimMachine(mcfg, rc.Faults)
 	return simexec.Run(p.NewGraph(nil), m, gs, simexec.Config{
-		CoresPerNode:   rc.CoresPerNode,
-		Policy:         p.Spec.Policy(),
-		Queues:         rc.Queues,
-		Behaviors:      p.simBehaviors(),
-		Trace:          rc.Trace,
-		Retry:          rc.Retry,
-		InterNodeSteal: rc.InterNodeSteal,
+		CoresPerNode: rc.CoresPerNode,
+		Policy:       p.Spec.Policy(),
+		Queues:       rc.Queues,
+		Behaviors:    p.simBehaviors(),
+		Trace:        rc.Trace,
 	})
 }
 
@@ -137,9 +129,10 @@ func RunSim(sys *molecule.System, spec VariantSpec, mcfg cluster.Config, rc SimR
 // threads — its GETs and ACCs are one-sided — so of the injected faults
 // only stragglers and GA-service hiccups apply; its NXTVAL work
 // distribution then rebalances around them on its own, which is the
-// natural contrast to the PTG executors' re-dispatch. It reports in the
-// same result type: its makespan and GA tally; it has no tasks,
-// deliveries or recovery counters, and those fields stay zero.
+// natural contrast to the PTG executors, whose tasks stay pinned to
+// their affinity node. It reports in the same result type: its makespan
+// and GA tally; it has no tasks or deliveries, and those fields stay
+// zero.
 func RunSimSeries(sys *molecule.System, name string, mcfg cluster.Config, rc SimRunConfig) (simexec.Result, error) {
 	if name != BaselineName {
 		spec, err := VariantByName(name)

@@ -1,10 +1,11 @@
 // Package fault provides a deterministic, seeded fault-injection model
 // for the discrete-event cluster simulation. It perturbs three layers of
 // the machine model — per-node compute speed (stragglers), per-transfer
-// network behavior (latency spikes, transient payload and ack drops),
-// and the Global Arrays service paths (NxtVal and ACC hiccups) — so the
-// runtime's recovery machinery (comm-thread retry with backoff, inter-
-// node task re-dispatch) can be exercised and measured reproducibly.
+// network latency (spikes), and the Global Arrays service paths (NxtVal
+// and ACC hiccups) — so the cost of each on a schedule can be measured
+// reproducibly. Every perturbation slows work down and none loses it,
+// because the real runtimes keep every task on its affinity node and
+// TCP delivers every frame.
 //
 // Every concern draws from its own seeded RNG stream, so adding a fault
 // site to one layer never shifts the sequence observed by another, and
@@ -42,14 +43,6 @@ type Config struct {
 	// Stragglers lists slowed-down nodes.
 	Stragglers []Straggler
 
-	// DropProb is the probability that a transfer's payload is lost in
-	// flight: the receiver sees nothing and the sender detects the loss
-	// only after a timeout (see simexec's retry policy).
-	DropProb float64
-	// AckDropProb is the probability that the payload arrives but its
-	// acknowledgment is lost, so the sender retransmits a payload the
-	// receiver has already consumed (exercising duplicate suppression).
-	AckDropProb float64
 	// SpikeProb is the probability a transfer suffers SpikeLatency of
 	// extra delay before the wire charge.
 	SpikeProb    float64
@@ -78,15 +71,11 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}{
-		{"DropProb", c.DropProb}, {"AckDropProb", c.AckDropProb},
 		{"SpikeProb", c.SpikeProb}, {"NxtValProb", c.NxtValProb}, {"AccProb", c.AccProb},
 	} {
 		if p.v < 0 || p.v > 1 {
 			return fmt.Errorf("fault: %s %g outside [0,1]", p.name, p.v)
 		}
-	}
-	if c.DropProb+c.AckDropProb > 1 {
-		return fmt.Errorf("fault: DropProb+AckDropProb %g > 1", c.DropProb+c.AckDropProb)
 	}
 	if c.SpikeLatency < 0 || c.NxtValDelay < 0 || c.AccDelay < 0 {
 		return fmt.Errorf("fault: negative fault latency")
@@ -94,25 +83,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// XferOutcome is the injector's verdict for one transfer attempt.
-type XferOutcome struct {
-	// Drop: the payload is lost; the receiver learns nothing and the
-	// sender must time out and retransmit.
-	Drop bool
-	// AckDrop: the payload lands but the ack is lost; the sender times
-	// out and retransmits a duplicate.
-	AckDrop bool
-	// Extra is additional latency (a spike) charged before the wire
-	// time. It may accompany a successful attempt only.
-	Extra sim.Time
-}
-
 // Stats is the attribution ledger: counts and injected excess time per
 // fault class, accumulated as the simulation runs.
 type Stats struct {
-	Drops    int64 // payload drops
-	AckDrops int64 // ack drops (duplicate deliveries provoked)
-	Spikes   int64
+	Spikes int64
 	// SpikeTime is total extra latency from spikes.
 	SpikeTime sim.Time
 
@@ -221,29 +195,19 @@ func (inj *Injector) NoteExcess(node int, d sim.Time) {
 	inj.stats.StragglerExcess[node] += d
 }
 
-// Transfer draws the outcome for one transfer attempt between distinct
-// nodes. Local moves never fault. Nil-safe: returns a clean outcome.
-func (inj *Injector) Transfer(from, to int) XferOutcome {
-	var out XferOutcome
-	if inj == nil || from == to {
-		return out
+// Transfer returns the latency spike charged before one transfer's wire
+// time between distinct nodes (0 when the transfer runs clean). Local
+// moves never fault. Nil-safe.
+func (inj *Injector) Transfer(from, to int) sim.Time {
+	if inj == nil || from == to || inj.cfg.SpikeProb <= 0 {
+		return 0
 	}
-	u := inj.xferRNG.Float64()
-	switch {
-	case u < inj.cfg.DropProb:
-		out.Drop = true
-		inj.stats.Drops++
-		return out
-	case u < inj.cfg.DropProb+inj.cfg.AckDropProb:
-		out.AckDrop = true
-		inj.stats.AckDrops++
-	}
-	if inj.cfg.SpikeProb > 0 && inj.xferRNG.Float64() < inj.cfg.SpikeProb {
-		out.Extra = inj.cfg.SpikeLatency
+	if inj.xferRNG.Float64() < inj.cfg.SpikeProb {
 		inj.stats.Spikes++
-		inj.stats.SpikeTime += out.Extra
+		inj.stats.SpikeTime += inj.cfg.SpikeLatency
+		return inj.cfg.SpikeLatency
 	}
-	return out
+	return 0
 }
 
 // NxtValHiccup returns the extra delay for one NxtVal RPC (0 when the

@@ -16,9 +16,9 @@ func TestValidate(t *testing.T) {
 		{"straggler", Config{Stragglers: []Straggler{{Node: 3, Factor: 4}}}, true},
 		{"bad factor", Config{Stragglers: []Straggler{{Node: 3, Factor: 0.5}}}, false},
 		{"bad node", Config{Stragglers: []Straggler{{Node: -1, Factor: 2}}}, false},
-		{"bad prob", Config{DropProb: 1.5}, false},
-		{"neg prob", Config{AckDropProb: -0.1}, false},
-		{"prob sum", Config{DropProb: 0.7, AckDropProb: 0.5}, false},
+		{"bad prob", Config{SpikeProb: 1.5}, false},
+		{"neg prob", Config{NxtValProb: -0.1}, false},
+		{"bad acc prob", Config{AccProb: 2}, false},
 		{"neg delay", Config{SpikeLatency: -1}, false},
 	}
 	for _, c := range cases {
@@ -29,17 +29,17 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestDeterminism: the same config yields the identical outcome
+// TestDeterminism: the same config yields the identical spike
 // sequence, and the streams are independent — GA draws do not perturb
 // transfer draws.
 func TestDeterminism(t *testing.T) {
 	cfg := Config{
-		Seed: 42, DropProb: 0.2, AckDropProb: 0.1,
+		Seed:      42,
 		SpikeProb: 0.3, SpikeLatency: sim.Duration(5e-6),
 		NxtValProb: 0.5, NxtValDelay: sim.Duration(1e-6),
 	}
 	a, b := New(cfg), New(cfg)
-	var seqA, seqB []XferOutcome
+	var seqA, seqB []sim.Time
 	for i := 0; i < 200; i++ {
 		seqA = append(seqA, a.Transfer(0, 1))
 		// Interleave GA draws on b only: must not shift b's transfers.
@@ -48,24 +48,31 @@ func TestDeterminism(t *testing.T) {
 	}
 	for i := range seqA {
 		if seqA[i] != seqB[i] {
-			t.Fatalf("outcome %d diverged: %+v vs %+v", i, seqA[i], seqB[i])
+			t.Fatalf("spike %d diverged: %v vs %v", i, seqA[i], seqB[i])
 		}
 	}
 	st := a.Stats()
-	if st.Drops == 0 || st.AckDrops == 0 || st.Spikes == 0 {
-		t.Fatalf("expected all transfer fault classes to fire: %+v", st)
+	if st.Spikes == 0 || st.Spikes == 200 {
+		t.Fatalf("want some but not all of 200 transfers spiked: %+v", st)
+	}
+	var sum sim.Time
+	for _, d := range seqA {
+		sum += d
+	}
+	if sum != st.SpikeTime {
+		t.Fatalf("spikes returned %v, ledger SpikeTime %v", sum, st.SpikeTime)
 	}
 }
 
 func TestLocalTransfersNeverFault(t *testing.T) {
-	inj := New(Config{Seed: 7, DropProb: 1})
+	inj := New(Config{Seed: 7, SpikeProb: 1, SpikeLatency: 10})
 	for i := 0; i < 10; i++ {
-		if out := inj.Transfer(2, 2); out.Drop || out.AckDrop || out.Extra != 0 {
-			t.Fatalf("local transfer faulted: %+v", out)
+		if d := inj.Transfer(2, 2); d != 0 {
+			t.Fatalf("local transfer spiked by %v", d)
 		}
 	}
-	if st := inj.Stats(); st.Drops != 0 {
-		t.Fatalf("ledger recorded local drops: %+v", st)
+	if st := inj.Stats(); st.Spikes != 0 || st.SpikeTime != 0 {
+		t.Fatalf("ledger recorded local spikes: %+v", st)
 	}
 }
 
@@ -93,8 +100,8 @@ func TestNilInjector(t *testing.T) {
 	if d := inj.ScaleCompute(0, 100); d != 100 {
 		t.Fatalf("nil ScaleCompute = %d", d)
 	}
-	if out := inj.Transfer(0, 1); out.Drop || out.AckDrop || out.Extra != 0 {
-		t.Fatalf("nil Transfer = %+v", out)
+	if d := inj.Transfer(0, 1); d != 0 {
+		t.Fatalf("nil Transfer = %v", d)
 	}
 	if inj.NxtValHiccup() != 0 || inj.AccHiccup() != 0 {
 		t.Fatal("nil hiccup nonzero")

@@ -197,30 +197,25 @@ type RampStat struct {
 	MaxFrac  float64 `json:"max_frac"`
 }
 
-// Recovery is the fault-recovery side of a profile: what the comm
-// threads and the scheduler did to absorb injected faults. Retries
-// counts retransmissions (one per payload drop or lost ack); backoff is
-// the total time senders spent waiting between attempts; retransmit
-// bytes are extra wire volume beyond the logical traffic in CommStats.
-// Redispatches counts tasks migrated off straggling nodes by the
-// inter-node steal path, with the input bytes their GETs dragged along.
+// Recovery is what netrun's reliable channels did to carry a run over
+// a severed link. When a connection breaks, the sender redials and
+// resends its unacked window: Retries counts those resends, one per
+// frame, and RetransmitBytes their wire volume beyond the logical
+// traffic in CommStats. DupSuppressed counts the frames the receiver
+// dropped because an earlier copy had already landed. A healthy run
+// counts zero of each.
 type Recovery struct {
 	Retries         int   `json:"retries,omitempty"`
-	Drops           int   `json:"drops,omitempty"`
-	AckDrops        int   `json:"ack_drops,omitempty"`
 	DupSuppressed   int   `json:"dup_suppressed,omitempty"`
-	BackoffTime     int64 `json:"backoff_ns,omitempty"`
 	RetransmitBytes int64 `json:"retransmit_bytes,omitempty"`
-	Redispatches    int   `json:"redispatches,omitempty"`
-	RedispatchBytes int64 `json:"redispatch_bytes,omitempty"`
 }
 
 // SlowdownCause charges part of a perturbed run's loss to one injected
-// cause (a straggling node, latency spikes, GA-service hiccups, retry
-// backoff). Charges are serial wall-clock charges from the injector's
-// ledger: parallel slack absorbs some of them and recovery shifts
-// others off the critical path, so shares of the observed loss need not
-// sum to 100% — a share well above it means recovery hid most of the
+// cause (a straggling node, latency spikes, GA-service hiccups).
+// Charges are serial wall-clock charges from the injector's ledger:
+// parallel slack absorbs some of them and the schedule shifts others
+// off the critical path, so shares of the observed loss need not sum to
+// 100% — a share well above it means the schedule hid most of the
 // injected delay.
 type SlowdownCause struct {
 	Cause string `json:"cause"`

@@ -553,10 +553,16 @@ func TestSetRecoveryReport(t *testing.T) {
 	if p.Recov != nil {
 		t.Fatal("profile grew a recovery section without SetRecovery")
 	}
-	p.SetRecovery(Recovery{Retries: 3, Drops: 2, AckDrops: 1, DupSuppressed: 1,
-		BackoffTime: 150_000, RetransmitBytes: 2_000_000, Redispatches: 4, RedispatchBytes: 800_000})
-	rc := p.Recov
-	if rc == nil || rc.Retries != 3 || rc.Redispatches != 4 || rc.RedispatchBytes != 800_000 {
-		t.Fatalf("profile recovery = %+v", rc)
+	want := Recovery{Retries: 3, DupSuppressed: 1, RetransmitBytes: 2_000_000}
+	p.SetRecovery(want)
+	if rc := p.Recov; rc == nil || *rc != want {
+		t.Fatalf("profile recovery = %+v, want %+v", rc, want)
+	}
+	var buf bytes.Buffer
+	if err := WriteProfile(&buf, p, 0); err != nil {
+		t.Fatal(err)
+	}
+	if line := "retries 3, 1 duplicates suppressed, retransmitted 2.00MB\n"; !bytes.Contains(buf.Bytes(), []byte(line)) {
+		t.Errorf("report missing %q:\n%s", line, buf.String())
 	}
 }

@@ -150,19 +150,9 @@ func WriteProfile(w io.Writer, p *Profile, maxWorkers int) error {
 
 	if rc := p.Recov; rc != nil {
 		if _, err := fmt.Fprintf(w,
-			"\nfault recovery\nretries %d (%d payload drops, %d lost acks), %d duplicates suppressed\n",
-			rc.Retries, rc.Drops, rc.AckDrops, rc.DupSuppressed); err != nil {
+			"\nfault recovery\nretries %d, %d duplicates suppressed, retransmitted %s\n",
+			rc.Retries, rc.DupSuppressed, FormatBytes(rc.RetransmitBytes)); err != nil {
 			return err
-		}
-		if _, err := fmt.Fprintf(w, "backoff %s, retransmitted %s\n",
-			fmtNS(rc.BackoffTime), FormatBytes(rc.RetransmitBytes)); err != nil {
-			return err
-		}
-		if rc.Redispatches > 0 {
-			if _, err := fmt.Fprintf(w, "re-dispatch: %d tasks migrated off stragglers, %s of inputs moved\n",
-				rc.Redispatches, FormatBytes(rc.RedispatchBytes)); err != nil {
-				return err
-			}
 		}
 	}
 

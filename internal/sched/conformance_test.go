@@ -4,10 +4,7 @@
 // three consume internal/sched. Pop-order equivalence is asserted for
 // every Policy×QueueMode combination on the same generated DAGs at a
 // single worker (where a schedule is a pure function of the decision
-// core), steal-victim choice is pinned under a scripted substrate, and
-// inter-node steal is checked against its behavior-class invariants
-// (non-migratable classes never leave their affinity node; imbalance
-// produces re-dispatches).
+// core), and steal-victim choice is pinned under a scripted substrate.
 package sched_test
 
 import (
@@ -128,7 +125,7 @@ func runtimeDecisions(t *testing.T, g *ptg.Graph, pol sched.Policy, mode sched.Q
 
 // simexecDecisions executes the graph on the simulated cluster and
 // returns the scheduling decision stream.
-func simexecDecisions(t *testing.T, g *ptg.Graph, pol sched.Policy, mode sched.QueueMode, nodes, cores int, steal bool) ([]sched.Event, simexec.Result) {
+func simexecDecisions(t *testing.T, g *ptg.Graph, pol sched.Policy, mode sched.QueueMode, nodes, cores int) []sched.Event {
 	t.Helper()
 	cfg := cluster.CascadeLike()
 	cfg.Nodes = nodes
@@ -137,17 +134,16 @@ func simexecDecisions(t *testing.T, g *ptg.Graph, pol sched.Policy, mode sched.Q
 	eng := sim.NewEngine()
 	m := cluster.New(eng, cfg)
 	var events []sched.Event
-	res, err := simexec.Run(g, m, ga.NewSim(m), simexec.Config{
-		CoresPerNode:   cores,
-		Policy:         pol,
-		Queues:         mode,
-		InterNodeSteal: steal,
-		SchedObserver:  func(e sched.Event) { events = append(events, e) },
+	_, err := simexec.Run(g, m, ga.NewSim(m), simexec.Config{
+		CoresPerNode:  cores,
+		Policy:        pol,
+		Queues:        mode,
+		SchedObserver: func(e sched.Event) { events = append(events, e) },
 	})
 	if err != nil {
 		t.Fatalf("simexec %v/%v: %v", pol, mode, err)
 	}
-	return events, res
+	return events
 }
 
 // netrunDecisions executes the graph on the socket runtime at one rank
@@ -194,8 +190,7 @@ func TestPopOrderEquivalence(t *testing.T) {
 			for _, gr := range graphs {
 				t.Run(fmt.Sprintf("%v/%v/%s", pol, mode, gr.name), func(t *testing.T) {
 					real := takeOrder(runtimeDecisions(t, gr.build(), pol, mode, 1))
-					simEv, _ := simexecDecisions(t, gr.build(), pol, mode, 1, 1, false)
-					sim := takeOrder(simEv)
+					sim := takeOrder(simexecDecisions(t, gr.build(), pol, mode, 1, 1))
 					net := takeOrder(netrunDecisions(t, gr.build, pol, mode, 1))
 					if len(real) != gr.tasks {
 						t.Fatalf("runtime dispatched %d tasks, want %d", len(real), gr.tasks)
@@ -262,7 +257,7 @@ func TestSimexecDecisionsMatchShadowModel(t *testing.T) {
 // shadow core.
 func checkShadow(t *testing.T, g *ptg.Graph, pol sched.Policy, mode sched.QueueMode, nodes, cores int) {
 	t.Helper()
-	events, _ := simexecDecisions(t, g, pol, mode, nodes, cores, false)
+	events := simexecDecisions(t, g, pol, mode, nodes, cores)
 	shadow := make([]*sched.Set, nodes)
 	for n := range shadow {
 		shadow[n] = sched.NewSet(cores, pol, mode, nil, nil)
@@ -392,109 +387,6 @@ func TestStealVictimGolden(t *testing.T) {
 	})
 	if fromBest == nil || fromProbe == nil || fromBest.Seq != fromProbe.Seq {
 		t.Fatalf("lone-victim steal diverges: best-head %v, probe %v", fromBest, fromProbe)
-	}
-}
-
-// TestInterNodeStealInvariants checks the behavior-class contract of
-// the re-dispatch path on an imbalanced 2-node run: non-migratable
-// tasks execute only on their affinity node, the imbalance produces
-// re-dispatches, and at least one migratable task actually moves.
-func TestInterNodeStealInvariants(t *testing.T) {
-	const nodes, cores = 2, 2
-	const pinned, movable = 12, 12
-	g := ptg.NewGraph("conf-steal")
-	src := g.Class("SRC")
-	src.Domain = func(emit func(ptg.Args)) { emit(ptg.A1(0)) }
-	src.Affinity = func(a ptg.Args) int { return 0 }
-	src.Cost = func(a ptg.Args) ptg.Cost { return ptg.Cost{Flops: 1e7} }
-	f := src.AddFlow("D", ptg.Write)
-	f.InNew(nil, func(a ptg.Args) int64 { return 64 })
-	for i := 0; i < pinned; i++ {
-		i := i
-		f.Out(nil, func(a ptg.Args) (ptg.TaskRef, string) {
-			return ptg.TaskRef{Class: "PIN", Args: ptg.A1(i)}, "D"
-		})
-	}
-	for i := 0; i < movable; i++ {
-		i := i
-		f.Out(nil, func(a ptg.Args) (ptg.TaskRef, string) {
-			return ptg.TaskRef{Class: "MIG", Args: ptg.A1(i)}, "D"
-		})
-	}
-	// Both fan-out classes live on node 0, so node 1's workers have
-	// nothing but what they re-dispatch.
-	leafDomain := func(n int) func(emit func(ptg.Args)) {
-		return func(emit func(ptg.Args)) {
-			for i := 0; i < n; i++ {
-				emit(ptg.A1(i))
-			}
-		}
-	}
-	leafIn := func(c *ptg.TaskClass) {
-		c.AddFlow("D", ptg.Read).
-			In(nil, func(a ptg.Args) (ptg.TaskRef, string) {
-				return ptg.TaskRef{Class: "SRC", Args: ptg.A1(0)}, "D"
-			})
-	}
-	var mu sync.Mutex
-	ranOn := map[string]int{}
-	record := func(ctx *simexec.TaskCtx) {
-		mu.Lock()
-		ranOn[ctx.Inst.Ref.String()] = ctx.Node
-		mu.Unlock()
-		ctx.Hold(sim.Millisecond)
-	}
-	for _, name := range []string{"PIN", "MIG"} {
-		c := g.Class(name)
-		c.Domain = leafDomain(pinned)
-		c.Affinity = func(a ptg.Args) int { return 0 }
-		c.Cost = func(a ptg.Args) ptg.Cost { return ptg.Cost{Flops: 1e9} }
-		leafIn(c)
-	}
-
-	cfg := cluster.CascadeLike()
-	cfg.Nodes = nodes
-	cfg.CoresPerNode = cores
-	cfg.JitterFrac = 0
-	eng := sim.NewEngine()
-	m := cluster.New(eng, cfg)
-	res, err := simexec.Run(g, m, ga.NewSim(m), simexec.Config{
-		CoresPerNode:   cores,
-		Policy:         sched.PriorityOrder,
-		Queues:         sched.PerWorkerSteal,
-		InterNodeSteal: true,
-		Migratable:     func(class string) bool { return class == "MIG" },
-		Behaviors: map[string]simexec.Behavior{
-			"PIN": record, "MIG": record,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tasks != 1+pinned+movable {
-		t.Fatalf("tasks = %d, want %d", res.Tasks, 1+pinned+movable)
-	}
-	if res.Redispatches == 0 {
-		t.Fatal("imbalanced run produced no re-dispatches")
-	}
-	moved := 0
-	for ref, node := range ranOn {
-		switch {
-		case len(ref) >= 3 && ref[:3] == "PIN":
-			if node != 0 {
-				t.Errorf("non-migratable %s executed on node %d", ref, node)
-			}
-		case len(ref) >= 3 && ref[:3] == "MIG":
-			if node != 0 {
-				moved++
-			}
-		}
-	}
-	if moved == 0 {
-		t.Fatal("no migratable task executed off its affinity node")
-	}
-	if moved != res.Redispatches {
-		t.Errorf("moved %d tasks but counted %d re-dispatches", moved, res.Redispatches)
 	}
 }
 

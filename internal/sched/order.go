@@ -67,8 +67,7 @@ func (h *Heap) PushTask(in *ptg.Instance) {
 func (h *Heap) PopTask() *ptg.Instance { return h.RemoveAt(0) }
 
 // RemoveAt removes and returns the instance at heap index i, restoring
-// heap order (for pickers that choose a victim by scanning, like the
-// migratable-task steal).
+// heap order.
 func (h *Heap) RemoveAt(i int) *ptg.Instance {
 	s := *h
 	n := len(s) - 1

@@ -179,35 +179,6 @@ func TestSetStealBest(t *testing.T) {
 	}
 }
 
-// TestSetFindPopWhere checks the migratable-task picker scans whole
-// queues, not just heads: the best matching task may sit below a
-// non-matching one.
-func TestSetFindPopWhere(t *testing.T) {
-	s := NewSet(2, PriorityOrder, PerWorkerSteal, nil, nil)
-	s.Push(inst(9, 0)) // q0 head, not migratable below
-	s.Push(inst(5, 2)) // q0, under the head
-	s.Push(inst(1, 3)) // q1
-	mig := func(in *ptg.Instance) bool { return in.Seq != 0 }
-	if in := s.FindWhere(mig); in == nil || in.Seq != 2 {
-		t.Fatalf("FindWhere = %v, want seq 2 (best matching, below a head)", in)
-	}
-	if s.Total() != 3 {
-		t.Fatalf("FindWhere must not remove; total = %d", s.Total())
-	}
-	if in := s.PopWhere(mig); in == nil || in.Seq != 2 {
-		t.Fatalf("PopWhere = %v, want seq 2", in)
-	}
-	if in := s.PopWhere(mig); in == nil || in.Seq != 3 {
-		t.Fatalf("second PopWhere = %v, want seq 3", in)
-	}
-	if in := s.PopWhere(mig); in != nil {
-		t.Fatalf("third PopWhere = %v, want nil", in)
-	}
-	if in := s.Pop(0); in == nil || in.Seq != 0 {
-		t.Fatalf("remaining pop = %v, want seq 0", in)
-	}
-}
-
 // scriptClock is a settable clock for tests.
 type scriptClock struct{ t int64 }
 

@@ -160,50 +160,3 @@ func (q *Queue) PopsNext(in *ptg.Instance) bool {
 	head := q.Peek()
 	return head == nil || Before(in, head)
 }
-
-// at returns the instance at position i: positions count the stack, or
-// the heap's backing slice followed by the unconsumed run.
-func (q *Queue) at(i int) *ptg.Instance {
-	switch {
-	case q.lifo:
-		return q.stack[i]
-	case i < len(q.heap):
-		return q.heap.At(i)
-	}
-	return q.run[q.cur+i-len(q.heap)]
-}
-
-// FindWhere returns the Before-best queued instance satisfying ok and
-// its position (for RemoveAt; a push or pop invalidates it), or
-// (nil, -1). The queue is scanned whole — not just its head — because
-// the inter-node steal may only move migratable classes and the best
-// migratable task can sit below a pinned one.
-func (q *Queue) FindWhere(ok func(*ptg.Instance) bool) (best *ptg.Instance, bi int) {
-	bi = -1
-	for i, n := 0, q.Len(); i < n; i++ {
-		if in := q.at(i); ok(in) && (best == nil || Before(in, best)) {
-			best, bi = in, i
-		}
-	}
-	return best, bi
-}
-
-// RemoveAt removes and returns the instance at a position FindWhere
-// reported. Taking from the middle of the run shifts the entries ahead
-// of it up by one; that is linear, and only the inter-node steal does
-// it.
-func (q *Queue) RemoveAt(i int) *ptg.Instance {
-	if q.lifo {
-		in := q.stack[i]
-		q.stack = append(q.stack[:i], q.stack[i+1:]...)
-		return in
-	}
-	if i < len(q.heap) {
-		return q.heap.RemoveAt(i)
-	}
-	k := q.cur + i - len(q.heap)
-	in := q.run[k]
-	copy(q.run[q.cur+1:k+1], q.run[q.cur:k])
-	q.cur++
-	return in
-}

@@ -54,21 +54,10 @@ func (r *refQueue) removeAt(k int) *ptg.Instance {
 	return in
 }
 
-func (r *refQueue) bestWhere(ok func(*ptg.Instance) bool) (best *ptg.Instance, bk int) {
-	bk = -1
-	for k, in := range r.items {
-		if ok(in) && (best == nil || Before(in, best)) {
-			best, bk = in, k
-		}
-	}
-	return best, bk
-}
-
 // TestQueueMatchesSortedReference drives every Policy×QueueMode queue
-// through random interleavings of Preload, Push, Pop, Peek, PopsNext and
-// FindWhere+RemoveAt beside the reference: the same task must come out
-// of every Pop and every predicate take, and Len must agree throughout —
-// the run/heap merge is invisible. Preloads land on empty queues, on
+// through random interleavings of Preload, Push, Pop, Peek and PopsNext
+// beside the reference: the same task must come out of every Pop, and
+// Len must agree throughout — the run/heap merge is invisible. Preloads land on empty queues, on
 // queues holding pushed tasks, and on queues whose earlier run is only
 // half consumed.
 func TestQueueMatchesSortedReference(t *testing.T) {
@@ -113,7 +102,7 @@ func checkQueueAgainstReference(t *testing.T, pol Policy, mode QueueMode, seed i
 		}
 	}
 	for op := 0; op < 600; op++ {
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(17); {
 		case r == 0: // a sorted run, sometimes empty
 			run := make([]*ptg.Instance, rng.Intn(40))
 			for i := range run {
@@ -136,24 +125,12 @@ func checkQueueAgainstReference(t *testing.T, pol Policy, mode QueueMode, seed i
 			}
 		case r < 14:
 			pop()
-		case r < 17:
+		default:
 			var want *ptg.Instance
 			if len(ref.items) > 0 {
 				want = ref.items[ref.head()]
 			}
 			check("Peek", q.Peek(), want)
-		default: // the inter-node steal's pick: best task of one residue class
-			m := rng.Intn(3)
-			ok := func(in *ptg.Instance) bool { return in.Seq%3 == m }
-			want, k := ref.bestWhere(ok)
-			got, i := q.FindWhere(ok)
-			check("FindWhere", got, want)
-			if want != nil {
-				ref.removeAt(k)
-				check("RemoveAt", q.RemoveAt(i), want)
-			} else if i != -1 {
-				t.Fatalf("seed %d: FindWhere found nothing at position %d", seed, i)
-			}
 		}
 	}
 	for len(ref.items) > 0 {

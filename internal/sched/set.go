@@ -11,8 +11,7 @@ const (
 	// OpPop is a worker taking the next task from its own queue.
 	OpPop
 	// OpSteal is a task leaving a queue that is not the taker's own: an
-	// intra-node steal from a sibling, or a migratable task picked for
-	// inter-node re-dispatch.
+	// intra-node steal from a sibling.
 	OpSteal
 )
 
@@ -27,9 +26,8 @@ func (o Op) String() string {
 // conformance suite records them to compare decisions across backends.
 type Event struct {
 	Op Op
-	// Worker is the acting worker (OpPop, OpSteal), or -1 when the
-	// decision is not attributable to one (enqueues, the inter-node
-	// migratable pick made on a remote thief's behalf).
+	// Worker is the acting worker (OpPop, OpSteal), or -1 for an
+	// enqueue, which no worker makes.
 	Worker int
 	// Queue is the queue acted on — the destination for OpEnqueue, the
 	// popped queue for OpPop, the victim for OpSteal.
@@ -204,38 +202,6 @@ func (s *Set) StealBest(wid int) *ptg.Instance {
 	s.total--
 	s.emit(Event{Op: OpSteal, Worker: wid, Queue: best, Inst: in, Total: s.total})
 	return in
-}
-
-// FindWhere returns the Before-best queued instance satisfying ok
-// without removing it, or nil (see Queue.FindWhere).
-func (s *Set) FindWhere(ok func(*ptg.Instance) bool) *ptg.Instance {
-	in, _, _ := s.findWhere(ok)
-	return in
-}
-
-// PopWhere removes and returns the Before-best queued instance
-// satisfying ok, or nil.
-func (s *Set) PopWhere(ok func(*ptg.Instance) bool) *ptg.Instance {
-	in, q, i := s.findWhere(ok)
-	if in == nil {
-		return nil
-	}
-	s.queues[q].RemoveAt(i)
-	s.total--
-	s.emit(Event{Op: OpSteal, Worker: -1, Queue: q, Inst: in, Total: s.total})
-	return in
-}
-
-// findWhere locates the Before-best matching instance and its queue and
-// backing-slice index.
-func (s *Set) findWhere(ok func(*ptg.Instance) bool) (best *ptg.Instance, bq, bi int) {
-	bq, bi = -1, -1
-	for q := range s.queues {
-		if in, i := s.queues[q].FindWhere(ok); in != nil && (best == nil || Before(in, best)) {
-			best, bq, bi = in, q, i
-		}
-	}
-	return best, bq, bi
 }
 
 // emit delivers an event to the observer, if any, stamping it with the

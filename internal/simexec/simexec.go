@@ -4,10 +4,15 @@
 //
 //   - every node runs a fixed set of worker "threads" sharing one ready
 //     queue — the paper's dynamic work stealing within a node (§IV-D);
+//   - every task runs on its affinity node, as in the real runtimes;
+//     no task migrates between nodes;
 //   - every node runs one dedicated communication thread; tasks never
 //     communicate directly, they express dataflow and the comm thread
 //     issues the transfers (§V: "data transfer calls are issued by a
-//     specialized communication thread that runs on a dedicated core");
+//     specialized communication thread that runs on a dedicated core").
+//     It sends one payload at a time and delivers each once: an
+//     injected fault can delay a transfer by a latency spike but never
+//     lose it, as a live TCP link never does;
 //   - ready tasks are dispatched by priority (PriorityOrder) or most
 //     recently produced first (LIFOOrder, the no-priorities behavior of
 //     variant v2).
@@ -31,9 +36,7 @@ import (
 	"fmt"
 
 	"parsec/internal/cluster"
-	"parsec/internal/fault"
 	"parsec/internal/ga"
-	"parsec/internal/obsv"
 	"parsec/internal/ptg"
 	"parsec/internal/sched"
 	"parsec/internal/sim"
@@ -97,32 +100,6 @@ func (c *TaskCtx) ActiveInputs() []Payload {
 // by appending that charge to ctx.
 type Behavior func(ctx *TaskCtx)
 
-// RetryPolicy controls how a node's communication thread recovers from
-// transfers the fault injector drops. The sender detects a lost payload
-// (or a lost ack) only after Timeout, then waits a capped exponential
-// backoff before retransmitting: Backoff, 2*Backoff, ... up to
-// BackoffCap. After MaxRetries retransmissions the transfer — and the
-// run — fails.
-type RetryPolicy struct {
-	Timeout    sim.Time
-	Backoff    sim.Time
-	BackoffCap sim.Time
-	MaxRetries int
-}
-
-// DefaultRetryPolicy returns the policy used when faults are injected
-// and the caller did not set one: detection well above the network RTT,
-// backoff that caps below typical task durations, and enough attempts
-// that a run only fails under a truly partitioned link.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Timeout:    200 * sim.Microsecond,
-		Backoff:    50 * sim.Microsecond,
-		BackoffCap: 800 * sim.Microsecond,
-		MaxRetries: 10,
-	}
-}
-
 // Config controls a simulated run.
 type Config struct {
 	CoresPerNode int // worker threads per node (comm thread is extra)
@@ -142,21 +119,6 @@ type Config struct {
 	// Horizon aborts the simulation after this much virtual time
 	// (0 = unlimited).
 	Horizon sim.Time
-	// Retry configures the comm thread's loss recovery. The zero value
-	// selects DefaultRetryPolicy; it is only consulted when the machine
-	// has a fault injector that can drop transfers.
-	Retry RetryPolicy
-	// InterNodeSteal extends PerWorkerSteal across node boundaries: a
-	// worker with no local work may re-dispatch a ready task queued on
-	// another node, paying the transfer of the task's input payloads to
-	// its own node (its GETs move with it). Requires Queues ==
-	// PerWorkerSteal.
-	InterNodeSteal bool
-	// Migratable filters which classes InterNodeSteal may move. nil
-	// allows every class without a Behaviors entry — behaviors model
-	// node-resident state (GA handles, the node write mutex) that cannot
-	// migrate.
-	Migratable func(class string) bool
 	// SchedObserver, if non-nil, receives every scheduling decision
 	// (enqueue/pop/steal) with Event.Queue offset by the node's first
 	// flat worker index, mirroring runtime.Config.SchedObserver so the
@@ -182,27 +144,6 @@ type Result struct {
 	// report.
 	Gets, Adds         int64
 	GetBytes, AddBytes int64
-
-	// Recovery counters, nonzero only under fault injection.
-	//
-	// Retries counts retransmissions after a payload or ack loss;
-	// Drops/AckDrops split the losses by kind. DupSuppressed counts
-	// deliveries discarded because an earlier attempt already landed
-	// (the receiver's at-least-once dedup). BackoffTime is the total
-	// virtual time comm threads spent in retry backoff (detection
-	// timeouts excluded), and RetransmitBytes the wire volume beyond
-	// the first attempt.
-	Retries         int
-	Drops           int
-	AckDrops        int
-	DupSuppressed   int
-	BackoffTime     sim.Time
-	RetransmitBytes int64
-	// Redispatches counts ready tasks migrated off their affinity node
-	// by the inter-node steal path; RedispatchBytes is the input payload
-	// volume that moved with them.
-	Redispatches    int
-	RedispatchBytes int64
 }
 
 // String summarizes the run in one line.
@@ -220,18 +161,6 @@ func Run(g *ptg.Graph, m *cluster.Machine, gasim *ga.Sim, cfg Config) (Result, e
 	}
 	if cfg.CoresPerNode <= 0 {
 		return Result{}, fmt.Errorf("simexec: CoresPerNode = %d", cfg.CoresPerNode)
-	}
-	if cfg.InterNodeSteal && cfg.Queues != sched.PerWorkerSteal {
-		return Result{}, fmt.Errorf("simexec: InterNodeSteal requires PerWorkerSteal queues")
-	}
-	if cfg.Retry == (RetryPolicy{}) {
-		cfg.Retry = DefaultRetryPolicy()
-	}
-	if cfg.Migratable == nil {
-		cfg.Migratable = func(class string) bool {
-			_, hasBehavior := cfg.Behaviors[class]
-			return !hasBehavior
-		}
 	}
 	ex := &executor{
 		tr:    tr,
@@ -428,14 +357,6 @@ func (ex *executor) enqueue(in *ptg.Instance) {
 		// specific worker that WakeOne might miss.
 		ns.workersIdle.WakeAll()
 	}
-	if ex.cfg.InterNodeSteal && ex.cfg.Migratable(in.Ref.Class) {
-		// A parked worker on any node is a potential thief for this task.
-		for n, other := range ex.nodes {
-			if n != node {
-				other.workersIdle.WakeOne()
-			}
-		}
-	}
 }
 
 // outsideErr reports a task whose affinity names no node of the machine.
@@ -465,23 +386,15 @@ type worker struct {
 	ex        *executor
 	ev        sim.Event
 	node, wid int
-	state     workerState
-	in        *ptg.Instance // the task in hand
-	moved     int64         // input bytes a stolen task brings along
+	in        *ptg.Instance // the task in hand, nil between tasks
 	start     sim.Time      // when the task in hand started
 	ctx       TaskCtx       // its charge; ctx.ops[next:] is still to play
 	next      int
 }
 
-type workerState uint8
-
-const (
-	dispatching workerState = iota // between tasks, or parked for work
-	stealing                       // a stolen task's inputs in transfer
-	running                        // the task's charge in play
-)
-
-// run carries the worker on from where it last waited.
+// run carries the worker on from where it last waited: it plays the
+// rest of the charge in hand, completes that task, and dispatches the
+// next.
 func (w *worker) run() {
 	ex := w.ex
 	for {
@@ -490,58 +403,31 @@ func (w *worker) run() {
 				return
 			}
 		}
-		switch w.state {
-		case dispatching:
-			in := ex.dequeueFor(w.node, w.wid)
-			if in == nil && ex.cfg.InterNodeSteal {
-				if in = w.stealRemote(); in != nil {
-					w.in, w.state = in, stealing
-					continue
-				}
-			}
-			if in == nil {
-				if !ex.done {
-					ex.nodes[w.node].workersIdle.Park(&w.ev)
-				}
-				return
-			}
-			w.in = in
-			if !w.begin() {
-				return
-			}
-		case stealing:
-			ex.res.Redispatches++
-			ex.res.RedispatchBytes += w.moved
-			if !w.begin() {
-				return
-			}
-		case running:
-			in := w.in
+		if in := w.in; in != nil {
 			if ex.spans != nil {
 				flat := w.node*ex.cfg.CoresPerNode + w.wid
 				ex.spans[flat] = append(ex.spans[flat], trace.Span{Seq: uint32(in.Seq), Worker: uint32(w.wid), Start: int64(w.start), End: int64(ex.m.Eng.Now())})
 			}
-			w.in, w.state = nil, dispatching
-			ex.complete(in, w.node)
+			w.in = nil
+			ex.complete(in)
 			if ex.err != nil {
 				return
 			}
 		}
+		in := ex.dequeueFor(w.node, w.wid)
+		if in == nil {
+			if !ex.done {
+				ex.nodes[w.node].workersIdle.Park(&w.ev)
+			}
+			return
+		}
+		if err := ex.tr.Start(in); err != nil {
+			ex.fail(err)
+			return
+		}
+		w.in, w.start = in, ex.m.Eng.Now()
+		w.charge(in)
 	}
-}
-
-// begin starts the task in hand and lays out its charge. It reports
-// false if the run failed.
-func (w *worker) begin() bool {
-	ex := w.ex
-	if err := ex.tr.Start(w.in); err != nil {
-		ex.fail(err)
-		return false
-	}
-	w.start = ex.m.Eng.Now()
-	w.charge(w.in)
-	w.state = running
-	return true
 }
 
 // charge lays out the task's simulated duration: its class's Behavior,
@@ -566,57 +452,11 @@ func (w *worker) charge(in *ptg.Instance) {
 	}
 }
 
-// stealRemote re-dispatches a ready task queued on another node to this
-// worker: the inter-node extension of PerWorkerSteal. The thief picks
-// the node with the deepest ready backlog holding a migratable task,
-// removes that victim's best such task, and pays the transfer of the
-// task's already-delivered input payloads to its own node — the task's
-// GETs move with it. Behind a straggler this converts queueing delay
-// into one bounded data movement; the fault-free cost is nothing, since
-// workers only probe when they have no local work. The transfer becomes
-// the worker's charge.
-func (w *worker) stealRemote() *ptg.Instance {
-	ex, node := w.ex, w.node
-	migratable := func(in *ptg.Instance) bool { return ex.cfg.Migratable(in.Ref.Class) }
-	victim := -1
-	for n, ns := range ex.nodes {
-		// Raid only genuinely backed-up victims: a node whose ready
-		// backlog fits its own cores drains it within one task round, and
-		// migrating from it buys wire time for no queueing delay. The
-		// threshold also keeps fast nodes from churning tasks among
-		// themselves during uneven startup.
-		if n == node || ns.rq.Total() <= ex.cfg.CoresPerNode ||
-			(victim >= 0 && ns.rq.Total() <= ex.nodes[victim].rq.Total()) {
-			continue
-		}
-		if ns.rq.FindWhere(migratable) != nil {
-			victim = n
-		}
-	}
-	if victim < 0 {
-		return nil
-	}
-	in := ex.nodes[victim].rq.PopWhere(migratable)
-	if in == nil {
-		return nil
-	}
-
-	var moved int64
-	for _, inp := range in.In {
-		if pl, ok := inp.(Payload); ok {
-			moved += pl.Bytes
-		}
-	}
-	w.moved, w.next = moved, 0
-	w.ctx.ops = append(w.ctx.ops[:0], cluster.TransferOp(node, victim, moved))
-	return in
-}
-
 // complete evaluates the finished task's dataflow: local deliveries are
 // immediate, remote ones are queued on the communication thread of the
-// node that executed the task (its affinity node unless the task was
-// re-dispatched).
-func (ex *executor) complete(in *ptg.Instance, node int) {
+// task's node.
+func (ex *executor) complete(in *ptg.Instance) {
+	node := in.Node
 	var err error
 	if ex.dels, err = ex.tr.Complete(in, ex.dels[:0]); err != nil {
 		ex.fail(err)
@@ -659,50 +499,32 @@ func (ex *executor) deliver(d ptg.Delivery, pl Payload) {
 }
 
 // comm is one node's communication thread, a callback actor driven by
-// ev: it serves queued transfers in FIFO order, one at a time, charging
-// network latency and this node's NIC injection bandwidth per payload,
-// and pushes each through until its ack comes back, retrying around
-// injected faults:
-//
-//   - payload drop: the receiver saw nothing; the sender burns the
-//     detection timeout, waits out the (capped, doubling) backoff, and
-//     retransmits;
-//   - ack drop: the payload landed, so the first arrival is delivered
-//     and later arrivals are suppressed as duplicates, but the sender —
-//     which cannot tell an ack loss from a payload loss — still times
-//     out and retransmits;
-//   - latency spike: the attempt succeeds after extra delay.
-//
-// Exhausting MaxRetries retransmissions fails the run: the link is
-// treated as partitioned, which the dataflow model cannot route around.
+// ev: it serves queued transfers in FIFO order, one at a time. Each
+// transfer holds any latency spike the fault injector draws for it,
+// then charges network latency and this node's NIC injection bandwidth
+// for the payload, and delivers it. Nothing is lost on the way: like
+// the real runtimes' TCP links, the simulated wire delivers every
+// payload once.
 type comm struct {
-	ex        *executor
-	ev        sim.Event
-	node      int
-	state     commState
-	t         transfer // the transfer in hand
-	attempt   int
-	backoff   sim.Time
-	delivered bool              // an attempt of t has landed
-	out       fault.XferOutcome // this attempt's fault draw
-	wire      cluster.Op        // this attempt's transfer
+	ex    *executor
+	ev    sim.Event
+	node  int
+	state commState
+	t     transfer   // the transfer in hand
+	wire  cluster.Op // its wire charge
 }
 
 type commState uint8
 
 const (
-	commIdle      commState = iota // between transfers, or parked for one
-	commAttempt                    // draw the next attempt's faults
-	commSpiked                     // a latency spike held; send or lose
-	commWire                       // the payload on the wire
-	commTimedOut                   // the ack timeout held
-	commBackedOff                  // the backoff held; retransmit
+	commIdle commState = iota // between transfers, or parked for one
+	commWire                  // the spike held; the payload on the wire
 )
 
 // run carries the comm thread on from where it last waited.
 func (c *comm) run() {
 	ex := c.ex
-	ns, pol := ex.nodes[c.node], ex.cfg.Retry
+	ns := ex.nodes[c.node]
 	for {
 		switch c.state {
 		case commIdle:
@@ -713,79 +535,28 @@ func (c *comm) run() {
 				return
 			}
 			c.t = ns.commQ.Pop()
-			c.attempt, c.backoff, c.delivered = 1, pol.Backoff, false
-			c.state = commAttempt
-		case commAttempt:
-			c.out = ex.m.Faults().Transfer(c.node, c.t.del.To.Node)
-			c.state = commSpiked
-			if c.out.Extra > 0 {
-				ex.m.Eng.After(&c.ev, c.out.Extra)
-				return
-			}
-		case commSpiked:
-			if c.out.Drop {
-				ex.res.Drops++
-				c.timeout()
-				return
-			}
 			c.wire = cluster.TransferOp(c.node, c.t.del.To.Node, c.t.payload.Bytes)
 			c.state = commWire
+			if spike := ex.m.Faults().Transfer(c.node, c.t.del.To.Node); spike > 0 {
+				ex.m.Eng.After(&c.ev, spike)
+				return
+			}
 		case commWire:
 			if !ex.m.Step(&c.wire, &c.ev) {
 				return
 			}
-			if c.attempt > 1 {
-				ex.res.RetransmitBytes += c.t.payload.Bytes
-			}
-			if c.delivered {
-				ex.res.DupSuppressed++
-			} else {
-				c.delivered = true
-				ex.res.BytesSent += c.t.payload.Bytes
-				ex.res.Transfers++
-				sent := &ex.sentTo[c.t.del.To.Class.Index()]
-				sent.bytes += c.t.payload.Bytes
-				sent.any = true
-				ex.deliver(c.t.del, c.t.payload)
-				if ex.err != nil {
-					c.finish()
-					return
-				}
-			}
-			if !c.out.AckDrop {
-				c.finish()
-				continue
-			}
-			ex.res.AckDrops++
-			c.timeout()
-			return
-		case commTimedOut:
-			if c.attempt > pol.MaxRetries {
-				ex.fail(fmt.Errorf("simexec: transfer %s -> node %d for %v lost %d times, retries exhausted",
-					obsv.FormatBytes(c.t.payload.Bytes), c.t.del.To.Node, c.t.del.To.Ref, c.attempt))
-				c.finish()
+			ex.res.BytesSent += c.t.payload.Bytes
+			ex.res.Transfers++
+			sent := &ex.sentTo[c.t.del.To.Class.Index()]
+			sent.bytes += c.t.payload.Bytes
+			sent.any = true
+			ex.deliver(c.t.del, c.t.payload)
+			c.finish()
+			if ex.err != nil {
 				return
 			}
-			ex.res.Retries++
-			ex.res.BackoffTime += c.backoff
-			ex.m.Eng.After(&c.ev, c.backoff)
-			c.state = commBackedOff
-			return
-		case commBackedOff:
-			if c.backoff *= 2; c.backoff > pol.BackoffCap {
-				c.backoff = pol.BackoffCap
-			}
-			c.attempt++
-			c.state = commAttempt
 		}
 	}
-}
-
-// timeout waits out the ack timeout of an attempt whose ack never came
-// (payload or ack lost).
-func (c *comm) timeout() {
-	c.ex.m.Eng.After(&c.ev, c.ex.cfg.Retry.Timeout)
-	c.state = commTimedOut
 }
 
 // finish retires the transfer in hand from the in-flight volume.
