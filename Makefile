@@ -123,7 +123,7 @@ sched-conformance:
 # replica tag fails the rank.
 netrun-conformance:
 	$(GO) test -race -count=1 ./internal/netrun
-	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss|TestHealthyLinkSendsNothingTwice|TestRedialResendsWindowInOrder|TestRanksExitWhenCoordinatorDies|TestKilledRankFailsRunWithoutRecover|TestRegisterValidatesRank|TestReplicaFramesMatchPlan|TestTaggedActivationValidates' ./internal/netrun
+	$(GO) test -race -count=5 -run 'TestRunThreeRanksPerWorkerSteal|TestCancel|TestProcessChaosKillAndSever|TestOnePlanThreeBackends|TestRunWithSeveredLink|TestBorrowedFramesSurviveLoss|TestHealthyLinkSendsNothingTwice|TestRedialResendsWindowInOrder|TestRanksExitWhenCoordinatorDies|TestKilledRankFailsRunWithoutRecover|TestRegisterValidatesRank|TestReplicaFramesMatchPlan|TestTaggedActivationValidates|TestHeadAckedMidWritePooledOnce|TestRetainedOnlyUnderRecover|TestCoordinatorProbesClosedRank' ./internal/netrun
 	$(GO) test -race -count=5 -run 'TestExecutorForeignPushWhileParked' ./internal/runtime
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/netrun
 

@@ -147,20 +147,28 @@ func TestExecuteTable(t *testing.T) {
 	}
 }
 
+// planChain plans one chain over its own width array, as plans does a
+// workload's chains over a shared one.
+func planChain(meta *tce.ChainMeta, height, arity int) chainPlan {
+	p := newChainPlan(meta, height, arity)
+	p.appendWidth(nil)
+	return p
+}
+
 func TestChainPlanShapes(t *testing.T) {
 	meta := &tce.ChainMeta{Gemms: make([]tce.GemmMeta, 7)}
-	p := newChainPlan(meta, 1, 2)
+	p := planChain(meta, 1, 2)
 	if p.m != 7 || p.top != 3 {
 		t.Errorf("h=1: m=%d top=%d, want 7, 3", p.m, p.top)
 	}
 	if got := p.width; got[0] != 7 || got[1] != 4 || got[2] != 2 || got[3] != 1 {
 		t.Errorf("width = %v", got)
 	}
-	p = newChainPlan(meta, 7, 2)
+	p = planChain(meta, 7, 2)
 	if p.m != 1 || p.top != 0 {
 		t.Errorf("h=n: m=%d top=%d, want 1, 0", p.m, p.top)
 	}
-	p = newChainPlan(meta, 3, 2)
+	p = planChain(meta, 3, 2)
 	if p.m != 3 || p.segLast(0) != 2 || p.segLast(2) != 6 {
 		t.Errorf("h=3: m=%d lasts=%d,%d", p.m, p.segLast(0), p.segLast(2))
 	}
@@ -168,7 +176,7 @@ func TestChainPlanShapes(t *testing.T) {
 		t.Error("isSegEnd wrong")
 	}
 	// Height clamped to n.
-	p = newChainPlan(meta, 100, 2)
+	p = planChain(meta, 100, 2)
 	if p.h != 7 {
 		t.Errorf("h clamped to %d", p.h)
 	}

@@ -48,7 +48,7 @@ type CompiledPlan struct {
 	InspectTime time.Duration
 	PlanTime    time.Duration
 
-	ps []*chainPlan
+	ps []chainPlan
 	// outCounts is how many AccOrdered contributions the WRITE tasks make
 	// to each output block (writeCounts): what lets Execute finish a
 	// block, and fold it into the energy, the moment its last WRITE lands.
@@ -133,9 +133,10 @@ func CompileWorkload(w *tce.Workload, spec VariantSpec, opts Options) *CompiledP
 // plans and shape (buildWrite): one per WRITE_C_i with write fission;
 // else one per input flow fed by a SORT — the chain's nsorts with sort
 // fission, its one merged SORT without — in each of WriteSpan segments.
-func writeCounts(ps []*chainPlan, shape xform.Shape) map[tensor.BlockKey]int {
+func writeCounts(ps []chainPlan, shape xform.Shape) map[tensor.BlockKey]int {
 	counts := make(map[tensor.BlockKey]int, len(ps))
-	for _, p := range ps {
+	for i := range ps {
+		p := &ps[i]
 		n := shape.WriteSpan
 		switch {
 		case shape.WriteFission:

@@ -234,39 +234,39 @@ func TestChainPlanEdgeCases(t *testing.T) {
 	chain := func(n int) *tce.ChainMeta { return &tce.ChainMeta{Gemms: make([]tce.GemmMeta, n)} }
 
 	// h > n clamps to one segment, no tree.
-	p := newChainPlan(chain(5), 9, 2)
+	p := planChain(chain(5), 9, 2)
 	if p.h != 5 || p.m != 1 || p.top != 0 {
 		t.Errorf("h>n: h=%d m=%d top=%d, want 5,1,0", p.h, p.m, p.top)
 	}
 	// n == 1: a single GEMM is one segment at any height.
 	for _, h := range []int{0, 1, 3} {
-		p = newChainPlan(chain(1), h, 2)
+		p = planChain(chain(1), h, 2)
 		if p.h != 1 || p.m != 1 || p.top != 0 || !p.isSegEnd(0) {
 			t.Errorf("n=1 h=%d: %+v", h, p)
 		}
 	}
 	// h == n-1: two segments, one of height 1; the tree has one level.
-	p = newChainPlan(chain(6), 5, 2)
+	p = planChain(chain(6), 5, 2)
 	if p.m != 2 || p.top != 1 || p.segLast(0) != 4 || p.segLast(1) != 5 {
 		t.Errorf("h=n-1: m=%d top=%d lasts=%d,%d", p.m, p.top, p.segLast(0), p.segLast(1))
 	}
 	// Non-power-of-arity widths: ceil division per level.
-	p = newChainPlan(chain(11), 1, 3)
+	p = planChain(chain(11), 1, 3)
 	if got := p.width; got[0] != 11 || got[1] != 4 || got[2] != 2 || got[3] != 1 || p.top != 3 {
 		t.Errorf("m=11 arity=3: width=%v top=%d", got, p.top)
 	}
-	p = newChainPlan(chain(10), 1, 4)
+	p = planChain(chain(10), 1, 4)
 	if got := p.width; got[0] != 10 || got[1] != 3 || got[2] != 1 || p.top != 2 {
 		t.Errorf("m=10 arity=4: width=%v top=%d", got, p.top)
 	}
 	// Arity wider than the segment count: a single-level tree.
-	p = newChainPlan(chain(5), 1, 8)
+	p = planChain(chain(5), 1, 8)
 	if p.top != 1 || p.width[1] != 1 {
 		t.Errorf("m=5 arity=8: width=%v top=%d", p.width, p.top)
 	}
 	// Total width must cover every segment exactly once per level.
 	for _, arity := range []int{2, 3, 4, 5} {
-		p = newChainPlan(chain(13), 1, arity)
+		p = planChain(chain(13), 1, arity)
 		for lvl := 1; lvl <= p.top; lvl++ {
 			below, here := p.width[lvl-1], p.width[lvl]
 			if want := (below + arity - 1) / arity; here != want {

@@ -45,7 +45,7 @@ type builder struct {
 	w     *tce.Workload
 	shape xform.Shape
 	store ga.API
-	ps    []*chainPlan
+	ps    []chainPlan
 	nodes int
 	// io is how the READA (0) and READB (1) bodies reach their tensors in
 	// store, and how GEMM releases them.
@@ -86,7 +86,8 @@ func (b *builder) armSorts() {
 		b.sortsLeft = make([]atomic.Int32, len(b.ps))
 	}
 	b.sortsLeft = b.sortsLeft[:len(b.ps)]
-	for l1, p := range b.ps {
+	for l1 := range b.ps {
+		p := &b.ps[l1]
 		b.sortsLeft[l1].Store(int32(p.nsorts))
 	}
 }
@@ -149,7 +150,7 @@ func reduceFlow(which int) string {
 // sortSource identifies the producer of a chain's final C: the last GEMM
 // when there is a single segment, else the top of the reduction tree.
 func (b *builder) sortSource(l1 int) (ptg.TaskRef, string) {
-	p := b.ps[l1]
+	p := &b.ps[l1]
 	if p.m == 1 {
 		return ptg.TaskRef{Class: "GEMM", Args: ptg.A2(l1, p.n-1)}, "C"
 	}
@@ -232,7 +233,8 @@ func (io inputIO) release(l1, l2 int) {
 func (b *builder) buildDFill() {
 	tc := b.g.Class("DFILL")
 	tc.Domain = func(emit func(ptg.Args)) {
-		for l1, p := range b.ps {
+		for l1 := range b.ps {
+			p := &b.ps[l1]
 			for s := 0; s < p.m; s++ {
 				emit(ptg.A2(l1, s))
 			}
@@ -278,7 +280,8 @@ func (b *builder) buildReads() {
 		rs := rs
 		tc := b.g.Class(rs.class)
 		tc.Domain = func(emit func(ptg.Args)) {
-			for l1, p := range b.ps {
+			for l1 := range b.ps {
+				p := &b.ps[l1]
 				for l2 := 0; l2 < p.n; l2++ {
 					emit(ptg.A2(l1, l2))
 				}
@@ -325,7 +328,8 @@ func (b *builder) buildReads() {
 func (b *builder) buildGemm() {
 	tc := b.g.Class("GEMM")
 	tc.Domain = func(emit func(ptg.Args)) {
-		for l1, p := range b.ps {
+		for l1 := range b.ps {
+			p := &b.ps[l1]
 			for l2 := 0; l2 < p.n; l2++ {
 				emit(ptg.A2(l1, l2))
 			}
@@ -407,7 +411,8 @@ func (b *builder) buildGemm() {
 func (b *builder) buildReduce() {
 	tc := b.g.Class("REDUCE")
 	tc.Domain = func(emit func(ptg.Args)) {
-		for l1, p := range b.ps {
+		for l1 := range b.ps {
+			p := &b.ps[l1]
 			for lvl := 1; lvl <= p.top; lvl++ {
 				for i := 0; i < p.width[lvl]; i++ {
 					emit(ptg.A3(l1, lvl, i))
@@ -432,7 +437,7 @@ func (b *builder) buildReduce() {
 		l1, lvl, i := a[0], a[1], a[2]
 		child := b.ps[l1].arity*i + which
 		if lvl == 1 {
-			p := b.ps[l1]
+			p := &b.ps[l1]
 			return ptg.TaskRef{Class: "GEMM", Args: ptg.A2(l1, p.segLast(child))}, "C"
 		}
 		return ptg.TaskRef{Class: "REDUCE", Args: ptg.A3(l1, lvl-1, child)}, "X"
@@ -440,7 +445,8 @@ func (b *builder) buildReduce() {
 	x := tc.AddFlow("X", ptg.RW)
 	x.In(nil, func(a ptg.Args) (ptg.TaskRef, string) { return childRef(a, 0) })
 	maxArity := 2
-	for _, p := range b.ps {
+	for i := range b.ps {
+		p := &b.ps[i]
 		if p.arity > maxArity {
 			maxArity = p.arity
 		}
@@ -483,7 +489,8 @@ func (b *builder) buildSort() {
 	tc := b.g.Class("SORT")
 	if b.shape.SortFission {
 		tc.Domain = func(emit func(ptg.Args)) {
-			for l1, p := range b.ps {
+			for l1 := range b.ps {
+				p := &b.ps[l1]
 				for i := 0; i < p.nsorts; i++ {
 					emit(ptg.A2(l1, i))
 				}
@@ -587,7 +594,8 @@ func (b *builder) buildWrite() {
 	span := b.shape.WriteSpan
 	if b.shape.WriteFission {
 		tc.Domain = func(emit func(ptg.Args)) {
-			for l1, p := range b.ps {
+			for l1 := range b.ps {
+				p := &b.ps[l1]
 				for i := 0; i < p.nsorts; i++ {
 					emit(ptg.A2(l1, i))
 				}

@@ -24,7 +24,7 @@ type chainPlan struct {
 	cbytes int64
 }
 
-func newChainPlan(meta *tce.ChainMeta, height, arity int) *chainPlan {
+func newChainPlan(meta *tce.ChainMeta, height, arity int) chainPlan {
 	n := len(meta.Gemms)
 	h := height
 	if h <= 0 || h > n {
@@ -33,7 +33,7 @@ func newChainPlan(meta *tce.ChainMeta, height, arity int) *chainPlan {
 	if arity < 2 {
 		arity = 2
 	}
-	p := &chainPlan{
+	p := chainPlan{
 		meta:   meta,
 		n:      n,
 		h:      h,
@@ -42,13 +42,24 @@ func newChainPlan(meta *tce.ChainMeta, height, arity int) *chainPlan {
 		nsorts: len(meta.Sorts),
 		cbytes: meta.CBytes(),
 	}
-	p.width = []int{p.m}
-	for w := p.m; w > 1; {
-		w = (w + arity - 1) / arity
-		p.width = append(p.width, w)
+	for w := p.m; w > 1; w = (w + arity - 1) / arity {
 		p.top++
 	}
 	return p
+}
+
+// appendWidth appends the plan's tree widths, top+1 of them, to width
+// and keeps them as p.width, capacity-clipped so the plans sharing the
+// array cannot write into each other's levels.
+func (p *chainPlan) appendWidth(width []int) []int {
+	start := len(width)
+	width = append(width, p.m)
+	for w := p.m; w > 1; {
+		w = (w + p.arity - 1) / p.arity
+		width = append(width, w)
+	}
+	p.width = width[start:len(width):len(width)]
+	return width
 }
 
 // seg returns the segment index of GEMM position l2.
@@ -72,10 +83,18 @@ func (p *chainPlan) isSegEnd(l2 int) bool { return p.segLast(p.seg(l2)) == l2 }
 // plans builds the per-chain plans for a workload under a resolved
 // shape: SegHeight 0 keeps each chain as one serial segment, k >= 1
 // cuts it into segments of k GEMMs reduced by an arity-TreeArity tree.
-func plans(w *tce.Workload, shape xform.Shape) []*chainPlan {
-	ps := make([]*chainPlan, len(w.Chains))
+// The plans and their tree widths are two arrays, whatever the number
+// of chains.
+func plans(w *tce.Workload, shape xform.Shape) []chainPlan {
+	ps := make([]chainPlan, len(w.Chains))
+	levels := 0
 	for i, c := range w.Chains {
 		ps[i] = newChainPlan(c, shape.SegHeight, shape.TreeArity)
+		levels += ps[i].top + 1
+	}
+	width := make([]int, 0, levels)
+	for i := range ps {
+		width = ps[i].appendWidth(width)
 	}
 	return ps
 }

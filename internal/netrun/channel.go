@@ -135,7 +135,7 @@ func (c *relChan) send(frame outFrame) {
 	frame.seal(id)
 	c.window = append(c.window, pendingMsg{frame: frame})
 	c.unacked++
-	if c.tp.recoverDeadPeers && frame.typ() == msgActivate {
+	if c.retains(frame) {
 		c.retained = append(c.retained, frame)
 	}
 	c.stageLocked(id)
@@ -164,6 +164,9 @@ func (c *relChan) pendingLocked(id uint64) *pendingMsg {
 func (c *relChan) ackLocked(ids []uint64) {
 	for _, id := range ids {
 		if p := c.pendingLocked(id); p != nil {
+			if !p.queued {
+				c.recycleLocked(p.frame)
+			}
 			*p = pendingMsg{acked: true}
 			c.unacked--
 			c.tp.counters.acksReceived.Add(1)
@@ -179,6 +182,25 @@ func (c *relChan) ackLocked(ids []uint64) {
 		c.window = c.window[:n]
 		c.base += uint64(k)
 	}
+}
+
+// recycleLocked returns the head of an acknowledged frame to the free
+// list (putHead), unless the channel retains the frame for a takeover.
+// Exactly one party does it, the last to let go, under c.mu: ackLocked
+// for a frame that is not queued, and writeLoop for one acknowledged
+// while its write was in flight, once the write has returned. A frame
+// acknowledged while it waited in the outbox is never written again,
+// and its head is left to the collector. Callers hold c.mu.
+func (c *relChan) recycleLocked(f outFrame) {
+	if !c.retains(f) {
+		putHead(f.head)
+	}
+}
+
+// retains reports whether send keeps the frame in the retained
+// activation log.
+func (c *relChan) retains(f outFrame) bool {
+	return c.tp.recoverDeadPeers && f.typ() == msgActivate
 }
 
 // stageLocked queues one transmission of owed frame id, which is not
@@ -265,7 +287,9 @@ func (c *relChan) writeLoop() {
 			pair[0], pair[1] = nil, nil // do not pin an acked tile
 		}
 		c.mu.Lock()
-		if p := c.pendingLocked(id); p != nil {
+		if p := c.pendingLocked(id); p == nil {
+			c.recycleLocked(frame) // acknowledged while this write was in flight
+		} else {
 			p.queued = false
 			if c.conn != nil && c.conn != conn {
 				// The connection died under this write and the redial has
@@ -464,6 +488,11 @@ type transport struct {
 	// gone, if set, learns that peer is gone just before fail does. Set
 	// it with fail.
 	gone func(peer int)
+	// onClose, if set, learns that the inbound connection from a peer
+	// has closed while this endpoint is still open: the coordinator's cue
+	// to probe the rank (coordinator.probe). It runs on the connection's
+	// goroutine. Set it before serve.
+	onClose func(from int)
 
 	// drainWake is posted whenever some channel's window may have just
 	// been settled; waitDrained parks on it.
@@ -606,7 +635,11 @@ func (tp *transport) serveConn(conn net.Conn) {
 			if tp.sessions[from] == conn {
 				delete(tp.sessions, from)
 			}
+			open := !tp.closed
 			tp.mu.Unlock()
+			if open && tp.onClose != nil {
+				tp.onClose(from)
+			}
 			return
 		}
 		if tp.onSeen != nil {

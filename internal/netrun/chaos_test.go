@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -175,16 +176,20 @@ func TestProcessChaosKillAndSever(t *testing.T) {
 }
 
 // TestKilledRankFailsRunWithoutRecover kills one of three worker
-// processes once a tenth of the job has completed, with Recover off.
-// Nothing can take the dead rank's work over, so the run must fail, and
-// promptly: a peer's redial to the dead rank is refused, which fails
-// that peer, and the coordinator shuts the run down. Its own redial to
-// the dead rank is refused too, so it notes the rank as gone and does
-// not wait for that rank's report. After Wait errors the coordinator
-// must have noted rank 2 as gone, and Wait must have returned well
-// inside awaitReports' reportWait, which a run that waited for the dead
-// rank's report sits out whole. The error must name the dead rank, and
-// the coordinator by name, never as rank -1.
+// processes with Recover off. Nothing can take the dead rank's work
+// over, so the run must fail, and promptly. The rank is frozen
+// (SIGSTOP) as soon as the coordinator has counted a completion, so the
+// job, which is a few milliseconds long, cannot finish before the kill:
+// the test checks that it has not, and only then kills the frozen rank.
+// Its connection to the coordinator closes, the coordinator's probe
+// dial is refused (coordinator.probe), and the coordinator notes the
+// rank as gone and fails the run, whether or not any rank owes the dead
+// one a frame. A peer whose redial to the dead rank is refused fails
+// too. After Wait errors the coordinator must have noted rank 2 as
+// gone, and Wait must have returned well inside awaitReports'
+// reportWait, which a run that waited for the dead rank's report sits
+// out whole. The error must name the dead rank, and the coordinator by
+// name, never as rank -1.
 func TestKilledRankFailsRunWithoutRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process run in -short mode")
@@ -205,11 +210,20 @@ func TestKilledRankFailsRunWithoutRecover(t *testing.T) {
 	}()
 	total := l.co.spec.numInstances
 	deadline := time.Now().Add(time.Minute)
-	for l.co.nComplete() < total/10 {
+	for l.co.nComplete() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("job stuck at %d/%d tasks before kill", l.co.nComplete(), total)
+			t.Fatalf("job stuck at 0/%d tasks before kill", total)
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := l.cmds[2].Process.Signal(syscall.SIGSTOP); err != nil {
+		t.Fatal(err)
+	}
+	// Rank 2's share cannot run while it is stopped, so the count stays
+	// short of the job however long the other ranks take.
+	time.Sleep(20 * time.Millisecond)
+	if n := l.co.nComplete(); n == total {
+		t.Fatalf("all %d tasks completed with rank 2 stopped", total)
 	}
 	if err := l.Kill(2); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,11 @@ package netrun
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"parsec/internal/ga"
@@ -109,7 +112,7 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 	if spec.output != nil {
 		co.fold = spec.output(co.store)
 	}
-	tp.fail, tp.gone = co.fail, co.noteGone
+	tp.fail, tp.gone, tp.onClose = co.fail, co.noteGone, co.probe
 	tp.serve(co.handle, co.noteSeen)
 	return co, nil
 }
@@ -132,6 +135,36 @@ func (co *coordinator) noteGone(r int) {
 	co.gone[r] = true
 	co.mu.Unlock()
 	co.wake.post()
+}
+
+// probe runs when a rank's inbound connection closes before the rank
+// has reported: it dials the rank's listener once. A refused dial means
+// the rank's process is gone. Its channels would learn that only by a
+// redial, and they redial only while they owe the rank frames, so
+// without this a run whose Recover is off would wait for the dead
+// rank's work until its deadline. The rank is noted gone, with Recover
+// or without, and without Recover the run fails. A dial that connects
+// finds the rank alive (its link was only cut), and is closed.
+func (co *coordinator) probe(r int) {
+	co.mu.Lock()
+	addr, registered := co.addrs[r]
+	_, reported := co.reports[r]
+	co.mu.Unlock()
+	if !registered || reported {
+		return
+	}
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err == nil {
+		conn.Close()
+		return
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		return
+	}
+	co.noteGone(r)
+	if !co.cfg.Recover {
+		co.fail(fmt.Errorf("netrun: coordinator: %s %s is gone: %w", rankName(r), addr, err))
+	}
 }
 
 // noteSeen timestamps any inbound frame from a rank — the liveness

@@ -51,3 +51,65 @@ func TestRegisterValidatesRank(t *testing.T) {
 		})
 	}
 }
+
+// TestCoordinatorProbesClosedRank registers a stand-in rank over a raw
+// socket, then closes the rank's connection to the coordinator, which
+// owes the rank nothing. The coordinator must probe the rank's listener:
+// with the listener gone the rank is noted gone, and the run fails
+// naming it, unless Recover is on, which leaves the rank to the death
+// timeout; with the listener still there the rank is alive, and nothing
+// changes.
+func TestCoordinatorProbesClosedRank(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		recover, listener bool
+		gone              bool
+		want              string
+	}{
+		{"gone", false, false, true, "netrun: coordinator: rank 0 "},
+		{"gone under Recover", true, false, true, "ranks registered before deadline"},
+		{"alive", false, true, false, "ranks registered before deadline"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := Config{Ranks: 2, Recover: tc.recover, Deadline: 500 * time.Millisecond}.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			co, err := startCoordinator(cfg, coordSpec{numInstances: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			conn, err := net.Dial("tcp", co.addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := append(sealFrame(helloMsg{From: 0}.encode(), 0),
+				sealFrame(registerMsg{Rank: 0, Addr: ln.Addr().String()}.encode(), 1)...)
+			if _, err := conn.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			for co.nRegistered() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			if !tc.listener {
+				ln.Close()
+			}
+			conn.Close()
+			_, err = co.wait()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run ended with %v, want an error saying %q", err, tc.want)
+			}
+			co.mu.Lock()
+			gone := co.gone[0]
+			co.mu.Unlock()
+			if gone != tc.gone {
+				t.Errorf("rank 0 noted gone: %v, want %v", gone, tc.gone)
+			}
+		})
+	}
+}

@@ -28,7 +28,7 @@ import (
 // fuzz target in wire_test.go holds it to that.
 //
 // A frame is built exactly once: every message's encode sizes its body
-// up front, newFrame allocates header and body as one buffer, the body
+// up front, newFrame provides header and body as one buffer, the body
 // is appended in a single pass (a tile's floats by one bulk copy), and
 // the channel stamps the id and length when it takes the frame. That
 // buffer is what the socket write reads and what a redial resends,
@@ -92,9 +92,72 @@ type frame struct {
 }
 
 // newFrame starts a frame of the given type with room for exactly
-// bodyLen body bytes, so the appends that fill it never reallocate.
+// bodyLen body bytes, so the appends that fill it never reallocate. A
+// frame of at most headCap bytes is built in a head from the free list
+// (takeHead); a larger one is allocated at its exact size. Until seal
+// stamps the real length, the header's length field holds bodyLen: the
+// size the encoder asked for, which the codec tests hold every encoder
+// to.
 func newFrame(typ byte, bodyLen int) []byte {
-	return appendHeader(make([]byte, 0, frameHeaderLen+bodyLen), typ)
+	var dst []byte
+	if n := frameHeaderLen + bodyLen; n <= headCap {
+		dst = takeHead()
+	} else {
+		dst = make([]byte, 0, n)
+	}
+	dst = appendHeader(dst, typ)
+	binary.LittleEndian.PutUint32(dst[12:], uint32(bodyLen))
+	return dst
+}
+
+// headCap is the capacity of a pooled frame head. Heads are pooled by
+// size alone. In a job the frames that fit are the payload-free ones:
+// tag-only activations, the heads of activations whose tile goes by
+// reference, done batches, control frames. A frame that copies a
+// payload into its head (an accumulation, a copied tile) is larger in
+// the benchmark's jobs and is allocated at its exact size: a free list
+// refilled with those would hold the in-flight peak (DESIGN.md
+// "Decided against"). The list itself never holds more than
+// maxFreeHeads heads.
+const headCap = 256
+
+// maxFreeHeads bounds the free list of heads (256 KB).
+const maxFreeHeads = 1024
+
+// heads is the process's free list of frame heads. A channel returns a
+// head (putHead) once its frame is acknowledged and no write of it is in
+// flight; see relChan.recycleLocked for who does it.
+var heads struct {
+	mu   sync.Mutex
+	free []*[headCap]byte
+}
+
+// takeHead returns an empty buffer of capacity headCap, off the free
+// list when it has one.
+func takeHead() []byte {
+	heads.mu.Lock()
+	if n := len(heads.free); n > 0 {
+		h := heads.free[n-1]
+		heads.free = heads.free[:n-1]
+		heads.mu.Unlock()
+		return h[:0]
+	}
+	heads.mu.Unlock()
+	return make([]byte, 0, headCap)
+}
+
+// putHead gives a head back to the free list, which keeps at most
+// maxFreeHeads. A buffer of any other capacity is not a head and is left
+// to the collector. The caller must be the head's last user.
+func putHead(b []byte) {
+	if cap(b) != headCap {
+		return
+	}
+	heads.mu.Lock()
+	if len(heads.free) < maxFreeHeads {
+		heads.free = append(heads.free, (*[headCap]byte)(b[:headCap]))
+	}
+	heads.mu.Unlock()
 }
 
 // appendHeader appends the header of a frame of the given type, its id
@@ -544,14 +607,14 @@ func decodeHello(b []byte) (helloMsg, error) {
 // and nothing else.
 type ackMsg struct{ IDs []uint64 }
 
-func (m ackMsg) encode() []byte {
-	return m.appendFrame(make([]byte, 0, frameHeaderLen+4+8*len(m.IDs)))
-}
+func (m ackMsg) encode() []byte { return m.appendBody(newFrame(msgAck, 4+8*len(m.IDs))) }
 
 // appendFrame is encode into the caller's buffer: it appends the frame
 // to dst.
-func (m ackMsg) appendFrame(dst []byte) []byte {
-	dst = appendU32(appendHeader(dst, msgAck), uint32(len(m.IDs)))
+func (m ackMsg) appendFrame(dst []byte) []byte { return m.appendBody(appendHeader(dst, msgAck)) }
+
+func (m ackMsg) appendBody(dst []byte) []byte {
+	dst = appendU32(dst, uint32(len(m.IDs)))
 	for _, id := range m.IDs {
 		dst = appendU64(dst, id)
 	}

@@ -262,10 +262,16 @@ func TestPayloadRoundTrip(t *testing.T) {
 // roundTrip checks one encoded frame — exactly sized, of the right type,
 // parseable once sealed — then runs its body through the decoder and
 // compares the result.
+// askedLen is the frame length an encoder asked newFrame for, which an
+// unsealed frame's header holds until seal stamps the real one. A pooled
+// head has room for more, so its capacity says nothing about the
+// encoder's sizing.
+func askedLen(f []byte) int { return frameHeaderLen + int(binary.LittleEndian.Uint32(f[12:])) }
+
 func roundTrip[M any](t *testing.T, name string, in M, typ byte, f []byte, dec func([]byte) (M, error)) {
 	t.Helper()
-	if len(f) != cap(f) {
-		t.Errorf("%s: encode sized its frame for %d bytes and wrote %d", name, cap(f), len(f))
+	if asked := askedLen(f); len(f) != asked {
+		t.Errorf("%s: encode sized its frame for %d bytes and wrote %d", name, asked, len(f))
 	}
 	fr, n, err := decodeFrame(sealFrame(f, 5))
 	if err != nil || n != len(f) || fr.typ != typ || fr.id != 5 {
@@ -359,7 +365,7 @@ func TestMessageRoundTrips(t *testing.T) {
 			m := ackMsg{IDs: ids}
 			roundTrip(t, "ack", m, msgAck, m.encode(), func(b []byte) (ackMsg, error) { return decodeAck(b, nil) })
 			roundTrip(t, "ack into a reused slice", m, msgAck, m.encode(), func(b []byte) (ackMsg, error) { return decodeAck(b, reused) })
-			if f := m.appendFrame([]byte("xy")); !bytes.Equal(f[2:], m.encode()) {
+			if f := m.appendFrame([]byte("xy")); !bytes.Equal(sealFrame(f[2:], 0), sealFrame(m.encode(), 0)) {
 				t.Errorf("appendFrame of %d ids differs from encode", len(ids))
 			}
 		}
@@ -603,9 +609,9 @@ func TestBorrowedFrameIsTheSameBytes(t *testing.T) {
 			}
 			continue
 		}
-		if len(f.head) != cap(f.head) || len(f.head) != len(want)-8*len(tl.Data) {
-			t.Errorf("head is %d bytes (cap %d), want the frame minus its %d floats: %d",
-				len(f.head), cap(f.head), len(tl.Data), len(want)-8*len(tl.Data))
+		if asked := askedLen(f.head); len(f.head) != asked || len(f.head) != len(want)-8*len(tl.Data) {
+			t.Errorf("head is %d bytes (sized for %d), want the frame minus its %d floats: %d",
+				len(f.head), asked, len(tl.Data), len(want)-8*len(tl.Data))
 		}
 		if &f.tail[0] != (*byte)(unsafe.Pointer(&tl.Data[0])) {
 			t.Error("tail is a copy of the tile, not the tile")

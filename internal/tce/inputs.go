@@ -31,8 +31,8 @@ type InputTable struct {
 	// keyed surface is the cold path, so it gets a binary search over
 	// 4 B per block rather than a map a cached plan would hold for good.
 	byKey []int32
-	// gemm holds the block number every GEMM reads, chain after chain;
-	// chain c's GEMMs start at w.gemmOff[c].
+	// gemm holds the block number every GEMM reads, chain after chain,
+	// numbered as the workload's GEMM array (ChainMeta.first).
 	gemm []int32
 }
 
@@ -50,8 +50,12 @@ func newInputTable(w *Workload, name string, side tensor.LayoutKind, ref func(*G
 		uses:   make([]int32, len(blocks)),
 		layout: make([]tensor.Layout, len(blocks)),
 		byKey:  keyOrder(blocks),
-		gemm:   make([]int32, 0, w.gemmOff[len(w.Chains)]),
 	}
+	n := 0
+	for _, c := range w.Chains {
+		n += len(c.Gemms)
+	}
+	t.gemm = make([]int32, 0, n)
 	index := make(map[tensor.BlockKey]int32, len(blocks))
 	for i, b := range blocks {
 		index[b.Key] = int32(i)
@@ -94,7 +98,9 @@ func (w *Workload) Inputs() (a, b *InputTable) {
 
 // BlockOf returns the number of the block the GEMM at the given chain
 // position reads from this tensor.
-func (t *InputTable) BlockOf(chain, pos int) int { return int(t.gemm[int(t.w.gemmOff[chain])+pos]) }
+func (t *InputTable) BlockOf(chain, pos int) int {
+	return int(t.gemm[int(t.w.Chains[chain].first)+pos])
+}
 
 // NumBlocks returns the number of distinct blocks.
 func (t *InputTable) NumBlocks() int { return len(t.Blocks) }

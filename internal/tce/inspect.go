@@ -19,7 +19,11 @@ type GemmMeta struct {
 	ANode, BNode int // owners of the input blocks (-1 if no locator)
 }
 
-// ChainMeta groups the metadata of one chain of GEMMs.
+// ChainMeta groups the metadata of one chain of GEMMs. An inspected
+// workload keeps every chain's GEMMs in one array, chain after chain:
+// Gemms is the chain's capacity-clipped window of it, and first is
+// where that window starts. Sorts is shared with every chain of the
+// same branch set (SortBranches). Both are read-only.
 type ChainMeta struct {
 	ID      int
 	Out     BlockRef
@@ -27,6 +31,7 @@ type ChainMeta struct {
 	CDims   [4]int // GEMM-layout dims (p3, h1, p4, h2)
 	Gemms   []GemmMeta
 	Sorts   []SortOp
+	first   int32
 }
 
 // CBytes returns the size of the chain's C buffer in bytes.
@@ -57,7 +62,6 @@ type Workload struct {
 	// output blocks in block-key order (Energy's fold order).
 	deriveOnce sync.Once
 	uniq       map[string][]BlockRef
-	gemmOff    []int32 // chain c's first GEMM in chain-after-chain numbering; len(Chains)+1 entries
 	inputs     [2]*InputTable
 	outByKey   []int32 // positions in uniq[TensorC], in block-key order
 }
@@ -67,12 +71,24 @@ type Locator func(BlockRef) int
 
 // inspector is the Emitter that fills the metadata arrays. It is the
 // "slice of the original code that contains all the control flow
-// statements but none of the subroutine calls" (§III-B).
+// statements but none of the subroutine calls" (§III-B). Inspect sizes
+// its arrays exactly before it runs (counter), so an inspection costs
+// a fixed number of allocations however many chains it finds, leaves
+// no garbage behind, and a cached plan keeps no slack.
 type inspector struct {
-	w   *Workload
-	loc Locator
-	cur *ChainMeta
+	loc    Locator
+	chains []ChainMeta
+	gemms  []GemmMeta
 }
+
+// counter is the Emitter that only counts chains and GEMMs: the loop
+// nest's control flow is a few milliseconds even for beta-carotene, far
+// less than growing the arrays would cost.
+type counter struct{ chains, gemms int }
+
+func (n *counter) StartChain(int, BlockRef, [4]int) { n.chains++ }
+func (n *counter) Gemm(int, int, GemmOp)            { n.gemms++ }
+func (n *counter) EndChain(int, []SortOp)           {}
 
 func (in *inspector) locate(b BlockRef) int {
 	if in.loc == nil {
@@ -82,17 +98,17 @@ func (in *inspector) locate(b BlockRef) int {
 }
 
 func (in *inspector) StartChain(chain int, out BlockRef, cdims [4]int) {
-	in.cur = &ChainMeta{ID: chain, Out: out, OutNode: in.locate(out), CDims: cdims}
+	in.chains = append(in.chains, ChainMeta{ID: chain, Out: out, OutNode: in.locate(out), CDims: cdims, first: int32(len(in.gemms))})
 }
 
 func (in *inspector) Gemm(chain, pos int, g GemmOp) {
-	if in.cur == nil || in.cur.ID != chain {
+	if len(in.chains) == 0 || in.chains[len(in.chains)-1].ID != chain {
 		panic(fmt.Sprintf("tce: Gemm for chain %d outside StartChain", chain))
 	}
-	if pos != len(in.cur.Gemms) {
-		panic(fmt.Sprintf("tce: GEMM position %d, expected %d", pos, len(in.cur.Gemms)))
+	if want := len(in.gemms) - int(in.chains[len(in.chains)-1].first); pos != want {
+		panic(fmt.Sprintf("tce: GEMM position %d, expected %d", pos, want))
 	}
-	in.cur.Gemms = append(in.cur.Gemms, GemmMeta{
+	in.gemms = append(in.gemms, GemmMeta{
 		Op:    g,
 		ANode: in.locate(g.A),
 		BNode: in.locate(g.B),
@@ -100,9 +116,7 @@ func (in *inspector) Gemm(chain, pos int, g GemmOp) {
 }
 
 func (in *inspector) EndChain(chain int, sorts []SortOp) {
-	in.cur.Sorts = sorts
-	in.w.Chains = append(in.w.Chains, in.cur)
-	in.cur = nil
+	in.chains[len(in.chains)-1].Sorts = sorts
 }
 
 // Inspect runs the inspection phase for a kernel: it executes the control
@@ -110,8 +124,20 @@ func (in *inspector) EndChain(chain int, sorts []SortOp) {
 // returns the filled metadata arrays. loc may be nil when block placement
 // is not needed (e.g. shared-memory execution).
 func Inspect(k *Kernel, loc Locator) *Workload {
-	w := &Workload{Kernel: k}
-	k.Walk(&inspector{w: w, loc: loc})
+	n := &counter{}
+	k.Walk(n)
+	in := &inspector{loc: loc, chains: make([]ChainMeta, 0, n.chains), gemms: make([]GemmMeta, 0, n.gemms)}
+	k.Walk(in)
+	w := &Workload{Kernel: k, Chains: make([]*ChainMeta, len(in.chains))}
+	for i := range in.chains {
+		c := &in.chains[i]
+		end := len(in.gemms)
+		if i+1 < len(in.chains) {
+			end = int(in.chains[i+1].first)
+		}
+		c.Gemms = in.gemms[c.first:end:end]
+		w.Chains[i] = c
+	}
 	return w
 }
 
@@ -206,10 +232,6 @@ func (w *Workload) derive() {
 			w.uniq[ref.Tensor] = append(w.uniq[ref.Tensor], ref)
 		}
 
-		w.gemmOff = make([]int32, len(w.Chains)+1)
-		for i, c := range w.Chains {
-			w.gemmOff[i+1] = w.gemmOff[i] + int32(len(c.Gemms))
-		}
 		aName, bName := w.InputTensors()
 		w.inputs[0] = newInputTable(w, aName, tensor.PanelA, func(g *GemmOp) BlockRef { return g.A })
 		w.inputs[1] = newInputTable(w, bName, tensor.PanelB, func(g *GemmOp) BlockRef { return g.B })

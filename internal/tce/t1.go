@@ -67,6 +67,10 @@ func (k *Kernel) t1BAllowed(h7, p5 molecule.Tile) bool {
 	return h7.Spin == p5.Spin && h7.Irrep == p5.Irrep
 }
 
+// t1Sort is every T1 chain's one SORT branch, shared and
+// capacity-clipped like SortBranches' sets.
+var t1Sort = []SortOp{{Branch: 0, Perm: [4]int{0, 1, 2, 3}, Sign: +1}}[:1:1]
+
 // walkT1 drives the T1 loop nest through the emitter.
 func (k *Kernel) walkT1(em Emitter) {
 	sys := k.Sys
@@ -115,7 +119,7 @@ func (k *Kernel) walkT1(em Emitter) {
 			if started {
 				// The GEMM output layout (p2, h1) already matches the
 				// Global Array layout: a single identity SORT branch.
-				em.EndChain(chain, []SortOp{{Branch: 0, Perm: [4]int{0, 1, 2, 3}, Sign: +1}})
+				em.EndChain(chain, t1Sort)
 				chain++
 			}
 		}

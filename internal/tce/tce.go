@@ -111,21 +111,29 @@ var sortBranches = [4]SortOp{
 	{Branch: 3, Perm: [4]int{2, 0, 3, 1}, Sign: +1}, // (p4<=p3) and (h2<=h1)
 }
 
+// sortSets are the four branch sets SortBranches returns — {0}, {0,1},
+// {0,2}, {0,1,2,3} — each capacity-clipped, so an append by a caller
+// copies instead of writing into the next set.
+var sortSets = func() [4][]SortOp {
+	all := sortBranches[:]
+	b02 := []SortOp{sortBranches[0], sortBranches[2]}
+	return [4][]SortOp{all[:1:1], all[:2:2], b02[:2:2], all[:4:4]}
+}()
+
 // SortBranches returns the active SORT operations for a canonical output
 // tile pair: always branch 0, plus the branches enabled by tile-index
-// equalities.
+// equalities. The result is shared by every chain with the same branch
+// set and must not be modified.
 func SortBranches(p3, p4, h1, h2 int) []SortOp {
-	sorts := []SortOp{sortBranches[0]}
-	if h1 == h2 {
-		sorts = append(sorts, sortBranches[1])
+	switch {
+	case p3 == p4 && h1 == h2:
+		return sortSets[3]
+	case p3 == p4:
+		return sortSets[2]
+	case h1 == h2:
+		return sortSets[1]
 	}
-	if p3 == p4 {
-		sorts = append(sorts, sortBranches[2])
-		if h1 == h2 {
-			sorts = append(sorts, sortBranches[3])
-		}
-	}
-	return sorts
+	return sortSets[0]
 }
 
 // Emitter receives the calls that the original Fortran body would make.

@@ -34,6 +34,32 @@ func TestSortBranchesMultiplicity(t *testing.T) {
 	}
 }
 
+// TestSortBranchSetsAreShared: SortBranches hands every chain one of
+// four shared sets, so a caller that appends to its result must get a
+// copy, never write into the set the next call returns. Every set is
+// appended to first, then each is checked against the branch
+// predicates of the original IF statements.
+func TestSortBranchSetsAreShared(t *testing.T) {
+	tiles := [][4]int{{0, 1, 0, 1}, {0, 1, 2, 2}, {0, 0, 0, 1}, {3, 3, 2, 2}}
+	branches := sortBranches // a copy, taken before any append
+	for _, c := range tiles {
+		got := SortBranches(c[0], c[1], c[2], c[3])
+		_ = append(got, SortOp{Branch: 9, Sign: 7})
+	}
+	for _, c := range tiles {
+		p3, p4, h1, h2 := c[0], c[1], c[2], c[3]
+		var want []SortOp
+		for b, on := range [4]bool{true, h1 == h2, p3 == p4, p3 == p4 && h1 == h2} {
+			if on {
+				want = append(want, branches[b])
+			}
+		}
+		if got := SortBranches(p3, p4, h1, h2); !slices.Equal(got, want) {
+			t.Errorf("SortBranches%v after appends = %+v, want %+v", c, got, want)
+		}
+	}
+}
+
 func TestSortBranchDimsConsistent(t *testing.T) {
 	// Every active branch of a canonical chain must produce a tile with
 	// the output block's dims (precondition for accumulating variants).
