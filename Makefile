@@ -96,14 +96,17 @@ tune:
 # store must hold what new ones hold (internal/ptg, internal/runtime,
 # internal/ga), and contexts shared by concurrent, canceled and failing
 # runs of several plans must carry nothing from one run to the next —
-# that stress test runs five times.
+# that stress test runs five times, as does the one of the output
+# path's tile recycling: a counted array gives each tile back once
+# (internal/ga), and recipes whose WRITEs share a SORT tile keep their
+# energies bitwise run after run on one context (internal/ccsd).
 sched-conformance:
 	$(GO) test -race -run 'TestPopOrderEquivalence|TestSimexecDecisionsMatchShadowModel|TestSetPreloadMatchesPushAll|TestStealVictimGolden' ./internal/sched
 	$(GO) test -race -run 'TestTrackerResetIsFresh' ./internal/ptg
 	$(GO) test -race -run 'TestRunnerRunsLikeANewRun' ./internal/runtime
-	$(GO) test -race -run 'TestLazy|TestEagerReleaseIsNoOp|TestNewLazyNeverRetires|TestStoreResetKeepsOneRun' ./internal/ga
+	$(GO) test -race -run 'TestLazy|TestEagerReleaseIsNoOp|TestNewLazyNeverRetires|TestStoreResetKeepsOneRun|TestCounted' ./internal/ga
 	$(GO) test -race -run 'TestInputsFlowThroughGraph|TestCancelledRunLeaksNothing|TestWarmExecuteAllocatesAThird' ./internal/ccsd
-	$(GO) test -race -count=5 -run 'TestContextsCarryNothingBetweenRuns' ./internal/ccsd
+	$(GO) test -race -count=5 -run 'TestContextsCarryNothingBetweenRuns|TestRecycledTilesKeepEnergies' ./internal/ccsd
 	$(GO) test -race -run 'TestEnergyStreamsBitwise|TestEnergyDimsMismatchPanics|TestInputTablesMatchWorkload' ./internal/tce
 	$(GO) test -race -count=5 ./internal/dtd
 

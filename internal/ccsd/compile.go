@@ -50,9 +50,12 @@ type CompiledPlan struct {
 
 	ps []chainPlan
 	// outCounts is how many AccOrdered contributions the WRITE tasks make
-	// to each output block (writeCounts): what lets Execute finish a
-	// block, and fold it into the energy, the moment its last WRITE lands.
-	outCounts map[tensor.BlockKey]int
+	// to each output block (writeCounts), laid out for the counted output
+	// array: what lets Execute finish a block, and fold it into the
+	// energy, the moment its last WRITE lands. It is laid out on first
+	// use (counts): a plan that is only simulated never needs it.
+	countsOnce sync.Once
+	outCounts  *ga.Counts
 
 	// skel is the resolved structure of the plan's task graph, shared
 	// read-only by every graph NewGraph returns; skelErr is why it could
@@ -117,14 +120,13 @@ func CompileWorkload(w *tce.Workload, spec VariantSpec, opts Options) *CompiledP
 	t0 := time.Now()
 	ps := plans(w, shape)
 	return &CompiledPlan{
-		Sys:       w.Kernel.Sys,
-		Spec:      spec,
-		Nodes:     nodes,
-		Shape:     shape,
-		Workload:  w,
-		PlanTime:  time.Since(t0),
-		ps:        ps,
-		outCounts: writeCounts(ps, shape),
+		Sys:      w.Kernel.Sys,
+		Spec:     spec,
+		Nodes:    nodes,
+		Shape:    shape,
+		Workload: w,
+		PlanTime: time.Since(t0),
+		ps:       ps,
 	}
 }
 
@@ -147,6 +149,13 @@ func writeCounts(ps []chainPlan, shape xform.Shape) map[tensor.BlockKey]int {
 		counts[p.meta.Out.Key] += n
 	}
 	return counts
+}
+
+// counts returns the plan's output counts (outCounts), laying them out
+// the first time.
+func (p *CompiledPlan) counts() *ga.Counts {
+	p.countsOnce.Do(func() { p.outCounts = ga.NewCounts(writeCounts(p.ps, p.Shape)) })
+	return p.outCounts
 }
 
 // NewGraph binds the compiled plan to a store (nil for a graph that
@@ -315,7 +324,7 @@ func (p *CompiledPlan) execute(cfg ExecConfig, record bool) (RealResult, error) 
 // the distributed runtime's GA server both end a job this way.
 func (p *CompiledPlan) CreateOutput(store *ga.Store) *tce.EnergyFold {
 	fold := p.Workload.NewEnergyFold()
-	store.CreateCounted(tce.TensorC, p.outCounts, fold.Put)
+	store.CreateCounted(tce.TensorC, p.counts(), fold.Put)
 	return fold
 }
 

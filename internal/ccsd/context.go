@@ -89,7 +89,7 @@ func (c *execCtx) execute(p *CompiledPlan, cfg ExecConfig, record bool) (RealRes
 	if c.plan != p {
 		c.store.Clear()
 		addInputs(c.store, p.Workload)
-		c.store.CreateCounted(tce.TensorC, p.outCounts, c.put)
+		c.store.CreateCounted(tce.TensorC, p.counts(), c.put)
 		if c.b == nil || c.b.shape != p.Shape {
 			c.b = p.build(c.store)
 		} else {

@@ -3,7 +3,6 @@ package ccsd
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/bits"
 	stdruntime "runtime"
@@ -127,9 +126,9 @@ func TestContextsCarryNothingBetweenRuns(t *testing.T) {
 	// one past, the count of an output block.
 	miscounted := func(p *CompiledPlan, delta int) *CompiledPlan {
 		bad := CompileWorkload(p.Workload, p.Spec, Options{Nodes: 1})
-		bad.outCounts = maps.Clone(bad.outCounts)
-		key := p.ps[0].meta.Out.Key
-		bad.outCounts[key] += delta
+		counts := writeCounts(bad.ps, bad.Shape)
+		counts[p.ps[0].meta.Out.Key] += delta
+		bad.countsOnce.Do(func() { bad.outCounts = ga.NewCounts(counts) })
 		return bad
 	}
 
@@ -325,5 +324,104 @@ func TestCanceledSortLeavesNoCount(t *testing.T) {
 	}
 	if math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
 		t.Errorf("energy %.17g after a canceled run, %.17g on a new context", got.Energy, want.Energy)
+	}
+}
+
+// TestRecycledTilesKeepEnergies is the stress test of the output path's
+// tile recycling: a SORT draws its output from the tile pool, the
+// counted output array gives it back once its block is folded
+// (ga.Store.AccOrdered), and the energy fold gives back the block
+// (tce.EnergyFold). Every recipe shape whose WRITEs share a SORT tile —
+// a write span over one block, with sort fission and without — runs
+// warm again and again on one execution context, as do write fission
+// and the merged SORT whose tile a block adopts, with water v1 run on
+// the same context between any two runs; every energy is bitwise its
+// plan's first. A tile given back while a WRITE still holds it, or
+// given back twice, is drawn again under the WRITE and moves an energy
+// or, under -race, races.
+func TestRecycledTilesKeepEnergies(t *testing.T) {
+	w := waterWorkload()
+	compile := func(name string) *CompiledPlan {
+		spec, err := VariantByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return CompileWorkload(w, spec, Options{Nodes: 1})
+	}
+	other := compile("v1")
+	var otherBits uint64
+	dropContexts()
+	for _, name := range []string{"fission=none,span=2", "fission=sorts,span=2", "seg=2,fission=none,span=3", "seg=2,fission=sorts,span=3", "fission=writes", "v5"} {
+		plan := compile(name)
+		var first uint64
+		for i := 0; i < 6; i++ {
+			for _, p := range []*CompiledPlan{plan, other} {
+				res, err := p.Execute(ExecConfig{Workers: 1 + i%3})
+				if err != nil {
+					t.Fatalf("%s, run %d: %v", p.Spec.Name, i, err)
+				}
+				bits := math.Float64bits(res.Energy)
+				want := &first
+				if p == other {
+					want = &otherBits
+				}
+				if *want == 0 {
+					*want = bits
+					if d := EnergyRelDiff(res.Energy, ReferenceEnergy(w)); d > EnergyTol {
+						t.Fatalf("%s: first run off the reference by %g", p.Spec.Name, d)
+					}
+				} else if bits != *want {
+					t.Errorf("%s, run %d: energy %x, first run %x", p.Spec.Name, i, bits, *want)
+				}
+			}
+		}
+	}
+	contexts.mu.Lock()
+	n := len(contexts.free)
+	contexts.mu.Unlock()
+	if n != 1 {
+		t.Errorf("the runs took %d contexts, want one", n)
+	}
+}
+
+// TestWarmExecuteAllocationsDoNotGrowWithTasks pins what a warm v5
+// Execute allocates: a few objects of the run's own (the runtime's
+// report, the energy fold), the same for water (1,216 tasks) and the
+// dispatch-shaped system (28,304), not one per SORT or WRITE — a SORT's
+// output comes from the tile pool and goes back to it, and the counted
+// output array buffers a contribution in place.
+func TestWarmExecuteAllocationsDoNotGrowWithTasks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside sync.Pool")
+	}
+	spec, err := VariantByName("v5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 20
+	for _, sys := range []*molecule.System{molecule.Water631G(), molecule.Custom("dispatch-shaped", 12, 24, 4, 2, 0x5eed)} {
+		p := Compile(sys, spec, Options{Nodes: 1})
+		tasks, err := p.NumTasks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := ExecConfig{Workers: 2}
+		dropContexts()
+		for i := 0; i < 3; i++ {
+			if _, err := p.Execute(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gc := debug.SetGCPercent(-1)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := p.Execute(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		debug.SetGCPercent(gc)
+		t.Logf("%s v5: %.0f allocations per warm Execute of %d tasks", sys.Name, allocs, tasks)
+		if allocs > budget {
+			t.Errorf("%s v5: %.0f allocations per warm Execute of %d tasks, want at most %d", sys.Name, allocs, tasks, budget)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package ccsd
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	stdruntime "runtime"
@@ -113,14 +112,15 @@ func TestCountMismatchFailsLoudly(t *testing.T) {
 			plan := CompileWorkload(w, recipe, Options{Nodes: 1})
 			// The block with the most contributions, so -1 still leaves
 			// some to complete it early where the recipe has several.
+			counts := writeCounts(plan.ps, plan.Shape)
 			var block tce.BlockRef
 			for _, c := range w.Chains {
-				if plan.outCounts[c.Out.Key] > plan.outCounts[block.Key] || block.Tensor == "" {
+				if counts[c.Out.Key] > counts[block.Key] || block.Tensor == "" {
 					block = c.Out
 				}
 			}
-			plan.outCounts = maps.Clone(plan.outCounts)
-			plan.outCounts[block.Key] += delta
+			counts[block.Key] += delta
+			plan.countsOnce.Do(func() { plan.outCounts = ga.NewCounts(counts) })
 			res, err := plan.Execute(ExecConfig{Workers: 2})
 			want := "never completed"
 			if delta < 0 {
@@ -256,7 +256,7 @@ func TestExecuteLeavesNoTail(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		store := addInputs(ga.NewStore(1), w)
 		fold := w.NewEnergyFold()
-		store.CreateCounted(tce.TensorC, plan.outCounts, fold.Put)
+		store.CreateCounted(tce.TensorC, plan.counts(), fold.Put)
 		if _, err := plan.runOn(store, cfg, false); err != nil {
 			t.Fatal(err)
 		}

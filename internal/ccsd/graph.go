@@ -553,7 +553,9 @@ func (b *builder) buildSort() {
 				src := ctx.In[0].(*tensor.Tile4)
 				br := p.meta.Sorts[ctx.Args[1]]
 				d := p.meta.Out.Dims
-				dst := tensor.NewTile4(d[0], d[1], d[2], d[3])
+				// Pooled and not zeroed: Sort4 writes every element. The
+				// store that folds the tile gives it back (ga.API).
+				dst := tensor.GetTile4In(ctx.Pool, d[0], d[1], d[2], d[3])
 				tensor.Sort4(dst, src, br.Perm, br.Sign)
 				// The chain's SORTs share its final C; the last of them
 				// to read it gives it back.
@@ -568,14 +570,13 @@ func (b *builder) buildSort() {
 				p := b.ps[ctx.Args[0]]
 				src := ctx.In[0].(*tensor.Tile4)
 				d := p.meta.Out.Dims
-				// dst is NOT pooled: AccOrdered retains it until its
-				// block's fold, which may adopt it as the block. Each
-				// permutation accumulates straight into the zeroed dst
-				// via Sort4Add — bitwise identical to the old
-				// permute-into-scratch-then-AddScaled pair (one multiply,
-				// one add per element either way), minus a full tile of
-				// traffic per permutation.
-				dst := tensor.NewTile4(d[0], d[1], d[2], d[3])
+				// Pooled, and handed to the store, which gives it back
+				// once its block is folded (ga.API). Each permutation
+				// accumulates straight into the zeroed dst via Sort4Add —
+				// bitwise identical to permuting into scratch and adding
+				// (one multiply, one add per element either way), minus a
+				// full tile of traffic per permutation.
+				dst := tensor.GetTile4ZeroedIn(ctx.Pool, d[0], d[1], d[2], d[3])
 				for _, br := range p.meta.Sorts {
 					tensor.Sort4Add(dst, src, br.Perm, br.Sign)
 				}

@@ -22,9 +22,9 @@
 package ga
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -67,6 +67,14 @@ type API interface {
 	// lets a lazily filled array (Lazy) retire a block after its last
 	// reader; on arrays that hold their blocks for good it does nothing.
 	Release(name string, key tensor.BlockKey)
+	// AccOrdered adds scale*src[lo:hi] to a block, folded in (tag, lo)
+	// order whatever the order of the calls. Who owns src afterwards is
+	// the implementation's to say: Store keeps the src of a counted
+	// array's contribution from the call until its block is folded and
+	// then gives it back to the tile pool (Store.AccOrdered); a remote
+	// implementation copies it at the call and keeps nothing. Either way
+	// the caller must not change src after the call, nor use it once the
+	// store may have given it back.
 	AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, tag, lo, hi int) error
 }
 
@@ -77,6 +85,14 @@ type Store struct {
 	arrays map[string]*array
 
 	accMu sync.Mutex // guards every array's pending ordered accumulations
+	// rejected are the tiles of contributions a counted array refused
+	// and gave back since the last Reset, so a refused tile that
+	// several contributions share goes back once. Guarded by accMu.
+	rejected []*tensor.Tile4
+	// spare is the contribution buffer of the largest counted array
+	// Clear removed, zeroed, for the next CreateCounted: a store that
+	// runs plan after plan allocates no buffer per plan.
+	spare countedBuf
 
 	lazyMem lazyMem // tiles and accounting of the CreateLazy arrays
 }
@@ -91,19 +107,19 @@ type Store struct {
 // flag.
 //
 // A CreateLazy array has lazy set and no block tensor: it is read-only,
-// reachable through Access / Release alone. A
-// CreateCounted array has want set and no block tensor either: its
-// blocks leave through done as they complete, and a completed block
-// keeps a nil pending entry, which is how a late contribution is told
-// from a first one.
+// reachable through Access / Release alone. A CreateCounted array has
+// counts set and no block tensor either: its contributions buffer in
+// buf, laid out by counts, and its blocks leave through done as they
+// complete.
 type array struct {
 	bt       *tensor.BlockTensor4
 	lazy     *Lazy
 	buffered atomic.Bool
 	pending  map[tensor.BlockKey][]orderedAcc
 
-	want map[tensor.BlockKey]int
-	done func(tensor.BlockKey, *tensor.Tile4)
+	counts *Counts
+	buf    countedBuf
+	done   func(tensor.BlockKey, *tensor.Tile4)
 }
 
 // orderedAcc is one buffered AccOrdered contribution awaiting its
@@ -113,6 +129,41 @@ type orderedAcc struct {
 	lo, hi int
 	scale  float64
 	src    *tensor.Tile4
+}
+
+// Counts is how many AccOrdered contributions each block of a counted
+// array receives (CreateCounted), laid out once: block key's
+// contributions land in window w = window[key] of one flat buffer,
+// entries off[w] to off[w+1]. A Counts is only read after NewCounts
+// builds it, so one backs every execution of a plan, and a store
+// buffers a contribution without allocating.
+type Counts struct {
+	window map[tensor.BlockKey]int32
+	off    []int32
+}
+
+// NewCounts lays out want, the number of contributions each block
+// receives. A negative count panics.
+func NewCounts(want map[tensor.BlockKey]int) *Counts {
+	c := &Counts{window: make(map[tensor.BlockKey]int32, len(want)), off: make([]int32, 1, len(want)+1)}
+	for key, n := range want {
+		if n < 0 {
+			panic(fmt.Sprintf("ga: block %v counted %d contributions", key, n))
+		}
+		c.window[key] = int32(len(c.off) - 1)
+		c.off = append(c.off, c.off[len(c.off)-1]+int32(n))
+	}
+	return c
+}
+
+// countedBuf holds a counted array's contributions: accs, one window
+// per block as Counts lays them out, and fill, how many each window
+// holds. A full window is a completed block. Its entries stay until
+// Reset: they tell a late contribution from a first one, and whether a
+// refused tile is one the block's fold already gave back.
+type countedBuf struct {
+	accs []orderedAcc
+	fill []int32
 }
 
 var _ API = (*Store)(nil)
@@ -141,25 +192,30 @@ func (s *Store) Create(name string) *tensor.BlockTensor4 {
 }
 
 // CreateCounted registers an ordered output array whose blocks complete
-// by count: want[key] is the number of AccOrdered contributions block key
-// receives in all, and the call that brings it there folds the block at
+// by count: counts says how many AccOrdered contributions each block
+// receives in all, and the call that brings a block there folds it at
 // once — the fold Array's flush performs, in the same (tag, lo) order —
 // and hands the final tile to done, on the calling goroutine. The array
 // keeps nothing of a completed block, so it cannot be read through Array
-// or Access; done owns the tile. want is only read, so one map may back
-// every execution of a plan. A contribution to a key want lacks, or to a
-// block already complete, is an error.
-func (s *Store) CreateCounted(name string, want map[tensor.BlockKey]int, done func(tensor.BlockKey, *tensor.Tile4)) {
+// or Access; done owns the tile. A contribution to a key counts lacks,
+// or to a block already complete, is an error.
+func (s *Store) CreateCounted(name string, counts *Counts, done func(tensor.BlockKey, *tensor.Tile4)) {
 	if _, dup := s.arrays[name]; dup {
 		panic(fmt.Sprintf("ga: array %q already exists", name))
 	}
-	s.arrays[name] = &array{want: want, done: done}
+	buf := s.spare
+	s.spare = countedBuf{}
+	n := int(counts.off[len(counts.off)-1])
+	buf.accs = slices.Grow(buf.accs[:0], n)[:n]
+	buf.fill = slices.Grow(buf.fill[:0], len(counts.off)-1)[:len(counts.off)-1]
+	s.arrays[name] = &array{counts: counts, buf: buf, done: done}
 }
 
 // Reset empties the store for another run, in place: every array is
 // as it was created — a lazy one with no block resident and its use
 // counts full, a counted one with no contribution, any other empty.
-// What the store keeps are the arrays
+// The tiles of a counted block still short of its count go back to the
+// tile pool. What the store keeps are the arrays
 // themselves, so a graph whose task bodies hold them stays bound, and
 // the lazy arrays' tiles, for the next run to fill instead of
 // allocating: up to keptBytes of the tiles of the run just ended, no
@@ -172,19 +228,47 @@ func (s *Store) Reset() {
 		switch {
 		case a.lazy != nil:
 			a.lazy.reset()
+		case a.counts != nil:
+			a.resetCounted()
 		case a.bt != nil:
 			a.bt = tensor.NewBlockTensor4()
 		}
 		clear(a.pending)
 		a.buffered.Store(false)
 	}
+	clear(s.rejected)
+	s.rejected = s.rejected[:0]
 	s.lazyMem.age()
+}
+
+// resetCounted empties every window of counted array a. A window short
+// of its count gives its tiles back, a tile its contributions share
+// once; a full one gave them back, or handed its tile to done, when it
+// completed.
+func (a *array) resetCounted() {
+	for w, n := range a.buf.fill {
+		if lo := a.counts.off[w]; n < a.counts.off[w+1]-lo {
+			giveBackTiles(a.buf.accs[lo : lo+n])
+		}
+	}
+	clear(a.buf.accs)
+	clear(a.buf.fill)
 }
 
 // Clear removes every array of a store that was just Reset, for one
 // about to hold another run's arrays: the tiles Reset kept stay, for
-// the lazy arrays created next.
-func (s *Store) Clear() { clear(s.arrays) }
+// the lazy arrays created next, and so does the largest counted
+// array's contribution buffer, for the counted array created next.
+func (s *Store) Clear() {
+	for _, a := range s.arrays {
+		if a.counts != nil && cap(a.buf.accs) >= cap(s.spare.accs) {
+			clear(a.buf.accs)
+			clear(a.buf.fill)
+			s.spare = a.buf
+		}
+	}
+	clear(s.arrays)
+}
 
 // Array returns the named array, panicking if absent, lazy (a lazy array
 // never holds all its blocks at once) or counted (its blocks went to its
@@ -198,7 +282,7 @@ func (s *Store) Array(name string) *tensor.BlockTensor4 {
 	if a.lazy != nil {
 		panic(fmt.Sprintf("ga: array %q is lazy: read its blocks through Access", name))
 	}
-	if a.want != nil {
+	if a.counts != nil {
 		panic(fmt.Sprintf("ga: array %q hands its blocks on as they complete: it holds none", name))
 	}
 	if a.buffered.Load() {
@@ -236,65 +320,116 @@ func (s *Store) Release(name string, key tensor.BlockKey) {
 // resulting floats are bitwise identical for every worker count, queue
 // mode, and scheduling policy — the "ordered reduce" invariance of
 // DESIGN §6, which a sharded scheduler can no longer get for free from
-// lock serialization. The caller must not mutate src afterwards.
+// lock serialization.
+//
+// Who owns src: on a counted array the store does, from the call until
+// the block is folded, and then gives it back to the tile pool
+// (tensor.PutTile4). A tile that several contributions share — the
+// segments of one sorted block — must feed one block only, and goes
+// back once, after the last of them. A block's sole contribution that
+// covers it at scale 1 is adopted instead: done receives src itself,
+// and with it the tile. A contribution the array refuses — a duplicate,
+// one past its block's count — goes back once as well, and so does one
+// still buffered when the store is Reset. On an array from Create src
+// stays the caller's: the flush only reads it, and the caller must not
+// mutate it until then. Either way an argument error leaves src with
+// the caller.
 //
 // Out-of-range segments are reported as errors rather than panics —
 // this surface is reached from task bodies, and under fault injection a
 // retried task must be able to fail cleanly. An exact duplicate of an
 // already-buffered contribution (same tag, segment, scale, and source
 // tile) is the signature of an at-least-once retransmission; it is
-// suppressed at fold time, so a retried ACC never double-counts, and it
-// does not count towards a counted block's completion.
+// suppressed, so a retried ACC never double-counts, and it does not
+// count towards a counted block's completion.
 func (s *Store) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, tag, lo, hi int) error {
-	if lo < 0 || hi > src.Len() || lo > hi {
-		return fmt.Errorf("ga: AccOrdered [%d,%d) of %d elements", lo, hi, src.Len())
-	}
 	a, ok := s.arrays[name]
 	if !ok || a.lazy != nil {
 		return fmt.Errorf("ga: AccOrdered into missing or read-only array %q", name)
 	}
-	complete, err := s.buffer(a, key, orderedAcc{tag: tag, lo: lo, hi: hi, scale: scale, src: src})
+	acc := orderedAcc{tag: tag, lo: lo, hi: hi, scale: scale, src: src}
+	var win []orderedAcc
+	var err error
+	if a.counts == nil {
+		err = s.buffer(a, key, acc)
+	} else {
+		win, err = s.bufferCounted(a, key, acc)
+	}
 	if err != nil {
 		return fmt.Errorf("ga: AccOrdered into %q: %w", name, err)
 	}
-	if complete != nil {
-		a.done(key, foldOrdered(complete, nil))
+	if win != nil {
+		a.done(key, foldCounted(win))
 	}
 	return nil
 }
 
-// buffer records acc against block key of a. On a counted array it
-// returns the block's contributions once acc completes them, and leaves
-// a nil entry behind, so a later contribution is told from a first one.
-func (s *Store) buffer(a *array, key tensor.BlockKey, acc orderedAcc) ([]orderedAcc, error) {
+// checkRange reports a segment that is not inside its tile.
+func (acc *orderedAcc) checkRange() error {
+	if acc.lo < 0 || acc.hi > acc.src.Len() || acc.lo > acc.hi {
+		return fmt.Errorf("segment [%d,%d) of %d elements", acc.lo, acc.hi, acc.src.Len())
+	}
+	return nil
+}
+
+// buffer records acc against block key of a plain array, for its next
+// flush.
+func (s *Store) buffer(a *array, key tensor.BlockKey, acc orderedAcc) error {
+	if err := acc.checkRange(); err != nil {
+		return err
+	}
 	s.accMu.Lock()
 	defer s.accMu.Unlock()
 	if a.pending == nil {
 		a.pending = make(map[tensor.BlockKey][]orderedAcc)
 	}
-	accs, seen := a.pending[key]
-	if a.want == nil {
-		a.pending[key] = append(accs, acc)
-		a.buffered.Store(true)
-		return nil, nil
+	a.pending[key] = append(a.pending[key], acc)
+	a.buffered.Store(true)
+	return nil
+}
+
+// bufferCounted records acc in block key's window of counted array a and
+// returns the window, in fold order, once acc fills it. A duplicate of a
+// buffered contribution is dropped: its tile is the buffered one's. A
+// contribution past the count is an error, and its tile goes back now
+// unless the block's window or an earlier refusal holds it already. The
+// count is checked before the segment: a contribution to a complete
+// block may come with a tile its fold already gave back.
+func (s *Store) bufferCounted(a *array, key tensor.BlockKey, acc orderedAcc) ([]orderedAcc, error) {
+	s.accMu.Lock()
+	defer s.accMu.Unlock()
+	var lo, hi, n int32 // a key counts lacks has an empty window
+	w, ok := a.counts.window[key]
+	if ok {
+		lo, hi, n = a.counts.off[w], a.counts.off[w+1], a.buf.fill[w]
 	}
-	want := a.want[key] // 0 for a key want lacks
+	win := a.buf.accs[lo : lo+n]
 	switch {
-	case seen && accs == nil || len(accs) >= want:
-		return nil, fmt.Errorf("block %v beyond its count of %d", key, want)
-	case slices.Contains(accs, acc):
-		return nil, nil
-	case len(accs)+1 < want:
-		a.pending[key] = append(accs, acc)
+	case lo+n == hi:
+		if !holds(win, acc.src) && !slices.Contains(s.rejected, acc.src) {
+			s.rejected = append(s.rejected, acc.src)
+			giveBack(acc.src)
+		}
+		return nil, fmt.Errorf("block %v beyond its count of %d", key, hi-lo)
+	case slices.Contains(win, acc):
 		return nil, nil
 	}
-	a.pending[key] = nil
-	return append(accs, acc), nil
+	if err := acc.checkRange(); err != nil {
+		return nil, err
+	}
+	a.buf.accs[lo+n] = acc
+	a.buf.fill[w] = n + 1
+	if lo+n+1 < hi {
+		return nil, nil
+	}
+	win = a.buf.accs[lo:hi]
+	sortAccs(win)
+	return win, nil
 }
 
 // flushOrdered folds the array's buffered contributions. Blocks
 // are independent storage, so only the within-block order matters; that
-// order is fixed by foldOrdered's sort. Deterministic results require
+// order is fixed by sortAccs. Deterministic results require
 // that all AccOrdered calls happened-before the triggering read (i.e.
 // the graph reached quiescence), which the runtime guarantees.
 func (s *Store) flushOrdered(a *array) {
@@ -304,34 +439,27 @@ func (s *Store) flushOrdered(a *array) {
 	a.buffered.Store(false)
 	s.accMu.Unlock()
 	for key, accs := range m {
+		sortAccs(accs)
 		foldOrdered(accs, a.bt.GetOrCreate(key, accs[0].src.Dim))
 	}
 }
 
-// foldOrdered folds one block's contributions into dst in ascending
-// (tag, lo) order and returns it. A nil dst asks for a fresh block: a
-// zeroed tile, or — when the block has one contribution, covering all of
-// it at scale 1 — that contribution's tile itself, which is 0 + 1·x up
-// to the sign of zero.
-func foldOrdered(accs []orderedAcc, dst *tensor.Tile4) *tensor.Tile4 {
-	if len(accs) > 1 {
-		sort.Slice(accs, func(i, j int) bool {
-			if accs[i].tag != accs[j].tag {
-				return accs[i].tag < accs[j].tag
-			}
-			return accs[i].lo < accs[j].lo
-		})
-	}
-	if dst == nil {
-		if a := accs[0]; len(accs) == 1 && a.scale == 1 && a.lo == 0 && a.hi == a.src.Len() {
-			return a.src
+// sortAccs puts one block's contributions in fold order: ascending
+// (tag, lo). After it a retransmitted duplicate sits next to its
+// original.
+func sortAccs(accs []orderedAcc) {
+	slices.SortFunc(accs, func(a, b orderedAcc) int {
+		if c := cmp.Compare(a.tag, b.tag); c != 0 {
+			return c
 		}
-		d := accs[0].src.Dim
-		dst = tensor.NewTile4(d[0], d[1], d[2], d[3])
-	}
+		return cmp.Compare(a.lo, b.lo)
+	})
+}
+
+// foldOrdered folds one block's contributions, in fold order, into dst
+// and returns it, skipping a duplicate of the contribution before it.
+func foldOrdered(accs []orderedAcc, dst *tensor.Tile4) *tensor.Tile4 {
 	for n, a := range accs {
-		// Suppress retransmitted duplicates: after the sort a retried
-		// contribution sits next to its original.
 		if n > 0 && accs[n-1] == a {
 			continue
 		}
@@ -339,6 +467,45 @@ func foldOrdered(accs []orderedAcc, dst *tensor.Tile4) *tensor.Tile4 {
 	}
 	return dst
 }
+
+// foldCounted folds a completed block's window, in fold order, into the
+// block's final tile. A sole contribution covering the whole block at
+// scale 1 is adopted as the tile, which is 0 + 1·x up to the sign of
+// zero; any other window folds into a zeroed tile from the pool, and
+// its tiles go back to the pool.
+func foldCounted(win []orderedAcc) *tensor.Tile4 {
+	if a := win[0]; len(win) == 1 && a.scale == 1 && a.lo == 0 && a.hi == a.src.Len() {
+		return a.src
+	}
+	d := win[0].src.Dim
+	dst := foldOrdered(win, tensor.GetTile4Zeroed(d[0], d[1], d[2], d[3]))
+	giveBackTiles(win)
+	return dst
+}
+
+// giveBackTiles gives the tiles of accs back, a tile several of them
+// share once.
+func giveBackTiles(accs []orderedAcc) {
+	for i, a := range accs {
+		if !holds(accs[:i], a.src) {
+			giveBack(a.src)
+		}
+	}
+}
+
+// holds says whether a contribution of accs has tile t.
+func holds(accs []orderedAcc, t *tensor.Tile4) bool {
+	for _, a := range accs {
+		if a.src == t {
+			return true
+		}
+	}
+	return false
+}
+
+// giveBack is where a counted array's tiles go once the store is done
+// with them: the tile pool. Tests replace it to count them.
+var giveBack = tensor.PutTile4
 
 // Sim is the cost-model Global Arrays implementation for the simulated
 // cluster. It carries no data: callers account for block sizes and the

@@ -410,7 +410,8 @@ func TestStoreResetKeepsOneRun(t *testing.T) {
 	l := s.CreateLazy("t2", src)
 	key := tensor.BlockKey{1, 2, 3, 4}
 	var done int
-	s.CreateCounted("c", map[tensor.BlockKey]int{key: 2}, func(tensor.BlockKey, *tensor.Tile4) { done++ })
+	countGiveBacks(t) // part serves every call
+	s.CreateCounted("c", NewCounts(map[tensor.BlockKey]int{key: 2}), func(tensor.BlockKey, *tensor.Tile4) { done++ })
 	part := tensor.NewTile4(1, 1, 1, 2)
 	acc := func(tag int) error { return s.AccOrdered("c", key, part, 1, tag, 0, part.Len()) }
 

@@ -75,7 +75,7 @@ func TestNetrunAllocationsPerTask(t *testing.T) {
 	}
 	run() // fill the pools a steady stream of jobs draws on
 	perRun := testing.AllocsPerRun(3, run)
-	const budget = 1.1
+	const budget = 0.95
 	if perTask := perRun / float64(tasks); perTask > budget {
 		t.Errorf("%.2f allocations per task (%v per run of %d tasks), want <= %v", perTask, perRun, tasks, budget)
 	} else {

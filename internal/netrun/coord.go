@@ -66,6 +66,7 @@ type coordinator struct {
 	gone      map[int]bool // ranks whose dial was refused: no report will come
 	accSeen   map[accKey]bool
 	accClosed bool
+	doneSeqs  []int // the msgDone decode buffer, reused frame to frame
 	failure   error
 
 	allRegCh chan struct{}
@@ -197,12 +198,14 @@ func (co *coordinator) handle(from int, f frame) {
 			co.fail(err)
 		}
 	case msgDone:
-		m, err := decodeDone(f.body)
+		co.mu.Lock()
+		m, err := decodeDone(f.body, co.doneSeqs)
 		if err != nil {
+			co.mu.Unlock()
 			co.fail(err)
 			return
 		}
-		co.mu.Lock()
+		co.doneSeqs = m.Seqs
 		for _, s := range m.Seqs {
 			if s >= 0 && s < len(co.completed) && !co.completed[s] {
 				co.completed[s] = true
@@ -224,10 +227,12 @@ func (co *coordinator) handle(from int, f frame) {
 			co.accSeen[k] = true
 		}
 		co.mu.Unlock()
-		if apply {
-			if err := co.store.AccOrdered(m.Name, m.Key, m.Tile, m.Scale, m.Tag, m.Lo, m.Hi); err != nil {
-				co.fail(err)
-			}
+		// The tile is pooled (decodeAccOrdered): the store gives it back
+		// once its block is folded, and a replay goes back here.
+		if !apply {
+			tensor.PutTile4(m.Tile)
+		} else if err := co.store.AccOrdered(m.Name, m.Key, m.Tile, m.Scale, m.Tag, m.Lo, m.Hi); err != nil {
+			co.fail(err)
 		}
 		co.mu.Lock()
 		co.accRecvd[from]++ // post-apply: the flush barrier counts on it

@@ -47,7 +47,9 @@ const (
 	// input block crosses to a rank once, and later activations name it.
 	// Version 6 dropped the GET and NXTVAL requests and their replies.
 	// Version 7 dropped the ack-suppress bit: every data frame is acked.
-	wireVersion = 7
+	// Version 8 sends a done batch's sequence numbers as 32 bits, so a
+	// full batch fits a pooled frame head.
+	wireVersion = 8
 
 	frameHeaderLen = 2 + 1 + 1 + 8 + 4
 	// maxBody caps a frame body: the largest legitimate payload is one
@@ -110,7 +112,8 @@ func newFrame(typ byte, bodyLen int) []byte {
 	return dst
 }
 
-// headCap is the capacity of a pooled frame head. Heads are pooled by
+// headCap is the capacity of a pooled frame head: the allocator's size
+// class that a full done batch (doneFrameLen) fits. Heads are pooled by
 // size alone. In a job the frames that fit are the payload-free ones:
 // tag-only activations, the heads of activations whose tile goes by
 // reference, done batches, control frames. A frame that copies a
@@ -119,9 +122,14 @@ func newFrame(typ byte, bodyLen int) []byte {
 // refilled with those would hold the in-flight peak (DESIGN.md
 // "Decided against"). The list itself never holds more than
 // maxFreeHeads heads.
-const headCap = 256
+const headCap = 288
 
-// maxFreeHeads bounds the free list of heads (256 KB).
+// doneFrameLen is a full done batch on the wire; a head must hold it.
+const doneFrameLen = frameHeaderLen + 4 + 4*doneBatch
+
+var _ [headCap - doneFrameLen]struct{} // compile-time: doneFrameLen <= headCap
+
+// maxFreeHeads bounds the free list of heads (288 KB).
 const maxFreeHeads = 1024
 
 // heads is the process's free list of frame heads. A channel returns a
@@ -795,22 +803,26 @@ func decodeActivate(b []byte) (activateMsg, error) {
 }
 
 // doneMsg reports a batch of completed instance sequence numbers to the
-// coordinator's termination bitset.
+// coordinator's termination bitset. A sequence number is 32 bits on the
+// wire, as in a trace span.
 type doneMsg struct{ Seqs []int }
 
 func (m doneMsg) encode() []byte {
-	dst := appendU32(newFrame(msgDone, 4+8*len(m.Seqs)), uint32(len(m.Seqs)))
+	dst := appendU32(newFrame(msgDone, 4+4*len(m.Seqs)), uint32(len(m.Seqs)))
 	for _, s := range m.Seqs {
-		dst = appendI64(dst, int64(s))
+		dst = appendU32(dst, uint32(s))
 	}
 	return dst
 }
 
-func decodeDone(b []byte) (doneMsg, error) {
+// decodeDone decodes a done batch into seqs' storage, growing it only
+// when the batch is longer than it holds; pass nil for a fresh slice.
+func decodeDone(b []byte, seqs []int) (doneMsg, error) {
 	c := &cursor{buf: b}
-	m := doneMsg{Seqs: make([]int, c.count(8))}
+	n := c.count(4)
+	m := doneMsg{Seqs: slices.Grow(seqs[:0], n)[:n]}
 	for i := range m.Seqs {
-		m.Seqs[i] = c.int()
+		m.Seqs[i] = int(c.u32())
 	}
 	return m, c.done()
 }
@@ -828,7 +840,9 @@ func decodeFlushAck(b []byte) (flushAckMsg, error) {
 	return flushAckMsg{Accs: c.i64()}, c.done()
 }
 
-// accOrderedMsg ships one ordered accumulation to the GA server.
+// accOrderedMsg ships one ordered accumulation to the GA server. The
+// decoded tile is pooled: the GA server's store gives it back once its
+// block is folded.
 type accOrderedMsg struct {
 	Name        string
 	Key         tensor.BlockKey
@@ -863,11 +877,12 @@ func decodeAccOrdered(b []byte) (accOrderedMsg, error) {
 	m.Lo = c.int()
 	m.Hi = c.int()
 	m.Scale = c.f64()
-	p := decodePayload(c, false)
+	p := decodePayload(c, true)
+	t, ok := p.(*tensor.Tile4)
 	if err := c.done(); err != nil {
+		tensor.PutTile4(t)
 		return m, err
 	}
-	t, ok := p.(*tensor.Tile4)
 	if !ok {
 		return m, errors.New("netrun: AccOrdered payload is not a tile")
 	}

@@ -173,7 +173,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	// A v3 peer, which still speaks the inter-rank steal messages, is told
 	// which version it speaks and which this build does.
 	_, _, err := decodeFrame(corrupt(func(b []byte) { b[2] = 3 }))
-	if want := "netrun: unsupported protocol version 3 (this build speaks 7)"; err == nil || err.Error() != want {
+	if want := "netrun: unsupported protocol version 3 (this build speaks 8)"; err == nil || err.Error() != want {
 		t.Errorf("v3 frame: got %v, want %q", err, want)
 	}
 
@@ -345,12 +345,23 @@ func TestMessageRoundTrips(t *testing.T) {
 		for i := range full {
 			full[i] = 3 * i
 		}
-		for _, seqs := range [][]int{{7}, {0, 5, 1 << 40, 3}, full} {
+		reused := make([]int, 2, doneBatch)
+		for _, seqs := range [][]int{{7}, {0, 5, math.MaxUint32, 3}, full} {
 			m := doneMsg{Seqs: seqs}
-			roundTrip(t, "done", m, msgDone, m.encode(), decodeDone)
+			roundTrip(t, "done", m, msgDone, m.encode(), func(b []byte) (doneMsg, error) { return decodeDone(b, nil) })
+			roundTrip(t, "done into a reused slice", m, msgDone, m.encode(), func(b []byte) (doneMsg, error) { return decodeDone(b, reused) })
 		}
-		// Empty batch decodes to an empty (non-nil) slice.
-		out, err := decodeDone(doneMsg{}.encode()[frameHeaderLen:])
+		// A full batch fits a pooled head and decodes into the reused
+		// slice's storage.
+		if f := (doneMsg{Seqs: full}).encode(); cap(f) != headCap {
+			t.Errorf("a full done batch of %d bytes was built in a buffer of capacity %d, not a pooled head", len(f), cap(f))
+		}
+		out, err := decodeDone(doneMsg{Seqs: full}.encode()[frameHeaderLen:], reused)
+		if err != nil || &out.Seqs[0] != &reused[:1][0] {
+			t.Errorf("full done batch decoded into fresh storage (%v)", err)
+		}
+		// An empty batch decodes to an empty slice.
+		out, err = decodeDone(doneMsg{}.encode()[frameHeaderLen:], reused)
 		if err != nil || len(out.Seqs) != 0 {
 			t.Fatalf("empty done: %+v, %v", out, err)
 		}
@@ -438,7 +449,7 @@ func TestMessageRoundTrips(t *testing.T) {
 // attempting the implied allocation.
 func TestDecodersRejectHugeCounts(t *testing.T) {
 	huge := appendU32(nil, math.MaxUint32)
-	if _, err := decodeDone(huge); err == nil {
+	if _, err := decodeDone(huge, nil); err == nil {
 		t.Error("done: huge count decoded cleanly")
 	}
 	if _, err := decodeAck(huge, nil); err == nil {
@@ -492,7 +503,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	v4 := append([]byte(nil), sealFrame(full, 13)...)
 	v4[2] = 4
 	f.Add(v4)
-	f.Add(sealFrame(doneMsg{Seqs: []int{1, 2, 1 << 40}}.encode(), 4))
+	// A done batch, and the same batch from a v7 peer, whose sequence
+	// numbers were 64 bits: only the version byte keeps it out.
+	f.Add(sealFrame(doneMsg{Seqs: []int{1, 2, math.MaxUint32}}.encode(), 4))
+	v7 := appendU32(nil, 3)
+	for _, s := range []int64{1, 2, 1 << 40} {
+		v7 = appendI64(v7, s)
+	}
+	v7 = rawFrame(msgDone, 4, v7)
+	v7[2] = 7
+	f.Add(v7)
 	// A v3 peer's steal request, its ack-suppress bit set. Type 13 is
 	// msgShutdown since v6: only the version byte keeps it from the
 	// shutdown handler.
@@ -558,7 +578,7 @@ func decodeBody(fr frame) {
 	case msgActivate:
 		_, _ = decodeActivate(fr.body)
 	case msgDone:
-		_, _ = decodeDone(fr.body)
+		_, _ = decodeDone(fr.body, nil)
 	case msgAccOrdered:
 		_, _ = decodeAccOrdered(fr.body)
 	case msgTakeover:

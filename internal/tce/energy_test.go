@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -143,6 +144,10 @@ func TestEnergyFoldMatchesEnergy(t *testing.T) {
 					missing = order[len(order)/2]
 				}
 				f := w.NewEnergyFold()
+				put := make([]*tensor.Tile4, len(out)) // the fold owns these
+				for i := range put {
+					put[i] = tiles[i].Clone()
+				}
 				var wg sync.WaitGroup
 				for g := 0; g < 4; g++ {
 					wg.Add(1)
@@ -150,12 +155,18 @@ func TestEnergyFoldMatchesEnergy(t *testing.T) {
 						defer wg.Done()
 						for n := g; n < len(order); n += 4 {
 							if i := order[n]; i != missing {
-								f.Put(out[i].Key, tiles[i])
+								f.Put(out[i].Key, put[i])
 							}
 						}
 					}(g)
 				}
 				wg.Wait()
+				// A folded tile went back to the pool, which empties it.
+				for r, pos := range w.outByKey {
+					if folded := missing < 0 || r < slices.Index(w.outByKey, int32(missing)); folded != (put[pos].Data == nil) {
+						t.Fatalf("%s seed %d round %d: block %d in key order folded %v, given back %v", name, seed, round, r, folded, put[pos].Data == nil)
+					}
+				}
 				got, err := f.Energy()
 				if missing >= 0 {
 					if err == nil || !strings.Contains(err.Error(), out[missing].String()) {
@@ -187,7 +198,10 @@ func TestEnergyFoldRechecksAfterRelease(t *testing.T) {
 	a, b := w.Materialize()
 	c := w.RunReference(a, b)
 	out := w.UniqueBlocks(TensorC)
-	put := func(f *EnergyFold, rank int) { f.Put(out[w.outByKey[rank]].Key, c.MustTile(out[w.outByKey[rank]].Key)) }
+	put := func(f *EnergyFold, rank int) {
+		key := out[w.outByKey[rank]].Key
+		f.Put(key, c.MustTile(key).Clone()) // the fold pools what it folds
+	}
 
 	f := w.NewEnergyFold()
 	f.beforeRelease = func() {

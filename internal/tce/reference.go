@@ -124,6 +124,11 @@ func (w *Workload) foldBlock(sum float64, ref *BlockRef, t *tensor.Tile4) float6
 // (the zero sign is all that separates an adopted contribution from
 // 0 + 1·x) fold to the same bits: round to nearest never makes such a
 // sum −0, and sum + (±0) is sum.
+//
+// The fold owns the tiles it is handed: each goes back to the tile pool
+// (tensor.PutTile4) once folded. A tile still waiting for the blocks
+// before it when the fold is dropped — a run that failed part-way — is
+// left to the collector.
 type EnergyFold struct {
 	w     *Workload
 	tiles []atomic.Pointer[tensor.Tile4] // by rank in key order; cleared once folded
@@ -146,11 +151,12 @@ func (w *Workload) NewEnergyFold() *EnergyFold {
 	return &EnergyFold{w: w, tiles: make([]atomic.Pointer[tensor.Tile4], len(w.outByKey))}
 }
 
-// Put hands the fold output block key's final tile, which must not change
-// afterwards. It folds every block that is now next in key order, unless
-// another Put is folding: that one looks again after it lets go, so a
-// block left ready is never missed. Putting a block twice, or one the
-// workload does not write, panics.
+// Put hands the fold output block key's final tile, which the fold then
+// owns: it goes back to the tile pool once folded, so the caller must not
+// touch it after the call. Put folds every block that is now next in key
+// order, unless another Put is folding: that one looks again after it
+// lets go, so a block left ready is never missed. Putting a block twice,
+// or one the workload does not write, panics.
 func (f *EnergyFold) Put(key tensor.BlockKey, t *tensor.Tile4) {
 	out := f.w.uniq[TensorC]
 	r := sort.Search(len(f.w.outByKey), func(r int) bool { return !out[f.w.outByKey[r]].Key.Less(key) })
@@ -172,6 +178,7 @@ func (f *EnergyFold) Put(key tensor.BlockKey, t *tensor.Tile4) {
 			}
 			f.sum = f.w.foldBlock(f.sum, &out[f.w.outByKey[n]], t)
 			f.tiles[n].Store(nil)
+			tensor.PutTile4(t)
 			n++
 			f.next.Store(int32(n))
 		}
