@@ -673,11 +673,18 @@ func (b *builder) buildWrite() {
 				}
 			}
 		} else {
+			// A whole-tile contribution hands src to the store (ga.API),
+			// so the body clears its In slot: an executor that owns the
+			// tile's storage must not return it again.
 			tc.Body = func(ctx *ptg.Ctx) {
 				key := b.ps[ctx.Args[0]].meta.Out.Key
 				for fi, in := range ctx.In {
 					if t, ok := in.(*tensor.Tile4); ok {
-						ctx.Fail(store.AccOrdered(tce.TensorC, key, t, 1, ctx.Seq*len(ctx.In)+fi, 0, t.Len()))
+						if err := store.AccOrdered(tce.TensorC, key, t, 1, ctx.Seq*len(ctx.In)+fi, 0, t.Len()); err != nil {
+							ctx.Fail(err)
+						} else {
+							ctx.In[fi] = nil
+						}
 					}
 				}
 			}

@@ -72,9 +72,11 @@ type API interface {
 	// the implementation's to say: Store keeps the src of a counted
 	// array's contribution from the call until its block is folded and
 	// then gives it back to the tile pool (Store.AccOrdered); a remote
-	// implementation copies it at the call and keeps nothing. Either way
-	// the caller must not change src after the call, nor use it once the
-	// store may have given it back.
+	// implementation copies it at the call, gives a whole-tile
+	// contribution's src, [0, Len), back to the tile pool at once, and
+	// leaves a partial one's — which the WRITEs of a spanning block
+	// share — with the caller. Either way the caller must not change src
+	// after the call, nor use it once the store may have given it back.
 	AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, tag, lo, hi int) error
 }
 

@@ -50,6 +50,11 @@ type Lazy struct {
 	blocks []lazyBlock
 	mem    *lazyMem
 	retire bool
+	// carved is the storage Reserve laid out, indexed by block number:
+	// a reserved block's tile, or one with nil Data. It is a pointer so
+	// that the arrays CreateLazy makes, which never reserve, keep their
+	// size.
+	carved *[]tensor.Tile4
 }
 
 // lazyBlock is the per-execution state of one block.
@@ -113,6 +118,18 @@ func (m *lazyMem) take(dim [4]int, l tensor.Layout) *tensor.Tile4 {
 		t = tensor.NewTile4Layout(dim, l)
 	}
 	return t
+}
+
+// charge accounts a block made resident in a tile that did not come
+// through take — a reserved one about to fill (fill set), or an adopted
+// one.
+func (m *lazyMem) charge(t *tensor.Tile4, fill bool) {
+	m.mu.Lock()
+	if fill {
+		m.stats.Fills++
+	}
+	m.chargeLocked(tileBytes(t))
+	m.mu.Unlock()
 }
 
 // pick removes from list and returns its last tile with extents dim in
@@ -186,9 +203,55 @@ func (m *lazyMem) give(t *tensor.Tile4) {
 // is a rank's input replica in the distributed runtime. An heir may
 // re-execute a READ or a GEMM, and a block may become resident by
 // adoption (Adopt) rather than by a local READ, so rank-local use counts
-// mean nothing there.
+// mean nothing there. A block fills into its own heap tile unless
+// Reserve laid its storage out beforehand.
 func NewLazy(src LazySource) *Lazy {
 	return &Lazy{src: src, blocks: make([]lazyBlock, src.NumBlocks()), mem: &lazyMem{}}
+}
+
+// Reserve lays out, in one allocation of elements and one of tile
+// headers, the storage of every block i with want[i] set — its
+// Layout(i).Len(Dims(i)) elements, a panel's padding included — so
+// that the first Access of such a block fills its carved tile and
+// allocates nothing. A block adopted before its first Access keeps the
+// adopted tile, and a block not reserved fills into a tile of its own
+// as before. The carved tiles belong to the array: they must never go
+// to the tile pool. Reserve is for a never-retiring array (NewLazy),
+// once, before any other method is called; want has NumBlocks entries.
+func (l *Lazy) Reserve(want []bool) {
+	if l.retire || l.carved != nil {
+		panic("ga: Reserve on a retiring array, or a second time")
+	}
+	n := 0
+	for i, w := range want {
+		if w {
+			n += l.src.Layout(i).Len(l.src.Dims(i))
+		}
+	}
+	data := make([]float64, n)
+	tiles := make([]tensor.Tile4, len(l.blocks))
+	for i, w := range want {
+		if !w {
+			continue
+		}
+		t := &tiles[i]
+		t.Dim, t.Layout = l.src.Dims(i), l.src.Layout(i)
+		size := t.Layout.Len(t.Dim)
+		t.Data, data = data[:size:size], data[size:]
+	}
+	l.carved = &tiles
+}
+
+// reserved returns block i's carved tile, or nil if Reserve did not lay
+// one out.
+func (l *Lazy) reserved(i int) *tensor.Tile4 {
+	if l.carved == nil {
+		return nil
+	}
+	if t := &(*l.carved)[i]; t.Data != nil {
+		return t
+	}
+	return nil
 }
 
 // CreateLazy registers a lazily filled, reference-counted input array:
@@ -272,13 +335,15 @@ func (l *Lazy) Adopt(i int, t *tensor.Tile4) (tile *tensor.Tile4, resident bool)
 	if r := b.tile.Load(); r != nil {
 		return r, true
 	}
-	if t == nil {
-		t = l.mem.take(l.src.Dims(i), l.src.Layout(i))
-		l.src.Fill(i, t)
+	if t != nil {
+		l.mem.charge(t, false)
 	} else {
-		l.mem.mu.Lock()
-		l.mem.chargeLocked(tileBytes(t))
-		l.mem.mu.Unlock()
+		if t = l.reserved(i); t != nil {
+			l.mem.charge(t, true)
+		} else {
+			t = l.mem.take(l.src.Dims(i), l.src.Layout(i))
+		}
+		l.src.Fill(i, t)
 	}
 	b.tile.Store(t)
 	return t, false

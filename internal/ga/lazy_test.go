@@ -499,3 +499,93 @@ func TestStoreResetKeepsOneRun(t *testing.T) {
 		t.Errorf("after a run of %d MiB tiles the store keeps %d of them, want %d", large.n, got, keptBytes/mib)
 	}
 }
+
+// TestLazyReserveCarvesStorage walks a never-retiring array whose
+// storage Reserve laid out, over blocks in row-major and both panel
+// layouts: the first Access of a reserved block fills its carved tile
+// and allocates nothing, every block still reads its own data, and the
+// accounting counts a carved fill as a fill with its padded bytes
+// charged but nothing allocated. A reserved block adopted before its
+// first Access keeps the adopted tile, a block nobody reserved still
+// fills into a tile of its own, and concurrent first Accesses of a
+// reserved block fill its carved tile once.
+func TestLazyReserveCarvesStorage(t *testing.T) {
+	layouts := []tensor.Layout{{}, {Kind: tensor.PanelA, Strip: 8}, {Kind: tensor.PanelB, Strip: 16}}
+	const n, unreserved = 24, 3 // the last three blocks, one of each layout
+	src := newTestSource(n, 1)
+	src.layout = func(i int) tensor.Layout { return layouts[i%3] }
+	src.dims = func(i int) [4]int { return [4]int{3, 1 + i%4, 2, 5} }
+	want := make([]bool, n)
+	var bytes int64
+	for i := range want {
+		want[i] = i < n-unreserved
+		bytes += int64(src.Layout(i).Len(src.Dims(i))) * 8
+	}
+	l := NewLazy(src)
+	l.Reserve(want)
+
+	const adoptedBlock = 1
+	adopted := tensor.NewTile4Layout(src.Dims(adoptedBlock), src.Layout(adoptedBlock))
+	adopted.FillRandom(1000+adoptedBlock, 1)
+	if got, resident := l.Adopt(adoptedBlock, adopted); resident || got != adopted {
+		t.Fatal("Adopt of a reserved, absent block did not take the tile handed in")
+	}
+	next := 0
+	firstAccess := func() {
+		if next == adoptedBlock {
+			next++
+		}
+		l.Access(next)
+		next++
+	}
+	if raceEnabled {
+		for next < n-unreserved {
+			firstAccess()
+		}
+	} else if a := testing.AllocsPerRun(n-unreserved-2, firstAccess); a != 0 {
+		t.Errorf("%v allocations per first Access of a reserved block, want 0", a)
+	}
+	if next != n-unreserved {
+		t.Fatalf("accessed %d blocks, want every reserved one", next)
+	}
+	for i := 0; i < n; i++ {
+		checkBlock(t, src, i, l.Access(i))
+		want := int32(1)
+		if i == adoptedBlock {
+			want = 0
+		}
+		if fills := src.fills[i].Load(); fills != want {
+			t.Errorf("block %d filled %d times, want %d", i, fills, want)
+		}
+	}
+	if l.Access(adoptedBlock) != adopted {
+		t.Error("a reserved block lost the tile it adopted")
+	}
+	if st := l.mem.stats; st.Fills != n-1 || st.Allocated != unreserved || st.ResidentBytes != bytes || st.PeakBytes != bytes {
+		t.Errorf("stats %+v: want %d fills, %d tiles allocated (the unreserved blocks), %d B resident",
+			st, n-1, unreserved, bytes)
+	}
+
+	src = newTestSource(1, 1)
+	src.slow = 2 * time.Millisecond
+	l = NewLazy(src)
+	l.Reserve([]bool{true})
+	tiles := make([]*tensor.Tile4, 8)
+	var wg sync.WaitGroup
+	for g := range tiles {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tiles[g] = l.Access(0)
+		}(g)
+	}
+	wg.Wait()
+	for g := range tiles {
+		if tiles[g] != &(*l.carved)[0] {
+			t.Fatalf("reader %d did not get the carved tile", g)
+		}
+	}
+	if fills := src.fills[0].Load(); fills != 1 {
+		t.Errorf("a reserved block filled %d times under %d concurrent first accesses, want 1", fills, len(tiles))
+	}
+}

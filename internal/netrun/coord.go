@@ -139,13 +139,15 @@ func (co *coordinator) noteGone(r int) {
 }
 
 // probe runs when a rank's inbound connection closes before the rank
-// has reported: it dials the rank's listener once. A refused dial means
-// the rank's process is gone. Its channels would learn that only by a
+// has reported: it dials the rank's listener. A refused dial means the
+// rank's process is gone. Its channels would learn that only by a
 // redial, and they redial only while they owe the rank frames, so
 // without this a run whose Recover is off would wait for the dead
 // rank's work until its deadline. The rank is noted gone, with Recover
 // or without, and without Recover the run fails. A dial that connects
-// finds the rank alive (its link was only cut), and is closed.
+// finds the rank alive (its link was only cut) unless the connection is
+// reset or closed at once (resetSoon): then the rank's process is being
+// killed, and the probe dials again.
 func (co *coordinator) probe(r int) {
 	co.mu.Lock()
 	addr, registered := co.addrs[r]
@@ -154,18 +156,39 @@ func (co *coordinator) probe(r int) {
 	if !registered || reported {
 		return
 	}
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err == nil {
-		conn.Close()
-		return
+	for dials := 0; dials < 3; dials++ {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if errors.Is(err, syscall.ECONNREFUSED) {
+			co.noteGone(r)
+			if !co.cfg.Recover {
+				co.fail(fmt.Errorf("netrun: coordinator: %s %s is gone: %w", rankName(r), addr, err))
+			}
+			return
+		}
+		if err != nil || !resetSoon(conn) {
+			return
+		}
 	}
-	if !errors.Is(err, syscall.ECONNREFUSED) {
-		return
-	}
-	co.noteGone(r)
-	if !co.cfg.Recover {
-		co.fail(fmt.Errorf("netrun: coordinator: %s %s is gone: %w", rankName(r), addr, err))
-	}
+}
+
+// probeWait is how long a probe's connection must stay quiet for the
+// rank to count as alive.
+const probeWait = 4 * heartbeat
+
+// resetSoon reports whether conn, a probe's connection to a rank's
+// listener, is reset or closed within probeWait, and closes it. A
+// killed process closes its sockets one by one, so its listener may
+// still complete the probe's handshake after the connection that
+// started the probe has closed; closing the listener then resets the
+// connections it never accepted, within a few milliseconds of the kill
+// (TestKilledRankFailsRunWithoutRecover). A live rank waits for a hello
+// on the connection and sends nothing.
+func resetSoon(conn net.Conn) bool {
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(probeWait))
+	_, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	return err != nil && !(errors.As(err, &ne) && ne.Timeout())
 }
 
 // noteSeen timestamps any inbound frame from a rank — the liveness

@@ -58,17 +58,20 @@ func TestRegisterValidatesRank(t *testing.T) {
 // with the listener gone the rank is noted gone, and the run fails
 // naming it, unless Recover is on, which leaves the rank to the death
 // timeout; with the listener still there the rank is alive, and nothing
-// changes.
+// changes. A listener that takes the probe's connection and then closes
+// with it, as a process being killed does, leaves the rank gone.
 func TestCoordinatorProbesClosedRank(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		recover, listener bool
+		dying             bool
 		gone              bool
 		want              string
 	}{
-		{"gone", false, false, true, "netrun: coordinator: rank 0 "},
-		{"gone under Recover", true, false, true, "ranks registered before deadline"},
-		{"alive", false, true, false, "ranks registered before deadline"},
+		{"gone", false, false, false, true, "netrun: coordinator: rank 0 "},
+		{"gone under Recover", true, false, false, true, "ranks registered before deadline"},
+		{"alive", false, true, false, false, "ranks registered before deadline"},
+		{"dying", false, true, true, true, "netrun: coordinator: rank 0 "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := Config{Ranks: 2, Recover: tc.recover, Deadline: 500 * time.Millisecond}.withDefaults()
@@ -98,6 +101,14 @@ func TestCoordinatorProbesClosedRank(t *testing.T) {
 			}
 			if !tc.listener {
 				ln.Close()
+			}
+			if tc.dying {
+				go func() {
+					if c, err := ln.Accept(); err == nil {
+						ln.Close()
+						c.Close()
+					}
+				}()
 			}
 			conn.Close()
 			_, err = co.wait()

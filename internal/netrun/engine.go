@@ -267,11 +267,17 @@ func soleDelivery(dels []ptg.Delivery, out []any, d ptg.Delivery) bool {
 // task that arrived off the wire (wired is its marks word's flow bits),
 // unless the task handed the tile on: a tile that one of the deliveries
 // carries now belongs to that consumer — or, sent by reference, is on
-// loan to a channel. A body that released an input itself has cleared
-// its In slot (ptg.Ctx), which is how a tile is never returned twice.
+// loan to a channel. A body that released an input itself — a WRITE
+// whose AccOrdered gave the tile back, say — has cleared its In slot
+// (ptg.Ctx), which is how a tile is never returned twice; it counts as
+// returned.
 func (e *engine) returnWired(in *ptg.Instance, wired uint32, dels []ptg.Delivery, out []any) {
 	for fi := range in.In {
 		if wired&(1<<uint(fi)) == 0 {
+			continue
+		}
+		if in.In[fi] == nil {
+			e.tp.counters.tilesReturned.Add(1)
 			continue
 		}
 		t, _ := in.In[fi].(*tensor.Tile4)

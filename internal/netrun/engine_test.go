@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -175,7 +176,8 @@ func TestTakeoverValidatesRanks(t *testing.T) {
 
 // TestWireTileReleasedByBody is the one way a consumer other than the
 // engine gives a wire-delivered tile back: its body returns the tile and
-// clears the In slot, and the engine then leaves it alone.
+// clears the In slot, and the engine then leaves it alone and counts it
+// as returned.
 func TestWireTileReleasedByBody(t *testing.T) {
 	e := rankOne(t)
 	mid := e.tr.Instance(ptg.TaskRef{Class: "MID", Args: ptg.A1(0)})
@@ -191,8 +193,8 @@ func TestWireTileReleasedByBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := e.tp.counters
-	if c.tilesReturned.Load() != 0 || c.tilesPassedOn.Load() != 2 {
-		t.Errorf("returned %d, passed on %d; want 0 and 2 (X forwarded, Y released by the body)",
+	if c.tilesReturned.Load() != 1 || c.tilesPassedOn.Load() != 1 {
+		t.Errorf("returned %d, passed on %d; want 1 and 1 (Y released by the body, X forwarded)",
 			c.tilesReturned.Load(), c.tilesPassedOn.Load())
 	}
 }
@@ -222,6 +224,7 @@ func ccsdRank(t *testing.T, plan *ccsd.CompiledPlan) *worker {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.gac.reserve(tr, 1)
 	w.eng = newEngine(cfg, 1, tp, tr)
 	w.eng.gac = w.gac
 	tp.fail = w.eng.fail
@@ -320,5 +323,123 @@ func TestTaggedActivationValidates(t *testing.T) {
 				t.Error("the refused frame made its block resident")
 			}
 		})
+	}
+}
+
+// TestReplicaReservesOwnReads lays out each rank's replica of the
+// benchmark's two-rank job as runWorker does, before anything reads it.
+// No block is read on both ranks — a READ runs on its block's owner —
+// and the first Access of each block a rank's own READs read allocates
+// nothing and returns the block's data, in whatever layout the kernel
+// tier gives it. A block the other rank reads is not reserved: it
+// allocates its own tile if it is ever filled here.
+func TestReplicaReservesOwnReads(t *testing.T) {
+	plan, err := benzeneShaped.plan(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type block struct {
+		name string
+		i    int
+	}
+	owner := make(map[block]int)
+	for rank := 0; rank < 2; rank++ {
+		gac := newGAClient(nil, plan.Workload)
+		gac.readBlock = plan.ReadBlock
+		tr, err := ptg.NewTracker(plan.NewGraph(gac))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gac.reserve(tr, rank)
+		var own []block
+		foreign := make(map[block]bool)
+		for _, in := range tr.Instances() {
+			name, i, ok := plan.ReadBlock(in.Ref)
+			if !ok {
+				continue
+			}
+			b := block{name, i}
+			if in.Node != rank {
+				foreign[b] = true
+				continue
+			}
+			if r, seen := owner[b]; !seen {
+				owner[b] = rank
+				own = append(own, b)
+			} else if r != rank {
+				t.Fatalf("block %d of %s is read on ranks %d and %d", i, name, r, rank)
+			}
+		}
+		if len(own) < 2 {
+			t.Fatalf("rank %d reads %d blocks", rank, len(own))
+		}
+		next := 0
+		firstAccess := func() {
+			gac.Lazy(own[next].name).Access(own[next].i)
+			next++
+		}
+		if raceEnabled {
+			for next < len(own) {
+				firstAccess()
+			}
+		} else if a := testing.AllocsPerRun(len(own)-1, firstAccess); a != 0 {
+			t.Errorf("rank %d: %v allocations per first Access of a block its READs read, want 0", rank, a)
+		}
+		others := make([]block, 0, len(foreign))
+		for b := range foreign {
+			others = append(others, b)
+		}
+		next = 0
+		foreignAccess := func() {
+			gac.Lazy(others[next].name).Access(others[next].i)
+			next++
+		}
+		if len(others) < 2 {
+			t.Fatalf("rank %d: %d blocks read only on the other rank", rank, len(others))
+		} else if !raceEnabled {
+			if a := testing.AllocsPerRun(len(others)-1, foreignAccess); a < 1 {
+				t.Errorf("rank %d: %v allocations per first Access of a block the other rank reads; it was reserved here", rank, a)
+			}
+		}
+		for _, b := range own {
+			src := gac.Lazy(b.name).Source()
+			want := tensor.NewTile4Layout(src.Dims(b.i), src.Layout(b.i))
+			src.Fill(b.i, want)
+			if got := gac.Lazy(b.name).Access(b.i); got.Layout != want.Layout || !slices.Equal(got.Data, want.Data) {
+				t.Fatalf("rank %d: block %d of %s does not read its data", rank, b.i, b.name)
+			}
+		}
+		t.Logf("rank %d: %d blocks reserved, the first in a %v tile", rank, len(own), gac.Lazy(own[0].name).Access(own[0].i).Layout)
+	}
+}
+
+// TestAccOrderedGivesBackWholeTiles: a rank's GA client copies a
+// contribution into its frame, then gives a whole-tile one's src back to
+// the tile pool — a SORT output that one WRITE ships — and leaves a
+// partial one's, which the WRITEs of a spanning block share, with the
+// caller.
+func TestAccOrderedGivesBackWholeTiles(t *testing.T) {
+	plan, err := JobSpec{Preset: "water", Variant: "v5"}.plan(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ccsdRank(t, plan)
+	key := tensor.BlockKey{0, 0, 0, 0}
+	part := tensor.GetTile4(2, 2, 2, 2)
+	if err := w.gac.AccOrdered("C", key, part, 1, 0, 0, part.Len()/2); err != nil {
+		t.Fatal(err)
+	}
+	if part.Data == nil {
+		t.Error("a partial contribution's tile went back to the pool")
+	}
+	whole := tensor.GetTile4(2, 2, 2, 2)
+	if err := w.gac.AccOrdered("C", key, whole, 1, 1, 0, whole.Len()); err != nil {
+		t.Fatal(err)
+	}
+	if whole.Data != nil {
+		t.Error("a whole-tile contribution's tile was not given back")
+	}
+	if n := w.tp.counters.accOps.Load(); n != 2 {
+		t.Errorf("%d accumulations sent, want 2", n)
 	}
 }

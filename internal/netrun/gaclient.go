@@ -25,6 +25,15 @@ import (
 // still crosses the wire, as the paper's READ ships it to the GEMM, but
 // never twice to one rank. Accumulations go to the GA server process,
 // which serves nothing else.
+//
+// The replica's storage is laid out once per job (reserve): READs run
+// on their block's owner, so the rank's own READ instances name exactly
+// the blocks it will fill, and those get one allocation per tensor,
+// carved into tiles that their first access fills. The tiles adopted
+// off the wire are pooled ones and go back to the pool when the rank
+// exits (release); the carved tiles never do. A block nothing reserved
+// — one an heir's re-executed READ or a tag-only refill fills — gets a
+// tile of its own.
 type gaClient struct {
 	tp *transport
 
@@ -52,6 +61,27 @@ func newGAClient(tp *transport, w *tce.Workload) *gaClient {
 	return &gaClient{
 		tp:       tp,
 		replicas: map[string]*ga.Lazy{a.Name: ga.NewLazy(a), b.Name: ga.NewLazy(b)},
+	}
+}
+
+// reserve lays out the replicas' storage for the blocks this rank's own
+// READs fill (ga.Lazy.Reserve): its READ instances in tr, by
+// readBlock. Call it before anything reads the replicas.
+func (c *gaClient) reserve(tr *ptg.Tracker, rank int) {
+	want := make(map[string][]bool, len(c.replicas))
+	for name, l := range c.replicas {
+		want[name] = make([]bool, l.Source().NumBlocks())
+	}
+	for _, in := range tr.Instances() {
+		if in.Node != rank {
+			continue
+		}
+		if name, i, ok := c.readBlock(in.Ref); ok {
+			want[name][i] = true
+		}
+	}
+	for name, l := range c.replicas {
+		l.Reserve(want[name])
 	}
 }
 
@@ -93,8 +123,11 @@ func (c *gaClient) Access(name string, key tensor.BlockKey) *tensor.Tile4 {
 func (c *gaClient) Release(string, tensor.BlockKey) {}
 
 // AccOrdered ships one ordered accumulation to the GA server. The tile
-// is copied into its frame immediately, so the no-mutation-after-call
-// contract of ga.Store applies only until this returns.
+// is copied into its frame immediately. A contribution of the whole
+// tile, [0, Len), is its only use — a SORT output that one WRITE
+// accumulates — so src goes back to the tile pool once copied; the
+// caller clears its reference (ptg.Ctx's In slot). A partial one leaves
+// src with the caller: the WRITEs of a spanning block share it.
 func (c *gaClient) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile4, scale float64, tag, lo, hi int) error {
 	if lo < 0 || hi > src.Len() || lo > hi {
 		return fmt.Errorf("netrun: AccOrdered [%d,%d) of %d elements", lo, hi, src.Len())
@@ -106,5 +139,8 @@ func (c *gaClient) AccOrdered(name string, key tensor.BlockKey, src *tensor.Tile
 	c.tp.counters.accOps.Add(1)
 	c.tp.counters.accBytes.Add(int64(len(f) - frameHeaderLen))
 	c.tp.sendTo(coordRank, f)
+	if lo == 0 && hi == src.Len() {
+		tensor.PutTile4(src)
+	}
 	return nil
 }

@@ -68,6 +68,9 @@ func runWorker(cfg Config, rank int, coordAddr string, plan *ccsd.CompiledPlan, 
 		tp.close()
 		return err
 	}
+	if w.gac != nil {
+		w.gac.reserve(tr, rank)
+	}
 	w.eng = newEngine(cfg, rank, tp, tr)
 	w.eng.gac = w.gac
 	tp.fail = w.eng.fail
