@@ -89,10 +89,8 @@ tune:
 # blocks fill once on ga_access and retire on the last ga_release
 # (internal/ga), the resident set is the variant's read-ahead window
 # (internal/ccsd), and the streamed energy folds in the pinned order
-# (internal/tce). The DTD engine embeds the same executor with its own
-# completion logic (internal/dtd); like the other embedder seams its
-# tests run five times under the race detector. Execute runs on
-# execution contexts kept from job to job: a reset tracker, runner and
+# (internal/tce). Execute runs on execution contexts kept from job to
+# job: a reset tracker, runner and
 # store must hold what new ones hold (internal/ptg, internal/runtime,
 # internal/ga), and contexts shared by concurrent, canceled and failing
 # runs of several plans must carry nothing from one run to the next —
@@ -108,7 +106,6 @@ sched-conformance:
 	$(GO) test -race -run 'TestInputsFlowThroughGraph|TestCancelledRunLeaksNothing|TestWarmExecuteAllocatesAThird' ./internal/ccsd
 	$(GO) test -race -count=5 -run 'TestContextsCarryNothingBetweenRuns|TestRecycledTilesKeepEnergies' ./internal/ccsd
 	$(GO) test -race -run 'TestEnergyStreamsBitwise|TestEnergyDimsMismatchPanics|TestInputTablesMatchWorkload' ./internal/tce
-	$(GO) test -race -count=5 ./internal/dtd
 
 # Distributed-runtime conformance: wire-codec round-trips, the in-process
 # socket backends, the multi-process benzene acceptance run, and the

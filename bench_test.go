@@ -423,58 +423,6 @@ func BenchmarkTracker(b *testing.B) {
 	b.ReportMetric(float64(total), "tasks/graph")
 }
 
-// BenchmarkPTGvsDTD quantifies the contrast §VI draws between the two
-// programming models: the PTG's compact symbolic representation
-// (tracker instantiation from closures) versus Dynamic Task Discovery
-// building the whole dependency DAG in memory by matching data accesses.
-// Compare allocations and ns/op between the two sub-benchmarks.
-func BenchmarkPTGvsDTD(b *testing.B) {
-	w := tce.Inspect(tce.T2_7(molecule.Benzene631G()), nil)
-	spec, _ := ccsd.VariantByName("v1") // serial chains: same DAG shape as the DTD skeleton
-	b.Run("PTG-construct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g := ccsd.BuildGraph(w, spec, ccsd.Options{Nodes: 8})
-			if _, err := ptg.NewTracker(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("DTD-construct", func(b *testing.B) {
-		b.ReportAllocs()
-		var edges int
-		for i := 0; i < b.N; i++ {
-			e, _, err := ccsd.BuildDTD(w, spec, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			edges = e.NumEdges()
-		}
-		b.ReportMetric(float64(edges), "dag-edges")
-	})
-}
-
-// BenchmarkDTDExecution runs the kernel end to end through the DTD engine
-// with real arithmetic, for comparison with BenchmarkEnergyVariants.
-func BenchmarkDTDExecution(b *testing.B) {
-	w := tce.Inspect(tce.T2_7(molecule.Water631G()), nil)
-	ref := ccsd.ReferenceEnergy(w)
-	spec, _ := ccsd.VariantByName("v1")
-	for i := 0; i < b.N; i++ {
-		e, out, err := ccsd.BuildDTD(w, spec, true)
-		if err == nil {
-			err = e.Run(4)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		got := w.Energy(out)
-		if d := ccsd.EnergyRelDiff(got, ref); d > ccsd.EnergyTol {
-			b.Fatalf("energy drift: relative %g", d)
-		}
-	}
-}
-
 // BenchmarkAblationQueues probes the §IV-D intra-node scheduling choice:
 // one shared ready queue per node (PaRSEC's dynamic work stealing within
 // the node), statically pinned per-worker queues, and pinned queues with

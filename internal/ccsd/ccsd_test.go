@@ -311,56 +311,6 @@ func TestPriorityPipeline(t *testing.T) {
 	}
 }
 
-// TestDTDMatchesReference runs the kernel through the Dynamic Task
-// Discovery frontend (§VI's alternative model) and checks it reproduces
-// the reference energy, for both kernels.
-func TestDTDMatchesReference(t *testing.T) {
-	for _, k := range []string{"t2_7", "t1_2"} {
-		sys := molecule.Water631G()
-		kr, err := tce.KernelByName(k, sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := tce.Inspect(kr, nil)
-		ref := ReferenceEnergy(w)
-		v1, _ := VariantByName("v1")
-		e, out, err := BuildDTD(w, v1, true)
-		if err == nil {
-			err = e.Run(4)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", k, err)
-		}
-		got := w.Energy(out)
-		if d := EnergyRelDiff(got, ref); d > EnergyTol {
-			t.Errorf("%s: DTD energy %.15g vs reference %.15g", k, got, ref)
-		}
-	}
-}
-
-// TestDTDBuildsDAGInMemory verifies the structural contrast §VI draws:
-// the DTD engine materializes one edge per discovered dependency, while
-// the PTG needs none before execution.
-func TestDTDBuildsDAGInMemory(t *testing.T) {
-	w := waterWorkload()
-	v1, _ := VariantByName("v1")
-	e, _, err := BuildDTD(w, v1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := w.Stats()
-	// Each chain contributes: DFILL->GEMM0, GEMM i->i+1 (serial RW), and
-	// one edge per sort; GEMM input reads add no edges (blocks have no
-	// writer). So edges = gemms + sorts per chain arithmetic.
-	wantMin := st.Gemms // every GEMM depends on its predecessor or DFILL
-	if e.NumEdges() < wantMin {
-		t.Errorf("edges = %d, want >= %d", e.NumEdges(), wantMin)
-	}
-	if e.NumTasks() != st.Chains+st.Gemms+st.Sorts {
-		t.Errorf("tasks = %d, want %d", e.NumTasks(), st.Chains+st.Gemms+st.Sorts)
-	}
-}
-
 // TestPropertyVariantsMatchReferenceOnRandomSystems drives the whole
 // pipeline — tiling, symmetry filtering, inspection, graph construction,
 // parallel execution — on randomized orbital spaces and checks the §IV-A

@@ -17,9 +17,8 @@ import (
 // Hooks are the only points where an embedder's semantics enter the
 // Executor. Run supplies the whole-graph tracker and pending-token
 // termination; a netrun rank supplies its slice of a distributed graph
-// and a transport; the DTD engine supplies the DAG it discovered.
-// Everything about running ready instances on goroutines is the
-// executor's and is the same for all three.
+// and a transport. Everything about running ready instances on
+// goroutines is the executor's and is the same for both.
 type Hooks struct {
 	// Start claims a popped instance before its body runs; an error
 	// fails the run (the scheduler handed out something not ready).
@@ -115,8 +114,8 @@ type classCount struct {
 // randomized steal, worker lending, per-worker Ctx and scratch reuse,
 // and body failure capture. It knows nothing about where instances come
 // from or what completing one means — that is the embedder's Hooks —
-// so the same loop serves the whole-graph Run, each rank of the socket
-// runtime (internal/netrun) and the DTD engine (internal/dtd).
+// so the same loop serves the whole-graph Run and each rank of the
+// socket runtime (internal/netrun).
 type Executor struct {
 	cfg   Config
 	hooks Hooks

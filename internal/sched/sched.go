@@ -1,11 +1,11 @@
 // Package sched is the substrate-agnostic scheduling core shared by
 // every executor in the repo: the real worker loop (internal/runtime's
-// Executor, which also runs each internal/netrun rank), the distributed
-// discrete-event executor (internal/simexec), and the Dynamic Task
-// Discovery engine (internal/dtd). It holds the single copy of the decisions that make a
-// schedule: the ready-task ordering policy, the queue structure, the
-// total order ready tasks are popped in, steal-victim selection, and the
-// randomized probe stream work stealing draws from.
+// Executor, which also runs each internal/netrun rank) and the
+// distributed discrete-event executor (internal/simexec). It holds the
+// single copy of the decisions that make a schedule: the ready-task
+// ordering policy, the queue structure, the total order ready tasks are
+// popped in, steal-victim selection, and the randomized probe stream
+// work stealing draws from.
 //
 // Before this package existed each executor carried its own copy of
 // Policy, QueueMode, the priority heap, and the steal logic, and the

@@ -7,10 +7,10 @@
 // parts, and whether anyone besides the caller does, is entirely the
 // scheduler's decision, so lending never oversubscribes the machine.
 //
-// Three implementations exist: Serial (no lending — the caller runs
-// every part), Pool (a fixed goroutine team for benchmarks and tests),
-// and the real runtime's lender, which recruits parked workers through
-// its park/unpark machinery.
+// Two implementations exist: Pool (a fixed goroutine team for
+// benchmarks and tests) and the real runtime's lender, which recruits
+// parked workers through its park/unpark machinery. A kernel handed a
+// nil handle runs serially.
 package team
 
 import (
@@ -37,22 +37,6 @@ type Parallelism interface {
 	// shards. f must be safe to call concurrently from several
 	// goroutines with distinct part numbers.
 	Span(parts int, f func(part int, scratch *pool.Local))
-}
-
-// Serial is the no-lending Parallelism: the caller runs every part in
-// order on its own goroutine with the shared scratch pool.
-var Serial Parallelism = serial{}
-
-type serial struct{}
-
-// Workers returns 1: the caller alone.
-func (serial) Workers() int { return 1 }
-
-// Span runs every part inline, in order.
-func (serial) Span(parts int, f func(int, *pool.Local)) {
-	for i := 0; i < parts; i++ {
-		f(i, nil)
-	}
 }
 
 // Pool is a fixed team of helper goroutines implementing Parallelism,

@@ -32,28 +32,6 @@ func requireExactlyOnce(t *testing.T, counts []int32) {
 	}
 }
 
-// TestSerialRunsEveryPartOnce pins the Serial implementation: every part
-// exactly once, in order, on the caller's goroutine.
-func TestSerialRunsEveryPartOnce(t *testing.T) {
-	if w := Serial.Workers(); w != 1 {
-		t.Fatalf("Serial.Workers() = %d, want 1", w)
-	}
-	requireExactlyOnce(t, countParts(t, Serial, 7))
-	var order []int
-	Serial.Span(4, func(i int, loc *pool.Local) {
-		if loc != nil {
-			t.Errorf("Serial passed non-nil scratch to part %d", i)
-		}
-		order = append(order, i)
-	})
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("Serial order %v, want ascending", order)
-		}
-	}
-	requireExactlyOnce(t, countParts(t, Serial, 0)) // empty span is a no-op
-}
-
 // TestPoolRunsEveryPartOnce pins the Pool implementation across team
 // sizes and part counts, including parts < team, parts = team, and
 // parts >> team.

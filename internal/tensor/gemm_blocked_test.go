@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"parsec/internal/team"
 	"parsec/internal/tensor/pool"
 )
 
@@ -121,10 +120,11 @@ func BenchmarkKernelGemmBlockedVsDirect(b *testing.B) {
 }
 
 // TestGemmPSerialBranchAllocatesNothing is the GEMM task body's call —
-// three AsMatrix() headers handed to GemmP with the worker's lending
-// handle and scratch shard — at a tile too small to split (the direct
-// and the blocked branch both) and at one large enough when nobody can
-// help: none of the serial branches allocates, the headers included.
+// three AsMatrix() headers handed to GemmP with a scratch shard and no
+// helpers (a nil handle takes the branch a one-worker handle does) —
+// at a tile too small to split (the direct and the blocked branch both)
+// and at one large enough to split: none of the serial branches
+// allocates, the headers included.
 // The closure of the parallel branch used to capture GemmP's own a, b
 // and c, which sent every caller's headers to the heap on every call.
 func TestGemmPSerialBranchAllocatesNothing(t *testing.T) {
@@ -149,15 +149,13 @@ func TestGemmPSerialBranchAllocatesNothing(t *testing.T) {
 			pa.FillRandom(1, 1)
 			pb.FillRandom(2, 1)
 		}
-		for _, par := range []team.Parallelism{nil, team.Serial} {
-			for _, in := range [][2]*Tile4{{at, bt}, {pa, pb}} {
-				body := func() {
-					GemmP(par, loc, in[0].AsMatrix(), in[1].AsMatrix(), ct.AsMatrix())
-				}
-				body() // warm the scratch shard
-				if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
-					t.Errorf("GemmP %v %v par=%v: %v allocs/call, want 0", dim, in[0].Layout, par, allocs)
-				}
+		for _, in := range [][2]*Tile4{{at, bt}, {pa, pb}} {
+			body := func() {
+				GemmP(nil, loc, in[0].AsMatrix(), in[1].AsMatrix(), ct.AsMatrix())
+			}
+			body() // warm the scratch shard
+			if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
+				t.Errorf("GemmP %v %v: %v allocs/call, want 0", dim, in[0].Layout, allocs)
 			}
 		}
 	}

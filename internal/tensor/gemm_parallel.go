@@ -28,8 +28,8 @@ const (
 // shard, used for the serial path (parts draw from the scratch handle
 // their Span slot provides). It panics on shape mismatch.
 //
-// par may be nil or team.Serial for a plain serial call; loc may be nil
-// to draw from the shared pool.
+// par may be nil for a plain serial call; loc may be nil to draw from
+// the shared pool.
 func GemmP(par team.Parallelism, loc *pool.Local, a, b, c *Matrix) {
 	m, n, k := a.Cols, b.Cols, a.Rows
 	if b.Rows != k || c.Rows != m || c.Cols != n {

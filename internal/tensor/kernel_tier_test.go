@@ -139,7 +139,6 @@ func TestGemmPMatchesSerial(t *testing.T) {
 		par  team.Parallelism
 	}{
 		{"nil", nil},
-		{"serial", team.Serial},
 		{"pool3", pool3},
 		{"pool4", pool4},
 	}

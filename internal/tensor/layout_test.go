@@ -223,7 +223,7 @@ func TestGemmPPanelsMatchRowMajor(t *testing.T) {
 		pa, pb := toPanel(a, PanelLayout(PanelA)), toPanel(b, PanelLayout(PanelB))
 		want := c0.Clone()
 		Gemm(true, false, 1, a, b, 1, want)
-		for _, par := range []team.Parallelism{nil, team.Serial, pool3} {
+		for _, par := range []team.Parallelism{nil, pool3} {
 			got := c0.Clone()
 			GemmP(par, nil, pa, pb, got)
 			if i := sameBits(got.Data, want.Data); i >= 0 {
