@@ -109,8 +109,7 @@ func Compile(sys *molecule.System, spec VariantSpec, opts Options) *CompiledPlan
 
 // CompileWorkload is Compile for a workload that is already inspected
 // (InspectKernel): the other kernel, or one inspection shared by several
-// recipes. InspectTime stays zero. opts.Store is ignored: stores are
-// per-execution, not part of the plan.
+// recipes. InspectTime stays zero.
 func CompileWorkload(w *tce.Workload, spec VariantSpec, opts Options) *CompiledPlan {
 	shape := spec.MustShape().Normalize()
 	nodes := opts.Nodes

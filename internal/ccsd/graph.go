@@ -17,11 +17,6 @@ type Options struct {
 	// over this many nodes (§IV-D), reads and writes run at the nodes
 	// owning the Global Array blocks (§IV-B). Use 1 for shared memory.
 	Nodes int
-	// Store, when non-nil, attaches real task bodies operating on the
-	// Global Arrays surface (for the goroutine runtime and the socket
-	// runtime). When nil the graph carries only the simulation cost
-	// model.
-	Store ga.API
 }
 
 // Priority offsets of §IV-C: "We assign a higher priority to the tasks
@@ -62,7 +57,7 @@ type builder struct {
 // returns its graph unbound. Anything that runs the graph should keep
 // the plan (Compile / CompileWorkload) instead.
 func BuildGraph(w *tce.Workload, spec VariantSpec, opts Options) *ptg.Graph {
-	return CompileWorkload(w, spec, opts).unbound(opts.Store)
+	return CompileWorkload(w, spec, opts).unbound(nil)
 }
 
 // point aims the builder, and with it every closure of its graph, at

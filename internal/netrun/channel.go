@@ -437,9 +437,8 @@ func (c *relChan) readAcks(conn net.Conn) {
 }
 
 // drained reports whether every sent frame has been acknowledged. A
-// stopped channel counts as drained: its peer is dead, its window can
-// never be acked, and takeover already surrendered its retained log —
-// holding the flush barrier on it would hang every live rank.
+// stopped channel counts as drained: its peer is gone and its window
+// can never be acked, so a rank's exit wait on it would only run out.
 func (c *relChan) drained() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -727,16 +726,6 @@ func (tp *transport) channels() []*relChan {
 	return chans
 }
 
-// drained reports whether every outbound channel's window is settled.
-func (tp *transport) drained() bool {
-	for _, c := range tp.channels() {
-		if !c.drained() {
-			return false
-		}
-	}
-	return true
-}
-
 // wakeup is a one-token signal (capacity 1): post never blocks, and a
 // waiter that takes the token re-checks the condition it waits on.
 type wakeup chan struct{}
@@ -748,26 +737,18 @@ func (w wakeup) post() {
 	}
 }
 
-// waitDrained blocks until the one outbound channel given — or, given
-// nil, every outbound channel — is drained, reporting false if stop
-// fires or limit passes first.
-func (tp *transport) waitDrained(only *relChan, stop <-chan struct{}, limit time.Duration) bool {
+// waitDrained blocks until the channel is drained, reporting false if
+// limit passes first.
+func (c *relChan) waitDrained(limit time.Duration) bool {
 	t := time.NewTimer(limit)
 	defer t.Stop()
-	drained := tp.drained
-	if only != nil {
-		drained = only.drained
-	}
-	for !drained() {
+	for !c.drained() {
 		select {
-		case <-tp.drainWake:
-		case <-stop:
-			return false
+		case <-c.tp.drainWake:
 		case <-t.C:
 			return false
 		}
 	}
-	tp.drainWake.post() // pass the token on: another waiter may be parked on it
 	return true
 }
 

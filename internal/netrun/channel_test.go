@@ -252,7 +252,7 @@ func TestOutboxWaitIsNotLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !tp.waitDrained(nil, nil, 5*time.Second) {
+	if !tp.chanTo(1).waitDrained(5 * time.Second) {
 		t.Fatal("channel not drained after both frames were acknowledged")
 	}
 	// Nothing else may follow: a restaged copy would be on the wire now.
@@ -294,7 +294,7 @@ func TestRetainedOnlyUnderRecover(t *testing.T) {
 			ids = append(ids, f.id)
 		}
 		conn.Write(sealFrame(ackMsg{IDs: ids}.encode(), 0))
-		if !tp.waitDrained(nil, nil, 5*time.Second) {
+		if !tp.chanTo(1).waitDrained(5 * time.Second) {
 			t.Fatal("channel not drained")
 		}
 		c := tp.chanTo(1)
@@ -487,7 +487,7 @@ func TestBorrowedFramesSurviveLoss(t *testing.T) {
 			send.sendFrame(1, f)
 			send.sendTo(1, newFrame(msgStatus, 0))
 		}
-		if !send.waitDrained(nil, nil, 20*time.Second) {
+		if !send.chanTo(1).waitDrained(20 * time.Second) {
 			t.Fatal("sender not drained")
 		}
 		mu.Lock()
@@ -569,7 +569,7 @@ func TestRedialResendsWindowInOrder(t *testing.T) {
 	if _, err := conn.Write(sealFrame(ackMsg{IDs: ids}.encode(), 0)); err != nil {
 		t.Fatal(err)
 	}
-	if !tp.waitDrained(nil, nil, 5*time.Second) {
+	if !tp.chanTo(1).waitDrained(5 * time.Second) {
 		t.Fatal("channel not drained after the resent window was acknowledged")
 	}
 	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
@@ -662,7 +662,7 @@ func TestAckedWindowHoldsNothing(t *testing.T) {
 	if _, err := conn.Write(sealFrame(ackMsg{IDs: ids[:1]}.encode(), 0)); err != nil {
 		t.Fatal(err)
 	}
-	if !tp.waitDrained(nil, nil, 5*time.Second) {
+	if !tp.chanTo(1).waitDrained(5 * time.Second) {
 		t.Fatal("channel not drained after the whole burst was acknowledged")
 	}
 	await("trimmed", func() bool { return len(c.window) == 0 })

@@ -128,9 +128,9 @@ func TestProcessChaosKillAndSever(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait drives the coordinator's protocol (welcome, termination,
-	// flush), so it must run while we watch progress and deliver the
-	// kill from the outside.
+	// Wait drives the coordinator's protocol (welcome, termination), so
+	// it must run while we watch progress and deliver the kill from the
+	// outside.
 	type waitOut struct {
 		res *Result
 		err error

@@ -44,7 +44,9 @@ type accKey struct {
 }
 
 // coordinator is the rank -1 process: registration barrier, GA server,
-// termination bitset, death detector, and result assembly.
+// termination bitset, death detector, and result assembly. A job ends
+// when every instance has reported done and, for a job with an output,
+// every counted block has folded: both counts are the plan's.
 type coordinator struct {
 	cfg   Config
 	spec  coordSpec
@@ -59,9 +61,7 @@ type coordinator struct {
 	completed []bool
 	ncomplete int
 	lastSeen  map[int]time.Time
-	dead      map[int]int   // dead rank -> heir
-	flushAcks map[int]int64 // rank -> accs the rank reports having sent
-	accRecvd  map[int]int64 // rank -> accs fully handled (post-apply)
+	dead      map[int]int // dead rank -> heir
 	reports   map[int]RankReport
 	gone      map[int]bool // ranks whose dial was refused: no report will come
 	accSeen   map[accKey]bool
@@ -74,8 +74,8 @@ type coordinator struct {
 	failCh   chan struct{}
 	failOnce sync.Once
 	// wake is posted whenever a handler changed something wait may be
-	// blocked on: a completion, an accumulation applied, a flush ack, a
-	// rank report, a rank gone.
+	// blocked on: a completion, an accumulation applied, a rank report, a
+	// rank gone.
 	wake wakeup
 
 	start time.Time
@@ -84,8 +84,8 @@ type coordinator struct {
 // startCoordinator opens the coordinator endpoint. Workers are started
 // by the caller and told this address.
 func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
-	// The coordinator's own links are never severed: the chaos model
-	// targets the data plane.
+	// The coordinator's own outbound links are never severed; a rank's
+	// link to it can be (SeverSpec), and the rank's redial resends.
 	tp, err := newTransport(coordRank, nil)
 	if err != nil {
 		return nil, err
@@ -100,8 +100,6 @@ func startCoordinator(cfg Config, spec coordSpec) (*coordinator, error) {
 		completed: make([]bool, spec.numInstances),
 		lastSeen:  make(map[int]time.Time),
 		dead:      make(map[int]int),
-		flushAcks: make(map[int]int64),
-		accRecvd:  make(map[int]int64),
 		reports:   make(map[int]RankReport),
 		gone:      make(map[int]bool),
 		accSeen:   make(map[accKey]bool),
@@ -206,10 +204,7 @@ func (co *coordinator) noteSeen(from int) {
 }
 
 // handle dispatches one deduplicated inbound frame. It runs on the
-// sender's connection goroutine, so work per frame stays short; frames
-// from one rank arrive in order, which the flush barrier relies on
-// (a FlushAck is handled only after every earlier accumulation from
-// that rank).
+// sender's connection goroutine, so work per frame stays short.
 func (co *coordinator) handle(from int, f frame) {
 	switch f.typ {
 	case msgRegister:
@@ -257,19 +252,6 @@ func (co *coordinator) handle(from int, f frame) {
 		} else if err := co.store.AccOrdered(m.Name, m.Key, m.Tile, m.Scale, m.Tag, m.Lo, m.Hi); err != nil {
 			co.fail(err)
 		}
-		co.mu.Lock()
-		co.accRecvd[from]++ // post-apply: the flush barrier counts on it
-		co.mu.Unlock()
-		co.wake.post()
-	case msgFlushAck:
-		m, err := decodeFlushAck(f.body)
-		if err != nil {
-			co.fail(err)
-			return
-		}
-		co.mu.Lock()
-		co.flushAcks[from] = m.Accs
-		co.mu.Unlock()
 		co.wake.post()
 	case msgDoneInfo:
 		m, err := decodeDoneInfo(f.body)
@@ -371,8 +353,8 @@ func (co *coordinator) checkDeaths() {
 	co.mu.Unlock()
 
 	for _, t := range takeovers {
-		// Stop our own traffic to the dead rank first (flush requests);
-		// coordinator channels retain no activations.
+		// Stop our own traffic to the dead rank first; coordinator
+		// channels retain no activations.
 		co.tp.redirect(t.Dead, t.Heir)
 		for _, r := range live {
 			co.tp.sendTo(r, t.encode())
@@ -381,9 +363,8 @@ func (co *coordinator) checkDeaths() {
 }
 
 // wait drives the run to completion: registration barrier, welcome
-// broadcast, the completion/death-detection loop, the flush barrier,
-// reading the energy folded while the run went on, shutdown, and report
-// collection.
+// broadcast, the completion/death-detection loop, reading the energy
+// folded while the run went on, shutdown, and report collection.
 func (co *coordinator) wait() (*Result, error) {
 	defer co.tp.close()
 	deadline := time.After(co.cfg.Deadline)
@@ -410,15 +391,17 @@ func (co *coordinator) wait() (*Result, error) {
 		co.tp.sendTo(r, welcome.encode()) // one frame per channel: each stamps its own id
 	}
 
-	// Completion arrives as a wake from the msgDone handler; the ticker
-	// only paces death detection.
+	// Completion arrives as a wake from the msgDone and msgAccOrdered
+	// handlers; the ticker only paces death detection. Both counts must
+	// be full: a done batch can overtake an accumulation that a redial
+	// resends, and a block can fold before the done batch of its WRITE.
 	var deathTick <-chan time.Time
 	if co.cfg.Recover {
 		tick := time.NewTicker(10 * time.Millisecond)
 		defer tick.Stop()
 		deathTick = tick.C
 	}
-	for co.nComplete() != co.spec.numInstances {
+	for co.nComplete() != co.spec.numInstances || co.fold != nil && !co.fold.Done() {
 		select {
 		case <-co.failCh:
 			// As for cancellation below: the ranks that did not fail
@@ -445,40 +428,6 @@ func (co *coordinator) wait() (*Result, error) {
 		}
 	}
 
-	// Flush barrier: every live rank confirms an empty unacked window
-	// and reports how many distinct accumulations it sent; the fold
-	// closes only when the post-apply receive count matches, so an acc
-	// still inside a handler (a dying connection's last frame, say)
-	// cannot race the energy read.
-	co.mu.Lock()
-	live := co.liveRanksLocked()
-	co.mu.Unlock()
-	for _, r := range live {
-		co.tp.sendTo(r, newFrame(msgFlushReq, 0))
-	}
-	for {
-		co.mu.Lock()
-		acked := 0
-		for _, r := range live {
-			if sent, ok := co.flushAcks[r]; ok && co.accRecvd[r] >= sent {
-				acked++
-			}
-		}
-		co.mu.Unlock()
-		if acked == len(live) {
-			break
-		}
-		select {
-		case <-co.failCh:
-			co.awaitReports(co.shutdown())
-			return nil, co.err()
-		case <-deadline:
-			co.shutdown()
-			return nil, fmt.Errorf("netrun: flush barrier: %d/%d acks", acked, len(live))
-		case <-co.wake:
-		}
-	}
-
 	co.mu.Lock()
 	co.accClosed = true // late zombie accumulations must not skew the fold
 	co.mu.Unlock()
@@ -489,17 +438,12 @@ func (co *coordinator) wait() (*Result, error) {
 		Elapsed: time.Since(co.start),
 		graph:   co.spec.graph,
 	}
-	if co.fold != nil {
-		energy, err := co.fold.Energy()
-		if err != nil {
-			co.awaitReports(co.shutdown())
-			return nil, err
-		}
-		res.Energy, res.HasEnergy = energy, true
+	if co.fold != nil { // every block has folded, so Energy cannot fail
+		res.Energy, _ = co.fold.Energy()
+		res.HasEnergy = true
 	}
 
-	co.shutdown()
-	co.collectReports(live, res)
+	co.collectReports(co.shutdown(), res)
 	co.mu.Lock()
 	res.Takeovers = len(co.dead)
 	co.mu.Unlock()

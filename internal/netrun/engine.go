@@ -198,10 +198,10 @@ func (e *engine) push(in *ptg.Instance) {
 // not pass on, hands the executor the local successors that became
 // ready (s.Ready), and adds the instance's sequence number to the
 // batch bound for the coordinator's termination bitset (see doneSeqs).
-// The sequence number joins its batch only after the payload sends, so
-// the Done that carries it is ordered after them on purpose — the
-// coordinator's flush barrier then guarantees every accumulation is
-// server-side before the energy is read. The deliveries go into the
+// The sequence number joins its batch only after the payload sends, but
+// the coordinator does not count on that order: after a redial a done
+// batch can land before an accumulation sent ahead of it, so a job ends
+// only once the counted output is complete too. The deliveries go into the
 // worker's own buffer (s.Dels): every worker runs this hook at once, and
 // nothing keeps a Delivery past the call.
 func (e *engine) complete(in *ptg.Instance, out []any, s *runtime.Scratch) error {

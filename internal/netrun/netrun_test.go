@@ -173,37 +173,54 @@ func TestRunBenzeneShapedFourWorkersSteal(t *testing.T) {
 	}
 }
 
-// TestRunWithSeveredLink closes one inter-rank connection — early, and
+// TestRunWithSeveredLink closes one connection of a two-rank run and
+// requires the sender to reconnect, retransmit its window, and finish
+// with the energy bitwise. Between the ranks the cut comes early, and
 // again in the middle of rank 0's burst of some 200 frames, most of them
-// tiles on loan to the channel; the sender must reconnect, retransmit its
-// window, and finish correctly.
+// tiles on loan to the channel. A rank's link to the coordinator carries
+// its accumulations and done batches, so there a resent accumulation can
+// land after a done batch sent behind it, and the job must still wait
+// for its counted output. Every cut is reached: on this job rank 0 sends
+// the coordinator 60 accumulations and rank 1 18, besides its register
+// frame, done batches and report. Rank 0's last three cuts fall in its
+// final stretch, where a late accumulation is most likely.
 func TestRunWithSeveredLink(t *testing.T) {
 	want := waterRef(t, "v2")
 	spec := jobFor("v2")
-	for _, after := range []int{5, 80} {
-		cfg := cfgFor(t, spec, 2, 2)
-		cfg.Sever = &SeverSpec{From: 0, To: 1, AfterFrames: after}
-		res, err := Run(cfg, spec)
-		if err != nil {
-			t.Fatal(err)
+	severs := []SeverSpec{{From: 0, To: 1, AfterFrames: 5}, {From: 0, To: 1, AfterFrames: 80}}
+	for from, cuts := range [][]int{{1, 5, 20, 50, 55, 60}, {1, 5, 20}} {
+		for _, after := range cuts {
+			severs = append(severs, SeverSpec{From: from, To: coordRank, AfterFrames: after})
 		}
-		checkEnergy(t, res, want)
-		checkTileBooks(t, res, true)
-		var severs, reconnects int64
-		for _, rep := range res.PerRank {
-			severs += rep.Comm.Severs
-			if rep.Rank == 0 {
-				reconnects = rep.Comm.Reconnects
+	}
+	for _, sv := range severs {
+		t.Run(fmt.Sprintf("%s_to_%s_after_%d", rankName(sv.From), rankName(sv.To), sv.AfterFrames), func(t *testing.T) {
+			cfg := cfgFor(t, spec, 2, 2)
+			cfg.Sever = &sv
+			res, err := Run(cfg, spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if severs == 0 {
-			t.Errorf("sever after %d frames configured but never triggered", after)
-		}
-		// Rank 0 dials the coordinator and rank 1 once each; the third
-		// connection is the one that replaces the severed link.
-		if reconnects < 3 {
-			t.Errorf("sever after %d frames: rank 0 connected %d times, want a reconnect", after, reconnects)
-		}
+			if !res.HasEnergy || res.Energy != want {
+				t.Errorf("energy %.17g, want %.17g bitwise", res.Energy, want)
+			}
+			checkTileBooks(t, res, true)
+			var severs, retries, reconnects int64
+			for _, rep := range res.PerRank {
+				severs += rep.Comm.Severs
+				if rep.Rank == sv.From {
+					retries, reconnects = rep.Comm.Retries, rep.Comm.Reconnects
+				}
+			}
+			if severs == 0 || retries == 0 {
+				t.Errorf("sever configured: %d severs, %d frames resent by %s", severs, retries, rankName(sv.From))
+			}
+			// The sender dials the coordinator and the other rank once
+			// each; the third connection replaces the severed link.
+			if reconnects < 3 {
+				t.Errorf("%s connected %d times, want a reconnect", rankName(sv.From), reconnects)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"parsec/internal/trace"
 )
 
-// Wire protocol (version 7): every frame is
+// Wire protocol (version 9): every frame is
 //
 //	magic(2) version(1) type(1) id(8, LE) bodyLen(4, LE) body
 //
@@ -48,8 +48,10 @@ const (
 	// Version 6 dropped the GET and NXTVAL requests and their replies.
 	// Version 7 dropped the ack-suppress bit: every data frame is acked.
 	// Version 8 sends a done batch's sequence numbers as 32 bits, so a
-	// full batch fits a pooled frame head.
-	wireVersion = 8
+	// full batch fits a pooled frame head. Version 9 dropped the flush
+	// request and its ack (a job ends when its counted output is
+	// complete), renumbering the message types after msgTakeover.
+	wireVersion = 9
 
 	frameHeaderLen = 2 + 1 + 1 + 8 + 4
 	// maxBody caps a frame body: the largest legitimate payload is one
@@ -70,8 +72,6 @@ const (
 	msgStatus
 	msgAccOrdered
 	msgTakeover
-	msgFlushReq
-	msgFlushAck
 	msgDoneInfo
 	msgShutdown
 	msgError
@@ -825,19 +825,6 @@ func decodeDone(b []byte, seqs []int) (doneMsg, error) {
 		m.Seqs[i] = int(c.u32())
 	}
 	return m, c.done()
-}
-
-// flushAckMsg confirms a rank's outbound window is drained; Accs is the
-// number of distinct accumulation messages the rank has sent, so the
-// coordinator can also wait out any acc still inside a handler on a
-// dying connection before it closes the fold.
-type flushAckMsg struct{ Accs int64 }
-
-func (m flushAckMsg) encode() []byte { return appendI64(newFrame(msgFlushAck, 8), m.Accs) }
-
-func decodeFlushAck(b []byte) (flushAckMsg, error) {
-	c := cursor{buf: b}
-	return flushAckMsg{Accs: c.i64()}, c.done()
 }
 
 // accOrderedMsg ships one ordered accumulation to the GA server. The

@@ -173,7 +173,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	// A v3 peer, which still speaks the inter-rank steal messages, is told
 	// which version it speaks and which this build does.
 	_, _, err := decodeFrame(corrupt(func(b []byte) { b[2] = 3 }))
-	if want := "netrun: unsupported protocol version 3 (this build speaks 8)"; err == nil || err.Error() != want {
+	if want := "netrun: unsupported protocol version 3 (this build speaks 9)"; err == nil || err.Error() != want {
 		t.Errorf("v3 frame: got %v, want %q", err, want)
 	}
 
@@ -397,10 +397,6 @@ func TestMessageRoundTrips(t *testing.T) {
 			t.Fatalf("status: typ %d, %d of %d bytes, body %d bytes, %v", fr.typ, n, len(f), len(fr.body), err)
 		}
 	})
-	t.Run("flushAck", func(t *testing.T) {
-		m := flushAckMsg{Accs: 987654321}
-		roundTrip(t, "flushAck", m, msgFlushAck, m.encode(), decodeFlushAck)
-	})
 	t.Run("accOrdered", func(t *testing.T) {
 		m := accOrderedMsg{
 			Name: "C", Key: tensor.BlockKey{1, 0, 2, 3},
@@ -513,14 +509,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	v7 = rawFrame(msgDone, 4, v7)
 	v7[2] = 7
 	f.Add(v7)
-	// A v3 peer's steal request, its ack-suppress bit set. Type 13 is
-	// msgShutdown since v6: only the version byte keeps it from the
-	// shutdown handler.
+	// A v3 peer's steal request, its ack-suppress bit set. Type 13 was
+	// msgShutdown in v6 to v8: the version byte refuses it first.
 	v3 := rawFrame(13|0x80, 6, appendI64(nil, 1))
 	v3[2] = 3
 	f.Add(v3)
-	// A v5 peer's absent-block GET reply. Type 10 is msgFlushReq since
-	// v6: only the version byte keeps it from the flush handler.
+	// A v5 peer's absent-block GET reply. Type 10 was the flush request
+	// in v6 to v8 and is msgDoneInfo since v9: only the version byte
+	// keeps it from the report handler.
 	v5 := rawFrame(10, 8, append(appendU64(nil, 5), payNil))
 	v5[2] = 5
 	f.Add(v5)
@@ -583,8 +579,6 @@ func decodeBody(fr frame) {
 		_, _ = decodeAccOrdered(fr.body)
 	case msgTakeover:
 		_, _ = decodeTakeover(fr.body)
-	case msgFlushAck:
-		_, _ = decodeFlushAck(fr.body)
 	case msgDoneInfo:
 		_, _ = decodeDoneInfo(fr.body)
 	case msgError:

@@ -114,7 +114,7 @@ func runWorker(cfg Config, rank int, coordAddr string, plan *ccsd.CompiledPlan, 
 	// Give the report a moment to land; the coordinator tolerates missing
 	// reports, so this is best-effort. Peers are not waited for: after a
 	// cancel they may have gone with our last frames unacknowledged.
-	tp.waitDrained(tp.chanTo(coordRank), nil, 2*time.Second)
+	tp.chanTo(coordRank).waitDrained(2 * time.Second)
 	tp.close()
 	if w.gac != nil {
 		w.gac.release()
@@ -123,8 +123,7 @@ func runWorker(cfg Config, rank int, coordAddr string, plan *ccsd.CompiledPlan, 
 }
 
 // handle dispatches one deduplicated inbound frame on a rank. Frames
-// from one sender arrive in order; everything here is quick except the
-// flush probe, which waits on its own goroutine.
+// from one sender arrive in order; everything here is quick.
 func (w *worker) handle(from int, f frame) {
 	switch f.typ {
 	case msgWelcome:
@@ -151,16 +150,6 @@ func (w *worker) handle(from int, f frame) {
 			return
 		}
 		w.eng.handleTakeover(m)
-	case msgFlushReq:
-		// Ack only once every outbound frame (accumulations included) is
-		// acknowledged, and tell the coordinator how many distinct accs
-		// we sent so it can match them against its post-apply count.
-		go func() {
-			if w.tp.waitDrained(nil, w.shutCh, w.cfg.Deadline) {
-				accs := w.tp.counters.accOps.Load()
-				w.tp.sendTo(coordRank, flushAckMsg{Accs: accs}.encode())
-			}
-		}()
 	case msgShutdown:
 		w.shutOnce.Do(func() { close(w.shutCh) })
 	}

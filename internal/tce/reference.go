@@ -189,6 +189,10 @@ func (f *EnergyFold) Put(key tensor.BlockKey, t *tensor.Tile4) {
 	}
 }
 
+// Done reports whether every output block has been folded. It
+// allocates nothing, so a caller may poll it per accumulation.
+func (f *EnergyFold) Done() bool { return int(f.next.Load()) == len(f.tiles) }
+
 // Energy returns the folded energy once every Put has returned, or an
 // error naming the first block in key order that never arrived.
 func (f *EnergyFold) Energy() (float64, error) {
